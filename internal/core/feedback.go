@@ -116,7 +116,7 @@ func (q *Q) FeedbackFavorTree(v *View, target steiner.Tree) error {
 }
 
 func (q *Q) feedbackFavorLocked(mat *viewMat, target steiner.Tree, k int) error {
-	return q.feedbackPreferLocked(mat, target, kBestOf(q.opts.UseApproxSteiner, mat, k))
+	return q.feedbackPreferLocked(mat, target, q.kBestOf(mat, k))
 }
 
 // FeedbackPreferTrees applies ranking feedback (paper §4: "tuple t_x should
@@ -226,24 +226,18 @@ func (q *Q) KBestTrees(v *View, k int) []steiner.Tree {
 	if mat == nil {
 		return nil
 	}
-	return kBestOf(q.opts.UseApproxSteiner, mat, k)
+	return q.kBestOf(mat, k)
 }
 
 // kBestTieSlack is how many extra trees beyond k the tie-inclusive page
 // fetches to discover boundary ties.
 const kBestTieSlack = 8
 
-func kBestOf(approx bool, mat *viewMat, k int) []steiner.Tree {
+func (q *Q) kBestOf(mat *viewMat, k int) []steiner.Tree {
 	if k <= 0 {
 		return nil
 	}
-	fetch := func(n int) []steiner.Tree {
-		if approx {
-			return steiner.ApproxTopKSteinerOn(mat.ov.View(), mat.terminals, n)
-		}
-		return steiner.TopKSteinerOn(mat.ov.View(), mat.terminals, n)
-	}
-	trees := fetch(k + kBestTieSlack)
+	trees := q.topKTrees(mat.ov, mat.terminals, k+kBestTieSlack)
 	if len(trees) <= k {
 		return trees
 	}

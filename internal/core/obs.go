@@ -27,6 +27,14 @@ type engineMetrics struct {
 	stageTime   map[obs.Stage]*obs.Counter // qint_query_stage_seconds_total{stage=}
 	stageOps    map[obs.Stage]*obs.Counter // qint_query_stage_ops_total{stage=}
 
+	// Exact top-k Steiner search (steiner.Stats summed over calls), and
+	// searches answered by the approximation because the keyword set was
+	// beyond steiner.MaxExactTerminals.
+	steinerPops         *obs.Counter // qint_steiner_pops_total
+	steinerPruned       *obs.Counter // qint_steiner_pruned_total
+	steinerTruncated    *obs.Counter // qint_steiner_truncated_total
+	steinerApproxRouted *obs.Counter // qint_steiner_approx_routed_total
+
 	// Registration-time alignment work (the Stats view).
 	baseMatcherCalls            *obs.Counter
 	attrComparisons             *obs.Counter
@@ -65,6 +73,11 @@ func newEngineMetrics() *engineMetrics {
 		queryDur:    r.Histogram("qint_query_duration_seconds", "Wall-clock latency of traced keyword queries."),
 		stageTime:   make(map[obs.Stage]*obs.Counter),
 		stageOps:    make(map[obs.Stage]*obs.Counter),
+
+		steinerPops:         r.Counter("qint_steiner_pops_total", "Candidate trees taken off the exact top-k Steiner search's queue."),
+		steinerPruned:       r.Counter("qint_steiner_pruned_total", "Candidate trees the exact search dropped unqueued because their state already held k trees."),
+		steinerTruncated:    r.Counter("qint_steiner_truncated_total", "Exact searches stopped at the pop limit, whose answer may be short."),
+		steinerApproxRouted: r.Counter("qint_steiner_approx_routed_total", "Searches routed to the approximation because they had more terminals than the exact search accepts."),
 
 		baseMatcherCalls:            r.Counter("qint_align_base_matcher_calls_total", "Relation-pair matcher invocations during source registration (BASEMATCHER calls of Algorithms 2-3)."),
 		attrComparisons:             r.Counter("qint_align_attr_comparisons_total", "Pairwise attribute comparisons performed, honouring the value-overlap filter when enabled."),

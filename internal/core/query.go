@@ -505,12 +505,7 @@ func (q *Q) executeBranches(st *qstate, queries []*relstore.ConjunctiveQuery, k,
 // deterministic regardless of parallelism.
 func (q *Q) planOverlay(st *qstate, ov *searchgraph.Overlay, terminals []steiner.NodeID, k, workers int, tr *obs.Trace) ([]steiner.Tree, []*relstore.ConjunctiveQuery, error) {
 	tsteiner := tr.Now()
-	var trees []steiner.Tree
-	if q.opts.UseApproxSteiner {
-		trees = steiner.ApproxTopKSteinerOn(ov.View(), terminals, k)
-	} else {
-		trees = steiner.TopKSteinerOn(ov.View(), terminals, k)
-	}
+	trees := q.topKTrees(ov, terminals, k)
 	// Trees whose only way to connect the keywords runs through a disabled
 	// edge (a mapping edge, or a legacy persisted keyword edge) are not
 	// real answers.
@@ -566,6 +561,31 @@ func (q *Q) planOverlay(st *qstate, ov *searchgraph.Overlay, terminals []steiner
 	}
 	tr.Record(obs.StageTranslate, ttrans)
 	return trees, queries, nil
+}
+
+// topKTrees is the one place core runs a top-k Steiner search (view
+// planning and the deeper feedback pages alike). It is the exact search
+// unless Options.UseApproxSteiner asks for the approximation or the keyword
+// set is beyond what the exact search accepts — its state space is
+// exponential in the terminals — in which case the approximation answers
+// and the routing is counted. The exact search's work goes to the registry.
+func (q *Q) topKTrees(ov *searchgraph.Overlay, terminals []steiner.NodeID, k int) []steiner.Tree {
+	m := q.metrics
+	approx := q.opts.UseApproxSteiner
+	if !approx && len(terminals) > steiner.MaxExactTerminals {
+		m.steinerApproxRouted.Inc()
+		approx = true
+	}
+	if approx {
+		return steiner.ApproxTopKSteinerOn(ov.View(), terminals, k)
+	}
+	trees, st := steiner.TopKSteinerStats(ov.View(), terminals, k)
+	m.steinerPops.Add(int64(st.Pops))
+	m.steinerPruned.Add(int64(st.Pruned))
+	if st.Truncated {
+		m.steinerTruncated.Inc()
+	}
+	return trees
 }
 
 func (q *Q) treeUsesExpensiveAssoc(ov *searchgraph.Overlay, t steiner.Tree) bool {

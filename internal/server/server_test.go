@@ -12,6 +12,8 @@ import (
 	"qint/internal/datasets"
 	"qint/internal/matcher/mad"
 	"qint/internal/matcher/meta"
+	"qint/internal/obs"
+	"qint/internal/steiner"
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
@@ -322,5 +324,50 @@ func TestPreexistingViewsSeeded(t *testing.T) {
 	decode(t, resp, &next)
 	if next.ID != "v1" {
 		t.Fatalf("post-seed query id = %q, want v1", next.ID)
+	}
+}
+
+// TestManyKeywordQuery: a query with more keywords than the exact Steiner
+// search accepts is answered by the approximation — an ordinary response,
+// counted on /metrics — instead of panicking inside the materialisation
+// cache's in-flight computation, and the server keeps answering afterwards.
+func TestManyKeywordQuery(t *testing.T) {
+	_, q := newObsServer(t, Config{})
+	srv := New(q) // driven through ServeHTTP directly: a panic would reach the test
+	do := func(method, path string, body interface{}) *httptest.ResponseRecorder {
+		t.Helper()
+		b, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(method, path, bytes.NewReader(b)))
+		return w
+	}
+
+	var many bytes.Buffer
+	for i := 0; i <= steiner.MaxExactTerminals; i++ {
+		fmt.Fprintf(&many, "'GO:%07d' ", 1000+i)
+	}
+	for _, path := range []string{"/query", "/query?ephemeral=1"} {
+		w := do("POST", path, QueryRequest{Q: many.String()})
+		if w.Code >= 300 || !json.Valid(w.Body.Bytes()) {
+			t.Fatalf("POST %s with %d keywords: status %d, body %q", path, steiner.MaxExactTerminals+1, w.Code, w.Body)
+		}
+	}
+	if w := do("POST", "/query", QueryRequest{Q: "'GO:0001000' 'fam_0'"}); w.Code != http.StatusCreated {
+		t.Fatalf("query after the many-keyword one: status %d, body %q", w.Code, w.Body)
+	}
+	w := do("GET", "/metrics", nil)
+	exp, err := obs.ParseExposition(w.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Once: the ephemeral repeat is served from the materialisation cache.
+	if v, _ := exp.Value("qint_steiner_approx_routed_total"); v != 1 {
+		t.Errorf("qint_steiner_approx_routed_total = %v, want 1", v)
+	}
+	if v, _ := exp.Value("qint_steiner_pops_total"); v == 0 {
+		t.Error("qint_steiner_pops_total = 0 after an exact search")
 	}
 }

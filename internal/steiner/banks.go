@@ -2,6 +2,7 @@ package steiner
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -117,12 +118,29 @@ func unionPathsTree(g GraphView, dists []Dist, terms []NodeID, root NodeID) (Tre
 	t := Tree{Edges: make([]EdgeID, 0, len(edgeSet)), Nodes: make([]NodeID, 0, len(nodeSet))}
 	for e := range edgeSet {
 		t.Edges = append(t.Edges, e)
-		t.Cost += g.Edge(e).Cost
 	}
 	for n := range nodeSet {
 		t.Nodes = append(t.Nodes, n)
 	}
-	sort.Slice(t.Edges, func(i, j int) bool { return t.Edges[i] < t.Edges[j] })
-	sort.Slice(t.Nodes, func(i, j int) bool { return t.Nodes[i] < t.Nodes[j] })
+	slices.Sort(t.Edges)
+	slices.Sort(t.Nodes)
+	// Summed in edge-id order, not map order: float addition is not
+	// associative, and the cost decides the trees' rank.
+	for _, e := range t.Edges {
+		t.Cost += g.Edge(e).Cost
+	}
 	return t, true
+}
+
+func dedupNodes(nodes []NodeID) []NodeID {
+	seen := make(map[NodeID]struct{}, len(nodes))
+	var out []NodeID
+	for _, n := range nodes {
+		if _, ok := seen[n]; ok {
+			continue
+		}
+		seen[n] = struct{}{}
+		out = append(out, n)
+	}
+	return out
 }

@@ -1,9 +1,6 @@
 package steiner
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // Dist holds single-source shortest-path results. Unreachable nodes have
 // distance +Inf and Prev == -1.
@@ -25,9 +22,10 @@ func DijkstraOn(g GraphView, src NodeID) Dist {
 		d.Prev[i] = -1
 	}
 	d.D[src] = 0
-	pq := &nodePQ{{node: src, cost: 0}}
+	pq := minHeap[nodeItem]{less: nodeItemLess}
+	pq.Push(nodeItem{node: src, cost: 0})
 	for pq.Len() > 0 {
-		it := heap.Pop(pq).(nodeItem)
+		it := pq.Pop()
 		if it.cost > d.D[it.node] {
 			continue
 		}
@@ -38,7 +36,7 @@ func DijkstraOn(g GraphView, src NodeID) Dist {
 			if nd < d.D[to] {
 				d.D[to] = nd
 				d.Prev[to] = eid
-				heap.Push(pq, nodeItem{node: to, cost: nd})
+				pq.Push(nodeItem{node: to, cost: nd})
 			}
 		}
 	}
@@ -124,16 +122,4 @@ type nodeItem struct {
 	cost float64
 }
 
-type nodePQ []nodeItem
-
-func (p nodePQ) Len() int            { return len(p) }
-func (p nodePQ) Less(i, j int) bool  { return p[i].cost < p[j].cost }
-func (p nodePQ) Swap(i, j int)       { p[i], p[j] = p[j], p[i] }
-func (p *nodePQ) Push(x interface{}) { *p = append(*p, x.(nodeItem)) }
-func (p *nodePQ) Pop() interface{} {
-	old := *p
-	n := len(old)
-	it := old[n-1]
-	*p = old[:n-1]
-	return it
-}
+func nodeItemLess(a, b *nodeItem) bool { return a.cost < b.cost }

@@ -1,10 +1,11 @@
 package steiner
 
 import (
-	"container/heap"
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
+	"sync"
 )
 
 // Tree is one group Steiner tree: a connected, acyclic edge set spanning all
@@ -22,13 +23,16 @@ type Tree struct {
 // subgraph regardless of the DP root they were discovered from.
 func (t Tree) Key() string {
 	if len(t.Edges) == 0 {
-		return fmt.Sprintf("n%d", t.Nodes[0])
+		return string(strconv.AppendInt([]byte{'n'}, int64(t.Nodes[0]), 10))
 	}
-	parts := make([]string, len(t.Edges))
+	b := make([]byte, 0, 8*len(t.Edges))
 	for i, e := range t.Edges {
-		parts[i] = fmt.Sprint(e)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(e), 10)
 	}
-	return strings.Join(parts, ",")
+	return string(b)
 }
 
 // HasEdge reports whether the tree uses the given edge.
@@ -39,8 +43,23 @@ func (t Tree) HasEdge(id EdgeID) bool {
 
 // maxDPBFPops bounds the priority-queue work of one TopKSteiner call, a
 // safety valve against pathological inputs (the algorithm is exponential in
-// the number of terminals, which Q keeps small — one per keyword).
+// the number of terminals, which Q keeps small — one per keyword). A search
+// that stops here reports Stats.Truncated.
 const maxDPBFPops = 2_000_000
+
+// MaxExactTerminals is the largest number of distinct terminals the exact
+// search accepts: its state space is nodes × 2^terminals. Callers holding
+// more route to ApproxTopKSteinerOn; TopKSteinerOn panics above it.
+const MaxExactTerminals = 20
+
+// Stats describes the work of one exact top-k search.
+type Stats struct {
+	Pops      int  // candidates taken off the queue
+	Pushes    int  // candidates put on the queue
+	Recorded  int  // candidates kept in a state's k-best list
+	Pruned    int  // candidates dropped at push because their state already held k trees
+	Truncated bool // the search stopped at maxDPBFPops; the answer may be short
+}
 
 // TopKSteiner returns up to k lowest-cost Steiner trees connecting all
 // terminal nodes, in non-decreasing cost order, using the DPBF dynamic
@@ -55,220 +74,338 @@ func (g *Graph) TopKSteiner(terminals []NodeID, k int) []Tree {
 
 // TopKSteinerOn is TopKSteiner over an arbitrary graph view (base graph or
 // base∪overlay).
+//
+// The result is a pure function of (view, terminal set, k). Candidates
+// leave the queue in a strict total order — cost, then edge count (of two
+// trees at one cost the one with fewer joins ranks first), then a hash of
+// the edge set, then root, then covered-terminal mask, then the sorted edge
+// lists compared element by element — so which of several trees tied at a
+// cost is returned, and in which position, depends on neither the queue's
+// layout nor the order the terminals were given in.
 func TopKSteinerOn(g GraphView, terminals []NodeID, k int) []Tree {
+	trees, _ := TopKSteinerStats(g, terminals, k)
+	return trees
+}
+
+// TopKSteinerStats is TopKSteinerOn that also reports the work it did.
+func TopKSteinerStats(g GraphView, terminals []NodeID, k int) ([]Tree, Stats) {
 	if k <= 0 {
-		return nil
+		return nil, Stats{}
 	}
-	terms := dedupNodes(terminals)
-	if len(terms) == 0 {
-		return nil
-	}
-	if len(terms) == 1 {
-		return []Tree{{Cost: 0, Nodes: []NodeID{terms[0]}}}
-	}
-	if len(terms) > 20 {
+	terms := slices.Clone(terminals)
+	slices.Sort(terms)
+	terms = slices.Compact(terms)
+	switch {
+	case len(terms) == 0:
+		return nil, Stats{}
+	case len(terms) == 1:
+		return []Tree{{Cost: 0, Nodes: []NodeID{terms[0]}}}, Stats{}
+	case len(terms) > MaxExactTerminals:
 		// 2^t states explode; callers should use ApproxTopKSteiner.
-		panic(fmt.Sprintf("steiner: TopKSteiner with %d terminals; use ApproxTopKSteiner", len(terms)))
+		panic(fmt.Sprintf("steiner: TopKSteiner with %d terminals (MaxExactTerminals is %d); use ApproxTopKSteiner",
+			len(terms), MaxExactTerminals))
 	}
-	full := uint32(1)<<uint(len(terms)) - 1
+	s := searchPool.Get().(*search)
+	trees := s.run(g, terms, k)
+	stats := s.stats
+	s.release()
+	return trees, stats
+}
 
-	type state struct {
-		v    NodeID
-		mask uint32
+// cand is one DP tree rooted at root covering terminal set mask, on the
+// queue or — once recorded — in the arena. It does not hold its node or edge
+// set: those are implied by how it was derived from recorded candidates
+// (a leaf is a bare terminal; an extension is candidate a plus edge, re-rooted
+// across it; a merge is the union of a and b, both rooted at root), and are
+// walked out of the arena when needed. Trees here are a dozen edges at most.
+type cand struct {
+	cost   float64
+	hash   uint64 // commutative hash of the edge set: sum of edgeHash
+	root   int32
+	mask   uint32
+	nEdges int32
+	a, b   int32 // arena indexes; a < 0 for a leaf, b < 0 unless a merge
+	edge   int32 // the edge an extension added
+	next   int32 // arena only: the candidate recorded before this one at root
+}
+
+// edgeHash spreads an edge id over 64 bits (the splitmix64 finaliser), so
+// that sums of distinct small edge sets practically never coincide.
+func edgeHash(e EdgeID) uint64 {
+	x := uint64(e) + 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
+// search is the scratch of one TopKSteinerStats call. Everything lives in
+// flat slices that a later call reuses through searchPool.
+type search struct {
+	k     int
+	full  uint32
+	stats Stats
+
+	arena []cand        // recorded candidates, in pop order
+	pq    minHeap[cand] // queued candidates
+	head  []int32       // per node: the last candidate recorded at that root, -1 if none
+	mark  []uint32      // per node: == stamp when the node is in the tree being expanded
+	stamp uint32
+
+	stack     []int32
+	ea, eb    []EdgeID
+	treeNodes []NodeID
+}
+
+// maxPooledLen caps what a pooled search may hold on to: a call whose
+// per-node tables, arena or queue grew beyond it drops its scratch instead of
+// returning it. At the cap a pooled search is a few MB.
+const maxPooledLen = 1 << 16
+
+var searchPool = sync.Pool{New: func() any {
+	s := new(search)
+	s.pq.less = s.less
+	return s
+}}
+
+func (s *search) release() {
+	if cap(s.head) <= maxPooledLen && cap(s.arena) <= maxPooledLen && cap(s.pq.items) <= maxPooledLen {
+		searchPool.Put(s)
 	}
-	// Recorded k-best trees per state, with canonical-key dedup.
-	recorded := make(map[state][]*dpTree)
-	seen := make(map[state]map[string]struct{})
+}
 
-	pq := &dpPQ{}
+// less is the queue's strict total order. Two candidates it does not
+// separate have the same cost, root, mask and edge set, and are
+// interchangeable. Every candidate a pop pushes is greater than the one
+// popped (costs are non-negative; an extension adds an edge, a merge adds
+// edges or, with a bare terminal, mask bits), so pops are in ascending order.
+func (s *search) less(a, b *cand) bool {
+	if a.cost != b.cost {
+		return a.cost < b.cost
+	}
+	if a.nEdges != b.nEdges {
+		return a.nEdges < b.nEdges
+	}
+	if a.hash != b.hash {
+		return a.hash < b.hash
+	}
+	if a.root != b.root {
+		return a.root < b.root
+	}
+	if a.mask != b.mask {
+		return a.mask < b.mask
+	}
+	return slices.Compare(s.sortedEdges(a, &s.ea), s.sortedEdges(b, &s.eb)) < 0
+}
+
+// walk appends c's nodes to *nodes and c's edges to *edges, in no
+// particular order; either may be nil. A node where two merged parts meet is
+// listed once per part.
+func (s *search) walk(c *cand, nodes *[]NodeID, edges *[]EdgeID) {
+	st := s.stack[:0]
+	for {
+		switch {
+		case c.b >= 0: // merge: both parts end at c.root
+			st = append(st, c.b)
+			c = &s.arena[c.a]
+			continue
+		case c.a >= 0: // extension
+			if edges != nil {
+				*edges = append(*edges, EdgeID(c.edge))
+			}
+			if nodes != nil {
+				*nodes = append(*nodes, NodeID(c.root))
+			}
+			c = &s.arena[c.a]
+			continue
+		}
+		if nodes != nil { // leaf
+			*nodes = append(*nodes, NodeID(c.root))
+		}
+		if len(st) == 0 {
+			break
+		}
+		c = &s.arena[st[len(st)-1]]
+		st = st[:len(st)-1]
+	}
+	s.stack = st
+}
+
+// sortedEdges returns c's edge set, ascending, in buf's storage.
+func (s *search) sortedEdges(c *cand, buf *[]EdgeID) []EdgeID {
+	*buf = (*buf)[:0]
+	s.walk(c, nil, buf)
+	slices.Sort(*buf)
+	return *buf
+}
+
+func (s *search) reset(g GraphView, terms []NodeID, k int) {
+	n := g.NumNodes()
+	s.k = k
+	s.full = uint32(1)<<uint(len(terms)) - 1
+	s.stats = Stats{}
+	s.arena = s.arena[:0]
+	s.pq.Reset()
+	s.head = slices.Grow(s.head[:0], n)[:n]
+	for i := range s.head {
+		s.head[i] = -1
+	}
+	s.mark = slices.Grow(s.mark[:0], n)[:n]
+	clear(s.mark)
+	s.stamp = 0
+}
+
+func (s *search) run(g GraphView, terms []NodeID, k int) []Tree {
+	s.reset(g, terms, k)
 	for i, t := range terms {
-		dt := &dpTree{cost: 0, v: t, mask: 1 << uint(i), nodes: map[NodeID]struct{}{t: {}}}
-		heap.Push(pq, dt)
+		s.push(cand{root: int32(t), mask: 1 << uint(i), a: -1, b: -1})
 	}
 
 	var answers []Tree
-	answerKeys := make(map[string]struct{})
-	pops := 0
+	for s.pq.Len() > 0 && len(answers) < k {
+		if s.stats.Pops >= maxDPBFPops {
+			s.stats.Truncated = true
+			break
+		}
+		cur := s.pq.Pop()
+		s.stats.Pops++
+		if !s.admits(&cur) {
+			continue
+		}
+		cur.next = s.head[cur.root]
+		ci := int32(len(s.arena))
+		s.arena = append(s.arena, cur)
+		s.head[cur.root] = ci
+		s.stats.Recorded++
 
-	for pq.Len() > 0 && len(answers) < k && pops < maxDPBFPops {
-		cur := heap.Pop(pq).(*dpTree)
-		pops++
-		st := state{v: cur.v, mask: cur.mask}
-		key := cur.key()
-		if seen[st] == nil {
-			seen[st] = make(map[string]struct{})
-		}
-		if _, dup := seen[st][key]; dup {
+		if cur.mask == s.full {
+			// A complete tree takes part in nothing further.
+			answers = s.answer(&cur, answers)
 			continue
 		}
-		if len(recorded[st]) >= k {
-			continue
-		}
-		seen[st][key] = struct{}{}
-		recorded[st] = append(recorded[st], cur)
 
-		if cur.mask == full {
-			t := cur.toTree()
-			if _, dup := answerKeys[t.Key()]; !dup {
-				answerKeys[t.Key()] = struct{}{}
-				answers = append(answers, t)
-			}
-			// A full-mask tree still participates in nothing further.
-			continue
+		// Mark the tree's nodes for the cycle checks below.
+		s.stamp++
+		s.treeNodes = s.treeNodes[:0]
+		s.walk(&cur, &s.treeNodes, nil)
+		for _, v := range s.treeNodes {
+			s.mark[v] = s.stamp
 		}
 
 		// Grow: extend the tree across one incident edge of its root.
-		for _, eid := range g.Incident(cur.v) {
-			u := g.Other(eid, cur.v)
-			if _, inTree := cur.nodes[u]; inTree {
+		for _, eid := range g.Incident(NodeID(cur.root)) {
+			e := g.Edge(eid)
+			u := e.U
+			if u == NodeID(cur.root) {
+				u = e.V
+			}
+			if s.mark[u] == s.stamp {
 				continue // would create a cycle
 			}
-			nt := cur.extend(g, eid, u)
-			heap.Push(pq, nt)
+			s.push(cand{
+				cost:   cur.cost + e.Cost,
+				hash:   cur.hash + edgeHash(eid),
+				root:   int32(u),
+				mask:   cur.mask,
+				nEdges: cur.nEdges + 1,
+				a:      ci,
+				b:      -1,
+				edge:   int32(eid),
+			})
 		}
 
 		// Merge: combine with recorded trees rooted at the same node whose
 		// terminal sets are disjoint and whose node sets share only the root.
-		for otherMask := uint32(1); otherMask <= full; otherMask++ {
-			if otherMask&cur.mask != 0 {
+		for oi := cur.next; oi >= 0; oi = s.arena[oi].next {
+			o := &s.arena[oi]
+			if o.mask&cur.mask != 0 || s.overlaps(o, cur.root) {
 				continue
 			}
-			for _, other := range recorded[state{v: cur.v, mask: otherMask}] {
-				if mt, ok := cur.merge(other); ok {
-					heap.Push(pq, mt)
-				}
-			}
+			s.push(cand{
+				cost:   cur.cost + o.cost,
+				hash:   cur.hash + o.hash,
+				root:   cur.root,
+				mask:   cur.mask | o.mask,
+				nEdges: cur.nEdges + o.nEdges,
+				a:      ci,
+				b:      oi,
+			})
 		}
 	}
 	return answers
 }
 
-// dpTree is an intermediate DP tree rooted at v covering terminal set mask.
-type dpTree struct {
-	cost  float64
-	v     NodeID
-	mask  uint32
-	edges []EdgeID // sorted
-	nodes map[NodeID]struct{}
+// push queues c unless its state already holds k trees: pops are in
+// ascending order, so everything queued from now on pops after them and c
+// could never be recorded. The drop changes nothing any other candidate does.
+func (s *search) push(c cand) {
+	if s.stateFull(c.root, c.mask) {
+		s.stats.Pruned++
+		return
+	}
+	s.pq.Push(c)
+	s.stats.Pushes++
 }
 
-func (t *dpTree) key() string {
-	if len(t.edges) == 0 {
-		return fmt.Sprintf("n%d", t.v)
+func (s *search) stateFull(root int32, mask uint32) bool {
+	n := 0
+	for i := s.head[root]; i >= 0; i = s.arena[i].next {
+		if s.arena[i].mask == mask {
+			n++
+		}
 	}
-	parts := make([]string, len(t.edges))
-	for i, e := range t.edges {
-		parts[i] = fmt.Sprint(e)
-	}
-	return strings.Join(parts, ",")
+	return n >= s.k
 }
 
-func (t *dpTree) extend(g GraphView, eid EdgeID, newRoot NodeID) *dpTree {
-	nt := &dpTree{
-		cost:  t.cost + g.Edge(eid).Cost,
-		v:     newRoot,
-		mask:  t.mask,
-		edges: insertSorted(t.edges, eid),
-		nodes: make(map[NodeID]struct{}, len(t.nodes)+1),
-	}
-	for n := range t.nodes {
-		nt.nodes[n] = struct{}{}
-	}
-	nt.nodes[newRoot] = struct{}{}
-	return nt
-}
-
-// merge unions two same-rooted trees. It fails (ok=false) when the node sets
-// overlap anywhere besides the shared root, which would introduce a cycle or
-// double-count cost.
-func (t *dpTree) merge(o *dpTree) (*dpTree, bool) {
-	small, large := t, o
-	if len(small.nodes) > len(large.nodes) {
-		small, large = large, small
-	}
-	for n := range small.nodes {
-		if n == t.v {
+// admits reports whether a popped candidate enters its state's k-best list:
+// the list has room and does not already hold the same edge set (reached
+// earlier through another derivation).
+func (s *search) admits(c *cand) bool {
+	n := 0
+	for i := s.head[c.root]; i >= 0; i = s.arena[i].next {
+		r := &s.arena[i]
+		if r.mask != c.mask {
 			continue
 		}
-		if _, shared := large.nodes[n]; shared {
-			return nil, false
+		if n++; n >= s.k {
+			return false
+		}
+		if r.nEdges == c.nEdges && r.hash == c.hash {
+			if slices.Equal(s.sortedEdges(r, &s.ea), s.sortedEdges(c, &s.eb)) {
+				return false
+			}
 		}
 	}
-	nt := &dpTree{
-		cost:  t.cost + o.cost,
-		v:     t.v,
-		mask:  t.mask | o.mask,
-		edges: mergeSorted(t.edges, o.edges),
-		nodes: make(map[NodeID]struct{}, len(t.nodes)+len(o.nodes)),
-	}
-	for n := range t.nodes {
-		nt.nodes[n] = struct{}{}
-	}
-	for n := range o.nodes {
-		nt.nodes[n] = struct{}{}
-	}
-	return nt, true
+	return true
 }
 
-func (t *dpTree) toTree() Tree {
-	out := Tree{Cost: t.cost, Edges: make([]EdgeID, len(t.edges)), Nodes: make([]NodeID, 0, len(t.nodes))}
-	copy(out.Edges, t.edges)
-	for n := range t.nodes {
-		out.Nodes = append(out.Nodes, n)
-	}
-	sort.Slice(out.Nodes, func(i, j int) bool { return out.Nodes[i] < out.Nodes[j] })
-	return out
-}
-
-func insertSorted(s []EdgeID, e EdgeID) []EdgeID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= e })
-	out := make([]EdgeID, 0, len(s)+1)
-	out = append(out, s[:i]...)
-	out = append(out, e)
-	out = append(out, s[i:]...)
-	return out
-}
-
-func mergeSorted(a, b []EdgeID) []EdgeID {
-	out := make([]EdgeID, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if a[i] <= b[j] {
-			out = append(out, a[i])
-			i++
-		} else {
-			out = append(out, b[j])
-			j++
+// overlaps reports whether recorded tree o shares a node other than root
+// with the marked tree, in which case their union is not a tree.
+func (s *search) overlaps(o *cand, root int32) bool {
+	s.treeNodes = s.treeNodes[:0]
+	s.walk(o, &s.treeNodes, nil)
+	for _, v := range s.treeNodes {
+		if v != NodeID(root) && s.mark[v] == s.stamp {
+			return true
 		}
 	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
+	return false
 }
 
-func dedupNodes(nodes []NodeID) []NodeID {
-	seen := make(map[NodeID]struct{}, len(nodes))
-	var out []NodeID
-	for _, n := range nodes {
-		if _, ok := seen[n]; ok {
-			continue
+// answer materialises a recorded complete tree and appends it, unless the
+// same edge set was already returned from another root.
+func (s *search) answer(c *cand, answers []Tree) []Tree {
+	edges := s.sortedEdges(c, &s.ea)
+	for _, a := range answers {
+		if slices.Equal(a.Edges, edges) {
+			return answers
 		}
-		seen[n] = struct{}{}
-		out = append(out, n)
 	}
-	return out
-}
-
-type dpPQ []*dpTree
-
-func (p dpPQ) Len() int            { return len(p) }
-func (p dpPQ) Less(i, j int) bool  { return p[i].cost < p[j].cost }
-func (p dpPQ) Swap(i, j int)       { p[i], p[j] = p[j], p[i] }
-func (p *dpPQ) Push(x interface{}) { *p = append(*p, x.(*dpTree)) }
-func (p *dpPQ) Pop() interface{} {
-	old := *p
-	n := len(old)
-	it := old[n-1]
-	*p = old[:n-1]
-	return it
+	s.treeNodes = s.treeNodes[:0]
+	s.walk(c, &s.treeNodes, nil)
+	slices.Sort(s.treeNodes)
+	return append(answers, Tree{
+		Cost:  c.cost,
+		Edges: slices.Clone(edges),
+		Nodes: slices.Clone(slices.Compact(s.treeNodes)),
+	})
 }

@@ -383,3 +383,30 @@ func TestTreeHasEdgeAndKey(t *testing.T) {
 		t.Errorf("key = %q", tr.Key())
 	}
 }
+
+// TestApproxTopKSteinerCostsBitStable: a tree's cost is summed in edge-id
+// order, so repeated calls agree to the last bit even when no edge cost is
+// representable and the trees are long (summing in map order did not).
+func TestApproxTopKSteinerCostsBitStable(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	g, terms := randomConnectedGraph(r, 60, 30, 4)
+	for e := 0; e < g.NumEdges(); e++ {
+		g.SetCost(EdgeID(e), 0.1*float64(1+r.Intn(9)))
+	}
+	want := g.ApproxTopKSteiner(terms, 6)
+	if len(want) < 2 || len(want[0].Edges) < 4 {
+		t.Fatalf("want several multi-edge trees, got %v", want)
+	}
+	for run := 0; run < 200; run++ {
+		got := g.ApproxTopKSteiner(terms, 6)
+		if len(got) != len(want) {
+			t.Fatalf("run %d: %d trees, first run %d", run, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i].Cost) != math.Float64bits(want[i].Cost) || got[i].Key() != want[i].Key() {
+				t.Fatalf("run %d: tree %d is %s at %x, first run %s at %x", run, i,
+					got[i].Key(), math.Float64bits(got[i].Cost), want[i].Key(), math.Float64bits(want[i].Cost))
+			}
+		}
+	}
+}

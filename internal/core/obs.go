@@ -32,6 +32,7 @@ type engineMetrics struct {
 	// beyond steiner.MaxExactTerminals.
 	steinerPops         *obs.Counter // qint_steiner_pops_total
 	steinerPruned       *obs.Counter // qint_steiner_pruned_total
+	steinerBoundPruned  *obs.Counter // qint_steiner_bound_pruned_total
 	steinerTruncated    *obs.Counter // qint_steiner_truncated_total
 	steinerApproxRouted *obs.Counter // qint_steiner_approx_routed_total
 
@@ -75,7 +76,8 @@ func newEngineMetrics() *engineMetrics {
 		stageOps:    make(map[obs.Stage]*obs.Counter),
 
 		steinerPops:         r.Counter("qint_steiner_pops_total", "Candidate trees taken off the exact top-k Steiner search's queue."),
-		steinerPruned:       r.Counter("qint_steiner_pruned_total", "Candidate trees the exact search dropped unqueued because their state already held k trees."),
+		steinerPruned:       r.Counter("qint_steiner_pruned_total", "Candidate trees the exact search dropped instead of queueing because their state already held k trees."),
+		steinerBoundPruned:  r.Counter("qint_steiner_bound_pruned_total", "Candidate trees the exact search dropped, at push or at pop, because their cost plus a lower bound on completing them exceeded the k-th cheapest complete tree queued."),
 		steinerTruncated:    r.Counter("qint_steiner_truncated_total", "Exact searches stopped at the pop limit, whose answer may be short."),
 		steinerApproxRouted: r.Counter("qint_steiner_approx_routed_total", "Searches routed to the approximation because they had more terminals than the exact search accepts."),
 

@@ -582,6 +582,7 @@ func (q *Q) topKTrees(ov *searchgraph.Overlay, terminals []steiner.NodeID, k int
 	trees, st := steiner.TopKSteinerStats(ov.View(), terminals, k)
 	m.steinerPops.Add(int64(st.Pops))
 	m.steinerPruned.Add(int64(st.Pruned))
+	m.steinerBoundPruned.Add(int64(st.BoundPruned))
 	if st.Truncated {
 		m.steinerTruncated.Inc()
 	}

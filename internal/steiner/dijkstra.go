@@ -17,30 +17,48 @@ func (g *Graph) Dijkstra(src NodeID) Dist { return DijkstraOn(g, src) }
 func DijkstraOn(g GraphView, src NodeID) Dist {
 	n := g.NumNodes()
 	d := Dist{D: make([]float64, n), Prev: make([]EdgeID, n)}
-	for i := range d.D {
-		d.D[i] = math.Inf(1)
-		d.Prev[i] = -1
-	}
-	d.D[src] = 0
 	pq := minHeap[nodeItem]{less: nodeItemLess}
+	dijkstraInto(g, src, d.D, d.Prev, &pq)
+	return d
+}
+
+// dijkstraInto is the package's one Dijkstra loop. It writes src's
+// shortest-path cost to every node into d (+Inf when unreachable) and, when
+// prev is non-nil, the edge each node is reached by (-1 for src and
+// unreachable nodes). Both have g.NumNodes() entries; pq is the queue's
+// storage, reused across calls.
+func dijkstraInto(g GraphView, src NodeID, d []float64, prev []EdgeID, pq *minHeap[nodeItem]) {
+	inf := math.Inf(1)
+	for i := range d {
+		d[i] = inf
+	}
+	for i := range prev {
+		prev[i] = -1
+	}
+	d[src] = 0
+	pq.Reset()
 	pq.Push(nodeItem{node: src, cost: 0})
 	for pq.Len() > 0 {
 		it := pq.Pop()
-		if it.cost > d.D[it.node] {
+		if it.cost > d[it.node] {
 			continue
 		}
 		for _, eid := range g.Incident(it.node) {
 			e := g.Edge(eid)
-			to := g.Other(eid, it.node)
+			to := e.U // g.Other(eid, it.node), without a second edge lookup
+			if to == it.node {
+				to = e.V
+			}
 			nd := it.cost + e.Cost
-			if nd < d.D[to] {
-				d.D[to] = nd
-				d.Prev[to] = eid
+			if nd < d[to] {
+				d[to] = nd
+				if prev != nil {
+					prev[to] = eid
+				}
 				pq.Push(nodeItem{node: to, cost: nd})
 			}
 		}
 	}
-	return d
 }
 
 // PathTo reconstructs the edges of the shortest path from the Dijkstra
@@ -72,16 +90,7 @@ func (g *Graph) Neighborhood(sources []NodeID, alpha float64) map[NodeID]struct{
 
 // NeighborhoodOn is Neighborhood over an arbitrary graph view.
 func NeighborhoodOn(g GraphView, sources []NodeID, alpha float64) map[NodeID]struct{} {
-	out := make(map[NodeID]struct{})
-	for _, s := range sources {
-		d := DijkstraOn(g, s)
-		for v, dist := range d.D {
-			if dist <= alpha {
-				out[NodeID(v)] = struct{}{}
-			}
-		}
-	}
-	return out
+	return neighborhood(g, sources, alpha, false)
 }
 
 // NeighborhoodIntersect returns the nodes within alpha of EVERY source — a
@@ -97,21 +106,37 @@ func (g *Graph) NeighborhoodIntersect(sources []NodeID, alpha float64) map[NodeI
 
 // NeighborhoodIntersectOn is NeighborhoodIntersect over an arbitrary view.
 func NeighborhoodIntersectOn(g GraphView, sources []NodeID, alpha float64) map[NodeID]struct{} {
-	out := make(map[NodeID]struct{})
-	for i, s := range sources {
-		d := DijkstraOn(g, s)
-		if i == 0 {
-			for v, dist := range d.D {
-				if dist <= alpha {
-					out[NodeID(v)] = struct{}{}
-				}
+	return neighborhood(g, sources, alpha, true)
+}
+
+// neighborhood returns the nodes within alpha of every source (all) or of
+// some source. It runs one Dijkstra per source into a retained search's
+// distance table, folding each row into the farthest (all) or nearest
+// source's distance per node.
+func neighborhood(g GraphView, sources []NodeID, alpha float64, all bool) map[NodeID]struct{} {
+	if len(sources) == 0 {
+		return make(map[NodeID]struct{})
+	}
+	s := acquireSearch()
+	defer releaseSearch(s)
+	n := g.NumNodes()
+	s.dist = grown(s.dist, 2*n)
+	row, fold := s.dist[:n], s.dist[n:]
+	dijkstraInto(g, sources[0], fold, nil, &s.dq)
+	for _, src := range sources[1:] {
+		dijkstraInto(g, src, row, nil, &s.dq)
+		for v, d := range row {
+			if all {
+				fold[v] = max(fold[v], d)
+			} else {
+				fold[v] = min(fold[v], d)
 			}
-			continue
 		}
-		for v := range out {
-			if d.D[v] > alpha {
-				delete(out, v)
-			}
+	}
+	out := make(map[NodeID]struct{})
+	for v, d := range fold {
+		if d <= alpha {
+			out[NodeID(v)] = struct{}{}
 		}
 	}
 	return out

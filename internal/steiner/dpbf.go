@@ -1,11 +1,13 @@
 package steiner
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strconv"
-	"sync"
 )
 
 // Tree is one group Steiner tree: a connected, acyclic edge set spanning all
@@ -54,11 +56,12 @@ const MaxExactTerminals = 20
 
 // Stats describes the work of one exact top-k search.
 type Stats struct {
-	Pops      int  // candidates taken off the queue
-	Pushes    int  // candidates put on the queue
-	Recorded  int  // candidates kept in a state's k-best list
-	Pruned    int  // candidates dropped at push because their state already held k trees
-	Truncated bool // the search stopped at maxDPBFPops; the answer may be short
+	Pops        int  // candidates taken off the queue
+	Pushes      int  // candidates put on the queue
+	Recorded    int  // candidates kept in a state's k-best list
+	Pruned      int  // candidates dropped at push because their state already held k trees
+	BoundPruned int  // candidates dropped at push or pop because cost + lower bound exceeds the k-th complete tree queued
+	Truncated   bool // the search stopped at maxDPBFPops; the answer may be short
 }
 
 // TopKSteiner returns up to k lowest-cost Steiner trees connecting all
@@ -105,19 +108,20 @@ func TopKSteinerStats(g GraphView, terminals []NodeID, k int) ([]Tree, Stats) {
 		panic(fmt.Sprintf("steiner: TopKSteiner with %d terminals (MaxExactTerminals is %d); use ApproxTopKSteiner",
 			len(terms), MaxExactTerminals))
 	}
-	s := searchPool.Get().(*search)
+	s := acquireSearch()
 	trees := s.run(g, terms, k)
 	stats := s.stats
-	s.release()
+	releaseSearch(s)
 	return trees, stats
 }
 
 // cand is one DP tree rooted at root covering terminal set mask, on the
 // queue or — once recorded — in the arena. It does not hold its node or edge
 // set: those are implied by how it was derived from recorded candidates
-// (a leaf is a bare terminal; an extension is candidate a plus edge, re-rooted
-// across it; a merge is the union of a and b, both rooted at root), and are
-// walked out of the arena when needed. Trees here are a dozen edges at most.
+// (a leaf is a bare terminal; an extension is candidate a plus an edge,
+// re-rooted across it; a merge is the union of a and b, both rooted at
+// root), and are walked out of the arena when needed. Trees here are a dozen
+// edges at most.
 type cand struct {
 	cost   float64
 	hash   uint64 // commutative hash of the edge set: sum of edgeHash
@@ -125,12 +129,13 @@ type cand struct {
 	mask   uint32
 	nEdges int32
 	a, b   int32 // arena indexes; a < 0 for a leaf, b < 0 unless a merge
-	edge   int32 // the edge an extension added
+	ext    int32 // an extension: the index in exts of the edge it added
 	next   int32 // arena only: the candidate recorded before this one at root
 }
 
 // edgeHash spreads an edge id over 64 bits (the splitmix64 finaliser), so
-// that sums of distinct small edge sets practically never coincide.
+// that sums of distinct small edge sets practically never coincide. It is a
+// bijection, so two extensions of one tree never share a hash.
 func edgeHash(e EdgeID) uint64 {
 	x := uint64(e) + 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -139,38 +144,43 @@ func edgeHash(e EdgeID) uint64 {
 }
 
 // search is the scratch of one TopKSteinerStats call. Everything lives in
-// flat slices that a later call reuses through searchPool.
+// flat slices that a later call reuses through the free list (scratch.go).
 type search struct {
 	k     int
+	n     int // nodes in the view
 	full  uint32
 	stats Stats
 
-	arena []cand        // recorded candidates, in pop order
-	pq    minHeap[cand] // queued candidates
-	head  []int32       // per node: the last candidate recorded at that root, -1 if none
-	mark  []uint32      // per node: == stamp when the node is in the tree being expanded
+	dist  []float64         // terminals × nodes: dist[i*n+v] is terminal i's distance to v
+	dq    minHeap[nodeItem] // Dijkstra's queue
+	arena []cand            // recorded candidates, in pop order
+	pq    minHeap[cand]     // queued candidates
+	exts  []int32           // per recorded incomplete tree: its extensions' edges in queue order, then -1
+	head  []int32           // per node: the last candidate recorded at that root, -1 if none
+	mark  []uint32          // per node: == stamp when the node is in the tree being expanded
 	stamp uint32
 
+	best  []complete // the ≤ k cheapest distinct complete trees queued, by ascending cost
+	limit float64    // +Inf until best holds k trees, then the k-th cost plus slack
+
+	sibs      []sibling
 	stack     []int32
 	ea, eb    []EdgeID
 	treeNodes []NodeID
 }
 
-// maxPooledLen caps what a pooled search may hold on to: a call whose
-// per-node tables, arena or queue grew beyond it drops its scratch instead of
-// returning it. At the cap a pooled search is a few MB.
-const maxPooledLen = 1 << 16
+// complete identifies a queued complete tree by (edge count, hash).
+type complete struct {
+	cost   float64
+	nEdges int32
+	hash   uint64
+}
 
-var searchPool = sync.Pool{New: func() any {
-	s := new(search)
-	s.pq.less = s.less
-	return s
-}}
-
-func (s *search) release() {
-	if cap(s.head) <= maxPooledLen && cap(s.arena) <= maxPooledLen && cap(s.pq.items) <= maxPooledLen {
-		searchPool.Put(s)
-	}
+// sibling is one extension of a recorded tree while its list is sorted.
+type sibling struct {
+	cost float64
+	hash uint64
+	edge int32
 }
 
 // less is the queue's strict total order. Two candidates it does not
@@ -197,6 +207,16 @@ func (s *search) less(a, b *cand) bool {
 	return slices.Compare(s.sortedEdges(a, &s.ea), s.sortedEdges(b, &s.eb)) < 0
 }
 
+// cmpSiblings is less restricted to the extensions of one tree: they share
+// edge count and mask, and their hashes differ (edgeHash is a bijection), so
+// cost and hash decide.
+func cmpSiblings(a, b sibling) int {
+	if a.cost != b.cost {
+		return cmp.Compare(a.cost, b.cost)
+	}
+	return cmp.Compare(a.hash, b.hash)
+}
+
 // walk appends c's nodes to *nodes and c's edges to *edges, in no
 // particular order; either may be nil. A node where two merged parts meet is
 // listed once per part.
@@ -205,21 +225,21 @@ func (s *search) walk(c *cand, nodes *[]NodeID, edges *[]EdgeID) {
 	for {
 		switch {
 		case c.b >= 0: // merge: both parts end at c.root
-			st = append(st, c.b)
+			st = appendPow2(st, c.b)
 			c = &s.arena[c.a]
 			continue
 		case c.a >= 0: // extension
 			if edges != nil {
-				*edges = append(*edges, EdgeID(c.edge))
+				*edges = appendPow2(*edges, EdgeID(s.exts[c.ext]))
 			}
 			if nodes != nil {
-				*nodes = append(*nodes, NodeID(c.root))
+				*nodes = appendPow2(*nodes, NodeID(c.root))
 			}
 			c = &s.arena[c.a]
 			continue
 		}
 		if nodes != nil { // leaf
-			*nodes = append(*nodes, NodeID(c.root))
+			*nodes = appendPow2(*nodes, NodeID(c.root))
 		}
 		if len(st) == 0 {
 			break
@@ -238,24 +258,46 @@ func (s *search) sortedEdges(c *cand, buf *[]EdgeID) []EdgeID {
 	return *buf
 }
 
-func (s *search) reset(g GraphView, terms []NodeID, k int) {
+// reset prepares the scratch for one search and fills the distance table,
+// one Dijkstra per terminal. It reports false when some terminal is
+// unreachable from the first, so that no tree spans them all.
+func (s *search) reset(g GraphView, terms []NodeID, k int) bool {
 	n := g.NumNodes()
-	s.k = k
+	s.k, s.n = k, n
 	s.full = uint32(1)<<uint(len(terms)) - 1
 	s.stats = Stats{}
 	s.arena = s.arena[:0]
 	s.pq.Reset()
-	s.head = slices.Grow(s.head[:0], n)[:n]
+	s.exts = s.exts[:0]
+	s.best = s.best[:0]
+	s.limit = math.Inf(1)
+	s.head = grown(s.head, n)
 	for i := range s.head {
 		s.head[i] = -1
 	}
-	s.mark = slices.Grow(s.mark[:0], n)[:n]
+	s.mark = grown(s.mark, n)
 	clear(s.mark)
 	s.stamp = 0
+	s.dist = grown(s.dist, len(terms)*n)
+	for i, t := range terms {
+		row := s.dist[i*n : (i+1)*n]
+		dijkstraInto(g, t, row, nil, &s.dq)
+		if i > 0 {
+			continue
+		}
+		for _, u := range terms[1:] {
+			if math.IsInf(row[u], 1) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 func (s *search) run(g GraphView, terms []NodeID, k int) []Tree {
-	s.reset(g, terms, k)
+	if !s.reset(g, terms, k) {
+		return nil
+	}
 	for i, t := range terms {
 		s.push(cand{root: int32(t), mask: 1 << uint(i), a: -1, b: -1})
 	}
@@ -268,12 +310,22 @@ func (s *search) run(g GraphView, terms []NodeID, k int) []Tree {
 		}
 		cur := s.pq.Pop()
 		s.stats.Pops++
+		if cur.a >= 0 && cur.b < 0 {
+			// An extension. Its next sibling is no less than it, so it is
+			// queued only now, admitted or not, and pops where it would
+			// have anyway.
+			s.queueExtension(g, cur.a, cur.ext+1)
+		}
+		if s.beyondLimit(&cur) {
+			s.stats.BoundPruned++
+			continue
+		}
 		if !s.admits(&cur) {
 			continue
 		}
 		cur.next = s.head[cur.root]
 		ci := int32(len(s.arena))
-		s.arena = append(s.arena, cur)
+		s.arena = appendPow2(s.arena, cur)
 		s.head[cur.root] = ci
 		s.stats.Recorded++
 
@@ -291,7 +343,9 @@ func (s *search) run(g GraphView, terms []NodeID, k int) []Tree {
 			s.mark[v] = s.stamp
 		}
 
-		// Grow: extend the tree across one incident edge of its root.
+		// Grow: list the extensions across one incident edge of the root in
+		// queue order, and queue the first.
+		s.sibs = s.sibs[:0]
 		for _, eid := range g.Incident(NodeID(cur.root)) {
 			e := g.Edge(eid)
 			u := e.U
@@ -301,16 +355,16 @@ func (s *search) run(g GraphView, terms []NodeID, k int) []Tree {
 			if s.mark[u] == s.stamp {
 				continue // would create a cycle
 			}
-			s.push(cand{
-				cost:   cur.cost + e.Cost,
-				hash:   cur.hash + edgeHash(eid),
-				root:   int32(u),
-				mask:   cur.mask,
-				nEdges: cur.nEdges + 1,
-				a:      ci,
-				b:      -1,
-				edge:   int32(eid),
-			})
+			s.sibs = appendPow2(s.sibs, sibling{cur.cost + e.Cost, cur.hash + edgeHash(eid), int32(eid)})
+		}
+		if len(s.sibs) > 0 {
+			slices.SortFunc(s.sibs, cmpSiblings)
+			first := int32(len(s.exts))
+			for _, sb := range s.sibs {
+				s.exts = appendPow2(s.exts, sb.edge)
+			}
+			s.exts = appendPow2(s.exts, -1)
+			s.queueExtension(g, ci, first)
 		}
 
 		// Merge: combine with recorded trees rooted at the same node whose
@@ -334,16 +388,105 @@ func (s *search) run(g GraphView, terms []NodeID, k int) []Tree {
 	return answers
 }
 
-// push queues c unless its state already holds k trees: pops are in
-// ascending order, so everything queued from now on pops after them and c
-// could never be recorded. The drop changes nothing any other candidate does.
-func (s *search) push(c cand) {
+// queueExtension queues the first extension of recorded tree p at or after
+// position i of its list that push keeps. Drops are final (states only
+// fill, the limit only falls), so skipping to the next is what the drop of
+// an eagerly queued extension would have amounted to.
+func (s *search) queueExtension(g GraphView, p, i int32) {
+	pc := &s.arena[p]
+	for ; s.exts[i] >= 0; i++ {
+		eid := EdgeID(s.exts[i])
+		e := g.Edge(eid)
+		u := e.U
+		if u == NodeID(pc.root) {
+			u = e.V
+		}
+		if s.push(cand{
+			cost:   pc.cost + e.Cost,
+			hash:   pc.hash + edgeHash(eid),
+			root:   int32(u),
+			mask:   pc.mask,
+			nEdges: pc.nEdges + 1,
+			a:      p,
+			b:      -1,
+			ext:    i,
+		}) {
+			return
+		}
+	}
+}
+
+// push queues c and reports whether it did. It drops c when no complete
+// tree derived from it could rank among the answers (beyondLimit), or when
+// its state already holds k trees: pops ascend, so everything queued from
+// now on pops after them and c could never be recorded. Neither drop
+// changes what any other candidate does.
+func (s *search) push(c cand) bool {
+	if s.beyondLimit(&c) {
+		s.stats.BoundPruned++
+		return false
+	}
 	if s.stateFull(c.root, c.mask) {
 		s.stats.Pruned++
-		return
+		return false
 	}
 	s.pq.Push(c)
 	s.stats.Pushes++
+	if c.mask == s.full {
+		s.noteComplete(&c)
+	}
+	return true
+}
+
+// lower is a lower bound on what completing a tree rooted at root that
+// covers mask still costs: the farthest terminal outside mask. It is
+// consistent — an extension across an edge of cost w lowers it by at most w,
+// and a merge partner costs at least its own terminals' distances — so
+// cost + lower never decreases from a candidate to one derived from it.
+func (s *search) lower(root int32, mask uint32) float64 {
+	lb := 0.0
+	for rest := s.full &^ mask; rest != 0; rest &= rest - 1 {
+		lb = max(lb, s.dist[bits.TrailingZeros32(rest)*s.n+int(root)])
+	}
+	return lb
+}
+
+// beyondLimit reports whether every complete tree derived from c costs more
+// than the k-th cheapest distinct complete tree already queued. Those k pop
+// first, so c and everything after it in its state are dead: no answer
+// derives from them and the search stops before they would pop.
+func (s *search) beyondLimit(c *cand) bool {
+	return !math.IsInf(s.limit, 1) && c.cost+s.lower(c.root, c.mask) > s.limit
+}
+
+// noteComplete counts a queued complete tree among the k cheapest distinct
+// ones and, once there are k, sets the limit to the k-th cost with a
+// relative slack that covers the float sums' evaluation order.
+func (s *search) noteComplete(c *cand) {
+	i := len(s.best) - 1
+	for ; i >= 0 && (s.best[i].nEdges != c.nEdges || s.best[i].hash != c.hash); i-- {
+	}
+	switch {
+	case i >= 0:
+		if c.cost >= s.best[i].cost {
+			return
+		}
+		s.best[i].cost = c.cost
+	case len(s.best) < s.k:
+		i = len(s.best)
+		s.best = appendPow2(s.best, complete{c.cost, c.nEdges, c.hash})
+	case c.cost < s.best[len(s.best)-1].cost:
+		i = len(s.best) - 1
+		s.best[i] = complete{c.cost, c.nEdges, c.hash}
+	default:
+		return
+	}
+	for ; i > 0 && s.best[i].cost < s.best[i-1].cost; i-- {
+		s.best[i], s.best[i-1] = s.best[i-1], s.best[i]
+	}
+	if len(s.best) == s.k {
+		s.limit = s.best[s.k-1].cost*(1+1e-9) + 1e-12
+	}
 }
 
 func (s *search) stateFull(root int32, mask uint32) bool {

@@ -3,6 +3,7 @@ package steiner
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -145,7 +146,7 @@ func TestTopKSteinerOrderIndependent(t *testing.T) {
 	}
 }
 
-// TestTopKSteinerConcurrent: searches share nothing but the scratch pool, so
+// TestTopKSteinerConcurrent: searches share nothing but the scratch free list, so
 // any number may run at once over one frozen view (Q's readers do) and each
 // gets the serial answer.
 func TestTopKSteinerConcurrent(t *testing.T) {
@@ -176,8 +177,9 @@ func TestTopKSteinerConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestTopKSteinerStats: the work counters add up, and states fill up (so
-// pushes are dropped) on a search of a few thousand pops.
+// TestTopKSteinerStats: the work counters add up, and both drops run —
+// states fill up, and candidates exceed the bound — on a search of a few
+// thousand pops.
 func TestTopKSteinerStats(t *testing.T) {
 	g, terms := benchGraph()
 	trees, st := TopKSteinerStats(g, terms, 5)
@@ -190,9 +192,146 @@ func TestTopKSteinerStats(t *testing.T) {
 	if st.Pruned == 0 {
 		t.Errorf("nothing pruned on a 400-node graph: %+v", st)
 	}
+	if st.BoundPruned == 0 {
+		t.Errorf("nothing bound-pruned on a 400-node graph: %+v", st)
+	}
 	if st.Truncated {
 		t.Errorf("truncated: %+v", st)
 	}
+}
+
+// TestTopKSteinerBoundMatchesOracle: at k = 1 and k = 13 the bound prune
+// fires (so it is what is under test) and the answer is still the oracle's,
+// tree for tree, on graphs and overlays.
+func TestTopKSteinerBoundMatchesOracle(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		for _, k := range []int{1, 13} {
+			r := rand.New(rand.NewSource(seed))
+			g, terms := plateauGraph(r, 20+int(seed)*4, 30+int(seed)*5, 2+int(seed)%3)
+			got, st := TopKSteinerStats(g, terms, k)
+			if st.BoundPruned == 0 {
+				t.Errorf("seed %d k %d: the bound never fired: %+v", seed, k, st)
+			}
+			assertSameTrees(t, "graph", got, oracleTopKSteinerOn(g, terms, k))
+			ov, ovTerms := overlayOf(r, g, terms)
+			assertSameTrees(t, "overlay", TopKSteinerOn(ov, ovTerms, k), oracleTopKSteinerOn(ov, ovTerms, k))
+		}
+	}
+}
+
+// TestTopKSteinerUnreachableTerminal: with a terminal outside the first
+// one's component no tree exists; the search says so before popping
+// anything, and the oracle, after exhausting the queue, agrees.
+func TestTopKSteinerUnreachableTerminal(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 6; trial++ {
+		g, terms := plateauGraph(r, 12, 10, 2+trial%3)
+		island := g.AddNode()
+		g.AddEdge(island, g.AddNode(), 0.3)
+		terms = append(terms, island)
+		if trial%2 == 1 {
+			terms[0], terms[len(terms)-1] = terms[len(terms)-1], terms[0]
+		}
+		for _, k := range []int{1, 5} {
+			got, st := TopKSteinerStats(g, terms, k)
+			if got != nil || st.Pops != 0 {
+				t.Errorf("trial %d k %d: %v after %d pops, want nil at once", trial, k, got, st.Pops)
+			}
+			assertSameTrees(t, "unreachable", got, oracleTopKSteinerOn(g, terms, k))
+		}
+	}
+}
+
+// TestLowerBoundAdmissibleConsistent: on random plateau graphs, lower(v, m)
+// never exceeds the cheapest tree joining v to the terminals outside m
+// (admissible), and cost + lower never decreases from a recorded candidate
+// to one derived from it, across an extension or a merge (consistent).
+func TestLowerBoundAdmissibleConsistent(t *testing.T) {
+	const eps = 1e-9
+	r := rand.New(rand.NewSource(1234))
+	for trial := 0; trial < 16; trial++ {
+		g, terms := plateauGraph(r, 8+r.Intn(6), r.Intn(10), 2+r.Intn(3))
+		slices.Sort(terms)
+		s := acquireSearch()
+		s.run(g, terms, 4)
+		f := func(c *cand) float64 { return c.cost + s.lower(c.root, c.mask) }
+		for i := range s.arena {
+			c := &s.arena[i]
+			if c.a < 0 {
+				continue
+			}
+			if f(c) < f(&s.arena[c.a])-eps || c.b >= 0 && f(c) < f(&s.arena[c.b])-eps {
+				t.Fatalf("trial %d: cost+lower falls from a parent to candidate %d: %+v", trial, i, *c)
+			}
+		}
+		for v := 0; v < g.NumNodes(); v++ {
+			for m := uint32(0); m < s.full; m++ {
+				join := []NodeID{NodeID(v)}
+				for i, term := range terms {
+					if m&(1<<uint(i)) == 0 {
+						join = append(join, term)
+					}
+				}
+				best := oracleTopKSteinerOn(g, join, 1)
+				if lb := s.lower(int32(v), m); len(best) == 0 || lb > best[0].Cost+eps {
+					t.Fatalf("trial %d: lower(%d, %b) = %v above the cheapest completion %v", trial, v, m, lb, best)
+				}
+			}
+		}
+		releaseSearch(s)
+	}
+}
+
+// TestTopKSteinerScratchDeterministic: once warm, what one search allocates
+// is a function of its input and the searches before it — the same back to
+// back, after the collector has run, and after concurrent searches of other
+// sizes have cycled the free list. (With the scratch in the runtime's
+// object pool the collector emptied it, and a call's bytes depended on which
+// pooled search it got.) TotalAlloc is process-wide, so each check gets
+// three attempts at an exact match: a stray allocation by another goroutine
+// (the test runner's) cannot fail it, a scratch that is not retained can.
+func TestTopKSteinerScratchDeterministic(t *testing.T) {
+	g, terms := benchGraph()
+	alloc := func() uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		sinkTrees = TopKSteinerOn(g, terms, 5)
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	alloc()
+	want := alloc()
+	check := func(what string, before func()) {
+		t.Helper()
+		var got []uint64
+		for range 3 {
+			before()
+			if got = append(got, alloc()); got[len(got)-1] == want {
+				return
+			}
+		}
+		t.Errorf("%s: %v bytes, want %d", what, got, want)
+	}
+	check("back to back", func() {})
+	check("after two collections", func() {
+		runtime.GC()
+		runtime.GC()
+	})
+	check("after concurrent searches of other sizes", func() {
+		var wg sync.WaitGroup
+		for w := 0; w < 8; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				r := rand.New(rand.NewSource(int64(w)))
+				gw, tw := plateauGraph(r, 20+60*w, 20+80*w, 2+w%3)
+				for i := 0; i < 4; i++ {
+					TopKSteinerOn(gw, tw, 1+w)
+				}
+			}()
+		}
+		wg.Wait()
+	})
 }
 
 // benchGraph is the 400-node / 800-edge 2-terminal search of the allocation
@@ -204,7 +343,7 @@ func benchGraph() (*Graph, []NodeID) {
 var sinkTrees []Tree
 
 // TestTopKSteinerAllocs holds the search to its allocation ceiling: once
-// the pooled scratch is warm, a call allocates little beyond its answer
+// the retained scratch is warm, a call allocates little beyond its answer
 // (the pre-rewrite search made tens of thousands of allocations here).
 func TestTopKSteinerAllocs(t *testing.T) {
 	g, terms := benchGraph()

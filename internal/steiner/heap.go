@@ -17,7 +17,7 @@ func (h *minHeap[T]) Len() int { return len(h.items) }
 func (h *minHeap[T]) Reset() { h.items = h.items[:0] }
 
 func (h *minHeap[T]) Push(x T) {
-	h.items = append(h.items, x)
+	h.items = appendPow2(h.items, x)
 	h.up(len(h.items) - 1)
 }
 

@@ -3,7 +3,7 @@
 // reports. Use -exp to run a single experiment.
 //
 //	qbench            # run everything
-//	qbench -exp fig7  # one of: table1 fig6 fig7 fig8 fig10 fig11 fig12 table2 ablation propagation parallel snapshot valueindex shard cache stream plan load
+//	qbench -exp fig7  # one of: table1 fig6 fig7 fig8 fig10 fig11 fig12 table2 ablation propagation parallel snapshot shard cache load
 package main
 
 import (
@@ -24,7 +24,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, fig6, fig7, fig8, table1, fig10, fig11, fig12, table2, ablation, parallel, snapshot, valueindex, shard, cache, stream, plan, load")
+	exp := flag.String("exp", "all", "experiment to run: all, table1, fig6, fig7, fig8, fig10, fig11, fig12, table2, ablation, propagation, parallel, snapshot, shard, cache, load")
 	flag.Parse()
 
 	runners := []struct {
@@ -43,11 +43,8 @@ func main() {
 		{"propagation", propagation},
 		{"parallel", parallel},
 		{"snapshot", snapshot},
-		{"valueindex", valueindex},
 		{"shard", shard},
 		{"cache", cache},
-		{"stream", stream},
-		{"plan", plan},
 		{"load", load},
 	}
 	ran := false
@@ -194,7 +191,7 @@ func propagation() error {
 }
 
 // parallel compares serial and pooled view materialisation on the GBCO
-// trial workload — the standalone counterpart of Benchmark{Serial,Parallel}Query.
+// trial workload.
 func parallel() error {
 	corpus := datasets.GBCO()
 	run := func(parallelism int) (time.Duration, error) {
@@ -240,28 +237,9 @@ func parallel() error {
 	return nil
 }
 
-// valueindex compares FindValues through the reference full-catalog scan
-// against the inverted value index on synthetic catalogs of growing size —
-// the standalone counterpart of Benchmark{Scan,Index}FindValues.
-func valueindex() error {
-	rows, err := eval.RunValueIndex()
-	if err != nil {
-		return err
-	}
-	header("Value index: mean FindValues latency, full scan vs trigram inverted index")
-	fmt.Printf("%-8s %-8s %-9s %12s %12s %12s %9s\n",
-		"Tables", "Rows", "Keywords", "Scan/kw", "Index/kw", "Build", "Speedup")
-	for _, r := range rows {
-		fmt.Printf("%-8d %-8d %-9d %12v %12v %12v %8.1fx\n",
-			r.Tables, r.Rows, r.Keywords, r.ScanMean, r.IndexMean, r.BuildTime, r.Speedup)
-	}
-	return nil
-}
-
-// shard compares catalog-wide operations across catalog shard counts — the
-// standalone counterpart of Benchmark{Unsharded,Sharded}{FindValues,
-// Register,QueryExec}. Every row's answers are verified byte-identical to
-// the single-shard reference before timing.
+// shard compares catalog-wide operations across catalog shard counts. Every
+// row's answers are verified byte-identical to the single-shard catalog's
+// before timing.
 func shard() error {
 	rows, err := eval.RunShard()
 	if err != nil {
@@ -279,9 +257,8 @@ func shard() error {
 }
 
 // cache measures the serving-layer query cache on Zipfian repeated-query
-// traffic across skews — the standalone counterpart of
-// Benchmark{Cold,Warm,Coalesced}Query. Every row's cached answers are
-// verified byte-identical to the cold engine before anything is timed.
+// traffic across skews. Every row's cached answers are verified
+// byte-identical to the cold engine before anything is timed.
 func cache() error {
 	rows, err := eval.RunCache()
 	if err != nil {
@@ -293,61 +270,6 @@ func cache() error {
 	for _, r := range rows {
 		fmt.Printf("%-6.1f %-8d %-9d %8.1f%% %12v %12v %9.1fx\n",
 			r.Skew, r.Queries, r.Distinct, 100*r.HitRate, r.ColdMean, r.WarmMean, r.Speedup)
-	}
-	return nil
-}
-
-// stream compares the materialised reference executor, the streaming
-// iterator pipeline and the top-k-pruned streamed union on a join-shaped
-// branch workload — the standalone counterpart of
-// Benchmark{Materialised,Streaming}QueryExec. Per-branch results and the
-// pruned top-k prefix are verified byte-identical before anything is timed.
-func stream() error {
-	rows, err := eval.RunStream()
-	if err != nil {
-		return err
-	}
-	header(fmt.Sprintf("Streaming execution: join-shaped branch batch on the 120-table catalog (GOMAXPROCS=%d)",
-		runtime.GOMAXPROCS(0)))
-	fmt.Printf("%-14s %-9s %12s %12s %10s %10s %14s\n",
-		"Executor", "Branches", "ExecTime", "Alloc", "Executed", "Skipped", "RowsPulled")
-	for _, r := range rows {
-		executed, skipped, pulled := "-", "-", "-"
-		if r.Executor == "topk-prune" {
-			executed = fmt.Sprint(r.BranchesExecuted)
-			skipped = fmt.Sprint(r.BranchesSkipped)
-			pulled = fmt.Sprintf("%d/%d", r.RowsPulled, r.RowsMaterialised)
-		}
-		fmt.Printf("%-14s %-9d %12v %11.1fMB %10s %10s %14s\n",
-			r.Executor, r.Branches, r.ExecTime, float64(r.AllocBytes)/(1<<20), executed, skipped, pulled)
-	}
-	return nil
-}
-
-// plan compares the naive first-connected join order against the cost-based
-// planner with cross-branch CSE on a reorder-sensitive chain-join workload —
-// the standalone counterpart of Benchmark{Unplanned,Planned}QueryExec. Every
-// planned branch is verified byte-identical to the unplanned spec (standalone
-// and through the subplan cache) before anything is timed.
-func plan() error {
-	rows, err := eval.RunPlan()
-	if err != nil {
-		return err
-	}
-	header(fmt.Sprintf("Join planner: cost-based order + cross-branch CSE vs naive order (120 tables, GOMAXPROCS=%d)",
-		runtime.GOMAXPROCS(0)))
-	fmt.Printf("%-11s %-9s %12s %10s %10s %8s %9s %9s\n",
-		"Mode", "Branches", "ExecTime", "Alloc", "Reordered", "Shared", "Computed", "CSE hits")
-	for _, r := range rows {
-		reordered, shared, computed, hits := "-", "-", "-", "-"
-		if r.Mode == "planned" {
-			reordered = fmt.Sprint(r.BranchesReordered)
-			shared = fmt.Sprint(r.SharedSubtrees)
-			computed = fmt.Sprint(r.SubplansComputed)
-			hits = fmt.Sprint(r.CSEHits)
-		}
-		fmt.Printf("%-11s %-9d %12v %9.1fMB %10s %8s %9s %9s\n",
-			r.Mode, r.Branches, r.ExecTime, float64(r.AllocBytes)/(1<<20), reordered, shared, computed, hits)
 	}
 	return nil
 }
@@ -408,8 +330,7 @@ func (m slowMatcher) Match(cat *relstore.Catalog, a, b *relstore.Relation) []mat
 // the query blocked behind the registration (the old big-lock design,
 // simulated with an RWMutex) versus lock-free over the published snapshot.
 // Each trial performs exactly one registration in both modes, so the two
-// runs traverse identical state; only the query is timed. The standalone
-// counterpart of Benchmark{Locked,Snapshot}ContendedQuery.
+// runs traverse identical state; only the query is timed.
 func snapshot() error {
 	corpus := datasets.GBCO()
 	run := func(locked bool) (time.Duration, error) {

@@ -2,10 +2,10 @@
 // system of Talukdar, Ives & Pereira, "Automatically Incorporating New
 // Sources in Keyword Search-Based Data Integration" (SIGMOD 2010).
 //
-// The implementation lives under internal/ (see DESIGN.md for the system
-// inventory); cmd/ holds the executables and examples/ the runnable usage
-// examples. The benchmarks in bench_test.go regenerate every table and
-// figure of the paper's evaluation.
+// The implementation lives under internal/ (internal/core/README.md holds
+// the engine's design notes); cmd/ holds the executables and examples/ the
+// runnable usage examples. cmd/qbench regenerates every table and figure of
+// the paper's evaluation, and bench/ is the repository's benchmark.
 //
 // # Concurrency model
 //
@@ -67,10 +67,8 @@
 // check (entries on the keyword's whole-token list skip even that);
 // shorter keywords fall back to verifying the segment's distinct entries
 // directly — deterministic, and still never touching raw rows. The results
-// are byte-identical to the reference full scan, which remains available
-// as the executable specification (relstore.Catalog.ScanFindValues,
-// core.Options.ScanFindValues) and is pinned against the index by the
-// metamorphic suite in internal/relstore/valueindex_test.go under -race.
+// are byte-identical to a full scan of every row (see Reference
+// implementations below).
 //
 // The index is incremental and copy-on-write friendly: segments build once
 // per table — fanned across the worker pool at registration time, sharded
@@ -79,9 +77,7 @@
 // new tables and published snapshot generations keep reading frozen
 // segments (the same sharing pattern as the lazy ValueSet cache, which
 // itself now derives attribute value sets from built segments instead of
-// re-scanning rows). Benchmark{Scan,Index}FindValues quantifies the win on
-// a large synthetic catalog and runs in CI; cmd/qbench -exp valueindex
-// prints the comparison across catalog scales.
+// re-scanning rows).
 //
 // # Sharded catalog
 //
@@ -110,10 +106,8 @@
 // post-registration world across ALL shards, never a torn subset
 // (TestShardedRegistrationSnapshotIsolation). Catalog persistence is
 // shard-agnostic: a catalog saved at one shard count reloads at any other
-// with byte-identical answers and lazily rebuilt segments.
-// Benchmark{Unsharded,Sharded}{FindValues,Register,QueryExec} quantify the
-// fan-out on the 120-table synthetic catalog (CI runs the pairs once per
-// push); cmd/qbench -exp shard prints the comparison across shard counts.
+// with byte-identical answers and lazily rebuilt segments. cmd/qbench -exp
+// shard prints the comparison across shard counts.
 //
 // # Streaming execution
 //
@@ -124,16 +118,11 @@
 // similarity-only and cross joins), then projection with set-semantics
 // deduplication, all flowing through one shared row buffer so no
 // intermediate relation is ever materialised. The old
-// materialise-everything executor survives as the executable
-// specification (relstore.ExecuteMaterialised, core.Options
-// .MaterialisedExec) with byte-identical results: the metamorphic suites
-// (internal/relstore/stream_test.go, internal/core/stream_test.go) pin
-// the equivalence on randomised catalogs, join shapes and shard counts
-// and on whole materialised views, and FuzzExecuteEquivalence holds both
-// executors to the same answer on arbitrary row values.
+// materialise-everything executor survives only as a test oracle (see
+// Reference implementations below).
 //
-// Row identity is collision-proof in both paths: the materialised
-// executor keys joins and dedup by a length-prefixed encoding
+// Row identity is collision-proof in the executor and its oracle: the
+// oracle keys joins and dedup by a length-prefixed encoding
 // (uvarint(len) ‖ bytes per value, prefix-free per field), and the
 // streaming operators bucket by value hash and verify bucket hits against
 // the values themselves — values containing NUL bytes, embedded spaces or
@@ -148,18 +137,12 @@
 // top-k prefix and α stay byte-identical to the unpruned run; the tail is
 // simply not computed, so the knob is off by default (feedback and eval
 // consume full result rows).
-// Benchmark{Materialised,Streaming,TopKPruned}QueryExec quantify the
-// allocation and peak-memory reduction on the 120-table synthetic join
-// workload (CI runs the trio once per push); cmd/qbench -exp stream
-// prints the comparison with the early-termination counters.
 //
 // # Cost-based join planning and cross-branch CSE
 //
-// Branch execution is planned before it runs (relstore planner, on by
-// default; core.Options.PlannerOff reverts to the naive order — the knob is
-// inverted so the zero value keeps planning on). Planning binds every
-// condition once (Validate first, so unknown aliases and attributes are
-// rejected up front in every mode), pushes selections AND same-alias join
+// Branch execution is planned before it runs (relstore's planner). Planning
+// binds every condition once (Validate first, so unknown aliases and
+// attributes are rejected up front), pushes selections AND same-alias join
 // conditions (`t.a = t.b` — self-filters the old join-binding loops silently
 // dropped) down to their atom's scan, estimates each atom's post-selection
 // cardinality exactly from the value index's per-segment statistics (the
@@ -172,11 +155,10 @@
 // join selectivity (1/max(distinct) per equi-join, a fixed 1/2 per similarity
 // join), hash builds on the smaller input. Join order cannot change a single
 // result byte — every ResultSet is sorted and set-deduplicated under one
-// total order — so the naive first-connected traversal survives as the
-// unplanned executable specification and the planner is pinned byte-identical
-// to it (internal/relstore/planner_test.go, FuzzPlanEquivalence), exactly the
-// ScanFindValues / MaterialisedExec pattern. Ties break on a canonical
-// atom key, so branches whose aliases differ still choose aligned orders.
+// total order — so the planner is pinned byte-identical to the test oracle's
+// naive first-connected order (see Reference implementations below). Ties
+// break on a canonical atom key, so branches whose aliases differ still
+// choose aligned orders.
 //
 // On top of the per-branch plan, each view materialisation plans its branch
 // batch as one unit (relstore.PlanBatch): join prefixes shared across
@@ -187,15 +169,35 @@
 // rows through their remaining operators (common-subexpression elimination).
 // The CSE scope is one materialisation — cached rows never outlive the
 // catalog generation that produced them; caching ACROSS materialisations is
-// the epoch-keyed query cache's job below, whose options fingerprint includes
-// the planner knob. Explain output names the ordering mode and per-step
-// operators with estimated cardinalities; Q.PlanStats (served on GET /stats)
-// accumulates branches planned/reordered, shared subtrees, subplans computed
-// and CSE hits. Benchmark{Unplanned,Planned}QueryExec and
-// BenchmarkCSEMaterialise quantify the reorder and sharing wins on the
-// 120-table chain-join workload (CI runs them once per push); cmd/qbench
-// -exp plan prints the comparison with the planner counters after verifying
-// byte-identity.
+// the epoch-keyed query cache's job below. Explain output names the ordering
+// mode and per-step operators with estimated cardinalities; Q.PlanStats
+// (served on GET /stats) accumulates branches planned/reordered (against the
+// naive order), shared subtrees, subplans computed and CSE hits.
+//
+// # Reference implementations
+//
+// Each read path has one production implementation; no option or build tag
+// selects an older one. The implementations they replaced survive verbatim
+// as test-only oracles, and an equivalence gate holds production to each
+// byte for byte:
+//
+//   - the full-scan FindValues (internal/relstore/oracle_test.go), which
+//     reads every row and which the inverted value index replaced. Gates: the
+//     metamorphic suites in internal/relstore/valueindex_test.go and
+//     shard_test.go, and FuzzFindValuesEquivalence on arbitrary keywords.
+//   - executeOracle (internal/relstore/oracle_test.go), the
+//     materialise-everything executor over the naive first-connected join
+//     order: no planner, no streaming, no subplan sharing. Gates:
+//     internal/relstore/stream_test.go and planner_test.go on randomised
+//     catalogs, join shapes and shard counts, and FuzzExecuteEquivalence and
+//     FuzzPlanEquivalence on arbitrary row values, through Execute,
+//     ExecuteBatch, BatchPlan.Execute and ExecuteTopKUnion. At the pipeline
+//     level, internal/core/stream_test.go checks every view's result against
+//     its branch queries executed one by one, and every batched branch
+//     against its standalone execution.
+//   - oracleTopKSteinerOn (internal/steiner/dpbf_oracle_test.go), the DPBF
+//     search before the arena rewrite. Gates: TestTopKSteinerMatchesOracle
+//     and FuzzTopKSteinerEquivalence.
 //
 // # Query cache and request coalescing
 //
@@ -211,7 +213,7 @@
 // of one keyword, keyed by (epoch, normalised keyword) — valid because
 // FindValues and the similarity scoring both normalise first) and full
 // view materialisation (trees, conjunctive queries, ranked result and α,
-// keyed by (epoch, keyword sequence, k, options fingerprint); views
+// keyed by (epoch, keyword sequence, k); views
 // sharing a key share one immutable materialisation, including across a
 // Refresh fan-out). A singleflight layer coalesces N concurrent identical
 // misses into one pipeline run — a thundering herd on a cold key costs
@@ -222,12 +224,11 @@
 // a cold engine through the same randomised query/registration/feedback
 // stream in lockstep under -race and compares every view byte-for-byte,
 // and caching is gated to PUBLISHED generations only (registration's
-// unpublished interim states bypass it). Options.QueryCacheDisabled,
-// ExpansionCacheEntries and MaterializationCacheEntries are the knobs;
-// Q.CacheStats exposes hits/misses/computes/coalesced/evictions/live
-// epochs. Benchmark{Cold,Warm,Coalesced}Query quantify the win on a
-// Zipfian repeated-query workload (CI runs the trio once per push);
-// cmd/qbench -exp cache prints the hit-rate/latency sweep across skews.
+// unpublished interim states bypass it). ExpansionCacheEntries and
+// MaterializationCacheEntries are the knobs (negative disables a cache;
+// both negative turn the layer off); Q.CacheStats exposes
+// hits/misses/computes/coalesced/evictions/live epochs. cmd/qbench -exp
+// cache prints the hit-rate/latency sweep across skews.
 //
 // # Durable storage
 //
@@ -240,9 +241,8 @@
 // (per-section and index CRCs, magic-framed) carrying the catalog, the
 // built inverted value-index segments VERBATIM, the search graph with its
 // learned weights, and the persistent view definitions; loading is a read
-// plus slice re-pointing, not a re-index — BenchmarkColdStart{Rebuild,
-// MapReplay} quantifies the gap on the 120-table synthetic catalog (CI
-// runs the pair once per push).
+// plus slice re-pointing, not a re-index (bench/'s ingest_restart workload
+// measures recovery).
 //
 // Durability is log-then-publish: every mutation (AddTables,
 // RegisterSource, hand-coded associations, AlignAllPairs, feedback) is
@@ -266,10 +266,9 @@
 //
 // The HTTP layer (internal/server) inherits the model directly: POST
 // /query is a pure read and takes no server lock (a long registration
-// never blocks it — Benchmark{Locked,Snapshot}ContendedQuery quantifies
-// the difference and CI runs the pair on every push); POST /sources and
-// feedback serialise inside Q; the server's own mutex guards only the
-// id↔view registry. Answer-carrying responses (POST /query,
+// never blocks it — cmd/qbench -exp snapshot measures the difference);
+// POST /sources and feedback serialise inside Q; the server's own mutex
+// guards only the id↔view registry. Answer-carrying responses (POST /query,
 // GET /views/{id}, the feedback echo) carry an X-Q-Epoch header naming the
 // published generation the answers were computed at, so HTTP clients can
 // run their own epoch-keyed caches on the same no-invalidation contract —

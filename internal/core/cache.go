@@ -31,10 +31,9 @@ import (
 //     expansion is a pure function of the normalised form.
 //   - view materialisation: the complete materialisation of one keyword
 //     query (trees, conjunctive queries, ranked result, α, overlay), keyed
-//     by (epoch, keyword sequence, k, options fingerprint). A cached
-//     *viewMat is immutable after construction — overlays are only ever
-//     mutated during expansion — so any number of views and readers share
-//     one safely.
+//     by (epoch, keyword sequence, k). A cached *viewMat is immutable after
+//     construction — overlays are only ever mutated during expansion — so
+//     any number of views and readers share one safely.
 //
 // A singleflight group in front of each cache collapses N concurrent
 // identical misses into one computation (request coalescing): a thundering
@@ -54,34 +53,30 @@ type valueMatch struct {
 	Sim   float64
 }
 
-// queryCaches bundles Q's per-instance serving caches. Nil when the whole
-// layer is disabled; the individual caches are nil when their capacity
-// knob disables just them (qcache treats a nil *Cache as a miss-always
-// no-op, so the wiring reads straight through).
+// queryCaches bundles Q's per-instance serving caches. Nil when both
+// capacity knobs disable their caches; otherwise an individual cache is nil
+// when its knob disables just it (qcache treats a nil *Cache as a
+// miss-always no-op, so the wiring reads straight through).
+//
+// The caches belong to one Q, and every option that shapes an answer is
+// fixed when New builds it (Load and Open build a new Q with new caches), so
+// no options fingerprint is needed in the keys.
 type queryCaches struct {
 	exp  *qcache.Cache[[]valueMatch]
 	expG qcache.Group[[]valueMatch]
 	mat  *qcache.Cache[*viewMat]
 	matG qcache.Group[*viewMat]
-
-	// fingerprint folds every Options field that shapes a query answer into
-	// the materialisation key, so instances persisted under one option set
-	// and reloaded under another can never alias entries.
-	fingerprint string
 }
 
 // newQueryCaches wires the serving caches for one Q instance, or returns
-// nil when Options disable the layer.
+// nil when Options disable both.
 func newQueryCaches(o Options) *queryCaches {
-	if o.QueryCacheDisabled {
-		return nil
-	}
 	exp := qcache.New[[]valueMatch](o.ExpansionCacheEntries)
 	mat := qcache.New[*viewMat](o.MaterializationCacheEntries)
 	if exp == nil && mat == nil {
 		return nil
 	}
-	return &queryCaches{exp: exp, mat: mat, fingerprint: optionsFingerprint(o)}
+	return &queryCaches{exp: exp, mat: mat}
 }
 
 // setLiveEpoch announces a newly published generation to both caches so
@@ -94,26 +89,16 @@ func (qc *queryCaches) setLiveEpoch(epoch uint64) {
 	qc.mat.SetLiveEpoch(epoch)
 }
 
-// optionsFingerprint captures the options that shape query answers (the
-// per-view k is part of the materialisation key itself; Parallelism and
-// Shards are excluded because answers are byte-identical at any setting).
-func optionsFingerprint(o Options) string {
-	return fmt.Sprintf("mt=%g;mm=%d;cat=%g;act=%g;approx=%t;scan=%t;mat=%t;topk=%t;plan=%t",
-		o.MatchThreshold, o.MaxMatchesPerKeyword, o.ColumnAlignThreshold,
-		o.AssocCostThreshold, o.UseApproxSteiner, o.ScanFindValues,
-		o.MaterialisedExec, o.TopKPrune, o.PlannerOff)
-}
-
 // matCacheKey canonicalises a keyword query for the materialisation cache:
 // the keyword sequence exactly as parsed (length-prefixed, so no keyword
-// content can collide with the separators) plus k and the options
-// fingerprint. Two query strings differing only in whitespace or quoting
-// collapse to one entry; keyword ORDER is preserved — it feeds terminal
-// order into the Steiner search, and the cached path must stay
-// byte-identical to the uncached one, not merely equivalent.
-func matCacheKey(keywords []string, k int, fingerprint string) string {
+// content can collide with the separators) plus k. Two query strings
+// differing only in whitespace or quoting collapse to one entry; keyword
+// ORDER is preserved — it feeds terminal order into the Steiner search, and
+// the cached path must stay byte-identical to the uncached one, not merely
+// equivalent.
+func matCacheKey(keywords []string, k int) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d|%s|", k, fingerprint)
+	fmt.Fprintf(&b, "%d|", k)
 	for _, kw := range keywords {
 		fmt.Fprintf(&b, "%d:%s", len(kw), kw)
 	}
@@ -135,7 +120,7 @@ func (q *Q) materializeCached(st *qstate, keywords []string, k, parallelism int,
 	if qc == nil || qc.mat == nil || !st.published {
 		return q.materializeAt(st, keywords, k, parallelism, tr)
 	}
-	key := qcache.Key{Epoch: st.epoch, K: matCacheKey(keywords, k, qc.fingerprint)}
+	key := qcache.Key{Epoch: st.epoch, K: matCacheKey(keywords, k)}
 	tlook := tr.Now()
 	m, ok := qc.mat.Get(key)
 	tr.Record(obs.StageCacheLookup, tlook)
@@ -194,8 +179,7 @@ func (q *Q) valueExpansions(st *qstate, kw string) []valueMatch {
 // computeValueExpansions is the uncached expansion: the data-value half of
 // expandKeyword (paper §2.1/§2.2). FindValues answers from the catalog's
 // inverted value index (trigram + whole-token postings, per-table segments
-// shared across copy-on-write generations); Options.ScanFindValues routes
-// it through the reference scan, with byte-identical hits either way.
+// shared across copy-on-write generations).
 func (q *Q) computeValueExpansions(st *qstate, kw string) []valueMatch {
 	hits := st.cat.FindValues(kw)
 	if len(hits) > q.opts.MaxMatchesPerKeyword {

@@ -24,7 +24,10 @@ func cachePair(t *testing.T) (cached, cold *Q) {
 	t.Helper()
 	build := func(disable bool) *Q {
 		opts := DefaultOptions()
-		opts.QueryCacheDisabled = disable
+		if disable {
+			opts.ExpansionCacheEntries = -1
+			opts.MaterializationCacheEntries = -1
+		}
 		q := New(opts)
 		q.AddMatcher(meta.New())
 		if err := q.AddTables(fixtureTables(t)...); err != nil {

@@ -62,21 +62,6 @@ type Options struct {
 	// ValueOverlapFilter restricts attribute comparisons to pairs with at
 	// least one shared value (the content-index variant of Figure 7).
 	ValueOverlapFilter bool
-	// ScanFindValues routes keyword→value matching through the reference
-	// full-catalog scan instead of the inverted value index. The scan is the
-	// executable specification the index is verified against (both return
-	// byte-identical hits); keep it off outside of debugging and the
-	// equivalence harnesses — the index is the fast path.
-	ScanFindValues bool
-	// MaterialisedExec routes branch execution through the reference
-	// materialise-everything executor (relstore.ExecuteMaterialised) instead
-	// of the streaming iterator pipeline. The materialised executor is the
-	// executable specification the streaming path is verified against (both
-	// return byte-identical ResultSets — the metamorphic suites in
-	// internal/relstore/stream_test.go and internal/core/stream_test.go pin
-	// it); keep it off outside of debugging and the equivalence harnesses —
-	// streaming is the fast, allocation-free path.
-	MaterialisedExec bool
 	// TopKPrune streams each view's branch queries into the ranked union
 	// with top-k early termination: branches are executed in tree-cost
 	// order, and once k collected rows provably outrank everything a later
@@ -86,22 +71,8 @@ type Options struct {
 	// prefix and α are byte-identical to the full path's, but the tail
 	// beyond k is not computed. Off by default because feedback and the eval
 	// harnesses inspect full result sets; turn it on for serving workloads
-	// that only ever read the top k. Ignored when MaterialisedExec forces
-	// the reference path.
+	// that only ever read the top k.
 	TopKPrune bool
-	// PlannerOff disables the cost-based join planner and the cross-branch
-	// common-subexpression elimination of branch execution
-	// (relstore.UsePlanner(false)): every branch query then joins in the
-	// naive first-connected order and no subplan is shared across a view's
-	// branches — the unplanned executable spec the planner is verified
-	// against. The planner is ON by default (hence the inverted name: the
-	// zero value keeps it on — the knob the issue tracker calls
-	// Options.Planner). Join order and subplan reuse are byte-invisible in
-	// every view (internal/core/stream_test.go pins it); keep this off
-	// outside of debugging, the equivalence harnesses and A/B measurement.
-	// Like MaterialisedExec, the setting is part of the query-cache options
-	// fingerprint.
-	PlannerOff bool
 	// RawConfidences disables the confidence binning of §4 and feeds each
 	// matcher's real-valued confidence directly into the edge features (as
 	// a mismatch value, 1 − confidence). The paper warns this destabilises
@@ -130,17 +101,14 @@ type Options struct {
 	// runtime.GOMAXPROCS(0). Fixed at construction: changing it requires a
 	// new Q (or a persist round-trip with different Options).
 	Shards int
-	// QueryCacheDisabled turns the serving-layer query cache off entirely
-	// (internal/qcache: the epoch-keyed keyword-expansion and view-
-	// materialisation caches plus their request-coalescing singleflight).
-	// The cache is on by default — cached answers are byte-identical to
-	// uncached ones at every epoch (cache_test.go pins it), so disabling it
-	// is only useful for measurement (BenchmarkColdQuery) and debugging.
-	QueryCacheDisabled bool
 	// ExpansionCacheEntries is the capacity, in entries, of the
 	// keyword-expansion cache (one entry per (epoch, normalised keyword):
-	// the scored, truncated value matches of that keyword). 0 means the
-	// default; negative disables just this cache.
+	// the scored, truncated value matches of that keyword) — one half of the
+	// serving-layer query cache (internal/qcache, with request-coalescing
+	// singleflight). Cached answers are byte-identical to uncached ones at
+	// every epoch (cache_test.go pins it). 0 means the default; negative
+	// disables this cache, and negative here and in
+	// MaterializationCacheEntries turns the query cache off entirely.
 	ExpansionCacheEntries int
 	// MaterializationCacheEntries is the capacity, in entries, of the view-
 	// materialisation cache (one entry per (epoch, keyword sequence, k):
@@ -362,8 +330,7 @@ type PlanStats = relstore.PlanStats
 // materialisation this instance executed: branches planned and reordered by
 // the cost-based join planner, shared subtrees detected, subplans
 // materialised, and branch executions served from the cross-branch subplan
-// cache (CSE hits). All zero when Options.PlannerOff is set. Safe for
-// concurrent use.
+// cache (CSE hits). Safe for concurrent use.
 func (q *Q) PlanStats() PlanStats {
 	m := q.metrics
 	return PlanStats{
@@ -402,9 +369,6 @@ func New(opts Options) *Q {
 		corpus:  text.NewCorpus(),
 		qc:      newQueryCaches(o),
 	}
-	q.Catalog.UseScanFindValues(o.ScanFindValues)
-	q.Catalog.UseMaterialisedExec(o.MaterialisedExec)
-	q.Catalog.UsePlanner(!o.PlannerOff)
 	q.Catalog.SetParallelism(o.Parallelism)
 	q.instrumentEngine(newEngineMetrics())
 	q.publishLocked()
@@ -619,18 +583,14 @@ func (q *Q) addTablesLocked(tables ...*relstore.Table) error {
 	}
 	// Incremental value-index maintenance: build the inverted-index segment
 	// of each NEW table (segments are per-table and immutable, so nothing
-	// global rebuilds), sharded by table across the worker pool. Skipped in
-	// reference-scan mode, and also harmless to skip: the read path builds
-	// missing segments lazily on first use.
-	if !q.opts.ScanFindValues {
-		cat := q.Catalog
-		err := runIndexed(len(tables), q.opts.Parallelism, func(i int) error {
-			cat.EnsureIndexed(tables[i].Relation.QualifiedName())
-			return nil
-		})
-		if err != nil {
-			return err
-		}
+	// global rebuilds), sharded by table across the worker pool. Harmless to
+	// skip: the read path builds missing segments lazily on first use.
+	cat := q.Catalog
+	if err := runIndexed(len(tables), q.opts.Parallelism, func(i int) error {
+		cat.EnsureIndexed(tables[i].Relation.QualifiedName())
+		return nil
+	}); err != nil {
+		return err
 	}
 	for _, inv := range q.invalidators {
 		inv()

@@ -181,9 +181,6 @@ func openFrom(st *storage.Store, opts Options) (*Q, error) {
 				return nil, err
 			}
 		}
-		cat.UseScanFindValues(q.opts.ScanFindValues)
-		cat.UseMaterialisedExec(q.opts.MaterialisedExec)
-		cat.UsePlanner(!q.opts.PlannerOff)
 		cat.SetParallelism(q.opts.Parallelism)
 		cat.InstrumentExec(&q.metrics.exec) // the loaded catalog replaces the instrumented one
 		graph, err := searchgraph.Load(bytes.NewReader(graphSec))

@@ -70,15 +70,12 @@ func Load(r io.Reader) (*Q, error) {
 	}
 	q := New(s.Options)
 	// Reload the catalog at the effective shard count (the wire form is
-	// shard-agnostic) and restore the knobs New applied to the catalog it is
-	// replacing; index segments rebuild lazily on first use.
+	// shard-agnostic) and restore the settings New applied to the catalog it
+	// is replacing; index segments rebuild lazily on first use.
 	cat, err := relstore.LoadCatalogSharded(bytes.NewReader(s.Catalog), q.opts.Shards)
 	if err != nil {
 		return nil, err
 	}
-	cat.UseScanFindValues(q.opts.ScanFindValues)
-	cat.UseMaterialisedExec(q.opts.MaterialisedExec)
-	cat.UsePlanner(!q.opts.PlannerOff)
 	cat.SetParallelism(q.opts.Parallelism)
 	cat.InstrumentExec(&q.metrics.exec) // the loaded catalog replaces the instrumented one
 	q.Catalog = cat

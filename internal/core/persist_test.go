@@ -166,3 +166,50 @@ func TestLoadedInstanceKeepsWorking(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadIgnoresRetiredOptions keeps old save files loading: snapshots
+// written while Options still carried the ScanFindValues, MaterialisedExec,
+// PlannerOff and QueryCacheDisabled switches must load, and give views
+// byte-identical to the same state saved without those fields.
+func TestLoadIgnoresRetiredOptions(t *testing.T) {
+	q := newFixtureQ(t, true)
+	if _, err := q.Query("'plasma membrane' 'Kringle domain'"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Query("'nucleus' entry"); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := q.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	current := buf.String()
+	const opts = `"options":{`
+	if strings.Count(current, opts) != 1 {
+		t.Fatalf("snapshot has %d options objects, want 1", strings.Count(current, opts))
+	}
+	retired := strings.Replace(current, opts,
+		opts+`"ScanFindValues":true,"MaterialisedExec":true,"PlannerOff":true,"QueryCacheDisabled":true,`, 1)
+
+	load := func(snapshot string) []string {
+		t.Helper()
+		q, err := Load(strings.NewReader(snapshot))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fps []string
+		for _, v := range q.Views() {
+			fps = append(fps, fingerprintView(v))
+		}
+		return fps
+	}
+	want, got := load(current), load(retired)
+	if len(want) != 2 {
+		t.Fatalf("views = %d, want 2", len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("view %d differs when loaded with retired options:\nwith:\n%s\nwithout:\n%s", i, got[i], want[i])
+		}
+	}
+}

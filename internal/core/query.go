@@ -411,10 +411,7 @@ func (q *Q) materializeAt(st *qstate, keywords []string, k, parallelism int, tr 
 // per-materialisation subplan cache, and each branch compiles into a
 // streaming iterator pipeline (no intermediate relation is materialised
 // beyond the shared subplans). Branches fan across the bounded worker pool,
-// collected by query index so the union sees them in tree-cost order.
-// Options.PlannerOff reverts to per-branch execution in the naive spec join
-// order; Options.MaterialisedExec forces the reference
-// materialise-everything executor — all byte-identically. With
+// collected by query index so the union sees them in tree-cost order. With
 // Options.TopKPrune the scorer additionally pulls branches serially in cost
 // order and stops — skipping a branch's execution entirely — once the
 // running top-k bound is provably unbeatable for it; the result then holds
@@ -424,7 +421,7 @@ func (q *Q) executeBranches(st *qstate, queries []*relstore.ConjunctiveQuery, k,
 	for i, cq := range queries {
 		prov[i] = cq.Signature()
 	}
-	if q.opts.TopKPrune && !q.opts.MaterialisedExec {
+	if q.opts.TopKPrune {
 		// Serial by design: whether branch i can be skipped depends on the
 		// rows branches 0..i-1 produced. One execSem slot covers the run.
 		// Planning is interleaved with execution here (branches are planned
@@ -441,49 +438,32 @@ func (q *Q) executeBranches(st *qstate, queries []*relstore.ConjunctiveQuery, k,
 		q.countTopK(tkStats)
 		return result, nil
 	}
+	// Plan the batch as a unit: join orders are chosen per branch by
+	// estimated cardinality, and join subtrees shared across branches
+	// execute once through the per-materialisation subplan cache —
+	// concurrent branches coalesce on the cached subplan.
+	tplan := tr.Now()
+	bp, err := relstore.PlanBatch(st.cat, queries)
+	tr.Record(obs.StagePlan, tplan)
+	if err != nil {
+		return nil, err
+	}
 	results := make([]*relstore.ResultSet, len(queries))
 	texec := tr.Now()
-	if !q.opts.PlannerOff && !q.opts.MaterialisedExec {
-		// Plan the batch as a unit: join orders are chosen per branch by
-		// estimated cardinality, and join subtrees shared across branches
-		// execute once through the per-materialisation subplan cache —
-		// concurrent branches coalesce on the cached subplan.
-		tplan := tr.Now()
-		bp, err := relstore.PlanBatch(st.cat, queries)
-		tr.Record(obs.StagePlan, tplan)
+	err = runIndexed(len(queries), workers, func(i int) error {
+		st.execSem <- struct{}{}
+		defer func() { <-st.execSem }()
+		rs, err := bp.Execute(i)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		texec = tr.Now()
-		err = runIndexed(len(queries), workers, func(i int) error {
-			st.execSem <- struct{}{}
-			defer func() { <-st.execSem }()
-			rs, err := bp.Execute(i)
-			if err != nil {
-				return err
-			}
-			results[i] = rs
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		q.addPlanStats(bp.Stats())
-	} else {
-		err := runIndexed(len(queries), workers, func(i int) error {
-			st.execSem <- struct{}{}
-			defer func() { <-st.execSem }()
-			rs, err := relstore.Execute(st.cat, queries[i])
-			if err != nil {
-				return err
-			}
-			results[i] = rs
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
+		results[i] = rs
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	q.addPlanStats(bp.Stats())
 	branches := make([]relstore.Branch, len(queries))
 	for i, cq := range queries {
 		branches[i] = relstore.Branch{

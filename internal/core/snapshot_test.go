@@ -122,6 +122,20 @@ func TestSnapshotIsolationUnderRegistration(t *testing.T) {
 	}
 }
 
+// freshFindValues answers FindValues from a freshly built 1-shard catalog
+// over the same generation's tables: a reference independent of the
+// published catalog's shard layout and incrementally maintained segments.
+func freshFindValues(t *testing.T, cat *relstore.Catalog, kw string) []relstore.ValueHit {
+	t.Helper()
+	ref := relstore.NewCatalogSharded(1)
+	for _, qn := range cat.RelationNames() {
+		if err := ref.AddTable(cat.Table(qn)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ref.FindValues(kw)
+}
+
 // TestIndexSnapshotIsolationUnderRegistration extends the snapshot suite to
 // the inverted value index: keyword→value lookups issued through the
 // published catalog while a registration is committing must answer from
@@ -138,12 +152,12 @@ func TestIndexSnapshotIsolationUnderRegistration(t *testing.T) {
 
 	fingerprint := func(hits []relstore.ValueHit) string { return fmt.Sprintf("%v", hits) }
 
-	// Quiesced pre-registration answer, cross-checked against the reference
-	// scan so the fingerprints pin index content, not just stability.
+	// Quiesced pre-registration answer, cross-checked against a freshly built
+	// index so the fingerprints pin index content, not just stability.
 	pre := q.CurrentCatalog().FindValues(probe)
 	preFP := fingerprint(pre)
-	if scanFP := fingerprint(q.CurrentCatalog().ScanFindValues(probe)); preFP != scanFP {
-		t.Fatalf("pre-registration index diverges from scan\nindex: %s\nscan:  %s", preFP, scanFP)
+	if freshFP := fingerprint(freshFindValues(t, q.CurrentCatalog(), probe)); preFP != freshFP {
+		t.Fatalf("pre-registration index diverges from a fresh 1-shard index\nindex: %s\nfresh: %s", preFP, freshFP)
 	}
 	if len(pre) == 0 {
 		t.Fatal("probe keyword must hit the fixture catalog")
@@ -201,11 +215,11 @@ func TestIndexSnapshotIsolationUnderRegistration(t *testing.T) {
 		}
 	}
 
-	// Quiesced post-registration answer, again pinned to the scan.
+	// Quiesced post-registration answer, again pinned to a fresh index.
 	post := q.CurrentCatalog().FindValues(probe)
 	postFP := fingerprint(post)
-	if scanFP := fingerprint(q.CurrentCatalog().ScanFindValues(probe)); postFP != scanFP {
-		t.Fatalf("post-registration index diverges from scan\nindex: %s\nscan:  %s", postFP, scanFP)
+	if freshFP := fingerprint(freshFindValues(t, q.CurrentCatalog(), probe)); postFP != freshFP {
+		t.Fatalf("post-registration index diverges from a fresh 1-shard index\nindex: %s\nfresh: %s", postFP, freshFP)
 	}
 	if len(post) <= len(pre) {
 		t.Fatalf("post-registration index must include the new source's hit: pre=%d post=%d", len(pre), len(post))
@@ -325,8 +339,8 @@ func TestShardedRegistrationSnapshotIsolation(t *testing.T) {
 
 	post := q.CurrentCatalog().FindValues(probe)
 	postFP := fingerprint(post)
-	if scanFP := fingerprint(q.CurrentCatalog().ScanFindValues(probe)); postFP != scanFP {
-		t.Fatalf("post-registration index diverges from scan\nindex: %s\nscan:  %s", postFP, scanFP)
+	if freshFP := fingerprint(freshFindValues(t, q.CurrentCatalog(), probe)); postFP != freshFP {
+		t.Fatalf("post-registration index diverges from a fresh 1-shard index\nindex: %s\nfresh: %s", postFP, freshFP)
 	}
 	newHits := 0
 	for _, h := range post {

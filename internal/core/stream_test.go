@@ -7,18 +7,17 @@ import (
 	"qint/internal/datasets"
 	"qint/internal/matcher/mad"
 	"qint/internal/matcher/meta"
+	"qint/internal/relstore"
 )
 
-// This file pins the streaming tentpole at the pipeline level: whole views —
-// trees, query signatures, unified columns, ranked rows with provenance, α —
-// must be byte-identical whether branches execute through the streaming
-// iterator pipeline (the default), the materialised reference executor
-// (Options.MaterialisedExec), or the top-k-pruned streamed union
-// (Options.TopKPrune, compared on the provably-identical top-k prefix).
+// This file pins branch execution at the pipeline level: a view's ranked
+// result must equal its branch queries executed one by one, and the
+// top-k-pruned streamed union (Options.TopKPrune) must agree with the full
+// path on everything but the untaken tail.
 
 // streamCorpus is one dataset of the executor-equivalence suite, with a
-// builder parameterised over Options so the executor knobs can be set at
-// construction time (they are wired into the catalog by New).
+// builder parameterised over Options so a knob can be set at construction
+// time.
 type streamCorpus struct {
 	name    string
 	build   func(t *testing.T, mutate func(*Options)) *Q
@@ -66,67 +65,102 @@ func streamCorpora() []streamCorpus {
 	}
 }
 
-// TestMaterialisedExecEquivalence materialises every dataset query once on a
-// default (streaming) instance and once with the reference materialised
-// executor forced, and demands byte-identical views.
+// TestMaterialisedExecEquivalence pins branch execution at the pipeline
+// level: a view's ranked result — produced by the planned batch with its
+// cross-branch subplan cache — must deep-equal the disjoint union of its
+// branch queries executed one by one through relstore.Execute (no batch, no
+// CSE) on the same catalog generation. The materialised reference executor
+// itself is a relstore test oracle (oracle_test.go), gated against Execute
+// there.
 func TestMaterialisedExecEquivalence(t *testing.T) {
 	for _, c := range streamCorpora() {
 		t.Run(c.name, func(t *testing.T) {
-			stream := c.build(t, func(o *Options) {})
-			mat := c.build(t, func(o *Options) { o.MaterialisedExec = true })
+			q := c.build(t, func(o *Options) {})
+			anyRows := false
 			for _, kw := range c.queries {
-				vs, err := stream.Query(kw)
+				v, err := q.Query(kw)
 				if err != nil {
-					t.Fatalf("streaming query %q: %v", kw, err)
+					t.Fatalf("query %q: %v", kw, err)
 				}
-				vm, err := mat.Query(kw)
-				if err != nil {
-					t.Fatalf("materialised query %q: %v", kw, err)
-				}
-				fs, fm := fingerprintView(vs), fingerprintView(vm)
-				if fs != fm {
-					t.Errorf("query %q: streaming and materialised views differ\nstreaming:\n%s\nmaterialised:\n%s", kw, fs, fm)
-				}
-				if len(vs.Trees()) == 0 {
+				m := v.Current()
+				if len(m.Trees) == 0 {
 					t.Errorf("query %q produced no trees; equivalence is vacuous", kw)
 				}
+				branches := make([]relstore.Branch, len(m.Queries))
+				for i, cq := range m.Queries {
+					rs, err := relstore.Execute(q.CurrentCatalog(), cq)
+					if err != nil {
+						t.Fatalf("query %q branch %d: %v", kw, i, err)
+					}
+					branches[i] = relstore.Branch{Result: rs, Cost: cq.Cost, Provenance: cq.Signature()}
+				}
+				if want := relstore.DisjointUnion(branches); !reflect.DeepEqual(v.Result(), want) {
+					t.Errorf("query %q: view result differs from branch-by-branch execution\nview: %v\nwant: %v",
+						kw, v.Result(), want)
+				}
+				anyRows = anyRows || len(v.Result().Rows) > 0
+			}
+			if !anyRows {
+				t.Error("no query produced rows; equivalence is vacuous")
 			}
 		})
 	}
 }
 
 // TestPlannerOffEquivalence pins the cost-based planner at the pipeline
-// level: whole views must be byte-identical between the default instance
-// (planner on — greedy join order, cross-branch CSE) and one with
-// Options.PlannerOff, and the default instance must accumulate PlanStats
-// while the unplanned one stays at zero.
+// level now that no option turns it off: every branch of every materialised
+// view is planned — PlanStats counts exactly the branches executed (query
+// caches off, so each query materialises once) — and each branch's planned
+// batch result, served through the shared-subplan cache, deep-equals the
+// branch executed standalone. Planned ≡ naive spec order is the relstore
+// oracle gate (executeOracle, FuzzPlanEquivalence).
 func TestPlannerOffEquivalence(t *testing.T) {
 	for _, c := range streamCorpora() {
 		t.Run(c.name, func(t *testing.T) {
-			planned := c.build(t, func(o *Options) {})
-			unplanned := c.build(t, func(o *Options) { o.PlannerOff = true })
+			q := c.build(t, func(o *Options) {
+				o.ExpansionCacheEntries = -1
+				o.MaterializationCacheEntries = -1
+			})
+			var branches int64
 			for _, kw := range c.queries {
-				vp, err := planned.Query(kw)
+				v, err := q.Query(kw)
 				if err != nil {
-					t.Fatalf("planned query %q: %v", kw, err)
+					t.Fatalf("query %q: %v", kw, err)
 				}
-				vu, err := unplanned.Query(kw)
+				m := v.Current()
+				if len(m.Queries) == 0 {
+					t.Errorf("query %q produced no branch queries; equivalence is vacuous", kw)
+				}
+				branches += int64(len(m.Queries))
+				cat := q.CurrentCatalog()
+				bp, err := relstore.PlanBatch(cat, m.Queries)
 				if err != nil {
-					t.Fatalf("unplanned query %q: %v", kw, err)
+					t.Fatalf("query %q: plan: %v", kw, err)
 				}
-				fp, fu := fingerprintView(vp), fingerprintView(vu)
-				if fp != fu {
-					t.Errorf("query %q: planned and unplanned views differ\nplanned:\n%s\nunplanned:\n%s", kw, fp, fu)
+				if got := bp.Stats().BranchesPlanned; got != int64(len(m.Queries)) {
+					t.Errorf("query %q: batch planned %d branches, want %d", kw, got, len(m.Queries))
 				}
-				if len(vp.Trees()) == 0 {
-					t.Errorf("query %q produced no trees; equivalence is vacuous", kw)
+				for i, cq := range m.Queries {
+					want, err := relstore.Execute(cat, cq)
+					if err != nil {
+						t.Fatalf("query %q branch %d: %v", kw, i, err)
+					}
+					got, err := bp.Execute(i)
+					if err != nil {
+						t.Fatalf("query %q branch %d (batched): %v", kw, i, err)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Errorf("query %q branch %d: batched result differs from standalone\nbatched:    %v\nstandalone: %v",
+							kw, i, got, want)
+					}
 				}
 			}
-			if st := planned.PlanStats(); st.BranchesPlanned == 0 {
-				t.Error("planned instance accumulated no PlanStats")
+			st := q.PlanStats()
+			if st.BranchesPlanned != branches {
+				t.Errorf("instance planned %d branches, views executed %d", st.BranchesPlanned, branches)
 			}
-			if st := unplanned.PlanStats(); st != (PlanStats{}) {
-				t.Errorf("unplanned instance accumulated PlanStats %+v, want zero", st)
+			if st.BranchesPlanned == 0 || st.BranchesReordered > st.BranchesPlanned {
+				t.Errorf("implausible PlanStats %+v", st)
 			}
 		})
 	}

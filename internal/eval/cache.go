@@ -27,11 +27,10 @@ type CacheRow struct {
 }
 
 // RunCache measures the serving-layer query cache across traffic skews
-// (the qbench -exp cache experiment; Benchmark{Cold,Warm,Coalesced}Query
-// is the bench counterpart). Before anything is timed, every distinct
-// query's cached answer is verified byte-identical to the cold engine's at
-// the same epoch, so the comparison can never drift from the equivalence
-// contract.
+// (the qbench -exp cache experiment). Before anything is timed, every
+// distinct query's cached answer is verified byte-identical to the cold
+// engine's at the same epoch, so the comparison can never drift from the
+// equivalence contract.
 func RunCache() ([]CacheRow, error) {
 	corpus := datasets.GBCO()
 	queries := make([]string, len(corpus.Trials))
@@ -41,7 +40,10 @@ func RunCache() ([]CacheRow, error) {
 
 	build := func(disable bool) (*core.Q, error) {
 		opts := core.DefaultOptions()
-		opts.QueryCacheDisabled = disable
+		if disable {
+			opts.ExpansionCacheEntries = -1
+			opts.MaterializationCacheEntries = -1
+		}
 		q := core.New(opts)
 		q.AddMatcher(meta.New())
 		if err := q.AddTables(corpus.Tables...); err != nil {

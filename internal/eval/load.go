@@ -53,7 +53,8 @@ func RunLoad() ([]LoadRow, error) {
 	// disabled every query pays the full pipeline — the diverse-traffic
 	// worst case admission control exists for.
 	opts := core.DefaultOptions()
-	opts.QueryCacheDisabled = true
+	opts.ExpansionCacheEntries = -1
+	opts.MaterializationCacheEntries = -1
 	q := core.New(opts)
 	q.AddMatcher(meta.New())
 	if err := q.AddTables(corpus.Tables...); err != nil {

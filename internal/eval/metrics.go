@@ -1,8 +1,8 @@
 // Package eval contains the experiment harnesses that regenerate every
-// table and figure of the paper's §5 evaluation (see DESIGN.md's experiment
-// index), plus the precision/recall machinery they share. Each RunXxx
+// table and figure of the paper's §5 evaluation (the paper is named in
+// PAPER.md), plus the precision/recall machinery they share. Each RunXxx
 // function returns the rows or series the paper reports; cmd/qbench prints
-// them and bench_test.go wraps them in testing.B benchmarks.
+// them.
 package eval
 
 import "sort"

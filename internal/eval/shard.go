@@ -25,12 +25,10 @@ type ShardRow struct {
 }
 
 // RunShard measures catalog-wide operations across shard counts on the
-// 120-table synthetic value catalog (the qbench -exp shard experiment;
-// Benchmark{Unsharded,Sharded}{FindValues,Register,QueryExec} is the
-// two-point bench counterpart). Every shard count's FindValues answers are
-// verified byte-identical to the single-shard reference scan before
-// anything is timed, so the comparison can never drift from the
-// equivalence contract.
+// 120-table synthetic value catalog (the qbench -exp shard experiment).
+// Every shard count's FindValues answers are verified byte-identical to the
+// single-shard catalog's before anything is timed, so the comparison can
+// never drift from the equivalence contract.
 func RunShard() ([]ShardRow, error) {
 	const nTables, rowsPer = 120, 200
 	tables, keywords := datasets.SyntheticValueCorpus(nTables, rowsPer, 42)
@@ -43,7 +41,7 @@ func RunShard() ([]ShardRow, error) {
 	}
 	want := make([][]relstore.ValueHit, len(keywords))
 	for i, kw := range keywords {
-		want[i] = ref.ScanFindValues(kw)
+		want[i] = ref.FindValues(kw)
 	}
 
 	queries := make([]*relstore.ConjunctiveQuery, 0, nTables)
@@ -75,14 +73,14 @@ func RunShard() ([]ShardRow, error) {
 
 		// Correctness gate before timing anything.
 		for i, kw := range keywords {
-			if !slices.Equal(cat.IndexFindValues(kw), want[i]) {
+			if !slices.Equal(cat.FindValues(kw), want[i]) {
 				return nil, fmt.Errorf("eval: shard: divergence at shards=%d on %q", shards, kw)
 			}
 		}
 
 		findStart := time.Now()
 		for _, kw := range keywords {
-			cat.IndexFindValues(kw)
+			cat.FindValues(kw)
 		}
 		findMean := time.Since(findStart) / time.Duration(len(keywords))
 

@@ -30,6 +30,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"qint/internal/obs"
 )
 
 // Op kinds in the generated mix.
@@ -260,7 +262,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 
 	var (
-		servedHist, allHist Histogram
+		servedHist, allHist obs.Histogram
 		served, completed   atomic.Int64
 		shed429, shed503    atomic.Int64
 		err4xx, err5xx      atomic.Int64

@@ -1,6 +1,6 @@
 // Package meta implements Q's metadata schema matcher: the stand-in for the
-// COMA++ 2008 API used by the paper (§3.2.1, see DESIGN.md substitution
-// table). Like COMA++'s default configuration there, it combines structural
+// COMA++ 2008 API used by the paper (§3.2.1; the paper is named in
+// PAPER.md). Like COMA++'s default configuration there, it combines structural
 // relationship and substring/name matchers over metadata only — it never
 // inspects instance data. It does pairwise matching between one relation
 // pair at a time and reports calibrated confidences in [0,1].

@@ -144,7 +144,7 @@ func TestSegmentsRoundTrip(t *testing.T) {
 			t.Errorf("FindValues(%q): %v vs %v", kw, want, got)
 		}
 		// And against the reference scan, closing the loop.
-		if scan := c2.ScanFindValues(kw); !reflect.DeepEqual(scan, got) {
+		if scan := scanFindValues(c2, kw); !reflect.DeepEqual(scan, got) {
 			t.Errorf("FindValues(%q) disagrees with scan: %v vs %v", kw, got, scan)
 		}
 	}

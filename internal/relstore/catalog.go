@@ -3,7 +3,6 @@ package relstore
 import (
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 
 	"qint/internal/text"
@@ -54,7 +53,7 @@ func (t *Table) Column(attr string) []string {
 // Concurrency contract: the catalog is single-writer, many-reader. AddTable
 // (the only mutation of tables/order — tables themselves are immutable once
 // added) must be serialised against ALL other calls on the SAME Catalog
-// value, as must Clone, SetParallelism and UseScanFindValues. Q publishes
+// value, as must Clone and SetParallelism. Q publishes
 // catalogs copy-on-write: a writer Clones the catalog, mutates the clone,
 // and atomically swaps it into the published snapshot, so concurrent
 // queries keep reading the frozen original. Every read method may be called
@@ -71,25 +70,6 @@ type Catalog struct {
 
 	// par bounds the catalog's internal per-shard fan-outs (SetParallelism).
 	par int
-
-	// scanFind routes FindValues through the reference full-scan
-	// implementation instead of the inverted index. Writer-side: set it
-	// before the catalog is shared with concurrent readers; Clone copies it.
-	scanFind bool
-
-	// matExec routes Execute through the reference materialise-everything
-	// executor instead of the streaming iterator pipeline. Writer-side: set
-	// it before the catalog is shared with concurrent readers; Clone copies
-	// it.
-	matExec bool
-
-	// noPlan disables the cost-based join planner and the cross-branch
-	// subplan cache, routing every query through the naive first-connected
-	// join order — the unplanned executable spec the planner is verified
-	// against (planner_test.go). Inverted so the zero value keeps the
-	// planner ON. Writer-side: set it before the catalog is shared with
-	// concurrent readers; Clone copies it.
-	noPlan bool
 
 	// execObs, when attached (InstrumentExec), counts completed branch
 	// executions and their produced rows across every execution path.
@@ -128,39 +108,13 @@ func (c *Catalog) Clone() *Catalog {
 		c.owned[i] = false
 	}
 	return &Catalog{
-		shards:   append([]*catShard(nil), c.shards...),
-		owned:    make([]bool, len(c.shards)),
-		order:    append([]string(nil), c.order...),
-		par:      c.par,
-		scanFind: c.scanFind,
-		matExec:  c.matExec,
-		noPlan:   c.noPlan,
-		execObs:  c.execObs,
+		shards:  append([]*catShard(nil), c.shards...),
+		owned:   make([]bool, len(c.shards)),
+		order:   append([]string(nil), c.order...),
+		par:     c.par,
+		execObs: c.execObs,
 	}
 }
-
-// UseScanFindValues switches FindValues between the inverted value index
-// (the default) and the reference full-scan implementation. Writer-side:
-// call it before sharing the catalog with concurrent readers.
-func (c *Catalog) UseScanFindValues(scan bool) { c.scanFind = scan }
-
-// UseMaterialisedExec switches Execute between the streaming iterator
-// pipeline (the default) and the reference materialise-everything executor
-// (ExecuteMaterialised), which is kept as the executable specification the
-// streaming path is verified against. Writer-side: call it before sharing
-// the catalog with concurrent readers.
-func (c *Catalog) UseMaterialisedExec(mat bool) { c.matExec = mat }
-
-// UsePlanner switches query execution between the cost-based join planner
-// with cross-branch common-subexpression elimination (the default — see
-// planner.go and plan.go) and the naive first-connected join order, which is
-// kept as the unplanned executable specification the planner is verified
-// against — the same pattern as UseScanFindValues and UseMaterialisedExec.
-// Join order and subplan reuse cannot change a byte of any result (outputs
-// are sorted and deduplicated under one total order); the knob trades
-// planning time against join work. Writer-side: call it before sharing the
-// catalog with concurrent readers.
-func (c *Catalog) UsePlanner(on bool) { c.noPlan = !on }
 
 // statsSegment returns the relation's value-index segment — the planner's
 // statistics source (per-attribute distinct-value entries with row counts) —
@@ -328,59 +282,6 @@ type ValueHit struct {
 	Ref   AttrRef
 	Value string
 	Rows  int // number of tuples carrying this value
-}
-
-// FindValues returns the distinct values that contain the keyword
-// (case-insensitive substring over normalised text). Q's query-graph
-// expansion uses this to lazily materialise value nodes for each keyword
-// (paper §2.2). Results are deterministic: sorted by attribute then value.
-//
-// By default it answers from the inverted value index (valueindex.go),
-// fanning one worker per shard; UseScanFindValues(true) routes it through
-// the reference full scan instead. Both implementations — and every shard
-// count — return byte-identical results.
-func (c *Catalog) FindValues(keyword string) []ValueHit {
-	if c.scanFind {
-		return c.ScanFindValues(keyword)
-	}
-	return c.IndexFindValues(keyword)
-}
-
-// ScanFindValues is the reference FindValues implementation: a full scan of
-// every row of every table, normalising each value per keyword. It is kept
-// as the executable specification the index is verified against (the
-// metamorphic suites in valueindex_test.go and shard_test.go) and as the
-// implementation behind UseScanFindValues.
-func (c *Catalog) ScanFindValues(keyword string) []ValueHit {
-	kw := text.Normalize(keyword)
-	if kw == "" {
-		return nil
-	}
-	var hits []ValueHit
-	for _, qn := range c.order {
-		t := c.lookup(qn)
-		for ai, attr := range t.Relation.Attributes {
-			counts := make(map[string]int)
-			for _, row := range t.Rows {
-				v := row[ai]
-				if v == "" {
-					continue
-				}
-				if strings.Contains(text.Normalize(v), kw) {
-					counts[v]++
-				}
-			}
-			for v, n := range counts {
-				hits = append(hits, ValueHit{
-					Ref:   AttrRef{Relation: qn, Attr: attr.Name},
-					Value: v,
-					Rows:  n,
-				})
-			}
-		}
-	}
-	sortHits(hits)
-	return hits
 }
 
 // AttrRefs returns every attribute reference in the catalog, in registration

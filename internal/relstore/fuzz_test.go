@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -9,15 +10,15 @@ import (
 
 // FuzzFindValuesEquivalence fuzzes the keyword side of the FindValues
 // contract: for an ARBITRARY utf-8 (or invalid-utf-8) keyword, the
-// reference full scan, the single-shard inverted index and the multi-shard
-// inverted index must return deep-equal hits — content, row counts, order
+// reference full scan (scanFindValues), the single-shard inverted index and
+// the multi-shard inverted index must return deep-equal hits — content, row counts, order
 // and nil-ness. The catalogs are fixed (built once, read-only), so the fuzz
 // workers exercise the concurrent read paths too. CI runs this as a short
 // -fuzz smoke on every push.
 
 var (
 	fuzzOnce sync.Once
-	fuzzScan *Catalog // answers via ScanFindValues (1 shard)
+	fuzzScan *Catalog // answers via scanFindValues (1 shard)
 	fuzzIdx1 *Catalog // single-shard index
 	fuzzIdx7 *Catalog // multi-shard index, parallel fan
 )
@@ -54,59 +55,143 @@ func FuzzFindValuesEquivalence(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, kw string) {
 		scanCat, idx1, idx7 := fuzzCatalogs()
-		want := scanCat.ScanFindValues(kw)
-		if got := idx1.IndexFindValues(kw); !reflect.DeepEqual(got, want) {
+		want := scanFindValues(scanCat, kw)
+		if got := idx1.FindValues(kw); !reflect.DeepEqual(got, want) {
 			t.Errorf("single-shard index diverged from scan on %q\nindex: %v\nscan:  %v", kw, got, want)
 		}
-		if got := idx7.IndexFindValues(kw); !reflect.DeepEqual(got, want) {
+		if got := idx7.FindValues(kw); !reflect.DeepEqual(got, want) {
 			t.Errorf("sharded index diverged from scan on %q\nindex: %v\nscan:  %v", kw, got, want)
 		}
 	})
 }
 
+// fuzzPairCatalog builds the two-table catalog both executor fuzz targets
+// query: l.r and r.r, each with columns x and y, over two shards.
+func fuzzPairCatalog(t *testing.T, lrows, rrows [][]string) *Catalog {
+	t.Helper()
+	lrel := &Relation{Source: "l", Name: "r", Attributes: []Attribute{{Name: "x"}, {Name: "y"}}}
+	lt, err := NewTable(lrel, lrows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rrel := &Relation{Source: "r", Name: "r", Attributes: []Attribute{{Name: "x"}, {Name: "y"}}}
+	rt, err := NewTable(rrel, rrows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat := NewCatalogSharded(2)
+	if err := cat.AddTable(lt); err != nil {
+		t.Fatal(err)
+	}
+	if err := cat.AddTable(rt); err != nil {
+		t.Fatal(err)
+	}
+	return cat
+}
+
+// checkExecutorsAgainstOracle demands that every production entry point
+// returns exactly what the materialised, unplanned oracle returns on each
+// query of the batch: Execute standalone, BatchPlan.Execute through the
+// cross-branch subplan cache, and ExecuteTopKUnion against the oracle's
+// top-k union. label names the fuzz input in failure messages.
+func checkExecutorsAgainstOracle(t *testing.T, cat *Catalog, queries []*ConjunctiveQuery, label string) {
+	t.Helper()
+	prov := make([]string, len(queries))
+	for i := range queries {
+		prov[i] = fmt.Sprintf("b%d", i)
+	}
+	bp, err := PlanBatch(cat, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range queries {
+		want, err := executeOracle(cat, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Execute(cat, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("executor divergence on %s query %d\nproduction: %v\noracle:     %v", label, i, got, want)
+		}
+		batched, err := bp.Execute(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(batched, want) {
+			t.Errorf("CSE divergence on %s query %d\nbatched: %v\noracle:  %v", label, i, batched, want)
+		}
+	}
+	for _, k := range []int{1, 3, 50} {
+		want, err := oracleTopKUnion(cat, queries, k, prov)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := ExecuteTopKUnion(cat, queries, k, prov)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("top-k union divergence on %s k=%d\ngot:    %v\noracle: %v", label, k, got, want)
+		}
+	}
+}
+
 // FuzzExecuteEquivalence fuzzes the executor-equivalence contract on the
 // value side: for ARBITRARY row values (NUL bytes, spaces, empty strings,
-// invalid utf-8 — whatever the fuzzer invents), the streaming pipeline must
-// stay deep-equal to the materialised reference executor on a two-table
-// equi-join + projection-dedup query, and ExecuteTopKUnion must equal the
-// full union's top-k prefix. This is the fuzz arm of the row-identity
-// regression tests: the old fmt.Sprint dedup key and "\x00"-separator join
-// keys are exactly the kind of encoding this target finds. CI runs it as a
-// short -fuzz smoke on every push.
+// invalid utf-8 — whatever the fuzzer invents), every production entry point
+// must return exactly what the materialised, unplanned oracle returns on a
+// two-table equi-join and a projection-dedup scan. This is the fuzz arm of
+// the row-identity regression tests: the old fmt.Sprint dedup key and
+// "\x00"-separator join keys are exactly the kind of encoding this target
+// finds. CI runs it as a short -fuzz smoke on every push.
+func FuzzExecuteEquivalence(f *testing.F) {
+	f.Add("a\x00", "b", "a")
+	f.Add("a b", "c", "a")
+	f.Add("", " ", "")
+	f.Add("x", "\x00x", "x\x00")
+	f.Fuzz(func(t *testing.T, a, b, c string) {
+		cat := fuzzPairCatalog(t,
+			[][]string{{a, b}, {b, c}, {a + "\x00", "\x00" + b}, {c, c}},
+			[][]string{{a, "\x00" + b}, {b, c}, {a + " ", b}, {c + "\x00", c}})
+		join := &ConjunctiveQuery{
+			Atoms: []Atom{{Relation: "l.r", Alias: "t0"}, {Relation: "r.r", Alias: "t1"}},
+			Joins: []JoinCond{
+				{LeftAlias: "t0", LeftAttr: "x", RightAlias: "t1", RightAttr: "x"},
+				{LeftAlias: "t0", LeftAttr: "y", RightAlias: "t1", RightAttr: "y"},
+			},
+			Project: []ProjCol{{Alias: "t0", Attr: "x", As: "v"}, {Alias: "t1", Attr: "y", As: "w"}},
+			Cost:    1,
+		}
+		proj := &ConjunctiveQuery{
+			Atoms:   []Atom{{Relation: "l.r", Alias: "t0"}},
+			Project: []ProjCol{{Alias: "t0", Attr: "x", As: "v"}, {Alias: "t0", Attr: "y", As: "w"}},
+			Cost:    2,
+		}
+		checkExecutorsAgainstOracle(t, cat, []*ConjunctiveQuery{join, proj}, fmt.Sprintf("%q/%q/%q", a, b, c))
+	})
+}
+
 // FuzzPlanEquivalence fuzzes the planner-equivalence contract: for ARBITRARY
 // row values, the cost-based join order (with its self-filter pushdown and
-// cross-branch subplan cache) must return exactly what the unplanned spec
-// order returns — standalone, through PlanBatch, and through the top-k union.
-// The query shapes cover what the planner actually decides: a reorderable
-// two-atom equi-join with a selective selection, a self-filter condition, and
-// a duplicated branch (the easiest shared subtree). CI runs it as a short
-// -fuzz smoke on every push.
+// cross-branch subplan cache) must return exactly what the oracle's naive
+// spec order returns — standalone, through PlanBatch, and through the top-k
+// union. The query shapes cover what the planner actually decides: a
+// reorderable two-atom equi-join with a selective selection, a self-filter
+// condition, a contains-selection, and a duplicated branch (the easiest
+// shared subtree). CI runs it as a short -fuzz smoke on every push.
 func FuzzPlanEquivalence(f *testing.F) {
 	f.Add("a\x00", "b", "a")
 	f.Add("a b", "c", "a")
 	f.Add("", " ", "")
 	f.Add("x", "\x00x", "x\x00")
 	f.Fuzz(func(t *testing.T, a, b, c string) {
-		lrel := &Relation{Source: "l", Name: "r", Attributes: []Attribute{{Name: "x"}, {Name: "y"}}}
-		lt, err := NewTable(lrel, [][]string{{a, b}, {b, c}, {c, c}, {a, a}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rrel := &Relation{Source: "r", Name: "r", Attributes: []Attribute{{Name: "x"}, {Name: "y"}}}
-		rt, err := NewTable(rrel, [][]string{{a, "\x00" + b}, {b, c}, {c + "\x00", c}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cat := NewCatalogSharded(2)
-		if err := cat.AddTable(lt); err != nil {
-			t.Fatal(err)
-		}
-		if err := cat.AddTable(rt); err != nil {
-			t.Fatal(err)
-		}
+		cat := fuzzPairCatalog(t,
+			[][]string{{a, b}, {b, c}, {c, c}, {a, a}},
+			[][]string{{a, "\x00" + b}, {b, c}, {c + "\x00", c}})
 		cat.BuildValueIndex(1)
-		off := cat.Clone()
-		off.UsePlanner(false)
 		join := &ConjunctiveQuery{
 			Atoms: []Atom{{Relation: "l.r", Alias: "t0"}, {Relation: "r.r", Alias: "t1"}},
 			Joins: []JoinCond{
@@ -124,115 +209,6 @@ func FuzzPlanEquivalence(f *testing.F) {
 			Cost:    2,
 		}
 		dup := *join
-		queries := []*ConjunctiveQuery{join, sel, &dup}
-		prov := []string{"b0", "b1", "b2"}
-		bp, err := PlanBatch(cat, queries)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, q := range queries {
-			want, err := Execute(off, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := Execute(cat, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("planner divergence on %q/%q/%q query %d\nplanned:   %v\nunplanned: %v",
-					a, b, c, i, got, want)
-			}
-			batched, err := bp.Execute(i)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(batched, want) {
-				t.Errorf("CSE divergence on %q/%q/%q query %d\nbatched:   %v\nunplanned: %v",
-					a, b, c, i, batched, want)
-			}
-		}
-		for _, k := range []int{1, 3, 50} {
-			want, _, err := ExecuteTopKUnion(off, queries, k, prov)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _, err := ExecuteTopKUnion(cat, queries, k, prov)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("top-k planner divergence on %q/%q/%q k=%d", a, b, c, k)
-			}
-		}
-	})
-}
-
-func FuzzExecuteEquivalence(f *testing.F) {
-	f.Add("a\x00", "b", "a")
-	f.Add("a b", "c", "a")
-	f.Add("", " ", "")
-	f.Add("x", "\x00x", "x\x00")
-	f.Fuzz(func(t *testing.T, a, b, c string) {
-		lrel := &Relation{Source: "l", Name: "r", Attributes: []Attribute{{Name: "x"}, {Name: "y"}}}
-		lt, err := NewTable(lrel, [][]string{{a, b}, {b, c}, {a + "\x00", "\x00" + b}, {c, c}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rrel := &Relation{Source: "r", Name: "r", Attributes: []Attribute{{Name: "x"}, {Name: "y"}}}
-		rt, err := NewTable(rrel, [][]string{{a, "\x00" + b}, {b, c}, {a + " ", b}, {c + "\x00", c}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cat := NewCatalogSharded(2)
-		if err := cat.AddTable(lt); err != nil {
-			t.Fatal(err)
-		}
-		if err := cat.AddTable(rt); err != nil {
-			t.Fatal(err)
-		}
-		join := &ConjunctiveQuery{
-			Atoms: []Atom{{Relation: "l.r", Alias: "t0"}, {Relation: "r.r", Alias: "t1"}},
-			Joins: []JoinCond{
-				{LeftAlias: "t0", LeftAttr: "x", RightAlias: "t1", RightAttr: "x"},
-				{LeftAlias: "t0", LeftAttr: "y", RightAlias: "t1", RightAttr: "y"},
-			},
-			Project: []ProjCol{{Alias: "t0", Attr: "x", As: "v"}, {Alias: "t1", Attr: "y", As: "w"}},
-			Cost:    1,
-		}
-		proj := &ConjunctiveQuery{
-			Atoms:   []Atom{{Relation: "l.r", Alias: "t0"}},
-			Project: []ProjCol{{Alias: "t0", Attr: "x", As: "v"}, {Alias: "t0", Attr: "y", As: "w"}},
-			Cost:    2,
-		}
-		queries := []*ConjunctiveQuery{join, proj}
-		prov := []string{"b0", "b1"}
-		branches := make([]Branch, len(queries))
-		for i, q := range queries {
-			want, err := ExecuteMaterialised(cat, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := ExecuteStream(cat, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("executor divergence on %q/%q/%q query %d\nstreaming:    %v\nmaterialised: %v",
-					a, b, c, i, got, want)
-			}
-			branches[i] = Branch{Result: want, Cost: q.Cost, Provenance: prov[i]}
-		}
-		full := DisjointUnion(branches)
-		for _, k := range []int{1, 3, 50} {
-			got, _, err := ExecuteTopKUnion(cat, queries, k, prov)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := full.TopK(k)
-			if len(got.Rows) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got.Rows, want)) {
-				t.Errorf("top-k union divergence on %q/%q/%q k=%d", a, b, c, k)
-			}
-		}
+		checkExecutorsAgainstOracle(t, cat, []*ConjunctiveQuery{join, sel, &dup}, fmt.Sprintf("%q/%q/%q", a, b, c))
 	})
 }

@@ -2,8 +2,8 @@ package relstore
 
 import "qint/internal/obs"
 
-// ExecCounters are the executor's registry hooks: totals across every
-// execution path (streaming, materialised, planned batches, top-k union).
+// ExecCounters are the executor's registry hooks: totals across every entry
+// point (Execute, planned batches, the top-k union).
 // Branches counts completed branch-query executions; Rows counts the rows
 // those executions produced (the union's input volume, before top-k
 // truncation). core wires one instance per engine via InstrumentExec; an

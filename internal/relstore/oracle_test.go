@@ -1,0 +1,305 @@
+package relstore
+
+import (
+	"fmt"
+	"strings"
+
+	"qint/internal/text"
+)
+
+// This file holds the reference implementations the production read paths
+// are verified against. They are the code the production paths replaced,
+// kept verbatim as test oracles: nothing outside the tests can select them.
+//
+//   - scanFindValues is the full-scan FindValues: every row of every table,
+//     each value normalised per keyword. The inverted value index must match
+//     it byte for byte (valueindex_test.go, shard_test.go, binary_test.go,
+//     relstore_test.go, FuzzFindValuesEquivalence).
+//   - executeOracle is the materialise-everything executor over the naive
+//     first-connected join order: no cost-based planner, no streaming, no
+//     subplan sharing. Execute, ExecuteBatch, BatchPlan.Execute and
+//     ExecuteTopKUnion must match it byte for byte (stream_test.go,
+//     planner_test.go, FuzzExecuteEquivalence).
+
+// executor is one way to run a conjunctive query.
+type executor struct {
+	name string
+	run  func(*Catalog, *ConjunctiveQuery) (*ResultSet, error)
+}
+
+// executors pairs production Execute with its oracle, for the tests that pin
+// one behaviour (an error, a regression shape) on both.
+var executors = []executor{{"production", Execute}, {"oracle", executeOracle}}
+
+// scanFindValues is the reference FindValues implementation: a full scan of
+// every row of every table, normalising each value per keyword.
+func scanFindValues(c *Catalog, keyword string) []ValueHit {
+	kw := text.Normalize(keyword)
+	if kw == "" {
+		return nil
+	}
+	var hits []ValueHit
+	for _, qn := range c.order {
+		t := c.lookup(qn)
+		for ai, attr := range t.Relation.Attributes {
+			counts := make(map[string]int)
+			for _, row := range t.Rows {
+				v := row[ai]
+				if v == "" {
+					continue
+				}
+				if strings.Contains(text.Normalize(v), kw) {
+					counts[v]++
+				}
+			}
+			for v, n := range counts {
+				hits = append(hits, ValueHit{
+					Ref:   AttrRef{Relation: qn, Attr: attr.Name},
+					Value: v,
+					Rows:  n,
+				})
+			}
+		}
+	}
+	sortHits(hits)
+	return hits
+}
+
+// executeOracle evaluates a conjunctive query by materialising every
+// intermediate relation in full: selection and self-filter push-down, then
+// one hash or nested-loop join per atom in the naive first-connected order
+// (naiveJoinOrder), each producing a complete intermediate row set, then
+// projection with set-semantics dedup. Join keys and dedup keys use the
+// length-prefixed row-identity encoding, so they are collision-free for
+// values containing NUL bytes, embedded spaces or empty strings. The hash
+// build side is whichever input is smaller — neither that choice nor the join
+// order can change a byte of the sorted, deduplicated output.
+func executeOracle(c *Catalog, q *ConjunctiveQuery) (*ResultSet, error) {
+	p, err := bindQuery(c, q)
+	if err != nil {
+		return nil, err
+	}
+	atoms := p.atoms
+
+	// Materialise each atom's filtered rows: pushed-down selections plus
+	// self-filter join conditions (t.a = t.b), which are per-row predicates
+	// on the atom itself. The old join-binding loop could never apply them —
+	// an alias's columns bind only after its own join step, so the colOf
+	// lookup failed and the condition was silently dropped.
+	filtered := make([][][]string, len(atoms))
+	for i, a := range atoms {
+		if len(a.sels) == 0 && len(a.selfs) == 0 {
+			filtered[i] = a.rows
+			continue
+		}
+		var kept [][]string
+		for _, row := range a.rows {
+			if rowAdmits(row, a.sels, a.selfs) {
+				kept = append(kept, row)
+			}
+		}
+		filtered[i] = kept
+	}
+
+	// Incrementally build tuples. colOf maps alias.attr -> column index in
+	// the intermediate row.
+	colOf := make(map[string]int)
+	width := 0
+	bind := func(a planAtom) {
+		for _, attr := range a.rel.Attributes {
+			colOf[a.alias+"."+attr.Name] = width
+			width++
+		}
+	}
+
+	order := p.order
+	first := atoms[order[0]]
+	bind(first)
+	current := make([][]string, len(filtered[order[0]]))
+	for i, r := range filtered[order[0]] {
+		row := make([]string, len(r))
+		copy(row, r)
+		current[i] = row
+	}
+
+	for _, oi := range order[1:] {
+		a := atoms[oi]
+		rows := filtered[oi]
+		// Find join conditions between a and the already-bound aliases,
+		// split into equi-joins (hash) and similarity joins (filtered).
+		// Self-filters were already applied above; a condition whose other
+		// endpoint binds later in join order applies when THAT atom joins
+		// in (unknown aliases cannot reach here — Validate rejects them).
+		var pairs []joinPair
+		var simPairs []simJoinPair
+		for _, j := range q.Joins {
+			if j.LeftAlias == j.RightAlias {
+				continue
+			}
+			var lc, ri int
+			var ok bool
+			if j.LeftAlias == a.alias {
+				lc, ok = colOf[j.RightAlias+"."+j.RightAttr]
+				ri = a.rel.AttrIndex(j.LeftAttr)
+			} else if j.RightAlias == a.alias {
+				lc, ok = colOf[j.LeftAlias+"."+j.LeftAttr]
+				ri = a.rel.AttrIndex(j.RightAttr)
+			} else {
+				continue
+			}
+			if !ok {
+				continue
+			}
+			if j.Op == JoinSimilar {
+				simPairs = append(simPairs, simJoinPair{
+					joinPair:  joinPair{leftCol: lc, rightAttrIdx: ri},
+					threshold: j.Threshold,
+				})
+			} else {
+				pairs = append(pairs, joinPair{leftCol: lc, rightAttrIdx: ri})
+			}
+		}
+
+		simOK := func(cur, row []string) bool {
+			for _, p := range simPairs {
+				if text.TrigramSimilarity(
+					text.Normalize(cur[p.leftCol]),
+					text.Normalize(row[p.rightAttrIdx])) < p.threshold {
+					return false
+				}
+			}
+			return true
+		}
+
+		var next [][]string
+		switch {
+		case len(pairs) > 0 && len(rows) <= len(current):
+			// Hash join, building on the atom's rows (the smaller input);
+			// similarity conditions filter the matches.
+			build := make(map[string][][]string)
+			for _, row := range rows {
+				key := joinKeyRight(row, pairs)
+				build[key] = append(build[key], row)
+			}
+			for _, cur := range current {
+				key := joinKeyLeft(cur, pairs)
+				for _, m := range build[key] {
+					if !simOK(cur, m) {
+						continue
+					}
+					merged := make([]string, 0, len(cur)+len(m))
+					merged = append(merged, cur...)
+					merged = append(merged, m...)
+					next = append(next, merged)
+				}
+			}
+		case len(pairs) > 0:
+			// The accumulated intermediate is the smaller input: build the
+			// hash on it instead and probe with the atom's rows. The merged
+			// column layout is unchanged (intermediate columns first), and
+			// the different match order washes out in the final sort+dedup.
+			build := make(map[string][][]string)
+			for _, cur := range current {
+				key := joinKeyLeft(cur, pairs)
+				build[key] = append(build[key], cur)
+			}
+			for _, row := range rows {
+				key := joinKeyRight(row, pairs)
+				for _, cur := range build[key] {
+					if !simOK(cur, row) {
+						continue
+					}
+					merged := make([]string, 0, len(cur)+len(row))
+					merged = append(merged, cur...)
+					merged = append(merged, row...)
+					next = append(next, merged)
+				}
+			}
+		default:
+			// Nested loop: a pure similarity join, or a cross product when
+			// no conditions connect the atom.
+			for _, cur := range current {
+				for _, row := range rows {
+					if !simOK(cur, row) {
+						continue
+					}
+					merged := make([]string, 0, len(cur)+len(row))
+					merged = append(merged, cur...)
+					merged = append(merged, row...)
+					next = append(next, merged)
+				}
+			}
+		}
+		bind(a)
+		current = next
+	}
+
+	// Project.
+	cols := make([]string, len(q.Project))
+	idx := make([]int, len(q.Project))
+	for i, p := range q.Project {
+		cols[i] = p.As
+		ci, ok := colOf[p.Alias+"."+p.Attr]
+		if !ok {
+			return nil, fmt.Errorf("relstore: projection %s.%s not bound", p.Alias, p.Attr)
+		}
+		idx[i] = ci
+	}
+	out := &ResultSet{Columns: cols}
+	seen := make(map[string]struct{})
+	for _, row := range current {
+		proj := make([]string, len(idx))
+		for i, ci := range idx {
+			proj[i] = row[ci]
+		}
+		// Length-prefixed identity key: fmt.Sprint collided distinct rows
+		// like ["a b","c"] and ["a","b c"] and silently dropped one.
+		key := rowKey(proj)
+		if _, dup := seen[key]; dup {
+			continue // set semantics on projected output
+		}
+		seen[key] = struct{}{}
+		out.Rows = append(out.Rows, proj)
+	}
+	sortRows(out.Rows)
+	return out, nil
+}
+
+// oracleTopKUnion is the specification ExecuteTopKUnion must match: every
+// branch executed in full by the oracle, disjoint-unioned, truncated to the
+// top k rows.
+func oracleTopKUnion(c *Catalog, queries []*ConjunctiveQuery, k int, prov []string) (*UnionResult, error) {
+	branches := make([]Branch, len(queries))
+	for i, q := range queries {
+		rs, err := executeOracle(c, q)
+		if err != nil {
+			return nil, err
+		}
+		branches[i] = Branch{Result: rs, Cost: q.Cost, Provenance: prov[i]}
+	}
+	full := DisjointUnion(branches)
+	return &UnionResult{Columns: full.Columns, Rows: full.TopK(k)}, nil
+}
+
+// joinKeyLeft and joinKeyRight build the hash-join key from the two sides'
+// join-column values, length-prefixed: the old "\x00"-separator encoding
+// collided values containing NUL across column boundaries (["a\x00","b"] vs
+// ["a","\x00b"]) and emitted wrong matches.
+func joinKeyLeft(row []string, pairs []joinPair) string {
+	var key []byte
+	for _, p := range pairs {
+		key = appendLenPrefixed(key, row[p.leftCol])
+	}
+	return string(key)
+}
+
+func joinKeyRight(row []string, pairs []joinPair) string {
+	var key []byte
+	for _, p := range pairs {
+		key = appendLenPrefixed(key, row[p.rightAttrIdx])
+	}
+	return string(key)
+}
+
+// rowKey returns the length-prefixed identity key of a full tuple.
+func rowKey(vals []string) string { return string(appendLenPrefixed(nil, vals...)) }

@@ -12,7 +12,7 @@ import (
 // joined rows in a per-materialisation subplan cache so the common subtree
 // executes ONCE no matter how many branches contain it. Both batch entry
 // points feed from it: ExecuteBatch (shard.go) and ExecuteTopKUnion
-// (stream.go) route through PlanBatch whenever the catalog's planner is on.
+// (stream.go) route through PlanBatch.
 //
 // Correctness is structural: a cached prefix holds exactly the rows the
 // reusing branch's own pipeline would have produced for those atoms (same
@@ -21,8 +21,7 @@ import (
 // continuation in the same deterministic order. The CSE scope is one
 // BatchPlan — one materialisation — so cached rows never outlive the
 // catalog generation they were computed from; caching across
-// materialisations is the query cache's job (epoch-keyed qcache, which the
-// planner knob joins via the options fingerprint).
+// materialisations is the query cache's job (the epoch-keyed qcache).
 
 // PlanStats counts one BatchPlan's planning and sharing work — surfaced as
 // TopKUnionStats.Plan, accumulated per instance by core, and served on
@@ -158,10 +157,7 @@ func cseEligible(p *queryPlan, n int) bool {
 			return false
 		}
 	}
-	if p.est != nil && p.est[n-1] > subplanRowCap {
-		return false
-	}
-	return true
+	return p.est[n-1] <= subplanRowCap
 }
 
 // Len returns the number of planned queries.
@@ -199,8 +195,8 @@ func (bp *BatchPlan) Stream(i int) (*Stream, error) {
 }
 
 // Execute drains branch i into its canonical ResultSet — byte-identical to
-// Execute(c, queries[i]) with or without the planner (planner_test.go and
-// FuzzPlanEquivalence pin this).
+// Execute(c, queries[i]) and to the test oracle executeOracle
+// (planner_test.go and FuzzExecuteEquivalence pin this).
 func (bp *BatchPlan) Execute(i int) (*ResultSet, error) {
 	st, err := bp.Stream(i)
 	if err != nil {

@@ -12,14 +12,15 @@ import (
 // binds every condition once, estimates each atom's post-selection
 // cardinality from the value index's per-segment statistics (distinct-value
 // entries with row counts — already maintained per table for FindValues),
-// and orders joins greedily by estimated intermediate cardinality. Both
-// executors consume the resulting queryPlan; the naive "first-connected,
-// lowest-index" traversal survives as the unplanned executable spec behind
-// UsePlanner(false), and join order provably cannot change a single result
-// byte — every ResultSet is sorted under one total order with set-semantics
-// dedup — so the planner is verified byte-identical against the spec
-// (planner_test.go, FuzzPlanEquivalence) exactly like ScanFindValues and
-// ExecuteMaterialised.
+// and orders joins greedily by estimated intermediate cardinality. The
+// streaming executor consumes the resulting queryPlan. The naive
+// "first-connected, lowest-index" traversal stays as the baseline the
+// BranchesReordered counter compares against, and it is the join order of
+// the materialise-everything test oracle executeOracle (oracle_test.go).
+// Join order provably cannot change a single result byte — every ResultSet
+// is sorted under one total order with set-semantics dedup — so the planner
+// is verified byte-identical against that oracle (planner_test.go,
+// FuzzExecuteEquivalence).
 //
 // The planner also canonicalises each query's physical join prefixes
 // (prefixSignature) so subtrees shared across a view's branch queries are
@@ -88,29 +89,27 @@ type planAtom struct {
 	sels  []boundSel
 	selfs []selfFilter
 
-	seg *segment // statistics source (planned mode only)
-	est float64  // estimated post-selection row count (planned mode only)
+	seg *segment // statistics source
+	est float64  // estimated post-selection row count
 	key string   // canonical identity for deterministic tie-breaks
 }
 
-// queryPlan is a validated, bound, ordered conjunctive query — the shared
-// input of both executors (compileStream, ExecuteMaterialised) and of the
-// cross-branch subplan cache (plan.go).
+// queryPlan is a validated, bound, ordered conjunctive query — the input of
+// the streaming executor (compileStream) and of the cross-branch subplan
+// cache (plan.go).
 type queryPlan struct {
 	q     *ConjunctiveQuery
 	atoms []planAtom
 	order []int
 	// est[i] is the estimated intermediate cardinality after joining
-	// order[:i+1]; nil when the plan uses the naive spec order.
+	// order[:i+1]; nil until planQuery orders the joins.
 	est       []float64
-	planned   bool
 	reordered bool // planned order differs from the naive spec order
 }
 
-// planQuery validates and binds a query and chooses its join order: the
-// greedy cost-based order by default, the naive first-connected traversal
-// when the catalog's planner is off (the executable spec).
-func planQuery(c *Catalog, q *ConjunctiveQuery) (*queryPlan, error) {
+// bindQuery validates a query and binds every atom's conditions, leaving the
+// joins in the naive first-connected order.
+func bindQuery(c *Catalog, q *ConjunctiveQuery) (*queryPlan, error) {
 	if err := q.Validate(c); err != nil {
 		return nil, err
 	}
@@ -133,17 +132,21 @@ func planQuery(c *Catalog, q *ConjunctiveQuery) (*queryPlan, error) {
 			selfs: bindSelfs(t.Relation, a.Alias, q.Joins),
 		}
 	}
-	p := &queryPlan{q: q, atoms: atoms}
-	naive := naiveJoinOrder(q, atoms)
-	if c.noPlan {
-		p.order = naive
-		return p, nil
+	return &queryPlan{q: q, atoms: atoms, order: naiveJoinOrder(q, atoms)}, nil
+}
+
+// planQuery binds a query and orders its joins greedily by estimated
+// cardinality (plannedJoinOrder).
+func planQuery(c *Catalog, q *ConjunctiveQuery) (*queryPlan, error) {
+	p, err := bindQuery(c, q)
+	if err != nil {
+		return nil, err
 	}
+	naive := p.order
 	for i := range p.atoms {
 		estimateAtom(c, &p.atoms[i])
 	}
 	p.order, p.est = plannedJoinOrder(p)
-	p.planned = true
 	for i := range p.order {
 		if p.order[i] != naive[i] {
 			p.reordered = true
@@ -153,7 +156,7 @@ func planQuery(c *Catalog, q *ConjunctiveQuery) (*queryPlan, error) {
 	return p, nil
 }
 
-// naiveJoinOrder is the unplanned executable spec: traverse the join graph
+// naiveJoinOrder is the unplanned spec order: traverse the join graph
 // from atom 0, always joining the lowest-index atom connected to the
 // already-joined set; fall back to the lowest-index remaining atom (cross
 // product) for disconnected components.
@@ -450,21 +453,15 @@ func (p *queryPlan) prefixSignature(n int) string {
 
 // ExplainPlan renders the join order Execute would use for the query on this
 // catalog, one line per atom: the operator (scan, hash join, nested loop),
-// the atom, its pushed-down condition counts, and — when the planner is on —
-// the estimated intermediate cardinality after the step. The first line
-// names the ordering mode, so explain output always says whether the
-// cost-based planner or the naive spec order produced the plan.
+// the atom, its pushed-down condition counts, and the estimated intermediate
+// cardinality after the step. The first line names the ordering mode.
 func ExplainPlan(c *Catalog, q *ConjunctiveQuery) ([]string, error) {
 	p, err := planQuery(c, q)
 	if err != nil {
 		return nil, err
 	}
 	lines := make([]string, 0, len(p.order)+1)
-	if p.planned {
-		lines = append(lines, "order: cost-based (greedy by estimated cardinality)")
-	} else {
-		lines = append(lines, "order: naive first-connected (planner off)")
-	}
+	lines = append(lines, "order: cost-based (greedy by estimated cardinality)")
 	for step, oi := range p.order {
 		a := &p.atoms[oi]
 		op := "scan"
@@ -481,9 +478,7 @@ func ExplainPlan(c *Catalog, q *ConjunctiveQuery) ([]string, error) {
 		if len(a.selfs) > 0 {
 			line += fmt.Sprintf(", %d self-filter", len(a.selfs))
 		}
-		if p.planned {
-			line += fmt.Sprintf(" (est %.1f rows)", p.est[step])
-		}
+		line += fmt.Sprintf(" (est %.1f rows)", p.est[step])
 		lines = append(lines, line)
 	}
 	return lines, nil

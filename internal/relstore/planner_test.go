@@ -9,37 +9,13 @@ import (
 )
 
 // This file pins the cost-based join planner and the cross-branch CSE layer
-// against the unplanned executable spec, exactly like the streaming executor
-// is pinned against ExecuteMaterialised: over randomised catalogs, every join
-// shape (self-filters included), shard counts {1,2,7} and both executors, the
-// planner must not change a single result byte — only the order work happens
-// in. It also carries the join-binding regression tests the planner work
-// surfaced: self-filter conditions (`t.a = t.b`) were silently dropped by both
-// executors, and ExecuteTopKUnion never validated branches its bound skipped.
-
-// plannerVariant is one (planner, executor) configuration of a catalog.
-type plannerVariant struct {
-	name string
-	cat  *Catalog
-}
-
-// plannerVariants clones a catalog into the four (planner × executor)
-// configurations. The planner-off materialised variant is the executable
-// spec the other three are compared against.
-func plannerVariants(c *Catalog) []plannerVariant {
-	onMat := c.Clone()
-	onMat.UseMaterialisedExec(true)
-	offStream := c.Clone()
-	offStream.UsePlanner(false)
-	offMat := offStream.Clone()
-	offMat.UseMaterialisedExec(true)
-	return []plannerVariant{
-		{"planned/streaming", c},
-		{"planned/materialised", onMat},
-		{"unplanned/streaming", offStream},
-		{"unplanned/materialised", offMat},
-	}
-}
+// against the unplanned, materialised test oracle (executeOracle,
+// oracle_test.go): over randomised catalogs, every join shape (self-filters
+// included) and shard counts {1,2,7}, the planner must not change a single
+// result byte — only the order work happens in. It also carries the
+// join-binding regression tests the planner work surfaced: self-filter
+// conditions (`t.a = t.b`) were silently dropped by both executors, and
+// ExecuteTopKUnion never validated branches its bound skipped.
 
 // maybeSelfJoin sometimes appends a same-alias join condition (`t.a = t.b`,
 // occasionally similarity) — the shape the old join-binding loops dropped.
@@ -63,9 +39,9 @@ func maybeSelfJoin(r *rand.Rand, c *Catalog, q *ConjunctiveQuery) {
 }
 
 // TestPlannedVsUnplannedEquivalence is the metamorphic gate of the planner:
-// over randomised catalogs (tricky values, self-filters injected), shard
-// counts {1,2,7} and both executors, the cost-based order must return a
-// ResultSet deep-equal to the naive spec order's — content, order, nil-ness.
+// over randomised catalogs (tricky values, self-filters injected) and shard
+// counts {1,2,7}, Execute's cost-based order must return a ResultSet
+// deep-equal to the oracle's naive order — content, order, nil-ness.
 func TestPlannedVsUnplannedEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 2, 7} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -73,25 +49,21 @@ func TestPlannedVsUnplannedEquivalence(t *testing.T) {
 			for trial := 0; trial < 40; trial++ {
 				c := randomExecCatalog(r, shards, 2+r.Intn(3))
 				c.BuildValueIndex(2) // planner statistics source
-				vars := plannerVariants(c)
-				spec := vars[3].cat // unplanned materialised
 				for qi := 0; qi < 6; qi++ {
 					q := randomExecQuery(r, c)
 					maybeSelfJoin(r, c, q)
-					want, errW := Execute(spec, q)
-					for _, v := range vars[:3] {
-						got, err := Execute(v.cat, q)
-						if (errW == nil) != (err == nil) {
-							t.Fatalf("trial %d query %d %s: error divergence: spec=%v got=%v\nquery: %s",
-								trial, qi, v.name, errW, err, q.SQL())
-						}
-						if errW != nil {
-							continue
-						}
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("trial %d query %d %s: result divergence\nquery: %s\ngot:  %v\nspec: %v",
-								trial, qi, v.name, q.SQL(), got, want)
-						}
+					want, errW := executeOracle(c, q)
+					got, err := Execute(c, q)
+					if (errW == nil) != (err == nil) {
+						t.Fatalf("trial %d query %d: error divergence: oracle=%v got=%v\nquery: %s",
+							trial, qi, errW, err, q.SQL())
+					}
+					if errW != nil {
+						continue
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("trial %d query %d: result divergence\nquery: %s\ngot:    %v\noracle: %v",
+							trial, qi, q.SQL(), got, want)
 					}
 				}
 			}
@@ -101,20 +73,18 @@ func TestPlannedVsUnplannedEquivalence(t *testing.T) {
 
 // TestPlannedBatchAndTopKEquivalence extends the metamorphic gate to the two
 // batch entry points the CSE cache feeds: ExecuteBatch and ExecuteTopKUnion
-// must be byte-identical between the planner (shared subtrees reused) and the
-// unplanned spec (every branch executed standalone), at several k.
+// (shared subtrees reused) must be byte-identical to the oracle executing
+// every branch standalone, at several worker counts and k.
 func TestPlannedBatchAndTopKEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 25; trial++ {
 		c := randomExecCatalog(r, 1+r.Intn(3), 2+r.Intn(3))
 		c.BuildValueIndex(2)
-		off := c.Clone()
-		off.UsePlanner(false)
 		var queries []*ConjunctiveQuery
 		for len(queries) < 2+r.Intn(5) {
 			q := randomExecQuery(r, c)
 			maybeSelfJoin(r, c, q)
-			if _, err := Execute(off, q); err != nil {
+			if _, err := executeOracle(c, q); err != nil {
 				continue
 			}
 			queries = append(queries, q)
@@ -132,19 +102,25 @@ func TestPlannedBatchAndTopKEquivalence(t *testing.T) {
 		for i, q := range queries {
 			prov[i] = fmt.Sprintf("b%d:%s", i, q.Signature())
 		}
-		want, err := ExecuteBatch(off, queries, 1+r.Intn(4))
-		if err != nil {
-			t.Fatal(err)
+		want := make([]*ResultSet, len(queries))
+		for i, q := range queries {
+			rs, err := executeOracle(c, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = rs
 		}
-		got, err := ExecuteBatch(c, queries, 1+r.Intn(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("trial %d: batch divergence between planned and unplanned", trial)
+		for _, workers := range []int{1 + r.Intn(4), 1 + r.Intn(4)} {
+			got, err := ExecuteBatch(c, queries, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d workers=%d: batch divergence from the oracle", trial, workers)
+			}
 		}
 		for _, k := range []int{1, 3, 100} {
-			wantU, _, err := ExecuteTopKUnion(off, queries, k, prov)
+			wantU, err := oracleTopKUnion(c, queries, k, prov)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -249,20 +225,20 @@ func TestSelfFilterJoinApplied(t *testing.T) {
 	}
 
 	for _, tc := range cases {
-		for _, v := range plannerVariants(c) {
-			rs, err := Execute(v.cat, tc.q)
+		for _, ex := range executors {
+			rs, err := ex.run(c, tc.q)
 			if err != nil {
-				t.Fatalf("%s %s: %v", tc.name, v.name, err)
+				t.Fatalf("%s %s: %v", tc.name, ex.name, err)
 			}
 			if !reflect.DeepEqual(rs.Rows, tc.want) {
-				t.Errorf("%s %s: self-filter not applied\ngot:  %q\nwant: %q", tc.name, v.name, rs.Rows, tc.want)
+				t.Errorf("%s %s: self-filter not applied\ngot:  %q\nwant: %q", tc.name, ex.name, rs.Rows, tc.want)
 			}
 		}
 	}
 }
 
 // TestUnknownAliasAndAttrRejected pins Validate's rejection surface across
-// every condition kind, in both executors and both planner modes: a query
+// every condition kind, in production and in the oracle: a query
 // naming an alias or attribute that does not exist is a returned error, never
 // a silently-ignored condition or a panic.
 func TestUnknownAliasAndAttrRejected(t *testing.T) {
@@ -314,9 +290,9 @@ func TestUnknownAliasAndAttrRejected(t *testing.T) {
 	for _, tc := range cases {
 		q := base()
 		tc.mutate(q)
-		for _, v := range plannerVariants(c) {
-			if _, err := Execute(v.cat, q); err == nil {
-				t.Errorf("%s (%s): want error, got nil", tc.name, v.name)
+		for _, ex := range executors {
+			if _, err := ex.run(c, q); err == nil {
+				t.Errorf("%s (%s): want error, got nil", tc.name, ex.name)
 			}
 		}
 		if _, err := ExecuteBatch(c, []*ConjunctiveQuery{base(), q}, 2); err == nil {
@@ -330,7 +306,7 @@ func TestUnknownAliasAndAttrRejected(t *testing.T) {
 // when it built its stream, so a malformed branch behind an unbeatable cost
 // bound silently succeeded where the serial spec (execute every branch,
 // lowest-index error wins) errors. The batch must fail loudly regardless of
-// which branches the bound would skip, in both planner modes.
+// which branches the bound would skip.
 func TestTopKUnionValidatesSkippedBranches(t *testing.T) {
 	rel := &Relation{Source: "s", Name: "big", Attributes: []Attribute{{Name: "x"}}}
 	rows := make([][]string, 20)
@@ -357,11 +333,9 @@ func TestTopKUnionValidatesSkippedBranches(t *testing.T) {
 		Cost:    9.0, // unbeatable after the first branch fills k
 	}
 	queries := []*ConjunctiveQuery{good, bad}
-	for _, v := range plannerVariants(c) {
-		_, _, err := ExecuteTopKUnion(v.cat, queries, 5, []string{"b0", "b1"})
-		if err == nil || !strings.Contains(err.Error(), "missing") {
-			t.Errorf("%s: skipped malformed branch must error like the serial spec, got %v", v.name, err)
-		}
+	_, _, err = ExecuteTopKUnion(c, queries, 5, []string{"b0", "b1"})
+	if err == nil || !strings.Contains(err.Error(), "missing") {
+		t.Errorf("skipped malformed branch must error like the serial spec, got %v", err)
 	}
 }
 
@@ -427,7 +401,6 @@ func TestBatchPlanCSECounters(t *testing.T) {
 // ExplainPlan: with segment statistics available, a highly selective later
 // atom must be scanned first (naive order starts at atom 0), the plan must
 // read as a hash join, and the reorder must show up in the batch counters.
-// With the planner off the explain output must name the naive order.
 func TestPlannedOrderPrefersSelectiveAtom(t *testing.T) {
 	rel := &Relation{Source: "s", Name: "big", Attributes: []Attribute{{Name: "x"}}}
 	rows := make([][]string, 100)
@@ -470,18 +443,5 @@ func TestPlannedOrderPrefersSelectiveAtom(t *testing.T) {
 	}
 	if st := bp.Stats(); st.BranchesReordered != 1 {
 		t.Errorf("branches reordered = %d, want 1 (planned order differs from naive)", st.BranchesReordered)
-	}
-
-	off := c.Clone()
-	off.UsePlanner(false)
-	lines, err = ExplainPlan(off, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(lines[0], "planner off") {
-		t.Errorf("unplanned header = %q, want the naive order named", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "scan t0=") {
-		t.Errorf("unplanned first step = %q, want the spec's atom-0-first order", lines[1])
 	}
 }

@@ -156,15 +156,15 @@ func TestValueSetAndOverlap(t *testing.T) {
 
 func TestFindValues(t *testing.T) {
 	// The contract must hold identically through the inverted value index
-	// (the default) and the reference scan.
+	// (FindValues) and the reference scan (the test oracle scanFindValues).
 	for _, mode := range []struct {
 		name string
-		scan bool
-	}{{"index", false}, {"scan", true}} {
+		find func(*Catalog, string) []ValueHit
+	}{{"index", (*Catalog).FindValues}, {"scan", scanFindValues}} {
 		t.Run(mode.name, func(t *testing.T) {
 			c := testCatalog(t)
-			c.UseScanFindValues(mode.scan)
-			hits := c.FindValues("membrane")
+			find := func(kw string) []ValueHit { return mode.find(c, kw) }
+			hits := find("membrane")
 			// "plasma membrane" in go.term.name and "Membrane protein" in ip.entry.name
 			if len(hits) != 2 {
 				t.Fatalf("FindValues(membrane) = %v, want 2 hits", hits)
@@ -172,11 +172,11 @@ func TestFindValues(t *testing.T) {
 			if hits[0].Ref.Relation != "go.term" || hits[1].Ref.Relation != "ip.entry" {
 				t.Errorf("hit order/content wrong: %v", hits)
 			}
-			if hits := c.FindValues(""); hits != nil {
+			if hits := find(""); hits != nil {
 				t.Errorf("empty keyword should match nothing, got %v", hits)
 			}
 			// Value appearing in multiple rows reports row count.
-			hits = c.FindValues("GO:0005886")
+			hits = find("GO:0005886")
 			var found bool
 			for _, h := range hits {
 				if h.Ref.Relation == "ip.interpro2go" && h.Rows != 2 {

@@ -70,7 +70,7 @@ func (c *Catalog) ShardCount() int { return len(c.shards) }
 // SetParallelism bounds the catalog's internal per-shard fan-outs (FindValues,
 // BuildValueIndex, OverlappingAttrPairs). n <= 0 restores the default,
 // runtime.GOMAXPROCS(0). Writer-side: set it before the catalog is shared
-// with concurrent readers (like UseScanFindValues); Clone copies it.
+// with concurrent readers; Clone copies it.
 func (c *Catalog) SetParallelism(n int) {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
@@ -209,37 +209,22 @@ func (c *Catalog) OverlappingAttrPairs(a, b *Relation) map[[2]AttrRef]bool {
 // ExecuteBatch executes a batch of conjunctive queries — the branches of one
 // view materialisation — across at most workers goroutines, collecting
 // results by query index so the output order matches a serial loop exactly.
-// With the planner on (the default) the batch is planned as a unit: branches
-// stream through PlanBatch's shared-subtree subplan cache, so a join prefix
-// common to several branches executes once. Otherwise each query runs
-// through Execute's dispatch: the streaming iterator pipeline, or the
-// reference materialised executor under UseMaterialisedExec — results are
-// byte-identical on every path, at every worker and shard count. Every query
-// executes at every worker count; the returned error is the one the
-// lowest-indexed failing query produced, matching serial semantics. For the
+// The batch is planned as a unit: branches stream through PlanBatch's
+// shared-subtree subplan cache, so a join prefix common to several branches
+// executes once, and results are byte-identical to executing each query
+// alone, at every worker and shard count. Validation runs in index order
+// before anything executes, so the returned error is the one the
+// lowest-indexed failing query produces, matching serial semantics. For the
 // top-k-bounded variant that can skip whole branches, see ExecuteTopKUnion.
 func ExecuteBatch(c *Catalog, queries []*ConjunctiveQuery, workers int) ([]*ResultSet, error) {
-	if !c.noPlan && !c.matExec {
-		bp, err := PlanBatch(c, queries)
-		if err != nil {
-			return nil, err
-		}
-		results := make([]*ResultSet, len(queries))
-		errs := make([]error, len(queries))
-		fanIndexed(len(queries), workers, func(i int) {
-			results[i], errs[i] = bp.Execute(i)
-		})
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-		return results, nil
+	bp, err := PlanBatch(c, queries)
+	if err != nil {
+		return nil, err
 	}
 	results := make([]*ResultSet, len(queries))
 	errs := make([]error, len(queries))
 	fanIndexed(len(queries), workers, func(i int) {
-		results[i], errs[i] = Execute(c, queries[i])
+		results[i], errs[i] = bp.Execute(i)
 	})
 	for _, err := range errs {
 		if err != nil {

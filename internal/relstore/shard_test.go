@@ -10,11 +10,12 @@ import (
 )
 
 // The property under test: sharding is invisible. A catalog hash-partitioned
-// into ANY number of shards must answer every operation — FindValues (index
-// and scan), value sets and their derived similarities, overlap pair
-// generation, batch execution — byte-identically to the single-shard
-// reference, under any parallelism, including concurrent readers racing
-// lazy index builds. The shard count is purely a parallelism/locality knob.
+// into ANY number of shards must answer every operation — FindValues (and
+// the scanFindValues oracle), value sets and their derived similarities,
+// overlap pair generation, batch execution — byte-identically to the
+// single-shard reference, under any parallelism, including concurrent
+// readers racing lazy index builds. The shard count is purely a
+// parallelism/locality knob.
 
 // shardCounts is the battery every equivalence test runs at: the degenerate
 // single shard, a count below and above typical table counts (so some
@@ -44,8 +45,8 @@ func catalogAt(t *testing.T, shards int, tables []*Table) *Catalog {
 
 // TestShardedFindValuesEquivalence is the core metamorphic suite: across
 // randomised catalogs, every shard count must produce FindValues answers
-// deep-equal to the single-shard reference scan — content, row counts,
-// order and nil-ness — through both the index and the scan path.
+// deep-equal to the single-shard reference scan (scanFindValues) — content,
+// row counts, order and nil-ness — through both the index and the scan.
 func TestShardedFindValuesEquivalence(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		seed := seed
@@ -57,16 +58,16 @@ func TestShardedFindValuesEquivalence(t *testing.T) {
 			kws := indexKeywords(r, ref)
 			want := make([][]ValueHit, len(kws))
 			for i, kw := range kws {
-				want[i] = ref.ScanFindValues(kw)
+				want[i] = scanFindValues(ref, kw)
 			}
 			for _, n := range shardCounts() {
 				c := catalogAt(t, n, tables)
 				for i, kw := range kws {
-					if got := c.IndexFindValues(kw); !reflect.DeepEqual(got, want[i]) {
-						t.Fatalf("shards=%d: IndexFindValues(%q) diverged\ngot:  %v\nwant: %v", n, kw, got, want[i])
+					if got := c.FindValues(kw); !reflect.DeepEqual(got, want[i]) {
+						t.Fatalf("shards=%d: FindValues(%q) diverged\ngot:  %v\nwant: %v", n, kw, got, want[i])
 					}
-					if got := c.ScanFindValues(kw); !reflect.DeepEqual(got, want[i]) {
-						t.Fatalf("shards=%d: ScanFindValues(%q) diverged\ngot:  %v\nwant: %v", n, kw, got, want[i])
+					if got := scanFindValues(c, kw); !reflect.DeepEqual(got, want[i]) {
+						t.Fatalf("shards=%d: scanFindValues(%q) diverged\ngot:  %v\nwant: %v", n, kw, got, want[i])
 					}
 				}
 			}
@@ -146,7 +147,7 @@ func TestShardedConcurrentReaders(t *testing.T) {
 	kws := []string{"membrane", "GO:0005886", "ab", "é", "plasma membrane", "005886", "zzqqx", "", "Kringle domain"}
 	want := make([][]ValueHit, len(kws))
 	for i, kw := range kws {
-		want[i] = ref.ScanFindValues(kw)
+		want[i] = scanFindValues(ref, kw)
 	}
 	refs := ref.AttrRefs()
 
@@ -162,7 +163,7 @@ func TestShardedConcurrentReaders(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < rounds; i++ {
 					k := (g + i) % len(kws)
-					if got := c.IndexFindValues(kws[k]); !reflect.DeepEqual(got, want[k]) {
+					if got := c.FindValues(kws[k]); !reflect.DeepEqual(got, want[k]) {
 						errc <- fmt.Errorf("shards=%d reader %d: FindValues(%q) = %v, want %v", n, g, kws[k], got, want[k])
 						return
 					}
@@ -198,7 +199,7 @@ func TestShardedCloneWriteLocality(t *testing.T) {
 	if got := c.IndexedRelations(); got != c.NumRelations() {
 		t.Fatalf("IndexedRelations = %d, want %d", got, c.NumRelations())
 	}
-	wantOrig := c.IndexFindValues("membrane")
+	wantOrig := c.FindValues("membrane")
 
 	clone := c.Clone()
 	if got := clone.IndexedRelations(); got != clone.NumRelations() {
@@ -233,10 +234,10 @@ func TestShardedCloneWriteLocality(t *testing.T) {
 	if got := clone.IndexedRelations(); got != clone.NumRelations() {
 		t.Fatalf("clone IndexedRelations = %d, want %d (exactly the new segment added)", got, clone.NumRelations())
 	}
-	if got, want := clone.IndexFindValues("membrane"), clone.ScanFindValues("membrane"); !reflect.DeepEqual(got, want) {
+	if got, want := clone.FindValues("membrane"), scanFindValues(clone, "membrane"); !reflect.DeepEqual(got, want) {
 		t.Fatalf("clone index diverged from scan after AddTable\nindex: %v\nscan:  %v", got, want)
 	}
-	if !reflect.DeepEqual(c.IndexFindValues("membrane"), wantOrig) {
+	if !reflect.DeepEqual(c.FindValues("membrane"), wantOrig) {
 		t.Fatal("original catalog's answer changed under the clone's write")
 	}
 

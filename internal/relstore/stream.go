@@ -10,33 +10,33 @@ import (
 )
 
 // This file is the streaming branch executor: the Volcano-style iterator
-// pipeline that replaced the materialise-everything evaluation of exec.go as
-// the default execution path. A conjunctive query compiles into a small
-// chain of pull-based operators — table scan with pushed-down selections →
-// hash-join probe (build side pre-sized, built from the joined-in atom's
-// filtered rows) or nested-loop for similarity/cross joins → projection with
-// set-semantics deduplication — and rows flow through ONE shared row buffer,
-// so no intermediate relation is ever allocated: the only per-row
-// allocations are the projected output tuples that survive deduplication.
+// pipeline that replaced materialise-everything evaluation as the execution
+// path. A conjunctive query compiles into a small chain of pull-based
+// operators — table scan with pushed-down selections → hash-join probe
+// (build side pre-sized, built from the joined-in atom's filtered rows) or
+// nested-loop for similarity/cross joins → projection with set-semantics
+// deduplication — and rows flow through ONE shared row buffer, so no
+// intermediate relation is ever allocated: the only per-row allocations are
+// the projected output tuples that survive deduplication.
 //
-// Execute dispatches here by default; ExecuteMaterialised (exec.go) survives
-// as the executable specification, and the metamorphic suite in
+// Execute runs here. The materialised executor survives only as the test
+// oracle executeOracle (oracle_test.go), and the metamorphic suite in
 // stream_test.go pins the two byte-identical on randomised catalogs, join
-// shapes and shard counts. Tuple identity is collision-proof in both paths:
-// the materialised executor keys joins and dedup by the length-prefixed
-// encoding below (which values containing NUL bytes, embedded spaces or
-// empty strings cannot forge — the exec.go row-identity bugs this refactor
-// fixed), and the streaming operators go one step further, bucketing by
-// value hash and verifying every bucket hit against the values themselves,
-// so no identity ever rides on an encoding at all.
+// shapes and shard counts. Tuple identity is collision-proof in both: the
+// oracle keys joins and dedup by the length-prefixed encoding below (which
+// values containing NUL bytes, embedded spaces or empty strings cannot forge
+// — the row-identity bugs this refactor fixed), and the streaming operators
+// go one step further, bucketing by value hash and verifying every bucket
+// hit against the values themselves, so no identity ever rides on an
+// encoding at all.
 
 // appendLenPrefixed appends a length-prefixed encoding of vals to dst and
 // returns the extended slice. Each value is encoded as uvarint(len) ‖ bytes,
 // which is prefix-free per field: no choice of values can make two distinct
 // tuples encode identically, unlike separator-based encodings (a "\x00"
 // separator collides on values containing NUL; fmt.Sprint collides on
-// embedded spaces). This is the row-identity encoding used by BOTH executors
-// for hash-join keys and projection-dedup keys.
+// embedded spaces). The planner builds its canonical keys with it, and the
+// test oracle its hash-join and projection-dedup keys.
 func appendLenPrefixed(dst []byte, vals ...string) []byte {
 	for _, v := range vals {
 		dst = binary.AppendUvarint(dst, uint64(len(v)))
@@ -44,9 +44,6 @@ func appendLenPrefixed(dst []byte, vals ...string) []byte {
 	}
 	return dst
 }
-
-// rowKey returns the length-prefixed identity key of a full tuple.
-func rowKey(vals []string) string { return string(appendLenPrefixed(nil, vals...)) }
 
 // The streaming operators avoid even the length-prefixed key allocations:
 // they bucket by a 64-bit FNV-1a hash of the length-delimited values and
@@ -312,7 +309,7 @@ func simPairsOK(buf, row []string, simPairs []simJoinPair) bool {
 
 // StreamStats counts the work one stream performed, for the early-termination
 // accounting of the top-k union (rows pulled vs rows a full materialisation
-// would touch) and for qbench -exp stream.
+// would touch).
 type StreamStats struct {
 	// RowsScanned is the number of base-table rows pulled by scans and
 	// hash-join builds.
@@ -395,8 +392,7 @@ func (s *Stream) dupAt(h uint64) bool {
 }
 
 // Drain pulls the stream to exhaustion and returns the canonical ResultSet
-// (rows in sorted order, set semantics) — byte-identical to
-// ExecuteMaterialised on the same query.
+// (rows in sorted order, set semantics).
 func (s *Stream) Drain() *ResultSet {
 	out := &ResultSet{Columns: s.cols}
 	for {
@@ -413,9 +409,7 @@ func (s *Stream) Drain() *ResultSet {
 // BuildStream validates and compiles a conjunctive query into a streaming
 // pipeline over the catalog. All attribute resolution happens here, so a
 // malformed query is an error at plan time, never a panic mid-iteration.
-// Join order follows the catalog's planner knob: the cost-based greedy order
-// by default, the naive first-connected spec order under UsePlanner(false) —
-// byte-identical ResultSets either way.
+// Joins run in the planner's cost-based greedy order.
 func BuildStream(c *Catalog, q *ConjunctiveQuery) (*Stream, error) {
 	p, err := planQuery(c, q)
 	if err != nil {
@@ -571,18 +565,6 @@ func drainPrefix(p *queryPlan, n int) ([][]string, StreamStats) {
 	return rows, stats
 }
 
-// ExecuteStream evaluates a conjunctive query through the streaming iterator
-// pipeline and returns the canonical ResultSet — byte-identical to
-// ExecuteMaterialised (the metamorphic suite in stream_test.go and the
-// FuzzExecuteEquivalence target pin this).
-func ExecuteStream(c *Catalog, q *ConjunctiveQuery) (*ResultSet, error) {
-	st, err := BuildStream(c, q)
-	if err != nil {
-		return nil, err
-	}
-	return st.Drain(), nil
-}
-
 // TopKUnionStats counts the work of one ExecuteTopKUnion call, making the
 // early termination observable: RowsPulled < the rows a full
 // materialisation of every branch would pull whenever branches were skipped.
@@ -599,7 +581,7 @@ type TopKUnionStats struct {
 	RowsPulled  int64
 	RowsEmitted int64
 	// Plan carries the batch's planner counters (join reordering, shared
-	// subtrees, CSE hits) when the catalog's planner is on; zero otherwise.
+	// subtrees, CSE hits).
 	Plan PlanStats
 }
 
@@ -622,23 +604,13 @@ func ExecuteTopKUnion(c *Catalog, queries []*ConjunctiveQuery, k int, provenance
 	// Every branch is validated up front — including branches the top-k
 	// bound will skip. The spec this path must match byte-for-byte is
 	// DisjointUnion(execute ALL branches).TopK(k), where a malformed branch
-	// fails the whole call; skipping used to let it silently succeed. With
-	// the planner on, PlanBatch does the validating (index order, first
-	// error wins — identical semantics) and provides the shared-subtree
-	// subplan cache the executed branches stream from.
-	var bp *BatchPlan
-	if !c.noPlan {
-		var err error
-		bp, err = PlanBatch(c, queries)
-		if err != nil {
-			return nil, stats, err
-		}
-	} else {
-		for _, q := range queries {
-			if err := q.Validate(c); err != nil {
-				return nil, stats, err
-			}
-		}
+	// fails the whole call; skipping used to let it silently succeed.
+	// PlanBatch does the validating (index order, first error wins —
+	// identical semantics) and provides the shared-subtree subplan cache the
+	// executed branches stream from.
+	bp, err := PlanBatch(c, queries)
+	if err != nil {
+		return nil, stats, err
 	}
 	out := &UnionResult{}
 	colIdx := make(map[string]int)
@@ -669,13 +641,7 @@ func ExecuteTopKUnion(c *Catalog, queries []*ConjunctiveQuery, k int, provenance
 			stats.BranchesSkipped++
 			continue
 		}
-		var st *Stream
-		var err error
-		if bp != nil {
-			st, err = bp.Stream(bi)
-		} else {
-			st, err = BuildStream(c, q)
-		}
+		st, err := bp.Stream(bi)
 		if err != nil {
 			return nil, stats, err
 		}
@@ -721,9 +687,7 @@ func ExecuteTopKUnion(c *Catalog, queries []*ConjunctiveQuery, k int, provenance
 		rows = rows[:k]
 	}
 	out.Rows = rows
-	if bp != nil {
-		stats.Plan = bp.Stats()
-	}
+	stats.Plan = bp.Stats()
 	if ec := c.execObs; ec != nil {
 		ec.Branches.Add(int64(stats.BranchesExecuted))
 		ec.Rows.Add(stats.RowsPulled)

@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-// This file pins the streaming-executor tentpole: the composed iterator
-// pipeline (stream.go) must be byte-identical to the materialise-everything
-// reference executor (exec.go) on randomised catalogs, every join shape and
-// every shard count, and the top-k streamed union must equal the full
+// This file pins the streaming executor: the composed iterator pipeline
+// (stream.go) must be byte-identical to the materialise-everything test
+// oracle (executeOracle, oracle_test.go) on randomised catalogs, every join
+// shape and every shard count, and the top-k streamed union must equal the full
 // union's top-k prefix while provably skipping unbeatable branches. It also
 // carries the row-identity regression tests: the old fmt.Sprint projection
 // dedup key and the "\x00"-separator join keys silently merged distinct
@@ -110,10 +110,10 @@ func randomExecQuery(r *rand.Rand, c *Catalog) *ConjunctiveQuery {
 }
 
 // TestStreamingVsMaterialisedEquivalence is the metamorphic gate of the
-// streaming refactor: over randomised catalogs (tricky values included),
-// randomised queries of every join shape, and shard counts {1,2,7}, the
-// streaming pipeline must return a ResultSet deep-equal to the materialised
-// reference executor's — content, order and nil-ness.
+// streaming executor: over randomised catalogs (tricky values included),
+// randomised queries of every join shape, and shard counts {1,2,7}, Execute
+// must return a ResultSet deep-equal to the materialised oracle's — content,
+// order and nil-ness.
 func TestStreamingVsMaterialisedEquivalence(t *testing.T) {
 	for _, shards := range []int{1, 2, 7} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -122,17 +122,17 @@ func TestStreamingVsMaterialisedEquivalence(t *testing.T) {
 				c := randomExecCatalog(r, shards, 2+r.Intn(3))
 				for qi := 0; qi < 6; qi++ {
 					q := randomExecQuery(r, c)
-					want, errM := ExecuteMaterialised(c, q)
-					got, errS := ExecuteStream(c, q)
+					want, errM := executeOracle(c, q)
+					got, errS := Execute(c, q)
 					if (errM == nil) != (errS == nil) {
-						t.Fatalf("trial %d query %d: error divergence: materialised=%v streaming=%v\nquery: %s",
+						t.Fatalf("trial %d query %d: error divergence: oracle=%v production=%v\nquery: %s",
 							trial, qi, errM, errS, q.SQL())
 					}
 					if errM != nil {
 						continue
 					}
 					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("trial %d query %d: result divergence\nquery: %s\nstreaming:    %v\nmaterialised: %v",
+						t.Fatalf("trial %d query %d: result divergence\nquery: %s\nproduction: %v\noracle:     %v",
 							trial, qi, q.SQL(), got, want)
 					}
 				}
@@ -141,39 +141,10 @@ func TestStreamingVsMaterialisedEquivalence(t *testing.T) {
 	}
 }
 
-// TestExecuteDispatch pins the Execute dispatcher: streaming by default,
-// the materialised reference under UseMaterialisedExec, byte-identical
-// results either way, and Clone carries the knob.
-func TestExecuteDispatch(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	c := randomExecCatalog(r, 2, 3)
-	q := randomExecQuery(r, c)
-	def, err := Execute(c, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.UseMaterialisedExec(true)
-	mat, err := Execute(c, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(def, mat) {
-		t.Fatalf("dispatch divergence:\nstreaming:    %v\nmaterialised: %v", def, mat)
-	}
-	clone := c.Clone()
-	cl, err := Execute(clone, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cl, mat) {
-		t.Fatal("clone did not inherit the materialised-exec knob's result")
-	}
-}
-
 // TestProjectionDedupEmbeddedSpaces is the regression test for the
 // fmt.Sprint projection-dedup key: the rows ["a b","c"] and ["a","b c"]
 // rendered identically ("[a b c]") and one was silently dropped. Both must
-// survive, under both executors, along with empty-string rows that
+// survive, in production and in the oracle, along with empty-string rows that
 // previously collided with single-space rows.
 func TestProjectionDedupEmbeddedSpaces(t *testing.T) {
 	rel := &Relation{Source: "s", Name: "r", Attributes: []Attribute{{Name: "x"}, {Name: "y"}}}
@@ -198,16 +169,13 @@ func TestProjectionDedupEmbeddedSpaces(t *testing.T) {
 			{Alias: "t0", Attr: "y", As: "y"},
 		},
 	}
-	for name, exec := range map[string]func(*Catalog, *ConjunctiveQuery) (*ResultSet, error){
-		"materialised": ExecuteMaterialised,
-		"streaming":    ExecuteStream,
-	} {
-		rs, err := exec(c, q)
+	for _, ex := range executors {
+		rs, err := ex.run(c, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(rs.Rows) != 5 {
-			t.Errorf("%s: got %d rows, want all 5 distinct rows preserved: %q", name, len(rs.Rows), rs.Rows)
+			t.Errorf("%s: got %d rows, want all 5 distinct rows preserved: %q", ex.name, len(rs.Rows), rs.Rows)
 		}
 	}
 }
@@ -250,19 +218,16 @@ func TestJoinKeyNulRegression(t *testing.T) {
 			{Alias: "t1", Attr: "x", As: "rx"},
 		},
 	}
-	for name, exec := range map[string]func(*Catalog, *ConjunctiveQuery) (*ResultSet, error){
-		"materialised": ExecuteMaterialised,
-		"streaming":    ExecuteStream,
-	} {
-		rs, err := exec(c, q)
+	for _, ex := range executors {
+		rs, err := ex.run(c, q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(rs.Rows) != 1 {
-			t.Fatalf("%s: got %d join rows %q, want exactly the genuine q\\x00q match", name, len(rs.Rows), rs.Rows)
+			t.Fatalf("%s: got %d join rows %q, want exactly the genuine q\\x00q match", ex.name, len(rs.Rows), rs.Rows)
 		}
 		if rs.Rows[0][0] != "q\x00q" {
-			t.Errorf("%s: wrong row matched: %q", name, rs.Rows[0])
+			t.Errorf("%s: wrong row matched: %q", ex.name, rs.Rows[0])
 		}
 	}
 }
@@ -285,12 +250,9 @@ func TestSelectionUnknownAttributeErrors(t *testing.T) {
 		Selects: []SelCond{{Alias: "t0", Attr: "missing", Op: OpEq, Value: "v"}},
 		Project: []ProjCol{{Alias: "t0", Attr: "x", As: "x"}},
 	}
-	for name, exec := range map[string]func(*Catalog, *ConjunctiveQuery) (*ResultSet, error){
-		"materialised": ExecuteMaterialised,
-		"streaming":    ExecuteStream,
-	} {
-		if _, err := exec(c, q); err == nil || !strings.Contains(err.Error(), "missing") {
-			t.Errorf("%s: want attribute error, got %v", name, err)
+	for _, ex := range executors {
+		if _, err := ex.run(c, q); err == nil || !strings.Contains(err.Error(), "missing") {
+			t.Errorf("%s: want attribute error, got %v", ex.name, err)
 		}
 	}
 	// bindSels itself must also error rather than panic when handed a
@@ -312,7 +274,7 @@ func TestTopKUnionEquivalence(t *testing.T) {
 		queries := make([]*ConjunctiveQuery, 0, nBranches)
 		for len(queries) < nBranches {
 			q := randomExecQuery(r, c)
-			if _, err := ExecuteMaterialised(c, q); err != nil {
+			if _, err := executeOracle(c, q); err != nil {
 				continue
 			}
 			queries = append(queries, q)
@@ -325,7 +287,7 @@ func TestTopKUnionEquivalence(t *testing.T) {
 		branches := make([]Branch, len(queries))
 		for i, q := range queries {
 			prov[i] = q.Signature()
-			rs, err := ExecuteMaterialised(c, q)
+			rs, err := executeOracle(c, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -398,9 +360,9 @@ func TestTopKUnionEarlyTermination(t *testing.T) {
 	}
 }
 
-// TestStreamStatsAccounting pins the observability counters the qbench
-// stream experiment reports: scanned counts base rows pulled, pulled counts
-// pre-dedup joined rows, emitted counts surviving projections.
+// TestStreamStatsAccounting pins the stream's work counters: scanned counts
+// base rows pulled, pulled counts pre-dedup joined rows, emitted counts
+// surviving projections.
 func TestStreamStatsAccounting(t *testing.T) {
 	rel := &Relation{Source: "s", Name: "r", Attributes: []Attribute{{Name: "x"}, {Name: "y"}}}
 	tb, err := NewTable(rel, [][]string{
@@ -431,32 +393,28 @@ func TestStreamStatsAccounting(t *testing.T) {
 	}
 }
 
-// TestExecuteBatchStreamingEquivalence extends the PR 4 batch gate across
-// the executor dispatch: the batch API must be byte-identical between the
-// streaming default and the materialised reference at several worker counts.
+// TestExecuteBatchStreamingEquivalence extends the batch gate to the
+// oracle: the batch API must return, at several worker counts, exactly what
+// the materialised oracle returns query by query.
 func TestExecuteBatchStreamingEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	c := randomExecCatalog(r, 3, 4)
-	matC := c.Clone()
-	matC.UseMaterialisedExec(true)
 	var queries []*ConjunctiveQuery
+	var want []*ResultSet
 	for len(queries) < 8 {
 		q := randomExecQuery(r, c)
-		if _, err := ExecuteMaterialised(c, q); err == nil {
+		if rs, err := executeOracle(c, q); err == nil {
 			queries = append(queries, q)
+			want = append(want, rs)
 		}
 	}
 	for _, workers := range []int{1, 3, 8} {
-		want, err := ExecuteBatch(matC, queries, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
 		got, err := ExecuteBatch(c, queries, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d: batch divergence between streaming and materialised", workers)
+			t.Fatalf("workers=%d: batch divergence from the oracle", workers)
 		}
 	}
 }

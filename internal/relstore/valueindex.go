@@ -12,9 +12,10 @@ import (
 // character-trigram (plus whole-token) index from normalised text to posting
 // lists of distinct attribute values. It replaces the per-keyword full
 // catalog scan — previously the dominant per-query cost on large catalogs —
-// while preserving the scan's case-insensitive-substring contract exactly
-// (ScanFindValues remains as the reference implementation, and the
-// metamorphic suite in valueindex_test.go pins byte-identical results).
+// while preserving the scan's case-insensitive-substring contract exactly:
+// the scan survives only as a test oracle (oracle_test.go), and the
+// metamorphic suites in valueindex_test.go and shard_test.go and the
+// FuzzFindValuesEquivalence target pin byte-identical results against it.
 //
 // Structure. The index is sharded by table: each *Table gets one immutable
 // segment holding the table's distinct (attribute, value) entries — sorted
@@ -44,7 +45,7 @@ import (
 //     never raw rows.
 //
 // Hits from all segments are merged under the same final ordering as the
-// reference scan, so results are deterministic and identical in both modes.
+// reference scan, so results are deterministic and identical to it.
 
 // indexEntry is one distinct (attribute, value) pair of a table: the raw
 // value, its normalised form, and how many rows carry it.
@@ -226,7 +227,7 @@ func (s *segment) hit(e indexEntry) ValueHit {
 
 // keywordTrigrams returns the deduplicated trigram list of an
 // already-normalised keyword, or nil when it is below the trigram width.
-// Computed once per IndexFindValues call and shared by every segment.
+// Computed once per FindValues call and shared by every segment.
 func keywordTrigrams(nkw string) []string {
 	r := []rune(nkw)
 	if len(r) < 3 {
@@ -306,7 +307,7 @@ func (s *segment) valueSet(attrIdx int) map[string]struct{} {
 // attribute, then value. The comparison is field-wise — Ref.String() is not
 // injective (a relation name may itself contain dots), and a non-total
 // comparator would let sort.Slice leave ties in input order, which now
-// varies with the shard count. Both FindValues implementations share this
+// varies with the shard count. The index and the reference scan share this
 // total order, so the two are byte-identical — across shard counts too.
 func sortHits(hits []ValueHit) {
 	sort.Slice(hits, func(i, j int) bool {
@@ -321,14 +322,19 @@ func sortHits(hits []ValueHit) {
 	})
 }
 
-// IndexFindValues answers FindValues from the inverted value index, fanning
-// one worker per shard (bounded by the catalog's parallelism) and building
-// any missing table segments on the way (each table indexes exactly once;
-// registrations therefore only ever index their own new tables). Per-shard
-// hits are merged under the canonical (attribute, value) total order, so
-// results are identical to ScanFindValues — and across every shard count —
-// in content and order.
-func (c *Catalog) IndexFindValues(keyword string) []ValueHit {
+// FindValues returns the distinct values that contain the keyword
+// (case-insensitive substring over normalised text). Q's query-graph
+// expansion uses this to lazily materialise value nodes for each keyword
+// (paper §2.2). Results are deterministic: sorted by attribute then value.
+//
+// It answers from the inverted value index, fanning one worker per shard
+// (bounded by the catalog's parallelism) and building any missing table
+// segments on the way (each table indexes exactly once; registrations
+// therefore only ever index their own new tables). Per-shard hits are merged
+// under the canonical (attribute, value) total order, so results are
+// identical to a full scan of every row — and across every shard count — in
+// content and order.
+func (c *Catalog) FindValues(keyword string) []ValueHit {
 	kw := text.Normalize(keyword)
 	if kw == "" {
 		return nil

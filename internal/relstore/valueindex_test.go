@@ -10,11 +10,11 @@ import (
 	"qint/internal/text"
 )
 
-// The property under test: IndexFindValues is observationally identical to
-// ScanFindValues — same hits, same row counts, same order, same nil-ness —
-// for ANY catalog and ANY keyword. The scan is the executable
-// specification; the index is an optimisation that must never change a
-// single byte of the answer.
+// The property under test: FindValues (the inverted index) is
+// observationally identical to the full-scan oracle scanFindValues — same
+// hits, same row counts, same order, same nil-ness — for ANY catalog and ANY
+// keyword. The scan is the executable specification; the index is an
+// optimisation that must never change a single byte of the answer.
 
 // indexVocab mixes the value shapes the normaliser and the trigram index
 // have to agree on: plain words, multi-word phrases, identifiers with
@@ -143,8 +143,8 @@ func TestFindValuesScanIndexEquivalence(t *testing.T) {
 			r := rand.New(rand.NewSource(seed))
 			c := randomIndexCatalog(t, r)
 			for _, kw := range indexKeywords(r, c) {
-				scan := c.ScanFindValues(kw)
-				idx := c.IndexFindValues(kw)
+				scan := scanFindValues(c, kw)
+				idx := c.FindValues(kw)
 				if !reflect.DeepEqual(scan, idx) {
 					t.Fatalf("FindValues(%q) diverged\nscan:  %v\nindex: %v", kw, scan, idx)
 				}
@@ -153,31 +153,7 @@ func TestFindValuesScanIndexEquivalence(t *testing.T) {
 	}
 }
 
-// TestFindValuesModeDispatch pins the FindValues switch: index mode by
-// default, reference scan behind UseScanFindValues, identical answers, and
-// the mode surviving Clone.
-func TestFindValuesModeDispatch(t *testing.T) {
-	c := testCatalog(t)
-	idx := c.FindValues("membrane")
-	c.UseScanFindValues(true)
-	scan := c.FindValues("membrane")
-	if !reflect.DeepEqual(idx, scan) {
-		t.Fatalf("mode dispatch diverged\nindex: %v\nscan:  %v", idx, scan)
-	}
-	if len(idx) != 2 {
-		t.Fatalf("FindValues(membrane) = %v, want 2 hits", idx)
-	}
-	clone := c.Clone()
-	if !reflect.DeepEqual(clone.FindValues("membrane"), scan) {
-		t.Error("clone did not inherit scan mode")
-	}
-	c.UseScanFindValues(false)
-	if !reflect.DeepEqual(c.FindValues("membrane"), idx) {
-		t.Error("switching back to index mode changed the answer")
-	}
-}
-
-// TestIndexFindValuesConcurrent hammers IndexFindValues from many
+// TestIndexFindValuesConcurrent hammers FindValues from many
 // goroutines against a catalog whose segments have NOT been pre-built, so
 // lazy segment construction races with itself and with reads. Run under
 // -race; every answer must equal the quiesced reference scan.
@@ -188,7 +164,7 @@ func TestIndexFindValuesConcurrent(t *testing.T) {
 	want := make([][]ValueHit, len(kws))
 	ref := randomIndexCatalog(t, rand.New(rand.NewSource(99))) // identical build
 	for i, kw := range kws {
-		want[i] = ref.ScanFindValues(kw)
+		want[i] = scanFindValues(ref, kw)
 	}
 
 	const readers = 8
@@ -201,7 +177,7 @@ func TestIndexFindValuesConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				k := (g + i) % len(kws)
-				if got := c.IndexFindValues(kws[k]); !reflect.DeepEqual(got, want[k]) {
+				if got := c.FindValues(kws[k]); !reflect.DeepEqual(got, want[k]) {
 					errc <- fmt.Errorf("reader %d: FindValues(%q) = %v, want %v", g, kws[k], got, want[k])
 					return
 				}
@@ -228,7 +204,7 @@ func TestIndexIncrementalAcrossClones(t *testing.T) {
 	if got := c.IndexedRelations(); got != c.NumRelations() {
 		t.Fatalf("IndexedRelations = %d, want %d", got, c.NumRelations())
 	}
-	wantOrig := c.IndexFindValues("membrane")
+	wantOrig := c.FindValues("membrane")
 
 	clone := c.Clone()
 	if got := clone.IndexedRelations(); got != clone.NumRelations() {
@@ -247,7 +223,7 @@ func TestIndexIncrementalAcrossClones(t *testing.T) {
 					return
 				default:
 				}
-				if got := c.IndexFindValues("membrane"); !reflect.DeepEqual(got, wantOrig) {
+				if got := c.FindValues("membrane"); !reflect.DeepEqual(got, wantOrig) {
 					t.Errorf("original catalog's answer changed under a clone writer: %v", got)
 					return
 				}
@@ -273,15 +249,15 @@ func TestIndexIncrementalAcrossClones(t *testing.T) {
 	if got := clone.IndexedRelations(); got != clone.NumRelations() {
 		t.Fatalf("clone IndexedRelations = %d, want %d", got, clone.NumRelations())
 	}
-	got := clone.IndexFindValues("membrane")
-	want := clone.ScanFindValues("membrane")
+	got := clone.FindValues("membrane")
+	want := scanFindValues(clone, "membrane")
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("clone index diverged from scan after AddTable\nindex: %v\nscan:  %v", got, want)
 	}
 	if len(got) != len(wantOrig)+1 {
 		t.Fatalf("clone should see the new table's hit: %v", got)
 	}
-	if !reflect.DeepEqual(c.IndexFindValues("membrane"), wantOrig) {
+	if !reflect.DeepEqual(c.FindValues("membrane"), wantOrig) {
 		t.Fatal("original catalog sees the clone's table")
 	}
 }
@@ -363,8 +339,8 @@ func TestFindValuesShortKeywords(t *testing.T) {
 		{"zz", nil},
 	}
 	for _, tc := range cases {
-		idx := c.IndexFindValues(tc.kw)
-		scan := c.ScanFindValues(tc.kw)
+		idx := c.FindValues(tc.kw)
+		scan := scanFindValues(c, tc.kw)
 		if !reflect.DeepEqual(idx, scan) {
 			t.Errorf("kw %q: index %v != scan %v", tc.kw, idx, scan)
 			continue
@@ -379,7 +355,7 @@ func TestFindValuesShortKeywords(t *testing.T) {
 	}
 	// Determinism: repeated calls are identical.
 	for i := 0; i < 3; i++ {
-		if !reflect.DeepEqual(c.IndexFindValues("a"), c.IndexFindValues("a")) {
+		if !reflect.DeepEqual(c.FindValues("a"), c.FindValues("a")) {
 			t.Fatal("short-keyword fallback is nondeterministic")
 		}
 	}
@@ -389,7 +365,7 @@ func TestFindValuesShortKeywords(t *testing.T) {
 // appearing in several rows reports its multiplicity, matching the scan.
 func TestIndexRowCounts(t *testing.T) {
 	c := testCatalog(t)
-	hits := c.IndexFindValues("GO:0005886")
+	hits := c.FindValues("GO:0005886")
 	found := false
 	for _, h := range hits {
 		if h.Ref.Relation == "ip.interpro2go" {

@@ -101,15 +101,16 @@ func TestStatsReportsCacheCounters(t *testing.T) {
 		t.Error("stats epoch = 0, want the published generation")
 	}
 	if stats.Plan.BranchesPlanned < 1 {
-		t.Errorf("plan branches_planned = %d, want >= 1 (planner on by default)", stats.Plan.BranchesPlanned)
+		t.Errorf("plan branches_planned = %d, want >= 1", stats.Plan.BranchesPlanned)
 	}
 }
 
-// TestStatsCacheDisabled pins the disabled shape: a Q built with
-// QueryCacheDisabled reports Enabled=false and all-zero counters.
+// TestStatsCacheDisabled pins the disabled shape: a Q built with both cache
+// capacities negative reports Enabled=false and all-zero counters.
 func TestStatsCacheDisabled(t *testing.T) {
 	opts := core.DefaultOptions()
-	opts.QueryCacheDisabled = true
+	opts.ExpansionCacheEntries = -1
+	opts.MaterializationCacheEntries = -1
 	q := core.New(opts)
 	var zero core.CacheStats
 	if got := q.CacheStats(); got != zero {

@@ -788,8 +788,7 @@ func (s *Server) handleAssociations(w http.ResponseWriter, r *http.Request) {
 // counters (hits, misses, computes, coalesced, evictions, entries, live
 // epochs — per cache); Plan carries the cost-based join planner's
 // accumulated counters (branches planned and reordered, shared join
-// subtrees, subplans materialised, cross-branch CSE hits — all zero with
-// Options.PlannerOff).
+// subtrees, subplans materialised, cross-branch CSE hits).
 type StatsResponse struct {
 	Relations  int             `json:"relations"`
 	Attributes int             `json:"attributes"`

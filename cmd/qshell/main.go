@@ -295,11 +295,7 @@ func showRows(v *core.View, n int) {
 		return
 	}
 	fmt.Println("columns:", strings.Join(v.Result().Columns, " | "))
-	for i, r := range v.Result().Rows {
-		if i >= n {
-			fmt.Printf("... %d more\n", len(v.Result().Rows)-n)
-			break
-		}
+	for i, r := range v.Result().TopK(n) {
 		fmt.Printf("[%d] cost=%.3f  %s\n", i, r.Cost, strings.Join(nonEmpty(r.Values), " | "))
 	}
 }

@@ -129,14 +129,17 @@
 // empty strings can never merge distinct tuples (the row-identity bugs
 // the streaming refactor fixed at the root).
 //
-// With core.Options.TopKPrune, a view's branches stream into the ranked
-// union with top-k early termination: branches run in tree-cost order,
-// and once k collected rows have cost at or below a later branch's cost
-// that branch is provably unbeatable (union rank is (cost, branch), all
-// of a branch's rows share its cost) and is never executed. The result's
-// top-k prefix and α stay byte-identical to the unpruned run; the tail is
-// simply not computed, so the knob is off by default (feedback and eval
-// consume full result rows).
+// A view's branches stream into the ranked union with top-k early
+// termination (relstore.BatchPlan.TopKUnion): branches run in tree-cost
+// order, and once k collected rows have cost at or below a later branch's
+// cost that branch is provably unbeatable (union rank is (cost, branch),
+// all of a branch's rows share its cost) and is never executed. A view's
+// result therefore holds exactly its top k rows — the paper's view is its
+// top-k answers, and α is the k-th one's cost — byte-identical to the TopK(k)
+// prefix of the full disjoint union, which now appears only in tests.
+// Nothing downstream read the tail: the server shows TopK(k), learning
+// reads trees, and the eval figures are unchanged. Feedback names a row of
+// what the view holds, so a row index at or beyond k is ErrRowOutOfRange.
 //
 // # Cost-based join planning and cross-branch CSE
 //
@@ -191,10 +194,14 @@
 //     internal/relstore/stream_test.go and planner_test.go on randomised
 //     catalogs, join shapes and shard counts, and FuzzExecuteEquivalence and
 //     FuzzPlanEquivalence on arbitrary row values, through Execute,
-//     ExecuteBatch, BatchPlan.Execute and ExecuteTopKUnion. At the pipeline
-//     level, internal/core/stream_test.go checks every view's result against
-//     its branch queries executed one by one, and every batched branch
-//     against its standalone execution.
+//     ExecuteBatch, BatchPlan.Execute and BatchPlan.TopKUnion. At the
+//     pipeline level, internal/core/stream_test.go checks every view's result
+//     against the top-k prefix of its branch queries executed one by one and
+//     unioned in full, and every batched branch against its standalone
+//     execution.
+//   - postEntryOracle (internal/relstore/oracle_test.go), the value-index
+//     posting build with a per-entry seen set and []rune-cut trigrams. Gate:
+//     TestSegmentPostingsMatchOracle on random multi-byte tables.
 //   - oracleTopKSteinerOn (internal/steiner/dpbf_oracle_test.go), the DPBF
 //     search before the arena rewrite. Gates: TestTopKSteinerMatchesOracle
 //     and FuzzTopKSteinerEquivalence.

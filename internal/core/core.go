@@ -62,17 +62,6 @@ type Options struct {
 	// ValueOverlapFilter restricts attribute comparisons to pairs with at
 	// least one shared value (the content-index variant of Figure 7).
 	ValueOverlapFilter bool
-	// TopKPrune streams each view's branch queries into the ranked union
-	// with top-k early termination: branches are executed in tree-cost
-	// order, and once k collected rows provably outrank everything a later
-	// branch could produce (all of a branch's rows carry its cost and lose
-	// ties to earlier branches), that branch is never executed at all. The
-	// view's result then holds exactly the provably-top-k rows — its TopK(k)
-	// prefix and α are byte-identical to the full path's, but the tail
-	// beyond k is not computed. Off by default because feedback and the eval
-	// harnesses inspect full result sets; turn it on for serving workloads
-	// that only ever read the top k.
-	TopKPrune bool
 	// RawConfidences disables the confidence binning of §4 and feeds each
 	// matcher's real-valued confidence directly into the edge features (as
 	// a mismatch value, 1 − confidence). The paper warns this destabilises
@@ -80,9 +69,10 @@ type Options struct {
 	// cause poor learning"); the ablation benchmark quantifies it.
 	RawConfidences bool
 	// Parallelism bounds the worker pool used by view materialisation: the
-	// tree→query translations and conjunctive-query executions of one view
-	// fan out across at most this many workers, and Refresh rematerialises
-	// up to this many views concurrently. 1 means fully serial execution;
+	// tree→query translations of one view fan out across at most this many
+	// workers, at most this many views execute their (serial, top-k bounded)
+	// branch queries at once, and Refresh rematerialises up to this many
+	// views concurrently. 1 means fully serial execution;
 	// any value produces byte-identical views (the pipeline collects
 	// branches by tree index and runs the signature-dedup and output-schema
 	// alignment as deterministic post-passes in tree-cost order). Defaults
@@ -237,8 +227,9 @@ type qstate struct {
 	corpus *text.Corpus
 	// parallelism and execSem size the materialisation worker pools:
 	// parallelism bounds per-view fan-out, execSem bounds concurrently
-	// running branch executions across ALL in-flight materialisations so
-	// overlapping queries cannot multiply the pool bound.
+	// running branch executions across ALL in-flight materialisations (each
+	// holds one slot for its serial top-k union) so overlapping queries
+	// cannot multiply the pool bound.
 	parallelism int
 	execSem     chan struct{}
 	// epoch counts publishes that changed anything; a view materialisation

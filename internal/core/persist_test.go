@@ -169,8 +169,8 @@ func TestLoadedInstanceKeepsWorking(t *testing.T) {
 
 // TestLoadIgnoresRetiredOptions keeps old save files loading: snapshots
 // written while Options still carried the ScanFindValues, MaterialisedExec,
-// PlannerOff and QueryCacheDisabled switches must load, and give views
-// byte-identical to the same state saved without those fields.
+// PlannerOff, QueryCacheDisabled and TopKPrune switches must load, and give
+// views byte-identical to the same state saved without those fields.
 func TestLoadIgnoresRetiredOptions(t *testing.T) {
 	q := newFixtureQ(t, true)
 	if _, err := q.Query("'plasma membrane' 'Kringle domain'"); err != nil {
@@ -189,7 +189,7 @@ func TestLoadIgnoresRetiredOptions(t *testing.T) {
 		t.Fatalf("snapshot has %d options objects, want 1", strings.Count(current, opts))
 	}
 	retired := strings.Replace(current, opts,
-		opts+`"ScanFindValues":true,"MaterialisedExec":true,"PlannerOff":true,"QueryCacheDisabled":true,`, 1)
+		opts+`"ScanFindValues":true,"MaterialisedExec":true,"PlannerOff":true,"QueryCacheDisabled":true,"TopKPrune":true,`, 1)
 
 	load := func(snapshot string) []string {
 		t.Helper()

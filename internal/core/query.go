@@ -14,8 +14,8 @@ import (
 
 // View is a persistent keyword-search view (paper §2.3): the definition
 // (keywords, k) plus the current materialisation (top-k query trees, their
-// conjunctive queries and the ranked, unioned result). Views are refreshed
-// whenever search-graph maintenance changes costs or topology.
+// conjunctive queries and the top k rows of their ranked union). Views are
+// refreshed whenever search-graph maintenance changes costs or topology.
 //
 // The materialisation is swapped atomically: readers (HTTP handlers, other
 // goroutines) call Trees/Queries/Result/Alpha and get one coherent
@@ -63,7 +63,8 @@ func (v *View) Queries() []*relstore.ConjunctiveQuery {
 	return nil
 }
 
-// Result returns the view's current ranked, unioned result.
+// Result returns the view's current ranked, unioned result: the top K rows
+// of the union of its branch queries (fewer if they yield fewer).
 func (v *View) Result() *relstore.UnionResult {
 	if m := v.mat.Load(); m != nil {
 		return m.result
@@ -180,9 +181,9 @@ func (v *View) EdgeCost(id steiner.EdgeID) float64 { return v.Current().EdgeCost
 func (q *Q) Query(query string) (*View, error) { return q.QueryWith(query, 0) }
 
 // QueryWith is Query with a per-call parallelism override (0 means the
-// published default). The override sizes this call's own translation and
-// execution fan-out; the global in-flight execution bound still applies.
-// Answers are byte-identical at any setting.
+// published default). The override sizes this call's own translation
+// fan-out; the global in-flight execution bound still applies. Answers are
+// byte-identical at any setting.
 //
 // Repeated queries are served from the materialisation cache: two views
 // with the same keyword sequence at the same published epoch share one
@@ -338,10 +339,10 @@ func (q *Q) expandKeyword(st *qstate, ov *searchgraph.Overlay, kw string) steine
 // one state generation. It runs in two phases. The plan phase expands the
 // keywords into a fresh overlay, computes the top-k trees and translates
 // them into deduplicated, column-aligned conjunctive queries — all against
-// private or frozen data, so no lock is needed. The execute phase fans the
-// branch executions across the bounded worker pool; branches are collected
-// by query index, so the DisjointUnion sees them in tree-cost order and the
-// result is byte-identical at any parallelism.
+// private or frozen data, so no lock is needed. The execute phase runs the
+// branch queries serially in tree-cost order into the ranked union, stopping
+// at the view's top k (executeBranches), so the result is byte-identical at
+// any parallelism.
 //
 // The returned viewMat is immutable (its overlay is never mutated after
 // this function returns), so the materialisation cache can hand one result
@@ -367,7 +368,7 @@ func (q *Q) materializeAt(st *qstate, keywords []string, k, parallelism int, tr 
 	if err != nil {
 		return nil, err
 	}
-	result, err := q.executeBranches(st, queries, k, workers, tr)
+	result, err := q.executeBranches(st, queries, k, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -403,78 +404,40 @@ func (q *Q) materializeAt(st *qstate, keywords []string, k, parallelism int, tr 
 	return m, nil
 }
 
-// executeBranches is the execute phase of materialisation: the branch
-// queries (tree-cost order) stream their projected rows into the ranked
-// disjoint union. On the default path the batch is planned as a unit
-// (relstore.PlanBatch): each branch's joins are ordered by estimated
-// cardinality, join subtrees shared across branches execute once through the
-// per-materialisation subplan cache, and each branch compiles into a
-// streaming iterator pipeline (no intermediate relation is materialised
-// beyond the shared subplans). Branches fan across the bounded worker pool,
-// collected by query index so the union sees them in tree-cost order. With
-// Options.TopKPrune the scorer additionally pulls branches serially in cost
-// order and stops — skipping a branch's execution entirely — once the
-// running top-k bound is provably unbeatable for it; the result then holds
-// exactly the top-k rows (see the knob's doc for the contract).
-func (q *Q) executeBranches(st *qstate, queries []*relstore.ConjunctiveQuery, k, workers int, tr *obs.Trace) (*relstore.UnionResult, error) {
+// executeBranches is the plan and execute phases of materialisation. The
+// branch queries (tree-cost order) are planned as a unit (relstore.PlanBatch):
+// each branch's joins are ordered by estimated cardinality, and join subtrees
+// shared across branches execute once through the per-materialisation
+// subplan cache. Execution then streams the branches, in cost order, into the
+// ranked union and stops at the view's top k: once k collected rows have cost
+// at or below a branch's cost, that branch is never executed (union rank is
+// (cost, branch) and all of a branch's rows share its cost). The result holds
+// exactly the view's top-k rows — fewer if the branches yield fewer — and is
+// byte-identical to the full disjoint union's TopK(k) prefix.
+func (q *Q) executeBranches(st *qstate, queries []*relstore.ConjunctiveQuery, k int, tr *obs.Trace) (*relstore.UnionResult, error) {
 	prov := make([]string, len(queries))
 	for i, cq := range queries {
 		prov[i] = cq.Signature()
 	}
-	if q.opts.TopKPrune {
-		// Serial by design: whether branch i can be skipped depends on the
-		// rows branches 0..i-1 produced. One execSem slot covers the run.
-		// Planning is interleaved with execution here (branches are planned
-		// lazily, skipped ones never), so the whole run traces as execute.
-		texec := tr.Now()
-		st.execSem <- struct{}{}
-		defer func() { <-st.execSem }()
-		result, tkStats, err := relstore.ExecuteTopKUnion(st.cat, queries, k, prov)
-		tr.Record(obs.StageExecute, texec)
-		if err != nil {
-			return nil, err
-		}
-		q.addPlanStats(tkStats.Plan)
-		q.countTopK(tkStats)
-		return result, nil
-	}
-	// Plan the batch as a unit: join orders are chosen per branch by
-	// estimated cardinality, and join subtrees shared across branches
-	// execute once through the per-materialisation subplan cache —
-	// concurrent branches coalesce on the cached subplan.
 	tplan := tr.Now()
 	bp, err := relstore.PlanBatch(st.cat, queries)
 	tr.Record(obs.StagePlan, tplan)
 	if err != nil {
 		return nil, err
 	}
-	results := make([]*relstore.ResultSet, len(queries))
+	// Serial by design: whether branch i runs depends on the rows branches
+	// 0..i-1 produced. One execSem slot covers the run.
 	texec := tr.Now()
-	err = runIndexed(len(queries), workers, func(i int) error {
-		st.execSem <- struct{}{}
-		defer func() { <-st.execSem }()
-		rs, err := bp.Execute(i)
-		if err != nil {
-			return err
-		}
-		results[i] = rs
-		return nil
-	})
+	st.execSem <- struct{}{}
+	result, stats, err := bp.TopKUnion(k, prov)
+	<-st.execSem
+	tr.Record(obs.StageExecute, texec)
 	if err != nil {
 		return nil, err
 	}
 	q.addPlanStats(bp.Stats())
-	branches := make([]relstore.Branch, len(queries))
-	for i, cq := range queries {
-		branches[i] = relstore.Branch{
-			Result:     results[i],
-			Cost:       cq.Cost,
-			Provenance: prov[i],
-		}
-	}
-	res := relstore.DisjointUnion(branches)
-	tr.Record(obs.StageExecute, texec)
-	return res, nil
+	q.countTopK(stats)
+	return result, nil
 }
 
 // planOverlay is the plan phase of materialisation: top-k Steiner trees

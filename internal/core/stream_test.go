@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -11,9 +12,9 @@ import (
 )
 
 // This file pins branch execution at the pipeline level: a view's ranked
-// result must equal its branch queries executed one by one, and the
-// top-k-pruned streamed union (Options.TopKPrune) must agree with the full
-// path on everything but the untaken tail.
+// result — the top-k union, which never executes a branch that cannot reach
+// the top k — must equal the top-k prefix of its branch queries executed one
+// by one and unioned in full, with the same columns and α.
 
 // streamCorpus is one dataset of the executor-equivalence suite, with a
 // builder parameterised over Options so a knob can be set at construction
@@ -66,12 +67,13 @@ func streamCorpora() []streamCorpus {
 }
 
 // TestMaterialisedExecEquivalence pins branch execution at the pipeline
-// level: a view's ranked result — produced by the planned batch with its
-// cross-branch subplan cache — must deep-equal the disjoint union of its
-// branch queries executed one by one through relstore.Execute (no batch, no
-// CSE) on the same catalog generation. The materialised reference executor
-// itself is a relstore test oracle (oracle_test.go), gated against Execute
-// there.
+// level: a view's ranked result — produced by the planned batch's top-k union
+// with its cross-branch subplan cache — must deep-equal the disjoint union of
+// its branch queries executed one by one through relstore.Execute (no batch,
+// no CSE, no early termination) on the same catalog generation, truncated to
+// the view's k, with the full union's column list. The materialised reference
+// executor itself is a relstore test oracle (oracle_test.go), gated against
+// Execute there.
 func TestMaterialisedExecEquivalence(t *testing.T) {
 	for _, c := range streamCorpora() {
 		t.Run(c.name, func(t *testing.T) {
@@ -94,11 +96,13 @@ func TestMaterialisedExecEquivalence(t *testing.T) {
 					}
 					branches[i] = relstore.Branch{Result: rs, Cost: cq.Cost, Provenance: cq.Signature()}
 				}
-				if want := relstore.DisjointUnion(branches); !reflect.DeepEqual(v.Result(), want) {
+				full := relstore.DisjointUnion(branches)
+				want := &relstore.UnionResult{Columns: full.Columns, Rows: full.TopK(v.K)}
+				if !reflect.DeepEqual(m.Result, want) {
 					t.Errorf("query %q: view result differs from branch-by-branch execution\nview: %v\nwant: %v",
-						kw, v.Result(), want)
+						kw, m.Result, want)
 				}
-				anyRows = anyRows || len(v.Result().Rows) > 0
+				anyRows = anyRows || len(m.Result.Rows) > 0
 			}
 			if !anyRows {
 				t.Error("no query produced rows; equivalence is vacuous")
@@ -166,61 +170,122 @@ func TestPlannerOffEquivalence(t *testing.T) {
 	}
 }
 
-// TestTopKPruneEquivalence compares a pruned instance against the default:
-// everything except the untaken result tail must agree — trees, branch
-// queries, columns, α, and the ranked rows up to k, which is exactly what
-// pruning promises (the tail is never computed, by design).
+// TestTopKPruneEquivalence pins what early termination promises against the
+// full materialisation it replaced, built here: every branch executed through
+// relstore.ExecuteBatch (planned, CSE-shared, no bound) and disjoint-unioned.
+// The view must hold exactly that union's top-k prefix under its columns,
+// with the α the full union gives — so only the tail beyond k goes
+// uncomputed — and across the corpus some branch must actually have been
+// skipped, or the prune is untested.
 func TestTopKPruneEquivalence(t *testing.T) {
 	for _, c := range streamCorpora() {
 		t.Run(c.name, func(t *testing.T) {
-			full := c.build(t, func(o *Options) {})
-			pruned := c.build(t, func(o *Options) { o.TopKPrune = true })
-			anyRows := false
+			q := c.build(t, func(o *Options) {})
+			anyRows, truncated := false, false
 			for _, kw := range c.queries {
-				vf, err := full.Query(kw)
-				if err != nil {
-					t.Fatalf("full query %q: %v", kw, err)
-				}
-				vp, err := pruned.Query(kw)
-				if err != nil {
-					t.Fatalf("pruned query %q: %v", kw, err)
-				}
-				mf, mp := vf.Current(), vp.Current()
-				if mf.Alpha != mp.Alpha {
-					t.Errorf("query %q: α diverged under pruning: %v vs %v", kw, mf.Alpha, mp.Alpha)
-				}
-				if len(mf.Trees) != len(mp.Trees) {
-					t.Fatalf("query %q: tree count diverged: %d vs %d", kw, len(mf.Trees), len(mp.Trees))
-				}
-				for i := range mf.Trees {
-					if mf.Trees[i].Key() != mp.Trees[i].Key() || mf.Trees[i].Cost != mp.Trees[i].Cost {
-						t.Errorf("query %q: tree %d diverged", kw, i)
-					}
-				}
-				if len(mf.Queries) != len(mp.Queries) {
-					t.Fatalf("query %q: branch count diverged", kw)
-				}
-				for i := range mf.Queries {
-					if mf.Queries[i].Signature() != mp.Queries[i].Signature() {
-						t.Errorf("query %q: branch %d signature diverged", kw, i)
-					}
-				}
-				if !reflect.DeepEqual(mf.Result.Columns, mp.Result.Columns) {
-					t.Errorf("query %q: unified columns diverged: %v vs %v", kw, mf.Result.Columns, mp.Result.Columns)
-				}
-				want := mf.Result.TopK(vf.K)
-				got := mp.Result.Rows
-				if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
-					t.Errorf("query %q: pruned rows are not the full result's top-%d prefix\ngot:  %v\nwant: %v",
-						kw, vf.K, got, want)
-				}
-				if len(want) > 0 {
-					anyRows = true
+				for _, k := range []int{2, q.Options().K} {
+					rows, trunc := checkTopKPrefix(t, q, kw, k)
+					anyRows, truncated = anyRows || rows, truncated || trunc
 				}
 			}
-			if !anyRows {
-				t.Error("no query produced rows; prefix equivalence is vacuous")
+			if !anyRows || !truncated {
+				t.Errorf("rows=%v truncated=%v: prefix equivalence is vacuous", anyRows, truncated)
+			}
+			if skipped := q.metrics.topkBranchesSkipped.Load(); skipped == 0 {
+				t.Error("no branch was skipped over the corpus; the prune is untested")
 			}
 		})
+	}
+}
+
+// checkTopKPrefix materialises one query at k and checks it against the full
+// union (see TestTopKPruneEquivalence). It reports whether the view has rows
+// and whether the full union has more than k.
+func checkTopKPrefix(t *testing.T, q *Q, kw string, k int) (hasRows, truncated bool) {
+	t.Helper()
+	v, err := q.QueryKeywords(parseKeywords(kw), k)
+	if err != nil {
+		t.Fatalf("query %q k=%d: %v", kw, k, err)
+	}
+	m := v.Current()
+	results, err := relstore.ExecuteBatch(q.CurrentCatalog(), m.Queries, 2)
+	if err != nil {
+		t.Fatalf("query %q k=%d: full batch: %v", kw, k, err)
+	}
+	branches := make([]relstore.Branch, len(m.Queries))
+	for i, cq := range m.Queries {
+		branches[i] = relstore.Branch{Result: results[i], Cost: cq.Cost, Provenance: cq.Signature()}
+	}
+	full := relstore.DisjointUnion(branches)
+	if !reflect.DeepEqual(m.Result.Columns, full.Columns) {
+		t.Errorf("query %q k=%d: unified columns diverged: %v vs %v", kw, k, m.Result.Columns, full.Columns)
+	}
+	want := full.TopK(k)
+	if len(m.Result.Rows) != len(want) || (len(want) > 0 && !reflect.DeepEqual(m.Result.Rows, want)) {
+		t.Errorf("query %q: view rows are not the full result's top-%d prefix\ngot:  %v\nwant: %v",
+			kw, k, m.Result.Rows, want)
+	}
+	if a := fullAlpha(full, m, k); m.Alpha != a {
+		t.Errorf("query %q k=%d: α = %v, the full union gives %v", kw, k, m.Alpha, a)
+	}
+	return len(want) > 0, len(full.Rows) > k
+}
+
+// fullAlpha is α computed as materialisation computed it over the full
+// union: the k-th row's cost, else the last row's (raised to the worst
+// tree's), else the worst tree's.
+func fullAlpha(full *relstore.UnionResult, m Materialization, k int) float64 {
+	var worstTree float64
+	if len(m.Trees) > 0 {
+		worstTree = m.Trees[len(m.Trees)-1].Cost
+	}
+	switch rows := full.Rows; {
+	case len(rows) >= k:
+		return rows[k-1].Cost
+	case len(rows) > 0:
+		return max(rows[len(rows)-1].Cost, worstTree)
+	default:
+		return worstTree
+	}
+}
+
+// TestViewHoldsOnlyTopK pins the consumer-visible side of early termination:
+// a view holds at most k rows even when its branches yield more, and
+// feedback naming a row at or beyond k is ErrRowOutOfRange — the row a full
+// materialisation would have had there was never computed.
+func TestViewHoldsOnlyTopK(t *testing.T) {
+	c := streamCorpora()[0]
+	q := c.build(t, func(o *Options) {})
+	tested := false
+	for _, kw := range c.queries {
+		v, err := q.Query(kw)
+		if err != nil {
+			t.Fatalf("query %q: %v", kw, err)
+		}
+		m := v.Current()
+		if len(m.Result.Rows) > v.K {
+			t.Errorf("query %q: view holds %d rows, k = %d", kw, len(m.Result.Rows), v.K)
+		}
+		results, err := relstore.ExecuteBatch(q.CurrentCatalog(), m.Queries, 1)
+		if err != nil {
+			t.Fatalf("query %q: full batch: %v", kw, err)
+		}
+		total := 0
+		for _, rs := range results {
+			total += len(rs.Rows)
+		}
+		if total <= v.K {
+			continue
+		}
+		tested = true
+		if len(m.Result.Rows) != v.K {
+			t.Errorf("query %q: %d rows available, view holds %d, want k = %d", kw, total, len(m.Result.Rows), v.K)
+		}
+		if err := q.FeedbackRow(v, v.K, FeedbackValid); !errors.Is(err, ErrRowOutOfRange) {
+			t.Errorf("query %q: feedback on row k = %d: got %v, want ErrRowOutOfRange", kw, v.K, err)
+		}
+	}
+	if !tested {
+		t.Fatal("no query yields more than k rows; the test is vacuous")
 	}
 }

@@ -92,7 +92,7 @@ func fuzzPairCatalog(t *testing.T, lrows, rrows [][]string) *Catalog {
 // checkExecutorsAgainstOracle demands that every production entry point
 // returns exactly what the materialised, unplanned oracle returns on each
 // query of the batch: Execute standalone, BatchPlan.Execute through the
-// cross-branch subplan cache, and ExecuteTopKUnion against the oracle's
+// cross-branch subplan cache, and BatchPlan.TopKUnion against the oracle's
 // top-k union. label names the fuzz input in failure messages.
 func checkExecutorsAgainstOracle(t *testing.T, cat *Catalog, queries []*ConjunctiveQuery, label string) {
 	t.Helper()
@@ -129,7 +129,7 @@ func checkExecutorsAgainstOracle(t *testing.T, cat *Catalog, queries []*Conjunct
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := ExecuteTopKUnion(cat, queries, k, prov)
+		got, _, err := executeTopKUnion(cat, queries, k, prov)
 		if err != nil {
 			t.Fatal(err)
 		}

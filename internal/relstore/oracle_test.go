@@ -18,8 +18,11 @@ import (
 //   - executeOracle is the materialise-everything executor over the naive
 //     first-connected join order: no cost-based planner, no streaming, no
 //     subplan sharing. Execute, ExecuteBatch, BatchPlan.Execute and
-//     ExecuteTopKUnion must match it byte for byte (stream_test.go,
+//     BatchPlan.TopKUnion must match it byte for byte (stream_test.go,
 //     planner_test.go, FuzzExecuteEquivalence).
+//   - postEntryOracle is the value-index posting build with a per-entry seen
+//     set and trigrams cut from []rune. buildSegment's postings must equal
+//     its (TestSegmentPostingsMatchOracle).
 
 // executor is one way to run a conjunctive query.
 type executor struct {
@@ -63,6 +66,30 @@ func scanFindValues(c *Catalog, keyword string) []ValueHit {
 	}
 	sortHits(hits)
 	return hits
+}
+
+// postEntryOracle is the reference posting build: one entry's distinct
+// trigrams (cut from its []rune conversion) and tokens, deduplicated through
+// a per-entry set, appended to the segment's posting maps.
+func postEntryOracle(s *segment, id int32, norm string) {
+	seen := make(map[string]struct{})
+	r := []rune(norm)
+	for i := 0; i+3 <= len(r); i++ {
+		g := string(r[i : i+3])
+		if _, dup := seen[g]; dup {
+			continue
+		}
+		seen[g] = struct{}{}
+		s.grams[g] = append(s.grams[g], id)
+	}
+	for _, tok := range strings.Fields(norm) {
+		key := "\x00" + tok // token namespace, cannot collide with trigrams
+		if _, dup := seen[key]; dup {
+			continue
+		}
+		seen[key] = struct{}{}
+		s.tokens[tok] = append(s.tokens[tok], id)
+	}
 }
 
 // executeOracle evaluates a conjunctive query by materialising every
@@ -265,7 +292,7 @@ func executeOracle(c *Catalog, q *ConjunctiveQuery) (*ResultSet, error) {
 	return out, nil
 }
 
-// oracleTopKUnion is the specification ExecuteTopKUnion must match: every
+// oracleTopKUnion is the specification BatchPlan.TopKUnion must match: every
 // branch executed in full by the oracle, disjoint-unioned, truncated to the
 // top k rows.
 func oracleTopKUnion(c *Catalog, queries []*ConjunctiveQuery, k int, prov []string) (*UnionResult, error) {

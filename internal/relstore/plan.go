@@ -11,8 +11,8 @@ import (
 // signature (planner.go prefixSignature), and pins each shared prefix's
 // joined rows in a per-materialisation subplan cache so the common subtree
 // executes ONCE no matter how many branches contain it. Both batch entry
-// points feed from it: ExecuteBatch (shard.go) and ExecuteTopKUnion
-// (stream.go) route through PlanBatch.
+// points feed from it: ExecuteBatch (shard.go) and BatchPlan.TopKUnion
+// (stream.go), the view execution path.
 //
 // Correctness is structural: a cached prefix holds exactly the rows the
 // reusing branch's own pipeline would have produced for those atoms (same
@@ -23,9 +23,8 @@ import (
 // catalog generation they were computed from; caching across
 // materialisations is the query cache's job (the epoch-keyed qcache).
 
-// PlanStats counts one BatchPlan's planning and sharing work — surfaced as
-// TopKUnionStats.Plan, accumulated per instance by core, and served on
-// /stats.
+// PlanStats counts one BatchPlan's planning and sharing work — accumulated
+// per instance by core and served on /stats.
 type PlanStats struct {
 	// BranchesPlanned is the number of branch queries planned.
 	BranchesPlanned int64 `json:"branches_planned"`

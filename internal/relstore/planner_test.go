@@ -15,7 +15,7 @@ import (
 // result byte — only the order work happens in. It also carries the
 // join-binding regression tests the planner work surfaced: self-filter
 // conditions (`t.a = t.b`) were silently dropped by both executors, and
-// ExecuteTopKUnion never validated branches its bound skipped.
+// the top-k union once never validated branches its bound skipped.
 
 // maybeSelfJoin sometimes appends a same-alias join condition (`t.a = t.b`,
 // occasionally similarity) — the shape the old join-binding loops dropped.
@@ -72,7 +72,7 @@ func TestPlannedVsUnplannedEquivalence(t *testing.T) {
 }
 
 // TestPlannedBatchAndTopKEquivalence extends the metamorphic gate to the two
-// batch entry points the CSE cache feeds: ExecuteBatch and ExecuteTopKUnion
+// batch entry points the CSE cache feeds: ExecuteBatch and BatchPlan.TopKUnion
 // (shared subtrees reused) must be byte-identical to the oracle executing
 // every branch standalone, at several worker counts and k.
 func TestPlannedBatchAndTopKEquivalence(t *testing.T) {
@@ -124,16 +124,19 @@ func TestPlannedBatchAndTopKEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gotU, stats, err := ExecuteTopKUnion(c, queries, k, prov)
+			bp, err := PlanBatch(c, queries)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gotU, _, err := bp.TopKUnion(k, prov)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(gotU, wantU) {
 				t.Fatalf("trial %d k=%d: top-k union divergence\ngot:  %v\nwant: %v", trial, k, gotU, wantU)
 			}
-			if stats.Plan.BranchesPlanned != int64(len(queries)) {
-				t.Fatalf("trial %d k=%d: branches planned = %d, want %d",
-					trial, k, stats.Plan.BranchesPlanned, len(queries))
+			if got := bp.Stats().BranchesPlanned; got != int64(len(queries)) {
+				t.Fatalf("trial %d k=%d: branches planned = %d, want %d", trial, k, got, len(queries))
 			}
 		}
 	}
@@ -302,7 +305,7 @@ func TestUnknownAliasAndAttrRejected(t *testing.T) {
 }
 
 // TestTopKUnionValidatesSkippedBranches is the regression test for the
-// skipped-branch validation hole: ExecuteTopKUnion only validated a branch
+// skipped-branch validation hole: the top-k union once validated a branch only
 // when it built its stream, so a malformed branch behind an unbeatable cost
 // bound silently succeeded where the serial spec (execute every branch,
 // lowest-index error wins) errors. The batch must fail loudly regardless of
@@ -333,7 +336,7 @@ func TestTopKUnionValidatesSkippedBranches(t *testing.T) {
 		Cost:    9.0, // unbeatable after the first branch fills k
 	}
 	queries := []*ConjunctiveQuery{good, bad}
-	_, _, err = ExecuteTopKUnion(c, queries, 5, []string{"b0", "b1"})
+	_, _, err = executeTopKUnion(c, queries, 5, []string{"b0", "b1"})
 	if err == nil || !strings.Contains(err.Error(), "missing") {
 		t.Errorf("skipped malformed branch must error like the serial spec, got %v", err)
 	}

@@ -214,8 +214,9 @@ func (c *Catalog) OverlappingAttrPairs(a, b *Relation) map[[2]AttrRef]bool {
 // executes once, and results are byte-identical to executing each query
 // alone, at every worker and shard count. Validation runs in index order
 // before anything executes, so the returned error is the one the
-// lowest-indexed failing query produces, matching serial semantics. For the
-// top-k-bounded variant that can skip whole branches, see ExecuteTopKUnion.
+// lowest-indexed failing query produces, matching serial semantics. Views
+// execute through the top-k-bounded BatchPlan.TopKUnion instead, which skips
+// whole branches; ExecuteBatch is the full-batch form its gates compare with.
 func ExecuteBatch(c *Catalog, queries []*ConjunctiveQuery, workers int) ([]*ResultSet, error) {
 	bp, err := PlanBatch(c, queries)
 	if err != nil {

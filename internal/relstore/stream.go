@@ -565,7 +565,7 @@ func drainPrefix(p *queryPlan, n int) ([][]string, StreamStats) {
 	return rows, stats
 }
 
-// TopKUnionStats counts the work of one ExecuteTopKUnion call, making the
+// TopKUnionStats counts the work of one BatchPlan.TopKUnion call, making the
 // early termination observable: RowsPulled < the rows a full
 // materialisation of every branch would pull whenever branches were skipped.
 type TopKUnionStats struct {
@@ -580,42 +580,31 @@ type TopKUnionStats struct {
 	RowsScanned int64
 	RowsPulled  int64
 	RowsEmitted int64
-	// Plan carries the batch's planner counters (join reordering, shared
-	// subtrees, CSE hits).
-	Plan PlanStats
 }
 
-// ExecuteTopKUnion executes a view's branch queries — in the caller's order,
-// which core produces ascending by tree cost — streaming each branch's rows
-// into the ranked disjoint union, and STOPS pulling a branch entirely once
-// the running top-k bound is provably unbeatable for it: every row of branch
-// i carries cost queries[i].Cost and loses ties to earlier branches, so once
-// k rows with cost ≤ that bound exist, branch i cannot contribute and is
-// never executed. The returned union holds exactly the top k rows (fewer if
-// the branches yield fewer) and is byte-identical to
+// TopKUnion executes the batch's branch queries — in batch order, which core
+// produces ascending by tree cost — streaming each branch's rows into the
+// ranked disjoint union, and STOPS pulling a branch entirely once the running
+// top-k bound is provably unbeatable for it: every row of branch i carries
+// that branch query's Cost and loses ties to earlier branches, so once k rows
+// with cost ≤ that Cost exist, branch i cannot contribute and is never
+// executed. The returned union holds exactly the top k rows (fewer if the
+// branches yield fewer) and is byte-identical to
 // DisjointUnion(all branches).TopK(k); the unified column list still spans
 // every branch's projection (skipped branches' columns are known from their
-// queries without executing them).
+// queries without executing them). k <= 0 keeps every row.
 //
-// Branch provenance labels follow queries' signatures, matching what core
-// records on a full materialisation.
-func ExecuteTopKUnion(c *Catalog, queries []*ConjunctiveQuery, k int, provenance []string) (*UnionResult, TopKUnionStats, error) {
+// Every branch was validated by PlanBatch — including branches the bound
+// skips — so a malformed branch fails the batch exactly as executing every
+// branch would. provenance labels the rows of branch i (core passes query
+// signatures). Serial by design: whether branch i runs depends on the rows
+// branches 0..i-1 produced.
+func (bp *BatchPlan) TopKUnion(k int, provenance []string) (*UnionResult, TopKUnionStats, error) {
 	var stats TopKUnionStats
-	// Every branch is validated up front — including branches the top-k
-	// bound will skip. The spec this path must match byte-for-byte is
-	// DisjointUnion(execute ALL branches).TopK(k), where a malformed branch
-	// fails the whole call; skipping used to let it silently succeed.
-	// PlanBatch does the validating (index order, first error wins —
-	// identical semantics) and provides the shared-subtree subplan cache the
-	// executed branches stream from.
-	bp, err := PlanBatch(c, queries)
-	if err != nil {
-		return nil, stats, err
-	}
 	out := &UnionResult{}
 	colIdx := make(map[string]int)
-	for _, q := range queries {
-		for _, p := range q.Project {
+	for _, plan := range bp.plans {
+		for _, p := range plan.q.Project {
 			if _, ok := colIdx[p.As]; !ok {
 				colIdx[p.As] = len(out.Columns)
 				out.Columns = append(out.Columns, p.As)
@@ -636,8 +625,9 @@ func ExecuteTopKUnion(c *Catalog, queries []*ConjunctiveQuery, k int, provenance
 		}
 		return n
 	}
-	for bi, q := range queries {
-		if k > 0 && atOrBelow(q.Cost) >= k {
+	for bi, plan := range bp.plans {
+		cost := plan.q.Cost
+		if k > 0 && atOrBelow(cost) >= k {
 			stats.BranchesSkipped++
 			continue
 		}
@@ -667,7 +657,7 @@ func ExecuteTopKUnion(c *Catalog, queries []*ConjunctiveQuery, k int, provenance
 		for _, row := range branchRows {
 			u := UnionRow{
 				Values:     make([]string, len(out.Columns)),
-				Cost:       q.Cost,
+				Cost:       cost,
 				Branch:     bi,
 				Provenance: prov,
 			}
@@ -687,10 +677,9 @@ func ExecuteTopKUnion(c *Catalog, queries []*ConjunctiveQuery, k int, provenance
 		rows = rows[:k]
 	}
 	out.Rows = rows
-	stats.Plan = bp.Stats()
-	if ec := c.execObs; ec != nil {
+	if ec := bp.cat.execObs; ec != nil {
 		ec.Branches.Add(int64(stats.BranchesExecuted))
-		ec.Rows.Add(stats.RowsPulled)
+		ec.Rows.Add(stats.RowsEmitted)
 	}
 	return out, stats, nil
 }

@@ -262,9 +262,19 @@ func TestSelectionUnknownAttributeErrors(t *testing.T) {
 	}
 }
 
+// executeTopKUnion plans a batch and runs its top-k union: the plan and
+// execute stages of one view materialisation, in one call.
+func executeTopKUnion(c *Catalog, queries []*ConjunctiveQuery, k int, prov []string) (*UnionResult, TopKUnionStats, error) {
+	bp, err := PlanBatch(c, queries)
+	if err != nil {
+		return nil, TopKUnionStats{}, err
+	}
+	return bp.TopKUnion(k, prov)
+}
+
 // TestTopKUnionEquivalence pins the streamed top-k union against the
 // executable spec: for randomised branch batches (shared costs, ties,
-// unordered costs), ExecuteTopKUnion's result must be deep-equal to
+// unordered costs), BatchPlan.TopKUnion's result must be deep-equal to
 // executing every branch in full, DisjointUnion-ing, and truncating to k.
 func TestTopKUnionEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
@@ -295,7 +305,7 @@ func TestTopKUnionEquivalence(t *testing.T) {
 		}
 		full := DisjointUnion(branches)
 		for _, k := range []int{1, 2, 5, 100} {
-			got, _, err := ExecuteTopKUnion(c, queries, k, prov)
+			got, _, err := executeTopKUnion(c, queries, k, prov)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -336,7 +346,7 @@ func TestTopKUnionEarlyTermination(t *testing.T) {
 		}
 	}
 	queries := []*ConjunctiveQuery{branch(1.0), branch(2.0), branch(3.0)}
-	got, stats, err := ExecuteTopKUnion(c, queries, 5, []string{"b0", "b1", "b2"})
+	got, stats, err := executeTopKUnion(c, queries, 5, []string{"b0", "b1", "b2"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,7 +361,7 @@ func TestTopKUnionEarlyTermination(t *testing.T) {
 	}
 	// The tie case: a later branch at the SAME cost as the k-th collected
 	// row is also unbeatable (ties lose to earlier branches).
-	_, stats, err = ExecuteTopKUnion(c, []*ConjunctiveQuery{branch(1.0), branch(1.0)}, 5, []string{"b0", "b1"})
+	_, stats, err = executeTopKUnion(c, []*ConjunctiveQuery{branch(1.0), branch(1.0)}, 5, []string{"b0", "b1"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,11 @@
 package relstore
 
 import (
+	"iter"
 	"sort"
 	"strings"
 	"sync"
+	"unicode/utf8"
 
 	"qint/internal/text"
 )
@@ -157,25 +159,48 @@ func buildSegment(t *Table) *segment {
 }
 
 // postEntry adds one entry's distinct trigrams and tokens to the posting
-// maps. Ids arrive in increasing order, so each list stays sorted.
+// maps. Ids arrive in increasing order, so each list stays sorted, and a key
+// this entry already posted is exactly one whose list ends in id — so no
+// per-entry set is needed. Keys are substrings of norm, which the entry
+// retains anyway, so posting allocates nothing but list growth and new map
+// slots.
 func postEntry(s *segment, id int32, norm string) {
-	seen := make(map[string]struct{})
-	r := []rune(norm)
-	for i := 0; i+3 <= len(r); i++ {
-		g := string(r[i : i+3])
-		if _, dup := seen[g]; dup {
-			continue
-		}
-		seen[g] = struct{}{}
-		s.grams[g] = append(s.grams[g], id)
+	for g := range runeTrigrams(norm) {
+		appendPosting(s.grams, g, id)
 	}
-	for _, tok := range strings.Fields(norm) {
-		key := "\x00" + tok // token namespace, cannot collide with trigrams
-		if _, dup := seen[key]; dup {
-			continue
+	for tok := range strings.FieldsSeq(norm) {
+		appendPosting(s.tokens, tok, id)
+	}
+}
+
+// appendPosting appends id to key's posting list unless the list already
+// ends in it.
+func appendPosting(m map[string][]int32, key string, id int32) {
+	l := m[key]
+	if n := len(l); n > 0 && l[n-1] == id {
+		return
+	}
+	m[key] = append(l, id)
+}
+
+// runeTrigrams yields every run of three consecutive runes of s, in order and
+// with repeats, as substrings of s cut at rune boundaries. On valid UTF-8 —
+// and text.Normalize emits nothing else — each equals string(r[i:i+3]) over
+// r = []rune(s), without converting s.
+func runeTrigrams(s string) iter.Seq[string] {
+	return func(yield func(string) bool) {
+		var start [3]int // byte offsets of the last three rune starts, ring-indexed
+		n := 0
+		for off := range s {
+			if n >= 3 && !yield(s[start[n%3]:off]) {
+				return
+			}
+			start[n%3] = off
+			n++
 		}
-		seen[key] = struct{}{}
-		s.tokens[tok] = append(s.tokens[tok], id)
+		if n >= 3 {
+			yield(s[start[n%3]:])
+		}
 	}
 }
 
@@ -229,14 +254,13 @@ func (s *segment) hit(e indexEntry) ValueHit {
 // already-normalised keyword, or nil when it is below the trigram width.
 // Computed once per FindValues call and shared by every segment.
 func keywordTrigrams(nkw string) []string {
-	r := []rune(nkw)
-	if len(r) < 3 {
+	n := utf8.RuneCountInString(nkw)
+	if n < 3 {
 		return nil
 	}
-	seen := make(map[string]struct{}, len(r))
-	grams := make([]string, 0, len(r)-2)
-	for i := 0; i+3 <= len(r); i++ {
-		g := string(r[i : i+3])
+	seen := make(map[string]struct{}, n)
+	grams := make([]string, 0, n-2)
+	for g := range runeTrigrams(nkw) {
 		if _, dup := seen[g]; dup {
 			continue
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -377,5 +378,56 @@ func TestIndexRowCounts(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("expected a hit in ip.interpro2go, got %v", hits)
+	}
+}
+
+// multiByteAlphabet mixes 1- to 4-byte runes, case pairs, a combining mark,
+// separators and an invalid byte, so normalised values carry trigrams that
+// straddle every rune width and repeat within one value.
+var multiByteAlphabet = []string{
+	"a", "b", "Z", "7", " ", "-", "_", "é", "É", "β", "Σ", "ς", "ß",
+	"京", "タ", "́", "𝔘", "😀", "\xff", "İ",
+}
+
+// TestSegmentPostingsMatchOracle pins the allocation-free posting build
+// against postEntryOracle on random tables of multi-byte values: a segment's
+// trigram and token posting maps must be deep-equal to the ones the oracle
+// posts for the same entries. Keys cut from norm at rune boundaries equal the
+// []rune-cut ones because text.Normalize emits only valid UTF-8 (FuzzNormalize
+// asserts it).
+func TestSegmentPostingsMatchOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 60; trial++ {
+		nAttr := 1 + r.Intn(3)
+		attrs := make([]Attribute, nAttr)
+		for i := range attrs {
+			attrs[i] = Attribute{Name: fmt.Sprintf("a%d", i)}
+		}
+		rows := make([][]string, r.Intn(40))
+		for i := range rows {
+			rows[i] = make([]string, nAttr)
+			for j := range rows[i] {
+				var b strings.Builder
+				for n := r.Intn(12); n > 0; n-- {
+					b.WriteString(multiByteAlphabet[r.Intn(len(multiByteAlphabet))])
+				}
+				rows[i][j] = b.String()
+			}
+		}
+		tb, err := NewTable(&Relation{Source: "s", Name: "t", Attributes: attrs}, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := buildSegment(tb)
+		want := &segment{grams: make(map[string][]int32), tokens: make(map[string][]int32)}
+		for id, e := range got.entries {
+			postEntryOracle(want, int32(id), e.norm)
+		}
+		if !reflect.DeepEqual(got.grams, want.grams) {
+			t.Fatalf("trial %d: trigram postings diverged\ngot:  %v\nwant: %v", trial, got.grams, want.grams)
+		}
+		if !reflect.DeepEqual(got.tokens, want.tokens) {
+			t.Fatalf("trial %d: token postings diverged\ngot:  %v\nwant: %v", trial, got.tokens, want.tokens)
+		}
 	}
 }

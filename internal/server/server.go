@@ -367,7 +367,9 @@ type ViewSummary struct {
 	Keywords []string `json:"keywords"`
 	K        int      `json:"k"`
 	Alpha    float64  `json:"alpha"`
-	Answers  int      `json:"answers"`
+	// Answers is how many rows the view holds: min(K, rows its branch
+	// queries yield), since a view executes only as far as its top K.
+	Answers int `json:"answers"`
 }
 
 // ViewAnswers carries a view's ranked rows.
@@ -752,7 +754,7 @@ func answersOfMat(id string, v *core.View, m core.Materialization) ViewAnswers {
 		return out
 	}
 	out.Columns = m.Result.Columns
-	for _, row := range m.Result.TopK(v.K) {
+	for _, row := range m.Result.Rows {
 		out.Rows = append(out.Rows, AnswerRow{
 			Values:     row.Values,
 			Cost:       row.Cost,

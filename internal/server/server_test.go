@@ -13,6 +13,7 @@ import (
 	"qint/internal/matcher/mad"
 	"qint/internal/matcher/meta"
 	"qint/internal/obs"
+	"qint/internal/relstore"
 	"qint/internal/steiner"
 )
 
@@ -132,6 +133,36 @@ func TestFeedbackEndpoint(t *testing.T) {
 	}
 	if oob.Header.Get("X-Q-Epoch") == "" {
 		t.Error("409 response missing X-Q-Epoch header")
+	}
+}
+
+// TestFeedbackBeyondTopK pins the wire side of top-k execution: a view whose
+// branches yield more than k rows reports exactly k answers and rows, and
+// feedback on row k is a 409 — the row a full materialisation would have had
+// there was never computed.
+func TestFeedbackBeyondTopK(t *testing.T) {
+	q, _, ts := newAdmissionServer(t, Config{})
+	resp := postJSON(t, ts.URL+"/query", QueryRequest{Q: "'GO:0001000' term"})
+	var va ViewAnswers
+	decode(t, resp, &va)
+	results, err := relstore.ExecuteBatch(q.CurrentCatalog(), q.Views()[0].Queries(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, rs := range results {
+		total += len(rs.Rows)
+	}
+	if total <= va.K {
+		t.Fatalf("branches yield %d rows, need more than k = %d for this test", total, va.K)
+	}
+	if va.Answers != va.K || len(va.Rows) != va.K {
+		t.Errorf("answers = %d, rows = %d, want k = %d of the %d available", va.Answers, len(va.Rows), va.K, total)
+	}
+	fb := postJSON(t, ts.URL+"/views/"+va.ID+"/feedback", FeedbackRequest{Row: va.K, Kind: "valid"})
+	fb.Body.Close()
+	if fb.StatusCode != http.StatusConflict {
+		t.Errorf("feedback on row k = %d: status %d, want %d", va.K, fb.StatusCode, http.StatusConflict)
 	}
 }
 

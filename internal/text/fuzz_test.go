@@ -4,13 +4,15 @@ import (
 	"strings"
 	"testing"
 	"unicode"
+	"unicode/utf8"
 )
 
 // FuzzNormalize pins the invariants every index structure built over
 // normalised text depends on (trigram postings, token postings, containment
-// checks): Normalize is idempotent, its output alphabet is lowercase
-// letters, digits and single interior spaces, and tokenisation of the
-// output is stable. CI runs this as a short -fuzz smoke on every push; the
+// checks): Normalize is idempotent, its output is valid UTF-8 (the value
+// index cuts trigram keys at rune boundaries of it), its output alphabet is
+// lowercase letters, digits and single interior spaces, and tokenisation of
+// the output is stable. CI runs this as a short -fuzz smoke on every push; the
 // checked-in corpus below seeds the interesting shapes.
 func FuzzNormalize(f *testing.F) {
 	for _, s := range []string{
@@ -19,11 +21,15 @@ func FuzzNormalize(f *testing.F) {
 		"東京タワー", "İstanbul", "ǅungla", "ﬀ ligature", "á combining",
 		"\x00\x01 control", "mixed\tWS\n\r chars", "ΣΊΣΥΦΟΣ", "ß sharp",
 		"!!!", "--::--", "42", "3.14159", "� replacement", "𝔘𝔫𝔦𝔠𝔬𝔡𝔢",
+		"bad \xffutf8\xc3",
 	} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		n := Normalize(s)
+		if !utf8.ValidString(n) {
+			t.Errorf("Normalize(%q) = %q is not valid UTF-8", s, n)
+		}
 		if again := Normalize(n); again != n {
 			t.Errorf("Normalize not idempotent: %q -> %q -> %q", s, n, again)
 		}

@@ -16,6 +16,8 @@
 //	bad <row>            mark an answer invalid (feedback)
 //	assoc                list association edges with current costs
 //	neighborhood         relations in the current view's α-neighbourhood
+//	save <file>          snapshot the instance (checkpoint container format)
+//	load <file>          restore a snapshot written by save
 //	stats                graph and catalog statistics
 //	:stats               engine + query-cache counters
 //	:trace               stage breakdown of the last query
@@ -234,7 +236,7 @@ func main() {
 				fmt.Println("error:", err)
 				continue
 			}
-			loaded, err := core.Load(f)
+			loaded, err := core.Load(f, core.DefaultOptions())
 			f.Close()
 			if err != nil {
 				fmt.Println("error:", err)
@@ -244,8 +246,12 @@ func main() {
 			loaded.AddMatcher(meta.New())
 			loaded.AddMatcher(mad.New())
 			q, view = loaded, nil
+			views := q.Views()
+			if len(views) > 0 {
+				view = views[len(views)-1] // the newest restored view becomes current
+			}
 			fmt.Printf("loaded %s: %d relations, %d views\n",
-				rest, q.Catalog.NumRelations(), len(q.Views()))
+				rest, q.Catalog.NumRelations(), len(views))
 		case "stats":
 			s := q.Graph.Summary()
 			fmt.Printf("catalog: %d relations, %d attributes\n",
@@ -323,8 +329,10 @@ func printHelp() {
   assoc              list association edges with costs
   neighborhood       relations in the view's α-neighbourhood
   register <file> [strategy]  register a new source from JSON
-  save <file>        snapshot the instance (catalog+graph+views)
-  load <file>        restore a snapshot
+  save <file>        snapshot the instance (catalog+graph+views) in the
+                     checkpoint format a qserver -data dir's gen-*.snap uses
+  load <file>        restore a snapshot written by save (or a gen-*.snap);
+                     JSON saves from older versions no longer load
   stats              catalog / graph statistics
   :stats             engine + query-cache counters (hits, misses,
                      coalesced, evictions, live epochs)

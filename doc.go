@@ -271,6 +271,13 @@
 // Close checkpoints once more so a clean restart is a pure snapshot load.
 // cmd/qserver -data serves a durable instance and recovers it on restart.
 //
+// The container is the one persistence format. core.(*Q).Save writes the
+// same bytes a checkpoint publishes as gen-<epoch>.snap, to any writer, and
+// core.Load(r, opts) restores one through the same code path as Open (minus
+// the WAL): an in-memory instance for tools such as qshell's save/load.
+// Options are never persisted; both take them from the caller. Matchers are
+// code, not state: re-register them after Load or Open.
+//
 // The HTTP layer (internal/server) inherits the model directly: POST
 // /query is a pure read and takes no server lock (a long registration
 // never blocks it — cmd/qbench -exp snapshot measures the difference);

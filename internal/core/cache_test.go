@@ -193,8 +193,11 @@ func TestCachedQueriesUnderConcurrentWrites(t *testing.T) {
 						t.Errorf("engine %d: query %q: %v", ei, query, err)
 						return
 					}
-					key := fmt.Sprintf("%d|%s", v.Epoch(), query)
-					fp := fingerprintView(v)
+					// Key and fingerprint from one materialisation: separate
+					// loads could straddle a concurrent refresh.
+					m := v.Current()
+					key := fmt.Sprintf("%d|%s", m.Epoch, query)
+					fp := fingerprintMat(v, m)
 					q.DropView(v) // keep the refresh fan-out bounded
 					r := recs[ei]
 					r.mu.Lock()

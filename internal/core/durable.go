@@ -89,6 +89,14 @@ type snapMeta struct {
 	Views   []viewSnap `json:"views"`
 }
 
+// viewSnap is one persistent view definition. Views are saved as
+// (keywords, k) and rematerialised on restore: their contents are a
+// function of the graph, which is saved exactly.
+type viewSnap struct {
+	Keywords []string `json:"keywords"`
+	K        int      `json:"k"`
+}
+
 const snapMetaVersion = 1
 
 // persistence is Q's attachment to a storage.Store: the checkpoint
@@ -151,64 +159,12 @@ func Open(opts Options) (*Q, error) {
 
 func openFrom(st *storage.Store, opts Options) (*Q, error) {
 	q := New(opts)
-	var views []viewSnap
-	snapLoaded := false
-
-	if snap, ok, err := st.Snapshot(); err != nil {
+	snap, snapLoaded, err := st.Snapshot()
+	if err != nil {
 		return nil, err
-	} else if ok {
-		snapLoaded = true
-		catSec, okCat := snap.Section("catalog")
-		graphSec, okGraph := snap.Section("graph")
-		metaSec, okMeta := snap.Section("meta")
-		if !okCat || !okGraph || !okMeta {
-			return nil, fmt.Errorf("core: snapshot missing sections (have %v)", snap.SectionNames())
-		}
-		var meta snapMeta
-		if err := json.Unmarshal(metaSec, &meta); err != nil {
-			return nil, fmt.Errorf("core: snapshot meta: %w", err)
-		}
-		if meta.Version != snapMetaVersion {
-			return nil, fmt.Errorf("core: unsupported snapshot meta version %d", meta.Version)
-		}
-		views = meta.Views
-		cat, err := relstore.LoadCatalogBinary(catSec, q.opts.Shards)
-		if err != nil {
-			return nil, err
-		}
-		if segSec, ok := snap.Section("segments"); ok {
-			if err := cat.LoadSegments(segSec); err != nil {
-				return nil, err
-			}
-		}
-		cat.SetParallelism(q.opts.Parallelism)
-		cat.InstrumentExec(&q.metrics.exec) // the loaded catalog replaces the instrumented one
-		graph, err := searchgraph.Load(bytes.NewReader(graphSec))
-		if err != nil {
-			return nil, err
-		}
-		q.Catalog = cat
-		q.Graph = graph
-		for _, rel := range cat.Relations() {
-			q.indexRelation(rel) // the keyword corpus is derived state
-		}
 	}
-
-	// Replay the WAL tail: each record's effect, applied without re-logging.
-	for _, rec := range st.Records() {
-		if err := q.replayRecord(rec); err != nil {
-			return nil, fmt.Errorf("core: replay epoch %d: %w", rec.Epoch, err)
-		}
-	}
-
-	q.writerMu.Lock()
-	q.publishLocked()
-	q.writerMu.Unlock()
-
-	for _, vs := range views {
-		if _, err := q.QueryKeywords(vs.Keywords, vs.K); err != nil {
-			return nil, fmt.Errorf("core: restore view %v: %w", vs.Keywords, err)
-		}
+	if err := q.restore(snap, st.Records()); err != nil {
+		return nil, err
 	}
 
 	limit := q.opts.CheckpointWALBytes
@@ -236,6 +192,74 @@ func openFrom(st *storage.Store, opts Options) (*Q, error) {
 		}
 	}()
 	return q, nil
+}
+
+// restore rebuilds a freshly constructed Q from a checkpoint container
+// (nil: start empty) plus the WAL records committed after it — Open's and
+// Load's one restore path. The catalog is decoded from its binary sections
+// with its built value-index segments installed verbatim, the graph carries
+// its learned weights, the records replay without re-logging, and only then
+// is the state published and the persistent views rematerialised.
+func (q *Q) restore(snap *storage.Container, records []storage.Record) error {
+	var views []viewSnap
+	if snap != nil {
+		catSec, okCat := snap.Section("catalog")
+		graphSec, okGraph := snap.Section("graph")
+		metaSec, okMeta := snap.Section("meta")
+		if !okCat || !okGraph || !okMeta {
+			return fmt.Errorf("core: snapshot missing sections (have %v)", snap.SectionNames())
+		}
+		var meta snapMeta
+		if err := json.Unmarshal(metaSec, &meta); err != nil {
+			return fmt.Errorf("core: snapshot meta: %w", err)
+		}
+		if meta.Version != snapMetaVersion {
+			return fmt.Errorf("core: unsupported snapshot meta version %d", meta.Version)
+		}
+		views = meta.Views
+		cat, err := relstore.LoadCatalogBinary(catSec, q.opts.Shards)
+		if err != nil {
+			return err
+		}
+		if segSec, ok := snap.Section("segments"); ok {
+			if err := cat.LoadSegments(segSec); err != nil {
+				return err
+			}
+		}
+		cat.SetParallelism(q.opts.Parallelism)
+		cat.InstrumentExec(&q.metrics.exec) // the loaded catalog replaces the instrumented one
+		graph, err := searchgraph.Load(bytes.NewReader(graphSec))
+		if err != nil {
+			return err
+		}
+		q.Catalog = cat
+		q.Graph = graph
+		for _, rel := range cat.Relations() {
+			q.indexRelation(rel) // the keyword corpus is derived state
+		}
+	}
+
+	for _, rec := range records {
+		if err := q.replayRecord(rec); err != nil {
+			return fmt.Errorf("core: replay epoch %d: %w", rec.Epoch, err)
+		}
+	}
+
+	q.writerMu.Lock()
+	q.publishLocked()
+	q.writerMu.Unlock()
+
+	// Each view expands its saved keyword list into a fresh overlay and
+	// materialises at its saved k. QueryKeywords takes the list verbatim:
+	// re-joining keywords into a query string would corrupt any keyword
+	// containing a quote and drop empty ones, and the saved k (not
+	// Options.K) is what makes the round trip exact.
+	for _, vs := range views {
+		if _, err := q.QueryKeywords(vs.Keywords, vs.K); err != nil {
+			return fmt.Errorf("core: restore view %v: %w", vs.Keywords, err)
+		}
+	}
+	return nil
 }
 
 // replayRecord applies one committed WAL record to the builder state.

@@ -20,7 +20,12 @@ import (
 func fingerprintView(v *View) string {
 	// One coherent materialisation: the individual accessors could straddle
 	// a concurrent refresh and mix generations.
-	m := v.Current()
+	return fingerprintMat(v, v.Current())
+}
+
+// fingerprintMat is fingerprintView of one given materialisation of v, for
+// callers that must pair the fingerprint with that materialisation's epoch.
+func fingerprintMat(v *View, m Materialization) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "keywords=%v k=%d alpha=%.12f\n", v.Keywords, v.K, m.Alpha)
 	for _, t := range m.Trees {

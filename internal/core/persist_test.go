@@ -2,8 +2,13 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"qint/internal/relstore"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -25,7 +30,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := q.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	q2, err := Load(bytes.NewReader(buf.Bytes()))
+	q2, err := Load(bytes.NewReader(buf.Bytes()), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +39,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Errorf("relations: %d vs %d", q2.Catalog.NumRelations(), q.Catalog.NumRelations())
 	}
 	if q2.Graph.NumEdges() != q.Graph.NumEdges() {
-		t.Errorf("edges: %d vs %d (duplicated keyword edges on load?)",
+		t.Errorf("edges: %d vs %d",
 			q2.Graph.NumEdges(), q.Graph.NumEdges())
 	}
 	for k, w := range beforeWeights {
@@ -58,7 +63,7 @@ func TestSaveLoadEmptyInstance(t *testing.T) {
 	if err := q.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	q2, err := Load(bytes.NewReader(buf.Bytes()))
+	q2, err := Load(bytes.NewReader(buf.Bytes()), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,10 +73,30 @@ func TestSaveLoadEmptyInstance(t *testing.T) {
 }
 
 func TestLoadRejectsGarbage(t *testing.T) {
-	for i, s := range []string{"", "{", `{"version": 42}`} {
-		if _, err := Load(strings.NewReader(s)); err == nil {
+	var valid bytes.Buffer
+	if err := New(DefaultOptions()).Save(&valid); err != nil {
+		t.Fatal(err)
+	}
+	cases := []string{
+		"",
+		"{",
+		`{"version": 42}`,
+		// A JSON save from before the checkpoint container was the one
+		// format: it no longer loads.
+		`{"version":1,"options":{"K":5},"catalog":{"version":1,"tables":null},` +
+			`"graph":{"version":1,"weights":{"default":1},"nodes":null,"edges":null},"views":null}` + "\n",
+		valid.String()[:valid.Len()-1], // truncated container
+	}
+	for i, s := range cases {
+		if _, err := Load(strings.NewReader(s), DefaultOptions()); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
+	}
+	// Load never attaches a data directory; that is Open's job.
+	opts := DefaultOptions()
+	opts.DataDir = t.TempDir()
+	if _, err := Load(bytes.NewReader(valid.Bytes()), opts); err == nil {
+		t.Error("Load with a DataDir should fail")
 	}
 }
 
@@ -106,7 +131,7 @@ func TestSaveLoadHostileKeywords(t *testing.T) {
 	if err := q.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	q2, err := Load(bytes.NewReader(buf.Bytes()))
+	q2, err := Load(bytes.NewReader(buf.Bytes()), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +172,7 @@ func TestLoadedInstanceKeepsWorking(t *testing.T) {
 	if err := q.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	q2, err := Load(bytes.NewReader(buf.Bytes()))
+	q2, err := Load(bytes.NewReader(buf.Bytes()), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,49 +192,127 @@ func TestLoadedInstanceKeepsWorking(t *testing.T) {
 	}
 }
 
-// TestLoadIgnoresRetiredOptions keeps old save files loading: snapshots
-// written while Options still carried the ScanFindValues, MaterialisedExec,
-// PlannerOff, QueryCacheDisabled and TopKPrune switches must load, and give
-// views byte-identical to the same state saved without those fields.
-func TestLoadIgnoresRetiredOptions(t *testing.T) {
+// TestSaveConcurrentWithWriter: Save reads the writer-owned catalog and
+// graph, so it must serialise with writers — run under -race, a Save beside
+// AddTables must neither race nor write a torn state. Every container it
+// writes loads.
+func TestSaveConcurrentWithWriter(t *testing.T) {
 	q := newFixtureQ(t, true)
-	if _, err := q.Query("'plasma membrane' 'Kringle domain'"); err != nil {
-		t.Fatal(err)
+	const n = 30
+	tables := make([]*relstore.Table, n)
+	for i := range tables {
+		tables[i] = mkTable(t, &relstore.Relation{Source: fmt.Sprintf("src%d", i), Name: "ref",
+			Attributes: []relstore.Attribute{{Name: "pub_id"}, {Name: "note"}}},
+			[][]string{{"PUB0001", fmt.Sprintf("note %d", i)}})
 	}
-	if _, err := q.Query("'nucleus' entry"); err != nil {
+	done := make(chan error, 1)
+	go func() {
+		for _, tb := range tables {
+			if err := q.AddTables(tb); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for i := 0; i < n; i++ {
+		var buf bytes.Buffer
+		if err := q.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(bytes.NewReader(buf.Bytes()), DefaultOptions()); err != nil {
+			t.Fatalf("save %d does not load: %v", i, err)
+		}
+	}
+	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
 	if err := q.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	current := buf.String()
-	const opts = `"options":{`
-	if strings.Count(current, opts) != 1 {
-		t.Fatalf("snapshot has %d options objects, want 1", strings.Count(current, opts))
+	q2, err := Load(bytes.NewReader(buf.Bytes()), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
 	}
-	retired := strings.Replace(current, opts,
-		opts+`"ScanFindValues":true,"MaterialisedExec":true,"PlannerOff":true,"QueryCacheDisabled":true,"TopKPrune":true,`, 1)
+	if got, want := q2.Catalog.NumRelations(), q.Catalog.NumRelations(); got != want {
+		t.Errorf("relations after load = %d, want %d", got, want)
+	}
+}
 
-	load := func(snapshot string) []string {
-		t.Helper()
-		q, err := Load(strings.NewReader(snapshot))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var fps []string
-		for _, v := range q.Views() {
-			fps = append(fps, fingerprintView(v))
-		}
-		return fps
+// TestSaveIsCheckpointFormat pins the one persistence format: for one state
+// (the fixture, feedback and the hostile-keyword views), Save writes exactly
+// the bytes Checkpoint publishes as gen-<epoch>.snap, and Load of those
+// bytes restores every view exactly as Open of the data directory does.
+func TestSaveIsCheckpointFormat(t *testing.T) {
+	opts := durableOpts(t)
+	q, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want, got := load(current), load(retired)
-	if len(want) != 2 {
-		t.Fatalf("views = %d, want 2", len(want))
+	defer q.Close()
+	if err := q.AddTables(fixtureTables(t)...); err != nil {
+		t.Fatal(err)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("view %d differs when loaded with retired options:\nwith:\n%s\nwithout:\n%s", i, got[i], want[i])
+	q.AddHandCodedAssociation(
+		relstore.AttrRef{Relation: "go.term", Attr: "acc"},
+		relstore.AttrRef{Relation: "ip.interpro2go", Attr: "go_id"})
+	v, err := q.Query("'plasma membrane' 'Kringle domain'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v.Trees()) < 2 {
+		t.Fatalf("fixture view has %d trees, want >= 2 for feedback", len(v.Trees()))
+	}
+	if err := q.FeedbackFavorTree(v, v.Trees()[1]); err != nil {
+		t.Fatal(err)
+	}
+	for _, kws := range [][]string{
+		{"o'brien", "plasma membrane"},
+		{"", "nucleus"},
+		{"zoë", "plasma membrane"},
+		{"nul\x00byte", "entry"},
+	} {
+		if _, err := q.QueryKeywords(kws, 3); err != nil {
+			t.Fatalf("QueryKeywords(%q): %v", kws, err)
+		}
+	}
+
+	if err := q.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	snaps, err := filepath.Glob(filepath.Join(opts.DataDir, "gen-*.snap"))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshots = %v (%v), want exactly one", snaps, err)
+	}
+	checkpoint, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var saved bytes.Buffer
+	if err := q.Save(&saved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saved.Bytes(), checkpoint) {
+		t.Fatalf("Save wrote %d bytes that differ from the %d-byte %s",
+			saved.Len(), len(checkpoint), filepath.Base(snaps[0]))
+	}
+
+	loaded, err := Load(bytes.NewReader(saved.Bytes()), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	opened := reopen(t, opts)
+	lv, ov := loaded.Views(), opened.Views()
+	if len(lv) != 5 || len(ov) != len(lv) {
+		t.Fatalf("views: loaded %d, opened %d, want 5", len(lv), len(ov))
+	}
+	for i := range lv {
+		if got, want := fingerprintView(lv[i]), fingerprintView(ov[i]); got != want {
+			t.Errorf("view %d: Load differs from Open:\nload:\n%s\nopen:\n%s", i, got, want)
 		}
 	}
 }

@@ -449,9 +449,8 @@ func (q *Q) executeBranches(st *qstate, queries []*relstore.ConjunctiveQuery, k 
 func (q *Q) planOverlay(st *qstate, ov *searchgraph.Overlay, terminals []steiner.NodeID, k, workers int, tr *obs.Trace) ([]steiner.Tree, []*relstore.ConjunctiveQuery, error) {
 	tsteiner := tr.Now()
 	trees := q.topKTrees(ov, terminals, k)
-	// Trees whose only way to connect the keywords runs through a disabled
-	// edge (a mapping edge, or a legacy persisted keyword edge) are not
-	// real answers.
+	// Trees whose only way to connect the keywords runs through a mapping
+	// edge (pinned at DisabledEdgeCost) are not real answers.
 	{
 		kept := trees[:0]
 		for _, t := range trees {

@@ -203,9 +203,6 @@ func (m *Mediator) Query(output []string, conds []Condition, k int) ([]Answer, e
 		options[i] = maps
 	}
 
-	// Disable stray keyword edges; mediated queries use no keywords.
-	m.Q.Graph.ActivateKeywords(nil)
-
 	var answers []Answer
 	m.enumerate(need, options, nil, conds, output, &answers)
 	sort.SliceStable(answers, func(i, j int) bool { return answers[i].Cost < answers[j].Cost })

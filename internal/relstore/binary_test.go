@@ -2,7 +2,10 @@ package relstore
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -78,6 +81,14 @@ func TestCatalogBinaryRoundTrip(t *testing.T) {
 			}
 		}
 	}
+	// Foreign keys survive, and value indexes work on the loaded catalog.
+	if rel := c2.Relation("dblp.authors"); rel == nil || len(rel.ForeignKeys) != 1 {
+		t.Errorf("foreign keys lost: %+v", rel)
+	}
+	pub, id := AttrRef{Relation: "dblp.authors", Attr: "pub"}, AttrRef{Relation: "dblp.pubs", Attr: "id"}
+	if got := c2.ValueOverlap(pub, id); got != 2 || got != c.ValueOverlap(pub, id) {
+		t.Errorf("overlap = %d, want 2 (original %d)", got, c.ValueOverlap(pub, id))
+	}
 	// A different shard count must load the same logical catalog.
 	c3, err := LoadCatalogBinary(buf.Bytes(), 1)
 	if err != nil {
@@ -85,6 +96,65 @@ func TestCatalogBinaryRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(c.RelationNames(), c3.RelationNames()) {
 		t.Error("shard count changed decoded catalog")
+	}
+}
+
+func TestCatalogSaveLoadRoundTrip(t *testing.T) {
+	c := testCatalog(t)
+	var buf bytes.Buffer
+	if err := c.SaveBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := LoadCatalogBinary(buf.Bytes(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c2.NumRelations() != c.NumRelations() || c2.NumAttributes() != c.NumAttributes() {
+		t.Fatalf("shape mismatch: %d/%d relations, %d/%d attributes",
+			c2.NumRelations(), c.NumRelations(), c2.NumAttributes(), c.NumAttributes())
+	}
+	// Registration order preserved.
+	a, b := c.RelationNames(), c2.RelationNames()
+	for i := range a {
+		if a[i] != b[i] {
+			t.Errorf("order differs at %d: %s vs %s", i, a[i], b[i])
+		}
+	}
+	// Data and foreign keys survive.
+	tb := c2.Table("go.term")
+	if tb == nil || len(tb.Rows) != 3 {
+		t.Fatalf("go.term data lost: %+v", tb)
+	}
+	rel := c2.Relation("ip.interpro2go")
+	if rel == nil || len(rel.ForeignKeys) != 1 {
+		t.Errorf("foreign keys lost: %+v", rel)
+	}
+	// Value indexes work on the loaded catalog.
+	ov := c2.ValueOverlap(
+		AttrRef{Relation: "go.term", Attr: "acc"},
+		AttrRef{Relation: "ip.interpro2go", Attr: "go_id"})
+	if ov != 2 {
+		t.Errorf("overlap = %d, want 2", ov)
+	}
+}
+
+func TestLoadCatalogRejectsGarbage(t *testing.T) {
+	cases := []string{
+		"",
+		"nope",
+		catalogBinMagic[:len(catalogBinMagic)-1], // magic cut short
+		"QCATb9\n\n\x00",                         // another format version
+		// A JSON catalog from before the binary codec was the one format.
+		`{"version":1,"tables":[{"source":"s","name":"r","attributes":[{"Name":"a"}],"rows":[["x"]]}]}`,
+		// One table s.r(a) declaring one row whose value is missing.
+		catalogBinMagic + "\x01" + "\x01s\x01r" + "\x01\x01a\x00" + "\x00" + "\x01",
+		// A row count larger than the remaining input.
+		catalogBinMagic + "\x01" + "\x01s\x01r" + "\x01\x01a\x00" + "\x00" + "\x7f",
+	}
+	for i, c := range cases {
+		if _, err := LoadCatalogBinary([]byte(c), 2); err == nil {
+			t.Errorf("case %d: expected error", i)
+		}
 	}
 }
 
@@ -209,5 +279,88 @@ func TestBinaryDecodeRejectsCorruption(t *testing.T) {
 	}
 	if _, err := LoadCatalogBinary([]byte("garbage-not-a-catalog"), 2); err == nil {
 		t.Error("garbage accepted as catalog")
+	}
+	// Two well-formed copies of one table: the catalog must refuse the
+	// duplicate rather than load half of it.
+	one := NewCatalog()
+	tab, err := NewTable(&Relation{Source: "s", Name: "r", Attributes: []Attribute{{Name: "a"}}}, [][]string{{"x"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := one.AddTable(tab); err != nil {
+		t.Fatal(err)
+	}
+	var oneBuf bytes.Buffer
+	if err := one.SaveBinary(&oneBuf); err != nil {
+		t.Fatal(err)
+	}
+	table := oneBuf.Bytes()[len(catalogBinMagic)+1:] // past the magic and the count 1
+	dup := append([]byte(catalogBinMagic+"\x02"), table...)
+	dup = append(dup, table...)
+	if _, err := LoadCatalogBinary(dup, 2); err == nil {
+		t.Error("duplicate table accepted")
+	}
+}
+
+// TestShardedPersistRoundTrip pins the persistence half of the sharding
+// contract: a catalog saved at one shard count reloads at ANY shard count
+// (the wire form is shard-agnostic) to an equivalent catalog — identical
+// registration order, identical FindValues answers through both paths —
+// with value-index segments rebuilt lazily on first use rather than eagerly
+// at load time when no segments section is loaded.
+func TestShardedPersistRoundTrip(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	tables := randomIndexTables(r, 16)
+	orig := catalogAt(t, 5, tables)
+	orig.BuildValueIndex(4)
+
+	kws := indexKeywords(r, orig)
+	fingerprint := func(c *Catalog) string {
+		var b strings.Builder
+		fmt.Fprintf(&b, "order=%v\n", c.RelationNames())
+		for _, kw := range kws {
+			fmt.Fprintf(&b, "find %q = %v\n", kw, c.FindValues(kw))
+		}
+		refs := c.AttrRefs()
+		for i := 0; i+1 < len(refs); i += 3 {
+			fmt.Fprintf(&b, "overlap %v~%v = %d jac=%.12f\n", refs[i], refs[i+1],
+				c.ValueOverlap(refs[i], refs[i+1]), c.ValueJaccard(refs[i], refs[i+1]))
+		}
+		return b.String()
+	}
+	want := fingerprint(orig)
+
+	var buf bytes.Buffer
+	if err := orig.SaveBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2, 7} {
+		loaded, err := LoadCatalogBinary(buf.Bytes(), shards)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := loaded.ShardCount(); got != shards {
+			t.Fatalf("loaded ShardCount = %d, want %d", got, shards)
+		}
+		// Segments are NOT rebuilt at load time…
+		if got := loaded.IndexedRelations(); got != 0 {
+			t.Errorf("shards=%d: %d segments built eagerly at load, want lazy rebuild", shards, got)
+		}
+		if got := fingerprint(loaded); got != want {
+			t.Errorf("shards=%d: reloaded catalog diverged from the original\ngot:\n%s\nwant:\n%s", shards, got, want)
+		}
+		// …but the fingerprint's lookups built them all on the way.
+		if got := loaded.IndexedRelations(); got != loaded.NumRelations() {
+			t.Errorf("shards=%d: IndexedRelations after lookups = %d, want %d", shards, got, loaded.NumRelations())
+		}
+		// Saving the reloaded catalog reproduces the original bytes: the
+		// wire form is canonical under resharding.
+		var buf2 bytes.Buffer
+		if err := loaded.SaveBinary(&buf2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf2.Bytes(), buf.Bytes()) {
+			t.Errorf("shards=%d: save/load/save is not byte-stable", shards)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package searchgraph
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"qint/internal/learning"
@@ -142,46 +143,60 @@ func TestSnapshotFrozenUnderWriter(t *testing.T) {
 	}
 }
 
-// TestOverlayKeywordEdgeCostMatchesBuilder pins overlay/builder cost
-// parity: an overlay keyword edge must cost exactly what the builder's
-// AddKeywordEdge would have charged — the KwEdgeBaseWeight default enters
-// the overlay cost arithmetic without being written into shared weights,
-// and a learned per-edge weight in the snapshot is honoured.
+// kwEdgeCostRef is what a keyword edge must cost: w·f over its mismatch
+// feature (1 − sim) and its own indicator feature, with the indicator's
+// weight seeded to KwEdgeBaseWeight when w carries none, rounded to 1e-9 and
+// floored at MinEdgeCost.
+func kwEdgeCostRef(w learning.Vector, edgeFeat string, sim float64) float64 {
+	seeded := w.Clone()
+	if _, ok := seeded[edgeFeat]; !ok {
+		seeded[edgeFeat] = KwEdgeBaseWeight
+	}
+	c := math.Round(seeded.Dot(learning.Vector{"mismatch": 1 - sim, edgeFeat: 1})*1e9) / 1e9
+	return max(c, MinEdgeCost)
+}
+
+// TestOverlayKeywordEdgeCostMatchesBuilder pins the overlay keyword-edge
+// cost to the reference arithmetic: the KwEdgeBaseWeight default enters the
+// cost without being written into shared weights, a learned per-edge weight
+// in the snapshot is honoured, and the cost floors at MinEdgeCost.
 func TestOverlayKeywordEdgeCostMatchesBuilder(t *testing.T) {
 	g, _ := overlayFixture(t)
 	attr := relstore.AttrRef{Relation: "go.term", Attr: "name"}
+	const feat = "edge:kw:membrane->go.term.name"
 
-	// Builder path (legacy): creates the node+edge in the base and seeds
-	// the per-edge weight.
-	kwB := g.KeywordNode("membrane")
-	target := g.LookupAttribute(attr)
-	eidB := g.AddKeywordEdge(kwB, target, 0.75)
-	g.ActivateKeywords([]steiner.NodeID{kwB})
-	builderCost := g.Cost(eidB)
-
-	// Overlay path on a fresh identical graph: no weight seeded, default
-	// applied in-place.
-	g2, _ := overlayFixture(t)
-	snap := g2.Snapshot()
+	snap := g.Snapshot()
 	ov := snap.NewOverlay()
 	kwO := ov.KeywordNode("membrane")
 	eidO := ov.AddKeywordEdge(kwO, snap.LookupAttribute(attr), 0.75)
-	if got := ov.Cost(eidO); got != builderCost {
-		t.Errorf("overlay keyword edge cost %v, builder %v", got, builderCost)
+	if got, want := ov.Cost(eidO), kwEdgeCostRef(snap.Weights(), feat, 0.75); got != want {
+		t.Errorf("overlay keyword edge cost %v, reference %v", got, want)
 	}
-	if _, ok := snap.Weights()["edge:kw:membrane->go.term.name"]; ok {
+	if _, ok := snap.Weights()[feat]; ok {
 		t.Error("overlay keyword edge wrote its weight into shared weights")
 	}
 
-	// A learned weight overrides the default in both paths.
-	g2.EnsureWeight("edge:kw:membrane->go.term.name", 0.7)
-	snap2 := g2.Snapshot()
+	// A learned weight overrides the default.
+	g.EnsureWeight(feat, 0.7)
+	snap2 := g.Snapshot()
 	ov2 := snap2.NewOverlay()
 	kw2 := ov2.KeywordNode("membrane")
 	eid2 := ov2.AddKeywordEdge(kw2, snap2.LookupAttribute(attr), 0.75)
+	if got, want := ov2.Cost(eid2), kwEdgeCostRef(snap2.Weights(), feat, 0.75); got != want {
+		t.Errorf("learned-weight keyword edge cost %v, reference %v", got, want)
+	}
 	if ov2.Cost(eid2) <= ov.Cost(eidO) {
 		t.Errorf("learned heavier weight should raise the edge cost: %v vs %v",
 			ov2.Cost(eid2), ov.Cost(eidO))
+	}
+
+	// A negative learned weight floors at MinEdgeCost.
+	g.SetWeights(learning.Vector{"mismatch": -5})
+	snap3 := g.Snapshot()
+	ov3 := snap3.NewOverlay()
+	eid3 := ov3.AddKeywordEdge(ov3.KeywordNode("membrane"), snap3.LookupAttribute(attr), 0)
+	if got := ov3.Cost(eid3); got != MinEdgeCost || got != kwEdgeCostRef(snap3.Weights(), feat, 0) {
+		t.Errorf("floored keyword edge cost %v, want %v", got, MinEdgeCost)
 	}
 }
 

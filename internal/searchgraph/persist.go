@@ -39,9 +39,9 @@ type snapEdge struct {
 
 const snapshotVersion = 1
 
-// Save writes the graph (topology, features, weights) as JSON. Keyword
-// activation state is not persisted: loaded graphs start with all keyword
-// edges disabled, exactly like freshly created ones.
+// Save writes the graph (topology, features, weights) as JSON: the "graph"
+// section of a checkpoint container. The builder holds relation and
+// attribute nodes only; keyword and value nodes live in per-query overlays.
 func (g *Graph) Save(w io.Writer) error {
 	s := snapshot{Version: snapshotVersion, Weights: g.s.weights}
 	for _, n := range g.s.nodes {
@@ -75,8 +75,9 @@ func (g *Graph) Save(w io.Writer) error {
 }
 
 // Load reconstructs a graph saved with Save. The returned graph has
-// identical node/edge ids, features, weights and costs (keyword edges
-// disabled until activated).
+// identical node/edge ids, features, weights and costs. Keyword and value
+// nodes, and keyword and value-attr edges, belong to query overlays and
+// never to a saved graph: Load rejects them.
 func Load(r io.Reader) (*Graph, error) {
 	var s snapshot
 	dec := json.NewDecoder(r)
@@ -97,16 +98,13 @@ func Load(r io.Reader) (*Graph, error) {
 			}
 			n.Ref = ref
 		}
-		id := g.addNode(n)
 		switch n.Kind {
 		case KindRelation:
-			g.s.relNode[n.Rel] = id
+			g.s.relNode[n.Rel] = g.addNode(n)
 		case KindAttribute:
-			g.s.attrNode[n.Ref] = id
-		case KindValue:
-			g.s.valNode[valueKey{ref: n.Ref, value: n.Value}] = id
-		case KindKeyword:
-			g.s.kwNode[n.Value] = id
+			g.s.attrNode[n.Ref] = g.addNode(n)
+		default:
+			return nil, fmt.Errorf("searchgraph: load node %d: %s node in a base graph", i, n.Kind)
 		}
 	}
 
@@ -117,6 +115,9 @@ func Load(r io.Reader) (*Graph, error) {
 		e := Edge{
 			Kind:  EdgeKind(se.Kind),
 			Fixed: se.Fixed,
+		}
+		if e.Kind == EdgeKeyword || e.Kind == EdgeValueAttr {
+			return nil, fmt.Errorf("searchgraph: load edge %d: %s edge in a base graph", i, e.Kind)
 		}
 		if se.Features != nil {
 			e.Features = learning.Vector(se.Features)
@@ -143,13 +144,9 @@ func Load(r io.Reader) (*Graph, error) {
 				ka, kb = kb, ka
 			}
 			g.s.assocSeen[ka+"~"+kb] = id
-		case EdgeKeyword:
-			kw := steiner.NodeID(se.U)
-			if g.s.nodes[kw].Kind != KindKeyword {
-				kw = steiner.NodeID(se.V2)
-			}
-			g.s.kwEdgesOf[kw] = append(g.s.kwEdgesOf[kw], id)
+		case EdgeMapping:
 			g.s.sg.SetCost(id, DisabledEdgeCost)
+			g.s.assocSeen[mappingKey(e.A, e.B)] = id
 		}
 	}
 	return g, nil

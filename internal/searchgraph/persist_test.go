@@ -9,15 +9,15 @@ import (
 	"qint/internal/steiner"
 )
 
-// buildRichGraph creates a graph exercising every node and edge kind.
+// buildRichGraph creates a graph exercising every node and edge kind a base
+// graph holds (keyword and value nodes live in query overlays).
 func buildRichGraph() *Graph {
 	g := New(learning.Vector{"default": 0.1, "fk": 0.9, "mismatch": 1})
 	g.AddForeignKeyEdge(ref("ip.entry2pub", "entry_ac"), ref("ip.entry", "entry_ac"))
 	g.AddAssociationEdge(ref("go.term", "acc"), ref("ip.interpro2go", "go_id"),
 		learning.Vector{"matcher:mad:bin4": 1})
-	vn := g.ValueNode(ref("go.term", "name"), "plasma membrane")
-	kw := g.KeywordNode("membrane")
-	g.AddKeywordEdge(kw, vn, 0.8)
+	g.AddMappingEdge(ref("med.gene", "name"), ref("go.term", "name"),
+		learning.Vector{"matcher:meta:bin3": 1})
 	return g
 }
 
@@ -51,26 +51,15 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if !g2.HasAssociation(ref("go.term", "acc"), ref("ip.interpro2go", "go_id")) {
 		t.Error("association registry lost")
 	}
-	// Costs match edge-for-edge (keyword edges disabled on both sides
-	// until activated).
+	// A re-added mapping pair merges into the loaded edge.
+	if id := g2.AddMappingEdge(ref("med.gene", "name"), ref("go.term", "name"), nil); g2.Edge(id).Kind != EdgeMapping || g2.NumEdges() != g.NumEdges() {
+		t.Errorf("mapping registry lost: re-add returned edge %d, %d edges", id, g2.NumEdges())
+	}
+	// Costs match edge-for-edge.
 	for i := 0; i < g.NumEdges(); i++ {
 		id := steiner.EdgeID(i)
-		if g.Edge(id).Kind == EdgeKeyword {
-			if g2.Cost(id) != DisabledEdgeCost {
-				t.Errorf("keyword edge %d should load disabled", i)
-			}
-			continue
-		}
 		if g.Cost(id) != g2.Cost(id) {
 			t.Errorf("edge %d cost %v vs %v", i, g.Cost(id), g2.Cost(id))
-		}
-	}
-	// Keyword activation works after load.
-	kw := g2.s.kwNode["membrane"]
-	g2.ActivateKeywords([]steiner.NodeID{kw})
-	for _, id := range g2.s.kwEdgesOf[kw] {
-		if g2.Cost(id) >= DisabledEdgeCost {
-			t.Errorf("keyword edge %d still disabled after activation", id)
 		}
 	}
 	// Weights survive.
@@ -115,6 +104,13 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		`{"version": 99}`,
 		`{"version":1,"nodes":[{"kind":0}],"edges":[{"kind":1,"u":0,"v":5}]}`,
 		`{"version":1,"nodes":[{"kind":1,"ref":"malformed"}],"edges":[]}`,
+		// keyword and value nodes, and their edges, belong to query overlays
+		`{"version":1,"nodes":[{"kind":3,"value":"membrane"}],"edges":[]}`,
+		`{"version":1,"nodes":[{"kind":2,"ref":"go.term.name","value":"x"}],"edges":[]}`,
+		`{"version":1,"nodes":[{"kind":0,"rel":"go.term"},{"kind":1,"ref":"go.term.name"}],` +
+			`"edges":[{"kind":3,"u":0,"v":1,"features":{"mismatch":0.2}}]}`,
+		`{"version":1,"nodes":[{"kind":0,"rel":"go.term"},{"kind":1,"ref":"go.term.name"}],` +
+			`"edges":[{"kind":4,"u":0,"v":1,"fixed":true}]}`,
 	}
 	for i, c := range cases {
 		if _, err := Load(strings.NewReader(c)); err == nil {

@@ -148,11 +148,10 @@ type Edge struct {
 // combination to (or below) zero mid-update.
 const MinEdgeCost = 1e-6
 
-// DisabledEdgeCost is the cost assigned to keyword edges whose keyword is
-// not part of the query being evaluated. Fresh queries carry their keyword
-// edges in private overlays, but graphs loaded from old persisted form may
-// still hold base keyword edges, and a stale keyword edge must never act as
-// a cheap bridge inside another query's Steiner tree.
+// DisabledEdgeCost is the pinned graph cost of every mapping edge (see
+// EdgeMapping): high enough that a mapping edge never acts as a cheap bridge
+// inside a query's Steiner tree, and a tree that cannot avoid one is not an
+// answer.
 const DisabledEdgeCost = 1e12
 
 // store is the copy-on-write storage shared between a builder Graph and the
@@ -166,28 +165,19 @@ type store struct {
 
 	relNode  map[string]steiner.NodeID
 	attrNode map[relstore.AttrRef]steiner.NodeID
-	valNode  map[valueKey]steiner.NodeID
-	kwNode   map[string]steiner.NodeID
 
 	// assocSeen prevents duplicate association edges between the same
 	// attribute pair from the same origin.
 	assocSeen map[string]steiner.EdgeID
 
-	// kwEdgesOf indexes keyword edges by their keyword node; activeKw holds
-	// the keyword nodes whose edges are currently live (see
-	// ActivateKeywords).
-	kwEdgesOf map[steiner.NodeID][]steiner.EdgeID
-	activeKw  map[steiner.NodeID]bool
-
 	weights learning.Vector
 }
 
 // clone copies the store for copy-on-write. Slices of structs are copied
-// (costs and feature pointers mutate element-wise); the inner slices of
-// kwEdgesOf and the steiner adjacency lists are shared, which is safe
-// because appends on the newest store only ever write beyond every frozen
-// header's length. Feature maps are shared too: edge-feature merges replace
-// the map rather than mutating it in place.
+// (costs and feature pointers mutate element-wise); the steiner adjacency
+// lists are shared, which is safe because appends on the newest store only
+// ever write beyond every frozen header's length. Feature maps are shared
+// too: edge-feature merges replace the map rather than mutating it in place.
 func (s *store) clone() *store {
 	return &store{
 		sg:        s.sg.Clone(),
@@ -195,11 +185,7 @@ func (s *store) clone() *store {
 		edges:     append([]Edge(nil), s.edges...),
 		relNode:   maps.Clone(s.relNode),
 		attrNode:  maps.Clone(s.attrNode),
-		valNode:   maps.Clone(s.valNode),
-		kwNode:    maps.Clone(s.kwNode),
 		assocSeen: maps.Clone(s.assocSeen),
-		kwEdgesOf: maps.Clone(s.kwEdgesOf),
-		activeKw:  maps.Clone(s.activeKw),
 		weights:   s.weights.Clone(),
 	}
 }
@@ -215,11 +201,6 @@ type Graph struct {
 	epoch uint64    // bumped on every copy-on-write clone
 }
 
-type valueKey struct {
-	ref   relstore.AttrRef
-	value string
-}
-
 // New returns an empty search graph with the given initial weights. The
 // weight vector is cloned; use SetWeights to replace it later.
 func New(weights learning.Vector) *Graph {
@@ -231,11 +212,7 @@ func New(weights learning.Vector) *Graph {
 			sg:        steiner.NewGraph(),
 			relNode:   make(map[string]steiner.NodeID),
 			attrNode:  make(map[relstore.AttrRef]steiner.NodeID),
-			valNode:   make(map[valueKey]steiner.NodeID),
-			kwNode:    make(map[string]steiner.NodeID),
 			assocSeen: make(map[string]steiner.EdgeID),
-			kwEdgesOf: make(map[steiner.NodeID][]steiner.EdgeID),
-			activeKw:  make(map[steiner.NodeID]bool),
 			weights:   weights.Clone(),
 		},
 		owned: true,
@@ -330,17 +307,6 @@ func (g *Graph) refreshCost(id steiner.EdgeID) {
 		g.s.sg.SetCost(id, DisabledEdgeCost)
 		return
 	}
-	if e := g.s.edges[id]; e.Kind == EdgeKeyword {
-		se := g.s.sg.Edge(id)
-		kw := se.U
-		if g.s.nodes[kw].Kind != KindKeyword {
-			kw = se.V
-		}
-		if !g.s.activeKw[kw] {
-			g.s.sg.SetCost(id, DisabledEdgeCost)
-			return
-		}
-	}
 	g.s.sg.SetCost(id, g.s.edgeCostFor(id, g.s.weights))
 }
 
@@ -419,36 +385,6 @@ func (g *Graph) LookupAttribute(ref relstore.AttrRef) steiner.NodeID {
 		return id
 	}
 	return -1
-}
-
-// ValueNode returns (and creates if needed) the node for a data value,
-// wiring the fixed zero-cost value↔attribute edge on creation. Query
-// execution materialises value nodes in per-query overlays instead; this
-// builder form remains for tests and persisted-graph compatibility.
-func (g *Graph) ValueNode(ref relstore.AttrRef, value string) steiner.NodeID {
-	k := valueKey{ref: ref, value: value}
-	if id, ok := g.s.valNode[k]; ok {
-		return id
-	}
-	g.own()
-	id := g.addNode(Node{Kind: KindValue, Ref: ref, Value: value})
-	g.s.valNode[k] = id
-	attr := g.AttributeNode(ref)
-	g.addEdge(id, attr, Edge{Kind: EdgeValueAttr, Fixed: true})
-	return id
-}
-
-// KeywordNode returns (and creates if needed) the node for a query keyword.
-// Query execution uses overlay keyword nodes instead; this builder form
-// remains for tests and persisted-graph compatibility.
-func (g *Graph) KeywordNode(keyword string) steiner.NodeID {
-	if id, ok := g.s.kwNode[keyword]; ok {
-		return id
-	}
-	g.own()
-	id := g.addNode(Node{Kind: KindKeyword, Value: keyword})
-	g.s.kwNode[keyword] = id
-	return id
 }
 
 // AddForeignKeyEdge links two relation nodes with a learnable foreign-key
@@ -570,7 +506,7 @@ func parseMatcherBin(key string) (name string, bin int, ok bool) {
 // associations. The returned edge's graph cost is always DisabledEdgeCost;
 // rank mappings with EdgeCostFor instead.
 func (g *Graph) AddMappingEdge(mediatedAttr, source relstore.AttrRef, features learning.Vector) steiner.EdgeID {
-	pairKey := "map:" + mediatedAttr.String() + "~" + source.String()
+	pairKey := mappingKey(mediatedAttr, source)
 	if id, ok := g.s.assocSeen[pairKey]; ok {
 		g.own()
 		e := &g.s.edges[id]
@@ -598,6 +534,11 @@ func (g *Graph) AddMappingEdge(mediatedAttr, source relstore.AttrRef, features l
 	return id
 }
 
+// mappingKey is a mapping edge's entry in assocSeen.
+func mappingKey(mediatedAttr, source relstore.AttrRef) string {
+	return "map:" + mediatedAttr.String() + "~" + source.String()
+}
+
 // HasAssociation reports whether an association edge already exists between
 // the two attributes.
 func (g *Graph) HasAssociation(a, b relstore.AttrRef) bool {
@@ -611,81 +552,8 @@ func (g *Graph) HasAssociation(a, b relstore.AttrRef) bool {
 
 // KwEdgeBaseWeight is the initial weight of each keyword edge's own
 // indicator feature — the starting value of the per-edge adjustable
-// weights w_2, w_3, … of the paper's Figure 3.
+// weights w_2, w_3, … of the paper's Figure 3 (see Overlay.AddKeywordEdge).
 const KwEdgeBaseWeight = 0.2
-
-// AddKeywordEdge links a keyword node to a target node with a learnable
-// keyword-match edge. sim is the keyword similarity score s_i (higher is
-// better); it enters the cost as a mismatch feature (1 − sim), so closer
-// matches cost less under a positive weight. Each keyword edge carries its
-// own indicator feature — the per-edge adjustable weights w_2, w_3, … of
-// Figure 3 — initialised to KwEdgeBaseWeight, so feedback can promote or
-// suppress one keyword match without touching the others. Keyword edges
-// deliberately do NOT share the global "default" feature: per-query match
-// edges sharing a weight with every other edge would let the learner
-// inflate all keyword costs at once, destroying the tight α radii that
-// VIEWBASEDALIGNER's pruning relies on (§3.3).
-//
-// Query execution uses Overlay.AddKeywordEdge instead; this builder form
-// remains for tests and persisted-graph compatibility.
-func (g *Graph) AddKeywordEdge(kw steiner.NodeID, target steiner.NodeID, sim float64) steiner.EdgeID {
-	g.own()
-	if sim < 0 {
-		sim = 0
-	}
-	if sim > 1 {
-		sim = 1
-	}
-	edgeFeat := "edge:kw:" + g.s.nodes[kw].Value + "->" + g.s.nodes[target].Label()
-	if _, ok := g.s.weights[edgeFeat]; !ok {
-		g.s.weights[edgeFeat] = KwEdgeBaseWeight
-	}
-	f := learning.Vector{
-		"mismatch": 1 - sim,
-		edgeFeat:   1,
-	}
-	id := g.addEdge(kw, target, Edge{Kind: EdgeKeyword, Features: f})
-	g.s.kwEdgesOf[kw] = append(g.s.kwEdgesOf[kw], id)
-	if !g.s.activeKw[kw] {
-		g.s.sg.SetCost(id, DisabledEdgeCost)
-	}
-	return id
-}
-
-// ActivateKeywords enables exactly the given keyword nodes' edges for the
-// next Steiner computation over the builder graph, disabling every other
-// keyword's edges. Overlay-based queries do not need activation (an overlay
-// holds only its own query's keyword edges, all live by construction); this
-// remains for builder-graph Steiner runs in tests and tools.
-func (g *Graph) ActivateKeywords(keywords []steiner.NodeID) {
-	g.own()
-	want := make(map[steiner.NodeID]bool, len(keywords))
-	for _, k := range keywords {
-		want[k] = true
-	}
-	// Disable edges of keywords leaving the active set.
-	for k := range g.s.activeKw {
-		if !want[k] {
-			for _, id := range g.s.kwEdgesOf[k] {
-				g.s.sg.SetCost(id, DisabledEdgeCost)
-			}
-			delete(g.s.activeKw, k)
-		}
-	}
-	// Enable (recompute) edges of keywords entering it. Mark active first:
-	// refreshCost consults the active set.
-	for k := range want {
-		if !g.s.activeKw[k] {
-			g.s.activeKw[k] = true
-			for _, id := range g.s.kwEdgesOf[k] {
-				g.refreshCost(id)
-			}
-		}
-	}
-}
-
-// KeywordActive reports whether a keyword node's edges are currently live.
-func (g *Graph) KeywordActive(kw steiner.NodeID) bool { return g.s.activeKw[kw] }
 
 // Associations returns every association edge with its endpoints, sorted by
 // edge id, for evaluation against gold standards.

@@ -28,39 +28,64 @@ func TestNodeCreationIdempotent(t *testing.T) {
 	if a1 != a2 {
 		t.Error("attribute node should be created once")
 	}
-	v1 := g.ValueNode(ref("ip.entry", "name"), "Kringle")
-	v2 := g.ValueNode(ref("ip.entry", "name"), "Kringle")
-	if v1 != v2 {
-		t.Error("value node should be created once")
+	s := g.Summary()
+	if s.Relations != 1 || s.Attributes != 1 || s.Values != 0 || s.Keywords != 0 {
+		t.Errorf("summary = %+v", s)
 	}
-	k1 := g.KeywordNode("plasma")
-	k2 := g.KeywordNode("plasma")
+	if s.ByEdgeKind[EdgeAttrRel] != 1 {
+		t.Errorf("attr-rel edge missing: %+v", s.ByEdgeKind)
+	}
+	// Value and keyword nodes are per query: an overlay creates each once.
+	snap := g.Snapshot()
+	ov := snap.NewOverlay()
+	v1 := ov.ValueNode(ref("ip.entry", "name"), "Kringle")
+	v2 := ov.ValueNode(ref("ip.entry", "name"), "Kringle")
+	if v1 < 0 || v1 != v2 {
+		t.Errorf("value node should be created once: %d vs %d", v1, v2)
+	}
+	k1 := ov.KeywordNode("plasma")
+	k2 := ov.KeywordNode("plasma")
 	if k1 != k2 {
 		t.Error("keyword node should be created once")
 	}
-	// relation + attribute + value + keyword
-	s := g.Summary()
-	if s.Relations != 1 || s.Attributes != 1 || s.Values != 1 || s.Keywords != 1 {
-		t.Errorf("summary = %+v", s)
+	if ov.Node(v1).Kind != KindValue || ov.Node(k1).Kind != KindKeyword {
+		t.Errorf("kinds: %v, %v", ov.Node(v1).Kind, ov.Node(k1).Kind)
 	}
-	// attr-rel and value-attr edges exist, both fixed zero cost
-	if s.ByEdgeKind[EdgeAttrRel] != 1 || s.ByEdgeKind[EdgeValueAttr] != 1 {
-		t.Errorf("structural edges missing: %+v", s.ByEdgeKind)
+	// value + keyword nodes, one value-attr edge, all in the overlay
+	if got := ov.View().NumNodes() - snap.NumNodes(); got != 2 {
+		t.Errorf("overlay nodes = %d, want 2", got)
+	}
+	if got := ov.View().NumEdges() - snap.NumEdges(); got != 1 {
+		t.Errorf("overlay edges = %d, want 1", got)
+	}
+	if snap.NumNodes() != 2 || g.NumNodes() != 2 {
+		t.Errorf("base grew: snapshot %d, builder %d nodes", snap.NumNodes(), g.NumNodes())
 	}
 }
 
 func TestStructuralEdgesAreZeroCost(t *testing.T) {
 	g := New(defaultWeights())
-	g.ValueNode(ref("ip.entry", "name"), "v")
+	g.AttributeNode(ref("ip.entry", "name"))
 	for _, id := range g.EdgesOfKind(EdgeAttrRel) {
 		if g.Cost(id) != 0 {
 			t.Errorf("attr-rel edge cost = %v, want 0", g.Cost(id))
 		}
 	}
-	for _, id := range g.EdgesOfKind(EdgeValueAttr) {
-		if g.Cost(id) != 0 {
-			t.Errorf("value-attr edge cost = %v, want 0", g.Cost(id))
+	snap := g.Snapshot()
+	ov := snap.NewOverlay()
+	ov.ValueNode(ref("ip.entry", "name"), "v")
+	n := 0
+	for id := steiner.EdgeID(snap.NumEdges()); int(id) < ov.View().NumEdges(); id++ {
+		if e := ov.Edge(id); e.Kind != EdgeValueAttr || !e.Fixed {
+			t.Errorf("overlay edge %d = %+v, want a fixed value-attr edge", id, e)
 		}
+		if ov.Cost(id) != 0 {
+			t.Errorf("value-attr edge cost = %v, want 0", ov.Cost(id))
+		}
+		n++
+	}
+	if n != 1 {
+		t.Errorf("value-attr edges = %d, want 1", n)
 	}
 }
 
@@ -106,31 +131,28 @@ func TestAssociationEdgeMergesFeatures(t *testing.T) {
 
 func TestKeywordEdgeMismatchScaling(t *testing.T) {
 	g := New(defaultWeights())
-	kw := g.KeywordNode("membrane")
 	attr := g.AttributeNode(ref("go.term", "name"))
-	perfect := g.AddKeywordEdge(kw, attr, 1.0)
-	poor := g.AddKeywordEdge(kw, attr, 0.2)
-	// Keyword edges are disabled until their keyword is activated.
-	if g.Cost(perfect) != DisabledEdgeCost {
-		t.Errorf("inactive keyword edge cost = %v, want disabled", g.Cost(perfect))
-	}
-	g.ActivateKeywords([]steiner.NodeID{kw})
-	if !g.KeywordActive(kw) {
-		t.Error("keyword should be active")
-	}
-	if !(g.Cost(perfect) < g.Cost(poor)) {
-		t.Errorf("perfect match should cost less: %v vs %v", g.Cost(perfect), g.Cost(poor))
+	rel := g.LookupRelation("go.term")
+	snap := g.Snapshot()
+	ov := snap.NewOverlay()
+	kw := ov.KeywordNode("membrane")
+	// Distinct targets: an overlay keeps one edge per (keyword, target).
+	perfect := ov.AddKeywordEdge(kw, attr, 1.0)
+	poor := ov.AddKeywordEdge(kw, rel, 0.2)
+	if !(ov.Cost(perfect) < ov.Cost(poor)) {
+		t.Errorf("perfect match should cost less: %v vs %v", ov.Cost(perfect), ov.Cost(poor))
 	}
 	// similarity clamped to [0,1]
-	clamped := g.AddKeywordEdge(kw, attr, 7)
-	if g.Cost(clamped) != g.Cost(perfect) {
-		t.Errorf("clamp broken: %v vs %v", g.Cost(clamped), g.Cost(perfect))
+	high := ov.AddKeywordEdge(kw, ov.ValueNode(ref("go.term", "name"), "membrane"), 7)
+	if want := kwEdgeCostRef(snap.Weights(), "edge:kw:membrane->go.term.name=membrane", 1); ov.Cost(high) != want {
+		t.Errorf("clamp above 1 broken: %v vs %v", ov.Cost(high), want)
 	}
-	// Deactivation disables again, and SetWeights must not resurrect.
-	g.ActivateKeywords(nil)
-	g.SetWeights(defaultWeights())
-	if g.Cost(perfect) != DisabledEdgeCost {
-		t.Errorf("deactivated keyword edge cost = %v, want disabled", g.Cost(perfect))
+	low := ov.AddKeywordEdge(kw, ov.ValueNode(ref("go.term", "name"), "x"), -3)
+	if want := kwEdgeCostRef(snap.Weights(), "edge:kw:membrane->go.term.name=x", 0); ov.Cost(low) != want {
+		t.Errorf("clamp below 0 broken: %v vs %v", ov.Cost(low), want)
+	}
+	if ov.Cost(high) != ov.Cost(perfect) {
+		t.Errorf("sim 7 should cost like sim 1: %v vs %v", ov.Cost(high), ov.Cost(perfect))
 	}
 }
 
@@ -248,13 +270,14 @@ func TestNodeLabels(t *testing.T) {
 	if g.Node(aid).Label() != "ip.pub.title" {
 		t.Errorf("attribute label = %q", g.Node(aid).Label())
 	}
-	vid := g.ValueNode(ref("ip.pub", "title"), "Paper")
-	if g.Node(vid).Label() != "ip.pub.title=Paper" {
-		t.Errorf("value label = %q", g.Node(vid).Label())
+	ov := g.Snapshot().NewOverlay()
+	vid := ov.ValueNode(ref("ip.pub", "title"), "Paper")
+	if ov.Node(vid).Label() != "ip.pub.title=Paper" {
+		t.Errorf("value label = %q", ov.Node(vid).Label())
 	}
-	kid := g.KeywordNode("pub")
-	if g.Node(kid).Label() != "kw:pub" {
-		t.Errorf("keyword label = %q", g.Node(kid).Label())
+	kid := ov.KeywordNode("pub")
+	if ov.Node(kid).Label() != "kw:pub" {
+		t.Errorf("keyword label = %q", ov.Node(kid).Label())
 	}
 }
 

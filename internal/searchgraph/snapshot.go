@@ -101,6 +101,11 @@ type Overlay struct {
 	kwSeen map[[2]steiner.NodeID]steiner.EdgeID
 }
 
+type valueKey struct {
+	ref   relstore.AttrRef
+	value string
+}
+
 // Snapshot returns the snapshot the overlay extends.
 func (o *Overlay) Snapshot() *Snapshot { return o.snap }
 
@@ -145,13 +150,8 @@ func (o *Overlay) KeywordEdges() []Edge {
 }
 
 // KeywordNode returns (and creates if needed) the overlay node for a query
-// keyword. A keyword node present in the base (a graph loaded from old
-// persisted form) is reused — its base edges stay disabled, the overlay
-// adds live ones.
+// keyword.
 func (o *Overlay) KeywordNode(keyword string) steiner.NodeID {
-	if id, ok := o.snap.s.kwNode[keyword]; ok {
-		return id
-	}
 	if id, ok := o.kwNode[keyword]; ok {
 		return id
 	}
@@ -168,9 +168,6 @@ func (o *Overlay) KeywordNode(keyword string) steiner.NodeID {
 // snapshot (a catalog/graph mismatch the caller should skip).
 func (o *Overlay) ValueNode(ref relstore.AttrRef, value string) steiner.NodeID {
 	k := valueKey{ref: ref, value: value}
-	if id, ok := o.snap.s.valNode[k]; ok {
-		return id
-	}
 	if id, ok := o.valNode[k]; ok {
 		return id
 	}
@@ -187,13 +184,22 @@ func (o *Overlay) ValueNode(ref relstore.AttrRef, value string) steiner.NodeID {
 }
 
 // AddKeywordEdge links a keyword node to a target node (either may be base
-// or overlay) with a learnable keyword-match edge, exactly as the builder's
-// AddKeywordEdge does — except the per-edge indicator weight is not written
-// into the shared weight vector: when the snapshot's weights carry no
-// learned value for it yet, KwEdgeBaseWeight enters the cost directly. A
-// feedback update that touches the edge seeds the weight for real (see
-// core's learner), so learned promotions and suppressions survive; until
-// then every query prices the edge identically without writing anywhere.
+// or overlay) with a learnable keyword-match edge. sim is the keyword
+// similarity score s_i (higher is better, clamped to [0,1]); it enters the
+// cost as a mismatch feature (1 − sim), so closer matches cost less under a
+// positive weight. Each keyword edge carries its own indicator feature —
+// the per-edge adjustable weights w_2, w_3, … of Figure 3 — so feedback can
+// promote or suppress one keyword match without touching the others.
+// Keyword edges deliberately do NOT share the global "default" feature:
+// that would let the learner inflate all keyword costs at once, destroying
+// the tight α radii VIEWBASEDALIGNER's pruning relies on (§3.3).
+//
+// The indicator weight is not written into the shared weight vector: when
+// the snapshot's weights carry no learned value for it yet,
+// KwEdgeBaseWeight enters the cost directly. A feedback update that touches
+// the edge seeds the weight for real (see core's learner), so learned
+// promotions and suppressions survive; until then every query prices the
+// edge identically without writing anywhere.
 func (o *Overlay) AddKeywordEdge(kw, target steiner.NodeID, sim float64) steiner.EdgeID {
 	if id, ok := o.kwSeen[[2]steiner.NodeID{kw, target}]; ok {
 		return id

@@ -87,3 +87,27 @@ func TestQgenDump(t *testing.T) {
 		}
 	}
 }
+
+// TestQshellSaveLoad drives qshell through a save/load round trip: a view,
+// save to a file, load it back, and read the restored view's rows.
+func TestQshellSaveLoad(t *testing.T) {
+	gt := goTool(t)
+	snap := filepath.Join(t.TempDir(), "q.snap")
+	cmd := exec.Command(gt, "run", "./cmd/qshell")
+	cmd.Stdin = strings.NewReader("query 'GO:0001000' 'fam_0'\nsave " + snap + "\nload " + snap + "\nrows 2\nquit\n")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("go run ./cmd/qshell: %v\n%s", err, out)
+	}
+	got := string(out)
+	_, afterLoad, ok := strings.Cut(got, "loaded "+snap+": ")
+	if !ok || !strings.Contains(afterLoad, " 1 views") {
+		t.Fatalf("qshell did not report loading 1 view:\n%s", got)
+	}
+	if !strings.Contains(afterLoad, "[0] cost=") {
+		t.Errorf("restored view printed no rows:\n%s", got)
+	}
+	if strings.Contains(got, "error:") {
+		t.Errorf("qshell reported an error:\n%s", got)
+	}
+}

@@ -66,6 +66,7 @@ func main() {
 	flag.Parse()
 
 	opts := core.DefaultOptions()
+	opts.MaxViews = *maxViews // 0 keeps the default
 	var q *core.Q
 	var err error
 	if *dataDir != "" {
@@ -114,7 +115,6 @@ func main() {
 		MaxInFlightQueries: *maxInflight,
 		WriteQueueDepth:    *writeQueue,
 		MaxParallel:        *maxParallel,
-		MaxViews:           *maxViews,
 		MaxBodyBytes:       *maxBody,
 		SlowQueryThreshold: *slowQuery,
 	})

@@ -94,8 +94,8 @@ func main() {
 			printHelp()
 		case "query":
 			// Traced so :trace can show where the last query's time went.
-			v, tr, err := q.QueryTraced(rest, 0)
-			lastTrace = tr
+			lastTrace = obs.NewTrace()
+			v, err := q.Query(core.Request{Keywords: core.ParseKeywords(rest), Trace: lastTrace})
 			if err != nil {
 				fmt.Println("error:", err)
 				continue

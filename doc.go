@@ -22,7 +22,9 @@
 // epoch counter; the catalog and corpus are cloned shallowly the same way.
 // Published generations are therefore frozen forever.
 //
-// Queries take NO lock at all. core.Query loads the current generation
+// Queries take NO lock at all. Q.Query, the one query entry point (a
+// core.Request: keywords — core.ParseKeywords splits a query string — k,
+// parallelism, ephemeral, an optional trace), loads the current generation
 // once, expands its keywords into a PRIVATE search-graph overlay
 // (searchgraph.Overlay: the keyword nodes, keyword edges and lazily
 // materialised value nodes of paper §2.2 — per-query state that never
@@ -106,8 +108,7 @@
 // post-registration world across ALL shards, never a torn subset
 // (TestShardedRegistrationSnapshotIsolation). Catalog persistence is
 // shard-agnostic: a catalog saved at one shard count reloads at any other
-// with byte-identical answers and lazily rebuilt segments. cmd/qbench -exp
-// shard prints the comparison across shard counts.
+// with byte-identical answers and lazily rebuilt segments.
 //
 // # Streaming execution
 //
@@ -194,7 +195,8 @@
 //     internal/relstore/stream_test.go and planner_test.go on randomised
 //     catalogs, join shapes and shard counts, and FuzzExecuteEquivalence and
 //     FuzzPlanEquivalence on arbitrary row values, through Execute,
-//     ExecuteBatch, BatchPlan.Execute and BatchPlan.TopKUnion. At the
+//     BatchPlan.Execute and BatchPlan.TopKUnion (the test-only
+//     ExecuteBatch runs a whole BatchPlan without a bound). At the
 //     pipeline level, internal/core/stream_test.go checks every view's result
 //     against the top-k prefix of its branch queries executed one by one and
 //     unioned in full, and every batched branch against its standalone
@@ -234,8 +236,7 @@
 // unpublished interim states bypass it). ExpansionCacheEntries and
 // MaterializationCacheEntries are the knobs (negative disables a cache;
 // both negative turn the layer off); Q.CacheStats exposes
-// hits/misses/computes/coalesced/evictions/live epochs. cmd/qbench -exp
-// cache prints the hit-rate/latency sweep across skews.
+// hits/misses/computes/coalesced/evictions/live epochs.
 //
 // # Durable storage
 //
@@ -280,9 +281,12 @@
 //
 // The HTTP layer (internal/server) inherits the model directly: POST
 // /query is a pure read and takes no server lock (a long registration
-// never blocks it — cmd/qbench -exp snapshot measures the difference);
-// POST /sources and feedback serialise inside Q; the server's own mutex
-// guards only the id↔view registry. Answer-carrying responses (POST /query,
+// never blocks it); POST /sources and feedback serialise inside Q; the
+// server keeps no view state and takes no lock — Q is the one view
+// registry, and a view's wire ID is "v" plus its core.View.ID, which Q
+// hands out in creation order, never reuses, and persists with the view
+// definitions (snapshot meta), so an ID names the same view across
+// restarts. Answer-carrying responses (POST /query,
 // GET /views/{id}, the feedback echo) carry an X-Q-Epoch header naming the
 // published generation the answers were computed at, so HTTP clients can
 // run their own epoch-keyed caches on the same no-invalidation contract —
@@ -309,11 +313,12 @@
 //     413 via http.MaxBytesReader; cmd/qserver runs its http.Server with
 //     read-header/read/write/idle timeouts so slow clients cannot wedge
 //     the accept loop.
-//   - POST /query?ephemeral=1 computes answers without registering a view
-//     anywhere (engine or server registry), and DELETE /views/{id} drops
-//     a registered one; the registry itself is capped at MaxViews (429 at
-//     the cap). A query storm can no longer grow server memory without
-//     bound — the old POST /query leaked one permanent view per request.
+//   - POST /query?ephemeral=1 computes answers without registering a view,
+//     and DELETE /views/{id} drops a registered one; the registry itself
+//     is capped at core.Options.MaxViews (core.ErrViewLimit, 429 at the
+//     cap; qserver -max-views). A query storm cannot grow server memory
+//     without bound. A query of more than 64 keywords gets 400 before any
+//     engine work.
 //   - Feedback naming a row the view's current materialisation does not
 //     have gets 409 Conflict, not 400: every weight update rematerialises
 //     every view, so a row index read moments ago can be stale through no
@@ -329,8 +334,7 @@
 // charged for its backlog instead of quietly slowing the client
 // (coordinated omission) — and reports p50/p99/p999, achieved QPS, shed
 // and error counts, and X-Q-Epoch churn as a table plus BENCH_qload.json,
-// the per-PR perf-trajectory artifact CI uploads (qbench -exp load is the
-// in-process counterpart).
+// the per-PR perf-trajectory artifact CI uploads.
 //
 // # Observability
 //
@@ -347,13 +351,13 @@
 // name+labels returns the same counter; callback gauges replace), so
 // layers can be torn down and rebuilt over one engine.
 //
-// Per-query stage tracing is opt-in per call: Q.QueryTraced /
-// Q.QueryEphemeralTraced thread an obs.Trace through the pipeline, which
-// records one span per stage — cache_lookup, coalesced_wait (when the
+// Per-query stage tracing is opt-in per call: a core.Request carrying a
+// caller-owned obs.Trace threads it through the pipeline, which records
+// one span per stage — cache_lookup, coalesced_wait (when the
 // singleflight layer parked the request behind an identical in-flight
 // computation), expand, steiner, translate, plan, execute, materialize.
 // Every instrument is valid as a nil pointer and no-ops disabled, so the
-// untraced path (Q.Query, and the benchmarks) pays one nil check per
+// untraced path (a nil Request.Trace) pays one nil check per
 // stage and zero clock reads. Traced wall time feeds the
 // qint_query_duration_seconds summary and the per-stage
 // qint_query_stage_seconds_total counters; the HTTP server traces every

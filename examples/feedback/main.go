@@ -41,7 +41,7 @@ func main() {
 	// only gold alignments and demoting answers built on bad ones.
 	for replay := 0; replay < 4; replay++ {
 		for _, qs := range corpus.Queries {
-			view, err := q.Query(qs)
+			view, err := q.Query(core.Request{Keywords: core.ParseKeywords(qs)})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -51,7 +51,7 @@ func main() {
 					log.Fatal(err)
 				}
 			}
-			q.DropView(view)
+			q.DropView(view.ID)
 		}
 		printGap(fmt.Sprintf("after replay %d:", replay+1))
 	}

@@ -30,7 +30,7 @@ func main() {
 	}
 
 	// A persistent information need: which publications mention PUB00003?
-	view, err := q.Query("'PUB00003' title")
+	view, err := q.Query(core.Request{Keywords: core.ParseKeywords("'PUB00003' title")})
 	if err != nil {
 		log.Fatal(err)
 	}

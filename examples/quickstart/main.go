@@ -36,7 +36,7 @@ func main() {
 	// 3. Ask a keyword query. 'single quotes' group multi-word phrases.
 	//    This one needs a join the matchers had to discover: GO:0001000 is
 	//    a GO accession, fam_0 an InterPro entry short name.
-	view, err := q.Query("'GO:0001000' 'fam_0'")
+	view, err := q.Query(core.Request{Keywords: core.ParseKeywords("'GO:0001000' 'fam_0'")})
 	if err != nil {
 		log.Fatal(err)
 	}

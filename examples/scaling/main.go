@@ -1,10 +1,7 @@
 // Scaling: the alignment-strategy comparison of §5.1.2 on a synthetic
 // 500-source search graph. EXHAUSTIVE matching grows with the graph;
 // VIEWBASEDALIGNER stays near the query neighbourhood; PREFERENTIALALIGNER
-// is bounded by its prior budget. At each size the keyword query is issued
-// twice: the first pays the full pipeline (cold), the repeat is served
-// from the epoch-keyed query cache (warm) — repeated traffic stays
-// near-free no matter how large the graph grows.
+// is bounded by its prior budget.
 //
 //	go run ./examples/scaling
 package main
@@ -12,7 +9,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"qint/internal/core"
 	"qint/internal/datasets"
@@ -47,22 +43,11 @@ func main() {
 			}
 		}
 
-		// One live view defines the α-neighbourhood. The repeat of the same
-		// query hits the materialisation cache at the current epoch: no
-		// expansion, no Steiner search, no execution.
-		start := time.Now()
-		v, err := q.Query("'GEN00001' transcript")
+		// One live view defines the α-neighbourhood.
+		v, err := q.Query(core.Request{Keywords: core.ParseKeywords("'GEN00001' transcript")})
 		if err != nil {
 			log.Fatal(err)
 		}
-		coldLatency := time.Since(start)
-		start = time.Now()
-		vw, err := q.Query("'GEN00001' transcript")
-		if err != nil {
-			log.Fatal(err)
-		}
-		warmLatency := time.Since(start)
-		q.DropView(vw)
 
 		// How many column comparisons would aligning a fresh 8-attribute
 		// source require under each strategy?
@@ -78,6 +63,5 @@ func main() {
 			q.CountTargetComparisons(rels, core.ViewBased),
 			q.CountTargetComparisons(rels, core.Preferential),
 			v.Alpha())
-		fmt.Printf("  query latency: cold=%v  warm(cached)=%v\n", coldLatency, warmLatency)
 	}
 }

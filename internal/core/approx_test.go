@@ -25,11 +25,11 @@ func TestApproxSteinerMode(t *testing.T) {
 
 	exact := build(false)
 	approx := build(true)
-	ve, err := exact.Query("'plasma membrane' 'Kringle domain'")
+	ve, err := queryStr(exact, "'plasma membrane' 'Kringle domain'")
 	if err != nil {
 		t.Fatal(err)
 	}
-	va, err := approx.Query("'plasma membrane' 'Kringle domain'")
+	va, err := queryStr(approx, "'plasma membrane' 'Kringle domain'")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,8 +96,8 @@ func TestCachedVsUncachedMetamorphic(t *testing.T) {
 		switch op := rng.Intn(10); {
 		case op < 6: // query (hot pool, repeats likely)
 			query := cacheQueryPool[rng.Intn(len(cacheQueryPool))]
-			v1, err1 := cached.Query(query)
-			v2, err2 := cold.Query(query)
+			v1, err1 := queryStr(cached, query)
+			v2, err2 := queryStr(cold, query)
 			if (err1 == nil) != (err2 == nil) {
 				t.Fatalf("step %d: query %q error mismatch: cached=%v cold=%v", step, query, err1, err2)
 			}
@@ -188,7 +188,7 @@ func TestCachedQueriesUnderConcurrentWrites(t *testing.T) {
 					default:
 					}
 					query := cacheQueryPool[rng.Intn(len(cacheQueryPool))]
-					v, err := q.Query(query)
+					v, err := queryStr(q, query)
 					if err != nil {
 						t.Errorf("engine %d: query %q: %v", ei, query, err)
 						return
@@ -198,7 +198,7 @@ func TestCachedQueriesUnderConcurrentWrites(t *testing.T) {
 					m := v.Current()
 					key := fmt.Sprintf("%d|%s", m.Epoch, query)
 					fp := fingerprintMat(v, m)
-					q.DropView(v) // keep the refresh fan-out bounded
+					q.DropView(v.ID) // keep the refresh fan-out bounded
 					r := recs[ei]
 					r.mu.Lock()
 					if prev, ok := r.fps[key]; ok && prev != fp {
@@ -247,8 +247,8 @@ func TestCachedQueriesUnderConcurrentWrites(t *testing.T) {
 	// Quiesced final sweep: both engines at the same final epoch must agree
 	// on the whole pool.
 	for _, query := range cacheQueryPool {
-		v1, err1 := cached.Query(query)
-		v2, err2 := cold.Query(query)
+		v1, err1 := queryStr(cached, query)
+		v2, err2 := queryStr(cold, query)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("final sweep %q: %v / %v", query, err1, err2)
 		}
@@ -272,7 +272,7 @@ func TestConcurrentIdenticalQueriesComputeOnce(t *testing.T) {
 	fps := make(chan string, n)
 	for i := 0; i < n; i++ {
 		go func() {
-			v, err := q.Query("'plasma membrane' term")
+			v, err := queryStr(q, "'plasma membrane' term")
 			if err != nil {
 				t.Error(err)
 				fps <- ""
@@ -334,9 +334,9 @@ func TestStatsAndCacheStatsRaceHammer(t *testing.T) {
 					return
 				default:
 				}
-				v, err := q.Query(cacheQueryPool[rng.Intn(len(cacheQueryPool))])
+				v, err := queryStr(q, cacheQueryPool[rng.Intn(len(cacheQueryPool))])
 				if err == nil {
-					q.DropView(v)
+					q.DropView(v.ID)
 				}
 			}
 		}(g)
@@ -364,7 +364,7 @@ func TestStatsAndCacheStatsRaceHammer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if v, err := q.Query(cacheQueryPool[0]); err == nil {
+	if v, err := queryStr(q, cacheQueryPool[0]); err == nil {
 		if m := v.Current(); m.Result != nil && len(m.Result.Rows) > 0 {
 			if err := q.FeedbackRow(v, 0, FeedbackValid); err != nil {
 				t.Fatal(err)

@@ -11,7 +11,7 @@
 //	q.AddMatcher(meta.New())
 //	q.AddMatcher(mad.New())
 //	q.AddTables(tables...)          // initial sources
-//	view, _ := q.Query("GO term name 'plasma membrane' publication titles")
+//	view, _ := q.Query(core.Request{Keywords: core.ParseKeywords("GO term name 'plasma membrane' publication titles")})
 //	...
 //	q.RegisterSource(newTables, core.ViewBased)   // search graph maintenance
 //	q.FeedbackFavor(view, goodAnswerRow)          // association cost learning
@@ -107,6 +107,10 @@ type Options struct {
 	// knob trades memory for repeated-query latency. 0 means the default;
 	// negative disables just this cache.
 	MaterializationCacheEntries int
+	// MaxViews caps the persistent view registry: at the cap, a persistent
+	// Query returns ErrViewLimit (ephemeral queries and the views a restart
+	// restores are exempt). Default 10000.
+	MaxViews int
 	// DataDir, when set, makes the instance durable: core.Open maps the
 	// newest generation snapshot in the directory and replays the epoch WAL
 	// tail, and every subsequent mutation is fsync'd to the WAL before its
@@ -138,6 +142,7 @@ func DefaultOptions() Options {
 		Shards:                      runtime.GOMAXPROCS(0),
 		ExpansionCacheEntries:       4096,
 		MaterializationCacheEntries: 256,
+		MaxViews:                    10000,
 	}
 }
 
@@ -172,6 +177,9 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaterializationCacheEntries == 0 {
 		o.MaterializationCacheEntries = d.MaterializationCacheEntries
+	}
+	if o.MaxViews <= 0 {
+		o.MaxViews = d.MaxViews
 	}
 	return o
 }
@@ -287,10 +295,12 @@ type Q struct {
 	// epoch counts state publishes that changed something.
 	epoch uint64
 
-	// viewsMu guards the views registry only (not view contents, which are
-	// swapped atomically per view).
-	viewsMu sync.Mutex
-	views   []*View
+	// viewsMu guards the view registry only (not view contents, which are
+	// swapped atomically per view): the persistent views in creation order,
+	// and the ID the next one gets.
+	viewsMu    sync.Mutex
+	views      []*View
+	nextViewID int64
 
 	// qc is the serving-layer query cache (nil when disabled). Its entries
 	// are keyed by published epoch, so it needs no invalidation: writers
@@ -600,25 +610,50 @@ func (q *Q) indexRelation(rel *relstore.Relation) {
 	}
 }
 
-// Views returns the persistent views in creation order.
+// Views returns the persistent views in creation order (ascending ID).
 func (q *Q) Views() []*View {
 	q.viewsMu.Lock()
 	defer q.viewsMu.Unlock()
 	return append([]*View(nil), q.views...)
 }
 
-// DropView removes a view from the maintenance set; the view keeps its
-// last materialisation but no longer participates in refreshes or
-// VIEWBASEDALIGNER neighbourhoods.
-func (q *Q) DropView(v *View) {
+// View returns the persistent view with the given ID, or nil if there is
+// none (never created, dropped, or ephemeral).
+func (q *Q) View(id int64) *View {
 	q.viewsMu.Lock()
 	defer q.viewsMu.Unlock()
-	for i, x := range q.views {
-		if x == v {
-			q.views = append(q.views[:i], q.views[i+1:]...)
-			return
-		}
+	if i, ok := q.viewIndexLocked(id); ok {
+		return q.views[i]
 	}
+	return nil
+}
+
+// DropView removes the view with the given ID from the maintenance set and
+// reports whether it was there. The view keeps its last materialisation but
+// no longer participates in refreshes or VIEWBASEDALIGNER neighbourhoods;
+// its ID is never handed out again.
+func (q *Q) DropView(id int64) bool {
+	q.viewsMu.Lock()
+	defer q.viewsMu.Unlock()
+	i, ok := q.viewIndexLocked(id)
+	if ok {
+		q.views = append(q.views[:i], q.views[i+1:]...)
+	}
+	return ok
+}
+
+// viewIndexLocked finds a view by ID: views are kept in creation order and
+// IDs ascend with it, so a binary search suffices. Callers hold viewsMu.
+func (q *Q) viewIndexLocked(id int64) (int, bool) {
+	i := sort.Search(len(q.views), func(i int) bool { return q.views[i].ID >= id })
+	return i, i < len(q.views) && q.views[i].ID == id
+}
+
+// atViewLimit reports whether the view registry is full.
+func (q *Q) atViewLimit() bool {
+	q.viewsMu.Lock()
+	defer q.viewsMu.Unlock()
+	return len(q.views) >= q.opts.MaxViews
 }
 
 // AddHandCodedAssociation inserts an association edge supplied by a human
@@ -638,9 +673,9 @@ func (q *Q) AddHandCodedAssociation(a, b relstore.AttrRef) {
 	q.publishLocked()
 }
 
-// parseKeywords splits a query string into keywords, honouring single
+// ParseKeywords splits a query string into keywords, honouring single
 // quotes for multi-word phrases ('plasma membrane').
-func parseKeywords(query string) []string {
+func ParseKeywords(query string) []string {
 	var out []string
 	var cur strings.Builder
 	inQuote := false

@@ -90,6 +90,11 @@ func newFixtureQ(t *testing.T, handCode bool) *Q {
 	return q
 }
 
+// queryStr runs a persistent query from a query string.
+func queryStr(q *Q, query string) (*View, error) {
+	return q.Query(Request{Keywords: ParseKeywords(query)})
+}
+
 func TestParseKeywords(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -102,23 +107,23 @@ func TestParseKeywords(t *testing.T) {
 		{"", nil},
 	}
 	for _, c := range cases {
-		got := parseKeywords(c.in)
+		got := ParseKeywords(c.in)
 		if strings.Join(got, "|") != strings.Join(c.want, "|") {
-			t.Errorf("parseKeywords(%q) = %v, want %v", c.in, got, c.want)
+			t.Errorf("ParseKeywords(%q) = %v, want %v", c.in, got, c.want)
 		}
 	}
 }
 
 func TestQueryEmptyFails(t *testing.T) {
 	q := newFixtureQ(t, false)
-	if _, err := q.Query("   "); err == nil {
+	if _, err := queryStr(q, "   "); err == nil {
 		t.Error("empty query should fail")
 	}
 }
 
 func TestQuerySingleSource(t *testing.T) {
 	q := newFixtureQ(t, false)
-	v, err := q.Query("entry 'PUB0001'")
+	v, err := queryStr(q, "entry 'PUB0001'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +142,7 @@ func TestQueryJoinAcrossForeignKeys(t *testing.T) {
 	q := newFixtureQ(t, false)
 	// "Kringle" is an entry name; "PUB0001" is its pub. A tree joining
 	// entry → entry2pub → pub answers both keywords.
-	v, err := q.Query("'Kringle domain' 'PUB0001'")
+	v, err := queryStr(q, "'Kringle domain' 'PUB0001'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +166,7 @@ func TestQueryAcrossSourcesViaAssociation(t *testing.T) {
 	// plasma membrane is a GO term; Kringle domain is the InterPro entry
 	// mapped to GO:0000001 == plasma membrane's acc. Only the hand-coded
 	// association bridges the sources.
-	v, err := q.Query("'plasma membrane' 'Kringle domain'")
+	v, err := queryStr(q, "'plasma membrane' 'Kringle domain'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +181,7 @@ func TestQueryAcrossSourcesViaAssociation(t *testing.T) {
 
 func TestViewRefreshAfterWeightChange(t *testing.T) {
 	q := newFixtureQ(t, true)
-	v, err := q.Query("'plasma membrane' 'Kringle domain'")
+	v, err := queryStr(q, "'plasma membrane' 'Kringle domain'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +201,7 @@ func TestViewRefreshAfterWeightChange(t *testing.T) {
 
 func TestTreeToQueryProducesValidSQL(t *testing.T) {
 	q := newFixtureQ(t, true)
-	v, err := q.Query("'plasma membrane' publication")
+	v, err := queryStr(q, "'plasma membrane' publication")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +218,7 @@ func TestTreeToQueryProducesValidSQL(t *testing.T) {
 
 func TestRegisterSourceExhaustive(t *testing.T) {
 	q := newFixtureQ(t, false)
-	if _, err := q.Query("term 'plasma membrane'"); err != nil {
+	if _, err := queryStr(q, "term 'plasma membrane'"); err != nil {
 		t.Fatal(err)
 	}
 	q.AddMatcher(meta.New())
@@ -279,7 +284,7 @@ func TestViewBasedAlignerPrunesTargets(t *testing.T) {
 		t.Fatal(err)
 	}
 	// View over the publications corner of the graph.
-	if v, err := q.Query("'PUB0001' title"); err != nil {
+	if v, err := queryStr(q, "'PUB0001' title"); err != nil {
 		t.Fatal(err)
 	} else if len(v.Result().Rows) < v.K {
 		t.Fatalf("fixture view must fill its %d slots, has %d rows", v.K, len(v.Result().Rows))
@@ -327,7 +332,7 @@ func TestViewBasedMatchesExhaustiveOnViewResults(t *testing.T) {
 	}
 
 	qe := mkQ()
-	ve, err := qe.Query("'PUB0001' title")
+	ve, err := queryStr(qe, "'PUB0001' title")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +341,7 @@ func TestViewBasedMatchesExhaustiveOnViewResults(t *testing.T) {
 	}
 
 	qv := mkQ()
-	vv, err := qv.Query("'PUB0001' title")
+	vv, err := queryStr(qv, "'PUB0001' title")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +422,7 @@ func TestValueOverlapFilterReducesComparisons(t *testing.T) {
 
 func TestFeedbackFavorsTargetTree(t *testing.T) {
 	q := newFixtureQ(t, true)
-	v, err := q.Query("'plasma membrane' 'Kringle domain'")
+	v, err := queryStr(q, "'plasma membrane' 'Kringle domain'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +453,7 @@ func TestFeedbackFavorsTargetTree(t *testing.T) {
 
 func TestFeedbackKeepsEdgeCostsPositive(t *testing.T) {
 	q := newFixtureQ(t, true)
-	v, err := q.Query("'plasma membrane' 'Kringle domain'")
+	v, err := queryStr(q, "'plasma membrane' 'Kringle domain'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +482,7 @@ func TestFeedbackKeepsEdgeCostsPositive(t *testing.T) {
 
 func TestFeedbackRowValidAndInvalid(t *testing.T) {
 	q := newFixtureQ(t, true)
-	v, err := q.Query("'plasma membrane' 'Kringle domain'")
+	v, err := queryStr(q, "'plasma membrane' 'Kringle domain'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +530,7 @@ func TestCountTargetComparisons(t *testing.T) {
 	if err := q.AddTables(fixtureTables(t)...); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Query("'PUB0001' title"); err != nil {
+	if _, err := queryStr(q, "'PUB0001' title"); err != nil {
 		t.Fatal(err)
 	}
 	newRel := &relstore.Relation{Source: "x", Name: "r",
@@ -554,7 +559,7 @@ func TestAssocCostThresholdPrunesTrees(t *testing.T) {
 	q.AddHandCodedAssociation(
 		relstore.AttrRef{Relation: "go.term", Attr: "acc"},
 		relstore.AttrRef{Relation: "ip.interpro2go", Attr: "go_id"})
-	v, err := q.Query("'plasma membrane' 'Kringle domain'")
+	v, err := queryStr(q, "'plasma membrane' 'Kringle domain'")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,10 +35,11 @@ import (
 //   - AddMatcher: matchers are code; re-registering installs only weights
 //     that are still missing, so it converges with replayed feedback.
 //   - Queries and views: Query is the lock-free read path and must not
-//     fsync. View definitions persist via checkpoint snapshots instead
-//     (Close checkpoints, so a clean shutdown loses nothing; a crash loses
-//     only views created since the last checkpoint — their answers were
-//     pure reads).
+//     fsync. View definitions and IDs persist via checkpoint snapshots
+//     instead (Close checkpoints, so a clean shutdown loses nothing; a
+//     crash loses only the views created or dropped since the last
+//     checkpoint — their answers were pure reads — and the IDs handed out
+//     since, which the next views may get again).
 //   - SetParallelism / cache knobs: per-process tuning, not state.
 
 // WAL record kinds (the storage layer treats them as opaque).
@@ -83,16 +84,22 @@ type walAssocBulk struct {
 }
 
 // snapMeta is the snapshot container's "meta" section: versioning plus the
-// persistent view definitions (contents are a function of the graph).
+// persistent view registry (view contents are a function of the graph).
+// NextID is the ID the next view gets, so a deleted view's ID is not handed
+// out again after a restart.
 type snapMeta struct {
 	Version int        `json:"version"`
 	Views   []viewSnap `json:"views"`
+	NextID  int64      `json:"next_id,omitempty"`
 }
 
 // viewSnap is one persistent view definition. Views are saved as
-// (keywords, k) and rematerialised on restore: their contents are a
-// function of the graph, which is saved exactly.
+// (ID, keywords, k) and rematerialised on restore: their contents are a
+// function of the graph, which is saved exactly. Snapshots written before
+// IDs were persisted carry none; such a view gets its position as its ID,
+// which is the ID the server used to give it.
 type viewSnap struct {
+	ID       *int64   `json:"id,omitempty"`
 	Keywords []string `json:"keywords"`
 	K        int      `json:"k"`
 }
@@ -116,8 +123,8 @@ type persistence struct {
 	// writerMu.
 	lastErr error
 
-	// snapViewsSig fingerprints the view definitions the current snapshot
-	// carries (they are the only snapshot-only state): a checkpoint with an
+	// snapViewsSig fingerprints the view registry the current snapshot
+	// carries (it is the only snapshot-only state): a checkpoint with an
 	// empty WAL and unchanged views has nothing to fold and is skipped, so
 	// Close on an untouched instance does not rewrite the snapshot. Guarded
 	// by writerMu.
@@ -202,6 +209,7 @@ func openFrom(st *storage.Store, opts Options) (*Q, error) {
 // is the state published and the persistent views rematerialised.
 func (q *Q) restore(snap *storage.Container, records []storage.Record) error {
 	var views []viewSnap
+	var nextID int64
 	if snap != nil {
 		catSec, okCat := snap.Section("catalog")
 		graphSec, okGraph := snap.Section("graph")
@@ -216,7 +224,7 @@ func (q *Q) restore(snap *storage.Container, records []storage.Record) error {
 		if meta.Version != snapMetaVersion {
 			return fmt.Errorf("core: unsupported snapshot meta version %d", meta.Version)
 		}
-		views = meta.Views
+		views, nextID = meta.Views, meta.NextID
 		cat, err := relstore.LoadCatalogBinary(catSec, q.opts.Shards)
 		if err != nil {
 			return err
@@ -250,14 +258,30 @@ func (q *Q) restore(snap *storage.Container, records []storage.Record) error {
 	q.writerMu.Unlock()
 
 	// Each view expands its saved keyword list into a fresh overlay and
-	// materialises at its saved k. QueryKeywords takes the list verbatim:
+	// materialises at its saved k. The keyword list is taken verbatim:
 	// re-joining keywords into a query string would corrupt any keyword
 	// containing a quote and drop empty ones, and the saved k (not
-	// Options.K) is what makes the round trip exact.
-	for _, vs := range views {
-		if _, err := q.QueryKeywords(vs.Keywords, vs.K); err != nil {
+	// Options.K) is what makes the round trip exact. The view then rejoins
+	// the registry under its saved ID, exempt from Options.MaxViews: a
+	// restart must not lose views a smaller cap would refuse.
+	for i, vs := range views {
+		id := int64(i)
+		if vs.ID != nil {
+			id = *vs.ID
+		}
+		if id < 0 || i > 0 && id <= q.views[i-1].ID {
+			return fmt.Errorf("core: restore view %v: ID %d is negative or does not ascend", vs.Keywords, id)
+		}
+		v, err := q.Query(Request{Keywords: vs.Keywords, K: vs.K, Ephemeral: true})
+		if err != nil {
 			return fmt.Errorf("core: restore view %v: %w", vs.Keywords, err)
 		}
+		v.ID = id
+		q.views = append(q.views, v)
+	}
+	q.nextViewID = nextID
+	if n := len(q.views); n > 0 && q.views[n-1].ID >= nextID {
+		q.nextViewID = q.views[n-1].ID + 1
 	}
 	return nil
 }
@@ -418,24 +442,31 @@ func (q *Q) checkpointLocked() error {
 	return nil
 }
 
-// viewsSigLocked fingerprints the persistent view definitions (keywords
-// and k) for the checkpoint-skip test above.
+// viewsSigLocked fingerprints the persistent view registry — the meta
+// section itself: IDs, keywords, k and the next ID — for the
+// checkpoint-skip test above. Deleting a view and re-creating the same
+// keywords changes it, so the new ID is checkpointed.
 func (q *Q) viewsSigLocked() string {
-	var b bytes.Buffer
-	for _, v := range q.Views() {
-		fmt.Fprintf(&b, "%q:%d;", v.Keywords, v.K)
+	b, _ := json.Marshal(q.snapMeta()) // strings and integers always encode
+	return string(b)
+}
+
+// snapMeta captures the view registry as the snapshot's meta section.
+func (q *Q) snapMeta() snapMeta {
+	q.viewsMu.Lock()
+	defer q.viewsMu.Unlock()
+	meta := snapMeta{Version: snapMetaVersion, NextID: q.nextViewID}
+	for _, v := range q.views {
+		meta.Views = append(meta.Views, viewSnap{ID: &v.ID, Keywords: v.Keywords, K: v.K})
 	}
-	return b.String()
+	return meta
 }
 
 // writeSnapshotSections streams the builder state into a generation
 // snapshot container. Section order is fixed; every encoder is
 // deterministic, so identical states produce identical snapshot bytes.
 func (q *Q) writeSnapshotSections(sa storage.SectionAdder) error {
-	meta := snapMeta{Version: snapMetaVersion}
-	for _, v := range q.Views() {
-		meta.Views = append(meta.Views, viewSnap{Keywords: v.Keywords, K: v.K})
-	}
+	meta := q.snapMeta()
 	if err := sa.Section("meta", func(w io.Writer) error {
 		return json.NewEncoder(w).Encode(meta)
 	}); err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -53,7 +54,7 @@ func driveMutations(t *testing.T, q *Q) {
 	q.AddHandCodedAssociation(
 		relstore.AttrRef{Relation: "go.term", Attr: "acc"},
 		relstore.AttrRef{Relation: "ip.interpro2go", Attr: "go_id"})
-	v, err := q.QueryKeywords([]string{"plasma membrane", "Kringle domain"}, 4)
+	v, err := q.Query(Request{Keywords: []string{"plasma membrane", "Kringle domain"}, K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestRestartEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	q2 := reopen(t, opts)
-	if _, err := q2.QueryKeywords([]string{"plasma membrane", "Kringle domain"}, 4); err != nil {
+	if _, err := q2.Query(Request{Keywords: []string{"plasma membrane", "Kringle domain"}, K: 4}); err != nil {
 		t.Fatal(err)
 	}
 	if got := fingerprintQ(q2); got != want {
@@ -179,7 +180,7 @@ func TestDurableCleanShutdown(t *testing.T) {
 		t.Fatalf("clean restart diverged:\nwant:\n%s\ngot:\n%s", want, got)
 	}
 	// The reopened instance keeps working durably.
-	if _, err := q2.QueryKeywords([]string{"nucleus", "entry"}, 2); err != nil {
+	if _, err := q2.Query(Request{Keywords: []string{"nucleus", "entry"}, K: 2}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -327,5 +328,53 @@ func TestDurableBackgroundCheckpoint(t *testing.T) {
 	q2 := reopen(t, opts)
 	if got := fingerprintQ(q2); got != want {
 		t.Fatalf("background-checkpointed store diverged:\nwant:\n%s\ngot:\n%s", want, got)
+	}
+}
+
+// TestCheckpointTracksViewIDs: the checkpoint-skip test fingerprints view
+// IDs and the next ID, not just (keywords, k). Deleting a view and
+// re-creating the same keywords, or creating and deleting one, changes what
+// the snapshot must carry even though the keyword lists look the same; a
+// skipped checkpoint would bring back the deleted ID on restart.
+func TestCheckpointTracksViewIDs(t *testing.T) {
+	opts := durableOpts(t)
+	q := reopen(t, opts)
+	if err := q.AddTables(fixtureTables(t)...); err != nil {
+		t.Fatal(err)
+	}
+	kws := []string{"plasma membrane", "Kringle domain"}
+	if _, err := q.Query(Request{Keywords: kws}); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	q.DropView(0)
+	if v, err := q.Query(Request{Keywords: kws}); err != nil {
+		t.Fatal(err)
+	} else if v.ID != 1 {
+		t.Fatalf("re-created view has ID %d, want 1", v.ID)
+	}
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	q2 := reopen(t, opts)
+	if got := viewIDs(q2); !reflect.DeepEqual(got, []int64{1}) {
+		t.Fatalf("view IDs after restart = %v, want [1]", got)
+	}
+	// Create and delete one: only the next ID changed.
+	if v, err := q2.Query(Request{Keywords: kws}); err != nil || !q2.DropView(v.ID) {
+		t.Fatalf("create and drop: %v", err)
+	}
+	if err := q2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	q3 := reopen(t, opts)
+	if v, err := q3.Query(Request{Keywords: kws}); err != nil {
+		t.Fatal(err)
+	} else if v.ID != 3 {
+		t.Fatalf("view after restart has ID %d, want 3", v.ID)
 	}
 }

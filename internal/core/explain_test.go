@@ -7,7 +7,7 @@ import (
 
 func TestExplain(t *testing.T) {
 	q := newFixtureQ(t, true)
-	v, err := q.Query("'plasma membrane' 'Kringle domain'")
+	v, err := queryStr(q, "'plasma membrane' 'Kringle domain'")
 	if err != nil {
 		t.Fatal(err)
 	}

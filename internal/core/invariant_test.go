@@ -154,7 +154,7 @@ func TestViewBasedEqualsExhaustiveRandomized(t *testing.T) {
 			}
 			var rendered []string
 			for _, qs := range queries {
-				v, err := q.Query(qs)
+				v, err := queryStr(q, qs)
 				if err != nil {
 					t.Fatalf("trial %d query %q: %v", trial, qs, err)
 				}

@@ -39,20 +39,21 @@ func TestTracingMetamorphic(t *testing.T) {
 		plain := newFixtureQ(t, true)
 		traced := newFixtureQ(t, true)
 
-		pv, err := plain.Query(query)
+		pv, err := queryStr(plain, query)
 		if err != nil {
 			t.Fatalf("Query(%q): %v", query, err)
 		}
-		tv, tr, err := traced.QueryTraced(query, 0)
+		tr := obs.NewTrace()
+		tv, err := traced.Query(Request{Keywords: ParseKeywords(query), Trace: tr})
 		if err != nil {
-			t.Fatalf("QueryTraced(%q): %v", query, err)
+			t.Fatalf("traced Query(%q): %v", query, err)
 		}
 		if got, want := viewFingerprint(tv), viewFingerprint(pv); got != want {
 			t.Errorf("query %q: traced view differs from untraced:\n--- traced ---\n%s--- untraced ---\n%s", query, got, want)
 		}
 
-		if tr == nil || tr.ID() == "" {
-			t.Fatalf("query %q: no trace returned", query)
+		if tr.ID() == "" {
+			t.Fatalf("query %q: trace has no ID", query)
 		}
 		totals := tr.StageTotals()
 		for _, st := range []obs.Stage{obs.StageCacheLookup, obs.StageExpand, obs.StageSteiner, obs.StageMaterialize} {
@@ -66,11 +67,11 @@ func TestTracingMetamorphic(t *testing.T) {
 	}
 }
 
-// TestUntracedQueryReturnsNilTrace pins the disabled fast path: the plain
-// entry points must not fabricate a trace.
+// TestUntracedQueryReturnsNilTrace pins the disabled fast path: a request
+// without a Trace must not fabricate one.
 func TestUntracedQueryReturnsNilTrace(t *testing.T) {
 	q := newFixtureQ(t, false)
-	if _, err := q.Query("entry 'PUB0001'"); err != nil {
+	if _, err := queryStr(q, "entry 'PUB0001'"); err != nil {
 		t.Fatal(err)
 	}
 	if q.metrics.queryDur.Count() != 0 {
@@ -84,11 +85,12 @@ func TestUntracedQueryReturnsNilTrace(t *testing.T) {
 // exposition covering the engine families.
 func TestEngineMetricsAccounting(t *testing.T) {
 	q := newFixtureQ(t, true)
-	if _, _, err := q.QueryTraced("entry 'PUB0001'", 0); err != nil {
+	kws := ParseKeywords("entry 'PUB0001'")
+	if _, err := q.Query(Request{Keywords: kws, Trace: obs.NewTrace()}); err != nil {
 		t.Fatal(err)
 	}
 	// Identical ephemeral query: served from the materialisation cache.
-	if _, _, err := q.QueryEphemeralTraced("entry 'PUB0001'", 0); err != nil {
+	if _, err := q.Query(Request{Keywords: kws, Ephemeral: true, Trace: obs.NewTrace()}); err != nil {
 		t.Fatal(err)
 	}
 

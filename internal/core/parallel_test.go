@@ -200,11 +200,11 @@ func TestParallelQueryEquivalence(t *testing.T) {
 				t.Fatalf("Parallelism = %d, want 8", got)
 			}
 			for _, kw := range c.queries {
-				vs, err := serial.Query(kw)
+				vs, err := queryStr(serial, kw)
 				if err != nil {
 					t.Fatalf("serial query %q: %v", kw, err)
 				}
-				vp, err := parallel.Query(kw)
+				vp, err := queryStr(parallel, kw)
 				if err != nil {
 					t.Fatalf("parallel query %q: %v", kw, err)
 				}
@@ -229,10 +229,10 @@ func TestParallelRefreshEquivalence(t *testing.T) {
 			serial := c.build(t, 1)
 			parallel := c.build(t, 8)
 			for _, kw := range c.queries {
-				if _, err := serial.Query(kw); err != nil {
+				if _, err := queryStr(serial, kw); err != nil {
 					t.Fatalf("serial query %q: %v", kw, err)
 				}
-				if _, err := parallel.Query(kw); err != nil {
+				if _, err := queryStr(parallel, kw); err != nil {
 					t.Fatalf("parallel query %q: %v", kw, err)
 				}
 			}

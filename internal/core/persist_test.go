@@ -3,17 +3,20 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"qint/internal/relstore"
+	"qint/internal/storage"
 )
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	q := newFixtureQ(t, true)
-	v, err := q.Query("'plasma membrane' 'Kringle domain'")
+	v, err := queryStr(q, "'plasma membrane' 'Kringle domain'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +107,8 @@ func TestLoadRejectsGarbage(t *testing.T) {
 // list used to hit: views were recreated by re-joining keywords as 'kw'
 // (so a quote inside a keyword ended the phrase early and an empty keyword
 // vanished), and were rematerialised at the loaded Options.K instead of
-// the k each view was saved with. QueryKeywords takes the list and k
-// verbatim, so every view — whatever its keywords contain — must come back
+// the k each view was saved with. Query takes a Request's keyword list and
+// k verbatim, so every view — whatever its keywords contain — must come back
 // byte-identical.
 func TestSaveLoadHostileKeywords(t *testing.T) {
 	q := newFixtureQ(t, true)
@@ -120,9 +123,9 @@ func TestSaveLoadHostileKeywords(t *testing.T) {
 	const savedK = 3 // differs from DefaultOptions().K=5 to catch the K bug
 	var before []string
 	for _, kws := range hostile {
-		v, err := q.QueryKeywords(kws, savedK)
+		v, err := q.Query(Request{Keywords: kws, K: savedK})
 		if err != nil {
-			t.Fatalf("QueryKeywords(%q): %v", kws, err)
+			t.Fatalf("Query(%q): %v", kws, err)
 		}
 		before = append(before, fingerprintView(v))
 	}
@@ -151,21 +154,21 @@ func TestSaveLoadHostileKeywords(t *testing.T) {
 	}
 }
 
-// TestQueryKeywordsValidation: the list-based entry point rejects an empty
-// list (no keywords means no terminals) but accepts any keyword contents.
+// TestQueryKeywordsValidation: Query rejects an empty keyword list (no
+// keywords means no terminals) and falls back to Options.K for k <= 0.
 func TestQueryKeywordsValidation(t *testing.T) {
 	q := newFixtureQ(t, false)
-	if _, err := q.QueryKeywords(nil, 0); err == nil {
+	if _, err := q.Query(Request{}); err == nil {
 		t.Error("empty keyword list should fail")
 	}
-	if _, err := q.QueryKeywords([]string{"nucleus", "entry"}, 0); err != nil {
+	if _, err := q.Query(Request{Keywords: []string{"nucleus", "entry"}}); err != nil {
 		t.Errorf("k<=0 should fall back to Options.K: %v", err)
 	}
 }
 
 func TestLoadedInstanceKeepsWorking(t *testing.T) {
 	q := newFixtureQ(t, true)
-	if _, err := q.Query("'plasma membrane' 'Kringle domain'"); err != nil {
+	if _, err := queryStr(q, "'plasma membrane' 'Kringle domain'"); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
@@ -177,7 +180,7 @@ func TestLoadedInstanceKeepsWorking(t *testing.T) {
 		t.Fatal(err)
 	}
 	// New query on the loaded instance.
-	v, err := q2.Query("'nucleus' entry")
+	v, err := queryStr(q2, "'nucleus' entry")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +260,7 @@ func TestSaveIsCheckpointFormat(t *testing.T) {
 	q.AddHandCodedAssociation(
 		relstore.AttrRef{Relation: "go.term", Attr: "acc"},
 		relstore.AttrRef{Relation: "ip.interpro2go", Attr: "go_id"})
-	v, err := q.Query("'plasma membrane' 'Kringle domain'")
+	v, err := queryStr(q, "'plasma membrane' 'Kringle domain'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,8 +276,8 @@ func TestSaveIsCheckpointFormat(t *testing.T) {
 		{"zoë", "plasma membrane"},
 		{"nul\x00byte", "entry"},
 	} {
-		if _, err := q.QueryKeywords(kws, 3); err != nil {
-			t.Fatalf("QueryKeywords(%q): %v", kws, err)
+		if _, err := q.Query(Request{Keywords: kws, K: 3}); err != nil {
+			t.Fatalf("Query(%q): %v", kws, err)
 		}
 	}
 
@@ -314,5 +317,116 @@ func TestSaveIsCheckpointFormat(t *testing.T) {
 		if got, want := fingerprintView(lv[i]), fingerprintView(ov[i]); got != want {
 			t.Errorf("view %d: Load differs from Open:\nload:\n%s\nopen:\n%s", i, got, want)
 		}
+	}
+}
+
+// viewIDs lists the IDs of q's persistent views in registry order.
+func viewIDs(q *Q) []int64 {
+	var ids []int64
+	for _, v := range q.Views() {
+		ids = append(ids, v.ID)
+	}
+	return ids
+}
+
+// TestViewIDsSurviveSaveLoad: view IDs persist with the view definitions,
+// so after Save/Load every surviving view keeps its ID and answers, a
+// dropped ID stays unknown, and the next view gets a fresh ID rather than
+// the dropped one.
+func TestViewIDsSurviveSaveLoad(t *testing.T) {
+	q := newFixtureQ(t, true)
+	for _, s := range []string{"'plasma membrane' 'Kringle domain'", "entry 'PUB0001'", "'nucleus' entry"} {
+		if _, err := queryStr(q, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !q.DropView(1) || q.DropView(1) {
+		t.Fatal("DropView(1) must succeed exactly once")
+	}
+	want := map[int64]string{}
+	for _, v := range q.Views() {
+		want[v.ID] = fingerprintView(v)
+	}
+	var buf bytes.Buffer
+	if err := q.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	q2, err := Load(bytes.NewReader(buf.Bytes()), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := viewIDs(q2); !reflect.DeepEqual(got, []int64{0, 2}) {
+		t.Fatalf("loaded view IDs = %v, want [0 2]", got)
+	}
+	for id, fp := range want {
+		if v := q2.View(id); v == nil || fingerprintView(v) != fp {
+			t.Errorf("view %d did not survive Save/Load intact", id)
+		}
+	}
+	if q2.View(1) != nil {
+		t.Error("the dropped view 1 is back after Save/Load")
+	}
+	v, err := queryStr(q2, "'plasma membrane' 'Kringle domain'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.ID != 3 {
+		t.Errorf("next view after Load has ID %d, want 3", v.ID)
+	}
+}
+
+// TestLoadSnapshotWithoutViewIDs: a snapshot written before view IDs were
+// persisted has none in its meta section. Its views get their positions as
+// IDs — the IDs the server used to give them — and the next view the ID
+// after the last.
+func TestLoadSnapshotWithoutViewIDs(t *testing.T) {
+	q := newFixtureQ(t, true)
+	for _, s := range []string{"'plasma membrane' 'Kringle domain'", "entry 'PUB0001'"} {
+		if _, err := queryStr(q, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := q.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := storage.OpenContainer(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rewrite the container with the meta section an older build wrote.
+	var legacy bytes.Buffer
+	cw, err := storage.NewContainerWriter(&legacy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range saved.SectionNames() {
+		sec, _ := saved.Section(name)
+		if name == "meta" {
+			sec = []byte(`{"version":1,"views":[{"keywords":["plasma membrane","Kringle domain"],"k":5},{"keywords":["entry","PUB0001"],"k":5}]}` + "\n")
+		}
+		if err := cw.Section(name, func(w io.Writer) error { _, err := w.Write(sec); return err }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cw.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	q2, err := Load(bytes.NewReader(legacy.Bytes()), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := viewIDs(q2); !reflect.DeepEqual(got, []int64{0, 1}) {
+		t.Fatalf("view IDs = %v, want [0 1]", got)
+	}
+	for i, v := range q2.Views() {
+		if fingerprintView(v) != fingerprintView(q.Views()[i]) {
+			t.Errorf("view %d differs after the legacy round trip", i)
+		}
+	}
+	if v, err := queryStr(q2, "'nucleus' entry"); err != nil {
+		t.Fatal(err)
+	} else if v.ID != 2 {
+		t.Errorf("next view has ID %d, want 2", v.ID)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -20,9 +21,13 @@ import (
 // The materialisation is swapped atomically: readers (HTTP handlers, other
 // goroutines) call Trees/Queries/Result/Alpha and get one coherent
 // generation, while a concurrent Refresh builds the next generation aside
-// and publishes it with a pointer store. Keywords and K are immutable after
-// creation.
+// and publishes it with a pointer store. ID, Keywords and K are immutable
+// once Query returns.
 type View struct {
+	// ID names a persistent view for its lifetime, across Close/Open and
+	// Save/Load: Q hands out IDs in creation order and never reuses one.
+	// An ephemeral view's ID is -1.
+	ID       int64
 	Keywords []string
 	K        int
 
@@ -166,128 +171,92 @@ func (v *View) Edge(id steiner.EdgeID) searchgraph.Edge { return v.Current().Edg
 // (see Node for the coherence caveat).
 func (v *View) EdgeCost(id steiner.EdgeID) float64 { return v.Current().EdgeCost(id) }
 
-// Query parses a keyword query ('single quotes' group phrases), expands a
-// private query-graph overlay over the current published snapshot, computes
-// the top-k Steiner trees, generates and executes their conjunctive
-// queries, and unions the answers into a ranked view. The view is
-// persistent: it is retained for refresh on future search-graph
-// maintenance.
+// Request is one keyword query. Keywords are taken verbatim (ParseKeywords
+// splits a query string; keywords containing quotes or spaces pass through
+// untouched) and are retained by the view, so the caller must not modify the
+// slice afterwards. K bounds the view's answer count (<= 0: Options.K).
+// Parallelism sizes this call's own translation fan-out (<= 0: the
+// published default; the global in-flight execution bound still applies);
+// answers are byte-identical at any setting. Ephemeral computes the answers
+// without registering the view. Trace, when non-nil, receives the query's
+// stage breakdown (cache lookup, expansion, Steiner search, translation,
+// planning, execution, materialisation) and its totals are folded into the
+// qint_query_stage_* metric families; a nil Trace costs one nil check per
+// stage and no clock reads.
+type Request struct {
+	Keywords    []string
+	K           int
+	Parallelism int
+	Ephemeral   bool
+	Trace       *obs.Trace
+}
+
+// ErrViewLimit is returned by a persistent Query when the view registry
+// already holds Options.MaxViews views.
+var ErrViewLimit = errors.New("core: view registry full")
+
+// Query expands the request's keywords into a private query-graph overlay
+// over the current published snapshot, computes the top-k Steiner trees,
+// generates and executes their conjunctive queries, and unions the answers
+// into a ranked view. Unless the request is ephemeral the view is
+// persistent: it gets the next view ID and is retained for refresh on
+// future search-graph maintenance, up to Options.MaxViews views.
+//
+// An ephemeral view carries its answers (computed through the same
+// epoch-keyed cache, so a hot keyword stream is still near-free) but never
+// participates in refreshes or VIEWBASEDALIGNER neighbourhoods and holds no
+// reference from Q — a storm of ephemeral queries leaves the engine's
+// footprint bounded by the materialisation cache's LRU capacity. Its ID is
+// -1.
 //
 // Query acquires no graph-wide lock: it works entirely against the state
 // generation current at its start, so it runs concurrently with other
 // queries AND with writers. A registration or feedback update committed
 // after the query starts is not visible to it; the next Refresh (which
-// every writer triggers or implies) brings the view up to date.
-func (q *Q) Query(query string) (*View, error) { return q.QueryWith(query, 0) }
-
-// QueryWith is Query with a per-call parallelism override (0 means the
-// published default). The override sizes this call's own translation
-// fan-out; the global in-flight execution bound still applies. Answers are
-// byte-identical at any setting.
-//
-// Repeated queries are served from the materialisation cache: two views
-// with the same keyword sequence at the same published epoch share one
+// every writer triggers or implies) brings the view up to date. Repeated
+// queries are served from the materialisation cache: two views with the
+// same keyword sequence and k at the same published epoch share one
 // immutable materialisation (and N concurrent identical cold queries
 // compute it once — see cache.go), with answers byte-identical to an
 // uncached run.
-func (q *Q) QueryWith(query string, parallelism int) (*View, error) {
-	keywords := parseKeywords(query)
-	if len(keywords) == 0 {
-		return nil, fmt.Errorf("core: empty keyword query %q", query)
+func (q *Q) Query(r Request) (*View, error) {
+	if len(r.Keywords) == 0 {
+		return nil, errEmptyQuery
 	}
-	return q.queryKeywords(keywords, 0, parallelism)
-}
-
-// QueryEphemeralWith is QueryWith for answers-only traffic: it computes
-// the view materialisation (through the same epoch-keyed cache, so a hot
-// keyword stream is still near-free) but does NOT register the view in the
-// maintenance set. The returned View carries its answers, yet it never
-// participates in refreshes or VIEWBASEDALIGNER neighbourhoods and holds
-// no reference from Q — a storm of ephemeral queries leaves the engine's
-// footprint bounded by the materialisation cache's LRU capacity. This is
-// the serving path for load drivers and stateless read traffic
-// (POST /query?ephemeral=1 in internal/server).
-func (q *Q) QueryEphemeralWith(query string, parallelism int) (*View, error) {
-	keywords := parseKeywords(query)
-	if len(keywords) == 0 {
-		return nil, fmt.Errorf("core: empty keyword query %q", query)
+	// Cheap pre-check so a query storm at the cap fails before engine work;
+	// the registration below re-checks authoritatively.
+	if !r.Ephemeral && q.atViewLimit() {
+		return nil, ErrViewLimit
 	}
-	v, _, err := q.runQuery(keywords, 0, parallelism, true, nil)
-	return v, err
-}
-
-// QueryTraced is QueryWith with per-stage tracing: the returned trace
-// carries the query's id and stage breakdown (cache lookup, expansion,
-// Steiner search, translation, planning, execution, materialisation) and
-// its totals are folded into the qint_query_stage_* metric families.
-// Tracing is per-call: untraced queries pay one nil check per stage and no
-// clock reads.
-func (q *Q) QueryTraced(query string, parallelism int) (*View, *obs.Trace, error) {
-	keywords := parseKeywords(query)
-	if len(keywords) == 0 {
-		return nil, nil, fmt.Errorf("core: empty keyword query %q", query)
-	}
-	return q.runQuery(keywords, 0, parallelism, false, obs.NewTrace())
-}
-
-// QueryEphemeralTraced is QueryEphemeralWith with per-stage tracing (see
-// QueryTraced) — the serving path's traced variant.
-func (q *Q) QueryEphemeralTraced(query string, parallelism int) (*View, *obs.Trace, error) {
-	keywords := parseKeywords(query)
-	if len(keywords) == 0 {
-		return nil, nil, fmt.Errorf("core: empty keyword query %q", query)
-	}
-	return q.runQuery(keywords, 0, parallelism, true, obs.NewTrace())
-}
-
-// QueryKeywords runs a keyword query from an already-split keyword list,
-// bypassing the quote-aware string parser entirely — keywords containing
-// quotes, spaces, or any other byte sequence (even ones parseKeywords could
-// never produce) pass through verbatim. k bounds the view's answer count;
-// k <= 0 uses the configured default. This is the restart path: persisted
-// views are saved as (keywords, k) and must round-trip exactly, not through
-// a lossy re-quoting of their keyword list.
-func (q *Q) QueryKeywords(keywords []string, k int) (*View, error) {
-	if len(keywords) == 0 {
-		return nil, fmt.Errorf("core: empty keyword list")
-	}
-	return q.queryKeywords(append([]string(nil), keywords...), k, 0)
-}
-
-// queryKeywords is the shared tail of QueryWith and QueryKeywords:
-// materialise (through the cache) at the requested k and register the view.
-func (q *Q) queryKeywords(keywords []string, k, parallelism int) (*View, error) {
-	v, _, err := q.runQuery(keywords, k, parallelism, false, nil)
-	return v, err
-}
-
-// runQuery is the single tail every query entry point funnels through:
-// materialise through the cache at the requested k, register the view
-// unless the call is ephemeral, and account the query (and its trace, when
-// one is attached) in the engine metrics.
-func (q *Q) runQuery(keywords []string, k, parallelism int, ephemeral bool, tr *obs.Trace) (*View, *obs.Trace, error) {
+	k := r.K
 	if k <= 0 {
 		k = q.opts.K
 	}
 	m := q.metrics
 	m.queries.Inc()
-	st := q.state()
-	mat, err := q.materializeCached(st, keywords, k, parallelism, tr)
+	mat, err := q.materializeCached(q.state(), r.Keywords, k, r.Parallelism, r.Trace)
+	q.observeTrace(r.Trace)
 	if err != nil {
 		m.queryErrors.Inc()
-		q.observeTrace(tr)
-		return nil, tr, err
+		return nil, err
 	}
-	v := &View{Keywords: keywords, K: k}
+	v := &View{ID: -1, Keywords: r.Keywords, K: k}
 	v.mat.Store(mat)
-	if !ephemeral {
-		q.viewsMu.Lock()
-		q.views = append(q.views, v)
-		q.viewsMu.Unlock()
+	if r.Ephemeral {
+		return v, nil
 	}
-	q.observeTrace(tr)
-	return v, tr, nil
+	q.viewsMu.Lock()
+	defer q.viewsMu.Unlock()
+	if len(q.views) >= q.opts.MaxViews {
+		return nil, ErrViewLimit
+	}
+	v.ID = q.nextViewID
+	q.nextViewID++
+	q.views = append(q.views, v)
+	return v, nil
 }
+
+var errEmptyQuery = errors.New("core: empty keyword query")
 
 // expandKeyword adds one keyword's query-graph expansion to the overlay
 // (paper §2.2): similarity edges to matching schema elements via tf-idf,

@@ -67,12 +67,12 @@ func TestShardedQueryEquivalence(t *testing.T) {
 	want := make([]string, len(shardProbes))
 	ref := fixtureQAtShards(t, 1)
 	for i, probe := range shardProbes {
-		v, err := ref.Query(probe)
+		v, err := queryStr(ref, probe)
 		if err != nil {
 			t.Fatal(err)
 		}
 		want[i] = fingerprintView(v)
-		ref.DropView(v)
+		ref.DropView(v.ID)
 	}
 	for _, n := range shardCountBattery() {
 		q := fixtureQAtShards(t, n)
@@ -85,7 +85,7 @@ func TestShardedQueryEquivalence(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < 2*len(shardProbes); i++ {
 					k := (g + i) % len(shardProbes)
-					v, err := q.Query(shardProbes[k])
+					v, err := queryStr(q, shardProbes[k])
 					if err != nil {
 						errc <- fmt.Errorf("shards=%d reader %d: %v", n, g, err)
 						return
@@ -95,7 +95,7 @@ func TestShardedQueryEquivalence(t *testing.T) {
 							n, g, shardProbes[k], fp, want[k])
 						return
 					}
-					q.DropView(v)
+					q.DropView(v.ID)
 				}
 				errc <- nil
 			}(g)
@@ -134,14 +134,14 @@ func fingerprintReport(rep *RegisterReport, stats *Stats) string {
 func TestShardedRegistrationEquivalence(t *testing.T) {
 	run := func(shards int) (string, string) {
 		q := fixtureQAtShards(t, shards)
-		if _, err := q.Query(shardProbes[1]); err != nil { // a persistent view for ViewBased targets
+		if _, err := queryStr(q, shardProbes[1]); err != nil { // a persistent view for ViewBased targets
 			t.Fatal(err)
 		}
 		rep, err := q.RegisterSource(jrnlTables(t), Exhaustive)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := q.Query("'Nature' 'PUB0001'")
+		v, err := queryStr(q, "'Nature' 'PUB0001'")
 		if err != nil {
 			t.Fatal(err)
 		}

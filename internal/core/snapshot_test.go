@@ -44,12 +44,12 @@ func TestSnapshotIsolationUnderRegistration(t *testing.T) {
 	q.AddMatcher(mad.New())
 
 	// Quiesced pre-mutation fingerprint.
-	v, err := q.Query(probe)
+	v, err := queryStr(q, probe)
 	if err != nil {
 		t.Fatal(err)
 	}
 	preFP := fingerprintView(v)
-	q.DropView(v)
+	q.DropView(v.ID)
 
 	const readers = 8
 	const perReader = 6
@@ -64,13 +64,13 @@ func TestSnapshotIsolationUnderRegistration(t *testing.T) {
 			defer wg.Done()
 			<-start
 			for i := 0; i < perReader; i++ {
-				qv, err := q.Query(probe)
+				qv, err := queryStr(q, probe)
 				if err != nil {
 					errc <- fmt.Errorf("reader %d: %v", r, err)
 					return
 				}
 				fps[r] = append(fps[r], fingerprintView(qv))
-				q.DropView(qv)
+				q.DropView(qv.ID)
 			}
 			errc <- nil
 		}(r)
@@ -95,12 +95,12 @@ func TestSnapshotIsolationUnderRegistration(t *testing.T) {
 	}
 
 	// Quiesced post-mutation fingerprint.
-	v2, err := q.Query(probe)
+	v2, err := queryStr(q, probe)
 	if err != nil {
 		t.Fatal(err)
 	}
 	postFP := fingerprintView(v2)
-	q.DropView(v2)
+	q.DropView(v2.ID)
 
 	pre, post := 0, 0
 	for r := range fps {
@@ -392,7 +392,7 @@ func TestQueriesSeeNewSourceAfterRegistration(t *testing.T) {
 		}
 		return false
 	}
-	before, err := q.Query(probe)
+	before, err := queryStr(q, probe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestQueriesSeeNewSourceAfterRegistration(t *testing.T) {
 	if _, err := q.RegisterSource(jrnlTables(t), Exhaustive); err != nil {
 		t.Fatal(err)
 	}
-	after, err := q.Query(probe)
+	after, err := queryStr(q, probe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +429,7 @@ func TestWriterHammer(t *testing.T) {
 	q := newFixtureQ(t, true)
 	q.AddMatcher(meta.New())
 
-	fv, err := q.Query("'plasma membrane' 'Kringle domain'")
+	fv, err := queryStr(q, "'plasma membrane' 'Kringle domain'")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +452,7 @@ func TestWriterHammer(t *testing.T) {
 					return
 				default:
 				}
-				qv, err := q.Query(probes[(r+i)%len(probes)])
+				qv, err := queryStr(q, probes[(r+i)%len(probes)])
 				if err != nil {
 					errc <- fmt.Errorf("reader %d: %v", r, err)
 					return
@@ -461,7 +461,7 @@ func TestWriterHammer(t *testing.T) {
 					errc <- fmt.Errorf("reader %d: torn view with nil result", r)
 					return
 				}
-				q.DropView(qv)
+				q.DropView(qv.ID)
 				i++
 			}
 		}(r)
@@ -513,17 +513,17 @@ func TestQueryStateless(t *testing.T) {
 	// Same instance: repeating a query with unrelated queries in between
 	// must be byte-identical (no residue from other queries).
 	q := newFixtureQ(t, true)
-	v1, err := q.Query(probe)
+	v1, err := queryStr(q, probe)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fp1 := fingerprintView(v1)
 	for _, other := range []string{"entry 'PUB0001'", "term name", "publication title"} {
-		if _, err := q.Query(other); err != nil {
+		if _, err := queryStr(q, other); err != nil {
 			t.Fatal(err)
 		}
 	}
-	v2, err := q.Query(probe)
+	v2, err := queryStr(q, probe)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -535,14 +535,14 @@ func TestQueryStateless(t *testing.T) {
 	// depend on what was asked before it.
 	qa := newFixtureQ(t, true)
 	qb := newFixtureQ(t, true)
-	if _, err := qa.Query("entry 'PUB0001'"); err != nil { // qa asks something else first
+	if _, err := queryStr(qa, "entry 'PUB0001'"); err != nil { // qa asks something else first
 		t.Fatal(err)
 	}
-	va, err := qa.Query(probe)
+	va, err := queryStr(qa, probe)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vb, err := qb.Query(probe) // qb asks the probe first
+	vb, err := queryStr(qb, probe) // qb asks the probe first
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,7 +558,7 @@ func TestQueryStateless(t *testing.T) {
 	q1 := newFixtureQ(t, true)
 	q2 := newFixtureQ(t, true)
 	run := func(q *Q) string {
-		v, err := q.Query(probe)
+		v, err := queryStr(q, probe)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -568,7 +568,7 @@ func TestQueryStateless(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		v2, err := q.Query(probe)
+		v2, err := queryStr(q, probe)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -594,7 +594,7 @@ func TestBaseGraphBytesStableAcrossQueries(t *testing.T) {
 		"'plasma membrane' 'Kringle domain'", "entry 'PUB0001'",
 		"term name", "publication title", "'nucleus' acc",
 	} {
-		if _, err := q.Query(probe); err != nil {
+		if _, err := queryStr(q, probe); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -80,7 +80,7 @@ func TestMaterialisedExecEquivalence(t *testing.T) {
 			q := c.build(t, func(o *Options) {})
 			anyRows := false
 			for _, kw := range c.queries {
-				v, err := q.Query(kw)
+				v, err := queryStr(q, kw)
 				if err != nil {
 					t.Fatalf("query %q: %v", kw, err)
 				}
@@ -127,7 +127,7 @@ func TestPlannerOffEquivalence(t *testing.T) {
 			})
 			var branches int64
 			for _, kw := range c.queries {
-				v, err := q.Query(kw)
+				v, err := queryStr(q, kw)
 				if err != nil {
 					t.Fatalf("query %q: %v", kw, err)
 				}
@@ -171,8 +171,8 @@ func TestPlannerOffEquivalence(t *testing.T) {
 }
 
 // TestTopKPruneEquivalence pins what early termination promises against the
-// full materialisation it replaced, built here: every branch executed through
-// relstore.ExecuteBatch (planned, CSE-shared, no bound) and disjoint-unioned.
+// full materialisation it replaced, built here: every branch executed alone
+// through relstore.Execute (no bound) and disjoint-unioned.
 // The view must hold exactly that union's top-k prefix under its columns,
 // with the α the full union gives — so only the tail beyond k goes
 // uncomputed — and across the corpus some branch must actually have been
@@ -203,18 +203,18 @@ func TestTopKPruneEquivalence(t *testing.T) {
 // and whether the full union has more than k.
 func checkTopKPrefix(t *testing.T, q *Q, kw string, k int) (hasRows, truncated bool) {
 	t.Helper()
-	v, err := q.QueryKeywords(parseKeywords(kw), k)
+	v, err := q.Query(Request{Keywords: ParseKeywords(kw), K: k})
 	if err != nil {
 		t.Fatalf("query %q k=%d: %v", kw, k, err)
 	}
 	m := v.Current()
-	results, err := relstore.ExecuteBatch(q.CurrentCatalog(), m.Queries, 2)
-	if err != nil {
-		t.Fatalf("query %q k=%d: full batch: %v", kw, k, err)
-	}
 	branches := make([]relstore.Branch, len(m.Queries))
 	for i, cq := range m.Queries {
-		branches[i] = relstore.Branch{Result: results[i], Cost: cq.Cost, Provenance: cq.Signature()}
+		rs, err := relstore.Execute(q.CurrentCatalog(), cq)
+		if err != nil {
+			t.Fatalf("query %q k=%d: branch %d: %v", kw, k, i, err)
+		}
+		branches[i] = relstore.Branch{Result: rs, Cost: cq.Cost, Provenance: cq.Signature()}
 	}
 	full := relstore.DisjointUnion(branches)
 	if !reflect.DeepEqual(m.Result.Columns, full.Columns) {
@@ -258,7 +258,7 @@ func TestViewHoldsOnlyTopK(t *testing.T) {
 	q := c.build(t, func(o *Options) {})
 	tested := false
 	for _, kw := range c.queries {
-		v, err := q.Query(kw)
+		v, err := queryStr(q, kw)
 		if err != nil {
 			t.Fatalf("query %q: %v", kw, err)
 		}
@@ -266,12 +266,12 @@ func TestViewHoldsOnlyTopK(t *testing.T) {
 		if len(m.Result.Rows) > v.K {
 			t.Errorf("query %q: view holds %d rows, k = %d", kw, len(m.Result.Rows), v.K)
 		}
-		results, err := relstore.ExecuteBatch(q.CurrentCatalog(), m.Queries, 1)
-		if err != nil {
-			t.Fatalf("query %q: full batch: %v", kw, err)
-		}
 		total := 0
-		for _, rs := range results {
+		for i, cq := range m.Queries {
+			rs, err := relstore.Execute(q.CurrentCatalog(), cq)
+			if err != nil {
+				t.Fatalf("query %q: branch %d: %v", kw, i, err)
+			}
 			total += len(rs.Rows)
 		}
 		if total <= v.K {

@@ -93,7 +93,7 @@ func TestUnifiedColumnsShareValuesEndToEnd(t *testing.T) {
 		relstore.AttrRef{Relation: "ip.entry", Attr: "name"})
 	// "membrane" matches plasma membrane (go.term.name) and Membrane
 	// protein (ip.entry.name): two single-relation trees.
-	v, err := q.Query("membrane name")
+	v, err := queryStr(q, "membrane name")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,7 +84,7 @@ func runFeedback(q *core.Q, corpus *datasets.InterProGOCorpus, queries, replays 
 	}
 	views := make([]*core.View, queries)
 	for i := 0; i < queries; i++ {
-		v, err := q.Query(corpus.Queries[i])
+		v, err := q.Query(core.Request{Keywords: core.ParseKeywords(corpus.Queries[i])})
 		if err != nil {
 			return fmt.Errorf("eval: query %q: %w", corpus.Queries[i], err)
 		}

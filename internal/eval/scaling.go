@@ -76,7 +76,7 @@ func trialSetup(corpus *datasets.GBCOCorpus, trial datasets.Trial, filter bool) 
 // feedback on the keyword query results, such that the SQL base query ...
 // was returned as the top query"), or the iteration budget runs out.
 func calibrateTrial(q *core.Q, trial datasets.Trial) (*core.View, error) {
-	v, err := q.Query(trial.Keywords)
+	v, err := q.Query(core.Request{Keywords: core.ParseKeywords(trial.Keywords)})
 	if err != nil {
 		return nil, err
 	}
@@ -218,7 +218,7 @@ func RunFig8() ([]Fig8Row, error) {
 		introductions := 0
 		var exTotal, vbTotal, pfTotal int
 		for _, trial := range corpus.Trials {
-			v, err := q.Query(trial.Keywords)
+			v, err := q.Query(core.Request{Keywords: core.ParseKeywords(trial.Keywords)})
 			if err != nil {
 				return nil, fmt.Errorf("eval: fig8 query %q: %w", trial.Keywords, err)
 			}
@@ -232,7 +232,7 @@ func RunFig8() ([]Fig8Row, error) {
 				pfTotal += q.CountTargetComparisons(newRels, core.Preferential)
 				introductions++
 			}
-			q.DropView(v)
+			q.DropView(v.ID)
 		}
 		row.Exhaustive = float64(exTotal) / float64(introductions)
 		row.ViewBased = float64(vbTotal) / float64(introductions)
@@ -260,7 +260,7 @@ func buildExpandedGraph(corpus *datasets.GBCOCorpus, sources int) (*core.Q, erro
 		if err != nil {
 			return nil, err
 		}
-		q.DropView(v)
+		q.DropView(v.ID)
 	}
 	extra := sources - len(corpus.Tables)
 	if extra <= 0 {

@@ -20,6 +20,10 @@ import (
 //     subplan sharing. Execute, ExecuteBatch, BatchPlan.Execute and
 //     BatchPlan.TopKUnion must match it byte for byte (stream_test.go,
 //     planner_test.go, FuzzExecuteEquivalence).
+//   - ExecuteBatch is the full-batch executor over one BatchPlan: every
+//     branch, no top-k bound, fanned across workers. It pins BatchPlan's
+//     subplan sharing against per-query Execute and is the reference
+//     TopKUnion's prefix is compared with.
 //   - postEntryOracle is the value-index posting build with a per-entry seen
 //     set and trigrams cut from []rune. buildSegment's postings must equal
 //     its (TestSegmentPostingsMatchOracle).
@@ -330,3 +334,32 @@ func joinKeyRight(row []string, pairs []joinPair) string {
 
 // rowKey returns the length-prefixed identity key of a full tuple.
 func rowKey(vals []string) string { return string(appendLenPrefixed(nil, vals...)) }
+
+// ExecuteBatch executes a batch of conjunctive queries — the branches of one
+// view materialisation — across at most workers goroutines, collecting
+// results by query index so the output order matches a serial loop exactly.
+// The batch is planned as a unit: branches stream through PlanBatch's
+// shared-subtree subplan cache, so a join prefix common to several branches
+// executes once, and results must be byte-identical to executing each query
+// alone, at every worker and shard count. Validation runs in index order
+// before anything executes, so the returned error is the one the
+// lowest-indexed failing query produces, matching serial semantics. Views
+// execute through the top-k-bounded BatchPlan.TopKUnion instead, which skips
+// whole branches; ExecuteBatch is the full-batch form its gates compare with.
+func ExecuteBatch(c *Catalog, queries []*ConjunctiveQuery, workers int) ([]*ResultSet, error) {
+	bp, err := PlanBatch(c, queries)
+	if err != nil {
+		return nil, err
+	}
+	results := make([]*ResultSet, len(queries))
+	errs := make([]error, len(queries))
+	fanIndexed(len(queries), workers, func(i int) {
+		results[i], errs[i] = bp.Execute(i)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return results, nil
+}

@@ -11,8 +11,8 @@ import (
 // signature (planner.go prefixSignature), and pins each shared prefix's
 // joined rows in a per-materialisation subplan cache so the common subtree
 // executes ONCE no matter how many branches contain it. Both batch entry
-// points feed from it: ExecuteBatch (shard.go) and BatchPlan.TopKUnion
-// (stream.go), the view execution path.
+// points feed from it: BatchPlan.Execute (one branch) and
+// BatchPlan.TopKUnion (stream.go), the view execution path.
 //
 // Correctness is structural: a cached prefix holds exactly the rows the
 // reusing branch's own pipeline would have produced for those atoms (same

@@ -205,32 +205,3 @@ func (c *Catalog) OverlappingAttrPairs(a, b *Relation) map[[2]AttrRef]bool {
 	}
 	return out
 }
-
-// ExecuteBatch executes a batch of conjunctive queries — the branches of one
-// view materialisation — across at most workers goroutines, collecting
-// results by query index so the output order matches a serial loop exactly.
-// The batch is planned as a unit: branches stream through PlanBatch's
-// shared-subtree subplan cache, so a join prefix common to several branches
-// executes once, and results are byte-identical to executing each query
-// alone, at every worker and shard count. Validation runs in index order
-// before anything executes, so the returned error is the one the
-// lowest-indexed failing query produces, matching serial semantics. Views
-// execute through the top-k-bounded BatchPlan.TopKUnion instead, which skips
-// whole branches; ExecuteBatch is the full-batch form its gates compare with.
-func ExecuteBatch(c *Catalog, queries []*ConjunctiveQuery, workers int) ([]*ResultSet, error) {
-	bp, err := PlanBatch(c, queries)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]*ResultSet, len(queries))
-	errs := make([]error, len(queries))
-	fanIndexed(len(queries), workers, func(i int) {
-		results[i], errs[i] = bp.Execute(i)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return results, nil
-}

@@ -23,7 +23,13 @@ import (
 // inspect both sides of the admission layer.
 func newAdmissionServer(t *testing.T, cfg Config) (*core.Q, *Server, *httptest.Server) {
 	t.Helper()
-	q := core.New(core.DefaultOptions())
+	return newAdmissionServerOpts(t, core.DefaultOptions(), cfg)
+}
+
+// newAdmissionServerOpts is newAdmissionServer over explicit engine options.
+func newAdmissionServerOpts(t *testing.T, opts core.Options, cfg Config) (*core.Q, *Server, *httptest.Server) {
+	t.Helper()
+	q := core.New(opts)
 	q.AddMatcher(meta.New())
 	q.AddMatcher(mad.New())
 	corpus := datasets.InterProGO()
@@ -212,8 +218,7 @@ func TestWriteQueueBackpressure(t *testing.T) {
 
 // TestEphemeralQueryLeavesRegistryUntouched pins the POST /query view-leak
 // fix: ?ephemeral=1 returns answers byte-identical to a persistent query's
-// but registers nothing — not in the server's id registry, not in the
-// engine's maintenance set.
+// but registers nothing in the engine's view registry.
 func TestEphemeralQueryLeavesRegistryUntouched(t *testing.T) {
 	q, s, ts := newAdmissionServer(t, Config{})
 
@@ -248,19 +253,18 @@ func TestEphemeralQueryLeavesRegistryUntouched(t *testing.T) {
 	if got := len(q.Views()); got != baseViews {
 		t.Errorf("engine views grew %d -> %d on an ephemeral query", baseViews, got)
 	}
-	if got := s.viewCount(); got != 1 {
-		t.Errorf("server registry has %d views, want 1 (the persistent one)", got)
-	}
 	if st := s.ServingStats(); st.EphemeralQueries != 1 {
 		t.Errorf("EphemeralQueries = %d, want 1", st.EphemeralQueries)
 	}
 }
 
-// TestMaxViewsCap pins the registry bound: at the cap, non-ephemeral
-// queries are shed with 429, ephemeral ones still serve, and DELETE frees
-// a slot.
+// TestMaxViewsCap pins the registry bound (core.Options.MaxViews): at the
+// cap, non-ephemeral queries are shed with 429 and counted, ephemeral ones
+// still serve, and DELETE frees a slot.
 func TestMaxViewsCap(t *testing.T) {
-	_, _, ts := newAdmissionServer(t, Config{MaxViews: 2})
+	opts := core.DefaultOptions()
+	opts.MaxViews = 2
+	q, s, ts := newAdmissionServerOpts(t, opts, Config{})
 
 	mkQuery := func(i int) QueryRequest {
 		return QueryRequest{Q: fmt.Sprintf("'GO:%07d' 'fam_%d'", 1000+i, i%4)}
@@ -279,10 +283,19 @@ func TestMaxViewsCap(t *testing.T) {
 	}
 
 	over := postJSON(t, ts.URL+"/query", mkQuery(2))
-	io.Copy(io.Discard, over.Body)
+	body, _ := io.ReadAll(over.Body)
 	over.Body.Close()
-	if over.StatusCode != http.StatusTooManyRequests {
-		t.Errorf("query at cap: status %d, want 429", over.StatusCode)
+	if over.StatusCode != http.StatusTooManyRequests || over.Header.Get("Retry-After") == "" {
+		t.Errorf("query at cap: status %d Retry-After %q, want 429 + header", over.StatusCode, over.Header.Get("Retry-After"))
+	}
+	if want := "view registry full (max 2); use ?ephemeral=1 or DELETE /views/{id}"; !strings.Contains(string(body), want) {
+		t.Errorf("query at cap: body %s, want %q", body, want)
+	}
+	if n := len(q.Views()); n != 2 {
+		t.Errorf("engine holds %d views at a cap of 2", n)
+	}
+	if st := s.ServingStats(); st.ShedQueries != 1 || st.MaxViews != 2 {
+		t.Errorf("ShedQueries = %d, MaxViews = %d; want 1 and 2", st.ShedQueries, st.MaxViews)
 	}
 
 	eph := postJSON(t, ts.URL+"/query?ephemeral=1", mkQuery(2))

@@ -36,10 +36,12 @@
 //   - ?parallel= is clamped to Config.MaxParallel (default GOMAXPROCS);
 //     values beyond an absurdity threshold are rejected with 400 so one
 //     request can never size its own goroutine explosion.
-//   - The view registry holds at most Config.MaxViews persistent views;
-//     at the cap, non-ephemeral POST /query gets 429 until DELETE
-//     /views/{id} (or ?ephemeral=1) is used. Ephemeral queries never
-//     touch the registry.
+//   - The engine's view registry holds at most core.Options.MaxViews
+//     persistent views (qserver -max-views); at the cap, non-ephemeral
+//     POST /query gets 429 until DELETE /views/{id} (or ?ephemeral=1) is
+//     used. Ephemeral queries never touch the registry.
+//   - A query may carry at most maxQueryKeywords keywords; more get 400
+//     before any engine work.
 //   - POST bodies are capped at Config.MaxBodyBytes via
 //     http.MaxBytesReader; oversized bodies get 413.
 //   - Feedback naming a row the view's current materialisation does not
@@ -68,15 +70,18 @@
 // inside Q on its writer mutex and commit by atomic snapshot swap, so a
 // long registration never blocks a query: a query started before the
 // commit answers from the pre-registration world, one started after sees
-// the new source. The server's own mutex guards only the view registry
-// (id ↔ view bookkeeping); view contents swap atomically per view, so GET
-// endpoints read them lock-free. Inside one query, Q fans tree translation
-// and branch execution across a bounded worker pool
+// the new source. The server keeps no state of its own about views: the
+// engine is the one view registry, and view contents swap atomically per
+// view, so GET endpoints read them lock-free. Inside one query, Q fans tree
+// translation and branch execution across a bounded worker pool
 // (core.Options.Parallelism); POST /query accepts a ?parallel=N query
 // parameter to size that request's own fan-out (the ranked answers are
-// byte-identical at any setting). View IDs come from an atomic counter
-// assigned at creation, not from slice positions, so they stay stable no
-// matter how concurrent creations interleave.
+// byte-identical at any setting).
+//
+// A view's wire ID is "v" followed by its engine ID (core.View.ID). The
+// engine assigns IDs in creation order, never reuses one, and persists them
+// with the view definitions, so an ID names the same view across
+// concurrent creations, deletions and restarts of a durable instance.
 package server
 
 import (
@@ -89,8 +94,6 @@ import (
 	"runtime/debug"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"qint/internal/core"
@@ -102,6 +105,12 @@ import (
 // below it are silently clamped to Config.MaxParallel, values above it are
 // a client bug (or an attack) and get 400.
 const maxParallelAbsurd = 4096
+
+// maxQueryKeywords caps the keywords of one POST /query. It sits above
+// steiner.MaxExactTerminals, so queries the approximation answers still
+// serve, but keeps one request from carrying thousands of keywords (an
+// 8 MiB body can) into a single admitted query.
+const maxQueryKeywords = 64
 
 // Config bounds the server's resource usage under load. The zero value of
 // any field selects its default; see the package comment for the shedding
@@ -119,9 +128,6 @@ type Config struct {
 	// MaxParallel is the ceiling a ?parallel= request can ask for; higher
 	// values (up to maxParallelAbsurd) are clamped. Default GOMAXPROCS.
 	MaxParallel int
-	// MaxViews caps the persistent view registry; at the cap,
-	// non-ephemeral POST /query gets 429. Default 10000.
-	MaxViews int
 	// MaxBodyBytes caps POST request bodies (413 beyond it).
 	// Default 8 MiB.
 	MaxBodyBytes int64
@@ -143,19 +149,10 @@ func (c Config) withDefaults() Config {
 	if c.MaxParallel <= 0 {
 		c.MaxParallel = runtime.GOMAXPROCS(0)
 	}
-	if c.MaxViews <= 0 {
-		c.MaxViews = 10000
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
 	}
 	return c
-}
-
-// viewEntry binds a persistent view to its stable wire ID.
-type viewEntry struct {
-	id   string
-	view *core.View
 }
 
 // servingCounters are the admission-control observables served on /stats.
@@ -171,20 +168,17 @@ type servingCounters struct {
 	viewsDeleted     *obs.Counter // DELETE /views/{id} successes
 }
 
-// Server wraps a Q instance and implements http.Handler. Its mutex guards
-// only the id↔view registry: Q itself is snapshot-based (queries are
-// lock-free reads, writers serialise internally). Admission control
+// Server wraps a Q instance and implements http.Handler. It takes no lock:
+// Q is snapshot-based (queries are lock-free reads, writers serialise
+// internally) and owns the view registry. Admission control
 // (queryTokens/writeTokens) sits in front of the handlers — a request that
 // cannot take a token is answered and gone before it touches the engine.
 type Server struct {
-	mu     sync.RWMutex // guards views and byID only
-	q      *core.Q
-	views  []viewEntry           // creation order
-	byID   map[string]*core.View // stable id -> view
-	nextID atomic.Int64
-	mux    *http.ServeMux
+	q   *core.Q
+	mux *http.ServeMux
 
 	cfg         Config
+	maxViews    int           // q's view cap, read once: Options is writer-side
 	queryTokens chan struct{} // in-flight query admissions
 	writeTokens chan struct{} // queued-or-running write admissions
 	counters    servingCounters
@@ -200,8 +194,7 @@ type Server struct {
 // New wraps q with default serving limits. The caller should have
 // registered matchers and initial tables already. Views the instance
 // already holds (e.g. restored from a durable snapshot by core.Open) are
-// seeded into the id registry in creation order, so they are addressable
-// over HTTP after a restart.
+// served under their own IDs.
 func New(q *core.Q) *Server { return NewWith(q, Config{}) }
 
 // NewWith wraps q with explicit serving limits (zero fields take their
@@ -210,18 +203,13 @@ func NewWith(q *core.Q, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		q:           q,
-		byID:        make(map[string]*core.View),
 		cfg:         cfg,
+		maxViews:    q.Options().MaxViews,
 		queryTokens: make(chan struct{}, cfg.MaxInFlightQueries),
 		writeTokens: make(chan struct{}, cfg.WriteQueueDepth),
 		started:     time.Now(),
 	}
 	s.instrument()
-	for _, v := range q.Views() {
-		id := fmt.Sprintf("v%d", s.nextID.Add(1)-1)
-		s.views = append(s.views, viewEntry{id: id, view: v})
-		s.byID[id] = v
-	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/sources", s.handleSources)
 	mux.HandleFunc("/query", s.handleQuery)
@@ -506,13 +494,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		parallel = n
 	}
-	ephemeral := isTruthy(r.URL.Query().Get("ephemeral"))
-	if !ephemeral && s.viewCount() >= s.cfg.MaxViews {
-		// Cheap pre-check so a query storm at the cap sheds before doing
-		// engine work; the append below re-checks authoritatively.
-		s.shedViewCap(w)
-		return
-	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req QueryRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -524,48 +505,39 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad json: %v", err)
 		return
 	}
-	// The query itself is a lock-free read of Q's published snapshot; only
-	// the registry append below takes the server mutex, briefly. Repeated
-	// queries answer from the engine's epoch-keyed materialisation cache.
-	if ephemeral {
-		// Answers only: the view is never registered — in the engine or
-		// in the server's id registry — so ephemeral traffic cannot grow
-		// either without bound.
-		v, tr, err := s.q.QueryEphemeralTraced(req.Q, parallel)
-		s.observeQuery(w, req.Q, tr)
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		s.counters.servedQueries.Add(1)
-		s.counters.ephemeralQueries.Add(1)
-		m := v.Current()
-		setEpochHeader(w, m)
-		writeJSON(w, http.StatusOK, answersOfMat("", v, m))
+	keywords := core.ParseKeywords(req.Q)
+	if len(keywords) > maxQueryKeywords {
+		httpError(w, http.StatusBadRequest, "query has %d keywords, at most %d allowed", len(keywords), maxQueryKeywords)
 		return
 	}
-	v, tr, err := s.q.QueryTraced(req.Q, parallel)
+	// The query is a lock-free read of Q's published snapshot; repeated
+	// queries answer from the engine's epoch-keyed materialisation cache.
+	// An ephemeral view is never registered, so ephemeral traffic cannot
+	// grow the registry.
+	ephemeral := isTruthy(r.URL.Query().Get("ephemeral"))
+	tr := obs.NewTrace()
+	v, err := s.q.Query(core.Request{Keywords: keywords, Parallelism: parallel, Ephemeral: ephemeral, Trace: tr})
 	s.observeQuery(w, req.Q, tr)
+	if errors.Is(err, core.ErrViewLimit) {
+		s.counters.shedQueries.Add(1)
+		w.Header().Set("Retry-After", "1")
+		httpError(w, http.StatusTooManyRequests,
+			"view registry full (max %d); use ?ephemeral=1 or DELETE /views/{id}", s.maxViews)
+		return
+	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	id := fmt.Sprintf("v%d", s.nextID.Add(1)-1)
-	s.mu.Lock()
-	if len(s.views) >= s.cfg.MaxViews {
-		s.mu.Unlock()
-		// The engine-side view must not outlive the shed response.
-		s.q.DropView(v)
-		s.shedViewCap(w)
-		return
-	}
-	s.views = append(s.views, viewEntry{id: id, view: v})
-	s.byID[id] = v
-	s.mu.Unlock()
 	s.counters.servedQueries.Add(1)
+	status := http.StatusCreated
+	if ephemeral {
+		s.counters.ephemeralQueries.Add(1)
+		status = http.StatusOK
+	}
 	m := v.Current()
 	setEpochHeader(w, m)
-	writeJSON(w, http.StatusCreated, answersOfMat(id, v, m))
+	writeJSON(w, status, answersOfMat(v, m))
 }
 
 // observeQuery stamps the response with the query's trace id (X-Q-Trace —
@@ -573,30 +545,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // slow-query log: wall time at or over the threshold logs the full stage
 // breakdown and bumps qint_slow_queries_total.
 func (s *Server) observeQuery(w http.ResponseWriter, query string, tr *obs.Trace) {
-	if tr == nil {
-		return
-	}
 	w.Header().Set("X-Q-Trace", tr.ID())
 	if th := s.cfg.SlowQueryThreshold; th > 0 && tr.Wall() >= th {
 		s.slowQueries.Inc()
 		logf("server: slow query %q (wall %v >= threshold %v)\n%s", query, tr.Wall(), th, tr.String())
 	}
-}
-
-// viewCount reads the registry size.
-func (s *Server) viewCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.views)
-}
-
-// shedViewCap answers a non-ephemeral query that hit the MaxViews cap.
-func (s *Server) shedViewCap(w http.ResponseWriter) {
-	s.counters.shedQueries.Add(1)
-	w.Header().Set("Retry-After", "1")
-	httpError(w, http.StatusTooManyRequests,
-		"view registry full (max %d); use ?ephemeral=1 or DELETE /views/{id}",
-		s.cfg.MaxViews)
 }
 
 // isTruthy parses boolean-ish query parameters (1/true/yes).
@@ -629,12 +582,10 @@ func (s *Server) handleViews(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "GET only")
 		return
 	}
-	s.mu.RLock()
-	entries := append([]viewEntry(nil), s.views...)
-	s.mu.RUnlock()
-	out := make([]ViewSummary, len(entries))
-	for i, e := range entries {
-		out[i] = summaryOf(e.id, e.view)
+	views := s.q.Views()
+	out := make([]ViewSummary, len(views))
+	for i, v := range views {
+		out[i] = summaryOfMat(v, v.Current())
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -647,12 +598,13 @@ func (s *Server) handleViewByID(w http.ResponseWriter, r *http.Request) {
 	if len(parts) > 1 && parts[len(parts)-1] == "" {
 		parts = parts[:len(parts)-1]
 	}
-	id := parts[0]
-	s.mu.RLock()
-	v, ok := s.byID[id]
-	s.mu.RUnlock()
-	if !ok {
-		httpError(w, http.StatusNotFound, "no view %s", id)
+	id, ok := parseViewID(parts[0])
+	var v *core.View
+	if ok {
+		v = s.q.View(id)
+	}
+	if v == nil {
+		httpError(w, http.StatusNotFound, "no view %s", parts[0])
 		return
 	}
 
@@ -660,20 +612,14 @@ func (s *Server) handleViewByID(w http.ResponseWriter, r *http.Request) {
 	case len(parts) == 1 && r.Method == http.MethodGet:
 		m := v.Current()
 		setEpochHeader(w, m)
-		writeJSON(w, http.StatusOK, answersOfMat(id, v, m))
+		writeJSON(w, http.StatusOK, answersOfMat(v, m))
 	case len(parts) == 1 && r.Method == http.MethodDelete:
-		// Drop the view from the wire registry and the engine's
-		// maintenance set; its id is never reused (atomic counter).
-		s.mu.Lock()
-		delete(s.byID, id)
-		for i, e := range s.views {
-			if e.id == id {
-				s.views = append(s.views[:i], s.views[i+1:]...)
-				break
-			}
+		// Of concurrent DELETEs of one view, only the one that actually
+		// dropped it answers 204.
+		if !s.q.DropView(id) {
+			httpError(w, http.StatusNotFound, "no view %s", parts[0])
+			return
 		}
-		s.mu.Unlock()
-		s.q.DropView(v)
 		s.counters.viewsDeleted.Add(1)
 		w.WriteHeader(http.StatusNoContent)
 	case len(parts) == 2 && parts[1] == "feedback" && r.Method == http.MethodPost:
@@ -718,26 +664,38 @@ func (s *Server) handleViewByID(w http.ResponseWriter, r *http.Request) {
 		}
 		m := v.Current()
 		setEpochHeader(w, m)
-		writeJSON(w, http.StatusOK, answersOfMat(id, v, m))
+		writeJSON(w, http.StatusOK, answersOfMat(v, m))
 	default:
 		httpError(w, http.StatusNotFound, "unknown view endpoint")
 	}
 }
 
-// summaryOf reads one coherent materialisation of the view (a single
-// atomic load via Current — no lock needed, and α always matches the rows
-// counted even under a concurrent Refresh).
-func summaryOf(id string, v *core.View) ViewSummary {
-	return summaryOfMat(id, v, v.Current())
+// parseViewID reads a wire view ID ("v" + the engine ID). Only the
+// canonical form parses, so "v01" does not alias "v1".
+func parseViewID(s string) (int64, bool) {
+	id, err := strconv.ParseInt(strings.TrimPrefix(s, "v"), 10, 64)
+	return id, err == nil && s == viewID(id)
 }
 
-func summaryOfMat(id string, v *core.View, m core.Materialization) ViewSummary {
+// viewID renders an engine view ID on the wire; an ephemeral view (ID -1)
+// has none.
+func viewID(id int64) string {
+	if id < 0 {
+		return ""
+	}
+	return "v" + strconv.FormatInt(id, 10)
+}
+
+// summaryOfMat summarises one already-loaded materialisation of the view
+// (callers take it with a single atomic load via Current — no lock needed,
+// and α always matches the rows counted even under a concurrent Refresh).
+func summaryOfMat(v *core.View, m core.Materialization) ViewSummary {
 	answers := 0
 	if m.Result != nil {
 		answers = len(m.Result.Rows)
 	}
 	return ViewSummary{
-		ID:       id,
+		ID:       viewID(v.ID),
 		Keywords: v.Keywords,
 		K:        v.K,
 		Alpha:    m.Alpha,
@@ -748,8 +706,8 @@ func summaryOfMat(id string, v *core.View, m core.Materialization) ViewSummary {
 // answersOfMat renders one already-loaded materialisation, so a handler
 // that also stamps X-Q-Epoch reports the same generation in header and
 // body even under a concurrent Refresh.
-func answersOfMat(id string, v *core.View, m core.Materialization) ViewAnswers {
-	out := ViewAnswers{ViewSummary: summaryOfMat(id, v, m)}
+func answersOfMat(v *core.View, m core.Materialization) ViewAnswers {
+	out := ViewAnswers{ViewSummary: summaryOfMat(v, m)}
 	if m.Result == nil {
 		return out
 	}
@@ -839,7 +797,7 @@ func (s *Server) ServingStats() ServingStats {
 		ShedWrites:         s.counters.shedWrites.Load(),
 		ViewsDeleted:       s.counters.viewsDeleted.Load(),
 		MaxParallel:        s.cfg.MaxParallel,
-		MaxViews:           s.cfg.MaxViews,
+		MaxViews:           s.maxViews,
 		MaxBodyBytes:       s.cfg.MaxBodyBytes,
 	}
 }
@@ -852,9 +810,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	graph := s.q.CurrentGraph()
 	cat := s.q.CurrentCatalog()
 	sum := graph.Summary()
-	s.mu.RLock()
-	nViews := len(s.views)
-	s.mu.RUnlock()
 	resp := StatsResponse{
 		Relations:  cat.NumRelations(),
 		Attributes: cat.NumAttributes(),
@@ -864,7 +819,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"value": sum.Values, "keyword": sum.Keywords,
 		},
 		Edges:   make(map[string]int, len(sum.ByEdgeKind)),
-		Views:   nViews,
+		Views:   len(s.q.Views()),
 		Epoch:   s.q.Epoch(),
 		Uptime:  time.Since(s.started).Seconds(),
 		Build:   buildInfo(),

@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 
 	"qint/internal/core"
@@ -145,12 +148,12 @@ func TestFeedbackBeyondTopK(t *testing.T) {
 	resp := postJSON(t, ts.URL+"/query", QueryRequest{Q: "'GO:0001000' term"})
 	var va ViewAnswers
 	decode(t, resp, &va)
-	results, err := relstore.ExecuteBatch(q.CurrentCatalog(), q.Views()[0].Queries(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	total := 0
-	for _, rs := range results {
+	for _, cq := range q.Views()[0].Queries() {
+		rs, err := relstore.Execute(q.CurrentCatalog(), cq)
+		if err != nil {
+			t.Fatal(err)
+		}
 		total += len(rs.Rows)
 	}
 	if total <= va.K {
@@ -314,7 +317,8 @@ func TestConcurrentQueries(t *testing.T) {
 
 // Views the core already holds when the server is constructed — e.g.
 // restored from a durable snapshot by core.Open — must be addressable
-// over HTTP, and new queries must keep minting unique ids after them.
+// over HTTP under their own IDs, and new queries must keep minting unique
+// ids after them.
 func TestPreexistingViewsSeeded(t *testing.T) {
 	q := core.New(core.DefaultOptions())
 	q.AddMatcher(meta.New())
@@ -324,7 +328,7 @@ func TestPreexistingViewsSeeded(t *testing.T) {
 		t.Fatal(err)
 	}
 	q.AlignAllPairs()
-	if _, err := q.Query("'GO:0001000' 'fam_0'"); err != nil {
+	if _, err := q.Query(core.Request{Keywords: core.ParseKeywords("'GO:0001000' 'fam_0'")}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -367,13 +371,7 @@ func TestManyKeywordQuery(t *testing.T) {
 	srv := New(q) // driven through ServeHTTP directly: a panic would reach the test
 	do := func(method, path string, body interface{}) *httptest.ResponseRecorder {
 		t.Helper()
-		b, err := json.Marshal(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := httptest.NewRecorder()
-		srv.ServeHTTP(w, httptest.NewRequest(method, path, bytes.NewReader(b)))
-		return w
+		return serve(t, srv, method, path, body)
 	}
 
 	var many bytes.Buffer
@@ -400,5 +398,147 @@ func TestManyKeywordQuery(t *testing.T) {
 	}
 	if v, _ := exp.Value("qint_steiner_pops_total"); v == 0 {
 		t.Error("qint_steiner_pops_total = 0 after an exact search")
+	}
+}
+
+// serve drives one request through h's ServeHTTP and returns the recorded
+// response; a nil body sends none.
+func serve(t *testing.T, h http.Handler, method, path string, body interface{}) *httptest.ResponseRecorder {
+	t.Helper()
+	var r io.Reader
+	if body != nil {
+		b, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r = bytes.NewReader(b)
+	}
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(method, path, r))
+	return w
+}
+
+// TestQueryKeywordCap: POST /query accepts up to maxQueryKeywords keywords
+// and answers 400 beyond, before any engine work.
+func TestQueryKeywordCap(t *testing.T) {
+	q, s, _ := newAdmissionServer(t, Config{})
+	query := func(n int) QueryRequest {
+		var b strings.Builder
+		for i := 0; i < n; i++ {
+			fmt.Fprintf(&b, "'GO:%07d' ", 1000+i)
+		}
+		return QueryRequest{Q: b.String()}
+	}
+	before := q.Metrics().Counter("qint_queries_total", "").Load()
+	if w := serve(t, s, "POST", "/query?ephemeral=1", query(maxQueryKeywords)); w.Code != http.StatusOK {
+		t.Errorf("%d keywords: status %d, want 200: %s", maxQueryKeywords, w.Code, w.Body)
+	}
+	w := serve(t, s, "POST", "/query", query(maxQueryKeywords+1))
+	if w.Code != http.StatusBadRequest {
+		t.Errorf("%d keywords: status %d, want 400: %s", maxQueryKeywords+1, w.Code, w.Body)
+	}
+	if n := q.Metrics().Counter("qint_queries_total", "").Load() - before; n != 1 {
+		t.Errorf("engine ran %d queries, want 1: the over-cap query must not reach it", n)
+	}
+	if n := len(q.Views()); n != 0 {
+		t.Errorf("engine holds %d views, want 0", n)
+	}
+}
+
+// TestConcurrentDeleteView: of concurrent DELETEs of one view exactly one
+// drops it (204); the rest find it gone (404), and views_deleted counts 1.
+func TestConcurrentDeleteView(t *testing.T) {
+	q, s, _ := newAdmissionServer(t, Config{})
+	if w := serve(t, s, "POST", "/query", QueryRequest{Q: admissionQuery}); w.Code != http.StatusCreated {
+		t.Fatalf("create: status %d", w.Code)
+	}
+	const n = 8
+	codes := make(chan int, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			codes <- serve(t, s, "DELETE", "/views/v0", nil).Code
+		}()
+	}
+	wg.Wait()
+	close(codes)
+	count := map[int]int{}
+	for c := range codes {
+		count[c]++
+	}
+	if count[http.StatusNoContent] != 1 || count[http.StatusNotFound] != n-1 {
+		t.Errorf("status counts %v, want one 204 and %d 404", count, n-1)
+	}
+	if got := s.ServingStats().ViewsDeleted; got != 1 {
+		t.Errorf("views_deleted = %d, want 1", got)
+	}
+	if len(q.Views()) != 0 {
+		t.Error("the view survived its DELETE")
+	}
+}
+
+// TestViewIDsSurviveRestart: a view's wire ID is its engine ID, which
+// persists with the view definition. After a restart of a durable instance
+// every ID names the view it named before — with byte-identical answers —
+// a deleted ID stays deleted, and the next view gets a fresh ID.
+func TestViewIDsSurviveRestart(t *testing.T) {
+	opts := core.DefaultOptions()
+	opts.DataDir = t.TempDir()
+	open := func() (*core.Q, *Server) {
+		t.Helper()
+		q, err := core.Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { q.Close() })
+		q.AddMatcher(meta.New())
+		q.AddMatcher(mad.New())
+		if q.Catalog.NumRelations() == 0 {
+			if err := q.AddTables(datasets.InterProGO().Tables...); err != nil {
+				t.Fatal(err)
+			}
+			q.AlignAllPairs()
+		}
+		return q, New(q)
+	}
+
+	q, s := open()
+	for i := 0; i < 3; i++ {
+		w := serve(t, s, "POST", "/query", QueryRequest{Q: fmt.Sprintf("'GO:%07d' 'fam_%d'", 1000+i, i)})
+		if w.Code != http.StatusCreated {
+			t.Fatalf("create %d: status %d: %s", i, w.Code, w.Body)
+		}
+	}
+	if w := serve(t, s, "DELETE", "/views/v1", nil); w.Code != http.StatusNoContent {
+		t.Fatalf("DELETE v1: status %d", w.Code)
+	}
+	want := map[string][]byte{}
+	for _, id := range []string{"v0", "v2"} {
+		want[id] = serve(t, s, "GET", "/views/"+id, nil).Body.Bytes()
+	}
+	wantList := serve(t, s, "GET", "/views", nil).Body.Bytes()
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, s = open()
+	if got := serve(t, s, "GET", "/views", nil).Body.Bytes(); !bytes.Equal(got, wantList) {
+		t.Errorf("/views after restart:\n%s\nwant:\n%s", got, wantList)
+	}
+	for id, body := range want {
+		w := serve(t, s, "GET", "/views/"+id, nil)
+		if w.Code != http.StatusOK || !bytes.Equal(w.Body.Bytes(), body) {
+			t.Errorf("/views/%s after restart: status %d\n%s\nwant:\n%s", id, w.Code, w.Body, body)
+		}
+	}
+	if w := serve(t, s, "GET", "/views/v1", nil); w.Code != http.StatusNotFound {
+		t.Errorf("/views/v1 after restart: status %d, want 404 (it was deleted)", w.Code)
+	}
+	w := serve(t, s, "POST", "/query", QueryRequest{Q: admissionQuery})
+	var va ViewAnswers
+	if err := json.Unmarshal(w.Body.Bytes(), &va); err != nil || w.Code != http.StatusCreated || va.ID != "v3" {
+		t.Errorf("next view after restart: status %d, id %q; want 201 and v3", w.Code, va.ID)
 	}
 }

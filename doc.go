@@ -207,6 +207,14 @@
 //   - oracleTopKSteinerOn (internal/steiner/dpbf_oracle_test.go), the DPBF
 //     search before the arena rewrite. Gates: TestTopKSteinerMatchesOracle
 //     and FuzzTopKSteinerEquivalence.
+//   - the map-based string measures (internal/text/oracle_test.go): n-gram
+//     count maps, token-set maps and the DP-only edit distance, which the
+//     prepared forms, merge joins and bit-parallel edit distance replaced;
+//     and the metadata matcher scoring plain strings
+//     (internal/matcher/meta/oracle_test.go). Gates: TestWrappersEqualOracles,
+//     TestPreparedEqualOracles and FuzzEditDistance (== on float64), and
+//     TestMatchEqualsOracle and FuzzNameSimilarity (the same alignments, in
+//     order, on GBCO, InterPro+GO and synthetic relations).
 //
 // # Query cache and request coalescing
 //

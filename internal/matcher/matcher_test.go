@@ -1,6 +1,7 @@
 package matcher
 
 import (
+	"reflect"
 	"testing"
 
 	"qint/internal/relstore"
@@ -47,5 +48,30 @@ func TestSortByConfidenceDeterministic(t *testing.T) {
 	}
 	if aligns[1].A.Attr != "a" || aligns[2].A.Attr != "b" {
 		t.Errorf("tie-break by name: %v", aligns)
+	}
+}
+
+// TestSortByConfidenceKeyOrder pins the tie-break on tied confidences to
+// the "A~B" string key where one name is a prefix of another. There the key
+// and a field-by-field comparison disagree: "s.r.xy~…" sorts before
+// "s.r.x~…" because 'y' < '~', and "s.a-b.x" before "s.a.x" because '-' <
+// '.', while field by field "x" < "xy" and "s.a" < "s.a-b". So the key
+// cannot be replaced by comparing fields without moving alignments.
+func TestSortByConfidenceKeyOrder(t *testing.T) {
+	aligns := []Alignment{
+		{A: ref("s.r", "x"), B: ref("t.u", "y"), Confidence: 0.5},
+		{A: ref("s.a", "x"), B: ref("t.u", "y"), Confidence: 0.5},
+		{A: ref("s.r", "xy"), B: ref("t.u", "y"), Confidence: 0.5},
+		{A: ref("s.a-b", "x"), B: ref("t.u", "y"), Confidence: 0.5},
+		{A: ref("s.z", "z"), B: ref("t.u", "y"), Confidence: 0.9},
+	}
+	SortByConfidence(aligns)
+	var got []string
+	for _, al := range aligns {
+		got = append(got, al.A.String())
+	}
+	want := []string{"s.z.z", "s.a-b.x", "s.a.x", "s.r.xy", "s.r.x"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("order %q, want %q", got, want)
 	}
 }

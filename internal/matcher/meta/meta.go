@@ -4,6 +4,13 @@
 // relationship and substring/name matchers over metadata only — it never
 // inspects instance data. It does pairwise matching between one relation
 // pair at a time and reports calibrated confidences in [0,1].
+//
+// Each Match call profiles both relations' names and every attribute name
+// once (text.Prepare) and scores the attribute pairs from those profiles,
+// without allocating when the names are ASCII. It keeps nothing between
+// calls. Every similarity is
+// computed from integer counts and lengths, so a confidence is the same
+// float64 as scoring the plain strings with text's wrappers would give.
 package meta
 
 import (
@@ -47,17 +54,23 @@ func (m *Matcher) Match(_ *relstore.Catalog, a, b *relstore.Relation) []matcher.
 	if a == nil || b == nil {
 		return nil
 	}
-	structSim := relationNameSimilarity(a, b)
+	// The owning relations' name similarity is a mild structural prior:
+	// attributes of similarly-named relations (entry2pub vs method2pub)
+	// are likelier to align.
+	ra, rb := text.Prepare(a.Name), text.Prepare(b.Name)
+	structSim := nameSimilarity(&ra, &rb)
+	pa, pb := prepareAttributes(a), prepareAttributes(b)
+	relA, relB := a.QualifiedName(), b.QualifiedName()
 	var out []matcher.Alignment
-	for _, aa := range a.Attributes {
-		for _, bb := range b.Attributes {
-			conf := m.score(aa, bb, structSim)
+	for i, aa := range a.Attributes {
+		for j, bb := range b.Attributes {
+			conf := m.score(&pa[i], &pb[j], aa.Type, bb.Type, structSim)
 			if conf < m.MinConfidence {
 				continue
 			}
 			out = append(out, matcher.Alignment{
-				A:          relstore.AttrRef{Relation: a.QualifiedName(), Attr: aa.Name},
-				B:          relstore.AttrRef{Relation: b.QualifiedName(), Attr: bb.Name},
+				A:          relstore.AttrRef{Relation: relA, Attr: aa.Name},
+				B:          relstore.AttrRef{Relation: relB, Attr: bb.Name},
 				Confidence: conf,
 			})
 		}
@@ -66,10 +79,19 @@ func (m *Matcher) Match(_ *relstore.Catalog, a, b *relstore.Relation) []matcher.
 	return out
 }
 
+// prepareAttributes profiles the attribute names of r, in order.
+func prepareAttributes(r *relstore.Relation) []text.Prepared {
+	out := make([]text.Prepared, len(r.Attributes))
+	for i, at := range r.Attributes {
+		out[i] = text.Prepare(at.Name)
+	}
+	return out
+}
+
 // score combines name, structural and type evidence for one attribute pair.
-func (m *Matcher) score(a, b relstore.Attribute, structSim float64) float64 {
-	name := nameSimilarity(a.Name, b.Name)
-	typ := typeCompatibility(a.Type, b.Type)
+func (m *Matcher) score(a, b *text.Prepared, ta, tb relstore.Type, structSim float64) float64 {
+	name := nameSimilarity(a, b)
+	typ := typeCompatibility(ta, tb)
 	conf := m.NameWeight*name + m.StructWeight*structSim + m.TypeWeight*typ
 	// Pure structure/type evidence with no name signal is noise; COMA++'s
 	// combiner behaves the same way (a zero name similarity vetoes).
@@ -84,29 +106,21 @@ func (m *Matcher) score(a, b relstore.Attribute, structSim float64) float64 {
 
 // nameSimilarity is the max of three complementary string measures, the
 // analogue of COMA++ aggregating its name and substring sub-matchers by max.
-func nameSimilarity(a, b string) float64 {
-	na, nb := text.Normalize(a), text.Normalize(b)
-	if na == "" || nb == "" {
+func nameSimilarity(a, b *text.Prepared) float64 {
+	if a.Norm == "" || b.Norm == "" {
 		return 0
 	}
-	if na == nb {
+	if a.Norm == b.Norm {
 		return 1
 	}
-	best := text.ContainmentSimilarity(a, b)
-	if s := text.TrigramSimilarity(na, nb); s > best {
+	best := a.Containment(b)
+	if s := a.Trigram(b); s > best {
 		best = s
 	}
-	if s := text.EditSimilarity(na, nb); s > best {
+	if s := a.Edit(b); s > best {
 		best = s
 	}
 	return best
-}
-
-// relationNameSimilarity compares the owning relations' names, giving a mild
-// structural prior: attributes of similarly-named relations (entry2pub vs
-// method2pub) are likelier to align.
-func relationNameSimilarity(a, b *relstore.Relation) float64 {
-	return nameSimilarity(a.Name, b.Name)
 }
 
 // typeCompatibility scores declared domains: identical types 1, both

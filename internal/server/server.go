@@ -166,6 +166,7 @@ type servingCounters struct {
 	shedQueries      *obs.Counter // 429s from the in-flight limit or view cap
 	shedWrites       *obs.Counter // 503s from the write queue
 	viewsDeleted     *obs.Counter // DELETE /views/{id} successes
+	cappedQueries    *obs.Counter // 400s for more than maxQueryKeywords keywords
 }
 
 // Server wraps a Q instance and implements http.Handler. It takes no lock:
@@ -235,6 +236,7 @@ func (s *Server) instrument() {
 		shedQueries:      reg.Counter("qint_serving_shed_queries_total", "Queries shed with 429 (in-flight limit or view cap)."),
 		shedWrites:       reg.Counter("qint_serving_shed_writes_total", "Writes shed with 503 (admission queue full)."),
 		viewsDeleted:     reg.Counter("qint_serving_views_deleted_total", "Successful DELETE /views/{id} requests."),
+		cappedQueries:    reg.Counter("qint_serving_capped_queries_total", "Queries refused with 400 for carrying more than the keyword cap."),
 	}
 	s.slowQueries = reg.Counter("qint_slow_queries_total", "Queries whose wall time reached the slow-query threshold.")
 	reg.GaugeFunc("qint_serving_inflight_queries", "Queries currently holding an admission token.", func() float64 {
@@ -507,6 +509,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	keywords := core.ParseKeywords(req.Q)
 	if len(keywords) > maxQueryKeywords {
+		s.counters.cappedQueries.Inc()
 		httpError(w, http.StatusBadRequest, "query has %d keywords, at most %d allowed", len(keywords), maxQueryKeywords)
 		return
 	}

@@ -430,6 +430,7 @@ func TestQueryKeywordCap(t *testing.T) {
 		return QueryRequest{Q: b.String()}
 	}
 	before := q.Metrics().Counter("qint_queries_total", "").Load()
+	capped := q.Metrics().Counter("qint_serving_capped_queries_total", "")
 	if w := serve(t, s, "POST", "/query?ephemeral=1", query(maxQueryKeywords)); w.Code != http.StatusOK {
 		t.Errorf("%d keywords: status %d, want 200: %s", maxQueryKeywords, w.Code, w.Body)
 	}
@@ -439,6 +440,9 @@ func TestQueryKeywordCap(t *testing.T) {
 	}
 	if n := q.Metrics().Counter("qint_queries_total", "").Load() - before; n != 1 {
 		t.Errorf("engine ran %d queries, want 1: the over-cap query must not reach it", n)
+	}
+	if n := capped.Load(); n != 1 {
+		t.Errorf("qint_serving_capped_queries_total = %d, want 1", n)
 	}
 	if n := len(q.Views()); n != 0 {
 		t.Errorf("engine holds %d views, want 0", n)

@@ -1,16 +1,33 @@
 // Package text provides the string-similarity and information-retrieval
 // primitives used throughout Q: tokenisation and normalisation of schema
-// labels and data values, edit distance, character n-gram overlap, Jaccard
+// labels and data values, edit distance, character trigram overlap, Jaccard
 // similarity, and a tf-idf vectoriser with cosine scoring.
 //
 // The keyword-to-node match scores s_i of the paper's query graph (Figure 3)
 // come from this package, as do the name-similarity components of the
 // metadata matcher.
+//
+// Each string measure has one implementation. A caller that compares one
+// string with many profiles it once with Prepare — normalised form, form
+// without spaces, sorted distinct tokens, sorted packed trigram multiset and
+// rune count — and scores pairs of Prepared values: token Jaccard is a
+// merge of the token lists, trigram Dice a merge of the gram lists, and
+// edit distance is bit-parallel (Myers 1999, Hyyrö 2003) whenever the
+// shorter string is ASCII with at most 64 runes, so scoring ASCII names
+// does not allocate; other strings take the two-row dynamic programme.
+// ContainmentSimilarity, TrigramSimilarity, EditSimilarity and EditDistance
+// are thin wrappers over the same implementations for callers holding plain
+// strings. Every measure
+// is computed from integer counts and lengths, so the prepared and plain
+// forms return the same float64.
 package text
 
 import (
+	"cmp"
+	"slices"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Normalize lower-cases s and collapses runs of non-alphanumeric characters
@@ -114,107 +131,6 @@ func IsNumeric(s string) bool {
 	return seenDigit
 }
 
-// EditDistance returns the Levenshtein distance between a and b, operating on
-// runes. It uses two rolling rows, O(min(len)) space.
-func EditDistance(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	if len(ra) < len(rb) {
-		ra, rb = rb, ra
-	}
-	if len(rb) == 0 {
-		return len(ra)
-	}
-	prev := make([]int, len(rb)+1)
-	cur := make([]int, len(rb)+1)
-	for j := range prev {
-		prev[j] = j
-	}
-	for i := 1; i <= len(ra); i++ {
-		cur[0] = i
-		for j := 1; j <= len(rb); j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			cur[j] = min3(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
-		}
-		prev, cur = cur, prev
-	}
-	return prev[len(rb)]
-}
-
-func min3(a, b, c int) int {
-	if b < a {
-		a = b
-	}
-	if c < a {
-		a = c
-	}
-	return a
-}
-
-// EditSimilarity maps edit distance to a similarity in [0,1]:
-// 1 - dist/max(len). Identical strings score 1; disjoint strings approach 0.
-func EditSimilarity(a, b string) float64 {
-	la, lb := len([]rune(a)), len([]rune(b))
-	if la == 0 && lb == 0 {
-		return 1
-	}
-	m := la
-	if lb > m {
-		m = lb
-	}
-	return 1 - float64(EditDistance(a, b))/float64(m)
-}
-
-// NGrams returns the multiset (as a count map) of character n-grams of s,
-// padded with (n-1) leading and trailing '#' markers so that prefixes and
-// suffixes contribute distinct grams.
-func NGrams(s string, n int) map[string]int {
-	if n <= 0 {
-		return nil
-	}
-	pad := strings.Repeat("#", n-1)
-	p := pad + s + pad
-	r := []rune(p)
-	grams := make(map[string]int)
-	for i := 0; i+n <= len(r); i++ {
-		grams[string(r[i:i+n])]++
-	}
-	return grams
-}
-
-// TrigramSimilarity is the Dice coefficient over character trigram multisets:
-// 2*|common| / (|A| + |B|).
-func TrigramSimilarity(a, b string) float64 {
-	return ngramSimilarity(a, b, 3)
-}
-
-func ngramSimilarity(a, b string, n int) float64 {
-	ga, gb := NGrams(a, n), NGrams(b, n)
-	ta, tb := 0, 0
-	for _, c := range ga {
-		ta += c
-	}
-	for _, c := range gb {
-		tb += c
-	}
-	if ta+tb == 0 {
-		return 0
-	}
-	common := 0
-	for g, ca := range ga {
-		if cb, ok := gb[g]; ok {
-			if cb < ca {
-				common += cb
-			} else {
-				common += ca
-			}
-		}
-	}
-	return 2 * float64(common) / float64(ta+tb)
-}
-
 // Jaccard returns |A∩B| / |A∪B| for two string sets. Empty∩empty is defined
 // as 1 (identical).
 func Jaccard(a, b map[string]struct{}) float64 {
@@ -238,52 +154,266 @@ func Jaccard(a, b map[string]struct{}) float64 {
 	return float64(inter) / float64(union)
 }
 
-// ContainmentSimilarity scores how much the token sets of a and b overlap,
-// favouring substring containment: it is the max of token Jaccard and a
-// normalised longest-common-substring ratio. This approximates the
-// "substring matcher" component the paper uses from COMA++.
-func ContainmentSimilarity(a, b string) float64 {
-	na, nb := Normalize(a), Normalize(b)
-	if na == "" || nb == "" {
+// Prepared is a string profiled once for the similarity measures, so that
+// comparing it with many others repeats no per-string work.
+type Prepared struct {
+	Norm    string   // Normalize of the original string
+	noSpace string   // Norm with its spaces removed
+	tokens  []string // distinct space-separated tokens of Norm, sorted
+	grams   []uint64 // trigrams of "##"+Norm+"##", three runes packed per gram, sorted
+	runes   int      // rune count of Norm
+}
+
+// Prepare profiles s for the similarity measures.
+func Prepare(s string) Prepared {
+	n := Normalize(s)
+	p := Prepared{
+		Norm:    n,
+		noSpace: strings.ReplaceAll(n, " ", ""),
+		tokens:  appendTokens(nil, n),
+		grams:   appendTrigrams(nil, n),
+		runes:   utf8.RuneCountInString(n),
+	}
+	slices.Sort(p.grams)
+	return p
+}
+
+// appendTokens appends the distinct space-separated tokens of s to dst,
+// sorted.
+func appendTokens(dst []string, s string) []string {
+	start := len(dst)
+	for t := range strings.FieldsSeq(s) {
+		dst = append(dst, t)
+	}
+	slices.Sort(dst[start:])
+	return dst[:start+len(slices.Compact(dst[start:]))]
+}
+
+// Containment scores how much p and q overlap, favouring substring
+// containment: 0 when either normalises to empty, 1 when they normalise to
+// the same string, else the max of token Jaccard and the containment ratio.
+// This approximates the "substring matcher" component the paper uses from
+// COMA++.
+//
+// The containment ratio is len(shorter)/len(longer), in bytes without
+// spaces, when the longer contains the shorter as a substring once both
+// lose their spaces, else 0. Shorter and longer are chosen by the byte
+// length of the normalised strings WITH their spaces, and a tie keeps
+// argument order, so the measure is not symmetric on ties:
+// Containment of "a bc d" and "abcd e" is 0.8 (does "abcde" contain
+// "abcd"?), the swapped call 0 (does "abcd" contain "abcde"?).
+func (p *Prepared) Containment(q *Prepared) float64 {
+	if p.Norm == "" || q.Norm == "" {
 		return 0
 	}
-	if na == nb {
+	if p.Norm == q.Norm {
 		return 1
 	}
-	j := tokenJaccard(na, nb)
-	c := containmentRatio(na, nb)
+	j := jaccardSorted(p.tokens, q.tokens)
+	short, long := p, q
+	if len(short.Norm) > len(long.Norm) {
+		short, long = long, short
+	}
+	c := 0.0
+	if len(long.noSpace) > 0 && strings.Contains(long.noSpace, short.noSpace) {
+		c = float64(len(short.noSpace)) / float64(len(long.noSpace))
+	}
 	if c > j {
 		return c
 	}
 	return j
 }
 
-func tokenJaccard(a, b string) float64 {
-	sa := make(map[string]struct{})
-	for _, t := range strings.Fields(a) {
-		sa[t] = struct{}{}
+// jaccardSorted is |A∩B| / |A∪B| over two sorted distinct token lists;
+// two empty lists score 1, like Jaccard.
+func jaccardSorted(a, b []string) float64 {
+	if len(a) == 0 && len(b) == 0 {
+		return 1
 	}
-	sb := make(map[string]struct{})
-	for _, t := range strings.Fields(b) {
-		sb[t] = struct{}{}
-	}
-	return Jaccard(sa, sb)
+	inter := common(a, b)
+	return float64(inter) / float64(len(a)+len(b)-inter)
 }
 
-// containmentRatio gives len(shorter)/len(longer) when one normalised string
-// contains the other as a substring (e.g. "pub" in "publication"), else 0.
-func containmentRatio(a, b string) float64 {
-	short, long := a, b
-	if len(short) > len(long) {
-		short, long = long, short
-	}
-	if strings.Contains(strings.ReplaceAll(long, " ", ""), strings.ReplaceAll(short, " ", "")) {
-		ls := len(strings.ReplaceAll(short, " ", ""))
-		ll := len(strings.ReplaceAll(long, " ", ""))
-		if ll == 0 {
-			return 0
+// Trigram is the Dice coefficient over the trigram multisets of p.Norm and
+// q.Norm: 2·|common| / (|A| + |B|), common counted with multiplicity.
+func (p *Prepared) Trigram(q *Prepared) float64 {
+	return dice(p.grams, q.grams)
+}
+
+// dice is 2·common / (|A| + |B|) over two sorted gram multisets.
+func dice(a, b []uint64) float64 {
+	return 2 * float64(common(a, b)) / float64(len(a)+len(b))
+}
+
+// common merges two sorted lists and counts the elements they share:
+// equal elements pair off one to one, so for multisets it is Σ min(count
+// in a, count in b), and for sets |a ∩ b|.
+func common[T cmp.Ordered](a, b []T) int {
+	n := 0
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			n++
+			i++
+			j++
 		}
-		return float64(ls) / float64(ll)
 	}
-	return 0
+	return n
+}
+
+// appendTrigrams appends the character trigrams of "##" + s + "##" to dst,
+// each packed as three 21-bit runes (every rune fits in 21 bits, so the
+// packing is one to one). Invalid UTF-8 bytes read as U+FFFD, as a []rune
+// conversion reads them. A string of r runes has r + 2 trigrams.
+func appendTrigrams(dst []uint64, s string) []uint64 {
+	const pad = uint64('#')
+	const mask = 1<<63 - 1
+	g := pad<<21 | pad // the window holds the last two runes
+	for _, r := range s {
+		g = (g<<21 | uint64(r)) & mask
+		dst = append(dst, g)
+	}
+	for range 2 {
+		g = (g<<21 | pad) & mask
+		dst = append(dst, g)
+	}
+	return dst
+}
+
+// Edit maps the edit distance of p.Norm and q.Norm to a similarity in
+// [0,1]: 1 - dist/max(runes).
+func (p *Prepared) Edit(q *Prepared) float64 {
+	return editSimilarity(p.Norm, p.runes, q.Norm, q.runes)
+}
+
+// ContainmentSimilarity is Prepared.Containment on two plain strings. Past
+// the normalisation it allocates only where a string has spaces to drop or
+// more than eight tokens, and only when the strings differ.
+func ContainmentSimilarity(a, b string) float64 {
+	var ta, tb [8]string
+	na, nb := Normalize(a), Normalize(b)
+	pa, pb := Prepared{Norm: na}, Prepared{Norm: nb}
+	if na != "" && nb != "" && na != nb {
+		// Only this case reads noSpace and tokens. (Reading the norms from
+		// na and nb, not pa and pb, keeps ta and tb on the stack.)
+		pa.noSpace, pa.tokens = strings.ReplaceAll(na, " ", ""), appendTokens(ta[:0], na)
+		pb.noSpace, pb.tokens = strings.ReplaceAll(nb, " ", ""), appendTokens(tb[:0], nb)
+	}
+	return pa.Containment(&pb)
+}
+
+// TrigramSimilarity is the Dice coefficient over the character trigram
+// multisets of a and b, as given (not normalised): Prepared.Trigram on
+// plain strings.
+func TrigramSimilarity(a, b string) float64 {
+	var ga, gb [32]uint64
+	sa, sb := appendTrigrams(ga[:0], a), appendTrigrams(gb[:0], b)
+	slices.Sort(sa)
+	slices.Sort(sb)
+	return dice(sa, sb)
+}
+
+// EditSimilarity maps edit distance to a similarity in [0,1]:
+// 1 - dist/max(len). Identical strings score 1; disjoint strings approach 0.
+func EditSimilarity(a, b string) float64 {
+	return editSimilarity(a, utf8.RuneCountInString(a), b, utf8.RuneCountInString(b))
+}
+
+// EditDistance returns the Levenshtein distance between a and b, operating
+// on runes.
+func EditDistance(a, b string) int {
+	return editDistance(a, utf8.RuneCountInString(a), b, utf8.RuneCountInString(b))
+}
+
+func editSimilarity(a string, ra int, b string, rb int) float64 {
+	if ra == 0 && rb == 0 {
+		return 1
+	}
+	return 1 - float64(editDistance(a, ra, b, rb))/float64(max(ra, rb))
+}
+
+// editDistance is the Levenshtein distance of a (ra runes) and b (rb
+// runes). The shorter string is the bit-parallel pattern when it is ASCII
+// and at most 64 runes long; otherwise the two-row dynamic programme runs.
+func editDistance(a string, ra int, b string, rb int) int {
+	if ra < rb {
+		a, ra, b, rb = b, rb, a, ra
+	}
+	switch {
+	case rb == 0:
+		return ra
+	case rb > 64 || !isASCII(b):
+		return editDistanceDP(a, b)
+	default:
+		return myersASCII(b, rb, a)
+	}
+}
+
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
+// myersASCII is the Levenshtein distance of an ASCII pattern of m ≤ 64
+// runes and any text, computed bit-parallel after Myers (JACM 1999) in
+// Hyyrö's formulation (2003) for the global distance: bit i of pv/mv
+// records a +1/-1 vertical delta in row i+1 of the current DP column, and
+// dist is the bottom cell D[m][j].
+func myersASCII(pattern string, m int, text string) int {
+	var peq [utf8.RuneSelf]uint64
+	for i := 0; i < len(pattern); i++ {
+		peq[pattern[i]] |= 1 << i
+	}
+	pv, mv, last, dist := ^uint64(0), uint64(0), uint64(1)<<(m-1), m
+	for _, r := range text {
+		var eq uint64
+		if r < utf8.RuneSelf {
+			eq = peq[r]
+		}
+		xv := eq | mv
+		xh := ((eq & pv) + pv) ^ pv | eq
+		ph := mv | ^(xh | pv)
+		mh := pv & xh
+		if ph&last != 0 {
+			dist++
+		} else if mh&last != 0 {
+			dist--
+		}
+		ph = ph<<1 | 1 // row 0 is D[0][j] = j: every horizontal delta there is +1
+		mh <<= 1
+		pv = mh | ^(xv | ph)
+		mv = ph & xv
+	}
+	return dist
+}
+
+// editDistanceDP is the two-row Levenshtein dynamic programme, for
+// patterns that are not ASCII or too long for one machine word.
+func editDistanceDP(a, b string) int {
+	ra, rb := []rune(a), []rune(b)
+	prev := make([]int, len(rb)+1)
+	cur := make([]int, len(rb)+1)
+	for j := range prev {
+		prev[j] = j
+	}
+	for i := 1; i <= len(ra); i++ {
+		cur[0] = i
+		for j := 1; j <= len(rb); j++ {
+			cost := 1
+			if ra[i-1] == rb[j-1] {
+				cost = 0
+			}
+			cur[j] = min(prev[j]+1, cur[j-1]+1, prev[j-1]+cost)
+		}
+		prev, cur = cur, prev
+	}
+	return prev[len(rb)]
 }

@@ -53,7 +53,6 @@ func main() {
 	register := flag.Float64("register", 0, "fraction of ops sent as POST /sources registrations")
 	feedback := flag.Float64("feedback", 0, "fraction of ops sent as feedback writes")
 	persistent := flag.Bool("persistent", false, "create persistent views instead of ?ephemeral=1")
-	parallel := flag.Int("parallel", 0, "per-query ?parallel= setting (0 = server default)")
 	timeout := flag.Duration("timeout", 10*time.Second, "per-request timeout")
 	seed := flag.Int64("seed", 1, "schedule seed")
 	out := flag.String("out", "BENCH_qload.json", "machine-readable report path (empty = none)")
@@ -78,7 +77,6 @@ func main() {
 		RegisterFraction: *register,
 		FeedbackFraction: *feedback,
 		NoEphemeral:      *persistent,
-		Parallel:         *parallel,
 		Timeout:          *timeout,
 		Seed:             *seed,
 	})

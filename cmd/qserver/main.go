@@ -19,9 +19,11 @@
 //
 // Serving limits (see the internal/server package comment for the full
 // 429/503 contract): -max-inflight bounds concurrent query executions,
-// -write-queue bounds queued writes, -max-parallel caps the ?parallel=
-// knob, -max-views caps the persistent view registry, and -max-body caps
-// POST bodies (413 beyond it). The http.Server itself runs with
+// -write-queue bounds queued writes, -max-views caps the persistent view
+// registry, and -max-body caps POST bodies (413 beyond it). The engine sizes
+// its catalog shards and worker pools from GOMAXPROCS; set that environment
+// variable to change its width (answers are identical at any width). The
+// http.Server itself runs with
 // read-header/read/write/idle timeouts so a slow or stalled client cannot
 // wedge the accept loop. cmd/qload drives this server at a target QPS and
 // reports latency percentiles against these limits.
@@ -58,7 +60,6 @@ func main() {
 	dataDir := flag.String("data", "", "durable storage directory (empty = in-memory)")
 	maxInflight := flag.Int("max-inflight", 0, "concurrent query admissions before 429 (0 = 4x GOMAXPROCS, min 16)")
 	writeQueue := flag.Int("write-queue", 0, "queued-or-running writes before 503 (0 = 8)")
-	maxParallel := flag.Int("max-parallel", 0, "?parallel= ceiling (0 = GOMAXPROCS)")
 	maxViews := flag.Int("max-views", 0, "persistent view registry cap (0 = 10000)")
 	maxBody := flag.Int64("max-body", 0, "POST body byte cap before 413 (0 = 8 MiB)")
 	slowQuery := flag.Duration("slow-query", 0, "log queries at or over this wall time with their stage breakdown (0 = off)")
@@ -114,7 +115,6 @@ func main() {
 	var handler http.Handler = server.NewWith(q, server.Config{
 		MaxInFlightQueries: *maxInflight,
 		WriteQueueDepth:    *writeQueue,
-		MaxParallel:        *maxParallel,
 		MaxBodyBytes:       *maxBody,
 		SlowQueryThreshold: *slowQuery,
 	})

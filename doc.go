@@ -12,8 +12,8 @@
 // The system is single-writer, many-query, built on copy-on-write
 // snapshots of the shared read state.
 //
-// Writers — AddTables, RegisterSource, feedback, Refresh, AddMatcher,
-// SetParallelism — serialise on core.Q's internal writer mutex. A writer
+// Writers — AddTables, RegisterSource, feedback, Refresh, AddMatcher —
+// serialise on core.Q's internal writer mutex. A writer
 // mutates the builder structures (catalog, tf-idf corpus, search graph)
 // copy-on-write and PUBLISHES the result as one immutable state generation
 // via a single atomic pointer swap. The search graph's builder
@@ -24,7 +24,7 @@
 //
 // Queries take NO lock at all. Q.Query, the one query entry point (a
 // core.Request: keywords — core.ParseKeywords splits a query string — k,
-// parallelism, ephemeral, an optional trace), loads the current generation
+// ephemeral, an optional trace), loads the current generation
 // once, expands its keywords into a PRIVATE search-graph overlay
 // (searchgraph.Overlay: the keyword nodes, keyword edges and lazily
 // materialised value nodes of paper §2.2 — per-query state that never
@@ -45,17 +45,21 @@
 // id spaces, so a view's provenance (explain, feedback) resolves against
 // the overlay retained by its materialisation; the overlay dies with it.
 //
-// Inside one materialisation, work still fans across a bounded worker pool
-// (core.Options.Parallelism, default GOMAXPROCS): tree→query translations
-// and conjunctive-query branch executions run concurrently, and Refresh
-// rematerialises persistent views concurrently; a global semaphore bounds
-// in-flight branch executions across all concurrent materialisations. The
-// pipeline collects branches by tree index and runs the order-sensitive
-// passes (signature dedup, output-schema alignment, DisjointUnion) as
-// deterministic post-passes in tree-cost order, so a view materialised at
-// any parallelism is byte-identical — trees, query signatures, ranked rows
-// and α — to the serial result. internal/core/parallel_test.go pins that
-// equivalence metamorphically across the bundled corpora.
+// The engine sizes itself: core.New reads runtime.GOMAXPROCS(0) once into
+// one width, and no option, method or request parameter selects another.
+// The width sizes the catalog's shards (also when a snapshot is restored),
+// the tree→query translation fan-out inside one materialisation, the
+// Refresh fan-out over persistent views, the registration-time index
+// builds, and a global semaphore that bounds in-flight branch executions
+// across all concurrent materialisations. The pipeline collects branches by
+// tree index and runs the order-sensitive passes (signature dedup,
+// output-schema alignment, the top-k union) as deterministic post-passes in
+// tree-cost order, so a view materialised at any width is byte-identical —
+// trees, query signatures, ranked rows and α — to the one-wide result. The
+// width oracles (internal/core/parallel_test.go and shard_test.go) build
+// engines under GOMAXPROCS 2, 7 and 8 and compare them with GOMAXPROCS 1
+// across the bundled corpora, and CI runs the relstore, core and server
+// suites under -cpu 1,4.
 //
 // # Value index
 //
@@ -84,20 +88,20 @@
 // # Sharded catalog
 //
 // The catalog itself is hash-partitioned: relstore.Catalog divides its
-// tables by qualified-name hash into N shards (core.Options.Shards, default
+// tables by qualified-name hash into N shards (N is the engine width,
 // GOMAXPROCS), each owning its own table map, lazy distinct-value cache and
-// immutable value-index segments. Catalog-wide operations fan out across
-// the worker bound — keyword→value lookups (FindValues) and value-index
-// builds one worker per shard, the value-overlap pair generation that
-// prunes registration-time alignment comparisons one worker per attribute
-// — and merge under deterministic total orders, so the shard count never
-// changes a single byte of any
-// answer: the metamorphic suites (internal/relstore/shard_test.go,
-// internal/core/shard_test.go) pin byte-identical FindValues hits,
-// alignment scores and materialised views at shard counts {1, 2, 7,
-// GOMAXPROCS} under -race, and native fuzz targets (FuzzNormalize,
-// FuzzFindValuesEquivalence) hold scan, single-shard index and sharded
-// index to the same answer on arbitrary keywords.
+// immutable value-index segments. Catalog-wide operations fan out one
+// worker per shard — keyword→value lookups (FindValues), value-index builds
+// and the value-overlap pair generation that prunes registration-time
+// alignment comparisons (per attribute, at most one worker per shard) —
+// and merge under deterministic total orders, so the shard count never
+// changes a single byte of any answer: the metamorphic suites
+// (internal/relstore/shard_test.go at shard counts {1, 2, 7, GOMAXPROCS},
+// internal/core/shard_test.go at widths {1, 2, 7, 8}) pin byte-identical
+// FindValues hits, alignment scores and materialised views under -race,
+// and native fuzz targets (FuzzNormalize, FuzzFindValuesEquivalence) hold
+// scan, single-shard index and sharded index to the same answer on
+// arbitrary keywords.
 //
 // Sharding composes with the copy-on-write machinery: Clone copies only the
 // shard-pointer slice, the per-shard caches stay shared, and the first
@@ -107,8 +111,9 @@
 // concurrent with a registration sees either the complete pre- or
 // post-registration world across ALL shards, never a torn subset
 // (TestShardedRegistrationSnapshotIsolation). Catalog persistence is
-// shard-agnostic: a catalog saved at one shard count reloads at any other
-// with byte-identical answers and lazily rebuilt segments.
+// shard-agnostic: a snapshot saved at one width restores at the restoring
+// process's width with byte-identical answers
+// (TestEngineWidthFollowsGOMAXPROCS).
 //
 // # Streaming execution
 //
@@ -241,9 +246,8 @@
 // a cold engine through the same randomised query/registration/feedback
 // stream in lockstep under -race and compares every view byte-for-byte,
 // and caching is gated to PUBLISHED generations only (registration's
-// unpublished interim states bypass it). ExpansionCacheEntries and
-// MaterializationCacheEntries are the knobs (negative disables a cache;
-// both negative turn the layer off); Q.CacheStats exposes
+// unpublished interim states bypass it). The capacities are fixed at 4096
+// expansion and 256 materialisation entries; Q.CacheStats exposes
 // hits/misses/computes/coalesced/evictions/live epochs.
 //
 // # Durable storage
@@ -316,8 +320,8 @@
 //     Retry-After. 503 (not 429) because writes are not idempotent:
 //     whether to re-submit is the client's decision once the queue
 //     drains.
-//   - ?parallel= is clamped to MaxParallel (default GOMAXPROCS), with
-//     absurd values rejected (400); POST bodies beyond MaxBodyBytes get
+//   - No request sizes the engine's fan-out: the engine takes its width
+//     from GOMAXPROCS. POST bodies beyond MaxBodyBytes get
 //     413 via http.MaxBytesReader; cmd/qserver runs its http.Server with
 //     read-header/read/write/idle timeouts so slow clients cannot wedge
 //     the accept loop.

@@ -53,10 +53,8 @@ type valueMatch struct {
 	Sim   float64
 }
 
-// queryCaches bundles Q's per-instance serving caches. Nil when both
-// capacity knobs disable their caches; otherwise an individual cache is nil
-// when its knob disables just it (qcache treats a nil *Cache as a
-// miss-always no-op, so the wiring reads straight through).
+// queryCaches bundles Q's per-instance serving caches (nil only on the
+// uncached oracle engines of the tests).
 //
 // The caches belong to one Q, and every option that shapes an answer is
 // fixed when New builds it (Load and Open build a new Q with new caches), so
@@ -68,15 +66,22 @@ type queryCaches struct {
 	matG qcache.Group[*viewMat]
 }
 
-// newQueryCaches wires the serving caches for one Q instance, or returns
-// nil when Options disable both.
-func newQueryCaches(o Options) *queryCaches {
-	exp := qcache.New[[]valueMatch](o.ExpansionCacheEntries)
-	mat := qcache.New[*viewMat](o.MaterializationCacheEntries)
-	if exp == nil && mat == nil {
-		return nil
+// The cache capacities, in entries. An expansion entry is one (epoch,
+// normalised keyword): the scored, truncated value matches of that keyword.
+// A materialisation entry is one (epoch, keyword sequence, k): the complete
+// immutable materialisation — trees, queries, ranked result, α — and it
+// pins its state generation in memory, hence the smaller capacity.
+const (
+	expansionCacheEntries       = 4096
+	materializationCacheEntries = 256
+)
+
+// newQueryCaches wires the serving caches for one Q instance.
+func newQueryCaches() *queryCaches {
+	return &queryCaches{
+		exp: qcache.New[[]valueMatch](expansionCacheEntries),
+		mat: qcache.New[*viewMat](materializationCacheEntries),
 	}
-	return &queryCaches{exp: exp, mat: mat}
 }
 
 // setLiveEpoch announces a newly published generation to both caches so
@@ -108,17 +113,17 @@ func matCacheKey(keywords []string, k int) string {
 // materializeCached is materializeAt behind the materialisation cache and
 // its singleflight group: a hit returns the shared immutable viewMat, a
 // miss computes once per in-flight key and caches the result. Unpublished
-// interim states and disabled caches read straight through.
+// interim states (and the tests' uncached engines) read straight through.
 //
 // A trace records the lookup as cache_lookup; a caller that coalesces onto
 // another flight's compute records its blocked time as coalesced_wait
 // (the pipeline spans land in the LEADER's trace — this caller did not run
 // the pipeline), while the leader's own trace carries the stage spans the
 // compute recorded into it.
-func (q *Q) materializeCached(st *qstate, keywords []string, k, parallelism int, tr *obs.Trace) (*viewMat, error) {
+func (q *Q) materializeCached(st *qstate, keywords []string, k int, tr *obs.Trace) (*viewMat, error) {
 	qc := q.qc
-	if qc == nil || qc.mat == nil || !st.published {
-		return q.materializeAt(st, keywords, k, parallelism, tr)
+	if qc == nil || !st.published {
+		return q.materializeAt(st, keywords, k, tr)
 	}
 	key := qcache.Key{Epoch: st.epoch, K: matCacheKey(keywords, k)}
 	tlook := tr.Now()
@@ -137,7 +142,7 @@ func (q *Q) materializeCached(st *qstate, keywords []string, k, parallelism int,
 		if h := q.matComputeHook; h != nil {
 			h()
 		}
-		m, err := q.materializeAt(st, keywords, k, parallelism, tr)
+		m, err := q.materializeAt(st, keywords, k, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -155,7 +160,7 @@ func (q *Q) materializeCached(st *qstate, keywords []string, k, parallelism int,
 // when possible. The result is shared and must be treated as immutable.
 func (q *Q) valueExpansions(st *qstate, kw string) []valueMatch {
 	qc := q.qc
-	if qc == nil || qc.exp == nil || !st.published {
+	if qc == nil || !st.published {
 		return q.computeValueExpansions(st, kw)
 	}
 	key := qcache.Key{Epoch: st.epoch, K: text.Normalize(kw)}

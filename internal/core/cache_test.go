@@ -18,17 +18,20 @@ import (
 // pure memoisation over immutable generations; if any answer ever
 // diverges, the epoch-keying argument (no invalidation needed) is broken.
 
+// newUncached is New without the query caches: the cold oracle engine the
+// cache and planner suites compare against.
+func newUncached(opts Options) *Q {
+	q := New(opts)
+	q.qc = nil
+	return q
+}
+
 // cachePair builds two identically constructed engines over the fixture
-// corpus: one with the default (enabled) cache, one cold.
+// corpus: one with the query caches, one cold.
 func cachePair(t *testing.T) (cached, cold *Q) {
 	t.Helper()
-	build := func(disable bool) *Q {
-		opts := DefaultOptions()
-		if disable {
-			opts.ExpansionCacheEntries = -1
-			opts.MaterializationCacheEntries = -1
-		}
-		q := New(opts)
+	build := func(newQ func(Options) *Q) *Q {
+		q := newQ(DefaultOptions())
 		q.AddMatcher(meta.New())
 		if err := q.AddTables(fixtureTables(t)...); err != nil {
 			t.Fatal(err)
@@ -38,7 +41,7 @@ func cachePair(t *testing.T) (cached, cold *Q) {
 			relstore.AttrRef{Relation: "ip.interpro2go", Attr: "go_id"})
 		return q
 	}
-	return build(false), build(true)
+	return build(New), build(newUncached)
 }
 
 // cacheQueryPool is the randomised stream's query vocabulary: a small hot

@@ -68,45 +68,6 @@ type Options struct {
 	// MIRA ("using real-valued features directly in the algorithm can
 	// cause poor learning"); the ablation benchmark quantifies it.
 	RawConfidences bool
-	// Parallelism bounds the worker pool used by view materialisation: the
-	// tree→query translations of one view fan out across at most this many
-	// workers, at most this many views execute their (serial, top-k bounded)
-	// branch queries at once, and Refresh rematerialises up to this many
-	// views concurrently. 1 means fully serial execution;
-	// any value produces byte-identical views (the pipeline collects
-	// branches by tree index and runs the signature-dedup and output-schema
-	// alignment as deterministic post-passes in tree-cost order). Defaults
-	// to runtime.GOMAXPROCS(0).
-	Parallelism int
-	// Shards is the number of hash partitions the catalog divides its
-	// tables into. Catalog-wide work — keyword→value lookups (FindValues),
-	// value-index segment builds, and the value-overlap pair generation of
-	// registration-time alignment — fans out one worker per shard (bounded
-	// by Parallelism) and merges with deterministic post-passes, and a
-	// registration's catalog writes touch only the shards its new tables
-	// hash into. Any shard count produces byte-identical answers (the
-	// metamorphic suites in internal/relstore/shard_test.go and
-	// internal/core/shard_test.go pin this); the knob trades parallel
-	// fan-out and write locality against per-shard overhead. Defaults to
-	// runtime.GOMAXPROCS(0). Fixed at construction: changing it requires a
-	// new Q (or a persist round-trip with different Options).
-	Shards int
-	// ExpansionCacheEntries is the capacity, in entries, of the
-	// keyword-expansion cache (one entry per (epoch, normalised keyword):
-	// the scored, truncated value matches of that keyword) — one half of the
-	// serving-layer query cache (internal/qcache, with request-coalescing
-	// singleflight). Cached answers are byte-identical to uncached ones at
-	// every epoch (cache_test.go pins it). 0 means the default; negative
-	// disables this cache, and negative here and in
-	// MaterializationCacheEntries turns the query cache off entirely.
-	ExpansionCacheEntries int
-	// MaterializationCacheEntries is the capacity, in entries, of the view-
-	// materialisation cache (one entry per (epoch, keyword sequence, k):
-	// the complete immutable materialisation — trees, queries, ranked
-	// result, α). Entries pin their state generation in memory, so this
-	// knob trades memory for repeated-query latency. 0 means the default;
-	// negative disables just this cache.
-	MaterializationCacheEntries int
 	// MaxViews caps the persistent view registry: at the cap, a persistent
 	// Query returns ErrViewLimit (ephemeral queries and the views a restart
 	// restores are exempt). Default 10000.
@@ -131,18 +92,14 @@ type Options struct {
 // experiments: k=5, Y=2.
 func DefaultOptions() Options {
 	return Options{
-		K:                           5,
-		TopY:                        2,
-		MatchThreshold:              0.30,
-		MaxMatchesPerKeyword:        8,
-		ColumnAlignThreshold:        2.0,
-		AssocCostThreshold:          0,
-		PreferentialBudget:          3,
-		Parallelism:                 runtime.GOMAXPROCS(0),
-		Shards:                      runtime.GOMAXPROCS(0),
-		ExpansionCacheEntries:       4096,
-		MaterializationCacheEntries: 256,
-		MaxViews:                    10000,
+		K:                    5,
+		TopY:                 2,
+		MatchThreshold:       0.30,
+		MaxMatchesPerKeyword: 8,
+		ColumnAlignThreshold: 2.0,
+		AssocCostThreshold:   0,
+		PreferentialBudget:   3,
+		MaxViews:             10000,
 	}
 }
 
@@ -165,18 +122,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.PreferentialBudget <= 0 {
 		o.PreferentialBudget = d.PreferentialBudget
-	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = d.Parallelism
-	}
-	if o.Shards <= 0 {
-		o.Shards = d.Shards
-	}
-	if o.ExpansionCacheEntries == 0 {
-		o.ExpansionCacheEntries = d.ExpansionCacheEntries
-	}
-	if o.MaterializationCacheEntries == 0 {
-		o.MaterializationCacheEntries = d.MaterializationCacheEntries
 	}
 	if o.MaxViews <= 0 {
 		o.MaxViews = d.MaxViews
@@ -233,13 +178,6 @@ type qstate struct {
 	graph  *searchgraph.Snapshot
 	cat    *relstore.Catalog
 	corpus *text.Corpus
-	// parallelism and execSem size the materialisation worker pools:
-	// parallelism bounds per-view fan-out, execSem bounds concurrently
-	// running branch executions across ALL in-flight materialisations (each
-	// holds one slot for its serial top-k union) so overlapping queries
-	// cannot multiply the pool bound.
-	parallelism int
-	execSem     chan struct{}
 	// epoch counts publishes that changed anything; a view materialisation
 	// records the epoch it was computed at so staleness is one comparison.
 	epoch uint64
@@ -259,10 +197,9 @@ type qstate struct {
 //
 // Concurrency model: Q is single-writer, many-query. The mutating
 // operations — AddMatcher, AddTables, RegisterSource, feedback, Refresh,
-// SetParallelism, AlignAllPairs — serialise on an internal writer mutex,
-// mutate the builder structures (Catalog, Graph, corpus) copy-on-write,
-// and publish the result as an immutable qstate via one atomic pointer
-// swap. Query takes NO lock at all: it loads the current qstate, expands
+// AlignAllPairs — serialise on an internal writer mutex, mutate the builder
+// structures (Catalog, Graph, corpus) copy-on-write, and publish the result
+// as an immutable qstate via one atomic pointer swap. Query takes NO lock at all: it loads the current qstate, expands
 // its keywords into a private search-graph overlay, and runs Steiner
 // search, translation and execution entirely against that frozen
 // generation. Independent queries therefore run fully concurrently with
@@ -278,7 +215,16 @@ type Q struct {
 	Graph   *searchgraph.Graph
 	Stats   Stats
 
-	opts     Options
+	opts Options
+	// width is runtime.GOMAXPROCS(0), read once by New. It sizes the
+	// catalog's shards (also on restore), the tree→query translation,
+	// refresh and index-build fan-outs, and execSem, which bounds the branch
+	// executions running at once across ALL in-flight materialisations (each
+	// holds one slot for its serial top-k union) so overlapping queries
+	// cannot multiply the bound. Answers are byte-identical at any width.
+	width   int
+	execSem chan struct{}
+
 	matchers []matcher.Matcher
 	binner   learning.Binner
 	mira     *learning.MIRA
@@ -360,24 +306,24 @@ func (q *Q) addPlanStats(s relstore.PlanStats) {
 // New constructs an empty Q system with the given options and the default
 // initial weight vector.
 func New(opts Options) *Q {
-	o := opts.withDefaults()
+	width := runtime.GOMAXPROCS(0)
 	q := &Q{
-		Catalog: relstore.NewCatalogSharded(o.Shards),
+		Catalog: relstore.NewCatalogSharded(width),
 		Graph:   searchgraph.New(DefaultWeights()),
-		opts:    o,
+		opts:    opts.withDefaults(),
+		width:   width,
+		execSem: make(chan struct{}, width),
 		binner:  learning.DefaultBinner(),
 		mira:    learning.NewMIRA(),
 		corpus:  text.NewCorpus(),
-		qc:      newQueryCaches(o),
+		qc:      newQueryCaches(),
 	}
-	q.Catalog.SetParallelism(o.Parallelism)
 	q.instrumentEngine(newEngineMetrics())
 	q.publishLocked()
 	return q
 }
 
-// Options returns the effective options. Writer-side: do not call
-// concurrently with SetParallelism.
+// Options returns the effective options.
 func (q *Q) Options() Options { return q.opts }
 
 // state loads the current published read state.
@@ -409,21 +355,14 @@ func (q *Q) publishLocked() *qstate {
 	q.corpus.Flush()
 	snap := q.Graph.Snapshot()
 	prev := q.st.Load()
-	if prev != nil && prev.graph == snap && prev.cat == q.Catalog &&
-		prev.corpus == q.corpus && prev.parallelism == q.opts.Parallelism {
+	if prev != nil && prev.graph == snap && prev.cat == q.Catalog && prev.corpus == q.corpus {
 		return prev
-	}
-	sem := make(chan struct{}, q.opts.Parallelism)
-	if prev != nil && cap(prev.execSem) == q.opts.Parallelism {
-		sem = prev.execSem // keep the global execution bound continuous
 	}
 	q.epoch++
 	st := &qstate{
 		graph:       snap,
 		cat:         q.Catalog,
 		corpus:      q.corpus,
-		parallelism: q.opts.Parallelism,
-		execSem:     sem,
 		epoch:       q.epoch,
 		publishedAt: time.Now(),
 		published:   true,
@@ -442,14 +381,11 @@ func (q *Q) publishLocked() *qstate {
 // commits atomically at the end.
 func (q *Q) unpublishedStateLocked() *qstate {
 	q.corpus.Flush()
-	prev := q.st.Load()
 	return &qstate{
-		graph:       q.Graph.Snapshot(),
-		cat:         q.Catalog,
-		corpus:      q.corpus,
-		parallelism: q.opts.Parallelism,
-		execSem:     prev.execSem,
-		epoch:       prev.epoch, // not a published generation
+		graph:  q.Graph.Snapshot(),
+		cat:    q.Catalog,
+		corpus: q.corpus,
+		epoch:  q.st.Load().epoch, // not a published generation
 	}
 }
 
@@ -467,26 +403,6 @@ func (q *Q) ownStorageLocked() {
 	if st.corpus == q.corpus {
 		q.corpus = q.corpus.Clone()
 	}
-}
-
-// SetParallelism resizes the materialisation worker pool. n <= 0 restores
-// the default (runtime.GOMAXPROCS(0)). It is a writer operation: queries
-// already in flight keep their generation's pool; new queries see the new
-// size.
-func (q *Q) SetParallelism(n int) {
-	q.writerMu.Lock()
-	defer q.writerMu.Unlock()
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	q.opts.Parallelism = n
-	// The catalog's internal per-shard fan-outs follow the same bound. Its
-	// parallelism field is read by lock-free readers, so detach the builder
-	// from the published generation before touching it (copy-on-write, like
-	// any other catalog mutation).
-	q.ownStorageLocked()
-	q.Catalog.SetParallelism(n)
-	q.publishLocked()
 }
 
 // DefaultWeights is the initial weight vector: every learnable edge pays a
@@ -587,7 +503,7 @@ func (q *Q) addTablesLocked(tables ...*relstore.Table) error {
 	// global rebuilds), sharded by table across the worker pool. Harmless to
 	// skip: the read path builds missing segments lazily on first use.
 	cat := q.Catalog
-	if err := runIndexed(len(tables), q.opts.Parallelism, func(i int) error {
+	if err := runIndexed(len(tables), q.width, func(i int) error {
 		cat.EnsureIndexed(tables[i].Relation.QualifiedName())
 		return nil
 	}); err != nil {

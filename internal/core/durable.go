@@ -40,7 +40,9 @@ import (
 //     crash loses only the views created or dropped since the last
 //     checkpoint — their answers were pure reads — and the IDs handed out
 //     since, which the next views may get again).
-//   - SetParallelism / cache knobs: per-process tuning, not state.
+//   - The engine width (shard count, fan-outs): a property of the machine,
+//     not state; a restore re-shards the catalog at the restoring process's
+//     GOMAXPROCS.
 
 // WAL record kinds (the storage layer treats them as opaque).
 const (
@@ -225,7 +227,7 @@ func (q *Q) restore(snap *storage.Container, records []storage.Record) error {
 			return fmt.Errorf("core: unsupported snapshot meta version %d", meta.Version)
 		}
 		views, nextID = meta.Views, meta.NextID
-		cat, err := relstore.LoadCatalogBinary(catSec, q.opts.Shards)
+		cat, err := relstore.LoadCatalogBinary(catSec, q.width)
 		if err != nil {
 			return err
 		}
@@ -234,7 +236,6 @@ func (q *Q) restore(snap *storage.Container, records []storage.Record) error {
 				return err
 			}
 		}
-		cat.SetParallelism(q.opts.Parallelism)
 		cat.InstrumentExec(&q.metrics.exec) // the loaded catalog replaces the instrumented one
 		graph, err := searchgraph.Load(bytes.NewReader(graphSec))
 		if err != nil {

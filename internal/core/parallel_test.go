@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -12,11 +13,12 @@ import (
 	"qint/internal/relstore"
 )
 
-// The metamorphic property under test: a view materialised with a parallel
-// worker pool must be byte-identical — trees, query signatures and SQL,
-// unified columns, ranked rows with provenance, and α — to the same view
-// materialised serially. fingerprintView captures everything a view exposes
-// into one comparable string.
+// The metamorphic property under test: a view materialised by a wide engine
+// must be byte-identical — trees, query signatures and SQL, unified columns,
+// ranked rows with provenance, and α — to the same view materialised by a
+// one-wide engine. fingerprintView captures everything a view exposes into
+// one comparable string. These tests, with the sharded suites in
+// shard_test.go, are the one oracle for the engine width.
 func fingerprintView(v *View) string {
 	// One coherent materialisation: the individual accessors could straddle
 	// a concurrent refresh and mix generations.
@@ -42,13 +44,27 @@ func fingerprintMat(v *View, m Materialization) string {
 	return b.String()
 }
 
+// widths are the engine widths the width oracles compare against width 1.
+// At each, the fixtures' tables hash unevenly, so some shards hold several
+// tables and others none.
+var widths = []int{2, 7, 8}
+
+// newAtWidth is New on an n-wide machine: the engine reads its width (shard
+// count, worker pools, execution slots) from GOMAXPROCS once, in New. No
+// core test calls t.Parallel, so flipping the process-wide setting around
+// New is safe.
+func newAtWidth(n int, opts Options) *Q {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	return New(opts)
+}
+
 // equivCorpus is one dataset of the equivalence suite: a builder that loads
-// a fresh Q at the given parallelism, the keyword queries to ask, and a new
+// a fresh Q at the given width, the keyword queries to ask, and a new
 // source whose registration (and the Refresh it triggers) must also be
 // order-independent.
 type equivCorpus struct {
 	name     string
-	build    func(t *testing.T, parallelism int) *Q
+	build    func(t *testing.T, width int) *Q
 	queries  []string
 	newTable func(t *testing.T) *relstore.Table
 }
@@ -57,10 +73,8 @@ func equivCorpora() []equivCorpus {
 	return []equivCorpus{
 		{
 			name: "interpro",
-			build: func(t *testing.T, parallelism int) *Q {
-				opts := DefaultOptions()
-				opts.Parallelism = parallelism
-				q := New(opts)
+			build: func(t *testing.T, width int) *Q {
+				q := newAtWidth(width, DefaultOptions())
 				q.AddMatcher(meta.New())
 				q.AddMatcher(mad.New())
 				corpus := datasets.InterProGO()
@@ -84,10 +98,8 @@ func equivCorpora() []equivCorpus {
 		},
 		{
 			name: "gbco",
-			build: func(t *testing.T, parallelism int) *Q {
-				opts := DefaultOptions()
-				opts.Parallelism = parallelism
-				q := New(opts)
+			build: func(t *testing.T, width int) *Q {
+				q := newAtWidth(width, DefaultOptions())
 				q.AddMatcher(meta.New())
 				corpus := datasets.GBCO()
 				if err := q.AddTables(corpus.Tables...); err != nil {
@@ -115,10 +127,8 @@ func equivCorpora() []equivCorpus {
 		},
 		{
 			name: "synthetic",
-			build: func(t *testing.T, parallelism int) *Q {
-				opts := DefaultOptions()
-				opts.Parallelism = parallelism
-				q := New(opts)
+			build: func(t *testing.T, width int) *Q {
+				q := newAtWidth(width, DefaultOptions())
 				q.AddMatcher(meta.New())
 				q.AddMatcher(mad.New())
 				if err := q.AddTables(syntheticCorpus(t)...); err != nil {
@@ -188,93 +198,79 @@ func syntheticCorpus(t *testing.T) []*relstore.Table {
 	}
 }
 
-// TestParallelQueryEquivalence materialises every dataset query on a serial
-// instance (Parallelism=1) and a parallel one (Parallelism=8) and demands
+// TestParallelQueryEquivalence materialises every dataset query on a
+// one-wide engine and on engines of every width in widths, and demands
 // byte-identical views.
 func TestParallelQueryEquivalence(t *testing.T) {
 	for _, c := range equivCorpora() {
 		t.Run(c.name, func(t *testing.T) {
 			serial := c.build(t, 1)
-			parallel := c.build(t, 8)
-			if got := parallel.Options().Parallelism; got != 8 {
-				t.Fatalf("Parallelism = %d, want 8", got)
-			}
-			for _, kw := range c.queries {
-				vs, err := queryStr(serial, kw)
+			want := make([]string, len(c.queries))
+			for i, kw := range c.queries {
+				v, err := queryStr(serial, kw)
 				if err != nil {
 					t.Fatalf("serial query %q: %v", kw, err)
 				}
-				vp, err := queryStr(parallel, kw)
-				if err != nil {
-					t.Fatalf("parallel query %q: %v", kw, err)
-				}
-				fs, fp := fingerprintView(vs), fingerprintView(vp)
-				if fs != fp {
-					t.Errorf("query %q: serial and parallel views differ\nserial:\n%s\nparallel:\n%s", kw, fs, fp)
-				}
-				if len(vs.Trees()) == 0 {
+				if len(v.Trees()) == 0 {
 					t.Errorf("query %q produced no trees; equivalence is vacuous", kw)
+				}
+				want[i] = fingerprintView(v)
+			}
+			for _, w := range widths {
+				wide := c.build(t, w)
+				for i, kw := range c.queries {
+					v, err := queryStr(wide, kw)
+					if err != nil {
+						t.Fatalf("width %d query %q: %v", w, kw, err)
+					}
+					if got := fingerprintView(v); got != want[i] {
+						t.Errorf("query %q: width %d and width 1 views differ\nwidth 1:\n%s\nwidth %d:\n%s", kw, w, want[i], w, got)
+					}
 				}
 			}
 		})
 	}
 }
 
-// TestParallelRefreshEquivalence registers a new source on both instances
-// (registration triggers a Refresh of every persistent view) and then runs
-// one more explicit Refresh, checking that all views remain byte-identical.
+// TestParallelRefreshEquivalence registers a new source on engines of every
+// width (registration triggers a Refresh of every persistent view) and then
+// runs one more explicit Refresh, checking that all views remain
+// byte-identical to the one-wide engine's.
 func TestParallelRefreshEquivalence(t *testing.T) {
 	for _, c := range equivCorpora() {
 		t.Run(c.name, func(t *testing.T) {
-			serial := c.build(t, 1)
-			parallel := c.build(t, 8)
-			for _, kw := range c.queries {
-				if _, err := queryStr(serial, kw); err != nil {
-					t.Fatalf("serial query %q: %v", kw, err)
+			run := func(width int) []string {
+				q := c.build(t, width)
+				for _, kw := range c.queries {
+					if _, err := queryStr(q, kw); err != nil {
+						t.Fatalf("width %d query %q: %v", width, kw, err)
+					}
 				}
-				if _, err := queryStr(parallel, kw); err != nil {
-					t.Fatalf("parallel query %q: %v", kw, err)
+				if _, err := q.RegisterSource([]*relstore.Table{c.newTable(t)}, ViewBased); err != nil {
+					t.Fatalf("width %d register: %v", width, err)
 				}
+				if err := q.Refresh(); err != nil {
+					t.Fatalf("width %d refresh: %v", width, err)
+				}
+				var fps []string
+				for _, v := range q.Views() {
+					fps = append(fps, fingerprintView(v))
+				}
+				return fps
 			}
-			if _, err := serial.RegisterSource([]*relstore.Table{c.newTable(t)}, ViewBased); err != nil {
-				t.Fatalf("serial register: %v", err)
-			}
-			if _, err := parallel.RegisterSource([]*relstore.Table{c.newTable(t)}, ViewBased); err != nil {
-				t.Fatalf("parallel register: %v", err)
-			}
-			if err := serial.Refresh(); err != nil {
-				t.Fatalf("serial refresh: %v", err)
-			}
-			if err := parallel.Refresh(); err != nil {
-				t.Fatalf("parallel refresh: %v", err)
-			}
-			sv, pv := serial.Views(), parallel.Views()
-			if len(sv) != len(pv) {
-				t.Fatalf("view counts differ: %d vs %d", len(sv), len(pv))
-			}
-			for i := range sv {
-				fs, fp := fingerprintView(sv[i]), fingerprintView(pv[i])
-				if fs != fp {
-					t.Errorf("view %d diverged after refresh\nserial:\n%s\nparallel:\n%s", i, fs, fp)
+			want := run(1)
+			for _, w := range widths {
+				got := run(w)
+				if len(got) != len(want) {
+					t.Fatalf("width %d: view counts differ: %d vs %d", w, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Errorf("width %d: view %d diverged after refresh\nwidth 1:\n%s\nwidth %d:\n%s", w, i, want[i], w, got[i])
+					}
 				}
 			}
 		})
-	}
-}
-
-// TestSetParallelism checks the knob the server plumbs through.
-func TestSetParallelism(t *testing.T) {
-	q := New(Options{Parallelism: 3})
-	if got := q.Options().Parallelism; got != 3 {
-		t.Fatalf("Parallelism = %d, want 3", got)
-	}
-	q.SetParallelism(5)
-	if got := q.Options().Parallelism; got != 5 {
-		t.Fatalf("after SetParallelism(5): %d", got)
-	}
-	q.SetParallelism(0) // restores the GOMAXPROCS default
-	if got := q.Options().Parallelism; got < 1 {
-		t.Fatalf("after SetParallelism(0): %d", got)
 	}
 }
 

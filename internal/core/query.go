@@ -175,20 +175,17 @@ func (v *View) EdgeCost(id steiner.EdgeID) float64 { return v.Current().EdgeCost
 // splits a query string; keywords containing quotes or spaces pass through
 // untouched) and are retained by the view, so the caller must not modify the
 // slice afterwards. K bounds the view's answer count (<= 0: Options.K).
-// Parallelism sizes this call's own translation fan-out (<= 0: the
-// published default; the global in-flight execution bound still applies);
-// answers are byte-identical at any setting. Ephemeral computes the answers
+// Ephemeral computes the answers
 // without registering the view. Trace, when non-nil, receives the query's
 // stage breakdown (cache lookup, expansion, Steiner search, translation,
 // planning, execution, materialisation) and its totals are folded into the
 // qint_query_stage_* metric families; a nil Trace costs one nil check per
 // stage and no clock reads.
 type Request struct {
-	Keywords    []string
-	K           int
-	Parallelism int
-	Ephemeral   bool
-	Trace       *obs.Trace
+	Keywords  []string
+	K         int
+	Ephemeral bool
+	Trace     *obs.Trace
 }
 
 // ErrViewLimit is returned by a persistent Query when the view registry
@@ -234,7 +231,7 @@ func (q *Q) Query(r Request) (*View, error) {
 	}
 	m := q.metrics
 	m.queries.Inc()
-	mat, err := q.materializeCached(q.state(), r.Keywords, k, r.Parallelism, r.Trace)
+	mat, err := q.materializeCached(q.state(), r.Keywords, k, r.Trace)
 	q.observeTrace(r.Trace)
 	if err != nil {
 		m.queryErrors.Inc()
@@ -311,7 +308,7 @@ func (q *Q) expandKeyword(st *qstate, ov *searchgraph.Overlay, kw string) steine
 // private or frozen data, so no lock is needed. The execute phase runs the
 // branch queries serially in tree-cost order into the ranked union, stopping
 // at the view's top k (executeBranches), so the result is byte-identical at
-// any parallelism.
+// any engine width.
 //
 // The returned viewMat is immutable (its overlay is never mutated after
 // this function returns), so the materialisation cache can hand one result
@@ -321,11 +318,7 @@ func (q *Q) expandKeyword(st *qstate, ov *searchgraph.Overlay, kw string) steine
 // tr, when non-nil, receives one span per pipeline stage (expand, steiner,
 // translate, plan, execute, materialize); a nil trace costs one nil check
 // per stage and no clock reads.
-func (q *Q) materializeAt(st *qstate, keywords []string, k, parallelism int, tr *obs.Trace) (*viewMat, error) {
-	workers := parallelism
-	if workers <= 0 {
-		workers = st.parallelism
-	}
+func (q *Q) materializeAt(st *qstate, keywords []string, k int, tr *obs.Trace) (*viewMat, error) {
 	ov := st.graph.NewOverlay()
 	texp := tr.Now()
 	terminals := make([]steiner.NodeID, 0, len(keywords))
@@ -333,7 +326,7 @@ func (q *Q) materializeAt(st *qstate, keywords []string, k, parallelism int, tr 
 		terminals = append(terminals, q.expandKeyword(st, ov, kw))
 	}
 	tr.Record(obs.StageExpand, texp)
-	trees, queries, err := q.planOverlay(st, ov, terminals, k, workers, tr)
+	trees, queries, err := q.planOverlay(st, ov, terminals, k, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -397,9 +390,9 @@ func (q *Q) executeBranches(st *qstate, queries []*relstore.ConjunctiveQuery, k 
 	// Serial by design: whether branch i runs depends on the rows branches
 	// 0..i-1 produced. One execSem slot covers the run.
 	texec := tr.Now()
-	st.execSem <- struct{}{}
+	q.execSem <- struct{}{}
 	result, stats, err := bp.TopKUnion(k, prov)
-	<-st.execSem
+	<-q.execSem
 	tr.Record(obs.StageExecute, texec)
 	if err != nil {
 		return nil, err
@@ -414,8 +407,8 @@ func (q *Q) executeBranches(st *qstate, queries []*relstore.ConjunctiveQuery, k 
 // (results collected by tree index), and the two order-sensitive
 // post-passes run serially in tree-cost order — signature deduplication and
 // the §2.2 output-schema alignment — so the produced query list is
-// deterministic regardless of parallelism.
-func (q *Q) planOverlay(st *qstate, ov *searchgraph.Overlay, terminals []steiner.NodeID, k, workers int, tr *obs.Trace) ([]steiner.Tree, []*relstore.ConjunctiveQuery, error) {
+// deterministic regardless of the engine width.
+func (q *Q) planOverlay(st *qstate, ov *searchgraph.Overlay, terminals []steiner.NodeID, k int, tr *obs.Trace) ([]steiner.Tree, []*relstore.ConjunctiveQuery, error) {
 	tsteiner := tr.Now()
 	trees := q.topKTrees(ov, terminals, k)
 	// Trees whose only way to connect the keywords runs through a mapping
@@ -444,7 +437,7 @@ func (q *Q) planOverlay(st *qstate, ov *searchgraph.Overlay, terminals []steiner
 	// Translate every tree concurrently; cqs is indexed by tree.
 	ttrans := tr.Now()
 	cqs := make([]*relstore.ConjunctiveQuery, len(trees))
-	err := runIndexed(len(trees), workers, func(i int) error {
+	err := runIndexed(len(trees), q.width, func(i int) error {
 		cq, err := treeToQuery(st, ov, trees[i])
 		if err != nil {
 			return err
@@ -530,8 +523,8 @@ func (q *Q) refreshLocked() error {
 	// sequence share one materialisation of the new generation (the refresh
 	// fan-out coalesces on the in-flight compute), and a query racing the
 	// refresh at the same epoch reuses it too.
-	return runIndexed(len(views), st.parallelism, func(i int) error {
-		mat, err := q.materializeCached(st, views[i].Keywords, views[i].K, 0, nil)
+	return runIndexed(len(views), q.width, func(i int) error {
+		mat, err := q.materializeCached(st, views[i].Keywords, views[i].K, nil)
 		if err != nil {
 			return err
 		}

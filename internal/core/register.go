@@ -342,10 +342,10 @@ func (q *Q) installEdges(m matcher.Matcher, aligns []matcher.Alignment, report *
 
 // overlappingPairs returns the attribute pairs between the two relations
 // that share at least one distinct value (the content-index filter). The
-// per-attribute overlap checks fan out across the catalog's per-shard
-// parallelism bound — each check derives its value sets from the owning
-// shard's cache — with the result map merged deterministically, so the
-// filter's decisions are identical at any shard count or parallelism.
+// per-attribute overlap checks fan out across at most one worker per
+// catalog shard — each check derives its value sets from the owning shard's
+// cache — with the result map merged deterministically, so the filter's
+// decisions are identical at any shard count.
 func (q *Q) overlappingPairs(a, b *relstore.Relation) map[[2]relstore.AttrRef]bool {
 	return q.Catalog.OverlappingAttrPairs(a, b)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"runtime"
 	"sort"
@@ -13,33 +14,24 @@ import (
 	"qint/internal/relstore"
 )
 
-// The property under test: Options.Shards is invisible to every answer Q
-// produces. Queries (top-k trees, conjunctive queries, ranked rows, α),
-// registration reports (targets, alignment scores, comparison counts) and
-// post-registration answers must be byte-identical at every shard count —
-// sharding only changes how catalog work is partitioned and fanned, never
-// what it computes.
+// The property under test: the engine width — and with it the catalog's
+// shard count — is invisible to every answer Q produces. Queries (top-k
+// trees, conjunctive queries, ranked rows, α), registration reports
+// (targets, alignment scores, comparison counts) and post-registration
+// answers must be byte-identical at every width: sharding only changes how
+// catalog work is partitioned and fanned, never what it computes.
 
-// shardCountBattery mirrors the relstore suite: the degenerate single
-// shard, counts below and above the fixture's table count, and the default.
-func shardCountBattery() []int {
-	counts := []int{1, 2, 7}
-	if g := runtime.GOMAXPROCS(0); g != 1 && g != 2 && g != 7 {
-		counts = append(counts, g)
-	}
-	return counts
-}
-
-// fixtureQAtShards builds the fixture Q at an explicit shard count, with the
-// value-overlap filter on so registration exercises the fanned
-// OverlappingAttrPairs path.
-func fixtureQAtShards(t *testing.T, shards int) *Q {
+// fixtureQAtWidth builds the fixture Q at an explicit width (so its catalog
+// has that many shards), with the value-overlap filter on so registration
+// exercises the fanned OverlappingAttrPairs path.
+func fixtureQAtWidth(t *testing.T, width int) *Q {
 	t.Helper()
 	opts := DefaultOptions()
-	opts.Shards = shards
-	opts.Parallelism = 4 // exercise the fan-out merge paths deterministically
 	opts.ValueOverlapFilter = true
-	q := New(opts)
+	q := newAtWidth(width, opts)
+	if got := q.Catalog.ShardCount(); got != width {
+		t.Fatalf("ShardCount = %d at width %d", got, width)
+	}
 	q.AddMatcher(meta.New())
 	q.AddMatcher(mad.New())
 	if err := q.AddTables(fixtureTables(t)...); err != nil {
@@ -59,13 +51,13 @@ var shardProbes = []string{
 	"'Zinc finger' publication",
 }
 
-// TestShardedQueryEquivalence: the same keyword workload at every shard
-// count materialises byte-identical views, including while concurrent
+// TestShardedQueryEquivalence: the same keyword workload at every width
+// materialises byte-identical views, including while concurrent
 // readers hammer the instance (run under -race: the per-shard fan-out and
 // lazy index builds race real query traffic).
 func TestShardedQueryEquivalence(t *testing.T) {
 	want := make([]string, len(shardProbes))
-	ref := fixtureQAtShards(t, 1)
+	ref := fixtureQAtWidth(t, 1)
 	for i, probe := range shardProbes {
 		v, err := queryStr(ref, probe)
 		if err != nil {
@@ -74,8 +66,8 @@ func TestShardedQueryEquivalence(t *testing.T) {
 		want[i] = fingerprintView(v)
 		ref.DropView(v.ID)
 	}
-	for _, n := range shardCountBattery() {
-		q := fixtureQAtShards(t, n)
+	for _, n := range widths {
+		q := fixtureQAtWidth(t, n)
 		const readers = 6
 		var wg sync.WaitGroup
 		errc := make(chan error, readers)
@@ -87,11 +79,11 @@ func TestShardedQueryEquivalence(t *testing.T) {
 					k := (g + i) % len(shardProbes)
 					v, err := queryStr(q, shardProbes[k])
 					if err != nil {
-						errc <- fmt.Errorf("shards=%d reader %d: %v", n, g, err)
+						errc <- fmt.Errorf("width=%d reader %d: %v", n, g, err)
 						return
 					}
 					if fp := fingerprintView(v); fp != want[k] {
-						errc <- fmt.Errorf("shards=%d reader %d: query %q diverged from the single-shard reference\ngot:\n%s\nwant:\n%s",
+						errc <- fmt.Errorf("width=%d reader %d: query %q diverged from the width-1 reference\ngot:\n%s\nwant:\n%s",
 							n, g, shardProbes[k], fp, want[k])
 						return
 					}
@@ -111,7 +103,7 @@ func TestShardedQueryEquivalence(t *testing.T) {
 }
 
 // fingerprintReport flattens the parts of a registration report that must
-// be shard-invariant: the relations compared, every alignment's best
+// be width-invariant: the relations compared, every alignment's best
 // confidence, and the comparison counters.
 func fingerprintReport(rep *RegisterReport, stats *Stats) string {
 	var b strings.Builder
@@ -128,12 +120,12 @@ func fingerprintReport(rep *RegisterReport, stats *Stats) string {
 }
 
 // TestShardedRegistrationEquivalence: registering the same source at every
-// shard count produces identical alignment scores, identical value-overlap
+// width produces identical alignment scores, identical value-overlap
 // filter decisions (the comparison counters pin them), and identical
 // post-registration answers.
 func TestShardedRegistrationEquivalence(t *testing.T) {
-	run := func(shards int) (string, string) {
-		q := fixtureQAtShards(t, shards)
+	run := func(width int) (string, string) {
+		q := fixtureQAtWidth(t, width)
 		if _, err := queryStr(q, shardProbes[1]); err != nil { // a persistent view for ViewBased targets
 			t.Fatal(err)
 		}
@@ -148,31 +140,49 @@ func TestShardedRegistrationEquivalence(t *testing.T) {
 		return fingerprintReport(rep, &q.Stats), fingerprintView(v)
 	}
 	wantRep, wantView := run(1)
-	for _, n := range shardCountBattery()[1:] {
+	for _, n := range widths {
 		rep, view := run(n)
 		if rep != wantRep {
-			t.Errorf("shards=%d: registration diverged from the single-shard reference\ngot:\n%s\nwant:\n%s", n, rep, wantRep)
+			t.Errorf("width=%d: registration diverged from the width-1 reference\ngot:\n%s\nwant:\n%s", n, rep, wantRep)
 		}
 		if view != wantView {
-			t.Errorf("shards=%d: post-registration answer diverged\ngot:\n%s\nwant:\n%s", n, view, wantView)
+			t.Errorf("width=%d: post-registration answer diverged\ngot:\n%s\nwant:\n%s", n, view, wantView)
 		}
 	}
 }
 
-// TestShardOptionPlumbing pins the knob itself: the catalog inherits
-// Options.Shards, defaults to GOMAXPROCS, and survives SetParallelism.
-func TestShardOptionPlumbing(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Shards = 5
-	q := New(opts)
-	if got := q.Catalog.ShardCount(); got != 5 {
-		t.Errorf("ShardCount = %d, want 5", got)
+// TestEngineWidthFollowsGOMAXPROCS pins where the width comes from: New
+// shards the catalog by GOMAXPROCS, and a restore re-shards it at the
+// restoring process's GOMAXPROCS with every view unchanged.
+func TestEngineWidthFollowsGOMAXPROCS(t *testing.T) {
+	q := fixtureQAtWidth(t, 3) // fails unless the catalog has 3 shards
+	for _, probe := range shardProbes {
+		if _, err := queryStr(q, probe); err != nil {
+			t.Fatal(err)
+		}
 	}
-	q.SetParallelism(2)
-	if got := q.CurrentCatalog().ShardCount(); got != 5 {
-		t.Errorf("ShardCount after SetParallelism = %d, want 5", got)
+	var buf bytes.Buffer
+	if err := q.Save(&buf); err != nil {
+		t.Fatal(err)
 	}
-	if got := New(DefaultOptions()).Catalog.ShardCount(); got != runtime.GOMAXPROCS(0) {
-		t.Errorf("default ShardCount = %d, want GOMAXPROCS", got)
+	var q2 *Q
+	func() {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(5))
+		var err error
+		if q2, err = Load(bytes.NewReader(buf.Bytes()), q.Options()); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	if got := q2.CurrentCatalog().ShardCount(); got != 5 {
+		t.Errorf("loaded ShardCount = %d, want 5", got)
+	}
+	saved, loaded := q.Views(), q2.Views()
+	if len(loaded) != len(saved) || len(saved) != len(shardProbes) {
+		t.Fatalf("views: saved %d, loaded %d, want %d", len(saved), len(loaded), len(shardProbes))
+	}
+	for i := range saved {
+		if want, got := fingerprintView(saved[i]), fingerprintView(loaded[i]); got != want {
+			t.Errorf("view %d changed across the re-sharding restore\nsaved:\n%s\nloaded:\n%s", i, want, got)
+		}
 	}
 }

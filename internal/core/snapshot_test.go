@@ -256,7 +256,7 @@ func TestIndexSnapshotIsolationUnderRegistration(t *testing.T) {
 func TestShardedRegistrationSnapshotIsolation(t *testing.T) {
 	const probe = "PUB0001"
 
-	q := fixtureQAtShards(t, 7)
+	q := fixtureQAtWidth(t, 7)
 
 	// Three tables, one source, all matching the probe; their qualified
 	// names spread across the 7 shards.

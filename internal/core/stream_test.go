@@ -17,11 +17,10 @@ import (
 // by one and unioned in full, with the same columns and α.
 
 // streamCorpus is one dataset of the executor-equivalence suite, with a
-// builder parameterised over Options so a knob can be set at construction
-// time.
+// builder parameterised over the constructor (New or newUncached).
 type streamCorpus struct {
 	name    string
-	build   func(t *testing.T, mutate func(*Options)) *Q
+	build   func(t *testing.T, newQ func(Options) *Q) *Q
 	queries []string
 }
 
@@ -29,10 +28,8 @@ func streamCorpora() []streamCorpus {
 	return []streamCorpus{
 		{
 			name: "gbco",
-			build: func(t *testing.T, mutate func(*Options)) *Q {
-				opts := DefaultOptions()
-				mutate(&opts)
-				q := New(opts)
+			build: func(t *testing.T, newQ func(Options) *Q) *Q {
+				q := newQ(DefaultOptions())
 				q.AddMatcher(meta.New())
 				if err := q.AddTables(datasets.GBCO().Tables...); err != nil {
 					t.Fatal(err)
@@ -49,10 +46,8 @@ func streamCorpora() []streamCorpus {
 		},
 		{
 			name: "synthetic",
-			build: func(t *testing.T, mutate func(*Options)) *Q {
-				opts := DefaultOptions()
-				mutate(&opts)
-				q := New(opts)
+			build: func(t *testing.T, newQ func(Options) *Q) *Q {
+				q := newQ(DefaultOptions())
 				q.AddMatcher(meta.New())
 				q.AddMatcher(mad.New())
 				if err := q.AddTables(syntheticCorpus(t)...); err != nil {
@@ -77,7 +72,7 @@ func streamCorpora() []streamCorpus {
 func TestMaterialisedExecEquivalence(t *testing.T) {
 	for _, c := range streamCorpora() {
 		t.Run(c.name, func(t *testing.T) {
-			q := c.build(t, func(o *Options) {})
+			q := c.build(t, New)
 			anyRows := false
 			for _, kw := range c.queries {
 				v, err := queryStr(q, kw)
@@ -121,10 +116,7 @@ func TestMaterialisedExecEquivalence(t *testing.T) {
 func TestPlannerOffEquivalence(t *testing.T) {
 	for _, c := range streamCorpora() {
 		t.Run(c.name, func(t *testing.T) {
-			q := c.build(t, func(o *Options) {
-				o.ExpansionCacheEntries = -1
-				o.MaterializationCacheEntries = -1
-			})
+			q := c.build(t, newUncached)
 			var branches int64
 			for _, kw := range c.queries {
 				v, err := queryStr(q, kw)
@@ -180,7 +172,7 @@ func TestPlannerOffEquivalence(t *testing.T) {
 func TestTopKPruneEquivalence(t *testing.T) {
 	for _, c := range streamCorpora() {
 		t.Run(c.name, func(t *testing.T) {
-			q := c.build(t, func(o *Options) {})
+			q := c.build(t, New)
 			anyRows, truncated := false, false
 			for _, kw := range c.queries {
 				for _, k := range []int{2, q.Options().K} {
@@ -255,7 +247,7 @@ func fullAlpha(full *relstore.UnionResult, m Materialization, k int) float64 {
 // materialisation would have had there was never computed.
 func TestViewHoldsOnlyTopK(t *testing.T) {
 	c := streamCorpora()[0]
-	q := c.build(t, func(o *Options) {})
+	q := c.build(t, New)
 	tested := false
 	for _, kw := range c.queries {
 		v, err := queryStr(q, kw)

@@ -66,8 +66,6 @@ type Config struct {
 	// the server's view registry. Default true (Run flips a zero Config
 	// to ephemeral; set NoEphemeral to force persistent queries).
 	NoEphemeral bool
-	// Parallel, if >0, adds ?parallel=N to query requests.
-	Parallel int
 	// Timeout caps one HTTP exchange (default 10s).
 	Timeout time.Duration
 	// Seed fixes the op-mix and Zipf draw (default 1).
@@ -253,9 +251,6 @@ func Run(cfg Config) (*Report, error) {
 	params := make([]string, 0, 2)
 	if !cfg.NoEphemeral {
 		params = append(params, "ephemeral=1")
-	}
-	if cfg.Parallel > 0 {
-		params = append(params, "parallel="+strconv.Itoa(cfg.Parallel))
 	}
 	if len(params) > 0 {
 		queryPath += "?" + strings.Join(params, "&")

@@ -47,16 +47,15 @@ func (t *Table) Column(attr string) []string {
 // whose qualified names hash to it, its own lazily built distinct-value
 // cache and its own immutable value-index segments. Catalog-wide reads fan
 // out per shard and merge deterministically, so the shard count never
-// changes a single byte of any answer — it only controls parallelism and
+// changes a single byte of any answer — it only sizes the fan-outs and
 // write locality.
 //
 // Concurrency contract: the catalog is single-writer, many-reader. AddTable
 // (the only mutation of tables/order — tables themselves are immutable once
 // added) must be serialised against ALL other calls on the SAME Catalog
-// value, as must Clone and SetParallelism. Q publishes
-// catalogs copy-on-write: a writer Clones the catalog, mutates the clone,
-// and atomically swaps it into the published snapshot, so concurrent
-// queries keep reading the frozen original. Every read method may be called
+// value, as must Clone. Q publishes catalogs copy-on-write: a writer Clones
+// the catalog, mutates the clone, and atomically swaps it into the published
+// snapshot, so concurrent queries keep reading the frozen original. Every read method may be called
 // from any number of goroutines concurrently — Q's parallel branch executor
 // depends on this. The read paths that mutate internal state — the lazily
 // built per-shard ValueSet caches and value-index segment caches — are
@@ -67,9 +66,6 @@ type Catalog struct {
 	shards []*catShard // hash partitions; fixed count for the catalog's lifetime
 	owned  []bool      // writer-side: shard i's table map is private to this clone
 	order  []string    // global insertion order of qualified names
-
-	// par bounds the catalog's internal per-shard fan-outs (SetParallelism).
-	par int
 
 	// execObs, when attached (InstrumentExec), counts completed branch
 	// executions and their produced rows across every execution path.
@@ -111,7 +107,6 @@ func (c *Catalog) Clone() *Catalog {
 		shards:  append([]*catShard(nil), c.shards...),
 		owned:   make([]bool, len(c.shards)),
 		order:   append([]string(nil), c.order...),
-		par:     c.par,
 		execObs: c.execObs,
 	}
 }

@@ -28,7 +28,6 @@ func fuzzCatalogs() (*Catalog, *Catalog, *Catalog) {
 		tables := randomIndexTables(rand.New(rand.NewSource(2024)), 16)
 		build := func(shards int) *Catalog {
 			c := NewCatalogSharded(shards)
-			c.SetParallelism(4)
 			for _, tb := range tables {
 				if err := c.AddTable(tb); err != nil {
 					panic(err)

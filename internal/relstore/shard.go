@@ -11,9 +11,9 @@ import (
 // own table map, registration-order slice, lazy ValueSet cache and immutable
 // value-index segments. Catalog-wide operations — FindValues, index builds,
 // value-overlap pair generation, batch query execution — fan out one worker
-// per shard (bounded by the catalog's parallelism) and merge with
-// deterministic post-passes, so every shard count produces byte-identical
-// results (the metamorphic suite in shard_test.go pins this).
+// per shard and merge with deterministic post-passes, so every shard count
+// produces byte-identical results (the metamorphic suite in shard_test.go
+// pins this).
 //
 // Sharding also shrinks the write-side critical section of the copy-on-write
 // protocol: Clone copies only the shard-pointer slice, and the first AddTable
@@ -46,8 +46,8 @@ func newCatShard() *catShard {
 // NewCatalogSharded returns an empty catalog hash-partitioned into shards
 // partitions. shards <= 0 selects the default, runtime.GOMAXPROCS(0). The
 // shard count is fixed for the catalog's lifetime (clones inherit it); any
-// count produces byte-identical results on every operation, so it is purely
-// a parallelism/locality knob.
+// count produces byte-identical results on every operation, so it only
+// sizes the catalog's fan-outs (one worker per shard) and write locality.
 func NewCatalogSharded(shards int) *Catalog {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
@@ -55,7 +55,6 @@ func NewCatalogSharded(shards int) *Catalog {
 	c := &Catalog{
 		shards: make([]*catShard, shards),
 		owned:  make([]bool, shards),
-		par:    runtime.GOMAXPROCS(0),
 	}
 	for i := range c.shards {
 		c.shards[i] = newCatShard()
@@ -66,17 +65,6 @@ func NewCatalogSharded(shards int) *Catalog {
 
 // ShardCount returns the number of hash partitions.
 func (c *Catalog) ShardCount() int { return len(c.shards) }
-
-// SetParallelism bounds the catalog's internal per-shard fan-outs (FindValues,
-// BuildValueIndex, OverlappingAttrPairs). n <= 0 restores the default,
-// runtime.GOMAXPROCS(0). Writer-side: set it before the catalog is shared
-// with concurrent readers; Clone copies it.
-func (c *Catalog) SetParallelism(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	c.par = n
-}
 
 // shardOf maps a qualified relation name to its shard index (FNV-1a).
 func (c *Catalog) shardOf(qualified string) int {
@@ -132,13 +120,12 @@ func (c *Catalog) ownShard(si int) *catShard {
 // query hot path. Results are identical either way (indexed collection).
 const fanThreshold = 16
 
-// fanShards runs fn(si) for every shard index, across at most the catalog's
-// parallelism bound in workers (serially for small catalogs — see
-// fanThreshold). Safe on read paths: it spawns plain worker goroutines and
-// each shard index is claimed exactly once, so callers collect into
-// per-shard slots race-free.
+// fanShards runs fn(si) for every shard index, one worker per shard
+// (serially for small catalogs — see fanThreshold). Safe on read paths: it
+// spawns plain worker goroutines and each shard index is claimed exactly
+// once, so callers collect into per-shard slots race-free.
 func (c *Catalog) fanShards(fn func(si int)) {
-	workers := c.par
+	workers := len(c.shards)
 	if len(c.order) < fanThreshold {
 		workers = 1
 	}
@@ -180,14 +167,13 @@ func fanIndexed(n, workers int, fn func(i int)) {
 // OverlappingAttrPairs returns the attribute pairs between two relations
 // that share at least one distinct value — the Value Overlap Filter of
 // Figure 7, used to prune alignment comparisons at registration time. The
-// per-attribute overlap checks fan across the catalog's parallelism bound
-// (each resolves its value sets from the owning shard's cache) and merge
-// into the map in declaration order, so the result is identical at any
-// parallelism and shard count.
+// per-attribute overlap checks fan across at most one worker per shard (each
+// resolves its value sets from the owning shard's cache) and merge into the
+// map in declaration order, so the result is identical at any shard count.
 func (c *Catalog) OverlappingAttrPairs(a, b *Relation) map[[2]AttrRef]bool {
 	aq, bq := a.QualifiedName(), b.QualifiedName()
 	overlaps := make([][]AttrRef, len(a.Attributes))
-	fanIndexed(len(a.Attributes), c.par, func(i int) {
+	fanIndexed(len(a.Attributes), len(c.shards), func(i int) {
 		ra := AttrRef{Relation: aq, Attr: a.Attributes[i].Name}
 		for _, bb := range b.Attributes {
 			rb := AttrRef{Relation: bq, Attr: bb.Name}

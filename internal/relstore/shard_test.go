@@ -13,9 +13,8 @@ import (
 // into ANY number of shards must answer every operation — FindValues (and
 // the scanFindValues oracle), value sets and their derived similarities,
 // overlap pair generation, batch execution — byte-identically to the
-// single-shard reference, under any parallelism, including concurrent
-// readers racing lazy index builds. The shard count is purely a
-// parallelism/locality knob.
+// single-shard reference, including concurrent readers racing lazy index
+// builds. The shard count only sizes the fan-outs and write locality.
 
 // shardCounts is the battery every equivalence test runs at: the degenerate
 // single shard, a count below and above typical table counts (so some
@@ -29,12 +28,11 @@ func shardCounts() []int {
 }
 
 // catalogAt builds a catalog over the given tables at an explicit shard
-// count, with internal fan-outs enabled (parallelism 4) so multi-worker
-// merge paths are exercised even on single-core machines.
+// count; its fan-outs run one worker per shard, so multi-shard counts
+// exercise the multi-worker merge paths even on single-core machines.
 func catalogAt(t *testing.T, shards int, tables []*Table) *Catalog {
 	t.Helper()
 	c := NewCatalogSharded(shards)
-	c.SetParallelism(4)
 	for _, tb := range tables {
 		if err := c.AddTable(tb); err != nil {
 			t.Fatal(err)
@@ -313,17 +311,12 @@ func TestExecuteBatchEquivalence(t *testing.T) {
 	}
 }
 
-// TestShardCountFixedAcrossClones pins that clones inherit the shard count
-// and parallelism knob.
+// TestShardCountFixedAcrossClones pins that clones inherit the shard count.
 func TestShardCountFixedAcrossClones(t *testing.T) {
 	c := NewCatalogSharded(5)
-	c.SetParallelism(3)
 	clone := c.Clone()
 	if clone.ShardCount() != 5 {
 		t.Errorf("clone ShardCount = %d, want 5", clone.ShardCount())
-	}
-	if clone.par != 3 {
-		t.Errorf("clone parallelism = %d, want 3", clone.par)
 	}
 	if NewCatalogSharded(0).ShardCount() != runtime.GOMAXPROCS(0) {
 		t.Errorf("default shard count should be GOMAXPROCS")

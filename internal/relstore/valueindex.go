@@ -351,10 +351,9 @@ func sortHits(hits []ValueHit) {
 // expansion uses this to lazily materialise value nodes for each keyword
 // (paper §2.2). Results are deterministic: sorted by attribute then value.
 //
-// It answers from the inverted value index, fanning one worker per shard
-// (bounded by the catalog's parallelism) and building any missing table
-// segments on the way (each table indexes exactly once; registrations
-// therefore only ever index their own new tables). Per-shard hits are merged
+// It answers from the inverted value index, fanning one worker per shard and
+// building any missing table segments on the way (each table indexes exactly
+// once; registrations therefore only ever index their own new tables). Per-shard hits are merged
 // under the canonical (attribute, value) total order, so results are
 // identical to a full scan of every row — and across every shard count — in
 // content and order.

@@ -4,8 +4,6 @@ import (
 	"net/http"
 	"strconv"
 	"testing"
-
-	"qint/internal/core"
 )
 
 // TestEpochHeaderOnAnswers pins the X-Q-Epoch contract: every
@@ -102,18 +100,5 @@ func TestStatsReportsCacheCounters(t *testing.T) {
 	}
 	if stats.Plan.BranchesPlanned < 1 {
 		t.Errorf("plan branches_planned = %d, want >= 1", stats.Plan.BranchesPlanned)
-	}
-}
-
-// TestStatsCacheDisabled pins the disabled shape: a Q built with both cache
-// capacities negative reports Enabled=false and all-zero counters.
-func TestStatsCacheDisabled(t *testing.T) {
-	opts := core.DefaultOptions()
-	opts.ExpansionCacheEntries = -1
-	opts.MaterializationCacheEntries = -1
-	q := core.New(opts)
-	var zero core.CacheStats
-	if got := q.CacheStats(); got != zero {
-		t.Fatalf("disabled cache stats = %+v, want zero", got)
 	}
 }

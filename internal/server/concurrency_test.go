@@ -20,9 +20,8 @@ import (
 )
 
 // TestHammerMixedLoad fires many goroutines of mixed reads and writes at one
-// server under the race detector: keyword queries (some with the ?parallel=
-// knob), view listings and fetches, association and stats reads, and
-// feedback posts. It then checks the server's bookkeeping survived — every
+// server under the race detector: keyword queries, view listings and
+// fetches, association and stats reads, and feedback posts. It then checks the server's bookkeeping survived — every
 // created view has a unique stable ID and shows up in the listing.
 func TestHammerMixedLoad(t *testing.T) {
 	if testing.Short() {
@@ -39,18 +38,14 @@ func TestHammerMixedLoad(t *testing.T) {
 	errc := make(chan error, writers+readers)
 	var wg sync.WaitGroup
 
-	// Writers: POST /query, alternating the per-request parallelism knob,
-	// plus a feedback post against the view each one just created.
+	// Writers: POST /query plus a feedback post against the view each one
+	// just created.
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				url := ts.URL + "/query"
-				if i%2 == 1 {
-					url += "?parallel=4"
-				}
-				resp := postJSON(t, url, QueryRequest{
+				resp := postJSON(t, ts.URL+"/query", QueryRequest{
 					Q: fmt.Sprintf("'GO:%07d' 'fam_%d'", 1000+w, (w+i)%4),
 				})
 				if resp.StatusCode != http.StatusCreated {
@@ -181,47 +176,6 @@ func TestHammerMixedLoad(t *testing.T) {
 		g.Body.Close()
 		if g.StatusCode != http.StatusOK {
 			t.Errorf("GET /views/%s = %d", s.ID, g.StatusCode)
-		}
-	}
-}
-
-// TestParallelKnob pins the ?parallel= contract: identical ranked answers at
-// any setting, the Q instance's configured pool restored afterwards, and 400
-// on malformed values.
-func TestParallelKnob(t *testing.T) {
-	ts := newTestServer(t)
-
-	serial := postJSON(t, ts.URL+"/query?parallel=1", QueryRequest{Q: "'GO:0001000' 'fam_0'"})
-	if serial.StatusCode != http.StatusCreated {
-		t.Fatalf("serial status = %d", serial.StatusCode)
-	}
-	var vs ViewAnswers
-	decode(t, serial, &vs)
-
-	par := postJSON(t, ts.URL+"/query?parallel=8", QueryRequest{Q: "'GO:0001000' 'fam_0'"})
-	if par.StatusCode != http.StatusCreated {
-		t.Fatalf("parallel status = %d", par.StatusCode)
-	}
-	var vp ViewAnswers
-	decode(t, par, &vp)
-
-	if vs.Alpha != vp.Alpha || len(vs.Rows) != len(vp.Rows) {
-		t.Fatalf("serial and parallel answers diverge: alpha %v vs %v, rows %d vs %d",
-			vs.Alpha, vp.Alpha, len(vs.Rows), len(vp.Rows))
-	}
-	for i := range vs.Rows {
-		a, _ := json.Marshal(vs.Rows[i])
-		b, _ := json.Marshal(vp.Rows[i])
-		if string(a) != string(b) {
-			t.Errorf("row %d differs:\nserial:   %s\nparallel: %s", i, a, b)
-		}
-	}
-
-	for _, bad := range []string{"0", "-2", "x"} {
-		resp := postJSON(t, ts.URL+"/query?parallel="+bad, QueryRequest{Q: "'GO:0001000'"})
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("parallel=%s: status %d, want 400", bad, resp.StatusCode)
 		}
 	}
 }

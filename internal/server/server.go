@@ -33,9 +33,6 @@
 //     (backpressure — the client should slow down, the work is durable so
 //     429 "try the same request again" semantics would be wrong for
 //     non-idempotent registrations).
-//   - ?parallel= is clamped to Config.MaxParallel (default GOMAXPROCS);
-//     values beyond an absurdity threshold are rejected with 400 so one
-//     request can never size its own goroutine explosion.
 //   - The engine's view registry holds at most core.Options.MaxViews
 //     persistent views (qserver -max-views); at the cap, non-ephemeral
 //     POST /query gets 429 until DELETE /views/{id} (or ?ephemeral=1) is
@@ -73,10 +70,9 @@
 // the new source. The server keeps no state of its own about views: the
 // engine is the one view registry, and view contents swap atomically per
 // view, so GET endpoints read them lock-free. Inside one query, Q fans tree
-// translation and branch execution across a bounded worker pool
-// (core.Options.Parallelism); POST /query accepts a ?parallel=N query
-// parameter to size that request's own fan-out (the ranked answers are
-// byte-identical at any setting).
+// translation and branch execution across worker pools it sizes itself from
+// GOMAXPROCS; no request selects a width, and the ranked answers are
+// byte-identical at any width.
 //
 // A view's wire ID is "v" followed by its engine ID (core.View.ID). The
 // engine assigns IDs in creation order, never reuses one, and persists them
@@ -101,11 +97,6 @@ import (
 	"qint/internal/relstore"
 )
 
-// maxParallelAbsurd is the ?parallel= rejection threshold: values at or
-// below it are silently clamped to Config.MaxParallel, values above it are
-// a client bug (or an attack) and get 400.
-const maxParallelAbsurd = 4096
-
 // maxQueryKeywords caps the keywords of one POST /query. It sits above
 // steiner.MaxExactTerminals, so queries the approximation answers still
 // serve, but keeps one request from carrying thousands of keywords (an
@@ -125,9 +116,6 @@ type Config struct {
 	// feedback); further writes are shed with 503 + Retry-After.
 	// Default 8.
 	WriteQueueDepth int
-	// MaxParallel is the ceiling a ?parallel= request can ask for; higher
-	// values (up to maxParallelAbsurd) are clamped. Default GOMAXPROCS.
-	MaxParallel int
 	// MaxBodyBytes caps POST request bodies (413 beyond it).
 	// Default 8 MiB.
 	MaxBodyBytes int64
@@ -145,9 +133,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WriteQueueDepth <= 0 {
 		c.WriteQueueDepth = 8
-	}
-	if c.MaxParallel <= 0 {
-		c.MaxParallel = runtime.GOMAXPROCS(0)
 	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 8 << 20
@@ -179,7 +164,6 @@ type Server struct {
 	mux *http.ServeMux
 
 	cfg         Config
-	maxViews    int           // q's view cap, read once: Options is writer-side
 	queryTokens chan struct{} // in-flight query admissions
 	writeTokens chan struct{} // queued-or-running write admissions
 	counters    servingCounters
@@ -205,7 +189,6 @@ func NewWith(q *core.Q, cfg Config) *Server {
 	s := &Server{
 		q:           q,
 		cfg:         cfg,
-		maxViews:    q.Options().MaxViews,
 		queryTokens: make(chan struct{}, cfg.MaxInFlightQueries),
 		writeTokens: make(chan struct{}, cfg.WriteQueueDepth),
 		started:     time.Now(),
@@ -477,25 +460,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if s.queryBarrier != nil {
 		s.queryBarrier()
 	}
-	parallel := 0
-	if p := r.URL.Query().Get("parallel"); p != "" {
-		n, err := strconv.Atoi(p)
-		if err != nil || n < 1 {
-			httpError(w, http.StatusBadRequest, "parallel must be a positive integer")
-			return
-		}
-		if n > maxParallelAbsurd {
-			httpError(w, http.StatusBadRequest,
-				"parallel=%d exceeds the absurdity threshold %d", n, maxParallelAbsurd)
-			return
-		}
-		// Clamp, don't reject: the answers are byte-identical at any
-		// setting, the ceiling only bounds this request's fan-out.
-		if n > s.cfg.MaxParallel {
-			n = s.cfg.MaxParallel
-		}
-		parallel = n
-	}
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req QueryRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -519,13 +483,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// grow the registry.
 	ephemeral := isTruthy(r.URL.Query().Get("ephemeral"))
 	tr := obs.NewTrace()
-	v, err := s.q.Query(core.Request{Keywords: keywords, Parallelism: parallel, Ephemeral: ephemeral, Trace: tr})
+	v, err := s.q.Query(core.Request{Keywords: keywords, Ephemeral: ephemeral, Trace: tr})
 	s.observeQuery(w, req.Q, tr)
 	if errors.Is(err, core.ErrViewLimit) {
 		s.counters.shedQueries.Add(1)
 		w.Header().Set("Retry-After", "1")
 		httpError(w, http.StatusTooManyRequests,
-			"view registry full (max %d); use ?ephemeral=1 or DELETE /views/{id}", s.maxViews)
+			"view registry full (max %d); use ?ephemeral=1 or DELETE /views/{id}", s.q.Options().MaxViews)
 		return
 	}
 	if err != nil {
@@ -782,7 +746,6 @@ type ServingStats struct {
 	ShedQueries        int64 `json:"shed_queries"`
 	ShedWrites         int64 `json:"shed_writes"`
 	ViewsDeleted       int64 `json:"views_deleted"`
-	MaxParallel        int   `json:"max_parallel"`
 	MaxViews           int   `json:"max_views"`
 	MaxBodyBytes       int64 `json:"max_body_bytes"`
 }
@@ -799,8 +762,7 @@ func (s *Server) ServingStats() ServingStats {
 		ShedQueries:        s.counters.shedQueries.Load(),
 		ShedWrites:         s.counters.shedWrites.Load(),
 		ViewsDeleted:       s.counters.viewsDeleted.Load(),
-		MaxParallel:        s.cfg.MaxParallel,
-		MaxViews:           s.maxViews,
+		MaxViews:           s.q.Options().MaxViews,
 		MaxBodyBytes:       s.cfg.MaxBodyBytes,
 	}
 }

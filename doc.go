@@ -48,14 +48,14 @@
 // The engine sizes itself: core.New reads runtime.GOMAXPROCS(0) once into
 // one width, and no option, method or request parameter selects another.
 // The width sizes the catalog's shards (also when a snapshot is restored),
-// the tree→query translation fan-out inside one materialisation, the
-// Refresh fan-out over persistent views, the registration-time index
+// the Refresh fan-out over persistent views, the registration-time index
 // builds, and a global semaphore that bounds in-flight branch executions
-// across all concurrent materialisations. The pipeline collects branches by
-// tree index and runs the order-sensitive passes (signature dedup,
-// output-schema alignment, the top-k union) as deterministic post-passes in
-// tree-cost order, so a view materialised at any width is byte-identical —
-// trees, query signatures, ranked rows and α — to the one-wide result. The
+// across all concurrent materialisations. Inside one materialisation the
+// pipeline is serial: tree→query translation (a few microseconds a tree,
+// less than a goroutine hand-off) and the order-sensitive passes (signature
+// dedup, output-schema alignment, the top-k union) run in tree-cost order,
+// so a view materialised at any width is byte-identical — trees, query
+// signatures, ranked rows and α — to the one-wide result. The
 // width oracles (internal/core/parallel_test.go and shard_test.go) build
 // engines under GOMAXPROCS 2, 7 and 8 and compare them with GOMAXPROCS 1
 // across the bundled corpora, and CI runs the relstore, core and server

@@ -217,8 +217,8 @@ type Q struct {
 
 	opts Options
 	// width is runtime.GOMAXPROCS(0), read once by New. It sizes the
-	// catalog's shards (also on restore), the tree→query translation,
-	// refresh and index-build fan-outs, and execSem, which bounds the branch
+	// catalog's shards (also on restore), the refresh and index-build
+	// fan-outs, and execSem, which bounds the branch
 	// executions running at once across ALL in-flight materialisations (each
 	// holds one slot for its serial top-k union) so overlapping queries
 	// cannot multiply the bound. Answers are byte-identical at any width.

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -376,5 +379,57 @@ func TestCheckpointTracksViewIDs(t *testing.T) {
 		t.Fatal(err)
 	} else if v.ID != 3 {
 		t.Fatalf("view after restart has ID %d, want 3", v.ID)
+	}
+}
+
+// TestFeedbackCheckpointsReproducible: two engines driven through one op
+// sequence that includes feedback write byte-identical checkpoints. Every
+// sum of the MIRA update is taken in key order, so the learned weights —
+// which the snapshot stores — agree to the last bit.
+func TestFeedbackCheckpointsReproducible(t *testing.T) {
+	snapshots := func() map[string][]byte {
+		opts := durableOpts(t)
+		q, err := Open(opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q.AddMatcher(meta.New())
+		q.AddMatcher(mad.New())
+		driveMutations(t, q)
+		v := q.Views()[0]
+		for range 4 {
+			trees := v.Trees()
+			if len(trees) < 2 {
+				t.Fatalf("view has %d trees, want at least 2 to give feedback on", len(trees))
+			}
+			if err := q.FeedbackFavorTree(v, trees[len(trees)-1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := q.Close(); err != nil {
+			t.Fatal(err)
+		}
+		files, err := filepath.Glob(filepath.Join(opts.DataDir, "gen-*.snap"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no checkpoint written: %v %v", files, err)
+		}
+		out := make(map[string][]byte)
+		for _, f := range files {
+			b, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[filepath.Base(f)] = b
+		}
+		return out
+	}
+	a, b := snapshots(), snapshots()
+	if !reflect.DeepEqual(slices.Sorted(maps.Keys(a)), slices.Sorted(maps.Keys(b))) {
+		t.Fatalf("checkpoints %v and %v", slices.Sorted(maps.Keys(a)), slices.Sorted(maps.Keys(b)))
+	}
+	for name, x := range a {
+		if !bytes.Equal(x, b[name]) {
+			t.Errorf("%s differs between two runs of the same op sequence", name)
+		}
 	}
 }

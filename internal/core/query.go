@@ -403,11 +403,10 @@ func (q *Q) executeBranches(st *qstate, queries []*relstore.ConjunctiveQuery, k 
 }
 
 // planOverlay is the plan phase of materialisation: top-k Steiner trees
-// over the base∪overlay view, pruning, concurrent tree→query translation
-// (results collected by tree index), and the two order-sensitive
-// post-passes run serially in tree-cost order — signature deduplication and
-// the §2.2 output-schema alignment — so the produced query list is
-// deterministic regardless of the engine width.
+// over the base∪overlay view, pruning, then one serial pass in tree-cost
+// order: tree→query translation with signature deduplication, and the §2.2
+// output-schema alignment. The produced query list is a function of the
+// trees alone.
 func (q *Q) planOverlay(st *qstate, ov *searchgraph.Overlay, terminals []steiner.NodeID, k int, tr *obs.Trace) ([]steiner.Tree, []*relstore.ConjunctiveQuery, error) {
 	tsteiner := tr.Now()
 	trees := q.topKTrees(ov, terminals, k)
@@ -434,25 +433,16 @@ func (q *Q) planOverlay(st *qstate, ov *searchgraph.Overlay, terminals []steiner
 	}
 	tr.Record(obs.StageSteiner, tsteiner)
 
-	// Translate every tree concurrently; cqs is indexed by tree.
+	// Translate the trees in cost order. A tree takes a few microseconds,
+	// less than handing it to another goroutine would.
 	ttrans := tr.Now()
-	cqs := make([]*relstore.ConjunctiveQuery, len(trees))
-	err := runIndexed(len(trees), q.width, func(i int) error {
-		cq, err := treeToQuery(st, ov, trees[i])
-		if err != nil {
-			return err
-		}
-		cqs[i] = cq
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-
-	// Deterministic post-passes, in tree-cost order.
 	var queries []*relstore.ConjunctiveQuery
 	sigs := make(map[string]bool)
-	for _, cq := range cqs {
+	for _, t := range trees {
+		cq, err := treeToQuery(st, ov, t)
+		if err != nil {
+			return nil, nil, err
+		}
 		if sigs[cq.Signature()] {
 			continue // equivalent query from a different tree
 		}

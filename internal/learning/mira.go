@@ -1,6 +1,10 @@
 package learning
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // TreeExample represents one query tree for learning: the sum of its edges'
 // feature vectors (so that tree cost = w · Features) and the canonical keys
@@ -91,36 +95,65 @@ func (m *MIRA) Update(prev Vector, target TreeExample, competitors []TreeExample
 // than offsetting weights afterwards — lets the solver redistribute mass
 // instead of driving one edge's weight far negative and then inflating
 // every other edge to compensate.
+//
+// The solver runs over the update's features interned in sorted key order:
+// each constraint is a list of (index, value) entries, ascending, and the
+// weights it reads and writes are one dense slice. Every sum — w · d and
+// ‖d‖² — adds its terms in key order, so the new weights are a function of
+// the inputs to the last bit (sums in map order were not), and no sweep
+// touches a map.
 func (m *MIRA) UpdateWithPositivity(prev Vector, target TreeExample, competitors []TreeExample, edgeFeatures []Vector, floor float64) Vector {
 	// Constraints: w · d_i ≥ b_i with d_i = F(T_i) - F(Tr), b_i = L(Tr,T_i).
+	ds := make([]Vector, 0, len(competitors)+len(edgeFeatures))
+	for _, comp := range competitors {
+		ds = append(ds, comp.Features.Sub(target.Features))
+	}
+	ds = append(ds, edgeFeatures...)
+	keys, index := internKeys(ds)
+
 	type constraint struct {
-		d      Vector
-		b      float64
-		norm2  float64
-		capped bool // margin constraints honour MaxAlpha; positivity must not
+		entries []entry
+		b       float64
+		norm2   float64
+		capped  bool // margin constraints honour MaxAlpha; positivity must not
+	}
+	total := 0
+	for _, d := range ds {
+		total += len(d)
 	}
 	var cons []constraint
-	for _, comp := range competitors {
-		d := comp.Features.Sub(target.Features)
-		b := SymmetricLoss(target, comp)
-		n2 := d.Norm2()
-		if n2 == 0 {
-			continue // identical feature vectors: nothing to separate
+	all := make([]entry, 0, total)
+	for i, d := range ds {
+		lo := len(all)
+		for k, x := range d {
+			all = append(all, entry{index[k], x})
 		}
-		cons = append(cons, constraint{d: d, b: b, norm2: n2, capped: true})
-	}
-	for _, f := range edgeFeatures {
-		n2 := f.Norm2()
+		es := all[lo:]
+		slices.SortFunc(es, func(a, b entry) int { return cmp.Compare(a.j, b.j) })
+		n2 := 0.0
+		for _, e := range es {
+			n2 += e.x * e.x
+		}
 		if n2 == 0 {
+			all = all[:lo] // identical feature vectors: nothing to separate
 			continue
 		}
-		cons = append(cons, constraint{d: f, b: floor, norm2: n2})
+		c := constraint{entries: es, b: floor, norm2: n2}
+		if i < len(competitors) {
+			c.b, c.capped = SymmetricLoss(target, competitors[i]), true
+		}
+		cons = append(cons, c)
 	}
 	w := prev.Clone()
 	if len(cons) == 0 {
 		return w
 	}
 
+	wv := make([]float64, len(keys))
+	for j, k := range keys {
+		wv[j] = prev[k]
+	}
+	touched := make([]bool, len(keys))
 	maxIters := m.MaxIters
 	if maxIters <= 0 {
 		maxIters = 100
@@ -129,8 +162,11 @@ func (m *MIRA) UpdateWithPositivity(prev Vector, target TreeExample, competitors
 	for iter := 0; iter < maxIters; iter++ {
 		maxAdj := 0.0
 		for i, c := range cons {
-			violation := c.b - w.Dot(c.d)
-			delta := violation / c.norm2
+			dot := 0.0
+			for _, e := range c.entries {
+				dot += wv[e.j] * e.x
+			}
+			delta := (c.b - dot) / c.norm2
 			if delta < -alphas[i] {
 				delta = -alphas[i] // duals stay non-negative
 			}
@@ -139,7 +175,10 @@ func (m *MIRA) UpdateWithPositivity(prev Vector, target TreeExample, competitors
 			}
 			if delta != 0 {
 				alphas[i] += delta
-				w.AddScaled(c.d, delta)
+				for _, e := range c.entries {
+					wv[e.j] += delta * e.x
+					touched[e.j] = true
+				}
 			}
 			if a := abs(delta); a > maxAdj {
 				maxAdj = a
@@ -149,7 +188,44 @@ func (m *MIRA) UpdateWithPositivity(prev Vector, target TreeExample, competitors
 			break
 		}
 	}
+	// As AddScaled would have left them: a touched weight that ends at
+	// exactly zero is absent.
+	for j, k := range keys {
+		switch {
+		case !touched[j]:
+		case wv[j] == 0:
+			delete(w, k)
+		default:
+			w[k] = wv[j]
+		}
+	}
 	return w
+}
+
+// entry is one feature of a constraint: its interned index and value.
+type entry struct {
+	j int32
+	x float64
+}
+
+// internKeys returns the distinct keys of vs in ascending order, and each
+// key's index in that order.
+func internKeys(vs []Vector) ([]string, map[string]int32) {
+	index := make(map[string]int32)
+	var keys []string
+	for _, v := range vs {
+		for k := range v {
+			if _, ok := index[k]; !ok {
+				index[k] = 0
+				keys = append(keys, k)
+			}
+		}
+	}
+	slices.Sort(keys)
+	for j, k := range keys {
+		index[k] = int32(j)
+	}
+	return keys, index
 }
 
 func abs(x float64) float64 {

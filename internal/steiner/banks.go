@@ -36,9 +36,12 @@ func ApproxTopKSteinerOn(g GraphView, terminals []NodeID, k int) []Tree {
 	}
 
 	dists := make([]Dist, len(terms))
+	s := acquireSearch()
+	s.flatten(g)
 	for i, t := range terms {
-		dists[i] = DijkstraOn(g, t)
+		dists[i] = s.shortestPaths(t)
 	}
+	releaseSearch(s)
 
 	type cand struct {
 		root  NodeID

@@ -15,19 +15,54 @@ func (g *Graph) Dijkstra(src NodeID) Dist { return DijkstraOn(g, src) }
 // DijkstraOn computes shortest path costs from src to every node of an
 // arbitrary graph view (base graph or base∪overlay).
 func DijkstraOn(g GraphView, src NodeID) Dist {
+	s := acquireSearch()
+	defer releaseSearch(s)
+	s.flatten(g)
+	return s.shortestPaths(src)
+}
+
+// arc is one incident edge of a node in a search's flat adjacency: the
+// other endpoint, the edge, and its cost.
+type arc struct {
+	to   int32
+	edge int32
+	cost float64
+}
+
+// flatten copies g's adjacency into the search's flat buffers, in one pass
+// over the view: node v's arcs are arcs[off[v]:off[v+1]], in Incident
+// order. From here on Dijkstra and the top-k search read only these
+// buffers, never the view.
+func (s *search) flatten(g GraphView) {
 	n := g.NumNodes()
-	d := Dist{D: make([]float64, n), Prev: make([]EdgeID, n)}
-	pq := minHeap[nodeItem]{less: nodeItemLess}
-	dijkstraInto(g, src, d.D, d.Prev, &pq)
+	s.n = n
+	s.off = grown(s.off, n+1)
+	s.arcs = grown(s.arcs, 2*g.NumEdges())[:0] // a self-loop is listed once
+	for v := range n {
+		s.off[v] = int32(len(s.arcs))
+		for _, eid := range g.Incident(NodeID(v)) {
+			e := g.Edge(eid)
+			to := e.U // g.Other(eid, v), without a second edge lookup
+			if to == NodeID(v) {
+				to = e.V
+			}
+			s.arcs = append(s.arcs, arc{to: int32(to), edge: int32(eid), cost: e.Cost})
+		}
+	}
+	s.off[n] = int32(len(s.arcs))
+}
+
+// shortestPaths runs a full Dijkstra from src over the flat adjacency.
+func (s *search) shortestPaths(src NodeID) Dist {
+	d := Dist{D: make([]float64, s.n), Prev: make([]EdgeID, s.n)}
+	s.startDijkstra(src, d.D, d.Prev)
+	s.dijkstra(d.D, d.Prev, math.Inf(1), 0)
 	return d
 }
 
-// dijkstraInto is the package's one Dijkstra loop. It writes src's
-// shortest-path cost to every node into d (+Inf when unreachable) and, when
-// prev is non-nil, the edge each node is reached by (-1 for src and
-// unreachable nodes). Both have g.NumNodes() entries; pq is the queue's
-// storage, reused across calls.
-func dijkstraInto(g GraphView, src NodeID, d []float64, prev []EdgeID, pq *minHeap[nodeItem]) {
+// startDijkstra sets d to +Inf everywhere but src (and prev, when non-nil,
+// to -1) and queues src alone; dijkstra then advances the search.
+func (s *search) startDijkstra(src NodeID, d []float64, prev []EdgeID) {
 	inf := math.Inf(1)
 	for i := range d {
 		d[i] = inf
@@ -36,29 +71,46 @@ func dijkstraInto(g GraphView, src NodeID, d []float64, prev []EdgeID, pq *minHe
 		prev[i] = -1
 	}
 	d[src] = 0
-	pq.Reset()
-	pq.Push(nodeItem{node: src, cost: 0})
-	for pq.Len() > 0 {
-		it := pq.Pop()
-		if it.cost > d[it.node] {
+	s.dq.Reset()
+	s.dq.Push(item{cost: 0, id: int32(src)})
+}
+
+// dijkstra is the package's one Dijkstra loop. It advances the search
+// whose queue is s.dq and whose distances are d, settling nodes in
+// ascending distance and relaxing their arcs, until the least queued
+// distance exceeds radius or the queue is empty. With pending > 0 it stops
+// instead right after settling the pending-th node marked with s.stamp, and
+// returns how many marked nodes it did not reach. prev, when non-nil,
+// receives the edge each node is reached by.
+//
+// A search stopped at a radius can be resumed by a later call, and the
+// pops it makes are the prefix of a full run's: every node within radius
+// holds its exact distance, every other node a value above radius (the
+// tentative value of some path, or +Inf). The distances do not depend on
+// the order of a node's arcs — each is the least left-to-right float sum
+// over the paths to its node — only the edges prev picks do.
+func (s *search) dijkstra(d []float64, prev []EdgeID, radius float64, pending int) int {
+	for s.dq.Len() > 0 && s.dq.items[0].cost <= radius {
+		it := s.dq.Pop()
+		if it.cost > d[it.id] {
 			continue
 		}
-		for _, eid := range g.Incident(it.node) {
-			e := g.Edge(eid)
-			to := e.U // g.Other(eid, it.node), without a second edge lookup
-			if to == it.node {
-				to = e.V
-			}
-			nd := it.cost + e.Cost
-			if nd < d[to] {
-				d[to] = nd
+		for _, a := range s.arcs[s.off[it.id]:s.off[it.id+1]] {
+			if nd := it.cost + a.cost; nd < d[a.to] {
+				d[a.to] = nd
 				if prev != nil {
-					prev[to] = eid
+					prev[a.to] = EdgeID(a.edge)
 				}
-				pq.Push(nodeItem{node: to, cost: nd})
+				s.dq.Push(item{cost: nd, id: a.to})
+			}
+		}
+		if pending > 0 && s.mark[it.id] == s.stamp {
+			if pending--; pending == 0 {
+				break
 			}
 		}
 	}
+	return pending
 }
 
 // PathTo reconstructs the edges of the shortest path from the Dijkstra
@@ -110,21 +162,27 @@ func NeighborhoodIntersectOn(g GraphView, sources []NodeID, alpha float64) map[N
 }
 
 // neighborhood returns the nodes within alpha of every source (all) or of
-// some source. It runs one Dijkstra per source into a retained search's
-// distance table, folding each row into the farthest (all) or nearest
-// source's distance per node.
+// some source. It runs one Dijkstra per source over a retained search's
+// flat adjacency, each only as far as alpha, into its distance table,
+// folding each row into the farthest (all) or nearest source's distance per
+// node. A node farther than alpha from a source holds some value above
+// alpha in that source's row, which decides its membership as its exact
+// distance would.
 func neighborhood(g GraphView, sources []NodeID, alpha float64, all bool) map[NodeID]struct{} {
 	if len(sources) == 0 {
 		return make(map[NodeID]struct{})
 	}
 	s := acquireSearch()
 	defer releaseSearch(s)
-	n := g.NumNodes()
+	s.flatten(g)
+	n := s.n
 	s.dist = grown(s.dist, 2*n)
 	row, fold := s.dist[:n], s.dist[n:]
-	dijkstraInto(g, sources[0], fold, nil, &s.dq)
+	s.startDijkstra(sources[0], fold, nil)
+	s.dijkstra(fold, nil, alpha, 0)
 	for _, src := range sources[1:] {
-		dijkstraInto(g, src, row, nil, &s.dq)
+		s.startDijkstra(src, row, nil)
+		s.dijkstra(row, nil, alpha, 0)
 		for v, d := range row {
 			if all {
 				fold[v] = max(fold[v], d)
@@ -141,10 +199,3 @@ func neighborhood(g GraphView, sources []NodeID, alpha float64, all bool) map[No
 	}
 	return out
 }
-
-type nodeItem struct {
-	node NodeID
-	cost float64
-}
-
-func nodeItemLess(a, b *nodeItem) bool { return a.cost < b.cost }

@@ -115,13 +115,13 @@ func TopKSteinerStats(g GraphView, terminals []NodeID, k int) ([]Tree, Stats) {
 	return trees, stats
 }
 
-// cand is one DP tree rooted at root covering terminal set mask, on the
-// queue or — once recorded — in the arena. It does not hold its node or edge
-// set: those are implied by how it was derived from recorded candidates
-// (a leaf is a bare terminal; an extension is candidate a plus an edge,
-// re-rooted across it; a merge is the union of a and b, both rooted at
-// root), and are walked out of the arena when needed. Trees here are a dozen
-// edges at most.
+// cand is one DP tree rooted at root covering terminal set mask, in the
+// candidate pool while queued or — once recorded — in the arena. It does
+// not hold its node or edge set: those are implied by how it was derived
+// from recorded candidates (a leaf is a bare terminal; an extension is
+// candidate a plus an arc, re-rooted across it; a merge is the union of a
+// and b, both rooted at root), and are walked out of the arena when needed.
+// Trees here are a dozen edges at most.
 type cand struct {
 	cost   float64
 	hash   uint64 // commutative hash of the edge set: sum of edgeHash
@@ -129,7 +129,7 @@ type cand struct {
 	mask   uint32
 	nEdges int32
 	a, b   int32 // arena indexes; a < 0 for a leaf, b < 0 unless a merge
-	ext    int32 // an extension: the index in exts of the edge it added
+	ext    int32 // an extension: the index in exts of the arc it added
 	next   int32 // arena only: the candidate recorded before this one at root
 }
 
@@ -143,22 +143,29 @@ func edgeHash(e EdgeID) uint64 {
 	return x ^ (x >> 31)
 }
 
-// search is the scratch of one TopKSteinerStats call. Everything lives in
-// flat slices that a later call reuses through the free list (scratch.go).
+// search is the scratch of one TopKSteinerStats call (and of the
+// package's other Dijkstra runs). Everything lives in flat slices that a
+// later call reuses through the free list (scratch.go).
 type search struct {
 	k     int
 	n     int // nodes in the view
+	terms []NodeID
 	full  uint32
 	stats Stats
 
-	dist  []float64         // terminals × nodes: dist[i*n+v] is terminal i's distance to v
-	dq    minHeap[nodeItem] // Dijkstra's queue
-	arena []cand            // recorded candidates, in pop order
-	pq    minHeap[cand]     // queued candidates
-	exts  []int32           // per recorded incomplete tree: its extensions' edges in queue order, then -1
-	head  []int32           // per node: the last candidate recorded at that root, -1 if none
-	mark  []uint32          // per node: == stamp when the node is in the tree being expanded
-	stamp uint32
+	off    []int32   // per node and one more: where its arcs start in arcs
+	arcs   []arc     // every node's arcs; a node's are presorted once a tree rooted there extends
+	sorted []uint64  // per node, one bit: its arcs are presorted
+	dist   []float64 // terminals × nodes: dist[i*n+v] is terminal i's distance to v, as far as filled
+	dq     minHeap   // Dijkstra's queue; between reset and the first limit, terminal 0's
+	arena  []cand    // recorded candidates, in pop order
+	pool   []cand    // queued candidates, addressed by the queue's items
+	slots  []int32   // free slots of pool
+	pq     minHeap   // queued candidates: cost and pool slot
+	exts   []int32   // per recorded incomplete tree: its extensions' arcs in queue order, then -1
+	head   []int32   // per node: the last candidate recorded at that root, -1 if none
+	mark   []uint32  // per node: == stamp when the node is in the tree being expanded
+	stamp  uint32
 
 	best  []complete // the ≤ k cheapest distinct complete trees queued, by ascending cost
 	limit float64    // +Inf until best holds k trees, then the k-th cost plus slack
@@ -176,22 +183,23 @@ type complete struct {
 	hash   uint64
 }
 
-// sibling is one extension of a recorded tree while its list is sorted.
+// sibling is one extension of a recorded tree while a run of them is
+// sorted.
 type sibling struct {
 	cost float64
 	hash uint64
-	edge int32
+	arc  int32
 }
 
-// less is the queue's strict total order. Two candidates it does not
-// separate have the same cost, root, mask and edge set, and are
-// interchangeable. Every candidate a pop pushes is greater than the one
-// popped (costs are non-negative; an extension adds an edge, a merge adds
-// edges or, with a bare terminal, mask bits), so pops are in ascending order.
-func (s *search) less(a, b *cand) bool {
-	if a.cost != b.cost {
-		return a.cost < b.cost
-	}
+// tieLess completes the queue's strict total order: the queue compares
+// costs itself and asks tieLess only when they are equal. Two candidates
+// the order does not separate have the same cost, root, mask and edge set,
+// and are interchangeable. Every candidate a pop pushes is greater than the
+// one popped (costs are non-negative; an extension adds an edge, a merge
+// adds edges or, with a bare terminal, mask bits), so pops are in ascending
+// order.
+func (s *search) tieLess(i, j int32) bool {
+	a, b := &s.pool[i], &s.pool[j]
 	if a.nEdges != b.nEdges {
 		return a.nEdges < b.nEdges
 	}
@@ -207,14 +215,23 @@ func (s *search) less(a, b *cand) bool {
 	return slices.Compare(s.sortedEdges(a, &s.ea), s.sortedEdges(b, &s.eb)) < 0
 }
 
-// cmpSiblings is less restricted to the extensions of one tree: they share
-// edge count and mask, and their hashes differ (edgeHash is a bijection), so
-// cost and hash decide.
+// cmpSiblings is the queue's order restricted to the extensions of one
+// tree: they share edge count and mask, and their hashes differ (edgeHash
+// is a bijection), so cost and hash decide.
 func cmpSiblings(a, b sibling) int {
 	if a.cost != b.cost {
 		return cmp.Compare(a.cost, b.cost)
 	}
 	return cmp.Compare(a.hash, b.hash)
+}
+
+// cmpArcs is the presorted order of a node's arcs: by cost, then by
+// edgeHash.
+func cmpArcs(a, b arc) int {
+	if a.cost != b.cost {
+		return cmp.Compare(a.cost, b.cost)
+	}
+	return cmp.Compare(edgeHash(EdgeID(a.edge)), edgeHash(EdgeID(b.edge)))
 }
 
 // walk appends c's nodes to *nodes and c's edges to *edges, in no
@@ -230,7 +247,7 @@ func (s *search) walk(c *cand, nodes *[]NodeID, edges *[]EdgeID) {
 			continue
 		case c.a >= 0: // extension
 			if edges != nil {
-				*edges = appendPow2(*edges, EdgeID(s.exts[c.ext]))
+				*edges = appendPow2(*edges, EdgeID(s.arcs[s.exts[c.ext]].edge))
 			}
 			if nodes != nil {
 				*nodes = appendPow2(*nodes, NodeID(c.root))
@@ -258,15 +275,21 @@ func (s *search) sortedEdges(c *cand, buf *[]EdgeID) []EdgeID {
 	return *buf
 }
 
-// reset prepares the scratch for one search and fills the distance table,
-// one Dijkstra per terminal. It reports false when some terminal is
-// unreachable from the first, so that no tree spans them all.
+// reset prepares the scratch for one search: it flattens the view and
+// runs terminal 0's Dijkstra only until every other terminal is settled.
+// It reports false when some terminal is unreachable from the first, so
+// that no tree spans them all. The rest of the distance table is filled
+// when the limit is first set (fillDistances): until then lower is never
+// read.
 func (s *search) reset(g GraphView, terms []NodeID, k int) bool {
-	n := g.NumNodes()
-	s.k, s.n = k, n
+	s.flatten(g)
+	n := s.n
+	s.k, s.terms = k, terms
 	s.full = uint32(1)<<uint(len(terms)) - 1
 	s.stats = Stats{}
 	s.arena = s.arena[:0]
+	s.pool = s.pool[:0]
+	s.slots = s.slots[:0]
 	s.pq.Reset()
 	s.exts = s.exts[:0]
 	s.best = s.best[:0]
@@ -275,23 +298,40 @@ func (s *search) reset(g GraphView, terms []NodeID, k int) bool {
 	for i := range s.head {
 		s.head[i] = -1
 	}
+	s.sorted = grown(s.sorted, (n+63)/64)
+	clear(s.sorted)
 	s.mark = grown(s.mark, n)
 	clear(s.mark)
-	s.stamp = 0
 	s.dist = grown(s.dist, len(terms)*n)
-	for i, t := range terms {
-		row := s.dist[i*n : (i+1)*n]
-		dijkstraInto(g, t, row, nil, &s.dq)
-		if i > 0 {
-			continue
-		}
-		for _, u := range terms[1:] {
-			if math.IsInf(row[u], 1) {
-				return false
-			}
-		}
+
+	s.stamp = 1
+	for _, t := range terms[1:] {
+		s.mark[t] = s.stamp
 	}
-	return true
+	row := s.dist[:n]
+	s.startDijkstra(terms[0], row, nil)
+	unreached := s.dijkstra(row, nil, math.Inf(1), len(terms)-1)
+	for _, t := range terms[1:] {
+		s.mark[t] = 0
+	}
+	s.stamp = 0
+	return unreached == 0
+}
+
+// fillDistances fills the distance table as far as radius: terminal 0's
+// Dijkstra resumes where reset stopped it, and every other terminal's runs
+// from its source. Afterwards a node within radius of a terminal holds its
+// exact distance, and any other node a value above radius, so lower drops a
+// candidate against any limit at or below radius exactly as the full table
+// would.
+func (s *search) fillDistances(radius float64) {
+	n := s.n
+	s.dijkstra(s.dist[:n], nil, radius, 0)
+	for i := 1; i < len(s.terms); i++ {
+		row := s.dist[i*n : (i+1)*n]
+		s.startDijkstra(s.terms[i], row, nil)
+		s.dijkstra(row, nil, radius, 0)
+	}
 }
 
 func (s *search) run(g GraphView, terms []NodeID, k int) []Tree {
@@ -308,13 +348,15 @@ func (s *search) run(g GraphView, terms []NodeID, k int) []Tree {
 			s.stats.Truncated = true
 			break
 		}
-		cur := s.pq.Pop()
+		slot := s.pq.Pop().id
+		cur := s.pool[slot]
+		s.slots = appendPow2(s.slots, slot)
 		s.stats.Pops++
 		if cur.a >= 0 && cur.b < 0 {
 			// An extension. Its next sibling is no less than it, so it is
 			// queued only now, admitted or not, and pops where it would
 			// have anyway.
-			s.queueExtension(g, cur.a, cur.ext+1)
+			s.queueExtension(cur.a, cur.ext+1)
 		}
 		if s.beyondLimit(&cur) {
 			s.stats.BoundPruned++
@@ -343,28 +385,10 @@ func (s *search) run(g GraphView, terms []NodeID, k int) []Tree {
 			s.mark[v] = s.stamp
 		}
 
-		// Grow: list the extensions across one incident edge of the root in
-		// queue order, and queue the first.
-		s.sibs = s.sibs[:0]
-		for _, eid := range g.Incident(NodeID(cur.root)) {
-			e := g.Edge(eid)
-			u := e.U
-			if u == NodeID(cur.root) {
-				u = e.V
-			}
-			if s.mark[u] == s.stamp {
-				continue // would create a cycle
-			}
-			s.sibs = appendPow2(s.sibs, sibling{cur.cost + e.Cost, cur.hash + edgeHash(eid), int32(eid)})
-		}
-		if len(s.sibs) > 0 {
-			slices.SortFunc(s.sibs, cmpSiblings)
-			first := int32(len(s.exts))
-			for _, sb := range s.sibs {
-				s.exts = appendPow2(s.exts, sb.edge)
-			}
-			s.exts = appendPow2(s.exts, -1)
-			s.queueExtension(g, ci, first)
+		// Grow: list the extensions across one arc of the root in queue
+		// order, and queue the first.
+		if first := s.listExtensions(cur.root, cur.cost, cur.hash); first >= 0 {
+			s.queueExtension(ci, first)
 		}
 
 		// Merge: combine with recorded trees rooted at the same node whose
@@ -388,23 +412,81 @@ func (s *search) run(g GraphView, terms []NodeID, k int) []Tree {
 	return answers
 }
 
+// listExtensions appends to exts, in queue order, the arcs of v that leave
+// the marked tree — a tree of the given cost and hash rooted at v — then
+// -1, and returns where the list starts; -1 when no arc leaves the tree.
+//
+// v's arcs are sorted once, the first time a tree rooted at v extends, by
+// (cost, edgeHash). Float addition is monotone, so the extensions' costs
+// ascend along them, and only a run of arcs whose sums are equal needs
+// thought. If the run has a single arc cost, its sums order by hash +
+// edgeHash, which is the run's edgeHash order rotated where the sum wraps:
+// the arcs whose sum wraps come first. If the sums collide across arc
+// costs (a cost large enough to absorb their difference), the run is sorted
+// as the siblings it holds.
+func (s *search) listExtensions(v int32, cost float64, hash uint64) int32 {
+	lo, hi := s.off[v], s.off[v+1]
+	if w, bit := v>>6, uint64(1)<<(v&63); s.sorted[w]&bit == 0 {
+		s.sorted[w] |= bit
+		slices.SortFunc(s.arcs[lo:hi], cmpArcs)
+	}
+	first := int32(len(s.exts))
+	for i := lo; i < hi; {
+		sum := cost + s.arcs[i].cost
+		j := i + 1
+		for j < hi && cost+s.arcs[j].cost == sum {
+			j++
+		}
+		if s.arcs[i].cost == s.arcs[j-1].cost {
+			p := i // the first arc whose hash sum wraps
+			for p < j && edgeHash(EdgeID(s.arcs[p].edge)) <= ^hash {
+				p++
+			}
+			s.appendExtensions(p, j)
+			s.appendExtensions(i, p)
+		} else {
+			s.sibs = s.sibs[:0]
+			for a := i; a < j; a++ {
+				if s.mark[s.arcs[a].to] != s.stamp {
+					s.sibs = appendPow2(s.sibs, sibling{sum, hash + edgeHash(EdgeID(s.arcs[a].edge)), a})
+				}
+			}
+			slices.SortFunc(s.sibs, cmpSiblings)
+			for _, sb := range s.sibs {
+				s.exts = appendPow2(s.exts, sb.arc)
+			}
+		}
+		i = j
+	}
+	if len(s.exts) == int(first) {
+		return -1
+	}
+	s.exts = appendPow2(s.exts, -1)
+	return first
+}
+
+// appendExtensions appends arcs[i:j] to exts, skipping the arcs that lead
+// back into the marked tree (they would close a cycle).
+func (s *search) appendExtensions(i, j int32) {
+	for a := i; a < j; a++ {
+		if s.mark[s.arcs[a].to] != s.stamp {
+			s.exts = appendPow2(s.exts, a)
+		}
+	}
+}
+
 // queueExtension queues the first extension of recorded tree p at or after
 // position i of its list that push keeps. Drops are final (states only
 // fill, the limit only falls), so skipping to the next is what the drop of
 // an eagerly queued extension would have amounted to.
-func (s *search) queueExtension(g GraphView, p, i int32) {
+func (s *search) queueExtension(p, i int32) {
 	pc := &s.arena[p]
 	for ; s.exts[i] >= 0; i++ {
-		eid := EdgeID(s.exts[i])
-		e := g.Edge(eid)
-		u := e.U
-		if u == NodeID(pc.root) {
-			u = e.V
-		}
+		a := &s.arcs[s.exts[i]]
 		if s.push(cand{
-			cost:   pc.cost + e.Cost,
-			hash:   pc.hash + edgeHash(eid),
-			root:   int32(u),
+			cost:   pc.cost + a.cost,
+			hash:   pc.hash + edgeHash(EdgeID(a.edge)),
+			root:   a.to,
 			mask:   pc.mask,
 			nEdges: pc.nEdges + 1,
 			a:      p,
@@ -430,7 +512,16 @@ func (s *search) push(c cand) bool {
 		s.stats.Pruned++
 		return false
 	}
-	s.pq.Push(c)
+	var slot int32
+	if n := len(s.slots); n > 0 {
+		slot = s.slots[n-1]
+		s.slots = s.slots[:n-1]
+		s.pool[slot] = c
+	} else {
+		slot = int32(len(s.pool))
+		s.pool = appendPow2(s.pool, c)
+	}
+	s.pq.Push(item{cost: c.cost, id: slot})
 	s.stats.Pushes++
 	if c.mask == s.full {
 		s.noteComplete(&c)
@@ -443,6 +534,7 @@ func (s *search) push(c cand) bool {
 // consistent — an extension across an edge of cost w lowers it by at most w,
 // and a merge partner costs at least its own terminals' distances — so
 // cost + lower never decreases from a candidate to one derived from it.
+// It reads the distance table, so only once the limit is set.
 func (s *search) lower(root int32, mask uint32) float64 {
 	lb := 0.0
 	for rest := s.full &^ mask; rest != 0; rest &= rest - 1 {
@@ -461,7 +553,8 @@ func (s *search) beyondLimit(c *cand) bool {
 
 // noteComplete counts a queued complete tree among the k cheapest distinct
 // ones and, once there are k, sets the limit to the k-th cost with a
-// relative slack that covers the float sums' evaluation order.
+// relative slack that covers the float sums' evaluation order. The first
+// limit fills the distance table as far as it; the limit only falls after.
 func (s *search) noteComplete(c *cand) {
 	i := len(s.best) - 1
 	for ; i >= 0 && (s.best[i].nEdges != c.nEdges || s.best[i].hash != c.hash); i-- {
@@ -485,7 +578,11 @@ func (s *search) noteComplete(c *cand) {
 		s.best[i], s.best[i-1] = s.best[i-1], s.best[i]
 	}
 	if len(s.best) == s.k {
+		unset := math.IsInf(s.limit, 1)
 		s.limit = s.best[s.k-1].cost*(1+1e-9) + 1e-12
+		if unset && !math.IsInf(s.limit, 1) {
+			s.fillDistances(s.limit)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package steiner
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"runtime"
@@ -70,19 +72,62 @@ func assertSameTrees(t *testing.T, what string, got, want []Tree) {
 	}
 }
 
-// checkAgainstOracle runs one differential case: over the graph itself and
-// over an overlay re-expression of it.
-func checkAgainstOracle(t *testing.T, seed int64, plateau bool, n, extra, numTerms, k int) {
-	t.Helper()
+// differentialInputs builds one differential case: a graph with its
+// terminals, and an overlay re-expression of it with its own.
+func differentialInputs(seed int64, plateau bool, n, extra, numTerms int) (*Graph, []NodeID, *Overlay, []NodeID) {
 	r := rand.New(rand.NewSource(seed))
 	gen := randomConnectedGraph
 	if plateau {
 		gen = plateauGraph
 	}
 	g, terms := gen(r, n, extra, numTerms)
-	assertSameTrees(t, "graph", TopKSteinerOn(g, terms, k), oracleTopKSteinerOn(g, terms, k))
 	ov, ovTerms := overlayOf(r, g, terms)
+	return g, terms, ov, ovTerms
+}
+
+// checkAgainstOracle runs one differential case: over the graph itself and
+// over an overlay re-expression of it.
+func checkAgainstOracle(t *testing.T, seed int64, plateau bool, n, extra, numTerms, k int) {
+	t.Helper()
+	g, terms, ov, ovTerms := differentialInputs(seed, plateau, n, extra, numTerms)
+	assertSameTrees(t, "graph", TopKSteinerOn(g, terms, k), oracleTopKSteinerOn(g, terms, k))
 	assertSameTrees(t, "overlay", TopKSteinerOn(ov, ovTerms, k), oracleTopKSteinerOn(ov, ovTerms, k))
+}
+
+// goldenWork is the digest of the work counters of every differentialCases
+// search, on the graph and on the overlay, as the bound-pruned search with
+// lazy extensions counted them.
+const goldenWork = 0xc829ac4003cf19d8
+
+// TestTopKSteinerGoldenWork: the search takes the same steps as it did when
+// goldenWork was recorded — the same pops, pushes, records and drops of
+// each kind. Oracle equivalence sees only the answers; a kernel that pops a
+// candidate more or fewer, or prunes one at another point, changes this
+// digest.
+func TestTopKSteinerGoldenWork(t *testing.T) {
+	h := fnv.New64a()
+	fold := func(st Stats) {
+		var b []byte
+		for _, x := range []int{st.Pops, st.Pushes, st.Recorded, st.Pruned, st.BoundPruned} {
+			b = binary.LittleEndian.AppendUint64(b, uint64(x))
+		}
+		if st.Truncated {
+			b = append(b, 1)
+		} else {
+			b = append(b, 0)
+		}
+		h.Write(b)
+	}
+	differentialCases(func(seed int64, plateau bool, n, extra, numTerms, k int) {
+		g, terms, ov, ovTerms := differentialInputs(seed, plateau, n, extra, numTerms)
+		_, st := TopKSteinerStats(g, terms, k)
+		fold(st)
+		_, st = TopKSteinerStats(ov, ovTerms, k)
+		fold(st)
+	})
+	if got := h.Sum64(); got != goldenWork {
+		t.Errorf("work digest %#x, want %#x", got, uint64(goldenWork))
+	}
 }
 
 // differentialCases enumerates the seeded inputs of the differential test,
@@ -254,6 +299,7 @@ func TestLowerBoundAdmissibleConsistent(t *testing.T) {
 		slices.Sort(terms)
 		s := acquireSearch()
 		s.run(g, terms, 4)
+		fillWholeTable(s)
 		f := func(c *cand) float64 { return c.cost + s.lower(c.root, c.mask) }
 		for i := range s.arena {
 			c := &s.arena[i]
@@ -279,6 +325,114 @@ func TestLowerBoundAdmissibleConsistent(t *testing.T) {
 			}
 		}
 		releaseSearch(s)
+	}
+}
+
+// FuzzSiblingOrder: listExtensions lists the arcs of a node in the order
+// slices.SortFunc(_, cmpSiblings) gives the extensions of a tree of the
+// given cost and hash rooted there. Each byte of data is one arc: its low
+// three bits pick the arc's cost, bit 3 marks the arc's far end as in the
+// tree (the arc would close a cycle and is dropped), and the high nibble
+// perturbs its edge id. The seeds cover an empty and a one-arc list,
+// one-cost runs with a tree hash of 0 and across the hash wrap, runs whose
+// sums collide across arc costs (a tree cost of 1e16 absorbs 0.5 and 1),
+// and drops in the middle of a run.
+func FuzzSiblingOrder(f *testing.F) {
+	f.Add([]byte{}, 0.0, uint64(0))
+	f.Add([]byte{0x12}, 0.3, uint64(1)<<63)
+	f.Add([]byte{0x11, 0x21, 0x31, 0x41, 0x51}, 0.0, uint64(0))
+	f.Add([]byte{0x11, 0x21, 0x31, 0x41, 0x51, 0x61, 0x71}, 1.5, uint64(0x9000000000000000))
+	f.Add([]byte{0x11, 0x22, 0x31, 0x42, 0x50, 0x63}, 1e16, uint64(12345))
+	f.Add([]byte{0x12, 0x2a, 0x32, 0x4a, 0x52, 0x1b}, 0.3, ^uint64(0)>>1)
+	levels := []float64{0, 0.5, 1, 1.5, 3}
+	f.Fuzz(func(t *testing.T, data []byte, cost float64, hash uint64) {
+		if !(cost >= 0) {
+			cost = 0 // trees cost a non-negative amount
+		}
+		s := &search{
+			off:    []int32{0, int32(len(data))},
+			sorted: []uint64{0},
+			mark:   make([]uint32, len(data)+2),
+			stamp:  1,
+		}
+		s.mark[1] = s.stamp
+		var want []sibling
+		for i, b := range data {
+			a := arc{to: int32(2 + i), edge: int32(16*i + int(b>>4)), cost: levels[int(b&7)%len(levels)]}
+			if b&8 != 0 {
+				a.to = 1
+			} else {
+				want = append(want, sibling{cost + a.cost, hash + edgeHash(EdgeID(a.edge)), a.edge})
+			}
+			s.arcs = append(s.arcs, a)
+		}
+		slices.SortFunc(want, cmpSiblings)
+		var got []int32
+		if first := s.listExtensions(0, cost, hash); first >= 0 {
+			for _, a := range s.exts[first:] {
+				if a < 0 {
+					break
+				}
+				got = append(got, s.arcs[a].edge)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%d extensions listed, want %d", len(got), len(want))
+		}
+		for i, sb := range want {
+			if got[i] != sb.arc {
+				t.Fatalf("extension %d is edge %d, want %d (listed %v)", i, got[i], sb.arc, got)
+			}
+		}
+	})
+}
+
+// fillWholeTable fills s's distance table at radius +Inf: every terminal's
+// row from its source, so that lower reads exact distances everywhere.
+func fillWholeTable(s *search) {
+	for i, t := range s.terms {
+		row := s.dist[i*s.n : (i+1)*s.n]
+		s.startDijkstra(t, row, nil)
+		s.dijkstra(row, nil, math.Inf(1), 0)
+	}
+}
+
+// TestDistancesExactWithinRadius: a distance table filled as far as a
+// radius — terminal 0's row resumed from where reset stopped it, as the
+// first limit does — holds the full table's distance, bit for bit, at
+// every node within the radius, and a value above the radius everywhere
+// else. The radii are distances that occur, on plateau graphs with
+// zero-cost edges, so nodes sit exactly at the radius behind other nodes at
+// the radius.
+func TestDistancesExactWithinRadius(t *testing.T) {
+	r := rand.New(rand.NewSource(606))
+	for trial := 0; trial < 40; trial++ {
+		g, terms := plateauGraph(r, 10+r.Intn(30), r.Intn(40), 2+r.Intn(3))
+		slices.Sort(terms)
+		var want []Dist
+		var radii []float64
+		for _, term := range terms {
+			d := g.Dijkstra(term)
+			want = append(want, d)
+			radii = append(radii, d.D[r.Intn(len(d.D))], d.D[terms[0]])
+		}
+		for _, radius := range radii {
+			s := acquireSearch()
+			if !s.reset(g, terms, 3) {
+				t.Fatalf("trial %d: terminals of a connected graph unreachable", trial)
+			}
+			s.fillDistances(radius)
+			for i := range terms {
+				for v, exact := range want[i].D {
+					got := s.dist[i*s.n+v]
+					if exact <= radius && math.Float64bits(got) != math.Float64bits(exact) ||
+						exact > radius && !(got > radius) {
+						t.Fatalf("trial %d radius %v: terminal %d, node %d holds %v, distance %v", trial, radius, i, v, got, exact)
+					}
+				}
+			}
+			releaseSearch(s)
+		}
 	}
 }
 

@@ -28,9 +28,14 @@ const (
 
 // The buffers of a search, each with its own class.
 const (
-	bufDist = iota
+	bufOff = iota
+	bufArcs
+	bufSorted
+	bufDist
 	bufDijkstra
 	bufArena
+	bufPool
+	bufSlots
 	bufQueue
 	bufExts
 	bufHead
@@ -44,19 +49,24 @@ const (
 	numBufs
 )
 
-// bufBytes is the most one search retains of each buffer: a quarter of
-// perSearchBytes each for the distance table, the arena and the queue, an
-// eighth for the extension lists, and the rest for the per-node tables and
-// the walk buffers. On the benchmark's workloads a search needs a third to
-// a half of it.
+// bufBytes is the most one search retains of each buffer: three sixteenths
+// of perSearchBytes each for the flat adjacency's arcs, the distance table
+// and the arena, an eighth each for the candidate pool and the extension
+// lists, a sixteenth for the queue, and the rest for the per-node tables
+// and the walk buffers.
 var bufBytes = [numBufs]int{
-	bufDist:     perSearchBytes / 4,
-	bufArena:    perSearchBytes / 4,
-	bufQueue:    perSearchBytes / 4,
+	bufArcs:     perSearchBytes * 3 / 16,
+	bufDist:     perSearchBytes * 3 / 16,
+	bufArena:    perSearchBytes * 3 / 16,
+	bufPool:     perSearchBytes / 8,
 	bufExts:     perSearchBytes / 8,
-	bufDijkstra: perSearchBytes / 32,
-	bufHead:     perSearchBytes / 32,
-	bufMark:     perSearchBytes / 32,
+	bufQueue:    perSearchBytes / 16,
+	bufOff:      perSearchBytes / 64,
+	bufHead:     perSearchBytes / 64,
+	bufMark:     perSearchBytes / 64,
+	bufDijkstra: perSearchBytes / 64,
+	bufSorted:   perSearchBytes / 256,
+	bufSlots:    perSearchBytes / 256,
 	bufSibs:     perSearchBytes / 256,
 	bufBest:     perSearchBytes / 256,
 	bufStack:    perSearchBytes / 256,
@@ -81,8 +91,7 @@ func acquireSearch() *search {
 	}
 	free.Unlock()
 	s := new(search)
-	s.pq.less = s.less
-	s.dq.less = nodeItemLess
+	s.pq.tie = s.tieLess
 	return s
 }
 
@@ -90,9 +99,15 @@ func releaseSearch(s *search) {
 	free.Lock()
 	defer free.Unlock()
 	keep := len(free.list) < min(runtime.GOMAXPROCS(0), maxFreeSearches)
+	s.terms = nil
+	s.off = refit(s.off, bufOff, keep)
+	s.arcs = refit(s.arcs, bufArcs, keep)
+	s.sorted = refit(s.sorted, bufSorted, keep)
 	s.dist = refit(s.dist, bufDist, keep)
 	s.dq.items = refit(s.dq.items, bufDijkstra, keep)
 	s.arena = refit(s.arena, bufArena, keep)
+	s.pool = refit(s.pool, bufPool, keep)
+	s.slots = refit(s.slots, bufSlots, keep)
 	s.pq.items = refit(s.pq.items, bufQueue, keep)
 	s.exts = refit(s.exts, bufExts, keep)
 	s.head = refit(s.head, bufHead, keep)

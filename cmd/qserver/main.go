@@ -83,11 +83,11 @@ func main() {
 	q.AddMatcher(meta.New())
 	q.AddMatcher(mad.New())
 
-	if q.Catalog.NumRelations() > 0 {
+	if q.CurrentCatalog().NumRelations() > 0 {
 		// The durable store already holds a catalog; do not re-load the
 		// bootstrap dataset on top of it.
 		log.Printf("recovered instance from %s (%d relations, %d attributes, %d views, epoch %d)",
-			*dataDir, q.Catalog.NumRelations(), q.Catalog.NumAttributes(), len(q.Views()), q.WALEpoch())
+			*dataDir, q.CurrentCatalog().NumRelations(), q.CurrentCatalog().NumAttributes(), len(q.Views()), q.WALEpoch())
 	} else {
 		switch *dataset {
 		case "interprogo":
@@ -95,16 +95,18 @@ func main() {
 			if err := q.AddTables(c.Tables...); err != nil {
 				log.Fatal(err)
 			}
-			q.AlignAllPairs()
+			if _, err := q.AlignAllPairs(); err != nil {
+				log.Fatal(err)
+			}
 			log.Printf("loaded InterPro-GO (%d relations, %d attributes)",
-				q.Catalog.NumRelations(), q.Catalog.NumAttributes())
+				q.CurrentCatalog().NumRelations(), q.CurrentCatalog().NumAttributes())
 		case "gbco":
 			c := datasets.GBCO()
 			if err := q.AddTables(c.Tables...); err != nil {
 				log.Fatal(err)
 			}
 			log.Printf("loaded GBCO (%d relations, %d attributes)",
-				q.Catalog.NumRelations(), q.Catalog.NumAttributes())
+				q.CurrentCatalog().NumRelations(), q.CurrentCatalog().NumAttributes())
 		case "empty":
 			log.Printf("starting with an empty catalog; POST /sources to register data")
 		default:

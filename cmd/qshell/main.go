@@ -58,7 +58,9 @@ func main() {
 		if err := q.AddTables(c.Tables...); err != nil {
 			fatal(err)
 		}
-		q.AlignAllPairs()
+		if _, err := q.AlignAllPairs(); err != nil {
+			fatal(err)
+		}
 		fmt.Println("Loaded InterPro-GO: 8 relations, 28 attributes; associations proposed by META+MAD.")
 	case "gbco":
 		c := datasets.GBCO()
@@ -169,7 +171,7 @@ func main() {
 			}
 			fmt.Println(ex)
 		case "assoc":
-			for _, a := range q.Graph.AssociationList() {
+			for _, a := range q.CurrentGraph().AssociationList() {
 				fmt.Printf("%8.3f  %s ~ %s\n", a.Cost, a.A, a.B)
 			}
 		case "neighborhood":
@@ -251,11 +253,11 @@ func main() {
 				view = views[len(views)-1] // the newest restored view becomes current
 			}
 			fmt.Printf("loaded %s: %d relations, %d views\n",
-				rest, q.Catalog.NumRelations(), len(views))
+				rest, q.CurrentCatalog().NumRelations(), len(views))
 		case "stats":
-			s := q.Graph.Summary()
+			s := q.CurrentGraph().Summary()
 			fmt.Printf("catalog: %d relations, %d attributes\n",
-				q.Catalog.NumRelations(), q.Catalog.NumAttributes())
+				q.CurrentCatalog().NumRelations(), q.CurrentCatalog().NumAttributes())
 			fmt.Printf("graph: %d relations, %d attributes, %d values, %d keywords\n",
 				s.Relations, s.Attributes, s.Values, s.Keywords)
 			for kind, n := range s.ByEdgeKind {

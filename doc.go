@@ -12,15 +12,22 @@
 // The system is single-writer, many-query, built on copy-on-write
 // snapshots of the shared read state.
 //
-// Writers — AddTables, RegisterSource, feedback, Refresh, AddMatcher —
-// serialise on core.Q's internal writer mutex. A writer
-// mutates the builder structures (catalog, tf-idf corpus, search graph)
-// copy-on-write and PUBLISHES the result as one immutable state generation
-// via a single atomic pointer swap. The search graph's builder
-// (searchgraph.Graph) freezes its storage when a snapshot is taken and
-// clones it on the next mutation (O(V+E), once per write burst), bumping an
-// epoch counter; the catalog and corpus are cloned shallowly the same way.
-// Published generations are therefore frozen forever.
+// Writers — AddMatcher, AddTables, RegisterSource, AlignAllPairs,
+// AddAssociations, SetWeights and feedback — serialise on core.Q's internal
+// writer mutex. A writer mutates the private builder (catalog, tf-idf
+// corpus, search graph) copy-on-write and ends in one commit step: it logs
+// the write's record (durable engines), PUBLISHES the result as one
+// immutable state generation via a single atomic pointer swap, and, when
+// that made a new generation, refreshes every persistent view. A write
+// that fails before the publish — its own error or a refused WAL append —
+// rolls the builder back to the published generation, so nothing unlogged
+// is ever published. Code outside internal/core reads the published
+// generation (Q.CurrentCatalog, Q.CurrentGraph) and changes it only through
+// the writers. The search graph's builder (searchgraph.Graph) freezes its
+// storage when a snapshot is taken and clones it on the next mutation
+// (O(V+E), once per write burst), bumping an epoch counter; the catalog and
+// corpus are cloned shallowly the same way. Published generations are
+// therefore frozen forever.
 //
 // Queries take NO lock at all. Q.Query, the one query entry point (a
 // core.Request: keywords — core.ParseKeywords splits a query string — k,
@@ -39,16 +46,16 @@
 //
 // View materialisations are immutable and swapped atomically per view:
 // Trees/Queries/Result/Alpha read the latest generation lock-free, and
-// View.Current returns all of them as one coherent snapshot. Refresh —
-// which every writer triggers — rebuilds each view against the new
-// generation with a fresh overlay. Overlay node/edge ids extend the base
+// View.Current returns all of them as one coherent snapshot. The refresh
+// that ends every write rebuilds each view against the new generation with
+// a fresh overlay. Overlay node/edge ids extend the base
 // id spaces, so a view's provenance (explain, feedback) resolves against
 // the overlay retained by its materialisation; the overlay dies with it.
 //
 // The engine sizes itself: core.New reads runtime.GOMAXPROCS(0) once into
 // one width, and no option, method or request parameter selects another.
 // The width sizes the catalog's shards (also when a snapshot is restored),
-// the Refresh fan-out over persistent views, the registration-time index
+// the refresh fan-out over persistent views, the registration-time index
 // builds, and a global semaphore that bounds in-flight branch executions
 // across all concurrent materialisations. Inside one materialisation the
 // pipeline is serial: tree→query translation (a few microseconds a tree,
@@ -237,7 +244,7 @@
 // view materialisation (trees, conjunctive queries, ranked result and α,
 // keyed by (epoch, keyword sequence, k); views
 // sharing a key share one immutable materialisation, including across a
-// Refresh fan-out). A singleflight layer coalesces N concurrent identical
+// refresh fan-out). A singleflight layer coalesces N concurrent identical
 // misses into one pipeline run — a thundering herd on a cold key costs
 // one computation, not N.
 //
@@ -264,16 +271,19 @@
 // plus slice re-pointing, not a re-index (bench/'s ingest_restart workload
 // measures recovery).
 //
-// Durability is log-then-publish: every mutation (AddTables,
-// RegisterSource, hand-coded associations, AlignAllPairs, feedback) is
+// Durability is log-then-publish: every write but AddMatcher (AddTables,
+// RegisterSource, AlignAllPairs, AddAssociations, SetWeights, feedback) is
 // appended to the WAL as one length-prefixed, CRC-checked, epoch-stamped
 // record and fsync'd BEFORE the writer publishes the new generation to
-// readers, so any state a query could ever observe is already durable. The
-// log carries mutation EFFECTS, not operations — a registration record
-// holds the new tables plus each created association edge's final merged
-// feature vector, feedback holds the weight-vector delta — so replay needs
-// no matchers (they are code, re-registered after Open) and no MIRA, and
-// reproduces the builder state exactly
+// readers, so any state a query could ever observe is already durable; a
+// write whose append fails returns the error and is rolled back. There is
+// one record kind. It carries mutation EFFECTS, not operations: the tables
+// that entered the catalog, every association edge the write added or
+// merged into with its final feature vector, and the weight-vector delta
+// (feedback's MIRA update, SetWeights), each optional. Replay applies them
+// in that order and needs no matchers (they are code, re-registered after
+// Open; AddMatcher installs only missing weights, so re-registering changes
+// nothing) and no MIRA, and reproduces the builder state exactly
 // (internal/core/durable_test.go pins restart ≡ rebuild byte-for-byte).
 // Snapshots publish by write-temp → fsync → atomic-rename, the manifest is
 // replaced only after the files it names are durable, and recovery

@@ -27,7 +27,9 @@ func main() {
 	if err := q.AddTables(corpus.Tables...); err != nil {
 		log.Fatal(err)
 	}
-	q.AlignAllPairs()
+	if _, err := q.AlignAllPairs(); err != nil {
+		log.Fatal(err)
+	}
 
 	printGap := func(when string) {
 		gold, nonGold, gn, ngn := q.GoldEdgeGap(corpus.Gold)
@@ -72,7 +74,7 @@ func main() {
 
 // sortedAssociations returns the association edges cheapest-first.
 func sortedAssociations(q *core.Q) []searchgraph.Association {
-	list := q.Graph.AssociationList()
+	list := q.CurrentGraph().AssociationList()
 	sort.Slice(list, func(i, j int) bool { return list[i].Cost < list[j].Cost })
 	return list
 }

@@ -26,7 +26,10 @@ func main() {
 	if err := q.AddTables(corpus.Tables...); err != nil {
 		log.Fatal(err)
 	}
-	q.AlignAllPairs() // source-to-source alignments for the joins
+	// Source-to-source alignments for the joins.
+	if _, err := q.AlignAllPairs(); err != nil {
+		log.Fatal(err)
+	}
 
 	// The community's global schema for protein annotation.
 	schema := mediated.Schema{

@@ -61,7 +61,7 @@ func main() {
 	}
 	fmt.Printf("\nregistered source %q with VIEWBASEDALIGNER\n", report.Source)
 	fmt.Printf("  compared against %d relations (of %d existing): %v\n",
-		len(report.TargetsCompared), q.Catalog.NumRelations()-1, report.TargetsCompared)
+		len(report.TargetsCompared), q.CurrentCatalog().NumRelations()-1, report.TargetsCompared)
 	fmt.Printf("  attribute comparisons: %d, matcher calls: %d\n",
 		report.AttrComparisons, report.MatcherCalls)
 	fmt.Println("  discovered alignments:")

@@ -30,7 +30,10 @@ func main() {
 	if err := q.AddTables(corpus.Tables...); err != nil {
 		log.Fatal(err)
 	}
-	report := q.AlignAllPairs()
+	report, err := q.AlignAllPairs()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("matchers proposed %d candidate alignments\n\n", report.AlignmentsAdded)
 
 	// 3. Ask a keyword query. 'single quotes' group multi-word phrases.

@@ -31,15 +31,16 @@ func main() {
 			if err := q.AddTables(synth...); err != nil {
 				log.Fatal(err)
 			}
-			refs := q.Catalog.AttrRefs()
+			refs := q.CurrentCatalog().AttrRefs()
+			var pairs [][2]relstore.AttrRef
 			for i, t := range synth {
 				qn := t.Relation.QualifiedName()
 				for j, a := range t.Relation.Attributes {
-					q.Graph.AddAssociationEdge(
-						relstore.AttrRef{Relation: qn, Attr: a.Name},
-						refs[(i*7+j*13)%len(refs)],
-						learning.Vector{"synthetic": 1})
+					pairs = append(pairs, [2]relstore.AttrRef{{Relation: qn, Attr: a.Name}, refs[(i*7+j*13)%len(refs)]})
 				}
+			}
+			if err := q.AddAssociations(learning.Vector{"synthetic": 1}, pairs...); err != nil {
+				log.Fatal(err)
 			}
 		}
 

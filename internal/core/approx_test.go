@@ -18,7 +18,7 @@ func TestApproxSteinerMode(t *testing.T) {
 		if err := q.AddTables(fixtureTables(t)...); err != nil {
 			t.Fatal(err)
 		}
-		q.AddHandCodedAssociation(
+		addHandCoded(t, q,
 			ref2("go.term", "acc"), ref2("ip.interpro2go", "go_id"))
 		return q
 	}

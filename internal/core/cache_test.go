@@ -36,7 +36,7 @@ func cachePair(t *testing.T) (cached, cold *Q) {
 		if err := q.AddTables(fixtureTables(t)...); err != nil {
 			t.Fatal(err)
 		}
-		q.AddHandCodedAssociation(
+		addHandCoded(t, q,
 			relstore.AttrRef{Relation: "go.term", Attr: "acc"},
 			relstore.AttrRef{Relation: "ip.interpro2go", Attr: "go_id"})
 		return q

@@ -19,7 +19,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -31,6 +33,7 @@ import (
 	"qint/internal/obs"
 	"qint/internal/relstore"
 	"qint/internal/searchgraph"
+	"qint/internal/steiner"
 	"qint/internal/text"
 )
 
@@ -196,24 +199,33 @@ type qstate struct {
 // Q is the integration system.
 //
 // Concurrency model: Q is single-writer, many-query. The mutating
-// operations — AddMatcher, AddTables, RegisterSource, feedback, Refresh,
-// AlignAllPairs — serialise on an internal writer mutex, mutate the builder
-// structures (Catalog, Graph, corpus) copy-on-write, and publish the result
-// as an immutable qstate via one atomic pointer swap. Query takes NO lock at all: it loads the current qstate, expands
-// its keywords into a private search-graph overlay, and runs Steiner
-// search, translation and execution entirely against that frozen
-// generation. Independent queries therefore run fully concurrently with
-// each other AND with an in-flight registration or feedback update; a
-// query observes a write only by starting after its publish.
+// operations — AddMatcher, AddTables, RegisterSource, AlignAllPairs,
+// AddAssociations, SetWeights and feedback — serialise on an internal
+// writer mutex, mutate the private builder (catalog, graph, corpus)
+// copy-on-write, and end in commitLocked: log, publish the result as an
+// immutable qstate via one atomic pointer swap, refresh the views — or, if
+// the write failed before the publish, roll the builder back. Query takes
+// NO lock at all: it loads the current qstate, expands its keywords into a
+// private search-graph overlay, and runs Steiner search, translation and
+// execution entirely against that frozen generation. Independent queries
+// therefore run fully concurrently with each other AND with an in-flight
+// registration or feedback update; a query observes a write only by
+// starting after its publish.
 //
-// The exported Catalog and Graph fields are the writer-side builders. They
-// are safe to use from single-threaded tools (eval harnesses, qshell, the
-// mediated adapter) but must not be touched while queries are in flight on
-// other goroutines — concurrent readers go through the published snapshot.
+// Code outside this package reads the published generation
+// (CurrentCatalog, CurrentGraph) and changes it only through the writers.
 type Q struct {
-	Catalog *relstore.Catalog
-	Graph   *searchgraph.Graph
-	Stats   Stats
+	Stats Stats
+
+	// catalog, graph and corpus are the builder: the next generation under
+	// construction. Outside a write they are the published generation.
+	// Accessed under writerMu only.
+	catalog *relstore.Catalog
+	graph   *searchgraph.Graph
+	corpus  *text.Corpus
+	// touched lists the association edges the write in progress added or
+	// merged into (associateLocked); commitLocked logs their final features.
+	touched []steiner.EdgeID
 
 	opts Options
 	// width is runtime.GOMAXPROCS(0), read once by New. It sizes the
@@ -228,7 +240,6 @@ type Q struct {
 	matchers []matcher.Matcher
 	binner   learning.Binner
 	mira     *learning.MIRA
-	corpus   *text.Corpus
 
 	// invalidators are called when the catalog grows (matcher caches).
 	// Accessed under writerMu only.
@@ -308,8 +319,8 @@ func (q *Q) addPlanStats(s relstore.PlanStats) {
 func New(opts Options) *Q {
 	width := runtime.GOMAXPROCS(0)
 	q := &Q{
-		Catalog: relstore.NewCatalogSharded(width),
-		Graph:   searchgraph.New(DefaultWeights()),
+		catalog: relstore.NewCatalogSharded(width),
+		graph:   searchgraph.New(DefaultWeights()),
 		opts:    opts.withDefaults(),
 		width:   width,
 		execSem: make(chan struct{}, width),
@@ -329,14 +340,12 @@ func (q *Q) Options() Options { return q.opts }
 // state loads the current published read state.
 func (q *Q) state() *qstate { return q.st.Load() }
 
-// CurrentCatalog returns the published catalog snapshot — the read-side
-// counterpart of the writer-owned Catalog field, safe to use concurrently
-// with writers.
+// CurrentCatalog returns the published catalog, safe to use concurrently
+// with writers. Callers must not mutate it.
 func (q *Q) CurrentCatalog() *relstore.Catalog { return q.state().cat }
 
-// CurrentGraph returns the published search-graph snapshot — the read-side
-// counterpart of the writer-owned Graph field, safe to use concurrently
-// with writers.
+// CurrentGraph returns the published search-graph snapshot, safe to use
+// concurrently with writers.
 func (q *Q) CurrentGraph() *searchgraph.Snapshot { return q.state().graph }
 
 // Epoch returns the published state generation (for tests and staleness
@@ -353,15 +362,15 @@ func (q *Q) EpochTime() time.Time { return q.state().publishedAt }
 // returned unchanged, so idempotent writers do not churn epochs.
 func (q *Q) publishLocked() *qstate {
 	q.corpus.Flush()
-	snap := q.Graph.Snapshot()
+	snap := q.graph.Snapshot()
 	prev := q.st.Load()
-	if prev != nil && prev.graph == snap && prev.cat == q.Catalog && prev.corpus == q.corpus {
+	if prev != nil && prev.graph == snap && prev.cat == q.catalog && prev.corpus == q.corpus {
 		return prev
 	}
 	q.epoch++
 	st := &qstate{
 		graph:       snap,
-		cat:         q.Catalog,
+		cat:         q.catalog,
 		corpus:      q.corpus,
 		epoch:       q.epoch,
 		publishedAt: time.Now(),
@@ -374,6 +383,58 @@ func (q *Q) publishLocked() *qstate {
 	return st
 }
 
+// commitLocked ends every write; callers hold writerMu and pass the
+// mutation's own outcome as err. On a durable engine rec, completed with
+// the final features of every association edge the write touched (in id
+// order), is appended to the WAL when it records anything. The builder is
+// then published, and if that made a new generation every persistent view
+// rematerialises against it. If the mutation or the append failed, nothing
+// is published: the builder returns to the published generation and err is
+// returned. A refresh error is returned too, but by then the write is
+// durable and visible.
+func (q *Q) commitLocked(rec walRecord, err error) error {
+	if err == nil && q.persist != nil {
+		rec.Assocs = q.touchedAssocsLocked()
+		err = q.logMutationLocked(rec)
+	}
+	q.touched = nil
+	if err != nil {
+		q.rollbackLocked()
+		return err
+	}
+	prev := q.st.Load()
+	if st := q.publishLocked(); st != prev {
+		return q.refreshLocked(st)
+	}
+	return nil
+}
+
+// rollbackLocked discards the builder's unpublished mutations: catalog,
+// corpus and graph return to the published generation.
+func (q *Q) rollbackLocked() {
+	st := q.st.Load()
+	q.catalog, q.corpus = st.cat, st.corpus
+	q.graph.Reset(st.graph)
+}
+
+// associateLocked adds an association edge (or merges features into the
+// existing one for the pair) and notes it for the write's WAL record.
+func (q *Q) associateLocked(a, b relstore.AttrRef, features learning.Vector) {
+	q.touched = append(q.touched, q.graph.AddAssociationEdge(a, b, features))
+}
+
+// touchedAssocsLocked renders the association edges the write touched,
+// each once, in id order, with their final features.
+func (q *Q) touchedAssocsLocked() []walAssoc {
+	ids := slices.Compact(slices.Sorted(slices.Values(q.touched)))
+	out := make([]walAssoc, len(ids))
+	for i, id := range ids {
+		e := q.graph.Edge(id)
+		out[i] = walAssoc{A: e.A, B: e.B, Features: e.Features}
+	}
+	return out
+}
+
 // unpublishedStateLocked builds a qstate over the CURRENT builder contents
 // without publishing it. Registration uses it mid-flight: target selection
 // and alignment need Steiner searches over the half-built next generation,
@@ -382,8 +443,8 @@ func (q *Q) publishLocked() *qstate {
 func (q *Q) unpublishedStateLocked() *qstate {
 	q.corpus.Flush()
 	return &qstate{
-		graph:  q.Graph.Snapshot(),
-		cat:    q.Catalog,
+		graph:  q.graph.Snapshot(),
+		cat:    q.catalog,
 		corpus: q.corpus,
 		epoch:  q.st.Load().epoch, // not a published generation
 	}
@@ -397,8 +458,8 @@ func (q *Q) ownStorageLocked() {
 	if st == nil {
 		return
 	}
-	if st.cat == q.Catalog {
-		q.Catalog = q.Catalog.Clone()
+	if st.cat == q.catalog {
+		q.catalog = q.catalog.Clone()
 	}
 	if st.corpus == q.corpus {
 		q.corpus = q.corpus.Clone()
@@ -425,29 +486,41 @@ func DefaultWeights() learning.Vector {
 // cost rather than stacking endorsement costs. Register all matchers
 // before running alignments so absent markers are complete. An invalidate
 // function, if the matcher exposes one, is called when the catalog grows.
+//
+// Only missing weights are installed, so re-registering a matcher after
+// Open or Load leaves the graph, the epoch and the views untouched. The
+// weights are not logged: matchers are code, re-registered on every start.
 func (q *Q) AddMatcher(m matcher.Matcher) {
 	q.writerMu.Lock()
 	defer q.writerMu.Unlock()
 	q.matchers = append(q.matchers, m)
-	w := q.Graph.Weights().Clone()
+	if inv, ok := m.(interface{ Invalidate() }); ok {
+		q.invalidators = append(q.invalidators, inv.Invalidate)
+	}
+	w := q.graph.Weights()
+	missing := learning.Vector{}
 	for bin := 0; bin < q.binner.NumBins(); bin++ {
 		feat := fmt.Sprintf("matcher:%s:bin%d", m.Name(), bin)
 		if _, ok := w[feat]; !ok {
 			// bin0 (confidence <0.2) → 1.2 down to bin4 (≥0.8) → 0.2
-			w[feat] = 1.2 - 0.25*float64(bin)
+			missing[feat] = 1.2 - 0.25*float64(bin)
 		}
 	}
 	if absent := "matcher:" + m.Name() + ":absent"; w[absent] == 0 {
-		w[absent] = 0.85
+		missing[absent] = 0.85
 	}
 	if raw := "matcher:" + m.Name() + ":rawmismatch"; w[raw] == 0 {
-		w[raw] = 1.0 // only used in RawConfidences ablation mode
+		missing[raw] = 1.0 // only used in RawConfidences ablation mode
 	}
-	q.Graph.SetWeights(w)
-	if inv, ok := m.(interface{ Invalidate() }); ok {
-		q.invalidators = append(q.invalidators, inv.Invalidate)
+	if len(missing) > 0 {
+		w = w.Clone()
+		maps.Copy(w, missing)
+		q.graph.SetWeights(w)
 	}
-	q.publishLocked()
+	// An empty record is never logged, so the only error left is a view
+	// refresh's, which qint_refresh_errors_total counts; the views keep
+	// their previous materialisations.
+	_ = q.commitLocked(walRecord{}, nil)
 }
 
 // Matchers returns the registered matchers in registration order.
@@ -461,22 +534,13 @@ func (q *Q) Matchers() []matcher.Matcher { return q.matchers }
 func (q *Q) AddTables(tables ...*relstore.Table) error {
 	q.writerMu.Lock()
 	defer q.writerMu.Unlock()
-	if err := q.addTablesLocked(tables...); err != nil {
-		return err
-	}
-	// Log-then-publish: the record must be durable before any query can
-	// observe the new tables.
-	if err := q.logMutationLocked(walKindAddTables, walRegister{Tables: wireTables(tables)}); err != nil {
-		return err
-	}
-	q.publishLocked()
-	return nil
+	return q.commitLocked(walRecord{Tables: wireTables(tables)}, q.addTablesLocked(tables...))
 }
 
 func (q *Q) addTablesLocked(tables ...*relstore.Table) error {
 	q.ownStorageLocked()
 	for _, t := range tables {
-		if err := q.Catalog.AddTable(t); err != nil {
+		if err := q.catalog.AddTable(t); err != nil {
 			return err
 		}
 	}
@@ -494,7 +558,7 @@ func (q *Q) addTablesLocked(tables ...*relstore.Table) error {
 		}
 	}
 	sort.Strings(sources)
-	q.Graph.AddSources(q.Catalog, sources)
+	q.graph.AddSources(q.catalog, sources)
 	for _, t := range tables {
 		q.indexRelation(t.Relation)
 	}
@@ -502,7 +566,7 @@ func (q *Q) addTablesLocked(tables ...*relstore.Table) error {
 	// of each NEW table (segments are per-table and immutable, so nothing
 	// global rebuilds), sharded by table across the worker pool. Harmless to
 	// skip: the read path builds missing segments lazily on first use.
-	cat := q.Catalog
+	cat := q.catalog
 	if err := runIndexed(len(tables), q.width, func(i int) error {
 		cat.EnsureIndexed(tables[i].Relation.QualifiedName())
 		return nil
@@ -572,21 +636,31 @@ func (q *Q) atViewLimit() bool {
 	return len(q.views) >= q.opts.MaxViews
 }
 
-// AddHandCodedAssociation inserts an association edge supplied by a human
-// (or a bootstrap script) rather than a matcher, at high confidence — the
-// "hand-coded schema alignments" of paper §2.1.
-func (q *Q) AddHandCodedAssociation(a, b relstore.AttrRef) {
+// AddAssociations adds one association edge per attribute pair, each
+// carrying features, as one write: the "hand-coded schema alignments" of
+// paper §2.1 pass {"handcoded": 1}. A pair that already has an edge has
+// the features merged into it, as a second matcher's endorsement would.
+func (q *Q) AddAssociations(features learning.Vector, pairs ...[2]relstore.AttrRef) error {
 	q.writerMu.Lock()
 	defer q.writerMu.Unlock()
-	id := q.Graph.AddAssociationEdge(a, b, learning.Vector{"handcoded": 1})
-	if q.persist != nil {
-		// Log the edge's FINAL features (the add may have merged into an
-		// existing pair). The signature predates persistence and returns
-		// nothing; a log failure surfaces at the next Checkpoint/Close.
-		r := q.Graph.AssociationRecord(id)
-		q.logMutationVoidLocked(walKindHandAssoc, walAssoc{A: r.A, B: r.B, Features: r.Features})
+	for _, p := range pairs {
+		q.associateLocked(p[0], p[1], features)
 	}
-	q.publishLocked()
+	return q.commitLocked(walRecord{}, nil)
+}
+
+// SetWeights replaces the weight vector, which reprices every learnable
+// edge, as one write; the WAL logs the change as a weight delta.
+func (q *Q) SetWeights(w learning.Vector) error {
+	q.writerMu.Lock()
+	defer q.writerMu.Unlock()
+	return q.setWeightsLocked(w)
+}
+
+func (q *Q) setWeightsLocked(w learning.Vector) error {
+	d := searchgraph.DiffWeights(q.state().graph.Weights(), w)
+	q.graph.SetWeights(w)
+	return q.commitLocked(walRecord{WeightDelta: d}, nil)
 }
 
 // ParseKeywords splits a query string into keywords, honouring single

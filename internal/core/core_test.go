@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"qint/internal/learning"
 	"qint/internal/matcher/mad"
 	"qint/internal/matcher/meta"
 	"qint/internal/relstore"
@@ -76,6 +77,15 @@ func fixtureTables(t *testing.T) []*relstore.Table {
 // newFixtureQ builds a Q over the fixture with the acc↔go_id association
 // hand-coded (so querying across the two sources works before any matcher
 // discovers it).
+// addHandCoded adds one hand-coded association (paper §2.1) as its own
+// write.
+func addHandCoded(t testing.TB, q *Q, a, b relstore.AttrRef) {
+	t.Helper()
+	if err := q.AddAssociations(learning.Vector{"handcoded": 1}, [2]relstore.AttrRef{a, b}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func newFixtureQ(t *testing.T, handCode bool) *Q {
 	t.Helper()
 	q := New(DefaultOptions())
@@ -83,7 +93,7 @@ func newFixtureQ(t *testing.T, handCode bool) *Q {
 		t.Fatal(err)
 	}
 	if handCode {
-		q.AddHandCodedAssociation(
+		addHandCoded(t, q,
 			relstore.AttrRef{Relation: "go.term", Attr: "acc"},
 			relstore.AttrRef{Relation: "ip.interpro2go", Attr: "go_id"})
 	}
@@ -188,10 +198,9 @@ func TestViewRefreshAfterWeightChange(t *testing.T) {
 	before := len(v.Result().Rows)
 	// Raising the default weight raises all costs but should not break
 	// rematerialisation.
-	w := q.Graph.Weights().Clone()
+	w := q.CurrentGraph().Weights().Clone()
 	w["default"] += 1
-	q.Graph.SetWeights(w)
-	if err := q.Refresh(); err != nil {
+	if err := q.SetWeights(w); err != nil {
 		t.Fatal(err)
 	}
 	if len(v.Result().Rows) == 0 || before == 0 {
@@ -206,7 +215,7 @@ func TestTreeToQueryProducesValidSQL(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cq := range v.Queries() {
-		if err := cq.Validate(q.Catalog); err != nil {
+		if err := cq.Validate(q.CurrentCatalog()); err != nil {
 			t.Errorf("invalid query: %v\nSQL: %s", err, cq.SQL())
 		}
 		sql := cq.SQL()
@@ -465,9 +474,9 @@ func TestFeedbackKeepsEdgeCostsPositive(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < q.Graph.NumEdges(); i++ {
-		e := q.Graph.Edge(steinerEdgeID(i))
-		cost := q.Graph.Cost(steinerEdgeID(i))
+	for i := 0; i < q.CurrentGraph().NumEdges(); i++ {
+		e := q.CurrentGraph().Edge(steinerEdgeID(i))
+		cost := q.CurrentGraph().Cost(steinerEdgeID(i))
 		if e.Fixed {
 			if cost != 0 {
 				t.Errorf("fixed edge %d cost %v", i, cost)
@@ -556,7 +565,7 @@ func TestAssocCostThresholdPrunesTrees(t *testing.T) {
 	if err := q.AddTables(fixtureTables(t)...); err != nil {
 		t.Fatal(err)
 	}
-	q.AddHandCodedAssociation(
+	addHandCoded(t, q,
 		relstore.AttrRef{Relation: "go.term", Attr: "acc"},
 		relstore.AttrRef{Relation: "ip.interpro2go", Attr: "go_id"})
 	v, err := queryStr(q, "'plasma membrane' 'Kringle domain'")

@@ -17,19 +17,21 @@ import (
 // engine (internal/storage). With Options.DataDir set, Open maps the newest
 // published generation snapshot (catalog + built value-index segments +
 // graph + view definitions) and replays the epoch WAL tail, and every
-// subsequent mutation follows log-then-publish: the mutation's record is
-// fsync'd into the WAL BEFORE the new state generation is published to
-// readers, so any state a query could ever observe is already durable.
+// subsequent write follows log-then-publish in commitLocked: the write's
+// record is fsync'd into the WAL BEFORE the new state generation is
+// published to readers, so any state a query could ever observe is already
+// durable. A write whose append fails is rolled back and never published.
 //
-// The WAL logs mutation EFFECTS, not operations. Replaying a source
-// registration cannot re-run the schema matchers — they are code,
-// re-registered by the caller after Open — so a registration record carries
-// the new tables plus every association edge the registration created, with
-// its FINAL merged feature vector; replay installs them verbatim
-// (searchgraph.RestoreAssociationEdge). Feedback records carry the weight
-// delta the MIRA update produced, not the preference that caused it. Replay
-// therefore needs no matchers, no MIRA, and no result sets, and reproduces
-// the builder state exactly (restart_test.go pins restart ≡ rebuild).
+// The WAL logs mutation EFFECTS, not operations, in one record shape
+// (walRecord): the tables that entered the catalog, every association edge
+// the write added or merged into with its FINAL feature vector, and the
+// weight delta. Replaying a source registration cannot re-run the schema
+// matchers — they are code, re-registered by the caller after Open — so
+// replay installs the edges verbatim (searchgraph.RestoreAssociationEdge).
+// Feedback logs the weight delta the MIRA update produced, not the
+// preference that caused it. Replay therefore needs no matchers, no MIRA,
+// and no result sets, and reproduces the builder state exactly
+// (durable_test.go pins restart ≡ rebuild).
 //
 // What is deliberately NOT logged:
 //   - AddMatcher: matchers are code; re-registering installs only weights
@@ -44,14 +46,9 @@ import (
 //     not state; a restore re-shards the catalog at the restoring process's
 //     GOMAXPROCS.
 
-// WAL record kinds (the storage layer treats them as opaque).
-const (
-	walKindAddTables byte = 1 // payload walRegister (Assocs empty)
-	walKindRegister  byte = 2 // payload walRegister
-	walKindWeights   byte = 3 // payload searchgraph.WeightDelta
-	walKindHandAssoc byte = 4 // payload walAssoc
-	walKindAssocBulk byte = 5 // payload walAssocBulk
-)
+// walKindMutation is the one WAL record kind (the storage layer treats kinds
+// as opaque); its payload is a walRecord.
+const walKindMutation byte = 1
 
 // walTable is one table on the wire: the schema plus all rows.
 type walTable struct {
@@ -70,19 +67,19 @@ type walAssoc struct {
 	Features learning.Vector  `json:"features"`
 }
 
-// walRegister is the effect of AddTables (Assocs empty) or RegisterSource:
-// the tables that entered the catalog and the association edges the
-// registration's alignment fixpoint created.
-type walRegister struct {
-	Tables []walTable `json:"tables"`
+// walRecord is the effect of one write, applied on replay in field order:
+// the tables that entered the catalog, the association edges the write
+// added or merged into (id order, final features), then the weight delta
+// ("set"/"del"). Every part is optional; a write that changes none of them
+// logs nothing.
+type walRecord struct {
+	Tables []walTable `json:"tables,omitempty"`
 	Assocs []walAssoc `json:"assocs,omitempty"`
+	searchgraph.WeightDelta
 }
 
-// walAssocBulk is the effect of AlignAllPairs: the COMPLETE association
-// list (whole-catalog alignment can merge features into pre-existing
-// edges, so "edges created since" would miss merges).
-type walAssocBulk struct {
-	Assocs []walAssoc `json:"assocs"`
+func (r walRecord) empty() bool {
+	return len(r.Tables) == 0 && len(r.Assocs) == 0 && r.WeightDelta.Empty()
 }
 
 // snapMeta is the snapshot container's "meta" section: versioning plus the
@@ -119,10 +116,8 @@ type persistence struct {
 	stop chan struct{}
 	wg   sync.WaitGroup
 
-	// lastErr records a persistence failure from a void-returning mutator
-	// (AddHandCodedAssociation, AlignAllPairs) or the background
-	// checkpointer; the next Checkpoint or Close surfaces it. Guarded by
-	// writerMu.
+	// lastErr records a failure of the background checkpointer; the next
+	// Checkpoint or Close surfaces it. Guarded by writerMu.
 	lastErr error
 
 	// snapViewsSig fingerprints the view registry the current snapshot
@@ -241,8 +236,8 @@ func (q *Q) restore(snap *storage.Container, records []storage.Record) error {
 		if err != nil {
 			return err
 		}
-		q.Catalog = cat
-		q.Graph = graph
+		q.catalog = cat
+		q.graph = graph
 		for _, rel := range cat.Relations() {
 			q.indexRelation(rel) // the keyword corpus is derived state
 		}
@@ -287,85 +282,59 @@ func (q *Q) restore(snap *storage.Container, records []storage.Record) error {
 	return nil
 }
 
-// replayRecord applies one committed WAL record to the builder state.
-// Mutations here never re-log; publishing happens once, after the whole
-// tail replays.
+// replayRecord applies one committed WAL record to the builder state:
+// tables, then associations, then the weight delta. Mutations here never
+// re-log; publishing happens once, after the whole tail replays.
 func (q *Q) replayRecord(rec storage.Record) error {
-	switch rec.Kind {
-	case walKindAddTables, walKindRegister:
-		var p walRegister
-		if err := json.Unmarshal(rec.Payload, &p); err != nil {
+	if rec.Kind != walKindMutation {
+		return fmt.Errorf("core: unknown WAL record kind %d", rec.Kind)
+	}
+	var p walRecord
+	if err := json.Unmarshal(rec.Payload, &p); err != nil {
+		return err
+	}
+	tables := make([]*relstore.Table, len(p.Tables))
+	for i, wt := range p.Tables {
+		t, err := relstore.NewTable(&relstore.Relation{
+			Source:      wt.Source,
+			Name:        wt.Name,
+			Attributes:  wt.Attributes,
+			ForeignKeys: wt.ForeignKeys,
+		}, wt.Rows)
+		if err != nil {
 			return err
 		}
-		tables := make([]*relstore.Table, len(p.Tables))
-		for i, wt := range p.Tables {
-			t, err := relstore.NewTable(&relstore.Relation{
-				Source:      wt.Source,
-				Name:        wt.Name,
-				Attributes:  wt.Attributes,
-				ForeignKeys: wt.ForeignKeys,
-			}, wt.Rows)
-			if err != nil {
-				return err
-			}
-			tables[i] = t
-		}
-		q.writerMu.Lock()
-		defer q.writerMu.Unlock()
+		tables[i] = t
+	}
+	q.writerMu.Lock()
+	defer q.writerMu.Unlock()
+	if len(tables) > 0 {
 		if err := q.addTablesLocked(tables...); err != nil {
 			return err
 		}
-		for _, a := range p.Assocs {
-			q.Graph.RestoreAssociationEdge(a.A, a.B, a.Features)
-		}
-		return nil
-	case walKindWeights:
-		var d searchgraph.WeightDelta
-		if err := json.Unmarshal(rec.Payload, &d); err != nil {
-			return err
-		}
-		q.writerMu.Lock()
-		defer q.writerMu.Unlock()
-		q.Graph.ApplyWeightDelta(d)
-		return nil
-	case walKindHandAssoc:
-		var a walAssoc
-		if err := json.Unmarshal(rec.Payload, &a); err != nil {
-			return err
-		}
-		q.writerMu.Lock()
-		defer q.writerMu.Unlock()
-		q.Graph.RestoreAssociationEdge(a.A, a.B, a.Features)
-		return nil
-	case walKindAssocBulk:
-		var p walAssocBulk
-		if err := json.Unmarshal(rec.Payload, &p); err != nil {
-			return err
-		}
-		q.writerMu.Lock()
-		defer q.writerMu.Unlock()
-		for _, a := range p.Assocs {
-			q.Graph.RestoreAssociationEdge(a.A, a.B, a.Features)
-		}
-		return nil
-	default:
-		return fmt.Errorf("core: unknown WAL record kind %d", rec.Kind)
 	}
+	for _, a := range p.Assocs {
+		q.graph.RestoreAssociationEdge(a.A, a.B, a.Features)
+	}
+	if !p.WeightDelta.Empty() {
+		q.graph.ApplyWeightDelta(p.WeightDelta)
+	}
+	return nil
 }
 
-// logMutationLocked commits one mutation record to the WAL — the
-// log-then-publish step. When it returns nil the record is fsync'd; only
-// then may the caller publish the new generation. Callers hold writerMu. A
-// nil persistence (no DataDir) is a no-op.
-func (q *Q) logMutationLocked(kind byte, payload any) error {
-	if q.persist == nil {
+// logMutationLocked appends one write's record to the WAL — the
+// log-then-publish step of commitLocked. When it returns nil the record is
+// fsync'd; only then may the write be published. Callers hold writerMu and
+// have checked q.persist. An empty record is not logged.
+func (q *Q) logMutationLocked(rec walRecord) error {
+	if rec.empty() {
 		return nil
 	}
-	data, err := json.Marshal(payload)
+	data, err := json.Marshal(rec)
 	if err != nil {
 		return fmt.Errorf("core: encode WAL record: %w", err)
 	}
-	if _, err := q.persist.store.Append(kind, data); err != nil {
+	if _, err := q.persist.store.Append(walKindMutation, data); err != nil {
 		return err
 	}
 	if q.persist.limit >= 0 && q.persist.store.WALSize() >= q.persist.limit {
@@ -375,15 +344,6 @@ func (q *Q) logMutationLocked(kind byte, payload any) error {
 		}
 	}
 	return nil
-}
-
-// logMutationVoidLocked is logMutationLocked for mutators whose signatures
-// predate persistence and return nothing: a failure is recorded and
-// surfaced by the next Checkpoint or Close.
-func (q *Q) logMutationVoidLocked(kind byte, payload any) {
-	if err := q.logMutationLocked(kind, payload); err != nil && q.persist.lastErr == nil {
-		q.persist.lastErr = err
-	}
 }
 
 func wireTables(tables []*relstore.Table) []walTable {
@@ -396,14 +356,6 @@ func wireTables(tables []*relstore.Table) []walTable {
 			ForeignKeys: t.Relation.ForeignKeys,
 			Rows:        t.Rows,
 		}
-	}
-	return out
-}
-
-func wireAssocs(recs []searchgraph.AssocRecord) []walAssoc {
-	out := make([]walAssoc, len(recs))
-	for i, r := range recs {
-		out[i] = walAssoc{A: r.A, B: r.B, Features: r.Features}
 	}
 	return out
 }
@@ -473,13 +425,13 @@ func (q *Q) writeSnapshotSections(sa storage.SectionAdder) error {
 	}); err != nil {
 		return err
 	}
-	if err := sa.Section("catalog", q.Catalog.SaveBinary); err != nil {
+	if err := sa.Section("catalog", q.catalog.SaveBinary); err != nil {
 		return err
 	}
-	if err := sa.Section("segments", q.Catalog.SaveSegments); err != nil {
+	if err := sa.Section("segments", q.catalog.SaveSegments); err != nil {
 		return err
 	}
-	return sa.Section("graph", q.Graph.Save)
+	return sa.Section("graph", q.graph.Save)
 }
 
 // WALEpoch returns the storage engine's last committed epoch (0 without a

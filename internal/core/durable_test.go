@@ -31,11 +31,11 @@ func durableOpts(t *testing.T) Options {
 func fingerprintQ(q *Q) string {
 	var b strings.Builder
 	b.WriteString("relations:")
-	for _, r := range q.Catalog.Relations() {
+	for _, r := range q.CurrentCatalog().Relations() {
 		b.WriteString(" " + r.QualifiedName())
 	}
 	b.WriteString("\nassociations:")
-	for _, a := range q.Graph.AssociationList() {
+	for _, a := range q.CurrentGraph().AssociationList() {
 		fmt.Fprintf(&b, " %s~%s=%.12f", a.A, a.B, a.Cost)
 	}
 	b.WriteString("\n")
@@ -46,21 +46,23 @@ func fingerprintQ(q *Q) string {
 }
 
 // driveMutations applies the same mutation sequence to any Q: initial
-// tables, a hand-coded association, a view, a registration through the
-// matchers, and feedback. The durable tests replay this against in-memory
-// and durable instances and require identical outcomes.
+// tables, a view, a hand-coded association, a registration through the
+// matchers, feedback, and whole-catalog alignment. The view exists before
+// every write after the tables, so each write must refresh it. The durable
+// tests replay this against in-memory and durable instances and require
+// identical outcomes.
 func driveMutations(t *testing.T, q *Q) {
 	t.Helper()
 	if err := q.AddTables(fixtureTables(t)...); err != nil {
 		t.Fatal(err)
 	}
-	q.AddHandCodedAssociation(
-		relstore.AttrRef{Relation: "go.term", Attr: "acc"},
-		relstore.AttrRef{Relation: "ip.interpro2go", Attr: "go_id"})
 	v, err := q.Query(Request{Keywords: []string{"plasma membrane", "Kringle domain"}, K: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	addHandCoded(t, q,
+		relstore.AttrRef{Relation: "go.term", Attr: "acc"},
+		relstore.AttrRef{Relation: "ip.interpro2go", Attr: "go_id"})
 	newTables := []*relstore.Table{mkTable(t,
 		&relstore.Relation{Source: "jrnl", Name: "journal",
 			Attributes: []relstore.Attribute{{Name: "pub_id"}, {Name: "journal_name"}}},
@@ -72,6 +74,9 @@ func driveMutations(t *testing.T, q *Q) {
 		if err := q.FeedbackFavorTree(v, v.Trees()[1]); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if _, err := q.AlignAllPairs(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -201,8 +206,8 @@ func TestDurableCrashInjection(t *testing.T) {
 	if err := q.AddTables(fixtureTables(t)...); err != nil {
 		t.Fatal(err)
 	}
-	fullRelations := q.Catalog.NumRelations()
-	q.AddHandCodedAssociation(
+	fullRelations := q.CurrentCatalog().NumRelations()
+	addHandCoded(t, q,
 		relstore.AttrRef{Relation: "go.term", Attr: "acc"},
 		relstore.AttrRef{Relation: "ip.interpro2go", Attr: "go_id"})
 	walPath := q.persist.store.WALPath()
@@ -239,7 +244,7 @@ func TestDurableCrashInjection(t *testing.T) {
 		if err != nil {
 			t.Fatalf("truncated at %d/%d bytes: Open failed: %v", n, len(logBytes), err)
 		}
-		got := qc.Catalog.NumRelations()
+		got := qc.CurrentCatalog().NumRelations()
 		if got != 0 && got != fullRelations {
 			t.Fatalf("truncated at %d bytes: %d relations — a torn AddTables surfaced (want 0 or %d)",
 				n, got, fullRelations)
@@ -282,7 +287,7 @@ func TestDurableCheckpointFold(t *testing.T) {
 	if got := q.WALEpoch(); got != preEpoch {
 		t.Errorf("checkpoint must not advance the epoch: %d -> %d", preEpoch, got)
 	}
-	q.AddHandCodedAssociation(
+	addHandCoded(t, q,
 		relstore.AttrRef{Relation: "go.term", Attr: "acc"},
 		relstore.AttrRef{Relation: "ip.interpro2go", Attr: "go_id"})
 	if q.persist.store.WALSize() == 0 {

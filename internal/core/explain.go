@@ -42,7 +42,7 @@ func (q *Q) Explain(v *View, rowIdx int) (*Explanation, error) {
 		return nil, fmt.Errorf("core: explain row %d out of range", rowIdx)
 	}
 	row := mat.result.Rows[rowIdx]
-	tree, err := treeForQuery(mat, row.Branch)
+	tree, err := mat.treeOf(row.Branch)
 	if err != nil {
 		return nil, err
 	}

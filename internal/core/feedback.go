@@ -57,11 +57,7 @@ func (q *Q) FeedbackRow(v *View, rowIdx int, kind FeedbackKind) error {
 		}
 		return fmt.Errorf("%w: row %d, view currently has %d rows", ErrRowOutOfRange, rowIdx, rows)
 	}
-	branch := mat.result.Rows[rowIdx].Branch
-	// Branch indexes mat.queries; recover the producing tree by matching
-	// the query back to its tree position (queries and trees run in
-	// parallel, minus signature-deduplicated trees).
-	tree, err := treeForQuery(mat, branch)
+	tree, err := mat.treeOf(mat.result.Rows[rowIdx].Branch)
 	if err != nil {
 		return err
 	}
@@ -77,25 +73,6 @@ func (q *Q) FeedbackRow(v *View, rowIdx int, kind FeedbackKind) error {
 		}
 		return nil // nothing else to promote
 	}
-}
-
-// treeForQuery resolves a branch index back to the Steiner tree whose
-// translation produced it, by query signature.
-func treeForQuery(mat *viewMat, branch int) (steiner.Tree, error) {
-	if branch < 0 || branch >= len(mat.queries) {
-		return steiner.Tree{}, fmt.Errorf("core: branch %d out of range", branch)
-	}
-	sig := mat.queries[branch].Signature()
-	for _, t := range mat.trees {
-		cq, err := treeToQuery(mat.st, mat.ov, t)
-		if err != nil {
-			continue
-		}
-		if cq.Signature() == sig {
-			return t, nil
-		}
-	}
-	return steiner.Tree{}, fmt.Errorf("core: no tree for branch %d", branch)
 }
 
 // FeedbackFavorTree is the core of Algorithm 4 (ONLINELEARNER): the user's
@@ -137,16 +114,12 @@ func (q *Q) FeedbackPreferTrees(v *View, target steiner.Tree, worse []steiner.Tr
 	return q.feedbackPreferLocked(mat, target, worse)
 }
 
+// feedbackPreferLocked is the one feedback write. The WAL logs its complete
+// effect as one weight delta against the published vector (keyword-weight
+// seeding + MIRA update), so replay reproduces the post-feedback vector
+// exactly without re-running MIRA, which would need the overlays and result
+// sets.
 func (q *Q) feedbackPreferLocked(mat *viewMat, target steiner.Tree, worse []steiner.Tree) error {
-	// Captured BEFORE the keyword-weight seeding below: the WAL logs the
-	// complete effect of this feedback step as one weight-vector delta
-	// (seeding + MIRA update), so replaying it against the pre-feedback
-	// vector reproduces the post-feedback vector exactly — without
-	// re-running MIRA, which would need the overlays and result sets.
-	var entryWeights learning.Vector
-	if q.persist != nil {
-		entryWeights = q.Graph.Weights().Clone()
-	}
 	competitors := make([]learning.TreeExample, 0, len(worse))
 	for _, t := range worse {
 		competitors = append(competitors, treeExample(mat.ov, t))
@@ -162,7 +135,7 @@ func (q *Q) feedbackPreferLocked(mat *viewMat, target steiner.Tree, worse []stei
 		for _, e := range m.ov.KeywordEdges() {
 			for feat := range e.Features {
 				if feat != "mismatch" {
-					q.Graph.EnsureWeight(feat, searchgraph.KwEdgeBaseWeight)
+					q.graph.EnsureWeight(feat, searchgraph.KwEdgeBaseWeight)
 				}
 			}
 		}
@@ -173,19 +146,9 @@ func (q *Q) feedbackPreferLocked(mat *viewMat, target steiner.Tree, worse []stei
 	// (which would otherwise demand a global offset that inflates every
 	// edge alike and destroys the α-neighbourhood pruning of §3.3).
 	w := q.mira.UpdateWithPositivity(
-		q.Graph.Weights(), treeExample(mat.ov, target), competitors,
+		q.graph.Weights(), treeExample(mat.ov, target), competitors,
 		q.learnableEdgeFeatures(mats), minLearnableCost)
-	// Log-then-publish: the delta is durable before SetWeights installs the
-	// new vector and refreshLocked publishes the regraded generation.
-	if q.persist != nil {
-		if d := searchgraph.DiffWeights(entryWeights, w); !d.Empty() {
-			if err := q.logMutationLocked(walKindWeights, d); err != nil {
-				return err
-			}
-		}
-	}
-	q.Graph.SetWeights(w)
-	return q.refreshLocked()
+	return q.setWeightsLocked(w)
 }
 
 // liveMatsLocked collects the current materialisation of every persistent
@@ -273,9 +236,9 @@ func treeExample(ov *searchgraph.Overlay, t steiner.Tree) learning.TreeExample {
 // view's overlay keyword edges — the same edge population the pre-overlay
 // design kept in the one shared graph.
 func (q *Q) learnableEdgeFeatures(mats []*viewMat) []learning.Vector {
-	out := make([]learning.Vector, 0, q.Graph.NumEdges())
-	for i := 0; i < q.Graph.NumEdges(); i++ {
-		e := q.Graph.Edge(steiner.EdgeID(i))
+	out := make([]learning.Vector, 0, q.graph.NumEdges())
+	for i := 0; i < q.graph.NumEdges(); i++ {
+		e := q.graph.Edge(steiner.EdgeID(i))
 		if e.Fixed {
 			continue
 		}
@@ -307,9 +270,9 @@ func (q *Q) learnableEdgeFeatures(mats []*viewMat) []learning.Vector {
 // attribute pairs are in gold versus those that are not — the quantity
 // plotted in Figure 12. Pairs are canonicalised by sorted string form.
 func (q *Q) GoldEdgeGap(gold map[string]bool) (goldAvg, nonGoldAvg float64, goldN, nonGoldN int) {
-	for _, a := range q.Graph.AssociationList() {
+	for _, a := range q.CurrentGraph().AssociationList() {
 		key := canonicalPair(a.A.String(), a.B.String())
-		c := q.Graph.Cost(a.ID)
+		c := a.Cost
 		if gold[key] {
 			goldAvg += c
 			goldN++

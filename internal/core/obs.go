@@ -49,6 +49,8 @@ type engineMetrics struct {
 	planCSEHits           *obs.Counter
 	explainErrors         *obs.Counter // qint_plan_explain_errors_total
 
+	refreshErrors *obs.Counter // qint_refresh_errors_total
+
 	// Top-k early termination.
 	topkBranchesSkipped *obs.Counter
 
@@ -92,6 +94,8 @@ func newEngineMetrics() *engineMetrics {
 		planCSEHits:           r.Counter("qint_plan_cse_hits_total", "Branch executions served from an already-computed shared subplan."),
 		explainErrors:         r.Counter("qint_plan_explain_errors_total", "Explain requests whose plan rendering failed."),
 
+		refreshErrors: r.Counter("qint_refresh_errors_total", "View rematerialisations that failed after a write; the view keeps its previous materialisation."),
+
 		topkBranchesSkipped: r.Counter("qint_topk_branches_skipped_total", "Branches never executed because k collected rows provably outranked them."),
 	}
 	for _, st := range obs.Stages() {
@@ -129,7 +133,7 @@ func (q *Q) instrumentEngine(m *engineMetrics) {
 		attrComparisons:             m.attrComparisons,
 		columnComparisonsUnfiltered: m.columnComparisonsUnfiltered,
 	}
-	q.Catalog.InstrumentExec(&m.exec)
+	q.catalog.InstrumentExec(&m.exec)
 	if qc := q.qc; qc != nil {
 		qc.exp.Instrument(m.expHits, m.expMisses, m.expEvictions)
 		qc.expG.Instrument(m.expComputes, m.expCoalesced)

@@ -9,7 +9,7 @@ import (
 // returns the error of the lowest failing index, matching the error a
 // serial loop would surface. Every index runs to completion at every
 // worker count — including workers <= 1 — so both the collected results
-// and fn's side effects (e.g. which views a failing Refresh rematerialised)
+// and fn's side effects (e.g. which views a failing refresh rematerialised)
 // are identical at any parallelism, not just on the success path.
 //
 // Callers pass a closure that writes its result into a pre-sized slice at

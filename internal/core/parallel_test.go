@@ -233,9 +233,9 @@ func TestParallelQueryEquivalence(t *testing.T) {
 }
 
 // TestParallelRefreshEquivalence registers a new source on engines of every
-// width (registration triggers a Refresh of every persistent view) and then
-// runs one more explicit Refresh, checking that all views remain
-// byte-identical to the one-wide engine's.
+// width (registration refreshes every persistent view) and then reprices
+// every edge with SetWeights, which refreshes them again, checking that all
+// views remain byte-identical to the one-wide engine's.
 func TestParallelRefreshEquivalence(t *testing.T) {
 	for _, c := range equivCorpora() {
 		t.Run(c.name, func(t *testing.T) {
@@ -249,8 +249,10 @@ func TestParallelRefreshEquivalence(t *testing.T) {
 				if _, err := q.RegisterSource([]*relstore.Table{c.newTable(t)}, ViewBased); err != nil {
 					t.Fatalf("width %d register: %v", width, err)
 				}
-				if err := q.Refresh(); err != nil {
-					t.Fatalf("width %d refresh: %v", width, err)
+				w := q.CurrentGraph().Weights().Clone()
+				w["default"] += 0.05
+				if err := q.SetWeights(w); err != nil {
+					t.Fatalf("width %d set weights: %v", width, err)
 				}
 				var fps []string
 				for _, v := range q.Views() {

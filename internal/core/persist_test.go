@@ -27,7 +27,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		}
 	}
 	beforeRows := renderRows(v)
-	beforeWeights := q.Graph.Weights().Clone()
+	beforeWeights := q.CurrentGraph().Weights().Clone()
 
 	var buf bytes.Buffer
 	if err := q.Save(&buf); err != nil {
@@ -38,16 +38,16 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if q2.Catalog.NumRelations() != q.Catalog.NumRelations() {
-		t.Errorf("relations: %d vs %d", q2.Catalog.NumRelations(), q.Catalog.NumRelations())
+	if q2.CurrentCatalog().NumRelations() != q.CurrentCatalog().NumRelations() {
+		t.Errorf("relations: %d vs %d", q2.CurrentCatalog().NumRelations(), q.CurrentCatalog().NumRelations())
 	}
-	if q2.Graph.NumEdges() != q.Graph.NumEdges() {
+	if q2.CurrentGraph().NumEdges() != q.CurrentGraph().NumEdges() {
 		t.Errorf("edges: %d vs %d",
-			q2.Graph.NumEdges(), q.Graph.NumEdges())
+			q2.CurrentGraph().NumEdges(), q.CurrentGraph().NumEdges())
 	}
 	for k, w := range beforeWeights {
-		if q2.Graph.Weights()[k] != w {
-			t.Errorf("weight %s: %v vs %v", k, q2.Graph.Weights()[k], w)
+		if q2.CurrentGraph().Weights()[k] != w {
+			t.Errorf("weight %s: %v vs %v", k, q2.CurrentGraph().Weights()[k], w)
 		}
 	}
 	views := q2.Views()
@@ -70,7 +70,7 @@ func TestSaveLoadEmptyInstance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q2.Catalog.NumRelations() != 0 || len(q2.Views()) != 0 {
+	if q2.CurrentCatalog().NumRelations() != 0 || len(q2.Views()) != 0 {
 		t.Error("empty instance should load empty")
 	}
 }
@@ -238,7 +238,7 @@ func TestSaveConcurrentWithWriter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := q2.Catalog.NumRelations(), q.Catalog.NumRelations(); got != want {
+	if got, want := q2.CurrentCatalog().NumRelations(), q.CurrentCatalog().NumRelations(); got != want {
 		t.Errorf("relations after load = %d, want %d", got, want)
 	}
 }
@@ -257,7 +257,7 @@ func TestSaveIsCheckpointFormat(t *testing.T) {
 	if err := q.AddTables(fixtureTables(t)...); err != nil {
 		t.Fatal(err)
 	}
-	q.AddHandCodedAssociation(
+	addHandCoded(t, q,
 		relstore.AttrRef{Relation: "go.term", Attr: "acc"},
 		relstore.AttrRef{Relation: "ip.interpro2go", Attr: "go_id"})
 	v, err := queryStr(q, "'plasma membrane' 'Kringle domain'")

@@ -20,7 +20,7 @@ import (
 //
 // The materialisation is swapped atomically: readers (HTTP handlers, other
 // goroutines) call Trees/Queries/Result/Alpha and get one coherent
-// generation, while a concurrent Refresh builds the next generation aside
+// generation, while a concurrent refresh builds the next generation aside
 // and publishes it with a pointer store. ID, Keywords and K are immutable
 // once Query returns.
 type View struct {
@@ -47,8 +47,21 @@ type viewMat struct {
 
 	trees   []steiner.Tree
 	queries []*relstore.ConjunctiveQuery
-	result  *relstore.UnionResult
-	alpha   float64
+	// queryTree[i] indexes the tree whose translation produced queries[i]
+	// (the first tree of that query's signature): feedback on a row goes
+	// back to its tree through it.
+	queryTree []int
+	result    *relstore.UnionResult
+	alpha     float64
+}
+
+// treeOf returns the tree behind a result row's branch: the first tree
+// whose translation produced queries[branch].
+func (m *viewMat) treeOf(branch int) (steiner.Tree, error) {
+	if branch < 0 || branch >= len(m.queryTree) {
+		return steiner.Tree{}, fmt.Errorf("core: branch %d out of range", branch)
+	}
+	return m.trees[m.queryTree[branch]], nil
 }
 
 // Trees returns the view's current top-k Steiner trees (cost order).
@@ -99,7 +112,7 @@ func (v *View) Epoch() uint64 {
 // everything the view computed from a single published state generation.
 // Use Current when several fields must agree (e.g. rows with their α): the
 // individual accessors each load the latest generation, so two calls that
-// straddle a concurrent Refresh may come from different generations.
+// straddle a concurrent refresh may come from different generations.
 type Materialization struct {
 	Epoch   uint64
 	Trees   []steiner.Tree
@@ -111,7 +124,7 @@ type Materialization struct {
 }
 
 // Current returns the view's current materialisation as one coherent
-// snapshot (a single atomic load). Its Node/Edge/EdgeCost methods resolve
+// snapshot (a single atomic load). Its Node/Edge methods resolve
 // the ids of ITS trees against ITS overlay — under concurrent writers,
 // prefer them over the View-level shortcuts, which re-load the latest
 // generation on every call.
@@ -148,28 +161,15 @@ func (m Materialization) Edge(id steiner.EdgeID) searchgraph.Edge {
 	return m.m.ov.Edge(id)
 }
 
-// EdgeCost returns the cost (at materialisation time) of an edge of this
-// materialisation's trees.
-func (m Materialization) EdgeCost(id steiner.EdgeID) float64 {
-	if m.m == nil {
-		return 0
-	}
-	return m.m.ov.Cost(id)
-}
-
 // Node resolves a node id against the view's LATEST materialisation. The
 // id must come from that same materialisation: callers holding trees
-// across a possible concurrent Refresh should capture Current() once and
+// across a possible concurrent refresh should capture Current() once and
 // use its resolvers instead.
 func (v *View) Node(id steiner.NodeID) searchgraph.Node { return v.Current().Node(id) }
 
 // Edge resolves an edge id against the view's LATEST materialisation (see
 // Node for the coherence caveat).
 func (v *View) Edge(id steiner.EdgeID) searchgraph.Edge { return v.Current().Edge(id) }
-
-// EdgeCost returns an edge's cost in the view's LATEST materialisation
-// (see Node for the coherence caveat).
-func (v *View) EdgeCost(id steiner.EdgeID) float64 { return v.Current().EdgeCost(id) }
 
 // Request is one keyword query. Keywords are taken verbatim (ParseKeywords
 // splits a query string; keywords containing quotes or spaces pass through
@@ -209,8 +209,8 @@ var ErrViewLimit = errors.New("core: view registry full")
 // Query acquires no graph-wide lock: it works entirely against the state
 // generation current at its start, so it runs concurrently with other
 // queries AND with writers. A registration or feedback update committed
-// after the query starts is not visible to it; the next Refresh (which
-// every writer triggers or implies) brings the view up to date. Repeated
+// after the query starts is not visible to it; the refresh that ends the
+// next write brings a persistent view up to date. Repeated
 // queries are served from the materialisation cache: two views with the
 // same keyword sequence and k at the same published epoch share one
 // immutable materialisation (and N concurrent identical cold queries
@@ -326,7 +326,7 @@ func (q *Q) materializeAt(st *qstate, keywords []string, k int, tr *obs.Trace) (
 		terminals = append(terminals, q.expandKeyword(st, ov, kw))
 	}
 	tr.Record(obs.StageExpand, texp)
-	trees, queries, err := q.planOverlay(st, ov, terminals, k, tr)
+	trees, queries, queryTree, err := q.planOverlay(st, ov, terminals, k, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -359,6 +359,7 @@ func (q *Q) materializeAt(st *qstate, keywords []string, k int, tr *obs.Trace) (
 		terminals: terminals,
 		trees:     trees,
 		queries:   queries,
+		queryTree: queryTree,
 		result:    result,
 		alpha:     alpha,
 	}
@@ -406,21 +407,10 @@ func (q *Q) executeBranches(st *qstate, queries []*relstore.ConjunctiveQuery, k 
 // over the base∪overlay view, pruning, then one serial pass in tree-cost
 // order: tree→query translation with signature deduplication, and the §2.2
 // output-schema alignment. The produced query list is a function of the
-// trees alone.
-func (q *Q) planOverlay(st *qstate, ov *searchgraph.Overlay, terminals []steiner.NodeID, k int, tr *obs.Trace) ([]steiner.Tree, []*relstore.ConjunctiveQuery, error) {
+// trees alone; queryTree[i] is the index of the tree queries[i] came from.
+func (q *Q) planOverlay(st *qstate, ov *searchgraph.Overlay, terminals []steiner.NodeID, k int, tr *obs.Trace) (trees []steiner.Tree, queries []*relstore.ConjunctiveQuery, queryTree []int, err error) {
 	tsteiner := tr.Now()
-	trees := q.topKTrees(ov, terminals, k)
-	// Trees whose only way to connect the keywords runs through a mapping
-	// edge (pinned at DisabledEdgeCost) are not real answers.
-	{
-		kept := trees[:0]
-		for _, t := range trees {
-			if t.Cost < searchgraph.DisabledEdgeCost {
-				kept = append(kept, t)
-			}
-		}
-		trees = kept
-	}
+	trees = q.topKTrees(ov, terminals, k)
 	// Prune trees using over-threshold association edges, if configured.
 	if q.opts.AssocCostThreshold > 0 {
 		kept := trees[:0]
@@ -436,25 +426,26 @@ func (q *Q) planOverlay(st *qstate, ov *searchgraph.Overlay, terminals []steiner
 	// Translate the trees in cost order. A tree takes a few microseconds,
 	// less than handing it to another goroutine would.
 	ttrans := tr.Now()
-	var queries []*relstore.ConjunctiveQuery
 	sigs := make(map[string]bool)
-	for _, t := range trees {
+	queryTree = make([]int, 0, len(trees))
+	for i, t := range trees {
 		cq, err := treeToQuery(st, ov, t)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 		if sigs[cq.Signature()] {
 			continue // equivalent query from a different tree
 		}
 		sigs[cq.Signature()] = true
 		queries = append(queries, cq)
+		queryTree = append(queryTree, i)
 	}
 	outputSchema := make(map[string]bool) // QA of §2.2
 	for _, cq := range queries {
 		q.alignOutputColumns(st, cq, outputSchema)
 	}
 	tr.Record(obs.StageTranslate, ttrans)
-	return trees, queries, nil
+	return trees, queries, queryTree, nil
 }
 
 // topKTrees is the one place core runs a top-k Steiner search (view
@@ -493,21 +484,15 @@ func (q *Q) treeUsesExpensiveAssoc(ov *searchgraph.Overlay, t steiner.Tree) bool
 	return false
 }
 
-// Refresh rematerialises every persistent view against the current builder
-// state (after weight updates or new alignments). It is a writer
-// operation: the state is published first, then the views rematerialise
-// across the bounded worker pool, each against its own fresh overlay of
-// the new generation, and each swaps its materialisation in atomically.
-// Views are independent, so the fan-out leaves every view byte-identical
-// to a serial refresh.
-func (q *Q) Refresh() error {
-	q.writerMu.Lock()
-	defer q.writerMu.Unlock()
-	return q.refreshLocked()
-}
-
-func (q *Q) refreshLocked() error {
-	st := q.publishLocked()
+// refreshLocked rematerialises every persistent view against a newly
+// published generation st; commitLocked calls it after every write that
+// changed anything. The views rematerialise across the bounded worker pool,
+// each against its own fresh overlay of st, and each swaps its
+// materialisation in atomically. Views are independent, so the fan-out
+// leaves every view byte-identical to a serial refresh. A view whose
+// refresh fails keeps its previous materialisation; the lowest-index error
+// is returned and every failure is counted.
+func (q *Q) refreshLocked(st *qstate) error {
 	views := q.Views()
 	// Each view rematerialises through the cache: views sharing a keyword
 	// sequence share one materialisation of the new generation (the refresh
@@ -516,6 +501,7 @@ func (q *Q) refreshLocked() error {
 	return runIndexed(len(views), q.width, func(i int) error {
 		mat, err := q.materializeCached(st, views[i].Keywords, views[i].K, nil)
 		if err != nil {
+			q.metrics.refreshErrors.Inc()
 			return err
 		}
 		views[i].mat.Store(mat)
@@ -523,15 +509,15 @@ func (q *Q) refreshLocked() error {
 	})
 }
 
-// TreeQuery converts a Steiner tree over the builder search graph into a
-// conjunctive query. It is the exported form of the view pipeline's
+// TreeQuery converts a Steiner tree over a published search graph (no
+// query overlay) into a conjunctive query, resolved against the current
+// published generation. It is the exported form of the view pipeline's
 // tree-to-query translation, used by the mediated-schema adapter and by
-// tools that want to inspect or execute a tree directly. Writer-side: the
-// tree must reference builder-graph ids (not a query overlay's).
+// tools that want to inspect or execute a tree directly. Graph ids only
+// ever append, so a tree from an earlier published base resolves here too.
 func (q *Q) TreeQuery(t steiner.Tree) (*relstore.ConjunctiveQuery, error) {
-	snap := q.Graph.Snapshot()
-	st := &qstate{graph: snap, cat: q.Catalog, corpus: q.corpus}
-	return treeToQuery(st, snap.NewOverlay(), t)
+	st := q.state()
+	return treeToQuery(st, st.graph.NewOverlay(), t)
 }
 
 // treeToQuery converts a Steiner tree over the query overlay into a

@@ -66,11 +66,20 @@ type RegisterReport struct {
 // publishes it in a single pointer swap at the end, so a concurrent query
 // sees either the complete pre-registration world or the complete
 // post-registration world — never a source whose tables exist but whose
-// alignments do not.
+// alignments do not. The WAL record carries the new tables and every
+// association edge the alignment created, with final merged features;
+// replay installs the edges verbatim and never re-runs the matchers.
 func (q *Q) RegisterSource(tables []*relstore.Table, strategy AlignStrategy) (*RegisterReport, error) {
 	q.writerMu.Lock()
 	defer q.writerMu.Unlock()
+	report, err := q.registerLocked(tables, strategy)
+	if err := q.commitLocked(walRecord{Tables: wireTables(tables)}, err); err != nil {
+		return nil, err
+	}
+	return report, nil
+}
 
+func (q *Q) registerLocked(tables []*relstore.Table, strategy AlignStrategy) (*RegisterReport, error) {
 	if len(tables) == 0 {
 		return nil, fmt.Errorf("core: RegisterSource with no tables")
 	}
@@ -80,18 +89,14 @@ func (q *Q) RegisterSource(tables []*relstore.Table, strategy AlignStrategy) (*R
 			return nil, fmt.Errorf("core: RegisterSource mixes sources %q and %q", source, t.Relation.Source)
 		}
 	}
-	for _, s := range q.Catalog.Sources() {
+	for _, s := range q.catalog.Sources() {
 		if s == source {
 			return nil, fmt.Errorf("core: source %q already registered", source)
 		}
 	}
 
-	// Existing relations BEFORE this source joins. preEdges bounds the WAL
-	// record: every association edge this registration creates has an id
-	// beyond it (the A-side of each alignment is always in the new source,
-	// so no pre-existing pair can be endorsed and merged into).
-	existing := q.Catalog.Relations()
-	preEdges := q.Graph.NumEdges()
+	// Existing relations BEFORE this source joins.
+	existing := q.catalog.Relations()
 
 	if err := q.addTablesLocked(tables...); err != nil {
 		return nil, err
@@ -157,22 +162,6 @@ func (q *Q) RegisterSource(tables []*relstore.Table, strategy AlignStrategy) (*R
 		if alignedTargets[rel.QualifiedName()] {
 			report.TargetsCompared = append(report.TargetsCompared, rel.QualifiedName())
 		}
-	}
-
-	// Log-then-publish: the registration's full effect — the new tables and
-	// every association edge the alignment fixpoint created, with final
-	// merged features — must be durable before refreshLocked publishes it.
-	// Replay installs the edges verbatim; it never re-runs the matchers.
-	if err := q.logMutationLocked(walKindRegister, walRegister{
-		Tables: wireTables(tables),
-		Assocs: wireAssocs(q.Graph.AssociationsSince(preEdges)),
-	}); err != nil {
-		return nil, err
-	}
-
-	// Commit: one atomic publish, then bring every view up to date.
-	if err := q.refreshLocked(); err != nil {
-		return nil, err
 	}
 	return report, nil
 }
@@ -242,7 +231,7 @@ func (q *Q) viewBasedTargetsLocked(existing []*relstore.Relation) []*relstore.Re
 // paper's estimation of P from feedback-learned feature weights) — and only
 // the best PreferentialBudget relations are compared.
 func (q *Q) preferentialTargets(existing []*relstore.Relation) []*relstore.Relation {
-	w := q.Graph.Weights()
+	w := q.graph.Weights()
 	// Quantise the prior: learned weights carry float noise in their low
 	// bits (map-ordered summation in the updates), and unrounded values
 	// would break ranking ties nondeterministically.
@@ -286,7 +275,7 @@ func (q *Q) matchPair(m matcher.Matcher, newRel, target *relstore.Relation, repo
 	q.Stats.baseMatcherCalls.Add(1)
 	report.MatcherCalls++
 	var filtered []matcher.Alignment
-	for _, al := range m.Match(q.Catalog, newRel, target) {
+	for _, al := range m.Match(q.catalog, newRel, target) {
 		if allowed(al.A, al.B) {
 			filtered = append(filtered, al)
 		}
@@ -331,7 +320,7 @@ func (q *Q) installEdges(m matcher.Matcher, aligns []matcher.Alignment, report *
 				feat["matcher:"+other.Name()+":absent"] = 1
 			}
 		}
-		q.Graph.AddAssociationEdge(al.A, al.B, feat)
+		q.associateLocked(al.A, al.B, feat)
 		key := CanonicalPair(al.A.String(), al.B.String())
 		if al.Confidence > report.AlignmentsByPair[key] {
 			report.AlignmentsByPair[key] = al.Confidence
@@ -347,7 +336,7 @@ func (q *Q) installEdges(m matcher.Matcher, aligns []matcher.Alignment, report *
 // cache — with the result map merged deterministically, so the filter's
 // decisions are identical at any shard count.
 func (q *Q) overlappingPairs(a, b *relstore.Relation) map[[2]relstore.AttrRef]bool {
-	return q.Catalog.OverlappingAttrPairs(a, b)
+	return q.catalog.OverlappingAttrPairs(a, b)
 }
 
 // AlignAllPairs runs every registered matcher over every unordered pair of
@@ -355,12 +344,13 @@ func (q *Q) overlappingPairs(a, b *relstore.Relation) map[[2]relstore.AttrRef]bo
 // edges per attribute (globally, as in Table 1's "top-Y edges per node").
 // This is the initial association-generation step of the §5.2 experiments,
 // where the search graph starts with bare tables and the matchers must
-// propose all alignments.
-func (q *Q) AlignAllPairs() *RegisterReport {
+// propose all alignments. Whole-catalog alignment can merge features into
+// pre-existing edges; the WAL record carries every edge it touched.
+func (q *Q) AlignAllPairs() (*RegisterReport, error) {
 	q.writerMu.Lock()
 	defer q.writerMu.Unlock()
 	report := &RegisterReport{AlignmentsByPair: make(map[string]float64)}
-	rels := q.Catalog.Relations()
+	rels := q.catalog.Relations()
 	for _, m := range q.matchers {
 		var candidates []matcher.Alignment
 		for i := 0; i < len(rels); i++ {
@@ -370,18 +360,10 @@ func (q *Q) AlignAllPairs() *RegisterReport {
 		}
 		q.installAlignments(m, candidates, report, true)
 	}
-	if q.persist != nil {
-		// Whole-catalog alignment can merge features into PRE-EXISTING
-		// edges, so "edges since n" would miss merges: log the complete
-		// association list (replay replaces verbatim, so it is idempotent).
-		// The signature predates persistence and returns no error; a log
-		// failure surfaces at the next Checkpoint/Close.
-		q.logMutationVoidLocked(walKindAssocBulk, walAssocBulk{
-			Assocs: wireAssocs(q.Graph.AssociationFeatures()),
-		})
+	if err := q.commitLocked(walRecord{}, nil); err != nil {
+		return nil, err
 	}
-	q.publishLocked()
-	return report
+	return report, nil
 }
 
 // CountTargetComparisons reports, without running any matcher, how many
@@ -392,7 +374,7 @@ func (q *Q) AlignAllPairs() *RegisterReport {
 func (q *Q) CountTargetComparisons(newRels []*relstore.Relation, strategy AlignStrategy) int {
 	q.writerMu.Lock()
 	defer q.writerMu.Unlock()
-	existing := q.Catalog.Relations()
+	existing := q.catalog.Relations()
 	// Exclude the new relations themselves if they are already registered.
 	newSet := make(map[string]bool, len(newRels))
 	for _, r := range newRels {

@@ -29,7 +29,7 @@ func fixtureQAtWidth(t *testing.T, width int) *Q {
 	opts := DefaultOptions()
 	opts.ValueOverlapFilter = true
 	q := newAtWidth(width, opts)
-	if got := q.Catalog.ShardCount(); got != width {
+	if got := q.CurrentCatalog().ShardCount(); got != width {
 		t.Fatalf("ShardCount = %d at width %d", got, width)
 	}
 	q.AddMatcher(meta.New())
@@ -37,7 +37,7 @@ func fixtureQAtWidth(t *testing.T, width int) *Q {
 	if err := q.AddTables(fixtureTables(t)...); err != nil {
 		t.Fatal(err)
 	}
-	q.AddHandCodedAssociation(
+	addHandCoded(t, q,
 		relstore.AttrRef{Relation: "go.term", Attr: "acc"},
 		relstore.AttrRef{Relation: "ip.interpro2go", Attr: "go_id"})
 	return q

@@ -587,7 +587,7 @@ func TestQueryStateless(t *testing.T) {
 func TestBaseGraphBytesStableAcrossQueries(t *testing.T) {
 	q := newFixtureQ(t, true)
 	var before, after bytesBuffer
-	if err := q.Graph.Save(&before); err != nil {
+	if err := q.graph.Save(&before); err != nil {
 		t.Fatal(err)
 	}
 	for _, probe := range []string{
@@ -598,7 +598,7 @@ func TestBaseGraphBytesStableAcrossQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := q.Graph.Save(&after); err != nil {
+	if err := q.graph.Save(&after); err != nil {
 		t.Fatal(err)
 	}
 	if before.String() != after.String() {

@@ -14,7 +14,7 @@ func TestOutputColumnUnification(t *testing.T) {
 	q := newFixtureQ(t, false)
 	// Hand-code a cheap association between go.term.name and ip.entry.name:
 	// they are "conceptually compatible" output columns.
-	q.AddHandCodedAssociation(
+	addHandCoded(t, q,
 		relstore.AttrRef{Relation: "go.term", Attr: "name"},
 		relstore.AttrRef{Relation: "ip.entry", Attr: "name"})
 
@@ -68,7 +68,7 @@ func TestOutputColumnUnificationRespectsThreshold(t *testing.T) {
 	if err := q.AddTables(fixtureTables(t)...); err != nil {
 		t.Fatal(err)
 	}
-	q.AddHandCodedAssociation(
+	addHandCoded(t, q,
 		relstore.AttrRef{Relation: "go.term", Attr: "name"},
 		relstore.AttrRef{Relation: "ip.entry", Attr: "name"})
 
@@ -88,7 +88,7 @@ func TestOutputColumnUnificationRespectsThreshold(t *testing.T) {
 // name attributes must land both in one output column.
 func TestUnifiedColumnsShareValuesEndToEnd(t *testing.T) {
 	q := newFixtureQ(t, true)
-	q.AddHandCodedAssociation(
+	addHandCoded(t, q,
 		relstore.AttrRef{Relation: "go.term", Attr: "name"},
 		relstore.AttrRef{Relation: "ip.entry", Attr: "name"})
 	// "membrane" matches plasma membrane (go.term.name) and Membrane

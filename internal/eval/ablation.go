@@ -44,7 +44,9 @@ func RunAblationBinning() ([]AblationRow, error) {
 		if err := q.AddTables(corpus.Tables...); err != nil {
 			return nil, fmt.Errorf("eval: ablation: %w", err)
 		}
-		q.AlignAllPairs()
+		if _, err := q.AlignAllPairs(); err != nil {
+			return nil, err
+		}
 		if err := runFeedback(q, corpus, 10, 4, nil); err != nil {
 			return nil, err
 		}

@@ -23,7 +23,9 @@ func newInterProQ(corpus *datasets.InterProGOCorpus) (*core.Q, error) {
 	if err := q.AddTables(corpus.Tables...); err != nil {
 		return nil, fmt.Errorf("eval: interpro catalog: %w", err)
 	}
-	q.AlignAllPairs()
+	if _, err := q.AlignAllPairs(); err != nil {
+		return nil, err
+	}
 	return q, nil
 }
 

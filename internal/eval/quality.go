@@ -209,7 +209,7 @@ func matcherEdgeConfidences(cat *relstore.Catalog, m matcher.Matcher, y int) map
 // of the combined-and-learned system.
 func qCostCurve(name string, q *core.Q, gold map[string]bool) Curve {
 	var cands []scored
-	for _, a := range q.Graph.AssociationList() {
+	for _, a := range q.CurrentGraph().AssociationList() {
 		pair := core.CanonicalPair(a.A.String(), a.B.String())
 		cands = append(cands, scored{pair: pair, score: a.Cost})
 	}

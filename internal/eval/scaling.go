@@ -272,37 +272,40 @@ func buildExpandedGraph(corpus *datasets.GBCOCorpus, sources int) (*core.Q, erro
 	}
 	// Average calibrated cost over current learnable edges.
 	avg := averageLearnableCost(q)
-	w := q.Graph.Weights().Clone()
+	w := q.CurrentGraph().Weights().Clone()
 	w["synthetic"] = avg - w["default"]
 	if w["synthetic"] < 0 {
 		w["synthetic"] = 0
 	}
-	q.Graph.SetWeights(w)
+	if err := q.SetWeights(w); err != nil {
+		return nil, err
+	}
 
 	refs := refsOf(corpus)
 	r := rand.New(rand.NewSource(int64(sources) * 31))
+	var pairs [][2]relstore.AttrRef
 	for _, t := range synthetic {
 		qn := t.Relation.QualifiedName()
 		for _, a := range t.Relation.Attributes {
 			target := refs[r.Intn(len(refs))]
-			q.Graph.AddAssociationEdge(
-				relstore.AttrRef{Relation: qn, Attr: a.Name},
-				target,
-				learning.Vector{"synthetic": 1},
-			)
+			pairs = append(pairs, [2]relstore.AttrRef{{Relation: qn, Attr: a.Name}, target})
 		}
+	}
+	if err := q.AddAssociations(learning.Vector{"synthetic": 1}, pairs...); err != nil {
+		return nil, err
 	}
 	return q, nil
 }
 
 func averageLearnableCost(q *core.Q) float64 {
+	g := q.CurrentGraph()
 	total, n := 0.0, 0
-	for i := 0; i < q.Graph.NumEdges(); i++ {
+	for i := 0; i < g.NumEdges(); i++ {
 		id := steinerEdge(i)
-		if q.Graph.Edge(id).Fixed {
+		if g.Edge(id).Fixed {
 			continue
 		}
-		total += q.Graph.Cost(id)
+		total += g.Cost(id)
 		n++
 	}
 	if n == 0 {

@@ -5,15 +5,19 @@
 // structured queries against the mediated schema compile into ranked
 // conjunctive queries over the sources.
 //
-// The mediated schema lives inside the ordinary search graph: a virtual
-// relation node plus one attribute node per mediated attribute, connected
-// to candidate source attributes by association ("mapping") edges. Mapping
-// quality is an edge cost like any other, so MIRA feedback on mediated
-// answers re-ranks mappings exactly as it re-ranks alignments.
+// Mappings are not search-graph edges: a mapping never joins relations, so
+// it has no place in a Steiner tree. The Mediator keeps its candidate
+// mappings itself — per mediated attribute, each source attribute with a
+// feature vector built like an association edge's — and prices them with
+// the graph's cost formula under the engine's published weights. Mapping
+// quality is therefore a cost like any other, and MIRA feedback on mediated
+// answers re-ranks mappings through the engine's SetWeights, exactly as it
+// re-ranks alignments.
 package mediated
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 
 	"qint/internal/core"
@@ -55,28 +59,29 @@ type Mediator struct {
 	Q      *core.Q
 	Schema Schema
 
-	// edges tracks the mapping edges installed per mediated attribute.
-	edges map[string]map[relstore.AttrRef]steiner.EdgeID
+	// mappings holds the candidate mappings per mediated attribute: source
+	// attribute → feature vector.
+	mappings map[string]map[relstore.AttrRef]learning.Vector
 }
 
-// Bind registers the schema's nodes in the search graph and runs every
-// registered matcher between the virtual relation and each source relation,
-// installing candidate mapping edges. Matchers that need instance data (the
-// MAD matcher) contribute nothing for the data-less virtual relation and
-// are skipped gracefully.
+// Bind runs every registered matcher between the schema's virtual relation
+// and each source relation of the published catalog, collecting candidate
+// mappings. Matchers that need instance data (the MAD matcher) contribute
+// nothing for the data-less virtual relation and are skipped gracefully.
 func Bind(q *core.Q, schema Schema) (*Mediator, error) {
 	if schema.Name == "" || len(schema.Attributes) == 0 {
 		return nil, fmt.Errorf("mediated: empty schema")
 	}
 	m := &Mediator{
 		Q: q, Schema: schema,
-		edges: make(map[string]map[relstore.AttrRef]steiner.EdgeID),
+		mappings: make(map[string]map[relstore.AttrRef]learning.Vector),
 	}
 	virt := schema.virtualRelation()
 
-	for _, src := range q.Catalog.Relations() {
+	cat := q.CurrentCatalog()
+	for _, src := range cat.Relations() {
 		for _, matcherImpl := range q.Matchers() {
-			for _, al := range matcherImpl.Match(q.Catalog, virt, src) {
+			for _, al := range matcherImpl.Match(cat, virt, src) {
 				m.installMapping(al.A.Attr, al.B, matcherImpl.Name(), al.Confidence)
 			}
 			// Synonyms: match each synonym surface separately.
@@ -84,7 +89,7 @@ func Bind(q *core.Q, schema Schema) (*Mediator, error) {
 				for _, syn := range a.Synonyms {
 					alias := &relstore.Relation{Source: "mediated", Name: schema.Name,
 						Attributes: []relstore.Attribute{{Name: syn}}}
-					for _, al := range matcherImpl.Match(q.Catalog, alias, src) {
+					for _, al := range matcherImpl.Match(cat, alias, src) {
 						m.installMapping(a.Name, al.B, matcherImpl.Name(), al.Confidence)
 					}
 				}
@@ -94,19 +99,36 @@ func Bind(q *core.Q, schema Schema) (*Mediator, error) {
 	return m, nil
 }
 
-// installMapping adds (or strengthens) the mapping edge between a mediated
-// attribute and a source attribute.
+// installMapping adds (or strengthens) the candidate mapping between a
+// mediated attribute and a source attribute. A new mapping carries the
+// default, source-relation and own-indicator features of an association
+// edge; a repeated one merges the matcher's endorsement in by the same rule
+// as a second matcher endorsing an association.
 func (m *Mediator) installMapping(mediatedAttr string, src relstore.AttrRef, matcherName string, conf float64) {
-	med := relstore.AttrRef{Relation: m.Schema.qualified(), Attr: mediatedAttr}
 	feat := learning.Vector{
 		fmt.Sprintf("matcher:%s:bin%d", matcherName, binOf(conf)): 1,
 		"mapping": 1,
 	}
-	id := m.Q.Graph.AddMappingEdge(med, src, feat)
-	if m.edges[mediatedAttr] == nil {
-		m.edges[mediatedAttr] = make(map[relstore.AttrRef]steiner.EdgeID)
+	cands := m.mappings[mediatedAttr]
+	if cands == nil {
+		cands = make(map[relstore.AttrRef]learning.Vector)
+		m.mappings[mediatedAttr] = cands
 	}
-	m.edges[mediatedAttr][src] = id
+	if f, ok := cands[src]; ok {
+		merged := f.Clone()
+		searchgraph.MergeMatcherFeatures(merged, feat)
+		cands[src] = merged
+		return
+	}
+	searchgraph.MergeMatcherFeatures(feat, nil)
+	med := relstore.AttrRef{Relation: m.Schema.qualified(), Attr: mediatedAttr}
+	f := learning.Vector{
+		"default":             1,
+		"rel:" + src.Relation: 1,
+		"edge:map:" + med.String() + "~" + src.String(): 1,
+	}
+	maps.Copy(f, feat)
+	cands[src] = f
 }
 
 // binOf mirrors learning.DefaultBinner's bin boundaries.
@@ -126,29 +148,26 @@ func binOf(conf float64) int {
 }
 
 // Mapping is one candidate source attribute for a mediated attribute,
-// ranked by current edge cost (lower is better).
+// ranked by current cost (lower is better).
 type Mapping struct {
 	Source relstore.AttrRef
 	Cost   float64
-	Edge   steiner.EdgeID
 }
 
 // Mappings returns the candidate mappings of one mediated attribute,
-// cheapest first. Mapping edges are never traversable in the graph, so the
-// ranking cost is computed from their features under the current weights.
+// cheapest first, priced under the engine's published weights.
 func (m *Mediator) Mappings(attr string) []Mapping {
-	candidates := m.edges[attr]
+	return m.mappingsUnder(m.Q.CurrentGraph().Weights(), attr)
+}
+
+func (m *Mediator) mappingsUnder(w learning.Vector, attr string) []Mapping {
+	candidates := m.mappings[attr]
 	if len(candidates) == 0 {
 		return nil
 	}
-	w := m.Q.Graph.Weights()
 	out := make([]Mapping, 0, len(candidates))
-	for src, id := range candidates {
-		out = append(out, Mapping{
-			Source: src,
-			Cost:   m.Q.Graph.EdgeCostFor(id, w),
-			Edge:   id,
-		})
+	for src, f := range candidates {
+		out = append(out, Mapping{Source: src, Cost: searchgraph.EdgeCost(w, f)})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Cost != out[j].Cost {
@@ -179,7 +198,8 @@ type Answer struct {
 // given output attributes subject to the conditions. For each combination
 // of candidate mappings (bounded by fanout per attribute), the mapped
 // source attributes become Steiner terminals; the cheapest join tree plus
-// the mapping costs rank the answers.
+// the mapping costs rank the answers. The whole query reads one published
+// generation of the engine.
 func (m *Mediator) Query(output []string, conds []Condition, k int) ([]Answer, error) {
 	if len(output) == 0 {
 		return nil, fmt.Errorf("mediated: no output attributes")
@@ -190,21 +210,22 @@ func (m *Mediator) Query(output []string, conds []Condition, k int) ([]Answer, e
 		need = append(need, c.Attr)
 	}
 
+	g := m.Q.CurrentGraph()
 	const fanout = 2 // candidate mappings considered per attribute
 	options := make([][]Mapping, len(need))
 	for i, attr := range need {
-		maps := m.Mappings(attr)
-		if len(maps) == 0 {
+		cands := m.mappingsUnder(g.Weights(), attr)
+		if len(cands) == 0 {
 			return nil, fmt.Errorf("mediated: attribute %q has no mappings", attr)
 		}
-		if len(maps) > fanout {
-			maps = maps[:fanout]
+		if len(cands) > fanout {
+			cands = cands[:fanout]
 		}
-		options[i] = maps
+		options[i] = cands
 	}
 
 	var answers []Answer
-	m.enumerate(need, options, nil, conds, output, &answers)
+	m.enumerate(g, need, options, nil, conds, output, &answers)
 	sort.SliceStable(answers, func(i, j int) bool { return answers[i].Cost < answers[j].Cost })
 	if len(answers) > k {
 		answers = answers[:k]
@@ -213,19 +234,20 @@ func (m *Mediator) Query(output []string, conds []Condition, k int) ([]Answer, e
 }
 
 // enumerate walks the cross product of candidate mappings.
-func (m *Mediator) enumerate(need []string, options [][]Mapping, chosen []Mapping,
+func (m *Mediator) enumerate(g *searchgraph.Snapshot, need []string, options [][]Mapping, chosen []Mapping,
 	conds []Condition, output []string, answers *[]Answer) {
 	if len(chosen) == len(need) {
-		m.answerFor(need, chosen, conds, output, answers)
+		m.answerFor(g, need, chosen, conds, output, answers)
 		return
 	}
 	for _, opt := range options[len(chosen)] {
-		m.enumerate(need, options, append(chosen, opt), conds, output, answers)
+		m.enumerate(g, need, options, append(chosen, opt), conds, output, answers)
 	}
 }
 
-// answerFor builds and executes the query for one mapping combination.
-func (m *Mediator) answerFor(need []string, chosen []Mapping, conds []Condition,
+// answerFor builds and executes the query for one mapping combination over
+// the published graph g.
+func (m *Mediator) answerFor(g *searchgraph.Snapshot, need []string, chosen []Mapping, conds []Condition,
 	output []string, answers *[]Answer) {
 
 	mappingCost := 0.0
@@ -233,7 +255,7 @@ func (m *Mediator) answerFor(need []string, chosen []Mapping, conds []Condition,
 	chosenBy := make(map[string]relstore.AttrRef, len(chosen))
 	for i, c := range chosen {
 		mappingCost += c.Cost
-		nid := m.Q.Graph.LookupAttribute(c.Source)
+		nid := g.LookupAttribute(c.Source)
 		if nid < 0 {
 			return
 		}
@@ -241,8 +263,8 @@ func (m *Mediator) answerFor(need []string, chosen []Mapping, conds []Condition,
 		chosenBy[need[i]] = c.Source
 	}
 
-	trees := m.Q.Graph.G().TopKSteiner(terminals, 1)
-	if len(trees) == 0 || trees[0].Cost >= searchgraph.DisabledEdgeCost {
+	trees := steiner.TopKSteinerOn(g.Base(), terminals, 1)
+	if len(trees) == 0 {
 		return // mappings land in disconnected relations
 	}
 
@@ -264,7 +286,7 @@ func (m *Mediator) answerFor(need []string, chosen []Mapping, conds []Condition,
 			Alias: alias, Attr: src.Attr, Op: relstore.OpEq, Value: c.Value,
 		})
 	}
-	rs, err := relstore.Execute(m.Q.Catalog, cq)
+	rs, err := relstore.Execute(m.Q.CurrentCatalog(), cq)
 	if err != nil {
 		return
 	}
@@ -309,24 +331,25 @@ func findProjected(cq *relstore.ConjunctiveQuery, colIdx map[string]int, src rel
 
 // PreferMapping applies feedback on mediated answers: the user judged an
 // answer produced with `good` mappings correct and one produced with `bad`
-// mappings wrong. The mapping edges are re-weighted through the same MIRA
-// update that drives Q's answer feedback, with mapping sets standing in for
-// query trees.
-func (m *Mediator) PreferMapping(good, bad map[string]relstore.AttrRef) {
+// mappings wrong. The mappings are re-weighted through the same MIRA update
+// that drives Q's answer feedback, with mapping sets standing in for query
+// trees, and the new weights are one engine write (Q.SetWeights): logged,
+// published and seen by every view.
+func (m *Mediator) PreferMapping(good, bad map[string]relstore.AttrRef) error {
 	target := m.mappingExample(good)
 	worse := m.mappingExample(bad)
 	mira := learning.NewMIRA()
-	w := mira.Update(m.Q.Graph.Weights(), target, []learning.TreeExample{worse})
-	m.Q.Graph.SetWeights(w)
+	w := mira.Update(m.Q.CurrentGraph().Weights(), target, []learning.TreeExample{worse})
+	return m.Q.SetWeights(w)
 }
 
 func (m *Mediator) mappingExample(mapping map[string]relstore.AttrRef) learning.TreeExample {
 	var keys []string
 	var feats []learning.Vector
 	for attr, src := range mapping {
-		if id, ok := m.edges[attr][src]; ok {
-			keys = append(keys, fmt.Sprintf("e%d", id))
-			feats = append(feats, m.Q.Graph.Edge(id).Features)
+		if f, ok := m.mappings[attr][src]; ok {
+			keys = append(keys, attr+"~"+src.String())
+			feats = append(feats, f)
 		}
 	}
 	return learning.NewTreeExample(keys, feats)

@@ -22,7 +22,9 @@ func newBoundMediator(t *testing.T) (*core.Q, *Mediator) {
 	if err := q.AddTables(corpus.Tables...); err != nil {
 		t.Fatal(err)
 	}
-	q.AlignAllPairs()
+	if _, err := q.AlignAllPairs(); err != nil {
+		t.Fatal(err)
+	}
 
 	schema := Schema{
 		Name: "bio",
@@ -147,7 +149,9 @@ func TestPreferMappingReRanks(t *testing.T) {
 	good := map[string]relstore.AttrRef{"go_accession": maps[1].Source}
 	bad := map[string]relstore.AttrRef{"go_accession": maps[0].Source}
 	for i := 0; i < 50; i++ {
-		m.PreferMapping(good, bad)
+		if err := m.PreferMapping(good, bad); err != nil {
+			t.Fatal(err)
+		}
 		if m.Mappings("go_accession")[0].Source == good["go_accession"] {
 			break
 		}

@@ -172,22 +172,10 @@ func (r *Registry) scaledCounter(name, help string, scale float64, labels ...Lab
 // latest closure wins), so a layer torn down and rebuilt over one engine —
 // e.g. a new Server over an existing Q — never double-registers.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	r.registerFunc(name, help, "gauge", fn, labels...)
-}
-
-// CounterFunc registers a callback counter — for totals owned by another
-// subsystem (sharded sums, snapshot walks) that are cheap to compute on
-// scrape but not worth mirroring on every update. Replacement semantics as
-// GaugeFunc.
-func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
-	r.registerFunc(name, help, "counter", fn, labels...)
-}
-
-func (r *Registry) registerFunc(name, help, typ string, fn func() float64, labels ...Label) {
 	ls := renderLabels(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	f := r.familyLocked(name, help, typ)
+	f := r.familyLocked(name, help, "gauge")
 	if s, ok := f.byLabels[ls]; ok {
 		s.fn = fn
 		return

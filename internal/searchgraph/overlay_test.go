@@ -143,6 +143,30 @@ func TestSnapshotFrozenUnderWriter(t *testing.T) {
 	}
 }
 
+// TestResetDiscardsMutations: Reset returns the builder to a snapshot taken
+// from it, and the next mutation clones under a fresh epoch, leaving the
+// snapshot untouched.
+func TestResetDiscardsMutations(t *testing.T) {
+	g, _ := overlayFixture(t)
+	snap := g.Snapshot()
+	g.AddAssociationEdge(
+		relstore.AttrRef{Relation: "go.term", Attr: "name"},
+		relstore.AttrRef{Relation: "ip.entry", Attr: "entry_ac"},
+		learning.Vector{"handcoded": 1})
+	dirtyEpoch := g.Epoch()
+	g.Reset(snap)
+	if g.Snapshot() != snap || g.NumEdges() != snap.NumEdges() {
+		t.Fatalf("after Reset the builder has %d edges and a new snapshot; want the snapshot's %d", g.NumEdges(), snap.NumEdges())
+	}
+	g.EnsureWeight("fresh", 1)
+	if g.Epoch() <= dirtyEpoch {
+		t.Errorf("epoch after Reset and a mutation = %d, want above %d", g.Epoch(), dirtyEpoch)
+	}
+	if _, ok := snap.Weights()["fresh"]; ok {
+		t.Error("a mutation after Reset wrote into the snapshot")
+	}
+}
+
 // kwEdgeCostRef is what a keyword edge must cost: w·f over its mismatch
 // feature (1 − sim) and its own indicator feature, with the indicator's
 // weight seeded to KwEdgeBaseWeight when w carries none, rounded to 1e-9 and

@@ -116,7 +116,7 @@ func Load(r io.Reader) (*Graph, error) {
 			Kind:  EdgeKind(se.Kind),
 			Fixed: se.Fixed,
 		}
-		if e.Kind == EdgeKeyword || e.Kind == EdgeValueAttr {
+		if e.Kind != EdgeAttrRel && e.Kind != EdgeForeignKey && e.Kind != EdgeAssociation {
 			return nil, fmt.Errorf("searchgraph: load edge %d: %s edge in a base graph", i, e.Kind)
 		}
 		if se.Features != nil {
@@ -137,16 +137,12 @@ func Load(r io.Reader) (*Graph, error) {
 			e.B = ref
 		}
 		id := g.addEdge(steiner.NodeID(se.U), steiner.NodeID(se.V2), e)
-		switch e.Kind {
-		case EdgeAssociation:
+		if e.Kind == EdgeAssociation {
 			ka, kb := e.A.String(), e.B.String()
 			if kb < ka {
 				ka, kb = kb, ka
 			}
 			g.s.assocSeen[ka+"~"+kb] = id
-		case EdgeMapping:
-			g.s.sg.SetCost(id, DisabledEdgeCost)
-			g.s.assocSeen[mappingKey(e.A, e.B)] = id
 		}
 	}
 	return g, nil

@@ -16,8 +16,6 @@ func buildRichGraph() *Graph {
 	g.AddForeignKeyEdge(ref("ip.entry2pub", "entry_ac"), ref("ip.entry", "entry_ac"))
 	g.AddAssociationEdge(ref("go.term", "acc"), ref("ip.interpro2go", "go_id"),
 		learning.Vector{"matcher:mad:bin4": 1})
-	g.AddMappingEdge(ref("med.gene", "name"), ref("go.term", "name"),
-		learning.Vector{"matcher:meta:bin3": 1})
 	return g
 }
 
@@ -51,9 +49,9 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if !g2.HasAssociation(ref("go.term", "acc"), ref("ip.interpro2go", "go_id")) {
 		t.Error("association registry lost")
 	}
-	// A re-added mapping pair merges into the loaded edge.
-	if id := g2.AddMappingEdge(ref("med.gene", "name"), ref("go.term", "name"), nil); g2.Edge(id).Kind != EdgeMapping || g2.NumEdges() != g.NumEdges() {
-		t.Errorf("mapping registry lost: re-add returned edge %d, %d edges", id, g2.NumEdges())
+	// A re-added association pair merges into the loaded edge.
+	if id := g2.AddAssociationEdge(ref("ip.interpro2go", "go_id"), ref("go.term", "acc"), nil); g2.Edge(id).Kind != EdgeAssociation || g2.NumEdges() != g.NumEdges() {
+		t.Errorf("association registry lost: re-add returned edge %d, %d edges", id, g2.NumEdges())
 	}
 	// Costs match edge-for-edge.
 	for i := 0; i < g.NumEdges(); i++ {
@@ -111,6 +109,9 @@ func TestLoadRejectsGarbage(t *testing.T) {
 			`"edges":[{"kind":3,"u":0,"v":1,"features":{"mismatch":0.2}}]}`,
 		`{"version":1,"nodes":[{"kind":0,"rel":"go.term"},{"kind":1,"ref":"go.term.name"}],` +
 			`"edges":[{"kind":4,"u":0,"v":1,"fixed":true}]}`,
+		// an edge kind the graph does not know (mediated mappings are not edges)
+		`{"version":1,"nodes":[{"kind":1,"ref":"med.gene.name"},{"kind":1,"ref":"go.term.name"}],` +
+			`"edges":[{"kind":5,"u":0,"v":1,"features":{"mapping":1}}]}`,
 	}
 	for i, c := range cases {
 		if _, err := Load(strings.NewReader(c)); err == nil {

@@ -81,12 +81,6 @@ const (
 	EdgeKeyword
 	// EdgeValueAttr links a value node to its attribute at fixed zero cost.
 	EdgeValueAttr
-	// EdgeMapping links a mediated-schema attribute to a candidate source
-	// attribute. Mapping edges carry learnable features like associations,
-	// but they are never traversable by Steiner search (their graph cost is
-	// pinned to DisabledEdgeCost): they rank mapping choices, they do not
-	// join relations.
-	EdgeMapping
 )
 
 // String names the edge kind for logs.
@@ -100,10 +94,10 @@ func (k EdgeKind) String() string {
 		return "association"
 	case EdgeKeyword:
 		return "keyword"
-	case EdgeMapping:
-		return "mapping"
-	default:
+	case EdgeValueAttr:
 		return "value-attr"
+	default:
+		return "edge-kind-" + strconv.Itoa(int(k))
 	}
 }
 
@@ -147,12 +141,6 @@ type Edge struct {
 // computation stays meaningful even if the learner drives a weight
 // combination to (or below) zero mid-update.
 const MinEdgeCost = 1e-6
-
-// DisabledEdgeCost is the pinned graph cost of every mapping edge (see
-// EdgeMapping): high enough that a mapping edge never acts as a cheap bridge
-// inside a query's Steiner tree, and a tree that cannot avoid one is not an
-// answer.
-const DisabledEdgeCost = 1e12
 
 // store is the copy-on-write storage shared between a builder Graph and the
 // snapshots taken from it. A store referenced by any snapshot is frozen; the
@@ -231,6 +219,15 @@ func (g *Graph) own() {
 	g.epoch++
 }
 
+// Reset returns the builder to a snapshot taken from it, discarding every
+// mutation since — a refused write's rollback. The builder's epoch keeps
+// counting, so the next mutation clones under a fresh epoch.
+func (g *Graph) Reset(s *Snapshot) {
+	g.s = s.s
+	g.snap = s
+	g.owned = false
+}
+
 // Snapshot returns an immutable view of the current graph state. Taking a
 // snapshot is O(1): it freezes the current storage (the next mutation pays
 // one O(V+E) clone) and is cached until the graph changes, so repeated
@@ -246,10 +243,6 @@ func (g *Graph) Snapshot() *Snapshot {
 // Epoch returns the builder's mutation epoch: it increments on the first
 // mutation after each snapshot.
 func (g *Graph) Epoch() uint64 { return g.epoch }
-
-// G returns the underlying steiner graph of the builder. Mutating it
-// directly bypasses copy-on-write; use it only for reads and tests.
-func (g *Graph) G() *steiner.Graph { return g.s.sg }
 
 // Weights returns the current weight vector (not a copy; do not mutate).
 func (g *Graph) Weights() learning.Vector { return g.s.weights }
@@ -280,34 +273,38 @@ func (g *Graph) EnsureWeight(feature string, def float64) bool {
 // Cost returns the current cost of an edge.
 func (g *Graph) Cost(id steiner.EdgeID) float64 { return g.s.sg.Edge(id).Cost }
 
-// EdgeCostFor computes what an edge's cost would be under an arbitrary
-// weight vector, without mutating the graph. Costs are quantised to 1e-9:
-// the dot product sums a map in iteration order, so the low bits of the
-// float result vary run to run, and unquantised costs would flip
-// tie-breaks in top-k tree selection nondeterministically.
-func (g *Graph) EdgeCostFor(id steiner.EdgeID, w learning.Vector) float64 {
-	return g.s.edgeCostFor(id, w)
-}
+// EdgeCost is the cost of a learnable edge with the given features under
+// weights w (Equation 1). Costs are quantised to 1e-9: the dot product sums
+// a map in iteration order, so the low bits of the float result vary run to
+// run, and unquantised costs would flip tie-breaks in top-k tree selection
+// nondeterministically. They are floored at MinEdgeCost.
+func EdgeCost(w, features learning.Vector) float64 { return quantiseCost(w.Dot(features)) }
 
-func (s *store) edgeCostFor(id steiner.EdgeID, w learning.Vector) float64 {
-	e := s.edges[id]
-	if e.Fixed {
-		return 0
-	}
-	c := math.Round(w.Dot(e.Features)*1e9) / 1e9
+func quantiseCost(c float64) float64 {
+	c = math.Round(c*1e9) / 1e9
 	if c < MinEdgeCost {
 		c = MinEdgeCost
 	}
 	return c
 }
 
+// EdgeCostFor computes what an edge's cost would be under an arbitrary
+// weight vector, without mutating the graph.
+func (g *Graph) EdgeCostFor(id steiner.EdgeID, w learning.Vector) float64 {
+	return edgeCost(g.s.edges[id], w)
+}
+
+// edgeCost prices one edge: zero when fixed, EdgeCost otherwise.
+func edgeCost(e Edge, w learning.Vector) float64 {
+	if e.Fixed {
+		return 0
+	}
+	return EdgeCost(w, e.Features)
+}
+
 // refreshCost recomputes one edge's steiner cost; callers hold ownership.
 func (g *Graph) refreshCost(id steiner.EdgeID) {
-	if g.s.edges[id].Kind == EdgeMapping {
-		g.s.sg.SetCost(id, DisabledEdgeCost)
-		return
-	}
-	g.s.sg.SetCost(id, g.s.edgeCostFor(id, g.s.weights))
+	g.s.sg.SetCost(id, edgeCost(g.s.edges[id], g.s.weights))
 }
 
 // Node returns the node with the given id.
@@ -333,14 +330,7 @@ func (g *Graph) addNode(n Node) steiner.NodeID {
 // addEdge appends an edge with a parallel steiner edge at the right cost;
 // callers own storage.
 func (g *Graph) addEdge(u, v steiner.NodeID, e Edge) steiner.EdgeID {
-	var cost float64
-	if !e.Fixed {
-		cost = math.Round(g.s.weights.Dot(e.Features)*1e9) / 1e9
-		if cost < MinEdgeCost {
-			cost = MinEdgeCost
-		}
-	}
-	id := g.s.sg.AddEdge(u, v, cost)
+	id := g.s.sg.AddEdge(u, v, edgeCost(e, g.s.weights))
 	e.ID = id
 	g.s.edges = append(g.s.edges, e)
 	return id
@@ -423,14 +413,14 @@ func (g *Graph) AddAssociationEdge(a, b relstore.AttrRef, features learning.Vect
 		// share feature pointers with the builder.
 		e := &g.s.edges[id]
 		merged := e.Features.Clone()
-		mergeMatcherFeatures(merged, features)
+		MergeMatcherFeatures(merged, features)
 		e.Features = merged
 		g.refreshCost(id)
 		return id
 	}
 	g.own()
 	features = features.Clone()
-	mergeMatcherFeatures(features, nil)
+	MergeMatcherFeatures(features, nil)
 	u := g.AttributeNode(a)
 	v := g.AttributeNode(b)
 	f := learning.Vector{
@@ -447,13 +437,13 @@ func (g *Graph) AddAssociationEdge(a, b relstore.AttrRef, features learning.Vect
 	return id
 }
 
-// mergeMatcherFeatures merges src into dst with matcher-endorsement
+// MergeMatcherFeatures merges src into dst with matcher-endorsement
 // semantics: a "matcher:<name>:binK" feature supersedes that matcher's
 // ":absent" marker (an endorsement cancels the no-endorsement penalty), and
 // when the same matcher endorses twice only the higher bin (more confident,
 // cheaper under the standard weights) is kept. Other features overwrite
 // key-wise. Passing nil src normalises dst in place under the same rules.
-func mergeMatcherFeatures(dst, src learning.Vector) {
+func MergeMatcherFeatures(dst, src learning.Vector) {
 	for k, v := range src {
 		dst[k] = v
 	}
@@ -499,44 +489,6 @@ func parseMatcherBin(key string) (name string, bin int, ok bool) {
 		return "", 0, false
 	}
 	return rest[:i], n, true
-}
-
-// AddMappingEdge links a mediated attribute to a candidate source attribute
-// (see EdgeMapping). Re-adding the same pair merges features, as with
-// associations. The returned edge's graph cost is always DisabledEdgeCost;
-// rank mappings with EdgeCostFor instead.
-func (g *Graph) AddMappingEdge(mediatedAttr, source relstore.AttrRef, features learning.Vector) steiner.EdgeID {
-	pairKey := mappingKey(mediatedAttr, source)
-	if id, ok := g.s.assocSeen[pairKey]; ok {
-		g.own()
-		e := &g.s.edges[id]
-		merged := e.Features.Clone()
-		mergeMatcherFeatures(merged, features)
-		e.Features = merged
-		return id
-	}
-	g.own()
-	features = features.Clone()
-	mergeMatcherFeatures(features, nil)
-	f := learning.Vector{
-		"default":                1,
-		"rel:" + source.Relation: 1,
-		"edge:" + pairKey:        1,
-	}
-	for k, x := range features {
-		f[k] = x
-	}
-	u := g.AttributeNode(mediatedAttr)
-	v := g.AttributeNode(source)
-	id := g.addEdge(u, v, Edge{Kind: EdgeMapping, Features: f, A: mediatedAttr, B: source})
-	g.s.sg.SetCost(id, DisabledEdgeCost)
-	g.s.assocSeen[pairKey] = id
-	return id
-}
-
-// mappingKey is a mapping edge's entry in assocSeen.
-func mappingKey(mediatedAttr, source relstore.AttrRef) string {
-	return "map:" + mediatedAttr.String() + "~" + source.String()
 }
 
 // HasAssociation reports whether an association edge already exists between

@@ -1,8 +1,6 @@
 package searchgraph
 
 import (
-	"math"
-
 	"qint/internal/learning"
 	"qint/internal/relstore"
 	"qint/internal/steiner"
@@ -41,12 +39,6 @@ func (s *Snapshot) Cost(id steiner.EdgeID) float64 { return s.s.sg.Edge(id).Cost
 
 // Weights returns the frozen weight vector. Callers must not mutate it.
 func (s *Snapshot) Weights() learning.Vector { return s.s.weights }
-
-// EdgeCostFor computes what a base edge's cost would be under an arbitrary
-// weight vector (see Graph.EdgeCostFor).
-func (s *Snapshot) EdgeCostFor(id steiner.EdgeID, w learning.Vector) float64 {
-	return s.s.edgeCostFor(id, w)
-}
 
 // LookupRelation returns the relation node id, or -1 if absent.
 func (s *Snapshot) LookupRelation(qualified string) steiner.NodeID {
@@ -220,11 +212,7 @@ func (o *Overlay) AddKeywordEdge(kw, target steiner.NodeID, sim float64) steiner
 	if _, ok := w[edgeFeat]; !ok {
 		c += KwEdgeBaseWeight
 	}
-	c = math.Round(c*1e9) / 1e9
-	if c < MinEdgeCost {
-		c = MinEdgeCost
-	}
-	eid := o.so.AddEdge(kw, target, c)
+	eid := o.so.AddEdge(kw, target, quantiseCost(c))
 	o.edges = append(o.edges, Edge{ID: eid, Kind: EdgeKeyword, Features: f})
 	o.kwSeen[[2]steiner.NodeID{kw, target}] = eid
 	return eid

@@ -12,50 +12,12 @@ import (
 // (internal/storage, wired by internal/core): mutations are logged as
 // EFFECTS, not operations. Replaying a source registration cannot re-run the
 // schema matchers (they are code, re-registered only after the store opens),
-// so the log instead carries each association edge's FINAL merged feature
-// vector, and RestoreAssociationEdge installs it verbatim — no matcher
-// invocation, no feature merging, no indicator synthesis. Feedback likewise
-// logs the weight-vector delta it produced, not the preference that caused
-// it. Replay is therefore exact and needs nothing beyond the graph itself.
-
-// AssocRecord is one association edge as logged to (and replayed from) the
-// WAL: its canonicalised endpoints and its final feature vector, indicators
-// included.
-type AssocRecord struct {
-	A, B     relstore.AttrRef
-	Features learning.Vector
-}
-
-// AssociationsSince returns the association edges with id >= n — the edges a
-// registration created — with their final (post-merge) feature vectors, in
-// id order. Callers capture n := g.NumEdges() before the mutation; every
-// association edge a registration creates has an id beyond that point.
-func (g *Graph) AssociationsSince(n int) []AssocRecord {
-	var out []AssocRecord
-	for id := n; id < len(g.s.edges); id++ {
-		if e := g.s.edges[id]; e.Kind == EdgeAssociation {
-			out = append(out, AssocRecord{A: e.A, B: e.B, Features: e.Features})
-		}
-	}
-	return out
-}
-
-// AssociationRecord returns one association edge as a replayable record —
-// used to log a single-edge mutation (a hand-coded association) whose edge
-// id the mutator already holds, whether the edge is new or a merge into an
-// existing pair.
-func (g *Graph) AssociationRecord(id steiner.EdgeID) AssocRecord {
-	e := g.s.edges[id]
-	return AssocRecord{A: e.A, B: e.B, Features: e.Features}
-}
-
-// AssociationFeatures returns EVERY association edge as a replayable record,
-// in id order. Used when a mutation may have merged features into
-// pre-existing edges (the alignment fixpoint can endorse an old pair), where
-// "edges since n" would miss the merge.
-func (g *Graph) AssociationFeatures() []AssocRecord {
-	return g.AssociationsSince(0)
-}
+// so the log instead carries each association edge the write touched with
+// its FINAL merged feature vector (core reads it back with Edge), and
+// RestoreAssociationEdge installs it verbatim — no matcher invocation, no
+// feature merging, no indicator synthesis. A weight change likewise logs
+// the weight-vector delta it produced, not the preference that caused it.
+// Replay is therefore exact and needs nothing beyond the graph itself.
 
 // RestoreAssociationEdge installs an association edge with the given feature
 // vector VERBATIM — the WAL replay path. Unlike AddAssociationEdge it never

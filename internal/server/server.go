@@ -655,7 +655,7 @@ func viewID(id int64) string {
 
 // summaryOfMat summarises one already-loaded materialisation of the view
 // (callers take it with a single atomic load via Current — no lock needed,
-// and α always matches the rows counted even under a concurrent Refresh).
+// and α always matches the rows counted even under a concurrent refresh).
 func summaryOfMat(v *core.View, m core.Materialization) ViewSummary {
 	answers := 0
 	if m.Result != nil {
@@ -672,7 +672,7 @@ func summaryOfMat(v *core.View, m core.Materialization) ViewSummary {
 
 // answersOfMat renders one already-loaded materialisation, so a handler
 // that also stamps X-Q-Epoch reports the same generation in header and
-// body even under a concurrent Refresh.
+// body even under a concurrent refresh.
 func answersOfMat(v *core.View, m core.Materialization) ViewAnswers {
 	out := ViewAnswers{ViewSummary: summaryOfMat(v, m)}
 	if m.Result == nil {

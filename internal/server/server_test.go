@@ -499,7 +499,7 @@ func TestViewIDsSurviveRestart(t *testing.T) {
 		t.Cleanup(func() { q.Close() })
 		q.AddMatcher(meta.New())
 		q.AddMatcher(mad.New())
-		if q.Catalog.NumRelations() == 0 {
+		if q.CurrentCatalog().NumRelations() == 0 {
 			if err := q.AddTables(datasets.InterProGO().Tables...); err != nil {
 				t.Fatal(err)
 			}

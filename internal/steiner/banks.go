@@ -6,7 +6,8 @@ import (
 	"sort"
 )
 
-// ApproxTopKSteiner returns up to k low-cost Steiner trees using a
+// ApproxTopKSteinerOn returns up to k low-cost Steiner trees of a graph view
+// (base graph or base∪overlay) using a
 // BANKS-style approximation: shortest paths are computed from every
 // terminal, each graph node is considered as a potential "root", and the
 // candidate tree rooted at r is the union of the shortest paths from r to
@@ -17,12 +18,6 @@ import (
 // factor (≤ number of terminals); in practice on Q's search graphs it finds
 // the optimum for most queries. This is the "approximation algorithm at
 // larger scales" of paper §2.2.
-func (g *Graph) ApproxTopKSteiner(terminals []NodeID, k int) []Tree {
-	return ApproxTopKSteinerOn(g, terminals, k)
-}
-
-// ApproxTopKSteinerOn is ApproxTopKSteiner over an arbitrary graph view
-// (base graph or base∪overlay).
 func ApproxTopKSteinerOn(g GraphView, terminals []NodeID, k int) []Tree {
 	if k <= 0 {
 		return nil

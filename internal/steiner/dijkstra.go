@@ -9,11 +9,8 @@ type Dist struct {
 	Prev []EdgeID // edge used to reach the node; -1 for source/unreachable
 }
 
-// Dijkstra computes shortest path costs from src to every node.
-func (g *Graph) Dijkstra(src NodeID) Dist { return DijkstraOn(g, src) }
-
-// DijkstraOn computes shortest path costs from src to every node of an
-// arbitrary graph view (base graph or base∪overlay).
+// DijkstraOn computes shortest path costs from src to every node of a graph
+// view (base graph or base∪overlay).
 func DijkstraOn(g GraphView, src NodeID) Dist {
 	s := acquireSearch()
 	defer releaseSearch(s)
@@ -113,12 +110,9 @@ func (s *search) dijkstra(d []float64, prev []EdgeID, radius float64, pending in
 	return pending
 }
 
-// PathTo reconstructs the edges of the shortest path from the Dijkstra
+// PathToOn reconstructs the edges of the shortest path from the Dijkstra
 // source to node v (in reverse order of traversal). Returns nil when v is
 // the source or unreachable.
-func (g *Graph) PathTo(d Dist, v NodeID) []EdgeID { return PathToOn(g, d, v) }
-
-// PathToOn is PathTo over an arbitrary graph view.
 func PathToOn(g GraphView, d Dist, v NodeID) []EdgeID {
 	if math.IsInf(d.D[v], 1) {
 		return nil
@@ -132,31 +126,21 @@ func PathToOn(g GraphView, d Dist, v NodeID) []EdgeID {
 	return path
 }
 
-// Neighborhood returns the set of nodes whose shortest-path distance from
+// NeighborhoodOn returns the set of nodes whose shortest-path distance from
 // any of the given source nodes is at most alpha. This is the α-cost
 // neighbourhood GETCOSTNEIGHBORHOOD of Algorithm 2: any new-source node that
 // could join a Steiner tree of cost ≤ α must align with a node inside it.
-func (g *Graph) Neighborhood(sources []NodeID, alpha float64) map[NodeID]struct{} {
-	return NeighborhoodOn(g, sources, alpha)
-}
-
-// NeighborhoodOn is Neighborhood over an arbitrary graph view.
 func NeighborhoodOn(g GraphView, sources []NodeID, alpha float64) map[NodeID]struct{} {
 	return neighborhood(g, sources, alpha, false)
 }
 
-// NeighborhoodIntersect returns the nodes within alpha of EVERY source — a
-// strictly tighter (and still sound) pruning region than Neighborhood:
+// NeighborhoodIntersectOn returns the nodes within alpha of EVERY source — a
+// strictly tighter (and still sound) pruning region than NeighborhoodOn:
 // every node of a Steiner tree of cost ≤ α lies, along tree paths of cost
 // ≤ α, within distance α of each terminal, so any node that could join
 // such a tree is in the intersection. Algorithm 2 as written unions
 // per-keyword neighbourhoods; the intersection refinement preserves its
 // same-top-k guarantee while pruning far more aggressively on large graphs.
-func (g *Graph) NeighborhoodIntersect(sources []NodeID, alpha float64) map[NodeID]struct{} {
-	return NeighborhoodIntersectOn(g, sources, alpha)
-}
-
-// NeighborhoodIntersectOn is NeighborhoodIntersect over an arbitrary view.
 func NeighborhoodIntersectOn(g GraphView, sources []NodeID, alpha float64) map[NodeID]struct{} {
 	return neighborhood(g, sources, alpha, true)
 }

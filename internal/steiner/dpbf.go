@@ -64,19 +64,14 @@ type Stats struct {
 	Truncated   bool // the search stopped at maxDPBFPops; the answer may be short
 }
 
-// TopKSteiner returns up to k lowest-cost Steiner trees connecting all
-// terminal nodes, in non-decreasing cost order, using the DPBF dynamic
-// program (state = ⟨root, terminal subset⟩) extended with k-best lists per
-// state. Trees are deduplicated by edge set. With ≤1 terminals it returns a
-// single zero-cost tree. Duplicate terminals are collapsed.
+// TopKSteinerOn returns up to k lowest-cost Steiner trees connecting all
+// terminal nodes of a graph view (base graph or base∪overlay), in
+// non-decreasing cost order, using the DPBF dynamic program (state = ⟨root,
+// terminal subset⟩) extended with k-best lists per state. Trees are
+// deduplicated by edge set. With ≤1 terminals it returns a single zero-cost
+// tree. Duplicate terminals are collapsed.
 //
 // This is the "exact algorithm at small scales" of paper §2.2.
-func (g *Graph) TopKSteiner(terminals []NodeID, k int) []Tree {
-	return TopKSteinerOn(g, terminals, k)
-}
-
-// TopKSteinerOn is TopKSteiner over an arbitrary graph view (base graph or
-// base∪overlay).
 //
 // The result is a pure function of (view, terminal set, k). Candidates
 // leave the queue in a strict total order — cost, then edge count (of two

@@ -412,7 +412,7 @@ func TestDistancesExactWithinRadius(t *testing.T) {
 		var want []Dist
 		var radii []float64
 		for _, term := range terms {
-			d := g.Dijkstra(term)
+			d := DijkstraOn(g, term)
 			want = append(want, d)
 			radii = append(radii, d.D[r.Intn(len(d.D))], d.D[terms[0]])
 		}

@@ -15,7 +15,7 @@ func TestDijkstraQuickProperties(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		g, _ := randomConnectedGraph(r, 12+r.Intn(10), 10+r.Intn(15), 2)
 		src := NodeID(r.Intn(g.NumNodes()))
-		d := g.Dijkstra(src)
+		d := DijkstraOn(g, src)
 		for e := 0; e < g.NumEdges(); e++ {
 			edge := g.Edge(EdgeID(e))
 			if d.D[edge.U]+edge.Cost < d.D[edge.V]-1e-9 ||
@@ -28,7 +28,7 @@ func TestDijkstraQuickProperties(t *testing.T) {
 				continue
 			}
 			cost := 0.0
-			for _, eid := range g.PathTo(d, NodeID(v)) {
+			for _, eid := range PathToOn(g, d, NodeID(v)) {
 				cost += g.Edge(eid).Cost
 			}
 			if math.Abs(cost-d.D[v]) > 1e-9 {
@@ -49,8 +49,8 @@ func TestNeighborhoodIntersectSubsetOfUnion(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		g, terms := randomConnectedGraph(r, 15, 20, 2+r.Intn(2))
 		alpha := 0.5 + r.Float64()*3
-		union := g.Neighborhood(terms, alpha)
-		inter := g.NeighborhoodIntersect(terms, alpha)
+		union := NeighborhoodOn(g, terms, alpha)
+		inter := NeighborhoodIntersectOn(g, terms, alpha)
 		for v := range inter {
 			if _, ok := union[v]; !ok {
 				return false
@@ -77,9 +77,9 @@ func TestSteinerTreeContainmentInvariant(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g, terms := randomConnectedGraph(r, 12, 15, 2+r.Intn(2))
-		trees := g.TopKSteiner(terms, 4)
+		trees := TopKSteinerOn(g, terms, 4)
 		for _, tr := range trees {
-			region := g.NeighborhoodIntersect(terms, tr.Cost+1e-9)
+			region := NeighborhoodIntersectOn(g, terms, tr.Cost+1e-9)
 			for _, n := range tr.Nodes {
 				if _, ok := region[n]; !ok {
 					return false
@@ -99,8 +99,8 @@ func TestTopKSubsetMonotone(t *testing.T) {
 	r := rand.New(rand.NewSource(5150))
 	for trial := 0; trial < 10; trial++ {
 		g, terms := randomConnectedGraph(r, 14, 18, 3)
-		k5 := g.TopKSteiner(terms, 5)
-		k2 := g.TopKSteiner(terms, 2)
+		k5 := TopKSteinerOn(g, terms, 5)
+		k2 := TopKSteinerOn(g, terms, 2)
 		if len(k2) > len(k5) {
 			t.Fatalf("trial %d: |top2| > |top5|", trial)
 		}

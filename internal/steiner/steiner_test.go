@@ -61,13 +61,13 @@ func assertPanics(t *testing.T, name string, f func()) {
 
 func TestDijkstraLine(t *testing.T) {
 	g := lineGraph(5)
-	d := g.Dijkstra(0)
+	d := DijkstraOn(g, 0)
 	for i := 0; i < 5; i++ {
 		if d.D[i] != float64(i) {
 			t.Errorf("dist[%d] = %v, want %d", i, d.D[i], i)
 		}
 	}
-	path := g.PathTo(d, 4)
+	path := PathToOn(g, d, 4)
 	if len(path) != 4 {
 		t.Errorf("path to 4 has %d edges, want 4", len(path))
 	}
@@ -77,11 +77,11 @@ func TestDijkstraUnreachable(t *testing.T) {
 	g := NewGraph()
 	g.AddNode()
 	g.AddNode() // isolated
-	d := g.Dijkstra(0)
+	d := DijkstraOn(g, 0)
 	if !math.IsInf(d.D[1], 1) {
 		t.Errorf("isolated node distance = %v, want +Inf", d.D[1])
 	}
-	if g.PathTo(d, 1) != nil {
+	if PathToOn(g, d, 1) != nil {
 		t.Error("path to unreachable node should be nil")
 	}
 }
@@ -91,7 +91,7 @@ func TestDijkstraPrefersCheaperMultiEdge(t *testing.T) {
 	a, b := g.AddNode(), g.AddNode()
 	g.AddEdge(a, b, 5)
 	cheap := g.AddEdge(a, b, 1)
-	d := g.Dijkstra(a)
+	d := DijkstraOn(g, a)
 	if d.D[b] != 1 {
 		t.Errorf("dist = %v, want 1", d.D[b])
 	}
@@ -102,15 +102,15 @@ func TestDijkstraPrefersCheaperMultiEdge(t *testing.T) {
 
 func TestNeighborhood(t *testing.T) {
 	g := lineGraph(6)
-	nb := g.Neighborhood([]NodeID{0}, 2)
+	nb := NeighborhoodOn(g, []NodeID{0}, 2)
 	if len(nb) != 3 { // nodes 0,1,2
 		t.Errorf("α=2 neighbourhood = %v, want {0,1,2}", nb)
 	}
-	nb = g.Neighborhood([]NodeID{0, 5}, 1)
+	nb = NeighborhoodOn(g, []NodeID{0, 5}, 1)
 	if len(nb) != 4 { // 0,1 and 4,5
 		t.Errorf("two-source neighbourhood = %v, want 4 nodes", nb)
 	}
-	nb = g.Neighborhood(nil, 10)
+	nb = NeighborhoodOn(g, nil, 10)
 	if len(nb) != 0 {
 		t.Errorf("no sources should give empty set")
 	}
@@ -127,7 +127,7 @@ func TestTopKSteinerTwoTerminalsIsShortestPath(t *testing.T) {
 	g.AddEdge(0, 2, 2)
 	g.AddEdge(2, 3, 2)
 	g.AddEdge(0, 3, 5)
-	trees := g.TopKSteiner([]NodeID{0, 3}, 3)
+	trees := TopKSteinerOn(g, []NodeID{0, 3}, 3)
 	if len(trees) != 3 {
 		t.Fatalf("got %d trees, want 3", len(trees))
 	}
@@ -149,7 +149,7 @@ func TestTopKSteinerStar(t *testing.T) {
 	g.AddEdge(0, 1, 1)
 	g.AddEdge(0, 2, 2)
 	g.AddEdge(0, 3, 3)
-	trees := g.TopKSteiner([]NodeID{1, 2, 3}, 5)
+	trees := TopKSteinerOn(g, []NodeID{1, 2, 3}, 5)
 	if len(trees) != 1 {
 		t.Fatalf("got %d trees, want 1", len(trees))
 	}
@@ -163,31 +163,31 @@ func TestTopKSteinerStar(t *testing.T) {
 
 func TestTopKSteinerEdgeCases(t *testing.T) {
 	g := lineGraph(3)
-	if got := g.TopKSteiner([]NodeID{1}, 3); len(got) != 1 || got[0].Cost != 0 {
+	if got := TopKSteinerOn(g, []NodeID{1}, 3); len(got) != 1 || got[0].Cost != 0 {
 		t.Errorf("single terminal: %v", got)
 	}
-	if got := g.TopKSteiner(nil, 3); got != nil {
+	if got := TopKSteinerOn(g, nil, 3); got != nil {
 		t.Errorf("no terminals: %v", got)
 	}
-	if got := g.TopKSteiner([]NodeID{0, 2}, 0); got != nil {
+	if got := TopKSteinerOn(g, []NodeID{0, 2}, 0); got != nil {
 		t.Errorf("k=0: %v", got)
 	}
 	// duplicate terminals collapse
-	if got := g.TopKSteiner([]NodeID{1, 1}, 2); len(got) != 1 || got[0].Cost != 0 {
+	if got := TopKSteinerOn(g, []NodeID{1, 1}, 2); len(got) != 1 || got[0].Cost != 0 {
 		t.Errorf("duplicate terminals: %v", got)
 	}
 	// disconnected terminals yield nothing
 	g2 := NewGraph()
 	g2.AddNode()
 	g2.AddNode()
-	if got := g2.TopKSteiner([]NodeID{0, 1}, 2); len(got) != 0 {
+	if got := TopKSteinerOn(g2, []NodeID{0, 1}, 2); len(got) != 0 {
 		t.Errorf("disconnected: %v", got)
 	}
 }
 
 func TestTopKSteinerCostsNonDecreasing(t *testing.T) {
 	g, terms := randomConnectedGraph(rand.New(rand.NewSource(7)), 20, 40, 3)
-	trees := g.TopKSteiner(terms, 8)
+	trees := TopKSteinerOn(g, terms, 8)
 	if len(trees) == 0 {
 		t.Fatal("expected trees on a connected graph")
 	}
@@ -324,7 +324,7 @@ func TestTopKSteinerMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		g, terms := randomConnectedGraph(r, 6, 4, 2+r.Intn(2))
 		want := bruteForceSteiner(g, terms)
-		trees := g.TopKSteiner(terms, 1)
+		trees := TopKSteinerOn(g, terms, 1)
 		if len(trees) == 0 {
 			t.Fatalf("trial %d: no tree found, brute force found %v", trial, want)
 		}
@@ -338,8 +338,8 @@ func TestApproxTopKSteinerNeverBeatsExact(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 20; trial++ {
 		g, terms := randomConnectedGraph(r, 15, 20, 3)
-		exact := g.TopKSteiner(terms, 1)
-		approx := g.ApproxTopKSteiner(terms, 1)
+		exact := TopKSteinerOn(g, terms, 1)
+		approx := ApproxTopKSteinerOn(g, terms, 1)
 		if len(exact) == 0 || len(approx) == 0 {
 			t.Fatalf("trial %d: missing results", trial)
 		}
@@ -358,13 +358,13 @@ func TestApproxTopKSteinerNeverBeatsExact(t *testing.T) {
 
 func TestApproxTopKSteinerEdgeCases(t *testing.T) {
 	g := lineGraph(4)
-	if got := g.ApproxTopKSteiner([]NodeID{2}, 3); len(got) != 1 || got[0].Cost != 0 {
+	if got := ApproxTopKSteinerOn(g, []NodeID{2}, 3); len(got) != 1 || got[0].Cost != 0 {
 		t.Errorf("single terminal: %v", got)
 	}
-	if got := g.ApproxTopKSteiner(nil, 3); got != nil {
+	if got := ApproxTopKSteinerOn(g, nil, 3); got != nil {
 		t.Errorf("no terminals: %v", got)
 	}
-	trees := g.ApproxTopKSteiner([]NodeID{0, 3}, 2)
+	trees := ApproxTopKSteinerOn(g, []NodeID{0, 3}, 2)
 	if len(trees) == 0 || trees[0].Cost != 3 {
 		t.Errorf("line 0-3: %v", trees)
 	}
@@ -393,12 +393,12 @@ func TestApproxTopKSteinerCostsBitStable(t *testing.T) {
 	for e := 0; e < g.NumEdges(); e++ {
 		g.SetCost(EdgeID(e), 0.1*float64(1+r.Intn(9)))
 	}
-	want := g.ApproxTopKSteiner(terms, 6)
+	want := ApproxTopKSteinerOn(g, terms, 6)
 	if len(want) < 2 || len(want[0].Edges) < 4 {
 		t.Fatalf("want several multi-edge trees, got %v", want)
 	}
 	for run := 0; run < 200; run++ {
-		got := g.ApproxTopKSteiner(terms, 6)
+		got := ApproxTopKSteinerOn(g, terms, 6)
 		if len(got) != len(want) {
 			t.Fatalf("run %d: %d trees, first run %d", run, len(got), len(want))
 		}

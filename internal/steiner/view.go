@@ -78,18 +78,6 @@ func NewOverlay(base *Graph) *Overlay {
 // Base returns the base graph the overlay extends.
 func (o *Overlay) Base() *Graph { return o.base }
 
-// BaseNodes returns the number of base nodes visible through the overlay.
-func (o *Overlay) BaseNodes() int { return o.baseNodes }
-
-// BaseEdges returns the number of base edges visible through the overlay.
-func (o *Overlay) BaseEdges() int { return o.baseEdges }
-
-// IsOverlayNode reports whether id names an overlay-added node.
-func (o *Overlay) IsOverlayNode(id NodeID) bool { return int(id) >= o.baseNodes }
-
-// IsOverlayEdge reports whether id names an overlay-added edge.
-func (o *Overlay) IsOverlayEdge(id EdgeID) bool { return int(id) >= o.baseEdges }
-
 // AddNode creates an overlay node and returns its id.
 func (o *Overlay) AddNode() NodeID {
 	id := NodeID(o.baseNodes + o.extraNodes)

@@ -290,15 +290,16 @@
 // truncates a torn final WAL record: crash injection at every byte
 // boundary (internal/storage/storage_test.go, TestDurableCrashInjection)
 // lands on exactly the last committed epoch. A background checkpointer
-// folds the WAL into a fresh snapshot past Options.CheckpointWALBytes;
-// Close checkpoints once more so a clean restart is a pure snapshot load.
-// cmd/qserver -data serves a durable instance and recovers it on restart.
+// folds the WAL into a fresh snapshot past 1 MiB; Close checkpoints once
+// more so a clean restart is a pure snapshot load, and refuses every later
+// write with core.ErrClosed. cmd/qserver -data serves a durable instance.
 //
 // The container is the one persistence format. core.(*Q).Save writes the
 // same bytes a checkpoint publishes as gen-<epoch>.snap, to any writer, and
 // core.Load(r, opts) restores one through the same code path as Open (minus
 // the WAL): an in-memory instance for tools such as qshell's save/load.
-// Options are never persisted; both take them from the caller. Matchers are
+// Options are never persisted; both take them from the caller (the paper's
+// fixed k, Y and t are constants in core, not options). Matchers are
 // code, not state: re-register them after Load or Open.
 //
 // The HTTP layer (internal/server) inherits the model directly: POST

@@ -1,59 +1,47 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
-	"qint/internal/relstore"
 	"qint/internal/steiner"
 )
 
-// TestApproxSteinerMode runs the full query pipeline with the BANKS-style
-// approximation enabled (the paper's large-scale configuration) and checks
-// the results stay sane and comparable to the exact mode.
+// TestApproxSteinerMode drives a query with more keywords than the exact
+// search accepts, so the BANKS-style approximation answers it, and checks
+// the view, feedback on it and its deeper feedback page all work.
 func TestApproxSteinerMode(t *testing.T) {
-	build := func(approx bool) *Q {
-		opts := DefaultOptions()
-		opts.UseApproxSteiner = approx
-		q := New(opts)
-		if err := q.AddTables(fixtureTables(t)...); err != nil {
-			t.Fatal(err)
-		}
-		addHandCoded(t, q,
-			ref2("go.term", "acc"), ref2("ip.interpro2go", "go_id"))
-		return q
+	q := newFixtureQ(t, true)
+	// Schema labels in three spellings each: 21 distinct keywords that
+	// match attributes and relations, not values, so the joined tree has
+	// rows.
+	var kws []string
+	for _, label := range []string{"title", "name", "acc", "go_id", "entry_ac", "pub_id", "term"} {
+		kws = append(kws, label, strings.ToUpper(label), strings.ToUpper(label[:1])+label[1:])
 	}
-
-	exact := build(false)
-	approx := build(true)
-	ve, err := queryStr(exact, "'plasma membrane' 'Kringle domain'")
+	if len(kws) <= steiner.MaxExactTerminals {
+		t.Fatalf("%d keywords do not exceed MaxExactTerminals", len(kws))
+	}
+	routed := q.metrics.steinerApproxRouted.Load()
+	v, err := q.Query(Request{Keywords: kws})
 	if err != nil {
 		t.Fatal(err)
 	}
-	va, err := queryStr(approx, "'plasma membrane' 'Kringle domain'")
-	if err != nil {
+	if got := q.metrics.steinerApproxRouted.Load(); got != routed+1 {
+		t.Errorf("%d keywords: approximation routings %d -> %d, want one", len(kws), routed, got)
+	}
+	if len(v.Trees()) < 2 || len(v.Result().Rows) == 0 {
+		t.Fatalf("approximation gave %d trees and %d rows, want >= 2 trees and some rows",
+			len(v.Trees()), len(v.Result().Rows))
+	}
+	epoch := q.Epoch()
+	if err := q.FeedbackFavorTree(v, v.Trees()[1]); err != nil {
 		t.Fatal(err)
 	}
-	if len(va.Trees()) == 0 || len(va.Result().Rows) == 0 {
-		t.Fatal("approximate mode should produce answers")
+	if q.Epoch() == epoch {
+		t.Error("feedback on an approximated view published nothing")
 	}
-	// The approximation never undercuts the exact optimum.
-	if va.Trees()[0].Cost < ve.Trees()[0].Cost-1e-9 {
-		t.Errorf("approx best (%v) beats exact best (%v)", va.Trees()[0].Cost, ve.Trees()[0].Cost)
-	}
-	// Feedback works in approximate mode too.
-	if len(va.Trees()) >= 2 {
-		if err := approx.FeedbackFavorTree(va, va.Trees()[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// KBestTrees honours the approximate setting.
-	if trees := approx.KBestTrees(va, 3); len(trees) == 0 {
-		t.Error("KBestTrees empty in approx mode")
+	if trees := q.KBestTrees(v, 3); len(trees) == 0 {
+		t.Error("KBestTrees empty on an approximated view")
 	}
 }
-
-func ref2(rel, attr string) relstore.AttrRef {
-	return relstore.AttrRef{Relation: rel, Attr: attr}
-}
-
-var _ = steiner.NodeID(0)

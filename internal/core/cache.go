@@ -187,7 +187,7 @@ func (q *Q) valueExpansions(st *qstate, kw string) []valueMatch {
 // shared across copy-on-write generations).
 func (q *Q) computeValueExpansions(st *qstate, kw string) []valueMatch {
 	hits := st.cat.FindValues(kw)
-	if len(hits) > q.opts.MaxMatchesPerKeyword {
+	if len(hits) > maxMatchesPerKeyword {
 		// Prefer exact-normalised matches, then fewer-row (more selective)
 		// values, for determinism under truncation.
 		nkw := text.Normalize(kw)
@@ -199,12 +199,12 @@ func (q *Q) computeValueExpansions(st *qstate, kw string) []valueMatch {
 			}
 			return hits[i].Rows < hits[j].Rows
 		})
-		hits = hits[:q.opts.MaxMatchesPerKeyword]
+		hits = hits[:maxMatchesPerKeyword]
 	}
 	out := make([]valueMatch, 0, len(hits))
 	for _, h := range hits {
 		sim := text.ContainmentSimilarity(kw, h.Value)
-		if sim < q.opts.MatchThreshold {
+		if sim < matchThreshold {
 			continue
 		}
 		out = append(out, valueMatch{Ref: h.Ref, Value: h.Value, Sim: sim})

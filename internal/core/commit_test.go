@@ -1,6 +1,9 @@
 package core
 
 import (
+	"errors"
+	"fmt"
+	"sync"
 	"testing"
 
 	"qint/internal/learning"
@@ -65,12 +68,33 @@ func TestRefusedWriteIsInvisible(t *testing.T) {
 		t.Fatal(err)
 	}
 	epoch := q.Epoch()
+	for _, wr := range refusableWrites(t, q, v) {
+		if err := wr.do(); err == nil {
+			t.Errorf("%s: succeeded with the WAL closed", wr.name)
+		}
+		if got := q.Epoch(); got != epoch {
+			t.Errorf("%s: epoch %d -> %d after a refused write", wr.name, epoch, got)
+		}
+		assertBuilderPublished(t, q, wr.name)
+		if got := fingerprintView(v); got != view {
+			t.Errorf("%s: view changed after a refused write", wr.name)
+		}
+	}
+}
+
+// namedWrite is one engine write, named for failure messages.
+type namedWrite struct {
+	name string
+	do   func() error
+}
+
+// refusableWrites is one call of every logged writer on q, for the tests
+// that refuse writes: each would change the fixture engine, and feedback
+// favours the second tree of v.
+func refusableWrites(t *testing.T, q *Q, v *View) []namedWrite {
 	w := q.CurrentGraph().Weights().Clone()
 	w["default"] += 1
-	writes := []struct {
-		name string
-		do   func() error
-	}{
+	return []namedWrite{
 		{"AddTables", func() error { return q.AddTables(journalTable(t, "jrnl")) }},
 		{"RegisterSource", func() error {
 			_, err := q.RegisterSource([]*relstore.Table{journalTable(t, "jrnl2")}, Exhaustive)
@@ -84,17 +108,56 @@ func TestRefusedWriteIsInvisible(t *testing.T) {
 		{"SetWeights", func() error { return q.SetWeights(w) }},
 		{"AlignAllPairs", func() error { _, err := q.AlignAllPairs(); return err }},
 	}
-	for _, wr := range writes {
-		if err := wr.do(); err == nil {
-			t.Errorf("%s: succeeded with the WAL closed", wr.name)
+}
+
+// TestWriteAfterCloseRefused: after Close, every write to a durable engine
+// returns ErrClosed and changes nothing, so no write is acknowledged that a
+// restart would lose; the directory reopens to exactly the state at Close.
+// An in-memory engine keeps accepting writes after Close.
+func TestWriteAfterCloseRefused(t *testing.T) {
+	opts := durableOpts(t)
+	q := openDurable(t, opts, manualCheckpoints)
+	q.AddMatcher(meta.New())
+	q.AddMatcher(mad.New())
+	if err := q.AddTables(fixtureTables(t)...); err != nil {
+		t.Fatal(err)
+	}
+	addHandCoded(t, q,
+		relstore.AttrRef{Relation: "go.term", Attr: "acc"},
+		relstore.AttrRef{Relation: "ip.interpro2go", Attr: "go_id"})
+	v, err := q.Query(Request{Keywords: []string{"plasma membrane", "Kringle domain"}, K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(v.Trees()) < 2 {
+		t.Fatalf("view has %d trees, want at least 2 to give feedback on", len(v.Trees()))
+	}
+	want, epoch := fingerprintQ(q), q.Epoch()
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, wr := range refusableWrites(t, q, v) {
+		if err := wr.do(); !errors.Is(err, ErrClosed) {
+			t.Errorf("%s after Close: %v, want ErrClosed", wr.name, err)
 		}
 		if got := q.Epoch(); got != epoch {
-			t.Errorf("%s: epoch %d -> %d after a refused write", wr.name, epoch, got)
+			t.Errorf("%s: epoch %d -> %d after Close", wr.name, epoch, got)
 		}
 		assertBuilderPublished(t, q, wr.name)
-		if got := fingerprintView(v); got != view {
-			t.Errorf("%s: view changed after a refused write", wr.name)
-		}
+	}
+	if err := q.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
+	}
+	if got := fingerprintQ(reopen(t, opts)); got != want {
+		t.Fatalf("reopened store differs from the engine at Close:\nwant:\n%s\ngot:\n%s", want, got)
+	}
+
+	mem := newFixtureQ(t, false)
+	if err := mem.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := mem.AddTables(journalTable(t, "jrnl")); err != nil {
+		t.Errorf("in-memory AddTables after Close: %v", err)
 	}
 }
 
@@ -202,10 +265,7 @@ func TestAddMatcherIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	q2, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q2 := openDurable(t, opts, manualCheckpoints)
 	t.Cleanup(func() { q2.Close() })
 	epoch, graph := q2.Epoch(), q2.CurrentGraph()
 	for range 2 {
@@ -221,6 +281,50 @@ func TestAddMatcherIdempotent(t *testing.T) {
 	for _, v := range q2.Views() {
 		if v.Epoch() != q2.Epoch() {
 			t.Errorf("restored view %v at epoch %d, engine at %d", v.Keywords, v.Epoch(), q2.Epoch())
+		}
+	}
+}
+
+// TestCloseRacingWrites: writes racing two concurrent Close calls either
+// commit before the close, and are there after a reopen, or return
+// ErrClosed and are not.
+func TestCloseRacingWrites(t *testing.T) {
+	opts := durableOpts(t)
+	q := openDurable(t, opts, manualCheckpoints)
+	if err := q.AddTables(fixtureTables(t)...); err != nil {
+		t.Fatal(err)
+	}
+	tables := make([]*relstore.Table, 8)
+	for i := range tables {
+		tables[i] = journalTable(t, fmt.Sprintf("jrnl%d", i))
+	}
+	acked := make([]bool, len(tables))
+	var wg sync.WaitGroup
+	for i, tb := range tables {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			err := q.AddTables(tb)
+			acked[i] = err == nil
+			if err != nil && !errors.Is(err, ErrClosed) {
+				t.Errorf("AddTables %d: %v, want nil or ErrClosed", i, err)
+			}
+		}()
+	}
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := q.Close(); err != nil {
+				t.Errorf("Close: %v", err)
+			}
+		}()
+	}
+	wg.Wait()
+	cat := reopen(t, opts).CurrentCatalog()
+	for i, ok := range acked {
+		if got := cat.Relation(fmt.Sprintf("jrnl%d.journal", i)) != nil; got != ok {
+			t.Errorf("source %d: acknowledged %v, present after reopen %v", i, ok, got)
 		}
 	}
 }

@@ -37,31 +37,10 @@ import (
 	"qint/internal/text"
 )
 
-// Options tune Q's behaviour. Zero values fall back to DefaultOptions.
+// Options are the settings a caller chooses; the paper's fixed parameters
+// (k, Y, the keyword-match threshold and budget, the column-merge threshold
+// t, the preferential budget) are the constants below.
 type Options struct {
-	// K is the number of top-scoring queries kept per view.
-	K int
-	// TopY is how many candidate alignments per attribute each matcher
-	// contributes to the search graph (paper §3.2.3, typically 2 or 3).
-	TopY int
-	// MatchThreshold is the minimum keyword similarity for a keyword edge.
-	MatchThreshold float64
-	// MaxMatchesPerKeyword bounds how many nodes one keyword links to.
-	MaxMatchesPerKeyword int
-	// ColumnAlignThreshold is the cost threshold t under which an
-	// association edge merges two output columns in the unioned view
-	// (paper §2.2).
-	ColumnAlignThreshold float64
-	// AssocCostThreshold prunes association edges from query answering when
-	// their cost exceeds it (the pruning threshold swept in Figure 10).
-	// Zero means no pruning.
-	AssocCostThreshold float64
-	// UseApproxSteiner switches view construction to the BANKS-style
-	// approximation (for large graphs).
-	UseApproxSteiner bool
-	// PreferentialBudget is how many top-prior relations the
-	// PREFERENTIALALIGNER strategy compares a new source against.
-	PreferentialBudget int
 	// ValueOverlapFilter restricts attribute comparisons to pairs with at
 	// least one shared value (the content-index variant of Figure 7).
 	ValueOverlapFilter bool
@@ -73,7 +52,7 @@ type Options struct {
 	RawConfidences bool
 	// MaxViews caps the persistent view registry: at the cap, a persistent
 	// Query returns ErrViewLimit (ephemeral queries and the views a restart
-	// restores are exempt). Default 10000.
+	// restores are exempt). Zero means the default, 10000.
 	MaxViews int
 	// DataDir, when set, makes the instance durable: core.Open maps the
 	// newest generation snapshot in the directory and replays the epoch WAL
@@ -82,52 +61,39 @@ type Options struct {
 	// in-memory (core.New semantics). See internal/storage for the on-disk
 	// layout and doc.go for the durability contract.
 	DataDir string
-	// CheckpointWALBytes is the WAL size at which the background
-	// checkpointer folds the log into a fresh generation snapshot
-	// (write-temp → fsync → rename, then a new empty WAL). 0 means the
-	// default (1 MiB); negative disables background checkpointing entirely —
-	// only explicit Checkpoint/Close calls fold the log. Ignored without
-	// DataDir.
-	CheckpointWALBytes int64
 }
 
-// DefaultOptions returns the settings used throughout the paper's
-// experiments: k=5, Y=2.
+// The parameters the paper's experiments fix.
+const (
+	// defaultK is the paper's k: a view's answer count when Request.K <= 0.
+	defaultK = 5
+	// topY is how many candidate alignments per attribute each matcher
+	// contributes to the search graph (paper §3.2.3).
+	topY = 2
+	// matchThreshold is the minimum keyword similarity for a keyword edge
+	// (paper §2.2).
+	matchThreshold = 0.30
+	// maxMatchesPerKeyword bounds how many schema elements, and how many
+	// data values, one keyword links to.
+	maxMatchesPerKeyword = 8
+	// columnAlignThreshold is the cost threshold t under which an
+	// association edge merges two output columns in the unioned view
+	// (paper §2.2).
+	columnAlignThreshold = 2.0
+	// preferentialBudget is how many top-prior relations PREFERENTIALALIGNER
+	// compares a new source against (paper §3.3).
+	preferentialBudget = 3
+)
+
+// DefaultOptions returns the default settings: in-memory, binned
+// confidences, no value-overlap filter, at most 10000 views.
 func DefaultOptions() Options {
-	return Options{
-		K:                    5,
-		TopY:                 2,
-		MatchThreshold:       0.30,
-		MaxMatchesPerKeyword: 8,
-		ColumnAlignThreshold: 2.0,
-		AssocCostThreshold:   0,
-		PreferentialBudget:   3,
-		MaxViews:             10000,
-	}
+	return Options{MaxViews: 10000}
 }
 
 func (o Options) withDefaults() Options {
-	d := DefaultOptions()
-	if o.K <= 0 {
-		o.K = d.K
-	}
-	if o.TopY <= 0 {
-		o.TopY = d.TopY
-	}
-	if o.MatchThreshold <= 0 {
-		o.MatchThreshold = d.MatchThreshold
-	}
-	if o.MaxMatchesPerKeyword <= 0 {
-		o.MaxMatchesPerKeyword = d.MaxMatchesPerKeyword
-	}
-	if o.ColumnAlignThreshold <= 0 {
-		o.ColumnAlignThreshold = d.ColumnAlignThreshold
-	}
-	if o.PreferentialBudget <= 0 {
-		o.PreferentialBudget = d.PreferentialBudget
-	}
 	if o.MaxViews <= 0 {
-		o.MaxViews = d.MaxViews
+		o.MaxViews = DefaultOptions().MaxViews
 	}
 	return o
 }
@@ -390,10 +356,15 @@ func (q *Q) publishLocked() *qstate {
 // then published, and if that made a new generation every persistent view
 // rematerialises against it. If the mutation or the append failed, nothing
 // is published: the builder returns to the published generation and err is
-// returned. A refresh error is returned too, but by then the write is
+// returned. A durable engine refuses every write after Close with
+// ErrClosed. A refresh error is returned too, but by then the write is
 // durable and visible.
 func (q *Q) commitLocked(rec walRecord, err error) error {
-	if err == nil && q.persist != nil {
+	switch {
+	case err != nil || q.persist == nil:
+	case q.persist.closed:
+		err = ErrClosed
+	default:
 		rec.Assocs = q.touchedAssocsLocked()
 		err = q.logMutationLocked(rec)
 	}

@@ -9,7 +9,6 @@ import (
 	"qint/internal/matcher/mad"
 	"qint/internal/matcher/meta"
 	"qint/internal/relstore"
-	"qint/internal/searchgraph"
 	"qint/internal/steiner"
 )
 
@@ -286,14 +285,9 @@ func TestViewBasedAlignerPrunesTargets(t *testing.T) {
 	// Pruning requires the view's k result slots to be full (otherwise any
 	// new answer could enter and the radius is rightly unbounded), so use a
 	// small k the fixture satisfies.
-	opts := DefaultOptions()
-	opts.K = 2
-	q := New(opts)
-	if err := q.AddTables(fixtureTables(t)...); err != nil {
-		t.Fatal(err)
-	}
+	q := newFixtureQ(t, false)
 	// View over the publications corner of the graph.
-	if v, err := queryStr(q, "'PUB0001' title"); err != nil {
+	if v, err := q.Query(Request{Keywords: []string{"PUB0001", "title"}, K: 2}); err != nil {
 		t.Fatal(err)
 	} else if len(v.Result().Rows) < v.K {
 		t.Fatalf("fixture view must fill its %d slots, has %d rows", v.K, len(v.Result().Rows))
@@ -382,12 +376,7 @@ func renderRows(v *View) string {
 }
 
 func TestPreferentialAlignerHonoursBudget(t *testing.T) {
-	opts := DefaultOptions()
-	opts.PreferentialBudget = 2
-	q := New(opts)
-	if err := q.AddTables(fixtureTables(t)...); err != nil {
-		t.Fatal(err)
-	}
+	q := newFixtureQ(t, false)
 	q.AddMatcher(meta.New())
 	newTables := []*relstore.Table{mkTable(t,
 		&relstore.Relation{Source: "jrnl", Name: "journal",
@@ -396,8 +385,9 @@ func TestPreferentialAlignerHonoursBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.TargetsCompared) != 2 {
-		t.Errorf("budget 2 should compare 2 targets, got %v", rep.TargetsCompared)
+	if len(rep.TargetsCompared) != preferentialBudget {
+		t.Errorf("budget %d of 5 relations should compare %d targets, got %v",
+			preferentialBudget, preferentialBudget, rep.TargetsCompared)
 	}
 }
 
@@ -533,13 +523,8 @@ func TestGoldEdgeGap(t *testing.T) {
 }
 
 func TestCountTargetComparisons(t *testing.T) {
-	opts := DefaultOptions()
-	opts.K = 2
-	q := New(opts)
-	if err := q.AddTables(fixtureTables(t)...); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := queryStr(q, "'PUB0001' title"); err != nil {
+	q := newFixtureQ(t, false)
+	if _, err := q.Query(Request{Keywords: []string{"PUB0001", "title"}, K: 2}); err != nil {
 		t.Fatal(err)
 	}
 	newRel := &relstore.Relation{Source: "x", Name: "r",
@@ -558,39 +543,13 @@ func TestCountTargetComparisons(t *testing.T) {
 	}
 }
 
-func TestAssocCostThresholdPrunesTrees(t *testing.T) {
-	opts := DefaultOptions()
-	opts.AssocCostThreshold = 1e-9 // prune every association
-	q := New(opts)
-	if err := q.AddTables(fixtureTables(t)...); err != nil {
-		t.Fatal(err)
-	}
-	addHandCoded(t, q,
-		relstore.AttrRef{Relation: "go.term", Attr: "acc"},
-		relstore.AttrRef{Relation: "ip.interpro2go", Attr: "go_id"})
-	v, err := queryStr(q, "'plasma membrane' 'Kringle domain'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tr := range v.Trees() {
-		for _, eid := range tr.Edges {
-			if v.Edge(eid).Kind == searchgraph.EdgeAssociation {
-				t.Errorf("tree uses association edge despite threshold")
-			}
-		}
-	}
-}
-
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	d := DefaultOptions()
-	if o.K != d.K || o.TopY != d.TopY || o.MatchThreshold != d.MatchThreshold {
-		t.Errorf("withDefaults: %+v", o)
+	if got := (Options{}).withDefaults().MaxViews; got != DefaultOptions().MaxViews {
+		t.Errorf("zero MaxViews defaults to %d, want %d", got, DefaultOptions().MaxViews)
 	}
-	// Explicit values survive.
-	o2 := Options{K: 9}.withDefaults()
-	if o2.K != 9 {
-		t.Errorf("explicit K overwritten: %+v", o2)
+	// An explicit value survives.
+	if got := (Options{MaxViews: 9}).withDefaults().MaxViews; got != 9 {
+		t.Errorf("explicit MaxViews overwritten: %d", got)
 	}
 }
 
@@ -599,5 +558,45 @@ func TestStrategyStrings(t *testing.T) {
 		ViewBased.String() != "VIEWBASEDALIGNER" ||
 		Preferential.String() != "PREFERENTIALALIGNER" {
 		t.Error("strategy names wrong")
+	}
+}
+
+// TestSingleKeywordQuery: a one-keyword query answers with its keyword's
+// cheapest matches, each a one-edge tree, instead of failing on the
+// edgeless one-node Steiner tree. Value, phrase, word and schema-label
+// keywords all answer, and a persistent view equals an ephemeral query on
+// a second engine.
+func TestSingleKeywordQuery(t *testing.T) {
+	q, other := newFixtureQ(t, true), newFixtureQ(t, true)
+	for _, kw := range []string{"plasma membrane", "membrane", "name", "GO:0000001"} {
+		v, err := q.Query(Request{Keywords: []string{kw}})
+		if err != nil {
+			t.Fatalf("%q: %v", kw, err)
+		}
+		m := v.Current()
+		if len(m.Result.Rows) == 0 {
+			t.Errorf("%q: no rows", kw)
+		}
+		for i, tr := range m.Trees {
+			if len(tr.Edges) != 1 || len(tr.Nodes) != 2 {
+				t.Errorf("%q: tree %s has %d edges and %d nodes, want 1 and 2", kw, tr.Key(), len(tr.Edges), len(tr.Nodes))
+			}
+			if i > 0 && tr.Cost < m.Trees[i-1].Cost {
+				t.Errorf("%q: trees out of cost order", kw)
+			}
+		}
+		e, err := other.Query(Request{Keywords: []string{kw}, Ephemeral: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := fingerprintView(v), fingerprintView(e); got != want {
+			t.Errorf("%q: view differs from an ephemeral query:\nview:\n%s\nephemeral:\n%s", kw, got, want)
+		}
+	}
+	// A keyword that matches nothing has no answers, and no error.
+	if v, err := q.Query(Request{Keywords: []string{"zzzzqqqq"}}); err != nil {
+		t.Errorf("unmatched keyword: %v", err)
+	} else if len(v.Trees()) != 0 {
+		t.Errorf("unmatched keyword: %d trees, want none", len(v.Trees()))
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -109,12 +110,14 @@ const snapMetaVersion = 1
 // threshold and the background checkpointer folding the WAL into fresh
 // generation snapshots. All store calls run under writerMu.
 type persistence struct {
-	store *storage.Store
-	limit int64 // WAL bytes that trigger a background checkpoint; <0 = manual only
+	store  *storage.Store
+	limit  int64 // WAL bytes that trigger a background checkpoint; tests may set <0 = manual only
+	closed bool  // set by Close: the store is closed and writes get ErrClosed
 
-	kick chan struct{} // nudges the checkpointer (non-blocking sends)
-	stop chan struct{}
-	wg   sync.WaitGroup
+	kick     chan struct{} // nudges the checkpointer (non-blocking sends)
+	stop     chan struct{}
+	stopOnce sync.Once // Close may be called more than once
+	wg       sync.WaitGroup
 
 	// lastErr records a failure of the background checkpointer; the next
 	// Checkpoint or Close surfaces it. Guarded by writerMu.
@@ -129,9 +132,13 @@ type persistence struct {
 	hasSnapshot  bool
 }
 
-// defaultCheckpointWALBytes is the WAL size at which the background
-// checkpointer folds the log into a new generation snapshot.
-const defaultCheckpointWALBytes = 1 << 20
+// checkpointWALBytes is the WAL size at which the background checkpointer
+// folds the log into a new generation snapshot.
+const checkpointWALBytes = 1 << 20
+
+// ErrClosed is returned by a write to a durable engine after Close: the
+// write is rolled back, because it could no longer be logged.
+var ErrClosed = errors.New("core: engine closed")
 
 // Open opens (or initialises) the durable store at opts.DataDir and
 // reconstructs Q from it: the newest published generation snapshot is
@@ -142,8 +149,8 @@ const defaultCheckpointWALBytes = 1 << 20
 // re-register them after Open, exactly as with Load.
 //
 // The returned Q logs every mutation to the WAL before publishing it and
-// checkpoints in the background once the WAL passes
-// Options.CheckpointWALBytes. Call Close for a clean shutdown (it takes a
+// checkpoints in the background once the WAL passes 1 MiB
+// (checkpointWALBytes). Call Close for a clean shutdown (it takes a
 // final checkpoint, making the next Open a pure snapshot load).
 func Open(opts Options) (*Q, error) {
 	if opts.DataDir == "" {
@@ -171,11 +178,7 @@ func openFrom(st *storage.Store, opts Options) (*Q, error) {
 		return nil, err
 	}
 
-	limit := q.opts.CheckpointWALBytes
-	if limit == 0 {
-		limit = defaultCheckpointWALBytes
-	}
-	p := &persistence{store: st, limit: limit, kick: make(chan struct{}, 1), stop: make(chan struct{})}
+	p := &persistence{store: st, limit: checkpointWALBytes, kick: make(chan struct{}, 1), stop: make(chan struct{})}
 	p.hasSnapshot = snapLoaded
 	p.snapViewsSig = q.viewsSigLocked()
 	q.persist = p
@@ -256,8 +259,8 @@ func (q *Q) restore(snap *storage.Container, records []storage.Record) error {
 	// Each view expands its saved keyword list into a fresh overlay and
 	// materialises at its saved k. The keyword list is taken verbatim:
 	// re-joining keywords into a query string would corrupt any keyword
-	// containing a quote and drop empty ones, and the saved k (not
-	// Options.K) is what makes the round trip exact. The view then rejoins
+	// containing a quote and drop empty ones, and the saved k (not the
+	// default k) is what makes the round trip exact. The view then rejoins
 	// the registry under its saved ID, exempt from Options.MaxViews: a
 	// restart must not lose views a smaller cap would refuse.
 	for i, vs := range views {
@@ -370,7 +373,7 @@ func (q *Q) Checkpoint() error {
 }
 
 func (q *Q) checkpointLocked() error {
-	if q.persist == nil {
+	if q.persist == nil || q.persist.closed {
 		return nil
 	}
 	if err := q.persist.lastErr; err != nil {
@@ -447,8 +450,10 @@ func (q *Q) WALEpoch() uint64 {
 
 // Close shuts persistence down cleanly: the background checkpointer stops,
 // a final checkpoint folds the WAL (so the next Open is a pure snapshot
-// load and no view definitions are lost), and the store closes. A Q without
-// a DataDir closes trivially. The Q must not be used after Close.
+// load and no view definitions are lost), and the store closes. Afterwards
+// queries still answer from the last published state, but every write
+// returns ErrClosed. A Q without a DataDir closes trivially; closing twice
+// is a no-op.
 func (q *Q) Close() error {
 	q.writerMu.Lock()
 	p := q.persist
@@ -456,14 +461,17 @@ func (q *Q) Close() error {
 	if p == nil {
 		return nil
 	}
-	close(p.stop)
+	p.stopOnce.Do(func() { close(p.stop) })
 	p.wg.Wait()
 	q.writerMu.Lock()
 	defer q.writerMu.Unlock()
+	if p.closed {
+		return nil
+	}
 	err := q.checkpointLocked()
 	if cerr := p.store.Close(); err == nil {
 		err = cerr
 	}
-	q.persist = nil
+	p.closed = true
 	return err
 }

@@ -16,14 +16,31 @@ import (
 	"qint/internal/relstore"
 )
 
-// durableOpts returns options rooted in a fresh temp dir with background
-// checkpointing disabled, so tests control exactly when the WAL folds.
+// durableOpts returns options rooted in a fresh temp dir.
 func durableOpts(t *testing.T) Options {
 	t.Helper()
 	opts := DefaultOptions()
 	opts.DataDir = t.TempDir()
-	opts.CheckpointWALBytes = -1
 	return opts
+}
+
+// manualCheckpoints is the WAL checkpoint threshold under which the log
+// folds only on Checkpoint and Close.
+const manualCheckpoints = -1
+
+// openDurable opens opts.DataDir and sets the WAL checkpoint threshold
+// white-box: manualCheckpoints lets the test decide exactly when the WAL
+// folds, 1 folds it in the background after every write.
+func openDurable(t *testing.T, opts Options, walLimit int64) *Q {
+	t.Helper()
+	q, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.writerMu.Lock()
+	q.persist.limit = walLimit
+	q.writerMu.Unlock()
+	return q
 }
 
 // fingerprintQ renders everything restart equivalence cares about: the
@@ -85,10 +102,7 @@ func driveMutations(t *testing.T, q *Q) {
 // restart protocol.
 func reopen(t *testing.T, opts Options) *Q {
 	t.Helper()
-	q, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := openDurable(t, opts, manualCheckpoints)
 	t.Cleanup(func() { q.Close() })
 	q.AddMatcher(meta.New())
 	q.AddMatcher(mad.New())
@@ -108,10 +122,7 @@ func TestRestartEquivalence(t *testing.T) {
 	want := fingerprintQ(ref)
 
 	opts := durableOpts(t)
-	q, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := openDurable(t, opts, manualCheckpoints)
 	q.AddMatcher(meta.New())
 	q.AddMatcher(mad.New())
 	driveMutations(t, q)
@@ -168,10 +179,7 @@ func TestRestartEquivalence(t *testing.T) {
 // snapshot load (empty WAL) and view definitions survive.
 func TestDurableCleanShutdown(t *testing.T) {
 	opts := durableOpts(t)
-	q, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := openDurable(t, opts, manualCheckpoints)
 	q.AddMatcher(meta.New())
 	q.AddMatcher(mad.New())
 	driveMutations(t, q)
@@ -199,10 +207,7 @@ func TestDurableCleanShutdown(t *testing.T) {
 // tables either absent or fully present, never torn.
 func TestDurableCrashInjection(t *testing.T) {
 	opts := durableOpts(t)
-	q, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := openDurable(t, opts, manualCheckpoints)
 	if err := q.AddTables(fixtureTables(t)...); err != nil {
 		t.Fatal(err)
 	}
@@ -266,10 +271,7 @@ func TestDurableCrashInjection(t *testing.T) {
 // log.
 func TestDurableCheckpointFold(t *testing.T) {
 	opts := durableOpts(t)
-	q, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := openDurable(t, opts, manualCheckpoints)
 	defer q.Close()
 	if err := q.AddTables(fixtureTables(t)...); err != nil {
 		t.Fatal(err)
@@ -319,11 +321,7 @@ func TestOpenRequiresDataDir(t *testing.T) {
 // checkpointer folds the WAL without any explicit Checkpoint call.
 func TestDurableBackgroundCheckpoint(t *testing.T) {
 	opts := durableOpts(t)
-	opts.CheckpointWALBytes = 1 // every mutation crosses the threshold
-	q, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := openDurable(t, opts, 1) // every mutation crosses the threshold
 	if err := q.AddTables(fixtureTables(t)...); err != nil {
 		t.Fatal(err)
 	}
@@ -394,10 +392,7 @@ func TestCheckpointTracksViewIDs(t *testing.T) {
 func TestFeedbackCheckpointsReproducible(t *testing.T) {
 	snapshots := func() map[string][]byte {
 		opts := durableOpts(t)
-		q, err := Open(opts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		q := openDurable(t, opts, manualCheckpoints)
 		q.AddMatcher(meta.New())
 		q.AddMatcher(mad.New())
 		driveMutations(t, q)

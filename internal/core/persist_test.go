@@ -106,7 +106,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 // TestSaveLoadHostileKeywords pins the two round-trip bugs the keyword
 // list used to hit: views were recreated by re-joining keywords as 'kw'
 // (so a quote inside a keyword ended the phrase early and an empty keyword
-// vanished), and were rematerialised at the loaded Options.K instead of
+// vanished), and were rematerialised at the default k instead of
 // the k each view was saved with. Query takes a Request's keyword list and
 // k verbatim, so every view — whatever its keywords contain — must come back
 // byte-identical.
@@ -120,7 +120,7 @@ func TestSaveLoadHostileKeywords(t *testing.T) {
 		{"nul\x00byte", "entry"},           // NUL inside a keyword
 		{"plasma membrane", "", "o'brien"}, // several at once
 	}
-	const savedK = 3 // differs from DefaultOptions().K=5 to catch the K bug
+	const savedK = 3 // differs from defaultK to catch the K bug
 	var before []string
 	for _, kws := range hostile {
 		v, err := q.Query(Request{Keywords: kws, K: savedK})
@@ -145,7 +145,7 @@ func TestSaveLoadHostileKeywords(t *testing.T) {
 	}
 	for i, v := range views {
 		if v.K != savedK {
-			t.Errorf("view %d: K = %d, want the saved %d (not Options.K)", i, v.K, savedK)
+			t.Errorf("view %d: K = %d, want the saved %d (not the default k)", i, v.K, savedK)
 		}
 		if got := fingerprintView(v); got != before[i] {
 			t.Errorf("view %d (%q) changed across save/load:\nbefore:\n%s\nafter:\n%s",
@@ -155,14 +155,16 @@ func TestSaveLoadHostileKeywords(t *testing.T) {
 }
 
 // TestQueryKeywordsValidation: Query rejects an empty keyword list (no
-// keywords means no terminals) and falls back to Options.K for k <= 0.
+// keywords means no terminals) and falls back to the default k for k <= 0.
 func TestQueryKeywordsValidation(t *testing.T) {
 	q := newFixtureQ(t, false)
 	if _, err := q.Query(Request{}); err == nil {
 		t.Error("empty keyword list should fail")
 	}
-	if _, err := q.Query(Request{Keywords: []string{"nucleus", "entry"}}); err != nil {
-		t.Errorf("k<=0 should fall back to Options.K: %v", err)
+	if v, err := q.Query(Request{Keywords: []string{"nucleus", "entry"}}); err != nil {
+		t.Errorf("k<=0 should fall back to the default k: %v", err)
+	} else if v.K != defaultK {
+		t.Errorf("k<=0 gave K = %d, want %d", v.K, defaultK)
 	}
 }
 
@@ -249,10 +251,7 @@ func TestSaveConcurrentWithWriter(t *testing.T) {
 // bytes restores every view exactly as Open of the data directory does.
 func TestSaveIsCheckpointFormat(t *testing.T) {
 	opts := durableOpts(t)
-	q, err := Open(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := openDurable(t, opts, manualCheckpoints)
 	defer q.Close()
 	if err := q.AddTables(fixtureTables(t)...); err != nil {
 		t.Fatal(err)

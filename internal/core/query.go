@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -174,7 +176,7 @@ func (v *View) Edge(id steiner.EdgeID) searchgraph.Edge { return v.Current().Edg
 // Request is one keyword query. Keywords are taken verbatim (ParseKeywords
 // splits a query string; keywords containing quotes or spaces pass through
 // untouched) and are retained by the view, so the caller must not modify the
-// slice afterwards. K bounds the view's answer count (<= 0: Options.K).
+// slice afterwards. K bounds the view's answer count (<= 0: the paper's k = 5).
 // Ephemeral computes the answers
 // without registering the view. Trace, when non-nil, receives the query's
 // stage breakdown (cache lookup, expansion, Steiner search, translation,
@@ -227,7 +229,7 @@ func (q *Q) Query(r Request) (*View, error) {
 	}
 	k := r.K
 	if k <= 0 {
-		k = q.opts.K
+		k = defaultK
 	}
 	m := q.metrics
 	m.queries.Inc()
@@ -264,7 +266,7 @@ func (q *Q) expandKeyword(st *qstate, ov *searchgraph.Overlay, kw string) steine
 	kwNode := ov.KeywordNode(kw)
 
 	// Metadata matches: attributes and relations by tf-idf cosine.
-	for _, m := range st.corpus.TopMatches(kw, q.opts.MatchThreshold, q.opts.MaxMatchesPerKeyword) {
+	for _, m := range st.corpus.TopMatches(kw, matchThreshold, maxMatchesPerKeyword) {
 		switch {
 		case len(m.ID) > 5 && m.ID[:5] == "attr:":
 			ref, err := relstore.ParseAttrRef(m.ID[5:])
@@ -404,23 +406,13 @@ func (q *Q) executeBranches(st *qstate, queries []*relstore.ConjunctiveQuery, k 
 }
 
 // planOverlay is the plan phase of materialisation: top-k Steiner trees
-// over the base∪overlay view, pruning, then one serial pass in tree-cost
-// order: tree→query translation with signature deduplication, and the §2.2
+// over the base∪overlay view, then one serial pass in tree-cost order:
+// tree→query translation with signature deduplication, and the §2.2
 // output-schema alignment. The produced query list is a function of the
 // trees alone; queryTree[i] is the index of the tree queries[i] came from.
 func (q *Q) planOverlay(st *qstate, ov *searchgraph.Overlay, terminals []steiner.NodeID, k int, tr *obs.Trace) (trees []steiner.Tree, queries []*relstore.ConjunctiveQuery, queryTree []int, err error) {
 	tsteiner := tr.Now()
 	trees = q.topKTrees(ov, terminals, k)
-	// Prune trees using over-threshold association edges, if configured.
-	if q.opts.AssocCostThreshold > 0 {
-		kept := trees[:0]
-		for _, t := range trees {
-			if !q.treeUsesExpensiveAssoc(ov, t) {
-				kept = append(kept, t)
-			}
-		}
-		trees = kept
-	}
 	tr.Record(obs.StageSteiner, tsteiner)
 
 	// Translate the trees in cost order. A tree takes a few microseconds,
@@ -450,18 +442,18 @@ func (q *Q) planOverlay(st *qstate, ov *searchgraph.Overlay, terminals []steiner
 
 // topKTrees is the one place core runs a top-k Steiner search (view
 // planning and the deeper feedback pages alike). It is the exact search
-// unless Options.UseApproxSteiner asks for the approximation or the keyword
-// set is beyond what the exact search accepts — its state space is
-// exponential in the terminals — in which case the approximation answers
-// and the routing is counted. The exact search's work goes to the registry.
+// unless the keyword set is beyond what the exact search accepts — its
+// state space is exponential in the terminals — in which case the
+// approximation answers and the routing is counted. The exact search's
+// work goes to the registry. A single keyword is answered by its matches
+// (singleKeywordTrees).
 func (q *Q) topKTrees(ov *searchgraph.Overlay, terminals []steiner.NodeID, k int) []steiner.Tree {
 	m := q.metrics
-	approx := q.opts.UseApproxSteiner
-	if !approx && len(terminals) > steiner.MaxExactTerminals {
-		m.steinerApproxRouted.Inc()
-		approx = true
+	if len(terminals) == 1 {
+		return singleKeywordTrees(ov.View(), terminals[0], k)
 	}
-	if approx {
+	if len(terminals) > steiner.MaxExactTerminals {
+		m.steinerApproxRouted.Inc()
 		return steiner.ApproxTopKSteinerOn(ov.View(), terminals, k)
 	}
 	trees, st := steiner.TopKSteinerStats(ov.View(), terminals, k)
@@ -474,14 +466,21 @@ func (q *Q) topKTrees(ov *searchgraph.Overlay, terminals []steiner.NodeID, k int
 	return trees
 }
 
-func (q *Q) treeUsesExpensiveAssoc(ov *searchgraph.Overlay, t steiner.Tree) bool {
-	for _, eid := range t.Edges {
-		e := ov.Edge(eid)
-		if e.Kind == searchgraph.EdgeAssociation && ov.Cost(eid) > q.opts.AssocCostThreshold {
-			return true
-		}
+// singleKeywordTrees answers a one-keyword query. The lone terminal is its
+// own Steiner tree, but that tree has no edges and so no relation to
+// translate; instead each of the keyword's k cheapest matches — incident
+// edges ordered by (cost, edge id) — is a one-edge tree.
+func singleKeywordTrees(g steiner.GraphView, kw steiner.NodeID, k int) []steiner.Tree {
+	edges := slices.SortedFunc(slices.Values(g.Incident(kw)), func(a, b steiner.EdgeID) int {
+		return cmp.Or(cmp.Compare(g.Edge(a).Cost, g.Edge(b).Cost), cmp.Compare(a, b))
+	})
+	trees := make([]steiner.Tree, min(k, len(edges)))
+	for i := range trees {
+		eid, other := edges[i], g.Other(edges[i], kw)
+		trees[i] = steiner.Tree{Cost: g.Edge(eid).Cost, Edges: []steiner.EdgeID{eid},
+			Nodes: []steiner.NodeID{min(kw, other), max(kw, other)}}
 	}
-	return false
+	return trees
 }
 
 // refreshLocked rematerialises every persistent view against a newly
@@ -667,7 +666,7 @@ func (q *Q) compatibleOutputLabel(st *qstate, ref relstore.AttrRef, outputSchema
 		if e.Kind != searchgraph.EdgeAssociation {
 			continue
 		}
-		if st.graph.Cost(eid) > q.opts.ColumnAlignThreshold {
+		if st.graph.Cost(eid) > columnAlignThreshold {
 			continue
 		}
 		other := e.A

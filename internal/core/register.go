@@ -25,7 +25,7 @@ const (
 	ViewBased
 	// Preferential (Algorithm 3, PREFERENTIALALIGNER) compares against
 	// relations in order of a vertex-cost prior (authoritativeness), up to
-	// Options.PreferentialBudget relations. Cheaper still, but without the
+	// three relations (preferentialBudget). Cheaper still, but without the
 	// same-answers guarantee.
 	Preferential
 )
@@ -147,7 +147,7 @@ func (q *Q) registerLocked(tables []*relstore.Table, strategy AlignStrategy) (*R
 			for _, newTable := range tables {
 				for _, target := range fresh {
 					cands := matcher.TopYPerAttribute(
-						q.matchPair(m, newTable.Relation, target, report), q.opts.TopY)
+						q.matchPair(m, newTable.Relation, target, report), topY)
 					q.installEdges(m, cands, report)
 				}
 			}
@@ -229,7 +229,7 @@ func (q *Q) viewBasedTargetsLocked(existing []*relstore.Relation) []*relstore.Re
 // by a vertex-cost prior — here the learned relation-authoritativeness
 // weights ("rel:<name>" features; lower weight = preferred, mirroring the
 // paper's estimation of P from feedback-learned feature weights) — and only
-// the best PreferentialBudget relations are compared.
+// the best preferentialBudget relations are compared.
 func (q *Q) preferentialTargets(existing []*relstore.Relation) []*relstore.Relation {
 	w := q.graph.Weights()
 	// Quantise the prior: learned weights carry float noise in their low
@@ -247,8 +247,8 @@ func (q *Q) preferentialTargets(existing []*relstore.Relation) []*relstore.Relat
 		}
 		return ranked[i].QualifiedName() < ranked[j].QualifiedName()
 	})
-	if len(ranked) > q.opts.PreferentialBudget {
-		ranked = ranked[:q.opts.PreferentialBudget]
+	if len(ranked) > preferentialBudget {
+		ranked = ranked[:preferentialBudget]
 	}
 	return ranked
 }
@@ -301,7 +301,7 @@ func (q *Q) installAlignments(m matcher.Matcher, candidates []matcher.Alignment,
 			mirrored = append(mirrored, matcher.Alignment{A: al.B, B: al.A, Confidence: al.Confidence})
 		}
 	}
-	q.installEdges(m, matcher.TopYPerAttribute(mirrored, q.opts.TopY), report)
+	q.installEdges(m, matcher.TopYPerAttribute(mirrored, topY), report)
 }
 
 // installEdges turns already-budgeted alignments into association edges.

@@ -175,7 +175,7 @@ func TestTopKPruneEquivalence(t *testing.T) {
 			q := c.build(t, New)
 			anyRows, truncated := false, false
 			for _, kw := range c.queries {
-				for _, k := range []int{2, q.Options().K} {
+				for _, k := range []int{2, defaultK} {
 					rows, trunc := checkTopKPrefix(t, q, kw, k)
 					anyRows, truncated = anyRows || rows, truncated || trunc
 				}

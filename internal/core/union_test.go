@@ -59,18 +59,21 @@ func TestOutputColumnUnification(t *testing.T) {
 	}
 }
 
-// TestOutputColumnUnificationRespectsThreshold: an expensive association
-// must not merge columns.
+// TestOutputColumnUnificationRespectsThreshold: an association costing
+// more than the threshold t must not merge columns.
 func TestOutputColumnUnificationRespectsThreshold(t *testing.T) {
-	opts := DefaultOptions()
-	opts.ColumnAlignThreshold = 0.05 // below any learnable edge's cost
-	q := New(opts)
-	if err := q.AddTables(fixtureTables(t)...); err != nil {
-		t.Fatal(err)
-	}
+	q := newFixtureQ(t, false)
 	addHandCoded(t, q,
 		relstore.AttrRef{Relation: "go.term", Attr: "name"},
 		relstore.AttrRef{Relation: "ip.entry", Attr: "name"})
+	w := q.CurrentGraph().Weights().Clone()
+	w["handcoded"] = 10 // the edge costs about 10, well over t = 2
+	if err := q.SetWeights(w); err != nil {
+		t.Fatal(err)
+	}
+	if a := q.CurrentGraph().AssociationList(); len(a) != 1 || a[0].Cost < 10 {
+		t.Fatalf("associations %v: want one costing at least 10", a)
+	}
 
 	outputSchema := map[string]bool{"name": true}
 	cq := &relstore.ConjunctiveQuery{

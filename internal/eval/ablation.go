@@ -35,7 +35,6 @@ func RunAblationBinning() ([]AblationRow, error) {
 		{"raw confidences", true},
 	} {
 		opts := core.DefaultOptions()
-		opts.TopY = 2
 		opts.RawConfidences = mode.raw
 		q := core.New(opts)
 		for _, m := range matcherSet() {

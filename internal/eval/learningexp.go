@@ -14,8 +14,6 @@ import (
 // recall per Table 1) — the starting point of every §5.2.2 experiment.
 func newInterProQ(corpus *datasets.InterProGOCorpus) (*core.Q, error) {
 	opts := core.DefaultOptions()
-	opts.TopY = 2
-	opts.K = 5
 	q := core.New(opts)
 	for _, m := range matcherSet() {
 		q.AddMatcher(m)

@@ -41,6 +41,9 @@
 //     before any engine work.
 //   - POST bodies are capped at Config.MaxBodyBytes via
 //     http.MaxBytesReader; oversized bodies get 413.
+//   - A write that reaches a closed engine (core.ErrClosed: the shutdown
+//     drain timed out while it was queued) gets 503 + Retry-After; it was
+//     not applied.
 //   - Feedback naming a row the view's current materialisation does not
 //     have gets 409 Conflict (not 400): a concurrent weight update can
 //     rematerialise the view between the client reading its rows and
@@ -302,6 +305,14 @@ func (s *Server) shedWrite(w http.ResponseWriter) {
 		"write queue full (depth %d); retry after backoff", s.cfg.WriteQueueDepth)
 }
 
+// engineClosed answers a write the engine refused because it has been
+// closed (the server is shutting down): 503 + Retry-After, since the write
+// was not applied and a restarted server will take it.
+func engineClosed(w http.ResponseWriter) {
+	w.Header().Set("Retry-After", "1")
+	httpError(w, http.StatusServiceUnavailable, "%v; retry after restart", core.ErrClosed)
+}
+
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
@@ -413,6 +424,10 @@ func (s *Server) handleSources(w http.ResponseWriter, r *http.Request) {
 	// Writers serialise inside Q; queries keep flowing against the previous
 	// snapshot until the registration commits.
 	report, err := s.q.RegisterSource(tables, strategy)
+	if errors.Is(err, core.ErrClosed) {
+		engineClosed(w)
+		return
+	}
 	if err != nil {
 		httpError(w, http.StatusConflict, "%v", err)
 		return
@@ -617,6 +632,10 @@ func (s *Server) handleViewByID(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if err := s.q.FeedbackRow(v, req.Row, kind); err != nil {
+			if errors.Is(err, core.ErrClosed) {
+				engineClosed(w)
+				return
+			}
 			if errors.Is(err, core.ErrRowOutOfRange) {
 				// Not (necessarily) a malformed request: a concurrent
 				// weight update can rematerialise the view between the

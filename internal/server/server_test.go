@@ -546,3 +546,63 @@ func TestViewIDsSurviveRestart(t *testing.T) {
 		t.Errorf("next view after restart: status %d, id %q; want 201 and v3", w.Code, va.ID)
 	}
 }
+
+// TestSingleKeywordQuery: a one-keyword query answers (201 with rows), not
+// 400 on the edgeless one-node Steiner tree.
+func TestSingleKeywordQuery(t *testing.T) {
+	ts := newTestServer(t)
+	resp := postJSON(t, ts.URL+"/query", QueryRequest{Q: "membrane"})
+	if resp.StatusCode != http.StatusCreated {
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		t.Fatalf("status = %d: %s", resp.StatusCode, body)
+	}
+	var va ViewAnswers
+	decode(t, resp, &va)
+	if len(va.Rows) == 0 {
+		t.Errorf("single-keyword view has no rows: %+v", va)
+	}
+}
+
+// TestWriteAfterCloseRefused: once the durable engine is closed (a shutdown
+// whose drain timed out), POST /sources and feedback get 503 with
+// Retry-After: the write was not applied, and a restarted server takes it.
+func TestWriteAfterCloseRefused(t *testing.T) {
+	opts := core.DefaultOptions()
+	opts.DataDir = t.TempDir()
+	q, err := core.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.AddMatcher(meta.New())
+	if err := q.AddTables(datasets.InterProGO().Tables...); err != nil {
+		t.Fatal(err)
+	}
+	s := New(q)
+	if w := serve(t, s, "POST", "/query", QueryRequest{Q: "membrane"}); w.Code != http.StatusCreated {
+		t.Fatalf("query: status %d: %s", w.Code, w.Body)
+	}
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	register := RegisterRequest{Source: "ext", Strategy: "exhaustive", Tables: []TableSpec{{
+		Name: "citations", Attributes: []string{"pub_id", "cited_by"},
+		Rows: [][]string{{"PUB00001", "PUB00002"}},
+	}}}
+	for _, c := range []struct {
+		path string
+		body interface{}
+	}{
+		{"/sources", register},
+		{"/views/v0/feedback", FeedbackRequest{Row: 0, Kind: "valid"}},
+	} {
+		w := serve(t, s, "POST", c.path, c.body)
+		if w.Code != http.StatusServiceUnavailable || w.Header().Get("Retry-After") == "" {
+			t.Errorf("POST %s after Close: status %d, Retry-After %q; want 503 with Retry-After: %s",
+				c.path, w.Code, w.Header().Get("Retry-After"), w.Body)
+		}
+	}
+	if n := q.CurrentCatalog().NumRelations(); n != len(datasets.InterProGO().Tables) {
+		t.Errorf("catalog has %d relations after refused writes, want %d", n, len(datasets.InterProGO().Tables))
+	}
+}

@@ -54,19 +54,20 @@
 //
 // The engine sizes itself: core.New reads runtime.GOMAXPROCS(0) once into
 // one width, and no option, method or request parameter selects another.
-// The width sizes the catalog's shards (also when a snapshot is restored),
-// the refresh fan-out over persistent views, the registration-time index
-// builds, and a global semaphore that bounds in-flight branch executions
-// across all concurrent materialisations. Inside one materialisation the
+// The width sizes the refresh fan-out over persistent views, the
+// registration-time index builds, and a global semaphore that bounds
+// in-flight branch executions across all concurrent materialisations; it
+// does not shape the catalog, and a restored snapshot takes the restoring
+// process's width. Inside one materialisation the
 // pipeline is serial: tree→query translation (a few microseconds a tree,
 // less than a goroutine hand-off) and the order-sensitive passes (signature
 // dedup, output-schema alignment, the top-k union) run in tree-cost order,
 // so a view materialised at any width is byte-identical — trees, query
 // signatures, ranked rows and α — to the one-wide result. The
-// width oracles (internal/core/parallel_test.go and shard_test.go) build
-// engines under GOMAXPROCS 2, 7 and 8 and compare them with GOMAXPROCS 1
-// across the bundled corpora, and CI runs the relstore, core and server
-// suites under -cpu 1,4.
+// width oracles (internal/core/parallel_test.go) build engines under
+// GOMAXPROCS 2, 7 and 8 and compare their views and registration reports
+// with GOMAXPROCS 1 across the bundled corpora, and CI runs the core,
+// server and qbench suites under -cpu 1,4.
 //
 // # Value index
 //
@@ -84,43 +85,27 @@
 // implementations below).
 //
 // The index is incremental and copy-on-write friendly: segments build once
-// per table — fanned across the worker pool at registration time, sharded
-// by table, or lazily on first lookup — and the segment cache is shared
+// per table — fanned across the worker pool at registration time, one task
+// per table, or lazily on first lookup — and the segment cache is shared
 // across relstore.Catalog.Clone, so a registration indexes only its own
 // new tables and published snapshot generations keep reading frozen
 // segments (the same sharing pattern as the lazy ValueSet cache, which
 // itself now derives attribute value sets from built segments instead of
 // re-scanning rows).
 //
-// # Sharded catalog
+// # Catalog
 //
-// The catalog itself is hash-partitioned: relstore.Catalog divides its
-// tables by qualified-name hash into N shards (N is the engine width,
-// GOMAXPROCS), each owning its own table map, lazy distinct-value cache and
-// immutable value-index segments. Catalog-wide operations fan out one
-// worker per shard — keyword→value lookups (FindValues), value-index builds
-// and the value-overlap pair generation that prunes registration-time
-// alignment comparisons (per attribute, at most one worker per shard) —
-// and merge under deterministic total orders, so the shard count never
-// changes a single byte of any answer: the metamorphic suites
-// (internal/relstore/shard_test.go at shard counts {1, 2, 7, GOMAXPROCS},
-// internal/core/shard_test.go at widths {1, 2, 7, 8}) pin byte-identical
-// FindValues hits, alignment scores and materialised views under -race,
-// and native fuzz targets (FuzzNormalize, FuzzFindValuesEquivalence) hold
-// scan, single-shard index and sharded index to the same answer on
-// arbitrary keywords.
-//
-// Sharding composes with the copy-on-write machinery: Clone copies only the
-// shard-pointer slice, the per-shard caches stay shared, and the first
-// AddTable into a shard after a Clone copies just that shard's table map —
-// so a registration touches only the shards its new tables hash into while
-// every published generation keeps reading frozen shards, and a lookup
+// relstore.Catalog is one partition: a table map, the registration order,
+// the lazy distinct-value cache and the value-index segment cache. Reads
+// run serially over the tables in registration order and merge under
+// total orders (hits by relation, attribute and value; attribute pairs in
+// declaration order). Copy-on-write is an eager map copy: Clone copies the
+// table map and the order and shares both caches, so Clone is a pure read
+// of its receiver, a registration writes only its own clone, and a lookup
 // concurrent with a registration sees either the complete pre- or
-// post-registration world across ALL shards, never a torn subset
-// (TestShardedRegistrationSnapshotIsolation). Catalog persistence is
-// shard-agnostic: a snapshot saved at one width restores at the restoring
-// process's width with byte-identical answers
-// (TestEngineWidthFollowsGOMAXPROCS).
+// post-registration world, never a subset of the new tables
+// (TestMultiTableRegistrationSnapshotIsolation). Persistence is unchanged:
+// the catalog and segment sections are written in registration order.
 //
 // # Streaming execution
 //
@@ -200,12 +185,12 @@
 //   - the full-scan FindValues (internal/relstore/oracle_test.go), which
 //     reads every row and which the inverted value index replaced. Gates: the
 //     metamorphic suites in internal/relstore/valueindex_test.go and
-//     shard_test.go, and FuzzFindValuesEquivalence on arbitrary keywords.
+//     FuzzFindValuesEquivalence on arbitrary keywords.
 //   - executeOracle (internal/relstore/oracle_test.go), the
 //     materialise-everything executor over the naive first-connected join
 //     order: no planner, no streaming, no subplan sharing. Gates:
 //     internal/relstore/stream_test.go and planner_test.go on randomised
-//     catalogs, join shapes and shard counts, and FuzzExecuteEquivalence and
+//     catalogs and join shapes, and FuzzExecuteEquivalence and
 //     FuzzPlanEquivalence on arbitrary row values, through Execute,
 //     BatchPlan.Execute and BatchPlan.TopKUnion (the test-only
 //     ExecuteBatch runs a whole BatchPlan without a bound). At the

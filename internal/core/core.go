@@ -195,8 +195,7 @@ type Q struct {
 
 	opts Options
 	// width is runtime.GOMAXPROCS(0), read once by New. It sizes the
-	// catalog's shards (also on restore), the refresh and index-build
-	// fan-outs, and execSem, which bounds the branch
+	// refresh and EnsureIndexed fan-outs, and execSem, which bounds the branch
 	// executions running at once across ALL in-flight materialisations (each
 	// holds one slot for its serial top-k union) so overlapping queries
 	// cannot multiply the bound. Answers are byte-identical at any width.
@@ -285,7 +284,7 @@ func (q *Q) addPlanStats(s relstore.PlanStats) {
 func New(opts Options) *Q {
 	width := runtime.GOMAXPROCS(0)
 	q := &Q{
-		catalog: relstore.NewCatalogSharded(width),
+		catalog: relstore.NewCatalog(),
 		graph:   searchgraph.New(DefaultWeights()),
 		opts:    opts.withDefaults(),
 		width:   width,
@@ -535,7 +534,7 @@ func (q *Q) addTablesLocked(tables ...*relstore.Table) error {
 	}
 	// Incremental value-index maintenance: build the inverted-index segment
 	// of each NEW table (segments are per-table and immutable, so nothing
-	// global rebuilds), sharded by table across the worker pool. Harmless to
+	// global rebuilds), one task per table across the worker pool. Harmless to
 	// skip: the read path builds missing segments lazily on first use.
 	cat := q.catalog
 	if err := runIndexed(len(tables), q.width, func(i int) error {

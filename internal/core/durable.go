@@ -43,9 +43,9 @@ import (
 //     crash loses only the views created or dropped since the last
 //     checkpoint — their answers were pure reads — and the IDs handed out
 //     since, which the next views may get again).
-//   - The engine width (shard count, fan-outs): a property of the machine,
-//     not state; a restore re-shards the catalog at the restoring process's
-//     GOMAXPROCS.
+//   - The engine width (worker pools, execution slots): a property of the
+//     machine, not state; a restored engine takes the restoring process's
+//     GOMAXPROCS, and the catalog section carries no width.
 
 // walKindMutation is the one WAL record kind (the storage layer treats kinds
 // as opaque); its payload is a walRecord.
@@ -225,7 +225,7 @@ func (q *Q) restore(snap *storage.Container, records []storage.Record) error {
 			return fmt.Errorf("core: unsupported snapshot meta version %d", meta.Version)
 		}
 		views, nextID = meta.Views, meta.NextID
-		cat, err := relstore.LoadCatalogBinary(catSec, q.width)
+		cat, err := relstore.LoadCatalog(catSec)
 		if err != nil {
 			return err
 		}

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"qint/internal/datasets"
@@ -16,9 +19,11 @@ import (
 // The metamorphic property under test: a view materialised by a wide engine
 // must be byte-identical — trees, query signatures and SQL, unified columns,
 // ranked rows with provenance, and α — to the same view materialised by a
-// one-wide engine. fingerprintView captures everything a view exposes into
-// one comparable string. These tests, with the sharded suites in
-// shard_test.go, are the one oracle for the engine width.
+// one-wide engine, and a registration must report the same targets,
+// alignment scores and comparison counts. fingerprintView captures
+// everything a view exposes into one comparable string, fingerprintReport
+// the width-invariant parts of a registration report. These tests are the
+// one oracle for the engine width.
 func fingerprintView(v *View) string {
 	// One coherent materialisation: the individual accessors could straddle
 	// a concurrent refresh and mix generations.
@@ -45,12 +50,10 @@ func fingerprintMat(v *View, m Materialization) string {
 }
 
 // widths are the engine widths the width oracles compare against width 1.
-// At each, the fixtures' tables hash unevenly, so some shards hold several
-// tables and others none.
 var widths = []int{2, 7, 8}
 
-// newAtWidth is New on an n-wide machine: the engine reads its width (shard
-// count, worker pools, execution slots) from GOMAXPROCS once, in New. No
+// newAtWidth is New on an n-wide machine: the engine reads its width
+// (worker pools, execution slots) from GOMAXPROCS once, in New. No
 // core test calls t.Parallel, so flipping the process-wide setting around
 // New is safe.
 func newAtWidth(n int, opts Options) *Q {
@@ -58,15 +61,58 @@ func newAtWidth(n int, opts Options) *Q {
 	return New(opts)
 }
 
+// fixtureQAtWidth builds the fixture Q at an explicit width, with the
+// value-overlap filter on so registration exercises OverlappingAttrPairs.
+func fixtureQAtWidth(t *testing.T, width int) *Q {
+	t.Helper()
+	opts := DefaultOptions()
+	opts.ValueOverlapFilter = true
+	q := newAtWidth(width, opts)
+	q.AddMatcher(meta.New())
+	q.AddMatcher(mad.New())
+	if err := q.AddTables(fixtureTables(t)...); err != nil {
+		t.Fatal(err)
+	}
+	addHandCoded(t, q,
+		relstore.AttrRef{Relation: "go.term", Attr: "acc"},
+		relstore.AttrRef{Relation: "ip.interpro2go", Attr: "go_id"})
+	return q
+}
+
+// fixtureProbes are the keyword queries asked of the fixture Q.
+var fixtureProbes = []string{
+	"'plasma membrane' 'Kringle domain'",
+	"entry 'PUB0001'",
+	"term name",
+}
+
+// fingerprintReport flattens the parts of a registration report that must
+// be width-invariant: the relations compared, every alignment's best
+// confidence, and the comparison counters.
+func fingerprintReport(rep *RegisterReport, stats *Stats) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "source=%s new=%v targets=%v\n", rep.Source, rep.NewRelations, rep.TargetsCompared)
+	pairs := make([]string, 0, len(rep.AlignmentsByPair))
+	for k, conf := range rep.AlignmentsByPair {
+		pairs = append(pairs, fmt.Sprintf("%s=%.12f", k, conf))
+	}
+	sort.Strings(pairs)
+	fmt.Fprintf(&b, "alignments=%v\n", pairs)
+	fmt.Fprintf(&b, "stats matcher=%d attr=%d unfiltered=%d\n",
+		stats.BaseMatcherCalls(), stats.AttrComparisons(), stats.ColumnComparisonsUnfiltered())
+	return b.String()
+}
+
 // equivCorpus is one dataset of the equivalence suite: a builder that loads
 // a fresh Q at the given width, the keyword queries to ask, and a new
-// source whose registration (and the Refresh it triggers) must also be
-// order-independent.
+// source whose registration under strategy (and the Refresh it triggers)
+// must also be order-independent.
 type equivCorpus struct {
-	name     string
-	build    func(t *testing.T, width int) *Q
-	queries  []string
-	newTable func(t *testing.T) *relstore.Table
+	name      string
+	build     func(t *testing.T, width int) *Q
+	queries   []string
+	newTables func(t *testing.T) []*relstore.Table
+	strategy  AlignStrategy
 }
 
 func equivCorpora() []equivCorpus {
@@ -85,7 +131,8 @@ func equivCorpora() []equivCorpus {
 				return q
 			},
 			queries: datasets.InterProGO().Queries,
-			newTable: func(t *testing.T) *relstore.Table {
+			strategy: ViewBased,
+			newTables: func(t *testing.T) []*relstore.Table {
 				rel := &relstore.Relation{Source: "ext", Name: "citations",
 					Attributes: []relstore.Attribute{{Name: "pub_id"}, {Name: "cited_by"}}}
 				tb, err := relstore.NewTable(rel, [][]string{
@@ -93,7 +140,7 @@ func equivCorpora() []equivCorpus {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return tb
+				return []*relstore.Table{tb}
 			},
 		},
 		{
@@ -114,7 +161,8 @@ func equivCorpora() []equivCorpus {
 				}
 				return out
 			}(),
-			newTable: func(t *testing.T) *relstore.Table {
+			strategy: ViewBased,
+			newTables: func(t *testing.T) []*relstore.Table {
 				rel := &relstore.Relation{Source: "ext", Name: "annotations",
 					Attributes: []relstore.Attribute{{Name: "pubmed_id"}, {Name: "label"}}}
 				tb, err := relstore.NewTable(rel, [][]string{
@@ -122,7 +170,7 @@ func equivCorpora() []equivCorpus {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return tb
+				return []*relstore.Table{tb}
 			},
 		},
 		{
@@ -144,7 +192,8 @@ func equivCorpora() []equivCorpus {
 				"'C1' item",
 				"carol city",
 			},
-			newTable: func(t *testing.T) *relstore.Table {
+			strategy: ViewBased,
+			newTables: func(t *testing.T) []*relstore.Table {
 				rel := &relstore.Relation{Source: "ext", Name: "reviews",
 					Attributes: []relstore.Attribute{{Name: "customer_id"}, {Name: "stars"}}}
 				tb, err := relstore.NewTable(rel, [][]string{
@@ -152,8 +201,15 @@ func equivCorpora() []equivCorpus {
 				if err != nil {
 					t.Fatal(err)
 				}
-				return tb
+				return []*relstore.Table{tb}
 			},
+		},
+		{
+			name:      "fixture",
+			build:     fixtureQAtWidth,
+			queries:   fixtureProbes,
+			newTables: jrnlTables,
+			strategy:  Exhaustive,
 		},
 	}
 }
@@ -200,7 +256,9 @@ func syntheticCorpus(t *testing.T) []*relstore.Table {
 
 // TestParallelQueryEquivalence materialises every dataset query on a
 // one-wide engine and on engines of every width in widths, and demands
-// byte-identical views.
+// byte-identical views. Each wide engine is queried by several concurrent
+// readers (run under -race: lazy index builds and the execution slots race
+// real query traffic).
 func TestParallelQueryEquivalence(t *testing.T) {
 	for _, c := range equivCorpora() {
 		t.Run(c.name, func(t *testing.T) {
@@ -216,16 +274,34 @@ func TestParallelQueryEquivalence(t *testing.T) {
 				}
 				want[i] = fingerprintView(v)
 			}
+			const readers = 4
 			for _, w := range widths {
 				wide := c.build(t, w)
-				for i, kw := range c.queries {
-					v, err := queryStr(wide, kw)
-					if err != nil {
-						t.Fatalf("width %d query %q: %v", w, kw, err)
-					}
-					if got := fingerprintView(v); got != want[i] {
-						t.Errorf("query %q: width %d and width 1 views differ\nwidth 1:\n%s\nwidth %d:\n%s", kw, w, want[i], w, got)
-					}
+				var wg sync.WaitGroup
+				errc := make(chan error, readers)
+				for g := 0; g < readers; g++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for j := range c.queries {
+							i := (g + j) % len(c.queries)
+							v, err := queryStr(wide, c.queries[i])
+							if err != nil {
+								errc <- fmt.Errorf("width %d reader %d query %q: %v", w, g, c.queries[i], err)
+								return
+							}
+							if got := fingerprintView(v); got != want[i] {
+								errc <- fmt.Errorf("query %q: width %d and width 1 views differ\nwidth 1:\n%s\nwidth %d:\n%s", c.queries[i], w, want[i], w, got)
+								return
+							}
+							wide.DropView(v.ID)
+						}
+					}()
+				}
+				wg.Wait()
+				close(errc)
+				for err := range errc {
+					t.Error(err)
 				}
 			}
 		})
@@ -234,19 +310,21 @@ func TestParallelQueryEquivalence(t *testing.T) {
 
 // TestParallelRefreshEquivalence registers a new source on engines of every
 // width (registration refreshes every persistent view) and then reprices
-// every edge with SetWeights, which refreshes them again, checking that all
-// views remain byte-identical to the one-wide engine's.
+// every edge with SetWeights, which refreshes them again, checking that the
+// registration report and all views remain identical to the one-wide
+// engine's.
 func TestParallelRefreshEquivalence(t *testing.T) {
 	for _, c := range equivCorpora() {
 		t.Run(c.name, func(t *testing.T) {
-			run := func(width int) []string {
+			run := func(width int) (string, []string) {
 				q := c.build(t, width)
 				for _, kw := range c.queries {
 					if _, err := queryStr(q, kw); err != nil {
 						t.Fatalf("width %d query %q: %v", width, kw, err)
 					}
 				}
-				if _, err := q.RegisterSource([]*relstore.Table{c.newTable(t)}, ViewBased); err != nil {
+				rep, err := q.RegisterSource(c.newTables(t), c.strategy)
+				if err != nil {
 					t.Fatalf("width %d register: %v", width, err)
 				}
 				w := q.CurrentGraph().Weights().Clone()
@@ -258,11 +336,14 @@ func TestParallelRefreshEquivalence(t *testing.T) {
 				for _, v := range q.Views() {
 					fps = append(fps, fingerprintView(v))
 				}
-				return fps
+				return fingerprintReport(rep, &q.Stats), fps
 			}
-			want := run(1)
+			wantRep, want := run(1)
 			for _, w := range widths {
-				got := run(w)
+				rep, got := run(w)
+				if rep != wantRep {
+					t.Errorf("width %d: registration diverged from width 1\nwidth 1:\n%s\nwidth %d:\n%s", w, wantRep, w, rep)
+				}
 				if len(got) != len(want) {
 					t.Fatalf("width %d: view counts differ: %d vs %d", w, len(got), len(want))
 				}
@@ -273,6 +354,46 @@ func TestParallelRefreshEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEngineWidthFollowsGOMAXPROCS pins where the width comes from: New
+// sizes the execution slots by GOMAXPROCS, and a snapshot restored under
+// another GOMAXPROCS takes the restoring process's width with every view
+// unchanged.
+func TestEngineWidthFollowsGOMAXPROCS(t *testing.T) {
+	q := fixtureQAtWidth(t, 3)
+	if got := cap(q.execSem); got != 3 {
+		t.Fatalf("execSem capacity = %d at width 3", got)
+	}
+	for _, probe := range fixtureProbes {
+		if _, err := queryStr(q, probe); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := q.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var q2 *Q
+	func() {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(5))
+		var err error
+		if q2, err = Load(bytes.NewReader(buf.Bytes()), q.Options()); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	if got := cap(q2.execSem); got != 5 {
+		t.Errorf("loaded execSem capacity = %d, want 5", got)
+	}
+	saved, loaded := q.Views(), q2.Views()
+	if len(loaded) != len(saved) || len(saved) != len(fixtureProbes) {
+		t.Fatalf("views: saved %d, loaded %d, want %d", len(saved), len(loaded), len(fixtureProbes))
+	}
+	for i := range saved {
+		if want, got := fingerprintView(saved[i]), fingerprintView(loaded[i]); got != want {
+			t.Errorf("view %d changed across a restore at another width\nsaved:\n%s\nloaded:\n%s", i, want, got)
+		}
 	}
 }
 

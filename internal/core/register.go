@@ -263,7 +263,7 @@ func (q *Q) matchPair(m matcher.Matcher, newRel, target *relstore.Relation, repo
 
 	allowed := func(relstore.AttrRef, relstore.AttrRef) bool { return true }
 	if q.opts.ValueOverlapFilter {
-		pairs := q.overlappingPairs(newRel, target)
+		pairs := q.catalog.OverlappingAttrPairs(newRel, target)
 		q.Stats.attrComparisons.Add(int64(len(pairs)))
 		allowed = func(a, b relstore.AttrRef) bool {
 			return pairs[[2]relstore.AttrRef{a, b}] || pairs[[2]relstore.AttrRef{b, a}]
@@ -327,16 +327,6 @@ func (q *Q) installEdges(m matcher.Matcher, aligns []matcher.Alignment, report *
 		}
 	}
 	report.AlignmentsAdded = len(report.AlignmentsByPair)
-}
-
-// overlappingPairs returns the attribute pairs between the two relations
-// that share at least one distinct value (the content-index filter). The
-// per-attribute overlap checks fan out across at most one worker per
-// catalog shard — each check derives its value sets from the owning shard's
-// cache — with the result map merged deterministically, so the filter's
-// decisions are identical at any shard count.
-func (q *Q) overlappingPairs(a, b *relstore.Relation) map[[2]relstore.AttrRef]bool {
-	return q.catalog.OverlappingAttrPairs(a, b)
 }
 
 // AlignAllPairs runs every registered matcher over every unordered pair of

@@ -122,12 +122,12 @@ func TestSnapshotIsolationUnderRegistration(t *testing.T) {
 	}
 }
 
-// freshFindValues answers FindValues from a freshly built 1-shard catalog
-// over the same generation's tables: a reference independent of the
-// published catalog's shard layout and incrementally maintained segments.
+// freshFindValues answers FindValues from a freshly built catalog over the
+// same generation's tables: a reference independent of the published
+// catalog's incrementally maintained segments.
 func freshFindValues(t *testing.T, cat *relstore.Catalog, kw string) []relstore.ValueHit {
 	t.Helper()
-	ref := relstore.NewCatalogSharded(1)
+	ref := relstore.NewCatalog()
 	for _, qn := range cat.RelationNames() {
 		if err := ref.AddTable(cat.Table(qn)); err != nil {
 			t.Fatal(err)
@@ -157,7 +157,7 @@ func TestIndexSnapshotIsolationUnderRegistration(t *testing.T) {
 	pre := q.CurrentCatalog().FindValues(probe)
 	preFP := fingerprint(pre)
 	if freshFP := fingerprint(freshFindValues(t, q.CurrentCatalog(), probe)); preFP != freshFP {
-		t.Fatalf("pre-registration index diverges from a fresh 1-shard index\nindex: %s\nfresh: %s", preFP, freshFP)
+		t.Fatalf("pre-registration index diverges from a freshly built index\nindex: %s\nfresh: %s", preFP, freshFP)
 	}
 	if len(pre) == 0 {
 		t.Fatal("probe keyword must hit the fixture catalog")
@@ -219,7 +219,7 @@ func TestIndexSnapshotIsolationUnderRegistration(t *testing.T) {
 	post := q.CurrentCatalog().FindValues(probe)
 	postFP := fingerprint(post)
 	if freshFP := fingerprint(freshFindValues(t, q.CurrentCatalog(), probe)); postFP != freshFP {
-		t.Fatalf("post-registration index diverges from a fresh 1-shard index\nindex: %s\nfresh: %s", postFP, freshFP)
+		t.Fatalf("post-registration index diverges from a freshly built index\nindex: %s\nfresh: %s", postFP, freshFP)
 	}
 	if len(post) <= len(pre) {
 		t.Fatalf("post-registration index must include the new source's hit: pre=%d post=%d", len(pre), len(post))
@@ -245,21 +245,19 @@ func TestIndexSnapshotIsolationUnderRegistration(t *testing.T) {
 	}
 }
 
-// TestShardedRegistrationSnapshotIsolation extends the snapshot suite to
-// the SHARDED catalog write path: a registration whose tables hash into
-// several different shards commits copy-on-write per shard, and a lookup
-// concurrent with the commit must see either the complete pre-registration
-// world or the complete post-registration world across ALL shards — never a
-// subset of the new source's tables (which is exactly what a torn
-// multi-shard publish would look like). The registering source carries the
-// probe value in three tables so a torn state is observable.
-func TestShardedRegistrationSnapshotIsolation(t *testing.T) {
+// TestMultiTableRegistrationSnapshotIsolation extends the snapshot suite to
+// a registration of several tables: a lookup concurrent with the commit
+// must see either the complete pre-registration world or the complete
+// post-registration world — never a subset of the new source's tables
+// (which is exactly what a torn publish would look like). The registering
+// source carries the probe value in three tables so a torn state is
+// observable.
+func TestMultiTableRegistrationSnapshotIsolation(t *testing.T) {
 	const probe = "PUB0001"
 
 	q := fixtureQAtWidth(t, 7)
 
-	// Three tables, one source, all matching the probe; their qualified
-	// names spread across the 7 shards.
+	// Three tables, one source, all matching the probe.
 	newTables := []*relstore.Table{
 		mkTable(t, &relstore.Relation{Source: "jx", Name: "journal",
 			Attributes: []relstore.Attribute{{Name: "pub_id"}, {Name: "journal_name"}}},
@@ -271,17 +269,6 @@ func TestShardedRegistrationSnapshotIsolation(t *testing.T) {
 			Attributes: []relstore.Attribute{{Name: "pub_id"}, {Name: "verdict"}}},
 			[][]string{{"PUB0001", "accept"}, {"PUB0003", "revise"}}),
 	}
-	// The multi-shard claim only means anything if the new tables actually
-	// land in more than one of the 7 shards, per the catalog's own
-	// partitioner.
-	shardsTouched := make(map[int]bool)
-	for _, tb := range newTables {
-		shardsTouched[q.CurrentCatalog().ShardOf(tb.Relation.QualifiedName())] = true
-	}
-	if len(shardsTouched) < 2 {
-		t.Fatalf("fixture regression: new tables all hash to one shard %v", shardsTouched)
-	}
-
 	fingerprint := func(hits []relstore.ValueHit) string { return fmt.Sprintf("%v", hits) }
 	pre := q.CurrentCatalog().FindValues(probe)
 	preFP := fingerprint(pre)
@@ -340,7 +327,7 @@ func TestShardedRegistrationSnapshotIsolation(t *testing.T) {
 	post := q.CurrentCatalog().FindValues(probe)
 	postFP := fingerprint(post)
 	if freshFP := fingerprint(freshFindValues(t, q.CurrentCatalog(), probe)); postFP != freshFP {
-		t.Fatalf("post-registration index diverges from a fresh 1-shard index\nindex: %s\nfresh: %s", postFP, freshFP)
+		t.Fatalf("post-registration index diverges from a freshly built index\nindex: %s\nfresh: %s", postFP, freshFP)
 	}
 	newHits := 0
 	for _, h := range post {
@@ -362,12 +349,12 @@ func TestShardedRegistrationSnapshotIsolation(t *testing.T) {
 			case postFP:
 				postN++
 			default:
-				t.Fatalf("reader %d lookup %d: torn multi-shard state — neither the complete pre- nor post-registration world\ngot:  %s\npre:  %s\npost: %s",
+				t.Fatalf("reader %d lookup %d: torn state — neither the complete pre- nor post-registration world\ngot:  %s\npre:  %s\npost: %s",
 					r, i, fp, preFP, postFP)
 			}
 		}
 	}
-	t.Logf("concurrent lookups across %d touched shards: %d pre, %d post", len(shardsTouched), preN, postN)
+	t.Logf("concurrent lookups: %d pre, %d post", preN, postN)
 	if preN < readers || postN < readers {
 		t.Fatalf("every reader must observe both sides of the commit: pre=%d post=%d", preN, postN)
 	}

@@ -143,9 +143,9 @@ func (c *Cache[V]) SetLiveEpoch(epoch uint64) {
 	c.live.Store(epoch)
 }
 
-// shardOf picks the shard for a key: FNV-1a over the string key folded
+// shard picks the shard for a key: FNV-1a over the string key folded
 // with the epoch, so one epoch's keys spread across all shards.
-func (c *Cache[V]) shardOf(k Key) *cshard[V] {
+func (c *Cache[V]) shard(k Key) *cshard[V] {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -166,7 +166,7 @@ func (c *Cache[V]) Get(k Key) (V, bool) {
 	if c == nil {
 		return zero, false
 	}
-	s := c.shardOf(k)
+	s := c.shard(k)
 	s.mu.Lock()
 	e, ok := s.entries[k]
 	if !ok {
@@ -188,7 +188,7 @@ func (c *Cache[V]) Put(k Key, v V) {
 		return
 	}
 	live := c.live.Load()
-	s := c.shardOf(k)
+	s := c.shard(k)
 	s.mu.Lock()
 	if e, ok := s.entries[k]; ok {
 		e.val = v

@@ -114,7 +114,7 @@ func TestEvictionPrefersDeadEpochs(t *testing.T) {
 
 // peek looks an entry up without touching LRU order or counters.
 func peek[V any](c *Cache[V], k Key) (V, bool) {
-	s := c.shardOf(k)
+	s := c.shard(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if e, ok := s.entries[k]; ok {
@@ -130,14 +130,14 @@ func peek[V any](c *Cache[V], k Key) (V, bool) {
 // live entry).
 func TestDeadEpochPreferenceDirect(t *testing.T) {
 	c := New[int](32) // 16 shards x cap 2
-	target := c.shardOf(Key{Epoch: 1, K: "seed"})
+	target := c.shard(Key{Epoch: 1, K: "seed"})
 	if target.cap != 2 {
 		t.Fatalf("per-shard cap = %d, want 2", target.cap)
 	}
 	inShard := func(epoch uint64, hint string) Key {
 		for i := 0; ; i++ {
 			k := Key{Epoch: epoch, K: fmt.Sprintf("%s%d", hint, i)}
-			if c.shardOf(k) == target {
+			if c.shard(k) == target {
 				return k
 			}
 		}

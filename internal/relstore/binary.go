@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 )
 
@@ -12,7 +13,7 @@ import (
 // engine (internal/storage): the catalog's tables and its built value-index
 // segments encode to compact length-prefixed binary sections, and decode by
 // re-pointing rather than re-deriving — a loaded segment is installed
-// verbatim into the owning shard's segment cache, so a restart skips
+// verbatim into the catalog's segment cache, so a restart skips
 // normalisation and trigram extraction entirely (the dominant cold-start
 // cost). Strings decode as substrings of one backing string per section, so
 // loading allocates O(tables + segments) backing arrays, not O(values).
@@ -137,7 +138,7 @@ func (c *Catalog) SaveBinary(w io.Writer) error {
 	}
 	b.uvarint(uint64(len(c.order)))
 	for _, qn := range c.order {
-		t := c.lookup(qn)
+		t := c.tables[qn]
 		rel := t.Relation
 		b.str(rel.Source)
 		b.str(rel.Name)
@@ -165,12 +166,11 @@ func (c *Catalog) SaveBinary(w io.Writer) error {
 	return nil
 }
 
-// LoadCatalogBinary decodes a SaveBinary section into a fresh catalog at the
-// given shard count (<= 0 selects the default). Row and schema strings alias
-// one backing string for the whole section.
-func LoadCatalogBinary(data []byte, shards int) (*Catalog, error) {
+// LoadCatalog decodes a SaveBinary section into a fresh catalog. Row and
+// schema strings alias one backing string for the whole section.
+func LoadCatalog(data []byte) (*Catalog, error) {
 	r := newBinReader(data, catalogBinMagic)
-	c := NewCatalogSharded(shards)
+	c := NewCatalog()
 	nTables := r.count("table")
 	for ti := 0; ti < nTables && r.err == nil; ti++ {
 		rel := &Relation{Source: r.str(), Name: r.str()}
@@ -219,6 +219,12 @@ func LoadCatalogBinary(data []byte, shards int) (*Catalog, error) {
 	return c, nil
 }
 
+// LoadCatalogBinary decodes a SaveBinary section into a fresh catalog.
+//
+// Deprecated: the catalog is one partition and shards is ignored; use
+// LoadCatalog.
+func LoadCatalogBinary(data []byte, shards int) (*Catalog, error) { return LoadCatalog(data) }
+
 // ---------------------------------------------------------------------------
 // value-index segments
 
@@ -233,8 +239,7 @@ func (c *Catalog) SaveSegments(w io.Writer) error {
 	}
 	var segs []*segment
 	for _, qn := range c.order {
-		sh := c.shardFor(qn)
-		if s := sh.index.built(sh.tables[qn]); s != nil {
+		if s := c.index.built(c.tables[qn]); s != nil {
 			segs = append(segs, s)
 		}
 	}
@@ -282,6 +287,10 @@ func writePostings(b *binWriter, m map[string][]int32) {
 	}
 }
 
+// readPostings decodes one posting map. Every id is checked as it is
+// decoded: each list must ascend strictly from 0 and stay below nEntries,
+// so a corrupt delta can neither wrap an id negative nor point past the
+// segment's entries.
 func readPostings(r *binReader, nEntries int) map[string][]int32 {
 	n := r.count("posting key")
 	m := make(map[string][]int32, n)
@@ -289,14 +298,19 @@ func readPostings(r *binReader, nEntries int) map[string][]int32 {
 		k := r.str()
 		ln := r.count("posting id")
 		ids := make([]int32, ln)
-		prev := int32(0)
+		var id uint64
 		for j := range ids {
-			prev += int32(r.uvarint())
-			ids[j] = prev
-		}
-		if r.err == nil && ln > 0 && int(prev) >= nEntries {
-			r.err = fmt.Errorf("relstore: binary decode: posting id %d out of range", prev)
-			return nil
+			d := r.uvarint()
+			if r.err != nil {
+				return nil
+			}
+			// d < nEntries-id keeps id+d in range and cannot overflow.
+			if (j > 0 && d == 0) || d >= uint64(nEntries)-id {
+				r.err = fmt.Errorf("relstore: binary decode: posting list %q is not ascending below %d entries", k, nEntries)
+				return nil
+			}
+			id += d
+			ids[j] = int32(id)
 		}
 		m[k] = ids
 	}
@@ -304,10 +318,11 @@ func readPostings(r *binReader, nEntries int) map[string][]int32 {
 }
 
 // LoadSegments decodes a SaveSegments section and installs each segment
-// verbatim into the owning shard's segment cache — the re-point load path:
-// no normalisation, no trigram extraction, no row scans. Segments naming
-// relations absent from the catalog are an error (the snapshot's catalog and
-// segment sections are written together and must agree).
+// verbatim into the catalog's segment cache — the re-point load path: no
+// normalisation, no trigram extraction, no row scans. A segment naming a
+// relation absent from the catalog, or attributes other than its table's,
+// is an error (the snapshot's catalog and segment sections are written
+// together and must agree).
 func (c *Catalog) LoadSegments(data []byte) error {
 	r := newBinReader(data, segmentsBinMagic)
 	nSegs := r.count("segment")
@@ -351,14 +366,16 @@ func (c *Catalog) LoadSegments(data []byte) error {
 		if r.err != nil {
 			break
 		}
-		sh := c.shardFor(s.rel)
-		t := sh.tables[s.rel]
+		t := c.tables[s.rel]
 		if t == nil {
 			return fmt.Errorf("relstore: load segments: segment for unknown relation %s", s.rel)
 		}
-		sh.index.mu.Lock()
-		sh.index.segs[t] = s
-		sh.index.mu.Unlock()
+		if !slices.EqualFunc(s.attrs, t.Relation.Attributes, func(a string, b Attribute) bool { return a == b.Name }) {
+			return fmt.Errorf("relstore: load segments: segment for %s disagrees with its table's attributes", s.rel)
+		}
+		c.index.mu.Lock()
+		c.index.segs[t] = s
+		c.index.mu.Unlock()
 	}
 	return r.err
 }

@@ -11,7 +11,7 @@ import (
 
 func binaryFixtureCatalog(t *testing.T) *Catalog {
 	t.Helper()
-	c := NewCatalogSharded(4)
+	c := NewCatalog()
 	rels := []*Relation{
 		{
 			Source: "dblp",
@@ -60,7 +60,7 @@ func TestCatalogBinaryRoundTrip(t *testing.T) {
 	if err := c.SaveBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := LoadCatalogBinary(buf.Bytes(), 4)
+	c2, err := LoadCatalog(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,14 +89,6 @@ func TestCatalogBinaryRoundTrip(t *testing.T) {
 	if got := c2.ValueOverlap(pub, id); got != 2 || got != c.ValueOverlap(pub, id) {
 		t.Errorf("overlap = %d, want 2 (original %d)", got, c.ValueOverlap(pub, id))
 	}
-	// A different shard count must load the same logical catalog.
-	c3, err := LoadCatalogBinary(buf.Bytes(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(c.RelationNames(), c3.RelationNames()) {
-		t.Error("shard count changed decoded catalog")
-	}
 }
 
 func TestCatalogSaveLoadRoundTrip(t *testing.T) {
@@ -105,7 +97,7 @@ func TestCatalogSaveLoadRoundTrip(t *testing.T) {
 	if err := c.SaveBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := LoadCatalogBinary(buf.Bytes(), 1)
+	c2, err := LoadCatalog(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +144,7 @@ func TestLoadCatalogRejectsGarbage(t *testing.T) {
 		catalogBinMagic + "\x01" + "\x01s\x01r" + "\x01\x01a\x00" + "\x00" + "\x7f",
 	}
 	for i, c := range cases {
-		if _, err := LoadCatalogBinary([]byte(c), 2); err == nil {
+		if _, err := LoadCatalog([]byte(c)); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
 	}
@@ -197,7 +189,7 @@ func TestSegmentsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	c2, err := LoadCatalogBinary(catBuf.Bytes(), 4)
+	c2, err := LoadCatalog(catBuf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +224,7 @@ func TestSegmentsPartialSave(t *testing.T) {
 	if err := c.SaveSegments(&segBuf); err != nil {
 		t.Fatal(err)
 	}
-	c2, err := LoadCatalogBinary(catBuf.Bytes(), 2)
+	c2, err := LoadCatalog(catBuf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +252,7 @@ func TestBinaryDecodeRejectsCorruption(t *testing.T) {
 	// Truncations at any point must error, never panic. (Bit flips are the
 	// storage container's CRC's job; the codec only owes structural safety.)
 	for cut := 0; cut < catBuf.Len(); cut += 7 {
-		if _, err := LoadCatalogBinary(catBuf.Bytes()[:cut], 2); err == nil {
+		if _, err := LoadCatalog(catBuf.Bytes()[:cut]); err == nil {
 			// A cut landing exactly after a whole table count of 0 tables
 			// can be valid; only the empty prefix of the magic must fail.
 			if cut < 8 {
@@ -269,7 +261,7 @@ func TestBinaryDecodeRejectsCorruption(t *testing.T) {
 		}
 	}
 	for cut := 0; cut < segBuf.Len(); cut += 7 {
-		c2, err := LoadCatalogBinary(catBuf.Bytes(), 2)
+		c2, err := LoadCatalog(catBuf.Bytes())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,7 +269,7 @@ func TestBinaryDecodeRejectsCorruption(t *testing.T) {
 			t.Errorf("segments truncated to %d bytes accepted", cut)
 		}
 	}
-	if _, err := LoadCatalogBinary([]byte("garbage-not-a-catalog"), 2); err == nil {
+	if _, err := LoadCatalog([]byte("garbage-not-a-catalog")); err == nil {
 		t.Error("garbage accepted as catalog")
 	}
 	// Two well-formed copies of one table: the catalog must refuse the
@@ -297,21 +289,24 @@ func TestBinaryDecodeRejectsCorruption(t *testing.T) {
 	table := oneBuf.Bytes()[len(catalogBinMagic)+1:] // past the magic and the count 1
 	dup := append([]byte(catalogBinMagic+"\x02"), table...)
 	dup = append(dup, table...)
-	if _, err := LoadCatalogBinary(dup, 2); err == nil {
+	if _, err := LoadCatalog(dup); err == nil {
 		t.Error("duplicate table accepted")
 	}
 }
 
-// TestShardedPersistRoundTrip pins the persistence half of the sharding
-// contract: a catalog saved at one shard count reloads at ANY shard count
-// (the wire form is shard-agnostic) to an equivalent catalog — identical
-// registration order, identical FindValues answers through both paths —
-// with value-index segments rebuilt lazily on first use rather than eagerly
-// at load time when no segments section is loaded.
-func TestShardedPersistRoundTrip(t *testing.T) {
+// TestPersistRoundTrip pins the catalog section's round trip on a
+// randomised catalog: the reload has the same registration order and the
+// same FindValues and value-set answers, its value-index segments rebuild
+// lazily on first use rather than eagerly at load time (no segments section
+// is loaded), and saving it again reproduces the original bytes.
+func TestPersistRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
-	tables := randomIndexTables(r, 16)
-	orig := catalogAt(t, 5, tables)
+	orig := NewCatalog()
+	for _, tb := range randomIndexTables(r, 16) {
+		if err := orig.AddTable(tb); err != nil {
+			t.Fatal(err)
+		}
+	}
 	orig.BuildValueIndex(4)
 
 	kws := indexKeywords(r, orig)
@@ -334,33 +329,111 @@ func TestShardedPersistRoundTrip(t *testing.T) {
 	if err := orig.SaveBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 2, 7} {
-		loaded, err := LoadCatalogBinary(buf.Bytes(), shards)
-		if err != nil {
+	loaded, err := LoadCatalog(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Segments are NOT rebuilt at load time…
+	if got := loaded.IndexedRelations(); got != 0 {
+		t.Errorf("%d segments built eagerly at load, want lazy rebuild", got)
+	}
+	if got := fingerprint(loaded); got != want {
+		t.Errorf("reloaded catalog diverged from the original\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	// …but the fingerprint's lookups built them all on the way.
+	if got := loaded.IndexedRelations(); got != loaded.NumRelations() {
+		t.Errorf("IndexedRelations after lookups = %d, want %d", got, loaded.NumRelations())
+	}
+	var buf2 bytes.Buffer
+	if err := loaded.SaveBinary(&buf2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf2.Bytes(), buf.Bytes()) {
+		t.Error("save/load/save is not byte-stable")
+	}
+}
+
+// TestLoadSegmentsChecksEveryPostingID pins the posting-list check of
+// LoadSegments on hand-built sections over a one-table catalog s.r(a): a
+// list must ascend strictly from 0 and stay below the entry count at every
+// id, not just the last. Before the check covered every id, a uvarint delta
+// of 2³¹ wrapped an int32 id negative, the section loaded, and the first
+// FindValues reaching the id panicked with an index out of range.
+func TestLoadSegmentsChecksEveryPostingID(t *testing.T) {
+	tab, err := NewTable(&Relation{Source: "s", Name: "r", Attributes: []Attribute{{Name: "a"}}},
+		[][]string{{"abc"}, {"abd"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// section encodes one segment for s.r with the given attribute names,
+	// the table's two entries, and gram "abc" -> deltas (tokens are valid).
+	section := func(attrs []string, deltas ...uint64) []byte {
+		var buf bytes.Buffer
+		b := newBinWriter(&buf)
+		b.w.WriteString(segmentsBinMagic)
+		b.uvarint(1)
+		b.str("s.r")
+		b.uvarint(uint64(len(attrs)))
+		for _, a := range attrs {
+			b.str(a)
+		}
+		b.uvarint(0)
+		b.uvarint(2)
+		b.uvarint(2)
+		for _, v := range []string{"abc", "abd"} {
+			b.str(v)
+			b.str(v)
+			b.uvarint(1)
+		}
+		b.uvarint(1) // grams
+		b.str("abc")
+		b.uvarint(uint64(len(deltas)))
+		for _, d := range deltas {
+			b.uvarint(d)
+		}
+		b.uvarint(2) // tokens
+		b.str("abc")
+		b.uvarint(1)
+		b.uvarint(0)
+		b.str("abd")
+		b.uvarint(1)
+		b.uvarint(1)
+		if err := b.flush(); err != nil {
 			t.Fatal(err)
 		}
-		if got := loaded.ShardCount(); got != shards {
-			t.Fatalf("loaded ShardCount = %d, want %d", got, shards)
-		}
-		// Segments are NOT rebuilt at load time…
-		if got := loaded.IndexedRelations(); got != 0 {
-			t.Errorf("shards=%d: %d segments built eagerly at load, want lazy rebuild", shards, got)
-		}
-		if got := fingerprint(loaded); got != want {
-			t.Errorf("shards=%d: reloaded catalog diverged from the original\ngot:\n%s\nwant:\n%s", shards, got, want)
-		}
-		// …but the fingerprint's lookups built them all on the way.
-		if got := loaded.IndexedRelations(); got != loaded.NumRelations() {
-			t.Errorf("shards=%d: IndexedRelations after lookups = %d, want %d", shards, got, loaded.NumRelations())
-		}
-		// Saving the reloaded catalog reproduces the original bytes: the
-		// wire form is canonical under resharding.
-		var buf2 bytes.Buffer
-		if err := loaded.SaveBinary(&buf2); err != nil {
+		return buf.Bytes()
+	}
+	load := func(data []byte) (*Catalog, error) {
+		c := NewCatalog()
+		if err := c.AddTable(tab); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(buf2.Bytes(), buf.Bytes()) {
-			t.Errorf("shards=%d: save/load/save is not byte-stable", shards)
+		return c, c.LoadSegments(data)
+	}
+
+	// The well-formed section loads and answers like a fresh index.
+	c, err := load(section([]string{"a"}, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := c.FindValues("abc"), scanFindValues(c, "abc"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("FindValues(abc) = %v, want %v", got, want)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		attrs  []string
+		deltas []uint64
+	}{
+		{"wrapped to [-2^31 0]", []string{"a"}, []uint64{1 << 31, 1 << 31}},
+		{"wrapped mid-list [5 1]", []string{"a"}, []uint64{5, 1<<32 - 4}},
+		{"repeated id [0 0]", []string{"a"}, []uint64{0, 0}},
+		{"last id past the entries", []string{"a"}, []uint64{0, 2}},
+		{"largest delta", []string{"a"}, []uint64{1<<64 - 1}},
+		{"attributes differ from the table's", []string{"b"}, []uint64{0}},
+	} {
+		if _, err := load(section(tc.attrs, tc.deltas...)); err == nil {
+			t.Errorf("%s: section accepted", tc.name)
 		}
 	}
 }

@@ -2,6 +2,8 @@ package relstore
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 
@@ -42,30 +44,29 @@ func (t *Table) Column(attr string) []string {
 	return col
 }
 
-// Catalog is the set of registered sources and their tables, internally
-// hash-partitioned into shards (see shard.go): each shard owns the tables
-// whose qualified names hash to it, its own lazily built distinct-value
-// cache and its own immutable value-index segments. Catalog-wide reads fan
-// out per shard and merge deterministically, so the shard count never
-// changes a single byte of any answer — it only sizes the fan-outs and
-// write locality.
+// Catalog is the set of registered sources and their tables: one table
+// map, the registration order, and two lazily filled caches — per-attribute
+// distinct-value sets and per-table value-index segments (valueindex.go).
 //
 // Concurrency contract: the catalog is single-writer, many-reader. AddTable
 // (the only mutation of tables/order — tables themselves are immutable once
 // added) must be serialised against ALL other calls on the SAME Catalog
-// value, as must Clone. Q publishes catalogs copy-on-write: a writer Clones
-// the catalog, mutates the clone, and atomically swaps it into the published
-// snapshot, so concurrent queries keep reading the frozen original. Every read method may be called
-// from any number of goroutines concurrently — Q's parallel branch executor
-// depends on this. The read paths that mutate internal state — the lazily
-// built per-shard ValueSet caches and value-index segment caches — are
-// shared across clones (tables are immutable, so an attribute's value set
-// and a table's segment never change) and guarded by their own per-shard
-// mutexes, so concurrent readers stay race-free.
+// value. Q publishes catalogs copy-on-write: a writer Clones the catalog,
+// mutates the clone, and atomically swaps it into the published snapshot,
+// so concurrent queries keep reading the frozen original. Every read method
+// — Clone included — may be called from any number of goroutines
+// concurrently: concurrent queries read one published catalog, and the
+// ExecuteBatch test helper executes branches on it in parallel. The read
+// paths that mutate internal state — the ValueSet cache and the
+// value-index segment cache — are shared across clones (tables are
+// immutable, so an attribute's value set and a table's segment never
+// change) and guarded by their own mutexes, so concurrent readers stay
+// race-free.
 type Catalog struct {
-	shards []*catShard // hash partitions; fixed count for the catalog's lifetime
-	owned  []bool      // writer-side: shard i's table map is private to this clone
-	order  []string    // global insertion order of qualified names
+	tables map[string]*Table // qualified name -> table
+	order  []string          // registration order of qualified names
+	values *valueCache       // shared across clones
+	index  *valueIndex       // shared across clones
 
 	// execObs, when attached (InstrumentExec), counts completed branch
 	// executions and their produced rows across every execution path.
@@ -74,39 +75,47 @@ type Catalog struct {
 	execObs *ExecCounters
 }
 
-// valueCache holds one shard's lazily built per-attribute distinct-value
-// sets. It is shared between a catalog and its clones: sets are keyed by
-// AttrRef and tables are immutable once added, so a cached set stays correct
-// in every catalog generation that contains the attribute.
+// valueCache holds the lazily built per-attribute distinct-value sets. It is
+// shared between a catalog and its clones: sets are keyed by AttrRef and
+// tables are immutable once added, so a cached set stays correct in every
+// catalog generation that contains the attribute.
 type valueCache struct {
 	mu   sync.RWMutex
 	sets map[AttrRef]map[string]struct{}
 }
 
-// NewCatalog returns an empty catalog at the default shard count
-// (runtime.GOMAXPROCS(0); see NewCatalogSharded).
-func NewCatalog() *Catalog { return NewCatalogSharded(0) }
-
-// Clone returns a copy-on-write clone. Only the shard-pointer slice and the
-// global order are copied: each shard's table map stays physically shared
-// until the first AddTable that hashes into it (which then copies just that
-// shard — see ownShard), and the per-shard value-set and value-index caches
-// are shared outright, since cached sets and segments are per-table and
-// immutable. A registration that clones the catalog and adds tables
-// therefore touches only the shards those tables hash into, while every
-// published copy-on-write generation keeps reading the same frozen shards.
-// Mutating either the clone or the original with AddTable leaves the other
-// untouched. Writer-side: Clone must be serialised with other mutations.
-func (c *Catalog) Clone() *Catalog {
-	// Both sides now share every shard: the parent too must copy-on-write
-	// before its next AddTable. Readers never touch the owned flags.
-	for i := range c.owned {
-		c.owned[i] = false
-	}
+// NewCatalog returns an empty catalog.
+func NewCatalog() *Catalog {
 	return &Catalog{
-		shards:  append([]*catShard(nil), c.shards...),
-		owned:   make([]bool, len(c.shards)),
-		order:   append([]string(nil), c.order...),
+		tables: make(map[string]*Table),
+		values: &valueCache{sets: make(map[AttrRef]map[string]struct{})},
+		index:  newValueIndex(),
+	}
+}
+
+// NewCatalogSharded returns an empty catalog.
+//
+// Deprecated: the catalog is one partition and shards is ignored; use
+// NewCatalog.
+func NewCatalogSharded(shards int) *Catalog { return NewCatalog() }
+
+// ShardCount returns 1.
+//
+// Deprecated: the catalog is one partition.
+func (c *Catalog) ShardCount() int { return 1 }
+
+// Clone returns a copy-on-write clone: the table map and the order are
+// copied, the value-set and value-index caches are shared, since cached
+// sets and segments are per-table and immutable. Mutating either the clone
+// or the original with AddTable leaves the other untouched, and every
+// published generation keeps reading its own frozen map. Clone only reads
+// its receiver, so it is safe alongside other readers.
+func (c *Catalog) Clone() *Catalog {
+	return &Catalog{
+		tables:  maps.Clone(c.tables),
+		order:   slices.Clone(c.order),
+		values:  c.values,
+		index:   c.index,
 		execObs: c.execObs,
 	}
 }
@@ -116,36 +125,31 @@ func (c *Catalog) Clone() *Catalog {
 // building it on first use, or nil for an unknown relation. Safe for
 // concurrent use (segmentFor resolves racing builds by adoption).
 func (c *Catalog) statsSegment(qualified string) *segment {
-	sh := c.shardFor(qualified)
-	t := sh.tables[qualified]
+	t := c.tables[qualified]
 	if t == nil {
 		return nil
 	}
-	return sh.index.segmentFor(t)
+	return c.index.segmentFor(t)
 }
 
 // AddTable registers a table. Registering a second table under the same
 // qualified relation name is an error: sources are immutable once added.
-// The write touches only the shard the table hashes into.
 func (c *Catalog) AddTable(t *Table) error {
 	qn := t.Relation.QualifiedName()
-	si := c.shardOf(qn)
-	if _, exists := c.shards[si].tables[qn]; exists {
+	if _, exists := c.tables[qn]; exists {
 		return fmt.Errorf("relstore: relation %s already registered", qn)
 	}
-	sh := c.ownShard(si)
-	sh.tables[qn] = t
-	sh.order = append(sh.order, qn)
+	c.tables[qn] = t
 	c.order = append(c.order, qn)
 	return nil
 }
 
 // Table returns the table registered under the qualified name, or nil.
-func (c *Catalog) Table(qualified string) *Table { return c.lookup(qualified) }
+func (c *Catalog) Table(qualified string) *Table { return c.tables[qualified] }
 
 // Relation returns the schema registered under the qualified name, or nil.
 func (c *Catalog) Relation(qualified string) *Relation {
-	if t := c.lookup(qualified); t != nil {
+	if t := c.tables[qualified]; t != nil {
 		return t.Relation
 	}
 	return nil
@@ -155,7 +159,7 @@ func (c *Catalog) Relation(qualified string) *Relation {
 func (c *Catalog) Relations() []*Relation {
 	out := make([]*Relation, 0, len(c.order))
 	for _, qn := range c.order {
-		out = append(out, c.lookup(qn).Relation)
+		out = append(out, c.tables[qn].Relation)
 	}
 	return out
 }
@@ -171,7 +175,7 @@ func (c *Catalog) RelationNames() []string {
 func (c *Catalog) Sources() []string {
 	set := make(map[string]struct{})
 	for _, qn := range c.order {
-		set[c.lookup(qn).Relation.Source] = struct{}{}
+		set[c.tables[qn].Relation.Source] = struct{}{}
 	}
 	out := make([]string, 0, len(set))
 	for s := range set {
@@ -186,7 +190,7 @@ func (c *Catalog) Sources() []string {
 func (c *Catalog) SourceRelations(source string) []*Relation {
 	var out []*Relation
 	for _, qn := range c.order {
-		if r := c.lookup(qn).Relation; r.Source == source {
+		if r := c.tables[qn].Relation; r.Source == source {
 			out = append(out, r)
 		}
 	}
@@ -200,27 +204,26 @@ func (c *Catalog) NumRelations() int { return len(c.order) }
 func (c *Catalog) NumAttributes() int {
 	n := 0
 	for _, qn := range c.order {
-		n += len(c.lookup(qn).Relation.Attributes)
+		n += len(c.tables[qn].Relation.Attributes)
 	}
 	return n
 }
 
 // ValueSet returns the distinct values of the referenced attribute. The set
-// is computed once and cached in the owning shard; callers must not mutate
+// is computed once and cached; callers must not mutate
 // it. Safe for concurrent use: losers of a racing first computation adopt
 // the winner's cached set, so all callers observe one canonical map per
 // attribute. When the attribute's table already has a value-index segment,
 // the set derives from the segment's distinct entries instead of
 // re-scanning rows.
 func (c *Catalog) ValueSet(ref AttrRef) map[string]struct{} {
-	sh := c.shardFor(ref.Relation)
-	sh.values.mu.RLock()
-	vs, ok := sh.values.sets[ref]
-	sh.values.mu.RUnlock()
+	c.values.mu.RLock()
+	vs, ok := c.values.sets[ref]
+	c.values.mu.RUnlock()
 	if ok {
 		return vs
 	}
-	t := sh.tables[ref.Relation]
+	t := c.tables[ref.Relation]
 	if t == nil {
 		return nil
 	}
@@ -228,7 +231,7 @@ func (c *Catalog) ValueSet(ref AttrRef) map[string]struct{} {
 	if i < 0 {
 		return nil
 	}
-	if seg := sh.index.built(t); seg != nil {
+	if seg := c.index.built(t); seg != nil {
 		vs = seg.valueSet(i)
 	} else {
 		vs = make(map[string]struct{})
@@ -238,13 +241,13 @@ func (c *Catalog) ValueSet(ref AttrRef) map[string]struct{} {
 			}
 		}
 	}
-	sh.values.mu.Lock()
-	if won, ok := sh.values.sets[ref]; ok {
+	c.values.mu.Lock()
+	if won, ok := c.values.sets[ref]; ok {
 		vs = won
 	} else {
-		sh.values.sets[ref] = vs
+		c.values.sets[ref] = vs
 	}
-	sh.values.mu.Unlock()
+	c.values.mu.Unlock()
 	return vs
 }
 
@@ -263,6 +266,24 @@ func (c *Catalog) ValueOverlap(a, b AttrRef) int {
 		}
 	}
 	return n
+}
+
+// OverlappingAttrPairs returns the attribute pairs between two relations
+// that share at least one distinct value — the Value Overlap Filter of
+// Figure 7, used to prune alignment comparisons at registration time.
+func (c *Catalog) OverlappingAttrPairs(a, b *Relation) map[[2]AttrRef]bool {
+	aq, bq := a.QualifiedName(), b.QualifiedName()
+	out := make(map[[2]AttrRef]bool)
+	for _, aa := range a.Attributes {
+		ra := AttrRef{Relation: aq, Attr: aa.Name}
+		for _, bb := range b.Attributes {
+			rb := AttrRef{Relation: bq, Attr: bb.Name}
+			if c.ValueOverlap(ra, rb) > 0 {
+				out[[2]AttrRef{ra, rb}] = true
+			}
+		}
+	}
+	return out
 }
 
 // ValueJaccard returns the Jaccard similarity of two attributes' distinct
@@ -284,7 +305,7 @@ type ValueHit struct {
 func (c *Catalog) AttrRefs() []AttrRef {
 	var out []AttrRef
 	for _, qn := range c.order {
-		for _, a := range c.lookup(qn).Relation.Attributes {
+		for _, a := range c.tables[qn].Relation.Attributes {
 			out = append(out, AttrRef{Relation: qn, Attr: a.Name})
 		}
 	}

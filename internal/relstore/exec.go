@@ -14,8 +14,8 @@ type ResultSet struct {
 // composed iterator pipeline of stream.go — scan with pushed-down selections,
 // pre-sized hash-join probes, similarity filters, projection/dedup — so no
 // intermediate relation is materialised. The result is the canonical
-// ResultSet (rows sorted, set semantics), byte-identical at every shard count
-// and to the materialise-everything reference executor kept as the test
+// ResultSet (rows sorted, set semantics), byte-identical to the
+// materialise-everything reference executor kept as the test
 // oracle executeOracle (oracle_test.go; stream_test.go, planner_test.go and
 // FuzzExecuteEquivalence pin it).
 func Execute(c *Catalog, q *ConjunctiveQuery) (*ResultSet, error) {

@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -10,62 +11,100 @@ import (
 
 // FuzzFindValuesEquivalence fuzzes the keyword side of the FindValues
 // contract: for an ARBITRARY utf-8 (or invalid-utf-8) keyword, the
-// reference full scan (scanFindValues), the single-shard inverted index and
-// the multi-shard inverted index must return deep-equal hits — content, row counts, order
-// and nil-ness. The catalogs are fixed (built once, read-only), so the fuzz
-// workers exercise the concurrent read paths too. CI runs this as a short
-// -fuzz smoke on every push.
+// reference full scan (scanFindValues) and the inverted index must return
+// deep-equal hits — content, row counts, order and nil-ness. The catalog is
+// fixed (built once, read-only), so the fuzz workers exercise the
+// concurrent read paths too. CI runs this as a short -fuzz smoke on every
+// push.
 
 var (
 	fuzzOnce sync.Once
-	fuzzScan *Catalog // answers via scanFindValues (1 shard)
-	fuzzIdx1 *Catalog // single-shard index
-	fuzzIdx7 *Catalog // multi-shard index, parallel fan
+	fuzzCat  *Catalog // every segment pre-built
 )
 
-func fuzzCatalogs() (*Catalog, *Catalog, *Catalog) {
+func fuzzCatalog() *Catalog {
 	fuzzOnce.Do(func() {
-		tables := randomIndexTables(rand.New(rand.NewSource(2024)), 16)
-		build := func(shards int) *Catalog {
-			c := NewCatalogSharded(shards)
-			for _, tb := range tables {
-				if err := c.AddTable(tb); err != nil {
-					panic(err)
-				}
+		fuzzCat = NewCatalog()
+		for _, tb := range randomIndexTables(rand.New(rand.NewSource(2024)), 16) {
+			if err := fuzzCat.AddTable(tb); err != nil {
+				panic(err)
 			}
-			c.BuildValueIndex(4)
-			return c
 		}
-		fuzzScan = build(1)
-		fuzzIdx1 = build(1)
-		fuzzIdx7 = build(7)
+		fuzzCat.BuildValueIndex(4)
 	})
-	return fuzzScan, fuzzIdx1, fuzzIdx7
+	return fuzzCat
 }
 
 func FuzzFindValuesEquivalence(f *testing.F) {
-	for _, kw := range []string{
-		"", " ", "membrane", "MEMBRANE", "plasma membrane", "GO:0005886",
-		"ab", "é", "東京", "βeta", "ngström", "005886", "kringle domain",
-		"no-such-keyword-zzqqx", "a b c", "\x00", "\xff\xfe invalid",
-		"𝔘nicode", "É̃ composed",
-	} {
+	for _, kw := range fuzzKeywords {
 		f.Add(kw)
 	}
 	f.Fuzz(func(t *testing.T, kw string) {
-		scanCat, idx1, idx7 := fuzzCatalogs()
-		want := scanFindValues(scanCat, kw)
-		if got := idx1.FindValues(kw); !reflect.DeepEqual(got, want) {
-			t.Errorf("single-shard index diverged from scan on %q\nindex: %v\nscan:  %v", kw, got, want)
+		c := fuzzCatalog()
+		if got, want := c.FindValues(kw), scanFindValues(c, kw); !reflect.DeepEqual(got, want) {
+			t.Errorf("index diverged from scan on %q\nindex: %v\nscan:  %v", kw, got, want)
 		}
-		if got := idx7.FindValues(kw); !reflect.DeepEqual(got, want) {
-			t.Errorf("sharded index diverged from scan on %q\nindex: %v\nscan:  %v", kw, got, want)
+	})
+}
+
+// fuzzKeywords seeds FuzzFindValuesEquivalence and is the fixed probe set
+// FuzzLoadSegments answers on every loaded section.
+var fuzzKeywords = []string{
+	"", " ", "membrane", "MEMBRANE", "plasma membrane", "GO:0005886",
+	"ab", "é", "東京", "βeta", "ngström", "005886", "kringle domain",
+	"no-such-keyword-zzqqx", "a b c", "\x00", "\xff\xfe invalid",
+	"𝔘nicode", "É̃ composed",
+}
+
+// FuzzLoadSegments fuzzes the segment decoder: a segments section —
+// seeded with real SaveSegments output and mutated arbitrarily — must
+// either be refused by LoadSegments or load into a catalog that answers
+// every probe keyword, and every attribute's value set, without panicking.
+func FuzzLoadSegments(f *testing.F) {
+	tables := randomIndexTables(rand.New(rand.NewSource(7)), 4)
+	build := func() *Catalog {
+		c := NewCatalog()
+		for _, tb := range tables {
+			if err := c.AddTable(tb); err != nil {
+				f.Fatal(err)
+			}
+		}
+		return c
+	}
+	src := build()
+	var empty bytes.Buffer
+	if err := src.SaveSegments(&empty); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(empty.Bytes())
+	src.EnsureIndexed(src.RelationNames()[0])
+	var one bytes.Buffer
+	if err := src.SaveSegments(&one); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(one.Bytes())
+	src.BuildValueIndex(1)
+	var all bytes.Buffer
+	if err := src.SaveSegments(&all); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(all.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := build()
+		if c.LoadSegments(data) != nil {
+			return
+		}
+		for _, kw := range fuzzKeywords {
+			c.FindValues(kw)
+		}
+		for _, ref := range c.AttrRefs() {
+			c.ValueSet(ref)
 		}
 	})
 }
 
 // fuzzPairCatalog builds the two-table catalog both executor fuzz targets
-// query: l.r and r.r, each with columns x and y, over two shards.
+// query: l.r and r.r, each with columns x and y.
 func fuzzPairCatalog(t *testing.T, lrows, rrows [][]string) *Catalog {
 	t.Helper()
 	lrel := &Relation{Source: "l", Name: "r", Attributes: []Attribute{{Name: "x"}, {Name: "y"}}}
@@ -78,7 +117,7 @@ func fuzzPairCatalog(t *testing.T, lrows, rrows [][]string) *Catalog {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cat := NewCatalogSharded(2)
+	cat := NewCatalog()
 	if err := cat.AddTable(lt); err != nil {
 		t.Fatal(err)
 	}

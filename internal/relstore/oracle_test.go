@@ -13,7 +13,7 @@ import (
 //
 //   - scanFindValues is the full-scan FindValues: every row of every table,
 //     each value normalised per keyword. The inverted value index must match
-//     it byte for byte (valueindex_test.go, shard_test.go, binary_test.go,
+//     it byte for byte (valueindex_test.go, binary_test.go,
 //     relstore_test.go, FuzzFindValuesEquivalence).
 //   - executeOracle is the materialise-everything executor over the naive
 //     first-connected join order: no cost-based planner, no streaming, no
@@ -47,7 +47,7 @@ func scanFindValues(c *Catalog, keyword string) []ValueHit {
 	}
 	var hits []ValueHit
 	for _, qn := range c.order {
-		t := c.lookup(qn)
+		t := c.tables[qn]
 		for ai, attr := range t.Relation.Attributes {
 			counts := make(map[string]int)
 			for _, row := range t.Rows {
@@ -341,7 +341,7 @@ func rowKey(vals []string) string { return string(appendLenPrefixed(nil, vals...
 // The batch is planned as a unit: branches stream through PlanBatch's
 // shared-subtree subplan cache, so a join prefix common to several branches
 // executes once, and results must be byte-identical to executing each query
-// alone, at every worker and shard count. Validation runs in index order
+// alone, at every worker count. Validation runs in index order
 // before anything executes, so the returned error is the one the
 // lowest-indexed failing query produces, matching serial semantics. Views
 // execute through the top-k-bounded BatchPlan.TopKUnion instead, which skips

@@ -72,8 +72,11 @@ type subplanEntry struct {
 
 // BatchPlan is the planned form of one branch-query batch: per-query plans
 // plus the shared-prefix subplan cache. Stream and Execute are safe for
-// concurrent use across different (or equal) indexes — core's branch workers
-// call them in parallel.
+// concurrent use across different (or equal) indexes. Core runs a view's
+// branches serially (one TopKUnion per materialisation); concurrent queries
+// each plan their own batch over one published catalog, and the
+// ExecuteBatch test helper executes one plan's branches from several
+// workers.
 type BatchPlan struct {
 	cat    *Catalog
 	plans  []*queryPlan

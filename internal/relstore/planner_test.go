@@ -10,9 +10,8 @@ import (
 
 // This file pins the cost-based join planner and the cross-branch CSE layer
 // against the unplanned, materialised test oracle (executeOracle,
-// oracle_test.go): over randomised catalogs, every join shape (self-filters
-// included) and shard counts {1,2,7}, the planner must not change a single
-// result byte — only the order work happens in. It also carries the
+// oracle_test.go): over randomised catalogs and every join shape
+// (self-filters included), the planner must not change a single result byte — only the order work happens in. It also carries the
 // join-binding regression tests the planner work surfaced: self-filter
 // conditions (`t.a = t.b`) were silently dropped by both executors, and
 // the top-k union once never validated branches its bound skipped.
@@ -39,35 +38,31 @@ func maybeSelfJoin(r *rand.Rand, c *Catalog, q *ConjunctiveQuery) {
 }
 
 // TestPlannedVsUnplannedEquivalence is the metamorphic gate of the planner:
-// over randomised catalogs (tricky values, self-filters injected) and shard
-// counts {1,2,7}, Execute's cost-based order must return a ResultSet
-// deep-equal to the oracle's naive order — content, order, nil-ness.
+// over randomised catalogs (tricky values, self-filters injected),
+// Execute's cost-based order must return a ResultSet deep-equal to the
+// oracle's naive order — content, order, nil-ness.
 func TestPlannedVsUnplannedEquivalence(t *testing.T) {
-	for _, shards := range []int{1, 2, 7} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			r := rand.New(rand.NewSource(int64(4000 + shards)))
-			for trial := 0; trial < 40; trial++ {
-				c := randomExecCatalog(r, shards, 2+r.Intn(3))
-				c.BuildValueIndex(2) // planner statistics source
-				for qi := 0; qi < 6; qi++ {
-					q := randomExecQuery(r, c)
-					maybeSelfJoin(r, c, q)
-					want, errW := executeOracle(c, q)
-					got, err := Execute(c, q)
-					if (errW == nil) != (err == nil) {
-						t.Fatalf("trial %d query %d: error divergence: oracle=%v got=%v\nquery: %s",
-							trial, qi, errW, err, q.SQL())
-					}
-					if errW != nil {
-						continue
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("trial %d query %d: result divergence\nquery: %s\ngot:    %v\noracle: %v",
-							trial, qi, q.SQL(), got, want)
-					}
-				}
+	r := rand.New(rand.NewSource(4000))
+	for trial := 0; trial < 120; trial++ {
+		c := randomExecCatalog(r, 2+r.Intn(3))
+		c.BuildValueIndex(2) // planner statistics source
+		for qi := 0; qi < 6; qi++ {
+			q := randomExecQuery(r, c)
+			maybeSelfJoin(r, c, q)
+			want, errW := executeOracle(c, q)
+			got, err := Execute(c, q)
+			if (errW == nil) != (err == nil) {
+				t.Fatalf("trial %d query %d: error divergence: oracle=%v got=%v\nquery: %s",
+					trial, qi, errW, err, q.SQL())
 			}
-		})
+			if errW != nil {
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d query %d: result divergence\nquery: %s\ngot:    %v\noracle: %v",
+					trial, qi, q.SQL(), got, want)
+			}
+		}
 	}
 }
 
@@ -78,7 +73,7 @@ func TestPlannedVsUnplannedEquivalence(t *testing.T) {
 func TestPlannedBatchAndTopKEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 25; trial++ {
-		c := randomExecCatalog(r, 1+r.Intn(3), 2+r.Intn(3))
+		c := randomExecCatalog(r, 2+r.Intn(3))
 		c.BuildValueIndex(2)
 		var queries []*ConjunctiveQuery
 		for len(queries) < 2+r.Intn(5) {
@@ -159,7 +154,7 @@ func TestSelfFilterJoinApplied(t *testing.T) {
 		}
 		return tb
 	}
-	c := NewCatalogSharded(1)
+	c := NewCatalog()
 	if err := c.AddTable(mk("s", []string{"x", "y"}, [][]string{
 		{"1", "1"}, {"1", "2"}, {"3", "3"},
 	})); err != nil {
@@ -250,7 +245,7 @@ func TestUnknownAliasAndAttrRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCatalogSharded(1)
+	c := NewCatalog()
 	if err := c.AddTable(tb); err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +315,7 @@ func TestTopKUnionValidatesSkippedBranches(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCatalogSharded(1)
+	c := NewCatalog()
 	if err := c.AddTable(tb); err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +351,7 @@ func TestBatchPlanCSECounters(t *testing.T) {
 		}
 		return tb
 	}
-	c := NewCatalogSharded(2)
+	c := NewCatalog()
 	if err := c.AddTable(mk("l", [][]string{{"k1", "p"}, {"k2", "q"}, {"k3", "r"}})); err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +409,7 @@ func TestPlannedOrderPrefersSelectiveAtom(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCatalogSharded(1)
+	c := NewCatalog()
 	if err := c.AddTable(tb); err != nil {
 		t.Fatal(err)
 	}

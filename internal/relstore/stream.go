@@ -22,7 +22,7 @@ import (
 // Execute runs here. The materialised executor survives only as the test
 // oracle executeOracle (oracle_test.go), and the metamorphic suite in
 // stream_test.go pins the two byte-identical on randomised catalogs, join
-// shapes and shard counts. Tuple identity is collision-proof in both: the
+// shapes. Tuple identity is collision-proof in both: the
 // oracle keys joins and dedup by the length-prefixed encoding below (which
 // values containing NUL bytes, embedded spaces or empty strings cannot forge
 // — the row-identity bugs this refactor fixed), and the streaming operators

@@ -10,9 +10,9 @@ import (
 
 // This file pins the streaming executor: the composed iterator pipeline
 // (stream.go) must be byte-identical to the materialise-everything test
-// oracle (executeOracle, oracle_test.go) on randomised catalogs, every join
-// shape and every shard count, and the top-k streamed union must equal the full
-// union's top-k prefix while provably skipping unbeatable branches. It also
+// oracle (executeOracle, oracle_test.go) on randomised catalogs and every
+// join shape, and the top-k streamed union must equal the full union's top-k
+// prefix while provably skipping unbeatable branches. It also
 // carries the row-identity regression tests: the old fmt.Sprint projection
 // dedup key and the "\x00"-separator join keys silently merged distinct
 // rows, and these tests fail against those encodings.
@@ -48,10 +48,9 @@ func randomExecTable(r *rand.Rand, source string, nAttrs, nRows int) *Table {
 	return t
 }
 
-// randomExecCatalog builds a catalog of small tricky-valued tables at the
-// given shard count.
-func randomExecCatalog(r *rand.Rand, shards, nTables int) *Catalog {
-	c := NewCatalogSharded(shards)
+// randomExecCatalog builds a catalog of small tricky-valued tables.
+func randomExecCatalog(r *rand.Rand, nTables int) *Catalog {
+	c := NewCatalog()
 	for i := 0; i < nTables; i++ {
 		nAttrs := 2 + r.Intn(3)
 		nRows := r.Intn(25)
@@ -110,34 +109,30 @@ func randomExecQuery(r *rand.Rand, c *Catalog) *ConjunctiveQuery {
 }
 
 // TestStreamingVsMaterialisedEquivalence is the metamorphic gate of the
-// streaming executor: over randomised catalogs (tricky values included),
-// randomised queries of every join shape, and shard counts {1,2,7}, Execute
-// must return a ResultSet deep-equal to the materialised oracle's — content,
-// order and nil-ness.
+// streaming executor: over randomised catalogs (tricky values included)
+// and randomised queries of every join shape, Execute must return a
+// ResultSet deep-equal to the materialised oracle's — content, order and
+// nil-ness.
 func TestStreamingVsMaterialisedEquivalence(t *testing.T) {
-	for _, shards := range []int{1, 2, 7} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			r := rand.New(rand.NewSource(int64(1000 + shards)))
-			for trial := 0; trial < 60; trial++ {
-				c := randomExecCatalog(r, shards, 2+r.Intn(3))
-				for qi := 0; qi < 6; qi++ {
-					q := randomExecQuery(r, c)
-					want, errM := executeOracle(c, q)
-					got, errS := Execute(c, q)
-					if (errM == nil) != (errS == nil) {
-						t.Fatalf("trial %d query %d: error divergence: oracle=%v production=%v\nquery: %s",
-							trial, qi, errM, errS, q.SQL())
-					}
-					if errM != nil {
-						continue
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("trial %d query %d: result divergence\nquery: %s\nproduction: %v\noracle:     %v",
-							trial, qi, q.SQL(), got, want)
-					}
-				}
+	r := rand.New(rand.NewSource(1000))
+	for trial := 0; trial < 180; trial++ {
+		c := randomExecCatalog(r, 2+r.Intn(3))
+		for qi := 0; qi < 6; qi++ {
+			q := randomExecQuery(r, c)
+			want, errM := executeOracle(c, q)
+			got, errS := Execute(c, q)
+			if (errM == nil) != (errS == nil) {
+				t.Fatalf("trial %d query %d: error divergence: oracle=%v production=%v\nquery: %s",
+					trial, qi, errM, errS, q.SQL())
 			}
-		})
+			if errM != nil {
+				continue
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d query %d: result divergence\nquery: %s\nproduction: %v\noracle:     %v",
+					trial, qi, q.SQL(), got, want)
+			}
+		}
 	}
 }
 
@@ -158,7 +153,7 @@ func TestProjectionDedupEmbeddedSpaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCatalogSharded(1)
+	c := NewCatalog()
 	if err := c.AddTable(tb); err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +189,7 @@ func TestJoinKeyNulRegression(t *testing.T) {
 		}
 		return tb
 	}
-	c := NewCatalogSharded(1)
+	c := NewCatalog()
 	if err := c.AddTable(mk("l", [][]string{
 		{"a\x00", "b"},     // collides with r's ("a","\x00b") under the old key
 		{"q\x00q", "\x00"}, // genuine match present on both sides
@@ -241,7 +236,7 @@ func TestSelectionUnknownAttributeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCatalogSharded(1)
+	c := NewCatalog()
 	if err := c.AddTable(tb); err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +274,7 @@ func executeTopKUnion(c *Catalog, queries []*ConjunctiveQuery, k int, prov []str
 func TestTopKUnionEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 40; trial++ {
-		c := randomExecCatalog(r, 1+r.Intn(3), 2+r.Intn(3))
+		c := randomExecCatalog(r, 2+r.Intn(3))
 		nBranches := 1 + r.Intn(5)
 		queries := make([]*ConjunctiveQuery, 0, nBranches)
 		for len(queries) < nBranches {
@@ -334,7 +329,7 @@ func TestTopKUnionEarlyTermination(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCatalogSharded(1)
+	c := NewCatalog()
 	if err := c.AddTable(tb); err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +376,7 @@ func TestStreamStatsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCatalogSharded(1)
+	c := NewCatalog()
 	if err := c.AddTable(tb); err != nil {
 		t.Fatal(err)
 	}
@@ -403,12 +398,66 @@ func TestStreamStatsAccounting(t *testing.T) {
 	}
 }
 
+// TestExecuteBatchEquivalence pins the batch executor against a serial
+// Execute loop: identical results in index order at any worker count, and
+// serial error semantics (the lowest failing index wins).
+func TestExecuteBatchEquivalence(t *testing.T) {
+	c := testCatalog(t)
+	mkq := func(rel, attr, val string) *ConjunctiveQuery {
+		return &ConjunctiveQuery{
+			Atoms:   []Atom{{Relation: rel, Alias: "t0"}},
+			Selects: []SelCond{{Alias: "t0", Attr: attr, Op: OpContains, Value: val}},
+			Project: []ProjCol{{Alias: "t0", Attr: attr, As: attr}},
+		}
+	}
+	queries := []*ConjunctiveQuery{
+		mkq("go.term", "name", "membrane"),
+		mkq("ip.entry", "name", "domain"),
+		mkq("ip.entry", "entry_ac", "IPR"),
+		mkq("go.term", "acc", "GO"),
+		mkq("ip.interpro2go", "go_id", "0005886"),
+	}
+	want := make([]*ResultSet, len(queries))
+	for i, q := range queries {
+		rs, err := Execute(c, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = rs
+	}
+	for _, workers := range []int{1, 2, 8} {
+		got, err := ExecuteBatch(c, queries, workers)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("workers=%d: batch diverged from serial execution", workers)
+		}
+	}
+	// Error semantics: two failing queries, the lower index's error surfaces.
+	bad := append([]*ConjunctiveQuery{}, queries...)
+	bad[1] = mkq("no.such", "a", "x")
+	bad[3] = mkq("also.missing", "b", "y")
+	wantErr := ""
+	for _, q := range bad {
+		if _, err := Execute(c, q); err != nil {
+			wantErr = err.Error()
+			break
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		if _, err := ExecuteBatch(c, bad, workers); err == nil || err.Error() != wantErr {
+			t.Fatalf("workers=%d: error = %v, want %q", workers, err, wantErr)
+		}
+	}
+}
+
 // TestExecuteBatchStreamingEquivalence extends the batch gate to the
 // oracle: the batch API must return, at several worker counts, exactly what
 // the materialised oracle returns query by query.
 func TestExecuteBatchStreamingEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
-	c := randomExecCatalog(r, 3, 4)
+	c := randomExecCatalog(r, 4)
 	var queries []*ConjunctiveQuery
 	var want []*ResultSet
 	for len(queries) < 8 {

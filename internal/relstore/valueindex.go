@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"unicode/utf8"
 
 	"qint/internal/text"
@@ -16,10 +17,10 @@ import (
 // catalog scan — previously the dominant per-query cost on large catalogs —
 // while preserving the scan's case-insensitive-substring contract exactly:
 // the scan survives only as a test oracle (oracle_test.go), and the
-// metamorphic suites in valueindex_test.go and shard_test.go and the
-// FuzzFindValuesEquivalence target pin byte-identical results against it.
+// metamorphic suites in valueindex_test.go and the FuzzFindValuesEquivalence
+// target pin byte-identical results against it.
 //
-// Structure. The index is sharded by table: each *Table gets one immutable
+// Structure. The index is split by table: each *Table gets one immutable
 // segment holding the table's distinct (attribute, value) entries — sorted
 // by attribute then value — with each entry's normalised form and row
 // count, plus two posting maps over entry ids: every character trigram of
@@ -58,7 +59,7 @@ type indexEntry struct {
 	rows int
 }
 
-// segment is the immutable per-table shard of the value index.
+// segment is the immutable per-table part of the value index.
 type segment struct {
 	rel       string   // qualified relation name
 	attrs     []string // attribute names, declaration order
@@ -68,7 +69,7 @@ type segment struct {
 	tokens    map[string][]int32 // normalised-value whole token -> sorted entry ids
 }
 
-// valueIndex is one shard's segment cache, shared between a catalog and its
+// valueIndex is the catalog's segment cache, shared between a catalog and its
 // clones (see Catalog.Clone): segments are keyed by table identity and
 // tables are immutable, so a segment stays correct in every catalog
 // generation that contains its table.
@@ -330,9 +331,8 @@ func (s *segment) valueSet(attrIdx int) map[string]struct{} {
 // sortHits puts hits into the canonical FindValues order: by relation, then
 // attribute, then value. The comparison is field-wise — Ref.String() is not
 // injective (a relation name may itself contain dots), and a non-total
-// comparator would let sort.Slice leave ties in input order, which now
-// varies with the shard count. The index and the reference scan share this
-// total order, so the two are byte-identical — across shard counts too.
+// comparator would let sort.Slice leave ties in input order. The index and
+// the reference scan share this total order, so the two are byte-identical.
 func sortHits(hits []ValueHit) {
 	sort.Slice(hits, func(i, j int) bool {
 		a, b := hits[i], hits[j]
@@ -351,72 +351,87 @@ func sortHits(hits []ValueHit) {
 // expansion uses this to lazily materialise value nodes for each keyword
 // (paper §2.2). Results are deterministic: sorted by attribute then value.
 //
-// It answers from the inverted value index, fanning one worker per shard and
-// building any missing table segments on the way (each table indexes exactly
-// once; registrations therefore only ever index their own new tables). Per-shard hits are merged
-// under the canonical (attribute, value) total order, so results are
-// identical to a full scan of every row — and across every shard count — in
-// content and order.
+// It answers from the inverted value index, table by table in registration
+// order, building any missing table segments on the way (each table indexes
+// exactly once; registrations therefore only ever index their own new
+// tables). The hits are sorted under the canonical (relation, attribute,
+// value) total order, so results are identical to a full scan of every row
+// in content and order.
 func (c *Catalog) FindValues(keyword string) []ValueHit {
 	kw := text.Normalize(keyword)
 	if kw == "" {
 		return nil
 	}
 	trigrams := keywordTrigrams(kw)
-	perShard := make([][]ValueHit, len(c.shards))
-	c.fanShards(func(si int) {
-		sh := c.shards[si]
-		var hits []ValueHit
-		for _, qn := range sh.order {
-			hits = sh.index.segmentFor(sh.tables[qn]).find(kw, trigrams, hits)
-		}
-		perShard[si] = hits
-	})
 	var hits []ValueHit
-	for _, sh := range perShard {
-		hits = append(hits, sh...)
+	for _, qn := range c.order {
+		hits = c.index.segmentFor(c.tables[qn]).find(kw, trigrams, hits)
 	}
 	sortHits(hits)
 	return hits
 }
 
 // EnsureIndexed builds the value-index segment for one relation if it is
-// missing, in the shard the relation hashes into. It is the unit of
-// incremental index maintenance: callers registering new tables fan
-// EnsureIndexed over their worker pool (one task per table) instead of
-// rebuilding anything global.
+// missing. It is the unit of incremental index maintenance: callers
+// registering new tables fan EnsureIndexed over their worker pool (one task
+// per table) instead of rebuilding anything global.
 func (c *Catalog) EnsureIndexed(qualified string) {
-	sh := c.shardFor(qualified)
-	if t := sh.tables[qualified]; t != nil {
-		sh.index.segmentFor(t)
+	if t := c.tables[qualified]; t != nil {
+		c.index.segmentFor(t)
 	}
 }
 
-// BuildValueIndex builds every missing table segment, fanning one worker
-// per shard across at most workers goroutines (workers <= 1 builds
-// serially). Tools and benchmarks use it to pre-warm the index; query paths
-// build lazily.
+// BuildValueIndex builds every missing table segment, one task per table
+// across at most workers goroutines (workers <= 1 builds serially). Tools
+// and benchmarks use it to pre-warm the index; query paths build lazily.
 func (c *Catalog) BuildValueIndex(workers int) {
-	fanIndexed(len(c.shards), workers, func(si int) {
-		sh := c.shards[si]
-		for _, qn := range sh.order {
-			sh.index.segmentFor(sh.tables[qn])
-		}
+	fanIndexed(len(c.order), workers, func(i int) {
+		c.index.segmentFor(c.tables[c.order[i]])
 	})
+}
+
+// fanIndexed runs fn(0), …, fn(n-1) across at most workers goroutines.
+// Every index runs exactly once at every worker count, so indexed collection
+// into pre-sized slices is race-free and results are order-independent.
+func fanIndexed(n, workers int, fn func(i int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	next.Store(-1)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1))
+				if i >= n {
+					return
+				}
+				fn(i)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // IndexedRelations reports how many of the catalog's relations currently
 // have a built index segment (for tests and stats).
 func (c *Catalog) IndexedRelations() int {
 	n := 0
-	for _, sh := range c.shards {
-		sh.index.mu.RLock()
-		for _, qn := range sh.order {
-			if _, ok := sh.index.segs[sh.tables[qn]]; ok {
-				n++
-			}
+	c.index.mu.RLock()
+	for _, qn := range c.order {
+		if _, ok := c.index.segs[c.tables[qn]]; ok {
+			n++
 		}
-		sh.index.mu.RUnlock()
 	}
+	c.index.mu.RUnlock()
 	return n
 }

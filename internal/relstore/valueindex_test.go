@@ -36,7 +36,7 @@ var indexVocab = []string{
 // indexVocab (sometimes empty, sometimes random composites), so keyword
 // hits land across tables and attributes. It panics on construction errors
 // (test-only code; the fuzz targets reuse it without a testing.T). minTables
-// lets the shard suite force catalogs wide enough to span many shards.
+// sets a floor on the table count.
 func randomIndexTables(r *rand.Rand, minTables int) []*Table {
 	var out []*Table
 	nTables := minTables + r.Intn(4)
@@ -80,8 +80,7 @@ func randomIndexTables(r *rand.Rand, minTables int) []*Table {
 	return out
 }
 
-// randomIndexCatalog builds a catalog over randomIndexTables at the default
-// shard count.
+// randomIndexCatalog builds a catalog over randomIndexTables.
 func randomIndexCatalog(t *testing.T, r *rand.Rand) *Catalog {
 	t.Helper()
 	c := NewCatalog()
@@ -154,19 +153,21 @@ func TestFindValuesScanIndexEquivalence(t *testing.T) {
 	}
 }
 
-// TestIndexFindValuesConcurrent hammers FindValues from many
+// TestIndexFindValuesConcurrent hammers FindValues and ValueSet from many
 // goroutines against a catalog whose segments have NOT been pre-built, so
-// lazy segment construction races with itself and with reads. Run under
-// -race; every answer must equal the quiesced reference scan.
+// lazy segment construction races with itself, with reads and with
+// ValueSet derivations. Run under -race; every answer must equal the
+// quiesced reference.
 func TestIndexFindValuesConcurrent(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	c := randomIndexCatalog(t, r)
-	kws := []string{"membrane", "GO:0005886", "ab", "é", "plasma membrane", "005886", "zzqqx", ""}
+	kws := []string{"membrane", "GO:0005886", "ab", "é", "plasma membrane", "005886", "zzqqx", "", "Kringle domain"}
 	want := make([][]ValueHit, len(kws))
 	ref := randomIndexCatalog(t, rand.New(rand.NewSource(99))) // identical build
 	for i, kw := range kws {
 		want[i] = scanFindValues(ref, kw)
 	}
+	refs := ref.AttrRefs()
 
 	const readers = 8
 	const rounds = 20
@@ -180,6 +181,11 @@ func TestIndexFindValuesConcurrent(t *testing.T) {
 				k := (g + i) % len(kws)
 				if got := c.FindValues(kws[k]); !reflect.DeepEqual(got, want[k]) {
 					errc <- fmt.Errorf("reader %d: FindValues(%q) = %v, want %v", g, kws[k], got, want[k])
+					return
+				}
+				ar := refs[(g*rounds+i)%len(refs)]
+				if got := c.ValueSet(ar); !reflect.DeepEqual(got, ref.ValueSet(ar)) {
+					errc <- fmt.Errorf("reader %d: ValueSet(%v) diverged", g, ar)
 					return
 				}
 			}
@@ -263,10 +269,95 @@ func TestIndexIncrementalAcrossClones(t *testing.T) {
 	}
 }
 
+// TestCloneIsolation pins Clone's copy-on-write contract: an AddTable on
+// either side of a Clone is invisible to the other, both sides share the
+// value-set and segment caches (built segments carry over, and the clone
+// indexes only its own additions), and Clone only reads its receiver, so
+// concurrent Clones of one catalog are race-free (run under -race).
+func TestCloneIsolation(t *testing.T) {
+	c := NewCatalog()
+	for _, tb := range randomIndexTables(rand.New(rand.NewSource(5)), 16) {
+		if err := c.AddTable(tb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.BuildValueIndex(4)
+	wantOrig := c.FindValues("membrane")
+	n := c.NumRelations()
+	notes := func(source string) *Table {
+		tb, err := NewTable(&Relation{Source: source, Name: "notes", Attributes: []Attribute{{Name: "body"}}},
+			[][]string{{"membrane transport"}, {"unrelated"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tb
+	}
+
+	clone := c.Clone()
+	if clone.values != c.values || clone.index != c.index {
+		t.Fatal("Clone did not share the value-set and segment caches")
+	}
+	if got := clone.IndexedRelations(); got != n {
+		t.Fatalf("clone should inherit built segments: %d of %d", got, n)
+	}
+	if err := clone.AddTable(notes("new")); err != nil {
+		t.Fatal(err)
+	}
+	clone.EnsureIndexed("new.notes")
+	if got := clone.IndexedRelations(); got != n+1 {
+		t.Fatalf("clone IndexedRelations = %d, want %d (exactly the new segment added)", got, n+1)
+	}
+	if got, want := clone.FindValues("membrane"), scanFindValues(clone, "membrane"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("clone index diverged from scan after AddTable\nindex: %v\nscan:  %v", got, want)
+	}
+	if c.Table("new.notes") != nil || c.NumRelations() != n || !reflect.DeepEqual(c.FindValues("membrane"), wantOrig) {
+		t.Fatal("original catalog sees the clone's table")
+	}
+	if err := c.AddTable(notes("orig")); err != nil {
+		t.Fatal(err)
+	}
+	if clone.Table("orig.notes") != nil || clone.NumRelations() != n+1 {
+		t.Fatal("clone sees a table added to the original after Clone")
+	}
+
+	// Concurrent Clones of one catalog, each growing its own copy.
+	const cloners = 8
+	var wg sync.WaitGroup
+	errc := make(chan error, cloners)
+	for g := 0; g < cloners; g++ {
+		tb := notes(fmt.Sprintf("g%d", g))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cl := clone.Clone()
+			if err := cl.AddTable(tb); err != nil {
+				errc <- err
+				return
+			}
+			if cl.NumRelations() != n+2 || cl.Table(tb.Relation.QualifiedName()) != tb {
+				errc <- fmt.Errorf("clone of %s lost a table", tb.Relation.QualifiedName())
+				return
+			}
+			if got, want := cl.FindValues("membrane"), scanFindValues(cl, "membrane"); !reflect.DeepEqual(got, want) {
+				errc <- fmt.Errorf("clone with %s: index diverged from scan", tb.Relation.QualifiedName())
+			}
+		}()
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	if clone.NumRelations() != n+1 {
+		t.Fatalf("concurrent clones changed their receiver: %d relations, want %d", clone.NumRelations(), n+1)
+	}
+}
+
 // TestValueSetFromIndexSegments pins the ValueSet derivation: with segments
 // built, ValueSet comes from index entries and must equal the row-scan set
-// for every attribute, and ValueJaccard must be bit-identical between an
-// indexed catalog and an unindexed twin.
+// for every attribute, and ValueJaccard, ValueOverlap and
+// OverlappingAttrPairs must be identical between an indexed catalog and an
+// unindexed twin.
 func TestValueSetFromIndexSegments(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	indexed := randomIndexCatalog(t, r)
@@ -293,6 +384,15 @@ func TestValueSetFromIndexSegments(t *testing.T) {
 			}
 			if oi, op := indexed.ValueOverlap(refs[i], refs[j]), plain.ValueOverlap(refs[i], refs[j]); oi != op {
 				t.Fatalf("ValueOverlap(%v, %v): %d != %d", refs[i], refs[j], oi, op)
+			}
+		}
+	}
+	rels := indexed.Relations()
+	for i := range rels {
+		for j := range rels {
+			if got, want := indexed.OverlappingAttrPairs(rels[i], rels[j]), plain.OverlappingAttrPairs(rels[i], rels[j]); !reflect.DeepEqual(got, want) {
+				t.Fatalf("OverlappingAttrPairs(%s, %s) diverged\nindex-derived: %v\nrow-scan:      %v",
+					rels[i].QualifiedName(), rels[j].QualifiedName(), got, want)
 			}
 		}
 	}

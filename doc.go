@@ -75,14 +75,18 @@
 // §2.2) runs on an incremental inverted index instead of scanning rows.
 // Each table owns one immutable index segment: its distinct
 // (attribute, value) entries with row counts and normalised forms, plus
-// posting lists keyed by every character trigram and every whole token of
-// the normalised value. A keyword of three or more runes intersects its
-// trigram posting lists and verifies the survivors with one substring
-// check (entries on the keyword's whole-token list skip even that);
-// shorter keywords fall back to verifying the segment's distinct entries
-// directly — deterministic, and still never touching raw rows. The results
-// are byte-identical to a full scan of every row (see Reference
-// implementations below).
+// two flat posting indexes keyed by every character trigram and every
+// whole token of the normalised value. Each is three arrays — the keys
+// ascending (a trigram packed into one integer), one offset per key and one
+// id array — so a segment's postings are a handful of allocations however
+// many keys it holds, a lookup is a binary search, and a snapshot encodes
+// the keys in stored order and decodes them without a per-key allocation.
+// A keyword of three or more runes intersects its trigram posting lists
+// and verifies the survivors with one substring check (entries on the
+// keyword's whole-token list skip even that); shorter keywords fall back
+// to verifying the segment's distinct entries directly — deterministic,
+// and still never touching raw rows. The results are byte-identical to a
+// full scan of every row (see Reference implementations below).
 //
 // The index is incremental and copy-on-write friendly: segments build once
 // per table — fanned across the worker pool at registration time, one task

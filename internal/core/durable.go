@@ -253,6 +253,7 @@ func (q *Q) restore(snap *storage.Container, records []storage.Record) error {
 	}
 
 	q.writerMu.Lock()
+	q.graph.RepriceEdges() // once for every replayed weight delta
 	q.publishLocked()
 	q.writerMu.Unlock()
 
@@ -287,7 +288,8 @@ func (q *Q) restore(snap *storage.Container, records []storage.Record) error {
 
 // replayRecord applies one committed WAL record to the builder state:
 // tables, then associations, then the weight delta. Mutations here never
-// re-log; publishing happens once, after the whole tail replays.
+// re-log; repricing the edges for the replayed weights and publishing
+// happen once, after the whole tail replays.
 func (q *Q) replayRecord(rec storage.Record) error {
 	if rec.Kind != walKindMutation {
 		return fmt.Errorf("core: unknown WAL record kind %d", rec.Kind)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"maps"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,6 +15,7 @@ import (
 	"qint/internal/matcher/mad"
 	"qint/internal/matcher/meta"
 	"qint/internal/relstore"
+	"qint/internal/steiner"
 )
 
 // durableOpts returns options rooted in a fresh temp dir.
@@ -431,5 +433,62 @@ func TestFeedbackCheckpointsReproducible(t *testing.T) {
 		if !bytes.Equal(x, b[name]) {
 			t.Errorf("%s differs between two runs of the same op sequence", name)
 		}
+	}
+}
+
+// TestReplayedFeedbackMatchesLive: a WAL tail of K feedback records replays
+// with the edges repriced once, after the whole tail, yet leaves every edge
+// cost bitwise and every view's answers equal to the live engine's, which
+// repriced after each feedback.
+func TestReplayedFeedbackMatchesLive(t *testing.T) {
+	opts := durableOpts(t)
+	q := openDurable(t, opts, manualCheckpoints)
+	q.AddMatcher(meta.New())
+	q.AddMatcher(mad.New())
+	driveMutations(t, q)
+	if err := q.Checkpoint(); err != nil { // the view definition persists; the feedback below is tail
+		t.Fatal(err)
+	}
+	const K = 6
+	changed := 0
+	for k := 0; k < K; k++ {
+		v := q.Views()[0]
+		trees := v.Trees()
+		if len(trees) < 2 {
+			t.Fatalf("view has %d trees, want at least 2 to give feedback on", len(trees))
+		}
+		before := maps.Clone(q.CurrentGraph().Weights())
+		if err := q.FeedbackFavorTree(v, trees[1+k%(len(trees)-1)]); err != nil {
+			t.Fatal(err)
+		}
+		if !maps.Equal(before, q.CurrentGraph().Weights()) {
+			changed++
+		}
+	}
+	if changed < 2 {
+		t.Fatalf("%d of %d feedbacks changed the weights: the tail exercises nothing", changed, K)
+	}
+	live := q.CurrentGraph()
+	want := fingerprintQ(q)
+	if err := q.persist.store.Close(); err != nil { // crash: no final checkpoint
+		t.Fatal(err)
+	}
+
+	q2 := reopen(t, opts)
+	got := q2.CurrentGraph()
+	if !maps.Equal(got.Weights(), live.Weights()) {
+		t.Fatalf("replayed weights diverged:\n%v\n%v", got.Weights(), live.Weights())
+	}
+	if got.NumEdges() != live.NumEdges() {
+		t.Fatalf("%d edges replayed, %d live", got.NumEdges(), live.NumEdges())
+	}
+	for id := range live.NumEdges() {
+		e := steiner.EdgeID(id)
+		if a, b := got.Cost(e), live.Cost(e); math.Float64bits(a) != math.Float64bits(b) {
+			t.Errorf("edge %d: replayed cost %v, live %v", id, a, b)
+		}
+	}
+	if f := fingerprintQ(q2); f != want {
+		t.Fatalf("replayed views diverged:\nwant:\n%s\ngot:\n%s", want, f)
 	}
 }

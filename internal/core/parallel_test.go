@@ -130,7 +130,7 @@ func equivCorpora() []equivCorpus {
 				q.AlignAllPairs()
 				return q
 			},
-			queries: datasets.InterProGO().Queries,
+			queries:  datasets.InterProGO().Queries,
 			strategy: ViewBased,
 			newTables: func(t *testing.T) []*relstore.Table {
 				rel := &relstore.Relation{Source: "ext", Name: "citations",

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 )
 
 // This file is the binary persistence codec behind the durable storage
@@ -15,14 +14,15 @@ import (
 // re-pointing rather than re-deriving — a loaded segment is installed
 // verbatim into the catalog's segment cache, so a restart skips
 // normalisation and trigram extraction entirely (the dominant cold-start
-// cost). Strings decode as substrings of one backing string per section, so
+// cost). Strings decode as substrings of one backing string per section,
+// and a segment's posting indexes decode into flat arrays sized up front, so
 // loading allocates O(tables + segments) backing arrays, not O(values).
 //
 // Both encoders are deterministic: tables serialise in registration order,
-// segment entries are already sorted by (attribute, value), and posting maps
-// serialise under sorted keys with delta-encoded ascending id lists. The
-// same catalog therefore always produces the same bytes — which the storage
-// layer's restart-equivalence tests rely on.
+// segment entries are already sorted by (attribute, value), and posting
+// indexes serialise in their ascending key order with delta-encoded
+// ascending id lists. The same catalog therefore always produces the same
+// bytes — which the storage layer's restart-equivalence tests rely on.
 
 const (
 	catalogBinMagic  = "QCATb1\n\n"
@@ -54,6 +54,14 @@ func (b *binWriter) str(s string) {
 		return
 	}
 	_, b.err = b.w.WriteString(s)
+}
+
+func (b *binWriter) bytes(p []byte) {
+	b.uvarint(uint64(len(p)))
+	if b.err != nil {
+		return
+	}
+	_, b.err = b.w.Write(p)
 }
 
 func (b *binWriter) flush() error {
@@ -88,17 +96,25 @@ func (r *binReader) fail(what string) {
 	}
 }
 
+// uvarint decodes like binary.Uvarint, reading the section string in place.
 func (r *binReader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
-	v, n := binary.Uvarint([]byte(r.s[r.off:min(r.off+binary.MaxVarintLen64, len(r.s))]))
-	if n <= 0 {
-		r.fail("varint")
-		return 0
+	var v uint64
+	for i, shift := 0, uint(0); i < binary.MaxVarintLen64 && r.off+i < len(r.s); i, shift = i+1, shift+7 {
+		c := r.s[r.off+i]
+		if c < 0x80 {
+			if i == binary.MaxVarintLen64-1 && c > 1 {
+				break // overflows 64 bits
+			}
+			r.off += i + 1
+			return v | uint64(c)<<shift
+		}
+		v |= uint64(c&0x7f) << shift
 	}
-	r.off += n
-	return v
+	r.fail("varint")
+	return 0
 }
 
 // count reads a uvarint that will be used as an allocation size, bounding it
@@ -230,8 +246,8 @@ func LoadCatalogBinary(data []byte, shards int) (*Catalog, error) { return LoadC
 
 // SaveSegments encodes every ALREADY BUILT value-index segment (segments are
 // built lazily; unbuilt tables simply rebuild lazily after a restart too).
-// Deterministic: segments serialise in registration order, posting maps
-// under sorted keys, id lists delta-encoded.
+// Deterministic: segments serialise in registration order, posting keys in
+// their stored ascending order, id lists delta-encoded.
 func (c *Catalog) SaveSegments(w io.Writer) error {
 	b := newBinWriter(w)
 	if _, err := b.w.WriteString(segmentsBinMagic); err != nil {
@@ -244,6 +260,7 @@ func (c *Catalog) SaveSegments(w io.Writer) error {
 		}
 	}
 	b.uvarint(uint64(len(segs)))
+	var gram []byte
 	for _, s := range segs {
 		b.str(s.rel)
 		b.uvarint(uint64(len(s.attrs)))
@@ -259,8 +276,11 @@ func (c *Catalog) SaveSegments(w io.Writer) error {
 			b.str(e.norm)
 			b.uvarint(uint64(e.rows))
 		}
-		writePostings(b, s.grams)
-		writePostings(b, s.tokens)
+		writePostings(b, &s.grams, func(code uint64) {
+			gram = appendGram(gram[:0], code)
+			b.bytes(gram)
+		})
+		writePostings(b, &s.tokens, b.str)
 	}
 	if err := b.flush(); err != nil {
 		return fmt.Errorf("relstore: save segments: %w", err)
@@ -268,16 +288,13 @@ func (c *Catalog) SaveSegments(w io.Writer) error {
 	return nil
 }
 
-func writePostings(b *binWriter, m map[string][]int32) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	b.uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		b.str(k)
-		ids := m[k]
+// writePostings encodes one posting index: the key count, then per key the
+// key (written by key) and its delta-encoded id list.
+func writePostings[K uint64 | string](b *binWriter, p *postings[K], key func(K)) {
+	b.uvarint(uint64(len(p.keys)))
+	for i, k := range p.keys {
+		key(k)
+		ids := p.ids[p.off[i]:p.off[i+1]]
 		b.uvarint(uint64(len(ids)))
 		prev := int32(0)
 		for _, id := range ids {
@@ -287,35 +304,53 @@ func writePostings(b *binWriter, m map[string][]int32) {
 	}
 }
 
-// readPostings decodes one posting map. Every id is checked as it is
-// decoded: each list must ascend strictly from 0 and stay below nEntries,
-// so a corrupt delta can neither wrap an id negative nor point past the
-// segment's entries.
-func readPostings(r *binReader, nEntries int) map[string][]int32 {
+// readPostings decodes one posting index into flat arrays; scratch collects
+// the ids and is reused across calls, so the index costs three allocations.
+// key parses a section key, reporting false for one the index cannot hold.
+// Keys must ascend strictly, and every id is checked as it is decoded: each
+// list must ascend strictly from 0 and stay below nEntries, so a corrupt
+// delta can neither wrap an id negative nor point past the segment's
+// entries.
+func readPostings[K uint64 | string](r *binReader, nEntries int, key func(string) (K, bool), scratch *[]int32) postings[K] {
 	n := r.count("posting key")
-	m := make(map[string][]int32, n)
+	if r.err != nil || n == 0 {
+		return postings[K]{}
+	}
+	p := postings[K]{keys: make([]K, n), off: make([]int32, n+1)}
+	ids := (*scratch)[:0]
 	for i := 0; i < n && r.err == nil; i++ {
-		k := r.str()
+		raw := r.str()
+		k, ok := key(raw)
+		if r.err == nil && (!ok || i > 0 && k <= p.keys[i-1]) {
+			r.err = fmt.Errorf("relstore: binary decode: posting key %q is malformed or not above its predecessor", raw)
+		}
+		p.keys[i] = k
 		ln := r.count("posting id")
-		ids := make([]int32, ln)
 		var id uint64
-		for j := range ids {
+		for j := 0; j < ln; j++ {
 			d := r.uvarint()
 			if r.err != nil {
-				return nil
+				break
 			}
 			// d < nEntries-id keeps id+d in range and cannot overflow.
 			if (j > 0 && d == 0) || d >= uint64(nEntries)-id {
-				r.err = fmt.Errorf("relstore: binary decode: posting list %q is not ascending below %d entries", k, nEntries)
-				return nil
+				r.err = fmt.Errorf("relstore: binary decode: posting list %q is not ascending below %d entries", raw, nEntries)
+				break
 			}
 			id += d
-			ids[j] = int32(id)
+			ids = append(ids, int32(id))
 		}
-		m[k] = ids
+		p.off[i+1] = int32(len(ids))
 	}
-	return m
+	*scratch = ids
+	if r.err != nil {
+		return postings[K]{}
+	}
+	p.ids = slices.Clone(ids)
+	return p
 }
+
+func tokenKey(s string) (string, bool) { return s, true }
 
 // LoadSegments decodes a SaveSegments section and installs each segment
 // verbatim into the catalog's segment cache — the re-point load path: no
@@ -325,6 +360,7 @@ func readPostings(r *binReader, nEntries int) map[string][]int32 {
 // together and must agree).
 func (c *Catalog) LoadSegments(data []byte) error {
 	r := newBinReader(data, segmentsBinMagic)
+	var scratch []int32
 	nSegs := r.count("segment")
 	for si := 0; si < nSegs && r.err == nil; si++ {
 		s := &segment{rel: r.str()}
@@ -361,8 +397,8 @@ func (c *Catalog) LoadSegments(data []byte) error {
 				rows: int(r.uvarint()),
 			}
 		}
-		s.grams = readPostings(r, nEntries)
-		s.tokens = readPostings(r, nEntries)
+		s.grams = readPostings(r, nEntries, parseGram, &scratch)
+		s.tokens = readPostings(r, nEntries, tokenKey, &scratch)
 		if r.err != nil {
 			break
 		}

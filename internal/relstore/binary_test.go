@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -353,21 +354,29 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadSegmentsChecksEveryPostingID pins the posting-list check of
+// TestLoadSegmentsChecksEveryPostingID pins the posting checks of
 // LoadSegments on hand-built sections over a one-table catalog s.r(a): a
 // list must ascend strictly from 0 and stay below the entry count at every
-// id, not just the last. Before the check covered every id, a uvarint delta
-// of 2³¹ wrapped an int32 id negative, the section loaded, and the first
-// FindValues reaching the id panicked with an index out of range.
+// id, not just the last; the keys of a posting index must ascend strictly;
+// and a trigram key must be three validly encoded runes. Before the check
+// covered every id, a uvarint delta of 2³¹ wrapped an int32 id negative,
+// the section loaded, and the first FindValues reaching the id panicked
+// with an index out of range. Before keys were checked, a duplicate key
+// silently replaced the earlier list, and keys loaded in any order.
 func TestLoadSegmentsChecksEveryPostingID(t *testing.T) {
 	tab, err := NewTable(&Relation{Source: "s", Name: "r", Attributes: []Attribute{{Name: "a"}}},
 		[][]string{{"abc"}, {"abd"}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// list is one posting key and the deltas of its id list.
+	type list struct {
+		key    string
+		deltas []uint64
+	}
 	// section encodes one segment for s.r with the given attribute names,
-	// the table's two entries, and gram "abc" -> deltas (tokens are valid).
-	section := func(attrs []string, deltas ...uint64) []byte {
+	// the table's two entries, and the given trigram and token postings.
+	section := func(attrs []string, grams, tokens []list) []byte {
 		var buf bytes.Buffer
 		b := newBinWriter(&buf)
 		b.w.WriteString(segmentsBinMagic)
@@ -385,19 +394,16 @@ func TestLoadSegmentsChecksEveryPostingID(t *testing.T) {
 			b.str(v)
 			b.uvarint(1)
 		}
-		b.uvarint(1) // grams
-		b.str("abc")
-		b.uvarint(uint64(len(deltas)))
-		for _, d := range deltas {
-			b.uvarint(d)
+		for _, index := range [][]list{grams, tokens} {
+			b.uvarint(uint64(len(index)))
+			for _, l := range index {
+				b.str(l.key)
+				b.uvarint(uint64(len(l.deltas)))
+				for _, d := range l.deltas {
+					b.uvarint(d)
+				}
+			}
 		}
-		b.uvarint(2) // tokens
-		b.str("abc")
-		b.uvarint(1)
-		b.uvarint(0)
-		b.str("abd")
-		b.uvarint(1)
-		b.uvarint(1)
 		if err := b.flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -410,30 +416,79 @@ func TestLoadSegmentsChecksEveryPostingID(t *testing.T) {
 		}
 		return c, c.LoadSegments(data)
 	}
+	attrs := []string{"a"}
+	grams := []list{{"abc", []uint64{0}}, {"abd", []uint64{1}}}
+	tokens := grams
 
 	// The well-formed section loads and answers like a fresh index.
-	c, err := load(section([]string{"a"}, 0))
+	c, err := load(section(attrs, grams, tokens))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := c.FindValues("abc"), scanFindValues(c, "abc"); !reflect.DeepEqual(got, want) {
-		t.Fatalf("FindValues(abc) = %v, want %v", got, want)
+	for _, kw := range []string{"abc", "abd", "bd"} {
+		if got, want := c.FindValues(kw), scanFindValues(c, kw); !reflect.DeepEqual(got, want) {
+			t.Fatalf("FindValues(%s) = %v, want %v", kw, got, want)
+		}
 	}
 
+	gramDeltas := func(deltas ...uint64) []list { return []list{{"abc", deltas}, {"abd", []uint64{1}}} }
 	for _, tc := range []struct {
 		name   string
 		attrs  []string
-		deltas []uint64
+		grams  []list
+		tokens []list
 	}{
-		{"wrapped to [-2^31 0]", []string{"a"}, []uint64{1 << 31, 1 << 31}},
-		{"wrapped mid-list [5 1]", []string{"a"}, []uint64{5, 1<<32 - 4}},
-		{"repeated id [0 0]", []string{"a"}, []uint64{0, 0}},
-		{"last id past the entries", []string{"a"}, []uint64{0, 2}},
-		{"largest delta", []string{"a"}, []uint64{1<<64 - 1}},
-		{"attributes differ from the table's", []string{"b"}, []uint64{0}},
+		{"wrapped to [-2^31 0]", attrs, gramDeltas(1<<31, 1<<31), tokens},
+		{"wrapped mid-list [5 1]", attrs, gramDeltas(5, 1<<32-4), tokens},
+		{"repeated id [0 0]", attrs, gramDeltas(0, 0), tokens},
+		{"last id past the entries", attrs, gramDeltas(0, 2), tokens},
+		{"largest delta", attrs, gramDeltas(1<<64 - 1), tokens},
+		{"attributes differ from the table's", []string{"b"}, grams, tokens},
+		{"duplicate trigram key", attrs, []list{{"abc", []uint64{0}}, {"abc", []uint64{1}}}, tokens},
+		{"trigram keys out of order", attrs, []list{{"abd", []uint64{1}}, {"abc", []uint64{0}}}, tokens},
+		{"duplicate token key", attrs, grams, []list{{"abc", []uint64{0}}, {"abc", []uint64{1}}}},
+		{"token keys out of order", attrs, grams, []list{{"abd", []uint64{1}}, {"abc", []uint64{0}}}},
+		{"trigram key of two runes", attrs, []list{{"ab", []uint64{0}}, {"abc", []uint64{0}}}, tokens},
+		{"trigram key of four runes", attrs, []list{{"abc", []uint64{0}}, {"abcd", []uint64{0}}}, tokens},
+		{"trigram key not UTF-8", attrs, []list{{"ab\xff", []uint64{0}}}, tokens},
 	} {
-		if _, err := load(section(tc.attrs, tc.deltas...)); err == nil {
+		if _, err := load(section(tc.attrs, tc.grams, tc.tokens)); err == nil {
 			t.Errorf("%s: section accepted", tc.name)
+		}
+	}
+}
+
+// TestBinReaderUvarint pins the in-place varint decoder to
+// binary.Uvarint: the same value and length on every input, and a refusal
+// exactly where binary.Uvarint reports a truncated or overlong varint.
+func TestBinReaderUvarint(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	inputs := [][]byte{
+		{}, {0}, {1}, {0x7f}, {0x80}, {0x80, 0}, {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1},
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 2}, bytes.Repeat([]byte{0x80}, 11),
+	}
+	for i := 0; i < 2000; i++ {
+		in := make([]byte, r.Intn(12))
+		for j := range in {
+			in[j] = byte(r.Intn(256))
+			if r.Intn(3) > 0 {
+				in[j] |= 0x80
+			}
+		}
+		inputs = append(inputs, binary.AppendUvarint(nil, r.Uint64()>>r.Intn(64)), in)
+	}
+	for _, in := range inputs {
+		want, n := binary.Uvarint(in)
+		br := &binReader{s: string(in)}
+		got := br.uvarint()
+		if n <= 0 {
+			if br.err == nil {
+				t.Errorf("% x: decoded %d, binary.Uvarint refuses it", in, got)
+			}
+			continue
+		}
+		if br.err != nil || got != want || br.off != n {
+			t.Errorf("% x: got (%d, %d bytes, %v), want (%d, %d bytes)", in, got, br.off, br.err, want, n)
 		}
 	}
 }

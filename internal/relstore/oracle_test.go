@@ -2,6 +2,8 @@ package relstore
 
 import (
 	"fmt"
+	"io"
+	"sort"
 	"strings"
 
 	"qint/internal/text"
@@ -24,9 +26,12 @@ import (
 //     branch, no top-k bound, fanned across workers. It pins BatchPlan's
 //     subplan sharing against per-query Execute and is the reference
 //     TopKUnion's prefix is compared with.
-//   - postEntryOracle is the value-index posting build with a per-entry seen
-//     set and trigrams cut from []rune. buildSegment's postings must equal
-//     its (TestSegmentPostingsMatchOracle).
+//   - postEntryOracle is the map-based value-index posting build, with a
+//     per-entry seen set and trigrams cut from []rune, and
+//     saveSegmentsOracle the map-based segment encoder, writing each map
+//     under sorted keys. buildSegment's flat postings must hold the same
+//     lists, and SaveSegments must write the same bytes
+//     (TestSegmentPostingsMatchOracle).
 
 // executor is one way to run a conjunctive query.
 type executor struct {
@@ -72,10 +77,25 @@ func scanFindValues(c *Catalog, keyword string) []ValueHit {
 	return hits
 }
 
+// postingMaps is the map form of a segment's two posting indexes: key ->
+// ascending entry ids.
+type postingMaps struct {
+	grams, tokens map[string][]int32
+}
+
+// postingsOracle posts every entry of a segment through postEntryOracle.
+func postingsOracle(s *segment) postingMaps {
+	m := postingMaps{grams: make(map[string][]int32), tokens: make(map[string][]int32)}
+	for id, e := range s.entries {
+		postEntryOracle(m, int32(id), e.norm)
+	}
+	return m
+}
+
 // postEntryOracle is the reference posting build: one entry's distinct
 // trigrams (cut from its []rune conversion) and tokens, deduplicated through
-// a per-entry set, appended to the segment's posting maps.
-func postEntryOracle(s *segment, id int32, norm string) {
+// a per-entry set, appended to the posting maps.
+func postEntryOracle(m postingMaps, id int32, norm string) {
 	seen := make(map[string]struct{})
 	r := []rune(norm)
 	for i := 0; i+3 <= len(r); i++ {
@@ -84,7 +104,7 @@ func postEntryOracle(s *segment, id int32, norm string) {
 			continue
 		}
 		seen[g] = struct{}{}
-		s.grams[g] = append(s.grams[g], id)
+		m.grams[g] = append(m.grams[g], id)
 	}
 	for _, tok := range strings.Fields(norm) {
 		key := "\x00" + tok // token namespace, cannot collide with trigrams
@@ -92,7 +112,63 @@ func postEntryOracle(s *segment, id int32, norm string) {
 			continue
 		}
 		seen[key] = struct{}{}
-		s.tokens[tok] = append(s.tokens[tok], id)
+		m.tokens[tok] = append(m.tokens[tok], id)
+	}
+}
+
+// saveSegmentsOracle is the reference segment encoder: SaveSegments with
+// each segment's postings rebuilt by postingsOracle and written as maps
+// under sorted keys.
+func saveSegmentsOracle(c *Catalog, w io.Writer) error {
+	b := newBinWriter(w)
+	if _, err := b.w.WriteString(segmentsBinMagic); err != nil {
+		return err
+	}
+	var segs []*segment
+	for _, qn := range c.order {
+		if s := c.index.built(c.tables[qn]); s != nil {
+			segs = append(segs, s)
+		}
+	}
+	b.uvarint(uint64(len(segs)))
+	for _, s := range segs {
+		b.str(s.rel)
+		b.uvarint(uint64(len(s.attrs)))
+		for _, a := range s.attrs {
+			b.str(a)
+		}
+		for _, off := range s.attrStart {
+			b.uvarint(uint64(off))
+		}
+		b.uvarint(uint64(len(s.entries)))
+		for _, e := range s.entries {
+			b.str(e.val)
+			b.str(e.norm)
+			b.uvarint(uint64(e.rows))
+		}
+		m := postingsOracle(s)
+		writePostingMapOracle(b, m.grams)
+		writePostingMapOracle(b, m.tokens)
+	}
+	return b.flush()
+}
+
+func writePostingMapOracle(b *binWriter, m map[string][]int32) {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	b.uvarint(uint64(len(keys)))
+	for _, k := range keys {
+		b.str(k)
+		ids := m[k]
+		b.uvarint(uint64(len(ids)))
+		prev := int32(0)
+		for _, id := range ids {
+			b.uvarint(uint64(id - prev))
+			prev = id
+		}
 	}
 }
 

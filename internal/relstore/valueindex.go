@@ -1,7 +1,7 @@
 package relstore
 
 import (
-	"iter"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -23,25 +23,29 @@ import (
 // Structure. The index is split by table: each *Table gets one immutable
 // segment holding the table's distinct (attribute, value) entries — sorted
 // by attribute then value — with each entry's normalised form and row
-// count, plus two posting maps over entry ids: every character trigram of
-// the normalised value, and every whole token. Segments are built once per
+// count, plus two flat posting indexes over entry ids: one keyed by every
+// character trigram of the normalised value, one by every whole token. A
+// posting index is three arrays — the keys in ascending order, one offset
+// per key and one id array — so key i's ascending id list is
+// ids[off[i]:off[i+1]]; a trigram key is its three runes packed into one
+// integer (a gram code, see gramRuneBits). Segments are built once per
 // table (tables are immutable after AddTable) and never mutated, so the
 // segment cache is shared across Catalog.Clone exactly like the lazy
 // ValueSet cache — a registration that clones the catalog and adds one
 // table indexes ONLY that table, and every published copy-on-write
-// generation keeps reading the same frozen segments. Lookups that build a
-// missing segment synchronise on the cache's own mutex; losers of a racing
-// build adopt the winner's segment, so concurrent readers stay race-free
-// and observe one canonical segment per table.
+// generation keeps reading the same frozen segments. Lookups that build a missing segment
+// synchronise on the cache's own mutex; losers of a racing build adopt the
+// winner's segment, so concurrent readers stay race-free and observe one
+// canonical segment per table.
 //
 // Lookup. A keyword is normalised, then:
 //   - len ≥ 3 runes: candidates are the intersection of the keyword's
 //     trigram posting lists (smallest first; any absent trigram short-
-//     circuits to no hits). Candidates whose ids also appear on the
-//     keyword's whole-token posting list are accepted outright (a token is
-//     always a substring of its value — the exact-token fast path); the
-//     rest are verified with one strings.Contains over the precomputed
-//     normalised value.
+//     circuits to no hits; a key is found by binary search). Candidates
+//     whose ids also appear on the keyword's whole-token posting list are
+//     accepted outright (a token is always a substring of its value — the
+//     exact-token fast path); the rest are verified with one
+//     strings.Contains over the precomputed normalised value.
 //   - len < 3 runes (shorter than the trigram width): deterministic
 //     fallback — every entry of the segment is verified directly. This
 //     still touches only distinct values with precomputed normalisations,
@@ -64,9 +68,9 @@ type segment struct {
 	rel       string   // qualified relation name
 	attrs     []string // attribute names, declaration order
 	entries   []indexEntry
-	attrStart []int              // entries[attrStart[i]:attrStart[i+1]] belong to attribute i
-	grams     map[string][]int32 // normalised-value trigram -> sorted entry ids
-	tokens    map[string][]int32 // normalised-value whole token -> sorted entry ids
+	attrStart []int            // entries[attrStart[i]:attrStart[i+1]] belong to attribute i
+	grams     postings[uint64] // normalised-value trigram (gram code) -> ascending entry ids
+	tokens    postings[string] // normalised-value whole token -> ascending entry ids
 }
 
 // valueIndex is the catalog's segment cache, shared between a catalog and its
@@ -111,18 +115,159 @@ func (x *valueIndex) built(t *Table) *segment {
 	return s
 }
 
+// postings is one immutable posting index over a segment's entry ids: keys
+// strictly ascending, and key i's ascending id list ids[off[i]:off[i+1]].
+// The whole index is three allocations, however many keys it holds.
+type postings[K uint64 | string] struct {
+	keys []K
+	off  []int32 // len(keys)+1 entries; nil when there are no keys
+	ids  []int32
+}
+
+// lookup returns key's id list and whether the key is present.
+func (p *postings[K]) lookup(key K) ([]int32, bool) {
+	i, ok := slices.BinarySearch(p.keys, key)
+	if !ok {
+		return nil, false
+	}
+	return p.ids[p.off[i]:p.off[i+1]], true
+}
+
+// A gram code packs a trigram's three runes into one key, 21 bits a rune,
+// first rune highest. Every rune fits in 21 bits, so the numeric order of
+// codes is the lexicographic order of the rune triples, which on valid
+// UTF-8 is the byte order of the trigram strings: the gram keys ascend
+// exactly as the strings the section stores.
+const (
+	gramRuneBits = 21
+	gramMask     = 1<<(3*gramRuneBits) - 1
+)
+
+// appendGram appends the UTF-8 form of a trigram code to dst.
+func appendGram(dst []byte, code uint64) []byte {
+	const runeMask = 1<<gramRuneBits - 1
+	for shift := 2 * gramRuneBits; shift >= 0; shift -= gramRuneBits {
+		dst = utf8.AppendRune(dst, rune(code>>shift&runeMask))
+	}
+	return dst
+}
+
+// parseGram packs a section's trigram key. It reports false unless the key
+// is exactly three validly encoded runes, so that appendGram gives back the
+// same bytes.
+func parseGram(key string) (uint64, bool) {
+	var code uint64
+	for i := 0; i < 3; i++ {
+		r, size := utf8.DecodeRuneInString(key)
+		if r == utf8.RuneError && size <= 1 {
+			return 0, false
+		}
+		code = code<<gramRuneBits | uint64(r)
+		key = key[size:]
+	}
+	return code, key == ""
+}
+
+// forEachGram calls fn with the code of every run of three consecutive runes
+// of s, in order and with repeats. Ranging over s decodes an invalid byte to
+// U+FFFD, as the []rune conversion does; text.Normalize emits valid UTF-8,
+// so normalised values never carry one.
+func forEachGram(s string, fn func(code uint64)) {
+	var code uint64
+	n := 0
+	for _, r := range s {
+		code = (code<<gramRuneBits | uint64(r)) & gramMask
+		if n++; n >= 3 {
+			fn(code)
+		}
+	}
+}
+
+// postingBuilder gathers one posting index while buildSegment walks the
+// entries in id order: each distinct key is interned once, and each
+// (key, id) pair is recorded once, as the key's slot under its entry.
+type postingBuilder[K uint64 | string] struct {
+	slot  map[K]int32 // key -> slot, in first-seen order
+	keys  []K         // by slot
+	last  []int32     // by slot: the last id posted
+	count []int32     // by slot: ids posted
+	occ   []int32     // the slot of every (key, id) posted, in id order
+	start []int32     // entry id -> its first index in occ
+}
+
+// newPostingBuilder sizes the key map for keys keys and the occurrence list
+// for occ pairs; both still grow past their hints.
+func newPostingBuilder[K uint64 | string](keys, occ int) *postingBuilder[K] {
+	return &postingBuilder[K]{slot: make(map[K]int32, keys), occ: make([]int32, 0, occ)}
+}
+
+// add posts id under key unless key's list already ends in it. Ids must
+// arrive in ascending order.
+func (b *postingBuilder[K]) add(key K, id int32) {
+	sl, ok := b.slot[key]
+	if !ok {
+		sl = int32(len(b.keys))
+		b.slot[key] = sl
+		b.keys = append(b.keys, key)
+		b.last = append(b.last, -1)
+		b.count = append(b.count, 0)
+	}
+	if b.last[sl] == id {
+		return
+	}
+	b.last[sl] = id
+	b.count[sl]++
+	for int32(len(b.start)) <= id {
+		b.start = append(b.start, int32(len(b.occ)))
+	}
+	b.occ = append(b.occ, sl)
+}
+
+// finish lays the gathered postings out flat, keys ascending.
+func (b *postingBuilder[K]) finish() postings[K] {
+	if len(b.keys) == 0 {
+		return postings[K]{}
+	}
+	p := postings[K]{
+		keys: make([]K, len(b.keys)),
+		off:  make([]int32, len(b.keys)+1),
+		ids:  make([]int32, len(b.occ)),
+	}
+	copy(p.keys, b.keys)
+	slices.Sort(p.keys)
+	next := b.last // reused, by slot: the next free position in the key's list
+	pos := int32(0)
+	for rank, k := range p.keys {
+		sl := b.slot[k]
+		p.off[rank] = pos
+		next[sl] = pos
+		pos += b.count[sl]
+	}
+	p.off[len(p.keys)] = pos
+	for id, from := range b.start {
+		to := int32(len(b.occ))
+		if id+1 < len(b.start) {
+			to = b.start[id+1]
+		}
+		for _, sl := range b.occ[from:to] {
+			p.ids[next[sl]] = int32(id)
+			next[sl]++
+		}
+	}
+	return p
+}
+
 // buildSegment indexes one table: distinct values with row counts per
 // attribute, sorted by (attribute, value), plus trigram and token postings
 // over the normalised forms. Posting lists come out sorted because entry
-// ids are assigned in final entry order.
+// ids are assigned in final entry order. Keys are trigram codes and
+// substrings of the normalised values, which the entries retain anyway.
 func buildSegment(t *Table) *segment {
 	nAttr := len(t.Relation.Attributes)
 	s := &segment{
 		rel:       t.Relation.QualifiedName(),
 		attrs:     make([]string, nAttr),
 		attrStart: make([]int, nAttr+1),
-		grams:     make(map[string][]int32),
-		tokens:    make(map[string][]int32),
 	}
 	counts := make([]map[string]int, nAttr)
 	for i, a := range t.Relation.Attributes {
@@ -153,63 +298,29 @@ func buildSegment(t *Table) *segment {
 		}
 	}
 	s.attrStart[nAttr] = len(s.entries)
+	// A segment holds about as many distinct trigrams, and as many distinct
+	// tokens, as entries; its normalised bytes bound the trigram pairs.
+	normBytes := 0
+	for _, e := range s.entries {
+		normBytes += len(e.norm)
+	}
+	n := len(s.entries)
+	grams, tokens := newPostingBuilder[uint64](n, normBytes), newPostingBuilder[string](n, n)
 	for id, e := range s.entries {
-		postEntry(s, int32(id), e.norm)
+		forEachGram(e.norm, func(code uint64) { grams.add(code, int32(id)) })
+		for tok := range strings.FieldsSeq(e.norm) {
+			tokens.add(tok, int32(id))
+		}
 	}
+	s.grams, s.tokens = grams.finish(), tokens.finish()
 	return s
-}
-
-// postEntry adds one entry's distinct trigrams and tokens to the posting
-// maps. Ids arrive in increasing order, so each list stays sorted, and a key
-// this entry already posted is exactly one whose list ends in id — so no
-// per-entry set is needed. Keys are substrings of norm, which the entry
-// retains anyway, so posting allocates nothing but list growth and new map
-// slots.
-func postEntry(s *segment, id int32, norm string) {
-	for g := range runeTrigrams(norm) {
-		appendPosting(s.grams, g, id)
-	}
-	for tok := range strings.FieldsSeq(norm) {
-		appendPosting(s.tokens, tok, id)
-	}
-}
-
-// appendPosting appends id to key's posting list unless the list already
-// ends in it.
-func appendPosting(m map[string][]int32, key string, id int32) {
-	l := m[key]
-	if n := len(l); n > 0 && l[n-1] == id {
-		return
-	}
-	m[key] = append(l, id)
-}
-
-// runeTrigrams yields every run of three consecutive runes of s, in order and
-// with repeats, as substrings of s cut at rune boundaries. On valid UTF-8 —
-// and text.Normalize emits nothing else — each equals string(r[i:i+3]) over
-// r = []rune(s), without converting s.
-func runeTrigrams(s string) iter.Seq[string] {
-	return func(yield func(string) bool) {
-		var start [3]int // byte offsets of the last three rune starts, ring-indexed
-		n := 0
-		for off := range s {
-			if n >= 3 && !yield(s[start[n%3]:off]) {
-				return
-			}
-			start[n%3] = off
-			n++
-		}
-		if n >= 3 {
-			yield(s[start[n%3]:])
-		}
-	}
 }
 
 // find appends this segment's hits for the (already normalised, non-empty)
 // keyword to out, in (attribute, value) order. trigrams is the keyword's
-// deduplicated trigram list, computed once per lookup by the caller; nil
-// means the keyword is below the trigram width.
-func (s *segment) find(nkw string, trigrams []string, out []ValueHit) []ValueHit {
+// deduplicated trigram code list, computed once per lookup by the caller;
+// nil means the keyword is below the trigram width.
+func (s *segment) find(nkw string, trigrams []uint64, out []ValueHit) []ValueHit {
 	if trigrams == nil {
 		// Short-keyword fallback: verify every distinct value directly.
 		for _, e := range s.entries {
@@ -225,7 +336,7 @@ func (s *segment) find(nkw string, trigrams []string, out []ValueHit) []ValueHit
 	}
 	// Exact-token fast path: candidate ids on the keyword's whole-token
 	// posting list are matches by construction — skip verification.
-	exact := s.tokens[nkw]
+	exact, _ := s.tokens.lookup(nkw)
 	ei := 0
 	for _, id := range cand {
 		for ei < len(exact) && exact[ei] < id {
@@ -251,33 +362,27 @@ func (s *segment) hit(e indexEntry) ValueHit {
 	}
 }
 
-// keywordTrigrams returns the deduplicated trigram list of an
-// already-normalised keyword, or nil when it is below the trigram width.
-// Computed once per FindValues call and shared by every segment.
-func keywordTrigrams(nkw string) []string {
+// keywordTrigrams returns the deduplicated trigram codes of an
+// already-normalised keyword, ascending, or nil when it is below the trigram
+// width. Computed once per FindValues call and shared by every segment.
+func keywordTrigrams(nkw string) []uint64 {
 	n := utf8.RuneCountInString(nkw)
 	if n < 3 {
 		return nil
 	}
-	seen := make(map[string]struct{}, n)
-	grams := make([]string, 0, n-2)
-	for g := range runeTrigrams(nkw) {
-		if _, dup := seen[g]; dup {
-			continue
-		}
-		seen[g] = struct{}{}
-		grams = append(grams, g)
-	}
-	return grams
+	grams := make([]uint64, 0, n-2)
+	forEachGram(nkw, func(code uint64) { grams = append(grams, code) })
+	slices.Sort(grams)
+	return slices.Compact(grams)
 }
 
 // trigramCandidates intersects the posting lists of the keyword's distinct
 // trigrams, smallest list first. Any absent trigram means no value can
 // contain the keyword.
-func (s *segment) trigramCandidates(trigrams []string) []int32 {
+func (s *segment) trigramCandidates(trigrams []uint64) []int32 {
 	lists := make([][]int32, 0, len(trigrams))
 	for _, g := range trigrams {
-		l, ok := s.grams[g]
+		l, ok := s.grams.lookup(g)
 		if !ok {
 			return nil
 		}

@@ -1,9 +1,11 @@
 package relstore
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -489,45 +491,120 @@ var multiByteAlphabet = []string{
 	"京", "タ", "́", "𝔘", "😀", "\xff", "İ",
 }
 
-// TestSegmentPostingsMatchOracle pins the allocation-free posting build
-// against postEntryOracle on random tables of multi-byte values: a segment's
-// trigram and token posting maps must be deep-equal to the ones the oracle
-// posts for the same entries. Keys cut from norm at rune boundaries equal the
-// []rune-cut ones because text.Normalize emits only valid UTF-8 (FuzzNormalize
-// asserts it).
+// TestSegmentPostingsMatchOracle pins the flat posting build against the
+// map-based oracles on random tables of multi-byte values: each segment's
+// trigram and token posting indexes must hold exactly the lists
+// postingsOracle posts for the same entries, under strictly ascending keys;
+// SaveSegments must write the bytes saveSegmentsOracle writes; and the
+// section must load back into segments deep-equal to the built ones and
+// save again to the same bytes. Keys cut from norm at rune boundaries equal
+// the []rune-cut ones because text.Normalize emits only valid UTF-8
+// (FuzzNormalize asserts it).
 func TestSegmentPostingsMatchOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 60; trial++ {
-		nAttr := 1 + r.Intn(3)
-		attrs := make([]Attribute, nAttr)
-		for i := range attrs {
-			attrs[i] = Attribute{Name: fmt.Sprintf("a%d", i)}
-		}
-		rows := make([][]string, r.Intn(40))
-		for i := range rows {
-			rows[i] = make([]string, nAttr)
-			for j := range rows[i] {
-				var b strings.Builder
-				for n := r.Intn(12); n > 0; n-- {
-					b.WriteString(multiByteAlphabet[r.Intn(len(multiByteAlphabet))])
+		c := NewCatalog()
+		for ti := 0; ti < 1+r.Intn(3); ti++ {
+			nAttr := 1 + r.Intn(3)
+			attrs := make([]Attribute, nAttr)
+			for i := range attrs {
+				attrs[i] = Attribute{Name: fmt.Sprintf("a%d", i)}
+			}
+			rows := make([][]string, r.Intn(40))
+			for i := range rows {
+				rows[i] = make([]string, nAttr)
+				for j := range rows[i] {
+					var b strings.Builder
+					for n := r.Intn(12); n > 0; n-- {
+						b.WriteString(multiByteAlphabet[r.Intn(len(multiByteAlphabet))])
+					}
+					rows[i][j] = b.String()
 				}
-				rows[i][j] = b.String()
+			}
+			tb, err := NewTable(&Relation{Source: "s", Name: fmt.Sprintf("t%d", ti), Attributes: attrs}, rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.AddTable(tb); err != nil {
+				t.Fatal(err)
 			}
 		}
-		tb, err := NewTable(&Relation{Source: "s", Name: "t", Attributes: attrs}, rows)
-		if err != nil {
+		c.BuildValueIndex(1)
+		built := make(map[string]*segment)
+		for _, qn := range c.order {
+			got := c.index.built(c.tables[qn])
+			built[qn] = got
+			want := postingsOracle(got)
+			if m := postingMap(t, &got.grams, func(code uint64) string { return string(appendGram(nil, code)) }); !reflect.DeepEqual(m, want.grams) {
+				t.Fatalf("trial %d %s: trigram postings diverged\ngot:  %v\nwant: %v", trial, qn, m, want.grams)
+			}
+			if m := postingMap(t, &got.tokens, func(tok string) string { return tok }); !reflect.DeepEqual(m, want.tokens) {
+				t.Fatalf("trial %d %s: token postings diverged\ngot:  %v\nwant: %v", trial, qn, m, want.tokens)
+			}
+		}
+
+		var saved, oracle bytes.Buffer
+		if err := c.SaveSegments(&saved); err != nil {
 			t.Fatal(err)
 		}
-		got := buildSegment(tb)
-		want := &segment{grams: make(map[string][]int32), tokens: make(map[string][]int32)}
-		for id, e := range got.entries {
-			postEntryOracle(want, int32(id), e.norm)
+		if err := saveSegmentsOracle(c, &oracle); err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got.grams, want.grams) {
-			t.Fatalf("trial %d: trigram postings diverged\ngot:  %v\nwant: %v", trial, got.grams, want.grams)
+		if !bytes.Equal(saved.Bytes(), oracle.Bytes()) {
+			t.Fatalf("trial %d: SaveSegments wrote %d bytes that differ from the oracle encoder's %d", trial, saved.Len(), oracle.Len())
 		}
-		if !reflect.DeepEqual(got.tokens, want.tokens) {
-			t.Fatalf("trial %d: token postings diverged\ngot:  %v\nwant: %v", trial, got.tokens, want.tokens)
+		loaded := NewCatalog()
+		for _, qn := range c.order {
+			if err := loaded.AddTable(c.tables[qn]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := loaded.LoadSegments(saved.Bytes()); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for qn, want := range built {
+			got := loaded.index.built(loaded.tables[qn])
+			if !slices.Equal(got.entries, want.entries) || !reflect.DeepEqual(got.grams, want.grams) || !reflect.DeepEqual(got.tokens, want.tokens) {
+				t.Fatalf("trial %d %s: loaded segment differs from the built one", trial, qn)
+			}
+		}
+		var again bytes.Buffer
+		if err := loaded.SaveSegments(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), saved.Bytes()) {
+			t.Fatalf("trial %d: Save → Load → Save is not byte-identical", trial)
 		}
 	}
+}
+
+// postingMap checks a flat posting index's layout — keys strictly
+// ascending, offsets covering ids without gaps, each list strictly
+// ascending — and returns it as a map from the key's string form.
+func postingMap[K uint64 | string](t *testing.T, p *postings[K], str func(K) string) map[string][]int32 {
+	t.Helper()
+	m := make(map[string][]int32, len(p.keys))
+	if len(p.keys) == 0 {
+		if p.off != nil || p.ids != nil {
+			t.Fatalf("empty posting index holds off %v, ids %v", p.off, p.ids)
+		}
+		return m
+	}
+	if len(p.off) != len(p.keys)+1 || p.off[0] != 0 || int(p.off[len(p.keys)]) != len(p.ids) {
+		t.Fatalf("offsets %v do not span %d keys and %d ids", p.off, len(p.keys), len(p.ids))
+	}
+	for i, k := range p.keys {
+		if i > 0 && k <= p.keys[i-1] {
+			t.Fatalf("key %d (%q) is not above its predecessor (%q)", i, str(k), str(p.keys[i-1]))
+		}
+		if i > 0 && str(k) <= str(p.keys[i-1]) {
+			t.Fatalf("key %q does not sort above %q as a string", str(k), str(p.keys[i-1]))
+		}
+		ids := p.ids[p.off[i]:p.off[i+1]]
+		if !slices.IsSorted(ids) || len(slices.Compact(slices.Clone(ids))) != len(ids) {
+			t.Fatalf("list of %q is not strictly ascending: %v", str(k), ids)
+		}
+		m[str(k)] = ids
+	}
+	return m
 }

@@ -183,10 +183,11 @@ func (s *store) clone() *store {
 // current weight vector. Readers never touch a Graph: they take a Snapshot
 // and, per query, an Overlay.
 type Graph struct {
-	s     *store
-	owned bool      // s is not referenced by any snapshot
-	snap  *Snapshot // cached snapshot of the current state
-	epoch uint64    // bumped on every copy-on-write clone
+	s          *store
+	owned      bool      // s is not referenced by any snapshot
+	snap       *Snapshot // cached snapshot of the current state
+	epoch      uint64    // bumped on every copy-on-write clone
+	staleCosts bool      // weights changed by ApplyWeightDelta since the last pricing
 }
 
 // New returns an empty search graph with the given initial weights. The
@@ -226,6 +227,7 @@ func (g *Graph) Reset(s *Snapshot) {
 	g.s = s.s
 	g.snap = s
 	g.owned = false
+	g.staleCosts = false
 }
 
 // Snapshot returns an immutable view of the current graph state. Taking a
@@ -255,6 +257,7 @@ func (g *Graph) SetWeights(w learning.Vector) {
 	for i := range g.s.edges {
 		g.refreshCost(steiner.EdgeID(i))
 	}
+	g.staleCosts = false
 }
 
 // EnsureWeight installs a default weight for a feature that has none yet

@@ -1,6 +1,9 @@
 package searchgraph
 
 import (
+	"maps"
+	"math"
+	"math/rand"
 	"testing"
 
 	"qint/internal/learning"
@@ -300,5 +303,90 @@ func TestKindStrings(t *testing.T) {
 			t.Errorf("duplicate edge kind string %q", k.String())
 		}
 		seen[k.String()] = true
+	}
+}
+
+// TestReplayedDeltasPriceOnce pins the replay contract of ApplyWeightDelta:
+// K deltas applied to the weights alone, interleaved with association
+// edges restored as a WAL tail replays them, then one RepriceEdges, leave
+// every edge cost bitwise equal to applying each delta with SetWeights,
+// which reprices every edge every time.
+func TestReplayedDeltasPriceOnce(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	features := []string{"default", "fk", "kw", "mismatch", "m:name", "m:value", "m:type", "ind:a", "ind:b"}
+	randomVector := func() learning.Vector {
+		v := learning.Vector{}
+		for _, f := range features {
+			if r.Intn(2) == 0 {
+				v[f] = r.Float64()*4 - 1
+			}
+		}
+		return v
+	}
+	attrs := []relstore.AttrRef{
+		ref("go.term", "acc"), ref("go.term", "name"), ref("ip.interpro2go", "go_id"),
+		ref("ip.interpro2go", "entry_ac"), ref("ip.entry", "entry_ac"), ref("ip.entry", "name"),
+	}
+	replayed := Build(buildTestCatalog(t), defaultWeights())
+	live := Build(buildTestCatalog(t), defaultWeights())
+	restore := func(a, b relstore.AttrRef, f learning.Vector) {
+		replayed.RestoreAssociationEdge(a, b, f)
+		live.RestoreAssociationEdge(a, b, f)
+	}
+	for i := 0; i < 4; i++ {
+		restore(attrs[i], attrs[i+2], randomVector())
+	}
+	const K = 40
+	for k := 0; k < K; k++ {
+		d := WeightDelta{Set: randomVector()}
+		for _, f := range features {
+			if _, set := d.Set[f]; !set && r.Intn(6) == 0 {
+				d.Del = append(d.Del, f)
+			}
+		}
+		replayed.ApplyWeightDelta(d)
+		w := live.Weights().Clone()
+		for f, v := range d.Set {
+			w[f] = v
+		}
+		for _, f := range d.Del {
+			delete(w, f)
+		}
+		live.SetWeights(w)
+		if k%8 == 3 {
+			a, b := attrs[r.Intn(len(attrs))], attrs[r.Intn(len(attrs))]
+			if a != b {
+				restore(a, b, randomVector())
+			}
+		}
+	}
+	stale := 0
+	for id := range replayed.NumEdges() {
+		if replayed.Cost(steiner.EdgeID(id)) != live.Cost(steiner.EdgeID(id)) {
+			stale++
+		}
+	}
+	if stale == 0 {
+		t.Fatal("no edge cost is stale before RepriceEdges: the deltas exercise nothing")
+	}
+	replayed.RepriceEdges()
+	if !maps.Equal(replayed.Weights(), live.Weights()) {
+		t.Fatalf("weights diverged:\n%v\n%v", replayed.Weights(), live.Weights())
+	}
+	if replayed.NumEdges() != live.NumEdges() {
+		t.Fatalf("%d edges replayed, %d live", replayed.NumEdges(), live.NumEdges())
+	}
+	for id := range replayed.NumEdges() {
+		e := steiner.EdgeID(id)
+		if got, want := replayed.Cost(e), live.Cost(e); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("edge %d (%s): replayed cost %v, live %v", id, live.Edge(e).Kind, got, want)
+		}
+	}
+	// Nothing is stale any more: a second RepriceEdges must not clone.
+	replayed.Snapshot()
+	epoch := replayed.Epoch()
+	replayed.RepriceEdges()
+	if replayed.Epoch() != epoch {
+		t.Error("RepriceEdges repriced with no stale cost")
 	}
 }

@@ -81,15 +81,32 @@ func DiffWeights(old, new learning.Vector) WeightDelta {
 // Empty reports whether the delta changes nothing.
 func (d WeightDelta) Empty() bool { return len(d.Set) == 0 && len(d.Del) == 0 }
 
-// ApplyWeightDelta applies a logged delta to the graph's current weights and
-// recomputes every learnable edge cost — the feedback replay path.
+// ApplyWeightDelta applies a logged delta to the graph's current weights —
+// the feedback replay path. It leaves every learnable edge cost stale:
+// replay reads no cost, and an edge's cost is a function of the final
+// weights and its own features alone, so the replaying caller reprices once
+// with RepriceEdges after the whole tail, not once per record.
 func (g *Graph) ApplyWeightDelta(d WeightDelta) {
-	w := g.Weights().Clone()
+	g.own()
 	for k, v := range d.Set {
-		w[k] = v
+		g.s.weights[k] = v
 	}
 	for _, k := range d.Del {
-		delete(w, k)
+		delete(g.s.weights, k)
 	}
-	g.SetWeights(w)
+	g.staleCosts = true
+}
+
+// RepriceEdges recomputes every learnable edge cost under the current
+// weights if ApplyWeightDelta has left them stale, and does nothing
+// otherwise.
+func (g *Graph) RepriceEdges() {
+	if !g.staleCosts {
+		return
+	}
+	g.own()
+	for i := range g.s.edges {
+		g.refreshCost(steiner.EdgeID(i))
+	}
+	g.staleCosts = false
 }

@@ -225,8 +225,10 @@
 // epoch-stamped, so any result computed at epoch e is a pure function of
 // (e, key) and a cache entry keyed by epoch NEVER needs invalidation — a
 // registration or feedback write publishes a new epoch, under which every
-// lookup misses, and dead-epoch entries age out (the sharded LRU's
-// eviction prefers entries from superseded epochs). Two computations are
+// lookup misses. The publish also purges every entry of an older epoch, and
+// the cache refuses late puts of one, so it holds the live generation only:
+// a superseded generation is freed once no view or caller result holds it
+// (TestSupersededGenerationIsReleased). Two computations are
 // memoised: keyword expansion (the scored, truncated keyword→value matches
 // of one keyword, keyed by (epoch, normalised keyword) — valid because
 // FindValues and the similarity scoring both normalise first) and full
@@ -244,7 +246,8 @@
 // and caching is gated to PUBLISHED generations only (registration's
 // unpublished interim states bypass it). The capacities are fixed at 4096
 // expansion and 256 materialisation entries; Q.CacheStats exposes
-// hits/misses/computes/coalesced/evictions/live epochs.
+// hits/misses/computes/coalesced/evictions/live epochs (at most 1 each on a
+// quiesced instance).
 //
 // # Durable storage
 //

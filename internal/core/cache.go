@@ -14,11 +14,13 @@ import (
 // The serving-layer query cache. Repeated keyword traffic is the shape of
 // production load — few hot queries, many users — and against an unchanged
 // source catalog the work is identical every time. Because every published
-// state generation is immutable and epoch-stamped (the PR 2–4 machinery),
-// a result computed at epoch e is a pure function of (e, key): cache
-// entries keyed by epoch NEVER need invalidation — a registration or
-// feedback write publishes a new epoch, under which every lookup misses,
-// and dead-epoch entries age out of the LRU.
+// state generation is immutable and epoch-stamped, a result computed at
+// epoch e is a pure function of (e, key): cache entries keyed by epoch
+// NEVER need invalidation — a registration or feedback write publishes a
+// new epoch, under which every lookup misses. The publish also purges both
+// caches of every older epoch, and a late Put of one is refused, so the
+// caches hold only the live generation and a superseded one is freed as
+// soon as no view or caller result still holds it.
 //
 // Two computations are memoised, both strictly above the engine and both
 // byte-identical to the uncached path (pinned by the metamorphic suite in
@@ -69,8 +71,10 @@ type queryCaches struct {
 // The cache capacities, in entries. An expansion entry is one (epoch,
 // normalised keyword): the scored, truncated value matches of that keyword.
 // A materialisation entry is one (epoch, keyword sequence, k): the complete
-// immutable materialisation — trees, queries, ranked result, α — and it
-// pins its state generation in memory, hence the smaller capacity.
+// immutable materialisation — trees, queries, ranked result, α, overlay —
+// far larger than an expansion, hence the smaller capacity. Both caches
+// hold the live generation only, so neither capacity bounds how many
+// generations stay in memory.
 const (
 	expansionCacheEntries       = 4096
 	materializationCacheEntries = 256
@@ -84,8 +88,8 @@ func newQueryCaches() *queryCaches {
 	}
 }
 
-// setLiveEpoch announces a newly published generation to both caches so
-// eviction prefers entries of superseded epochs.
+// setLiveEpoch announces a newly published generation to both caches,
+// which drop every entry of an older epoch.
 func (qc *queryCaches) setLiveEpoch(epoch uint64) {
 	if qc == nil {
 		return

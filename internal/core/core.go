@@ -225,8 +225,8 @@ type Q struct {
 	nextViewID int64
 
 	// qc is the serving-layer query cache (nil when disabled). Its entries
-	// are keyed by published epoch, so it needs no invalidation: writers
-	// just publish a new epoch and old entries age out.
+	// are keyed by published epoch, so it needs no invalidation: a publish
+	// purges the entries of older epochs.
 	qc *queryCaches
 
 	// matComputeHook, when set (tests only, before concurrency starts), is
@@ -321,10 +321,11 @@ func (q *Q) Epoch() uint64 { return q.state().epoch }
 // /stats reports the age alongside the epoch number.
 func (q *Q) EpochTime() time.Time { return q.state().publishedAt }
 
-// publishLocked publishes the builder state as the next read generation.
-// Callers hold writerMu (or are inside New, before any concurrency). When
-// nothing changed since the last publish the previous generation is
-// returned unchanged, so idempotent writers do not churn epochs.
+// publishLocked publishes the builder state as the next read generation
+// and frees the query caches of the one it supersedes. Callers hold
+// writerMu (or are inside New, before any concurrency). When nothing
+// changed since the last publish the previous generation is returned
+// unchanged, so idempotent writers do not churn epochs.
 func (q *Q) publishLocked() *qstate {
 	q.corpus.Flush()
 	snap := q.graph.Snapshot()
@@ -342,8 +343,10 @@ func (q *Q) publishLocked() *qstate {
 		published:   true,
 	}
 	q.st.Store(st)
-	// Announce the new generation to the query caches: entries of older
-	// epochs are now dead and evict first.
+	// Announce the new generation to the query caches, which purge every
+	// entry of an older epoch: past this point only a view not yet
+	// refreshed, an in-flight query or a caller's result keeps the
+	// superseded generation alive.
 	q.qc.setLiveEpoch(st.epoch)
 	return st
 }

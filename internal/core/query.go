@@ -205,8 +205,8 @@ var ErrViewLimit = errors.New("core: view registry full")
 // epoch-keyed cache, so a hot keyword stream is still near-free) but never
 // participates in refreshes or VIEWBASEDALIGNER neighbourhoods and holds no
 // reference from Q — a storm of ephemeral queries leaves the engine's
-// footprint bounded by the materialisation cache's LRU capacity. Its ID is
-// -1.
+// footprint bounded by the materialisation cache's LRU capacity, and a
+// caller that keeps one keeps its state generation alive. Its ID is -1.
 //
 // Query acquires no graph-wide lock: it works entirely against the state
 // generation current at its start, so it runs concurrently with other

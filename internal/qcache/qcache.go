@@ -6,12 +6,14 @@
 //
 // Epoch keying is what makes the cache correct without any invalidation
 // protocol. Every published state generation of Q is immutable and carries
-// a unique epoch (PRs 2–4): a cached result computed at epoch e is a pure
+// a unique epoch: a cached result computed at epoch e is a pure
 // function of (e, key), so it can never go stale — a registration or
 // feedback write publishes a NEW epoch, under which every lookup simply
-// misses, and the entries of dead epochs age out of the LRU (eviction
-// prefers them, see Put). Nothing is ever invalidated, flushed or locked
-// on the write path.
+// misses. Announcing that epoch (SetLiveEpoch) drops every entry of an
+// older one, and Put refuses them afterwards, so the cache holds only the
+// live generation: a superseded generation stays reachable from it for no
+// longer than the publish that replaces it. The write path takes each
+// shard lock once, for the purge, and never waits for a query to finish.
 //
 // The cache itself knows nothing about Q: core wires one Cache per
 // memoised computation (keyword expansion, view materialisation) and the
@@ -34,9 +36,11 @@ type Key struct {
 
 // Counters is a point-in-time snapshot of a cache's activity counters.
 // Hits and Misses count Get outcomes; Evictions counts entries dropped for
-// capacity; Entries is the current resident count and LiveEpochs the
-// number of distinct epochs those entries were computed at (1 on a
-// quiesced instance — more means older generations haven't aged out yet).
+// capacity (not those SetLiveEpoch purges); Entries is the current resident
+// count and LiveEpochs the number of distinct epochs those entries were
+// computed at: at most 1 on a quiesced instance. Only a reader that
+// computed at a new epoch before its SetLiveEpoch landed can briefly make
+// it 2.
 type Counters struct {
 	Hits       uint64
 	Misses     uint64
@@ -49,14 +53,13 @@ type Counters struct {
 // capacity in entries. All methods are safe for concurrent use; each shard
 // serialises on its own mutex, so unrelated keys rarely contend.
 //
-// Eviction prefers dead epochs: when a shard is full, Put scans a bounded
-// window from the LRU tail for an entry whose epoch differs from the one
-// last announced via SetLiveEpoch and evicts that first, falling back to
-// the plain LRU tail. Entries from superseded generations therefore drain
-// ahead of the current generation's working set.
+// Entries older than the epoch last announced via SetLiveEpoch are never
+// resident once that call returns: it purges them, and Put refuses them.
+// Eviction for capacity therefore sees only live entries and takes the
+// plain LRU tail.
 type Cache[V any] struct {
 	shards []*cshard[V]
-	live   atomic.Uint64 // current published epoch (eviction preference)
+	live   atomic.Uint64 // announced epoch: no entry below it is kept
 
 	// Activity counters. New allocates private ones; Instrument swaps in
 	// registry-owned counters so the cache's activity is a first-class
@@ -65,10 +68,6 @@ type Cache[V any] struct {
 	misses    *obs.Counter
 	evictions *obs.Counter
 }
-
-// evictScan bounds how far from the LRU tail Put searches for a dead-epoch
-// entry before falling back to the tail itself, keeping eviction O(1).
-const evictScan = 8
 
 // numShards is the fixed shard count for caches large enough to split.
 const numShards = 16
@@ -133,14 +132,27 @@ func (c *Cache[V]) Instrument(hits, misses, evictions *obs.Counter) {
 	}
 }
 
-// SetLiveEpoch announces the currently published generation; eviction
-// prefers entries computed at any OTHER epoch. Callers invoke it on every
-// publish (monotonic, but the cache does not require that).
+// SetLiveEpoch announces the currently published generation and drops
+// every entry computed at an older epoch, in every shard, so the cache no
+// longer keeps a superseded generation reachable. Callers invoke it on
+// every publish with a non-decreasing epoch. The store precedes the purge:
+// a Put that takes a shard lock after that shard's purge sees the new
+// epoch and refuses a dead key, and one that took it before has its entry
+// purged.
 func (c *Cache[V]) SetLiveEpoch(epoch uint64) {
 	if c == nil {
 		return
 	}
 	c.live.Store(epoch)
+	for _, s := range c.shards {
+		s.mu.Lock()
+		for k, e := range s.entries {
+			if k.Epoch < epoch {
+				s.remove(e)
+			}
+		}
+		s.mu.Unlock()
+	}
 }
 
 // shard picks the shard for a key: FNV-1a over the string key folded
@@ -181,15 +193,20 @@ func (c *Cache[V]) Get(k Key) (V, bool) {
 	return v, true
 }
 
-// Put inserts (or refreshes) the value for k, evicting if the shard is at
-// capacity — preferring a dead-epoch entry near the LRU tail (see Cache).
+// Put inserts (or refreshes) the value for k, evicting the LRU tail if the
+// shard is at capacity. A key older than the live epoch is dropped: the
+// reader that computed it started before the publish that superseded its
+// generation, and keeping it would pin that generation again.
 func (c *Cache[V]) Put(k Key, v V) {
 	if c == nil {
 		return
 	}
-	live := c.live.Load()
 	s := c.shard(k)
 	s.mu.Lock()
+	if k.Epoch < c.live.Load() {
+		s.mu.Unlock()
+		return
+	}
 	if e, ok := s.entries[k]; ok {
 		e.val = v
 		s.moveToFront(e)
@@ -198,7 +215,7 @@ func (c *Cache[V]) Put(k Key, v V) {
 	}
 	evicted := int64(0)
 	for len(s.entries) >= s.cap {
-		s.remove(s.victim(live))
+		s.remove(s.tail)
 		evicted++
 	}
 	e := &entry[V]{key: k, val: v}
@@ -208,20 +225,6 @@ func (c *Cache[V]) Put(k Key, v V) {
 	if evicted > 0 {
 		c.evictions.Add(evicted)
 	}
-}
-
-// victim picks the entry to evict: the first dead-epoch entry within
-// evictScan steps of the LRU tail, else the tail itself. Callers hold the
-// shard lock and guarantee the shard is non-empty.
-func (s *cshard[V]) victim(live uint64) *entry[V] {
-	e := s.tail
-	for i := 0; e != nil && i < evictScan; i++ {
-		if e.key.Epoch != live {
-			return e
-		}
-		e = e.prev
-	}
-	return s.tail
 }
 
 func (s *cshard[V]) pushFront(e *entry[V]) {

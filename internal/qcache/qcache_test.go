@@ -72,43 +72,65 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-// TestEvictionPrefersDeadEpochs pins the aging property that replaces
-// invalidation: at capacity, entries from superseded generations go first
-// even when they are more recently used than live-epoch entries.
-func TestEvictionPrefersDeadEpochs(t *testing.T) {
-	c := New[int](4)
-	for i := 0; i < 3; i++ {
-		c.Put(Key{Epoch: 1, K: fmt.Sprintf("old%d", i)}, i)
+// residentEpochs lists the epochs of the resident entries, without touching
+// LRU order or counters.
+func residentEpochs[V any](c *Cache[V]) map[uint64]int {
+	out := make(map[uint64]int)
+	for _, s := range c.shards {
+		s.mu.Lock()
+		for k := range s.entries {
+			out[k.Epoch]++
+		}
+		s.mu.Unlock()
 	}
-	c.SetLiveEpoch(2)
-	c.Put(Key{Epoch: 2, K: "new0"}, 100)
-	// Touch the dead entries so plain LRU would evict new0's shard-mates
-	// last; dead-epoch preference must still pick them.
-	for i := 0; i < 3; i++ {
-		c.Get(Key{Epoch: 1, K: fmt.Sprintf("old%d", i)})
-	}
-	// Fill well past capacity with live-epoch entries.
-	for i := 1; i <= 8; i++ {
-		c.Put(Key{Epoch: 2, K: fmt.Sprintf("new%d", i)}, 100+i)
-	}
-	ctr := c.Counters()
-	if ctr.Entries > 4*2 { // per-shard rounding can leave a little slack
-		t.Fatalf("entries = %d, want <= capacity (with shard rounding)", ctr.Entries)
-	}
-	// Every dead-epoch entry that shared a shard with enough live puts must
-	// be gone; at minimum the dead population cannot still be complete AND
-	// the cache over capacity. Count survivors per epoch.
-	dead := 0
-	for i := 0; i < 3; i++ {
-		if _, ok := peek(c, Key{Epoch: 1, K: fmt.Sprintf("old%d", i)}); ok {
-			dead++
+	return out
+}
+
+// TestSetLiveEpochPurges pins the invariant that replaces aging: once
+// SetLiveEpoch(e) returns, no entry older than e is resident in any shard,
+// entries at e or later stay, and the purge is not counted as capacity
+// eviction.
+func TestSetLiveEpochPurges(t *testing.T) {
+	c := New[int](64)
+	for e := uint64(1); e <= 3; e++ {
+		for i := 0; i < 8; i++ {
+			c.Put(Key{Epoch: e, K: fmt.Sprintf("k%d", i)}, i)
 		}
 	}
-	if ctr.Evictions == 0 {
-		t.Fatal("expected evictions")
+	c.SetLiveEpoch(2)
+	got := residentEpochs(c)
+	if got[1] != 0 || got[2] != 8 || got[3] != 8 {
+		t.Fatalf("resident per epoch = %v, want none at 1 and 8 each at 2 and 3", got)
 	}
-	if dead == 3 {
-		t.Fatalf("no dead-epoch entry evicted (dead=%d, counters=%+v)", dead, ctr)
+	ctr := c.Counters()
+	if ctr.Entries != 16 || ctr.LiveEpochs != 2 || ctr.Evictions != 0 {
+		t.Fatalf("counters = %+v, want entries=16 liveEpochs=2 evictions=0", ctr)
+	}
+	c.SetLiveEpoch(3)
+	if got := residentEpochs(c); len(got) != 1 || got[3] != 8 {
+		t.Fatalf("resident per epoch = %v, want 8 at 3 only", got)
+	}
+	if v, ok := c.Get(Key{Epoch: 3, K: "k5"}); !ok || v != 5 {
+		t.Fatalf("live entry lost by the purge: got (%d,%v)", v, ok)
+	}
+}
+
+// TestPutRefusesDeadEpoch pins the late-put refusal: a reader that finishes
+// after the publish superseding its generation cannot put a dead entry back.
+func TestPutRefusesDeadEpoch(t *testing.T) {
+	c := New[int](64)
+	c.SetLiveEpoch(5)
+	c.Put(Key{Epoch: 4, K: "late"}, 1)
+	if _, ok := peek(c, Key{Epoch: 4, K: "late"}); ok {
+		t.Fatal("dead-epoch put was kept")
+	}
+	c.Put(Key{Epoch: 5, K: "live"}, 2)
+	c.Put(Key{Epoch: 6, K: "next"}, 3)
+	if got := residentEpochs(c); got[5] != 1 || got[6] != 1 || len(got) != 2 {
+		t.Fatalf("resident per epoch = %v, want one each at 5 and 6", got)
+	}
+	if ev := c.Counters().Evictions; ev != 0 {
+		t.Fatalf("evictions = %d, want 0", ev)
 	}
 }
 
@@ -124,43 +146,50 @@ func peek[V any](c *Cache[V], k Key) (V, bool) {
 	return zero, false
 }
 
-// TestDeadEpochPreferenceDirect drives one shard deterministically: a full
-// shard holding one dead and one live entry, with the dead entry MORE
-// recently used, must still evict the dead one (plain LRU would evict the
-// live entry).
-func TestDeadEpochPreferenceDirect(t *testing.T) {
-	c := New[int](32) // 16 shards x cap 2
-	target := c.shard(Key{Epoch: 1, K: "seed"})
-	if target.cap != 2 {
-		t.Fatalf("per-shard cap = %d, want 2", target.cap)
+// TestEpochAdvanceHammer races putters against publishes: eight goroutines
+// put at the announced epoch e and at e-1 while another advances the live
+// epoch. Once an advance to n returns, every putter reads at most n, so the
+// cache must hold entries of n alone (run under -race).
+func TestEpochAdvanceHammer(t *testing.T) {
+	c := New[int](128)
+	var announced atomic.Uint64
+	c.SetLiveEpoch(1)
+	announced.Store(1)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				e := announced.Load()
+				k := fmt.Sprintf("w%dk%d", w, i%32)
+				c.Put(Key{Epoch: e - 1, K: k}, i)
+				c.Put(Key{Epoch: e, K: k}, i)
+				c.Get(Key{Epoch: e, K: k})
+			}
+		}(w)
 	}
-	inShard := func(epoch uint64, hint string) Key {
-		for i := 0; ; i++ {
-			k := Key{Epoch: epoch, K: fmt.Sprintf("%s%d", hint, i)}
-			if c.shard(k) == target {
-				return k
+	for n := uint64(2); n <= 200; n++ {
+		c.SetLiveEpoch(n)
+		announced.Store(n)
+		if got := c.Counters().LiveEpochs; got > 1 {
+			t.Errorf("after advancing to %d: %d live epochs (%v)", n, got, residentEpochs(c))
+			break
+		}
+		for e := range residentEpochs(c) {
+			if e != n {
+				t.Errorf("after advancing to %d: entry at epoch %d resident", n, e)
 			}
 		}
 	}
-	deadK := inShard(1, "dead")
-	liveK := inShard(2, "live")
-	overflowK := inShard(2, "overflow")
-
-	c.Put(deadK, 1)
-	c.SetLiveEpoch(2)
-	c.Put(liveK, 2)
-	c.Get(deadK) // dead is now MRU, live is the LRU tail
-	c.Put(overflowK, 3)
-
-	if _, ok := peek(c, deadK); ok {
-		t.Fatal("dead-epoch entry survived eviction despite being MRU")
-	}
-	if _, ok := peek(c, liveK); !ok {
-		t.Fatal("live-epoch LRU entry was evicted ahead of the dead one")
-	}
-	if _, ok := peek(c, overflowK); !ok {
-		t.Fatal("newly inserted entry missing")
-	}
+	close(stop)
+	wg.Wait()
 }
 
 func TestConcurrentHammer(t *testing.T) {

@@ -2,7 +2,9 @@ package text
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"unicode/utf8"
@@ -321,4 +323,150 @@ func FuzzEditDistance(f *testing.F) {
 			t.Fatalf("ContainmentSimilarity(%q, %q) = %v, oracle %v", a, b, got, want)
 		}
 	})
+}
+
+// vectorizeOracle is the map-based tf-idf vector the sorted vectors
+// replaced, kept as an oracle: its norm sums in map iteration order, so its
+// low bits vary run to run and it is compared within 1e-12, not with ==.
+func vectorizeOracle(c *Corpus, tokens []string) map[string]float64 {
+	if len(tokens) == 0 {
+		return nil
+	}
+	tf := make(map[string]float64)
+	for _, t := range tokens {
+		tf[t]++
+	}
+	var norm float64
+	for t := range tf {
+		idf, ok := c.idf[t]
+		if !ok {
+			idf = math.Log(1 + float64(len(c.docs)))
+		}
+		tf[t] = tf[t] * idf
+		norm += tf[t] * tf[t]
+	}
+	if norm == 0 {
+		return nil
+	}
+	norm = math.Sqrt(norm)
+	for t := range tf {
+		tf[t] /= norm
+	}
+	return tf
+}
+
+// innerOracle is the map-order inner product, before quantisation.
+func innerOracle(a, b map[string]float64) float64 {
+	if len(a) > len(b) {
+		a, b = b, a
+	}
+	var s float64
+	for t, va := range a {
+		if vb, ok := b[t]; ok {
+			s += va * vb
+		}
+	}
+	return s
+}
+
+// labelDocs draws n schema-label-like documents from a small vocabulary, so
+// terms repeat within and across documents.
+func labelDocs(n int, seed int64) []string {
+	vocab := []string{"go", "term", "name", "id", "pub", "entry", "ac", "gene", "protein", "interpro", "title", "acc", "type", "x"}
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]string, n)
+	for i := range out {
+		words := make([]string, 1+rng.Intn(6))
+		for j := range words {
+			words[j] = vocab[rng.Intn(len(vocab))]
+		}
+		out[i] = strings.Join(words, " ")
+	}
+	return out
+}
+
+// TestTfidfMatchesOracle pins the sorted vectors and the merge inner
+// product to the map-based oracle within 1e-12 before quantisation, for
+// every (query, document) pair, and the two vectors' term sets to each
+// other.
+func TestTfidfMatchesOracle(t *testing.T) {
+	docs := labelDocs(300, 1)
+	c := NewCorpus()
+	for i, d := range docs {
+		c.Add(fmt.Sprint(i), d)
+	}
+	c.Flush()
+	queries := append(labelDocs(40, 2), "", "unknown", "go go term", "Pub_ID")
+	for i, d := range c.docs {
+		want := vectorizeOracle(c, d.tokens)
+		if len(c.vectors[i]) != len(want) {
+			t.Fatalf("doc %q: %d terms, oracle %d", docs[i], len(c.vectors[i]), len(want))
+		}
+		for _, tw := range c.vectors[i] {
+			if math.Abs(tw.w-want[tw.term]) > 1e-12 {
+				t.Fatalf("doc %q term %q: weight %v, oracle %v", docs[i], tw.term, tw.w, want[tw.term])
+			}
+		}
+	}
+	for _, q := range queries {
+		qv := c.vectorize(Tokenize(q))
+		qo := vectorizeOracle(c, Tokenize(q))
+		for i, d := range c.docs {
+			got, want := inner(qv, c.vectors[i]), innerOracle(qo, vectorizeOracle(c, d.tokens))
+			if math.Abs(got-want) > 1e-12 {
+				t.Fatalf("inner(%q, %q) = %v, oracle %v", q, docs[i], got, want)
+			}
+		}
+	}
+}
+
+// TestVectorNormIsOrderFree pins the determinism the sorted vectors buy:
+// whatever order a document's tokens and the corpus's documents arrive in,
+// every weight — hence the norm it was divided by — equals bit for bit a
+// reference that sums the squared weights in sorted term order.
+func TestVectorNormIsOrderFree(t *testing.T) {
+	docs := labelDocs(120, 3)
+	reference := func(c *Corpus, tokens []string) map[string]float64 {
+		counts := make(map[string]float64)
+		for _, tok := range tokens {
+			counts[tok]++
+		}
+		terms := make([]string, 0, len(counts))
+		for tok := range counts {
+			terms = append(terms, tok)
+		}
+		sort.Strings(terms)
+		var norm float64
+		for _, tok := range terms {
+			counts[tok] *= c.idf[tok]
+			norm += counts[tok] * counts[tok]
+		}
+		norm = math.Sqrt(norm)
+		for _, tok := range terms {
+			counts[tok] /= norm
+		}
+		return counts
+	}
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 8; trial++ {
+		c := NewCorpus()
+		for _, i := range rng.Perm(len(docs)) {
+			words := strings.Fields(docs[i])
+			rng.Shuffle(len(words), func(a, b int) { words[a], words[b] = words[b], words[a] })
+			c.Add(fmt.Sprint(i), strings.Join(words, " "))
+		}
+		c.Flush()
+		for i, d := range docs {
+			v := c.vectors[c.byID[fmt.Sprint(i)]]
+			want := reference(c, Tokenize(d))
+			if len(v) != len(want) {
+				t.Fatalf("trial %d doc %q: %d terms, reference %d", trial, d, len(v), len(want))
+			}
+			for _, tw := range v {
+				if math.Float64bits(tw.w) != math.Float64bits(want[tw.term]) {
+					t.Fatalf("trial %d doc %q term %q: weight %v, sorted-order reference %v", trial, d, tw.term, tw.w, want[tw.term])
+				}
+			}
+		}
+	}
 }

@@ -2,7 +2,9 @@ package text
 
 import (
 	"math"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Corpus is a tf-idf index over a collection of documents. Documents are
@@ -19,7 +21,17 @@ type Corpus struct {
 	byID    map[string]int // external id -> index in docs
 	dirty   bool
 	idf     map[string]float64
-	vectors []map[string]float64 // normalised tf-idf vectors, built lazily
+	vectors []vector // normalised tf-idf vectors, built lazily
+}
+
+// vector is a sparse tf-idf vector: one weight per distinct term, sorted by
+// term. Every sum over it runs in term order, so a score is the same float
+// bit for bit whatever order the tokens or documents arrived in.
+type vector []termWeight
+
+type termWeight struct {
+	term string
+	w    float64
 }
 
 type document struct {
@@ -91,7 +103,7 @@ func (c *Corpus) Clone() *Corpus {
 		byID:    byID,
 		dirty:   c.dirty,
 		idf:     c.idf,
-		vectors: append([]map[string]float64(nil), c.vectors...),
+		vectors: append([]vector(nil), c.vectors...),
 	}
 }
 
@@ -115,39 +127,47 @@ func (c *Corpus) rebuild() {
 		// Smoothed idf; always positive so single-document corpora still rank.
 		c.idf[t] = math.Log(1+n/float64(df)) + 1e-9
 	}
-	c.vectors = make([]map[string]float64, len(c.docs))
+	c.vectors = make([]vector, len(c.docs))
 	for i, d := range c.docs {
-		c.vectors[i] = c.vectorize(d.tokens)
+		// Document token slices are shared with other generations: sort a
+		// copy.
+		c.vectors[i] = c.vectorize(slices.Clone(d.tokens))
 	}
 	c.dirty = false
 }
 
-// vectorize builds an L2-normalised tf-idf vector for the given tokens.
-func (c *Corpus) vectorize(tokens []string) map[string]float64 {
+// vectorize builds an L2-normalised tf-idf vector for the given tokens,
+// which it sorts in place. The norm is summed in term order.
+func (c *Corpus) vectorize(tokens []string) vector {
 	if len(tokens) == 0 {
 		return nil
 	}
-	tf := make(map[string]float64)
-	for _, t := range tokens {
-		tf[t]++
-	}
-	var norm float64
-	for t := range tf {
-		idf, ok := c.idf[t]
+	slices.Sort(tokens)
+	v := make(vector, 0, len(tokens))
+	for i := 0; i < len(tokens); {
+		j := i + 1
+		for j < len(tokens) && tokens[j] == tokens[i] {
+			j++
+		}
+		idf, ok := c.idf[tokens[i]]
 		if !ok {
 			idf = math.Log(1 + float64(len(c.docs)))
 		}
-		tf[t] = tf[t] * idf
-		norm += tf[t] * tf[t]
+		v = append(v, termWeight{tokens[i], float64(j-i) * idf})
+		i = j
+	}
+	var norm float64
+	for _, tw := range v {
+		norm += tw.w * tw.w
 	}
 	if norm == 0 {
 		return nil
 	}
 	norm = math.Sqrt(norm)
-	for t := range tf {
-		tf[t] /= norm
+	for i := range v {
+		v[i].w /= norm
 	}
-	return tf
+	return v
 }
 
 // Score returns the cosine similarity in [0,1] between the query string and
@@ -200,19 +220,27 @@ func (c *Corpus) TopMatches(query string, minScore float64, limit int) []Match {
 	return out
 }
 
-// dot returns the inner product, quantised to 1e-9: map iteration order
-// varies the low float bits run to run, and unquantised scores would flip
-// ranking ties (and hence the contents of truncated match lists)
-// nondeterministically.
-func dot(a, b map[string]float64) float64 {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
+// dot returns the inner product quantised to 1e-9, so that scores equal up
+// to rounding noise tie exactly and rank by document id.
+func dot(a, b vector) float64 {
+	return math.Round(inner(a, b)*1e9) / 1e9
+}
+
+// inner is the inner product of two vectors, a merge over their sorted
+// terms that sums the shared ones in term order.
+func inner(a, b vector) float64 {
 	var s float64
-	for t, va := range a {
-		if vb, ok := b[t]; ok {
-			s += va * vb
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch c := strings.Compare(a[i].term, b[j].term); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			s += a[i].w * b[j].w
+			i++
+			j++
 		}
 	}
-	return math.Round(s*1e9) / 1e9
+	return s
 }

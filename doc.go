@@ -143,41 +143,30 @@
 // reads trees, and the eval figures are unchanged. Feedback names a row of
 // what the view holds, so a row index at or beyond k is ErrRowOutOfRange.
 //
-// # Cost-based join planning and cross-branch CSE
+// # Structural join planning
 //
 // Branch execution is planned before it runs (relstore's planner). Planning
 // binds every condition once (Validate first, so unknown aliases and
 // attributes are rejected up front), pushes selections AND same-alias join
 // conditions (`t.a = t.b` — self-filters the old join-binding loops silently
-// dropped) down to their atom's scan, estimates each atom's post-selection
-// cardinality exactly from the value index's per-segment statistics (the
-// distinct-value entries with row counts that already serve FindValues;
-// binary search per equality selection, a normalised sweep per containment —
-// segments cover non-empty values only, an estimation caveat, never a result
-// error), and orders the joins greedily by estimated intermediate
-// cardinality, System-R style: start at the smallest estimated atom, then
-// repeatedly join the connected atom minimising |current| x |candidate| x
-// join selectivity (1/max(distinct) per equi-join, a fixed 1/2 per similarity
-// join), hash builds on the smaller input. Join order cannot change a single
-// result byte — every ResultSet is sorted and set-deduplicated under one
-// total order — so the planner is pinned byte-identical to the test oracle's
-// naive first-connected order (see Reference implementations below). Ties
-// break on a canonical atom key, so branches whose aliases differ still
-// choose aligned orders.
-//
-// On top of the per-branch plan, each view materialisation plans its branch
-// batch as one unit (relstore.PlanBatch): join prefixes shared across
-// branches are detected by a position-anchored canonical signature (relation,
-// bound conditions and intra-prefix joins per step — alias-independent), and
-// every prefix shared by two or more branches is materialised ONCE into a
-// per-materialisation subplan cache; the other branches replay the pinned
-// rows through their remaining operators (common-subexpression elimination).
-// The CSE scope is one materialisation — cached rows never outlive the
-// catalog generation that produced them; caching ACROSS materialisations is
-// the epoch-keyed query cache's job below. Explain output names the ordering
-// mode and per-step operators with estimated cardinalities; Q.PlanStats
-// (served on GET /stats) accumulates branches planned/reordered (against the
-// naive order), shared subtrees, subplans computed and CSE hits.
+// dropped) down to their atom's scan, and orders the joins by one structural
+// rule that reads no statistics. A branch query is a small
+// select-project-join translated from one Steiner tree, so the rule only
+// keeps the pipeline from starting on an unfiltered table when a filtered
+// one exists, and from taking a cross product while a join condition
+// connects: start at the lowest-index atom with a bound selection or a
+// self-filter (atom 0 if none has one), then repeatedly join the unplaced
+// atom that has a non-self join to the placed set, then one that is
+// filtered, then the lowest-indexed. A hash join always builds on the atom
+// that joins in and probes with the rows streaming from the left, whatever
+// either side's size. Join order cannot change a single result byte — every
+// ResultSet is sorted and set-deduplicated under one total order — so the
+// planner is pinned byte-identical to the test oracle's naive
+// first-connected order (see Reference implementations below). Each view
+// materialisation plans its branch batch as one unit (relstore.PlanBatch),
+// which validates every branch before any executes. Explain output names
+// the ordering rule and one operator line per atom (scan, hash join, nested
+// loop); Q.PlanStats (served on GET /stats) counts the branches planned.
 //
 // # Reference implementations
 //
@@ -192,7 +181,7 @@
 //     FuzzFindValuesEquivalence on arbitrary keywords.
 //   - executeOracle (internal/relstore/oracle_test.go), the
 //     materialise-everything executor over the naive first-connected join
-//     order: no planner, no streaming, no subplan sharing. Gates:
+//     order: no planner, no streaming. Gates:
 //     internal/relstore/stream_test.go and planner_test.go on randomised
 //     catalogs and join shapes, and FuzzExecuteEquivalence and
 //     FuzzPlanEquivalence on arbitrary row values, through Execute,

@@ -250,33 +250,10 @@ type Q struct {
 type PlanStats = relstore.PlanStats
 
 // PlanStats returns the accumulated planner counters across every view
-// materialisation this instance executed: branches planned and reordered by
-// the cost-based join planner, shared subtrees detected, subplans
-// materialised, and branch executions served from the cross-branch subplan
-// cache (CSE hits). Safe for concurrent use.
+// materialisation this instance executed: the branch queries planned. Safe
+// for concurrent use.
 func (q *Q) PlanStats() PlanStats {
-	m := q.metrics
-	return PlanStats{
-		BranchesPlanned:   m.planBranchesPlanned.Load(),
-		BranchesReordered: m.planBranchesReordered.Load(),
-		SharedSubtrees:    m.planSharedSubtrees.Load(),
-		SubplansComputed:  m.planSubplansComputed.Load(),
-		CSEHits:           m.planCSEHits.Load(),
-	}
-}
-
-// addPlanStats folds one materialisation's planner counters into the
-// registry (PlanStats reads them back as a snapshot view).
-func (q *Q) addPlanStats(s relstore.PlanStats) {
-	if s == (relstore.PlanStats{}) {
-		return
-	}
-	m := q.metrics
-	m.planBranchesPlanned.Add(s.BranchesPlanned)
-	m.planBranchesReordered.Add(s.BranchesReordered)
-	m.planSharedSubtrees.Add(s.SharedSubtrees)
-	m.planSubplansComputed.Add(s.SubplansComputed)
-	m.planCSEHits.Add(s.CSEHits)
+	return PlanStats{BranchesPlanned: q.metrics.planBranchesPlanned.Load()}
 }
 
 // New constructs an empty Q system with the given options and the default

@@ -25,11 +25,10 @@ type Explanation struct {
 	Joins []string
 	// Keywords describes each keyword match used.
 	Keywords []string
-	// Plan describes the execution plan of the originating branch query,
-	// one line per atom in join order — the operator (scan, hash join,
-	// nested loop), pushed-down condition counts, and the estimated
-	// intermediate cardinality when the cost-based planner is on (the
-	// default). The first line names the ordering mode.
+	// Plan describes the execution plan of the originating branch query:
+	// a first line naming the structural ordering rule, then one line per
+	// atom in join order — the operator (scan, hash join, nested loop) and
+	// its pushed-down condition counts.
 	Plan []string
 }
 

@@ -27,11 +27,21 @@ func TestExplain(t *testing.T) {
 	if !strings.HasPrefix(ex.SQL, "SELECT") {
 		t.Errorf("SQL missing: %q", ex.SQL)
 	}
-	if len(ex.Plan) < 2 || !strings.Contains(ex.Plan[0], "cost-based") {
-		t.Errorf("plan lines missing or unplanned under default options: %q", ex.Plan)
+	if len(ex.Plan) < 2 || !strings.Contains(ex.Plan[0], "structural") {
+		t.Fatalf("plan lines missing or not naming the structural rule: %q", ex.Plan)
 	}
-	if !strings.Contains(ex.Plan[1], "scan ") {
+	if !strings.HasPrefix(ex.Plan[1], "scan ") {
 		t.Errorf("plan step 1 = %q, want a scan operator line", ex.Plan)
+	}
+	for _, step := range ex.Plan[2:] {
+		if !strings.HasPrefix(step, "hash join ") && !strings.HasPrefix(step, "nested loop ") {
+			t.Errorf("plan step %q, want a hash join or nested loop operator line", step)
+		}
+	}
+	for _, step := range ex.Plan[1:] {
+		if strings.Contains(step, "(est") {
+			t.Errorf("plan step %q carries an estimate", step)
+		}
 	}
 	s := ex.String()
 	for _, want := range []string{"cost", "keyword:", "plan:", "sql:"} {

@@ -41,13 +41,9 @@ type engineMetrics struct {
 	attrComparisons             *obs.Counter
 	columnComparisonsUnfiltered *obs.Counter
 
-	// Cost-based join planner (the PlanStats view).
-	planBranchesPlanned   *obs.Counter
-	planBranchesReordered *obs.Counter
-	planSharedSubtrees    *obs.Counter
-	planSubplansComputed  *obs.Counter
-	planCSEHits           *obs.Counter
-	explainErrors         *obs.Counter // qint_plan_explain_errors_total
+	// Join planner (the PlanStats view).
+	planBranchesPlanned *obs.Counter
+	explainErrors       *obs.Counter // qint_plan_explain_errors_total
 
 	refreshErrors *obs.Counter // qint_refresh_errors_total
 
@@ -87,12 +83,8 @@ func newEngineMetrics() *engineMetrics {
 		attrComparisons:             r.Counter("qint_align_attr_comparisons_total", "Pairwise attribute comparisons performed, honouring the value-overlap filter when enabled."),
 		columnComparisonsUnfiltered: r.Counter("qint_align_attr_comparisons_unfiltered_total", "Attribute comparisons as if no filter were available (Figure 7 accounting)."),
 
-		planBranchesPlanned:   r.Counter("qint_plan_branches_planned_total", "Branch queries planned by the cost-based join planner."),
-		planBranchesReordered: r.Counter("qint_plan_branches_reordered_total", "Planned branches whose join order differs from the naive spec order."),
-		planSharedSubtrees:    r.Counter("qint_plan_shared_subtrees_total", "Distinct join prefixes shared by at least two branches of one batch."),
-		planSubplansComputed:  r.Counter("qint_plan_subplans_total", "Shared join prefixes actually materialised as subplans."),
-		planCSEHits:           r.Counter("qint_plan_cse_hits_total", "Branch executions served from an already-computed shared subplan."),
-		explainErrors:         r.Counter("qint_plan_explain_errors_total", "Explain requests whose plan rendering failed."),
+		planBranchesPlanned: r.Counter("qint_plan_branches_planned_total", "Branch queries planned by the structural join planner."),
+		explainErrors:       r.Counter("qint_plan_explain_errors_total", "Explain requests whose plan rendering failed."),
 
 		refreshErrors: r.Counter("qint_refresh_errors_total", "View rematerialisations that failed after a write; the view keeps its previous materialisation."),
 

@@ -370,15 +370,16 @@ func (q *Q) materializeAt(st *qstate, keywords []string, k int, tr *obs.Trace) (
 }
 
 // executeBranches is the plan and execute phases of materialisation. The
-// branch queries (tree-cost order) are planned as a unit (relstore.PlanBatch):
-// each branch's joins are ordered by estimated cardinality, and join subtrees
-// shared across branches execute once through the per-materialisation
-// subplan cache. Execution then streams the branches, in cost order, into the
-// ranked union and stops at the view's top k: once k collected rows have cost
-// at or below a branch's cost, that branch is never executed (union rank is
-// (cost, branch) and all of a branch's rows share its cost). The result holds
-// exactly the view's top-k rows — fewer if the branches yield fewer — and is
-// byte-identical to the full disjoint union's TopK(k) prefix.
+// branch queries (tree-cost order) are planned as a unit (relstore.PlanBatch),
+// each branch's joins in the planner's structural order: a filtered atom
+// first, then connected atoms before any cross product, filtered before
+// unfiltered, lower index first. Execution then streams the branches, in
+// cost order, into the ranked union and stops at the view's top k: once k
+// collected rows have cost at or below a branch's cost, that branch is never
+// executed (union rank is (cost, branch) and all of a branch's rows share
+// its cost). The result holds exactly the view's top-k rows — fewer if the
+// branches yield fewer — and is byte-identical to the full disjoint union's
+// TopK(k) prefix.
 func (q *Q) executeBranches(st *qstate, queries []*relstore.ConjunctiveQuery, k int, tr *obs.Trace) (*relstore.UnionResult, error) {
 	prov := make([]string, len(queries))
 	for i, cq := range queries {
@@ -400,7 +401,7 @@ func (q *Q) executeBranches(st *qstate, queries []*relstore.ConjunctiveQuery, k 
 	if err != nil {
 		return nil, err
 	}
-	q.addPlanStats(bp.Stats())
+	q.metrics.planBranchesPlanned.Add(bp.Stats().BranchesPlanned)
 	q.countTopK(stats)
 	return result, nil
 }

@@ -62,13 +62,12 @@ func streamCorpora() []streamCorpus {
 }
 
 // TestMaterialisedExecEquivalence pins branch execution at the pipeline
-// level: a view's ranked result — produced by the planned batch's top-k union
-// with its cross-branch subplan cache — must deep-equal the disjoint union of
-// its branch queries executed one by one through relstore.Execute (no batch,
-// no CSE, no early termination) on the same catalog generation, truncated to
-// the view's k, with the full union's column list. The materialised reference
-// executor itself is a relstore test oracle (oracle_test.go), gated against
-// Execute there.
+// level: a view's ranked result — produced by the planned batch's top-k
+// union — must deep-equal the disjoint union of its branch queries executed
+// one by one through relstore.Execute (no batch, no early termination) on
+// the same catalog generation, truncated to the view's k, with the full
+// union's column list. The materialised reference executor itself is a
+// relstore test oracle (oracle_test.go), gated against Execute there.
 func TestMaterialisedExecEquivalence(t *testing.T) {
 	for _, c := range streamCorpora() {
 		t.Run(c.name, func(t *testing.T) {
@@ -106,13 +105,13 @@ func TestMaterialisedExecEquivalence(t *testing.T) {
 	}
 }
 
-// TestPlannerOffEquivalence pins the cost-based planner at the pipeline
+// TestPlannerOffEquivalence pins the structural planner at the pipeline
 // level now that no option turns it off: every branch of every materialised
 // view is planned — PlanStats counts exactly the branches executed (query
 // caches off, so each query materialises once) — and each branch's planned
-// batch result, served through the shared-subplan cache, deep-equals the
-// branch executed standalone. Planned ≡ naive spec order is the relstore
-// oracle gate (executeOracle, FuzzPlanEquivalence).
+// batch result deep-equals the branch executed standalone. Planned ≡ naive
+// spec order is the relstore oracle gate (executeOracle,
+// FuzzPlanEquivalence).
 func TestPlannerOffEquivalence(t *testing.T) {
 	for _, c := range streamCorpora() {
 		t.Run(c.name, func(t *testing.T) {
@@ -155,7 +154,7 @@ func TestPlannerOffEquivalence(t *testing.T) {
 			if st.BranchesPlanned != branches {
 				t.Errorf("instance planned %d branches, views executed %d", st.BranchesPlanned, branches)
 			}
-			if st.BranchesPlanned == 0 || st.BranchesReordered > st.BranchesPlanned {
+			if st.BranchesPlanned == 0 {
 				t.Errorf("implausible PlanStats %+v", st)
 			}
 		})

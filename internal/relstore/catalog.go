@@ -120,18 +120,6 @@ func (c *Catalog) Clone() *Catalog {
 	}
 }
 
-// statsSegment returns the relation's value-index segment — the planner's
-// statistics source (per-attribute distinct-value entries with row counts) —
-// building it on first use, or nil for an unknown relation. Safe for
-// concurrent use (segmentFor resolves racing builds by adoption).
-func (c *Catalog) statsSegment(qualified string) *segment {
-	t := c.tables[qualified]
-	if t == nil {
-		return nil
-	}
-	return c.index.segmentFor(t)
-}
-
 // AddTable registers a table. Registering a second table under the same
 // qualified relation name is an error: sources are immutable once added.
 func (c *Catalog) AddTable(t *Table) error {

@@ -9,8 +9,10 @@ type ResultSet struct {
 	Rows    [][]string
 }
 
-// Execute evaluates a conjunctive query against the catalog: the cost-based
-// planner (planner.go) orders its joins, and rows stream through the
+// Execute evaluates a conjunctive query against the catalog: the planner
+// (planner.go) orders its joins by a structural rule — a filtered atom
+// first, then connected atoms before any cross product, filtered before
+// unfiltered, lower index first — and rows stream through the
 // composed iterator pipeline of stream.go — scan with pushed-down selections,
 // pre-sized hash-join probes, similarity filters, projection/dedup — so no
 // intermediate relation is materialised. The result is the canonical
@@ -26,18 +28,6 @@ func Execute(c *Catalog, q *ConjunctiveQuery) (*ResultSet, error) {
 	rs := st.Drain()
 	c.countExec(len(rs.Rows))
 	return rs, nil
-}
-
-func connectsTo(joins []JoinCond, alias string, joined map[string]bool) bool {
-	for _, j := range joins {
-		if j.LeftAlias == alias && joined[j.RightAlias] {
-			return true
-		}
-		if j.RightAlias == alias && joined[j.LeftAlias] {
-			return true
-		}
-	}
-	return false
 }
 
 // joinPair relates a column of the accumulated intermediate row to an

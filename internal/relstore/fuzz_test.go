@@ -129,9 +129,8 @@ func fuzzPairCatalog(t *testing.T, lrows, rrows [][]string) *Catalog {
 
 // checkExecutorsAgainstOracle demands that every production entry point
 // returns exactly what the materialised, unplanned oracle returns on each
-// query of the batch: Execute standalone, BatchPlan.Execute through the
-// cross-branch subplan cache, and BatchPlan.TopKUnion against the oracle's
-// top-k union. label names the fuzz input in failure messages.
+// query of the batch: Execute standalone, BatchPlan.Execute, and
+// BatchPlan.TopKUnion against the oracle's top-k union. label names the fuzz input in failure messages.
 func checkExecutorsAgainstOracle(t *testing.T, cat *Catalog, queries []*ConjunctiveQuery, label string) {
 	t.Helper()
 	prov := make([]string, len(queries))
@@ -159,7 +158,7 @@ func checkExecutorsAgainstOracle(t *testing.T, cat *Catalog, queries []*Conjunct
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(batched, want) {
-			t.Errorf("CSE divergence on %s query %d\nbatched: %v\noracle:  %v", label, i, batched, want)
+			t.Errorf("batch divergence on %s query %d\nbatched: %v\noracle:  %v", label, i, batched, want)
 		}
 	}
 	for _, k := range []int{1, 3, 50} {
@@ -213,13 +212,14 @@ func FuzzExecuteEquivalence(f *testing.F) {
 }
 
 // FuzzPlanEquivalence fuzzes the planner-equivalence contract: for ARBITRARY
-// row values, the cost-based join order (with its self-filter pushdown and
-// cross-branch subplan cache) must return exactly what the oracle's naive
-// spec order returns — standalone, through PlanBatch, and through the top-k
-// union. The query shapes cover what the planner actually decides: a
-// reorderable two-atom equi-join with a selective selection, a self-filter
-// condition, a contains-selection, and a duplicated branch (the easiest
-// shared subtree). CI runs it as a short -fuzz smoke on every push.
+// row values, the structural join order (with its self-filter pushdown) must
+// return exactly what the oracle's naive spec order returns — standalone,
+// through PlanBatch, and through the top-k union. The query shapes cover
+// what the planner actually decides: a two-atom equi-join with a selection
+// and a self-filter condition, a contains-selection, a duplicated branch,
+// and a three-atom chain filtered only on atom 2, which the structural rule
+// scans first where the naive order starts at atom 0. CI runs it as a short
+// -fuzz smoke on every push.
 func FuzzPlanEquivalence(f *testing.F) {
 	f.Add("a\x00", "b", "a")
 	f.Add("a b", "c", "a")
@@ -247,6 +247,16 @@ func FuzzPlanEquivalence(f *testing.F) {
 			Cost:    2,
 		}
 		dup := *join
-		checkExecutorsAgainstOracle(t, cat, []*ConjunctiveQuery{join, sel, &dup}, fmt.Sprintf("%q/%q/%q", a, b, c))
+		chain := &ConjunctiveQuery{
+			Atoms: []Atom{{Relation: "l.r", Alias: "t0"}, {Relation: "r.r", Alias: "t1"}, {Relation: "l.r", Alias: "t2"}},
+			Joins: []JoinCond{
+				{LeftAlias: "t0", LeftAttr: "x", RightAlias: "t1", RightAttr: "x"},
+				{LeftAlias: "t1", LeftAttr: "y", RightAlias: "t2", RightAttr: "y"},
+			},
+			Selects: []SelCond{{Alias: "t2", Attr: "x", Op: OpEq, Value: b}},
+			Project: []ProjCol{{Alias: "t0", Attr: "y", As: "v"}, {Alias: "t2", Attr: "x", As: "w"}},
+			Cost:    3,
+		}
+		checkExecutorsAgainstOracle(t, cat, []*ConjunctiveQuery{join, sel, &dup, chain}, fmt.Sprintf("%q/%q/%q", a, b, c))
 	})
 }

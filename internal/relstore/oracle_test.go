@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"sort"
@@ -18,13 +19,12 @@ import (
 //     it byte for byte (valueindex_test.go, binary_test.go,
 //     relstore_test.go, FuzzFindValuesEquivalence).
 //   - executeOracle is the materialise-everything executor over the naive
-//     first-connected join order: no cost-based planner, no streaming, no
-//     subplan sharing. Execute, ExecuteBatch, BatchPlan.Execute and
+//     first-connected join order (naiveJoinOrder): no structural planner,
+//     no streaming. Execute, ExecuteBatch, BatchPlan.Execute and
 //     BatchPlan.TopKUnion must match it byte for byte (stream_test.go,
-//     planner_test.go, FuzzExecuteEquivalence).
+//     planner_test.go, FuzzExecuteEquivalence, FuzzPlanEquivalence).
 //   - ExecuteBatch is the full-batch executor over one BatchPlan: every
-//     branch, no top-k bound, fanned across workers. It pins BatchPlan's
-//     subplan sharing against per-query Execute and is the reference
+//     branch, no top-k bound, fanned across workers. It is the reference
 //     TopKUnion's prefix is compared with.
 //   - postEntryOracle is the map-based value-index posting build, with a
 //     per-entry seen set and trigrams cut from []rune, and
@@ -182,7 +182,7 @@ func writePostingMapOracle(b *binWriter, m map[string][]int32) {
 // build side is whichever input is smaller — neither that choice nor the join
 // order can change a byte of the sorted, deduplicated output.
 func executeOracle(c *Catalog, q *ConjunctiveQuery) (*ResultSet, error) {
-	p, err := bindQuery(c, q)
+	p, err := planQuery(c, q)
 	if err != nil {
 		return nil, err
 	}
@@ -219,7 +219,7 @@ func executeOracle(c *Catalog, q *ConjunctiveQuery) (*ResultSet, error) {
 		}
 	}
 
-	order := p.order
+	order := naiveJoinOrder(q, atoms)
 	first := atoms[order[0]]
 	bind(first)
 	current := make([][]string, len(filtered[order[0]]))
@@ -388,6 +388,67 @@ func oracleTopKUnion(c *Catalog, queries []*ConjunctiveQuery, k int, prov []stri
 	return &UnionResult{Columns: full.Columns, Rows: full.TopK(k)}, nil
 }
 
+// naiveJoinOrder is the unplanned spec order: traverse the join graph
+// from atom 0, always joining the lowest-index atom connected to the
+// already-joined set; fall back to the lowest-index remaining atom (cross
+// product) for disconnected components.
+func naiveJoinOrder(q *ConjunctiveQuery, atoms []planAtom) []int {
+	joined := map[string]bool{atoms[0].alias: true}
+	order := []int{0}
+	remaining := make(map[int]bool)
+	for i := 1; i < len(atoms); i++ {
+		remaining[i] = true
+	}
+	for len(remaining) > 0 {
+		next := -1
+		for i := range remaining {
+			if connectsTo(q.Joins, atoms[i].alias, joined) {
+				if next == -1 || i < next {
+					next = i
+				}
+			}
+		}
+		if next == -1 { // disconnected: take the lowest-index remaining atom
+			for i := range remaining {
+				if next == -1 || i < next {
+					next = i
+				}
+			}
+		}
+		order = append(order, next)
+		joined[atoms[next].alias] = true
+		delete(remaining, next)
+	}
+	return order
+}
+
+func connectsTo(joins []JoinCond, alias string, joined map[string]bool) bool {
+	for _, j := range joins {
+		if j.LeftAlias == alias && joined[j.RightAlias] {
+			return true
+		}
+		if j.RightAlias == alias && joined[j.LeftAlias] {
+			return true
+		}
+	}
+	return false
+}
+
+// appendLenPrefixed appends a length-prefixed encoding of vals to dst and
+// returns the extended slice. Each value is encoded as uvarint(len) ‖ bytes,
+// which is prefix-free per field: no choice of values can make two distinct
+// tuples encode identically, unlike separator-based encodings (a "\x00"
+// separator collides on values containing NUL; fmt.Sprint collides on
+// embedded spaces). The oracle builds its hash-join and projection-dedup
+// keys with it.
+func appendLenPrefixed(dst []byte, vals ...string) []byte {
+	for _, v := range vals {
+		dst = binary.AppendUvarint(dst, uint64(len(v)))
+		dst = append(dst, v...)
+	}
+	return dst
+}
+
 // joinKeyLeft and joinKeyRight build the hash-join key from the two sides'
 // join-column values, length-prefixed: the old "\x00"-separator encoding
 // collided values containing NUL across column boundaries (["a\x00","b"] vs
@@ -414,10 +475,9 @@ func rowKey(vals []string) string { return string(appendLenPrefixed(nil, vals...
 // ExecuteBatch executes a batch of conjunctive queries — the branches of one
 // view materialisation — across at most workers goroutines, collecting
 // results by query index so the output order matches a serial loop exactly.
-// The batch is planned as a unit: branches stream through PlanBatch's
-// shared-subtree subplan cache, so a join prefix common to several branches
-// executes once, and results must be byte-identical to executing each query
-// alone, at every worker count. Validation runs in index order
+// The batch is planned as a unit, and results must be byte-identical to
+// executing each query alone, at every worker count. Validation runs in
+// index order
 // before anything executes, so the returned error is the one the
 // lowest-indexed failing query produces, matching serial semantics. Views
 // execute through the top-k-bounded BatchPlan.TopKUnion instead, which skips

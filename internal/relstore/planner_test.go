@@ -4,14 +4,16 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// This file pins the cost-based join planner and the cross-branch CSE layer
-// against the unplanned, materialised test oracle (executeOracle,
-// oracle_test.go): over randomised catalogs and every join shape
-// (self-filters included), the planner must not change a single result byte — only the order work happens in. It also carries the
+// This file pins the structural join planner against the unplanned,
+// materialised test oracle (executeOracle, oracle_test.go): over randomised
+// catalogs and every join shape (self-filters included), the planner must
+// not change a single result byte — only the order work happens in. It also
+// pins the ordering rule itself (TestStructuralJoinOrder) and carries the
 // join-binding regression tests the planner work surfaced: self-filter
 // conditions (`t.a = t.b`) were silently dropped by both executors, and
 // the top-k union once never validated branches its bound skipped.
@@ -39,16 +41,21 @@ func maybeSelfJoin(r *rand.Rand, c *Catalog, q *ConjunctiveQuery) {
 
 // TestPlannedVsUnplannedEquivalence is the metamorphic gate of the planner:
 // over randomised catalogs (tricky values, self-filters injected),
-// Execute's cost-based order must return a ResultSet deep-equal to the
-// oracle's naive order — content, order, nil-ness.
+// Execute's structural order must return a ResultSet deep-equal to the
+// oracle's naive order — content, order, nil-ness. The gate is vacuous if
+// the two orders never differ, so it also fails unless some query is
+// reordered.
 func TestPlannedVsUnplannedEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(4000))
+	reordered := 0
 	for trial := 0; trial < 120; trial++ {
 		c := randomExecCatalog(r, 2+r.Intn(3))
-		c.BuildValueIndex(2) // planner statistics source
 		for qi := 0; qi < 6; qi++ {
 			q := randomExecQuery(r, c)
 			maybeSelfJoin(r, c, q)
+			if p, err := planQuery(c, q); err == nil && !slices.Equal(p.order, naiveJoinOrder(q, p.atoms)) {
+				reordered++
+			}
 			want, errW := executeOracle(c, q)
 			got, err := Execute(c, q)
 			if (errW == nil) != (err == nil) {
@@ -64,12 +71,16 @@ func TestPlannedVsUnplannedEquivalence(t *testing.T) {
 			}
 		}
 	}
+	if reordered == 0 {
+		t.Fatal("no random query got a join order different from the oracle's naive order")
+	}
+	t.Logf("%d queries reordered", reordered)
 }
 
 // TestPlannedBatchAndTopKEquivalence extends the metamorphic gate to the two
-// batch entry points the CSE cache feeds: ExecuteBatch and BatchPlan.TopKUnion
-// (shared subtrees reused) must be byte-identical to the oracle executing
-// every branch standalone, at several worker counts and k.
+// batch entry points: ExecuteBatch and BatchPlan.TopKUnion must be
+// byte-identical to the oracle executing every branch standalone, at several
+// worker counts and k.
 func TestPlannedBatchAndTopKEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 25; trial++ {
@@ -84,8 +95,8 @@ func TestPlannedBatchAndTopKEquivalence(t *testing.T) {
 			}
 			queries = append(queries, q)
 		}
-		// Duplicate a branch sometimes: identical queries are the easiest
-		// shared subtree, and the union must still be byte-identical.
+		// Duplicate a branch sometimes: the union must still be
+		// byte-identical when two branches are the same query.
 		if r.Intn(2) == 0 {
 			dup := *queries[0]
 			queries = append(queries, &dup)
@@ -337,75 +348,14 @@ func TestTopKUnionValidatesSkippedBranches(t *testing.T) {
 	}
 }
 
-// TestBatchPlanCSECounters pins the subplan cache's behaviour on a
-// constructed shared subtree: two branches over the same atoms and join (only
-// projections differ) must plan one shared subtree, materialise it once,
-// serve the second branch from the cache — and return exactly what standalone
-// execution returns.
-func TestBatchPlanCSECounters(t *testing.T) {
-	mk := func(source string, rows [][]string) *Table {
-		rel := &Relation{Source: source, Name: "r", Attributes: []Attribute{{Name: "a"}, {Name: "b"}}}
-		tb, err := NewTable(rel, rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tb
-	}
-	c := NewCatalog()
-	if err := c.AddTable(mk("l", [][]string{{"k1", "p"}, {"k2", "q"}, {"k3", "r"}})); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddTable(mk("m", [][]string{{"k1", "u"}, {"k2", "v"}, {"k9", "w"}})); err != nil {
-		t.Fatal(err)
-	}
-	c.BuildValueIndex(1)
-	shape := func(proj []ProjCol) *ConjunctiveQuery {
-		return &ConjunctiveQuery{
-			Atoms:   []Atom{{Relation: "l.r", Alias: "t0"}, {Relation: "m.r", Alias: "t1"}},
-			Joins:   []JoinCond{{LeftAlias: "t0", LeftAttr: "a", RightAlias: "t1", RightAttr: "a"}},
-			Project: proj,
-		}
-	}
-	qa := shape([]ProjCol{{Alias: "t0", Attr: "b", As: "lb"}})
-	qb := shape([]ProjCol{{Alias: "t1", Attr: "b", As: "rb"}})
-	bp, err := PlanBatch(c, []*ConjunctiveQuery{qa, qb})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range []*ConjunctiveQuery{qa, qb} {
-		got, err := bp.Execute(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := Execute(c, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("branch %d: CSE result differs from standalone execution\ngot:  %v\nwant: %v", i, got, want)
-		}
-	}
-	st := bp.Stats()
-	if st.BranchesPlanned != 2 || st.SharedSubtrees != 1 {
-		t.Errorf("planned=%d shared=%d, want 2 planned, 1 shared subtree", st.BranchesPlanned, st.SharedSubtrees)
-	}
-	if st.SubplansComputed != 1 || st.CSEHits != 1 {
-		t.Errorf("computed=%d hits=%d, want the shared prefix computed once and reused once",
-			st.SubplansComputed, st.CSEHits)
-	}
-}
-
-// TestPlannedOrderPrefersSelectiveAtom pins the cost model end-to-end through
-// ExplainPlan: with segment statistics available, a highly selective later
-// atom must be scanned first (naive order starts at atom 0), the plan must
-// read as a hash join, and the reorder must show up in the batch counters.
-func TestPlannedOrderPrefersSelectiveAtom(t *testing.T) {
-	rel := &Relation{Source: "s", Name: "big", Attributes: []Attribute{{Name: "x"}}}
-	rows := make([][]string, 100)
-	for i := range rows {
-		rows[i] = []string{fmt.Sprintf("v%02d", i)}
-	}
-	tb, err := NewTable(rel, rows)
+// TestStructuralJoinOrder pins the ordering rule: start at the lowest-index
+// filtered atom (atom 0 if none), then take the unplaced atom that is
+// connected to the placed set, then filtered, then lowest-indexed. It builds
+// no value index: the rule reads no statistics. ExplainPlan must show the
+// same order with the operator each step compiles to.
+func TestStructuralJoinOrder(t *testing.T) {
+	rel := &Relation{Source: "s", Name: "r", Attributes: []Attribute{{Name: "x"}, {Name: "y"}}}
+	tb, err := NewTable(rel, [][]string{{"a", "a"}, {"a", "b"}, {"b", "b"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -413,33 +363,96 @@ func TestPlannedOrderPrefersSelectiveAtom(t *testing.T) {
 	if err := c.AddTable(tb); err != nil {
 		t.Fatal(err)
 	}
-	c.BuildValueIndex(1)
-	q := &ConjunctiveQuery{
-		Atoms: []Atom{{Relation: "s.big", Alias: "t0"}, {Relation: "s.big", Alias: "t1"}},
-		Joins: []JoinCond{{LeftAlias: "t0", LeftAttr: "x", RightAlias: "t1", RightAttr: "x"}},
-		Selects: []SelCond{
-			{Alias: "t1", Attr: "x", Op: OpEq, Value: "v07"}, // est 1 row from the segment
+	eq := func(l, r int) JoinCond {
+		return JoinCond{LeftAlias: fmt.Sprintf("t%d", l), LeftAttr: "x", RightAlias: fmt.Sprintf("t%d", r), RightAttr: "x"}
+	}
+	sim := func(l, r int) JoinCond {
+		j := eq(l, r)
+		j.Op, j.Threshold = JoinSimilar, 0.5
+		return j
+	}
+	sel := func(i int) SelCond { return SelCond{Alias: fmt.Sprintf("t%d", i), Attr: "y", Value: "b"} }
+	cases := []struct {
+		name  string
+		atoms int
+		joins []JoinCond
+		sels  []SelCond
+		want  []int
+		ops   []string
+	}{
+		{
+			name: "filtered atom that is not atom 0 starts", atoms: 2,
+			joins: []JoinCond{eq(0, 1)}, sels: []SelCond{sel(1)},
+			want: []int{1, 0}, ops: []string{"scan", "hash join"},
 		},
-		Project: []ProjCol{{Alias: "t0", Attr: "x", As: "x"}},
+		{
+			name: "self-filter counts as a filter", atoms: 2,
+			joins: []JoinCond{eq(0, 1), {LeftAlias: "t1", LeftAttr: "x", RightAlias: "t1", RightAttr: "y"}},
+			want:  []int{1, 0}, ops: []string{"scan", "hash join"},
+		},
+		{
+			name: "connected before cross product", atoms: 3,
+			joins: []JoinCond{eq(0, 2)}, sels: []SelCond{sel(0), sel(1)},
+			want: []int{0, 2, 1}, ops: []string{"scan", "hash join", "nested loop"},
+		},
+		{
+			name: "similarity join connects", atoms: 3,
+			joins: []JoinCond{sim(1, 2)}, sels: []SelCond{sel(1), sel(0)},
+			want: []int{0, 1, 2}, ops: []string{"scan", "nested loop", "nested loop"},
+		},
+		{
+			name: "two disconnected components", atoms: 4,
+			joins: []JoinCond{eq(0, 1), eq(2, 3)}, sels: []SelCond{sel(3)},
+			want: []int{3, 2, 0, 1}, ops: []string{"scan", "hash join", "nested loop", "hash join"},
+		},
+		{
+			name: "filtered component atom is the cross product", atoms: 4,
+			joins: []JoinCond{eq(0, 1), eq(2, 3)}, sels: []SelCond{sel(1), sel(3)},
+			want: []int{1, 0, 3, 2}, ops: []string{"scan", "hash join", "nested loop", "hash join"},
+		},
+		{
+			name: "ties broken by index", atoms: 4,
+			joins: []JoinCond{eq(0, 3), eq(0, 2), eq(0, 1)},
+			want:  []int{0, 1, 2, 3}, ops: []string{"scan", "hash join", "hash join", "hash join"},
+		},
+		{
+			name: "filtered before unfiltered among connected", atoms: 4,
+			joins: []JoinCond{eq(0, 1), eq(0, 2), eq(0, 3)}, sels: []SelCond{sel(0), sel(3), sel(2)},
+			want: []int{0, 2, 3, 1}, ops: []string{"scan", "hash join", "hash join", "hash join"},
+		},
 	}
-	lines, err := ExplainPlan(c, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lines) != 3 || !strings.Contains(lines[0], "cost-based") {
-		t.Fatalf("explain = %q, want cost-based header + 2 steps", lines)
-	}
-	if !strings.HasPrefix(lines[1], "scan t1=") {
-		t.Errorf("first step = %q, want the selective atom t1 scanned first", lines[1])
-	}
-	if !strings.HasPrefix(lines[2], "hash join t0=") {
-		t.Errorf("second step = %q, want t0 joined in by hash join", lines[2])
-	}
-	bp, err := PlanBatch(c, []*ConjunctiveQuery{q})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := bp.Stats(); st.BranchesReordered != 1 {
-		t.Errorf("branches reordered = %d, want 1 (planned order differs from naive)", st.BranchesReordered)
+	for _, tc := range cases {
+		q := &ConjunctiveQuery{Joins: tc.joins, Selects: tc.sels}
+		for i := 0; i < tc.atoms; i++ {
+			q.Atoms = append(q.Atoms, Atom{Relation: "s.r", Alias: fmt.Sprintf("t%d", i)})
+		}
+		q.Project = []ProjCol{{Alias: "t0", Attr: "x", As: "x"}}
+		p, err := planQuery(c, q)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !slices.Equal(p.order, tc.want) {
+			t.Errorf("%s: order = %v, want %v", tc.name, p.order, tc.want)
+		}
+		lines, err := ExplainPlan(c, q)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if len(lines) != tc.atoms+1 || !strings.Contains(lines[0], "structural") {
+			t.Fatalf("%s: explain = %q, want a structural header + %d steps", tc.name, lines, tc.atoms)
+		}
+		for step, oi := range tc.want {
+			prefix := fmt.Sprintf("%s t%d=", tc.ops[step], oi)
+			if l := lines[step+1]; !strings.HasPrefix(l, prefix) || strings.Contains(l, "(est") {
+				t.Errorf("%s: step %d = %q, want prefix %q and no estimate", tc.name, step, l, prefix)
+			}
+		}
+		want, err := executeOracle(c, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := Execute(c, q); err != nil || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Execute = %v, %v; oracle %v", tc.name, got, err, want)
+		}
 	}
 }

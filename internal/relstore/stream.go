@@ -1,7 +1,6 @@
 package relstore
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"strings"
@@ -23,33 +22,13 @@ import (
 // oracle executeOracle (oracle_test.go), and the metamorphic suite in
 // stream_test.go pins the two byte-identical on randomised catalogs, join
 // shapes. Tuple identity is collision-proof in both: the
-// oracle keys joins and dedup by the length-prefixed encoding below (which
-// values containing NUL bytes, embedded spaces or empty strings cannot forge
-// — the row-identity bugs this refactor fixed), and the streaming operators
-// go one step further, bucketing by value hash and verifying every bucket
-// hit against the values themselves, so no identity ever rides on an
-// encoding at all.
-
-// appendLenPrefixed appends a length-prefixed encoding of vals to dst and
-// returns the extended slice. Each value is encoded as uvarint(len) ‖ bytes,
-// which is prefix-free per field: no choice of values can make two distinct
-// tuples encode identically, unlike separator-based encodings (a "\x00"
-// separator collides on values containing NUL; fmt.Sprint collides on
-// embedded spaces). The planner builds its canonical keys with it, and the
-// test oracle its hash-join and projection-dedup keys.
-func appendLenPrefixed(dst []byte, vals ...string) []byte {
-	for _, v := range vals {
-		dst = binary.AppendUvarint(dst, uint64(len(v)))
-		dst = append(dst, v...)
-	}
-	return dst
-}
-
-// The streaming operators avoid even the length-prefixed key allocations:
-// they bucket by a 64-bit FNV-1a hash of the length-delimited values and
-// verify every bucket hit by comparing the actual values, so tuple identity
-// never depends on an encoding at all — a hash collision costs one string
-// comparison, never a wrong answer.
+// oracle keys joins and dedup by a length-prefixed encoding (which values
+// containing NUL bytes, embedded spaces or empty strings cannot forge — the
+// row-identity bugs this refactor fixed), and the streaming operators go one
+// step further: they bucket by a 64-bit FNV-1a hash of the length-delimited
+// values and verify every bucket hit by comparing the actual values, so
+// tuple identity never depends on an encoding at all — a hash collision
+// costs one string comparison, never a wrong answer.
 
 const (
 	fnvOffset64 = 14695981039433928325
@@ -146,26 +125,6 @@ func (it *scanIter) Next() bool {
 		}
 	}
 	return false
-}
-
-// prefixIter is the pipeline source of a branch whose leading join prefix
-// was materialised by the subplan cache (plan.go): it replays the cached
-// full-width prefix rows into the shared buffer, in the same deterministic
-// order the branch's own prefix pipeline would have produced them, and the
-// remaining atoms join on top.
-type prefixIter struct {
-	rows [][]string
-	buf  []string // the prefix atoms' segments of the shared row buffer
-	pos  int
-}
-
-func (it *prefixIter) Next() bool {
-	if it.pos >= len(it.rows) {
-		return false
-	}
-	copy(it.buf, it.rows[it.pos])
-	it.pos++
-	return true
 }
 
 func matchesBound(row []string, sels []boundSel) bool {
@@ -409,30 +368,31 @@ func (s *Stream) Drain() *ResultSet {
 // BuildStream validates and compiles a conjunctive query into a streaming
 // pipeline over the catalog. All attribute resolution happens here, so a
 // malformed query is an error at plan time, never a panic mid-iteration.
-// Joins run in the planner's cost-based greedy order.
+// Joins run in the planner's structural order (structuralJoinOrder): a
+// filtered atom first, then connected atoms before any cross product.
 func BuildStream(c *Catalog, q *ConjunctiveQuery) (*Stream, error) {
 	p, err := planQuery(c, q)
 	if err != nil {
 		return nil, err
 	}
-	return compileStream(p, nil)
+	return compileStream(p)
 }
 
-// compilePipeline assembles the operator chain over the plan's first `upto`
-// atoms in join order: a selection-filtered scan of the first atom — or a
-// replay of cached prefix rows when pre is non-nil — then one hash-join or
+// compilePipeline assembles the operator chain in join order: a
+// selection-filtered scan of the first atom, then one hash-join or
 // nested-loop operator per remaining atom, all sharing one row buffer. A
-// join condition is applied when its later-ordered endpoint joins in;
-// conditions reaching atoms beyond `upto` are left for the continuation
-// (they bind nothing here), and self-filter conditions are pushed down into
-// the scans and build sides rather than bound as join pairs — binding them
-// as joins is impossible (the alias binds only after its own join step),
-// which is exactly how the old executors silently dropped them.
-func compilePipeline(p *queryPlan, upto int, pre *subplanEntry, stats *StreamStats) (rowIter, []string, map[string]int) {
+// hash join always builds on the atom that joins in and probes with the rows
+// streaming from the left, whatever either side's size. A join condition is
+// applied when its later-ordered endpoint joins in, and self-filter
+// conditions are pushed down into the scans and build sides rather than
+// bound as join pairs — binding them as joins is impossible (the alias binds
+// only after its own join step), which is exactly how the old executors
+// silently dropped them.
+func compilePipeline(p *queryPlan, stats *StreamStats) (rowIter, []string, map[string]int) {
 	colOf := make(map[string]int)
 	width := 0
 	segOf := make([]int, len(p.atoms)) // atom index -> buffer offset
-	for _, oi := range p.order[:upto] {
+	for _, oi := range p.order {
 		a := &p.atoms[oi]
 		segOf[oi] = width
 		for _, attr := range a.rel.Attributes {
@@ -442,27 +402,16 @@ func compilePipeline(p *queryPlan, upto int, pre *subplanEntry, stats *StreamSta
 	}
 	buf := make([]string, width)
 
-	var root rowIter
-	start := 1
-	if pre != nil {
-		pw := 0
-		for _, oi := range p.order[:pre.n] {
-			pw += len(p.atoms[oi].rel.Attributes)
-		}
-		root = &prefixIter{rows: pre.rows, buf: buf[:pw]}
-		start = pre.n
-	} else {
-		first := &p.atoms[p.order[0]]
-		root = &scanIter{
-			rows:    first.rows,
-			sels:    first.sels,
-			selfs:   first.selfs,
-			buf:     buf[:len(first.rel.Attributes)],
-			scanned: &stats.RowsScanned,
-		}
+	first := &p.atoms[p.order[0]]
+	var root rowIter = &scanIter{
+		rows:    first.rows,
+		sels:    first.sels,
+		selfs:   first.selfs,
+		buf:     buf[:len(first.rel.Attributes)],
+		scanned: &stats.RowsScanned,
 	}
 
-	for _, oi := range p.order[start:upto] {
+	for _, oi := range p.order[1:] {
 		a := &p.atoms[oi]
 		var pairs []joinPair
 		var simPairs []simJoinPair
@@ -481,8 +430,8 @@ func compilePipeline(p *queryPlan, upto int, pre *subplanEntry, stats *StreamSta
 			} else {
 				continue
 			}
-			// The other endpoint is bound later in join order (or beyond this
-			// prefix): the condition applies when THAT atom joins in.
+			// The other endpoint is bound later in join order: the condition
+			// applies when THAT atom joins in.
 			if !ok || lc >= segOf[oi] {
 				continue
 			}
@@ -525,12 +474,11 @@ func compilePipeline(p *queryPlan, upto int, pre *subplanEntry, stats *StreamSta
 	return root, buf, colOf
 }
 
-// compileStream wraps the plan's full pipeline in a Stream with projection
-// and set-semantics dedup. pre, when non-nil, sources the plan's leading
-// join prefix from the subplan cache instead of re-executing it.
-func compileStream(p *queryPlan, pre *subplanEntry) (*Stream, error) {
+// compileStream wraps the plan's pipeline in a Stream with projection and
+// set-semantics dedup.
+func compileStream(p *queryPlan) (*Stream, error) {
 	st := &Stream{}
-	root, buf, colOf := compilePipeline(p, len(p.atoms), pre, &st.stats)
+	root, buf, colOf := compilePipeline(p, &st.stats)
 	cols := make([]string, len(p.q.Project))
 	proj := make([]int, len(p.q.Project))
 	for i, pc := range p.q.Project {
@@ -547,22 +495,6 @@ func compileStream(p *queryPlan, pre *subplanEntry) (*Stream, error) {
 	st.proj = proj
 	st.seen = make(map[uint64]int32)
 	return st, nil
-}
-
-// drainPrefix executes the plan's first n atoms as a standalone pipeline and
-// materialises the joined full-width rows, in pipeline order — the subplan
-// cache's compute step. The returned stats carry the prefix's scan work; it
-// is charged to the branch that triggered the computation.
-func drainPrefix(p *queryPlan, n int) ([][]string, StreamStats) {
-	var stats StreamStats
-	root, buf, _ := compilePipeline(p, n, nil, &stats)
-	var rows [][]string
-	for root.Next() {
-		row := make([]string, len(buf))
-		copy(row, buf)
-		rows = append(rows, row)
-	}
-	return rows, stats
 }
 
 // TopKUnionStats counts the work of one BatchPlan.TopKUnion call, making the
@@ -631,7 +563,7 @@ func (bp *BatchPlan) TopKUnion(k int, provenance []string) (*UnionResult, TopKUn
 			stats.BranchesSkipped++
 			continue
 		}
-		st, err := bp.Stream(bi)
+		st, err := compileStream(plan)
 		if err != nil {
 			return nil, stats, err
 		}

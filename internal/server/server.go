@@ -732,9 +732,8 @@ func (s *Server) handleAssociations(w http.ResponseWriter, r *http.Request) {
 // StatsResponse summarises the running instance. Epoch is the currently
 // published state generation; Cache carries the serving-layer query-cache
 // counters (hits, misses, computes, coalesced, evictions, entries, live
-// epochs — per cache); Plan carries the cost-based join planner's
-// accumulated counters (branches planned and reordered, shared join
-// subtrees, subplans materialised, cross-branch CSE hits).
+// epochs — per cache); Plan carries the join planner's accumulated
+// counter (branch queries planned).
 type StatsResponse struct {
 	Relations  int             `json:"relations"`
 	Attributes int             `json:"attributes"`

@@ -25,9 +25,14 @@
 // generation (Q.CurrentCatalog, Q.CurrentGraph) and changes it only through
 // the writers. The search graph's builder (searchgraph.Graph) freezes its
 // storage when a snapshot is taken and clones it on the next mutation
-// (O(V+E), once per write burst), bumping an epoch counter; the catalog and
-// corpus are cloned shallowly the same way. Published generations are
-// therefore frozen forever.
+// (O(V+E), once per write burst), bumping an epoch counter; the catalog is
+// cloned shallowly the same way. The tf-idf corpus (text.Corpus) holds only
+// each document's sorted tokens and one postings list per term, and derives
+// every weight from (n, df) when a query scores; its clone copies the
+// postings map with each list capped at its length, so the builder's next
+// Add copies just the lists it extends. Nothing derived is cached, so no
+// read ever rebuilds and a writer has nothing to flush before it publishes.
+// Published generations are therefore frozen forever.
 //
 // Queries take NO lock at all. Q.Query, the one query entry point (a
 // core.Request: keywords — core.ParseKeywords splits a query string — k,
@@ -116,8 +121,9 @@
 // Conjunctive-query branches — the SQL each Steiner tree translates into —
 // execute through a streaming iterator pipeline (relstore.BuildStream):
 // table scan with pushed-down selections, hash-join probe against the
-// joined-in atom's chained pre-sized build table (nested-loop for
-// similarity-only and cross joins), then projection with set-semantics
+// joined-in atom's chained pre-sized build table (a nested loop only for
+// the cross product of an atom no join connects), then projection with
+// set-semantics
 // deduplication, all flowing through one shared row buffer so no
 // intermediate relation is ever materialised. The old
 // materialise-everything executor survives only as a test oracle (see
@@ -205,6 +211,12 @@
 //     TestPreparedEqualOracles and FuzzEditDistance (== on float64), and
 //     TestMatchEqualsOracle and FuzzNameSimilarity (the same alignments, in
 //     order, on GBCO, InterPro+GO and synthetic relations).
+//   - corpusOracle (internal/text/oracle_test.go), the tf-idf corpus with a
+//     cached idf table and per-document vectors rebuilt after every Add,
+//     which the postings corpus replaced. Gates: TestTfidfMatchesOracle
+//     (random corpora and clone chains), TestVectorNormIsOrderFree
+//     (shuffled insertion orders) and FuzzTopMatchesEquivalence: the same
+//     matches, ties included, with bitwise-equal scores.
 //
 // # Query cache and request coalescing
 //

@@ -304,7 +304,6 @@ func (q *Q) EpochTime() time.Time { return q.state().publishedAt }
 // changed since the last publish the previous generation is returned
 // unchanged, so idempotent writers do not churn epochs.
 func (q *Q) publishLocked() *qstate {
-	q.corpus.Flush()
 	snap := q.graph.Snapshot()
 	prev := q.st.Load()
 	if prev != nil && prev.graph == snap && prev.cat == q.catalog && prev.corpus == q.corpus {
@@ -391,7 +390,6 @@ func (q *Q) touchedAssocsLocked() []walAssoc {
 // but concurrent queries must keep seeing the previous one until the write
 // commits atomically at the end.
 func (q *Q) unpublishedStateLocked() *qstate {
-	q.corpus.Flush()
 	return &qstate{
 		graph:  q.graph.Snapshot(),
 		cat:    q.catalog,
@@ -531,6 +529,9 @@ func (q *Q) addTablesLocked(tables ...*relstore.Table) error {
 
 // indexRelation adds a relation's schema labels to the keyword corpus.
 // Callers hold writerMu and have detached the corpus via ownStorageLocked.
+// Every id is new, as Corpus.Add requires: the catalog refuses a second
+// relation under one qualified name and a relation with duplicate
+// attribute names.
 func (q *Q) indexRelation(rel *relstore.Relation) {
 	qn := rel.QualifiedName()
 	q.corpus.Add("rel:"+qn, rel.Name)

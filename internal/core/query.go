@@ -570,7 +570,7 @@ func treeToQuery(st *qstate, ov *searchgraph.Overlay, t steiner.Tree) (*relstore
 			if target.Kind == searchgraph.KindValue {
 				a := ensureAtom(target.Ref.Relation)
 				cq.Selects = append(cq.Selects, relstore.SelCond{
-					Alias: a, Attr: target.Ref.Attr, Op: relstore.OpEq, Value: target.Value,
+					Alias: a, Attr: target.Ref.Attr, Value: target.Value,
 				})
 			}
 			// Keyword→attribute/relation matches add no condition; the

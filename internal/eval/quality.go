@@ -170,17 +170,15 @@ func matcherCurve(cat *relstore.Catalog, m matcher.Matcher, gold map[string]bool
 func averageCurve(cat *relstore.Catalog, gold map[string]bool, y int) Curve {
 	ms := matcherSet()
 	sums := make(map[string]float64)
-	counts := make(map[string]int)
 	for _, m := range ms {
-		c := matcherEdgeConfidences(cat, m, y)
-		for pair, conf := range c {
+		for pair, conf := range matcherEdgeConfidences(cat, m, y) {
 			sums[pair] += conf
-			counts[pair]++
 		}
 	}
-	_ = counts // edges proposed by one matcher average against 0 for the other
 	var cands []scored
 	for pair, s := range sums {
+		// Divide by every matcher, not by the ones that proposed the pair:
+		// an edge proposed by one matcher averages against 0 for the other.
 		cands = append(cands, scored{pair: pair, score: -s / float64(len(ms))})
 	}
 	return curveFromScores("Average (META, MAD)", cands, gold)

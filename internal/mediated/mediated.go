@@ -283,7 +283,7 @@ func (m *Mediator) answerFor(g *searchgraph.Snapshot, need []string, chosen []Ma
 			return
 		}
 		cq.Selects = append(cq.Selects, relstore.SelCond{
-			Alias: alias, Attr: src.Attr, Op: relstore.OpEq, Value: c.Value,
+			Alias: alias, Attr: src.Attr, Value: c.Value,
 		})
 	}
 	rs, err := relstore.Execute(m.Q.CurrentCatalog(), cq)

@@ -14,7 +14,7 @@ type ResultSet struct {
 // first, then connected atoms before any cross product, filtered before
 // unfiltered, lower index first — and rows stream through the
 // composed iterator pipeline of stream.go — scan with pushed-down selections,
-// pre-sized hash-join probes, similarity filters, projection/dedup — so no
+// pre-sized hash-join probes, cross products, projection/dedup — so no
 // intermediate relation is materialised. The result is the canonical
 // ResultSet (rows sorted, set semantics), byte-identical to the
 // materialise-everything reference executor kept as the test
@@ -33,12 +33,6 @@ func Execute(c *Catalog, q *ConjunctiveQuery) (*ResultSet, error) {
 // joinPair relates a column of the accumulated intermediate row to an
 // attribute index of the relation being joined in.
 type joinPair struct{ leftCol, rightAttrIdx int }
-
-// simJoinPair is a joinPair with a similarity threshold (JoinSimilar).
-type simJoinPair struct {
-	joinPair
-	threshold float64
-}
 
 func sortRows(rows [][]string) {
 	sort.Slice(rows, func(i, j int) bool {

@@ -216,7 +216,7 @@ func FuzzExecuteEquivalence(f *testing.F) {
 // return exactly what the oracle's naive spec order returns — standalone,
 // through PlanBatch, and through the top-k union. The query shapes cover
 // what the planner actually decides: a two-atom equi-join with a selection
-// and a self-filter condition, a contains-selection, a duplicated branch,
+// and a self-filter condition, a one-atom selection, a duplicated branch,
 // and a three-atom chain filtered only on atom 2, which the structural rule
 // scans first where the naive order starts at atom 0. CI runs it as a short
 // -fuzz smoke on every push.
@@ -236,13 +236,13 @@ func FuzzPlanEquivalence(f *testing.F) {
 				{LeftAlias: "t0", LeftAttr: "x", RightAlias: "t1", RightAttr: "x"},
 				{LeftAlias: "t0", LeftAttr: "x", RightAlias: "t0", RightAttr: "y"}, // self-filter
 			},
-			Selects: []SelCond{{Alias: "t1", Attr: "y", Op: OpEq, Value: c}},
+			Selects: []SelCond{{Alias: "t1", Attr: "y", Value: c}},
 			Project: []ProjCol{{Alias: "t0", Attr: "x", As: "v"}, {Alias: "t1", Attr: "y", As: "w"}},
 			Cost:    1,
 		}
 		sel := &ConjunctiveQuery{
 			Atoms:   []Atom{{Relation: "l.r", Alias: "t0"}},
-			Selects: []SelCond{{Alias: "t0", Attr: "x", Op: OpContains, Value: a}},
+			Selects: []SelCond{{Alias: "t0", Attr: "y", Value: a}},
 			Project: []ProjCol{{Alias: "t0", Attr: "x", As: "v"}, {Alias: "t0", Attr: "y", As: "w"}},
 			Cost:    2,
 		}
@@ -253,7 +253,7 @@ func FuzzPlanEquivalence(f *testing.F) {
 				{LeftAlias: "t0", LeftAttr: "x", RightAlias: "t1", RightAttr: "x"},
 				{LeftAlias: "t1", LeftAttr: "y", RightAlias: "t2", RightAttr: "y"},
 			},
-			Selects: []SelCond{{Alias: "t2", Attr: "x", Op: OpEq, Value: b}},
+			Selects: []SelCond{{Alias: "t2", Attr: "x", Value: b}},
 			Project: []ProjCol{{Alias: "t0", Attr: "y", As: "v"}, {Alias: "t2", Attr: "x", As: "w"}},
 			Cost:    3,
 		}

@@ -232,13 +232,11 @@ func executeOracle(c *Catalog, q *ConjunctiveQuery) (*ResultSet, error) {
 	for _, oi := range order[1:] {
 		a := atoms[oi]
 		rows := filtered[oi]
-		// Find join conditions between a and the already-bound aliases,
-		// split into equi-joins (hash) and similarity joins (filtered).
+		// Find the join conditions between a and the already-bound aliases.
 		// Self-filters were already applied above; a condition whose other
 		// endpoint binds later in join order applies when THAT atom joins
 		// in (unknown aliases cannot reach here — Validate rejects them).
 		var pairs []joinPair
-		var simPairs []simJoinPair
 		for _, j := range q.Joins {
 			if j.LeftAlias == j.RightAlias {
 				continue
@@ -257,32 +255,13 @@ func executeOracle(c *Catalog, q *ConjunctiveQuery) (*ResultSet, error) {
 			if !ok {
 				continue
 			}
-			if j.Op == JoinSimilar {
-				simPairs = append(simPairs, simJoinPair{
-					joinPair:  joinPair{leftCol: lc, rightAttrIdx: ri},
-					threshold: j.Threshold,
-				})
-			} else {
-				pairs = append(pairs, joinPair{leftCol: lc, rightAttrIdx: ri})
-			}
-		}
-
-		simOK := func(cur, row []string) bool {
-			for _, p := range simPairs {
-				if text.TrigramSimilarity(
-					text.Normalize(cur[p.leftCol]),
-					text.Normalize(row[p.rightAttrIdx])) < p.threshold {
-					return false
-				}
-			}
-			return true
+			pairs = append(pairs, joinPair{leftCol: lc, rightAttrIdx: ri})
 		}
 
 		var next [][]string
 		switch {
 		case len(pairs) > 0 && len(rows) <= len(current):
-			// Hash join, building on the atom's rows (the smaller input);
-			// similarity conditions filter the matches.
+			// Hash join, building on the atom's rows (the smaller input).
 			build := make(map[string][][]string)
 			for _, row := range rows {
 				key := joinKeyRight(row, pairs)
@@ -291,9 +270,6 @@ func executeOracle(c *Catalog, q *ConjunctiveQuery) (*ResultSet, error) {
 			for _, cur := range current {
 				key := joinKeyLeft(cur, pairs)
 				for _, m := range build[key] {
-					if !simOK(cur, m) {
-						continue
-					}
 					merged := make([]string, 0, len(cur)+len(m))
 					merged = append(merged, cur...)
 					merged = append(merged, m...)
@@ -313,9 +289,6 @@ func executeOracle(c *Catalog, q *ConjunctiveQuery) (*ResultSet, error) {
 			for _, row := range rows {
 				key := joinKeyRight(row, pairs)
 				for _, cur := range build[key] {
-					if !simOK(cur, row) {
-						continue
-					}
 					merged := make([]string, 0, len(cur)+len(row))
 					merged = append(merged, cur...)
 					merged = append(merged, row...)
@@ -323,13 +296,10 @@ func executeOracle(c *Catalog, q *ConjunctiveQuery) (*ResultSet, error) {
 				}
 			}
 		default:
-			// Nested loop: a pure similarity join, or a cross product when
-			// no conditions connect the atom.
+			// Nested loop: the cross product, as no condition connects the
+			// atom.
 			for _, cur := range current {
 				for _, row := range rows {
-					if !simOK(cur, row) {
-						continue
-					}
 					merged := make([]string, 0, len(cur)+len(row))
 					merged = append(merged, cur...)
 					merged = append(merged, row...)

@@ -3,8 +3,6 @@ package relstore
 import (
 	"fmt"
 	"slices"
-
-	"qint/internal/text"
 )
 
 // This file is the join planner: a per-query pass that binds every condition
@@ -28,19 +26,10 @@ import (
 // looked columns up among previously-bound aliases, so a condition whose
 // other endpoint was the atom itself never matched anything.
 type selfFilter struct {
-	li, ri    int // attribute indexes within the atom's own relation
-	op        JoinOp
-	threshold float64
+	li, ri int // attribute indexes within the atom's own relation
 }
 
-func (f selfFilter) matches(row []string) bool {
-	if f.op == JoinSimilar {
-		return text.TrigramSimilarity(
-			text.Normalize(row[f.li]),
-			text.Normalize(row[f.ri])) >= f.threshold
-	}
-	return row[f.li] == row[f.ri]
-}
+func (f selfFilter) matches(row []string) bool { return row[f.li] == row[f.ri] }
 
 // bindSelfs collects the query's self-filter conditions on one alias.
 // Callers run it after Validate, so attribute resolution cannot fail.
@@ -50,12 +39,7 @@ func bindSelfs(rel *Relation, alias string, joins []JoinCond) []selfFilter {
 		if j.LeftAlias != alias || j.RightAlias != alias {
 			continue
 		}
-		out = append(out, selfFilter{
-			li:        rel.AttrIndex(j.LeftAttr),
-			ri:        rel.AttrIndex(j.RightAttr),
-			op:        j.Op,
-			threshold: j.Threshold,
-		})
+		out = append(out, selfFilter{li: rel.AttrIndex(j.LeftAttr), ri: rel.AttrIndex(j.RightAttr)})
 	}
 	return out
 }
@@ -147,7 +131,7 @@ func structuralJoinOrder(p *queryPlan) []int {
 			if slices.Contains(order, i) {
 				continue
 			}
-			conn, filt := p.joinsTo(i, order, false), p.atoms[i].filtered()
+			conn, filt := p.joinsTo(i, order), p.atoms[i].filtered()
 			if best == -1 || conn && !bestConn || conn == bestConn && filt && !bestFilt {
 				best, bestConn, bestFilt = i, conn, filt
 			}
@@ -157,12 +141,12 @@ func structuralJoinOrder(p *queryPlan) []int {
 	return order
 }
 
-// joinsTo reports whether atom i has a non-self join condition — an
-// equi-join only, when equiOnly — to any of the atoms in set.
-func (p *queryPlan) joinsTo(i int, set []int, equiOnly bool) bool {
+// joinsTo reports whether atom i has a non-self join condition to any of
+// the atoms in set.
+func (p *queryPlan) joinsTo(i int, set []int) bool {
 	alias := p.atoms[i].alias
 	for _, j := range p.q.Joins {
-		if j.LeftAlias == j.RightAlias || equiOnly && j.Op != JoinEq {
+		if j.LeftAlias == j.RightAlias {
 			continue
 		}
 		var other string
@@ -199,7 +183,7 @@ func ExplainPlan(c *Catalog, q *ConjunctiveQuery) ([]string, error) {
 		op := "scan"
 		if step > 0 {
 			op = "nested loop"
-			if p.joinsTo(oi, p.order[:step], true) {
+			if p.joinsTo(oi, p.order[:step]) {
 				op = "hash join"
 			}
 		}

@@ -18,25 +18,20 @@ import (
 // conditions (`t.a = t.b`) were silently dropped by both executors, and
 // the top-k union once never validated branches its bound skipped.
 
-// maybeSelfJoin sometimes appends a same-alias join condition (`t.a = t.b`,
-// occasionally similarity) — the shape the old join-binding loops dropped.
+// maybeSelfJoin sometimes appends a same-alias join condition (`t.a = t.b`)
+// — the shape the old join-binding loops dropped.
 func maybeSelfJoin(r *rand.Rand, c *Catalog, q *ConjunctiveQuery) {
 	if r.Intn(3) != 0 {
 		return
 	}
 	a := q.Atoms[r.Intn(len(q.Atoms))]
 	rel := c.Relation(a.Relation)
-	cond := JoinCond{
+	q.Joins = append(q.Joins, JoinCond{
 		LeftAlias:  a.Alias,
 		LeftAttr:   rel.Attributes[r.Intn(len(rel.Attributes))].Name,
 		RightAlias: a.Alias,
 		RightAttr:  rel.Attributes[r.Intn(len(rel.Attributes))].Name,
-	}
-	if r.Intn(3) == 0 {
-		cond.Op = JoinSimilar
-		cond.Threshold = 0.3 + 0.4*r.Float64()
-	}
-	q.Joins = append(q.Joins, cond)
+	})
 }
 
 // TestPlannedVsUnplannedEquivalence is the metamorphic gate of the planner:
@@ -210,27 +205,6 @@ func TestSelfFilterJoinApplied(t *testing.T) {
 			},
 			want: [][]string{{"1", "a", "a"}, {"3", "c", "c"}},
 		},
-		{
-			// Similarity self-filter: "alpha beta"~"alpha beta" passes 0.5,
-			// "alpha"~"zulu" does not.
-			name: "similarity",
-			q: &ConjunctiveQuery{
-				Atoms: []Atom{{Relation: "v.r", Alias: "t0"}},
-				Joins: []JoinCond{{
-					LeftAlias: "t0", LeftAttr: "x", RightAlias: "t0", RightAttr: "y",
-					Op: JoinSimilar, Threshold: 0.5,
-				}},
-				Project: []ProjCol{
-					{Alias: "t0", Attr: "x", As: "x"}, {Alias: "t0", Attr: "y", As: "y"},
-				},
-			},
-			want: [][]string{{"alpha beta", "alpha beta"}},
-		},
-	}
-	if err := c.AddTable(mk("v", []string{"x", "y"}, [][]string{
-		{"alpha beta", "alpha beta"}, {"alpha", "zulu"},
-	})); err != nil {
-		t.Fatal(err)
 	}
 
 	for _, tc := range cases {
@@ -366,11 +340,6 @@ func TestStructuralJoinOrder(t *testing.T) {
 	eq := func(l, r int) JoinCond {
 		return JoinCond{LeftAlias: fmt.Sprintf("t%d", l), LeftAttr: "x", RightAlias: fmt.Sprintf("t%d", r), RightAttr: "x"}
 	}
-	sim := func(l, r int) JoinCond {
-		j := eq(l, r)
-		j.Op, j.Threshold = JoinSimilar, 0.5
-		return j
-	}
 	sel := func(i int) SelCond { return SelCond{Alias: fmt.Sprintf("t%d", i), Attr: "y", Value: "b"} }
 	cases := []struct {
 		name  string
@@ -394,11 +363,6 @@ func TestStructuralJoinOrder(t *testing.T) {
 			name: "connected before cross product", atoms: 3,
 			joins: []JoinCond{eq(0, 2)}, sels: []SelCond{sel(0), sel(1)},
 			want: []int{0, 2, 1}, ops: []string{"scan", "hash join", "nested loop"},
-		},
-		{
-			name: "similarity join connects", atoms: 3,
-			joins: []JoinCond{sim(1, 2)}, sels: []SelCond{sel(1), sel(0)},
-			want: []int{0, 1, 2}, ops: []string{"scan", "nested loop", "nested loop"},
 		},
 		{
 			name: "two disconnected components", atoms: 4,

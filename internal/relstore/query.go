@@ -12,47 +12,20 @@ type Atom struct {
 	Alias    string
 }
 
-// JoinOp is the comparison operator of a join condition.
-type JoinOp int
-
-const (
-	// JoinEq is the ordinary equi-join.
-	JoinEq JoinOp = iota
-	// JoinSimilar joins tuples whose values' trigram similarity reaches the
-	// condition's Threshold — the similarity joins the paper lists as
-	// ongoing work ("we are incorporating similarity joins and other
-	// operations that vary in cost from one tuple to the next", §2.2).
-	JoinSimilar
-)
-
-// JoinCond relates two aliased attributes. The zero value of Op is an
-// equi-join; JoinSimilar additionally uses Threshold ∈ (0,1].
+// JoinCond is an equi-join of two aliased attributes. When both sides name
+// the same alias it is a per-row filter on that atom (a self-filter).
 type JoinCond struct {
 	LeftAlias  string
 	LeftAttr   string
 	RightAlias string
 	RightAttr  string
-	Op         JoinOp
-	Threshold  float64
 }
 
-// SelOp is the comparison operator of a selection condition.
-type SelOp int
-
-const (
-	// OpEq selects rows whose attribute equals the literal exactly.
-	OpEq SelOp = iota
-	// OpContains selects rows whose normalised attribute value contains the
-	// normalised literal — the value-similarity predicate used when matching
-	// keywords to data (paper §2.2).
-	OpContains
-)
-
-// SelCond restricts an aliased attribute against a literal.
+// SelCond selects the rows whose aliased attribute equals the literal
+// exactly.
 type SelCond struct {
 	Alias string
 	Attr  string
-	Op    SelOp
 	Value string
 }
 
@@ -152,21 +125,10 @@ func (q *ConjunctiveQuery) SQL() string {
 	}
 	var conds []string
 	for _, j := range q.Joins {
-		switch j.Op {
-		case JoinSimilar:
-			conds = append(conds, fmt.Sprintf("similarity(%s.%s, %s.%s) >= %.2f",
-				j.LeftAlias, j.LeftAttr, j.RightAlias, j.RightAttr, j.Threshold))
-		default:
-			conds = append(conds, fmt.Sprintf("%s.%s = %s.%s", j.LeftAlias, j.LeftAttr, j.RightAlias, j.RightAttr))
-		}
+		conds = append(conds, fmt.Sprintf("%s.%s = %s.%s", j.LeftAlias, j.LeftAttr, j.RightAlias, j.RightAttr))
 	}
 	for _, s := range q.Selects {
-		switch s.Op {
-		case OpContains:
-			conds = append(conds, fmt.Sprintf("%s.%s LIKE '%%%s%%'", s.Alias, s.Attr, escapeSQL(s.Value)))
-		default:
-			conds = append(conds, fmt.Sprintf("%s.%s = '%s'", s.Alias, s.Attr, escapeSQL(s.Value)))
-		}
+		conds = append(conds, fmt.Sprintf("%s.%s = '%s'", s.Alias, s.Attr, escapeSQL(s.Value)))
 	}
 	if len(conds) > 0 {
 		b.WriteString(" WHERE ")
@@ -200,7 +162,10 @@ func (q *ConjunctiveQuery) Signature() string {
 	sort.Strings(joins)
 	sels := make([]string, 0, len(q.Selects))
 	for _, s := range q.Selects {
-		sels = append(sels, fmt.Sprintf("%s.%s~%d~%s", aliasRel[s.Alias], s.Attr, s.Op, s.Value))
+		// "~0~" is the code the equality operator had when selections carried
+		// one; it stays so that signatures, the provenance of every served
+		// row, keep their bytes.
+		sels = append(sels, aliasRel[s.Alias]+"."+s.Attr+"~0~"+s.Value)
 	}
 	sort.Strings(sels)
 	return strings.Join(rels, "|") + "//" + strings.Join(joins, "|") + "//" + strings.Join(sels, "|")

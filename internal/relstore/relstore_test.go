@@ -197,7 +197,7 @@ func TestExecuteSingleAtomSelection(t *testing.T) {
 	c := testCatalog(t)
 	q := &ConjunctiveQuery{
 		Atoms:   []Atom{{Relation: "go.term", Alias: "t"}},
-		Selects: []SelCond{{Alias: "t", Attr: "name", Op: OpContains, Value: "membrane"}},
+		Selects: []SelCond{{Alias: "t", Attr: "name", Value: "plasma membrane"}},
 		Project: []ProjCol{{Alias: "t", Attr: "acc", As: "acc"}, {Alias: "t", Attr: "name", As: "name"}},
 	}
 	rs, err := Execute(c, q)
@@ -221,7 +221,7 @@ func TestExecuteJoin(t *testing.T) {
 			{LeftAlias: "t", LeftAttr: "acc", RightAlias: "x", RightAttr: "go_id"},
 			{LeftAlias: "x", LeftAttr: "entry_ac", RightAlias: "e", RightAttr: "entry_ac"},
 		},
-		Selects: []SelCond{{Alias: "t", Attr: "name", Op: OpEq, Value: "plasma membrane"}},
+		Selects: []SelCond{{Alias: "t", Attr: "name", Value: "plasma membrane"}},
 		Project: []ProjCol{
 			{Alias: "t", Attr: "name", As: "term"},
 			{Alias: "e", Attr: "name", As: "entry"},
@@ -306,14 +306,14 @@ func TestSQLRendering(t *testing.T) {
 	q := &ConjunctiveQuery{
 		Atoms: []Atom{{Relation: "go.term", Alias: "t"}},
 		Selects: []SelCond{
-			{Alias: "t", Attr: "name", Op: OpContains, Value: "o'brien"},
-			{Alias: "t", Attr: "acc", Op: OpEq, Value: "GO:1"},
+			{Alias: "t", Attr: "name", Value: "o'brien"},
+			{Alias: "t", Attr: "acc", Value: "GO:1"},
 		},
 		Project: []ProjCol{{Alias: "t", Attr: "name", As: "term"}},
 		Cost:    1.25,
 	}
 	sql := q.SQL()
-	for _, want := range []string{"SELECT", `t.name AS "term"`, "_cost", "LIKE '%o''brien%'", "t.acc = 'GO:1'", `"go.term" t`} {
+	for _, want := range []string{"SELECT", `t.name AS "term"`, "_cost", "t.name = 'o''brien'", "t.acc = 'GO:1'", `"go.term" t`} {
 		if !strings.Contains(sql, want) {
 			t.Errorf("SQL %q missing %q", sql, want)
 		}

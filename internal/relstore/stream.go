@@ -3,9 +3,6 @@ package relstore
 import (
 	"fmt"
 	"sort"
-	"strings"
-
-	"qint/internal/text"
 )
 
 // This file is the streaming branch executor: the Volcano-style iterator
@@ -13,10 +10,11 @@ import (
 // path. A conjunctive query compiles into a small chain of pull-based
 // operators — table scan with pushed-down selections → hash-join probe
 // (build side pre-sized, built from the joined-in atom's filtered rows) or
-// nested-loop for similarity/cross joins → projection with set-semantics
-// deduplication — and rows flow through ONE shared row buffer, so no
-// intermediate relation is ever allocated: the only per-row allocations are
-// the projected output tuples that survive deduplication.
+// nested loop for the cross product of an atom no join condition connects →
+// projection with set-semantics deduplication — and rows flow through ONE
+// shared row buffer, so no intermediate relation is ever allocated: the only
+// per-row allocations are the projected output tuples that survive
+// deduplication.
 //
 // Execute runs here. The materialised executor survives only as the test
 // oracle executeOracle (oracle_test.go), and the metamorphic suite in
@@ -57,19 +55,10 @@ func valHash(h uint64, v string) uint64 {
 // out of the row loop.
 type boundSel struct {
 	attrIdx int
-	op      SelOp
 	value   string
-	norm    string // normalised literal, precomputed for OpContains
 }
 
-func (s boundSel) matches(row []string) bool {
-	switch s.op {
-	case OpContains:
-		return strings.Contains(text.Normalize(row[s.attrIdx]), s.norm)
-	default:
-		return row[s.attrIdx] == s.value
-	}
-}
+func (s boundSel) matches(row []string) bool { return row[s.attrIdx] == s.value }
 
 // bindSels resolves a relation's selection conditions to attribute indexes,
 // returning a proper error (not an index-out-of-range panic) when an
@@ -84,10 +73,7 @@ func bindSels(rel *Relation, sels []SelCond) ([]boundSel, error) {
 		if ai < 0 {
 			return nil, fmt.Errorf("relstore: relation %s has no attribute %q", rel.QualifiedName(), s.Attr)
 		}
-		out[i] = boundSel{attrIdx: ai, op: s.Op, value: s.Value}
-		if s.Op == OpContains {
-			out[i].norm = text.Normalize(s.Value)
-		}
+		out[i] = boundSel{attrIdx: ai, value: s.Value}
 	}
 	return out, nil
 }
@@ -141,16 +127,15 @@ func matchesBound(row []string, sels []boundSel) bool {
 // of the equi-join values, and each left row probes it. Build rows are
 // stored by reference (slices into the immutable table) and no key bytes
 // are ever materialised — bucket hits are verified by comparing the join
-// values themselves. Similarity conditions filter the verified matches;
-// matching rows are written into the atom's buffer segment.
+// values themselves. Matching rows are written into the atom's buffer
+// segment.
 type hashJoinIter struct {
-	left     rowIter
-	build    hashJoinBuild
-	pairs    []joinPair    // leftCol indexes the shared buffer; rightAttrIdx the build row
-	simPairs []simJoinPair // ditto
-	buf      []string      // full shared buffer (probes read left columns)
-	seg      []string      // this atom's segment of buf
-	match    int32         // current chain position in build (0 = exhausted)
+	left  rowIter
+	build hashJoinBuild
+	pairs []joinPair // leftCol indexes the shared buffer; rightAttrIdx the build row
+	buf   []string   // full shared buffer (probes read left columns)
+	seg   []string   // this atom's segment of buf
+	match int32      // current chain position in build (0 = exhausted)
 }
 
 // hashJoinBuild is the build side of a streaming hash join: the atom's
@@ -204,7 +189,7 @@ func (it *hashJoinIter) Next() bool {
 		for it.match != 0 {
 			m := it.build.rows[it.match-1]
 			it.match = it.build.next[it.match-1]
-			if pairsEqual(it.buf, m, it.pairs) && simPairsOK(it.buf, m, it.simPairs) {
+			if pairsEqual(it.buf, m, it.pairs) {
 				copy(it.seg, m)
 				return true
 			}
@@ -220,18 +205,16 @@ func (it *hashJoinIter) Next() bool {
 	}
 }
 
-// nestedLoopIter joins an atom with no equi-join condition: a pure
-// similarity join, or the cross product SQL semantics require for a
-// disconnected atom. The atom's filtered rows are collected once (by
-// reference); each left row streams across them.
+// nestedLoopIter joins an atom no join condition connects to the atoms
+// before it: the cross product SQL semantics require for a disconnected
+// atom. The atom's filtered rows are collected once (by reference); each
+// left row streams across them.
 type nestedLoopIter struct {
-	left     rowIter
-	rows     [][]string // filtered right rows, by reference
-	simPairs []simJoinPair
-	buf      []string
-	seg      []string
-	ri       int
-	started  bool
+	left    rowIter
+	rows    [][]string // filtered right rows, by reference
+	seg     []string
+	ri      int
+	started bool
 }
 
 func (it *nestedLoopIter) Next() bool {
@@ -243,27 +226,13 @@ func (it *nestedLoopIter) Next() bool {
 			it.started = true
 			it.ri = 0
 		}
-		for it.ri < len(it.rows) {
-			m := it.rows[it.ri]
+		if it.ri < len(it.rows) {
+			copy(it.seg, it.rows[it.ri])
 			it.ri++
-			if simPairsOK(it.buf, m, it.simPairs) {
-				copy(it.seg, m)
-				return true
-			}
+			return true
 		}
 		it.started = false
 	}
-}
-
-func simPairsOK(buf, row []string, simPairs []simJoinPair) bool {
-	for _, p := range simPairs {
-		if text.TrigramSimilarity(
-			text.Normalize(buf[p.leftCol]),
-			text.Normalize(row[p.rightAttrIdx])) < p.threshold {
-			return false
-		}
-	}
-	return true
 }
 
 // StreamStats counts the work one stream performed, for the early-termination
@@ -414,7 +383,6 @@ func compilePipeline(p *queryPlan, stats *StreamStats) (rowIter, []string, map[s
 	for _, oi := range p.order[1:] {
 		a := &p.atoms[oi]
 		var pairs []joinPair
-		var simPairs []simJoinPair
 		for _, j := range p.q.Joins {
 			if j.LeftAlias == j.RightAlias {
 				continue // self-filter: pushed down, never a join pair
@@ -435,24 +403,16 @@ func compilePipeline(p *queryPlan, stats *StreamStats) (rowIter, []string, map[s
 			if !ok || lc >= segOf[oi] {
 				continue
 			}
-			if j.Op == JoinSimilar {
-				simPairs = append(simPairs, simJoinPair{
-					joinPair:  joinPair{leftCol: lc, rightAttrIdx: ri},
-					threshold: j.Threshold,
-				})
-			} else {
-				pairs = append(pairs, joinPair{leftCol: lc, rightAttrIdx: ri})
-			}
+			pairs = append(pairs, joinPair{leftCol: lc, rightAttrIdx: ri})
 		}
 		seg := buf[segOf[oi] : segOf[oi]+len(a.rel.Attributes)]
 		if len(pairs) > 0 {
 			root = &hashJoinIter{
-				left:     root,
-				build:    newHashJoinBuild(a.rows, a.sels, a.selfs, pairs, &stats.RowsScanned),
-				pairs:    pairs,
-				simPairs: simPairs,
-				buf:      buf,
-				seg:      seg,
+				left:  root,
+				build: newHashJoinBuild(a.rows, a.sels, a.selfs, pairs, &stats.RowsScanned),
+				pairs: pairs,
+				buf:   buf,
+				seg:   seg,
 			}
 		} else {
 			var kept [][]string
@@ -462,13 +422,7 @@ func compilePipeline(p *queryPlan, stats *StreamStats) (rowIter, []string, map[s
 					kept = append(kept, row)
 				}
 			}
-			root = &nestedLoopIter{
-				left:     root,
-				rows:     kept,
-				simPairs: simPairs,
-				buf:      buf,
-				seg:      seg,
-			}
+			root = &nestedLoopIter{left: root, rows: kept, seg: seg}
 		}
 	}
 	return root, buf, colOf

@@ -62,8 +62,8 @@ func randomExecCatalog(r *rand.Rand, nTables int) *Catalog {
 }
 
 // randomExecQuery builds a random conjunctive query over the catalog: 1–3
-// atoms, equi/similarity joins between consecutive atoms (or none — a cross
-// product), random selections and a random projection.
+// atoms, equi-joins between consecutive atoms (or none — a cross product),
+// random selections and a random projection.
 func randomExecQuery(r *rand.Rand, c *Catalog) *ConjunctiveQuery {
 	names := c.RelationNames()
 	nAtoms := 1 + r.Intn(3)
@@ -84,21 +84,12 @@ func randomExecQuery(r *rand.Rand, c *Catalog) *ConjunctiveQuery {
 		for jc := 0; jc < nConds; jc++ {
 			la, lattr := attrOf(r.Intn(i))
 			ra, rattr := attrOf(i)
-			cond := JoinCond{LeftAlias: la, LeftAttr: lattr, RightAlias: ra, RightAttr: rattr}
-			if r.Intn(4) == 0 {
-				cond.Op = JoinSimilar
-				cond.Threshold = 0.3 + 0.4*r.Float64()
-			}
-			q.Joins = append(q.Joins, cond)
+			q.Joins = append(q.Joins, JoinCond{LeftAlias: la, LeftAttr: lattr, RightAlias: ra, RightAttr: rattr})
 		}
 	}
 	for s := 0; s < r.Intn(3); s++ {
 		al, attr := attrOf(r.Intn(nAtoms))
-		cond := SelCond{Alias: al, Attr: attr, Value: trickyValues[r.Intn(len(trickyValues))]}
-		if r.Intn(2) == 0 {
-			cond.Op = OpContains
-		}
-		q.Selects = append(q.Selects, cond)
+		q.Selects = append(q.Selects, SelCond{Alias: al, Attr: attr, Value: trickyValues[r.Intn(len(trickyValues))]})
 	}
 	nProj := 1 + r.Intn(4)
 	for p := 0; p < nProj; p++ {
@@ -242,7 +233,7 @@ func TestSelectionUnknownAttributeErrors(t *testing.T) {
 	}
 	q := &ConjunctiveQuery{
 		Atoms:   []Atom{{Relation: "s.r", Alias: "t0"}},
-		Selects: []SelCond{{Alias: "t0", Attr: "missing", Op: OpEq, Value: "v"}},
+		Selects: []SelCond{{Alias: "t0", Attr: "missing", Value: "v"}},
 		Project: []ProjCol{{Alias: "t0", Attr: "x", As: "x"}},
 	}
 	for _, ex := range executors {
@@ -406,16 +397,16 @@ func TestExecuteBatchEquivalence(t *testing.T) {
 	mkq := func(rel, attr, val string) *ConjunctiveQuery {
 		return &ConjunctiveQuery{
 			Atoms:   []Atom{{Relation: rel, Alias: "t0"}},
-			Selects: []SelCond{{Alias: "t0", Attr: attr, Op: OpContains, Value: val}},
+			Selects: []SelCond{{Alias: "t0", Attr: attr, Value: val}},
 			Project: []ProjCol{{Alias: "t0", Attr: attr, As: attr}},
 		}
 	}
 	queries := []*ConjunctiveQuery{
-		mkq("go.term", "name", "membrane"),
-		mkq("ip.entry", "name", "domain"),
-		mkq("ip.entry", "entry_ac", "IPR"),
-		mkq("go.term", "acc", "GO"),
-		mkq("ip.interpro2go", "go_id", "0005886"),
+		mkq("go.term", "name", "plasma membrane"),
+		mkq("ip.entry", "name", "Kringle domain"),
+		mkq("ip.entry", "entry_ac", "IPR000002"),
+		mkq("go.term", "acc", "GO:0005737"),
+		mkq("ip.interpro2go", "go_id", "GO:0005886"),
 	}
 	want := make([]*ResultSet, len(queries))
 	for i, q := range queries {

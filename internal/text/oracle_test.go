@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"unicode/utf8"
 )
@@ -325,48 +327,175 @@ func FuzzEditDistance(f *testing.F) {
 	})
 }
 
-// vectorizeOracle is the map-based tf-idf vector the sorted vectors
-// replaced, kept as an oracle: its norm sums in map iteration order, so its
-// low bits vary run to run and it is compared within 1e-12, not with ==.
-func vectorizeOracle(c *Corpus, tokens []string) map[string]float64 {
+// corpusOracle is the tf-idf corpus the postings corpus replaced, kept as
+// the oracle: it caches an idf table and one normalised vector per
+// document, rebuilt lazily after every Add, and scores a query against
+// every document. TopMatches must return exactly its matches, scores
+// compared with ==.
+type corpusOracle struct {
+	docs    []document
+	df      map[string]int // document frequency per term
+	dirty   bool
+	idf     map[string]float64
+	vectors []oracleVector // normalised tf-idf vectors, built lazily
+}
+
+// oracleVector is a sparse tf-idf vector: one weight per distinct term,
+// sorted by term.
+type oracleVector []oracleWeight
+
+type oracleWeight struct {
+	term string
+	w    float64
+}
+
+func newCorpusOracle() *corpusOracle {
+	return &corpusOracle{df: make(map[string]int)}
+}
+
+func (c *corpusOracle) Add(id, content string) {
+	tokens := Tokenize(content)
+	c.docs = append(c.docs, document{id: id, tokens: tokens})
+	seen := make(map[string]bool, len(tokens))
+	for _, t := range tokens {
+		if !seen[t] {
+			seen[t] = true
+			c.df[t]++
+		}
+	}
+	c.dirty = true
+}
+
+func (c *corpusOracle) Clone() *corpusOracle {
+	df := make(map[string]int, len(c.df))
+	for k, v := range c.df {
+		df[k] = v
+	}
+	return &corpusOracle{
+		docs:    append([]document(nil), c.docs...),
+		df:      df,
+		dirty:   c.dirty,
+		idf:     c.idf,
+		vectors: append([]oracleVector(nil), c.vectors...),
+	}
+}
+
+func (c *corpusOracle) rebuild() {
+	n := float64(len(c.docs))
+	c.idf = make(map[string]float64, len(c.df))
+	for t, df := range c.df {
+		c.idf[t] = math.Log(1+n/float64(df)) + 1e-9
+	}
+	c.vectors = make([]oracleVector, len(c.docs))
+	for i, d := range c.docs {
+		c.vectors[i] = c.vectorize(slices.Clone(d.tokens))
+	}
+	c.dirty = false
+}
+
+// vectorize builds an L2-normalised tf-idf vector for the given tokens,
+// which it sorts in place. The norm is summed in term order.
+func (c *corpusOracle) vectorize(tokens []string) oracleVector {
 	if len(tokens) == 0 {
 		return nil
 	}
-	tf := make(map[string]float64)
-	for _, t := range tokens {
-		tf[t]++
-	}
-	var norm float64
-	for t := range tf {
-		idf, ok := c.idf[t]
+	slices.Sort(tokens)
+	v := make(oracleVector, 0, len(tokens))
+	for i := 0; i < len(tokens); {
+		j := i + 1
+		for j < len(tokens) && tokens[j] == tokens[i] {
+			j++
+		}
+		idf, ok := c.idf[tokens[i]]
 		if !ok {
 			idf = math.Log(1 + float64(len(c.docs)))
 		}
-		tf[t] = tf[t] * idf
-		norm += tf[t] * tf[t]
+		v = append(v, oracleWeight{tokens[i], float64(j-i) * idf})
+		i = j
+	}
+	var norm float64
+	for _, tw := range v {
+		norm += tw.w * tw.w
 	}
 	if norm == 0 {
 		return nil
 	}
 	norm = math.Sqrt(norm)
-	for t := range tf {
-		tf[t] /= norm
+	for i := range v {
+		v[i].w /= norm
 	}
-	return tf
+	return v
 }
 
-// innerOracle is the map-order inner product, before quantisation.
-func innerOracle(a, b map[string]float64) float64 {
-	if len(a) > len(b) {
-		a, b = b, a
+func (c *corpusOracle) TopMatches(query string, minScore float64, limit int) []Match {
+	if c.dirty {
+		c.rebuild()
 	}
+	qv := c.vectorize(Tokenize(query))
+	if len(qv) == 0 {
+		return nil
+	}
+	var out []Match
+	for i, d := range c.docs {
+		s := math.Round(innerOracle(qv, c.vectors[i])*1e9) / 1e9
+		if s >= minScore && s > 0 {
+			out = append(out, Match{ID: d.id, Score: s})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Score != out[j].Score {
+			return out[i].Score > out[j].Score
+		}
+		return out[i].ID < out[j].ID
+	})
+	if limit > 0 && len(out) > limit {
+		out = out[:limit]
+	}
+	return out
+}
+
+// innerOracle is the merge inner product over two sorted vectors, summing
+// the shared terms in term order.
+func innerOracle(a, b oracleVector) float64 {
 	var s float64
-	for t, va := range a {
-		if vb, ok := b[t]; ok {
-			s += va * vb
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch c := strings.Compare(a[i].term, b[j].term); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			s += a[i].w * b[j].w
+			i++
+			j++
 		}
 	}
 	return s
+}
+
+// sameMatches reports whether two match lists are identical: the same ids
+// in the same order (ties included) and bitwise-equal scores.
+func sameMatches(a, b []Match) bool {
+	return slices.EqualFunc(a, b, func(x, y Match) bool {
+		return x.ID == y.ID && math.Float64bits(x.Score) == math.Float64bits(y.Score)
+	})
+}
+
+// checkTopMatches compares the corpus with the oracle on every query under
+// a few (minScore, limit) pairs.
+func checkTopMatches(t *testing.T, label string, c *Corpus, o *corpusOracle, queries []string) {
+	t.Helper()
+	for _, q := range queries {
+		for _, p := range []struct {
+			minScore float64
+			limit    int
+		}{{-1, 0}, {0, 0}, {0.01, 3}, {0.3, 1}, {0.7, 0}} {
+			got, want := c.TopMatches(q, p.minScore, p.limit), o.TopMatches(q, p.minScore, p.limit)
+			if !sameMatches(got, want) {
+				t.Fatalf("%s: TopMatches(%q, %v, %d) = %v, oracle %v", label, q, p.minScore, p.limit, got, want)
+			}
+		}
+	}
 }
 
 // labelDocs draws n schema-label-like documents from a small vocabulary, so
@@ -385,88 +514,161 @@ func labelDocs(n int, seed int64) []string {
 	return out
 }
 
-// TestTfidfMatchesOracle pins the sorted vectors and the merge inner
-// product to the map-based oracle within 1e-12 before quantisation, for
-// every (query, document) pair, and the two vectors' term sets to each
-// other.
+// tfidfQueries is labelDocs queries plus the edge shapes: empty, unknown
+// terms alone and mixed with known ones, repeated terms, camel case and
+// separators.
+func tfidfQueries(seed int64) []string {
+	return append(labelDocs(40, seed), "", "unknown", "go zebra", "zebra yak",
+		"go go term", "Pub_ID", "goTermName", "entry-AC title", "x x x gene")
+}
+
+// TestTfidfMatchesOracle pins TopMatches to the corpus oracle, ties and
+// score bits included, over random corpora and clone chains: every
+// generation of a chain, cloned and then extended, must still answer as an
+// oracle holding exactly its documents.
 func TestTfidfMatchesOracle(t *testing.T) {
-	docs := labelDocs(300, 1)
-	c := NewCorpus()
-	for i, d := range docs {
-		c.Add(fmt.Sprint(i), d)
-	}
-	c.Flush()
-	queries := append(labelDocs(40, 2), "", "unknown", "go go term", "Pub_ID")
-	for i, d := range c.docs {
-		want := vectorizeOracle(c, d.tokens)
-		if len(c.vectors[i]) != len(want) {
-			t.Fatalf("doc %q: %d terms, oracle %d", docs[i], len(c.vectors[i]), len(want))
-		}
-		for _, tw := range c.vectors[i] {
-			if math.Abs(tw.w-want[tw.term]) > 1e-12 {
-				t.Fatalf("doc %q term %q: weight %v, oracle %v", docs[i], tw.term, tw.w, want[tw.term])
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		docs := labelDocs(20+rng.Intn(200), seed)
+		queries := tfidfQueries(seed + 100)
+		c, o := NewCorpus(), newCorpusOracle()
+		var gens []*Corpus
+		var oracles []*corpusOracle
+		for i, d := range docs {
+			c.Add(fmt.Sprint(i), d)
+			o.Add(fmt.Sprint(i), d)
+			if rng.Intn(40) == 0 {
+				gens, oracles = append(gens, c), append(oracles, o)
+				c, o = c.Clone(), o.Clone()
 			}
 		}
+		gens, oracles = append(gens, c), append(oracles, o)
+		for g := range gens {
+			checkTopMatches(t, fmt.Sprintf("seed %d generation %d", seed, g), gens[g], oracles[g], queries)
+		}
 	}
-	for _, q := range queries {
-		qv := c.vectorize(Tokenize(q))
-		qo := vectorizeOracle(c, Tokenize(q))
-		for i, d := range c.docs {
-			got, want := inner(qv, c.vectors[i]), innerOracle(qo, vectorizeOracle(c, d.tokens))
-			if math.Abs(got-want) > 1e-12 {
-				t.Fatalf("inner(%q, %q) = %v, oracle %v", q, docs[i], got, want)
+}
+
+// TestVectorNormIsOrderFree pins the determinism the term-order sums buy:
+// whatever order a corpus's documents and each document's tokens arrive in,
+// TopMatches returns the same matches with the same score bits — equal to
+// the oracle over the same insertion order and to the corpus built in
+// canonical order.
+func TestVectorNormIsOrderFree(t *testing.T) {
+	docs := labelDocs(120, 3)
+	queries := tfidfQueries(5)
+	canonical := NewCorpus()
+	for i, d := range docs {
+		canonical.Add(fmt.Sprint(i), d)
+	}
+	rng := rand.New(rand.NewSource(4))
+	for trial := 0; trial < 8; trial++ {
+		c, o := NewCorpus(), newCorpusOracle()
+		for _, i := range rng.Perm(len(docs)) {
+			words := strings.Fields(docs[i])
+			rng.Shuffle(len(words), func(a, b int) { words[a], words[b] = words[b], words[a] })
+			shuffled := strings.Join(words, " ")
+			c.Add(fmt.Sprint(i), shuffled)
+			o.Add(fmt.Sprint(i), shuffled)
+		}
+		checkTopMatches(t, fmt.Sprintf("trial %d", trial), c, o, queries)
+		for _, q := range queries {
+			if got, want := c.TopMatches(q, 0, 0), canonical.TopMatches(q, 0, 0); !sameMatches(got, want) {
+				t.Fatalf("trial %d: TopMatches(%q) = %v, canonical order %v", trial, q, got, want)
 			}
 		}
 	}
 }
 
-// TestVectorNormIsOrderFree pins the determinism the sorted vectors buy:
-// whatever order a document's tokens and the corpus's documents arrive in,
-// every weight — hence the norm it was divided by — equals bit for bit a
-// reference that sums the squared weights in sorted term order.
-func TestVectorNormIsOrderFree(t *testing.T) {
-	docs := labelDocs(120, 3)
-	reference := func(c *Corpus, tokens []string) map[string]float64 {
-		counts := make(map[string]float64)
-		for _, tok := range tokens {
-			counts[tok]++
-		}
-		terms := make([]string, 0, len(counts))
-		for tok := range counts {
-			terms = append(terms, tok)
-		}
-		sort.Strings(terms)
-		var norm float64
-		for _, tok := range terms {
-			counts[tok] *= c.idf[tok]
-			norm += counts[tok] * counts[tok]
-		}
-		norm = math.Sqrt(norm)
-		for _, tok := range terms {
-			counts[tok] /= norm
-		}
-		return counts
+// TestCloneLeavesOriginalUntouched pins copy-on-write: while a clone adds
+// documents that share the original's terms, concurrent TopMatches on the
+// original stay bitwise identical. A second clone then extends the same
+// postings lists differently, and the original and both clones must each
+// still answer as an oracle holding exactly their own documents. The
+// original's "alpha" list has spare capacity, so a Clone that did not cap
+// the lists would let both clones append into one slot and the second
+// clone's append would overwrite the first's.
+func TestCloneLeavesOriginalUntouched(t *testing.T) {
+	c, o := NewCorpus(), newCorpusOracle()
+	for i, d := range []string{"alpha beta", "alpha gamma", "alpha delta", "beta gamma", "delta"} {
+		c.Add(fmt.Sprint(i), d)
+		o.Add(fmt.Sprint(i), d)
 	}
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 8; trial++ {
-		c := NewCorpus()
-		for _, i := range rng.Perm(len(docs)) {
-			words := strings.Fields(docs[i])
-			rng.Shuffle(len(words), func(a, b int) { words[a], words[b] = words[b], words[a] })
-			c.Add(fmt.Sprint(i), strings.Join(words, " "))
-		}
-		c.Flush()
+	queries := []string{"alpha", "beta", "gamma delta", "alpha beta gamma", "epsilon alpha"}
+	before := make([][]Match, len(queries))
+	for i, q := range queries {
+		before[i] = c.TopMatches(q, 0, 0)
+	}
+	extend := func(c *Corpus, o *corpusOracle, prefix string, docs ...string) {
 		for i, d := range docs {
-			v := c.vectors[c.byID[fmt.Sprint(i)]]
-			want := reference(c, Tokenize(d))
-			if len(v) != len(want) {
-				t.Fatalf("trial %d doc %q: %d terms, reference %d", trial, d, len(v), len(want))
+			c.Add(fmt.Sprintf("%s%d", prefix, i), d)
+			o.Add(fmt.Sprintf("%s%d", prefix, i), d)
+		}
+	}
+	a, oa := c.Clone(), o.Clone()
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for iter := 0; iter < 200; iter++ {
+				for i, q := range queries {
+					if got := c.TopMatches(q, 0, 0); !sameMatches(got, before[i]) {
+						t.Errorf("original TopMatches(%q) = %v during clone writes, was %v", q, got, before[i])
+						return
+					}
+				}
 			}
-			for _, tw := range v {
-				if math.Float64bits(tw.w) != math.Float64bits(want[tw.term]) {
-					t.Fatalf("trial %d doc %q term %q: weight %v, sorted-order reference %v", trial, d, tw.term, tw.w, want[tw.term])
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		extend(a, oa, "a", "alpha beta gamma", "epsilon")
+	}()
+	wg.Wait()
+	b, ob := c.Clone(), o.Clone()
+	extend(b, ob, "b", "zeta", "alpha delta beta")
+	checkTopMatches(t, "original", c, o, queries)
+	checkTopMatches(t, "clone a", a, oa, queries)
+	checkTopMatches(t, "clone b", b, ob, queries)
+}
+
+// FuzzTopMatchesEquivalence fuzzes the corpus against the oracle: the
+// documents are the lines of docs, bit i of clones clones both corpora after
+// document i (earlier generations are kept and checked too), and every
+// generation must answer query — and each document as a query — exactly as
+// its oracle does under minScore and limit.
+func FuzzTopMatchesEquivalence(f *testing.F) {
+	f.Add("GO term\nterm name\npublication title\nentry_ac", "term", 0.01, 0, uint64(0))
+	f.Add("alpha beta\nalpha\nalpha alpha gamma\nbeta", "alpha beta", 0.0, 2, uint64(0b101))
+	f.Add("goTermName\ngo_term\n\nGO:0005886 plasma membrane", "go unknown", 0.3, 1, uint64(0b11))
+	f.Add("x\nx\nx", "x x", -1.0, 0, uint64(0b111))
+	f.Fuzz(func(t *testing.T, docs, query string, minScore float64, limit int, clones uint64) {
+		// Bounded inputs keep every execution fast: at most 2 KiB of text
+		// in at most 24 documents.
+		lines := strings.Split(docs[:min(len(docs), 2048)], "\n")
+		lines = lines[:min(len(lines), 24)]
+		c, o := NewCorpus(), newCorpusOracle()
+		var gens []*Corpus
+		var oracles []*corpusOracle
+		for i, d := range lines {
+			c.Add(fmt.Sprint(i), d)
+			o.Add(fmt.Sprint(i), d)
+			if clones&(1<<i) != 0 {
+				gens, oracles = append(gens, c), append(oracles, o)
+				c, o = c.Clone(), o.Clone()
+			}
+		}
+		gens, oracles = append(gens, c), append(oracles, o)
+		queries := append([]string{query}, lines...)
+		for g := range gens {
+			for _, q := range queries {
+				got, want := gens[g].TopMatches(q, minScore, limit), oracles[g].TopMatches(q, minScore, limit)
+				if !sameMatches(got, want) {
+					t.Fatalf("generation %d: TopMatches(%q, %v, %d) = %v, oracle %v", g, q, minScore, limit, got, want)
 				}
 			}
 		}
-	}
+	})
 }

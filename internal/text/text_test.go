@@ -205,11 +205,8 @@ func TestCorpusScoreAndTopMatches(t *testing.T) {
 	c.Add("n3", "publication title")
 	c.Add("n4", "entry_ac")
 
-	if s := c.Score("publication", "n3"); s <= 0 {
-		t.Errorf("query should hit n3, got %v", s)
-	}
-	if s := c.Score("publication", "n4"); s != 0 {
-		t.Errorf("query should miss n4, got %v", s)
+	if m := c.TopMatches("publication", 0, 0); len(m) != 1 || m[0].ID != "n3" || m[0].Score <= 0 {
+		t.Errorf("TopMatches(publication) = %v, want only n3", m)
 	}
 	m := c.TopMatches("term", 0.01, 0)
 	if len(m) != 2 {
@@ -227,38 +224,22 @@ func TestCorpusScoreAndTopMatches(t *testing.T) {
 	}
 }
 
-func TestCorpusReAdd(t *testing.T) {
-	c := NewCorpus()
-	c.Add("a", "alpha beta")
-	c.Add("a", "gamma")
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 after re-add", c.Len())
-	}
-	if s := c.Score("alpha", "a"); s != 0 {
-		t.Errorf("old content should be gone, got %v", s)
-	}
-	if s := c.Score("gamma", "a"); s <= 0 {
-		t.Errorf("new content should score, got %v", s)
-	}
-}
-
 func TestCorpusScoreBounds(t *testing.T) {
 	c := NewCorpus()
 	docs := []string{"plasma membrane", "GO term", "entry pub", "abbrev term", "title"}
 	for i, d := range docs {
 		c.Add(string(rune('a'+i)), d)
 	}
-	queries := []string{"plasma", "membrane GO", "term", "nothing here", ""}
+	queries := []string{"plasma", "membrane GO", "term", "nothing here", "plasma membrane", ""}
 	for _, q := range queries {
-		for i := range docs {
-			s := c.Score(q, string(rune('a'+i)))
-			if s < 0 || s > 1+1e-9 {
-				t.Errorf("Score(%q,%c) = %v out of [0,1]", q, 'a'+i, s)
+		for _, m := range c.TopMatches(q, -1, 0) {
+			if m.Score <= 0 || m.Score > 1+1e-9 {
+				t.Errorf("TopMatches(%q) scores %s %v, outside (0,1]", q, m.ID, m.Score)
 			}
 		}
 	}
-	if s := c.Score("term", "unknown-id"); s != 0 {
-		t.Errorf("unknown id should score 0, got %v", s)
+	if m := c.TopMatches("plasma membrane", 0, 1); len(m) != 1 || m[0].ID != "a" || m[0].Score != 1 {
+		t.Errorf("a document's own text should score 1: %v", m)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strings"
 )
 
 // Corpus is a tf-idf index over a collection of documents. Documents are
@@ -12,176 +11,137 @@ import (
 // schema elements and indexed values to score keyword matches (paper §2.2:
 // "by default tf-idf").
 //
-// The zero value is not usable; construct with NewCorpus and call Add before
-// Score. Adding documents after the first Score call is permitted — idf is
-// recomputed lazily.
+// The corpus stores only each document's tokens and one postings list per
+// term; a term's document frequency is the length of its list. Weights are
+// derived from (n, df) when a query scores a document, so adding a document
+// never rebuilds anything and every read is pure. The zero value is not
+// usable; construct with NewCorpus. Callers give every document a distinct
+// id: Add does not look for an earlier document under the same id.
 type Corpus struct {
-	docs    []document
-	df      map[string]int // document frequency per term
-	byID    map[string]int // external id -> index in docs
-	dirty   bool
-	idf     map[string]float64
-	vectors []vector // normalised tf-idf vectors, built lazily
-}
-
-// vector is a sparse tf-idf vector: one weight per distinct term, sorted by
-// term. Every sum over it runs in term order, so a score is the same float
-// bit for bit whatever order the tokens or documents arrived in.
-type vector []termWeight
-
-type termWeight struct {
-	term string
-	w    float64
+	docs []document
+	post map[string][]int32 // term -> ascending indexes of the docs containing it
 }
 
 type document struct {
 	id     string
-	tokens []string
+	tokens []string // sorted
 }
 
 // NewCorpus returns an empty corpus.
 func NewCorpus() *Corpus {
-	return &Corpus{
-		df:   make(map[string]int),
-		byID: make(map[string]int),
-	}
+	return &Corpus{post: make(map[string][]int32)}
 }
 
-// Add indexes a document under id. Re-adding an existing id replaces its
-// content.
+// Add indexes a document under id, which no earlier document may carry.
 func (c *Corpus) Add(id, content string) {
 	tokens := Tokenize(content)
-	if idx, ok := c.byID[id]; ok {
-		for _, t := range uniqueTokens(c.docs[idx].tokens) {
-			c.df[t]--
-			if c.df[t] <= 0 {
-				delete(c.df, t)
-			}
-		}
-		c.docs[idx].tokens = tokens
-	} else {
-		c.byID[id] = len(c.docs)
-		c.docs = append(c.docs, document{id: id, tokens: tokens})
-	}
-	for _, t := range uniqueTokens(tokens) {
-		c.df[t]++
-	}
-	c.dirty = true
-}
-
-// Len returns the number of indexed documents.
-func (c *Corpus) Len() int { return len(c.docs) }
-
-// Flush rebuilds the idf table and document vectors if any Add happened
-// since the last scoring. A flushed corpus serves Score and TopMatches as
-// pure reads, which is what lets Q publish one corpus snapshot to many
-// concurrent queries: the writer flushes before publishing, so no reader
-// ever triggers the lazy rebuild.
-func (c *Corpus) Flush() {
-	if c.dirty {
-		c.rebuild()
-	}
-}
-
-// Clone returns a copy-on-write clone: the document slice, frequency table
-// and id index are copied (token slices and built vectors are immutable and
-// shared). Adding to the clone leaves the original untouched, so a
-// published corpus snapshot stays frozen while a registration indexes new
-// schema labels into the next generation.
-func (c *Corpus) Clone() *Corpus {
-	df := make(map[string]int, len(c.df))
-	for k, v := range c.df {
-		df[k] = v
-	}
-	byID := make(map[string]int, len(c.byID))
-	for k, v := range c.byID {
-		byID[k] = v
-	}
-	return &Corpus{
-		docs:    append([]document(nil), c.docs...),
-		df:      df,
-		byID:    byID,
-		dirty:   c.dirty,
-		idf:     c.idf,
-		vectors: append([]vector(nil), c.vectors...),
-	}
-}
-
-func uniqueTokens(tokens []string) []string {
-	seen := make(map[string]struct{}, len(tokens))
-	var out []string
-	for _, t := range tokens {
-		if _, ok := seen[t]; ok {
-			continue
-		}
-		seen[t] = struct{}{}
-		out = append(out, t)
-	}
-	return out
-}
-
-func (c *Corpus) rebuild() {
-	n := float64(len(c.docs))
-	c.idf = make(map[string]float64, len(c.df))
-	for t, df := range c.df {
-		// Smoothed idf; always positive so single-document corpora still rank.
-		c.idf[t] = math.Log(1+n/float64(df)) + 1e-9
-	}
-	c.vectors = make([]vector, len(c.docs))
-	for i, d := range c.docs {
-		// Document token slices are shared with other generations: sort a
-		// copy.
-		c.vectors[i] = c.vectorize(slices.Clone(d.tokens))
-	}
-	c.dirty = false
-}
-
-// vectorize builds an L2-normalised tf-idf vector for the given tokens,
-// which it sorts in place. The norm is summed in term order.
-func (c *Corpus) vectorize(tokens []string) vector {
-	if len(tokens) == 0 {
-		return nil
-	}
 	slices.Sort(tokens)
-	v := make(vector, 0, len(tokens))
+	di := int32(len(c.docs))
+	c.docs = append(c.docs, document{id: id, tokens: tokens})
+	for i, t := range tokens {
+		if i == 0 || t != tokens[i-1] {
+			c.post[t] = append(c.post[t], di)
+		}
+	}
+}
+
+// Clone returns a copy-on-write clone. The postings map is copied with
+// every list (and the document slice) capped at its length, so the first
+// append on either side copies the list: adding to the clone leaves the
+// original untouched, and a published corpus snapshot stays frozen while a
+// registration indexes new schema labels into the next generation.
+func (c *Corpus) Clone() *Corpus {
+	post := make(map[string][]int32, len(c.post))
+	for t, p := range c.post {
+		post[t] = p[:len(p):len(p)]
+	}
+	return &Corpus{docs: c.docs[:len(c.docs):len(c.docs)], post: post}
+}
+
+// weight is the tf-idf weight of a term occurring tf times when df of the
+// n documents contain it. The idf is smoothed and always positive, so
+// single-document corpora still rank; a query term no document contains
+// (df = 0) weighs log(1 + n).
+func weight(tf, n, df int) float64 {
+	if df == 0 {
+		return float64(tf) * math.Log(1+float64(n))
+	}
+	return float64(tf) * (math.Log(1+float64(n)/float64(df)) + 1e-9)
+}
+
+// queryTerm is one distinct query term: its weight in the L2-normalised
+// query vector, its postings not yet merged, and the raw weight the
+// document being scored gives it (0 when the document lacks it).
+type queryTerm struct {
+	term string
+	w    float64
+	post []int32
+	dw   float64
+}
+
+// queryVector builds the normalised query vector over the given tokens,
+// which it sorts in place, one entry per distinct term in term order. The
+// norm is summed in term order. It returns nil for an empty or zero vector.
+func (c *Corpus) queryVector(tokens []string) []queryTerm {
+	slices.Sort(tokens)
+	qv := make([]queryTerm, 0, len(tokens))
 	for i := 0; i < len(tokens); {
 		j := i + 1
 		for j < len(tokens) && tokens[j] == tokens[i] {
 			j++
 		}
-		idf, ok := c.idf[tokens[i]]
-		if !ok {
-			idf = math.Log(1 + float64(len(c.docs)))
-		}
-		v = append(v, termWeight{tokens[i], float64(j-i) * idf})
+		p := c.post[tokens[i]]
+		qv = append(qv, queryTerm{term: tokens[i], w: weight(j-i, len(c.docs), len(p)), post: p})
 		i = j
 	}
 	var norm float64
-	for _, tw := range v {
-		norm += tw.w * tw.w
+	for _, t := range qv {
+		norm += t.w * t.w
 	}
 	if norm == 0 {
 		return nil
 	}
 	norm = math.Sqrt(norm)
-	for i := range v {
-		v[i].w /= norm
+	for i := range qv {
+		qv[i].w /= norm
 	}
-	return v
+	return qv
 }
 
-// Score returns the cosine similarity in [0,1] between the query string and
-// the document registered under id. Unknown ids score 0.
-func (c *Corpus) Score(query, id string) float64 {
-	if c.dirty {
-		c.rebuild()
+// score returns the cosine similarity of the query vector and the document
+// with the given sorted tokens, quantised to 1e-9 so that scores equal up to
+// rounding noise tie exactly and rank by document id. The document's norm
+// and the inner product are both summed in term order, so a score is the
+// same float bit for bit whatever order the tokens or documents arrived in.
+func (c *Corpus) score(qv []queryTerm, tokens []string) float64 {
+	for i := range qv {
+		qv[i].dw = 0
 	}
-	idx, ok := c.byID[id]
-	if !ok {
-		return 0
+	var norm float64
+	k := 0
+	for i := 0; i < len(tokens); {
+		j := i + 1
+		for j < len(tokens) && tokens[j] == tokens[i] {
+			j++
+		}
+		w := weight(j-i, len(c.docs), len(c.post[tokens[i]]))
+		norm += w * w
+		for k < len(qv) && qv[k].term < tokens[i] {
+			k++
+		}
+		if k < len(qv) && qv[k].term == tokens[i] {
+			qv[k].dw = w
+		}
+		i = j
 	}
-	qv := c.vectorize(Tokenize(query))
-	return dot(qv, c.vectors[idx])
+	norm = math.Sqrt(norm)
+	var s float64
+	for _, t := range qv {
+		if t.dw != 0 {
+			s += t.w * (t.dw / norm)
+		}
+	}
+	return math.Round(s*1e9) / 1e9
 }
 
 // Match holds one ranked corpus hit for a query.
@@ -192,20 +152,31 @@ type Match struct {
 
 // TopMatches returns the documents whose cosine similarity with query is at
 // least minScore, ranked best-first, at most limit entries (limit <= 0 means
-// no limit). Ties break on document id for determinism.
+// no limit). Ties break on document id for determinism. Only documents
+// sharing a term with the query can score above 0, so it scores the union
+// of the query terms' postings and nothing else.
 func (c *Corpus) TopMatches(query string, minScore float64, limit int) []Match {
-	if c.dirty {
-		c.rebuild()
-	}
-	qv := c.vectorize(Tokenize(query))
-	if len(qv) == 0 {
-		return nil
-	}
+	qv := c.queryVector(Tokenize(query))
 	var out []Match
-	for i, d := range c.docs {
-		s := dot(qv, c.vectors[i])
-		if s >= minScore && s > 0 {
-			out = append(out, Match{ID: d.id, Score: s})
+	for {
+		// The next candidate is the least document index at the head of any
+		// term's postings, which are then advanced past it.
+		d := int32(-1)
+		for _, t := range qv {
+			if len(t.post) > 0 && (d < 0 || t.post[0] < d) {
+				d = t.post[0]
+			}
+		}
+		if d < 0 {
+			break
+		}
+		for i := range qv {
+			if len(qv[i].post) > 0 && qv[i].post[0] == d {
+				qv[i].post = qv[i].post[1:]
+			}
+		}
+		if s := c.score(qv, c.docs[d].tokens); s >= minScore && s > 0 {
+			out = append(out, Match{ID: c.docs[d].id, Score: s})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -218,29 +189,4 @@ func (c *Corpus) TopMatches(query string, minScore float64, limit int) []Match {
 		out = out[:limit]
 	}
 	return out
-}
-
-// dot returns the inner product quantised to 1e-9, so that scores equal up
-// to rounding noise tie exactly and rank by document id.
-func dot(a, b vector) float64 {
-	return math.Round(inner(a, b)*1e9) / 1e9
-}
-
-// inner is the inner product of two vectors, a merge over their sorted
-// terms that sums the shared ones in term order.
-func inner(a, b vector) float64 {
-	var s float64
-	for i, j := 0, 0; i < len(a) && j < len(b); {
-		switch c := strings.Compare(a[i].term, b[j].term); {
-		case c < 0:
-			i++
-		case c > 0:
-			j++
-		default:
-			s += a[i].w * b[j].w
-			i++
-			j++
-		}
-	}
-	return s
 }

@@ -94,23 +94,27 @@
 // full scan of every row (see Reference implementations below).
 //
 // The index is incremental and copy-on-write friendly: segments build once
-// per table — fanned across the worker pool at registration time, one task
-// per table, or lazily on first lookup — and the segment cache is shared
-// across relstore.Catalog.Clone, so a registration indexes only its own
-// new tables and published snapshot generations keep reading frozen
-// segments (the same sharing pattern as the lazy ValueSet cache, which
-// itself now derives attribute value sets from built segments instead of
-// re-scanning rows).
+// per table, at write time — relstore.Catalog.BuildValueIndex fans the new
+// tables' builds across the worker pool, one task per table, and a restore
+// installs the snapshot's segments verbatim — and Clone shares them, so a
+// registration indexes only its own new tables and published snapshot
+// generations keep reading frozen segments. An attribute's entries are its
+// ascending distinct values, so the value sets of the value-overlap filter
+// and of MAD's column–value graph are segment spans too.
 //
 // # Catalog
 //
-// relstore.Catalog is one partition: a table map, the registration order,
-// the lazy distinct-value cache and the value-index segment cache. Reads
-// run serially over the tables in registration order and merge under
-// total orders (hits by relation, attribute and value; attribute pairs in
-// declaration order). Copy-on-write is an eager map copy: Clone copies the
-// table map and the order and shares both caches, so Clone is a pure read
-// of its receiver, a registration writes only its own clone, and a lookup
+// relstore.Catalog is one partition of plain copy-on-write data: a table
+// map, the registration order and each indexed table's immutable segment.
+// Only the writers (AddTable, BuildValueIndex, LoadSegments) write it; a
+// read never does, and a read that reaches an unindexed table (never the
+// engine's) builds a throwaway segment and keeps nothing, so relstore holds
+// no lock. Reads run serially over the tables in registration order and
+// merge under total orders (hits by relation, attribute and value;
+// attribute pairs in declaration order). Copy-on-write is an eager map
+// copy: Clone copies the table map, the order and the segment map, so
+// Clone is a pure read of its receiver, a registration writes only its own
+// clone, and a lookup
 // concurrent with a registration sees either the complete pre- or
 // post-registration world, never a subset of the new tables
 // (TestMultiTableRegistrationSnapshotIsolation). Persistence is unchanged:
@@ -119,7 +123,8 @@
 // # Streaming execution
 //
 // Conjunctive-query branches — the SQL each Steiner tree translates into —
-// execute through a streaming iterator pipeline (relstore.BuildStream):
+// execute through a streaming iterator pipeline (relstore.PlanBatch, then
+// BatchPlan.TopKUnion, which compiles each branch it runs into a stream):
 // table scan with pushed-down selections, hash-join probe against the
 // joined-in atom's chained pre-sized build table (a nested loop only for
 // the cross product of an atom no join connects), then projection with
@@ -185,14 +190,19 @@
 //     reads every row and which the inverted value index replaced. Gates: the
 //     metamorphic suites in internal/relstore/valueindex_test.go and
 //     FuzzFindValuesEquivalence on arbitrary keywords.
+//   - scanValues and scanOverlap (internal/relstore/oracle_test.go), the
+//     row-scan value sets the segment spans of Values, ValueOverlap and
+//     OverlappingAttrPairs replaced. Gates: TestValueSetFromIndexSegments
+//     and TestReadsNeverIndex on indexed and unindexed catalogs.
 //   - executeOracle (internal/relstore/oracle_test.go), the
 //     materialise-everything executor over the naive first-connected join
 //     order: no planner, no streaming. Gates:
 //     internal/relstore/stream_test.go and planner_test.go on randomised
 //     catalogs and join shapes, and FuzzExecuteEquivalence and
 //     FuzzPlanEquivalence on arbitrary row values, through Execute,
-//     BatchPlan.Execute and BatchPlan.TopKUnion (the test-only
-//     ExecuteBatch runs a whole BatchPlan without a bound). At the
+//     BatchPlan.Execute and BatchPlan.TopKUnion; ExecuteBatch, a helper
+//     in the same test file, runs a whole BatchPlan without a bound and
+//     is the reference TopKUnion's prefix is compared with. At the
 //     pipeline level, internal/core/stream_test.go checks every view's result
 //     against the top-k prefix of its branch queries executed one by one and
 //     unioned in full, and every batched branch against its standalone

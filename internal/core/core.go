@@ -14,7 +14,7 @@
 //	view, _ := q.Query(core.Request{Keywords: core.ParseKeywords("GO term name 'plasma membrane' publication titles")})
 //	...
 //	q.RegisterSource(newTables, core.ViewBased)   // search graph maintenance
-//	q.FeedbackFavor(view, goodAnswerRow)          // association cost learning
+//	q.FeedbackRow(view, 0, core.FeedbackValid)    // association cost learning
 package core
 
 import (
@@ -195,7 +195,7 @@ type Q struct {
 
 	opts Options
 	// width is runtime.GOMAXPROCS(0), read once by New. It sizes the
-	// refresh and EnsureIndexed fan-outs, and execSem, which bounds the branch
+	// refresh and value-index fan-outs, and execSem, which bounds the branch
 	// executions running at once across ALL in-flight materialisations (each
 	// holds one slot for its serial top-k union) so overlapping queries
 	// cannot multiply the bound. Answers are byte-identical at any width.
@@ -510,17 +510,10 @@ func (q *Q) addTablesLocked(tables ...*relstore.Table) error {
 	for _, t := range tables {
 		q.indexRelation(t.Relation)
 	}
-	// Incremental value-index maintenance: build the inverted-index segment
-	// of each NEW table (segments are per-table and immutable, so nothing
-	// global rebuilds), one task per table across the worker pool. Harmless to
-	// skip: the read path builds missing segments lazily on first use.
-	cat := q.catalog
-	if err := runIndexed(len(tables), q.width, func(i int) error {
-		cat.EnsureIndexed(tables[i].Relation.QualifiedName())
-		return nil
-	}); err != nil {
-		return err
-	}
+	// Incremental value-index maintenance: the catalog builds the segment of
+	// each NEW table, one task per table across the worker pool; segments
+	// are per-table and immutable, so nothing global rebuilds.
+	q.catalog.BuildValueIndex(q.width)
 	for _, inv := range q.invalidators {
 		inv()
 	}

@@ -234,7 +234,7 @@ func (q *Q) restore(snap *storage.Container, records []storage.Record) error {
 				return err
 			}
 		}
-		cat.InstrumentExec(&q.metrics.exec) // the loaded catalog replaces the instrumented one
+		cat.BuildValueIndex(q.width) // tables the snapshot holds no segment for
 		graph, err := searchgraph.Load(bytes.NewReader(graphSec))
 		if err != nil {
 			return err

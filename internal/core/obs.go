@@ -50,8 +50,9 @@ type engineMetrics struct {
 	// Top-k early termination.
 	topkBranchesSkipped *obs.Counter
 
-	// Branch executor totals, attached to the catalog (Clone propagates).
-	exec relstore.ExecCounters
+	// Branch executor totals over view materialisations (countTopK).
+	execBranches *obs.Counter // qint_exec_branches_total
+	execRows     *obs.Counter // qint_exec_rows_total
 
 	// Serving-cache activity, labelled by cache. The qcache instances and
 	// singleflight groups write these directly (Instrument), so CacheStats
@@ -89,15 +90,14 @@ func newEngineMetrics() *engineMetrics {
 		refreshErrors: r.Counter("qint_refresh_errors_total", "View rematerialisations that failed after a write; the view keeps its previous materialisation."),
 
 		topkBranchesSkipped: r.Counter("qint_topk_branches_skipped_total", "Branches never executed because k collected rows provably outranked them."),
+
+		execBranches: r.Counter("qint_exec_branches_total", "Completed branch-query executions by view materialisations."),
+		execRows:     r.Counter("qint_exec_rows_total", "Rows produced by branch executions of view materialisations (union input, before top-k truncation)."),
 	}
 	for _, st := range obs.Stages() {
 		l := obs.Label{Name: "stage", Value: string(st)}
 		m.stageTime[st] = r.ScaledCounter("qint_query_stage_seconds_total", "Time spent per query-pipeline stage across traced queries.", 1e-9, l)
 		m.stageOps[st] = r.Counter("qint_query_stage_ops_total", "Recorded spans per query-pipeline stage across traced queries.", l)
-	}
-	m.exec = relstore.ExecCounters{
-		Branches: r.Counter("qint_exec_branches_total", "Completed branch-query executions across every execution path."),
-		Rows:     r.Counter("qint_exec_rows_total", "Rows produced by branch executions (union input, before top-k truncation)."),
 	}
 	cacheCounter := func(name, help, cache string) *obs.Counter {
 		return r.Counter(name, help, obs.Label{Name: "cache", Value: cache})
@@ -125,7 +125,6 @@ func (q *Q) instrumentEngine(m *engineMetrics) {
 		attrComparisons:             m.attrComparisons,
 		columnComparisonsUnfiltered: m.columnComparisonsUnfiltered,
 	}
-	q.catalog.InstrumentExec(&m.exec)
 	if qc := q.qc; qc != nil {
 		qc.exp.Instrument(m.expHits, m.expMisses, m.expEvictions)
 		qc.expG.Instrument(m.expComputes, m.expCoalesced)
@@ -171,9 +170,10 @@ func (q *Q) observeTrace(tr *obs.Trace) {
 	}
 }
 
-// countTopK folds one top-k pruned union's counters into the registry
-// (executed branches and pulled rows are already counted by the executor's
-// own ExecCounters).
+// countTopK folds one top-k pruned union's counters into the registry.
 func (q *Q) countTopK(s relstore.TopKUnionStats) {
-	q.metrics.topkBranchesSkipped.Add(int64(s.BranchesSkipped))
+	m := q.metrics
+	m.topkBranchesSkipped.Add(int64(s.BranchesSkipped))
+	m.execBranches.Add(int64(s.BranchesExecuted))
+	m.execRows.Add(s.RowsEmitted)
 }

@@ -132,8 +132,15 @@ func TestEngineMetricsAccounting(t *testing.T) {
 	if got, _ := exp.Value(`qint_cache_hits_total{cache="materialization"}`); uint64(got) != cs.Materialization.Hits {
 		t.Errorf("CacheStats materialization hits %d != exposed %v", cs.Materialization.Hits, got)
 	}
-	if got, _ := exp.Value("qint_exec_branches_total"); got <= 0 {
-		t.Errorf("qint_exec_branches_total = %v, want > 0", got)
+	// The executor families count view materialisations: every planned
+	// branch was either executed or skipped by the top-k bound.
+	branches, _ := exp.Value("qint_exec_branches_total")
+	skipped, _ := exp.Value("qint_topk_branches_skipped_total")
+	if planned, _ := exp.Value("qint_plan_branches_planned_total"); branches <= 0 || branches+skipped != planned {
+		t.Errorf("qint_exec_branches_total = %v and %v skipped, want > 0 and %v planned in all", branches, skipped, planned)
+	}
+	if rows, _ := exp.Value("qint_exec_rows_total"); rows <= 0 {
+		t.Errorf("qint_exec_rows_total = %v, want > 0", rows)
 	}
 	if got, _ := exp.Value("qint_align_base_matcher_calls_total"); int(got) != q.Stats.BaseMatcherCalls() {
 		t.Errorf("Stats.BaseMatcherCalls %d != exposed %v", q.Stats.BaseMatcherCalls(), got)

@@ -6,7 +6,6 @@ import (
 	"qint/internal/core"
 	"qint/internal/datasets"
 	"qint/internal/matcher/mad"
-	"qint/internal/relstore"
 )
 
 // AblationRow is one configuration of the binning ablation: the feature
@@ -78,11 +77,9 @@ type PropagationRow struct {
 // choosing MAD within the label-propagation family).
 func RunAblationPropagation() ([]PropagationRow, error) {
 	corpus := datasets.InterProGO()
-	cat := relstore.NewCatalog()
-	for _, t := range corpus.Tables {
-		if err := cat.AddTable(t); err != nil {
-			return nil, fmt.Errorf("eval: propagation ablation: %w", err)
-		}
+	cat, err := catalogOf(corpus)
+	if err != nil {
+		return nil, err
 	}
 	var rows []PropagationRow
 	for _, y := range []int{1, 2} {

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 
 	"qint/internal/core"
@@ -15,7 +16,7 @@ import (
 
 func steinerEdge(i int) steiner.EdgeID { return steiner.EdgeID(i) }
 
-// catalogOf loads an InterPro-GO corpus into a fresh catalog.
+// catalogOf loads an InterPro-GO corpus into a fresh, indexed catalog.
 func catalogOf(corpus *datasets.InterProGOCorpus) (*relstore.Catalog, error) {
 	cat := relstore.NewCatalog()
 	for _, t := range corpus.Tables {
@@ -23,6 +24,7 @@ func catalogOf(corpus *datasets.InterProGOCorpus) (*relstore.Catalog, error) {
 			return nil, fmt.Errorf("eval: catalog: %w", err)
 		}
 	}
+	cat.BuildValueIndex(runtime.GOMAXPROCS(0))
 	return cat, nil
 }
 
@@ -45,11 +47,9 @@ func matcherSet() []matcher.Matcher {
 // 8 gold edges of Figure 9.
 func RunTable1() ([]Table1Row, error) {
 	corpus := datasets.InterProGO()
-	cat := relstore.NewCatalog()
-	for _, t := range corpus.Tables {
-		if err := cat.AddTable(t); err != nil {
-			return nil, fmt.Errorf("eval: table1 catalog: %w", err)
-		}
+	cat, err := catalogOf(corpus)
+	if err != nil {
+		return nil, err
 	}
 	var rows []Table1Row
 	for _, y := range []int{1, 2, 5} {

@@ -139,7 +139,7 @@ func buildAndRun(cat *relstore.Catalog, run func(*Graph) *Result) *propagation {
 	// First pass: which attributes contain each usable value?
 	valueAttrs := make(map[string][]int) // value -> attr ordinals
 	for ai, ref := range refs {
-		for v := range cat.ValueSet(ref) {
+		for _, v := range cat.Values(ref) {
 			if text.IsNumeric(v) {
 				continue // numeric values induce spurious associations (§5.2.1)
 			}
@@ -200,7 +200,7 @@ func GraphSize(cat *relstore.Catalog) (attrNodes, valueNodes int) {
 	attrSeen := make(map[int]struct{})
 	perValue := make(map[string][]int)
 	for ai, ref := range refs {
-		for v := range cat.ValueSet(ref) {
+		for _, v := range cat.Values(ref) {
 			if text.IsNumeric(v) {
 				continue
 			}

@@ -2,8 +2,8 @@
 // registry (atomic counters, callback gauges, log-linear latency
 // summaries) with a Prometheus text-exposition writer and parser, plus a
 // per-query stage tracer (trace.go). It is a leaf package — standard
-// library only — so every layer of the engine (core, relstore, qcache,
-// server, the commands) can hook into one registry without import cycles.
+// library only — so every layer of the engine (core, qcache, server, the
+// commands) can hook into one registry without import cycles.
 //
 // Hot-path cost is the design constraint throughout: recording is one
 // atomic add, every instrument is valid as a nil pointer (a nil *Counter,

@@ -9,14 +9,14 @@ import (
 )
 
 // This file is the binary persistence codec behind the durable storage
-// engine (internal/storage): the catalog's tables and its built value-index
+// engine (internal/storage): the catalog's tables and its value-index
 // segments encode to compact length-prefixed binary sections, and decode by
 // re-pointing rather than re-deriving — a loaded segment is installed
-// verbatim into the catalog's segment cache, so a restart skips
-// normalisation and trigram extraction entirely (the dominant cold-start
-// cost). Strings decode as substrings of one backing string per section,
-// and a segment's posting indexes decode into flat arrays sized up front, so
-// loading allocates O(tables + segments) backing arrays, not O(values).
+// verbatim as its table's segment, so a restart skips normalisation and
+// trigram extraction entirely (the dominant cold-start cost). Strings decode
+// as substrings of one backing string per section, and a segment's posting
+// indexes decode into flat arrays sized up front, so loading allocates
+// O(tables + segments) backing arrays, not O(values).
 //
 // Both encoders are deterministic: tables serialise in registration order,
 // segment entries are already sorted by (attribute, value), and posting
@@ -244,8 +244,8 @@ func LoadCatalogBinary(data []byte, shards int) (*Catalog, error) { return LoadC
 // ---------------------------------------------------------------------------
 // value-index segments
 
-// SaveSegments encodes every ALREADY BUILT value-index segment (segments are
-// built lazily; unbuilt tables simply rebuild lazily after a restart too).
+// SaveSegments encodes the segment of every indexed table; an unindexed
+// table writes none, and BuildValueIndex indexes it after a restart.
 // Deterministic: segments serialise in registration order, posting keys in
 // their stored ascending order, id lists delta-encoded.
 func (c *Catalog) SaveSegments(w io.Writer) error {
@@ -255,7 +255,7 @@ func (c *Catalog) SaveSegments(w io.Writer) error {
 	}
 	var segs []*segment
 	for _, qn := range c.order {
-		if s := c.index.built(c.tables[qn]); s != nil {
+		if s := c.segs[qn]; s != nil {
 			segs = append(segs, s)
 		}
 	}
@@ -353,11 +353,13 @@ func readPostings[K uint64 | string](r *binReader, nEntries int, key func(string
 func tokenKey(s string) (string, bool) { return s, true }
 
 // LoadSegments decodes a SaveSegments section and installs each segment
-// verbatim into the catalog's segment cache — the re-point load path: no
-// normalisation, no trigram extraction, no row scans. A segment naming a
-// relation absent from the catalog, or attributes other than its table's,
-// is an error (the snapshot's catalog and segment sections are written
-// together and must agree).
+// verbatim as its table's segment — the re-point load path: no
+// normalisation, no trigram extraction, no row scans. Writer-side, like
+// AddTable. A segment naming a relation absent from the catalog or already
+// indexed, or attributes other than its table's, is an error (the
+// snapshot's catalog and segment sections are written together and must
+// agree), and so is an attribute span holding an empty value or values not
+// strictly ascending, which Values and ValueOverlap rely on.
 func (c *Catalog) LoadSegments(data []byte) error {
 	r := newBinReader(data, segmentsBinMagic)
 	var scratch []int32
@@ -390,12 +392,16 @@ func (c *Catalog) LoadSegments(data []byte) error {
 			for ai < nAttr && i >= s.attrStart[ai+1] {
 				ai++
 			}
-			s.entries[i] = indexEntry{
+			e := indexEntry{
 				attr: ai,
 				val:  r.str(),
 				norm: r.str(),
 				rows: int(r.uvarint()),
 			}
+			if r.err == nil && (e.val == "" || i > s.attrStart[ai] && e.val <= s.entries[i-1].val) {
+				r.err = fmt.Errorf("relstore: binary decode: segment %s entry %q is empty or not above its predecessor", s.rel, e.val)
+			}
+			s.entries[i] = e
 		}
 		s.grams = readPostings(r, nEntries, parseGram, &scratch)
 		s.tokens = readPostings(r, nEntries, tokenKey, &scratch)
@@ -406,12 +412,13 @@ func (c *Catalog) LoadSegments(data []byte) error {
 		if t == nil {
 			return fmt.Errorf("relstore: load segments: segment for unknown relation %s", s.rel)
 		}
+		if c.segs[s.rel] != nil {
+			return fmt.Errorf("relstore: load segments: second segment for %s", s.rel)
+		}
 		if !slices.EqualFunc(s.attrs, t.Relation.Attributes, func(a string, b Attribute) bool { return a == b.Name }) {
 			return fmt.Errorf("relstore: load segments: segment for %s disagrees with its table's attributes", s.rel)
 		}
-		c.index.mu.Lock()
-		c.index.segs[t] = s
-		c.index.mu.Unlock()
+		c.segs[s.rel] = s
 	}
 	return r.err
 }

@@ -178,7 +178,8 @@ func TestCatalogBinaryDeterministic(t *testing.T) {
 
 // TestSegmentsRoundTrip pins the re-point load path: segments decoded by
 // LoadSegments must answer every keyword exactly like freshly built ones,
-// and must count as built (no lazy rebuild on first use).
+// and are the catalog's own segments (BuildValueIndex has nothing left to
+// build).
 func TestSegmentsRoundTrip(t *testing.T) {
 	c := binaryFixtureCatalog(t)
 	c.BuildValueIndex(2)
@@ -197,8 +198,8 @@ func TestSegmentsRoundTrip(t *testing.T) {
 	if err := c2.LoadSegments(segBuf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := c2.IndexedRelations(), c.NumRelations(); got != want {
-		t.Fatalf("loaded catalog has %d built segments, want %d", got, want)
+	if got, want := len(c2.segs), c.NumRelations(); got != want {
+		t.Fatalf("loaded catalog has %d segments, want %d", got, want)
 	}
 	for _, kw := range []string{"brien", "o'brien", "plant", "zoë", "cañon", "QUOTED", "sign", "x", "", "1.25"} {
 		want := c.FindValues(kw)
@@ -213,11 +214,12 @@ func TestSegmentsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSegmentsPartialSave: only built segments persist; the rest rebuild
-// lazily after load with identical answers.
+// TestSegmentsPartialSave: only indexed tables' segments persist; after
+// load the rest answer identically through throwaway segments, the catalog
+// still holds one segment, and BuildValueIndex indexes the rest.
 func TestSegmentsPartialSave(t *testing.T) {
 	c := binaryFixtureCatalog(t)
-	c.EnsureIndexed("dblp.pubs")
+	indexOne(c, "dblp.pubs")
 	var catBuf, segBuf bytes.Buffer
 	if err := c.SaveBinary(&catBuf); err != nil {
 		t.Fatal(err)
@@ -232,11 +234,19 @@ func TestSegmentsPartialSave(t *testing.T) {
 	if err := c2.LoadSegments(segBuf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if got := c2.IndexedRelations(); got != 1 {
-		t.Fatalf("loaded %d segments, want 1", got)
+	if c2.segs["dblp.pubs"] == nil || len(c2.segs) != 1 {
+		t.Fatalf("loaded segments %v, want dblp.pubs alone", c2.segs)
 	}
-	if want, got := c.FindValues("brien"), c2.FindValues("brien"); !reflect.DeepEqual(want, got) {
-		t.Errorf("lazy rebuild after partial load diverged: %v vs %v", want, got)
+	want := scanFindValues(c2, "brien")
+	if got := c2.FindValues("brien"); !reflect.DeepEqual(want, got) {
+		t.Errorf("partly indexed catalog diverged from the scan: %v vs %v", got, want)
+	}
+	if len(c2.segs) != 1 {
+		t.Errorf("a lookup indexed a table: %d segments, want 1", len(c2.segs))
+	}
+	c2.BuildValueIndex(2)
+	if got := c2.FindValues("brien"); len(c2.segs) != c2.NumRelations() || !reflect.DeepEqual(want, got) {
+		t.Errorf("after BuildValueIndex: %d of %d segments, FindValues %v, want %v", len(c2.segs), c2.NumRelations(), got, want)
 	}
 }
 
@@ -297,9 +307,9 @@ func TestBinaryDecodeRejectsCorruption(t *testing.T) {
 
 // TestPersistRoundTrip pins the catalog section's round trip on a
 // randomised catalog: the reload has the same registration order and the
-// same FindValues and value-set answers, its value-index segments rebuild
-// lazily on first use rather than eagerly at load time (no segments section
-// is loaded), and saving it again reproduces the original bytes.
+// same FindValues and value-set answers, both before and after
+// BuildValueIndex; with no segments section loaded it holds no segment, and
+// its lookups build none; and saving it again reproduces the original bytes.
 func TestPersistRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	orig := NewCatalog()
@@ -319,8 +329,8 @@ func TestPersistRoundTrip(t *testing.T) {
 		}
 		refs := c.AttrRefs()
 		for i := 0; i+1 < len(refs); i += 3 {
-			fmt.Fprintf(&b, "overlap %v~%v = %d jac=%.12f\n", refs[i], refs[i+1],
-				c.ValueOverlap(refs[i], refs[i+1]), c.ValueJaccard(refs[i], refs[i+1]))
+			fmt.Fprintf(&b, "overlap %v~%v = %d values=%q\n", refs[i], refs[i+1],
+				c.ValueOverlap(refs[i], refs[i+1]), c.Values(refs[i]))
 		}
 		return b.String()
 	}
@@ -334,16 +344,15 @@ func TestPersistRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Segments are NOT rebuilt at load time…
-	if got := loaded.IndexedRelations(); got != 0 {
-		t.Errorf("%d segments built eagerly at load, want lazy rebuild", got)
-	}
 	if got := fingerprint(loaded); got != want {
 		t.Errorf("reloaded catalog diverged from the original\ngot:\n%s\nwant:\n%s", got, want)
 	}
-	// …but the fingerprint's lookups built them all on the way.
-	if got := loaded.IndexedRelations(); got != loaded.NumRelations() {
-		t.Errorf("IndexedRelations after lookups = %d, want %d", got, loaded.NumRelations())
+	if len(loaded.segs) != 0 {
+		t.Errorf("%d segments after load and lookups, want none", len(loaded.segs))
+	}
+	loaded.BuildValueIndex(4)
+	if got := fingerprint(loaded); got != want {
+		t.Errorf("indexed reload diverged from the original\ngot:\n%s\nwant:\n%s", got, want)
 	}
 	var buf2 bytes.Buffer
 	if err := loaded.SaveBinary(&buf2); err != nil {
@@ -358,11 +367,15 @@ func TestPersistRoundTrip(t *testing.T) {
 // LoadSegments on hand-built sections over a one-table catalog s.r(a): a
 // list must ascend strictly from 0 and stay below the entry count at every
 // id, not just the last; the keys of a posting index must ascend strictly;
-// and a trigram key must be three validly encoded runes. Before the check
+// a trigram key must be three validly encoded runes; an attribute's values
+// must be non-empty and ascend strictly (Values and ValueOverlap merge
+// them as sorted sets); and a relation takes one segment. Before the check
 // covered every id, a uvarint delta of 2³¹ wrapped an int32 id negative,
 // the section loaded, and the first FindValues reaching the id panicked
 // with an index out of range. Before keys were checked, a duplicate key
-// silently replaced the earlier list, and keys loaded in any order.
+// silently replaced the earlier list, and keys loaded in any order. Before
+// values and relations were checked, unsorted values loaded and miscounted
+// overlaps, and a second segment silently replaced the first.
 func TestLoadSegmentsChecksEveryPostingID(t *testing.T) {
 	tab, err := NewTable(&Relation{Source: "s", Name: "r", Attributes: []Attribute{{Name: "a"}}},
 		[][]string{{"abc"}, {"abd"}})
@@ -374,33 +387,36 @@ func TestLoadSegmentsChecksEveryPostingID(t *testing.T) {
 		key    string
 		deltas []uint64
 	}
-	// section encodes one segment for s.r with the given attribute names,
-	// the table's two entries, and the given trigram and token postings.
-	section := func(attrs []string, grams, tokens []list) []byte {
+	// section encodes copies segments for s.r, each with the given
+	// attribute names, two entries holding vals, and the given trigram and
+	// token postings.
+	section := func(copies int, attrs, vals []string, grams, tokens []list) []byte {
 		var buf bytes.Buffer
 		b := newBinWriter(&buf)
 		b.w.WriteString(segmentsBinMagic)
-		b.uvarint(1)
-		b.str("s.r")
-		b.uvarint(uint64(len(attrs)))
-		for _, a := range attrs {
-			b.str(a)
-		}
-		b.uvarint(0)
-		b.uvarint(2)
-		b.uvarint(2)
-		for _, v := range []string{"abc", "abd"} {
-			b.str(v)
-			b.str(v)
-			b.uvarint(1)
-		}
-		for _, index := range [][]list{grams, tokens} {
-			b.uvarint(uint64(len(index)))
-			for _, l := range index {
-				b.str(l.key)
-				b.uvarint(uint64(len(l.deltas)))
-				for _, d := range l.deltas {
-					b.uvarint(d)
+		b.uvarint(uint64(copies))
+		for range copies {
+			b.str("s.r")
+			b.uvarint(uint64(len(attrs)))
+			for _, a := range attrs {
+				b.str(a)
+			}
+			b.uvarint(0)
+			b.uvarint(2)
+			b.uvarint(2)
+			for _, v := range vals {
+				b.str(v)
+				b.str(v)
+				b.uvarint(1)
+			}
+			for _, index := range [][]list{grams, tokens} {
+				b.uvarint(uint64(len(index)))
+				for _, l := range index {
+					b.str(l.key)
+					b.uvarint(uint64(len(l.deltas)))
+					for _, d := range l.deltas {
+						b.uvarint(d)
+					}
 				}
 			}
 		}
@@ -417,11 +433,14 @@ func TestLoadSegmentsChecksEveryPostingID(t *testing.T) {
 		return c, c.LoadSegments(data)
 	}
 	attrs := []string{"a"}
+	vals := []string{"abc", "abd"}
 	grams := []list{{"abc", []uint64{0}}, {"abd", []uint64{1}}}
 	tokens := grams
 
-	// The well-formed section loads and answers like a fresh index.
-	c, err := load(section(attrs, grams, tokens))
+	// The well-formed section loads and answers like a fresh index, and
+	// refuses to load a second time over its own segment.
+	good := section(1, attrs, vals, grams, tokens)
+	c, err := load(good)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,29 +449,38 @@ func TestLoadSegmentsChecksEveryPostingID(t *testing.T) {
 			t.Fatalf("FindValues(%s) = %v, want %v", kw, got, want)
 		}
 	}
+	if err := c.LoadSegments(good); err == nil {
+		t.Error("second load of the section accepted over the loaded segment")
+	}
 
 	gramDeltas := func(deltas ...uint64) []list { return []list{{"abc", deltas}, {"abd", []uint64{1}}} }
 	for _, tc := range []struct {
 		name   string
+		copies int
 		attrs  []string
+		vals   []string
 		grams  []list
 		tokens []list
 	}{
-		{"wrapped to [-2^31 0]", attrs, gramDeltas(1<<31, 1<<31), tokens},
-		{"wrapped mid-list [5 1]", attrs, gramDeltas(5, 1<<32-4), tokens},
-		{"repeated id [0 0]", attrs, gramDeltas(0, 0), tokens},
-		{"last id past the entries", attrs, gramDeltas(0, 2), tokens},
-		{"largest delta", attrs, gramDeltas(1<<64 - 1), tokens},
-		{"attributes differ from the table's", []string{"b"}, grams, tokens},
-		{"duplicate trigram key", attrs, []list{{"abc", []uint64{0}}, {"abc", []uint64{1}}}, tokens},
-		{"trigram keys out of order", attrs, []list{{"abd", []uint64{1}}, {"abc", []uint64{0}}}, tokens},
-		{"duplicate token key", attrs, grams, []list{{"abc", []uint64{0}}, {"abc", []uint64{1}}}},
-		{"token keys out of order", attrs, grams, []list{{"abd", []uint64{1}}, {"abc", []uint64{0}}}},
-		{"trigram key of two runes", attrs, []list{{"ab", []uint64{0}}, {"abc", []uint64{0}}}, tokens},
-		{"trigram key of four runes", attrs, []list{{"abc", []uint64{0}}, {"abcd", []uint64{0}}}, tokens},
-		{"trigram key not UTF-8", attrs, []list{{"ab\xff", []uint64{0}}}, tokens},
+		{"wrapped to [-2^31 0]", 1, attrs, vals, gramDeltas(1<<31, 1<<31), tokens},
+		{"wrapped mid-list [5 1]", 1, attrs, vals, gramDeltas(5, 1<<32-4), tokens},
+		{"repeated id [0 0]", 1, attrs, vals, gramDeltas(0, 0), tokens},
+		{"last id past the entries", 1, attrs, vals, gramDeltas(0, 2), tokens},
+		{"largest delta", 1, attrs, vals, gramDeltas(1<<64 - 1), tokens},
+		{"attributes differ from the table's", 1, []string{"b"}, vals, grams, tokens},
+		{"duplicate trigram key", 1, attrs, vals, []list{{"abc", []uint64{0}}, {"abc", []uint64{1}}}, tokens},
+		{"trigram keys out of order", 1, attrs, vals, []list{{"abd", []uint64{1}}, {"abc", []uint64{0}}}, tokens},
+		{"duplicate token key", 1, attrs, vals, grams, []list{{"abc", []uint64{0}}, {"abc", []uint64{1}}}},
+		{"token keys out of order", 1, attrs, vals, grams, []list{{"abd", []uint64{1}}, {"abc", []uint64{0}}}},
+		{"trigram key of two runes", 1, attrs, vals, []list{{"ab", []uint64{0}}, {"abc", []uint64{0}}}, tokens},
+		{"trigram key of four runes", 1, attrs, vals, []list{{"abc", []uint64{0}}, {"abcd", []uint64{0}}}, tokens},
+		{"trigram key not UTF-8", 1, attrs, vals, []list{{"ab\xff", []uint64{0}}}, tokens},
+		{"values out of order", 1, attrs, []string{"abd", "abc"}, grams, tokens},
+		{"repeated value", 1, attrs, []string{"abc", "abc"}, grams, tokens},
+		{"empty value", 1, attrs, []string{"", "abc"}, grams, tokens},
+		{"second segment for s.r", 2, attrs, vals, grams, tokens},
 	} {
-		if _, err := load(section(tc.attrs, tc.grams, tc.tokens)); err == nil {
+		if _, err := load(section(tc.copies, tc.attrs, tc.vals, tc.grams, tc.tokens)); err == nil {
 			t.Errorf("%s: section accepted", tc.name)
 		}
 	}

@@ -5,9 +5,7 @@ import (
 	"maps"
 	"slices"
 	"sort"
-	"sync"
-
-	"qint/internal/text"
+	"strings"
 )
 
 // Table couples a relation schema with its tuples. Row values are strings;
@@ -45,51 +43,31 @@ func (t *Table) Column(attr string) []string {
 }
 
 // Catalog is the set of registered sources and their tables: one table
-// map, the registration order, and two lazily filled caches — per-attribute
-// distinct-value sets and per-table value-index segments (valueindex.go).
+// map, the registration order, and the value-index segment (valueindex.go)
+// of every indexed table.
 //
-// Concurrency contract: the catalog is single-writer, many-reader. AddTable
-// (the only mutation of tables/order — tables themselves are immutable once
-// added) must be serialised against ALL other calls on the SAME Catalog
-// value. Q publishes catalogs copy-on-write: a writer Clones the catalog,
-// mutates the clone, and atomically swaps it into the published snapshot,
-// so concurrent queries keep reading the frozen original. Every read method
-// — Clone included — may be called from any number of goroutines
+// Concurrency contract: a catalog is plain copy-on-write data. Only the
+// writers — AddTable, BuildValueIndex and LoadSegments — write it, and they
+// must be serialised against ALL other calls on the SAME Catalog value. Q
+// publishes catalogs copy-on-write: a writer Clones the catalog, mutates
+// the clone, and atomically swaps it into the published snapshot, so
+// concurrent queries keep reading the frozen original. Every other method —
+// Clone included — only reads, so any number of goroutines may call it
 // concurrently: concurrent queries read one published catalog, and the
-// ExecuteBatch test helper executes branches on it in parallel. The read
-// paths that mutate internal state — the ValueSet cache and the
-// value-index segment cache — are shared across clones (tables are
-// immutable, so an attribute's value set and a table's segment never
-// change) and guarded by their own mutexes, so concurrent readers stay
-// race-free.
+// ExecuteBatch test helper executes branches on it in parallel. A read that
+// needs the segment of an unindexed table builds a throwaway one and keeps
+// nothing.
 type Catalog struct {
-	tables map[string]*Table // qualified name -> table
-	order  []string          // registration order of qualified names
-	values *valueCache       // shared across clones
-	index  *valueIndex       // shared across clones
-
-	// execObs, when attached (InstrumentExec), counts completed branch
-	// executions and their produced rows across every execution path.
-	// Writer-side: set before sharing; Clone copies the pointer so all
-	// generations of one engine report into the same counters.
-	execObs *ExecCounters
-}
-
-// valueCache holds the lazily built per-attribute distinct-value sets. It is
-// shared between a catalog and its clones: sets are keyed by AttrRef and
-// tables are immutable once added, so a cached set stays correct in every
-// catalog generation that contains the attribute.
-type valueCache struct {
-	mu   sync.RWMutex
-	sets map[AttrRef]map[string]struct{}
+	tables map[string]*Table   // qualified name -> table
+	order  []string            // registration order of qualified names
+	segs   map[string]*segment // qualified name -> its table's immutable segment
 }
 
 // NewCatalog returns an empty catalog.
 func NewCatalog() *Catalog {
 	return &Catalog{
 		tables: make(map[string]*Table),
-		values: &valueCache{sets: make(map[AttrRef]map[string]struct{})},
-		index:  newValueIndex(),
+		segs:   make(map[string]*segment),
 	}
 }
 
@@ -104,24 +82,23 @@ func NewCatalogSharded(shards int) *Catalog { return NewCatalog() }
 // Deprecated: the catalog is one partition.
 func (c *Catalog) ShardCount() int { return 1 }
 
-// Clone returns a copy-on-write clone: the table map and the order are
-// copied, the value-set and value-index caches are shared, since cached
-// sets and segments are per-table and immutable. Mutating either the clone
-// or the original with AddTable leaves the other untouched, and every
-// published generation keeps reading its own frozen map. Clone only reads
-// its receiver, so it is safe alongside other readers.
+// Clone returns a copy-on-write clone: the table map, the order and the
+// segment map are copied, and tables and segments, immutable both, are
+// shared. A writer on either the clone or the original leaves the other
+// untouched, and every published generation keeps reading its own frozen
+// maps. Clone only reads its receiver, so it is safe alongside other
+// readers.
 func (c *Catalog) Clone() *Catalog {
 	return &Catalog{
-		tables:  maps.Clone(c.tables),
-		order:   slices.Clone(c.order),
-		values:  c.values,
-		index:   c.index,
-		execObs: c.execObs,
+		tables: maps.Clone(c.tables),
+		order:  slices.Clone(c.order),
+		segs:   maps.Clone(c.segs),
 	}
 }
 
-// AddTable registers a table. Registering a second table under the same
-// qualified relation name is an error: sources are immutable once added.
+// AddTable registers a table without indexing it (BuildValueIndex does).
+// Registering a second table under the same qualified relation name is an
+// error: sources are immutable once added.
 func (c *Catalog) AddTable(t *Table) error {
 	qn := t.Relation.QualifiedName()
 	if _, exists := c.tables[qn]; exists {
@@ -197,20 +174,9 @@ func (c *Catalog) NumAttributes() int {
 	return n
 }
 
-// ValueSet returns the distinct values of the referenced attribute. The set
-// is computed once and cached; callers must not mutate
-// it. Safe for concurrent use: losers of a racing first computation adopt
-// the winner's cached set, so all callers observe one canonical map per
-// attribute. When the attribute's table already has a value-index segment,
-// the set derives from the segment's distinct entries instead of
-// re-scanning rows.
-func (c *Catalog) ValueSet(ref AttrRef) map[string]struct{} {
-	c.values.mu.RLock()
-	vs, ok := c.values.sets[ref]
-	c.values.mu.RUnlock()
-	if ok {
-		return vs
-	}
+// span returns the referenced attribute's value-index entries, ascending by
+// value, or nil for an unknown relation or attribute.
+func (c *Catalog) span(ref AttrRef) []indexEntry {
 	t := c.tables[ref.Relation]
 	if t == nil {
 		return nil
@@ -219,38 +185,44 @@ func (c *Catalog) ValueSet(ref AttrRef) map[string]struct{} {
 	if i < 0 {
 		return nil
 	}
-	if seg := c.index.built(t); seg != nil {
-		vs = seg.valueSet(i)
-	} else {
-		vs = make(map[string]struct{})
-		for _, row := range t.Rows {
-			if v := row[i]; v != "" {
-				vs[v] = struct{}{}
-			}
-		}
+	return c.segment(ref.Relation).span(i)
+}
+
+// Values returns the distinct non-empty values of the referenced attribute
+// in ascending order, or nil for an unknown relation or attribute. The
+// slice is the caller's.
+func (c *Catalog) Values(ref AttrRef) []string {
+	span := c.span(ref)
+	if span == nil {
+		return nil
 	}
-	c.values.mu.Lock()
-	if won, ok := c.values.sets[ref]; ok {
-		vs = won
-	} else {
-		c.values.sets[ref] = vs
+	out := make([]string, len(span))
+	for i, e := range span {
+		out[i] = e.val
 	}
-	c.values.mu.Unlock()
-	return vs
+	return out
 }
 
 // ValueOverlap returns the number of distinct values shared by two
 // attributes. This powers the Value Overlap Filter of Figure 7: attribute
 // pairs with zero overlap cannot join and need not be compared.
 func (c *Catalog) ValueOverlap(a, b AttrRef) int {
-	sa, sb := c.ValueSet(a), c.ValueSet(b)
-	if len(sa) > len(sb) {
-		sa, sb = sb, sa
-	}
-	n := 0
-	for v := range sa {
-		if _, ok := sb[v]; ok {
+	return overlap(c.span(a), c.span(b))
+}
+
+// overlap counts the values two ascending entry spans share, merging them.
+func overlap(a, b []indexEntry) int {
+	n, i, j := 0, 0, 0
+	for i < len(a) && j < len(b) {
+		switch cmp := strings.Compare(a[i].val, b[j].val); {
+		case cmp < 0:
+			i++
+		case cmp > 0:
+			j++
+		default:
 			n++
+			i++
+			j++
 		}
 	}
 	return n
@@ -260,24 +232,21 @@ func (c *Catalog) ValueOverlap(a, b AttrRef) int {
 // that share at least one distinct value — the Value Overlap Filter of
 // Figure 7, used to prune alignment comparisons at registration time.
 func (c *Catalog) OverlappingAttrPairs(a, b *Relation) map[[2]AttrRef]bool {
-	aq, bq := a.QualifiedName(), b.QualifiedName()
 	out := make(map[[2]AttrRef]bool)
-	for _, aa := range a.Attributes {
-		ra := AttrRef{Relation: aq, Attr: aa.Name}
-		for _, bb := range b.Attributes {
-			rb := AttrRef{Relation: bq, Attr: bb.Name}
-			if c.ValueOverlap(ra, rb) > 0 {
-				out[[2]AttrRef{ra, rb}] = true
+	aq, bq := a.QualifiedName(), b.QualifiedName()
+	ta, tb := c.tables[aq], c.tables[bq]
+	if ta == nil || tb == nil {
+		return out
+	}
+	sa, sb := c.segment(aq), c.segment(bq)
+	for i, aa := range ta.Relation.Attributes {
+		for j, bb := range tb.Relation.Attributes {
+			if overlap(sa.span(i), sb.span(j)) > 0 {
+				out[[2]AttrRef{{Relation: aq, Attr: aa.Name}, {Relation: bq, Attr: bb.Name}}] = true
 			}
 		}
 	}
 	return out
-}
-
-// ValueJaccard returns the Jaccard similarity of two attributes' distinct
-// value sets.
-func (c *Catalog) ValueJaccard(a, b AttrRef) float64 {
-	return text.Jaccard(c.ValueSet(a), c.ValueSet(b))
 }
 
 // ValueHit is one tuple-level keyword match: the attribute whose value

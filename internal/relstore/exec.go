@@ -25,9 +25,7 @@ func Execute(c *Catalog, q *ConjunctiveQuery) (*ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	rs := st.Drain()
-	c.countExec(len(rs.Rows))
-	return rs, nil
+	return st.Drain(), nil
 }
 
 // joinPair relates a column of the accumulated intermediate row to an

@@ -59,7 +59,8 @@ var fuzzKeywords = []string{
 // FuzzLoadSegments fuzzes the segment decoder: a segments section —
 // seeded with real SaveSegments output and mutated arbitrarily — must
 // either be refused by LoadSegments or load into a catalog that answers
-// every probe keyword, and every attribute's value set, without panicking.
+// every probe keyword without panicking, and whose every attribute's values
+// ascend strictly, contain no empty value, and overlap themselves fully.
 func FuzzLoadSegments(f *testing.F) {
 	tables := randomIndexTables(rand.New(rand.NewSource(7)), 4)
 	build := func() *Catalog {
@@ -77,7 +78,7 @@ func FuzzLoadSegments(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(empty.Bytes())
-	src.EnsureIndexed(src.RelationNames()[0])
+	indexOne(src, src.RelationNames()[0])
 	var one bytes.Buffer
 	if err := src.SaveSegments(&one); err != nil {
 		f.Fatal(err)
@@ -98,7 +99,15 @@ func FuzzLoadSegments(f *testing.F) {
 			c.FindValues(kw)
 		}
 		for _, ref := range c.AttrRefs() {
-			c.ValueSet(ref)
+			vals := c.Values(ref)
+			for i, v := range vals {
+				if v == "" || i > 0 && v <= vals[i-1] {
+					t.Fatalf("Values(%v) = %q: not strictly ascending non-empty values", ref, vals)
+				}
+			}
+			if n := c.ValueOverlap(ref, ref); n != len(vals) {
+				t.Fatalf("ValueOverlap(%v, itself) = %d, want %d", ref, n, len(vals))
+			}
 		}
 	})
 }

@@ -18,6 +18,10 @@ import (
 //     each value normalised per keyword. The inverted value index must match
 //     it byte for byte (valueindex_test.go, binary_test.go,
 //     relstore_test.go, FuzzFindValuesEquivalence).
+//   - scanValues and scanOverlap are the row-scan value sets behind Values,
+//     ValueOverlap and OverlappingAttrPairs, which read segment spans
+//     instead (TestReadsNeverIndex, TestValueSetFromIndexSegments,
+//     TestIndexFindValuesConcurrent).
 //   - executeOracle is the materialise-everything executor over the naive
 //     first-connected join order (naiveJoinOrder): no structural planner,
 //     no streaming. Execute, ExecuteBatch, BatchPlan.Execute and
@@ -116,6 +120,68 @@ func postEntryOracle(m postingMaps, id int32, norm string) {
 	}
 }
 
+// scanValues is the reference Values: the attribute's distinct non-empty
+// values, gathered from every row and sorted; nil for an unknown relation or
+// attribute.
+func scanValues(c *Catalog, ref AttrRef) []string {
+	t := c.tables[ref.Relation]
+	if t == nil {
+		return nil
+	}
+	i := t.Relation.AttrIndex(ref.Attr)
+	if i < 0 {
+		return nil
+	}
+	set := make(map[string]struct{})
+	for _, row := range t.Rows {
+		if v := row[i]; v != "" {
+			set[v] = struct{}{}
+		}
+	}
+	out := make([]string, 0, len(set))
+	for v := range set {
+		out = append(out, v)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// scanOverlap is the reference ValueOverlap: the size of the intersection of
+// the two row-scanned value sets.
+func scanOverlap(c *Catalog, a, b AttrRef) int {
+	in := make(map[string]bool)
+	for _, v := range scanValues(c, a) {
+		in[v] = true
+	}
+	n := 0
+	for _, v := range scanValues(c, b) {
+		if in[v] {
+			n++
+		}
+	}
+	return n
+}
+
+// scanOverlappingAttrPairs is the reference OverlappingAttrPairs over
+// scanOverlap.
+func scanOverlappingAttrPairs(c *Catalog, a, b *Relation) map[[2]AttrRef]bool {
+	out := make(map[[2]AttrRef]bool)
+	for _, aa := range a.Attributes {
+		for _, bb := range b.Attributes {
+			ra := AttrRef{Relation: a.QualifiedName(), Attr: aa.Name}
+			rb := AttrRef{Relation: b.QualifiedName(), Attr: bb.Name}
+			if scanOverlap(c, ra, rb) > 0 {
+				out[[2]AttrRef{ra, rb}] = true
+			}
+		}
+	}
+	return out
+}
+
+// indexOne indexes one table of the catalog, as BuildValueIndex would, and
+// leaves the others unindexed.
+func indexOne(c *Catalog, qn string) { c.segs[qn] = buildSegment(c.tables[qn]) }
+
 // saveSegmentsOracle is the reference segment encoder: SaveSegments with
 // each segment's postings rebuilt by postingsOracle and written as maps
 // under sorted keys.
@@ -126,7 +192,7 @@ func saveSegmentsOracle(c *Catalog, w io.Writer) error {
 	}
 	var segs []*segment
 	for _, qn := range c.order {
-		if s := c.index.built(c.tables[qn]); s != nil {
+		if s := c.segs[qn]; s != nil {
 			segs = append(segs, s)
 		}
 	}

@@ -14,7 +14,6 @@ type PlanStats struct {
 // published catalog, and the ExecuteBatch test helper executes one plan's
 // branches from several workers.
 type BatchPlan struct {
-	cat   *Catalog
 	plans []*queryPlan
 }
 
@@ -24,7 +23,7 @@ type BatchPlan struct {
 // error wins) would produce, so even a branch a later top-k bound would skip
 // still fails loudly rather than silently succeeding.
 func PlanBatch(c *Catalog, queries []*ConjunctiveQuery) (*BatchPlan, error) {
-	bp := &BatchPlan{cat: c, plans: make([]*queryPlan, len(queries))}
+	bp := &BatchPlan{plans: make([]*queryPlan, len(queries))}
 	for i, q := range queries {
 		p, err := planQuery(c, q)
 		if err != nil {
@@ -46,9 +45,7 @@ func (bp *BatchPlan) Execute(i int) (*ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-	rs := st.Drain()
-	bp.cat.countExec(len(rs.Rows))
-	return rs, nil
+	return st.Drain(), nil
 }
 
 // Stats snapshots the batch's planning counters.

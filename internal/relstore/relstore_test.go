@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -134,9 +135,8 @@ func TestValueSetAndOverlap(t *testing.T) {
 	c := testCatalog(t)
 	goAcc := AttrRef{Relation: "go.term", Attr: "acc"}
 	goID := AttrRef{Relation: "ip.interpro2go", Attr: "go_id"}
-	vs := c.ValueSet(goAcc)
-	if len(vs) != 3 {
-		t.Errorf("ValueSet(go.term.acc) = %d distinct, want 3", len(vs))
+	if vs := c.Values(goAcc); !slices.Equal(vs, scanValues(c, goAcc)) || len(vs) != 3 {
+		t.Errorf("Values(go.term.acc) = %q, want the 3 distinct values sorted", vs)
 	}
 	// go_id has GO:0005886 (x2 -> 1 distinct) and GO:0005634; both in acc.
 	if got := c.ValueOverlap(goAcc, goID); got != 2 {
@@ -145,12 +145,8 @@ func TestValueSetAndOverlap(t *testing.T) {
 	if got := c.ValueOverlap(goAcc, AttrRef{Relation: "ip.entry", Attr: "name"}); got != 0 {
 		t.Errorf("disjoint overlap = %d, want 0", got)
 	}
-	j := c.ValueJaccard(goAcc, goID)
-	if j <= 0 || j > 1 {
-		t.Errorf("ValueJaccard = %v, want (0,1]", j)
-	}
-	if c.ValueSet(AttrRef{Relation: "missing.rel", Attr: "a"}) != nil {
-		t.Error("missing relation should give nil value set")
+	if c.Values(AttrRef{Relation: "missing.rel", Attr: "a"}) != nil {
+		t.Error("missing relation should give nil values")
 	}
 }
 

@@ -563,9 +563,5 @@ func (bp *BatchPlan) TopKUnion(k int, provenance []string) (*UnionResult, TopKUn
 		rows = rows[:k]
 	}
 	out.Rows = rows
-	if ec := bp.cat.execObs; ec != nil {
-		ec.Branches.Add(int64(stats.BranchesExecuted))
-		ec.Rows.Add(stats.RowsEmitted)
-	}
 	return out, stats, nil
 }

@@ -28,15 +28,16 @@ import (
 // posting index is three arrays — the keys in ascending order, one offset
 // per key and one id array — so key i's ascending id list is
 // ids[off[i]:off[i+1]]; a trigram key is its three runes packed into one
-// integer (a gram code, see gramRuneBits). Segments are built once per
-// table (tables are immutable after AddTable) and never mutated, so the
-// segment cache is shared across Catalog.Clone exactly like the lazy
-// ValueSet cache — a registration that clones the catalog and adds one
-// table indexes ONLY that table, and every published copy-on-write
-// generation keeps reading the same frozen segments. Lookups that build a missing segment
-// synchronise on the cache's own mutex; losers of a racing build adopt the
-// winner's segment, so concurrent readers stay race-free and observe one
-// canonical segment per table.
+// integer (a gram code, see gramRuneBits). An attribute's entries are its
+// ascending distinct values, so Values and ValueOverlap read them too.
+//
+// Segments are a plain catalog field, written only by the writers:
+// BuildValueIndex builds every missing one, LoadSegments installs decoded
+// ones, and Clone copies the map, so a registration that clones the catalog
+// and adds one table indexes ONLY that table, and every published
+// copy-on-write generation keeps reading the same frozen segments. A read
+// that reaches an unindexed table builds a throwaway segment and keeps
+// nothing; the engine indexes every table it adds, so its reads never do.
 //
 // Lookup. A keyword is normalised, then:
 //   - len ≥ 3 runes: candidates are the intersection of the keyword's
@@ -73,46 +74,18 @@ type segment struct {
 	tokens    postings[string] // normalised-value whole token -> ascending entry ids
 }
 
-// valueIndex is the catalog's segment cache, shared between a catalog and its
-// clones (see Catalog.Clone): segments are keyed by table identity and
-// tables are immutable, so a segment stays correct in every catalog
-// generation that contains its table.
-type valueIndex struct {
-	mu   sync.RWMutex
-	segs map[*Table]*segment
-}
-
-func newValueIndex() *valueIndex {
-	return &valueIndex{segs: make(map[*Table]*segment)}
-}
-
-// segmentFor returns the table's segment, building it on first use. Safe
-// for concurrent use: a racing build is resolved by adopting the winner.
-func (x *valueIndex) segmentFor(t *Table) *segment {
-	x.mu.RLock()
-	s := x.segs[t]
-	x.mu.RUnlock()
-	if s != nil {
+// segment returns the value-index segment of the named table: the
+// catalog's own, or a throwaway one when the table is unindexed.
+func (c *Catalog) segment(qn string) *segment {
+	if s := c.segs[qn]; s != nil {
 		return s
 	}
-	s = buildSegment(t)
-	x.mu.Lock()
-	if won, ok := x.segs[t]; ok {
-		s = won
-	} else {
-		x.segs[t] = s
-	}
-	x.mu.Unlock()
-	return s
+	return buildSegment(c.tables[qn])
 }
 
-// built returns the table's segment only if it has already been built —
-// the "derive, don't rebuild" path ValueSet uses.
-func (x *valueIndex) built(t *Table) *segment {
-	x.mu.RLock()
-	s := x.segs[t]
-	x.mu.RUnlock()
-	return s
+// span returns attribute i's entries: its distinct values, ascending.
+func (s *segment) span(i int) []indexEntry {
+	return s.entries[s.attrStart[i]:s.attrStart[i+1]]
 }
 
 // postings is one immutable posting index over a segment's entry ids: keys
@@ -419,20 +392,6 @@ func intersectSorted(a, b []int32) []int32 {
 	return out
 }
 
-// valueSet materialises the distinct-value set of one attribute from the
-// segment's entries — the index-backed ValueSet derivation.
-func (s *segment) valueSet(attrIdx int) map[string]struct{} {
-	if attrIdx < 0 || attrIdx >= len(s.attrs) {
-		return nil
-	}
-	span := s.entries[s.attrStart[attrIdx]:s.attrStart[attrIdx+1]]
-	vs := make(map[string]struct{}, len(span))
-	for _, e := range span {
-		vs[e.val] = struct{}{}
-	}
-	return vs
-}
-
 // sortHits puts hits into the canonical FindValues order: by relation, then
 // attribute, then value. The comparison is field-wise — Ref.String() is not
 // injective (a relation name may itself contain dots), and a non-total
@@ -457,9 +416,7 @@ func sortHits(hits []ValueHit) {
 // (paper §2.2). Results are deterministic: sorted by attribute then value.
 //
 // It answers from the inverted value index, table by table in registration
-// order, building any missing table segments on the way (each table indexes
-// exactly once; registrations therefore only ever index their own new
-// tables). The hits are sorted under the canonical (relation, attribute,
+// order. The hits are sorted under the canonical (relation, attribute,
 // value) total order, so results are identical to a full scan of every row
 // in content and order.
 func (c *Catalog) FindValues(keyword string) []ValueHit {
@@ -470,29 +427,29 @@ func (c *Catalog) FindValues(keyword string) []ValueHit {
 	trigrams := keywordTrigrams(kw)
 	var hits []ValueHit
 	for _, qn := range c.order {
-		hits = c.index.segmentFor(c.tables[qn]).find(kw, trigrams, hits)
+		hits = c.segment(qn).find(kw, trigrams, hits)
 	}
 	sortHits(hits)
 	return hits
 }
 
-// EnsureIndexed builds the value-index segment for one relation if it is
-// missing. It is the unit of incremental index maintenance: callers
-// registering new tables fan EnsureIndexed over their worker pool (one task
-// per table) instead of rebuilding anything global.
-func (c *Catalog) EnsureIndexed(qualified string) {
-	if t := c.tables[qualified]; t != nil {
-		c.index.segmentFor(t)
-	}
-}
-
-// BuildValueIndex builds every missing table segment, one task per table
-// across at most workers goroutines (workers <= 1 builds serially). Tools
-// and benchmarks use it to pre-warm the index; query paths build lazily.
+// BuildValueIndex builds the segment of every unindexed table: the pure
+// builds fan out, one task per table across at most workers goroutines
+// (workers <= 1 builds serially), and the catalog is then written serially.
+// Writer-side, like AddTable. Indexing a table exactly once at write time is
+// the index's whole maintenance: nothing global ever rebuilds.
 func (c *Catalog) BuildValueIndex(workers int) {
-	fanIndexed(len(c.order), workers, func(i int) {
-		c.index.segmentFor(c.tables[c.order[i]])
-	})
+	var missing []string
+	for _, qn := range c.order {
+		if c.segs[qn] == nil {
+			missing = append(missing, qn)
+		}
+	}
+	built := make([]*segment, len(missing))
+	fanIndexed(len(missing), workers, func(i int) { built[i] = buildSegment(c.tables[missing[i]]) })
+	for i, qn := range missing {
+		c.segs[qn] = built[i]
+	}
 }
 
 // fanIndexed runs fn(0), …, fn(n-1) across at most workers goroutines.
@@ -525,18 +482,4 @@ func fanIndexed(n, workers int, fn func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// IndexedRelations reports how many of the catalog's relations currently
-// have a built index segment (for tests and stats).
-func (c *Catalog) IndexedRelations() int {
-	n := 0
-	c.index.mu.RLock()
-	for _, qn := range c.order {
-		if _, ok := c.index.segs[c.tables[qn]]; ok {
-			n++
-		}
-	}
-	c.index.mu.RUnlock()
-	return n
 }

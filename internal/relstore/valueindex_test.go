@@ -3,6 +3,7 @@ package relstore
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -155,21 +156,30 @@ func TestFindValuesScanIndexEquivalence(t *testing.T) {
 	}
 }
 
-// TestIndexFindValuesConcurrent hammers FindValues and ValueSet from many
-// goroutines against a catalog whose segments have NOT been pre-built, so
-// lazy segment construction races with itself, with reads and with
-// ValueSet derivations. Run under -race; every answer must equal the
-// quiesced reference.
+// TestIndexFindValuesConcurrent hammers FindValues and Values from many
+// goroutines against a partly indexed catalog: every other table answers
+// from its segment, the rest through throwaway segments the readers build
+// concurrently. Run under -race; every answer must equal the row-scan
+// oracle, and the readers must leave the catalog's segments as they were.
 func TestIndexFindValuesConcurrent(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	c := randomIndexCatalog(t, r)
+	for i, qn := range c.RelationNames() {
+		if i%2 == 0 {
+			indexOne(c, qn)
+		}
+	}
+	indexed := len(c.segs)
 	kws := []string{"membrane", "GO:0005886", "ab", "é", "plasma membrane", "005886", "zzqqx", "", "Kringle domain"}
 	want := make([][]ValueHit, len(kws))
-	ref := randomIndexCatalog(t, rand.New(rand.NewSource(99))) // identical build
 	for i, kw := range kws {
-		want[i] = scanFindValues(ref, kw)
+		want[i] = scanFindValues(c, kw)
 	}
-	refs := ref.AttrRefs()
+	refs := c.AttrRefs()
+	wantVals := make([][]string, len(refs))
+	for i, ref := range refs {
+		wantVals[i] = scanValues(c, ref)
+	}
 
 	const readers = 8
 	const rounds = 20
@@ -185,9 +195,9 @@ func TestIndexFindValuesConcurrent(t *testing.T) {
 					errc <- fmt.Errorf("reader %d: FindValues(%q) = %v, want %v", g, kws[k], got, want[k])
 					return
 				}
-				ar := refs[(g*rounds+i)%len(refs)]
-				if got := c.ValueSet(ar); !reflect.DeepEqual(got, ref.ValueSet(ar)) {
-					errc <- fmt.Errorf("reader %d: ValueSet(%v) diverged", g, ar)
+				a := (g*rounds + i) % len(refs)
+				if got := c.Values(refs[a]); !slices.Equal(got, wantVals[a]) {
+					errc <- fmt.Errorf("reader %d: Values(%v) = %q, want %q", g, refs[a], got, wantVals[a])
 					return
 				}
 			}
@@ -201,23 +211,121 @@ func TestIndexFindValuesConcurrent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if len(c.segs) != indexed {
+		t.Fatalf("readers changed the catalog's segments: %d, want %d", len(c.segs), indexed)
+	}
 }
 
-// TestIndexIncrementalAcrossClones pins the copy-on-write contract: cloning
-// shares built segments, AddTable on the clone indexes ONLY the new table,
-// and the original catalog's answers never change — concurrent readers of
-// the original race the clone's writer under -race.
+// TestReadsNeverIndex pins that a read of a catalog never writes it: on a
+// catalog with no indexed table, FindValues, Values, ValueOverlap and
+// OverlappingAttrPairs equal the row-scan oracles, and afterwards the
+// catalog holds no segment and SaveSegments writes none. The readers run
+// under -race beside a writer that clones the catalog, grows the clone and
+// indexes it, as a registration does.
+func TestReadsNeverIndex(t *testing.T) {
+	r := rand.New(rand.NewSource(31))
+	c := NewCatalog()
+	for _, tb := range randomIndexTables(r, 6) {
+		if err := c.AddTable(tb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kws := indexKeywords(r, c)
+	wantHits := make([][]ValueHit, len(kws))
+	for i, kw := range kws {
+		wantHits[i] = scanFindValues(c, kw)
+	}
+	refs := append(c.AttrRefs(), AttrRef{Relation: "missing.rel", Attr: "a"}, AttrRef{Relation: c.RelationNames()[0], Attr: "ghost"})
+	rels := c.Relations()
+
+	// check reads everything once and reports the first divergence.
+	check := func() error {
+		for i, kw := range kws {
+			if got := c.FindValues(kw); !reflect.DeepEqual(got, wantHits[i]) {
+				return fmt.Errorf("FindValues(%q) = %v, want %v", kw, got, wantHits[i])
+			}
+		}
+		for i, a := range refs {
+			if got, want := c.Values(a), scanValues(c, a); !slices.Equal(got, want) {
+				return fmt.Errorf("Values(%v) = %q, want %q", a, got, want)
+			}
+			b := refs[(i*7+3)%len(refs)]
+			if got, want := c.ValueOverlap(a, b), scanOverlap(c, a, b); got != want {
+				return fmt.Errorf("ValueOverlap(%v, %v) = %d, want %d", a, b, got, want)
+			}
+		}
+		for i, a := range rels {
+			b := rels[(i+1)%len(rels)]
+			if got, want := c.OverlappingAttrPairs(a, b), scanOverlappingAttrPairs(c, a, b); !reflect.DeepEqual(got, want) {
+				return fmt.Errorf("OverlappingAttrPairs(%s, %s) = %v, want %v", a.QualifiedName(), b.QualifiedName(), got, want)
+			}
+		}
+		return nil
+	}
+
+	const readers = 4
+	errc := make(chan error, readers+1)
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errc <- check()
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		cl := c.Clone()
+		tb, err := NewTable(&Relation{Source: "new", Name: "notes", Attributes: []Attribute{{Name: "body"}}},
+			[][]string{{"membrane transport"}, {"unrelated"}})
+		if err == nil {
+			err = cl.AddTable(tb)
+		}
+		if err == nil {
+			cl.BuildValueIndex(4)
+			if len(cl.segs) != cl.NumRelations() {
+				err = fmt.Errorf("indexed clone holds %d segments, want %d", len(cl.segs), cl.NumRelations())
+			} else if got, want := cl.FindValues("membrane"), scanFindValues(cl, "membrane"); !reflect.DeepEqual(got, want) {
+				err = fmt.Errorf("indexed clone: FindValues = %v, want %v", got, want)
+			}
+		}
+		errc <- err
+	}()
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(c.segs) != 0 {
+		t.Fatalf("reads indexed %d tables", len(c.segs))
+	}
+	var buf bytes.Buffer
+	if err := c.SaveSegments(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := buf.String(), segmentsBinMagic+"\x00"; got != want {
+		t.Fatalf("SaveSegments after reads wrote %q, want no segment (%q)", got, want)
+	}
+}
+
+// TestIndexIncrementalAcrossClones pins the copy-on-write contract: a clone
+// shares the original's segments, BuildValueIndex on the clone indexes ONLY
+// the new table, and the original catalog's answers never change —
+// concurrent readers of the original race the clone's writer under -race.
 func TestIndexIncrementalAcrossClones(t *testing.T) {
 	c := testCatalog(t)
 	c.BuildValueIndex(4)
-	if got := c.IndexedRelations(); got != c.NumRelations() {
-		t.Fatalf("IndexedRelations = %d, want %d", got, c.NumRelations())
+	if got := len(c.segs); got != c.NumRelations() {
+		t.Fatalf("%d segments, want %d", got, c.NumRelations())
 	}
 	wantOrig := c.FindValues("membrane")
 
 	clone := c.Clone()
-	if got := clone.IndexedRelations(); got != clone.NumRelations() {
-		t.Fatalf("clone should inherit built segments: %d of %d", got, clone.NumRelations())
+	if !maps.Equal(clone.segs, c.segs) {
+		t.Fatal("clone should share the original's segments")
 	}
 
 	stop := make(chan struct{})
@@ -250,13 +358,21 @@ func TestIndexIncrementalAcrossClones(t *testing.T) {
 	if err := clone.AddTable(tb); err != nil {
 		t.Fatal(err)
 	}
-	clone.EnsureIndexed("new.notes")
+	clone.BuildValueIndex(4)
 	close(stop)
 	wg.Wait()
 
 	// Incremental: exactly one segment was added, no rebuilds.
-	if got := clone.IndexedRelations(); got != clone.NumRelations() {
-		t.Fatalf("clone IndexedRelations = %d, want %d", got, clone.NumRelations())
+	if got := len(clone.segs); got != clone.NumRelations() {
+		t.Fatalf("clone holds %d segments, want %d", got, clone.NumRelations())
+	}
+	for qn, s := range c.segs {
+		if clone.segs[qn] != s {
+			t.Fatalf("clone rebuilt the segment of %s", qn)
+		}
+	}
+	if c.segs["new.notes"] != nil {
+		t.Fatal("the clone's BuildValueIndex wrote the original")
 	}
 	got := clone.FindValues("membrane")
 	want := scanFindValues(clone, "membrane")
@@ -271,11 +387,11 @@ func TestIndexIncrementalAcrossClones(t *testing.T) {
 	}
 }
 
-// TestCloneIsolation pins Clone's copy-on-write contract: an AddTable on
-// either side of a Clone is invisible to the other, both sides share the
-// value-set and segment caches (built segments carry over, and the clone
-// indexes only its own additions), and Clone only reads its receiver, so
-// concurrent Clones of one catalog are race-free (run under -race).
+// TestCloneIsolation pins Clone's copy-on-write contract: an AddTable or a
+// BuildValueIndex on either side of a Clone is invisible to the other, both
+// sides share the segments built before the Clone (the clone indexes only
+// its own additions), and Clone only reads its receiver, so concurrent
+// Clones of one catalog are race-free (run under -race).
 func TestCloneIsolation(t *testing.T) {
 	c := NewCatalog()
 	for _, tb := range randomIndexTables(rand.New(rand.NewSource(5)), 16) {
@@ -296,18 +412,15 @@ func TestCloneIsolation(t *testing.T) {
 	}
 
 	clone := c.Clone()
-	if clone.values != c.values || clone.index != c.index {
-		t.Fatal("Clone did not share the value-set and segment caches")
-	}
-	if got := clone.IndexedRelations(); got != n {
-		t.Fatalf("clone should inherit built segments: %d of %d", got, n)
+	if len(clone.segs) != n || !maps.Equal(clone.segs, c.segs) {
+		t.Fatalf("clone should share the original's %d segments: holds %d", n, len(clone.segs))
 	}
 	if err := clone.AddTable(notes("new")); err != nil {
 		t.Fatal(err)
 	}
-	clone.EnsureIndexed("new.notes")
-	if got := clone.IndexedRelations(); got != n+1 {
-		t.Fatalf("clone IndexedRelations = %d, want %d (exactly the new segment added)", got, n+1)
+	clone.BuildValueIndex(4)
+	if got := len(clone.segs); got != n+1 || len(c.segs) != n {
+		t.Fatalf("clone holds %d segments, the original %d; want %d and %d (exactly the new segment added)", got, len(c.segs), n+1, n)
 	}
 	if got, want := clone.FindValues("membrane"), scanFindValues(clone, "membrane"); !reflect.DeepEqual(got, want) {
 		t.Fatalf("clone index diverged from scan after AddTable\nindex: %v\nscan:  %v", got, want)
@@ -355,11 +468,10 @@ func TestCloneIsolation(t *testing.T) {
 	}
 }
 
-// TestValueSetFromIndexSegments pins the ValueSet derivation: with segments
-// built, ValueSet comes from index entries and must equal the row-scan set
-// for every attribute, and ValueJaccard, ValueOverlap and
-// OverlappingAttrPairs must be identical between an indexed catalog and an
-// unindexed twin.
+// TestValueSetFromIndexSegments pins the value sets read from segment
+// spans: Values must equal the sorted row scan for every attribute, and
+// ValueOverlap and OverlappingAttrPairs must equal their row-scan oracles,
+// on an indexed catalog and on its unindexed twin alike.
 func TestValueSetFromIndexSegments(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	indexed := randomIndexCatalog(t, r)
@@ -370,40 +482,38 @@ func TestValueSetFromIndexSegments(t *testing.T) {
 	if !reflect.DeepEqual(refs, plain.AttrRefs()) {
 		t.Fatal("twin catalogs differ")
 	}
-	for _, ref := range refs {
-		a, b := indexed.ValueSet(ref), plain.ValueSet(ref)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("ValueSet(%v) diverged\nindex-derived: %v\nrow-scan:      %v", ref, a, b)
-		}
-	}
-	for i := 0; i < len(refs); i++ {
-		for j := i + 1; j < len(refs); j++ {
-			ji := indexed.ValueJaccard(refs[i], refs[j])
-			jp := plain.ValueJaccard(refs[i], refs[j])
-			if ji != jp {
-				t.Fatalf("ValueJaccard(%v, %v): index-derived %v != row-scan %v",
-					refs[i], refs[j], ji, jp)
-			}
-			if oi, op := indexed.ValueOverlap(refs[i], refs[j]), plain.ValueOverlap(refs[i], refs[j]); oi != op {
-				t.Fatalf("ValueOverlap(%v, %v): %d != %d", refs[i], refs[j], oi, op)
+	for _, c := range []*Catalog{indexed, plain} {
+		for _, ref := range refs {
+			if got, want := c.Values(ref), scanValues(c, ref); !slices.Equal(got, want) {
+				t.Fatalf("Values(%v) = %q, row scan %q", ref, got, want)
 			}
 		}
-	}
-	rels := indexed.Relations()
-	for i := range rels {
-		for j := range rels {
-			if got, want := indexed.OverlappingAttrPairs(rels[i], rels[j]), plain.OverlappingAttrPairs(rels[i], rels[j]); !reflect.DeepEqual(got, want) {
-				t.Fatalf("OverlappingAttrPairs(%s, %s) diverged\nindex-derived: %v\nrow-scan:      %v",
-					rels[i].QualifiedName(), rels[j].QualifiedName(), got, want)
+		for i := 0; i < len(refs); i++ {
+			for j := i + 1; j < len(refs); j++ {
+				if got, want := c.ValueOverlap(refs[i], refs[j]), scanOverlap(c, refs[i], refs[j]); got != want {
+					t.Fatalf("ValueOverlap(%v, %v) = %d, row scan %d", refs[i], refs[j], got, want)
+				}
 			}
 		}
+		rels := c.Relations()
+		for i := range rels {
+			for j := range rels {
+				if got, want := c.OverlappingAttrPairs(rels[i], rels[j]), scanOverlappingAttrPairs(c, rels[i], rels[j]); !reflect.DeepEqual(got, want) {
+					t.Fatalf("OverlappingAttrPairs(%s, %s) = %v, row scan %v",
+						rels[i].QualifiedName(), rels[j].QualifiedName(), got, want)
+				}
+			}
+		}
+		// Unknown relation/attribute answer nil.
+		if c.Values(AttrRef{Relation: "missing.rel", Attr: "a"}) != nil {
+			t.Error("missing relation should give nil values")
+		}
+		if c.Values(AttrRef{Relation: refs[0].Relation, Attr: "ghost"}) != nil {
+			t.Error("missing attribute should give nil values")
+		}
 	}
-	// Unknown relation/attribute still answer nil through the index path.
-	if indexed.ValueSet(AttrRef{Relation: "missing.rel", Attr: "a"}) != nil {
-		t.Error("missing relation should give nil value set")
-	}
-	if indexed.ValueSet(AttrRef{Relation: refs[0].Relation, Attr: "ghost"}) != nil {
-		t.Error("missing attribute should give nil value set")
+	if len(plain.segs) != 0 {
+		t.Errorf("reads indexed %d tables of the unindexed twin", len(plain.segs))
 	}
 }
 
@@ -532,7 +642,7 @@ func TestSegmentPostingsMatchOracle(t *testing.T) {
 		c.BuildValueIndex(1)
 		built := make(map[string]*segment)
 		for _, qn := range c.order {
-			got := c.index.built(c.tables[qn])
+			got := c.segs[qn]
 			built[qn] = got
 			want := postingsOracle(got)
 			if m := postingMap(t, &got.grams, func(code uint64) string { return string(appendGram(nil, code)) }); !reflect.DeepEqual(m, want.grams) {
@@ -563,7 +673,7 @@ func TestSegmentPostingsMatchOracle(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		for qn, want := range built {
-			got := loaded.index.built(loaded.tables[qn])
+			got := loaded.segs[qn]
 			if !slices.Equal(got.entries, want.entries) || !reflect.DeepEqual(got.grams, want.grams) || !reflect.DeepEqual(got.tokens, want.tokens) {
 				t.Fatalf("trial %d %s: loaded segment differs from the built one", trial, qn)
 			}

@@ -98,6 +98,13 @@ func TestMetricsEndpoint(t *testing.T) {
 	if v, _ := exp.Value("qint_query_duration_seconds_count"); v != 1 {
 		t.Errorf("duration summary count = %v, want 1", v)
 	}
+	// The served query's materialisation executed branches and emitted rows.
+	if v, _ := exp.Value("qint_exec_branches_total"); v <= 0 {
+		t.Errorf("executed branches = %v, want > 0", v)
+	}
+	if v, _ := exp.Value("qint_exec_rows_total"); v <= 0 {
+		t.Errorf("executed rows = %v, want > 0", v)
+	}
 
 	if resp, err := http.Post(ts.URL+"/metrics", "text/plain", nil); err != nil {
 		t.Fatal(err)

@@ -387,15 +387,8 @@ func (s *Server) handleSources(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		if isBodyTooLarge(err) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", s.cfg.MaxBodyBytes)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "bad json: %v", err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	if req.Source == "" || len(req.Tables) == 0 {
@@ -475,15 +468,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if s.queryBarrier != nil {
 		s.queryBarrier()
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	var req QueryRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		if isBodyTooLarge(err) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				"request body exceeds %d bytes", s.cfg.MaxBodyBytes)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "bad json: %v", err)
+	if !s.decodeBody(w, r, &req) {
 		return
 	}
 	keywords := core.ParseKeywords(req.Q)
@@ -543,11 +529,22 @@ func isTruthy(v string) bool {
 	return false
 }
 
-// isBodyTooLarge reports whether a decode error came from
-// http.MaxBytesReader tripping the body cap.
-func isBodyTooLarge(err error) bool {
+// decodeBody decodes the request's JSON body, read through
+// http.MaxBytesReader, into dst. On failure it answers the request itself —
+// 413 when the body exceeds MaxBodyBytes, 400 when it is not the JSON dst
+// expects — and reports false.
+func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)).Decode(dst)
 	var mbe *http.MaxBytesError
-	return errors.As(err, &mbe)
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &mbe):
+		httpError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", s.cfg.MaxBodyBytes)
+	default:
+		httpError(w, http.StatusBadRequest, "bad json: %v", err)
+	}
+	return false
 }
 
 // setEpochHeader stamps the response with the published-state generation
@@ -611,15 +608,8 @@ func (s *Server) handleViewByID(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		defer release()
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 		var req FeedbackRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			if isBodyTooLarge(err) {
-				httpError(w, http.StatusRequestEntityTooLarge,
-					"request body exceeds %d bytes", s.cfg.MaxBodyBytes)
-				return
-			}
-			httpError(w, http.StatusBadRequest, "bad json: %v", err)
+		if !s.decodeBody(w, r, &req) {
 			return
 		}
 		kind := core.FeedbackValid

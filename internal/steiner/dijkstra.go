@@ -126,33 +126,20 @@ func PathToOn(g GraphView, d Dist, v NodeID) []EdgeID {
 	return path
 }
 
-// NeighborhoodOn returns the set of nodes whose shortest-path distance from
-// any of the given source nodes is at most alpha. This is the α-cost
-// neighbourhood GETCOSTNEIGHBORHOOD of Algorithm 2: any new-source node that
-// could join a Steiner tree of cost ≤ α must align with a node inside it.
-func NeighborhoodOn(g GraphView, sources []NodeID, alpha float64) map[NodeID]struct{} {
-	return neighborhood(g, sources, alpha, false)
-}
-
-// NeighborhoodIntersectOn returns the nodes within alpha of EVERY source — a
-// strictly tighter (and still sound) pruning region than NeighborhoodOn:
-// every node of a Steiner tree of cost ≤ α lies, along tree paths of cost
+// NeighborhoodIntersectOn returns the nodes within alpha of EVERY source:
+// the α-cost neighbourhood GETCOSTNEIGHBORHOOD of Algorithm 2, refined.
+// Every node of a Steiner tree of cost ≤ α lies, along tree paths of cost
 // ≤ α, within distance α of each terminal, so any node that could join
 // such a tree is in the intersection. Algorithm 2 as written unions
-// per-keyword neighbourhoods; the intersection refinement preserves its
-// same-top-k guarantee while pruning far more aggressively on large graphs.
+// per-keyword neighbourhoods; the intersection preserves its same-top-k
+// guarantee while pruning far more aggressively on large graphs.
+//
+// It runs one Dijkstra per source over a retained search's flat adjacency,
+// each only as far as alpha, into its distance table, folding each row into
+// the farthest source's distance per node. A node farther than alpha from a
+// source holds some value above alpha in that source's row, which decides
+// its membership as its exact distance would.
 func NeighborhoodIntersectOn(g GraphView, sources []NodeID, alpha float64) map[NodeID]struct{} {
-	return neighborhood(g, sources, alpha, true)
-}
-
-// neighborhood returns the nodes within alpha of every source (all) or of
-// some source. It runs one Dijkstra per source over a retained search's
-// flat adjacency, each only as far as alpha, into its distance table,
-// folding each row into the farthest (all) or nearest source's distance per
-// node. A node farther than alpha from a source holds some value above
-// alpha in that source's row, which decides its membership as its exact
-// distance would.
-func neighborhood(g GraphView, sources []NodeID, alpha float64, all bool) map[NodeID]struct{} {
 	if len(sources) == 0 {
 		return make(map[NodeID]struct{})
 	}
@@ -168,11 +155,7 @@ func neighborhood(g GraphView, sources []NodeID, alpha float64, all bool) map[No
 		s.startDijkstra(src, row, nil)
 		s.dijkstra(row, nil, alpha, 0)
 		for v, d := range row {
-			if all {
-				fold[v] = max(fold[v], d)
-			} else {
-				fold[v] = min(fold[v], d)
-			}
+			fold[v] = max(fold[v], d)
 		}
 	}
 	out := make(map[NodeID]struct{})

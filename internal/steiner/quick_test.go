@@ -42,34 +42,6 @@ func TestDijkstraQuickProperties(t *testing.T) {
 	}
 }
 
-// TestNeighborhoodIntersectSubsetOfUnion: the intersection region is always
-// contained in the union region, and both contain every terminal.
-func TestNeighborhoodIntersectSubsetOfUnion(t *testing.T) {
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		g, terms := randomConnectedGraph(r, 15, 20, 2+r.Intn(2))
-		alpha := 0.5 + r.Float64()*3
-		union := NeighborhoodOn(g, terms, alpha)
-		inter := NeighborhoodIntersectOn(g, terms, alpha)
-		for v := range inter {
-			if _, ok := union[v]; !ok {
-				return false
-			}
-		}
-		for _, term := range terms {
-			if _, ok := union[term]; !ok {
-				return false
-			}
-			// terminals are within 0 of themselves but may exceed alpha of
-			// others; the intersection need not contain them — no check.
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestSteinerTreeContainmentInvariant: every node of every top-k tree lies
 // within tree-cost of every terminal — the exact property that justifies
 // NeighborhoodIntersect as a pruning region.

@@ -100,22 +100,6 @@ func TestDijkstraPrefersCheaperMultiEdge(t *testing.T) {
 	}
 }
 
-func TestNeighborhood(t *testing.T) {
-	g := lineGraph(6)
-	nb := NeighborhoodOn(g, []NodeID{0}, 2)
-	if len(nb) != 3 { // nodes 0,1,2
-		t.Errorf("α=2 neighbourhood = %v, want {0,1,2}", nb)
-	}
-	nb = NeighborhoodOn(g, []NodeID{0, 5}, 1)
-	if len(nb) != 4 { // 0,1 and 4,5
-		t.Errorf("two-source neighbourhood = %v, want 4 nodes", nb)
-	}
-	nb = NeighborhoodOn(g, nil, 10)
-	if len(nb) != 0 {
-		t.Errorf("no sources should give empty set")
-	}
-}
-
 func TestTopKSteinerTwoTerminalsIsShortestPath(t *testing.T) {
 	// Diamond: 0-1-3 (cost 1+1) and 0-2-3 (cost 2+2); direct 0-3 cost 5.
 	g := NewGraph()

@@ -123,7 +123,31 @@ func tokenJaccard(a, b string) float64 {
 	for _, t := range strings.Fields(b) {
 		sb[t] = struct{}{}
 	}
-	return Jaccard(sa, sb)
+	return setJaccard(sa, sb)
+}
+
+// setJaccard returns |A∩B| / |A∪B| for two string sets, the map-based
+// token Jaccard the containment oracle scores with. Empty∩empty is defined
+// as 1 (identical).
+func setJaccard(a, b map[string]struct{}) float64 {
+	if len(a) == 0 && len(b) == 0 {
+		return 1
+	}
+	small, large := a, b
+	if len(small) > len(large) {
+		small, large = large, small
+	}
+	inter := 0
+	for v := range small {
+		if _, ok := large[v]; ok {
+			inter++
+		}
+	}
+	union := len(a) + len(b) - inter
+	if union == 0 {
+		return 1
+	}
+	return float64(inter) / float64(union)
 }
 
 func containmentRatio(a, b string) float64 {

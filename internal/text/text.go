@@ -1,7 +1,7 @@
 // Package text provides the string-similarity and information-retrieval
 // primitives used throughout Q: tokenisation and normalisation of schema
-// labels and data values, edit distance, character trigram overlap, Jaccard
-// similarity, and a tf-idf vectoriser with cosine scoring.
+// labels and data values, edit distance, character trigram overlap, token
+// Jaccard similarity, and a tf-idf vectoriser with cosine scoring.
 //
 // The keyword-to-node match scores s_i of the paper's query graph (Figure 3)
 // come from this package, as do the name-similarity components of the
@@ -129,29 +129,6 @@ func IsNumeric(s string) bool {
 		}
 	}
 	return seenDigit
-}
-
-// Jaccard returns |A∩B| / |A∪B| for two string sets. Empty∩empty is defined
-// as 1 (identical).
-func Jaccard(a, b map[string]struct{}) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	small, large := a, b
-	if len(small) > len(large) {
-		small, large = large, small
-	}
-	inter := 0
-	for v := range small {
-		if _, ok := large[v]; ok {
-			inter++
-		}
-	}
-	union := len(a) + len(b) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
 }
 
 // Prepared is a string profiled once for the similarity measures, so that

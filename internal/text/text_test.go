@@ -157,6 +157,7 @@ func TestTrigramSimilarity(t *testing.T) {
 	}
 }
 
+// TestJaccard pins setJaccard, the set measure under tokenJaccard's oracle.
 func TestJaccard(t *testing.T) {
 	set := func(ss ...string) map[string]struct{} {
 		m := make(map[string]struct{})
@@ -165,16 +166,16 @@ func TestJaccard(t *testing.T) {
 		}
 		return m
 	}
-	if got := Jaccard(set(), set()); got != 1 {
+	if got := setJaccard(set(), set()); got != 1 {
 		t.Errorf("empty sets: got %v, want 1", got)
 	}
-	if got := Jaccard(set("a"), set()); got != 0 {
+	if got := setJaccard(set("a"), set()); got != 0 {
 		t.Errorf("one empty: got %v, want 0", got)
 	}
-	if got := Jaccard(set("a", "b"), set("b", "c")); math.Abs(got-1.0/3) > 1e-12 {
+	if got := setJaccard(set("a", "b"), set("b", "c")); math.Abs(got-1.0/3) > 1e-12 {
 		t.Errorf("overlap: got %v, want 1/3", got)
 	}
-	if got := Jaccard(set("a", "b"), set("a", "b")); got != 1 {
+	if got := setJaccard(set("a", "b"), set("a", "b")); got != 1 {
 		t.Errorf("identical: got %v, want 1", got)
 	}
 }

@@ -227,6 +227,17 @@
 //     (random corpora and clone chains), TestVectorNormIsOrderFree
 //     (shuffled insertion orders) and FuzzTopMatchesEquivalence: the same
 //     matches, ties included, with bitwise-equal scores.
+//   - oracleInternedUpdate (internal/learning/mira_oracle_test.go), the
+//     MIRA update that interned every constraint's feature names, the
+//     positivity constraints of all learnable edges included, on each call.
+//     The search-graph builder now interns each edge's features once, when
+//     the edge is made, over an append-only dictionary whose ids follow
+//     first sight, not name order. Gates: TestUpdateMatchesInternedOracle
+//     and FuzzUpdateEquivalence (the same keys, Float64bits-equal weights),
+//     and TestInternedFeaturesTrackEdges in internal/searchgraph (every
+//     learnable edge's entries render back to its features and price it at
+//     EdgeCost, through every writer). The map-order update before both
+//     stays too (TestUpdateMatchesOracle, within 1e-9).
 //
 // # Query cache and request coalescing
 //

@@ -338,6 +338,7 @@ func (q *Q) publishLocked() *qstate {
 // ErrClosed. A refresh error is returned too, but by then the write is
 // durable and visible.
 func (q *Q) commitLocked(rec walRecord, err error) error {
+	t := time.Now()
 	switch {
 	case err != nil || q.persist == nil:
 	case q.persist.closed:
@@ -346,16 +347,20 @@ func (q *Q) commitLocked(rec walRecord, err error) error {
 		rec.Assocs = q.touchedAssocsLocked()
 		err = q.logMutationLocked(rec)
 	}
+	t = q.metrics.span(writeLog, t)
 	q.touched = nil
 	if err != nil {
 		q.rollbackLocked()
 		return err
 	}
 	prev := q.st.Load()
-	if st := q.publishLocked(); st != prev {
-		return q.refreshLocked(st)
+	st := q.publishLocked()
+	t = q.metrics.span(writePublish, t)
+	if st != prev {
+		err = q.refreshLocked(st)
 	}
-	return nil
+	q.metrics.span(writeRefresh, t)
+	return err
 }
 
 // rollbackLocked discards the builder's unpublished mutations: catalog,
@@ -603,7 +608,9 @@ func (q *Q) SetWeights(w learning.Vector) error {
 
 func (q *Q) setWeightsLocked(w learning.Vector) error {
 	d := searchgraph.DiffWeights(q.state().graph.Weights(), w)
+	t := time.Now()
 	q.graph.SetWeights(w)
+	q.metrics.span(writeReprice, t)
 	return q.commitLocked(walRecord{WeightDelta: d}, nil)
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"qint/internal/learning"
 	"qint/internal/searchgraph"
@@ -78,9 +79,9 @@ func (q *Q) FeedbackRow(v *View, rowIdx int, kind FeedbackKind) error {
 // FeedbackFavorTree is the core of Algorithm 4 (ONLINELEARNER): the user's
 // feedback names a target tree Tr for the view's keyword set Sr; the k-best
 // list B is recomputed under current weights, MIRA finds the minimal weight
-// change under which Tr beats every T ∈ B by margin L(Tr, T), the default
-// weight is shifted to keep all learnable edge costs positive, and views are
-// refreshed under the new costs. The target tree must come from the view's
+// change under which Tr beats every T ∈ B by margin L(Tr, T) while every
+// learnable edge cost stays positive (one QP), and views are refreshed
+// under the new costs. The target tree must come from the view's
 // current materialisation (Trees or KBestTrees).
 func (q *Q) FeedbackFavorTree(v *View, target steiner.Tree) error {
 	q.writerMu.Lock()
@@ -93,7 +94,10 @@ func (q *Q) FeedbackFavorTree(v *View, target steiner.Tree) error {
 }
 
 func (q *Q) feedbackFavorLocked(mat *viewMat, target steiner.Tree, k int) error {
-	return q.feedbackPreferLocked(mat, target, q.kBestOf(mat, k))
+	t := time.Now()
+	page := q.kBestOf(mat, k)
+	q.metrics.span(writePage, t)
+	return q.feedbackPreferLocked(mat, target, page)
 }
 
 // FeedbackPreferTrees applies ranking feedback (paper §4: "tuple t_x should
@@ -120,6 +124,7 @@ func (q *Q) FeedbackPreferTrees(v *View, target steiner.Tree, worse []steiner.Tr
 // exactly without re-running MIRA, which would need the overlays and result
 // sets.
 func (q *Q) feedbackPreferLocked(mat *viewMat, target steiner.Tree, worse []steiner.Tree) error {
+	t := time.Now()
 	competitors := make([]learning.TreeExample, 0, len(worse))
 	for _, t := range worse {
 		competitors = append(competitors, treeExample(mat.ov, t))
@@ -147,7 +152,8 @@ func (q *Q) feedbackPreferLocked(mat *viewMat, target steiner.Tree, worse []stei
 	// edge alike and destroys the α-neighbourhood pruning of §3.3).
 	w := q.mira.UpdateWithPositivity(
 		q.graph.Weights(), treeExample(mat.ov, target), competitors,
-		q.learnableEdgeFeatures(mats), minLearnableCost)
+		q.learnableEdgeFeatures(mats))
+	q.metrics.span(writeLearn, t)
 	return q.setWeightsLocked(w)
 }
 
@@ -230,20 +236,14 @@ func treeExample(ov *searchgraph.Overlay, t steiner.Tree) learning.TreeExample {
 	return learning.NewTreeExample(keys, feats)
 }
 
-// learnableEdgeFeatures collects every learnable edge's feature vector for
-// the positivity constraints of Algorithm 4 (the fixed zero-cost edges are
-// the exempt set A): the base graph's learnable edges plus every live
-// view's overlay keyword edges — the same edge population the pre-overlay
-// design kept in the one shared graph.
-func (q *Q) learnableEdgeFeatures(mats []*viewMat) []learning.Vector {
-	out := make([]learning.Vector, 0, q.graph.NumEdges())
-	for i := 0; i < q.graph.NumEdges(); i++ {
-		e := q.graph.Edge(steiner.EdgeID(i))
-		if e.Fixed {
-			continue
-		}
-		out = append(out, e.Features)
-	}
+// learnableEdgeFeatures states Algorithm 4's positivity constraints (the
+// fixed zero-cost edges are the exempt set A): the base graph's learnable
+// edges, interned once by the builder, in edge-id order, then every live
+// view's overlay keyword edges, interned by the update — the same edge
+// population the pre-overlay design kept in the one shared graph.
+func (q *Q) learnableEdgeFeatures(mats []*viewMat) learning.Positivity {
+	dict, edges := q.graph.LearnableFeatures()
+	pos := learning.Positivity{Dict: dict, Edges: edges, Floor: minLearnableCost}
 	seen := make(map[string]bool)
 	for _, m := range mats {
 		for _, e := range m.ov.KeywordEdges() {
@@ -260,10 +260,10 @@ func (q *Q) learnableEdgeFeatures(mats []*viewMat) []learning.Vector {
 				continue
 			}
 			seen[key] = true
-			out = append(out, e.Features)
+			pos.More = append(pos.More, e.Features)
 		}
 	}
-	return out
+	return pos
 }
 
 // GoldEdgeGap reports the average current cost of association edges whose

@@ -47,6 +47,9 @@ type engineMetrics struct {
 
 	refreshErrors *obs.Counter // qint_refresh_errors_total
 
+	// Write path: time per stage of a write, summed over writes.
+	writeTime [numWriteStages]*obs.Counter // qint_write_stage_seconds_total{stage=}
+
 	// Top-k early termination.
 	topkBranchesSkipped *obs.Counter
 
@@ -61,6 +64,32 @@ type engineMetrics struct {
 	expComputes, expCoalesced        *obs.Counter
 	matHits, matMisses, matEvictions *obs.Counter
 	matComputes, matCoalesced        *obs.Counter
+}
+
+// writeStage is one span of a write. A feedback runs page, learn and
+// reprice (SetWeights only reprice), and every write ends in log, publish
+// and refresh (commitLocked). The spans follow one another, so their sum
+// is at most the write's wall time.
+type writeStage int
+
+const (
+	writePage    writeStage = iota // feedback: the k-best page of competitor trees
+	writeLearn                     // feedback: keyword-weight seeding and the MIRA update
+	writeReprice                   // the new weights priced onto every learnable edge
+	writeLog                       // the WAL append (durable engines)
+	writePublish                   // the atomic swap to the new generation
+	writeRefresh                   // every persistent view rematerialised
+	numWriteStages
+)
+
+var writeStageNames = [numWriteStages]string{"page", "learn", "reprice", "log", "publish", "refresh"}
+
+// span adds the time since t0 to stage st and returns the current time, the
+// next span's start.
+func (m *engineMetrics) span(st writeStage, t0 time.Time) time.Time {
+	now := time.Now()
+	m.writeTime[st].Add(int64(now.Sub(t0)))
+	return now
 }
 
 // newEngineMetrics registers every engine instrument in a fresh registry.
@@ -93,6 +122,9 @@ func newEngineMetrics() *engineMetrics {
 
 		execBranches: r.Counter("qint_exec_branches_total", "Completed branch-query executions by view materialisations."),
 		execRows:     r.Counter("qint_exec_rows_total", "Rows produced by branch executions of view materialisations (union input, before top-k truncation)."),
+	}
+	for st, name := range writeStageNames {
+		m.writeTime[st] = r.ScaledCounter("qint_write_stage_seconds_total", "Time spent per write stage across writes: page, learn and reprice for feedback, log, publish and refresh for every write.", 1e-9, obs.Label{Name: "stage", Value: name})
 	}
 	for _, st := range obs.Stages() {
 		l := obs.Label{Name: "stage", Value: string(st)}

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"qint/internal/obs"
+	"qint/internal/relstore"
 )
 
 // viewFingerprint renders everything a client can observe about a view's
@@ -150,5 +152,58 @@ func TestEngineMetricsAccounting(t *testing.T) {
 	}
 	if q.EpochTime().IsZero() {
 		t.Errorf("EpochTime is zero after publish")
+	}
+}
+
+// TestFeedbackWriteStages: one feedback on a durable engine runs every
+// write stage — the k-best page, the MIRA update, the repricing, the WAL
+// append, the publish and the view refresh — and the stages, which follow
+// one another, add up to no more than the call's wall time.
+func TestFeedbackWriteStages(t *testing.T) {
+	q := openDurable(t, durableOpts(t), manualCheckpoints)
+	t.Cleanup(func() { q.Close() })
+	if err := q.AddTables(fixtureTables(t)...); err != nil {
+		t.Fatal(err)
+	}
+	addHandCoded(t, q,
+		relstore.AttrRef{Relation: "go.term", Attr: "acc"},
+		relstore.AttrRef{Relation: "ip.interpro2go", Attr: "go_id"})
+	v, err := queryStr(q, "'plasma membrane' 'Kringle domain'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before [numWriteStages]int64
+	for st, c := range q.metrics.writeTime {
+		before[st] = c.Load()
+	}
+	start := time.Now()
+	if err := q.FeedbackRow(v, 0, FeedbackValid); err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(start)
+	var sum time.Duration
+	for st, c := range q.metrics.writeTime {
+		d := time.Duration(c.Load() - before[st])
+		if d <= 0 {
+			t.Errorf("write stage %s took %v, want > 0", writeStageNames[st], d)
+		}
+		sum += d
+	}
+	if sum > wall {
+		t.Errorf("write stages sum to %v, more than the feedback's wall time %v", sum, wall)
+	}
+
+	var sb strings.Builder
+	if err := q.Metrics().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	exp, err := obs.ParseExposition(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatalf("engine exposition is invalid: %v", err)
+	}
+	for _, name := range writeStageNames {
+		if v, ok := exp.Value(`qint_write_stage_seconds_total{stage="` + name + `"}`); !ok || v <= 0 {
+			t.Errorf("qint_write_stage_seconds_total{stage=%q} = %v (present %v), want > 0", name, v, ok)
+		}
 	}
 }

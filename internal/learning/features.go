@@ -3,6 +3,15 @@
 // confidences into indicator features, and the MIRA online update
 // (Algorithm 4 of the paper) that turns user feedback on query answers into
 // new edge-cost weights.
+//
+// A Vector is a map, the form features are built, merged and persisted in.
+// Code that reads the same vectors over and over interns them once over a
+// Dict: an Interned vector is its (id, value) entries in feature-name order
+// with ‖f‖², and a dot product against a dense weight slice adds its terms
+// in that order. The search-graph builder interns each learnable edge when
+// it makes the edge, and MIRA's positivity constraints (Positivity) and the
+// builder's edge pricing read those entries; one update interns only its
+// margin differences and the per-query keyword edges.
 package learning
 
 import (

@@ -208,10 +208,12 @@ func TestMIRAPositivityConstraints(t *testing.T) {
 	target := TreeExample{Features: Vector{"fa": 1}, EdgeKeys: []string{"A"}}
 	comp := TreeExample{Features: Vector{"fb": 1}, EdgeKeys: []string{"B"}}
 	edgeA := Vector{"fa": 1}
+	var d Dict
+	pos := Positivity{Dict: &d, Edges: []*Interned{d.Intern(edgeA)}, Floor: 0.01}
 	w := Vector{"fa": 0.05, "fb": 0.05}
 	m := NewMIRA()
 	for i := 0; i < 100; i++ {
-		w = m.UpdateWithPositivity(w, target, []TreeExample{comp}, []Vector{edgeA}, 0.01)
+		w = m.UpdateWithPositivity(w, target, []TreeExample{comp}, pos)
 	}
 	if cost := w.Dot(edgeA); cost < 0.01-1e-6 {
 		t.Errorf("positivity constraint violated: edge cost %v", cost)
@@ -230,26 +232,5 @@ func TestMIRAMaxAlphaCapsAggressiveness(t *testing.T) {
 	// With α ≤ 0.1 and ||d||² = 2, the weight change is at most 0.1·d.
 	if diff := w2.Sub(w).Norm2(); diff > 0.1*0.1*2+1e-9 {
 		t.Errorf("capped update moved too far: %v", diff)
-	}
-}
-
-func TestEnsurePositive(t *testing.T) {
-	w := Vector{"default": 1, "bonus": -5}
-	minCost := func(w Vector) float64 {
-		// One edge with features {default:1, bonus:1} -> cost w·f
-		return w["default"] + w["bonus"]
-	}
-	out := EnsurePositive(w, minCost, 0.01)
-	if got := minCost(out); math.Abs(got-0.01) > 1e-12 {
-		t.Errorf("min cost after EnsurePositive = %v, want 0.01", got)
-	}
-	if w["default"] != 1 {
-		t.Error("input mutated")
-	}
-	// Already positive: unchanged.
-	w2 := Vector{"default": 3}
-	out2 := EnsurePositive(w2, func(w Vector) float64 { return w["default"] }, 0.01)
-	if out2["default"] != 3 {
-		t.Errorf("no-op case changed weights: %v", out2)
 	}
 }

@@ -1,10 +1,6 @@
 package learning
 
-import (
-	"cmp"
-	"slices"
-	"sort"
-)
+import "sort"
 
 // TreeExample represents one query tree for learning: the sum of its edges'
 // feature vectors (so that tree cost = w · Features) and the canonical keys
@@ -85,75 +81,72 @@ func NewMIRA() *MIRA {
 // Tr itself; its constraint is trivially satisfied since the loss is zero).
 // The previous weights are not mutated.
 func (m *MIRA) Update(prev Vector, target TreeExample, competitors []TreeExample) Vector {
-	return m.UpdateWithPositivity(prev, target, competitors, nil, 0)
+	return m.UpdateWithPositivity(prev, target, competitors, Positivity{})
 }
 
-// UpdateWithPositivity is Update plus Algorithm 4's edge-cost positivity
-// constraints (line 11: w · f_ij > 0 for every learnable edge): each vector
-// in edgeFeatures contributes the constraint w · f ≥ floor, solved jointly
-// with the margin constraints. Solving positivity inside the QP — rather
-// than offsetting weights afterwards — lets the solver redistribute mass
-// instead of driving one edge's weight far negative and then inflating
+// Positivity is Algorithm 4's edge-cost positivity constraint set (line 11:
+// w · f_ij > 0 for every learnable edge): each edge's features f contribute
+// the constraint w · f ≥ Floor. Edges are interned once, over Dict, by
+// their owner (the search-graph builder); More are interned per update,
+// after Edges, and their names may be missing from Dict.
+type Positivity struct {
+	Dict  *Dict
+	Edges []*Interned
+	More  []Vector
+	Floor float64
+}
+
+// UpdateWithPositivity is Update plus the positivity constraints, solved
+// jointly with the margin constraints. Solving positivity inside the QP —
+// rather than offsetting weights afterwards — lets the solver redistribute
+// mass instead of driving one edge's weight far negative and then inflating
 // every other edge to compensate.
 //
-// The solver runs over the update's features interned in sorted key order:
-// each constraint is a list of (index, value) entries, ascending, and the
-// weights it reads and writes are one dense slice. Every sum — w · d and
-// ‖d‖² — adds its terms in key order, so the new weights are a function of
-// the inputs to the last bit (sums in map order were not), and no sweep
-// touches a map.
-func (m *MIRA) UpdateWithPositivity(prev Vector, target TreeExample, competitors []TreeExample, edgeFeatures []Vector, floor float64) Vector {
-	// Constraints: w · d_i ≥ b_i with d_i = F(T_i) - F(Tr), b_i = L(Tr,T_i).
-	ds := make([]Vector, 0, len(competitors)+len(edgeFeatures))
-	for _, comp := range competitors {
-		ds = append(ds, comp.Features.Sub(target.Features))
+// Every constraint is a list of (id, value) entries in feature-name order,
+// and the weights it reads and writes are one dense slice over pos.Dict
+// extended by the names only this update uses. Every sum — w · d and
+// ‖d‖² — adds its terms in name order, so the new weights are a function of
+// the inputs to the last bit however the dictionary numbered the names,
+// and no sweep touches a map. Only the margin differences and pos.More are
+// interned here; pos.Edges arrive interned.
+func (m *MIRA) UpdateWithPositivity(prev Vector, target TreeExample, competitors []TreeExample, pos Positivity) Vector {
+	x := extension{base: pos.Dict}
+	if x.base == nil {
+		x.base = &Dict{}
 	}
-	ds = append(ds, edgeFeatures...)
-	keys, index := internKeys(ds)
-
 	type constraint struct {
-		entries []entry
-		b       float64
-		norm2   float64
-		capped  bool // margin constraints honour MaxAlpha; positivity must not
+		f      *Interned
+		b      float64
+		capped bool // margin constraints honour MaxAlpha; positivity must not
 	}
-	total := 0
-	for _, d := range ds {
-		total += len(d)
+	cons := make([]constraint, 0, len(competitors)+len(pos.Edges)+len(pos.More))
+	add := func(f *Interned, b float64, capped bool) {
+		if f.Norm2 != 0 { // zero: identical feature vectors, nothing to separate
+			cons = append(cons, constraint{f, b, capped})
+		}
 	}
-	var cons []constraint
-	all := make([]entry, 0, total)
-	for i, d := range ds {
-		lo := len(all)
-		for k, x := range d {
-			all = append(all, entry{index[k], x})
-		}
-		es := all[lo:]
-		slices.SortFunc(es, func(a, b entry) int { return cmp.Compare(a.j, b.j) })
-		n2 := 0.0
-		for _, e := range es {
-			n2 += e.x * e.x
-		}
-		if n2 == 0 {
-			all = all[:lo] // identical feature vectors: nothing to separate
-			continue
-		}
-		c := constraint{entries: es, b: floor, norm2: n2}
-		if i < len(competitors) {
-			c.b, c.capped = SymmetricLoss(target, competitors[i]), true
-		}
-		cons = append(cons, c)
+	// Constraints: w · d_i ≥ b_i with d_i = F(T_i) - F(Tr), b_i = L(Tr,T_i).
+	for _, comp := range competitors {
+		add(x.intern(comp.Features.Sub(target.Features)), SymmetricLoss(target, comp), true)
+	}
+	for _, f := range pos.Edges {
+		add(f, pos.Floor, false)
+	}
+	for _, v := range pos.More {
+		add(x.intern(v), pos.Floor, false)
 	}
 	w := prev.Clone()
 	if len(cons) == 0 {
 		return w
 	}
 
-	wv := make([]float64, len(keys))
-	for j, k := range keys {
-		wv[j] = prev[k]
+	wv := make([]float64, x.len())
+	for k, v := range prev {
+		if j, ok := x.lookup(k); ok {
+			wv[j] = v
+		}
 	}
-	touched := make([]bool, len(keys))
+	touched := make([]bool, len(wv))
 	maxIters := m.MaxIters
 	if maxIters <= 0 {
 		maxIters = 100
@@ -162,11 +155,7 @@ func (m *MIRA) UpdateWithPositivity(prev Vector, target TreeExample, competitors
 	for iter := 0; iter < maxIters; iter++ {
 		maxAdj := 0.0
 		for i, c := range cons {
-			dot := 0.0
-			for _, e := range c.entries {
-				dot += wv[e.j] * e.x
-			}
-			delta := (c.b - dot) / c.norm2
+			delta := (c.b - c.f.Dot(wv)) / c.f.Norm2
 			if delta < -alphas[i] {
 				delta = -alphas[i] // duals stay non-negative
 			}
@@ -175,9 +164,9 @@ func (m *MIRA) UpdateWithPositivity(prev Vector, target TreeExample, competitors
 			}
 			if delta != 0 {
 				alphas[i] += delta
-				for _, e := range c.entries {
-					wv[e.j] += delta * e.x
-					touched[e.j] = true
+				for _, e := range c.f.Entries {
+					wv[e.ID] += delta * e.X
+					touched[e.ID] = true
 				}
 			}
 			if a := abs(delta); a > maxAdj {
@@ -190,42 +179,50 @@ func (m *MIRA) UpdateWithPositivity(prev Vector, target TreeExample, competitors
 	}
 	// As AddScaled would have left them: a touched weight that ends at
 	// exactly zero is absent.
-	for j, k := range keys {
+	for j, t := range touched {
 		switch {
-		case !touched[j]:
+		case !t:
 		case wv[j] == 0:
-			delete(w, k)
+			delete(w, x.name(int32(j)))
 		default:
-			w[k] = wv[j]
+			w[x.name(int32(j))] = wv[j]
 		}
 	}
 	return w
 }
 
-// entry is one feature of a constraint: its interned index and value.
-type entry struct {
-	j int32
-	x float64
+// extension numbers the names one update uses: base's ids where base has
+// the name, and the ids from base.Len() on, in first-sight order, for the
+// names it lacks. base is only read; the extension dies with the update.
+type extension struct {
+	base  *Dict
+	local Dict
 }
 
-// internKeys returns the distinct keys of vs in ascending order, and each
-// key's index in that order.
-func internKeys(vs []Vector) ([]string, map[string]int32) {
-	index := make(map[string]int32)
-	var keys []string
-	for _, v := range vs {
-		for k := range v {
-			if _, ok := index[k]; !ok {
-				index[k] = 0
-				keys = append(keys, k)
-			}
+func (x *extension) lookup(k string) (int32, bool) {
+	if j, ok := x.base.ids[k]; ok {
+		return j, true
+	}
+	j, ok := x.local.ids[k]
+	return int32(x.base.Len()) + j, ok
+}
+
+func (x *extension) intern(v Vector) *Interned {
+	return intern(v, func(k string) int32 {
+		if j, ok := x.base.ids[k]; ok {
+			return j
 		}
+		return int32(x.base.Len()) + x.local.id(k)
+	})
+}
+
+func (x *extension) len() int { return x.base.Len() + x.local.Len() }
+
+func (x *extension) name(j int32) string {
+	if n := int32(x.base.Len()); j >= n {
+		return x.local.names[j-n]
 	}
-	slices.Sort(keys)
-	for j, k := range keys {
-		index[k] = int32(j)
-	}
-	return keys, index
+	return x.base.Name(j)
 }
 
 func abs(x float64) float64 {
@@ -233,20 +230,4 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
-}
-
-// EnsurePositive enforces Algorithm 4's positivity constraint
-// (w · f_ij > 0 for learnable edges) the way the paper describes: the
-// "default" feature appears on every learnable edge with value 1, so raising
-// its weight shifts every edge cost uniformly. minCost must return the
-// minimum learnable edge cost under the supplied weights; floor is the
-// desired minimum (> 0). The returned vector shares no state with w.
-func EnsurePositive(w Vector, minCost func(Vector) float64, floor float64) Vector {
-	out := w.Clone()
-	mc := minCost(out)
-	if mc >= floor {
-		return out
-	}
-	out["default"] += floor - mc
-	return out
 }

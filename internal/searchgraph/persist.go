@@ -77,7 +77,9 @@ func (g *Graph) Save(w io.Writer) error {
 // Load reconstructs a graph saved with Save. The returned graph has
 // identical node/edge ids, features, weights and costs. Keyword and value
 // nodes, and keyword and value-attr edges, belong to query overlays and
-// never to a saved graph: Load rejects them.
+// never to a saved graph: Load rejects them. It also rejects an association
+// edge whose endpoints are not the attribute nodes of its pair, and a
+// second association edge for one pair.
 func Load(r io.Reader) (*Graph, error) {
 	var s snapshot
 	dec := json.NewDecoder(r)
@@ -136,14 +138,18 @@ func Load(r io.Reader) (*Graph, error) {
 			}
 			e.B = ref
 		}
-		id := g.addEdge(steiner.NodeID(se.U), steiner.NodeID(se.V2), e)
+		u, v := steiner.NodeID(se.U), steiner.NodeID(se.V2)
 		if e.Kind == EdgeAssociation {
-			ka, kb := e.A.String(), e.B.String()
-			if kb < ka {
-				ka, kb = kb, ka
+			a, okA := g.s.attrNode[e.A]
+			b, okB := g.s.attrNode[e.B]
+			if !okA || !okB || !(u == a && v == b || u == b && v == a) {
+				return nil, fmt.Errorf("searchgraph: load edge %d: endpoints are not the attribute nodes of %s and %s", i, e.A, e.B)
 			}
-			g.s.assocSeen[ka+"~"+kb] = id
+			if g.association(e.A, e.B) >= 0 {
+				return nil, fmt.Errorf("searchgraph: load edge %d: a second association edge for %s and %s", i, e.A, e.B)
+			}
 		}
+		g.addEdge(u, v, e)
 	}
 	return g, nil
 }

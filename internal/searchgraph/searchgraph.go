@@ -126,6 +126,15 @@ func (n Node) Label() string {
 }
 
 // Edge is one search-graph edge with its learnable feature vector.
+//
+// The builder also keeps each learnable base edge's (foreign key or
+// association) features interned, beside the edge: made once, when the
+// builder makes, merges, restores or loads the edge, as (id, value) entries
+// in feature-name order over the builder's dictionary, with ‖f‖². The
+// builder prices the edge and a feedback update states the edge's
+// positivity constraint from them, so neither walks the Features map.
+// Features stays the edge's exported, persisted form, and the entries
+// always render back to it. Overlay keyword edges are not interned.
 type Edge struct {
 	ID       steiner.EdgeID
 	Kind     EdgeKind
@@ -150,13 +159,12 @@ type store struct {
 
 	nodes []Node
 	edges []Edge
+	// interned holds, per edge id, a learnable edge's Features over the
+	// builder's dictionary (Graph.dict); nil for a fixed edge.
+	interned []*learning.Interned
 
 	relNode  map[string]steiner.NodeID
 	attrNode map[relstore.AttrRef]steiner.NodeID
-
-	// assocSeen prevents duplicate association edges between the same
-	// attribute pair from the same origin.
-	assocSeen map[string]steiner.EdgeID
 
 	weights learning.Vector
 }
@@ -164,17 +172,18 @@ type store struct {
 // clone copies the store for copy-on-write. Slices of structs are copied
 // (costs and feature pointers mutate element-wise); the steiner adjacency
 // lists are shared, which is safe because appends on the newest store only
-// ever write beyond every frozen header's length. Feature maps are shared
-// too: edge-feature merges replace the map rather than mutating it in place.
+// ever write beyond every frozen header's length. Feature maps and interned
+// features are shared too: edge-feature merges replace them rather than
+// mutating them in place.
 func (s *store) clone() *store {
 	return &store{
-		sg:        s.sg.Clone(),
-		nodes:     append([]Node(nil), s.nodes...),
-		edges:     append([]Edge(nil), s.edges...),
-		relNode:   maps.Clone(s.relNode),
-		attrNode:  maps.Clone(s.attrNode),
-		assocSeen: maps.Clone(s.assocSeen),
-		weights:   s.weights.Clone(),
+		sg:       s.sg.Clone(),
+		nodes:    append([]Node(nil), s.nodes...),
+		edges:    append([]Edge(nil), s.edges...),
+		interned: append([]*learning.Interned(nil), s.interned...),
+		relNode:  maps.Clone(s.relNode),
+		attrNode: maps.Clone(s.attrNode),
+		weights:  s.weights.Clone(),
 	}
 }
 
@@ -188,6 +197,14 @@ type Graph struct {
 	snap       *Snapshot // cached snapshot of the current state
 	epoch      uint64    // bumped on every copy-on-write clone
 	staleCosts bool      // weights changed by ApplyWeightDelta since the last pricing
+
+	// dict names the ids of every interned edge feature. It is the
+	// builder's alone — snapshots, overlays and queries never read it — and
+	// append-only, so a Reset keeps it: a rolled-back edge's names stay
+	// interned, unused.
+	dict learning.Dict
+	// dense is reprice's scratch: the weights, dense over dict.
+	dense []float64
 }
 
 // New returns an empty search graph with the given initial weights. The
@@ -198,11 +215,10 @@ func New(weights learning.Vector) *Graph {
 	}
 	return &Graph{
 		s: &store{
-			sg:        steiner.NewGraph(),
-			relNode:   make(map[string]steiner.NodeID),
-			attrNode:  make(map[relstore.AttrRef]steiner.NodeID),
-			assocSeen: make(map[string]steiner.EdgeID),
-			weights:   weights.Clone(),
+			sg:       steiner.NewGraph(),
+			relNode:  make(map[string]steiner.NodeID),
+			attrNode: make(map[relstore.AttrRef]steiner.NodeID),
+			weights:  weights.Clone(),
 		},
 		owned: true,
 	}
@@ -254,10 +270,35 @@ func (g *Graph) Weights() learning.Vector { return g.s.weights }
 func (g *Graph) SetWeights(w learning.Vector) {
 	g.own()
 	g.s.weights = w.Clone()
-	for i := range g.s.edges {
-		g.refreshCost(steiner.EdgeID(i))
+	g.reprice()
+}
+
+// reprice recomputes every learnable edge cost from its interned features
+// against a dense copy of the weights; callers hold ownership. Fixed edges
+// cost zero from the start and keep it.
+func (g *Graph) reprice() {
+	g.dense = g.dict.Dense(g.s.weights, g.dense)
+	for id, f := range g.s.interned {
+		if f != nil {
+			g.s.sg.SetCost(steiner.EdgeID(id), quantiseCost(f.Dot(g.dense)))
+		}
 	}
 	g.staleCosts = false
+}
+
+// LearnableFeatures returns the interned features of every learnable base
+// edge, in edge-id order, and the dictionary that names their ids: the
+// positivity constraints of a feedback update (learning.Positivity). The
+// dictionary is the builder's; read it only while no other builder method
+// runs.
+func (g *Graph) LearnableFeatures() (*learning.Dict, []*learning.Interned) {
+	out := make([]*learning.Interned, 0, len(g.s.interned))
+	for _, f := range g.s.interned {
+		if f != nil {
+			out = append(out, f)
+		}
+	}
+	return &g.dict, out
 }
 
 // EnsureWeight installs a default weight for a feature that has none yet
@@ -280,7 +321,9 @@ func (g *Graph) Cost(id steiner.EdgeID) float64 { return g.s.sg.Edge(id).Cost }
 // weights w (Equation 1). Costs are quantised to 1e-9: the dot product sums
 // a map in iteration order, so the low bits of the float result vary run to
 // run, and unquantised costs would flip tie-breaks in top-k tree selection
-// nondeterministically. They are floored at MinEdgeCost.
+// nondeterministically. They are floored at MinEdgeCost. The builder prices
+// its edges the same way from their interned features, summing in
+// feature-name order.
 func EdgeCost(w, features learning.Vector) float64 { return quantiseCost(w.Dot(features)) }
 
 func quantiseCost(c float64) float64 {
@@ -291,23 +334,23 @@ func quantiseCost(c float64) float64 {
 	return c
 }
 
-// EdgeCostFor computes what an edge's cost would be under an arbitrary
-// weight vector, without mutating the graph.
-func (g *Graph) EdgeCostFor(id steiner.EdgeID, w learning.Vector) float64 {
-	return edgeCost(g.s.edges[id], w)
-}
-
-// edgeCost prices one edge: zero when fixed, EdgeCost otherwise.
-func edgeCost(e Edge, w learning.Vector) float64 {
-	if e.Fixed {
+// price prices an edge with interned features f under the current
+// weights, term for term as reprice sums them; a fixed edge (nil f) costs
+// zero.
+func (g *Graph) price(f *learning.Interned) float64 {
+	if f == nil {
 		return 0
 	}
-	return EdgeCost(w, e.Features)
+	return quantiseCost(f.DotVector(&g.dict, g.s.weights))
 }
 
-// refreshCost recomputes one edge's steiner cost; callers hold ownership.
-func (g *Graph) refreshCost(id steiner.EdgeID) {
-	g.s.sg.SetCost(id, edgeCost(g.s.edges[id], g.s.weights))
+// setFeatures replaces a learnable edge's features, interns them and
+// reprices the edge; callers hold ownership. Frozen snapshots share the
+// old map and entries, so neither is mutated.
+func (g *Graph) setFeatures(id steiner.EdgeID, f learning.Vector) {
+	g.s.edges[id].Features = f
+	g.s.interned[id] = g.dict.Intern(f)
+	g.s.sg.SetCost(id, g.price(g.s.interned[id]))
 }
 
 // Node returns the node with the given id.
@@ -330,12 +373,17 @@ func (g *Graph) addNode(n Node) steiner.NodeID {
 	return id
 }
 
-// addEdge appends an edge with a parallel steiner edge at the right cost;
-// callers own storage.
+// addEdge appends an edge with a parallel steiner edge at the right cost,
+// interning a learnable edge's features; callers own storage.
 func (g *Graph) addEdge(u, v steiner.NodeID, e Edge) steiner.EdgeID {
-	id := g.s.sg.AddEdge(u, v, edgeCost(e, g.s.weights))
+	var f *learning.Interned
+	if !e.Fixed {
+		f = g.dict.Intern(e.Features)
+	}
+	id := g.s.sg.AddEdge(u, v, g.price(f))
 	e.ID = id
 	g.s.edges = append(g.s.edges, e)
+	g.s.interned = append(g.s.interned, f)
 	return id
 }
 
@@ -404,21 +452,12 @@ func (g *Graph) AddForeignKeyEdge(from, to relstore.AttrRef) steiner.EdgeID {
 // again merges the new features into the existing edge (a second matcher
 // endorsing the same alignment) and returns the existing id.
 func (g *Graph) AddAssociationEdge(a, b relstore.AttrRef, features learning.Vector) steiner.EdgeID {
-	ka, kb := a.String(), b.String()
-	if kb < ka {
-		a, b = b, a
-		ka, kb = kb, ka
-	}
-	pairKey := ka + "~" + kb
-	if id, ok := g.s.assocSeen[pairKey]; ok {
+	a, b, ka, kb := canonicalPair(a, b)
+	if id := g.association(a, b); id >= 0 {
 		g.own()
-		// Replace the feature map rather than mutating it: frozen snapshots
-		// share feature pointers with the builder.
-		e := &g.s.edges[id]
-		merged := e.Features.Clone()
+		merged := g.s.edges[id].Features.Clone()
 		MergeMatcherFeatures(merged, features)
-		e.Features = merged
-		g.refreshCost(id)
+		g.setFeatures(id, merged)
 		return id
 	}
 	g.own()
@@ -427,17 +466,45 @@ func (g *Graph) AddAssociationEdge(a, b relstore.AttrRef, features learning.Vect
 	u := g.AttributeNode(a)
 	v := g.AttributeNode(b)
 	f := learning.Vector{
-		"default":           1,
-		"rel:" + a.Relation: 1,
-		"rel:" + b.Relation: 1,
-		"edge:" + pairKey:   1,
+		"default":               1,
+		"rel:" + a.Relation:     1,
+		"rel:" + b.Relation:     1,
+		"edge:" + ka + "~" + kb: 1,
 	}
 	for k, x := range features {
 		f[k] = x
 	}
-	id := g.addEdge(u, v, Edge{Kind: EdgeAssociation, Features: f, A: a, B: b})
-	g.s.assocSeen[pairKey] = id
-	return id
+	return g.addEdge(u, v, Edge{Kind: EdgeAssociation, Features: f, A: a, B: b})
+}
+
+// canonicalPair orders an attribute pair by rendered name, the order an
+// association edge stores it in, and returns the two names too.
+func canonicalPair(a, b relstore.AttrRef) (relstore.AttrRef, relstore.AttrRef, string, string) {
+	ka, kb := a.String(), b.String()
+	if kb < ka {
+		return b, a, kb, ka
+	}
+	return a, b, ka, kb
+}
+
+// association returns the association edge between a and b, or -1: there
+// is at most one per attribute pair, incident to both attribute nodes, so
+// it scans the incident edges of the endpoint with fewer.
+func (g *Graph) association(a, b relstore.AttrRef) steiner.EdgeID {
+	u, ok := g.s.attrNode[a]
+	v, ok2 := g.s.attrNode[b]
+	if !ok || !ok2 {
+		return -1
+	}
+	if g.s.sg.Degree(v) < g.s.sg.Degree(u) {
+		u = v
+	}
+	for _, id := range g.s.sg.Incident(u) {
+		if e := &g.s.edges[id]; e.Kind == EdgeAssociation && (e.A == a && e.B == b || e.A == b && e.B == a) {
+			return id
+		}
+	}
+	return -1
 }
 
 // MergeMatcherFeatures merges src into dst with matcher-endorsement
@@ -492,17 +559,6 @@ func parseMatcherBin(key string) (name string, bin int, ok bool) {
 		return "", 0, false
 	}
 	return rest[:i], n, true
-}
-
-// HasAssociation reports whether an association edge already exists between
-// the two attributes.
-func (g *Graph) HasAssociation(a, b relstore.AttrRef) bool {
-	ka, kb := a.String(), b.String()
-	if kb < ka {
-		ka, kb = kb, ka
-	}
-	_, ok := g.s.assocSeen[ka+"~"+kb]
-	return ok
 }
 
 // KwEdgeBaseWeight is the initial weight of each keyword edge's own

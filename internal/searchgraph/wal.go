@@ -27,25 +27,15 @@ import (
 // is created. Endpoint attribute nodes (and their relation nodes and fixed
 // edges) are created as needed.
 func (g *Graph) RestoreAssociationEdge(a, b relstore.AttrRef, features learning.Vector) steiner.EdgeID {
-	ka, kb := a.String(), b.String()
-	if kb < ka {
-		a, b = b, a
-		ka, kb = kb, ka
-	}
-	pairKey := ka + "~" + kb
-	if id, ok := g.s.assocSeen[pairKey]; ok {
-		g.own()
-		// Replace, never mutate: frozen snapshots share feature pointers.
-		g.s.edges[id].Features = features.Clone()
-		g.refreshCost(id)
+	a, b, _, _ = canonicalPair(a, b)
+	g.own()
+	if id := g.association(a, b); id >= 0 {
+		g.setFeatures(id, features.Clone())
 		return id
 	}
-	g.own()
 	u := g.AttributeNode(a)
 	v := g.AttributeNode(b)
-	id := g.addEdge(u, v, Edge{Kind: EdgeAssociation, Features: features.Clone(), A: a, B: b})
-	g.s.assocSeen[pairKey] = id
-	return id
+	return g.addEdge(u, v, Edge{Kind: EdgeAssociation, Features: features.Clone(), A: a, B: b})
 }
 
 // WeightDelta is the logged effect of one weight-vector mutation: the
@@ -105,8 +95,5 @@ func (g *Graph) RepriceEdges() {
 		return
 	}
 	g.own()
-	for i := range g.s.edges {
-		g.refreshCost(steiner.EdgeID(i))
-	}
-	g.staleCosts = false
+	g.reprice()
 }

@@ -303,7 +303,11 @@ func showRows(v *core.View, n int) {
 		return
 	}
 	fmt.Println("columns:", strings.Join(v.Result().Columns, " | "))
-	for i, r := range v.Result().TopK(n) {
+	rows := v.Result().Rows
+	if n > 0 && n < len(rows) {
+		rows = rows[:n]
+	}
+	for i, r := range rows {
 		fmt.Printf("[%d] cost=%.3f  %s\n", i, r.Cost, strings.Join(nonEmpty(r.Values), " | "))
 	}
 }

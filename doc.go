@@ -244,13 +244,14 @@
 // A serving layer (internal/qcache) sits between the HTTP server and the
 // engine, built on the observation that the snapshot machinery above makes
 // caching trivially correct: every published generation is immutable and
-// epoch-stamped, so any result computed at epoch e is a pure function of
-// (e, key) and a cache entry keyed by epoch NEVER needs invalidation — a
-// registration or feedback write publishes a new epoch, under which every
-// lookup misses. The publish also purges every entry of an older epoch, and
-// the cache refuses late puts of one, so it holds the live generation only:
-// a superseded generation is freed once no view or caller result holds it
-// (TestSupersededGenerationIsReleased). Two computations are
+// owns its caches, so any result cached in them is a pure function of
+// that generation and its key and NEVER needs invalidation. A registration
+// or feedback write publishes a new generation with new, empty caches, and
+// the superseded generation's caches become garbage together with it — no
+// purge, no refusal of late puts: a query still running against the old
+// generation fills only the old caches (TestSupersededGenerationIsReleased,
+// TestParkedQueryAnswersFromItsGeneration, TestHeldResultReleasesItsCaches).
+// Two computations are
 // memoised: keyword expansion (the scored, truncated keyword→value matches
 // of one keyword, keyed by (epoch, normalised keyword) — valid because
 // FindValues and the similarity scoring both normalise first) and full
@@ -264,12 +265,13 @@
 // Cached answers are byte-identical to the uncached path at every epoch:
 // the metamorphic suite in internal/core/cache_test.go drives a cached and
 // a cold engine through the same randomised query/registration/feedback
-// stream in lockstep under -race and compares every view byte-for-byte,
-// and caching is gated to PUBLISHED generations only (registration's
-// unpublished interim states bypass it). The capacities are fixed at 4096
-// expansion and 256 materialisation entries; Q.CacheStats exposes
-// hits/misses/computes/coalesced/evictions/live epochs (at most 1 each on a
-// quiesced instance).
+// stream in lockstep under -race and compares every view byte-for-byte.
+// Only published generations have caches: registration's unpublished
+// interim states, which reuse the previous epoch number, read straight
+// through. The capacities are fixed at 4096 expansion and 256
+// materialisation entries per generation; Q.CacheStats exposes the
+// engine's hits/misses/computes/coalesced/evictions totals and the live
+// generation's entries and live epochs (at most 1 each).
 //
 // # Durable storage
 //

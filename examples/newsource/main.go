@@ -72,7 +72,7 @@ func main() {
 	// The view has been refreshed; answers may now draw on the new source.
 	fmt.Println("\nrefreshed view:")
 	fmt.Println("columns:", strings.Join(view.Result().Columns, " | "))
-	for i, row := range view.Result().TopK(5) {
+	for i, row := range view.Result().Rows {
 		fmt.Printf("[%d] cost=%.3f %s\n", i, row.Cost, strings.Join(row.Values, " | "))
 	}
 }

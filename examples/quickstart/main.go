@@ -47,7 +47,7 @@ func main() {
 	// 4. Inspect the ranked view.
 	fmt.Printf("top-%d view over %v (alpha=%.3f)\n", view.K, view.Keywords, view.Alpha())
 	fmt.Println("columns:", strings.Join(view.Result().Columns, " | "))
-	for i, row := range view.Result().TopK(5) {
+	for i, row := range view.Result().Rows {
 		fmt.Printf("[%d] cost=%.3f %s\n", i, row.Cost, strings.Join(row.Values, " | "))
 	}
 

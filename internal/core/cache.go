@@ -13,14 +13,14 @@ import (
 
 // The serving-layer query cache. Repeated keyword traffic is the shape of
 // production load — few hot queries, many users — and against an unchanged
-// source catalog the work is identical every time. Because every published
-// state generation is immutable and epoch-stamped, a result computed at
-// epoch e is a pure function of (e, key): cache entries keyed by epoch
-// NEVER need invalidation — a registration or feedback write publishes a
-// new epoch, under which every lookup misses. The publish also purges both
-// caches of every older epoch, and a late Put of one is refused, so the
-// caches hold only the live generation and a superseded one is freed as
-// soon as no view or caller result still holds it.
+// source catalog the work is identical every time. Every published state
+// generation is immutable and owns its caches (qstate.qc): publishLocked
+// attaches a fresh, empty set to each new generation, so an entry is a pure
+// function of that generation and its key and can never go stale. A
+// registration or feedback write publishes a new generation, whose lookups
+// all miss; the superseded generation's caches become garbage together with
+// it, as soon as no in-flight query holds that qstate. Nothing purges,
+// refuses or invalidates.
 //
 // Two computations are memoised, both strictly above the engine and both
 // byte-identical to the uncached path (pinned by the metamorphic suite in
@@ -41,10 +41,8 @@ import (
 // identical misses into one computation (request coalescing): a thundering
 // herd on a cold key costs one pipeline run, not N.
 //
-// Caching is gated on PUBLISHED generations only (qstate.published):
-// registration runs keyword expansion against an unpublished interim state
-// that reuses the previous epoch number, and caching those results would
-// poison the cache for real queries at that epoch.
+// Registration runs keyword expansion against interim, unpublished states
+// (unpublishedStateLocked), which have no caches and read straight through.
 
 // valueMatch is one cached keyword→value expansion hit: everything
 // expandKeyword needs to wire the overlay edge, with the similarity
@@ -55,12 +53,9 @@ type valueMatch struct {
 	Sim   float64
 }
 
-// queryCaches bundles Q's per-instance serving caches (nil only on the
-// uncached oracle engines of the tests).
-//
-// The caches belong to one Q, and every option that shapes an answer is
-// fixed when New builds it (Load and Open build a new Q with new caches), so
-// no options fingerprint is needed in the keys.
+// queryCaches bundles one published generation's serving caches and their
+// singleflight groups. Every option that shapes an answer is fixed when New
+// builds the Q, so no options fingerprint is needed in the keys.
 type queryCaches struct {
 	exp  *qcache.Cache[[]valueMatch]
 	expG qcache.Group[[]valueMatch]
@@ -72,30 +67,25 @@ type queryCaches struct {
 // normalised keyword): the scored, truncated value matches of that keyword.
 // A materialisation entry is one (epoch, keyword sequence, k): the complete
 // immutable materialisation — trees, queries, ranked result, α, overlay —
-// far larger than an expansion, hence the smaller capacity. Both caches
-// hold the live generation only, so neither capacity bounds how many
-// generations stay in memory.
+// far larger than an expansion, hence the smaller capacity. Both bound one
+// generation's caches.
 const (
 	expansionCacheEntries       = 4096
 	materializationCacheEntries = 256
 )
 
-// newQueryCaches wires the serving caches for one Q instance.
-func newQueryCaches() *queryCaches {
-	return &queryCaches{
+// newQueryCaches builds a new generation's empty caches, counting into the
+// engine's registry so the totals survive every publish.
+func newQueryCaches(m *engineMetrics) *queryCaches {
+	qc := &queryCaches{
 		exp: qcache.New[[]valueMatch](expansionCacheEntries),
 		mat: qcache.New[*viewMat](materializationCacheEntries),
 	}
-}
-
-// setLiveEpoch announces a newly published generation to both caches,
-// which drop every entry of an older epoch.
-func (qc *queryCaches) setLiveEpoch(epoch uint64) {
-	if qc == nil {
-		return
-	}
-	qc.exp.SetLiveEpoch(epoch)
-	qc.mat.SetLiveEpoch(epoch)
+	qc.exp.Instrument(m.expHits, m.expMisses, m.expEvictions)
+	qc.expG.Instrument(m.expComputes, m.expCoalesced)
+	qc.mat.Instrument(m.matHits, m.matMisses, m.matEvictions)
+	qc.matG.Instrument(m.matComputes, m.matCoalesced)
+	return qc
 }
 
 // matCacheKey canonicalises a keyword query for the materialisation cache:
@@ -116,8 +106,9 @@ func matCacheKey(keywords []string, k int) string {
 
 // materializeCached is materializeAt behind the materialisation cache and
 // its singleflight group: a hit returns the shared immutable viewMat, a
-// miss computes once per in-flight key and caches the result. Unpublished
-// interim states (and the tests' uncached engines) read straight through.
+// miss computes once per in-flight key and caches the result in st's own
+// caches. A state without caches (an unpublished interim state, or a
+// generation of the tests' uncached engines) reads straight through.
 //
 // A trace records the lookup as cache_lookup; a caller that coalesces onto
 // another flight's compute records its blocked time as coalesced_wait
@@ -125,8 +116,8 @@ func matCacheKey(keywords []string, k int) string {
 // the pipeline), while the leader's own trace carries the stage spans the
 // compute recorded into it.
 func (q *Q) materializeCached(st *qstate, keywords []string, k int, tr *obs.Trace) (*viewMat, error) {
-	qc := q.qc
-	if qc == nil || !st.published {
+	qc := st.qc
+	if qc == nil {
 		return q.materializeAt(st, keywords, k, tr)
 	}
 	key := qcache.Key{Epoch: st.epoch, K: matCacheKey(keywords, k)}
@@ -163,8 +154,8 @@ func (q *Q) materializeCached(st *qstate, keywords []string, k int, tr *obs.Trac
 // thresholded and deterministically truncated — from the expansion cache
 // when possible. The result is shared and must be treated as immutable.
 func (q *Q) valueExpansions(st *qstate, kw string) []valueMatch {
-	qc := q.qc
-	if qc == nil || !st.published {
+	qc := st.qc
+	if qc == nil {
 		return q.computeValueExpansions(st, kw)
 	}
 	key := qcache.Key{Epoch: st.epoch, K: text.Normalize(kw)}
@@ -232,33 +223,37 @@ type CacheCounters struct {
 }
 
 // CacheStats is a point-in-time snapshot of the serving-layer cache
-// counters (all zero when the layer is disabled). Safe to call from any
-// goroutine, concurrently with queries and writers.
+// counters. Hits, Misses, Computes, Coalesced and Evictions are engine
+// totals across every generation; Entries and LiveEpochs describe the
+// live generation's caches. Safe to call from any goroutine, concurrently
+// with queries and writers.
 type CacheStats struct {
 	Enabled         bool          `json:"enabled"`
 	Expansion       CacheCounters `json:"expansion"`
 	Materialization CacheCounters `json:"materialization"`
 }
 
-// CacheStats snapshots the query-cache counters.
+// CacheStats snapshots the query-cache counters (all zero on the tests'
+// uncached engines).
 func (q *Q) CacheStats() CacheStats {
-	qc := q.qc
+	qc := q.state().qc
 	if qc == nil {
 		return CacheStats{}
 	}
+	m := q.metrics
 	return CacheStats{
 		Enabled:         true,
-		Expansion:       countersOf(qc.exp.Counters(), &qc.expG),
-		Materialization: countersOf(qc.mat.Counters(), &qc.matG),
+		Expansion:       countersOf(qc.exp.Counters(), m.expComputes, m.expCoalesced),
+		Materialization: countersOf(qc.mat.Counters(), m.matComputes, m.matCoalesced),
 	}
 }
 
-func countersOf[V any](c qcache.Counters, g *qcache.Group[V]) CacheCounters {
+func countersOf(c qcache.Counters, computes, coalesced *obs.Counter) CacheCounters {
 	return CacheCounters{
 		Hits:       c.Hits,
 		Misses:     c.Misses,
-		Computes:   g.Execs(),
-		Coalesced:  g.Coalesced(),
+		Computes:   uint64(computes.Load()),
+		Coalesced:  uint64(coalesced.Load()),
 		Evictions:  c.Evictions,
 		Entries:    c.Entries,
 		LiveEpochs: c.LiveEpochs,

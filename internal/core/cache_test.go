@@ -19,10 +19,13 @@ import (
 // diverges, the epoch-keying argument (no invalidation needed) is broken.
 
 // newUncached is New without the query caches: the cold oracle engine the
-// cache and planner suites compare against.
+// cache and planner suites compare against. Its first generation, published
+// by New, loses its caches before the engine is shared, and every later
+// publish attaches none.
 func newUncached(opts Options) *Q {
 	q := New(opts)
-	q.qc = nil
+	q.uncached = true
+	q.state().qc = nil
 	return q
 }
 
@@ -284,10 +287,11 @@ func TestConcurrentIdenticalQueriesComputeOnce(t *testing.T) {
 			fps <- fingerprintView(v)
 		}()
 	}
+	qc := q.state().qc
 	deadline := time.Now().Add(10 * time.Second)
-	for q.qc.matG.Waiting() != n-1 {
+	for qc.matG.Waiting() != n-1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d callers coalesced onto the flight", q.qc.matG.Waiting(), n-1)
+			t.Fatalf("only %d/%d callers coalesced onto the flight", qc.matG.Waiting(), n-1)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -299,10 +303,10 @@ func TestConcurrentIdenticalQueriesComputeOnce(t *testing.T) {
 			t.Fatal("coalesced queries returned different answers")
 		}
 	}
-	if execs := q.qc.matG.Execs(); execs != 1 {
+	if execs := qc.matG.Execs(); execs != 1 {
 		t.Fatalf("pipeline executed %d times for %d concurrent identical queries, want 1", execs, n)
 	}
-	if co := q.qc.matG.Coalesced(); co != n-1 {
+	if co := qc.matG.Coalesced(); co != n-1 {
 		t.Fatalf("coalesced = %d, want %d", co, n-1)
 	}
 	// All n views share ONE materialisation object.

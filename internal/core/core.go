@@ -98,8 +98,9 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Stats counts the alignment work done during source registration; the
-// Figure 6–8 experiments read these counters.
+// Stats counts the alignment work done during source registration: engine
+// totals that only grow (a RegisterReport carries one registration's
+// share, which the Figure 7 experiment sums).
 //
 // The counters are registry-owned (see internal/obs): New wires each field
 // to the engine's qint_align_* metric families, so this struct is a typed
@@ -129,15 +130,6 @@ func (s *Stats) ColumnComparisonsUnfiltered() int {
 	return int(s.columnComparisonsUnfiltered.Load())
 }
 
-// Reset zeroes the counters. (The registry sees the reset too — the
-// /metrics families and this view are the same counters; Prometheus-style
-// consumers treat a decrease as an ordinary counter reset.)
-func (s *Stats) Reset() {
-	s.baseMatcherCalls.Store(0)
-	s.attrComparisons.Store(0)
-	s.columnComparisonsUnfiltered.Store(0)
-}
-
 // qstate is one published generation of Q's shared read state. Writers
 // build the next generation under writerMu and swap it in atomically;
 // queries load it once and work against it for their whole lifetime, so a
@@ -154,12 +146,12 @@ type qstate struct {
 	// unpublished states) — the qint_epoch_age_seconds gauge and the /stats
 	// epoch-age field read it.
 	publishedAt time.Time
-	// published marks a real, committed generation — the only kind the
-	// query caches may key on. Registration builds interim qstates over the
-	// half-built next generation (unpublishedStateLocked) that reuse the
-	// previous epoch number; caching anything computed against one would
-	// poison the cache for that epoch.
-	published bool
+	// qc is this generation's own query caches, attached empty by
+	// publishLocked and garbage together with the generation. It is nil on
+	// the interim states registration builds over the half-built next
+	// generation (unpublishedStateLocked), which reuse the previous epoch
+	// number and so must not cache, and on the tests' uncached engines.
+	qc *queryCaches
 }
 
 // Q is the integration system.
@@ -206,10 +198,6 @@ type Q struct {
 	binner   learning.Binner
 	mira     *learning.MIRA
 
-	// invalidators are called when the catalog grows (matcher caches).
-	// Accessed under writerMu only.
-	invalidators []func()
-
 	// writerMu serialises all mutating operations.
 	writerMu sync.Mutex
 	// st is the published read state; never nil after New.
@@ -224,10 +212,9 @@ type Q struct {
 	views      []*View
 	nextViewID int64
 
-	// qc is the serving-layer query cache (nil when disabled). Its entries
-	// are keyed by published epoch, so it needs no invalidation: a publish
-	// purges the entries of older epochs.
-	qc *queryCaches
+	// uncached, set by the tests' cold oracle engines only, publishes
+	// generations without query caches.
+	uncached bool
 
 	// matComputeHook, when set (tests only, before concurrency starts), is
 	// called inside the singleflight'd materialisation compute — the
@@ -269,7 +256,6 @@ func New(opts Options) *Q {
 		binner:  learning.DefaultBinner(),
 		mira:    learning.NewMIRA(),
 		corpus:  text.NewCorpus(),
-		qc:      newQueryCaches(),
 	}
 	q.instrumentEngine(newEngineMetrics())
 	q.publishLocked()
@@ -298,11 +284,11 @@ func (q *Q) Epoch() uint64 { return q.state().epoch }
 // /stats reports the age alongside the epoch number.
 func (q *Q) EpochTime() time.Time { return q.state().publishedAt }
 
-// publishLocked publishes the builder state as the next read generation
-// and frees the query caches of the one it supersedes. Callers hold
-// writerMu (or are inside New, before any concurrency). When nothing
-// changed since the last publish the previous generation is returned
-// unchanged, so idempotent writers do not churn epochs.
+// publishLocked publishes the builder state as the next read generation,
+// with new, empty query caches of its own. Callers hold writerMu (or are
+// inside New, before any concurrency). When nothing changed since the last
+// publish the previous generation is returned unchanged, so idempotent
+// writers do not churn epochs.
 func (q *Q) publishLocked() *qstate {
 	snap := q.graph.Snapshot()
 	prev := q.st.Load()
@@ -316,14 +302,11 @@ func (q *Q) publishLocked() *qstate {
 		corpus:      q.corpus,
 		epoch:       q.epoch,
 		publishedAt: time.Now(),
-		published:   true,
+	}
+	if !q.uncached {
+		st.qc = newQueryCaches(q.metrics)
 	}
 	q.st.Store(st)
-	// Announce the new generation to the query caches, which purge every
-	// entry of an older epoch: past this point only a view not yet
-	// refreshed, an in-flight query or a caller's result keeps the
-	// superseded generation alive.
-	q.qc.setLiveEpoch(st.epoch)
 	return st
 }
 
@@ -437,8 +420,7 @@ func DefaultWeights() learning.Vector {
 // bins cost less, and an edge a matcher did NOT endorse pays the absent
 // penalty — so agreement between matchers lowers an association's initial
 // cost rather than stacking endorsement costs. Register all matchers
-// before running alignments so absent markers are complete. An invalidate
-// function, if the matcher exposes one, is called when the catalog grows.
+// before running alignments so absent markers are complete.
 //
 // Only missing weights are installed, so re-registering a matcher after
 // Open or Load leaves the graph, the epoch and the views untouched. The
@@ -447,9 +429,6 @@ func (q *Q) AddMatcher(m matcher.Matcher) {
 	q.writerMu.Lock()
 	defer q.writerMu.Unlock()
 	q.matchers = append(q.matchers, m)
-	if inv, ok := m.(interface{ Invalidate() }); ok {
-		q.invalidators = append(q.invalidators, inv.Invalidate)
-	}
 	w := q.graph.Weights()
 	missing := learning.Vector{}
 	for bin := 0; bin < q.binner.NumBins(); bin++ {
@@ -519,9 +498,6 @@ func (q *Q) addTablesLocked(tables ...*relstore.Table) error {
 	// each NEW table, one task per table across the worker pool; segments
 	// are per-table and immutable, so nothing global rebuilds.
 	q.catalog.BuildValueIndex(q.width)
-	for _, inv := range q.invalidators {
-		inv()
-	}
 	return nil
 }
 

@@ -419,6 +419,29 @@ func TestValueOverlapFilterReducesComparisons(t *testing.T) {
 	}
 }
 
+// TestRegisterReportCountsOwnComparisons pins that a registration report
+// counts that registration's attribute comparisons, not the engine's
+// running total: each of two registrations reports exactly what it added
+// to Stats.
+func TestRegisterReportCountsOwnComparisons(t *testing.T) {
+	q := newFixtureQ(t, false)
+	q.AddMatcher(meta.New())
+	for step := 0; step < 2; step++ {
+		before := q.Stats.AttrComparisons()
+		rep, err := q.RegisterSource(cacheRegSource(t, step), Exhaustive)
+		if err != nil {
+			t.Fatal(err)
+		}
+		own := q.Stats.AttrComparisons() - before
+		if own == 0 {
+			t.Fatalf("registration %d compared nothing; the check is vacuous", step)
+		}
+		if rep.AttrComparisons != own {
+			t.Errorf("registration %d reports %d attribute comparisons, made %d", step, rep.AttrComparisons, own)
+		}
+	}
+}
+
 func TestFeedbackFavorsTargetTree(t *testing.T) {
 	q := newFixtureQ(t, true)
 	v, err := queryStr(q, "'plasma membrane' 'Kringle domain'")

@@ -45,7 +45,7 @@ func (q *Q) Explain(v *View, rowIdx int) (*Explanation, error) {
 	if err != nil {
 		return nil, err
 	}
-	cq, err := treeToQuery(mat.st, mat.ov, tree)
+	cq, err := treeToQuery(mat.cat, mat.ov, tree)
 	if err != nil {
 		return nil, err
 	}
@@ -54,7 +54,7 @@ func (q *Q) Explain(v *View, rowIdx int) (*Explanation, error) {
 	// A plan rendering failure must not silently vanish from the
 	// explanation (it used to): count it and surface the error in place of
 	// the plan lines — the rest of the provenance is still valid.
-	if plan, perr := relstore.ExplainPlan(mat.st.cat, cq); perr != nil {
+	if plan, perr := relstore.ExplainPlan(mat.cat, cq); perr != nil {
 		q.metrics.explainErrors.Inc()
 		ex.Plan = []string{fmt.Sprintf("plan: %v", perr)}
 	} else {

@@ -57,9 +57,10 @@ type engineMetrics struct {
 	execBranches *obs.Counter // qint_exec_branches_total
 	execRows     *obs.Counter // qint_exec_rows_total
 
-	// Serving-cache activity, labelled by cache. The qcache instances and
-	// singleflight groups write these directly (Instrument), so CacheStats
-	// reads and /metrics report the same numbers.
+	// Serving-cache activity, labelled by cache. Every generation's qcache
+	// instances and singleflight groups write these directly (Instrument),
+	// so the totals span publishes and CacheStats reads and /metrics report
+	// the same numbers.
 	expHits, expMisses, expEvictions *obs.Counter
 	expComputes, expCoalesced        *obs.Counter
 	matHits, matMisses, matEvictions *obs.Counter
@@ -156,12 +157,6 @@ func (q *Q) instrumentEngine(m *engineMetrics) {
 		baseMatcherCalls:            m.baseMatcherCalls,
 		attrComparisons:             m.attrComparisons,
 		columnComparisonsUnfiltered: m.columnComparisonsUnfiltered,
-	}
-	if qc := q.qc; qc != nil {
-		qc.exp.Instrument(m.expHits, m.expMisses, m.expEvictions)
-		qc.expG.Instrument(m.expComputes, m.expCoalesced)
-		qc.mat.Instrument(m.matHits, m.matMisses, m.matEvictions)
-		qc.matG.Instrument(m.matComputes, m.matCoalesced)
 	}
 	m.reg.GaugeFunc("qint_epoch", "Current published state generation.", func() float64 {
 		return float64(q.Epoch())

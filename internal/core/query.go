@@ -39,11 +39,13 @@ type View struct {
 // viewMat is one immutable materialisation of a view: everything computed
 // from one published state generation. Its trees and queries reference node
 // and edge ids of its own overlay (ov), which extends the generation's
-// graph snapshot — so provenance stays resolvable for explain and feedback
-// for as long as the materialisation is current.
+// graph snapshot, and its column lookups read the generation's catalog —
+// so provenance stays resolvable for explain and feedback for as long as
+// the materialisation is held. It keeps the catalog, not the qstate, so a
+// held materialisation never pins its generation's query caches.
 type viewMat struct {
 	epoch     uint64
-	st        *qstate
+	cat       *relstore.Catalog
 	ov        *searchgraph.Overlay
 	terminals []steiner.NodeID
 
@@ -356,7 +358,7 @@ func (q *Q) materializeAt(st *qstate, keywords []string, k int, tr *obs.Trace) (
 	}
 	m := &viewMat{
 		epoch:     st.epoch,
-		st:        st,
+		cat:       st.cat,
 		ov:        ov,
 		terminals: terminals,
 		trees:     trees,
@@ -422,7 +424,7 @@ func (q *Q) planOverlay(st *qstate, ov *searchgraph.Overlay, terminals []steiner
 	sigs := make(map[string]bool)
 	queryTree = make([]int, 0, len(trees))
 	for i, t := range trees {
-		cq, err := treeToQuery(st, ov, t)
+		cq, err := treeToQuery(st.cat, ov, t)
 		if err != nil {
 			return nil, nil, nil, err
 		}
@@ -517,7 +519,7 @@ func (q *Q) refreshLocked(st *qstate) error {
 // ever append, so a tree from an earlier published base resolves here too.
 func (q *Q) TreeQuery(t steiner.Tree) (*relstore.ConjunctiveQuery, error) {
 	st := q.state()
-	return treeToQuery(st, st.graph.NewOverlay(), t)
+	return treeToQuery(st.cat, st.graph.NewOverlay(), t)
 }
 
 // treeToQuery converts a Steiner tree over the query overlay into a
@@ -525,7 +527,7 @@ func (q *Q) TreeQuery(t steiner.Tree) (*relstore.ConjunctiveQuery, error) {
 // zero-cost edges from attribute/value nodes) become atoms; foreign-key and
 // association edges become join conditions; keyword→value edges become
 // selection conditions; attribute and value nodes drive the projection.
-func treeToQuery(st *qstate, ov *searchgraph.Overlay, t steiner.Tree) (*relstore.ConjunctiveQuery, error) {
+func treeToQuery(cat *relstore.Catalog, ov *searchgraph.Overlay, t steiner.Tree) (*relstore.ConjunctiveQuery, error) {
 	cq := &relstore.ConjunctiveQuery{Cost: t.Cost}
 	alias := make(map[string]string) // relation -> alias
 
@@ -587,7 +589,7 @@ func treeToQuery(st *qstate, ov *searchgraph.Overlay, t steiner.Tree) (*relstore
 	// merge with compatible columns.
 	nameUsed := make(map[string]bool)
 	for _, atom := range cq.Atoms {
-		rel := st.cat.Relation(atom.Relation)
+		rel := cat.Relation(atom.Relation)
 		if rel == nil {
 			continue
 		}

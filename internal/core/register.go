@@ -48,7 +48,7 @@ type RegisterReport struct {
 	NewRelations     []string
 	TargetsCompared  []string
 	MatcherCalls     int
-	AttrComparisons  int
+	AttrComparisons  int // this registration's attribute comparisons only
 	AlignmentsAdded  int
 	AlignmentsByPair map[string]float64 // "a~b" -> best confidence
 }
@@ -262,15 +262,16 @@ func (q *Q) matchPair(m matcher.Matcher, newRel, target *relstore.Relation, repo
 	q.Stats.columnComparisonsUnfiltered.Add(int64(nAttrs))
 
 	allowed := func(relstore.AttrRef, relstore.AttrRef) bool { return true }
+	compared := nAttrs
 	if q.opts.ValueOverlapFilter {
 		pairs := q.catalog.OverlappingAttrPairs(newRel, target)
-		q.Stats.attrComparisons.Add(int64(len(pairs)))
+		compared = len(pairs)
 		allowed = func(a, b relstore.AttrRef) bool {
 			return pairs[[2]relstore.AttrRef{a, b}] || pairs[[2]relstore.AttrRef{b, a}]
 		}
-	} else {
-		q.Stats.attrComparisons.Add(int64(nAttrs))
 	}
+	q.Stats.attrComparisons.Add(int64(compared))
+	report.AttrComparisons += compared
 
 	q.Stats.baseMatcherCalls.Add(1)
 	report.MatcherCalls++
@@ -280,7 +281,6 @@ func (q *Q) matchPair(m matcher.Matcher, newRel, target *relstore.Relation, repo
 			filtered = append(filtered, al)
 		}
 	}
-	report.AttrComparisons = q.Stats.AttrComparisons()
 	return filtered
 }
 

@@ -183,11 +183,11 @@ func RunFig7() ([]Fig7Row, error) {
 					return nil, fmt.Errorf("eval: fig7 trial setup: %w", err)
 				}
 				for _, src := range trial.NewSources {
-					q.Stats.Reset()
-					if _, err := q.RegisterSource(sourceTables(corpus, src), strat); err != nil {
+					report, err := q.RegisterSource(sourceTables(corpus, src), strat)
+					if err != nil {
 						return nil, fmt.Errorf("eval: fig7 register %s: %w", src, err)
 					}
-					totalComparisons += q.Stats.AttrComparisons()
+					totalComparisons += report.AttrComparisons
 					n++
 				}
 			}

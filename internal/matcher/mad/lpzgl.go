@@ -129,6 +129,8 @@ func lpSweep(g *Graph, cur, next []map[int]float64, workers int) float64 {
 // The graph construction (numeric pruning, degree-1 pruning, seeding) is
 // shared with MAD; only the propagation differs.
 func (m *Matcher) UseLPZGL(iterations int) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.runOverride = func(g *Graph) *Result { return g.RunLPZGL(iterations, 1e-6) }
-	m.Invalidate()
+	m.cache = nil
 }

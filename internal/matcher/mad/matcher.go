@@ -12,9 +12,13 @@ import (
 // Matcher adapts MAD label propagation to Q's matcher.Matcher interface.
 // Propagation is global — it runs once over the whole catalog (plus the new
 // relation, which is part of the same catalog by registration time) and is
-// cached; Match then answers per relation pair by filtering each attribute's
-// label distribution. From Q's perspective it remains a black box emitting
-// (attribute, attribute, confidence) triples (paper §3.2.3).
+// cached under (catalog pointer, relation count); Match then answers per
+// relation pair by filtering each attribute's label distribution. A
+// published catalog is never written and a write that adds tables works on
+// a fresh copy-on-write clone, so the key changes whenever the catalog
+// does and the cache needs no invalidation. From Q's perspective it
+// remains a black box emitting (attribute, attribute, confidence) triples
+// (paper §3.2.3).
 type Matcher struct {
 	Params Params
 	// TopY bounds how many candidate labels per attribute are considered.
@@ -101,14 +105,6 @@ func (m *Matcher) Match(cat *relstore.Catalog, a, b *relstore.Relation) []matche
 	}
 	matcher.SortByConfidence(out)
 	return out
-}
-
-// Invalidate drops the cached propagation; Q calls this after the catalog
-// gains a new source so the next Match re-propagates.
-func (m *Matcher) Invalidate() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.cache = nil
 }
 
 func (m *Matcher) propagate(cat *relstore.Catalog) *propagation {

@@ -4,16 +4,13 @@
 // caller-defined key within it — and a singleflight group that collapses
 // concurrent identical misses into one computation.
 //
-// Epoch keying is what makes the cache correct without any invalidation
-// protocol. Every published state generation of Q is immutable and carries
-// a unique epoch: a cached result computed at epoch e is a pure
-// function of (e, key), so it can never go stale — a registration or
-// feedback write publishes a NEW epoch, under which every lookup simply
-// misses. Announcing that epoch (SetLiveEpoch) drops every entry of an
-// older one, and Put refuses them afterwards, so the cache holds only the
-// live generation: a superseded generation stays reachable from it for no
-// longer than the publish that replaces it. The write path takes each
-// shard lock once, for the purge, and never waits for a query to finish.
+// The cache needs no invalidation protocol because it never outlives what
+// it memoises: core gives every published generation of Q its own caches,
+// so a value computed at epoch e is a pure function of (e, key) and dies
+// with that generation. A registration or feedback write publishes a new
+// generation with new, empty caches, and the superseded ones become
+// garbage together with the state they were computed from. Keys still
+// carry the epoch, which the shard hash folds in.
 //
 // The cache itself knows nothing about Q: core wires one Cache per
 // memoised computation (keyword expansion, view materialisation) and the
@@ -22,7 +19,6 @@ package qcache
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"qint/internal/obs"
 )
@@ -36,11 +32,9 @@ type Key struct {
 
 // Counters is a point-in-time snapshot of a cache's activity counters.
 // Hits and Misses count Get outcomes; Evictions counts entries dropped for
-// capacity (not those SetLiveEpoch purges); Entries is the current resident
-// count and LiveEpochs the number of distinct epochs those entries were
-// computed at: at most 1 on a quiesced instance. Only a reader that
-// computed at a new epoch before its SetLiveEpoch landed can briefly make
-// it 2.
+// capacity; Entries is the current resident count and LiveEpochs the
+// number of distinct epochs those entries were computed at (at most 1 for
+// a cache that belongs to one generation).
 type Counters struct {
 	Hits       uint64
 	Misses     uint64
@@ -51,15 +45,10 @@ type Counters struct {
 
 // Cache is a sharded LRU over (epoch, key) entries with a fixed total
 // capacity in entries. All methods are safe for concurrent use; each shard
-// serialises on its own mutex, so unrelated keys rarely contend.
-//
-// Entries older than the epoch last announced via SetLiveEpoch are never
-// resident once that call returns: it purges them, and Put refuses them.
-// Eviction for capacity therefore sees only live entries and takes the
-// plain LRU tail.
+// serialises on its own mutex, so unrelated keys rarely contend. A full
+// shard evicts its LRU tail.
 type Cache[V any] struct {
 	shards []*cshard[V]
-	live   atomic.Uint64 // announced epoch: no entry below it is kept
 
 	// Activity counters. New allocates private ones; Instrument swaps in
 	// registry-owned counters so the cache's activity is a first-class
@@ -86,14 +75,11 @@ type cshard[V any] struct {
 	tail    *entry[V]
 }
 
-// New returns a cache holding at most capacity entries in total.
-// capacity <= 0 returns nil: a nil *Cache is valid and behaves as a
-// disabled cache (Get always misses without counting, Put is a no-op), so
-// callers can wire the knob straight through.
+// New returns a cache holding at most capacity entries in total; capacity
+// must be positive. The shard maps start empty and grow with use: core
+// makes two caches per publish, and presizing them would allocate their
+// full capacity every time.
 func New[V any](capacity int) *Cache[V] {
-	if capacity <= 0 {
-		return nil
-	}
 	n := numShards
 	if capacity < n {
 		n = capacity
@@ -106,7 +92,7 @@ func New[V any](capacity int) *Cache[V] {
 	}
 	per := (capacity + n - 1) / n
 	for i := range c.shards {
-		c.shards[i] = &cshard[V]{cap: per, entries: make(map[Key]*entry[V], per)}
+		c.shards[i] = &cshard[V]{cap: per, entries: make(map[Key]*entry[V])}
 	}
 	return c
 }
@@ -116,11 +102,8 @@ func New[V any](capacity int) *Cache[V] {
 // evictions surface as metric families without a second accounting.
 // Writer-side setup: call it before the cache is shared with concurrent
 // users — the counters are swapped, not merged, and prior counts stay in
-// the old ones. Nil arguments and a nil cache are no-ops.
+// the old ones. Nil arguments are no-ops.
 func (c *Cache[V]) Instrument(hits, misses, evictions *obs.Counter) {
-	if c == nil {
-		return
-	}
 	if hits != nil {
 		c.hits = hits
 	}
@@ -129,29 +112,6 @@ func (c *Cache[V]) Instrument(hits, misses, evictions *obs.Counter) {
 	}
 	if evictions != nil {
 		c.evictions = evictions
-	}
-}
-
-// SetLiveEpoch announces the currently published generation and drops
-// every entry computed at an older epoch, in every shard, so the cache no
-// longer keeps a superseded generation reachable. Callers invoke it on
-// every publish with a non-decreasing epoch. The store precedes the purge:
-// a Put that takes a shard lock after that shard's purge sees the new
-// epoch and refuses a dead key, and one that took it before has its entry
-// purged.
-func (c *Cache[V]) SetLiveEpoch(epoch uint64) {
-	if c == nil {
-		return
-	}
-	c.live.Store(epoch)
-	for _, s := range c.shards {
-		s.mu.Lock()
-		for k, e := range s.entries {
-			if k.Epoch < epoch {
-				s.remove(e)
-			}
-		}
-		s.mu.Unlock()
 	}
 }
 
@@ -175,9 +135,6 @@ func (c *Cache[V]) shard(k Key) *cshard[V] {
 // Get returns the cached value for k, marking it most-recently-used.
 func (c *Cache[V]) Get(k Key) (V, bool) {
 	var zero V
-	if c == nil {
-		return zero, false
-	}
 	s := c.shard(k)
 	s.mu.Lock()
 	e, ok := s.entries[k]
@@ -194,19 +151,10 @@ func (c *Cache[V]) Get(k Key) (V, bool) {
 }
 
 // Put inserts (or refreshes) the value for k, evicting the LRU tail if the
-// shard is at capacity. A key older than the live epoch is dropped: the
-// reader that computed it started before the publish that superseded its
-// generation, and keeping it would pin that generation again.
+// shard is at capacity.
 func (c *Cache[V]) Put(k Key, v V) {
-	if c == nil {
-		return
-	}
 	s := c.shard(k)
 	s.mu.Lock()
-	if k.Epoch < c.live.Load() {
-		s.mu.Unlock()
-		return
-	}
 	if e, ok := s.entries[k]; ok {
 		e.val = v
 		s.moveToFront(e)
@@ -273,27 +221,10 @@ func (s *cshard[V]) moveToFront(e *entry[V]) {
 	s.head = e
 }
 
-// Len returns the current number of resident entries.
-func (c *Cache[V]) Len() int {
-	if c == nil {
-		return 0
-	}
-	n := 0
-	for _, s := range c.shards {
-		s.mu.Lock()
-		n += len(s.entries)
-		s.mu.Unlock()
-	}
-	return n
-}
-
-// Counters snapshots the cache's activity counters (all zero on a nil,
-// disabled cache). LiveEpochs walks the shards, so it is O(entries);
-// intended for /stats and shells, not hot paths.
+// Counters snapshots the cache's activity counters. LiveEpochs walks the
+// shards, so it is O(entries); intended for /stats and shells, not hot
+// paths.
 func (c *Cache[V]) Counters() Counters {
-	if c == nil {
-		return Counters{}
-	}
 	epochs := make(map[uint64]struct{})
 	n := 0
 	for _, s := range c.shards {

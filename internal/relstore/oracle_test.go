@@ -421,7 +421,7 @@ func oracleTopKUnion(c *Catalog, queries []*ConjunctiveQuery, k int, prov []stri
 		branches[i] = Branch{Result: rs, Cost: q.Cost, Provenance: prov[i]}
 	}
 	full := DisjointUnion(branches)
-	return &UnionResult{Columns: full.Columns, Rows: full.TopK(k)}, nil
+	return &UnionResult{Columns: full.Columns, Rows: full.Rows[:min(k, len(full.Rows))]}, nil
 }
 
 // naiveJoinOrder is the unplanned spec order: traverse the join graph

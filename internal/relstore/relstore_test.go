@@ -368,12 +368,6 @@ func TestDisjointUnion(t *testing.T) {
 	if u.Rows[0].Values[0] != "nucleus" {
 		t.Errorf("shared column misaligned: %+v", u.Rows[0])
 	}
-	if got := u.TopK(2); len(got) != 2 {
-		t.Errorf("TopK(2) = %d rows", len(got))
-	}
-	if got := u.TopK(0); len(got) != 3 {
-		t.Errorf("TopK(0) should return all rows, got %d", len(got))
-	}
 }
 
 func TestTableColumn(t *testing.T) {

@@ -475,8 +475,8 @@ type TopKUnionStats struct {
 // that branch query's Cost and loses ties to earlier branches, so once k rows
 // with cost ≤ that Cost exist, branch i cannot contribute and is never
 // executed. The returned union holds exactly the top k rows (fewer if the
-// branches yield fewer) and is byte-identical to
-// DisjointUnion(all branches).TopK(k); the unified column list still spans
+// branches yield fewer) and is byte-identical to the first k rows of
+// DisjointUnion(all branches); the unified column list still spans
 // every branch's projection (skipped branches' columns are known from their
 // queries without executing them). k <= 0 keeps every row.
 //

@@ -72,11 +72,3 @@ func DisjointUnion(branches []Branch) *UnionResult {
 	})
 	return out
 }
-
-// TopK returns the first k rows of the union (or all rows if fewer).
-func (u *UnionResult) TopK(k int) []UnionRow {
-	if k <= 0 || k >= len(u.Rows) {
-		return u.Rows
-	}
-	return u.Rows[:k]
-}

@@ -71,7 +71,7 @@ func TestOverlayNeverLeaksIntoBase(t *testing.T) {
 	if err := g.Save(&before); err != nil {
 		t.Fatal(err)
 	}
-	epoch := g.Epoch()
+	snap0 := g.Snapshot()
 
 	queries := [][2]string{
 		{"membrane", "IPR1"},
@@ -93,8 +93,8 @@ func TestOverlayNeverLeaksIntoBase(t *testing.T) {
 		t.Errorf("overlay queries leaked into the base graph\nbefore: %s\nafter:  %s",
 			before.String(), after.String())
 	}
-	if g.Epoch() != epoch {
-		t.Errorf("overlay queries bumped the builder epoch %d -> %d", epoch, g.Epoch())
+	if g.Snapshot() != snap0 {
+		t.Error("overlay queries made the builder clone its storage")
 	}
 	if sum := g.Summary(); sum.Keywords != 0 || sum.Values != 0 {
 		t.Errorf("base graph grew %d keyword and %d value nodes", sum.Keywords, sum.Values)
@@ -103,12 +103,11 @@ func TestOverlayNeverLeaksIntoBase(t *testing.T) {
 
 // TestSnapshotFrozenUnderWriter pins copy-on-write: a snapshot taken
 // before a mutation keeps its exact node/edge counts and costs while the
-// builder moves on, and the builder's epoch advances.
+// builder moves on, and the next snapshot is a new one.
 func TestSnapshotFrozenUnderWriter(t *testing.T) {
 	g, _ := overlayFixture(t)
 	snap := g.Snapshot()
 	nodes, edges := snap.NumNodes(), snap.NumEdges()
-	epoch := snap.Epoch()
 	assocCost := snap.Cost(snap.AssociationList()[0].ID)
 
 	// Writer mutations of every flavour.
@@ -127,9 +126,6 @@ func TestSnapshotFrozenUnderWriter(t *testing.T) {
 	if got := snap.Cost(snap.AssociationList()[0].ID); got != assocCost {
 		t.Errorf("snapshot edge cost changed under SetWeights: %v -> %v", assocCost, got)
 	}
-	if g.Epoch() == epoch {
-		t.Error("builder epoch did not advance across a mutation")
-	}
 	if g.NumEdges() == edges {
 		t.Error("builder did not gain the new edge")
 	}
@@ -138,14 +134,14 @@ func TestSnapshotFrozenUnderWriter(t *testing.T) {
 	if snap2.NumEdges() != edges+1 {
 		t.Errorf("new snapshot has %d edges, want %d", snap2.NumEdges(), edges+1)
 	}
-	if snap2.Epoch() == epoch {
-		t.Error("new snapshot should carry the advanced epoch")
+	if snap2 == snap {
+		t.Error("a mutation did not clone the builder: the new snapshot is the old one")
 	}
 }
 
 // TestResetDiscardsMutations: Reset returns the builder to a snapshot taken
-// from it, and the next mutation clones under a fresh epoch, leaving the
-// snapshot untouched.
+// from it, and the next mutation clones again, leaving the snapshot
+// untouched.
 func TestResetDiscardsMutations(t *testing.T) {
 	g, _ := overlayFixture(t)
 	snap := g.Snapshot()
@@ -153,14 +149,13 @@ func TestResetDiscardsMutations(t *testing.T) {
 		relstore.AttrRef{Relation: "go.term", Attr: "name"},
 		relstore.AttrRef{Relation: "ip.entry", Attr: "entry_ac"},
 		learning.Vector{"handcoded": 1})
-	dirtyEpoch := g.Epoch()
 	g.Reset(snap)
 	if g.Snapshot() != snap || g.NumEdges() != snap.NumEdges() {
 		t.Fatalf("after Reset the builder has %d edges and a new snapshot; want the snapshot's %d", g.NumEdges(), snap.NumEdges())
 	}
 	g.EnsureWeight("fresh", 1)
-	if g.Epoch() <= dirtyEpoch {
-		t.Errorf("epoch after Reset and a mutation = %d, want above %d", g.Epoch(), dirtyEpoch)
+	if g.Snapshot() == snap {
+		t.Error("a mutation after Reset did not clone the builder")
 	}
 	if _, ok := snap.Weights()["fresh"]; ok {
 		t.Error("a mutation after Reset wrote into the snapshot")

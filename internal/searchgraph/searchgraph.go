@@ -12,8 +12,8 @@
 // state, sharing the underlying storage at zero copy cost. The first
 // mutation after a snapshot clones the storage (O(V+E), paid once per write
 // burst), so every published snapshot stays frozen forever and any number
-// of readers can traverse it without locks. Each clone bumps an epoch
-// counter, letting readers detect staleness cheaply.
+// of readers can traverse it without locks. A snapshot's identity is its
+// pointer: Snapshot returns the same one until the graph changes.
 //
 // Per-query state — keyword nodes, keyword edges and lazily materialised
 // value nodes — never enters the base graph at all. A query builds an
@@ -195,7 +195,6 @@ type Graph struct {
 	s          *store
 	owned      bool      // s is not referenced by any snapshot
 	snap       *Snapshot // cached snapshot of the current state
-	epoch      uint64    // bumped on every copy-on-write clone
 	staleCosts bool      // weights changed by ApplyWeightDelta since the last pricing
 
 	// dict names the ids of every interned edge feature. It is the
@@ -233,12 +232,11 @@ func (g *Graph) own() {
 	g.s = g.s.clone()
 	g.owned = true
 	g.snap = nil
-	g.epoch++
 }
 
 // Reset returns the builder to a snapshot taken from it, discarding every
-// mutation since — a refused write's rollback. The builder's epoch keeps
-// counting, so the next mutation clones under a fresh epoch.
+// mutation since — a refused write's rollback. The next mutation clones
+// again, so the snapshot stays frozen.
 func (g *Graph) Reset(s *Snapshot) {
 	g.s = s.s
 	g.snap = s
@@ -252,15 +250,11 @@ func (g *Graph) Reset(s *Snapshot) {
 // publishes of an unchanged graph return the same pointer.
 func (g *Graph) Snapshot() *Snapshot {
 	if g.snap == nil {
-		g.snap = &Snapshot{s: g.s, epoch: g.epoch}
+		g.snap = &Snapshot{s: g.s}
 	}
 	g.owned = false
 	return g.snap
 }
-
-// Epoch returns the builder's mutation epoch: it increments on the first
-// mutation after each snapshot.
-func (g *Graph) Epoch() uint64 { return g.epoch }
 
 // Weights returns the current weight vector (not a copy; do not mutate).
 func (g *Graph) Weights() learning.Vector { return g.s.weights }

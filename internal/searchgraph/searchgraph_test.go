@@ -365,10 +365,9 @@ func TestReplayedDeltasPriceOnce(t *testing.T) {
 		}
 	}
 	// Nothing is stale any more: a second RepriceEdges must not clone.
-	replayed.Snapshot()
-	epoch := replayed.Epoch()
+	snap := replayed.Snapshot()
 	replayed.RepriceEdges()
-	if replayed.Epoch() != epoch {
+	if replayed.Snapshot() != snap {
 		t.Error("RepriceEdges repriced with no stale cost")
 	}
 }

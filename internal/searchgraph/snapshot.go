@@ -10,13 +10,8 @@ import (
 // with Graph.Snapshot and shared by any number of concurrent readers. All
 // methods are pure reads; per-query mutable state lives in an Overlay.
 type Snapshot struct {
-	s     *store
-	epoch uint64
+	s *store
 }
-
-// Epoch identifies the graph state the snapshot froze. Two snapshots with
-// equal epochs (from the same Graph) share identical storage.
-func (s *Snapshot) Epoch() uint64 { return s.epoch }
 
 // Base returns the frozen steiner graph. Callers must treat it as
 // read-only; extend it through an Overlay instead.

@@ -453,7 +453,7 @@ func (q *Q) planOverlay(st *qstate, ov *searchgraph.Overlay, terminals []steiner
 func (q *Q) topKTrees(ov *searchgraph.Overlay, terminals []steiner.NodeID, k int) []steiner.Tree {
 	m := q.metrics
 	if len(terminals) == 1 {
-		return singleKeywordTrees(ov.View(), terminals[0], k)
+		return singleKeywordTrees(ov, terminals[0], k)
 	}
 	if len(terminals) > steiner.MaxExactTerminals {
 		m.steinerApproxRouted.Inc()
@@ -471,17 +471,20 @@ func (q *Q) topKTrees(ov *searchgraph.Overlay, terminals []steiner.NodeID, k int
 
 // singleKeywordTrees answers a one-keyword query. The lone terminal is its
 // own Steiner tree, but that tree has no edges and so no relation to
-// translate; instead each of the keyword's k cheapest matches — incident
+// translate; instead each of the keyword's k cheapest matches — its overlay
 // edges ordered by (cost, edge id) — is a one-edge tree.
-func singleKeywordTrees(g steiner.GraphView, kw steiner.NodeID, k int) []steiner.Tree {
-	edges := slices.SortedFunc(slices.Values(g.Incident(kw)), func(a, b steiner.EdgeID) int {
-		return cmp.Or(cmp.Compare(g.Edge(a).Cost, g.Edge(b).Cost), cmp.Compare(a, b))
-	})
+func singleKeywordTrees(ov *searchgraph.Overlay, kw steiner.NodeID, k int) []steiner.Tree {
+	var edges []steiner.EdgeID
+	for eid := steiner.EdgeID(ov.Snapshot().NumEdges()); int(eid) < ov.View().NumEdges(); eid++ {
+		if u, v := ov.Endpoints(eid); u == kw || v == kw {
+			edges = append(edges, eid)
+		}
+	}
+	slices.SortFunc(edges, func(a, b steiner.EdgeID) int { return cmp.Or(cmp.Compare(ov.Cost(a), ov.Cost(b)), cmp.Compare(a, b)) })
 	trees := make([]steiner.Tree, min(k, len(edges)))
-	for i := range trees {
-		eid, other := edges[i], g.Other(edges[i], kw)
-		trees[i] = steiner.Tree{Cost: g.Edge(eid).Cost, Edges: []steiner.EdgeID{eid},
-			Nodes: []steiner.NodeID{min(kw, other), max(kw, other)}}
+	for i, eid := range edges[:len(trees)] {
+		u, v := ov.Endpoints(eid)
+		trees[i] = steiner.Tree{Cost: ov.Cost(eid), Edges: []steiner.EdgeID{eid}, Nodes: []steiner.NodeID{min(u, v), max(u, v)}}
 	}
 	return trees
 }

@@ -263,7 +263,7 @@ func (m *Mediator) answerFor(g *searchgraph.Snapshot, need []string, chosen []Ma
 		chosenBy[need[i]] = c.Source
 	}
 
-	trees := steiner.TopKSteinerOn(g.Base(), terminals, 1)
+	trees := steiner.TopKSteinerOn(g.View(), terminals, 1)
 	if len(trees) == 0 {
 		return // mappings land in disconnected relations
 	}

@@ -19,8 +19,8 @@
 // value nodes — never enters the base graph at all. A query builds an
 // Overlay on top of a Snapshot and runs Steiner search over the combined
 // base∪overlay view; the overlay dies with the query. This is what lets
-// independent queries run fully concurrently: they share the frozen base
-// and each writes only to its own overlay.
+// independent queries run fully concurrently: they share the frozen base,
+// searched through the snapshot's one CSR, and write only their overlays.
 package searchgraph
 
 import (
@@ -30,6 +30,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"qint/internal/learning"
 	"qint/internal/relstore"
@@ -250,7 +251,7 @@ func (g *Graph) Reset(s *Snapshot) {
 // publishes of an unchanged graph return the same pointer.
 func (g *Graph) Snapshot() *Snapshot {
 	if g.snap == nil {
-		g.snap = &Snapshot{s: g.s}
+		g.snap = &Snapshot{s: g.s, csr: sync.OnceValue(g.s.sg.Freeze)}
 	}
 	g.owned = false
 	return g.snap

@@ -10,12 +10,16 @@ import (
 // with Graph.Snapshot and shared by any number of concurrent readers. All
 // methods are pure reads; per-query mutable state lives in an Overlay.
 type Snapshot struct {
-	s *store
+	s   *store
+	csr func() *steiner.CSR // freezes s's graph on the snapshot's first search, once
 }
 
 // Base returns the frozen steiner graph. Callers must treat it as
 // read-only; extend it through an Overlay instead.
 func (s *Snapshot) Base() *steiner.Graph { return s.s.sg }
+
+// View returns the snapshot's CSR, the base every search over it reads.
+func (s *Snapshot) View() *steiner.CSR { return s.csr() }
 
 // Node returns the node with the given id.
 func (s *Snapshot) Node(id steiner.NodeID) Node { return s.s.nodes[id] }
@@ -57,11 +61,11 @@ func (s *Snapshot) AssociationList() []Association { return s.s.associationList(
 // Summary computes node/edge counts by kind.
 func (s *Snapshot) Summary() Stats { return s.s.summary() }
 
-// NewOverlay returns an empty per-query overlay over the snapshot.
+// NewOverlay returns an empty per-query overlay over the snapshot's CSR.
 func (s *Snapshot) NewOverlay() *Overlay {
 	return &Overlay{
 		snap:    s,
-		so:      steiner.NewOverlay(s.s.sg),
+		so:      s.View().NewOverlay(),
 		kwNode:  make(map[string]steiner.NodeID),
 		valNode: make(map[valueKey]steiner.NodeID),
 		kwSeen:  make(map[[2]steiner.NodeID]steiner.EdgeID),
@@ -96,8 +100,8 @@ type valueKey struct {
 // Snapshot returns the snapshot the overlay extends.
 func (o *Overlay) Snapshot() *Snapshot { return o.snap }
 
-// View returns the steiner view (base∪overlay) to run graph algorithms on.
-func (o *Overlay) View() steiner.GraphView { return o.so }
+// View returns the steiner view (snapshot CSR ∪ overlay) to search.
+func (o *Overlay) View() *steiner.Overlay { return o.so }
 
 // Node returns the node with the given id, base or overlay.
 func (o *Overlay) Node(id steiner.NodeID) Node {

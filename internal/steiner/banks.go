@@ -32,7 +32,7 @@ func ApproxTopKSteinerOn(g GraphView, terminals []NodeID, k int) []Tree {
 
 	dists := make([]Dist, len(terms))
 	s := acquireSearch()
-	s.flatten(g)
+	s.build(g)
 	for i, t := range terms {
 		dists[i] = s.shortestPaths(t)
 	}
@@ -43,7 +43,7 @@ func ApproxTopKSteinerOn(g GraphView, terminals []NodeID, k int) []Tree {
 		bound float64 // sum of path costs; ≥ true union cost
 	}
 	var cands []cand
-	for v := 0; v < g.NumNodes(); v++ {
+	for v := range len(dists[0].D) {
 		total := 0.0
 		reachable := true
 		for i := range terms {
@@ -106,7 +106,7 @@ func unionPathsTree(g GraphView, dists []Dist, terms []NodeID, root NodeID) (Tre
 		for dists[i].Prev[v] != -1 {
 			eid := dists[i].Prev[v]
 			edgeSet[eid] = struct{}{}
-			v = g.Other(eid, v)
+			v = other(g.Edge(eid), v)
 			nodeSet[v] = struct{}{}
 		}
 	}

@@ -14,42 +14,11 @@ type Dist struct {
 func DijkstraOn(g GraphView, src NodeID) Dist {
 	s := acquireSearch()
 	defer releaseSearch(s)
-	s.flatten(g)
+	s.build(g)
 	return s.shortestPaths(src)
 }
 
-// arc is one incident edge of a node in a search's flat adjacency: the
-// other endpoint, the edge, and its cost.
-type arc struct {
-	to   int32
-	edge int32
-	cost float64
-}
-
-// flatten copies g's adjacency into the search's flat buffers, in one pass
-// over the view: node v's arcs are arcs[off[v]:off[v+1]], in Incident
-// order. From here on Dijkstra and the top-k search read only these
-// buffers, never the view.
-func (s *search) flatten(g GraphView) {
-	n := g.NumNodes()
-	s.n = n
-	s.off = grown(s.off, n+1)
-	s.arcs = grown(s.arcs, 2*g.NumEdges())[:0] // a self-loop is listed once
-	for v := range n {
-		s.off[v] = int32(len(s.arcs))
-		for _, eid := range g.Incident(NodeID(v)) {
-			e := g.Edge(eid)
-			to := e.U // g.Other(eid, v), without a second edge lookup
-			if to == NodeID(v) {
-				to = e.V
-			}
-			s.arcs = append(s.arcs, arc{to: int32(to), edge: int32(eid), cost: e.Cost})
-		}
-	}
-	s.off[n] = int32(len(s.arcs))
-}
-
-// shortestPaths runs a full Dijkstra from src over the flat adjacency.
+// shortestPaths runs a full Dijkstra from src over the search's view.
 func (s *search) shortestPaths(src NodeID) Dist {
 	d := Dist{D: make([]float64, s.n), Prev: make([]EdgeID, s.n)}
 	s.startDijkstra(src, d.D, d.Prev)
@@ -92,7 +61,8 @@ func (s *search) dijkstra(d []float64, prev []EdgeID, radius float64, pending in
 		if it.cost > d[it.id] {
 			continue
 		}
-		for _, a := range s.arcs[s.off[it.id]:s.off[it.id+1]] {
+		as, _ := s.arcs(it.id)
+		for _, a := range as {
 			if nd := it.cost + a.cost; nd < d[a.to] {
 				d[a.to] = nd
 				if prev != nil {
@@ -121,7 +91,7 @@ func PathToOn(g GraphView, d Dist, v NodeID) []EdgeID {
 	for d.Prev[v] != -1 {
 		eid := d.Prev[v]
 		path = append(path, eid)
-		v = g.Other(eid, v)
+		v = other(g.Edge(eid), v)
 	}
 	return path
 }
@@ -134,8 +104,8 @@ func PathToOn(g GraphView, d Dist, v NodeID) []EdgeID {
 // per-keyword neighbourhoods; the intersection preserves its same-top-k
 // guarantee while pruning far more aggressively on large graphs.
 //
-// It runs one Dijkstra per source over a retained search's flat adjacency,
-// each only as far as alpha, into its distance table, folding each row into
+// It runs one Dijkstra per source over a retained search's view of g, each
+// only as far as alpha, into its distance table, folding each row into
 // the farthest source's distance per node. A node farther than alpha from a
 // source holds some value above alpha in that source's row, which decides
 // its membership as its exact distance would.
@@ -145,7 +115,7 @@ func NeighborhoodIntersectOn(g GraphView, sources []NodeID, alpha float64) map[N
 	}
 	s := acquireSearch()
 	defer releaseSearch(s)
-	s.flatten(g)
+	s.build(g)
 	n := s.n
 	s.dist = grown(s.dist, 2*n)
 	row, fold := s.dist[:n], s.dist[n:]

@@ -99,8 +99,8 @@ func TopKSteinerStats(g GraphView, terminals []NodeID, k int) ([]Tree, Stats) {
 	case len(terms) == 1:
 		return []Tree{{Cost: 0, Nodes: []NodeID{terms[0]}}}, Stats{}
 	case len(terms) > MaxExactTerminals:
-		// 2^t states explode; callers should use ApproxTopKSteiner.
-		panic(fmt.Sprintf("steiner: TopKSteiner with %d terminals (MaxExactTerminals is %d); use ApproxTopKSteiner",
+		// 2^t states explode; callers should use ApproxTopKSteinerOn.
+		panic(fmt.Sprintf("steiner: TopKSteiner with %d terminals (MaxExactTerminals is %d); use ApproxTopKSteinerOn",
 			len(terms), MaxExactTerminals))
 	}
 	s := acquireSearch()
@@ -148,19 +148,19 @@ type search struct {
 	full  uint32
 	stats Stats
 
-	off    []int32   // per node and one more: where its arcs start in arcs
-	arcs   []arc     // every node's arcs; a node's are presorted once a tree rooted there extends
-	sorted []uint64  // per node, one bit: its arcs are presorted
-	dist   []float64 // terminals × nodes: dist[i*n+v] is terminal i's distance to v, as far as filled
-	dq     minHeap   // Dijkstra's queue; between reset and the first limit, terminal 0's
-	arena  []cand    // recorded candidates, in pop order
-	pool   []cand    // queued candidates, addressed by the queue's items
-	slots  []int32   // free slots of pool
-	pq     minHeap   // queued candidates: cost and pool slot
-	exts   []int32   // per recorded incomplete tree: its extensions' arcs in queue order, then -1
-	head   []int32   // per node: the last candidate recorded at that root, -1 if none
-	mark   []uint32  // per node: == stamp when the node is in the tree being expanded
-	stamp  uint32
+	base  *CSR       // the view's base, read in place
+	span  [][2]int32 // per node: where its arcs are in delta, or -1s when they are base's
+	delta []arc      // the overlay nodes' arcs, and the touched base nodes' CSR and overlay arcs
+	dist  []float64  // terminals × nodes: dist[i*n+v] is terminal i's distance to v, as far as filled
+	dq    minHeap    // Dijkstra's queue; between reset and the first limit, terminal 0's
+	arena []cand     // recorded candidates, in pop order
+	pool  []cand     // queued candidates, addressed by the queue's items
+	slots []int32    // free slots of pool
+	pq    minHeap    // queued candidates: cost and pool slot
+	exts  []int32    // per recorded incomplete tree: its extensions' arc numbers in queue order, then -1
+	head  []int32    // per node: the last candidate recorded at that root, -1 if none
+	mark  []uint32   // per node: == stamp when the node is in the tree being expanded
+	stamp uint32
 
 	best  []complete // the ≤ k cheapest distinct complete trees queued, by ascending cost
 	limit float64    // +Inf until best holds k trees, then the k-th cost plus slack
@@ -220,8 +220,9 @@ func cmpSiblings(a, b sibling) int {
 	return cmp.Compare(a.hash, b.hash)
 }
 
-// cmpArcs is the presorted order of a node's arcs: by cost, then by
-// edgeHash.
+// cmpArcs is the order of a node's arcs in a CSR and in a search's delta:
+// by cost, then by edgeHash. Arcs of one node have distinct edges, so it is
+// total.
 func cmpArcs(a, b arc) int {
 	if a.cost != b.cost {
 		return cmp.Compare(a.cost, b.cost)
@@ -230,8 +231,8 @@ func cmpArcs(a, b arc) int {
 }
 
 // walk appends c's nodes to *nodes and c's edges to *edges, in no
-// particular order; either may be nil. A node where two merged parts meet is
-// listed once per part.
+// particular order; either may be nil. A node where the two parts of a
+// merge meet is listed once per part.
 func (s *search) walk(c *cand, nodes *[]NodeID, edges *[]EdgeID) {
 	st := s.stack[:0]
 	for {
@@ -242,7 +243,7 @@ func (s *search) walk(c *cand, nodes *[]NodeID, edges *[]EdgeID) {
 			continue
 		case c.a >= 0: // extension
 			if edges != nil {
-				*edges = appendPow2(*edges, EdgeID(s.arcs[s.exts[c.ext]].edge))
+				*edges = appendPow2(*edges, EdgeID(s.arc(s.exts[c.ext]).edge))
 			}
 			if nodes != nil {
 				*nodes = appendPow2(*nodes, NodeID(c.root))
@@ -270,14 +271,14 @@ func (s *search) sortedEdges(c *cand, buf *[]EdgeID) []EdgeID {
 	return *buf
 }
 
-// reset prepares the scratch for one search: it flattens the view and
-// runs terminal 0's Dijkstra only until every other terminal is settled.
-// It reports false when some terminal is unreachable from the first, so
-// that no tree spans them all. The rest of the distance table is filled
+// reset prepares the scratch for one search: it builds the view's delta
+// and runs terminal 0's Dijkstra only until every other terminal is
+// settled. It reports false when some terminal is unreachable from the
+// first, so that no tree spans them all. The rest of the distance table is filled
 // when the limit is first set (fillDistances): until then lower is never
 // read.
 func (s *search) reset(g GraphView, terms []NodeID, k int) bool {
-	s.flatten(g)
+	s.build(g)
 	n := s.n
 	s.k, s.terms = k, terms
 	s.full = uint32(1)<<uint(len(terms)) - 1
@@ -293,8 +294,6 @@ func (s *search) reset(g GraphView, terms []NodeID, k int) bool {
 	for i := range s.head {
 		s.head[i] = -1
 	}
-	s.sorted = grown(s.sorted, (n+63)/64)
-	clear(s.sorted)
 	s.mark = grown(s.mark, n)
 	clear(s.mark)
 	s.dist = grown(s.dist, len(terms)*n)
@@ -411,39 +410,34 @@ func (s *search) run(g GraphView, terms []NodeID, k int) []Tree {
 // the marked tree — a tree of the given cost and hash rooted at v — then
 // -1, and returns where the list starts; -1 when no arc leaves the tree.
 //
-// v's arcs are sorted once, the first time a tree rooted at v extends, by
-// (cost, edgeHash). Float addition is monotone, so the extensions' costs
-// ascend along them, and only a run of arcs whose sums are equal needs
-// thought. If the run has a single arc cost, its sums order by hash +
-// edgeHash, which is the run's edgeHash order rotated where the sum wraps:
-// the arcs whose sum wraps come first. If the sums collide across arc
+// v's arcs are in cmpArcs order. Float addition is monotone, so the
+// extensions' costs ascend along them, and only a run of arcs whose sums
+// are equal needs thought. If the run has a single arc cost, its sums
+// order by hash + edgeHash, which is the run's edgeHash order rotated where
+// the sum wraps: the arcs whose sum wraps come first. If the sums collide across arc
 // costs (a cost large enough to absorb their difference), the run is sorted
 // as the siblings it holds.
 func (s *search) listExtensions(v int32, cost float64, hash uint64) int32 {
-	lo, hi := s.off[v], s.off[v+1]
-	if w, bit := v>>6, uint64(1)<<(v&63); s.sorted[w]&bit == 0 {
-		s.sorted[w] |= bit
-		slices.SortFunc(s.arcs[lo:hi], cmpArcs)
-	}
+	as, at := s.arcs(v)
 	first := int32(len(s.exts))
-	for i := lo; i < hi; {
-		sum := cost + s.arcs[i].cost
+	for i := 0; i < len(as); {
+		sum := cost + as[i].cost
 		j := i + 1
-		for j < hi && cost+s.arcs[j].cost == sum {
+		for j < len(as) && cost+as[j].cost == sum {
 			j++
 		}
-		if s.arcs[i].cost == s.arcs[j-1].cost {
+		if as[i].cost == as[j-1].cost {
 			p := i // the first arc whose hash sum wraps
-			for p < j && edgeHash(EdgeID(s.arcs[p].edge)) <= ^hash {
+			for p < j && edgeHash(EdgeID(as[p].edge)) <= ^hash {
 				p++
 			}
-			s.appendExtensions(p, j)
-			s.appendExtensions(i, p)
+			s.appendExtensions(as[p:j], at+int32(p))
+			s.appendExtensions(as[i:p], at+int32(i))
 		} else {
 			s.sibs = s.sibs[:0]
 			for a := i; a < j; a++ {
-				if s.mark[s.arcs[a].to] != s.stamp {
-					s.sibs = appendPow2(s.sibs, sibling{sum, hash + edgeHash(EdgeID(s.arcs[a].edge)), a})
+				if s.mark[as[a].to] != s.stamp {
+					s.sibs = appendPow2(s.sibs, sibling{sum, hash + edgeHash(EdgeID(as[a].edge)), at + int32(a)})
 				}
 			}
 			slices.SortFunc(s.sibs, cmpSiblings)
@@ -460,12 +454,13 @@ func (s *search) listExtensions(v int32, cost float64, hash uint64) int32 {
 	return first
 }
 
-// appendExtensions appends arcs[i:j] to exts, skipping the arcs that lead
-// back into the marked tree (they would close a cycle).
-func (s *search) appendExtensions(i, j int32) {
-	for a := i; a < j; a++ {
-		if s.mark[s.arcs[a].to] != s.stamp {
-			s.exts = appendPow2(s.exts, a)
+// appendExtensions appends the numbers of as — arcs numbered from at on —
+// to exts, skipping the arcs that lead back into the marked tree (they
+// would close a cycle).
+func (s *search) appendExtensions(as []arc, at int32) {
+	for i, a := range as {
+		if s.mark[a.to] != s.stamp {
+			s.exts = appendPow2(s.exts, at+int32(i))
 		}
 	}
 }
@@ -477,7 +472,7 @@ func (s *search) appendExtensions(i, j int32) {
 func (s *search) queueExtension(p, i int32) {
 	pc := &s.arena[p]
 	for ; s.exts[i] >= 0; i++ {
-		a := &s.arcs[s.exts[i]]
+		a := s.arc(s.exts[i])
 		if s.push(cand{
 			cost:   pc.cost + a.cost,
 			hash:   pc.hash + edgeHash(EdgeID(a.edge)),

@@ -40,6 +40,7 @@ func oracleTopKSteinerOn(g GraphView, terminals []NodeID, k int) []Tree {
 		panic(fmt.Sprintf("steiner: TopKSteiner with %d terminals; use ApproxTopKSteiner", len(terms)))
 	}
 	full := uint32(1)<<uint(len(terms)) - 1
+	incident := oracleIncident(g)
 
 	type state struct {
 		v    NodeID
@@ -87,8 +88,8 @@ func oracleTopKSteinerOn(g GraphView, terminals []NodeID, k int) []Tree {
 		}
 
 		// Grow: extend the tree across one incident edge of its root.
-		for _, eid := range g.Incident(cur.v) {
-			u := g.Other(eid, cur.v)
+		for _, eid := range incident[cur.v] {
+			u := other(g.Edge(eid), cur.v)
 			if _, inTree := cur.nodes[u]; inTree {
 				continue // would create a cycle
 			}
@@ -110,6 +111,23 @@ func oracleTopKSteinerOn(g GraphView, terminals []NodeID, k int) []Tree {
 		}
 	}
 	return answers
+}
+
+// oracleIncident lists every node's incident edges in edge-id order (the
+// order a Graph's, and before it an overlay's, incident lists held), read
+// from the view's edges alone.
+func oracleIncident(g GraphView) [][]EdgeID {
+	c, extraNodes, extraEdges := g.frozen()
+	m := len(c.edges) + len(extraEdges)
+	incident := make([][]EdgeID, c.numNodes()+extraNodes)
+	for id := range EdgeID(m) {
+		e := g.Edge(id)
+		incident[e.U] = append(incident[e.U], id)
+		if e.V != e.U {
+			incident[e.V] = append(incident[e.V], id)
+		}
+	}
+	return incident
 }
 
 // dpTree is an intermediate DP tree rooted at v covering terminal set mask.

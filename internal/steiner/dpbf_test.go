@@ -350,10 +350,10 @@ func FuzzSiblingOrder(f *testing.F) {
 			cost = 0 // trees cost a non-negative amount
 		}
 		s := &search{
-			off:    []int32{0, int32(len(data))},
-			sorted: []uint64{0},
-			mark:   make([]uint32, len(data)+2),
-			stamp:  1,
+			base:  &CSR{off: []int32{0, int32(len(data))}},
+			span:  [][2]int32{{-1, -1}},
+			mark:  make([]uint32, len(data)+2),
+			stamp: 1,
 		}
 		s.mark[1] = s.stamp
 		var want []sibling
@@ -364,8 +364,9 @@ func FuzzSiblingOrder(f *testing.F) {
 			} else {
 				want = append(want, sibling{cost + a.cost, hash + edgeHash(EdgeID(a.edge)), a.edge})
 			}
-			s.arcs = append(s.arcs, a)
+			s.base.arcs = append(s.base.arcs, a)
 		}
+		slices.SortFunc(s.base.arcs, cmpArcs) // as Freeze lays them out
 		slices.SortFunc(want, cmpSiblings)
 		var got []int32
 		if first := s.listExtensions(0, cost, hash); first >= 0 {
@@ -373,7 +374,7 @@ func FuzzSiblingOrder(f *testing.F) {
 				if a < 0 {
 					break
 				}
-				got = append(got, s.arcs[a].edge)
+				got = append(got, s.arc(a).edge)
 			}
 		}
 		if len(got) != len(want) {

@@ -3,7 +3,8 @@
 // shortest paths and α-cost neighbourhoods (the pruning region of
 // VIEWBASEDALIGNER, paper §3.3), an exact top-k group Steiner tree algorithm
 // (DPBF dynamic programming with k-best lists per state), and a BANKS-style
-// backward-expansion approximation for larger graphs.
+// shortest-path-union heuristic that callers route to when a query has more
+// than MaxExactTerminals terminals.
 package steiner
 
 import "fmt"
@@ -82,8 +83,10 @@ func (g *Graph) Incident(v NodeID) []EdgeID { return g.adj[v] }
 
 // Other returns the endpoint of edge e that is not v (for self-loops it
 // returns v).
-func (g *Graph) Other(id EdgeID, v NodeID) NodeID {
-	e := g.edges[id]
+func (g *Graph) Other(id EdgeID, v NodeID) NodeID { return other(g.edges[id], v) }
+
+// other returns the endpoint of e that is not v (for self-loops, v).
+func other(e Edge, v NodeID) NodeID {
 	if e.U == v {
 		return e.V
 	}

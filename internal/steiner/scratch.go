@@ -28,9 +28,8 @@ const (
 
 // The buffers of a search, each with its own class.
 const (
-	bufOff = iota
-	bufArcs
-	bufSorted
+	bufSpan = iota
+	bufDelta
 	bufDist
 	bufDijkstra
 	bufArena
@@ -50,22 +49,20 @@ const (
 )
 
 // bufBytes is the most one search retains of each buffer: three sixteenths
-// of perSearchBytes each for the flat adjacency's arcs, the distance table
-// and the arena, an eighth each for the candidate pool and the extension
-// lists, a sixteenth for the queue, and the rest for the per-node tables
-// and the walk buffers.
+// of perSearchBytes each for the distance table and the arena, an eighth
+// each for the candidate pool and the extension lists, a sixteenth for the
+// queue, and the rest for the per-node tables, the delta and the walks.
 var bufBytes = [numBufs]int{
-	bufArcs:     perSearchBytes * 3 / 16,
 	bufDist:     perSearchBytes * 3 / 16,
 	bufArena:    perSearchBytes * 3 / 16,
 	bufPool:     perSearchBytes / 8,
 	bufExts:     perSearchBytes / 8,
 	bufQueue:    perSearchBytes / 16,
-	bufOff:      perSearchBytes / 64,
+	bufSpan:     perSearchBytes / 32,
+	bufDelta:    perSearchBytes / 64,
 	bufHead:     perSearchBytes / 64,
 	bufMark:     perSearchBytes / 64,
 	bufDijkstra: perSearchBytes / 64,
-	bufSorted:   perSearchBytes / 256,
 	bufSlots:    perSearchBytes / 256,
 	bufSibs:     perSearchBytes / 256,
 	bufBest:     perSearchBytes / 256,
@@ -99,10 +96,9 @@ func releaseSearch(s *search) {
 	free.Lock()
 	defer free.Unlock()
 	keep := len(free.list) < min(runtime.GOMAXPROCS(0), maxFreeSearches)
-	s.terms = nil
-	s.off = refit(s.off, bufOff, keep)
-	s.arcs = refit(s.arcs, bufArcs, keep)
-	s.sorted = refit(s.sorted, bufSorted, keep)
+	s.terms, s.base = nil, nil
+	s.span = refit(s.span, bufSpan, keep)
+	s.delta = refit(s.delta, bufDelta, keep)
 	s.dist = refit(s.dist, bufDist, keep)
 	s.dq.items = refit(s.dq.items, bufDijkstra, keep)
 	s.arena = refit(s.arena, bufArena, keep)

@@ -283,9 +283,15 @@
 // the WAL tail. The snapshot is a binary offset-indexed section container
 // (per-section and index CRCs, magic-framed) carrying the catalog, the
 // built inverted value-index segments VERBATIM, the search graph with its
-// learned weights, and the persistent view definitions; loading is a read
-// plus slice re-pointing, not a re-index (bench/'s ingest_restart workload
-// measures recovery).
+// learned weights, and the persistent view definitions. The catalog,
+// segment and graph sections are binary (internal/binio's primitives; the
+// graph writes each feature name once, in a dictionary its edges index),
+// so loading is a read plus slice re-pointing, not a re-index or a JSON
+// parse. Replay then adds the WAL tail's tables unindexed, and restore
+// indexes every replayed table once, in one fan-out after the tail, and
+// rematerialises the views across the worker pool without counting them as
+// queries (bench/'s write_churn and ingest_restart workloads measure
+// recovery).
 //
 // Durability is log-then-publish: every write but AddMatcher (AddTables,
 // RegisterSource, AlignAllPairs, AddAssociations, SetWeights, feedback) is

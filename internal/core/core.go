@@ -466,9 +466,18 @@ func (q *Q) Matchers() []matcher.Matcher { return q.matchers }
 func (q *Q) AddTables(tables ...*relstore.Table) error {
 	q.writerMu.Lock()
 	defer q.writerMu.Unlock()
-	return q.commitLocked(walRecord{Tables: wireTables(tables)}, q.addTablesLocked(tables...))
+	err := q.addTablesLocked(tables...)
+	if err == nil {
+		q.catalog.BuildValueIndex(q.width)
+	}
+	return q.commitLocked(walRecord{Tables: wireTables(tables)}, err)
 }
 
+// addTablesLocked adds tables to the catalog, the search graph and the
+// keyword corpus, and leaves them unindexed: the writers that read values
+// next (AddTables, registerLocked) build their segments, one task per
+// table across the worker pool, and WAL replay, which reads no values,
+// indexes every replayed table once after the tail.
 func (q *Q) addTablesLocked(tables ...*relstore.Table) error {
 	q.ownStorageLocked()
 	for _, t := range tables {
@@ -494,10 +503,6 @@ func (q *Q) addTablesLocked(tables ...*relstore.Table) error {
 	for _, t := range tables {
 		q.indexRelation(t.Relation)
 	}
-	// Incremental value-index maintenance: the catalog builds the segment of
-	// each NEW table, one task per table across the worker pool; segments
-	// are per-table and immutable, so nothing global rebuilds.
-	q.catalog.BuildValueIndex(q.width)
 	return nil
 }
 

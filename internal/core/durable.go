@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -204,9 +203,11 @@ func openFrom(st *storage.Store, opts Options) (*Q, error) {
 // restore rebuilds a freshly constructed Q from a checkpoint container
 // (nil: start empty) plus the WAL records committed after it — Open's and
 // Load's one restore path. The catalog is decoded from its binary sections
-// with its built value-index segments installed verbatim, the graph carries
-// its learned weights, the records replay without re-logging, and only then
-// is the state published and the persistent views rematerialised.
+// with its built value-index segments installed verbatim, the graph from
+// its binary section with its learned weights, and the records replay
+// without re-logging. Only then are the unindexed tables indexed, the
+// edges repriced and the state published, once each, and the persistent
+// views rematerialised.
 func (q *Q) restore(snap *storage.Container, records []storage.Record) error {
 	var views []viewSnap
 	var nextID int64
@@ -234,8 +235,7 @@ func (q *Q) restore(snap *storage.Container, records []storage.Record) error {
 				return err
 			}
 		}
-		cat.BuildValueIndex(q.width) // tables the snapshot holds no segment for
-		graph, err := searchgraph.Load(bytes.NewReader(graphSec))
+		graph, err := searchgraph.Load(graphSec)
 		if err != nil {
 			return err
 		}
@@ -253,32 +253,52 @@ func (q *Q) restore(snap *storage.Container, records []storage.Record) error {
 	}
 
 	q.writerMu.Lock()
+	// Tables the snapshot holds no segment for and every replayed table,
+	// in one fan-out: replay reads no values.
+	q.catalog.BuildValueIndex(q.width)
 	q.graph.RepriceEdges() // once for every replayed weight delta
-	q.publishLocked()
+	st := q.publishLocked()
 	q.writerMu.Unlock()
 
 	// Each view expands its saved keyword list into a fresh overlay and
-	// materialises at its saved k. The keyword list is taken verbatim:
-	// re-joining keywords into a query string would corrupt any keyword
-	// containing a quote and drop empty ones, and the saved k (not the
-	// default k) is what makes the round trip exact. The view then rejoins
-	// the registry under its saved ID, exempt from Options.MaxViews: a
-	// restart must not lose views a smaller cap would refuse.
+	// materialises at its saved k, across the worker pool as a refresh
+	// does; a restore is not a query, so qint_queries_total does not move.
+	// The keyword list is taken verbatim: re-joining keywords into a query
+	// string would corrupt any keyword containing a quote and drop empty
+	// ones, and the saved k (not the default k) is what makes the round
+	// trip exact. The view then rejoins the registry under its saved ID,
+	// exempt from Options.MaxViews: a restart must not lose views a smaller
+	// cap would refuse.
+	restored := make([]*View, len(views))
 	for i, vs := range views {
 		id := int64(i)
 		if vs.ID != nil {
 			id = *vs.ID
 		}
-		if id < 0 || i > 0 && id <= q.views[i-1].ID {
+		if id < 0 || i > 0 && id <= restored[i-1].ID {
 			return fmt.Errorf("core: restore view %v: ID %d is negative or does not ascend", vs.Keywords, id)
 		}
-		v, err := q.Query(Request{Keywords: vs.Keywords, K: vs.K, Ephemeral: true})
-		if err != nil {
-			return fmt.Errorf("core: restore view %v: %w", vs.Keywords, err)
+		if len(vs.Keywords) == 0 {
+			return fmt.Errorf("core: restore view %v: %w", vs.Keywords, errEmptyQuery)
 		}
-		v.ID = id
-		q.views = append(q.views, v)
+		k := vs.K
+		if k <= 0 {
+			k = defaultK
+		}
+		restored[i] = &View{ID: id, Keywords: vs.Keywords, K: k}
 	}
+	if err := runIndexed(len(restored), q.width, func(i int) error {
+		v := restored[i]
+		mat, err := q.materializeCached(st, v.Keywords, v.K, nil)
+		if err != nil {
+			return fmt.Errorf("core: restore view %v: %w", v.Keywords, err)
+		}
+		v.mat.Store(mat)
+		return nil
+	}); err != nil {
+		return err
+	}
+	q.views = restored
 	q.nextViewID = nextID
 	if n := len(q.views); n > 0 && q.views[n-1].ID >= nextID {
 		q.nextViewID = q.views[n-1].ID + 1

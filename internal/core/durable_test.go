@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -490,5 +491,53 @@ func TestReplayedFeedbackMatchesLive(t *testing.T) {
 	}
 	if f := fingerprintQ(q2); f != want {
 		t.Fatalf("replayed views diverged:\nwant:\n%s\ngot:\n%s", want, f)
+	}
+}
+
+// TestRestoreCountsNoQueries: reopening a directory rematerialises its
+// views without counting them in qint_queries_total, and a restore on a
+// four-wide engine, which rematerialises the views in parallel, gives each
+// view the fingerprint it had before the restart and the one a one-wide
+// (serial) restore gives it.
+func TestRestoreCountsNoQueries(t *testing.T) {
+	opts := durableOpts(t)
+	q := reopen(t, opts)
+	if err := q.AddTables(fixtureTables(t)...); err != nil {
+		t.Fatal(err)
+	}
+	// The last view repeats the first, so two restored views share one
+	// materialisation.
+	for _, s := range []string{"'plasma membrane' 'Kringle domain'", "entry 'PUB0001'", "'nucleus' entry", "'plasma membrane' 'Kringle domain'"} {
+		if _, err := queryStr(q, s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fingerprints := func(q *Q) []string {
+		var out []string
+		for _, v := range q.Views() {
+			out = append(out, fmt.Sprintf("id=%d %s", v.ID, fingerprintView(v)))
+		}
+		return out
+	}
+	want := fingerprints(q)
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, width := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(width)
+		r, err := Open(opts)
+		runtime.GOMAXPROCS(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := r.metrics.queries.Load(); n != 0 {
+			t.Errorf("width %d: qint_queries_total = %d after a reopen, want 0", width, n)
+		}
+		if got := fingerprints(r); !slices.Equal(got, want) {
+			t.Errorf("width %d: restored views differ:\n got %q\nwant %q", width, got, want)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -101,6 +101,8 @@ func (q *Q) registerLocked(tables []*relstore.Table, strategy AlignStrategy) (*R
 	if err := q.addTablesLocked(tables...); err != nil {
 		return nil, err
 	}
+	// Target selection and alignment read the new tables' values.
+	q.catalog.BuildValueIndex(q.width)
 
 	report := &RegisterReport{Source: source, AlignmentsByPair: make(map[string]float64)}
 	for _, t := range tables {

@@ -22,10 +22,10 @@ func (d *Dict) Len() int { return len(d.names) }
 func (d *Dict) Name(id int32) string { return d.names[id] }
 
 // Intern returns v interned over d, adding the names d lacks.
-func (d *Dict) Intern(v Vector) *Interned { return intern(v, d.id) }
+func (d *Dict) Intern(v Vector) *Interned { return intern(v, d.ID) }
 
-// id returns k's id, adding k if d lacks it.
-func (d *Dict) id(k string) int32 {
+// ID returns k's id, adding k if d lacks it.
+func (d *Dict) ID(k string) int32 {
 	id, ok := d.ids[k]
 	if !ok {
 		if d.ids == nil {

@@ -212,7 +212,7 @@ func (x *extension) intern(v Vector) *Interned {
 		if j, ok := x.base.ids[k]; ok {
 			return j
 		}
-		return int32(x.base.Len()) + x.local.id(k)
+		return int32(x.base.Len()) + x.local.ID(k)
 	})
 }
 

@@ -2,12 +2,13 @@ package relstore
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+
+	"qint/internal/binio"
 )
 
 func binaryFixtureCatalog(t *testing.T) *Catalog {
@@ -392,35 +393,35 @@ func TestLoadSegmentsChecksEveryPostingID(t *testing.T) {
 	// token postings.
 	section := func(copies int, attrs, vals []string, grams, tokens []list) []byte {
 		var buf bytes.Buffer
-		b := newBinWriter(&buf)
-		b.w.WriteString(segmentsBinMagic)
-		b.uvarint(uint64(copies))
+		b := binio.NewWriter(&buf)
+		b.Raw(segmentsBinMagic)
+		b.Uvarint(uint64(copies))
 		for range copies {
-			b.str("s.r")
-			b.uvarint(uint64(len(attrs)))
+			b.Str("s.r")
+			b.Uvarint(uint64(len(attrs)))
 			for _, a := range attrs {
-				b.str(a)
+				b.Str(a)
 			}
-			b.uvarint(0)
-			b.uvarint(2)
-			b.uvarint(2)
+			b.Uvarint(0)
+			b.Uvarint(2)
+			b.Uvarint(2)
 			for _, v := range vals {
-				b.str(v)
-				b.str(v)
-				b.uvarint(1)
+				b.Str(v)
+				b.Str(v)
+				b.Uvarint(1)
 			}
 			for _, index := range [][]list{grams, tokens} {
-				b.uvarint(uint64(len(index)))
+				b.Uvarint(uint64(len(index)))
 				for _, l := range index {
-					b.str(l.key)
-					b.uvarint(uint64(len(l.deltas)))
+					b.Str(l.key)
+					b.Uvarint(uint64(len(l.deltas)))
 					for _, d := range l.deltas {
-						b.uvarint(d)
+						b.Uvarint(d)
 					}
 				}
 			}
 		}
-		if err := b.flush(); err != nil {
+		if err := b.Flush(); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -482,41 +483,6 @@ func TestLoadSegmentsChecksEveryPostingID(t *testing.T) {
 	} {
 		if _, err := load(section(tc.copies, tc.attrs, tc.vals, tc.grams, tc.tokens)); err == nil {
 			t.Errorf("%s: section accepted", tc.name)
-		}
-	}
-}
-
-// TestBinReaderUvarint pins the in-place varint decoder to
-// binary.Uvarint: the same value and length on every input, and a refusal
-// exactly where binary.Uvarint reports a truncated or overlong varint.
-func TestBinReaderUvarint(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	inputs := [][]byte{
-		{}, {0}, {1}, {0x7f}, {0x80}, {0x80, 0}, {0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 1},
-		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 2}, bytes.Repeat([]byte{0x80}, 11),
-	}
-	for i := 0; i < 2000; i++ {
-		in := make([]byte, r.Intn(12))
-		for j := range in {
-			in[j] = byte(r.Intn(256))
-			if r.Intn(3) > 0 {
-				in[j] |= 0x80
-			}
-		}
-		inputs = append(inputs, binary.AppendUvarint(nil, r.Uint64()>>r.Intn(64)), in)
-	}
-	for _, in := range inputs {
-		want, n := binary.Uvarint(in)
-		br := &binReader{s: string(in)}
-		got := br.uvarint()
-		if n <= 0 {
-			if br.err == nil {
-				t.Errorf("% x: decoded %d, binary.Uvarint refuses it", in, got)
-			}
-			continue
-		}
-		if br.err != nil || got != want || br.off != n {
-			t.Errorf("% x: got (%d, %d bytes, %v), want (%d, %d bytes)", in, got, br.off, br.err, want, n)
 		}
 	}
 }

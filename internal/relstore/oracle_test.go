@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 
+	"qint/internal/binio"
 	"qint/internal/text"
 )
 
@@ -186,53 +187,51 @@ func indexOne(c *Catalog, qn string) { c.segs[qn] = buildSegment(c.tables[qn]) }
 // each segment's postings rebuilt by postingsOracle and written as maps
 // under sorted keys.
 func saveSegmentsOracle(c *Catalog, w io.Writer) error {
-	b := newBinWriter(w)
-	if _, err := b.w.WriteString(segmentsBinMagic); err != nil {
-		return err
-	}
+	b := binio.NewWriter(w)
+	b.Raw(segmentsBinMagic)
 	var segs []*segment
 	for _, qn := range c.order {
 		if s := c.segs[qn]; s != nil {
 			segs = append(segs, s)
 		}
 	}
-	b.uvarint(uint64(len(segs)))
+	b.Uvarint(uint64(len(segs)))
 	for _, s := range segs {
-		b.str(s.rel)
-		b.uvarint(uint64(len(s.attrs)))
+		b.Str(s.rel)
+		b.Uvarint(uint64(len(s.attrs)))
 		for _, a := range s.attrs {
-			b.str(a)
+			b.Str(a)
 		}
 		for _, off := range s.attrStart {
-			b.uvarint(uint64(off))
+			b.Uvarint(uint64(off))
 		}
-		b.uvarint(uint64(len(s.entries)))
+		b.Uvarint(uint64(len(s.entries)))
 		for _, e := range s.entries {
-			b.str(e.val)
-			b.str(e.norm)
-			b.uvarint(uint64(e.rows))
+			b.Str(e.val)
+			b.Str(e.norm)
+			b.Uvarint(uint64(e.rows))
 		}
 		m := postingsOracle(s)
 		writePostingMapOracle(b, m.grams)
 		writePostingMapOracle(b, m.tokens)
 	}
-	return b.flush()
+	return b.Flush()
 }
 
-func writePostingMapOracle(b *binWriter, m map[string][]int32) {
+func writePostingMapOracle(b *binio.Writer, m map[string][]int32) {
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	b.uvarint(uint64(len(keys)))
+	b.Uvarint(uint64(len(keys)))
 	for _, k := range keys {
-		b.str(k)
+		b.Str(k)
 		ids := m[k]
-		b.uvarint(uint64(len(ids)))
+		b.Uvarint(uint64(len(ids)))
 		prev := int32(0)
 		for _, id := range ids {
-			b.uvarint(uint64(id - prev))
+			b.Uvarint(uint64(id - prev))
 			prev = id
 		}
 	}

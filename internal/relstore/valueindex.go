@@ -436,8 +436,11 @@ func (c *Catalog) FindValues(keyword string) []ValueHit {
 // BuildValueIndex builds the segment of every unindexed table: the pure
 // builds fan out, one task per table across at most workers goroutines
 // (workers <= 1 builds serially), and the catalog is then written serially.
-// Writer-side, like AddTable. Indexing a table exactly once at write time is
-// the index's whole maintenance: nothing global ever rebuilds.
+// Writer-side, like AddTable. Indexing a table exactly once is the index's
+// whole maintenance: nothing global ever rebuilds. The engine's writers
+// index a new table before anything reads its values; a restore indexes
+// the tables its snapshot holds no segment for and every table the WAL
+// replays once, in one call after the replay, since replay reads no values.
 func (c *Catalog) BuildValueIndex(workers int) {
 	var missing []string
 	for _, qn := range c.order {

@@ -86,7 +86,7 @@ func TestInternedFeaturesTrackEdges(t *testing.T) {
 	if err := g.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := Load(&buf)
+	loaded, err := Load(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestAssociationPairIsOneEdge(t *testing.T) {
 	if err := g.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := Load(&buf)
+	g2, err := Load(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,11 @@ package searchgraph
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
+	"qint/internal/binio"
 	"qint/internal/learning"
 	"qint/internal/steiner"
 )
@@ -25,7 +27,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := g.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := Load(&buf)
+	g2, err := Load(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +75,7 @@ func TestSaveLoadSecondGeneration(t *testing.T) {
 	if err := g.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := Load(&buf)
+	g2, err := Load(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +85,7 @@ func TestSaveLoadSecondGeneration(t *testing.T) {
 	if err := g2.Save(&buf2); err != nil {
 		t.Fatal(err)
 	}
-	g3, err := Load(&buf2)
+	g3, err := Load(buf2.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,34 +97,230 @@ func TestSaveLoadSecondGeneration(t *testing.T) {
 	}
 }
 
-func TestLoadRejectsGarbage(t *testing.T) {
-	cases := []string{
-		"",
-		"not json",
-		`{"version": 99}`,
-		`{"version":1,"nodes":[{"kind":0}],"edges":[{"kind":1,"u":0,"v":5}]}`,
-		`{"version":1,"nodes":[{"kind":1,"ref":"malformed"}],"edges":[]}`,
-		// keyword and value nodes, and their edges, belong to query overlays
-		`{"version":1,"nodes":[{"kind":3,"value":"membrane"}],"edges":[]}`,
-		`{"version":1,"nodes":[{"kind":2,"ref":"go.term.name","value":"x"}],"edges":[]}`,
-		`{"version":1,"nodes":[{"kind":0,"rel":"go.term"},{"kind":1,"ref":"go.term.name"}],` +
-			`"edges":[{"kind":3,"u":0,"v":1,"features":{"mismatch":0.2}}]}`,
-		`{"version":1,"nodes":[{"kind":0,"rel":"go.term"},{"kind":1,"ref":"go.term.name"}],` +
-			`"edges":[{"kind":4,"u":0,"v":1,"fixed":true}]}`,
-		// an edge kind the graph does not know (mediated mappings are not edges)
-		`{"version":1,"nodes":[{"kind":1,"ref":"med.gene.name"},{"kind":1,"ref":"go.term.name"}],` +
-			`"edges":[{"kind":5,"u":0,"v":1,"features":{"mapping":1}}]}`,
-		// an association edge whose endpoints are not its pair's attributes
-		`{"version":1,"nodes":[{"kind":0,"rel":"go.term"},{"kind":1,"ref":"go.term.acc"},{"kind":1,"ref":"ip.x.id"}],` +
-			`"edges":[{"kind":2,"u":0,"v":2,"features":{"default":1},"a":"go.term.acc","b":"ip.x.id"}]}`,
-		// two association edges for one pair, in either order
-		`{"version":1,"nodes":[{"kind":1,"ref":"go.term.acc"},{"kind":1,"ref":"ip.x.id"}],` +
-			`"edges":[{"kind":2,"u":0,"v":1,"features":{"default":1},"a":"go.term.acc","b":"ip.x.id"},` +
-			`{"kind":2,"u":1,"v":0,"features":{"default":1},"a":"ip.x.id","b":"go.term.acc"}]}`,
+// rawSection spells a graph section out field by field, in Save's layout,
+// so a test can write structures Save never does.
+type rawSection struct {
+	magic   string
+	weights []rawWeight
+	names   []string
+	nodes   []rawNode
+	edges   []rawEdge
+}
+
+type rawWeight struct {
+	name string
+	x    float64
+}
+
+type rawNode struct {
+	kind uint64
+	s    string // a relation's name or an attribute's reference
+}
+
+type rawEdge struct {
+	kind, u, v, fixed uint64
+	a, b              string // written for a foreign-key edge only
+	feats             []rawFeat
+}
+
+type rawFeat struct {
+	index uint64
+	x     float64
+}
+
+func (s rawSection) bytes() []byte {
+	var buf bytes.Buffer
+	b := binio.NewWriter(&buf)
+	b.Raw(s.magic)
+	b.Uvarint(uint64(len(s.weights)))
+	for _, w := range s.weights {
+		b.Str(w.name)
+		b.Float64(w.x)
 	}
-	for i, c := range cases {
-		if _, err := Load(strings.NewReader(c)); err == nil {
-			t.Errorf("case %d: expected error", i)
+	b.Uvarint(uint64(len(s.names)))
+	for _, n := range s.names {
+		b.Str(n)
+	}
+	b.Uvarint(uint64(len(s.nodes)))
+	for _, n := range s.nodes {
+		b.Uvarint(n.kind)
+		b.Str(n.s)
+	}
+	b.Uvarint(uint64(len(s.edges)))
+	for _, e := range s.edges {
+		b.Uvarint(e.kind)
+		b.Uvarint(e.u)
+		b.Uvarint(e.v)
+		b.Uvarint(e.fixed)
+		if e.kind == uint64(EdgeForeignKey) {
+			b.Str(e.a)
+			b.Str(e.b)
+		}
+		b.Uvarint(uint64(len(e.feats)))
+		for _, f := range e.feats {
+			b.Uvarint(f.index)
+			b.Float64(f.x)
 		}
 	}
+	if err := b.Flush(); err != nil {
+		panic(err) // a bytes.Buffer does not fail
+	}
+	return buf.Bytes()
+}
+
+// validRaw is a well-formed section: two relations joined by a foreign
+// key, and one association edge between two attributes of them.
+func validRaw() rawSection {
+	return rawSection{
+		magic:   graphBinMagic,
+		weights: []rawWeight{{"default", 0.1}, {"fk", 0.9}},
+		names:   []string{"default", "fk", "rel:go.term"},
+		nodes: []rawNode{
+			{uint64(KindRelation), "go.term"}, {uint64(KindAttribute), "go.term.acc"},
+			{uint64(KindRelation), "ip.x"}, {uint64(KindAttribute), "ip.x.id"},
+		},
+		edges: []rawEdge{
+			{kind: uint64(EdgeAttrRel), u: 1, v: 0, fixed: 1},
+			{kind: uint64(EdgeAttrRel), u: 3, v: 2, fixed: 1},
+			{kind: uint64(EdgeForeignKey), u: 2, v: 0, a: "ip.x.id", b: "go.term.acc", feats: []rawFeat{{0, 1}, {1, 1}}},
+			{kind: uint64(EdgeAssociation), u: 1, v: 3, feats: []rawFeat{{0, 1}, {2, 0.5}}},
+		},
+	}
+}
+
+// TestLoadRejectsGarbage: the well-formed raw section loads and re-encodes
+// to itself, and each case, one hostile structure apiece, is refused.
+func TestLoadRejectsGarbage(t *testing.T) {
+	good := validRaw().bytes()
+	g, err := Load(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var again bytes.Buffer
+	if err := g.Save(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), good) {
+		t.Fatal("the well-formed raw section does not re-encode to itself")
+	}
+
+	for _, tc := range []struct {
+		name string
+		edit func(s *rawSection)
+	}{
+		{"another version's magic", func(s *rawSection) { s.magic = "QGRFb2\n\n" }},
+		{"weights out of name order", func(s *rawSection) { s.weights[0].name = "zzz" }},
+		{"a weight twice", func(s *rawSection) { s.weights[1].name = "default" }},
+		{"a dictionary name twice", func(s *rawSection) { s.names[2] = "default" }},
+		{"a dictionary name no edge uses", func(s *rawSection) { s.names = append(s.names, "unused") }},
+		{"dictionary out of first-use order", func(s *rawSection) { s.edges[2].feats = []rawFeat{{1, 1}} }},
+		{"feature index past the dictionary", func(s *rawSection) { s.edges[3].feats[1].index = 3 }},
+		{"features out of name order", func(s *rawSection) {
+			s.edges[3].feats = []rawFeat{{2, 0.5}, {0, 1}}
+		}},
+		{"a feature twice", func(s *rawSection) { s.edges[3].feats = []rawFeat{{0, 1}, {0, 1}, {2, 1}} }},
+		{"endpoint out of range", func(s *rawSection) { s.edges[0].v = 5 }},
+		{"malformed attribute reference", func(s *rawSection) { s.nodes[1].s = "malformed" }},
+		{"attribute reference without a source", func(s *rawSection) { s.nodes[1].s = "term.acc" }},
+		{"malformed foreign-key reference", func(s *rawSection) { s.edges[2].b = "acc" }},
+		// keyword and value nodes, and their edges, belong to query overlays
+		{"a keyword node", func(s *rawSection) { s.nodes[2] = rawNode{uint64(KindKeyword), "membrane"} }},
+		{"a value node", func(s *rawSection) { s.nodes[2] = rawNode{uint64(KindValue), "go.term.name"} }},
+		{"a keyword edge", func(s *rawSection) {
+			s.edges[1] = rawEdge{kind: uint64(EdgeKeyword), u: 0, v: 1, feats: []rawFeat{{0, 0.2}}}
+		}},
+		{"a value-attr edge", func(s *rawSection) { s.edges[1] = rawEdge{kind: uint64(EdgeValueAttr), u: 0, v: 1, fixed: 1} }},
+		// an edge kind the graph does not know (mediated mappings are not edges)
+		{"an unknown edge kind", func(s *rawSection) { s.edges[1].kind = 5 }},
+		{"a second node for one relation", func(s *rawSection) { s.nodes[2].s = "go.term" }},
+		{"a second node for one attribute", func(s *rawSection) { s.nodes[3].s = "go.term.acc" }},
+		// an association edge whose endpoints are not its pair's attributes
+		{"an association edge from a relation", func(s *rawSection) { s.edges[3].u = 0 }},
+		// two association edges for one pair, in either order
+		{"a second association edge for one pair", func(s *rawSection) {
+			s.edges = append(s.edges, rawEdge{kind: uint64(EdgeAssociation), u: 3, v: 1, feats: []rawFeat{{0, 1}}})
+		}},
+		{"a fixed edge with features", func(s *rawSection) { s.edges[0].feats = []rawFeat{{0, 1}} }},
+		{"a fixed flag other than 0 and 1", func(s *rawSection) { s.edges[0].fixed = 2 }},
+	} {
+		s := validRaw()
+		tc.edit(&s)
+		if _, err := Load(s.bytes()); err == nil {
+			t.Errorf("%s: section accepted", tc.name)
+		}
+	}
+
+	for _, in := range [][]byte{nil, []byte("not a graph"), append(slices.Clone(good), 0)} {
+		if _, err := Load(in); err == nil {
+			t.Errorf("%q accepted", in)
+		}
+	}
+	// A varint longer than its minimal form: the weight count 2, the
+	// byte after the magic, as 0x82 0x00.
+	n := len(graphBinMagic)
+	overlong := slices.Concat(good[:n], []byte{0x82, 0}, good[n+1:])
+	if _, err := Load(overlong); err == nil {
+		t.Error("a non-minimal varint accepted")
+	}
+}
+
+// TestLoadRejectsTruncatedSection: every proper prefix of a valid section
+// is refused.
+func TestLoadRejectsTruncatedSection(t *testing.T) {
+	var buf bytes.Buffer
+	if err := buildRichGraph().Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	for n := range len(data) {
+		if _, err := Load(data[:n]); err == nil {
+			t.Errorf("section truncated to %d of %d bytes accepted", n, len(data))
+		}
+	}
+}
+
+// TestLoadRefusesJSONSection: a section in the retired JSON format is
+// refused by name.
+func TestLoadRefusesJSONSection(t *testing.T) {
+	var buf bytes.Buffer
+	if err := buildRichGraph().saveJSONOracle(&buf); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Load(buf.Bytes())
+	if err == nil || !strings.Contains(err.Error(), "JSON") {
+		t.Fatalf("JSON section: err = %v, want a refusal naming the JSON format", err)
+	}
+}
+
+// FuzzLoadGraph: any input is refused or loads a graph that re-encodes to
+// the same bytes; Load never panics, and Count bounds every allocation by
+// the input's length.
+func FuzzLoadGraph(f *testing.F) {
+	// Small fixtures keep the fuzzer's minimisation quick: the rich graph,
+	// and the rich graph after a replayed association and weight delta.
+	replayed := buildRichGraph()
+	replayed.RestoreAssociationEdge(ref("ip.entry", "name"), ref("go.term", "name"), learning.Vector{"default": 1, "handcoded": 1})
+	replayed.ApplyWeightDelta(DiffWeights(replayed.Weights(), learning.Vector{"default": 0.2, "handcoded": 0.4}))
+	replayed.RepriceEdges()
+	for _, g := range []*Graph{buildRichGraph(), replayed} {
+		var buf bytes.Buffer
+		if err := g.Save(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add(validRaw().bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := Load(data)
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := g.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), data) {
+			t.Fatalf("accepted section re-encodes differently:\n in % x\nout % x", data, buf.Bytes())
+		}
+	})
 }

@@ -375,7 +375,13 @@ func (g *Graph) addEdge(u, v steiner.NodeID, e Edge) steiner.EdgeID {
 	if !e.Fixed {
 		f = g.dict.Intern(e.Features)
 	}
-	id := g.s.sg.AddEdge(u, v, g.price(f))
+	return g.appendEdge(u, v, e, f, g.price(f))
+}
+
+// appendEdge appends an edge with interned features f (nil for a fixed
+// edge) and a parallel steiner edge at cost; callers own storage.
+func (g *Graph) appendEdge(u, v steiner.NodeID, e Edge, f *learning.Interned, cost float64) steiner.EdgeID {
+	id := g.s.sg.AddEdge(u, v, cost)
 	e.ID = id
 	g.s.edges = append(g.s.edges, e)
 	g.s.interned = append(g.s.interned, f)

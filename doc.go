@@ -287,11 +287,18 @@
 // segment and graph sections are binary (internal/binio's primitives; the
 // graph writes each feature name once, in a dictionary its edges index),
 // so loading is a read plus slice re-pointing, not a re-index or a JSON
-// parse. Replay then adds the WAL tail's tables unindexed, and restore
-// indexes every replayed table once, in one fan-out after the tail, and
+// parse. The segments section (QSEGb2) points into the catalog instead of
+// repeating it: a value is the row that first carries it, a normalised
+// value is written only when it differs, a trigram key is a delta of gram
+// codes and a token key a field index into a normalised value, so it is
+// about half the bytes of the retired QSEGb1 layout, and a restore that
+// meets a QSEGb1 section indexes those tables from their rows instead.
+// Replay then adds the WAL tail's tables unindexed, and restore indexes
+// every replayed table once, in one fan-out after the tail, and
 // rematerialises the views across the worker pool without counting them as
 // queries (bench/'s write_churn and ingest_restart workloads measure
-// recovery).
+// recovery; qint_recovery_stage_seconds_total splits a restore into open,
+// catalog, segments, graph, replay, index and views).
 //
 // Durability is log-then-publish: every write but AddMatcher (AddTables,
 // RegisterSource, AlignAllPairs, AddAssociations, SetWeights, feedback) is

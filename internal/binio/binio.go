@@ -6,8 +6,10 @@
 //
 // The reader converts the whole section to ONE string up front; Str returns
 // substrings of it, so a decoded section's strings alias that single
-// backing array instead of costing one allocation each. It records the
-// first error and turns every later read into a no-op returning a zero
+// backing array instead of costing one allocation each. A transient reader
+// skips the conversion and views the section's bytes in place, for a
+// decoder that keeps none of the strings it reads. Either reader records
+// the first error and turns every later read into a no-op returning a zero
 // value, so a decoder may read a whole structure and check Err once.
 package binio
 
@@ -17,6 +19,8 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
+	"unsafe"
 )
 
 // Writer encodes to a buffered io.Writer. The first write error sticks:
@@ -62,6 +66,17 @@ func (b *Writer) Bytes(p []byte) {
 	_, b.err = b.w.Write(p)
 }
 
+// IDs writes a strictly ascending list of non-negative ids: its length,
+// then each id as its delta from the one before (the first from 0).
+func (b *Writer) IDs(ids []int32) {
+	b.Uvarint(uint64(len(ids)))
+	prev := int32(0)
+	for _, id := range ids {
+		b.Uvarint(uint64(id - prev))
+		prev = id
+	}
+}
+
 // Float64 writes x's IEEE 754 bits, eight bytes little-endian, so every
 // value (NaN payloads and signed zeros included) decodes to the same bits.
 func (b *Writer) Float64(x float64) {
@@ -90,9 +105,21 @@ type Reader struct {
 // NewReader returns a Reader over data positioned after magic, or one
 // already failed if data does not start with magic.
 func NewReader(data []byte, magic string) *Reader {
-	r := &Reader{s: string(data)}
+	return newReader(string(data), magic)
+}
+
+// NewTransientReader is NewReader without the copy: the reader views data
+// in place, so every string it returns aliases data and stays valid only
+// while data is left unmodified. It suits a decoder that copies whatever
+// it keeps.
+func NewTransientReader(data []byte, magic string) *Reader {
+	return newReader(unsafe.String(unsafe.SliceData(data), len(data)), magic)
+}
+
+func newReader(s, magic string) *Reader {
+	r := &Reader{s: s}
 	if len(r.s) < len(magic) || r.s[:len(magic)] != magic {
-		r.err = fmt.Errorf("binio: bad section magic, want %q", magic)
+		r.Failf("binio: bad section magic, want %q", magic)
 		return r
 	}
 	r.off = len(magic)
@@ -102,11 +129,14 @@ func NewReader(data []byte, magic string) *Reader {
 // Err returns the first error the reader met, or nil.
 func (r *Reader) Err() error { return r.err }
 
-// Failf records a decoder's own error, unless an earlier one is recorded.
+// Failf records a decoder's own error, unless an earlier one is recorded,
+// and moves the reader to the end of the section, so every later read
+// finds nothing to read.
 func (r *Reader) Failf(format string, args ...any) {
 	if r.err == nil {
 		r.err = fmt.Errorf(format, args...)
 	}
+	r.off = len(r.s)
 }
 
 func (r *Reader) truncated(what string) {
@@ -116,8 +146,20 @@ func (r *Reader) truncated(what string) {
 // Uvarint decodes like binary.Uvarint, reading the section string in
 // place, but refuses a varint longer than its minimal form (a zero final
 // byte after the first), which binary.PutUvarint never writes: every value
-// has one encoding, so an accepted section re-encodes to itself.
+// has one encoding, so an accepted section re-encodes to itself. A one-byte
+// varint, the common case of a delta-encoded list, takes a short path.
 func (r *Reader) Uvarint() uint64 {
+	if off := r.off; off < len(r.s) {
+		if c := r.s[off]; c < 0x80 {
+			r.off = off + 1
+			return uint64(c)
+		}
+	}
+	return r.uvarint()
+}
+
+// uvarint is Uvarint's long path.
+func (r *Reader) uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
@@ -139,6 +181,51 @@ func (r *Reader) Uvarint() uint64 {
 	}
 	r.truncated("varint")
 	return 0
+}
+
+// IDs reads a list Writer.IDs wrote and appends its ids to dst. The ids
+// must ascend strictly and stay below limit at every id, not just the
+// last, so a corrupt delta can neither wrap an id negative nor point past
+// what the ids index. This is the decoders' hottest loop, so a one-byte
+// length and one- and two-byte deltas decode inline.
+func (r *Reader) IDs(dst []int32, limit int) []int32 {
+	s, off := r.s, r.off
+	var n int
+	if off < len(s) && s[off] < 0x80 && int(s[off]) < len(s)-off { // Count's bound
+		n = int(s[off])
+		off++
+	} else if n = r.Count("id"); r.err != nil {
+		return dst
+	} else {
+		off = r.off
+	}
+	dst = slices.Grow(dst, n) // n is bounded by the bytes left
+	var id uint64
+	for j := 0; j < n; j++ {
+		var d uint64
+		if off < len(s) && s[off] < 0x80 {
+			d = uint64(s[off])
+			off++
+		} else if off+1 < len(s) && s[off+1]-1 < 0x7f { // a minimal two-byte varint
+			d = uint64(s[off]&0x7f) | uint64(s[off+1])<<7
+			off += 2
+		} else {
+			r.off = off
+			if d = r.uvarint(); r.err != nil {
+				return dst
+			}
+			off = r.off
+		}
+		// d < limit-id keeps id+d below limit and cannot overflow.
+		if (j > 0 && d == 0) || d >= uint64(limit)-id {
+			r.Failf("binio: id list is not strictly ascending below %d", limit)
+			return dst
+		}
+		id += d
+		dst = append(dst, int32(id))
+	}
+	r.off = off
+	return dst
 }
 
 // Count reads a uvarint that will be used as an allocation size, bounding

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -52,6 +53,7 @@ func TestReaderUvarint(t *testing.T) {
 // (float64s by their bits), the whole section consumed, and a refusal at
 // every truncation.
 func TestRoundTrip(t *testing.T) {
+	ids := []int32{0, 1, 127, 128, 255, 300, 16383, 16384, 20000, math.MaxInt32 - 1}
 	floats := []float64{0, math.Copysign(0, -1), 1, -0.25, math.Inf(1), math.NaN(), math.SmallestNonzeroFloat64}
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -63,6 +65,7 @@ func TestRoundTrip(t *testing.T) {
 	for _, x := range floats {
 		w.Float64(x)
 	}
+	w.IDs(ids)
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -72,9 +75,9 @@ func TestRoundTrip(t *testing.T) {
 		for _, x := range floats {
 			ok = math.Float64bits(r.Float64()) == math.Float64bits(x) && ok
 		}
-		return ok && r.End() == nil
+		return slices.Equal(r.IDs(nil, math.MaxInt32), ids) && ok && r.End() == nil
 	}
-	if !read(NewReader(data, "MAGIC")) {
+	if !read(NewReader(data, "MAGIC")) || !read(NewTransientReader(data, "MAGIC")) {
 		t.Fatal("round trip changed a value or left bytes unread")
 	}
 	if r := NewReader(data, "MAGIX"); r.Err() == nil {
@@ -99,5 +102,30 @@ func TestCountBoundsAllocation(t *testing.T) {
 	r = NewReader(append(binary.AppendUvarint(nil, 2), 'a', 'b'), "")
 	if n := r.Count("item"); n != 2 || r.Err() != nil {
 		t.Errorf("Count = %d, %v; want 2", n, r.Err())
+	}
+}
+
+// TestReaderIDs refuses an id list whose ids repeat, wrap or reach the
+// limit, whose length passes the input, or whose delta is a non-minimal
+// varint, on the inline paths as on the long one.
+func TestReaderIDs(t *testing.T) {
+	for _, in := range [][]byte{
+		{2, 3, 0},             // repeated id
+		{1, 10},               // id at the limit
+		{2, 0, 0x89, 0x80, 1}, // a three-byte delta past the limit
+		{2, 5, 0xff, 0xff, 3}, // wraps past the limit
+		{3, 1, 1},             // length past the input
+		{1, 0x81, 0},          // non-minimal two-byte delta
+		{0x81, 0, 1},          // non-minimal length
+		{2, 1, 0x80, 0x80, 0}, // non-minimal three-byte delta
+	} {
+		r := NewReader(in, "")
+		if ids := r.IDs(nil, 10); r.Err() == nil {
+			t.Errorf("% x: read %v, want a refusal", in, ids)
+		}
+	}
+	r := NewReader([]byte{3, 0, 0x81, 0x01, 0x01}, "")
+	if ids := r.IDs(nil, 1000); !slices.Equal(ids, []int32{0, 129, 130}) || r.End() != nil {
+		t.Errorf("IDs = %v, %v; want [0 129 130]", ids, r.End())
 	}
 }

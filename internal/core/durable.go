@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"time"
 
 	"qint/internal/learning"
 	"qint/internal/relstore"
@@ -155,11 +156,12 @@ func Open(opts Options) (*Q, error) {
 	if opts.DataDir == "" {
 		return nil, fmt.Errorf("core: Open requires Options.DataDir")
 	}
+	t0 := time.Now()
 	st, err := storage.Open(opts.DataDir)
 	if err != nil {
 		return nil, err
 	}
-	q, err := openFrom(st, opts)
+	q, err := openFrom(st, opts, t0)
 	if err != nil {
 		st.Close()
 		return nil, err
@@ -167,13 +169,14 @@ func Open(opts Options) (*Q, error) {
 	return q, nil
 }
 
-func openFrom(st *storage.Store, opts Options) (*Q, error) {
+// openFrom restores a Q from an opened store; t0 is when Open began.
+func openFrom(st *storage.Store, opts Options, t0 time.Time) (*Q, error) {
 	q := New(opts)
 	snap, snapLoaded, err := st.Snapshot()
 	if err != nil {
 		return nil, err
 	}
-	if err := q.restore(snap, st.Records()); err != nil {
+	if err := q.restore(snap, st.Records(), t0); err != nil {
 		return nil, err
 	}
 
@@ -207,8 +210,13 @@ func openFrom(st *storage.Store, opts Options) (*Q, error) {
 // its binary section with its learned weights, and the records replay
 // without re-logging. Only then are the unindexed tables indexed, the
 // edges repriced and the state published, once each, and the persistent
-// views rematerialised.
-func (q *Q) restore(snap *storage.Container, records []storage.Record) error {
+// views rematerialised. A segments section in the retired QSEGb1 layout
+// counts as absent: its tables are indexed from their rows with the rest.
+// Each stage's time, from t0 on (when the caller began reading the
+// container), goes to qint_recovery_stage_seconds_total.
+func (q *Q) restore(snap *storage.Container, records []storage.Record, t0 time.Time) error {
+	m := q.metrics
+	t := m.recovered(recoverOpen, t0)
 	var views []viewSnap
 	var nextID int64
 	if snap != nil {
@@ -230,20 +238,24 @@ func (q *Q) restore(snap *storage.Container, records []storage.Record) error {
 		if err != nil {
 			return err
 		}
+		t = m.recovered(recoverCatalog, t)
 		if segSec, ok := snap.Section("segments"); ok {
-			if err := cat.LoadSegments(segSec); err != nil {
+			if err := cat.LoadSegments(segSec); err != nil && !errors.Is(err, relstore.ErrRetiredSegments) {
 				return err
 			}
 		}
+		t = m.recovered(recoverSegments, t)
 		graph, err := searchgraph.Load(graphSec)
 		if err != nil {
 			return err
 		}
+		t = m.recovered(recoverGraph, t)
 		q.catalog = cat
 		q.graph = graph
 		for _, rel := range cat.Relations() {
 			q.indexRelation(rel) // the keyword corpus is derived state
 		}
+		t = m.recovered(recoverIndex, t)
 	}
 
 	for _, rec := range records {
@@ -251,14 +263,15 @@ func (q *Q) restore(snap *storage.Container, records []storage.Record) error {
 			return fmt.Errorf("core: replay epoch %d: %w", rec.Epoch, err)
 		}
 	}
-
 	q.writerMu.Lock()
+	q.graph.RepriceEdges() // once for every replayed weight delta
+	t = m.recovered(recoverReplay, t)
 	// Tables the snapshot holds no segment for and every replayed table,
 	// in one fan-out: replay reads no values.
 	q.catalog.BuildValueIndex(q.width)
-	q.graph.RepriceEdges() // once for every replayed weight delta
 	st := q.publishLocked()
 	q.writerMu.Unlock()
+	t = m.recovered(recoverIndex, t)
 
 	// Each view expands its saved keyword list into a fresh overlay and
 	// materialises at its saved k, across the worker pool as a refresh
@@ -298,6 +311,7 @@ func (q *Q) restore(snap *storage.Container, records []storage.Record) error {
 	}); err != nil {
 		return err
 	}
+	m.recovered(recoverViews, t)
 	q.views = restored
 	q.nextViewID = nextID
 	if n := len(q.views); n > 0 && q.views[n-1].ID >= nextID {
@@ -410,11 +424,13 @@ func (q *Q) checkpointLocked() error {
 		q.viewsSigLocked() == q.persist.snapViewsSig {
 		return nil
 	}
+	t0 := time.Now()
 	if err := q.persist.store.Publish(func(sa storage.SectionAdder) error {
 		return q.writeSnapshotSections(sa)
 	}); err != nil {
 		return err
 	}
+	addSince(q.metrics.checkpointTime, t0)
 	q.persist.hasSnapshot = true
 	q.persist.snapViewsSig = q.viewsSigLocked()
 	return nil

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"maps"
 	"math"
 	"os"
@@ -13,10 +14,13 @@ import (
 	"strings"
 	"testing"
 
+	"qint/internal/binio"
 	"qint/internal/matcher/mad"
 	"qint/internal/matcher/meta"
 	"qint/internal/relstore"
 	"qint/internal/steiner"
+	"qint/internal/storage"
+	"qint/internal/text"
 )
 
 // durableOpts returns options rooted in a fresh temp dir.
@@ -540,4 +544,220 @@ func TestRestoreCountsNoQueries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestRestoreRebuildsRetiredSegments: a data directory whose snapshot
+// carries its value index in the retired QSEGb1 layout still opens. The
+// restore treats that section as absent and indexes the snapshot's tables
+// from their rows, with the tables the WAL tail replays, and the reopened
+// engine answers byte-identically to the live one. Any other malformed
+// segments section still fails Open.
+func TestRestoreRebuildsRetiredSegments(t *testing.T) {
+	opts := durableOpts(t)
+	q := openDurable(t, opts, manualCheckpoints)
+	q.AddMatcher(meta.New())
+	q.AddMatcher(mad.New())
+	driveMutations(t, q)
+	if err := q.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	retired := segmentsV1(t, q.CurrentCatalog())
+	if err := q.AddTables(journalTable(t, "tail")); err != nil { // replayed from the WAL
+		t.Fatal(err)
+	}
+	want := fingerprintQ(q)
+	probes := []string{"'plasma membrane' 'Nature'", "'PUB0002' entry", "'nucleus' 'Kringle domain'"}
+	var wantProbes []string
+	for _, s := range probes {
+		v, err := q.Query(Request{Keywords: ParseKeywords(s), Ephemeral: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantProbes = append(wantProbes, fingerprintView(v))
+	}
+	snapPath := filepath.Join(opts.DataDir, fmt.Sprintf("gen-%d.snap", q.persist.store.SnapshotEpoch()))
+	if err := q.persist.store.Close(); err != nil { // crash: the tail stays in the WAL
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// withSegments copies the data directory with the snapshot's segments
+	// section replaced by sec.
+	withSegments := func(sec []byte) Options {
+		dir := t.TempDir()
+		entries, err := os.ReadDir(opts.DataDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(opts.DataDir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e.Name() == filepath.Base(snapPath) {
+				data = replaceSection(t, data, "segments", sec)
+			}
+			if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		o := opts
+		o.DataDir = dir
+		return o
+	}
+
+	q2 := reopen(t, withSegments(retired))
+	if got := fingerprintQ(q2); got != want {
+		t.Fatalf("reopened over a QSEGb1 section, the engine diverged:\nwant:\n%s\ngot:\n%s", want, got)
+	}
+	for i, s := range probes {
+		v, err := q2.Query(Request{Keywords: ParseKeywords(s), Ephemeral: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fingerprintView(v); got != wantProbes[i] {
+			t.Errorf("query %s after the reopen:\ngot:\n%s\nwant:\n%s", s, got, wantProbes[i])
+		}
+	}
+	for _, rel := range q2.CurrentCatalog().Relations() {
+		for _, a := range rel.Attributes {
+			ref := relstore.AttrRef{Relation: rel.QualifiedName(), Attr: a.Name}
+			if got, want := q2.CurrentCatalog().Values(ref), q.CurrentCatalog().Values(ref); !slices.Equal(got, want) {
+				t.Errorf("Values(%v) = %q after the reopen, want %q", ref, got, want)
+			}
+		}
+	}
+
+	valid, ok := containerSection(t, snap, "segments")
+	if !ok {
+		t.Fatal("the snapshot holds no segments section")
+	}
+	for name, sec := range map[string][]byte{
+		"unknown layout": []byte("QSEGb9\n\n\x00"),
+		"truncated":      valid[:len(valid)-1],
+		"trailing byte":  append(slices.Clone(valid), 0),
+	} {
+		if r, err := Open(withSegments(sec)); err == nil {
+			r.Close()
+			t.Errorf("%s segments section: Open succeeded", name)
+		}
+	}
+}
+
+// segmentsV1 encodes cat's value index in the retired QSEGb1 layout from the
+// catalog's public surface, as relstore's saveSegmentsV1Oracle writes it:
+// per table the relation and attribute names, the attribute span offsets,
+// every distinct value with its normalised form and row count, then the
+// trigram and token posting lists under their string keys, keys ascending,
+// ids delta-encoded.
+func segmentsV1(t *testing.T, cat *relstore.Catalog) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	b := binio.NewWriter(&buf)
+	b.Raw("QSEGb1\n\n")
+	b.Uvarint(uint64(cat.NumRelations()))
+	for _, rel := range cat.Relations() {
+		qn := rel.QualifiedName()
+		b.Str(qn)
+		b.Uvarint(uint64(len(rel.Attributes)))
+		for _, a := range rel.Attributes {
+			b.Str(a.Name)
+		}
+		type entry struct {
+			val, norm string
+			rows      int
+		}
+		var entries []entry
+		starts := []int{0}
+		for _, a := range rel.Attributes {
+			rows := make(map[string]int)
+			for _, v := range cat.Table(qn).Column(a.Name) {
+				rows[v]++
+			}
+			for _, v := range cat.Values(relstore.AttrRef{Relation: qn, Attr: a.Name}) {
+				entries = append(entries, entry{v, text.Normalize(v), rows[v]})
+			}
+			starts = append(starts, len(entries))
+		}
+		for _, off := range starts {
+			b.Uvarint(uint64(off))
+		}
+		b.Uvarint(uint64(len(entries)))
+		grams, tokens := make(map[string][]int), make(map[string][]int)
+		post := func(m map[string][]int, key string, id int) {
+			if l := m[key]; len(l) == 0 || l[len(l)-1] != id {
+				m[key] = append(l, id)
+			}
+		}
+		for id, e := range entries {
+			b.Str(e.val)
+			b.Str(e.norm)
+			b.Uvarint(uint64(e.rows))
+			r := []rune(e.norm)
+			for i := 0; i+3 <= len(r); i++ {
+				post(grams, string(r[i:i+3]), id)
+			}
+			for _, tok := range strings.Fields(e.norm) {
+				post(tokens, tok, id)
+			}
+		}
+		for _, m := range []map[string][]int{grams, tokens} {
+			keys := slices.Sorted(maps.Keys(m))
+			b.Uvarint(uint64(len(keys)))
+			for _, k := range keys {
+				b.Str(k)
+				b.Uvarint(uint64(len(m[k])))
+				prev := 0
+				for _, id := range m[k] {
+					b.Uvarint(uint64(id - prev))
+					prev = id
+				}
+			}
+		}
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// containerSection returns the named section of a checkpoint container.
+func containerSection(t *testing.T, data []byte, name string) ([]byte, bool) {
+	t.Helper()
+	c, err := storage.OpenContainer(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c.Section(name)
+}
+
+// replaceSection re-encodes a checkpoint container with the named
+// section's payload replaced by sec and every other section kept.
+func replaceSection(t *testing.T, data []byte, name string, sec []byte) []byte {
+	t.Helper()
+	c, err := storage.OpenContainer(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	cw, err := storage.NewContainerWriter(&out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range c.SectionNames() {
+		payload, _ := c.Section(n)
+		if n == name {
+			payload = sec
+		}
+		if err := cw.Section(n, func(w io.Writer) error { _, err := w.Write(payload); return err }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cw.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
 }

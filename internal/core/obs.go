@@ -47,8 +47,13 @@ type engineMetrics struct {
 
 	refreshErrors *obs.Counter // qint_refresh_errors_total
 
-	// Write path: time per stage of a write, summed over writes.
-	writeTime [numWriteStages]*obs.Counter // qint_write_stage_seconds_total{stage=}
+	// Write path: time per stage of a write, summed over writes, and the
+	// checkpoints that fold the WAL, which no one write owns.
+	writeTime      [numWriteStages]*obs.Counter // qint_write_stage_seconds_total{stage=}
+	checkpointTime *obs.Counter                 // qint_write_stage_seconds_total{stage="checkpoint"}
+
+	// Recovery: time per stage of the restore that built this engine.
+	recoveryTime [numRecoveryStages]*obs.Counter // qint_recovery_stage_seconds_total{stage=}
 
 	// Top-k early termination.
 	topkBranchesSkipped *obs.Counter
@@ -88,8 +93,36 @@ var writeStageNames = [numWriteStages]string{"page", "learn", "reprice", "log", 
 // span adds the time since t0 to stage st and returns the current time, the
 // next span's start.
 func (m *engineMetrics) span(st writeStage, t0 time.Time) time.Time {
+	return addSince(m.writeTime[st], t0)
+}
+
+// recoveryStage is one span of Open or Load. The spans follow one another,
+// so their sum is at most the restore's wall time.
+type recoveryStage int
+
+const (
+	recoverOpen     recoveryStage = iota // the data directory's manifest, snapshot and WAL read (Open), or the container (Load)
+	recoverCatalog                       // the meta and catalog sections decoded
+	recoverSegments                      // the value-index segments installed
+	recoverGraph                         // the search graph decoded
+	recoverReplay                        // the WAL tail replayed, and the edges repriced once
+	recoverIndex                         // the keyword corpus and the missing value-index segments built, and the state published
+	recoverViews                         // the persistent views rematerialised
+	numRecoveryStages
+)
+
+var recoveryStageNames = [numRecoveryStages]string{"open", "catalog", "segments", "graph", "replay", "index", "views"}
+
+// recovered adds the time since t0 to recovery stage st and returns the
+// current time, the next span's start.
+func (m *engineMetrics) recovered(st recoveryStage, t0 time.Time) time.Time {
+	return addSince(m.recoveryTime[st], t0)
+}
+
+// addSince adds the nanoseconds since t0 to c and returns the current time.
+func addSince(c *obs.Counter, t0 time.Time) time.Time {
 	now := time.Now()
-	m.writeTime[st].Add(int64(now.Sub(t0)))
+	c.Add(int64(now.Sub(t0)))
 	return now
 }
 
@@ -124,8 +157,13 @@ func newEngineMetrics() *engineMetrics {
 		execBranches: r.Counter("qint_exec_branches_total", "Completed branch-query executions by view materialisations."),
 		execRows:     r.Counter("qint_exec_rows_total", "Rows produced by branch executions of view materialisations (union input, before top-k truncation)."),
 	}
+	const writeHelp = "Time spent per write stage across writes: page, learn and reprice for feedback, log, publish and refresh for every write, and checkpoint for the WAL folds."
 	for st, name := range writeStageNames {
-		m.writeTime[st] = r.ScaledCounter("qint_write_stage_seconds_total", "Time spent per write stage across writes: page, learn and reprice for feedback, log, publish and refresh for every write.", 1e-9, obs.Label{Name: "stage", Value: name})
+		m.writeTime[st] = r.ScaledCounter("qint_write_stage_seconds_total", writeHelp, 1e-9, obs.Label{Name: "stage", Value: name})
+	}
+	m.checkpointTime = r.ScaledCounter("qint_write_stage_seconds_total", writeHelp, 1e-9, obs.Label{Name: "stage", Value: "checkpoint"})
+	for st, name := range recoveryStageNames {
+		m.recoveryTime[st] = r.ScaledCounter("qint_recovery_stage_seconds_total", "Time spent per stage of the restore that built this engine: open, catalog, segments, graph, replay, index and views.", 1e-9, obs.Label{Name: "stage", Value: name})
 	}
 	for _, st := range obs.Stages() {
 		l := obs.Label{Name: "stage", Value: string(st)}

@@ -207,3 +207,68 @@ func TestFeedbackWriteStages(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoveryStages: reopening a crashed data directory — a snapshot, a
+// WAL tail and a view — runs every recovery stage, and the stages, which
+// follow one another, add up to no more than Open's wall time. A
+// checkpoint on the reopened engine shows as the write path's checkpoint
+// stage.
+func TestRecoveryStages(t *testing.T) {
+	opts := durableOpts(t)
+	q := openDurable(t, opts, manualCheckpoints)
+	if err := q.AddTables(fixtureTables(t)...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := queryStr(q, "'plasma membrane' 'Kringle domain'"); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.AddTables(journalTable(t, "tail")); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.persist.store.Close(); err != nil { // crash: the tail stays in the WAL
+		t.Fatal(err)
+	}
+
+	start := time.Now()
+	r, err := Open(opts)
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.Close() })
+	var sum time.Duration
+	for st, c := range r.metrics.recoveryTime {
+		d := time.Duration(c.Load())
+		if d <= 0 {
+			t.Errorf("recovery stage %s took %v, want > 0", recoveryStageNames[st], d)
+		}
+		sum += d
+	}
+	if sum > wall {
+		t.Errorf("recovery stages sum to %v, more than Open's wall time %v", sum, wall)
+	}
+	t.Logf("Open %v: stages sum to %v", wall, sum)
+
+	if err := r.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := r.Metrics().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	exp, err := obs.ParseExposition(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatalf("engine exposition is invalid: %v", err)
+	}
+	for _, name := range recoveryStageNames {
+		if v, ok := exp.Value(`qint_recovery_stage_seconds_total{stage="` + name + `"}`); !ok || v <= 0 {
+			t.Errorf("qint_recovery_stage_seconds_total{stage=%q} = %v (present %v), want > 0", name, v, ok)
+		}
+	}
+	if v, ok := exp.Value(`qint_write_stage_seconds_total{stage="checkpoint"}`); !ok || v <= 0 {
+		t.Errorf(`qint_write_stage_seconds_total{stage="checkpoint"} = %v (present %v), want > 0`, v, ok)
+	}
+}

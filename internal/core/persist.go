@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"time"
 
 	"qint/internal/storage"
 )
@@ -34,6 +35,7 @@ func Load(r io.Reader, opts Options) (*Q, error) {
 	if opts.DataDir != "" {
 		return nil, fmt.Errorf("core: Load does not attach a DataDir; use Open")
 	}
+	t0 := time.Now()
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("core: load: %w", err)
@@ -43,7 +45,7 @@ func Load(r io.Reader, opts Options) (*Q, error) {
 		return nil, fmt.Errorf("core: load: %w", err)
 	}
 	q := New(opts)
-	if err := q.restore(snap, nil); err != nil {
+	if err := q.restore(snap, nil, t0); err != nil {
 		return nil, err
 	}
 	return q, nil

@@ -1,9 +1,11 @@
 package relstore
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"slices"
+	"strings"
 
 	"qint/internal/binio"
 )
@@ -13,21 +15,37 @@ import (
 // segments encode to compact length-prefixed binary sections, and decode by
 // re-pointing rather than re-deriving — a loaded segment is installed
 // verbatim as its table's segment, so a restart skips normalisation and
-// trigram extraction entirely (the dominant cold-start cost). Strings decode
-// as substrings of one backing string per section, and a segment's posting
-// indexes decode into flat arrays sized up front, so loading allocates
-// O(tables + segments) backing arrays, not O(values).
+// trigram extraction entirely (the dominant cold-start cost).
+//
+// The catalog section is the ground truth: schemas and every row, whose
+// strings decode as substrings of one backing string for the section. The
+// segments section (QSEGb2) repeats none of it. A segment names its table
+// by registration position, an entry names its value by the first row
+// carrying it and writes its normalised form only when that differs, a
+// trigram key is its gram code as a delta from the previous key's, and a
+// token key is the index of a field of the normalised value of its list's
+// first entry. Loaded values therefore alias the catalog's rows, tokens
+// alias normalised values, and the few differing normalised values are
+// copied into one string per segment, so a loaded catalog does not pin its
+// segments section. Posting indexes decode into flat arrays, so loading
+// allocates O(tables + segments) backing arrays, not O(values). The
+// retired QSEGb1 layout, which wrote every value, normalised form and key
+// as a string, is refused by name (ErrRetiredSegments).
 //
 // The encoding primitives are internal/binio's, shared with the search
-// graph's section. Both encoders are deterministic: tables serialise in registration order,
-// segment entries are already sorted by (attribute, value), and posting
-// indexes serialise in their ascending key order with delta-encoded
-// ascending id lists. The same catalog therefore always produces the same
-// bytes — which the storage layer's restart-equivalence tests rely on.
+// graph's section. Both encoders are deterministic: tables serialise in
+// registration order, segment entries are already sorted by (attribute,
+// value), and posting indexes serialise in their ascending key order with
+// delta-encoded ascending id lists. The same catalog therefore always
+// produces the same bytes — which the storage layer's restart-equivalence
+// tests rely on — and both decoders refuse trailing bytes and any
+// structure their encoder would not write, so an accepted section
+// re-encodes to itself.
 
 const (
 	catalogBinMagic  = "QCATb1\n\n"
-	segmentsBinMagic = "QSEGb1\n\n"
+	segmentsBinMagic = "QSEGb2\n\n"
+	segmentsV1Magic  = "QSEGb1\n\n" // retired: see ErrRetiredSegments
 )
 
 // ---------------------------------------------------------------------------
@@ -115,8 +133,8 @@ func LoadCatalog(data []byte) (*Catalog, error) {
 			return nil, fmt.Errorf("relstore: load catalog: %w", err)
 		}
 	}
-	if r.Err() != nil {
-		return nil, fmt.Errorf("relstore: load catalog: %w", r.Err())
+	if err := r.End(); err != nil {
+		return nil, fmt.Errorf("relstore: load catalog: %w", err)
 	}
 	return c, nil
 }
@@ -130,41 +148,75 @@ func LoadCatalogBinary(data []byte, shards int) (*Catalog, error) { return LoadC
 // ---------------------------------------------------------------------------
 // value-index segments
 
+// ErrRetiredSegments is LoadSegments' error for a segments section in the
+// retired QSEGb1 layout, which repeated every value, normalised form and
+// key as a string. Such a section still carries its catalog's tables in the
+// catalog section, so a restore treats it as absent and indexes the tables
+// from their rows.
+var ErrRetiredSegments = errors.New("relstore: load segments: section is in the retired QSEGb1 layout")
+
 // SaveSegments encodes the segment of every indexed table; an unindexed
 // table writes none, and BuildValueIndex indexes it after a restart.
 // Deterministic: segments serialise in registration order, posting keys in
-// their stored ascending order, id lists delta-encoded.
+// their stored ascending order, id lists delta-encoded. A segment is
+// written as
+//
+//	table position in registration order (ascending across segments)
+//	attribute span offsets, entry count
+//	per entry: first row, rows<<1 | normDiffers, [norm if normDiffers]
+//	trigram keys: count, per key the code's delta from the previous
+//	  key's, then the id list
+//	token keys: count, per key the id list, then the index of the key's
+//	  first occurrence among the fields of its first entry's norm
+//
+// where an id list is its length and its ascending ids as deltas. Nothing
+// the catalog section holds is repeated: a value is its first row's cell,
+// and a token is cut from a normalised value.
 func (c *Catalog) SaveSegments(w io.Writer) error {
 	b := binio.NewWriter(w)
 	b.Raw(segmentsBinMagic)
-	var segs []*segment
-	for _, qn := range c.order {
-		if s := c.segs[qn]; s != nil {
-			segs = append(segs, s)
+	var pos []int
+	for i, qn := range c.order {
+		if c.segs[qn] != nil {
+			pos = append(pos, i)
 		}
 	}
-	b.Uvarint(uint64(len(segs)))
-	var gram []byte
-	for _, s := range segs {
-		b.Str(s.rel)
-		b.Uvarint(uint64(len(s.attrs)))
-		for _, a := range s.attrs {
-			b.Str(a)
-		}
+	b.Uvarint(uint64(len(pos)))
+	for _, p := range pos {
+		s := c.segs[c.order[p]]
+		b.Uvarint(uint64(p))
 		for _, off := range s.attrStart {
 			b.Uvarint(uint64(off))
 		}
 		b.Uvarint(uint64(len(s.entries)))
 		for _, e := range s.entries {
-			b.Str(e.val)
-			b.Str(e.norm)
-			b.Uvarint(uint64(e.rows))
+			flags := uint64(e.rows) << 1
+			if e.norm != e.val {
+				flags |= 1 // normDiffers
+			}
+			b.Uvarint(uint64(e.row))
+			b.Uvarint(flags)
+			if flags&1 != 0 {
+				b.Str(e.norm)
+			}
 		}
-		writePostings(b, &s.grams, func(code uint64) {
-			gram = appendGram(gram[:0], code)
-			b.Bytes(gram)
-		})
-		writePostings(b, &s.tokens, b.Str)
+		b.Uvarint(uint64(len(s.grams.keys)))
+		prev := uint64(0)
+		for i, code := range s.grams.keys {
+			b.Uvarint(code - prev)
+			prev = code
+			b.IDs(s.grams.list(i))
+		}
+		b.Uvarint(uint64(len(s.tokens.keys)))
+		for i, tok := range s.tokens.keys {
+			ids := s.tokens.list(i)
+			b.IDs(ids)
+			ref, ok := tokenRef(s.entries[ids[0]].norm, tok)
+			if !ok {
+				return fmt.Errorf("relstore: save segments: %s token %q is not a field of its first entry", s.rel, tok)
+			}
+			b.Uvarint(ref)
+		}
 	}
 	if err := b.Flush(); err != nil {
 		return fmt.Errorf("relstore: save segments: %w", err)
@@ -172,140 +224,251 @@ func (c *Catalog) SaveSegments(w io.Writer) error {
 	return nil
 }
 
-// writePostings encodes one posting index: the key count, then per key the
-// key (written by key) and its delta-encoded id list.
-func writePostings[K uint64 | string](b *binio.Writer, p *postings[K], key func(K)) {
-	b.Uvarint(uint64(len(p.keys)))
-	for i, k := range p.keys {
-		key(k)
-		ids := p.ids[p.off[i]:p.off[i+1]]
-		b.Uvarint(uint64(len(ids)))
-		prev := int32(0)
-		for _, id := range ids {
-			b.Uvarint(uint64(id - prev)) // ascending ids: deltas are non-negative
-			prev = id
+// readIDs decodes one posting list onto ids: a binio id list below
+// nEntries, which must hold at least one id.
+func readIDs(r *binio.Reader, nEntries int, ids []int32) []int32 {
+	n := len(ids)
+	if ids = r.IDs(ids, nEntries); r.Err() == nil && len(ids) == n {
+		r.Failf("empty posting list")
+	}
+	return ids
+}
+
+// tokenRef returns the index of tok's first occurrence among the fields
+// of norm, as the token index splits it (nextField).
+func tokenRef(norm, tok string) (uint64, bool) {
+	ref := uint64(0)
+	for i := 0; ; ref++ {
+		start, end := nextField(norm, i)
+		if start == end {
+			return 0, false
 		}
+		if norm[start:end] == tok {
+			return ref, true
+		}
+		i = end
 	}
 }
 
-// readPostings decodes one posting index into flat arrays; scratch collects
-// the ids and is reused across calls, so the index costs three allocations.
-// key parses a section key, reporting false for one the index cannot hold.
-// Keys must ascend strictly, and every id is checked as it is decoded: each
-// list must ascend strictly from 0 and stay below nEntries, so a corrupt
-// delta can neither wrap an id negative nor point past the segment's
-// entries.
-func readPostings[K uint64 | string](r *binio.Reader, nEntries int, key func(string) (K, bool), scratch *[]int32) postings[K] {
-	n := r.Count("posting key")
-	if r.Err() != nil || n == 0 {
-		return postings[K]{}
+// tokenAt is tokenRef's inverse: field ref of norm, reporting false when
+// norm has no such field or an earlier field equals it. The token is a
+// substring of norm.
+func tokenAt(norm string, ref uint64) (string, bool) {
+	i := 0
+	for n := uint64(0); ; n++ {
+		start, end := nextField(norm, i)
+		if start == end {
+			return "", false
+		}
+		if n == ref {
+			// norm[:start] holds exactly the fields before this one, and
+			// an earlier field equal to tok is a substring of it.
+			tok := norm[start:end]
+			if ref > 0 && strings.Contains(norm[:start], tok) {
+				_, earlier := tokenRef(norm[:start], tok)
+				return tok, !earlier
+			}
+			return tok, true
+		}
+		i = end
 	}
-	p := postings[K]{keys: make([]K, n), off: make([]int32, n+1)}
+}
+
+// LoadSegments decodes a SaveSegments section and installs each segment
+// verbatim as its table's segment — the re-point load path: no
+// normalisation, no trigram extraction, no row scans. Writer-side, like
+// AddTable. The section is checked whole before any segment is installed:
+// table positions must ascend and name tables not yet indexed; an entry's
+// row must exist and carry a non-empty value, its row count must fit the
+// table, and an attribute's values must ascend strictly, which Values and
+// ValueOverlap rely on; posting keys must ascend strictly, a trigram code
+// must pack three valid runes, a token must be the first field of its
+// reference; and no byte may trail. Every accepted section therefore
+// re-encodes to itself. Values alias the catalog's rows, tokens alias the
+// normalised values, and the normalised values that differ from their
+// values are copied, so nothing aliases data once LoadSegments returns.
+func (c *Catalog) LoadSegments(data []byte) error {
+	if len(data) >= len(segmentsV1Magic) && string(data[:len(segmentsV1Magic)]) == segmentsV1Magic {
+		return ErrRetiredSegments
+	}
+	// Nothing decoded aliases the section (see ownNorms), so the reader
+	// need not copy it.
+	r := binio.NewTransientReader(data, segmentsBinMagic)
+	var segs []*segment
+	var scratch segmentScratch
+	nSegs := r.Count("segment")
+	prev := -1
+	for si := 0; si < nSegs && r.Err() == nil; si++ {
+		p := r.Uvarint()
+		if r.Err() != nil {
+			break
+		}
+		if p >= uint64(len(c.order)) || int(p) <= prev {
+			r.Failf("segment table position %d is out of range or does not ascend", p)
+			break
+		}
+		prev = int(p)
+		qn := c.order[p]
+		if c.segs[qn] != nil {
+			return fmt.Errorf("relstore: load segments: second segment for %s", qn)
+		}
+		segs = append(segs, readSegment(r, c.tables[qn], &scratch))
+	}
+	if err := r.End(); err != nil {
+		return fmt.Errorf("relstore: load segments: %w", err)
+	}
+	for _, s := range segs {
+		c.segs[s.rel] = s
+	}
+	return nil
+}
+
+// readSegment decodes one segment of table t; r records any error.
+func readSegment(r *binio.Reader, t *Table, scratch *segmentScratch) *segment {
+	nAttr := len(t.Relation.Attributes)
+	s := &segment{rel: t.Relation.QualifiedName(), attrs: make([]string, nAttr), attrStart: make([]int, nAttr+1)}
+	for i, a := range t.Relation.Attributes {
+		s.attrs[i] = a.Name
+	}
+	for i := range s.attrStart {
+		s.attrStart[i] = int(r.Uvarint())
+	}
+	nEntries := r.Count("entry")
+	if r.Err() != nil {
+		return nil
+	}
+	ok := s.attrStart[0] == 0 && s.attrStart[nAttr] == nEntries
+	for i := 0; ok && i < nAttr; i++ {
+		ok = s.attrStart[i] <= s.attrStart[i+1]
+	}
+	if !ok {
+		r.Failf("segment %s attribute spans disagree with %d entries", s.rel, nEntries)
+		return nil
+	}
+	s.entries = make([]indexEntry, nEntries)
+	differ := scratch.differ[:0] // the entries whose normalised value differs
+	normBytes := 0               // their normalised values' length
+	ai := 0
+	for i := 0; i < nEntries && r.Err() == nil; i++ {
+		for ai < nAttr && i >= s.attrStart[ai+1] {
+			ai++
+		}
+		row, flags := r.Uvarint(), r.Uvarint()
+		if r.Err() != nil {
+			break
+		}
+		rows := flags >> 1
+		if row >= uint64(len(t.Rows)) || rows == 0 || rows > uint64(len(t.Rows)) {
+			r.Failf("segment %s entry %d: row %d or row count %d out of range", s.rel, i, row, rows)
+			break
+		}
+		e := indexEntry{attr: int32(ai), row: int32(row), val: t.Rows[row][ai], rows: int32(rows)}
+		e.norm = e.val
+		if flags&1 != 0 {
+			if e.norm = r.Str(); r.Err() == nil && e.norm == e.val {
+				r.Failf("segment %s entry %q: marked normalised form equals the value", s.rel, e.val)
+			}
+			differ = append(differ, int32(i))
+			normBytes += len(e.norm)
+		}
+		if r.Err() == nil && (e.val == "" || i > s.attrStart[ai] && e.val <= s.entries[i-1].val) {
+			r.Failf("segment %s entry %q is empty or not above its predecessor", s.rel, e.val)
+		}
+		s.entries[i] = e
+	}
+	scratch.differ = differ
+	if r.Err() != nil {
+		return nil
+	}
+	if normBytes > 0 {
+		ownNorms(s.entries, differ, normBytes)
+	}
+	s.grams = readGrams(r, nEntries, &scratch.ids)
+	s.tokens = readTokens(r, s.entries, &scratch.ids)
+	return s
+}
+
+// segmentScratch is the decoder's buffers, reused across segments.
+type segmentScratch struct {
+	ids    []int32 // a posting index's ids
+	differ []int32 // entries whose normalised value is written
+}
+
+// ownNorms copies the normalised values of the differ entries, normBytes
+// in all, into one string, so they stop aliasing the section.
+func ownNorms(entries []indexEntry, differ []int32, normBytes int) {
+	var b strings.Builder
+	b.Grow(normBytes)
+	for _, i := range differ {
+		b.WriteString(entries[i].norm)
+	}
+	all, off := b.String(), 0
+	for _, i := range differ {
+		e := &entries[i]
+		e.norm = all[off : off+len(e.norm)]
+		off += len(e.norm)
+	}
+}
+
+// readGrams decodes a trigram posting index into flat arrays; scratch
+// collects the ids and is reused across calls, so the index costs three
+// allocations. Each code is a non-zero delta from the previous key's and
+// must pack three valid runes.
+func readGrams(r *binio.Reader, nEntries int, scratch *[]int32) postings[uint64] {
+	n := r.Count("trigram key")
+	if r.Err() != nil || n == 0 {
+		return postings[uint64]{}
+	}
+	p := postings[uint64]{keys: make([]uint64, n), off: make([]int32, n+1)}
 	ids := (*scratch)[:0]
+	code := uint64(0)
 	for i := 0; i < n && r.Err() == nil; i++ {
-		raw := r.Str()
-		k, ok := key(raw)
-		if r.Err() == nil && (!ok || i > 0 && k <= p.keys[i-1]) {
-			r.Failf("posting key %q is malformed or not above its predecessor", raw)
+		d := r.Uvarint()
+		if r.Err() == nil && (d == 0 || d > gramMask-code || !validGram(code+d)) {
+			r.Failf("trigram key delta %d from %#x is zero or leaves three valid runes", d, code)
 		}
-		p.keys[i] = k
-		ln := r.Count("posting id")
-		var id uint64
-		for j := 0; j < ln; j++ {
-			d := r.Uvarint()
-			if r.Err() != nil {
-				break
-			}
-			// d < nEntries-id keeps id+d in range and cannot overflow.
-			if (j > 0 && d == 0) || d >= uint64(nEntries)-id {
-				r.Failf("posting list %q is not ascending below %d entries", raw, nEntries)
-				break
-			}
-			id += d
-			ids = append(ids, int32(id))
-		}
+		code += d
+		p.keys[i] = code
+		ids = readIDs(r, nEntries, ids)
 		p.off[i+1] = int32(len(ids))
 	}
 	*scratch = ids
 	if r.Err() != nil {
-		return postings[K]{}
+		return postings[uint64]{}
 	}
 	p.ids = slices.Clone(ids)
 	return p
 }
 
-func tokenKey(s string) (string, bool) { return s, true }
-
-// LoadSegments decodes a SaveSegments section and installs each segment
-// verbatim as its table's segment — the re-point load path: no
-// normalisation, no trigram extraction, no row scans. Writer-side, like
-// AddTable. A segment naming a relation absent from the catalog or already
-// indexed, or attributes other than its table's, is an error (the
-// snapshot's catalog and segment sections are written together and must
-// agree), and so is an attribute span holding an empty value or values not
-// strictly ascending, which Values and ValueOverlap rely on.
-func (c *Catalog) LoadSegments(data []byte) error {
-	r := binio.NewReader(data, segmentsBinMagic)
-	var scratch []int32
-	nSegs := r.Count("segment")
-	for si := 0; si < nSegs && r.Err() == nil; si++ {
-		s := &segment{rel: r.Str()}
-		nAttr := r.Count("attribute")
-		s.attrs = make([]string, nAttr)
-		for i := range s.attrs {
-			s.attrs[i] = r.Str()
-		}
-		s.attrStart = make([]int, nAttr+1)
-		for i := range s.attrStart {
-			s.attrStart[i] = int(r.Uvarint())
-		}
-		nEntries := r.Count("entry")
-		if r.Err() == nil {
-			ok := s.attrStart[0] == 0 && s.attrStart[nAttr] == nEntries
-			for i := 0; ok && i < nAttr; i++ {
-				ok = s.attrStart[i] <= s.attrStart[i+1]
-			}
-			if !ok {
-				r.Failf("segment %s attribute spans disagree with %d entries", s.rel, nEntries)
-				break
-			}
-		}
-		s.entries = make([]indexEntry, nEntries)
-		ai := 0
-		for i := range s.entries {
-			for ai < nAttr && i >= s.attrStart[ai+1] {
-				ai++
-			}
-			e := indexEntry{
-				attr: ai,
-				val:  r.Str(),
-				norm: r.Str(),
-				rows: int(r.Uvarint()),
-			}
-			if r.Err() == nil && (e.val == "" || i > s.attrStart[ai] && e.val <= s.entries[i-1].val) {
-				r.Failf("segment %s entry %q is empty or not above its predecessor", s.rel, e.val)
-			}
-			s.entries[i] = e
-		}
-		s.grams = readPostings(r, nEntries, parseGram, &scratch)
-		s.tokens = readPostings(r, nEntries, tokenKey, &scratch)
+// readTokens decodes a token posting index like readGrams. Each key is cut
+// from the normalised value of its list's first entry, so the keys cost no
+// allocation; they must ascend strictly.
+func readTokens(r *binio.Reader, entries []indexEntry, scratch *[]int32) postings[string] {
+	n := r.Count("token key")
+	if r.Err() != nil || n == 0 {
+		return postings[string]{}
+	}
+	p := postings[string]{keys: make([]string, n), off: make([]int32, n+1)}
+	ids := (*scratch)[:0]
+	for i := 0; i < n && r.Err() == nil; i++ {
+		first := len(ids)
+		ids = readIDs(r, len(entries), ids)
+		ref := r.Uvarint()
 		if r.Err() != nil {
 			break
 		}
-		t := c.tables[s.rel]
-		if t == nil {
-			return fmt.Errorf("relstore: load segments: segment for unknown relation %s", s.rel)
+		norm := entries[ids[first]].norm
+		tok, ok := tokenAt(norm, ref)
+		if !ok || i > 0 && tok <= p.keys[i-1] {
+			r.Failf("token reference %d into %q misses, is not the first match, or is not above its predecessor", ref, norm)
 		}
-		if c.segs[s.rel] != nil {
-			return fmt.Errorf("relstore: load segments: second segment for %s", s.rel)
-		}
-		if !slices.EqualFunc(s.attrs, t.Relation.Attributes, func(a string, b Attribute) bool { return a == b.Name }) {
-			return fmt.Errorf("relstore: load segments: segment for %s disagrees with its table's attributes", s.rel)
-		}
-		c.segs[s.rel] = s
+		p.keys[i] = tok
+		p.off[i+1] = int32(len(ids))
 	}
+	*scratch = ids
 	if r.Err() != nil {
-		return fmt.Errorf("relstore: load segments: %w", r.Err())
+		return postings[string]{}
 	}
-	return nil
+	p.ids = slices.Clone(ids)
+	return p
 }

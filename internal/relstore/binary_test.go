@@ -2,6 +2,7 @@ package relstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -284,6 +285,19 @@ func TestBinaryDecodeRejectsCorruption(t *testing.T) {
 	if _, err := LoadCatalog([]byte("garbage-not-a-catalog")); err == nil {
 		t.Error("garbage accepted as catalog")
 	}
+	// One trailing byte after a whole section is refused by both decoders.
+	if _, err := LoadCatalog(append(bytes.Clone(catBuf.Bytes()), 0)); err == nil {
+		t.Error("catalog with a trailing byte accepted")
+	}
+	c2, err := LoadCatalog(catBuf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c2.LoadSegments(append(bytes.Clone(segBuf.Bytes()), 0)); err == nil {
+		t.Error("segments with a trailing byte accepted")
+	} else if len(c2.segs) != 0 {
+		t.Errorf("a refused section installed %d segments", len(c2.segs))
+	}
 	// Two well-formed copies of one table: the catalog must refuse the
 	// duplicate rather than load half of it.
 	one := NewCatalog()
@@ -364,61 +378,99 @@ func TestPersistRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadSegmentsChecksEveryPostingID pins the posting checks of
-// LoadSegments on hand-built sections over a one-table catalog s.r(a): a
-// list must ascend strictly from 0 and stay below the entry count at every
-// id, not just the last; the keys of a posting index must ascend strictly;
-// a trigram key must be three validly encoded runes; an attribute's values
-// must be non-empty and ascend strictly (Values and ValueOverlap merge
-// them as sorted sets); and a relation takes one segment. Before the check
-// covered every id, a uvarint delta of 2³¹ wrapped an int32 id negative,
-// the section loaded, and the first FindValues reaching the id panicked
-// with an index out of range. Before keys were checked, a duplicate key
-// silently replaced the earlier list, and keys loaded in any order. Before
-// values and relations were checked, unsorted values loaded and miscounted
+// TestLoadSegmentsChecksEveryPostingID pins the structural checks of
+// LoadSegments on hand-built sections over a one-table catalog s.r(a) with
+// rows "abc", "abd" and "", one hostile structure per case: a list must
+// hold an id, ascend strictly from 0 and stay below the entry count at
+// every id, not just the last; the keys of a posting index must ascend
+// strictly; a trigram code must pack three valid runes; a token must be the
+// first field of the normalised value it refers to; an entry must refer to
+// a row of the table whose cell is non-empty, carry a row count the table
+// can hold, and write its normalised form only when it differs; an
+// attribute's values must ascend strictly (Values and ValueOverlap merge
+// them as sorted sets); and table positions must ascend within the
+// table count, so a relation takes one segment. Before the check covered
+// every id, a uvarint delta of 2³¹ wrapped an int32 id negative, the
+// section loaded, and the first FindValues reaching the id panicked with an
+// index out of range. Before keys were checked, a duplicate key silently
+// replaced the earlier list, and keys loaded in any order. Before values
+// and relations were checked, unsorted values loaded and miscounted
 // overlaps, and a second segment silently replaced the first.
 func TestLoadSegmentsChecksEveryPostingID(t *testing.T) {
 	tab, err := NewTable(&Relation{Source: "s", Name: "r", Attributes: []Attribute{{Name: "a"}}},
-		[][]string{{"abc"}, {"abd"}})
+		[][]string{{"abc"}, {"abd"}, {""}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// list is one posting key and the deltas of its id list.
+	// entry is one entry as written: its row, rows<<1 | normDiffers, and
+	// the normalised form written when normDiffers is set.
+	type entry struct {
+		row, flags uint64
+		norm       string
+	}
+	// list is one posting key — a trigram code, or a token's field index —
+	// and the deltas of its id list.
 	type list struct {
-		key    string
+		key    uint64
 		deltas []uint64
 	}
-	// section encodes copies segments for s.r, each with the given
-	// attribute names, two entries holding vals, and the given trigram and
-	// token postings.
-	section := func(copies int, attrs, vals []string, grams, tokens []list) []byte {
+	// layout is a segments section holding one segment per position.
+	type layout struct {
+		pos           []uint64
+		spans         []uint64 // attribute span offsets, then the entry count
+		entries       []entry
+		grams, tokens []list
+	}
+	gram := func(g string) uint64 {
+		var code uint64
+		for _, r := range g {
+			code = code<<gramRuneBits | uint64(r)
+		}
+		return code
+	}
+	good := func() layout {
+		return layout{
+			pos:     []uint64{0},
+			spans:   []uint64{0, 2, 2},
+			entries: []entry{{row: 0, flags: 1 << 1}, {row: 1, flags: 1 << 1}},
+			grams:   []list{{gram("abc"), []uint64{0}}, {gram("abd"), []uint64{1}}},
+			tokens:  []list{{0, []uint64{0}}, {0, []uint64{1}}},
+		}
+	}
+	section := func(l layout) []byte {
 		var buf bytes.Buffer
 		b := binio.NewWriter(&buf)
 		b.Raw(segmentsBinMagic)
-		b.Uvarint(uint64(copies))
-		for range copies {
-			b.Str("s.r")
-			b.Uvarint(uint64(len(attrs)))
-			for _, a := range attrs {
-				b.Str(a)
+		b.Uvarint(uint64(len(l.pos)))
+		ids := func(deltas []uint64) {
+			b.Uvarint(uint64(len(deltas)))
+			for _, d := range deltas {
+				b.Uvarint(d)
 			}
-			b.Uvarint(0)
-			b.Uvarint(2)
-			b.Uvarint(2)
-			for _, v := range vals {
-				b.Str(v)
-				b.Str(v)
-				b.Uvarint(1)
+		}
+		for _, p := range l.pos {
+			b.Uvarint(p)
+			for _, off := range l.spans {
+				b.Uvarint(off)
 			}
-			for _, index := range [][]list{grams, tokens} {
-				b.Uvarint(uint64(len(index)))
-				for _, l := range index {
-					b.Str(l.key)
-					b.Uvarint(uint64(len(l.deltas)))
-					for _, d := range l.deltas {
-						b.Uvarint(d)
-					}
+			for _, e := range l.entries {
+				b.Uvarint(e.row)
+				b.Uvarint(e.flags)
+				if e.flags&1 != 0 {
+					b.Str(e.norm)
 				}
+			}
+			b.Uvarint(uint64(len(l.grams)))
+			prev := uint64(0)
+			for _, g := range l.grams {
+				b.Uvarint(g.key - prev) // a key below its predecessor wraps
+				prev = g.key
+				ids(g.deltas)
+			}
+			b.Uvarint(uint64(len(l.tokens)))
+			for _, tok := range l.tokens {
+				ids(tok.deltas)
+				b.Uvarint(tok.key)
 			}
 		}
 		if err := b.Flush(); err != nil {
@@ -433,15 +485,11 @@ func TestLoadSegmentsChecksEveryPostingID(t *testing.T) {
 		}
 		return c, c.LoadSegments(data)
 	}
-	attrs := []string{"a"}
-	vals := []string{"abc", "abd"}
-	grams := []list{{"abc", []uint64{0}}, {"abd", []uint64{1}}}
-	tokens := grams
 
-	// The well-formed section loads and answers like a fresh index, and
-	// refuses to load a second time over its own segment.
-	good := section(1, attrs, vals, grams, tokens)
-	c, err := load(good)
+	// The well-formed section loads and answers like a fresh index, is the
+	// bytes SaveSegments writes for the table, and refuses to load a
+	// second time over its own segment.
+	c, err := load(section(good()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,39 +498,126 @@ func TestLoadSegmentsChecksEveryPostingID(t *testing.T) {
 			t.Fatalf("FindValues(%s) = %v, want %v", kw, got, want)
 		}
 	}
-	if err := c.LoadSegments(good); err == nil {
+	built := NewCatalog()
+	if err := built.AddTable(tab); err != nil {
+		t.Fatal(err)
+	}
+	built.BuildValueIndex(1)
+	var saved bytes.Buffer
+	if err := built.SaveSegments(&saved); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(saved.Bytes(), section(good())) {
+		t.Fatalf("SaveSegments wrote %q, want the hand-built %q", saved.Bytes(), section(good()))
+	}
+	if err := c.LoadSegments(section(good())); err == nil {
 		t.Error("second load of the section accepted over the loaded segment")
 	}
 
-	gramDeltas := func(deltas ...uint64) []list { return []list{{"abc", deltas}, {"abd", []uint64{1}}} }
+	gramDeltas := func(deltas ...uint64) func(*layout) {
+		return func(l *layout) { l.grams[0].deltas = deltas }
+	}
 	for _, tc := range []struct {
-		name   string
-		copies int
-		attrs  []string
-		vals   []string
-		grams  []list
-		tokens []list
+		name string
+		edit func(*layout)
 	}{
-		{"wrapped to [-2^31 0]", 1, attrs, vals, gramDeltas(1<<31, 1<<31), tokens},
-		{"wrapped mid-list [5 1]", 1, attrs, vals, gramDeltas(5, 1<<32-4), tokens},
-		{"repeated id [0 0]", 1, attrs, vals, gramDeltas(0, 0), tokens},
-		{"last id past the entries", 1, attrs, vals, gramDeltas(0, 2), tokens},
-		{"largest delta", 1, attrs, vals, gramDeltas(1<<64 - 1), tokens},
-		{"attributes differ from the table's", 1, []string{"b"}, vals, grams, tokens},
-		{"duplicate trigram key", 1, attrs, vals, []list{{"abc", []uint64{0}}, {"abc", []uint64{1}}}, tokens},
-		{"trigram keys out of order", 1, attrs, vals, []list{{"abd", []uint64{1}}, {"abc", []uint64{0}}}, tokens},
-		{"duplicate token key", 1, attrs, vals, grams, []list{{"abc", []uint64{0}}, {"abc", []uint64{1}}}},
-		{"token keys out of order", 1, attrs, vals, grams, []list{{"abd", []uint64{1}}, {"abc", []uint64{0}}}},
-		{"trigram key of two runes", 1, attrs, vals, []list{{"ab", []uint64{0}}, {"abc", []uint64{0}}}, tokens},
-		{"trigram key of four runes", 1, attrs, vals, []list{{"abc", []uint64{0}}, {"abcd", []uint64{0}}}, tokens},
-		{"trigram key not UTF-8", 1, attrs, vals, []list{{"ab\xff", []uint64{0}}}, tokens},
-		{"values out of order", 1, attrs, []string{"abd", "abc"}, grams, tokens},
-		{"repeated value", 1, attrs, []string{"abc", "abc"}, grams, tokens},
-		{"empty value", 1, attrs, []string{"", "abc"}, grams, tokens},
-		{"second segment for s.r", 2, attrs, vals, grams, tokens},
+		{"wrapped to [-2^31 0]", gramDeltas(1<<31, 1<<31)},
+		{"wrapped mid-list [5 1]", gramDeltas(5, 1<<32-4)},
+		{"repeated id [0 0]", gramDeltas(0, 0)},
+		{"last id past the entries", gramDeltas(0, 2)},
+		{"largest delta", gramDeltas(1<<64 - 1)},
+		{"empty id list", gramDeltas()},
+		{"attribute spans disagree with the entries", func(l *layout) { l.spans = []uint64{0, 1, 2} }},
+		{"duplicate trigram key (zero delta)", func(l *layout) { l.grams[1].key = l.grams[0].key }},
+		{"trigram keys out of order", func(l *layout) { l.grams[0], l.grams[1] = l.grams[1], l.grams[0] }},
+		{"duplicate token key", func(l *layout) { l.tokens[1].deltas = []uint64{0} }},
+		{"token keys out of order", func(l *layout) { l.tokens[0].deltas, l.tokens[1].deltas = []uint64{1}, []uint64{0} }},
+		{"trigram rune past U+10FFFF", func(l *layout) { l.grams[1].key = gram("ab")<<gramRuneBits | 0x110000 }},
+		{"trigram code wider than three runes", func(l *layout) { l.grams[1].key = 1<<(3*gramRuneBits) | gram("abd") }},
+		{"trigram surrogate rune", func(l *layout) { l.grams[1].key = gram("ab")<<gramRuneBits | 0xd800 }},
+		{"token reference misses", func(l *layout) { l.tokens[0].key = 1 }},
+		{"token reference not the first match", func(l *layout) {
+			l.entries[0] = entry{row: 0, flags: 1<<1 | 1, norm: "abc abc"}
+			l.tokens[0].key = 1
+		}},
+		{"values out of order", func(l *layout) { l.entries[0].row, l.entries[1].row = 1, 0 }},
+		{"repeated value", func(l *layout) { l.entries[1].row = 0 }},
+		{"row reference to an empty cell", func(l *layout) { l.entries[0].row = 2 }},
+		{"row reference out of range", func(l *layout) { l.entries[1].row = 3 }},
+		{"row count zero", func(l *layout) { l.entries[0].flags = 0 }},
+		{"row count past the table", func(l *layout) { l.entries[0].flags = 4 << 1 }},
+		{"normalised form marked but equal", func(l *layout) { l.entries[0] = entry{row: 0, flags: 1<<1 | 1, norm: "abc"} }},
+		{"table position out of range", func(l *layout) { l.pos = []uint64{1} }},
+		{"second segment for s.r (positions do not ascend)", func(l *layout) { l.pos = []uint64{0, 0} }},
 	} {
-		if _, err := load(section(tc.copies, tc.attrs, tc.vals, tc.grams, tc.tokens)); err == nil {
+		l := good()
+		tc.edit(&l)
+		if _, err := load(section(l)); err == nil {
 			t.Errorf("%s: section accepted", tc.name)
 		}
 	}
+	// The one edit above that is not itself hostile: a normalised form that
+	// differs from its value and repeats a field loads, with the token at
+	// its first occurrence.
+	l := good()
+	l.entries[0] = entry{row: 0, flags: 1<<1 | 1, norm: "abc abc"}
+	if _, err := load(section(l)); err != nil {
+		t.Errorf("a differing normalised form with a repeated field was refused: %v", err)
+	}
+}
+
+// checkSegmentCodecMatchesV1Oracle pins SaveSegments and LoadSegments to
+// the QSEGb1 codec on an indexed catalog c: each codec's section decodes,
+// into a fresh catalog over c's tables, to segments field-equal to the
+// built ones — entries with their first rows, spans and both posting
+// indexes — and each re-encodes to its own bytes. LoadSegments refuses the
+// QSEGb1 section with ErrRetiredSegments and installs nothing.
+func checkSegmentCodecMatchesV1Oracle(t *testing.T, c *Catalog) {
+	t.Helper()
+	var v1, v2 bytes.Buffer
+	if err := saveSegmentsV1Oracle(c, &v1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SaveSegments(&v2); err != nil {
+		t.Fatal(err)
+	}
+	fresh := func() *Catalog {
+		f := NewCatalog()
+		for _, qn := range c.order {
+			if err := f.AddTable(c.tables[qn]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return f
+	}
+	fromV1, fromV2 := fresh(), fresh()
+	if err := loadSegmentsV1Oracle(fromV1, v1.Bytes()); err != nil {
+		t.Fatalf("QSEGb1 oracle: %v", err)
+	}
+	if err := fromV2.LoadSegments(v2.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	for _, qn := range c.order {
+		want := c.segs[qn]
+		for name, got := range map[string]*segment{"QSEGb1 oracle": fromV1.segs[qn], "LoadSegments": fromV2.segs[qn]} {
+			if (got == nil) != (want == nil) || want != nil && !reflect.DeepEqual(*got, *want) {
+				t.Fatalf("%s: %s decoded a segment that differs from the built one", qn, name)
+			}
+		}
+	}
+	var again1, again2 bytes.Buffer
+	if err := saveSegmentsV1Oracle(fromV1, &again1); err != nil {
+		t.Fatal(err)
+	}
+	if err := fromV2.SaveSegments(&again2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again1.Bytes(), v1.Bytes()) || !bytes.Equal(again2.Bytes(), v2.Bytes()) {
+		t.Fatal("Save → Load → Save is not byte-identical")
+	}
+	retired := fresh()
+	if err := retired.LoadSegments(v1.Bytes()); !errors.Is(err, ErrRetiredSegments) || len(retired.segs) != 0 {
+		t.Fatalf("LoadSegments on a QSEGb1 section: %v with %d segments, want ErrRetiredSegments and none", err, len(retired.segs))
+	}
+	t.Logf("%d segments: QSEGb1 %d bytes, SaveSegments %d bytes", len(c.segs), v1.Len(), v2.Len())
 }

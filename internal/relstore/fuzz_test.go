@@ -57,10 +57,13 @@ var fuzzKeywords = []string{
 }
 
 // FuzzLoadSegments fuzzes the segment decoder: a segments section —
-// seeded with real SaveSegments output and mutated arbitrarily — must
-// either be refused by LoadSegments or load into a catalog that answers
-// every probe keyword without panicking, and whose every attribute's values
-// ascend strictly, contain no empty value, and overlap themselves fully.
+// seeded with real SaveSegments output, and a retired QSEGb1 section, and
+// mutated arbitrarily — must either be refused by LoadSegments or load into
+// a catalog that re-encodes to the same bytes, answers every probe keyword
+// without panicking, and whose every attribute's values ascend strictly,
+// contain no empty value, and overlap themselves fully. Every count the
+// decoder allocates by is bounded by the bytes left, so no input makes it
+// allocate without bound.
 func FuzzLoadSegments(f *testing.F) {
 	tables := randomIndexTables(rand.New(rand.NewSource(7)), 4)
 	build := func() *Catalog {
@@ -90,10 +93,22 @@ func FuzzLoadSegments(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(all.Bytes())
+	var v1 bytes.Buffer
+	if err := saveSegmentsV1Oracle(src, &v1); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := build()
 		if c.LoadSegments(data) != nil {
 			return
+		}
+		var again bytes.Buffer
+		if err := c.SaveSegments(&again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), data) {
+			t.Fatalf("accepted section re-encodes to different bytes\nin:  %q\nout: %q", data, again.Bytes())
 		}
 		for _, kw := range fuzzKeywords {
 			c.FindValues(kw)

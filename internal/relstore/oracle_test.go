@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
+	"unicode/utf8"
 
 	"qint/internal/binio"
 	"qint/internal/text"
@@ -34,9 +36,15 @@ import (
 //   - postEntryOracle is the map-based value-index posting build, with a
 //     per-entry seen set and trigrams cut from []rune, and
 //     saveSegmentsOracle the map-based segment encoder, writing each map
-//     under sorted keys. buildSegment's flat postings must hold the same
-//     lists, and SaveSegments must write the same bytes
-//     (TestSegmentPostingsMatchOracle).
+//     under sorted keys in the retired QSEGb1 layout. buildSegment's flat
+//     postings must hold the same lists, and saveSegmentsV1Oracle must
+//     write the same bytes (TestSegmentPostingsMatchOracle).
+//   - saveSegmentsV1Oracle and loadSegmentsV1Oracle are the QSEGb1 segment
+//     codec, which wrote every value, normalised form and key as a string.
+//     SaveSegments and LoadSegments must round-trip the same segments
+//     field for field (TestSegmentCodecMatchesV1Oracle), and a restore
+//     that meets a QSEGb1 section indexes its tables from their rows
+//     instead (TestRestoreRebuildsRetiredSegments in internal/core).
 
 // executor is one way to run a conjunctive query.
 type executor struct {
@@ -183,12 +191,12 @@ func scanOverlappingAttrPairs(c *Catalog, a, b *Relation) map[[2]AttrRef]bool {
 // leaves the others unindexed.
 func indexOne(c *Catalog, qn string) { c.segs[qn] = buildSegment(c.tables[qn]) }
 
-// saveSegmentsOracle is the reference segment encoder: SaveSegments with
-// each segment's postings rebuilt by postingsOracle and written as maps
-// under sorted keys.
+// saveSegmentsOracle is the reference segment encoder: saveSegmentsV1Oracle
+// with each segment's postings rebuilt by postingsOracle and written as
+// maps under sorted keys.
 func saveSegmentsOracle(c *Catalog, w io.Writer) error {
 	b := binio.NewWriter(w)
-	b.Raw(segmentsBinMagic)
+	b.Raw(segmentsV1Magic)
 	var segs []*segment
 	for _, qn := range c.order {
 		if s := c.segs[qn]; s != nil {
@@ -235,6 +243,237 @@ func writePostingMapOracle(b *binio.Writer, m map[string][]int32) {
 			prev = id
 		}
 	}
+}
+
+// saveSegmentsV1Oracle encodes the segment of every indexed table in the
+// retired QSEGb1 layout: per segment the relation and attribute names, then
+// every entry's value, normalised form and row count, then both posting
+// indexes with their keys as strings.
+func saveSegmentsV1Oracle(c *Catalog, w io.Writer) error {
+	b := binio.NewWriter(w)
+	b.Raw(segmentsV1Magic)
+	var segs []*segment
+	for _, qn := range c.order {
+		if s := c.segs[qn]; s != nil {
+			segs = append(segs, s)
+		}
+	}
+	b.Uvarint(uint64(len(segs)))
+	var gram []byte
+	for _, s := range segs {
+		b.Str(s.rel)
+		b.Uvarint(uint64(len(s.attrs)))
+		for _, a := range s.attrs {
+			b.Str(a)
+		}
+		for _, off := range s.attrStart {
+			b.Uvarint(uint64(off))
+		}
+		b.Uvarint(uint64(len(s.entries)))
+		for _, e := range s.entries {
+			b.Str(e.val)
+			b.Str(e.norm)
+			b.Uvarint(uint64(e.rows))
+		}
+		writePostings(b, &s.grams, func(code uint64) {
+			gram = appendGram(gram[:0], code)
+			b.Bytes(gram)
+		})
+		writePostings(b, &s.tokens, b.Str)
+	}
+	if err := b.Flush(); err != nil {
+		return fmt.Errorf("relstore: save segments: %w", err)
+	}
+	return nil
+}
+
+// writePostings encodes one posting index: the key count, then per key the
+// key (written by key) and its delta-encoded id list.
+func writePostings[K uint64 | string](b *binio.Writer, p *postings[K], key func(K)) {
+	b.Uvarint(uint64(len(p.keys)))
+	for i, k := range p.keys {
+		key(k)
+		ids := p.ids[p.off[i]:p.off[i+1]]
+		b.Uvarint(uint64(len(ids)))
+		prev := int32(0)
+		for _, id := range ids {
+			b.Uvarint(uint64(id - prev)) // ascending ids: deltas are non-negative
+			prev = id
+		}
+	}
+}
+
+// readPostings decodes one posting index into flat arrays; scratch collects
+// the ids and is reused across calls, so the index costs three allocations.
+// key parses a section key, reporting false for one the index cannot hold.
+// Keys must ascend strictly, and every id is checked as it is decoded: each
+// list must ascend strictly from 0 and stay below nEntries, so a corrupt
+// delta can neither wrap an id negative nor point past the segment's
+// entries.
+func readPostings[K uint64 | string](r *binio.Reader, nEntries int, key func(string) (K, bool), scratch *[]int32) postings[K] {
+	n := r.Count("posting key")
+	if r.Err() != nil || n == 0 {
+		return postings[K]{}
+	}
+	p := postings[K]{keys: make([]K, n), off: make([]int32, n+1)}
+	ids := (*scratch)[:0]
+	for i := 0; i < n && r.Err() == nil; i++ {
+		raw := r.Str()
+		k, ok := key(raw)
+		if r.Err() == nil && (!ok || i > 0 && k <= p.keys[i-1]) {
+			r.Failf("posting key %q is malformed or not above its predecessor", raw)
+		}
+		p.keys[i] = k
+		ln := r.Count("posting id")
+		var id uint64
+		for j := 0; j < ln; j++ {
+			d := r.Uvarint()
+			if r.Err() != nil {
+				break
+			}
+			// d < nEntries-id keeps id+d in range and cannot overflow.
+			if (j > 0 && d == 0) || d >= uint64(nEntries)-id {
+				r.Failf("posting list %q is not ascending below %d entries", raw, nEntries)
+				break
+			}
+			id += d
+			ids = append(ids, int32(id))
+		}
+		p.off[i+1] = int32(len(ids))
+	}
+	*scratch = ids
+	if r.Err() != nil {
+		return postings[K]{}
+	}
+	p.ids = slices.Clone(ids)
+	return p
+}
+
+// appendGram appends the UTF-8 form of a trigram code to dst.
+func appendGram(dst []byte, code uint64) []byte {
+	const runeMask = 1<<gramRuneBits - 1
+	for shift := 2 * gramRuneBits; shift >= 0; shift -= gramRuneBits {
+		dst = utf8.AppendRune(dst, rune(code>>shift&runeMask))
+	}
+	return dst
+}
+
+// parseGram packs a section's trigram key. It reports false unless the key
+// is exactly three validly encoded runes, so that appendGram gives back the
+// same bytes.
+func parseGram(key string) (uint64, bool) {
+	var code uint64
+	for i := 0; i < 3; i++ {
+		r, size := utf8.DecodeRuneInString(key)
+		if r == utf8.RuneError && size <= 1 {
+			return 0, false
+		}
+		code = code<<gramRuneBits | uint64(r)
+		key = key[size:]
+	}
+	return code, key == ""
+}
+
+func tokenKey(s string) (string, bool) { return s, true }
+
+// loadSegmentsV1Oracle decodes a saveSegmentsV1Oracle section and installs
+// each segment verbatim as its table's segment. A segment naming a
+// relation absent from the catalog or already indexed, or attributes other
+// than its table's, is an error, and so is an attribute span holding an
+// empty value or values not strictly ascending. The layout carries no
+// rows, so each entry's first row is found in its table, and a value no
+// row carries is an error.
+func loadSegmentsV1Oracle(c *Catalog, data []byte) error {
+	r := binio.NewReader(data, segmentsV1Magic)
+	var scratch []int32
+	nSegs := r.Count("segment")
+	for si := 0; si < nSegs && r.Err() == nil; si++ {
+		s := &segment{rel: r.Str()}
+		nAttr := r.Count("attribute")
+		s.attrs = make([]string, nAttr)
+		for i := range s.attrs {
+			s.attrs[i] = r.Str()
+		}
+		s.attrStart = make([]int, nAttr+1)
+		for i := range s.attrStart {
+			s.attrStart[i] = int(r.Uvarint())
+		}
+		nEntries := r.Count("entry")
+		if r.Err() == nil {
+			ok := s.attrStart[0] == 0 && s.attrStart[nAttr] == nEntries
+			for i := 0; ok && i < nAttr; i++ {
+				ok = s.attrStart[i] <= s.attrStart[i+1]
+			}
+			if !ok {
+				r.Failf("segment %s attribute spans disagree with %d entries", s.rel, nEntries)
+				break
+			}
+		}
+		s.entries = make([]indexEntry, nEntries)
+		ai := 0
+		for i := range s.entries {
+			for ai < nAttr && i >= s.attrStart[ai+1] {
+				ai++
+			}
+			e := indexEntry{
+				attr: int32(ai),
+				val:  r.Str(),
+				norm: r.Str(),
+				rows: int32(r.Uvarint()),
+			}
+			if r.Err() == nil && (e.val == "" || i > s.attrStart[ai] && e.val <= s.entries[i-1].val) {
+				r.Failf("segment %s entry %q is empty or not above its predecessor", s.rel, e.val)
+			}
+			s.entries[i] = e
+		}
+		s.grams = readPostings(r, nEntries, parseGram, &scratch)
+		s.tokens = readPostings(r, nEntries, tokenKey, &scratch)
+		if r.Err() != nil {
+			break
+		}
+		t := c.tables[s.rel]
+		if t == nil {
+			return fmt.Errorf("relstore: load segments: segment for unknown relation %s", s.rel)
+		}
+		if c.segs[s.rel] != nil {
+			return fmt.Errorf("relstore: load segments: second segment for %s", s.rel)
+		}
+		if !slices.EqualFunc(s.attrs, t.Relation.Attributes, func(a string, b Attribute) bool { return a == b.Name }) {
+			return fmt.Errorf("relstore: load segments: segment for %s disagrees with its table's attributes", s.rel)
+		}
+		if err := firstRowsOracle(s, t); err != nil {
+			return err
+		}
+		c.segs[s.rel] = s
+	}
+	if r.Err() != nil {
+		return fmt.Errorf("relstore: load segments: %w", r.Err())
+	}
+	return nil
+}
+
+// firstRowsOracle sets each entry's row to the first row of t carrying its
+// value in its attribute's column.
+func firstRowsOracle(s *segment, t *Table) error {
+	type cell struct {
+		attr int32
+		val  string
+	}
+	first := make(map[cell]int32)
+	for ri := len(t.Rows) - 1; ri >= 0; ri-- {
+		for ai, v := range t.Rows[ri] {
+			first[cell{int32(ai), v}] = int32(ri)
+		}
+	}
+	for i := range s.entries {
+		e := &s.entries[i]
+		row, ok := first[cell{e.attr, e.val}]
+		if !ok {
+			return fmt.Errorf("relstore: load segments: %s has no row carrying %q", s.rel, e.val)
+		}
+		e.row = row
+	}
+	return nil
 }
 
 // executeOracle evaluates a conjunctive query by materialising every

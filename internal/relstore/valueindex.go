@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode"
 	"unicode/utf8"
 
 	"qint/internal/text"
@@ -22,14 +23,19 @@ import (
 //
 // Structure. The index is split by table: each *Table gets one immutable
 // segment holding the table's distinct (attribute, value) entries — sorted
-// by attribute then value — with each entry's normalised form and row
-// count, plus two flat posting indexes over entry ids: one keyed by every
-// character trigram of the normalised value, one by every whole token. A
-// posting index is three arrays — the keys in ascending order, one offset
-// per key and one id array — so key i's ascending id list is
-// ids[off[i]:off[i+1]]; a trigram key is its three runes packed into one
-// integer (a gram code, see gramRuneBits). An attribute's entries are its
-// ascending distinct values, so Values and ValueOverlap read them too.
+// by attribute then value — with each entry's normalised form, row count
+// and first row, plus two flat posting indexes over entry ids: one keyed by
+// every character trigram of the normalised value, one by every whole token
+// (a field as nextField splits it). A posting index is three arrays — the
+// keys in ascending order, one offset per key and one id array — so key
+// i's ascending id list is ids[off[i]:off[i+1]]; a trigram key is its three
+// runes packed into one integer (a gram code, see gramRuneBits). An
+// attribute's entries are its ascending distinct values, so Values and
+// ValueOverlap read them too. A value is its table's row string, a token a
+// substring of its normalised value, and a normalised value is its value
+// whenever normalising changes nothing; the segments section leans on all
+// three (binary.go) and writes a value as its first row, a token as a field
+// index, and a normalised value only when it differs.
 //
 // Segments are a plain catalog field, written only by the writers:
 // BuildValueIndex builds every missing one, LoadSegments installs decoded
@@ -56,12 +62,15 @@ import (
 // reference scan, so results are deterministic and identical to it.
 
 // indexEntry is one distinct (attribute, value) pair of a table: the raw
-// value, its normalised form, and how many rows carry it.
+// value, its normalised form, how many rows carry it, and the first of
+// them, through which the segments section refers to the value instead of
+// repeating it.
 type indexEntry struct {
-	attr int // attribute index within the relation
+	attr int32 // attribute index within the relation
+	row  int32 // the first row carrying val in that attribute's column
 	val  string
 	norm string
-	rows int
+	rows int32
 }
 
 // segment is the immutable per-table part of the value index.
@@ -103,42 +112,34 @@ func (p *postings[K]) lookup(key K) ([]int32, bool) {
 	if !ok {
 		return nil, false
 	}
-	return p.ids[p.off[i]:p.off[i+1]], true
+	return p.list(i), true
 }
+
+// list returns key i's id list.
+func (p *postings[K]) list(i int) []int32 { return p.ids[p.off[i]:p.off[i+1]] }
 
 // A gram code packs a trigram's three runes into one key, 21 bits a rune,
 // first rune highest. Every rune fits in 21 bits, so the numeric order of
 // codes is the lexicographic order of the rune triples, which on valid
-// UTF-8 is the byte order of the trigram strings: the gram keys ascend
-// exactly as the strings the section stores.
+// UTF-8 is the byte order of the trigram strings.
 const (
 	gramRuneBits = 21
 	gramMask     = 1<<(3*gramRuneBits) - 1
+	gramRuneMask = 1<<gramRuneBits - 1
 )
 
-// appendGram appends the UTF-8 form of a trigram code to dst.
-func appendGram(dst []byte, code uint64) []byte {
-	const runeMask = 1<<gramRuneBits - 1
-	for shift := 2 * gramRuneBits; shift >= 0; shift -= gramRuneBits {
-		dst = utf8.AppendRune(dst, rune(code>>shift&runeMask))
+// validGram reports whether code packs three valid runes — none past
+// U+10FFFF, no surrogate — and so is the code of some trigram string.
+func validGram(code uint64) bool {
+	if code > gramMask {
+		return false
 	}
-	return dst
-}
-
-// parseGram packs a section's trigram key. It reports false unless the key
-// is exactly three validly encoded runes, so that appendGram gives back the
-// same bytes.
-func parseGram(key string) (uint64, bool) {
-	var code uint64
-	for i := 0; i < 3; i++ {
-		r, size := utf8.DecodeRuneInString(key)
-		if r == utf8.RuneError && size <= 1 {
-			return 0, false
+	for shift := 0; shift <= 2*gramRuneBits; shift += gramRuneBits {
+		if !utf8.ValidRune(rune(code >> shift & gramRuneMask)) {
+			return false
 		}
-		code = code<<gramRuneBits | uint64(r)
-		key = key[size:]
 	}
-	return code, key == ""
+	return true
 }
 
 // forEachGram calls fn with the code of every run of three consecutive runes
@@ -154,6 +155,41 @@ func forEachGram(s string, fn func(code uint64)) {
 			fn(code)
 		}
 	}
+}
+
+// asciiSpace marks the ASCII bytes unicode.IsSpace reports.
+var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
+
+// nextField returns the bounds of the first field of s at or after byte i
+// — a maximal run of runes that are not unicode.IsSpace, as strings.Fields
+// splits s — or start == end when none is left. It is the token index's one
+// splitter: buildSegment posts the fields it finds, and the segments codec
+// writes and reads a token as the index of one of them.
+func nextField(s string, i int) (start, end int) {
+	start = -1
+	for i < len(s) {
+		c, size := s[i], 1
+		var space bool
+		if c < utf8.RuneSelf {
+			space = asciiSpace[c]
+		} else {
+			var r rune
+			r, size = utf8.DecodeRuneInString(s[i:])
+			space = unicode.IsSpace(r)
+		}
+		if space {
+			if start >= 0 {
+				return start, i
+			}
+		} else if start < 0 {
+			start = i
+		}
+		i += size
+	}
+	if start < 0 {
+		return len(s), len(s)
+	}
+	return start, len(s)
 }
 
 // postingBuilder gathers one posting index while buildSegment walks the
@@ -242,31 +278,47 @@ func buildSegment(t *Table) *segment {
 		attrs:     make([]string, nAttr),
 		attrStart: make([]int, nAttr+1),
 	}
-	counts := make([]map[string]int, nAttr)
+	// Per attribute, each distinct value's first row and row count, and
+	// its position in that list.
+	type firstRows struct{ row, rows int32 }
+	seen := make([]map[string]int32, nAttr)
+	stats := make([][]firstRows, nAttr)
+	vals := make([][]string, nAttr)
 	for i, a := range t.Relation.Attributes {
 		s.attrs[i] = a.Name
-		counts[i] = make(map[string]int)
+		seen[i] = make(map[string]int32)
 	}
-	for _, row := range t.Rows {
+	for ri, row := range t.Rows {
 		for ai := 0; ai < nAttr; ai++ {
-			if v := row[ai]; v != "" {
-				counts[ai][v]++
+			v := row[ai]
+			if v == "" {
+				continue
 			}
+			if i, ok := seen[ai][v]; ok {
+				stats[ai][i].rows++
+				continue
+			}
+			seen[ai][v] = int32(len(vals[ai]))
+			vals[ai] = append(vals[ai], v)
+			stats[ai] = append(stats[ai], firstRows{int32(ri), 1})
 		}
 	}
-	for ai := 0; ai < nAttr; ai++ {
+	n := 0
+	for _, vs := range vals {
+		n += len(vs)
+	}
+	s.entries = make([]indexEntry, 0, n)
+	for ai, vs := range vals {
 		s.attrStart[ai] = len(s.entries)
-		vals := make([]string, 0, len(counts[ai]))
-		for v := range counts[ai] {
-			vals = append(vals, v)
-		}
-		sort.Strings(vals)
-		for _, v := range vals {
+		sort.Strings(vs)
+		for _, v := range vs {
+			st := stats[ai][seen[ai][v]]
 			s.entries = append(s.entries, indexEntry{
-				attr: ai,
+				attr: int32(ai),
+				row:  st.row,
 				val:  v,
 				norm: text.Normalize(v),
-				rows: counts[ai][v],
+				rows: st.rows,
 			})
 		}
 	}
@@ -277,12 +329,16 @@ func buildSegment(t *Table) *segment {
 	for _, e := range s.entries {
 		normBytes += len(e.norm)
 	}
-	n := len(s.entries)
 	grams, tokens := newPostingBuilder[uint64](n, normBytes), newPostingBuilder[string](n, n)
 	for id, e := range s.entries {
 		forEachGram(e.norm, func(code uint64) { grams.add(code, int32(id)) })
-		for tok := range strings.FieldsSeq(e.norm) {
-			tokens.add(tok, int32(id))
+		for i := 0; ; {
+			start, end := nextField(e.norm, i)
+			if start == end {
+				break
+			}
+			tokens.add(e.norm[start:end], int32(id))
+			i = end
 		}
 	}
 	s.grams, s.tokens = grams.finish(), tokens.finish()
@@ -331,7 +387,7 @@ func (s *segment) hit(e indexEntry) ValueHit {
 	return ValueHit{
 		Ref:   AttrRef{Relation: s.rel, Attr: s.attrs[e.attr]},
 		Value: e.val,
-		Rows:  e.rows,
+		Rows:  int(e.rows),
 	}
 }
 

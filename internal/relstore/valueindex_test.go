@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"qint/internal/text"
 )
@@ -605,9 +606,10 @@ var multiByteAlphabet = []string{
 // map-based oracles on random tables of multi-byte values: each segment's
 // trigram and token posting indexes must hold exactly the lists
 // postingsOracle posts for the same entries, under strictly ascending keys;
-// SaveSegments must write the bytes saveSegmentsOracle writes; and the
-// section must load back into segments deep-equal to the built ones and
-// save again to the same bytes. Keys cut from norm at rune boundaries equal
+// the QSEGb1 encoder saveSegmentsV1Oracle must write the bytes the map
+// encoder saveSegmentsOracle writes; and SaveSegments' section must load
+// back into segments deep-equal to the built ones and save again to the
+// same bytes. Keys cut from norm at rune boundaries equal
 // the []rune-cut ones because text.Normalize emits only valid UTF-8
 // (FuzzNormalize asserts it).
 func TestSegmentPostingsMatchOracle(t *testing.T) {
@@ -653,15 +655,19 @@ func TestSegmentPostingsMatchOracle(t *testing.T) {
 			}
 		}
 
-		var saved, oracle bytes.Buffer
-		if err := c.SaveSegments(&saved); err != nil {
+		var v1, oracle bytes.Buffer
+		if err := saveSegmentsV1Oracle(c, &v1); err != nil {
 			t.Fatal(err)
 		}
 		if err := saveSegmentsOracle(c, &oracle); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(saved.Bytes(), oracle.Bytes()) {
-			t.Fatalf("trial %d: SaveSegments wrote %d bytes that differ from the oracle encoder's %d", trial, saved.Len(), oracle.Len())
+		if !bytes.Equal(v1.Bytes(), oracle.Bytes()) {
+			t.Fatalf("trial %d: the QSEGb1 encoder wrote %d bytes that differ from the map encoder's %d", trial, v1.Len(), oracle.Len())
+		}
+		var saved bytes.Buffer
+		if err := c.SaveSegments(&saved); err != nil {
+			t.Fatal(err)
 		}
 		loaded := NewCatalog()
 		for _, qn := range c.order {
@@ -717,4 +723,39 @@ func postingMap[K uint64 | string](t *testing.T, p *postings[K], str func(K) str
 		m[str(k)] = ids
 	}
 	return m
+}
+
+// TestNextFieldMatchesFields pins the token index's splitter to
+// strings.Fields, which the posting oracle splits with, on random strings
+// over multi-byte runes, invalid bytes and every kind of white space.
+func TestNextFieldMatchesFields(t *testing.T) {
+	alphabet := append(slices.Clone(multiByteAlphabet), "\t", "\n", "\v", "\f", "\r", "\u0085", " ", " ", "　", "\x85", "\xc2")
+	r := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 2000; trial++ {
+		var b strings.Builder
+		for n := r.Intn(16); n > 0; n-- {
+			b.WriteString(alphabet[r.Intn(len(alphabet))])
+		}
+		s := b.String()
+		var got []string
+		for i := 0; ; {
+			start, end := nextField(s, i)
+			if start == end {
+				break
+			}
+			got = append(got, s[start:end])
+			i = end
+		}
+		if want := strings.Fields(s); !slices.Equal(got, want) {
+			t.Fatalf("fields of %q = %q, want %q", s, got, want)
+		}
+	}
+}
+
+// TestIndexEntrySize: an entry's first row rides in the padding beside its
+// attribute, so recording it costs the value index no memory.
+func TestIndexEntrySize(t *testing.T) {
+	if got := unsafe.Sizeof(indexEntry{}); unsafe.Sizeof(uintptr(0)) == 8 && got != 48 {
+		t.Errorf("indexEntry is %d bytes, want 48", got)
+	}
 }

@@ -369,8 +369,8 @@
 //     and DELETE /views/{id} drops a registered one; the registry itself
 //     is capped at core.Options.MaxViews (core.ErrViewLimit, 429 at the
 //     cap; qserver -max-views). A query storm cannot grow server memory
-//     without bound. A query of more than 64 keywords gets 400 before any
-//     engine work.
+//     without bound. A query of more than steiner.MaxExactTerminals (20)
+//     keywords gets 400 (core.ErrTooManyKeywords) before any engine work.
 //   - Feedback naming a row the view's current materialisation does not
 //     have gets 409 Conflict, not 400: every weight update rematerialises
 //     every view, so a row index read moments ago can be stale through no

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -621,5 +622,35 @@ func TestSingleKeywordQuery(t *testing.T) {
 		t.Errorf("unmatched keyword: %v", err)
 	} else if len(v.Trees()) != 0 {
 		t.Errorf("unmatched keyword: %d trees, want none", len(v.Trees()))
+	}
+}
+
+// TestRepeatedKeywordAnswersLikeOnce: a repeated keyword is one terminal,
+// so the query answers — trees, rows and the deeper feedback page — exactly
+// as the query with each keyword once.
+func TestRepeatedKeywordAnswersLikeOnce(t *testing.T) {
+	q := newFixtureQ(t, true)
+	for _, c := range []struct{ repeated, once []string }{
+		{[]string{"title", "title"}, []string{"title"}},
+		{[]string{"GO:0001000", "GO:0001000"}, []string{"GO:0001000"}},
+		{[]string{"title", "name", "title"}, []string{"title", "name"}},
+	} {
+		got, err := q.Query(Request{Keywords: c.repeated})
+		if err != nil {
+			t.Fatalf("%q: %v", c.repeated, err)
+		}
+		want, err := q.Query(Request{Keywords: c.once, Ephemeral: true})
+		if err != nil {
+			t.Fatalf("%q: %v", c.once, err)
+		}
+		if len(want.Result().Rows) == 0 {
+			t.Fatalf("%q: no rows", c.once)
+		}
+		if !reflect.DeepEqual(got.Trees(), want.Trees()) || !reflect.DeepEqual(got.Result().Rows, want.Result().Rows) {
+			t.Errorf("%q answers differently from %q:\n%s\n%s", c.repeated, c.once, fingerprintView(got), fingerprintView(want))
+		}
+		if g, w := q.KBestTrees(got, 3), q.KBestTrees(want, 3); len(g) == 0 || !reflect.DeepEqual(g, w) {
+			t.Errorf("%q: KBestTrees %v, want %v", c.repeated, g, w)
+		}
 	}
 }

@@ -291,8 +291,8 @@ func (q *Q) restore(snap *storage.Container, records []storage.Record, t0 time.T
 		if id < 0 || i > 0 && id <= restored[i-1].ID {
 			return fmt.Errorf("core: restore view %v: ID %d is negative or does not ascend", vs.Keywords, id)
 		}
-		if len(vs.Keywords) == 0 {
-			return fmt.Errorf("core: restore view %v: %w", vs.Keywords, errEmptyQuery)
+		if err := checkKeywords(vs.Keywords); err != nil {
+			return fmt.Errorf("core: restore view %v: %w", vs.Keywords, err)
 		}
 		k := vs.K
 		if k <= 0 {

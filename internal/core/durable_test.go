@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"maps"
@@ -732,6 +734,67 @@ func containerSection(t *testing.T, data []byte, name string) ([]byte, bool) {
 		t.Fatal(err)
 	}
 	return c.Section(name)
+}
+
+// TestRestoreRefusesOverCapView: a data dir whose meta section holds a view
+// of more keywords than a query may carry fails Open with
+// ErrTooManyKeywords, naming the view; the same dir with the view at the
+// cap opens and restores it.
+func TestRestoreRefusesOverCapView(t *testing.T) {
+	opts := durableOpts(t)
+	q := openDurable(t, opts, manualCheckpoints)
+	if err := q.AddTables(fixtureTables(t)...); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Query(Request{Keywords: []string{"title", "name"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// withView copies the data directory with every snapshot's meta section
+	// holding one view of n keywords.
+	withView := func(n int) Options {
+		kws := make([]string, n)
+		for i := range kws {
+			kws[i] = []string{"title", "name"}[i%2]
+		}
+		sec, err := json.Marshal(snapMeta{Version: snapMetaVersion, Views: []viewSnap{{Keywords: kws, K: defaultK}}, NextID: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		entries, err := os.ReadDir(opts.DataDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(opts.DataDir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if strings.HasSuffix(e.Name(), ".snap") {
+				data = replaceSection(t, data, "meta", sec)
+			}
+			if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		o := opts
+		o.DataDir = dir
+		return o
+	}
+	over := steiner.MaxExactTerminals + 1
+	if q, err := Open(withView(over)); !errors.Is(err, ErrTooManyKeywords) || !strings.Contains(err.Error(), "restore view") {
+		if err == nil {
+			q.Close()
+		}
+		t.Fatalf("Open over a %d-keyword view: err %v, want ErrTooManyKeywords naming the view", over, err)
+	}
+	q2 := reopen(t, withView(steiner.MaxExactTerminals))
+	if vs := q2.Views(); len(vs) != 1 || len(vs[0].Keywords) != steiner.MaxExactTerminals || len(vs[0].Result().Rows) == 0 {
+		t.Fatalf("restored views %v, want one %d-keyword view with rows", vs, steiner.MaxExactTerminals)
+	}
 }
 
 // replaceSection re-encodes a checkpoint container with the named

@@ -178,8 +178,9 @@ func (v *View) Edge(id steiner.EdgeID) searchgraph.Edge { return v.Current().Edg
 // Request is one keyword query. Keywords are taken verbatim (ParseKeywords
 // splits a query string; keywords containing quotes or spaces pass through
 // untouched) and are retained by the view, so the caller must not modify the
-// slice afterwards. K bounds the view's answer count (<= 0: the paper's k = 5).
-// Ephemeral computes the answers
+// slice afterwards; there are at most steiner.MaxExactTerminals of them,
+// repeats included (ErrTooManyKeywords). K bounds the view's answer count
+// (<= 0: the paper's k = 5). Ephemeral computes the answers
 // without registering the view. Trace, when non-nil, receives the query's
 // stage breakdown (cache lookup, expansion, Steiner search, translation,
 // planning, execution, materialisation) and its totals are folded into the
@@ -221,8 +222,8 @@ var ErrViewLimit = errors.New("core: view registry full")
 // compute it once — see cache.go), with answers byte-identical to an
 // uncached run.
 func (q *Q) Query(r Request) (*View, error) {
-	if len(r.Keywords) == 0 {
-		return nil, errEmptyQuery
+	if err := checkKeywords(r.Keywords); err != nil {
+		return nil, err
 	}
 	// Cheap pre-check so a query storm at the cap fails before engine work;
 	// the registration below re-checks authoritatively.
@@ -258,6 +259,23 @@ func (q *Q) Query(r Request) (*View, error) {
 }
 
 var errEmptyQuery = errors.New("core: empty keyword query")
+
+// ErrTooManyKeywords is returned by a Query with more keywords than the
+// exact Steiner search accepts (steiner.MaxExactTerminals, one terminal per
+// keyword).
+var ErrTooManyKeywords = fmt.Errorf("core: a query carries at most %d keywords", steiner.MaxExactTerminals)
+
+// checkKeywords refuses a keyword list no view is built over: an empty one,
+// or one longer than the exact search accepts.
+func checkKeywords(kws []string) error {
+	switch {
+	case len(kws) == 0:
+		return errEmptyQuery
+	case len(kws) > steiner.MaxExactTerminals:
+		return fmt.Errorf("%w, got %d", ErrTooManyKeywords, len(kws))
+	}
+	return nil
+}
 
 // expandKeyword adds one keyword's query-graph expansion to the overlay
 // (paper §2.2): similarity edges to matching schema elements via tf-idf,
@@ -444,20 +462,14 @@ func (q *Q) planOverlay(st *qstate, ov *searchgraph.Overlay, terminals []steiner
 }
 
 // topKTrees is the one place core runs a top-k Steiner search (view
-// planning and the deeper feedback pages alike). It is the exact search
-// unless the keyword set is beyond what the exact search accepts — its
-// state space is exponential in the terminals — in which case the
-// approximation answers and the routing is counted. The exact search's
-// work goes to the registry. A single keyword is answered by its matches
-// (singleKeywordTrees).
+// planning and the deeper feedback pages alike). One distinct terminal — a
+// keyword, perhaps repeated, since the overlay gives a repeated keyword the
+// same node — is answered by its matches (singleKeywordTrees); more go to
+// the exact search, whose work goes to the registry.
 func (q *Q) topKTrees(ov *searchgraph.Overlay, terminals []steiner.NodeID, k int) []steiner.Tree {
 	m := q.metrics
-	if len(terminals) == 1 {
+	if !slices.ContainsFunc(terminals, func(t steiner.NodeID) bool { return t != terminals[0] }) {
 		return singleKeywordTrees(ov, terminals[0], k)
-	}
-	if len(terminals) > steiner.MaxExactTerminals {
-		m.steinerApproxRouted.Inc()
-		return steiner.ApproxTopKSteinerOn(ov.View(), terminals, k)
 	}
 	trees, st := steiner.TopKSteinerStats(ov.View(), terminals, k)
 	m.steinerPops.Add(int64(st.Pops))

@@ -43,7 +43,7 @@ type searches struct {
 	Trees []steiner.Tree
 	Stats steiner.Stats
 	Near  map[steiner.NodeID]struct{}
-	Dist  []steiner.Dist
+	Dist  [][]float64
 }
 
 func searchAll(v steiner.GraphView, terms []steiner.NodeID) searches {

@@ -37,7 +37,8 @@
 //     persistent views (qserver -max-views); at the cap, non-ephemeral
 //     POST /query gets 429 until DELETE /views/{id} (or ?ephemeral=1) is
 //     used. Ephemeral queries never touch the registry.
-//   - A query may carry at most maxQueryKeywords keywords; more get 400
+//   - A query may carry at most steiner.MaxExactTerminals (20) keywords,
+//     the exact Steiner search's limit; more get 400 (core.ErrTooManyKeywords)
 //     before any engine work.
 //   - POST bodies are capped at Config.MaxBodyBytes via
 //     http.MaxBytesReader; oversized bodies get 413.
@@ -100,12 +101,6 @@ import (
 	"qint/internal/relstore"
 )
 
-// maxQueryKeywords caps the keywords of one POST /query. It sits above
-// steiner.MaxExactTerminals, so queries the approximation answers still
-// serve, but keeps one request from carrying thousands of keywords (an
-// 8 MiB body can) into a single admitted query.
-const maxQueryKeywords = 64
-
 // Config bounds the server's resource usage under load. The zero value of
 // any field selects its default; see the package comment for the shedding
 // contract each limit enforces.
@@ -154,7 +149,7 @@ type servingCounters struct {
 	shedQueries      *obs.Counter // 429s from the in-flight limit or view cap
 	shedWrites       *obs.Counter // 503s from the write queue
 	viewsDeleted     *obs.Counter // DELETE /views/{id} successes
-	cappedQueries    *obs.Counter // 400s for more than maxQueryKeywords keywords
+	cappedQueries    *obs.Counter // 400s for core.ErrTooManyKeywords
 }
 
 // Server wraps a Q instance and implements http.Handler. It takes no lock:
@@ -222,7 +217,7 @@ func (s *Server) instrument() {
 		shedQueries:      reg.Counter("qint_serving_shed_queries_total", "Queries shed with 429 (in-flight limit or view cap)."),
 		shedWrites:       reg.Counter("qint_serving_shed_writes_total", "Writes shed with 503 (admission queue full)."),
 		viewsDeleted:     reg.Counter("qint_serving_views_deleted_total", "Successful DELETE /views/{id} requests."),
-		cappedQueries:    reg.Counter("qint_serving_capped_queries_total", "Queries refused with 400 for carrying more than the keyword cap."),
+		cappedQueries:    reg.Counter("qint_serving_capped_queries_total", "Queries refused with 400 for carrying more keywords than the exact Steiner search accepts."),
 	}
 	s.slowQueries = reg.Counter("qint_slow_queries_total", "Queries whose wall time reached the slow-query threshold.")
 	reg.GaugeFunc("qint_serving_inflight_queries", "Queries currently holding an admission token.", func() float64 {
@@ -472,19 +467,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	keywords := core.ParseKeywords(req.Q)
-	if len(keywords) > maxQueryKeywords {
-		s.counters.cappedQueries.Inc()
-		httpError(w, http.StatusBadRequest, "query has %d keywords, at most %d allowed", len(keywords), maxQueryKeywords)
-		return
-	}
 	// The query is a lock-free read of Q's published snapshot; repeated
 	// queries answer from the engine's epoch-keyed materialisation cache.
 	// An ephemeral view is never registered, so ephemeral traffic cannot
 	// grow the registry.
 	ephemeral := isTruthy(r.URL.Query().Get("ephemeral"))
 	tr := obs.NewTrace()
-	v, err := s.q.Query(core.Request{Keywords: keywords, Ephemeral: ephemeral, Trace: tr})
+	v, err := s.q.Query(core.Request{Keywords: core.ParseKeywords(req.Q), Ephemeral: ephemeral, Trace: tr})
 	s.observeQuery(w, req.Q, tr)
 	if errors.Is(err, core.ErrViewLimit) {
 		s.counters.shedQueries.Add(1)
@@ -492,6 +481,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusTooManyRequests,
 			"view registry full (max %d); use ?ephemeral=1 or DELETE /views/{id}", s.q.Options().MaxViews)
 		return
+	}
+	if errors.Is(err, core.ErrTooManyKeywords) {
+		s.counters.cappedQueries.Inc()
 	}
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)

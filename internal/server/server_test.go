@@ -15,7 +15,6 @@ import (
 	"qint/internal/datasets"
 	"qint/internal/matcher/mad"
 	"qint/internal/matcher/meta"
-	"qint/internal/obs"
 	"qint/internal/relstore"
 	"qint/internal/steiner"
 )
@@ -362,45 +361,6 @@ func TestPreexistingViewsSeeded(t *testing.T) {
 	}
 }
 
-// TestManyKeywordQuery: a query with more keywords than the exact Steiner
-// search accepts is answered by the approximation — an ordinary response,
-// counted on /metrics — instead of panicking inside the materialisation
-// cache's in-flight computation, and the server keeps answering afterwards.
-func TestManyKeywordQuery(t *testing.T) {
-	_, q := newObsServer(t, Config{})
-	srv := New(q) // driven through ServeHTTP directly: a panic would reach the test
-	do := func(method, path string, body interface{}) *httptest.ResponseRecorder {
-		t.Helper()
-		return serve(t, srv, method, path, body)
-	}
-
-	var many bytes.Buffer
-	for i := 0; i <= steiner.MaxExactTerminals; i++ {
-		fmt.Fprintf(&many, "'GO:%07d' ", 1000+i)
-	}
-	for _, path := range []string{"/query", "/query?ephemeral=1"} {
-		w := do("POST", path, QueryRequest{Q: many.String()})
-		if w.Code >= 300 || !json.Valid(w.Body.Bytes()) {
-			t.Fatalf("POST %s with %d keywords: status %d, body %q", path, steiner.MaxExactTerminals+1, w.Code, w.Body)
-		}
-	}
-	if w := do("POST", "/query", QueryRequest{Q: "'GO:0001000' 'fam_0'"}); w.Code != http.StatusCreated {
-		t.Fatalf("query after the many-keyword one: status %d, body %q", w.Code, w.Body)
-	}
-	w := do("GET", "/metrics", nil)
-	exp, err := obs.ParseExposition(w.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Once: the ephemeral repeat is served from the materialisation cache.
-	if v, _ := exp.Value("qint_steiner_approx_routed_total"); v != 1 {
-		t.Errorf("qint_steiner_approx_routed_total = %v, want 1", v)
-	}
-	if v, _ := exp.Value("qint_steiner_pops_total"); v == 0 {
-		t.Error("qint_steiner_pops_total = 0 after an exact search")
-	}
-}
-
 // serve drives one request through h's ServeHTTP and returns the recorded
 // response; a nil body sends none.
 func serve(t *testing.T, h http.Handler, method, path string, body interface{}) *httptest.ResponseRecorder {
@@ -418,34 +378,61 @@ func serve(t *testing.T, h http.Handler, method, path string, body interface{}) 
 	return w
 }
 
-// TestQueryKeywordCap: POST /query accepts up to maxQueryKeywords keywords
-// and answers 400 beyond, before any engine work.
+// TestQueryKeywordCap: POST /query accepts up to steiner.MaxExactTerminals
+// keywords and answers 400 beyond, persistent or ephemeral, before any
+// engine work; the refusals are counted, no view is held, no approximation
+// is left on /metrics, the exact search's work is, and the server answers
+// afterwards.
 func TestQueryKeywordCap(t *testing.T) {
 	q, s, _ := newAdmissionServer(t, Config{})
+	// n keywords, admissionQuery's two alternating: the cap counts keywords,
+	// repeats included. (Twenty distinct keywords that all match would run
+	// the exact search for minutes; its work grows exponentially with the
+	// distinct terminals.)
 	query := func(n int) QueryRequest {
 		var b strings.Builder
 		for i := 0; i < n; i++ {
-			fmt.Fprintf(&b, "'GO:%07d' ", 1000+i)
+			b.WriteString([]string{"'GO:0001000' ", "'fam_0' "}[i%2])
 		}
 		return QueryRequest{Q: b.String()}
 	}
 	before := q.Metrics().Counter("qint_queries_total", "").Load()
 	capped := q.Metrics().Counter("qint_serving_capped_queries_total", "")
-	if w := serve(t, s, "POST", "/query?ephemeral=1", query(maxQueryKeywords)); w.Code != http.StatusOK {
-		t.Errorf("%d keywords: status %d, want 200: %s", maxQueryKeywords, w.Code, w.Body)
+	const limit = steiner.MaxExactTerminals
+	if w := serve(t, s, "POST", "/query?ephemeral=1", query(limit)); w.Code != http.StatusOK {
+		t.Errorf("%d keywords: status %d, want 200: %s", limit, w.Code, w.Body)
 	}
-	w := serve(t, s, "POST", "/query", query(maxQueryKeywords+1))
-	if w.Code != http.StatusBadRequest {
-		t.Errorf("%d keywords: status %d, want 400: %s", maxQueryKeywords+1, w.Code, w.Body)
+	for _, path := range []string{"/query", "/query?ephemeral=1"} {
+		if w := serve(t, s, "POST", path, query(limit+1)); w.Code != http.StatusBadRequest {
+			t.Errorf("POST %s with %d keywords: status %d, want 400: %s", path, limit+1, w.Code, w.Body)
+		}
 	}
 	if n := q.Metrics().Counter("qint_queries_total", "").Load() - before; n != 1 {
-		t.Errorf("engine ran %d queries, want 1: the over-cap query must not reach it", n)
+		t.Errorf("engine ran %d queries, want 1: an over-cap query must not reach it", n)
 	}
-	if n := capped.Load(); n != 1 {
-		t.Errorf("qint_serving_capped_queries_total = %d, want 1", n)
+	if n := capped.Load(); n != 2 {
+		t.Errorf("qint_serving_capped_queries_total = %d, want 2", n)
 	}
 	if n := len(q.Views()); n != 0 {
 		t.Errorf("engine holds %d views, want 0", n)
+	}
+	if w := serve(t, s, "POST", "/query", QueryRequest{Q: admissionQuery}); w.Code != http.StatusCreated {
+		t.Fatalf("query after the over-cap ones: status %d, body %q", w.Code, w.Body)
+	}
+	if body := serve(t, s, "GET", "/metrics", nil).Body.String(); strings.Contains(body, "approx") {
+		t.Error("/metrics still exposes an approximation family")
+	}
+	if q.Metrics().Counter("qint_steiner_pops_total", "").Load() == 0 {
+		t.Error("qint_steiner_pops_total = 0 after exact searches")
+	}
+}
+
+// TestRepeatedKeywordQuery: a keyword given twice is one terminal, and the
+// query answers like the keyword given once.
+func TestRepeatedKeywordQuery(t *testing.T) {
+	_, s, _ := newAdmissionServer(t, Config{})
+	if w := serve(t, s, "POST", "/query", QueryRequest{Q: "'GO:0001000' 'GO:0001000'"}); w.Code != http.StatusCreated {
+		t.Fatalf("repeated keyword: status %d, body %q", w.Code, w.Body)
 	}
 }
 

@@ -2,39 +2,24 @@ package steiner
 
 import "math"
 
-// Dist holds single-source shortest-path results. Unreachable nodes have
-// distance +Inf and Prev == -1.
-type Dist struct {
-	D    []float64
-	Prev []EdgeID // edge used to reach the node; -1 for source/unreachable
-}
-
 // DijkstraOn computes shortest path costs from src to every node of a graph
-// view (base graph or base∪overlay).
-func DijkstraOn(g GraphView, src NodeID) Dist {
+// view (base graph or base∪overlay). Unreachable nodes have distance +Inf.
+func DijkstraOn(g GraphView, src NodeID) []float64 {
 	s := acquireSearch()
 	defer releaseSearch(s)
 	s.build(g)
-	return s.shortestPaths(src)
-}
-
-// shortestPaths runs a full Dijkstra from src over the search's view.
-func (s *search) shortestPaths(src NodeID) Dist {
-	d := Dist{D: make([]float64, s.n), Prev: make([]EdgeID, s.n)}
-	s.startDijkstra(src, d.D, d.Prev)
-	s.dijkstra(d.D, d.Prev, math.Inf(1), 0)
+	d := make([]float64, s.n)
+	s.startDijkstra(src, d)
+	s.dijkstra(d, math.Inf(1), 0)
 	return d
 }
 
-// startDijkstra sets d to +Inf everywhere but src (and prev, when non-nil,
-// to -1) and queues src alone; dijkstra then advances the search.
-func (s *search) startDijkstra(src NodeID, d []float64, prev []EdgeID) {
+// startDijkstra sets d to +Inf everywhere but src and queues src alone;
+// dijkstra then advances the search.
+func (s *search) startDijkstra(src NodeID, d []float64) {
 	inf := math.Inf(1)
 	for i := range d {
 		d[i] = inf
-	}
-	for i := range prev {
-		prev[i] = -1
 	}
 	d[src] = 0
 	s.dq.Reset()
@@ -46,16 +31,15 @@ func (s *search) startDijkstra(src NodeID, d []float64, prev []EdgeID) {
 // ascending distance and relaxing their arcs, until the least queued
 // distance exceeds radius or the queue is empty. With pending > 0 it stops
 // instead right after settling the pending-th node marked with s.stamp, and
-// returns how many marked nodes it did not reach. prev, when non-nil,
-// receives the edge each node is reached by.
+// returns how many marked nodes it did not reach.
 //
 // A search stopped at a radius can be resumed by a later call, and the
 // pops it makes are the prefix of a full run's: every node within radius
 // holds its exact distance, every other node a value above radius (the
 // tentative value of some path, or +Inf). The distances do not depend on
 // the order of a node's arcs — each is the least left-to-right float sum
-// over the paths to its node — only the edges prev picks do.
-func (s *search) dijkstra(d []float64, prev []EdgeID, radius float64, pending int) int {
+// over the paths to its node.
+func (s *search) dijkstra(d []float64, radius float64, pending int) int {
 	for s.dq.Len() > 0 && s.dq.items[0].cost <= radius {
 		it := s.dq.Pop()
 		if it.cost > d[it.id] {
@@ -65,9 +49,6 @@ func (s *search) dijkstra(d []float64, prev []EdgeID, radius float64, pending in
 		for _, a := range as {
 			if nd := it.cost + a.cost; nd < d[a.to] {
 				d[a.to] = nd
-				if prev != nil {
-					prev[a.to] = EdgeID(a.edge)
-				}
 				s.dq.Push(item{cost: nd, id: a.to})
 			}
 		}
@@ -78,22 +59,6 @@ func (s *search) dijkstra(d []float64, prev []EdgeID, radius float64, pending in
 		}
 	}
 	return pending
-}
-
-// PathToOn reconstructs the edges of the shortest path from the Dijkstra
-// source to node v (in reverse order of traversal). Returns nil when v is
-// the source or unreachable.
-func PathToOn(g GraphView, d Dist, v NodeID) []EdgeID {
-	if math.IsInf(d.D[v], 1) {
-		return nil
-	}
-	var path []EdgeID
-	for d.Prev[v] != -1 {
-		eid := d.Prev[v]
-		path = append(path, eid)
-		v = other(g.Edge(eid), v)
-	}
-	return path
 }
 
 // NeighborhoodIntersectOn returns the nodes within alpha of EVERY source:
@@ -119,11 +84,11 @@ func NeighborhoodIntersectOn(g GraphView, sources []NodeID, alpha float64) map[N
 	n := s.n
 	s.dist = grown(s.dist, 2*n)
 	row, fold := s.dist[:n], s.dist[n:]
-	s.startDijkstra(sources[0], fold, nil)
-	s.dijkstra(fold, nil, alpha, 0)
+	s.startDijkstra(sources[0], fold)
+	s.dijkstra(fold, alpha, 0)
 	for _, src := range sources[1:] {
-		s.startDijkstra(src, row, nil)
-		s.dijkstra(row, nil, alpha, 0)
+		s.startDijkstra(src, row)
+		s.dijkstra(row, alpha, 0)
 		for v, d := range row {
 			fold[v] = max(fold[v], d)
 		}

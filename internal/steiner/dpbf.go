@@ -50,8 +50,8 @@ func (t Tree) HasEdge(id EdgeID) bool {
 const maxDPBFPops = 2_000_000
 
 // MaxExactTerminals is the largest number of distinct terminals the exact
-// search accepts: its state space is nodes × 2^terminals. Callers holding
-// more route to ApproxTopKSteinerOn; TopKSteinerOn panics above it.
+// search accepts: its state space is nodes × 2^terminals. TopKSteinerOn
+// panics above it, so callers refuse larger terminal sets first.
 const MaxExactTerminals = 20
 
 // Stats describes the work of one exact top-k search.
@@ -99,8 +99,7 @@ func TopKSteinerStats(g GraphView, terminals []NodeID, k int) ([]Tree, Stats) {
 	case len(terms) == 1:
 		return []Tree{{Cost: 0, Nodes: []NodeID{terms[0]}}}, Stats{}
 	case len(terms) > MaxExactTerminals:
-		// 2^t states explode; callers should use ApproxTopKSteinerOn.
-		panic(fmt.Sprintf("steiner: TopKSteiner with %d terminals (MaxExactTerminals is %d); use ApproxTopKSteinerOn",
+		panic(fmt.Sprintf("steiner: TopKSteiner with %d terminals (MaxExactTerminals is %d)",
 			len(terms), MaxExactTerminals))
 	}
 	s := acquireSearch()
@@ -303,8 +302,8 @@ func (s *search) reset(g GraphView, terms []NodeID, k int) bool {
 		s.mark[t] = s.stamp
 	}
 	row := s.dist[:n]
-	s.startDijkstra(terms[0], row, nil)
-	unreached := s.dijkstra(row, nil, math.Inf(1), len(terms)-1)
+	s.startDijkstra(terms[0], row)
+	unreached := s.dijkstra(row, math.Inf(1), len(terms)-1)
 	for _, t := range terms[1:] {
 		s.mark[t] = 0
 	}
@@ -320,11 +319,11 @@ func (s *search) reset(g GraphView, terms []NodeID, k int) bool {
 // would.
 func (s *search) fillDistances(radius float64) {
 	n := s.n
-	s.dijkstra(s.dist[:n], nil, radius, 0)
+	s.dijkstra(s.dist[:n], radius, 0)
 	for i := 1; i < len(s.terms); i++ {
 		row := s.dist[i*n : (i+1)*n]
-		s.startDijkstra(s.terms[i], row, nil)
-		s.dijkstra(row, nil, radius, 0)
+		s.startDijkstra(s.terms[i], row)
+		s.dijkstra(row, radius, 0)
 	}
 }
 

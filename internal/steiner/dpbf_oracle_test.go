@@ -28,7 +28,14 @@ func oracleTopKSteinerOn(g GraphView, terminals []NodeID, k int) []Tree {
 	if k <= 0 {
 		return nil
 	}
-	terms := dedupNodes(terminals)
+	var terms []NodeID // terminals without repeats, in first-seen order
+	first := make(map[NodeID]bool, len(terminals))
+	for _, t := range terminals {
+		if !first[t] {
+			first[t] = true
+			terms = append(terms, t)
+		}
+	}
 	if len(terms) == 0 {
 		return nil
 	}
@@ -36,8 +43,7 @@ func oracleTopKSteinerOn(g GraphView, terminals []NodeID, k int) []Tree {
 		return []Tree{{Cost: 0, Nodes: []NodeID{terms[0]}}}
 	}
 	if len(terms) > 20 {
-		// 2^t states explode; callers should use ApproxTopKSteiner.
-		panic(fmt.Sprintf("steiner: TopKSteiner with %d terminals; use ApproxTopKSteiner", len(terms)))
+		panic(fmt.Sprintf("steiner: TopKSteiner with %d terminals", len(terms)))
 	}
 	full := uint32(1)<<uint(len(terms)) - 1
 	incident := oracleIncident(g)

@@ -393,8 +393,8 @@ func FuzzSiblingOrder(f *testing.F) {
 func fillWholeTable(s *search) {
 	for i, t := range s.terms {
 		row := s.dist[i*s.n : (i+1)*s.n]
-		s.startDijkstra(t, row, nil)
-		s.dijkstra(row, nil, math.Inf(1), 0)
+		s.startDijkstra(t, row)
+		s.dijkstra(row, math.Inf(1), 0)
 	}
 }
 
@@ -410,12 +410,12 @@ func TestDistancesExactWithinRadius(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		g, terms := plateauGraph(r, 10+r.Intn(30), r.Intn(40), 2+r.Intn(3))
 		slices.Sort(terms)
-		var want []Dist
+		var want [][]float64
 		var radii []float64
 		for _, term := range terms {
 			d := DijkstraOn(g, term)
 			want = append(want, d)
-			radii = append(radii, d.D[r.Intn(len(d.D))], d.D[terms[0]])
+			radii = append(radii, d[r.Intn(len(d))], d[terms[0]])
 		}
 		for _, radius := range radii {
 			s := acquireSearch()
@@ -424,7 +424,7 @@ func TestDistancesExactWithinRadius(t *testing.T) {
 			}
 			s.fillDistances(radius)
 			for i := range terms {
-				for v, exact := range want[i].D {
+				for v, exact := range want[i] {
 					got := s.dist[i*s.n+v]
 					if exact <= radius && math.Float64bits(got) != math.Float64bits(exact) ||
 						exact > radius && !(got > radius) {

@@ -1,10 +1,9 @@
 // Package steiner provides the weighted-graph machinery behind Q's ranked
 // keyword views: an undirected graph with mutable edge costs, Dijkstra
 // shortest paths and α-cost neighbourhoods (the pruning region of
-// VIEWBASEDALIGNER, paper §3.3), an exact top-k group Steiner tree algorithm
-// (DPBF dynamic programming with k-best lists per state), and a BANKS-style
-// shortest-path-union heuristic that callers route to when a query has more
-// than MaxExactTerminals terminals.
+// VIEWBASEDALIGNER, paper §3.3) and an exact top-k group Steiner tree
+// algorithm (DPBF dynamic programming with k-best lists per state) for up to
+// MaxExactTerminals terminals.
 package steiner
 
 import "fmt"

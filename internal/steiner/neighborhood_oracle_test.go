@@ -8,15 +8,15 @@ import (
 )
 
 // oracleNeighborhoodIntersectOn is the intersection neighbourhood as it
-// stood before it shared the search's Dijkstra loop and scratch — a Dist per
-// source, a map pruned per source — kept as the reference
+// stood before it shared the search's Dijkstra loop and scratch — a full
+// distance slice per source, a map pruned per source — kept as the reference
 // TestNeighborhoodMatchesOracle compares against.
 func oracleNeighborhoodIntersectOn(g GraphView, sources []NodeID, alpha float64) map[NodeID]struct{} {
 	out := make(map[NodeID]struct{})
 	for i, s := range sources {
 		d := DijkstraOn(g, s)
 		if i == 0 {
-			for v, dist := range d.D {
+			for v, dist := range d {
 				if dist <= alpha {
 					out[NodeID(v)] = struct{}{}
 				}
@@ -24,7 +24,7 @@ func oracleNeighborhoodIntersectOn(g GraphView, sources []NodeID, alpha float64)
 			continue
 		}
 		for v := range out {
-			if d.D[v] > alpha {
+			if d[v] > alpha {
 				delete(out, v)
 			}
 		}

@@ -8,8 +8,7 @@ import (
 )
 
 // TestDijkstraQuickProperties verifies triangle-style consistency on random
-// connected graphs: d(s,v) ≤ d(s,u) + w(u,v) for every edge (u,v), and the
-// path reconstructed by PathTo has exactly cost d(s,v).
+// connected graphs: d(s,v) ≤ d(s,u) + w(u,v) for every edge (u,v).
 func TestDijkstraQuickProperties(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -18,21 +17,9 @@ func TestDijkstraQuickProperties(t *testing.T) {
 		d := DijkstraOn(g, src)
 		for e := 0; e < g.NumEdges(); e++ {
 			edge := g.Edge(EdgeID(e))
-			if d.D[edge.U]+edge.Cost < d.D[edge.V]-1e-9 ||
-				d.D[edge.V]+edge.Cost < d.D[edge.U]-1e-9 {
+			if d[edge.U]+edge.Cost < d[edge.V]-1e-9 ||
+				d[edge.V]+edge.Cost < d[edge.U]-1e-9 {
 				return false // relaxation not at fixpoint
-			}
-		}
-		for v := 0; v < g.NumNodes(); v++ {
-			if math.IsInf(d.D[v], 1) {
-				continue
-			}
-			cost := 0.0
-			for _, eid := range PathToOn(g, d, NodeID(v)) {
-				cost += g.Edge(eid).Cost
-			}
-			if math.Abs(cost-d.D[v]) > 1e-9 {
-				return false
 			}
 		}
 		return true

@@ -89,9 +89,9 @@ func checkOverlayEquivalence(t *testing.T, seed int64, n, nb, edges, m, numTerms
 	}
 	for _, src := range terms {
 		got, want := DijkstraOn(ov, src), DijkstraOn(flat, src)
-		for v := range want.D {
-			if math.Float64bits(got.D[v]) != math.Float64bits(want.D[v]) {
-				t.Fatalf("from %d: overlay distance to %d is %v, flat graph %v", src, v, got.D[v], want.D[v])
+		for v := range want {
+			if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+				t.Fatalf("from %d: overlay distance to %d is %v, flat graph %v", src, v, got[v], want[v])
 			}
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	"qint/internal/datasets"
 	"qint/internal/matcher/mad"
 	"qint/internal/matcher/meta"
+	"qint/internal/obs"
 	"qint/internal/relstore"
 	"qint/internal/steiner"
 )
@@ -380,9 +381,7 @@ func serve(t *testing.T, h http.Handler, method, path string, body interface{}) 
 
 // TestQueryKeywordCap: POST /query accepts up to steiner.MaxExactTerminals
 // keywords and answers 400 beyond, persistent or ephemeral, before any
-// engine work; the refusals are counted, no view is held, no approximation
-// is left on /metrics, the exact search's work is, and the server answers
-// afterwards.
+// engine work; the refusals are counted and no view is held.
 func TestQueryKeywordCap(t *testing.T) {
 	q, s, _ := newAdmissionServer(t, Config{})
 	// n keywords, admissionQuery's two alternating: the cap counts keywords,
@@ -416,14 +415,47 @@ func TestQueryKeywordCap(t *testing.T) {
 	if n := len(q.Views()); n != 0 {
 		t.Errorf("engine holds %d views, want 0", n)
 	}
-	if w := serve(t, s, "POST", "/query", QueryRequest{Q: admissionQuery}); w.Code != http.StatusCreated {
-		t.Fatalf("query after the over-cap ones: status %d, body %q", w.Code, w.Body)
+}
+
+// TestManyKeywordQuery: a query with more keywords than the exact Steiner
+// search accepts gets an ordinary 400 with a JSON body, persistent or
+// ephemeral, instead of panicking inside the engine; the server keeps
+// answering afterwards, and /metrics carries the exact search's work and
+// no approximation family.
+func TestManyKeywordQuery(t *testing.T) {
+	_, q := newObsServer(t, Config{})
+	srv := New(q) // driven through ServeHTTP directly: a panic would reach the test
+	do := func(method, path string, body interface{}) *httptest.ResponseRecorder {
+		t.Helper()
+		return serve(t, srv, method, path, body)
 	}
-	if body := serve(t, s, "GET", "/metrics", nil).Body.String(); strings.Contains(body, "approx") {
+
+	var many bytes.Buffer
+	for i := 0; i <= steiner.MaxExactTerminals; i++ {
+		fmt.Fprintf(&many, "'GO:%07d' ", 1000+i)
+	}
+	for _, path := range []string{"/query", "/query?ephemeral=1"} {
+		w := do("POST", path, QueryRequest{Q: many.String()})
+		if w.Code != http.StatusBadRequest || !json.Valid(w.Body.Bytes()) {
+			t.Fatalf("POST %s with %d keywords: status %d, body %q", path, steiner.MaxExactTerminals+1, w.Code, w.Body)
+		}
+	}
+	if w := do("POST", "/query", QueryRequest{Q: "'GO:0001000' 'fam_0'"}); w.Code != http.StatusCreated {
+		t.Fatalf("query after the many-keyword one: status %d, body %q", w.Code, w.Body)
+	}
+	body := do("GET", "/metrics", nil).Body.String()
+	if strings.Contains(body, "approx") {
 		t.Error("/metrics still exposes an approximation family")
 	}
-	if q.Metrics().Counter("qint_steiner_pops_total", "").Load() == 0 {
-		t.Error("qint_steiner_pops_total = 0 after exact searches")
+	exp, err := obs.ParseExposition(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := exp.Value("qint_serving_capped_queries_total"); v != 2 {
+		t.Errorf("qint_serving_capped_queries_total = %v, want 2", v)
+	}
+	if v, _ := exp.Value("qint_steiner_pops_total"); v == 0 {
+		t.Error("qint_steiner_pops_total = 0 after an exact search")
 	}
 }
 

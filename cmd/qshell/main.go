@@ -31,7 +31,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -213,8 +215,8 @@ func main() {
 			}
 			fmt.Printf("registered %q: compared %d relations, %d attribute comparisons, %d alignments\n",
 				rep.Source, len(rep.TargetsCompared), rep.AttrComparisons, rep.AlignmentsAdded)
-			for pair, conf := range rep.AlignmentsByPair {
-				fmt.Printf("  %.2f %s\n", conf, pair)
+			for _, pair := range slices.Sorted(maps.Keys(rep.AlignmentsByPair)) {
+				fmt.Printf("  %.2f %s\n", rep.AlignmentsByPair[pair], pair)
 			}
 		case "save":
 			if rest == "" {

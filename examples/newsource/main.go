@@ -10,6 +10,8 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 	"strings"
 
 	"qint/internal/core"
@@ -65,8 +67,8 @@ func main() {
 	fmt.Printf("  attribute comparisons: %d, matcher calls: %d\n",
 		report.AttrComparisons, report.MatcherCalls)
 	fmt.Println("  discovered alignments:")
-	for pair, conf := range report.AlignmentsByPair {
-		fmt.Printf("    %-70s confidence %.2f\n", pair, conf)
+	for _, pair := range slices.Sorted(maps.Keys(report.AlignmentsByPair)) {
+		fmt.Printf("    %-70s confidence %.2f\n", pair, report.AlignmentsByPair[pair])
 	}
 
 	// The view has been refreshed; answers may now draw on the new source.

@@ -526,17 +526,6 @@ func (q *Q) refreshLocked(st *qstate) error {
 	})
 }
 
-// TreeQuery converts a Steiner tree over a published search graph (no
-// query overlay) into a conjunctive query, resolved against the current
-// published generation. It is the exported form of the view pipeline's
-// tree-to-query translation, used by the mediated-schema adapter and by
-// tools that want to inspect or execute a tree directly. Graph ids only
-// ever append, so a tree from an earlier published base resolves here too.
-func (q *Q) TreeQuery(t steiner.Tree) (*relstore.ConjunctiveQuery, error) {
-	st := q.state()
-	return treeToQuery(st.cat, st.graph.NewOverlay(), t)
-}
-
 // treeToQuery converts a Steiner tree over the query overlay into a
 // conjunctive query (paper §2.2): relation nodes (and relations reached by
 // zero-cost edges from attribute/value nodes) become atoms; foreign-key and

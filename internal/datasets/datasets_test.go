@@ -233,39 +233,3 @@ func TestCanonicalPairSorts(t *testing.T) {
 		t.Errorf("pair not sorted: %s", CanonicalPair(a, b))
 	}
 }
-
-func TestInterProGOScaled(t *testing.T) {
-	small := InterProGOScaled(1)
-	big := InterProGOScaled(4)
-	rows := func(c *InterProGOCorpus) int {
-		n := 0
-		for _, tb := range c.Tables {
-			n += len(tb.Rows)
-		}
-		return n
-	}
-	if rows(big) < 3*rows(small) {
-		t.Errorf("scale 4 should roughly quadruple rows: %d vs %d", rows(big), rows(small))
-	}
-	// Schema, gold and queries are scale-invariant.
-	if len(big.Tables) != len(small.Tables) || len(big.Gold) != len(small.Gold) ||
-		len(big.Queries) != len(small.Queries) {
-		t.Error("scale must not change schema, gold standard or workload")
-	}
-	// Gold edges still have value overlap at scale.
-	cat := relstore.NewCatalog()
-	for _, tb := range big.Tables {
-		if err := cat.AddTable(tb); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, p := range big.GoldPairs {
-		if cat.ValueOverlap(p[0], p[1]) == 0 {
-			t.Errorf("gold edge %s~%s lost overlap at scale", p[0], p[1])
-		}
-	}
-	// Degenerate scale clamps to 1.
-	if rows(InterProGOScaled(0)) != rows(small) {
-		t.Error("scale 0 should clamp to 1")
-	}
-}

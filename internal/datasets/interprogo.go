@@ -37,7 +37,7 @@ type InterProGOCorpus struct {
 	Queries []string
 }
 
-// interproGOSizes control generated instance cardinalities (at Scale 1).
+// interproGOSizes control generated instance cardinalities.
 const (
 	nGoTerms  = 120
 	nEntries  = 80
@@ -68,26 +68,8 @@ var journalNames = []string{
 	"Molecular Cell", "Structure", "Protein Science", "Genome Biology",
 }
 
-// InterProGO builds the corpus at the default (unit) scale. Generation is
-// deterministic.
+// InterProGO builds the corpus. Generation is deterministic.
 func InterProGO() *InterProGOCorpus {
-	return InterProGOScaled(1)
-}
-
-// InterProGOScaled builds the corpus with instance cardinalities multiplied
-// by scale (schema, gold standard and query workload are scale-invariant).
-// The paper's real InterPro+GO instance produced an 87K-node MAD graph;
-// scale ≈ 100 reaches that order of magnitude for stress benchmarks.
-func InterProGOScaled(scale int) *InterProGOCorpus {
-	if scale < 1 {
-		scale = 1
-	}
-	nGoTerms := nGoTerms * scale
-	nEntries := nEntries * scale
-	nMethods := nMethods * scale
-	nPubs := nPubs * scale
-	nJournals := nJournals * scale
-
 	r := rand.New(rand.NewSource(20100611)) // SIGMOD 2010 conference date
 
 	goAcc := make([]string, nGoTerms)

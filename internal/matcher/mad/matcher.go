@@ -186,31 +186,3 @@ func buildAndRun(cat *relstore.Catalog, run func(*Graph) *Result) *propagation {
 
 	return &propagation{attrNode: attrNode, attrOf: attrOf, result: run(g)}
 }
-
-// GraphSize reports the node count of the propagation graph MAD would build
-// for the catalog — exposed for experiments and logs (the paper reports an
-// 87K-node graph for InterPro-GO).
-func GraphSize(cat *relstore.Catalog) (attrNodes, valueNodes int) {
-	refs := cat.AttrRefs()
-	valueAttrs := make(map[string]int)
-	attrSeen := make(map[int]struct{})
-	perValue := make(map[string][]int)
-	for ai, ref := range refs {
-		for _, v := range cat.Values(ref) {
-			if text.IsNumeric(v) {
-				continue
-			}
-			valueAttrs[v]++
-			perValue[v] = append(perValue[v], ai)
-		}
-	}
-	for v, n := range valueAttrs {
-		if n >= 2 {
-			valueNodes++
-			for _, ai := range perValue[v] {
-				attrSeen[ai] = struct{}{}
-			}
-		}
-	}
-	return len(attrSeen), valueNodes
-}

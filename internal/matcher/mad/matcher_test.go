@@ -147,18 +147,6 @@ func TestMatcherCacheInvalidation(t *testing.T) {
 	}
 }
 
-func TestGraphSize(t *testing.T) {
-	c := overlapCatalog(t)
-	attrs, vals := GraphSize(c)
-	if attrs == 0 || vals == 0 {
-		t.Errorf("graph should be non-trivial: %d attrs, %d values", attrs, vals)
-	}
-	// Only values shared by ≥2 attributes count.
-	if vals > 40 {
-		t.Errorf("value count implausible: %d", vals)
-	}
-}
-
 func TestMatcherNilInputs(t *testing.T) {
 	m := New()
 	c := overlapCatalog(t)

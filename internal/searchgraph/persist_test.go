@@ -230,7 +230,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 			s.edges[1] = rawEdge{kind: uint64(EdgeKeyword), u: 0, v: 1, feats: []rawFeat{{0, 0.2}}}
 		}},
 		{"a value-attr edge", func(s *rawSection) { s.edges[1] = rawEdge{kind: uint64(EdgeValueAttr), u: 0, v: 1, fixed: 1} }},
-		// an edge kind the graph does not know (mediated mappings are not edges)
+		// an edge kind the graph does not know
 		{"an unknown edge kind", func(s *rawSection) { s.edges[1].kind = 5 }},
 		{"a second node for one relation", func(s *rawSection) { s.nodes[2].s = "go.term" }},
 		{"a second node for one attribute", func(s *rawSection) { s.nodes[3].s = "go.term.acc" }},

@@ -457,13 +457,13 @@ func (g *Graph) AddAssociationEdge(a, b relstore.AttrRef, features learning.Vect
 	if id := g.association(a, b); id >= 0 {
 		g.own()
 		merged := g.s.edges[id].Features.Clone()
-		MergeMatcherFeatures(merged, features)
+		mergeMatcherFeatures(merged, features)
 		g.setFeatures(id, merged)
 		return id
 	}
 	g.own()
 	features = features.Clone()
-	MergeMatcherFeatures(features, nil)
+	mergeMatcherFeatures(features, nil)
 	u := g.AttributeNode(a)
 	v := g.AttributeNode(b)
 	f := learning.Vector{
@@ -508,13 +508,13 @@ func (g *Graph) association(a, b relstore.AttrRef) steiner.EdgeID {
 	return -1
 }
 
-// MergeMatcherFeatures merges src into dst with matcher-endorsement
+// mergeMatcherFeatures merges src into dst with matcher-endorsement
 // semantics: a "matcher:<name>:binK" feature supersedes that matcher's
 // ":absent" marker (an endorsement cancels the no-endorsement penalty), and
 // when the same matcher endorses twice only the higher bin (more confident,
 // cheaper under the standard weights) is kept. Other features overwrite
 // key-wise. Passing nil src normalises dst in place under the same rules.
-func MergeMatcherFeatures(dst, src learning.Vector) {
+func mergeMatcherFeatures(dst, src learning.Vector) {
 	for k, v := range src {
 		dst[k] = v
 	}

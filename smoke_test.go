@@ -6,8 +6,10 @@ package qint
 // (they always run in CI, which installs the toolchain).
 
 import (
+	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -73,6 +75,47 @@ func TestQuickstartEndToEnd(t *testing.T) {
 	}
 }
 
+// TestNewsourceEndToEnd runs examples/newsource and checks that it prints
+// the registration's alignments, in ascending pair order so that two runs
+// print the same text, and then the refreshed view's rows.
+func TestNewsourceEndToEnd(t *testing.T) {
+	gt := goTool(t)
+	out, err := exec.Command(gt, "run", "./examples/newsource").CombinedOutput()
+	if err != nil {
+		t.Fatalf("go run ./examples/newsource: %v\n%s", err, out)
+	}
+	got := string(out)
+	_, block, ok := strings.Cut(got, "discovered alignments:\n")
+	if !ok {
+		t.Fatalf("newsource printed no alignments block:\n%s", got)
+	}
+	block, view, _ := strings.Cut(block, "\nrefreshed view:\n")
+	var pairs []string
+	for _, line := range strings.Split(strings.TrimSpace(block), "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			pairs = append(pairs, f[0])
+		}
+	}
+	assertAscending(t, pairs, got)
+	if !strings.Contains(view, "[0] cost=") {
+		t.Errorf("refreshed view printed no rows:\n%s", got)
+	}
+}
+
+// assertAscending fails unless pairs holds at least two alignment pairs in
+// strictly ascending order.
+func assertAscending(t *testing.T, pairs []string, out string) {
+	t.Helper()
+	if len(pairs) < 2 {
+		t.Fatalf("want at least 2 alignments, got %d:\n%s", len(pairs), out)
+	}
+	for i := 1; i < len(pairs); i++ {
+		if pairs[i-1] >= pairs[i] {
+			t.Fatalf("alignments not in ascending order at %q, %q:\n%s", pairs[i-1], pairs[i], out)
+		}
+	}
+}
+
 // TestQgenDump runs the corpus dumper and sanity-checks the JSON shape.
 func TestQgenDump(t *testing.T) {
 	gt := goTool(t)
@@ -110,4 +153,35 @@ func TestQshellSaveLoad(t *testing.T) {
 	if strings.Contains(got, "error:") {
 		t.Errorf("qshell reported an error:\n%s", got)
 	}
+}
+
+// TestQshellRegisterSortsAlignments registers a source file against GBCO
+// with the exhaustive aligner and checks that the alignments print in
+// ascending pair order.
+func TestQshellRegisterSortsAlignments(t *testing.T) {
+	gt := goTool(t)
+	src := filepath.Join(t.TempDir(), "jcat.json")
+	const jcat = `{"source": "jcat", "tables": [{"name": "catalogue",
+		"attributes": ["pubmed_id", "journal_title", "impact_factor"],
+		"rows": [["PUB00003", "Diabetes", "7.7"], ["PUB00007", "Cell Metabolism", "27.7"],
+			["PUB00011", "Endocrinology", "4.0"]]}]}`
+	if err := os.WriteFile(src, []byte(jcat), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(gt, "run", "./cmd/qshell", "-dataset", "gbco")
+	cmd.Stdin = strings.NewReader("register " + src + " exhaustive\nquit\n")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("go run ./cmd/qshell: %v\n%s", err, out)
+	}
+	got := string(out)
+	if strings.Contains(got, "error:") {
+		t.Fatalf("qshell reported an error:\n%s", got)
+	}
+	alignment := regexp.MustCompile(`(?m)^  [0-9.]+ (\S+~\S+)$`)
+	var pairs []string
+	for _, m := range alignment.FindAllStringSubmatch(got, -1) {
+		pairs = append(pairs, m[1])
+	}
+	assertAscending(t, pairs, got)
 }

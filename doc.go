@@ -293,12 +293,13 @@
 // codes and a token key a field index into a normalised value, so it is
 // about half the bytes of the retired QSEGb1 layout, and a restore that
 // meets a QSEGb1 section indexes those tables from their rows instead.
-// Replay then adds the WAL tail's tables unindexed, and restore indexes
-// every replayed table once, in one fan-out after the tail, and
-// rematerialises the views across the worker pool without counting them as
-// queries (bench/'s write_churn and ingest_restart workloads measure
-// recovery; qint_recovery_stage_seconds_total splits a restore into open,
-// catalog, segments, graph, replay, index and views).
+// A restore installs the segments while a second goroutine decodes the
+// graph and the WAL tail and then indexes the tail's tables; the tail
+// applies in epoch order beside that indexing (replay reads no values),
+// and the views rematerialise across the worker pool without counting
+// them as queries (bench/'s write_churn and ingest_restart workloads
+// measure recovery; qint_recovery_stage_seconds_total splits a restore
+// into open, catalog, decode, replay, index and views).
 //
 // Durability is log-then-publish: every write but AddMatcher (AddTables,
 // RegisterSource, AlignAllPairs, AddAssociations, SetWeights, feedback) is
@@ -306,11 +307,14 @@
 // record and fsync'd BEFORE the writer publishes the new generation to
 // readers, so any state a query could ever observe is already durable; a
 // write whose append fails returns the error and is rolled back. There is
-// one record kind. It carries mutation EFFECTS, not operations: the tables
-// that entered the catalog, every association edge the write added or
-// merged into with its final feature vector, and the weight-vector delta
-// (feedback's MIRA update, SetWeights), each optional. Replay applies them
-// in that order and needs no matchers (they are code, re-registered after
+// one record kind, a binary payload (the retired JSON kind is refused at
+// Open by name). It carries mutation EFFECTS, not operations: the tables
+// that entered the catalog, in the catalog section's table codec, every
+// association edge the write added or merged into with its final feature
+// vector, its names indices into the record's dictionary, and the
+// weight-vector delta (feedback's MIRA update, SetWeights), each optional.
+// Replay applies them in that order, record by record in epoch order, and
+// needs no matchers (they are code, re-registered after
 // Open; AddMatcher installs only missing weights, so re-registering changes
 // nothing) and no MIRA, and reproduces the builder state exactly
 // (internal/core/durable_test.go pins restart ≡ rebuild byte-for-byte).

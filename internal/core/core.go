@@ -470,7 +470,7 @@ func (q *Q) AddTables(tables ...*relstore.Table) error {
 	if err == nil {
 		q.catalog.BuildValueIndex(q.width)
 	}
-	return q.commitLocked(walRecord{Tables: wireTables(tables)}, err)
+	return q.commitLocked(walRecord{Tables: tables}, err)
 }
 
 // addTablesLocked adds tables to the catalog, the search graph and the

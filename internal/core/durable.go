@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"qint/internal/learning"
 	"qint/internal/relstore"
 	"qint/internal/searchgraph"
 	"qint/internal/storage"
@@ -23,10 +22,12 @@ import (
 // published to readers, so any state a query could ever observe is already
 // durable. A write whose append fails is rolled back and never published.
 //
-// The WAL logs mutation EFFECTS, not operations, in one record shape
-// (walRecord): the tables that entered the catalog, every association edge
-// the write added or merged into with its FINAL feature vector, and the
-// weight delta. Replaying a source registration cannot re-run the schema
+// The WAL logs mutation EFFECTS, not operations, in one binary record
+// shape (walRecord, walrecord.go): the tables that entered the catalog,
+// every association edge the write added or merged into with its FINAL
+// feature vector, and the weight delta. A restore decodes the records
+// beside the snapshot's sections and applies them in epoch order.
+// Replaying a source registration cannot re-run the schema
 // matchers — they are code, re-registered by the caller after Open — so
 // replay installs the edges verbatim (searchgraph.RestoreAssociationEdge).
 // Feedback logs the weight delta the MIRA update produced, not the
@@ -46,42 +47,6 @@ import (
 //   - The engine width (worker pools, execution slots): a property of the
 //     machine, not state; a restored engine takes the restoring process's
 //     GOMAXPROCS, and the catalog section carries no width.
-
-// walKindMutation is the one WAL record kind (the storage layer treats kinds
-// as opaque); its payload is a walRecord.
-const walKindMutation byte = 1
-
-// walTable is one table on the wire: the schema plus all rows.
-type walTable struct {
-	Source      string                `json:"source"`
-	Name        string                `json:"name"`
-	Attributes  []relstore.Attribute  `json:"attributes"`
-	ForeignKeys []relstore.ForeignKey `json:"foreign_keys,omitempty"`
-	Rows        [][]string            `json:"rows"`
-}
-
-// walAssoc is one association edge on the wire: canonical endpoints and the
-// final feature vector, installed verbatim on replay.
-type walAssoc struct {
-	A        relstore.AttrRef `json:"a"`
-	B        relstore.AttrRef `json:"b"`
-	Features learning.Vector  `json:"features"`
-}
-
-// walRecord is the effect of one write, applied on replay in field order:
-// the tables that entered the catalog, the association edges the write
-// added or merged into (id order, final features), then the weight delta
-// ("set"/"del"). Every part is optional; a write that changes none of them
-// logs nothing.
-type walRecord struct {
-	Tables []walTable `json:"tables,omitempty"`
-	Assocs []walAssoc `json:"assocs,omitempty"`
-	searchgraph.WeightDelta
-}
-
-func (r walRecord) empty() bool {
-	return len(r.Tables) == 0 && len(r.Assocs) == 0 && r.WeightDelta.Empty()
-}
 
 // snapMeta is the snapshot container's "meta" section: versioning plus the
 // persistent view registry (view contents are a function of the graph).
@@ -176,7 +141,7 @@ func openFrom(st *storage.Store, opts Options, t0 time.Time) (*Q, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := q.restore(snap, st.Records(), t0); err != nil {
+	if err := q.restore(snap, st.TakeRecords(), t0); err != nil {
 		return nil, err
 	}
 
@@ -205,20 +170,30 @@ func openFrom(st *storage.Store, opts Options, t0 time.Time) (*Q, error) {
 
 // restore rebuilds a freshly constructed Q from a checkpoint container
 // (nil: start empty) plus the WAL records committed after it — Open's and
-// Load's one restore path. The catalog is decoded from its binary sections
-// with its built value-index segments installed verbatim, the graph from
-// its binary section with its learned weights, and the records replay
-// without re-logging. Only then are the unindexed tables indexed, the
-// edges repriced and the state published, once each, and the persistent
-// views rematerialised. A segments section in the retired QSEGb1 layout
-// counts as absent: its tables are indexed from their rows with the rest.
-// Each stage's time, from t0 on (when the caller began reading the
-// container), goes to qint_recovery_stage_seconds_total.
+// Load's one restore path. The meta and catalog sections decode first.
+// Then two lanes run at once. The calling goroutine installs the
+// value-index segments into the catalog. A second goroutine enters the
+// catalog's schemas into the keyword corpus, decodes the graph from its
+// binary section with its learned weights, then the WAL records, then
+// indexes the tables they carry, the last two across all but one of the
+// engine's width. Once the records have decoded, the calling goroutine
+// applies them in epoch order without re-logging, beside that indexing,
+// since replay reads no values. Only then are the edges repriced, the
+// replayed tables' segments installed, the tables the snapshot holds no
+// segment for indexed and the state published, once each, and the
+// persistent views rematerialised. On a one-wide engine every step runs on
+// the calling goroutine, in turn. A segments section in the retired QSEGb1
+// layout counts as absent: its tables are indexed from their rows with the
+// rest. Each stage's time, from t0 on (when the caller began reading the
+// container), goes to qint_recovery_stage_seconds_total. restore owns
+// records: the decoded tail aliases their payloads.
 func (q *Q) restore(snap *storage.Container, records []storage.Record, t0 time.Time) error {
 	m := q.metrics
 	t := m.recovered(recoverOpen, t0)
 	var views []viewSnap
 	var nextID int64
+	loadSegments := func() error { return nil }
+	loadGraph := func() error { return nil }
 	if snap != nil {
 		catSec, okCat := snap.Section("catalog")
 		graphSec, okGraph := snap.Section("graph")
@@ -238,36 +213,82 @@ func (q *Q) restore(snap *storage.Container, records []storage.Record, t0 time.T
 		if err != nil {
 			return err
 		}
-		t = m.recovered(recoverCatalog, t)
-		if segSec, ok := snap.Section("segments"); ok {
-			if err := cat.LoadSegments(segSec); err != nil && !errors.Is(err, relstore.ErrRetiredSegments) {
-				return err
+		q.catalog = cat
+		segSec, okSeg := snap.Section("segments")
+		loadSegments = func() error {
+			if okSeg {
+				if err := cat.LoadSegments(segSec); err != nil && !errors.Is(err, relstore.ErrRetiredSegments) {
+					return err
+				}
 			}
+			return nil
 		}
-		t = m.recovered(recoverSegments, t)
-		graph, err := searchgraph.Load(graphSec)
-		if err != nil {
+		loadGraph = func() error {
+			for _, rel := range cat.Relations() {
+				q.indexRelation(rel) // the keyword corpus is derived state
+			}
+			g, err := searchgraph.Load(graphSec)
+			q.graph = g
 			return err
 		}
-		t = m.recovered(recoverGraph, t)
-		q.catalog = cat
-		q.graph = graph
-		for _, rel := range cat.Relations() {
-			q.indexRelation(rel) // the keyword corpus is derived state
+	}
+	t = m.recovered(recoverCatalog, t)
+
+	var (
+		graphErr error
+		tail     []walRecord
+		recErr   error // the decode error that ends tail, if any
+		segs     relstore.Segments
+	)
+	helpers := max(q.width-1, 1)
+	decoded := make(chan struct{})
+	second := func() {
+		graphErr = loadGraph()
+		tail, recErr = decodeTail(records, helpers)
+		close(decoded)
+		if graphErr != nil || recErr != nil {
+			return // restore fails; nothing would read the segments
 		}
-		t = m.recovered(recoverIndex, t)
+		var tables []*relstore.Table
+		for _, rec := range tail {
+			tables = append(tables, rec.Tables...)
+		}
+		segs = relstore.BuildSegments(tables, helpers)
+	}
+	var indexing sync.WaitGroup
+	if q.width > 1 {
+		indexing.Add(1)
+		go func() {
+			defer indexing.Done()
+			second()
+		}()
+	}
+	err := loadSegments()
+	if q.width > 1 {
+		<-decoded
+	} else {
+		second()
+	}
+	t = m.recovered(recoverDecode, t)
+	if err == nil {
+		err = graphErr
+	}
+	if err != nil {
+		indexing.Wait()
+		return err
 	}
 
-	for _, rec := range records {
-		if err := q.replayRecord(rec); err != nil {
-			return fmt.Errorf("core: replay epoch %d: %w", rec.Epoch, err)
-		}
-	}
 	q.writerMu.Lock()
-	q.graph.RepriceEdges() // once for every replayed weight delta
+	err = q.replay(tail, records, recErr)
 	t = m.recovered(recoverReplay, t)
-	// Tables the snapshot holds no segment for and every replayed table,
-	// in one fan-out: replay reads no values.
+	indexing.Wait()
+	if err != nil {
+		q.writerMu.Unlock()
+		return err
+	}
+	// The replayed tables' segments, then, in one fan-out, the tables the
+	// snapshot holds no segment for.
+	q.catalog.AddSegments(segs)
 	q.catalog.BuildValueIndex(q.width)
 	st := q.publishLocked()
 	q.writerMu.Unlock()
@@ -320,43 +341,81 @@ func (q *Q) restore(snap *storage.Container, records []storage.Record, t0 time.T
 	return nil
 }
 
-// replayRecord applies one committed WAL record to the builder state:
-// tables, then associations, then the weight delta. Mutations here never
-// re-log; repricing the edges for the replayed weights and publishing
-// happen once, after the whole tail replays.
-func (q *Q) replayRecord(rec storage.Record) error {
-	if rec.Kind != walKindMutation {
-		return fmt.Errorf("core: unknown WAL record kind %d", rec.Kind)
-	}
-	var p walRecord
-	if err := json.Unmarshal(rec.Payload, &p); err != nil {
-		return err
-	}
-	tables := make([]*relstore.Table, len(p.Tables))
-	for i, wt := range p.Tables {
-		t, err := relstore.NewTable(&relstore.Relation{
-			Source:      wt.Source,
-			Name:        wt.Name,
-			Attributes:  wt.Attributes,
-			ForeignKeys: wt.ForeignKeys,
-		}, wt.Rows)
+// decodeTail decodes WAL records across width goroutines. It returns the
+// records up to the lowest epoch that fails to decode, with that failure's
+// error, so that a replay applies what a serial one would have applied
+// before meeting it.
+func decodeTail(records []storage.Record, width int) ([]walRecord, error) {
+	tail := make([]walRecord, len(records))
+	errs := make([]error, len(records))
+	runIndexed(len(records), width, func(i int) error {
+		tail[i], errs[i] = decodeRecord(records[i])
+		return nil
+	})
+	for i, err := range errs {
 		if err != nil {
-			return err
-		}
-		tables[i] = t
-	}
-	q.writerMu.Lock()
-	defer q.writerMu.Unlock()
-	if len(tables) > 0 {
-		if err := q.addTablesLocked(tables...); err != nil {
-			return err
+			return tail[:i], fmt.Errorf("core: replay epoch %d: %w", records[i].Epoch, err)
 		}
 	}
-	for _, a := range p.Assocs {
+	return tail, nil
+}
+
+// replay applies the decoded tail in epoch order, then recErr, the decode
+// error that ended the tail, if any; records are the tail's WAL records.
+// Callers hold writerMu. The graph makes room for the tail's edges up
+// front. If the tail changes the weights, no edge is priced as it is
+// installed: RepriceEdges prices every edge once at the end.
+func (q *Q) replay(tail []walRecord, records []storage.Record, recErr error) error {
+	edges := 0
+	for _, rec := range tail {
+		if !rec.WeightDelta.Empty() {
+			q.graph.DeferPricing()
+		}
+		edges += len(rec.Assocs)
+	}
+	if edges > 0 {
+		q.graph.GrowEdges(edges)
+	}
+	for i, rec := range tail {
+		if err := q.applyRecord(rec); err != nil {
+			return fmt.Errorf("core: replay epoch %d: %w", records[i].Epoch, err)
+		}
+	}
+	if recErr != nil {
+		return recErr
+	}
+	q.graph.RepriceEdges() // once for every replayed weight delta
+	return nil
+}
+
+// decodeRecord decodes one committed WAL record. Its strings alias the
+// payload, which restore owns and never modifies.
+func decodeRecord(rec storage.Record) (walRecord, error) {
+	switch rec.Kind {
+	case walKindMutation:
+		return decodeWALRecord(rec.Payload)
+	case walKindJSON:
+		return walRecord{}, errJSONWALRecord
+	}
+	return walRecord{}, fmt.Errorf("unknown WAL record kind %d", rec.Kind)
+}
+
+// applyRecord applies one decoded WAL record to the builder state: tables,
+// then associations, then the weight delta. Callers hold writerMu.
+// Mutations here never re-log; repricing the edges for the replayed
+// weights and publishing happen once, after the whole tail applies. The
+// graph takes the record's feature vectors over.
+func (q *Q) applyRecord(rec walRecord) error {
+	if len(rec.Tables) > 0 {
+		if err := q.addTablesLocked(rec.Tables...); err != nil {
+			return err
+		}
+	}
+	for _, a := range rec.Assocs {
 		q.graph.RestoreAssociationEdge(a.A, a.B, a.Features)
 	}
-	if !p.WeightDelta.Empty() {
-		q.graph.ApplyWeightDelta(p.WeightDelta)
+	if !rec.WeightDelta.Empty() {
+		q.graph.ApplyWeightDelta(rec.WeightDelta)
 	}
 	return nil
 }
@@ -369,11 +428,7 @@ func (q *Q) logMutationLocked(rec walRecord) error {
 	if rec.empty() {
 		return nil
 	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("core: encode WAL record: %w", err)
-	}
-	if _, err := q.persist.store.Append(walKindMutation, data); err != nil {
+	if _, err := q.persist.store.Append(walKindMutation, encodeWALRecord(rec)); err != nil {
 		return err
 	}
 	if q.persist.limit >= 0 && q.persist.store.WALSize() >= q.persist.limit {
@@ -383,20 +438,6 @@ func (q *Q) logMutationLocked(rec walRecord) error {
 		}
 	}
 	return nil
-}
-
-func wireTables(tables []*relstore.Table) []walTable {
-	out := make([]walTable, len(tables))
-	for i, t := range tables {
-		out[i] = walTable{
-			Source:      t.Relation.Source,
-			Name:        t.Relation.Name,
-			Attributes:  t.Relation.Attributes,
-			ForeignKeys: t.Relation.ForeignKeys,
-			Rows:        t.Rows,
-		}
-	}
-	return out
 }
 
 // Checkpoint folds the WAL into a fresh generation snapshot now (the

@@ -94,21 +94,21 @@ func (m *engineMetrics) span(st writeStage, t0 time.Time) time.Time {
 }
 
 // recoveryStage is one span of Open or Load. The spans follow one another,
-// so their sum is at most the restore's wall time.
+// so their sum is at most the restore's wall time; decode is the wall time
+// of the two lanes restore runs at once, up to the WAL records decoded.
 type recoveryStage int
 
 const (
-	recoverOpen     recoveryStage = iota // the data directory's manifest, snapshot and WAL read (Open), or the container (Load)
-	recoverCatalog                       // the meta and catalog sections decoded
-	recoverSegments                      // the value-index segments installed
-	recoverGraph                         // the search graph decoded
-	recoverReplay                        // the WAL tail replayed, and the edges repriced once
-	recoverIndex                         // the keyword corpus and the missing value-index segments built, and the state published
-	recoverViews                         // the persistent views rematerialised
+	recoverOpen    recoveryStage = iota // the data directory's manifest, snapshot and WAL read (Open), or the container (Load)
+	recoverCatalog                      // the meta and catalog sections decoded
+	recoverDecode                       // at once: the value-index segments installed; the keyword corpus indexed, the search graph and the WAL records decoded
+	recoverReplay                       // the WAL records applied in epoch order and the edges repriced once, while the replayed tables are indexed
+	recoverIndex                        // the replayed tables' segments awaited and installed, any missing ones built, and the state published
+	recoverViews                        // the persistent views rematerialised
 	numRecoveryStages
 )
 
-var recoveryStageNames = [numRecoveryStages]string{"open", "catalog", "segments", "graph", "replay", "index", "views"}
+var recoveryStageNames = [numRecoveryStages]string{"open", "catalog", "decode", "replay", "index", "views"}
 
 // recovered adds the time since t0 to recovery stage st and returns the
 // current time, the next span's start.
@@ -159,7 +159,7 @@ func newEngineMetrics() *engineMetrics {
 	}
 	m.checkpointTime = r.ScaledCounter("qint_write_stage_seconds_total", writeHelp, 1e-9, obs.Label{Name: "stage", Value: "checkpoint"})
 	for st, name := range recoveryStageNames {
-		m.recoveryTime[st] = r.ScaledCounter("qint_recovery_stage_seconds_total", "Time spent per stage of the restore that built this engine: open, catalog, segments, graph, replay, index and views.", 1e-9, obs.Label{Name: "stage", Value: name})
+		m.recoveryTime[st] = r.ScaledCounter("qint_recovery_stage_seconds_total", "Time spent per stage of the restore that built this engine: open, catalog, decode (segments, graph and WAL records at once), replay, index and views.", 1e-9, obs.Label{Name: "stage", Value: name})
 	}
 	for _, st := range obs.Stages() {
 		l := obs.Label{Name: "stage", Value: string(st)}

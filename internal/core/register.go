@@ -73,7 +73,7 @@ func (q *Q) RegisterSource(tables []*relstore.Table, strategy AlignStrategy) (*R
 	q.writerMu.Lock()
 	defer q.writerMu.Unlock()
 	report, err := q.registerLocked(tables, strategy)
-	if err := q.commitLocked(walRecord{Tables: wireTables(tables)}, err); err != nil {
+	if err := q.commitLocked(walRecord{Tables: tables}, err); err != nil {
 		return nil, err
 	}
 	return report, nil

@@ -91,7 +91,11 @@ func intern(v Vector, id func(string) int32) *Interned {
 		k string
 		x float64
 	}
-	kvs := make([]kv, 0, len(v))
+	var small [8]kv // an edge's features fit, so they are sorted on the stack
+	kvs := small[:0]
+	if len(v) > len(small) {
+		kvs = make([]kv, 0, len(v))
+	}
 	for k, x := range v {
 		kvs = append(kvs, kv{k, x})
 	}

@@ -52,38 +52,90 @@ const (
 // catalog tables
 
 // SaveBinary encodes the catalog's schemas and rows — the ground truth the
-// engine re-registers on restart — in registration order.
+// engine re-registers on restart — in registration order, each table as
+// WriteTable writes it.
 func (c *Catalog) SaveBinary(w io.Writer) error {
 	b := binio.NewWriter(w)
 	b.Raw(catalogBinMagic)
 	b.Uvarint(uint64(len(c.order)))
 	for _, qn := range c.order {
-		t := c.tables[qn]
-		rel := t.Relation
-		b.Str(rel.Source)
-		b.Str(rel.Name)
-		b.Uvarint(uint64(len(rel.Attributes)))
-		for _, a := range rel.Attributes {
-			b.Str(a.Name)
-			b.Uvarint(uint64(a.Type))
-		}
-		b.Uvarint(uint64(len(rel.ForeignKeys)))
-		for _, fk := range rel.ForeignKeys {
-			b.Str(fk.FromAttr)
-			b.Str(fk.ToRelation)
-			b.Str(fk.ToAttr)
-		}
-		b.Uvarint(uint64(len(t.Rows)))
-		for _, row := range t.Rows {
-			for _, v := range row {
-				b.Str(v)
-			}
-		}
+		WriteTable(b, c.tables[qn])
 	}
 	if err := b.Flush(); err != nil {
 		return fmt.Errorf("relstore: save catalog: %w", err)
 	}
 	return nil
+}
+
+// WriteTable encodes one table: source, name, attributes (name, type),
+// foreign keys, the row count and every cell row by row. It is the
+// catalog section's table codec, and the engine's WAL records write
+// their tables with it too.
+func WriteTable(b *binio.Writer, t *Table) {
+	rel := t.Relation
+	b.Str(rel.Source)
+	b.Str(rel.Name)
+	b.Uvarint(uint64(len(rel.Attributes)))
+	for _, a := range rel.Attributes {
+		b.Str(a.Name)
+		b.Uvarint(uint64(a.Type))
+	}
+	b.Uvarint(uint64(len(rel.ForeignKeys)))
+	for _, fk := range rel.ForeignKeys {
+		b.Str(fk.FromAttr)
+		b.Str(fk.ToRelation)
+		b.Str(fk.ToAttr)
+	}
+	b.Uvarint(uint64(len(t.Rows)))
+	for _, row := range t.Rows {
+		for _, v := range row {
+			b.Str(v)
+		}
+	}
+}
+
+// ReadTable decodes one WriteTable table, whose strings are substrings of
+// the reader's section. It returns nil once r has failed, and records an
+// invalid schema (NewTable's error) as r's error.
+func ReadTable(r *binio.Reader) *Table {
+	rel := &Relation{Source: r.Str(), Name: r.Str()}
+	nAttr := r.Count("attribute")
+	rel.Attributes = make([]Attribute, nAttr)
+	for i := range rel.Attributes {
+		rel.Attributes[i] = Attribute{Name: r.Str(), Type: Type(r.Uvarint())}
+	}
+	nFK := r.Count("foreign key")
+	if nFK > 0 {
+		rel.ForeignKeys = make([]ForeignKey, nFK)
+		for i := range rel.ForeignKeys {
+			rel.ForeignKeys[i] = ForeignKey{FromAttr: r.Str(), ToRelation: r.Str(), ToAttr: r.Str()}
+		}
+	}
+	nRows := r.Count("row")
+	rows := make([][]string, nRows)
+	if nAttr > 0 {
+		flat := make([]string, nRows*nAttr)
+		for i := range rows {
+			row := flat[i*nAttr : (i+1)*nAttr]
+			for j := range row {
+				row[j] = r.Str()
+			}
+			rows[i] = row
+		}
+	} else {
+		for i := range rows {
+			rows[i] = []string{}
+		}
+	}
+	if r.Err() != nil {
+		return nil
+	}
+	t, err := NewTable(rel, rows)
+	if err != nil {
+		r.Failf("%w", err)
+		return nil
+	}
+	return t
 }
 
 // LoadCatalog decodes a SaveBinary section into a fresh catalog. Row and
@@ -93,41 +145,9 @@ func LoadCatalog(data []byte) (*Catalog, error) {
 	c := NewCatalog()
 	nTables := r.Count("table")
 	for ti := 0; ti < nTables && r.Err() == nil; ti++ {
-		rel := &Relation{Source: r.Str(), Name: r.Str()}
-		nAttr := r.Count("attribute")
-		rel.Attributes = make([]Attribute, nAttr)
-		for i := range rel.Attributes {
-			rel.Attributes[i] = Attribute{Name: r.Str(), Type: Type(r.Uvarint())}
-		}
-		nFK := r.Count("foreign key")
-		if nFK > 0 {
-			rel.ForeignKeys = make([]ForeignKey, nFK)
-			for i := range rel.ForeignKeys {
-				rel.ForeignKeys[i] = ForeignKey{FromAttr: r.Str(), ToRelation: r.Str(), ToAttr: r.Str()}
-			}
-		}
-		nRows := r.Count("row")
-		rows := make([][]string, nRows)
-		if nAttr > 0 {
-			flat := make([]string, nRows*nAttr)
-			for i := range rows {
-				row := flat[i*nAttr : (i+1)*nAttr]
-				for j := range row {
-					row[j] = r.Str()
-				}
-				rows[i] = row
-			}
-		} else {
-			for i := range rows {
-				rows[i] = []string{}
-			}
-		}
-		if r.Err() != nil {
+		t := ReadTable(r)
+		if t == nil {
 			break
-		}
-		t, err := NewTable(rel, rows)
-		if err != nil {
-			return nil, fmt.Errorf("relstore: load catalog: %w", err)
 		}
 		if err := c.AddTable(t); err != nil {
 			return nil, fmt.Errorf("relstore: load catalog: %w", err)

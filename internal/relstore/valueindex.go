@@ -204,17 +204,121 @@ type postingBuilder[K uint64 | string] struct {
 	start []int32     // entry id -> its first index in occ
 }
 
-// newPostingBuilder sizes the key map for keys keys and the occurrence list
-// for occ pairs; both still grow past their hints.
-func newPostingBuilder[K uint64 | string](keys, occ int) *postingBuilder[K] {
-	return &postingBuilder[K]{slot: make(map[K]int32, keys), occ: make([]int32, 0, occ)}
+// gramBuilder gathers a trigram posting index like postingBuilder, but
+// without a map: it records every (code, entry id) pair in id order and
+// orders them by a stable radix sort on the codes, which leaves each
+// code's ids ascending, with repeats next to each other.
+type gramBuilder struct {
+	codes      []uint64 // every code posted, in id order
+	ids        []int32  // by position in codes: the entry id
+	order, tmp []int32  // finish's scratch: positions in code order
 }
+
+// add posts id under code. Ids must arrive in ascending order.
+func (b *gramBuilder) add(code uint64, id int32) {
+	b.codes = append(b.codes, code)
+	b.ids = append(b.ids, id)
+}
+
+// finish lays the gathered postings out flat, codes ascending, each id
+// once per code, and empties the builder.
+func (b *gramBuilder) finish() postings[uint64] {
+	if len(b.codes) == 0 {
+		return postings[uint64]{}
+	}
+	b.order = radixSort(b.codes, b.order[:0], &b.tmp)
+	nKeys, nIDs := 0, 0
+	for i, pos := range b.order {
+		if i == 0 || b.codes[pos] != b.codes[b.order[i-1]] {
+			nKeys++
+			nIDs++
+		} else if b.ids[pos] != b.ids[b.order[i-1]] {
+			nIDs++
+		}
+	}
+	p := postings[uint64]{keys: make([]uint64, 0, nKeys), off: make([]int32, 0, nKeys+1), ids: make([]int32, 0, nIDs)}
+	for i, pos := range b.order {
+		code, id := b.codes[pos], b.ids[pos]
+		if i == 0 || code != b.codes[b.order[i-1]] {
+			p.keys = append(p.keys, code)
+			p.off = append(p.off, int32(len(p.ids)))
+		} else if id == b.ids[b.order[i-1]] {
+			continue // the code occurs twice in one value
+		}
+		p.ids = append(p.ids, id)
+	}
+	p.off = append(p.off, int32(len(p.ids)))
+	b.codes, b.ids = b.codes[:0], b.ids[:0]
+	return p
+}
+
+// radixSort appends to order the positions of codes in ascending code
+// order, equal codes in position order: an LSD radix sort with one pass
+// per byte in which the codes differ (trigrams of ASCII runes differ in
+// five of their eight bytes). tmp is scratch, kept for the next call.
+func radixSort(codes []uint64, order []int32, tmp *[]int32) []int32 {
+	var and, or uint64 = ^uint64(0), 0
+	for i, c := range codes {
+		and &= c
+		or |= c
+		order = append(order, int32(i))
+	}
+	src, dst := order, slices.Grow((*tmp)[:0], len(codes))[:len(codes)]
+	for shift := uint(0); shift < 64; shift += 8 {
+		if (and^or)>>shift&0xff == 0 {
+			continue // every code has the same byte here
+		}
+		var start [256]int32
+		for _, c := range codes {
+			start[c>>shift&0xff]++
+		}
+		sum := int32(0)
+		for i, n := range start {
+			start[i] = sum
+			sum += n
+		}
+		for _, pos := range src {
+			d := codes[pos] >> shift & 0xff
+			dst[start[d]] = pos
+			start[d]++
+		}
+		src, dst = dst, src
+	}
+	if &src[0] != &order[0] {
+		copy(order, src)
+		src, dst = order, src
+	}
+	*tmp = dst[:0]
+	return src
+}
+
+// release empties the builder for the next segment once finish has laid
+// its postings out. It keeps the storage, unless this segment grew the key
+// map past maxScratchKeys: clearing a map costs its capacity, so one huge
+// table must not make every later small one pay for it.
+func (b *postingBuilder[K]) release() {
+	if len(b.slot) > maxScratchKeys {
+		b.slot = nil
+	} else {
+		clear(b.slot)
+	}
+	clear(b.keys) // a pooled builder must not pin a table's strings
+	b.keys, b.last, b.count = b.keys[:0], b.last[:0], b.count[:0]
+	b.occ, b.start = b.occ[:0], b.start[:0]
+}
+
+// maxScratchKeys is the most distinct keys, or distinct values of one
+// attribute, whose map a pooled segment builder keeps for the next table.
+const maxScratchKeys = 1 << 12
 
 // add posts id under key unless key's list already ends in it. Ids must
 // arrive in ascending order.
 func (b *postingBuilder[K]) add(key K, id int32) {
 	sl, ok := b.slot[key]
 	if !ok {
+		if b.slot == nil {
+			b.slot = make(map[K]int32)
+		}
 		sl = int32(len(b.keys))
 		b.slot[key] = sl
 		b.keys = append(b.keys, key)
@@ -266,12 +370,31 @@ func (b *postingBuilder[K]) finish() postings[K] {
 	return p
 }
 
+// segmentBuilder is buildSegment's working storage, pooled so that a
+// run of builds — a restore indexing its replayed tables — reuses its maps
+// and lists instead of growing fresh ones per table. Nothing a segment
+// keeps points into it.
+type segmentBuilder struct {
+	seen   []map[string]int32 // per attribute: distinct value -> its position in vals
+	stats  [][]firstRows      // per attribute, by position: first row and row count
+	vals   [][]string         // per attribute: distinct values in first-seen order
+	grams  gramBuilder
+	tokens postingBuilder[string]
+}
+
+// firstRows is a distinct value's first row and row count.
+type firstRows struct{ row, rows int32 }
+
+var segmentBuilders = sync.Pool{New: func() any { return new(segmentBuilder) }}
+
 // buildSegment indexes one table: distinct values with row counts per
 // attribute, sorted by (attribute, value), plus trigram and token postings
 // over the normalised forms. Posting lists come out sorted because entry
 // ids are assigned in final entry order. Keys are trigram codes and
 // substrings of the normalised values, which the entries retain anyway.
 func buildSegment(t *Table) *segment {
+	b := segmentBuilders.Get().(*segmentBuilder)
+	defer segmentBuilders.Put(b)
 	nAttr := len(t.Relation.Attributes)
 	s := &segment{
 		rel:       t.Relation.QualifiedName(),
@@ -280,13 +403,17 @@ func buildSegment(t *Table) *segment {
 	}
 	// Per attribute, each distinct value's first row and row count, and
 	// its position in that list.
-	type firstRows struct{ row, rows int32 }
-	seen := make([]map[string]int32, nAttr)
-	stats := make([][]firstRows, nAttr)
-	vals := make([][]string, nAttr)
+	for len(b.seen) < nAttr {
+		b.seen = append(b.seen, nil)
+		b.stats = append(b.stats, nil)
+		b.vals = append(b.vals, nil)
+	}
+	seen, stats, vals := b.seen[:nAttr], b.stats[:nAttr], b.vals[:nAttr]
 	for i, a := range t.Relation.Attributes {
 		s.attrs[i] = a.Name
-		seen[i] = make(map[string]int32)
+		if seen[i] == nil {
+			seen[i] = make(map[string]int32)
+		}
 	}
 	for ri, row := range t.Rows {
 		for ai := 0; ai < nAttr; ai++ {
@@ -310,7 +437,7 @@ func buildSegment(t *Table) *segment {
 	s.entries = make([]indexEntry, 0, n)
 	for ai, vs := range vals {
 		s.attrStart[ai] = len(s.entries)
-		sort.Strings(vs)
+		slices.Sort(vs)
 		for _, v := range vs {
 			st := stats[ai][seen[ai][v]]
 			s.entries = append(s.entries, indexEntry{
@@ -323,13 +450,16 @@ func buildSegment(t *Table) *segment {
 		}
 	}
 	s.attrStart[nAttr] = len(s.entries)
-	// A segment holds about as many distinct trigrams, and as many distinct
-	// tokens, as entries; its normalised bytes bound the trigram pairs.
-	normBytes := 0
-	for _, e := range s.entries {
-		normBytes += len(e.norm)
+	for i := range seen { // a pooled builder must not pin a table's strings
+		if len(seen[i]) > maxScratchKeys {
+			seen[i] = nil
+		} else {
+			clear(seen[i])
+		}
+		clear(vals[i])
+		stats[i], vals[i] = stats[i][:0], vals[i][:0]
 	}
-	grams, tokens := newPostingBuilder[uint64](n, normBytes), newPostingBuilder[string](n, n)
+	grams, tokens := &b.grams, &b.tokens
 	for id, e := range s.entries {
 		forEachGram(e.norm, func(code uint64) { grams.add(code, int32(id)) })
 		for i := 0; ; {
@@ -342,6 +472,7 @@ func buildSegment(t *Table) *segment {
 		}
 	}
 	s.grams, s.tokens = grams.finish(), tokens.finish()
+	tokens.release()
 	return s
 }
 
@@ -495,19 +626,43 @@ func (c *Catalog) FindValues(keyword string) []ValueHit {
 // Writer-side, like AddTable. Indexing a table exactly once is the index's
 // whole maintenance: nothing global ever rebuilds. The engine's writers
 // index a new table before anything reads its values; a restore indexes
-// the tables its snapshot holds no segment for and every table the WAL
-// replays once, in one call after the replay, since replay reads no values.
+// the tables its WAL tail replays beside the replay (BuildSegments) and
+// then the tables its snapshot holds no segment for, since replay reads
+// no values.
 func (c *Catalog) BuildValueIndex(workers int) {
-	var missing []string
+	var missing []*Table
 	for _, qn := range c.order {
 		if c.segs[qn] == nil {
-			missing = append(missing, qn)
+			missing = append(missing, c.tables[qn])
 		}
 	}
-	built := make([]*segment, len(missing))
-	fanIndexed(len(missing), workers, func(i int) { built[i] = buildSegment(c.tables[missing[i]]) })
-	for i, qn := range missing {
-		c.segs[qn] = built[i]
+	c.AddSegments(BuildSegments(missing, workers))
+}
+
+// Segments is the value-index segments of some tables, built before or
+// while the tables enter a catalog.
+type Segments struct {
+	tables []*Table
+	segs   []*segment
+}
+
+// BuildSegments builds the segment of every table, one task per table
+// across at most workers goroutines (workers <= 1 builds serially). It
+// reads only the tables, so it may run beside writes to the catalog they
+// are entering.
+func BuildSegments(tables []*Table, workers int) Segments {
+	s := Segments{tables: tables, segs: make([]*segment, len(tables))}
+	fanIndexed(len(tables), workers, func(i int) { s.segs[i] = buildSegment(tables[i]) })
+	return s
+}
+
+// AddSegments installs each segment of s whose table is the one c holds
+// under its name and has not indexed yet. Writer-side, like AddTable.
+func (c *Catalog) AddSegments(s Segments) {
+	for i, t := range s.tables {
+		if qn := t.Relation.QualifiedName(); c.tables[qn] == t && c.segs[qn] == nil {
+			c.segs[qn] = s.segs[i]
+		}
 	}
 }
 

@@ -196,7 +196,7 @@ type Graph struct {
 	s          *store
 	owned      bool      // s is not referenced by any snapshot
 	snap       *Snapshot // cached snapshot of the current state
-	staleCosts bool      // weights changed by ApplyWeightDelta since the last pricing
+	staleCosts bool      // weights changed by ApplyWeightDelta, or pricing deferred, since the last pricing
 
 	// dict names the ids of every interned edge feature. It is the
 	// builder's alone — snapshots, overlays and queries never read it — and
@@ -340,12 +340,15 @@ func (g *Graph) price(f *learning.Interned) float64 {
 }
 
 // setFeatures replaces a learnable edge's features, interns them and
-// reprices the edge; callers hold ownership. Frozen snapshots share the
-// old map and entries, so neither is mutated.
+// reprices the edge, unless pricing is deferred to RepriceEdges; callers
+// hold ownership. Frozen snapshots share the old map and entries, so
+// neither is mutated.
 func (g *Graph) setFeatures(id steiner.EdgeID, f learning.Vector) {
 	g.s.edges[id].Features = f
 	g.s.interned[id] = g.dict.Intern(f)
-	g.s.sg.SetCost(id, g.price(g.s.interned[id]))
+	if !g.staleCosts {
+		g.s.sg.SetCost(id, g.price(g.s.interned[id]))
+	}
 }
 
 // Node returns the node with the given id.
@@ -369,13 +372,18 @@ func (g *Graph) addNode(n Node) steiner.NodeID {
 }
 
 // addEdge appends an edge with a parallel steiner edge at the right cost,
-// interning a learnable edge's features; callers own storage.
+// interning a learnable edge's features; callers own storage. While
+// pricing is deferred to RepriceEdges, a learnable edge starts at cost 0.
 func (g *Graph) addEdge(u, v steiner.NodeID, e Edge) steiner.EdgeID {
 	var f *learning.Interned
+	cost := 0.0
 	if !e.Fixed {
 		f = g.dict.Intern(e.Features)
+		if !g.staleCosts {
+			cost = g.price(f)
+		}
 	}
-	return g.appendEdge(u, v, e, f, g.price(f))
+	return g.appendEdge(u, v, e, f, cost)
 }
 
 // appendEdge appends an edge with interned features f (nil for a fixed
@@ -453,7 +461,7 @@ func (g *Graph) AddForeignKeyEdge(from, to relstore.AttrRef) steiner.EdgeID {
 // again merges the new features into the existing edge (a second matcher
 // endorsing the same alignment) and returns the existing id.
 func (g *Graph) AddAssociationEdge(a, b relstore.AttrRef, features learning.Vector) steiner.EdgeID {
-	a, b, ka, kb := canonicalPair(a, b)
+	a, b = canonicalPair(a, b)
 	if id := g.association(a, b); id >= 0 {
 		g.own()
 		merged := g.s.edges[id].Features.Clone()
@@ -467,10 +475,10 @@ func (g *Graph) AddAssociationEdge(a, b relstore.AttrRef, features learning.Vect
 	u := g.AttributeNode(a)
 	v := g.AttributeNode(b)
 	f := learning.Vector{
-		"default":               1,
-		"rel:" + a.Relation:     1,
-		"rel:" + b.Relation:     1,
-		"edge:" + ka + "~" + kb: 1,
+		"default":                  1,
+		"rel:" + a.Relation:        1,
+		"rel:" + b.Relation:        1,
+		AssociationIndicator(a, b): 1,
 	}
 	for k, x := range features {
 		f[k] = x
@@ -478,14 +486,43 @@ func (g *Graph) AddAssociationEdge(a, b relstore.AttrRef, features learning.Vect
 	return g.addEdge(u, v, Edge{Kind: EdgeAssociation, Features: f, A: a, B: b})
 }
 
+// AssociationIndicator is the name of the indicator feature unique to the
+// association edge between a and b, given in canonical order (the order
+// the edge stores its endpoints in): "edge:<a>~<b>".
+func AssociationIndicator(a, b relstore.AttrRef) string {
+	return "edge:" + a.Relation + "." + a.Attr + "~" + b.Relation + "." + b.Attr
+}
+
 // canonicalPair orders an attribute pair by rendered name, the order an
-// association edge stores it in, and returns the two names too.
-func canonicalPair(a, b relstore.AttrRef) (relstore.AttrRef, relstore.AttrRef, string, string) {
-	ka, kb := a.String(), b.String()
-	if kb < ka {
-		return b, a, kb, ka
+// association edge stores it in.
+func canonicalPair(a, b relstore.AttrRef) (relstore.AttrRef, relstore.AttrRef) {
+	if renderedLess(b, a) {
+		return b, a
 	}
-	return a, b, ka, kb
+	return a, b
+}
+
+// renderedLess reports whether x.String() < y.String() without rendering
+// either: it walks the three parts of each rendering side by side.
+func renderedLess(x, y relstore.AttrRef) bool {
+	xs, ys := [3]string{x.Relation, ".", x.Attr}, [3]string{y.Relation, ".", y.Attr}
+	i, j := 0, 0 // the parts being compared
+	for {
+		for i < 3 && xs[i] == "" {
+			i++
+		}
+		for j < 3 && ys[j] == "" {
+			j++
+		}
+		if i == 3 || j == 3 {
+			return i == 3 && j < 3 // x is a proper prefix of y
+		}
+		n := min(len(xs[i]), len(ys[j]))
+		if c := strings.Compare(xs[i][:n], ys[j][:n]); c != 0 {
+			return c < 0
+		}
+		xs[i], ys[j] = xs[i][n:], ys[j][n:]
+	}
 }
 
 // association returns the association edge between a and b, or -1: there

@@ -371,3 +371,25 @@ func TestReplayedDeltasPriceOnce(t *testing.T) {
 		t.Error("RepriceEdges repriced with no stale cost")
 	}
 }
+
+// TestRenderedLessMatchesString pins canonicalPair's comparison to the
+// order of the rendered names it avoids building, on parts drawn from an
+// alphabet that includes the separator and the empty string.
+func TestRenderedLessMatchesString(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	part := func() string {
+		const alphabet = "a.b~"
+		b := make([]byte, r.Intn(4))
+		for i := range b {
+			b[i] = alphabet[r.Intn(len(alphabet))]
+		}
+		return string(b)
+	}
+	for range 20000 {
+		x := relstore.AttrRef{Relation: part(), Attr: part()}
+		y := relstore.AttrRef{Relation: part(), Attr: part()}
+		if got, want := renderedLess(x, y), x.String() < y.String(); got != want {
+			t.Fatalf("renderedLess(%q, %q) = %v, want %v", x, y, got, want)
+		}
+	}
+}

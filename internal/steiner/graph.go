@@ -6,7 +6,10 @@
 // MaxExactTerminals terminals.
 package steiner
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // NodeID indexes a node within a Graph.
 type NodeID int
@@ -43,6 +46,10 @@ func (g *Graph) NumNodes() int { return len(g.adj) }
 
 // NumEdges returns the number of edges.
 func (g *Graph) NumEdges() int { return len(g.edges) }
+
+// Grow makes room for n more edges, so that adding them does not copy the
+// edge list again and again.
+func (g *Graph) Grow(n int) { g.edges = slices.Grow(g.edges, n) }
 
 // AddEdge inserts an undirected edge between u and v with the given cost and
 // returns its id. It panics on out-of-range nodes or negative cost — both

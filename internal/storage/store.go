@@ -103,8 +103,17 @@ func (s *Store) Snapshot() (*Container, bool, error) {
 }
 
 // Records returns the committed WAL tail replayed at Open — the mutations
-// to apply on top of the snapshot.
+// to apply on top of the snapshot — unless TakeRecords has taken it.
 func (s *Store) Records() []Record { return s.tail }
+
+// TakeRecords returns the committed WAL tail, as Records does, and forgets
+// it, so the store does not pin the payloads once the engine has applied
+// them. The caller owns the records.
+func (s *Store) TakeRecords() []Record {
+	tail := s.tail
+	s.tail = nil
+	return tail
+}
 
 // Epoch returns the last committed epoch: the snapshot's epoch plus every
 // record committed since.

@@ -263,9 +263,10 @@
 // one computation, not N.
 //
 // Cached answers are byte-identical to the uncached path at every epoch:
-// the metamorphic suite in internal/core/cache_test.go drives a cached and
-// a cold engine through the same randomised query/registration/feedback
-// stream in lockstep under -race and compares every view byte-for-byte.
+// the reference oracle (TestEngineMatchesReference in
+// internal/core/reference_test.go) drives a cached engine and an uncached
+// one through the same random op lists in lockstep and compares every view
+// byte-for-byte after every op.
 // Only published generations have caches: registration's unpublished
 // interim states, which reuse the previous epoch number, read straight
 // through. The capacities are fixed at 4096 expansion and 256
@@ -317,7 +318,8 @@
 // needs no matchers (they are code, re-registered after
 // Open; AddMatcher installs only missing weights, so re-registering changes
 // nothing) and no MIRA, and reproduces the builder state exactly
-// (internal/core/durable_test.go pins restart ≡ rebuild byte-for-byte).
+// (the reference oracle, internal/core/reference_test.go, pins restart ≡
+// rebuild byte-for-byte).
 // Snapshots publish by write-temp → fsync → atomic-rename, the manifest is
 // replaced only after the files it names are durable, and recovery
 // truncates a torn final WAL record: crash injection at every byte
@@ -424,6 +426,7 @@
 // (explicitly, off by default). qload scrapes /metrics after a run into
 // BENCH_qload.json, and the CI smoke fails the build if the exposition is
 // unparseable or missing a core family. internal/core/README.md lists the
-// metric families and trace stages; internal/core/obs_test.go pins
-// metamorphically that tracing never changes a single view byte.
+// metric families and trace stages; the reference oracle
+// (internal/core/reference_test.go) traces every query of its live engine
+// and pins that tracing never changes a single view byte.
 package qint

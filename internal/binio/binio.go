@@ -57,7 +57,9 @@ func (b *Writer) Str(s string) {
 	b.Raw(s)
 }
 
-// Bytes writes p with its length as a uvarint prefix.
+// Bytes writes p with its length as a uvarint prefix. Only tests call it:
+// relstore's saveSegmentsV1Oracle writes the retired QSEGb1 layout with it
+// for TestSegmentCodecMatchesV1Oracle.
 func (b *Writer) Bytes(p []byte) {
 	b.Uvarint(uint64(len(p)))
 	if b.err != nil {

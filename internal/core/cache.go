@@ -23,8 +23,8 @@ import (
 // refuses or invalidates.
 //
 // Two computations are memoised, both strictly above the engine and both
-// byte-identical to the uncached path (pinned by the metamorphic suite in
-// cache_test.go):
+// byte-identical to the uncached path (pinned by the reference oracle,
+// TestEngineMatchesReference, against an uncached engine):
 //
 //   - keyword expansion: the keyword→value matches of one keyword
 //     (FindValues + similarity scoring + deterministic truncation), keyed

@@ -6,17 +6,7 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"qint/internal/matcher/meta"
-	"qint/internal/relstore"
 )
-
-// The metamorphic property of the serving-layer cache: an engine with the
-// epoch-keyed query cache enabled must produce answers BYTE-IDENTICAL to a
-// cold engine at the same epoch — for every query, at every point of a
-// randomised stream of queries, registrations and feedback. The cache is
-// pure memoisation over immutable generations; if any answer ever
-// diverges, the epoch-keying argument (no invalidation needed) is broken.
 
 // newUncached is New without the query caches: the cold oracle engine the
 // cache and planner suites compare against. Its first generation, published
@@ -27,139 +17,6 @@ func newUncached(opts Options) *Q {
 	q.uncached = true
 	q.state().qc = nil
 	return q
-}
-
-// cachePair builds two identically constructed engines over the fixture
-// corpus: one with the query caches, one cold.
-func cachePair(t *testing.T) (cached, cold *Q) {
-	t.Helper()
-	build := func(newQ func(Options) *Q) *Q {
-		q := newQ(DefaultOptions())
-		q.AddMatcher(meta.New())
-		if err := q.AddTables(fixtureTables(t)...); err != nil {
-			t.Fatal(err)
-		}
-		addHandCoded(t, q,
-			relstore.AttrRef{Relation: "go.term", Attr: "acc"},
-			relstore.AttrRef{Relation: "ip.interpro2go", Attr: "go_id"})
-		return q
-	}
-	return build(New), build(newUncached)
-}
-
-// cacheQueryPool is the randomised stream's query vocabulary: a small hot
-// set (the shape of production traffic), so repeats — and therefore cache
-// hits — are guaranteed.
-var cacheQueryPool = []string{
-	"'plasma membrane' term",
-	"term 'plasma membrane'", // reversed order: must key separately
-	"'Kringle domain' entry",
-	"name 'nucleus'",
-	"'IPR000001' 'GO:0000001'",
-	"entry pub title",
-	"'Zinc finger' pub_id",
-}
-
-// cacheRegSource builds the step'th synthetic registration source, with
-// pub_id overlap into the fixture so alignment finds real targets.
-func cacheRegSource(t *testing.T, step int) []*relstore.Table {
-	t.Helper()
-	rel := &relstore.Relation{Source: fmt.Sprintf("reg%d", step), Name: "data",
-		Attributes: []relstore.Attribute{{Name: "pub_id"}, {Name: "label"}}}
-	return []*relstore.Table{mkTable(t, rel, [][]string{
-		{fmt.Sprintf("PUB%04d", 1+step%6), fmt.Sprintf("label %d", step)},
-		{"PUB0002", "shared"},
-	})}
-}
-
-// TestCachedVsUncachedMetamorphic drives both engines through the same
-// randomised operation stream in lockstep and asserts, after every single
-// operation, that epochs agree and every live view is byte-identical
-// between the cached and the cold engine.
-func TestCachedVsUncachedMetamorphic(t *testing.T) {
-	cached, cold := cachePair(t)
-	rng := rand.New(rand.NewSource(7))
-
-	compareAllViews := func(step int) {
-		t.Helper()
-		if ce, ke := cached.Epoch(), cold.Epoch(); ce != ke {
-			t.Fatalf("step %d: epochs diverged: cached=%d cold=%d", step, ce, ke)
-		}
-		cv, kv := cached.Views(), cold.Views()
-		if len(cv) != len(kv) {
-			t.Fatalf("step %d: view registries diverged: %d vs %d", step, len(cv), len(kv))
-		}
-		for i := range cv {
-			if got, want := fingerprintView(cv[i]), fingerprintView(kv[i]); got != want {
-				t.Fatalf("step %d: view %d diverged at epoch %d:\ncached:\n%s\ncold:\n%s",
-					step, i, cached.Epoch(), got, want)
-			}
-		}
-	}
-
-	strategies := []AlignStrategy{Exhaustive, ViewBased, Preferential}
-	for step := 0; step < 48; step++ {
-		switch op := rng.Intn(10); {
-		case op < 6: // query (hot pool, repeats likely)
-			query := cacheQueryPool[rng.Intn(len(cacheQueryPool))]
-			v1, err1 := queryStr(cached, query)
-			v2, err2 := queryStr(cold, query)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("step %d: query %q error mismatch: cached=%v cold=%v", step, query, err1, err2)
-			}
-			if err1 != nil {
-				continue
-			}
-			if v1.Epoch() != v2.Epoch() {
-				t.Fatalf("step %d: query %q epoch mismatch: %d vs %d", step, query, v1.Epoch(), v2.Epoch())
-			}
-			if got, want := fingerprintView(v1), fingerprintView(v2); got != want {
-				t.Fatalf("step %d: query %q diverged at epoch %d:\ncached:\n%s\ncold:\n%s",
-					step, query, v1.Epoch(), got, want)
-			}
-		case op < 8: // registration (new epoch; old cache entries must go cold)
-			strat := strategies[rng.Intn(len(strategies))]
-			src := cacheRegSource(t, step)
-			if _, err := cached.RegisterSource(src, strat); err != nil {
-				t.Fatalf("step %d: cached register: %v", step, err)
-			}
-			if _, err := cold.RegisterSource(cacheRegSource(t, step), strat); err != nil {
-				t.Fatalf("step %d: cold register: %v", step, err)
-			}
-			compareAllViews(step)
-		default: // feedback (weight update; every view refreshes)
-			views := cold.Views()
-			if len(views) == 0 {
-				continue
-			}
-			vi := rng.Intn(len(views))
-			rows := views[vi].Current().Result
-			if rows == nil || len(rows.Rows) == 0 {
-				continue
-			}
-			row := rng.Intn(len(rows.Rows))
-			kind := FeedbackValid
-			if rng.Intn(2) == 1 {
-				kind = FeedbackInvalid
-			}
-			if err := cached.FeedbackRow(cached.Views()[vi], row, kind); err != nil {
-				t.Fatalf("step %d: cached feedback: %v", step, err)
-			}
-			if err := cold.FeedbackRow(views[vi], row, kind); err != nil {
-				t.Fatalf("step %d: cold feedback: %v", step, err)
-			}
-			compareAllViews(step)
-		}
-	}
-
-	// Sanity: the equivalence above must actually have exercised the cache.
-	cs := cached.CacheStats()
-	if !cs.Enabled || cs.Materialization.Hits == 0 || cs.Expansion.Hits == 0 {
-		t.Fatalf("cache barely exercised: %+v", cs)
-	}
-	if zero := cold.CacheStats(); zero.Enabled {
-		t.Fatal("cold engine unexpectedly has a cache")
-	}
 }
 
 // TestCachedQueriesUnderConcurrentWrites is the -race half: queriers

@@ -132,7 +132,7 @@ func TestWriteAfterCloseRefused(t *testing.T) {
 	if len(v.Trees()) < 2 {
 		t.Fatalf("view has %d trees, want at least 2 to give feedback on", len(v.Trees()))
 	}
-	want, epoch := fingerprintQ(q), q.Epoch()
+	want, epoch := fingerprintEngine(q), q.Epoch()
 	if err := q.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestWriteAfterCloseRefused(t *testing.T) {
 	if err := q.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
 	}
-	if got := fingerprintQ(reopen(t, opts)); got != want {
+	if got := fingerprintEngine(reopen(t, opts)); got != want {
 		t.Fatalf("reopened store differs from the engine at Close:\nwant:\n%s\ngot:\n%s", want, got)
 	}
 
@@ -327,4 +327,13 @@ func TestCloseRacingWrites(t *testing.T) {
 			t.Errorf("source %d: acknowledged %v, present after reopen %v", i, ok, got)
 		}
 	}
+}
+
+// Epoch returns the published-state generation the view's current
+// materialisation was computed at.
+func (v *View) Epoch() uint64 {
+	if m := v.mat.Load(); m != nil {
+		return m.epoch
+	}
+	return 0
 }

@@ -455,9 +455,6 @@ func (q *Q) AddMatcher(m matcher.Matcher) {
 	_ = q.commitLocked(walRecord{}, nil)
 }
 
-// Matchers returns the registered matchers in registration order.
-func (q *Q) Matchers() []matcher.Matcher { return q.matchers }
-
 // AddTables registers the initial data sources (before any maintenance):
 // tables enter the catalog, the search graph grows relation/attribute/FK
 // nodes and edges, and schema labels are indexed for keyword matching. No
@@ -486,8 +483,8 @@ func (q *Q) addTablesLocked(tables ...*relstore.Table) error {
 		}
 	}
 	// Sorted source order keeps graph node IDs deterministic across
-	// identically-built instances (the parallel-equivalence harness compares
-	// tree fingerprints; map iteration order is not deterministic), and the
+	// identically-built instances (the reference oracle compares tree
+	// fingerprints; map iteration order is not deterministic), and the
 	// batched AddSources call keeps foreign keys BETWEEN the new sources
 	// intact regardless of that order.
 	seen := make(map[string]bool)

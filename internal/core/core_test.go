@@ -353,8 +353,8 @@ func TestViewBasedMatchesExhaustiveOnViewResults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	re := renderRows(ve)
-	rv := renderRows(vv)
+	re := canonicalRows(ve)
+	rv := canonicalRows(vv)
 	if re != rv {
 		t.Errorf("view contents diverge:\nEXHAUSTIVE:\n%s\nVIEWBASED:\n%s", re, rv)
 	}
@@ -362,18 +362,6 @@ func TestViewBasedMatchesExhaustiveOnViewResults(t *testing.T) {
 		t.Errorf("view-based did more work: %d vs %d",
 			qv.Stats.AttrComparisons(), qe.Stats.AttrComparisons())
 	}
-}
-
-func renderRows(v *View) string {
-	var b strings.Builder
-	k := v.K
-	if k > len(v.Result().Rows) {
-		k = len(v.Result().Rows)
-	}
-	for _, r := range v.Result().Rows[:k] {
-		fmt.Fprintf(&b, "%v\n", r.Values)
-	}
-	return b.String()
 }
 
 func TestPreferentialAlignerHonoursBudget(t *testing.T) {

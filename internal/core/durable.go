@@ -33,7 +33,8 @@ import (
 // Feedback logs the weight delta the MIRA update produced, not the
 // preference that caused it. Replay therefore needs no matchers, no MIRA,
 // and no result sets, and reproduces the builder state exactly
-// (durable_test.go pins restart ≡ rebuild).
+// (the reference oracle, TestEngineMatchesReference, pins restart ≡
+// rebuild).
 //
 // What is deliberately NOT logged:
 //   - AddMatcher: matchers are code; re-registering installs only weights
@@ -43,7 +44,8 @@ import (
 //     instead (Close checkpoints, so a clean shutdown loses nothing; a
 //     crash loses only the views created or dropped since the last
 //     checkpoint — their answers were pure reads — and the IDs handed out
-//     since, which the next views may get again).
+//     since, which the next views may get again; the reference oracle's
+//     crashKeepsUncheckpointedViews states this contract).
 //   - The engine width (worker pools, execution slots): a property of the
 //     machine, not state; a restored engine takes the restoring process's
 //     GOMAXPROCS, and the catalog section carries no width.

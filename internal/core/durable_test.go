@@ -52,25 +52,6 @@ func openDurable(t *testing.T, opts Options, walLimit int64) *Q {
 	return q
 }
 
-// fingerprintQ renders everything restart equivalence cares about: the
-// catalog, the graph's weights and edges, and every view's materialisation.
-func fingerprintQ(q *Q) string {
-	var b strings.Builder
-	b.WriteString("relations:")
-	for _, r := range q.CurrentCatalog().Relations() {
-		b.WriteString(" " + r.QualifiedName())
-	}
-	b.WriteString("\nassociations:")
-	for _, a := range q.CurrentGraph().AssociationList() {
-		fmt.Fprintf(&b, " %s~%s=%.12f", a.A, a.B, a.Cost)
-	}
-	b.WriteString("\n")
-	for _, v := range q.Views() {
-		b.WriteString(fingerprintView(v))
-	}
-	return b.String()
-}
-
 // driveMutations applies the same mutation sequence to any Q: initial
 // tables, a view, a hand-coded association, a registration through the
 // matchers, feedback, and whole-catalog alignment. The view exists before
@@ -118,72 +99,6 @@ func reopen(t *testing.T, opts Options) *Q {
 	return q
 }
 
-// TestRestartEquivalence is the acceptance gate: an instance restarted via
-// storage.Open — whether from a pure WAL tail, a pure snapshot, or a
-// snapshot plus tail — is byte-identical to one rebuilt from scratch by
-// replaying the same mutations in memory.
-func TestRestartEquivalence(t *testing.T) {
-	// Reference: the same mutations applied to a plain in-memory Q.
-	ref := New(DefaultOptions())
-	ref.AddMatcher(meta.New())
-	ref.AddMatcher(mad.New())
-	driveMutations(t, ref)
-	want := fingerprintQ(ref)
-
-	opts := durableOpts(t)
-	q := openDurable(t, opts, manualCheckpoints)
-	q.AddMatcher(meta.New())
-	q.AddMatcher(mad.New())
-	driveMutations(t, q)
-	if got := fingerprintQ(q); got != want {
-		t.Fatalf("durable instance diverged from in-memory before any restart:\nwant:\n%s\ngot:\n%s", want, got)
-	}
-
-	// Restart 1: everything is still in the WAL tail (no checkpoint ran).
-	// View DEFINITIONS persist via checkpoints, not the WAL (queries are
-	// pure reads and must not fsync), so a crash-restart loses the view —
-	// but recreating it over the replayed graph must reproduce it exactly.
-	if err := q.persist.store.Close(); err != nil { // simulate a crash: no final checkpoint
-		t.Fatal(err)
-	}
-	q2 := reopen(t, opts)
-	if _, err := q2.Query(Request{Keywords: []string{"plasma membrane", "Kringle domain"}, K: 4}); err != nil {
-		t.Fatal(err)
-	}
-	if got := fingerprintQ(q2); got != want {
-		t.Fatalf("restart from WAL tail diverged:\nwant:\n%s\ngot:\n%s", want, got)
-	}
-
-	// Restart 2: fold the WAL into a snapshot, then restart — a pure
-	// snapshot load, no replay.
-	if err := q2.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if err := q2.persist.store.Close(); err != nil {
-		t.Fatal(err)
-	}
-	q3 := reopen(t, opts)
-	if got := fingerprintQ(q3); got != want {
-		t.Fatalf("restart from snapshot diverged:\nwant:\n%s\ngot:\n%s", want, got)
-	}
-
-	// Restart 3: snapshot + a fresh tail (feedback after the checkpoint).
-	v := q3.Views()[0]
-	if len(v.Trees()) >= 2 {
-		if err := q3.FeedbackFavorTree(v, v.Trees()[1]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want3 := fingerprintQ(q3)
-	if err := q3.persist.store.Close(); err != nil {
-		t.Fatal(err)
-	}
-	q4 := reopen(t, opts)
-	if got := fingerprintQ(q4); got != want3 {
-		t.Fatalf("restart from snapshot+tail diverged:\nwant:\n%s\ngot:\n%s", want3, got)
-	}
-}
-
 // TestDurableCleanShutdown: Close checkpoints, so the next Open is a pure
 // snapshot load (empty WAL) and view definitions survive.
 func TestDurableCleanShutdown(t *testing.T) {
@@ -192,7 +107,7 @@ func TestDurableCleanShutdown(t *testing.T) {
 	q.AddMatcher(meta.New())
 	q.AddMatcher(mad.New())
 	driveMutations(t, q)
-	want := fingerprintQ(q)
+	want := fingerprintEngine(q)
 	if err := q.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +116,7 @@ func TestDurableCleanShutdown(t *testing.T) {
 	if q2.persist.store.WALSize() != 0 {
 		t.Errorf("WAL not empty after clean shutdown + reopen: %d bytes", q2.persist.store.WALSize())
 	}
-	if got := fingerprintQ(q2); got != want {
+	if got := fingerprintEngine(q2); got != want {
 		t.Fatalf("clean restart diverged:\nwant:\n%s\ngot:\n%s", want, got)
 	}
 	// The reopened instance keeps working durably.
@@ -331,17 +246,19 @@ func TestOpenRequiresDataDir(t *testing.T) {
 func TestDurableBackgroundCheckpoint(t *testing.T) {
 	opts := durableOpts(t)
 	q := openDurable(t, opts, 1) // every mutation crosses the threshold
+	q.AddMatcher(meta.New())
+	q.AddMatcher(mad.New())
 	if err := q.AddTables(fixtureTables(t)...); err != nil {
 		t.Fatal(err)
 	}
 	// Close stops the checkpointer and takes a final checkpoint; whatever
 	// interleaving happened, the directory must reopen to the same state.
-	want := fingerprintQ(q)
+	want := fingerprintEngine(q)
 	if err := q.Close(); err != nil {
 		t.Fatal(err)
 	}
 	q2 := reopen(t, opts)
-	if got := fingerprintQ(q2); got != want {
+	if got := fingerprintEngine(q2); got != want {
 		t.Fatalf("background-checkpointed store diverged:\nwant:\n%s\ngot:\n%s", want, got)
 	}
 }
@@ -476,7 +393,7 @@ func TestReplayedFeedbackMatchesLive(t *testing.T) {
 		t.Fatalf("%d of %d feedbacks changed the weights: the tail exercises nothing", changed, K)
 	}
 	live := q.CurrentGraph()
-	want := fingerprintQ(q)
+	want := fingerprintEngine(q)
 	if err := q.persist.store.Close(); err != nil { // crash: no final checkpoint
 		t.Fatal(err)
 	}
@@ -495,7 +412,7 @@ func TestReplayedFeedbackMatchesLive(t *testing.T) {
 			t.Errorf("edge %d: replayed cost %v, live %v", id, a, b)
 		}
 	}
-	if f := fingerprintQ(q2); f != want {
+	if f := fingerprintEngine(q2); f != want {
 		t.Fatalf("replayed views diverged:\nwant:\n%s\ngot:\n%s", want, f)
 	}
 }
@@ -567,7 +484,7 @@ func TestRestoreRebuildsRetiredSegments(t *testing.T) {
 	if err := q.AddTables(journalTable(t, "tail")); err != nil { // replayed from the WAL
 		t.Fatal(err)
 	}
-	want := fingerprintQ(q)
+	want := fingerprintEngine(q)
 	probes := []string{"'plasma membrane' 'Nature'", "'PUB0002' entry", "'nucleus' 'Kringle domain'"}
 	var wantProbes []string
 	for _, s := range probes {
@@ -612,7 +529,7 @@ func TestRestoreRebuildsRetiredSegments(t *testing.T) {
 	}
 
 	q2 := reopen(t, withSegments(retired))
-	if got := fingerprintQ(q2); got != want {
+	if got := fingerprintEngine(q2); got != want {
 		t.Fatalf("reopened over a QSEGb1 section, the engine diverged:\nwant:\n%s\ngot:\n%s", want, got)
 	}
 	for i, s := range probes {

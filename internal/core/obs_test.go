@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -9,65 +8,6 @@ import (
 	"qint/internal/obs"
 	"qint/internal/relstore"
 )
-
-// viewFingerprint renders everything a client can observe about a view's
-// answer — tree count, alpha, and every result row in order — so two views
-// can be compared byte-for-byte.
-func viewFingerprint(v *View) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "trees=%d alpha=%.9f k=%d\n", len(v.Trees()), v.Alpha(), v.K)
-	res := v.Result()
-	if res == nil {
-		sb.WriteString("nil result")
-		return sb.String()
-	}
-	for _, row := range res.Rows {
-		fmt.Fprintf(&sb, "%.9f|%d|%s\n", row.Cost, row.Branch, strings.Join(row.Values, "|"))
-	}
-	return sb.String()
-}
-
-// TestTracingMetamorphic is the tracing-changes-nothing check: the same
-// query against identical fresh engines must produce byte-identical view
-// fingerprints whether or not a trace rides along, and the trace itself
-// must be internally consistent (spans for the pipeline stages, stage sum
-// bounded by wall).
-func TestTracingMetamorphic(t *testing.T) {
-	for _, query := range []string{
-		"entry 'PUB0001'",
-		"'Kringle domain' 'PUB0001'",
-		"'plasma membrane' 'IPR000001'",
-	} {
-		plain := newFixtureQ(t, true)
-		traced := newFixtureQ(t, true)
-
-		pv, err := queryStr(plain, query)
-		if err != nil {
-			t.Fatalf("Query(%q): %v", query, err)
-		}
-		tr := obs.NewTrace()
-		tv, err := traced.Query(Request{Keywords: ParseKeywords(query), Trace: tr})
-		if err != nil {
-			t.Fatalf("traced Query(%q): %v", query, err)
-		}
-		if got, want := viewFingerprint(tv), viewFingerprint(pv); got != want {
-			t.Errorf("query %q: traced view differs from untraced:\n--- traced ---\n%s--- untraced ---\n%s", query, got, want)
-		}
-
-		if tr.ID() == "" {
-			t.Fatalf("query %q: trace has no ID", query)
-		}
-		totals := tr.StageTotals()
-		for _, st := range []obs.Stage{obs.StageCacheLookup, obs.StageExpand, obs.StageSteiner, obs.StageMaterialize} {
-			if _, ok := totals[st]; !ok {
-				t.Errorf("query %q: trace missing stage %s; have %v", query, st, totals)
-			}
-		}
-		if sum, wall := tr.StageSum(), tr.Wall(); sum <= 0 || sum > wall {
-			t.Errorf("query %q: stage sum %v outside (0, wall=%v]", query, sum, wall)
-		}
-	}
-}
 
 // TestUntracedQueryReturnsNilTrace pins the disabled fast path: a request
 // without a Trace must not fabricate one.

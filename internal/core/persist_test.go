@@ -26,7 +26,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	beforeRows := renderRows(v)
+	beforeRows := fingerprintView(v)
 	beforeWeights := q.CurrentGraph().Weights().Clone()
 
 	var buf bytes.Buffer
@@ -54,7 +54,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if len(views) != 1 {
 		t.Fatalf("views = %d, want 1", len(views))
 	}
-	if got := renderRows(views[0]); got != beforeRows {
+	if got := fingerprintView(views[0]); got != beforeRows {
 		t.Errorf("view contents changed across save/load:\nbefore:\n%s\nafter:\n%s",
 			beforeRows, got)
 	}

@@ -103,15 +103,6 @@ func (v *View) Alpha() float64 {
 	return 0
 }
 
-// Epoch returns the published-state generation the view's current
-// materialisation was computed at.
-func (v *View) Epoch() uint64 {
-	if m := v.mat.Load(); m != nil {
-		return m.epoch
-	}
-	return 0
-}
-
 // Materialization is one coherent, immutable materialisation of a view:
 // everything the view computed from a single published state generation.
 // Use Current when several fields must agree (e.g. rows with their α): the

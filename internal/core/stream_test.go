@@ -5,9 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"qint/internal/datasets"
-	"qint/internal/matcher/mad"
-	"qint/internal/matcher/meta"
 	"qint/internal/relstore"
 )
 
@@ -16,167 +13,32 @@ import (
 // the top k — must equal the top-k prefix of its branch queries executed one
 // by one and unioned in full, with the same columns and α.
 
-// streamCorpus is one dataset of the executor-equivalence suite, with a
-// builder parameterised over the constructor (New or newUncached).
-type streamCorpus struct {
-	name    string
-	build   func(t *testing.T, newQ func(Options) *Q) *Q
-	queries []string
-}
-
-func streamCorpora() []streamCorpus {
-	return []streamCorpus{
-		{
-			name: "gbco",
-			build: func(t *testing.T, newQ func(Options) *Q) *Q {
-				q := newQ(DefaultOptions())
-				q.AddMatcher(meta.New())
-				if err := q.AddTables(datasets.GBCO().Tables...); err != nil {
-					t.Fatal(err)
-				}
-				return q
-			},
-			queries: func() []string {
-				var out []string
-				for _, trial := range datasets.GBCO().Trials {
-					out = append(out, trial.Keywords)
-				}
-				return out
-			}(),
-		},
-		{
-			name: "synthetic",
-			build: func(t *testing.T, newQ func(Options) *Q) *Q {
-				q := newQ(DefaultOptions())
-				q.AddMatcher(meta.New())
-				q.AddMatcher(mad.New())
-				if err := q.AddTables(syntheticCorpus(t)...); err != nil {
-					t.Fatal(err)
-				}
-				q.AlignAllPairs()
-				return q
-			},
-			queries: []string{"alice widget", "bob gadget", "springfield sprocket", "'C1' item"},
-		},
-	}
-}
-
-// TestMaterialisedExecEquivalence pins branch execution at the pipeline
-// level: a view's ranked result — produced by the planned batch's top-k
-// union — must deep-equal the disjoint union of its branch queries executed
-// one by one through relstore.Execute (no batch, no early termination) on
-// the same catalog generation, truncated to the view's k, with the full
-// union's column list. The materialised reference executor itself is a
-// relstore test oracle (oracle_test.go), gated against Execute there.
-func TestMaterialisedExecEquivalence(t *testing.T) {
-	for _, c := range streamCorpora() {
+// TestTopKUnionIsFullUnionPrefix checks every query of the GBCO and
+// synthetic corpora at k = 2 and k = 5 against the full materialisation
+// early termination replaced, built here: every branch executed alone
+// through relstore.Execute (no bound) and disjoint-unioned. The view must
+// hold exactly that union's top-k prefix under its columns, with the α the
+// full union gives, so only the tail beyond k goes uncomputed. Each branch
+// of the planned batch must deep-equal the branch executed standalone, and
+// on an uncached engine (each query materialises once) PlanStats counts
+// exactly the branches executed. Against vacuity: every query has trees,
+// some view has rows, some full union is longer than k, and across the
+// corpus some branch was actually skipped. Planned ≡ naive spec order is
+// the relstore oracle gate (executeOracle, FuzzPlanEquivalence).
+func TestTopKUnionIsFullUnionPrefix(t *testing.T) {
+	for _, c := range []corpus{gbcoCorpus(), syntheticCorpus()} {
 		t.Run(c.name, func(t *testing.T) {
-			q := c.build(t, New)
-			anyRows := false
-			for _, kw := range c.queries {
-				v, err := queryStr(q, kw)
-				if err != nil {
-					t.Fatalf("query %q: %v", kw, err)
-				}
-				m := v.Current()
-				if len(m.Trees) == 0 {
-					t.Errorf("query %q produced no trees; equivalence is vacuous", kw)
-				}
-				branches := make([]relstore.Branch, len(m.Queries))
-				for i, cq := range m.Queries {
-					rs, err := relstore.Execute(q.CurrentCatalog(), cq)
-					if err != nil {
-						t.Fatalf("query %q branch %d: %v", kw, i, err)
-					}
-					branches[i] = relstore.Branch{Result: rs, Cost: cq.Cost, Provenance: cq.Signature()}
-				}
-				full := relstore.DisjointUnion(branches)
-				want := &relstore.UnionResult{Columns: full.Columns, Rows: full.Rows[:min(v.K, len(full.Rows))]}
-				if !reflect.DeepEqual(m.Result, want) {
-					t.Errorf("query %q: view result differs from branch-by-branch execution\nview: %v\nwant: %v",
-						kw, m.Result, want)
-				}
-				anyRows = anyRows || len(m.Result.Rows) > 0
-			}
-			if !anyRows {
-				t.Error("no query produced rows; equivalence is vacuous")
-			}
-		})
-	}
-}
-
-// TestPlannerOffEquivalence pins the structural planner at the pipeline
-// level now that no option turns it off: every branch of every materialised
-// view is planned — PlanStats counts exactly the branches executed (query
-// caches off, so each query materialises once) — and each branch's planned
-// batch result deep-equals the branch executed standalone. Planned ≡ naive
-// spec order is the relstore oracle gate (executeOracle,
-// FuzzPlanEquivalence).
-func TestPlannerOffEquivalence(t *testing.T) {
-	for _, c := range streamCorpora() {
-		t.Run(c.name, func(t *testing.T) {
-			q := c.build(t, newUncached)
+			q := c.build(t, newUncached, 0)
 			var branches int64
-			for _, kw := range c.queries {
-				v, err := queryStr(q, kw)
-				if err != nil {
-					t.Fatalf("query %q: %v", kw, err)
-				}
-				m := v.Current()
-				if len(m.Queries) == 0 {
-					t.Errorf("query %q produced no branch queries; equivalence is vacuous", kw)
-				}
-				branches += int64(len(m.Queries))
-				cat := q.CurrentCatalog()
-				bp, err := relstore.PlanBatch(cat, m.Queries)
-				if err != nil {
-					t.Fatalf("query %q: plan: %v", kw, err)
-				}
-				if got := bp.Stats().BranchesPlanned; got != int64(len(m.Queries)) {
-					t.Errorf("query %q: batch planned %d branches, want %d", kw, got, len(m.Queries))
-				}
-				for i, cq := range m.Queries {
-					want, err := relstore.Execute(cat, cq)
-					if err != nil {
-						t.Fatalf("query %q branch %d: %v", kw, i, err)
-					}
-					got, err := bp.Execute(i)
-					if err != nil {
-						t.Fatalf("query %q branch %d (batched): %v", kw, i, err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Errorf("query %q branch %d: batched result differs from standalone\nbatched:    %v\nstandalone: %v",
-							kw, i, got, want)
-					}
-				}
-			}
-			st := q.PlanStats()
-			if st.BranchesPlanned != branches {
-				t.Errorf("instance planned %d branches, views executed %d", st.BranchesPlanned, branches)
-			}
-			if st.BranchesPlanned == 0 {
-				t.Errorf("implausible PlanStats %+v", st)
-			}
-		})
-	}
-}
-
-// TestTopKPruneEquivalence pins what early termination promises against the
-// full materialisation it replaced, built here: every branch executed alone
-// through relstore.Execute (no bound) and disjoint-unioned.
-// The view must hold exactly that union's top-k prefix under its columns,
-// with the α the full union gives — so only the tail beyond k goes
-// uncomputed — and across the corpus some branch must actually have been
-// skipped, or the prune is untested.
-func TestTopKPruneEquivalence(t *testing.T) {
-	for _, c := range streamCorpora() {
-		t.Run(c.name, func(t *testing.T) {
-			q := c.build(t, New)
 			anyRows, truncated := false, false
 			for _, kw := range c.queries {
 				for _, k := range []int{2, defaultK} {
-					rows, trunc := checkTopKPrefix(t, q, kw, k)
+					m, rows, trunc := checkTopKPrefix(t, q, kw, k)
 					anyRows, truncated = anyRows || rows, truncated || trunc
+					branches += int64(len(m.Queries))
+					if k == defaultK {
+						checkBatchedBranches(t, q, kw, m)
+					}
 				}
 			}
 			if !anyRows || !truncated {
@@ -185,20 +47,27 @@ func TestTopKPruneEquivalence(t *testing.T) {
 			if skipped := q.metrics.topkBranchesSkipped.Load(); skipped == 0 {
 				t.Error("no branch was skipped over the corpus; the prune is untested")
 			}
+			if st := q.PlanStats(); st.BranchesPlanned != branches || branches == 0 {
+				t.Errorf("instance planned %d branches, views executed %d", st.BranchesPlanned, branches)
+			}
 		})
 	}
 }
 
 // checkTopKPrefix materialises one query at k and checks it against the full
-// union (see TestTopKPruneEquivalence). It reports whether the view has rows
-// and whether the full union has more than k.
-func checkTopKPrefix(t *testing.T, q *Q, kw string, k int) (hasRows, truncated bool) {
+// union (see TestTopKUnionIsFullUnionPrefix). It returns the
+// materialisation, and reports whether the view has rows and whether the
+// full union has more than k.
+func checkTopKPrefix(t *testing.T, q *Q, kw string, k int) (m Materialization, hasRows, truncated bool) {
 	t.Helper()
 	v, err := q.Query(Request{Keywords: ParseKeywords(kw), K: k})
 	if err != nil {
 		t.Fatalf("query %q k=%d: %v", kw, k, err)
 	}
-	m := v.Current()
+	m = v.Current()
+	if len(m.Trees) == 0 {
+		t.Errorf("query %q produced no trees; equivalence is vacuous", kw)
+	}
 	branches := make([]relstore.Branch, len(m.Queries))
 	for i, cq := range m.Queries {
 		rs, err := relstore.Execute(q.CurrentCatalog(), cq)
@@ -219,7 +88,36 @@ func checkTopKPrefix(t *testing.T, q *Q, kw string, k int) (hasRows, truncated b
 	if a := fullAlpha(full, m, k); m.Alpha != a {
 		t.Errorf("query %q k=%d: α = %v, the full union gives %v", kw, k, m.Alpha, a)
 	}
-	return len(want) > 0, len(full.Rows) > k
+	return m, len(want) > 0, len(full.Rows) > k
+}
+
+// checkBatchedBranches plans m's branch queries as one batch and checks
+// that the batch plans every branch and that each batched branch
+// deep-equals the branch executed standalone.
+func checkBatchedBranches(t *testing.T, q *Q, kw string, m Materialization) {
+	t.Helper()
+	cat := q.CurrentCatalog()
+	bp, err := relstore.PlanBatch(cat, m.Queries)
+	if err != nil {
+		t.Fatalf("query %q: plan: %v", kw, err)
+	}
+	if got := bp.Stats().BranchesPlanned; got != int64(len(m.Queries)) {
+		t.Errorf("query %q: batch planned %d branches, want %d", kw, got, len(m.Queries))
+	}
+	for i, cq := range m.Queries {
+		want, err := relstore.Execute(cat, cq)
+		if err != nil {
+			t.Fatalf("query %q branch %d: %v", kw, i, err)
+		}
+		got, err := bp.Execute(i)
+		if err != nil {
+			t.Fatalf("query %q branch %d (batched): %v", kw, i, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("query %q branch %d: batched result differs from standalone\nbatched:    %v\nstandalone: %v",
+				kw, i, got, want)
+		}
+	}
 }
 
 // fullAlpha is α computed as materialisation computed it over the full
@@ -245,8 +143,8 @@ func fullAlpha(full *relstore.UnionResult, m Materialization, k int) float64 {
 // feedback naming a row at or beyond k is ErrRowOutOfRange — the row a full
 // materialisation would have had there was never computed.
 func TestViewHoldsOnlyTopK(t *testing.T) {
-	c := streamCorpora()[0]
-	q := c.build(t, New)
+	c := gbcoCorpus()
+	q := c.build(t, New, 0)
 	tested := false
 	for _, kw := range c.queries {
 		v, err := queryStr(q, kw)

@@ -76,15 +76,6 @@ func (v Vector) Sub(w Vector) Vector {
 	return out
 }
 
-// Norm2 returns the squared L2 norm.
-func (v Vector) Norm2() float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return s
-}
-
 // String renders the vector deterministically (sorted keys) for logs/tests.
 func (v Vector) String() string {
 	keys := make([]string, 0, len(v))

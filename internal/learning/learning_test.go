@@ -234,3 +234,15 @@ func TestMIRAMaxAlphaCapsAggressiveness(t *testing.T) {
 		t.Errorf("capped update moved too far: %v", diff)
 	}
 }
+
+// Norm2 returns the squared L2 norm.
+func (v Vector) Norm2() float64 {
+	s := 0.0
+	for _, x := range v {
+		s += x * x
+	}
+	return s
+}
+
+// Cost returns the tree's cost under weights w.
+func (t TreeExample) Cost(w Vector) float64 { return w.Dot(t.Features) }

@@ -26,9 +26,6 @@ func NewTreeExample(edgeKeys []string, edgeFeatures []Vector) TreeExample {
 	return TreeExample{Features: f, EdgeKeys: keys}
 }
 
-// Cost returns the tree's cost under weights w.
-func (t TreeExample) Cost(w Vector) float64 { return w.Dot(t.Features) }
-
 // SymmetricLoss is Equation 2: |E(T)\E(T')| + |E(T')\E(T)|, computed over
 // the canonical edge keys (which are sorted by construction).
 func SymmetricLoss(a, b TreeExample) float64 {

@@ -75,9 +75,6 @@ func (g *Graph) AddEdge(u, v int, w float64) {
 // Seed injects label l at node v.
 func (g *Graph) Seed(v, l int) { g.seed[v] = l }
 
-// Degree returns the number of incident edges of v.
-func (g *Graph) Degree(v int) int { return len(g.adj[v]) }
-
 // Result holds the converged label distributions. Scores[v] maps label id
 // to score; the dummy label is stored at index == labels. Distributions are
 // not normalised — use TopLabels for ranked, normalised access.

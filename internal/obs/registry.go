@@ -52,13 +52,6 @@ func (c *Counter) Load() int64 {
 	return c.v.Load()
 }
 
-// Store sets the value (counter resets; gauges used writer-side).
-func (c *Counter) Store(n int64) {
-	if c != nil {
-		c.v.Store(n)
-	}
-}
-
 // Label is one metric label pair.
 type Label struct {
 	Name, Value string

@@ -161,7 +161,9 @@ func (t *Trace) StageTotals() map[Stage]time.Duration {
 }
 
 // StageSum is the sum of all span durations — the quantity the acceptance
-// bound compares against Wall.
+// bound compares against Wall. Only tests call it: core's
+// TestEngineMatchesReference checks 0 < StageSum <= Wall for every traced
+// query.
 func (t *Trace) StageSum() time.Duration {
 	var sum time.Duration
 	for _, s := range t.Spans() {

@@ -94,7 +94,9 @@ func (g *Group[V]) Instrument(execs, coalesced *obs.Counter) {
 }
 
 // Execs returns how many times Do actually executed a function (as opposed
-// to coalescing onto another caller's flight).
+// to coalescing onto another caller's flight). Only tests call Execs,
+// Coalesced and Waiting: core's TestConcurrentIdenticalQueriesComputeOnce
+// checks request coalescing through them.
 func (g *Group[V]) Execs() uint64 { return g.execs.Load() }
 
 // Coalesced returns how many Do calls were served by piggybacking on an

@@ -29,7 +29,9 @@ func NewTable(rel *Relation, rows [][]string) (*Table, error) {
 	return &Table{Relation: rel, Rows: rows}, nil
 }
 
-// Column returns the values (with duplicates) of the named attribute.
+// Column returns the values (with duplicates) of the named attribute. Only
+// tests call it: core's TestRestoreRebuildsRetiredSegments reads columns
+// with it to write a retired segments section.
 func (t *Table) Column(attr string) []string {
 	i := t.Relation.AttrIndex(attr)
 	if i < 0 {
@@ -150,18 +152,6 @@ func (c *Catalog) Sources() []string {
 	return out
 }
 
-// SourceRelations returns the relations belonging to one source, in
-// registration order.
-func (c *Catalog) SourceRelations(source string) []*Relation {
-	var out []*Relation
-	for _, qn := range c.order {
-		if r := c.tables[qn].Relation; r.Source == source {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // NumRelations returns the number of registered relations.
 func (c *Catalog) NumRelations() int { return len(c.order) }
 
@@ -205,7 +195,9 @@ func (c *Catalog) Values(ref AttrRef) []string {
 
 // ValueOverlap returns the number of distinct values shared by two
 // attributes. This powers the Value Overlap Filter of Figure 7: attribute
-// pairs with zero overlap cannot join and need not be compared.
+// pairs with zero overlap cannot join and need not be compared. Only tests
+// call it (OverlappingAttrPairs merges the spans itself): datasets'
+// TestInterProGOGoldEdgesHaveValueOverlap checks the gold edges with it.
 func (c *Catalog) ValueOverlap(a, b AttrRef) int {
 	return overlap(c.span(a), c.span(b))
 }

@@ -19,7 +19,9 @@ type ResultSet struct {
 // ResultSet (rows sorted, set semantics), byte-identical to the
 // materialise-everything reference executor kept as the test
 // oracle executeOracle (oracle_test.go; stream_test.go, planner_test.go and
-// FuzzExecuteEquivalence pin it).
+// FuzzExecuteEquivalence pin it). Only tests call it, to run one branch
+// alone: core's TestTopKUnionIsFullUnionPrefix and TestViewHoldsOnlyTopK,
+// server's TestFeedbackBeyondTopK and this package's oracles.
 func Execute(c *Catalog, q *ConjunctiveQuery) (*ResultSet, error) {
 	st, err := BuildStream(c, q)
 	if err != nil {

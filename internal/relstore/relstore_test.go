@@ -381,3 +381,15 @@ func TestTableColumn(t *testing.T) {
 		t.Error("unknown column should be nil")
 	}
 }
+
+// SourceRelations returns the relations belonging to one source, in
+// registration order.
+func (c *Catalog) SourceRelations(source string) []*Relation {
+	var out []*Relation
+	for _, qn := range c.order {
+		if r := c.tables[qn].Relation; r.Source == source {
+			out = append(out, r)
+		}
+	}
+	return out
+}

@@ -269,9 +269,6 @@ type Stream struct {
 	stats   StreamStats
 }
 
-// Columns returns the output column labels (the query's projection list).
-func (s *Stream) Columns() []string { return s.cols }
-
 // Stats returns the work counters accumulated so far.
 func (s *Stream) Stats() StreamStats { return s.stats }
 

@@ -309,18 +309,10 @@ func (g *Graph) EnsureWeight(feature string, def float64) bool {
 	return true
 }
 
-// Cost returns the current cost of an edge.
-func (g *Graph) Cost(id steiner.EdgeID) float64 { return g.s.sg.Edge(id).Cost }
-
-// EdgeCost is the cost of a learnable edge with the given features under
-// weights w (Equation 1). Costs are quantised to 1e-9: the dot product sums
-// a map in iteration order, so the low bits of the float result vary run to
-// run, and unquantised costs would flip tie-breaks in top-k tree selection
-// nondeterministically. They are floored at MinEdgeCost. The builder prices
-// its edges the same way from their interned features, summing in
-// feature-name order.
-func EdgeCost(w, features learning.Vector) float64 { return quantiseCost(w.Dot(features)) }
-
+// quantiseCost quantises a learnable edge's cost (Equation 1) to 1e-9 and
+// floors it at MinEdgeCost: the low bits of a float sum depend on the order
+// of its terms, and unquantised costs would let them flip tie-breaks in
+// top-k tree selection.
 func quantiseCost(c float64) float64 {
 	c = math.Round(c*1e9) / 1e9
 	if c < MinEdgeCost {
@@ -351,16 +343,12 @@ func (g *Graph) setFeatures(id steiner.EdgeID, f learning.Vector) {
 	}
 }
 
-// Node returns the node with the given id.
-func (g *Graph) Node(id steiner.NodeID) Node { return g.s.nodes[id] }
-
 // Edge returns the search-graph edge metadata for an edge id.
 func (g *Graph) Edge(id steiner.EdgeID) Edge { return g.s.edges[id] }
 
-// NumNodes returns the node count.
-func (g *Graph) NumNodes() int { return len(g.s.nodes) }
-
-// NumEdges returns the edge count.
+// NumEdges returns the edge count. Only tests call it: core's
+// TestRefusedWriteIsInvisible compares the engine's graph under
+// construction with the published snapshot through it.
 func (g *Graph) NumEdges() int { return len(g.s.edges) }
 
 // addNode appends a node with a parallel steiner node; callers own storage.
@@ -407,14 +395,6 @@ func (g *Graph) RelationNode(qualified string) steiner.NodeID {
 	return id
 }
 
-// LookupRelation returns the relation node id, or -1 if absent.
-func (g *Graph) LookupRelation(qualified string) steiner.NodeID {
-	if id, ok := g.s.relNode[qualified]; ok {
-		return id
-	}
-	return -1
-}
-
 // AttributeNode returns (and creates if needed) the node for an attribute,
 // wiring the fixed zero-cost attribute↔relation edge on creation.
 func (g *Graph) AttributeNode(ref relstore.AttrRef) steiner.NodeID {
@@ -427,14 +407,6 @@ func (g *Graph) AttributeNode(ref relstore.AttrRef) steiner.NodeID {
 	rel := g.RelationNode(ref.Relation)
 	g.addEdge(id, rel, Edge{Kind: EdgeAttrRel, Fixed: true})
 	return id
-}
-
-// LookupAttribute returns the attribute node id, or -1 if absent.
-func (g *Graph) LookupAttribute(ref relstore.AttrRef) steiner.NodeID {
-	if id, ok := g.s.attrNode[ref]; ok {
-		return id
-	}
-	return -1
 }
 
 // AddForeignKeyEdge links two relation nodes with a learnable foreign-key
@@ -612,9 +584,6 @@ type Association struct {
 	Cost float64
 }
 
-// AssociationList returns all association edges in id order.
-func (g *Graph) AssociationList() []Association { return g.s.associationList() }
-
 func (s *store) associationList() []Association {
 	var out []Association
 	for _, e := range s.edges {
@@ -629,25 +598,11 @@ func (s *store) associationList() []Association {
 	return out
 }
 
-// EdgesOfKind returns the ids of all edges of the given kind, ascending.
-func (g *Graph) EdgesOfKind(kind EdgeKind) []steiner.EdgeID {
-	var out []steiner.EdgeID
-	for _, e := range g.s.edges {
-		if e.Kind == kind {
-			out = append(out, e.ID)
-		}
-	}
-	return out
-}
-
 // Stats summarises the graph for logs and tests.
 type Stats struct {
 	Relations, Attributes, Values, Keywords int
 	ByEdgeKind                              map[EdgeKind]int
 }
-
-// Summary computes node/edge counts by kind.
-func (g *Graph) Summary() Stats { return g.s.summary() }
 
 func (s *store) summary() Stats {
 	out := Stats{ByEdgeKind: make(map[EdgeKind]int)}
@@ -669,28 +624,10 @@ func (s *store) summary() Stats {
 	return out
 }
 
-// Build constructs the initial search graph from catalog metadata: one
-// relation node per table, one attribute node per column (with its fixed
-// zero-cost edge), and one learnable foreign-key edge per declared foreign
-// key (paper §2.1).
-func Build(c *relstore.Catalog, weights learning.Vector) *Graph {
-	g := New(weights)
-	g.AddSource(c, "")
-	return g
-}
-
-// AddSource incorporates every relation of the catalog belonging to source
-// into the graph (all relations when source is empty). Used both at startup
-// and when a new source registers (paper §3.1: "the first step is to
-// incorporate each of its underlying tables into the search graph").
-func (g *Graph) AddSource(c *relstore.Catalog, source string) {
-	g.AddSources(c, []string{source})
-}
-
 // AddSources incorporates several sources at once, in two phases: every
 // source's relation and attribute nodes first, then every declared foreign
 // key. Batching matters when the new sources reference each other — adding
-// them one AddSource call at a time would silently drop any foreign key
+// them one source at a time would silently drop any foreign key
 // whose target source had not been added yet, leaving the graph's edge set
 // dependent on source order.
 func (g *Graph) AddSources(c *relstore.Catalog, sources []string) {

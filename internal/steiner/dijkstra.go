@@ -4,6 +4,9 @@ import "math"
 
 // DijkstraOn computes shortest path costs from src to every node of a graph
 // view (base graph or base∪overlay). Unreachable nodes have distance +Inf.
+// Only tests call it: searchgraph's TestOneCSRPerGeneration and
+// TestRepricedGenerationSearchesMatchFlatCopy compare distances across
+// views with it.
 func DijkstraOn(g GraphView, src NodeID) []float64 {
 	s := acquireSearch()
 	defer releaseSearch(s)

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
 	"strconv"
 )
 
@@ -35,12 +34,6 @@ func (t Tree) Key() string {
 		b = strconv.AppendInt(b, int64(e), 10)
 	}
 	return string(b)
-}
-
-// HasEdge reports whether the tree uses the given edge.
-func (t Tree) HasEdge(id EdgeID) bool {
-	i := sort.Search(len(t.Edges), func(i int) bool { return t.Edges[i] >= id })
-	return i < len(t.Edges) && t.Edges[i] == id
 }
 
 // maxDPBFPops bounds the priority-queue work of one TopKSteiner call, a

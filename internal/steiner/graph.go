@@ -41,9 +41,6 @@ func (g *Graph) AddNode() NodeID {
 	return NodeID(len(g.adj) - 1)
 }
 
-// NumNodes returns the number of nodes.
-func (g *Graph) NumNodes() int { return len(g.adj) }
-
 // NumEdges returns the number of edges.
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
@@ -86,10 +83,6 @@ func (g *Graph) SetCost(id EdgeID, cost float64) {
 // Incident returns the ids of edges incident to v. Callers must not mutate
 // the returned slice.
 func (g *Graph) Incident(v NodeID) []EdgeID { return g.adj[v] }
-
-// Other returns the endpoint of edge e that is not v (for self-loops it
-// returns v).
-func (g *Graph) Other(id EdgeID, v NodeID) NodeID { return other(g.edges[id], v) }
 
 // other returns the endpoint of e that is not v (for self-loops, v).
 func other(e Edge, v NodeID) NodeID {

@@ -3,6 +3,7 @@ package steiner
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -321,3 +322,16 @@ func TestTreeHasEdgeAndKey(t *testing.T) {
 		t.Errorf("key = %q", tr.Key())
 	}
 }
+
+// HasEdge reports whether the tree uses the given edge.
+func (t Tree) HasEdge(id EdgeID) bool {
+	i := sort.Search(len(t.Edges), func(i int) bool { return t.Edges[i] >= id })
+	return i < len(t.Edges) && t.Edges[i] == id
+}
+
+// Other returns the endpoint of edge e that is not v (for self-loops it
+// returns v).
+func (g *Graph) Other(id EdgeID, v NodeID) NodeID { return other(g.edges[id], v) }
+
+// NumNodes returns the number of nodes.
+func (g *Graph) NumNodes() int { return len(g.adj) }

@@ -83,9 +83,6 @@ type Overlay struct {
 	extraEdges []Edge
 }
 
-// NewOverlay returns an empty overlay over a frozen copy of base.
-func NewOverlay(base *Graph) *Overlay { return base.Freeze().NewOverlay() }
-
 // NewOverlay returns an empty overlay over c.
 func (c *CSR) NewOverlay() *Overlay { return &Overlay{base: c} }
 

@@ -113,3 +113,6 @@ func FuzzOverlayEquivalence(f *testing.F) {
 		checkOverlayEquivalence(t, seed, nn, nbb, ne, int(m)%(ne+1), 1+int(numTerms)%min(5, nn), 1+int(k)%8, plateau)
 	})
 }
+
+// NewOverlay returns an empty overlay over a frozen copy of base.
+func NewOverlay(base *Graph) *Overlay { return base.Freeze().NewOverlay() }

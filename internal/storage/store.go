@@ -119,18 +119,18 @@ func (s *Store) TakeRecords() []Record {
 // record committed since.
 func (s *Store) Epoch() uint64 { return s.epoch }
 
-// SnapshotEpoch returns the epoch covered by the current snapshot.
+// SnapshotEpoch returns the epoch covered by the current snapshot. Only
+// tests call it: core's TestRestoreRebuildsRetiredSegments and
+// TestFailedOpenJoinsGoroutines name the snapshot file with it.
 func (s *Store) SnapshotEpoch() uint64 { return s.man.Epoch }
 
 // WALSize returns the live WAL's byte size — the checkpoint trigger.
 func (s *Store) WALSize() int64 { return s.wal.Size() }
 
-// WALPath returns the current WAL file's path (crash-injection tests
-// truncate it to simulate torn writes).
+// WALPath returns the current WAL file's path. Only tests call it: core's
+// TestDurableCrashInjection truncates the file to simulate torn writes, and
+// TestOpenRefusesJSONRecord and TestReplayNamesLowestEpoch rewrite it.
 func (s *Store) WALPath() string { return s.wal.Path() }
-
-// Dir returns the data directory path.
-func (s *Store) Dir() string { return s.dir }
 
 // Append commits one mutation record: it is stamped with the next epoch,
 // framed, CRC'd, written and fsync'd. When Append returns nil the

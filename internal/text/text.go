@@ -15,8 +15,8 @@
 // edit distance is bit-parallel (Myers 1999, Hyyrö 2003) whenever the
 // shorter string is ASCII with at most 64 runes, so scoring ASCII names
 // does not allocate; other strings take the two-row dynamic programme.
-// ContainmentSimilarity, TrigramSimilarity, EditSimilarity and EditDistance
-// are thin wrappers over the same implementations for callers holding plain
+// ContainmentSimilarity, TrigramSimilarity and EditSimilarity are thin
+// wrappers over the same implementations for callers holding plain
 // strings. Every measure
 // is computed from integer counts and lengths, so the prepared and plain
 // forms return the same float64.
@@ -285,7 +285,8 @@ func ContainmentSimilarity(a, b string) float64 {
 
 // TrigramSimilarity is the Dice coefficient over the character trigram
 // multisets of a and b, as given (not normalised): Prepared.Trigram on
-// plain strings.
+// plain strings. Only tests call it: meta's TestMatchEqualsOracle scores
+// plain strings with it.
 func TrigramSimilarity(a, b string) float64 {
 	var ga, gb [32]uint64
 	sa, sb := appendTrigrams(ga[:0], a), appendTrigrams(gb[:0], b)
@@ -296,14 +297,10 @@ func TrigramSimilarity(a, b string) float64 {
 
 // EditSimilarity maps edit distance to a similarity in [0,1]:
 // 1 - dist/max(len). Identical strings score 1; disjoint strings approach 0.
+// Only tests call it: meta's TestMatchEqualsOracle scores plain strings
+// with it.
 func EditSimilarity(a, b string) float64 {
 	return editSimilarity(a, utf8.RuneCountInString(a), b, utf8.RuneCountInString(b))
-}
-
-// EditDistance returns the Levenshtein distance between a and b, operating
-// on runes.
-func EditDistance(a, b string) int {
-	return editDistance(a, utf8.RuneCountInString(a), b, utf8.RuneCountInString(b))
 }
 
 func editSimilarity(a string, ra int, b string, rb int) float64 {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unicode/utf8"
 )
 
 func TestNormalize(t *testing.T) {
@@ -260,4 +261,10 @@ func TestTokenizeCamelCase(t *testing.T) {
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("camel tokenize: got %v, want %v", got, want)
 	}
+}
+
+// EditDistance returns the Levenshtein distance between a and b, operating
+// on runes.
+func EditDistance(a, b string) int {
+	return editDistance(a, utf8.RuneCountInString(a), b, utf8.RuneCountInString(b))
 }

@@ -13,7 +13,12 @@ import (
 // by New, loses its caches before the engine is shared, and every later
 // publish attaches none.
 func newUncached(opts Options) *Q {
-	q := New(opts)
+	return uncache(New(opts))
+}
+
+// uncache takes the query caches off q before it is shared: its published
+// generation loses its caches, and every later publish attaches none.
+func uncache(q *Q) *Q {
 	q.uncached = true
 	q.state().qc = nil
 	return q

@@ -29,6 +29,11 @@ import (
 // engine's catalog, graph and weights, with views that answer as the live
 // engine does. On a failure the op list is shrunk and printed as a Go
 // literal for engineOpsRegressions.
+//
+// TestEngineMatchesReference runs the live engine with every mechanism on.
+// The tests named after one mechanism run the same oracle with only that
+// mechanism on, so that a divergence of the combined run can be traced to
+// the mechanism that causes it.
 
 // opKind is one kind of op the oracle applies.
 type opKind uint8
@@ -73,6 +78,10 @@ var opWeights = [numOpKinds]int{
 	opCheckpoint: 1, opCrash: 1, opReopen: 1,
 }
 
+// queryWeights deal only reads and view drops: the engine's state stays
+// the loaded corpus.
+var queryWeights = [numOpKinds]int{opQuery: 4, opEphemeral: 2, opDropView: 2}
+
 // deckSize is how many ops one deck of randomOps deals.
 var deckSize = func() int {
 	n := 0
@@ -83,15 +92,15 @@ var deckSize = func() int {
 }()
 
 // randomOps draws n ops from seed, dealing the kinds from shuffled decks
-// that hold each kind as often as opWeights says, so that every kind comes
-// up in every deck of deckSize ops.
-func randomOps(seed int64, n int) []op {
+// that hold each kind as often as weights says, so that every kind with a
+// weight comes up in every deck.
+func randomOps(seed int64, n int, weights [numOpKinds]int) []op {
 	rng := rand.New(rand.NewSource(seed))
 	var deck []opKind
 	ops := make([]op, n)
 	for i := range ops {
 		if len(deck) == 0 {
-			for k, w := range opWeights {
+			for k, w := range weights {
 				for range w {
 					deck = append(deck, opKind(k))
 				}
@@ -193,12 +202,27 @@ func crash(q *Q) error {
 	return p.store.Close()
 }
 
+// mechanisms are what the live engine does that the reference does not.
+type mechanisms struct {
+	cached bool // query caches on (New, not newUncached)
+	// durable: the live engine is opened on a data dir, the checkpoint,
+	// crash and reopen ops run (without it they are skipped), and a byte
+	// copy of the dir is reopened after every op that can change it.
+	durable bool
+	traced  bool // every live query carries a trace, which checkTrace checks
+	readers int  // goroutines that ask each query of the live engine at once
+}
+
+// allMechanisms is the live engine of TestEngineMatchesReference.
+var allMechanisms = mechanisms{cached: true, durable: true, traced: true, readers: readers}
+
 // harness is one run of the oracle: a live engine and its reference,
 // in step.
 type harness struct {
 	t     *testing.T
 	c     corpus
 	width int
+	mech  mechanisms
 	dir   string
 	live  *Q
 	ref   *Q
@@ -229,27 +253,37 @@ func (h *harness) open(dir string) (*Q, error) {
 	q.writerMu.Lock()
 	q.persist.limit = manualCheckpoints
 	q.writerMu.Unlock()
+	if !h.mech.cached {
+		uncache(q)
+	}
 	h.c.addMatchers(q)
 	return q, nil
 }
 
-// runOps drives ops through a live engine over c at width and through the
-// reference. It returns the first divergence, and how often each op kind
-// ran (an op with nothing to act on, such as feedback without a view, does
-// not count).
-func runOps(t *testing.T, c corpus, width int, ops []op) (ran [numOpKinds]int, pipelines int, err error) {
+// runOps drives ops through a live engine over c at width with mech on and
+// through the reference. It returns the first divergence, and how often
+// each op kind ran (an op with nothing to act on, such as feedback without
+// a view, does not count).
+func runOps(t *testing.T, c corpus, width int, mech mechanisms, ops []op) (ran [numOpKinds]int, pipelines int, err error) {
 	t.Helper()
-	dir, err := os.MkdirTemp("", "qint-ref-")
-	if err != nil {
-		t.Fatal(err)
+	h := &harness{t: t, c: c, width: width, mech: mech}
+	if mech.durable {
+		if h.dir, err = os.MkdirTemp("", "qint-ref-"); err != nil {
+			t.Fatal(err)
+		}
+		defer os.RemoveAll(h.dir)
+		if h.live, err = h.open(h.dir); err != nil {
+			t.Fatal(err)
+		}
+		defer func() { crash(h.live) }()
+		c.load(t, h.live)
+	} else {
+		newQ := newUncached
+		if mech.cached {
+			newQ = New
+		}
+		h.live = c.build(t, newQ, width)
 	}
-	defer os.RemoveAll(dir)
-	h := &harness{t: t, c: c, width: width, dir: dir}
-	if h.live, err = h.open(dir); err != nil {
-		t.Fatal(err)
-	}
-	defer func() { crash(h.live) }()
-	c.load(t, h.live)
 	h.ref = c.build(t, newUncached, 1)
 	h.liveBase, h.refBase = h.live.Epoch(), h.ref.Epoch()
 	if err := h.check(); err != nil {
@@ -292,6 +326,9 @@ func (h *harness) viewPair(a uint8) (live, ref *View, ok bool) {
 // step applies one op to both engines and checks them.
 func (h *harness) step(o op) error {
 	durable := true // whether the op can change what the data dir holds
+	if !h.mech.durable && (o.Kind == opCheckpoint || o.Kind == opCrash || o.Kind == opReopen) {
+		return h.check() // nothing to act on without a data dir
+	}
 	switch o.Kind {
 	case opRegister:
 		strategy := AlignStrategy(o.A % 3)
@@ -400,7 +437,7 @@ func (h *harness) step(o op) error {
 	if err := h.check(); err != nil {
 		return err
 	}
-	if durable {
+	if durable && h.mech.durable {
 		return h.checkCopy()
 	}
 	return nil
@@ -471,12 +508,14 @@ func fingerprintReport(rep *RegisterReport, before, after [3]int) string {
 	return b.String()
 }
 
-// readers is how many goroutines ask each query of the live engine at once.
+// readers is how many goroutines ask each query of a live engine at once
+// when its mechanisms include concurrent reads.
 const readers = 4
 
 // query runs one query op: the reference asks it once; on the live engine
-// one reader asks it as the op says and three more ask it ephemerally, all
-// at once and traced. Every answer must be the reference's.
+// one reader asks it as the op says and the other readers ask it
+// ephemerally, all at once, traced when the mechanisms say so. Every
+// answer must be the reference's.
 func (h *harness) query(o op) error {
 	kws := ParseKeywords(h.c.queries[int(o.A)%len(h.c.queries)])
 	if o.B&2 != 0 {
@@ -490,6 +529,7 @@ func (h *harness) query(o op) error {
 		m := rv.Current()
 		want = fmt.Sprintf("id=%d epoch+%d\n%s", rv.ID, m.Epoch-h.refBase, fingerprintMat(rv, m))
 	}
+	readers := max(h.mech.readers, 1)
 	got := make([]string, readers)
 	errs := make([]error, readers)
 	traces := make([]*obs.Trace, readers)
@@ -499,7 +539,9 @@ func (h *harness) query(o op) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			traces[g] = obs.NewTrace()
+			if h.mech.traced {
+				traces[g] = obs.NewTrace()
+			}
 			<-start
 			v, err := h.live.Query(Request{Keywords: kws, K: k, Ephemeral: ephemeral || g > 0, Trace: traces[g]})
 			if errs[g] = err; err == nil {
@@ -521,7 +563,7 @@ func (h *harness) query(o op) error {
 		if got[g] != want {
 			return fmt.Errorf("query %q k=%d reader %d diverged\n%s", kws, k, g, diffLines(got[g], want))
 		}
-		if rerr == nil {
+		if rerr == nil && h.mech.traced {
 			if err := h.checkTrace(traces[g]); err != nil {
 				return fmt.Errorf("query %q k=%d reader %d: %w", kws, k, g, err)
 			}
@@ -536,11 +578,12 @@ func (h *harness) query(o op) error {
 var pipelineStages = []obs.Stage{obs.StageExpand, obs.StageSteiner, obs.StageTranslate,
 	obs.StagePlan, obs.StageExecute, obs.StageMaterialize}
 
-// checkTrace checks one traced query's trace: a cache lookup, all or none
-// of the pipeline stages, and 0 < stage sum <= wall time.
+// checkTrace checks one traced query's trace: a cache lookup on a cached
+// engine, all or none of the pipeline stages, and 0 < stage sum <= wall
+// time.
 func (h *harness) checkTrace(tr *obs.Trace) error {
 	totals := tr.StageTotals()
-	if _, ok := totals[obs.StageCacheLookup]; !ok {
+	if _, ok := totals[obs.StageCacheLookup]; !ok && h.mech.cached {
 		return fmt.Errorf("trace has no %s span: %v", obs.StageCacheLookup, totals)
 	}
 	n := 0
@@ -737,25 +780,15 @@ var engineOpsRegressions = []struct {
 }
 
 // TestEngineMatchesReference runs referenceRuns and the regression table
-// through the oracle.
+// through the oracle with every mechanism on.
 func TestEngineMatchesReference(t *testing.T) {
 	for _, run := range referenceRuns {
 		c := run.corpus()
 		for _, w := range run.widths {
 			t.Run(fmt.Sprintf("%s/width%d", c.name, w), func(t *testing.T) {
-				var ran [numOpKinds]int
-				pipelines := 0
-				for _, seed := range run.seeds {
-					ops := randomOps(seed, run.ops)
-					r, p, err := runOps(t, c, w, ops)
-					if err != nil {
-						reportFailure(t, c, w, ops, err)
-						return
-					}
-					for k := range ran {
-						ran[k] += r[k]
-					}
-					pipelines += p
+				ran, pipelines := checkMechanism(t, c, w, allMechanisms, run.seeds, run.ops, opWeights)
+				if t.Failed() {
+					return
 				}
 				for k, n := range ran {
 					if run.coverage && n < 5 {
@@ -771,19 +804,109 @@ func TestEngineMatchesReference(t *testing.T) {
 	}
 	for _, r := range engineOpsRegressions {
 		t.Run("regression/"+r.name, func(t *testing.T) {
-			if _, _, err := runOps(t, r.corpus(), r.width, r.ops); err != nil {
-				reportFailure(t, r.corpus(), r.width, r.ops, err)
+			if _, _, err := runOps(t, r.corpus(), r.width, allMechanisms, r.ops); err != nil {
+				reportFailure(t, r.corpus(), r.width, allMechanisms, r.ops, err)
+			}
+		})
+	}
+}
+
+// checkMechanism drives the op lists of seeds, n ops each dealt by
+// weights, through the oracle over c with the live engine at width and
+// mech on. It stops at the first failing list, which it shrinks and
+// reports, and returns how often each op kind ran and how many traced
+// queries ran the pipeline.
+func checkMechanism(t *testing.T, c corpus, width int, mech mechanisms, seeds []int64, n int, weights [numOpKinds]int) (ran [numOpKinds]int, pipelines int) {
+	t.Helper()
+	for _, seed := range seeds {
+		ops := randomOps(seed, n, weights)
+		r, p, err := runOps(t, c, width, mech, ops)
+		if err != nil {
+			reportFailure(t, c, width, mech, ops, err)
+			return ran, pipelines
+		}
+		for k := range ran {
+			ran[k] += r[k]
+		}
+		pipelines += p
+	}
+	return ran, pipelines
+}
+
+// The tests below run the oracle with one mechanism on at a time, so a
+// divergence of TestEngineMatchesReference shows up under the mechanism
+// that causes it. Each also failed its mutant of engineOpsRegressions.
+
+// TestCachedVsUncachedMetamorphic: a cached one-wide engine, its queries
+// read by four goroutines at once (the cache's singleflight), answers as
+// the uncached reference after every op.
+func TestCachedVsUncachedMetamorphic(t *testing.T) {
+	checkMechanism(t, fixtureCorpus(), 1, mechanisms{cached: true, readers: readers},
+		referenceSeeds, 2*deckSize, opWeights)
+}
+
+// TestTracingMetamorphic: a traced query answers as an untraced one, and
+// its trace holds all or none of the pipeline stages and 0 < stage sum <=
+// wall time.
+func TestTracingMetamorphic(t *testing.T) {
+	_, pipelines := checkMechanism(t, fixtureCorpus(), 1, mechanisms{traced: true, readers: 1},
+		referenceSeeds, 2*deckSize, opWeights)
+	if pipelines == 0 && !t.Failed() {
+		t.Error("no traced query ran the pipeline")
+	}
+}
+
+// TestRestartEquivalence: a durable engine checkpoints, crashes and
+// reopens, and after every write a byte copy of its data dir reopens to
+// its state, with the views the crash contract leaves.
+func TestRestartEquivalence(t *testing.T) {
+	ran, _ := checkMechanism(t, fixtureCorpus(), 1, mechanisms{durable: true, readers: 1},
+		referenceSeeds, 2*deckSize, opWeights)
+	for _, k := range []opKind{opCheckpoint, opCrash, opReopen} {
+		if ran[k] == 0 && !t.Failed() {
+			t.Errorf("%v never ran", k)
+		}
+	}
+}
+
+// widths are the live engine widths the width tests compare with the
+// one-wide reference.
+var widths = []int{2, 8}
+
+// TestParallelQueryEquivalence: on each corpus, 2- and 8-wide engines read
+// by four goroutines at once answer every query as the one-wide reference.
+func TestParallelQueryEquivalence(t *testing.T) {
+	for _, newCorpus := range []func() corpus{fixtureCorpus, gbcoCorpus, interproCorpus, syntheticCorpus} {
+		c := newCorpus()
+		t.Run(c.name, func(t *testing.T) {
+			for _, w := range widths {
+				checkMechanism(t, c, w, mechanisms{readers: readers}, referenceSeeds[:1], deckSize, queryWeights)
+			}
+		})
+	}
+}
+
+// TestParallelRefreshEquivalence: on each corpus, 2- and 8-wide engines
+// report every registration and refresh every view after every write as
+// the one-wide reference does.
+func TestParallelRefreshEquivalence(t *testing.T) {
+	for _, newCorpus := range []func() corpus{fixtureCorpus, gbcoCorpus, interproCorpus, syntheticCorpus} {
+		c := newCorpus()
+		t.Run(c.name, func(t *testing.T) {
+			for _, w := range widths {
+				checkMechanism(t, c, w, mechanisms{readers: 1}, referenceSeeds, deckSize, opWeights)
 			}
 		})
 	}
 }
 
 // reportFailure shrinks a failing op list — dropping one op at a time
-// while the run still fails — and prints it as a Go literal.
-func reportFailure(t *testing.T, c corpus, width int, ops []op, err error) {
+// while the run still fails — and prints it as a Go literal. The regression
+// table runs every mechanism, so a list shrunk under fewer still fails there.
+func reportFailure(t *testing.T, c corpus, width int, mech mechanisms, ops []op, err error) {
 	t.Helper()
 	fails := func(ops []op) bool {
-		_, _, err := runOps(t, c, width, ops)
+		_, _, err := runOps(t, c, width, mech, ops)
 		return err != nil
 	}
 	shrunk := slices.Clone(ops)
@@ -797,23 +920,23 @@ func reportFailure(t *testing.T, c corpus, width int, ops []op, err error) {
 			}
 		}
 	}
-	_, _, serr := runOps(t, c, width, shrunk)
-	t.Errorf("%s at width %d: %v\nshrunk to %d ops, which fail with: %v\nregression case:\n{name: \"\", corpus: %sCorpus, width: %d, ops: %s},",
-		c.name, width, err, len(shrunk), serr, c.name, width, formatOps(shrunk))
+	_, _, serr := runOps(t, c, width, mech, shrunk)
+	t.Errorf("%s at width %d with %+v: %v\nshrunk to %d ops, which fail with: %v\nregression case:\n{name: \"\", corpus: %sCorpus, width: %d, ops: %s},",
+		c.name, width, mech, err, len(shrunk), serr, c.name, width, formatOps(shrunk))
 }
 
 // FuzzEngineOps decodes its input into an op list and drives it over the
-// fixture at width 2.
+// fixture at width 2 with every mechanism on.
 func FuzzEngineOps(f *testing.F) {
 	for _, seed := range referenceSeeds {
-		f.Add(encodeOps(randomOps(seed, maxFuzzOps)))
+		f.Add(encodeOps(randomOps(seed, maxFuzzOps, opWeights)))
 	}
 	for _, r := range engineOpsRegressions {
 		f.Add(encodeOps(r.ops))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ops := decodeOps(data)
-		if _, _, err := runOps(t, fixtureCorpus(), 2, ops); err != nil {
+		if _, _, err := runOps(t, fixtureCorpus(), 2, allMechanisms, ops); err != nil {
 			t.Fatalf("%v\nops: %s", err, formatOps(ops))
 		}
 	})

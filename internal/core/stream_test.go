@@ -13,32 +13,26 @@ import (
 // the top k — must equal the top-k prefix of its branch queries executed one
 // by one and unioned in full, with the same columns and α.
 
-// TestTopKUnionIsFullUnionPrefix checks every query of the GBCO and
-// synthetic corpora at k = 2 and k = 5 against the full materialisation
-// early termination replaced, built here: every branch executed alone
-// through relstore.Execute (no bound) and disjoint-unioned. The view must
-// hold exactly that union's top-k prefix under its columns, with the α the
-// full union gives, so only the tail beyond k goes uncomputed. Each branch
-// of the planned batch must deep-equal the branch executed standalone, and
-// on an uncached engine (each query materialises once) PlanStats counts
-// exactly the branches executed. Against vacuity: every query has trees,
-// some view has rows, some full union is longer than k, and across the
-// corpus some branch was actually skipped. Planned ≡ naive spec order is
-// the relstore oracle gate (executeOracle, FuzzPlanEquivalence).
-func TestTopKUnionIsFullUnionPrefix(t *testing.T) {
-	for _, c := range []corpus{gbcoCorpus(), syntheticCorpus()} {
+// streamCorpora are the corpora the executor tests query.
+func streamCorpora() []corpus { return []corpus{gbcoCorpus(), syntheticCorpus()} }
+
+// TestTopKPruneEquivalence checks every query of the GBCO and synthetic
+// corpora at k = 2 and k = 5 against the full materialisation early
+// termination replaced, built here: every branch executed alone through
+// relstore.Execute (no bound) and disjoint-unioned. The view must hold
+// exactly that union's top-k prefix under its columns, with the α the full
+// union gives, so only the tail beyond k goes uncomputed. Against vacuity:
+// every query has trees, some view has rows, some full union is longer
+// than k, and across the corpus some branch was actually skipped.
+func TestTopKPruneEquivalence(t *testing.T) {
+	for _, c := range streamCorpora() {
 		t.Run(c.name, func(t *testing.T) {
 			q := c.build(t, newUncached, 0)
-			var branches int64
 			anyRows, truncated := false, false
 			for _, kw := range c.queries {
 				for _, k := range []int{2, defaultK} {
-					m, rows, trunc := checkTopKPrefix(t, q, kw, k)
+					rows, trunc := checkTopKPrefix(t, q, kw, k)
 					anyRows, truncated = anyRows || rows, truncated || trunc
-					branches += int64(len(m.Queries))
-					if k == defaultK {
-						checkBatchedBranches(t, q, kw, m)
-					}
 				}
 			}
 			if !anyRows || !truncated {
@@ -46,6 +40,52 @@ func TestTopKUnionIsFullUnionPrefix(t *testing.T) {
 			}
 			if skipped := q.metrics.topkBranchesSkipped.Load(); skipped == 0 {
 				t.Error("no branch was skipped over the corpus; the prune is untested")
+			}
+		})
+	}
+}
+
+// TestMaterialisedExecEquivalence is the same check on the engine as it
+// serves, query caches on, at the default k: each view's result is the
+// full union's top-k prefix.
+func TestMaterialisedExecEquivalence(t *testing.T) {
+	for _, c := range streamCorpora() {
+		t.Run(c.name, func(t *testing.T) {
+			q := c.build(t, New, 0)
+			anyRows := false
+			for _, kw := range c.queries {
+				rows, _ := checkTopKPrefix(t, q, kw, defaultK)
+				anyRows = anyRows || rows
+			}
+			if !anyRows {
+				t.Error("no query produced rows; equivalence is vacuous")
+			}
+		})
+	}
+}
+
+// TestPlannerOffEquivalence pins the structural planner at the pipeline
+// level: each branch of every view's planned batch deep-equals the branch
+// executed standalone, and on an uncached engine (each query materialises
+// once) PlanStats counts exactly the branches executed. Planned ≡ naive
+// spec order is the relstore oracle gate (executeOracle,
+// FuzzPlanEquivalence).
+func TestPlannerOffEquivalence(t *testing.T) {
+	for _, c := range streamCorpora() {
+		t.Run(c.name, func(t *testing.T) {
+			q := c.build(t, newUncached, 0)
+			var branches int64
+			for _, kw := range c.queries {
+				v, err := queryStr(q, kw)
+				if err != nil {
+					t.Fatalf("query %q: %v", kw, err)
+				}
+				m := v.Current()
+				if len(m.Queries) == 0 {
+					t.Errorf("query %q produced no branch queries; equivalence is vacuous", kw)
+				}
+				branches += int64(len(m.Queries))
+				checkBatchedBranches(t, q, kw, m)
 			}
 			if st := q.PlanStats(); st.BranchesPlanned != branches || branches == 0 {
 				t.Errorf("instance planned %d branches, views executed %d", st.BranchesPlanned, branches)
@@ -55,16 +95,15 @@ func TestTopKUnionIsFullUnionPrefix(t *testing.T) {
 }
 
 // checkTopKPrefix materialises one query at k and checks it against the full
-// union (see TestTopKUnionIsFullUnionPrefix). It returns the
-// materialisation, and reports whether the view has rows and whether the
-// full union has more than k.
-func checkTopKPrefix(t *testing.T, q *Q, kw string, k int) (m Materialization, hasRows, truncated bool) {
+// union (see TestTopKPruneEquivalence). It reports whether the view has
+// rows and whether the full union has more than k.
+func checkTopKPrefix(t *testing.T, q *Q, kw string, k int) (hasRows, truncated bool) {
 	t.Helper()
 	v, err := q.Query(Request{Keywords: ParseKeywords(kw), K: k})
 	if err != nil {
 		t.Fatalf("query %q k=%d: %v", kw, k, err)
 	}
-	m = v.Current()
+	m := v.Current()
 	if len(m.Trees) == 0 {
 		t.Errorf("query %q produced no trees; equivalence is vacuous", kw)
 	}
@@ -88,7 +127,7 @@ func checkTopKPrefix(t *testing.T, q *Q, kw string, k int) (m Materialization, h
 	if a := fullAlpha(full, m, k); m.Alpha != a {
 		t.Errorf("query %q k=%d: α = %v, the full union gives %v", kw, k, m.Alpha, a)
 	}
-	return m, len(want) > 0, len(full.Rows) > k
+	return len(want) > 0, len(full.Rows) > k
 }
 
 // checkBatchedBranches plans m's branch queries as one batch and checks

@@ -20,7 +20,7 @@ type ResultSet struct {
 // materialise-everything reference executor kept as the test
 // oracle executeOracle (oracle_test.go; stream_test.go, planner_test.go and
 // FuzzExecuteEquivalence pin it). Only tests call it, to run one branch
-// alone: core's TestTopKUnionIsFullUnionPrefix and TestViewHoldsOnlyTopK,
+// alone: core's TestTopKPruneEquivalence and TestViewHoldsOnlyTopK,
 // server's TestFeedbackBeyondTopK and this package's oracles.
 func Execute(c *Catalog, q *ConjunctiveQuery) (*ResultSet, error) {
 	st, err := BuildStream(c, q)

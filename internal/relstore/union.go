@@ -35,7 +35,7 @@ type UnionResult struct {
 // attributes before calling, per §2.2). Rows are ranked by ascending cost,
 // ties broken by branch order then row order, so output is deterministic.
 // Only tests call it, as the full union top-k execution must be a prefix
-// of: core's TestTopKUnionIsFullUnionPrefix and this package's oracles.
+// of: core's TestTopKPruneEquivalence and this package's oracles.
 func DisjointUnion(branches []Branch) *UnionResult {
 	out := &UnionResult{}
 	colIdx := make(map[string]int)

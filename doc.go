@@ -53,7 +53,10 @@
 // Trees/Queries/Result/Alpha read the latest generation lock-free, and
 // View.Current returns all of them as one coherent snapshot. The refresh
 // that ends every write rebuilds each view against the new generation with
-// a fresh overlay. Overlay node/edge ids extend the base
+// a fresh overlay; its Steiner search starts with the view's previous
+// answer, re-priced in the new generation (searchgraph.Overlay.Reprice), as
+// its limit, which prunes the search and never changes its answer.
+// Overlay node/edge ids extend the base
 // id spaces, so a view's provenance (explain, feedback) resolves against
 // the overlay retained by its materialisation; the overlay dies with it.
 //

@@ -108,17 +108,18 @@ func matCacheKey(keywords []string, k int) string {
 // its singleflight group: a hit returns the shared immutable viewMat, a
 // miss computes once per in-flight key and caches the result in st's own
 // caches. A state without caches (an unpublished interim state, or a
-// generation of the tests' uncached engines) reads straight through.
+// generation of the tests' uncached engines) reads straight through. prev
+// is materializeAt's: it never changes the answer, so the key ignores it.
 //
 // A trace records the lookup as cache_lookup; a caller that coalesces onto
 // another flight's compute records its blocked time as coalesced_wait
 // (the pipeline spans land in the LEADER's trace — this caller did not run
 // the pipeline), while the leader's own trace carries the stage spans the
 // compute recorded into it.
-func (q *Q) materializeCached(st *qstate, keywords []string, k int, tr *obs.Trace) (*viewMat, error) {
+func (q *Q) materializeCached(st *qstate, keywords []string, k int, prev *viewMat, tr *obs.Trace) (*viewMat, error) {
 	qc := st.qc
 	if qc == nil {
-		return q.materializeAt(st, keywords, k, tr)
+		return q.materializeAt(st, keywords, k, prev, tr)
 	}
 	key := qcache.Key{Epoch: st.epoch, K: matCacheKey(keywords, k)}
 	tlook := tr.Now()
@@ -137,7 +138,7 @@ func (q *Q) materializeCached(st *qstate, keywords []string, k int, tr *obs.Trac
 		if h := q.matComputeHook; h != nil {
 			h()
 		}
-		m, err := q.materializeAt(st, keywords, k, tr)
+		m, err := q.materializeAt(st, keywords, k, prev, tr)
 		if err != nil {
 			return nil, err
 		}

@@ -325,7 +325,7 @@ func (q *Q) restore(snap *storage.Container, records []storage.Record, t0 time.T
 	}
 	if err := runIndexed(len(restored), q.width, func(i int) error {
 		v := restored[i]
-		mat, err := q.materializeCached(st, v.Keywords, v.K, nil)
+		mat, err := q.materializeCached(st, v.Keywords, v.K, nil, nil)
 		if err != nil {
 			return fmt.Errorf("core: restore view %v: %w", v.Keywords, err)
 		}

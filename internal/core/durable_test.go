@@ -128,7 +128,9 @@ func TestDurableCleanShutdown(t *testing.T) {
 // TestDurableCrashInjection truncates the store's WAL at EVERY byte length
 // between a committed prefix and the full log, reopening each time: Open
 // must never fail, and must recover a prefix of the mutation history — the
-// tables either absent or fully present, never torn.
+// tables either absent or fully present, never torn. The store's files are
+// read once; each length copies them into its own directory and runs as a
+// parallel subtest, so that the reopens' fsyncs overlap.
 func TestDurableCrashInjection(t *testing.T) {
 	opts := durableOpts(t)
 	q := openDurable(t, opts, manualCheckpoints)
@@ -143,50 +145,60 @@ func TestDurableCrashInjection(t *testing.T) {
 	if err := q.persist.store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	logBytes, err := os.ReadFile(walPath)
+	entries, err := os.ReadDir(opts.DataDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	for n := 0; n <= len(logBytes); n++ {
-		dir := t.TempDir()
-		// Clone the store directory with the WAL cut at n bytes.
-		entries, err := os.ReadDir(opts.DataDir)
-		if err != nil {
+	files := make(map[string][]byte, len(entries))
+	var walName string
+	for _, e := range entries {
+		path := filepath.Join(opts.DataDir, e.Name())
+		if files[e.Name()], err = os.ReadFile(path); err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range entries {
-			data, err := os.ReadFile(filepath.Join(opts.DataDir, e.Name()))
+		if path == walPath {
+			walName = e.Name()
+		}
+	}
+	logBytes := files[walName]
+	if walName == "" || len(logBytes) == 0 {
+		t.Fatalf("no WAL at %s among the store's files", walPath)
+	}
+
+	for n := 0; n <= len(logBytes); n++ {
+		t.Run(fmt.Sprintf("wal%d", n), func(t *testing.T) {
+			t.Parallel()
+			// Clone the store directory with the WAL cut at n bytes.
+			dir := t.TempDir()
+			for name, data := range files {
+				if name == walName {
+					data = data[:n]
+				}
+				if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			o := opts
+			o.DataDir = dir
+			qc, err := Open(o)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("truncated at %d/%d bytes: Open failed: %v", n, len(logBytes), err)
 			}
-			if filepath.Join(opts.DataDir, e.Name()) == walPath {
-				data = data[:n]
+			got := qc.CurrentCatalog().NumRelations()
+			if got != 0 && got != fullRelations {
+				t.Fatalf("truncated at %d bytes: %d relations — a torn AddTables surfaced (want 0 or %d)",
+					n, got, fullRelations)
 			}
-			if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
-				t.Fatal(err)
+			// Whatever prefix was recovered, the instance stays writable.
+			if got == 0 {
+				if err := qc.AddTables(fixtureTables(t)...); err != nil {
+					t.Fatalf("truncated at %d bytes: recovered store not writable: %v", n, err)
+				}
 			}
-		}
-		o := opts
-		o.DataDir = dir
-		qc, err := Open(o)
-		if err != nil {
-			t.Fatalf("truncated at %d/%d bytes: Open failed: %v", n, len(logBytes), err)
-		}
-		got := qc.CurrentCatalog().NumRelations()
-		if got != 0 && got != fullRelations {
-			t.Fatalf("truncated at %d bytes: %d relations — a torn AddTables surfaced (want 0 or %d)",
-				n, got, fullRelations)
-		}
-		// Whatever prefix was recovered, the instance stays writable.
-		if got == 0 {
-			if err := qc.AddTables(fixtureTables(t)...); err != nil {
-				t.Fatalf("truncated at %d bytes: recovered store not writable: %v", n, err)
+			if err := qc.Close(); err != nil {
+				t.Fatalf("truncated at %d bytes: close: %v", n, err)
 			}
-		}
-		if err := qc.Close(); err != nil {
-			t.Fatalf("truncated at %d bytes: close: %v", n, err)
-		}
+		})
 	}
 }
 

@@ -206,7 +206,7 @@ func (q *Q) kBestOf(mat *viewMat, k int) []steiner.Tree {
 	if k <= 0 {
 		return nil
 	}
-	trees := q.topKTrees(mat.ov, mat.terminals, k+kBestTieSlack)
+	trees := q.topKTrees(mat.ov, mat.terminals, k+kBestTieSlack, nil)
 	if len(trees) <= k {
 		return trees
 	}

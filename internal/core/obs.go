@@ -32,6 +32,8 @@ type engineMetrics struct {
 	steinerPruned      *obs.Counter // qint_steiner_pruned_total
 	steinerBoundPruned *obs.Counter // qint_steiner_bound_pruned_total
 	steinerTruncated   *obs.Counter // qint_steiner_truncated_total
+	steinerLimited     *obs.Counter // qint_steiner_limited_total
+	steinerReruns      *obs.Counter // qint_steiner_limit_reruns_total
 
 	// Registration-time alignment work (the Stats view).
 	baseMatcherCalls            *obs.Counter
@@ -136,8 +138,10 @@ func newEngineMetrics() *engineMetrics {
 
 		steinerPops:        r.Counter("qint_steiner_pops_total", "Candidate trees taken off the exact top-k Steiner search's queue."),
 		steinerPruned:      r.Counter("qint_steiner_pruned_total", "Candidate trees the exact search dropped instead of queueing because their state already held k trees."),
-		steinerBoundPruned: r.Counter("qint_steiner_bound_pruned_total", "Candidate trees the exact search dropped, at push or at pop, because their cost plus a lower bound on completing them exceeded the k-th cheapest complete tree queued."),
+		steinerBoundPruned: r.Counter("qint_steiner_bound_pruned_total", "Candidate trees the exact search dropped, at push or at pop, because their cost plus a lower bound on completing them exceeded the search's limit: the k-th cheapest complete tree queued, or the cost a view refresh carried from its previous answer."),
 		steinerTruncated:   r.Counter("qint_steiner_truncated_total", "Exact searches stopped at the pop limit, whose answer may be short."),
+		steinerLimited:     r.Counter("qint_steiner_limited_total", "Exact searches given a finite limit from the start: view refreshes whose previous k trees all re-priced in the new generation."),
+		steinerReruns:      r.Counter("qint_steiner_limit_reruns_total", "Exact searches under a finite limit that came back with fewer than k trees and ran again without one."),
 
 		baseMatcherCalls:            r.Counter("qint_align_base_matcher_calls_total", "Relation-pair matcher invocations during source registration (BASEMATCHER calls of Algorithms 2-3)."),
 		attrComparisons:             r.Counter("qint_align_attr_comparisons_total", "Pairwise attribute comparisons performed, honouring the value-overlap filter when enabled."),

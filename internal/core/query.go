@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -227,7 +228,7 @@ func (q *Q) Query(r Request) (*View, error) {
 	}
 	m := q.metrics
 	m.queries.Inc()
-	mat, err := q.materializeCached(q.state(), r.Keywords, k, r.Trace)
+	mat, err := q.materializeCached(q.state(), r.Keywords, k, nil, r.Trace)
 	q.observeTrace(r.Trace)
 	if err != nil {
 		m.queryErrors.Inc()
@@ -326,12 +327,14 @@ func (q *Q) expandKeyword(st *qstate, ov *searchgraph.Overlay, kw string) steine
 // The returned viewMat is immutable (its overlay is never mutated after
 // this function returns), so the materialisation cache can hand one result
 // to any number of views and concurrent readers; callers go through
-// materializeCached.
+// materializeCached. prev, when a refresh passes the view's current
+// materialisation, only gives the search a limit (topKTrees): the answer is
+// the same without it, and the result keeps no pointer to it.
 //
 // tr, when non-nil, receives one span per pipeline stage (expand, steiner,
 // translate, plan, execute, materialize); a nil trace costs one nil check
 // per stage and no clock reads.
-func (q *Q) materializeAt(st *qstate, keywords []string, k int, tr *obs.Trace) (*viewMat, error) {
+func (q *Q) materializeAt(st *qstate, keywords []string, k int, prev *viewMat, tr *obs.Trace) (*viewMat, error) {
 	ov := st.graph.NewOverlay()
 	texp := tr.Now()
 	terminals := make([]steiner.NodeID, 0, len(keywords))
@@ -339,7 +342,7 @@ func (q *Q) materializeAt(st *qstate, keywords []string, k int, tr *obs.Trace) (
 		terminals = append(terminals, q.expandKeyword(st, ov, kw))
 	}
 	tr.Record(obs.StageExpand, texp)
-	trees, queries, queryTree, err := q.planOverlay(st, ov, terminals, k, tr)
+	trees, queries, queryTree, err := q.planOverlay(st, ov, terminals, k, prev, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -422,9 +425,9 @@ func (q *Q) executeBranches(st *qstate, queries []*relstore.ConjunctiveQuery, k 
 // tree→query translation with signature deduplication, and the §2.2
 // output-schema alignment. The produced query list is a function of the
 // trees alone; queryTree[i] is the index of the tree queries[i] came from.
-func (q *Q) planOverlay(st *qstate, ov *searchgraph.Overlay, terminals []steiner.NodeID, k int, tr *obs.Trace) (trees []steiner.Tree, queries []*relstore.ConjunctiveQuery, queryTree []int, err error) {
+func (q *Q) planOverlay(st *qstate, ov *searchgraph.Overlay, terminals []steiner.NodeID, k int, prev *viewMat, tr *obs.Trace) (trees []steiner.Tree, queries []*relstore.ConjunctiveQuery, queryTree []int, err error) {
 	tsteiner := tr.Now()
-	trees = q.topKTrees(ov, terminals, k)
+	trees = q.topKTrees(ov, terminals, k, prev)
 	tr.Record(obs.StageSteiner, tsteiner)
 
 	// Translate the trees in cost order. A tree takes a few microseconds,
@@ -456,20 +459,51 @@ func (q *Q) planOverlay(st *qstate, ov *searchgraph.Overlay, terminals []steiner
 // planning and the deeper feedback pages alike). One distinct terminal — a
 // keyword, perhaps repeated, since the overlay gives a repeated keyword the
 // same node — is answered by its matches (singleKeywordTrees); more go to
-// the exact search, whose work goes to the registry.
-func (q *Q) topKTrees(ov *searchgraph.Overlay, terminals []steiner.NodeID, k int) []steiner.Tree {
+// the exact search, whose work goes to the registry. prev, the view's
+// previous materialisation on a refresh and nil otherwise, gives the search
+// its limit (carriedLimit).
+func (q *Q) topKTrees(ov *searchgraph.Overlay, terminals []steiner.NodeID, k int, prev *viewMat) []steiner.Tree {
 	m := q.metrics
 	if !slices.ContainsFunc(terminals, func(t steiner.NodeID) bool { return t != terminals[0] }) {
 		return singleKeywordTrees(ov, terminals[0], k)
 	}
-	trees, st := steiner.TopKSteinerStats(ov.View(), terminals, k)
+	limit := carriedLimit(ov, prev, k)
+	trees, st := steiner.TopKSteinerStats(ov.View(), terminals, k, limit)
 	m.steinerPops.Add(int64(st.Pops))
 	m.steinerPruned.Add(int64(st.Pruned))
 	m.steinerBoundPruned.Add(int64(st.BoundPruned))
 	if st.Truncated {
 		m.steinerTruncated.Inc()
 	}
+	if !math.IsInf(limit, 1) {
+		m.steinerLimited.Inc()
+	}
+	if st.Reran {
+		m.steinerReruns.Inc()
+	}
 	return trees
+}
+
+// carriedLimit is the limit a refresh's search starts with: the largest
+// cost of the previous materialisation's trees re-priced in ov. Those trees
+// are trees of ov's generation too, so when there are k of them, k distinct
+// trees fit under it, and the search prunes from its first pop instead of
+// from when it has queued k complete trees. It is +Inf, no limit, when prev
+// is nil, holds fewer than k trees, or has a tree that no longer maps (a
+// keyword that stopped matching its target).
+func carriedLimit(ov *searchgraph.Overlay, prev *viewMat, k int) float64 {
+	if prev == nil || len(prev.trees) != k {
+		return math.Inf(1)
+	}
+	limit := 0.0
+	for _, t := range prev.trees {
+		c, ok := ov.Reprice(prev.ov, t.Edges)
+		if !ok {
+			return math.Inf(1)
+		}
+		limit = max(limit, c)
+	}
+	return limit
 }
 
 // singleKeywordTrees answers a one-keyword query. The lone terminal is its
@@ -500,6 +534,12 @@ func singleKeywordTrees(ov *searchgraph.Overlay, kw steiner.NodeID, k int) []ste
 // leaves every view byte-identical to a serial refresh. A view whose
 // refresh fails keeps its previous materialisation; the lowest-index error
 // is returned and every failure is counted.
+//
+// Each view's search starts with its previous answer's re-priced cost as
+// its limit (carriedLimit), which changes its work, never its answer. The
+// tests' uncached engines, the reference oracle's cold engines, reuse
+// nothing from earlier generations and refresh with no limit, so the oracle
+// compares limited refreshes against unlimited ones.
 func (q *Q) refreshLocked(st *qstate) error {
 	views := q.Views()
 	// Each view rematerialises through the cache: views sharing a keyword
@@ -507,7 +547,11 @@ func (q *Q) refreshLocked(st *qstate) error {
 	// fan-out coalesces on the in-flight compute), and a query racing the
 	// refresh at the same epoch reuses it too.
 	return runIndexed(len(views), q.width, func(i int) error {
-		mat, err := q.materializeCached(st, views[i].Keywords, views[i].K, nil)
+		var prev *viewMat
+		if !q.uncached {
+			prev = views[i].mat.Load()
+		}
+		mat, err := q.materializeCached(st, views[i].Keywords, views[i].K, prev, nil)
 		if err != nil {
 			q.metrics.refreshErrors.Inc()
 			return err

@@ -176,7 +176,7 @@ func (r registry) String() string {
 func setRegistry(q *Q, r registry) error {
 	views := make([]*View, len(r.views))
 	for i, vs := range r.views {
-		mat, err := q.materializeCached(q.state(), vs.Keywords, vs.K, nil)
+		mat, err := q.materializeCached(q.state(), vs.Keywords, vs.K, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -204,7 +204,7 @@ func crash(q *Q) error {
 
 // mechanisms are what the live engine does that the reference does not.
 type mechanisms struct {
-	cached bool // query caches on (New, not newUncached)
+	cached bool // query caches and carried refresh limits on (New, not newUncached)
 	// durable: the live engine is opened on a data dir, the checkpoint,
 	// crash and reopen ops run (without it they are skipped), and a byte
 	// copy of the dir is reopened after every op that can change it.
@@ -777,6 +777,9 @@ var engineOpsRegressions = []struct {
 	{name: "refresh-order", corpus: fixtureCorpus, width: 2, ops: []op{{opQuery, 65, 39}, {opQuery, 191, 6}, {opRegister, 87, 118}}},
 	// Replay drops a record's weight delta.
 	{name: "replay-weight-delta", corpus: fixtureCorpus, width: 2, ops: []op{{opQuery, 191, 6}, {opFavorTree, 195, 249}}},
+	// A refresh searches under 0.95× its view's carried limit and keeps a
+	// short answer instead of searching again.
+	{name: "carried-limit", corpus: fixtureCorpus, width: 2, ops: []op{{opQuery, 65, 39}, {opPreferTrees, 91, 165}}},
 }
 
 // TestEngineMatchesReference runs referenceRuns and the regression table
@@ -839,7 +842,9 @@ func checkMechanism(t *testing.T, c corpus, width int, mech mechanisms, seeds []
 
 // TestCachedVsUncachedMetamorphic: a cached one-wide engine, its queries
 // read by four goroutines at once (the cache's singleflight), answers as
-// the uncached reference after every op.
+// the uncached reference after every op. A cached engine also refreshes
+// each view under the limit its previous answer carries, and the uncached
+// one with no limit, so the limit is judged here too.
 func TestCachedVsUncachedMetamorphic(t *testing.T) {
 	checkMechanism(t, fixtureCorpus(), 1, mechanisms{cached: true, readers: readers},
 		referenceSeeds, 2*deckSize, opWeights)

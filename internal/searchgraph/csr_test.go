@@ -1,6 +1,7 @@
 package searchgraph
 
 import (
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -48,7 +49,7 @@ type searches struct {
 
 func searchAll(v steiner.GraphView, terms []steiner.NodeID) searches {
 	s := searches{Near: steiner.NeighborhoodIntersectOn(v, terms, 2)}
-	s.Trees, s.Stats = steiner.TopKSteinerStats(v, terms, 5)
+	s.Trees, s.Stats = steiner.TopKSteinerStats(v, terms, 5, math.Inf(1))
 	for _, t := range terms {
 		s.Dist = append(s.Dist, steiner.DijkstraOn(v, t))
 	}

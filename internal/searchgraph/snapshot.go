@@ -67,7 +67,7 @@ func (s *Snapshot) NewOverlay() *Overlay {
 		snap:    s,
 		so:      s.View().NewOverlay(),
 		kwNode:  make(map[string]steiner.NodeID),
-		valNode: make(map[valueKey]steiner.NodeID),
+		valNode: make(map[valueKey]valueNode),
 		kwSeen:  make(map[[2]steiner.NodeID]steiner.EdgeID),
 	}
 }
@@ -85,7 +85,7 @@ type Overlay struct {
 	nodes   []Node // overlay nodes; id = snap.NumNodes()+i
 	edges   []Edge // overlay edges; id = snap.NumEdges()+i
 	kwNode  map[string]steiner.NodeID
-	valNode map[valueKey]steiner.NodeID
+	valNode map[valueKey]valueNode
 	// kwSeen dedups (keyword, target) pairs: a keyword repeated in one query
 	// must not produce parallel match edges (they would bloat the k-best
 	// list with edge-set-distinct but equivalent trees).
@@ -95,6 +95,12 @@ type Overlay struct {
 type valueKey struct {
 	ref   relstore.AttrRef
 	value string
+}
+
+// valueNode is a value node and its value→attribute edge.
+type valueNode struct {
+	node steiner.NodeID
+	edge steiner.EdgeID
 }
 
 // Snapshot returns the snapshot the overlay extends.
@@ -159,8 +165,8 @@ func (o *Overlay) KeywordNode(keyword string) steiner.NodeID {
 // snapshot (a catalog/graph mismatch the caller should skip).
 func (o *Overlay) ValueNode(ref relstore.AttrRef, value string) steiner.NodeID {
 	k := valueKey{ref: ref, value: value}
-	if id, ok := o.valNode[k]; ok {
-		return id
+	if v, ok := o.valNode[k]; ok {
+		return v.node
 	}
 	attr := o.snap.LookupAttribute(ref)
 	if attr < 0 {
@@ -168,9 +174,9 @@ func (o *Overlay) ValueNode(ref relstore.AttrRef, value string) steiner.NodeID {
 	}
 	id := o.so.AddNode()
 	o.nodes = append(o.nodes, Node{ID: id, Kind: KindValue, Ref: ref, Value: value})
-	o.valNode[k] = id
 	eid := o.so.AddEdge(id, attr, 0)
 	o.edges = append(o.edges, Edge{ID: eid, Kind: EdgeValueAttr, Fixed: true})
+	o.valNode[k] = valueNode{id, eid}
 	return id
 }
 
@@ -215,4 +221,68 @@ func (o *Overlay) AddKeywordEdge(kw, target steiner.NodeID, sim float64) steiner
 	o.edges = append(o.edges, Edge{ID: eid, Kind: EdgeKeyword, Features: f})
 	o.kwSeen[[2]steiner.NodeID{kw, target}] = eid
 	return eid
+}
+
+// Reprice maps a tree of prev — an overlay of an earlier generation, one
+// this overlay's snapshot descends from — into this overlay, and returns
+// the tree's cost here: its mapped edges' costs summed in the order given.
+// It reports false when some edge has no counterpart here. A base edge maps
+// by id (base ids only grow) once its endpoints are checked to match; a
+// keyword edge maps by (keyword, target) and a value→attribute edge by
+// (attribute, value), the keys this overlay's expansion dedups on. It only
+// reads both overlays.
+func (o *Overlay) Reprice(prev *Overlay, edges []steiner.EdgeID) (float64, bool) {
+	cost := 0.0
+	for _, id := range edges {
+		to, ok := o.mapEdge(prev, id)
+		if !ok {
+			return 0, false
+		}
+		cost += o.Cost(to)
+	}
+	return cost, true
+}
+
+// mapEdge returns the edge of o that edge id of prev maps to (see Reprice).
+func (o *Overlay) mapEdge(prev *Overlay, id steiner.EdgeID) (steiner.EdgeID, bool) {
+	pe := prev.so.Edge(id)
+	if int(id) < prev.snap.NumEdges() {
+		if int(id) >= o.snap.NumEdges() {
+			return 0, false
+		}
+		e := o.so.Edge(id)
+		return id, e.U == pe.U && e.V == pe.V
+	}
+	switch prev.Edge(id).Kind {
+	case EdgeKeyword: // AddKeywordEdge's (keyword, target)
+		kw, ok := o.kwNode[prev.Node(pe.U).Value]
+		if !ok {
+			return 0, false
+		}
+		target, ok := o.mapNode(prev, pe.V)
+		if !ok {
+			return 0, false
+		}
+		to, ok := o.kwSeen[[2]steiner.NodeID{kw, target}]
+		return to, ok
+	case EdgeValueAttr: // ValueNode's (value node, attribute)
+		n := prev.Node(pe.U)
+		v, ok := o.valNode[valueKey{ref: n.Ref, value: n.Value}]
+		return v.edge, ok
+	}
+	return 0, false
+}
+
+// mapNode returns the node of o that a keyword edge's target in prev maps
+// to: a base node keeps its id, a value node maps by (attribute, value).
+func (o *Overlay) mapNode(prev *Overlay, id steiner.NodeID) (steiner.NodeID, bool) {
+	if int(id) < prev.snap.NumNodes() {
+		return id, int(id) < o.snap.NumNodes()
+	}
+	n := prev.Node(id)
+	if n.Kind != KindValue {
+		return 0, false
+	}
+	v, ok := o.valNode[valueKey{ref: n.Ref, value: n.Value}]
+	return v.node, ok
 }

@@ -76,7 +76,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"qint_topk_branches_skipped_total", "qint_exec_branches_total", "qint_exec_rows_total",
 		// Steiner search.
 		"qint_steiner_pops_total", "qint_steiner_pruned_total", "qint_steiner_bound_pruned_total",
-		"qint_steiner_truncated_total",
+		"qint_steiner_truncated_total", "qint_steiner_limited_total", "qint_steiner_limit_reruns_total",
 		// Caches.
 		"qint_cache_hits_total", "qint_cache_misses_total", "qint_cache_evictions_total",
 		"qint_cache_computes_total", "qint_cache_coalesced_total",

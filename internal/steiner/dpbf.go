@@ -53,8 +53,19 @@ type Stats struct {
 	Pushes      int  // candidates put on the queue
 	Recorded    int  // candidates kept in a state's k-best list
 	Pruned      int  // candidates dropped at push because their state already held k trees
-	BoundPruned int  // candidates dropped at push or pop because cost + lower bound exceeds the k-th complete tree queued
+	BoundPruned int  // candidates dropped at push or pop because cost + lower bound exceeds the limit
 	Truncated   bool // the search stopped at maxDPBFPops; the answer may be short
+	Reran       bool // a run under a finite limit came back short, so the search ran again without one
+}
+
+// plus returns the work of two runs together; Truncated and Reran are t's.
+func (st Stats) plus(t Stats) Stats {
+	t.Pops += st.Pops
+	t.Pushes += st.Pushes
+	t.Recorded += st.Recorded
+	t.Pruned += st.Pruned
+	t.BoundPruned += st.BoundPruned
+	return t
 }
 
 // TopKSteinerOn returns up to k lowest-cost Steiner trees connecting all
@@ -74,12 +85,34 @@ type Stats struct {
 // cost is returned, and in which position, depends on neither the queue's
 // layout nor the order the terminals were given in.
 func TopKSteinerOn(g GraphView, terminals []NodeID, k int) []Tree {
-	trees, _ := TopKSteinerStats(g, terminals, k)
+	trees, _ := TopKSteinerStats(g, terminals, k, math.Inf(1))
 	return trees
 }
 
-// TopKSteinerStats is TopKSteinerOn that also reports the work it did.
-func TopKSteinerStats(g GraphView, terminals []NodeID, k int) ([]Tree, Stats) {
+// TopKSteinerStats is TopKSteinerOn that also reports the work it did, and
+// that takes limit, a performance hint: a cost that the caller expects k
+// distinct trees of the view to fit under (a view refresh passes its
+// previous answer re-priced), or math.Inf(1) for none. The answer does not
+// depend on it.
+//
+// The search starts with its limit at limit plus the slack noteComplete
+// adds, fills the distance table as far as that, and from then on only
+// lowers it, exactly as it lowers a limit of its own. A run under any limit
+// returns the prefix of the unlimited answer whose costs fit under it:
+// within a DP state the limit cuts off a suffix of the cost order (pops
+// ascend and cost + lower is the same bound for the whole state), every
+// candidate derived from a pruned one is pruned too (cost + lower never
+// falls along a derivation), so the candidates that survive are recorded,
+// dropped and combined as in the unlimited run, and an answer of the
+// unlimited run under the limit has every step of its derivation under it.
+// So a run that returns k trees has returned the unlimited answer, and one
+// that returns fewer runs again without a limit (Stats.Reran; the Stats
+// then add up both runs).
+//
+// One case is not covered: a search that the unlimited run would stop at
+// maxDPBFPops can complete under a limit, because the limited run makes a
+// subset of its pops; such an answer is the longer one.
+func TopKSteinerStats(g GraphView, terminals []NodeID, k int, limit float64) ([]Tree, Stats) {
 	if k <= 0 {
 		return nil, Stats{}
 	}
@@ -96,8 +129,13 @@ func TopKSteinerStats(g GraphView, terminals []NodeID, k int) ([]Tree, Stats) {
 			len(terms), MaxExactTerminals))
 	}
 	s := acquireSearch()
-	trees := s.run(g, terms, k)
+	trees := s.run(g, terms, k, limit)
 	stats := s.stats
+	if len(trees) < k && !math.IsInf(limit, 1) {
+		trees = s.run(g, terms, k, math.Inf(1))
+		stats = stats.plus(s.stats)
+		stats.Reran = true
+	}
 	releaseSearch(s)
 	return trees, stats
 }
@@ -155,7 +193,7 @@ type search struct {
 	stamp uint32
 
 	best  []complete // the ≤ k cheapest distinct complete trees queued, by ascending cost
-	limit float64    // +Inf until best holds k trees, then the k-th cost plus slack
+	limit float64    // the caller's limit plus slack, lowered to the k-th cost plus slack once best holds k trees
 
 	sibs      []sibling
 	stack     []int32
@@ -263,13 +301,14 @@ func (s *search) sortedEdges(c *cand, buf *[]EdgeID) []EdgeID {
 	return *buf
 }
 
-// reset prepares the scratch for one search: it builds the view's delta
-// and runs terminal 0's Dijkstra only until every other terminal is
-// settled. It reports false when some terminal is unreachable from the
-// first, so that no tree spans them all. The rest of the distance table is filled
-// when the limit is first set (fillDistances): until then lower is never
-// read.
-func (s *search) reset(g GraphView, terms []NodeID, k int) bool {
+// reset prepares the scratch for one search under limit: it builds the
+// view's delta and runs terminal 0's Dijkstra only until every other
+// terminal is settled. It reports false when some terminal is unreachable
+// from the first, so that no tree spans them all. The rest of the distance
+// table is filled as far as the limit once it is finite (fillDistances):
+// here for a finite limit, else when noteComplete first sets one. Until
+// then lower is never read.
+func (s *search) reset(g GraphView, terms []NodeID, k int, limit float64) bool {
 	s.build(g)
 	n := s.n
 	s.k, s.terms = k, terms
@@ -281,7 +320,7 @@ func (s *search) reset(g GraphView, terms []NodeID, k int) bool {
 	s.pq.Reset()
 	s.exts = s.exts[:0]
 	s.best = s.best[:0]
-	s.limit = math.Inf(1)
+	s.limit = slack(limit)
 	s.head = grown(s.head, n)
 	for i := range s.head {
 		s.head[i] = -1
@@ -301,7 +340,13 @@ func (s *search) reset(g GraphView, terms []NodeID, k int) bool {
 		s.mark[t] = 0
 	}
 	s.stamp = 0
-	return unreached == 0
+	if unreached != 0 {
+		return false
+	}
+	if !math.IsInf(s.limit, 1) {
+		s.fillDistances(s.limit)
+	}
+	return true
 }
 
 // fillDistances fills the distance table as far as radius: terminal 0's
@@ -320,8 +365,8 @@ func (s *search) fillDistances(radius float64) {
 	}
 }
 
-func (s *search) run(g GraphView, terms []NodeID, k int) []Tree {
-	if !s.reset(g, terms, k) {
+func (s *search) run(g GraphView, terms []NodeID, k int, limit float64) []Tree {
+	if !s.reset(g, terms, k, limit) {
 		return nil
 	}
 	for i, t := range terms {
@@ -526,17 +571,18 @@ func (s *search) lower(root int32, mask uint32) float64 {
 }
 
 // beyondLimit reports whether every complete tree derived from c costs more
-// than the k-th cheapest distinct complete tree already queued. Those k pop
-// first, so c and everything after it in its state are dead: no answer
-// derives from them and the search stops before they would pop.
+// than the limit: the caller's, or the k-th cheapest distinct complete tree
+// already queued. Those k pop first, so c and everything after it in its
+// state are dead: no answer derives from them and the search stops before
+// they would pop.
 func (s *search) beyondLimit(c *cand) bool {
 	return !math.IsInf(s.limit, 1) && c.cost+s.lower(c.root, c.mask) > s.limit
 }
 
 // noteComplete counts a queued complete tree among the k cheapest distinct
-// ones and, once there are k, sets the limit to the k-th cost with a
-// relative slack that covers the float sums' evaluation order. The first
-// limit fills the distance table as far as it; the limit only falls after.
+// ones and, once there are k, lowers the limit to the k-th cost plus slack
+// if that is below it. The first finite limit fills the distance table as
+// far as it; the limit only falls after.
 func (s *search) noteComplete(c *cand) {
 	i := len(s.best) - 1
 	for ; i >= 0 && (s.best[i].nEdges != c.nEdges || s.best[i].hash != c.hash); i-- {
@@ -560,13 +606,19 @@ func (s *search) noteComplete(c *cand) {
 		s.best[i], s.best[i-1] = s.best[i-1], s.best[i]
 	}
 	if len(s.best) == s.k {
-		unset := math.IsInf(s.limit, 1)
-		s.limit = s.best[s.k-1].cost*(1+1e-9) + 1e-12
-		if unset && !math.IsInf(s.limit, 1) {
-			s.fillDistances(s.limit)
+		if l := slack(s.best[s.k-1].cost); l < s.limit {
+			if math.IsInf(s.limit, 1) {
+				s.fillDistances(l)
+			}
+			s.limit = l
 		}
 	}
 }
+
+// slack widens a limit by a relative slack that covers the float sums'
+// evaluation order: one tree's cost summed in two orders differs by far
+// less.
+func slack(c float64) float64 { return c*(1+1e-9) + 1e-12 }
 
 func (s *search) stateFull(root int32, mask uint32) bool {
 	n := 0

@@ -120,9 +120,9 @@ func TestTopKSteinerGoldenWork(t *testing.T) {
 	}
 	differentialCases(func(seed int64, plateau bool, n, extra, numTerms, k int) {
 		g, terms, ov, ovTerms := differentialInputs(seed, plateau, n, extra, numTerms)
-		_, st := TopKSteinerStats(g, terms, k)
+		_, st := TopKSteinerStats(g, terms, k, math.Inf(1))
 		fold(st)
-		_, st = TopKSteinerStats(ov, ovTerms, k)
+		_, st = TopKSteinerStats(ov, ovTerms, k, math.Inf(1))
 		fold(st)
 	})
 	if got := h.Sum64(); got != goldenWork {
@@ -227,7 +227,7 @@ func TestTopKSteinerConcurrent(t *testing.T) {
 // thousand pops.
 func TestTopKSteinerStats(t *testing.T) {
 	g, terms := benchGraph()
-	trees, st := TopKSteinerStats(g, terms, 5)
+	trees, st := TopKSteinerStats(g, terms, 5, math.Inf(1))
 	if len(trees) != 5 {
 		t.Fatalf("got %d trees, want 5", len(trees))
 	}
@@ -253,7 +253,7 @@ func TestTopKSteinerBoundMatchesOracle(t *testing.T) {
 		for _, k := range []int{1, 13} {
 			r := rand.New(rand.NewSource(seed))
 			g, terms := plateauGraph(r, 20+int(seed)*4, 30+int(seed)*5, 2+int(seed)%3)
-			got, st := TopKSteinerStats(g, terms, k)
+			got, st := TopKSteinerStats(g, terms, k, math.Inf(1))
 			if st.BoundPruned == 0 {
 				t.Errorf("seed %d k %d: the bound never fired: %+v", seed, k, st)
 			}
@@ -278,7 +278,7 @@ func TestTopKSteinerUnreachableTerminal(t *testing.T) {
 			terms[0], terms[len(terms)-1] = terms[len(terms)-1], terms[0]
 		}
 		for _, k := range []int{1, 5} {
-			got, st := TopKSteinerStats(g, terms, k)
+			got, st := TopKSteinerStats(g, terms, k, math.Inf(1))
 			if got != nil || st.Pops != 0 {
 				t.Errorf("trial %d k %d: %v after %d pops, want nil at once", trial, k, got, st.Pops)
 			}
@@ -298,7 +298,7 @@ func TestLowerBoundAdmissibleConsistent(t *testing.T) {
 		g, terms := plateauGraph(r, 8+r.Intn(6), r.Intn(10), 2+r.Intn(3))
 		slices.Sort(terms)
 		s := acquireSearch()
-		s.run(g, terms, 4)
+		s.run(g, terms, 4, math.Inf(1))
 		fillWholeTable(s)
 		f := func(c *cand) float64 { return c.cost + s.lower(c.root, c.mask) }
 		for i := range s.arena {
@@ -419,7 +419,7 @@ func TestDistancesExactWithinRadius(t *testing.T) {
 		}
 		for _, radius := range radii {
 			s := acquireSearch()
-			if !s.reset(g, terms, 3) {
+			if !s.reset(g, terms, 3, math.Inf(1)) {
 				t.Fatalf("trial %d: terminals of a connected graph unreachable", trial)
 			}
 			s.fillDistances(radius)

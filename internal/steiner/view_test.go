@@ -75,8 +75,8 @@ func checkOverlayEquivalence(t *testing.T, seed int64, n, nb, edges, m, numTerms
 		terms[i] = NodeID(r.Intn(n))
 	}
 	if len(slices.Compact(slices.Sorted(slices.Values(terms)))) <= MaxExactTerminals {
-		want, wantSt := TopKSteinerStats(flat, terms, k)
-		got, gotSt := TopKSteinerStats(ov, terms, k)
+		want, wantSt := TopKSteinerStats(flat, terms, k, math.Inf(1))
+		got, gotSt := TopKSteinerStats(ov, terms, k, math.Inf(1))
 		assertSameTrees(t, "overlay", got, want)
 		if gotSt != wantSt {
 			t.Fatalf("overlay search work %+v, flat graph %+v", gotSt, wantSt)

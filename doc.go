@@ -63,10 +63,14 @@
 // The engine sizes itself: core.New reads runtime.GOMAXPROCS(0) once into
 // one width, and no option, method or request parameter selects another.
 // The width sizes the refresh fan-out over persistent views, the
-// registration-time index builds, and a global semaphore that bounds
-// in-flight branch executions across all concurrent materialisations; it
-// does not shape the catalog, and a restored snapshot takes the restoring
-// process's width. Inside one materialisation the
+// registration-time index builds, a restore's decoding and indexing, and a
+// global semaphore that bounds in-flight branch executions across all
+// concurrent materialisations; it does not shape the catalog, and a
+// restored snapshot takes the restoring process's width. Every fan-out —
+// those above and the MAD and LP-ZGL sweeps — goes through one worker pool
+// (internal/pool), which runs every index at every worker count, returns
+// the lowest failing index's error and runs serially at one worker.
+// Inside one materialisation the
 // pipeline is serial: tree→query translation (a few microseconds a tree,
 // less than a goroutine hand-off) and the order-sensitive passes (signature
 // dedup, output-schema alignment, the top-k union) run in tree-cost order,
@@ -75,7 +79,7 @@
 // width oracles (internal/core/parallel_test.go) build engines under
 // GOMAXPROCS 2, 7 and 8 and compare their views and registration reports
 // with GOMAXPROCS 1 across the bundled corpora, and CI runs the core,
-// server and qbench suites under -cpu 1,4.
+// server and qbench suites, the pool and the MAD sweeps under -cpu 1,4.
 //
 // # Value index
 //
@@ -297,11 +301,11 @@
 // codes and a token key a field index into a normalised value, so it is
 // about half the bytes of the retired QSEGb1 layout, and a restore that
 // meets a QSEGb1 section indexes those tables from their rows instead.
-// A restore installs the segments while a second goroutine decodes the
-// graph and the WAL tail and then indexes the tail's tables; the tail
-// applies in epoch order beside that indexing (replay reads no values),
-// and the views rematerialise across the worker pool without counting
-// them as queries (bench/'s write_churn and ingest_restart workloads
+// A restore installs the segments while a second goroutine, at every
+// engine width, decodes the graph and the WAL tail and then indexes the
+// tail's tables; the tail applies in epoch order beside that indexing
+// (replay reads no values), and the views rematerialise in the refresh
+// that ends every write, without counting them as queries (bench/'s write_churn and ingest_restart workloads
 // measure recovery; qint_recovery_stage_seconds_total splits a restore
 // into open, catalog, decode, replay, index and views).
 //

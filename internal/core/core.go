@@ -340,7 +340,9 @@ func (q *Q) commitLocked(rec walRecord, err error) error {
 	st := q.publishLocked()
 	t = q.metrics.span(writePublish, t)
 	if st != prev {
-		err = q.refreshLocked(st)
+		if err = q.refreshLocked(st); err != nil {
+			err = fmt.Errorf("core: refresh %w", err)
+		}
 	}
 	q.metrics.span(writeRefresh, t)
 	return err

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -318,6 +319,34 @@ func TestViewBasedAlignerPrunesTargets(t *testing.T) {
 	}
 	if !foundPub {
 		t.Errorf("ip.pub must be in the α-neighbourhood, got %v", rep.TargetsCompared)
+	}
+}
+
+// TestNeighborhoodMatchesAligner pins NeighborhoodRelations to the
+// relations the VIEWBASEDALIGNER compares a new source with on a view's
+// behalf, for views that fill their k slots and views that do not (whose
+// radius is unbounded).
+func TestNeighborhoodMatchesAligner(t *testing.T) {
+	q := fixtureCorpus().build(t, New, 0)
+	for _, query := range append(append([]string(nil), fixtureProbes...), cacheQueryPool...) {
+		for _, k := range []int{5, 50} {
+			v, err := q.Query(Request{Keywords: ParseKeywords(query), K: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var aligner []string
+			q.writerMu.Lock()
+			for _, rel := range q.viewBasedTargetsLocked(q.catalog.Relations()) {
+				aligner = append(aligner, rel.QualifiedName())
+			}
+			q.writerMu.Unlock()
+			slices.Sort(aligner)
+			if got := q.NeighborhoodRelations(v); !slices.Equal(got, aligner) {
+				t.Errorf("%q at k=%d (%d rows): NeighborhoodRelations %v, aligner %v",
+					query, k, len(v.Result().Rows), got, aligner)
+			}
+			q.DropView(v.ID)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"qint/internal/pool"
 	"qint/internal/relstore"
 	"qint/internal/searchgraph"
 	"qint/internal/storage"
@@ -173,22 +174,23 @@ func openFrom(st *storage.Store, opts Options, t0 time.Time) (*Q, error) {
 // restore rebuilds a freshly constructed Q from a checkpoint container
 // (nil: start empty) plus the WAL records committed after it — Open's and
 // Load's one restore path. The meta and catalog sections decode first.
-// Then two lanes run at once. The calling goroutine installs the
-// value-index segments into the catalog. A second goroutine enters the
-// catalog's schemas into the keyword corpus, decodes the graph from its
-// binary section with its learned weights, then the WAL records, then
-// indexes the tables they carry, the last two across all but one of the
-// engine's width. Once the records have decoded, the calling goroutine
-// applies them in epoch order without re-logging, beside that indexing,
-// since replay reads no values. Only then are the edges repriced, the
-// replayed tables' segments installed, the tables the snapshot holds no
-// segment for indexed and the state published, once each, and the
-// persistent views rematerialised. On a one-wide engine every step runs on
-// the calling goroutine, in turn. A segments section in the retired QSEGb1
-// layout counts as absent: its tables are indexed from their rows with the
-// rest. Each stage's time, from t0 on (when the caller began reading the
-// container), goes to qint_recovery_stage_seconds_total. restore owns
-// records: the decoded tail aliases their payloads.
+// Then two lanes run at once, at every engine width. The calling goroutine
+// installs the value-index segments into the catalog. A second goroutine
+// enters the catalog's schemas into the keyword corpus, decodes the graph
+// from its binary section with its learned weights, then the WAL records,
+// then indexes the tables they carry, the last two on the worker pool
+// across all but one of the engine's width. Once the records have
+// decoded, the calling goroutine applies them in epoch order without
+// re-logging, beside that indexing, since replay reads no values. Only
+// then are the edges repriced, the replayed tables' segments installed,
+// the tables the snapshot holds no segment for indexed and the state
+// published, once each; the persistent views then rejoin the registry and
+// rematerialise in one refresh (refreshLocked), as after a write. A
+// segments section in the retired QSEGb1 layout counts as absent: its
+// tables are indexed from their rows with the rest. Each stage's time,
+// from t0 on (when the caller began reading the container), goes to
+// qint_recovery_stage_seconds_total. restore owns records: the decoded
+// tail aliases their payloads.
 func (q *Q) restore(snap *storage.Container, records []storage.Record, t0 time.Time) error {
 	m := q.metrics
 	t := m.recovered(recoverOpen, t0)
@@ -244,7 +246,10 @@ func (q *Q) restore(snap *storage.Container, records []storage.Record, t0 time.T
 	)
 	helpers := max(q.width-1, 1)
 	decoded := make(chan struct{})
-	second := func() {
+	var indexing sync.WaitGroup
+	indexing.Add(1)
+	go func() {
+		defer indexing.Done()
 		graphErr = loadGraph()
 		tail, recErr = decodeTail(records, helpers)
 		close(decoded)
@@ -256,21 +261,9 @@ func (q *Q) restore(snap *storage.Container, records []storage.Record, t0 time.T
 			tables = append(tables, rec.Tables...)
 		}
 		segs = relstore.BuildSegments(tables, helpers)
-	}
-	var indexing sync.WaitGroup
-	if q.width > 1 {
-		indexing.Add(1)
-		go func() {
-			defer indexing.Done()
-			second()
-		}()
-	}
+	}()
 	err := loadSegments()
-	if q.width > 1 {
-		<-decoded
-	} else {
-		second()
-	}
+	<-decoded
 	t = m.recovered(recoverDecode, t)
 	if err == nil {
 		err = graphErr
@@ -281,11 +274,11 @@ func (q *Q) restore(snap *storage.Container, records []storage.Record, t0 time.T
 	}
 
 	q.writerMu.Lock()
+	defer q.writerMu.Unlock()
 	err = q.replay(tail, records, recErr)
 	t = m.recovered(recoverReplay, t)
 	indexing.Wait()
 	if err != nil {
-		q.writerMu.Unlock()
 		return err
 	}
 	// The replayed tables' segments, then, in one fan-out, the tables the
@@ -293,16 +286,15 @@ func (q *Q) restore(snap *storage.Container, records []storage.Record, t0 time.T
 	q.catalog.AddSegments(segs)
 	q.catalog.BuildValueIndex(q.width)
 	st := q.publishLocked()
-	q.writerMu.Unlock()
 	t = m.recovered(recoverIndex, t)
 
-	// Each view expands its saved keyword list into a fresh overlay and
-	// materialises at its saved k, across the worker pool as a refresh
-	// does; a restore is not a query, so qint_queries_total does not move.
-	// The keyword list is taken verbatim: re-joining keywords into a query
-	// string would corrupt any keyword containing a quote and drop empty
-	// ones, and the saved k (not the default k) is what makes the round
-	// trip exact. The view then rejoins the registry under its saved ID,
+	// Each view rejoins the registry under its saved ID with its saved
+	// keyword list and k, and then materialises in the refresh that ends
+	// every write (refreshLocked); a restore is not a query, so
+	// qint_queries_total does not move. The keyword list is taken
+	// verbatim: re-joining keywords into a query string would corrupt any
+	// keyword containing a quote and drop empty ones, and the saved k (not
+	// the default k) is what makes the round trip exact. A restored view is
 	// exempt from Options.MaxViews: a restart must not lose views a smaller
 	// cap would refuse.
 	restored := make([]*View, len(views))
@@ -323,34 +315,26 @@ func (q *Q) restore(snap *storage.Container, records []storage.Record, t0 time.T
 		}
 		restored[i] = &View{ID: id, Keywords: vs.Keywords, K: k}
 	}
-	if err := runIndexed(len(restored), q.width, func(i int) error {
-		v := restored[i]
-		mat, err := q.materializeCached(st, v.Keywords, v.K, nil, nil)
-		if err != nil {
-			return fmt.Errorf("core: restore view %v: %w", v.Keywords, err)
-		}
-		v.mat.Store(mat)
-		return nil
-	}); err != nil {
-		return err
-	}
-	m.recovered(recoverViews, t)
 	q.views = restored
 	q.nextViewID = nextID
 	if n := len(q.views); n > 0 && q.views[n-1].ID >= nextID {
 		q.nextViewID = q.views[n-1].ID + 1
 	}
+	if err := q.refreshLocked(st); err != nil {
+		return fmt.Errorf("core: restore %w", err)
+	}
+	m.recovered(recoverViews, t)
 	return nil
 }
 
-// decodeTail decodes WAL records across width goroutines. It returns the
-// records up to the lowest epoch that fails to decode, with that failure's
-// error, so that a replay applies what a serial one would have applied
-// before meeting it.
+// decodeTail decodes WAL records on the worker pool, width wide. It
+// returns the records up to the lowest epoch that fails to decode, with
+// that failure's error, so that a replay applies what a serial one would
+// have applied before meeting it.
 func decodeTail(records []storage.Record, width int) ([]walRecord, error) {
 	tail := make([]walRecord, len(records))
 	errs := make([]error, len(records))
-	runIndexed(len(records), width, func(i int) error {
+	pool.Run(len(records), width, func(i int) error {
 		tail[i], errs[i] = decodeRecord(records[i])
 		return nil
 	})

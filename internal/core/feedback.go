@@ -271,7 +271,7 @@ func (q *Q) learnableEdgeFeatures(mats []*viewMat) learning.Positivity {
 // plotted in Figure 12. Pairs are canonicalised by sorted string form.
 func (q *Q) GoldEdgeGap(gold map[string]bool) (goldAvg, nonGoldAvg float64, goldN, nonGoldN int) {
 	for _, a := range q.CurrentGraph().AssociationList() {
-		key := canonicalPair(a.A.String(), a.B.String())
+		key := CanonicalPair(a.A.String(), a.B.String())
 		c := a.Cost
 		if gold[key] {
 			goldAvg += c
@@ -290,13 +290,11 @@ func (q *Q) GoldEdgeGap(gold map[string]bool) (goldAvg, nonGoldAvg float64, gold
 	return goldAvg, nonGoldAvg, goldN, nonGoldN
 }
 
-func canonicalPair(a, b string) string {
+// CanonicalPair is the canonical "a~b" form of an attribute pair, the two
+// names in sorted order, for building gold-standard sets.
+func CanonicalPair(a, b string) string {
 	if b < a {
 		a, b = b, a
 	}
 	return a + "~" + b
 }
-
-// CanonicalPair exposes the canonical "a~b" form of an attribute pair for
-// building gold-standard sets.
-func CanonicalPair(a, b string) string { return canonicalPair(a, b) }

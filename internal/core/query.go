@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 
 	"qint/internal/obs"
+	"qint/internal/pool"
 	"qint/internal/relstore"
 	"qint/internal/searchgraph"
 	"qint/internal/steiner"
@@ -269,6 +270,18 @@ func checkKeywords(kws []string) error {
 	return nil
 }
 
+// expandKeywords expands a keyword list into a fresh overlay of st, one
+// terminal per keyword in list order (a repeated keyword gets the same
+// node). Materialisation and the VIEWBASEDALIGNER both expand through it.
+func (q *Q) expandKeywords(st *qstate, keywords []string) (*searchgraph.Overlay, []steiner.NodeID) {
+	ov := st.graph.NewOverlay()
+	terminals := make([]steiner.NodeID, 0, len(keywords))
+	for _, kw := range keywords {
+		terminals = append(terminals, q.expandKeyword(st, ov, kw))
+	}
+	return ov, terminals
+}
+
 // expandKeyword adds one keyword's query-graph expansion to the overlay
 // (paper §2.2): similarity edges to matching schema elements via tf-idf,
 // and lazily-materialised value nodes for matching data values. The
@@ -335,12 +348,8 @@ func (q *Q) expandKeyword(st *qstate, ov *searchgraph.Overlay, kw string) steine
 // translate, plan, execute, materialize); a nil trace costs one nil check
 // per stage and no clock reads.
 func (q *Q) materializeAt(st *qstate, keywords []string, k int, prev *viewMat, tr *obs.Trace) (*viewMat, error) {
-	ov := st.graph.NewOverlay()
 	texp := tr.Now()
-	terminals := make([]steiner.NodeID, 0, len(keywords))
-	for _, kw := range keywords {
-		terminals = append(terminals, q.expandKeyword(st, ov, kw))
-	}
+	ov, terminals := q.expandKeywords(st, keywords)
 	tr.Record(obs.StageExpand, texp)
 	trees, queries, queryTree, err := q.planOverlay(st, ov, terminals, k, prev, tr)
 	if err != nil {
@@ -528,12 +537,13 @@ func singleKeywordTrees(ov *searchgraph.Overlay, kw steiner.NodeID, k int) []ste
 
 // refreshLocked rematerialises every persistent view against a newly
 // published generation st; commitLocked calls it after every write that
-// changed anything. The views rematerialise across the bounded worker pool,
-// each against its own fresh overlay of st, and each swaps its
-// materialisation in atomically. Views are independent, so the fan-out
-// leaves every view byte-identical to a serial refresh. A view whose
-// refresh fails keeps its previous materialisation; the lowest-index error
-// is returned and every failure is counted.
+// changed anything, and restore once, for the views it restored. The
+// views rematerialise across the worker pool (pool.Run), each against its
+// own fresh overlay of st, and each swaps its materialisation in
+// atomically. Views are independent, so the fan-out leaves every view
+// byte-identical to a serial refresh. A view whose refresh fails keeps its
+// previous materialisation; the lowest-index error, naming that view's
+// keywords, is returned and every failure is counted.
 //
 // Each view's search starts with its previous answer's re-priced cost as
 // its limit (carriedLimit), which changes its work, never its answer. The
@@ -546,7 +556,7 @@ func (q *Q) refreshLocked(st *qstate) error {
 	// sequence share one materialisation of the new generation (the refresh
 	// fan-out coalesces on the in-flight compute), and a query racing the
 	// refresh at the same epoch reuses it too.
-	return runIndexed(len(views), q.width, func(i int) error {
+	return pool.Run(len(views), q.width, func(i int) error {
 		var prev *viewMat
 		if !q.uncached {
 			prev = views[i].mat.Load()
@@ -554,7 +564,7 @@ func (q *Q) refreshLocked(st *qstate) error {
 		mat, err := q.materializeCached(st, views[i].Keywords, views[i].K, prev, nil)
 		if err != nil {
 			q.metrics.refreshErrors.Inc()
-			return err
+			return fmt.Errorf("view %v: %w", views[i].Keywords, err)
 		}
 		views[i].mat.Store(mat)
 		return nil

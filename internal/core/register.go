@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 
 	"qint/internal/learning"
@@ -183,40 +185,16 @@ func (q *Q) selectTargetsLocked(existing []*relstore.Relation, strategy AlignStr
 }
 
 // viewBasedTargetsLocked implements GETCOSTNEIGHBORHOOD over all persistent
-// views (Algorithm 2): a relation is a target iff its node — or one of its
-// attributes' nodes — lies within cost α of every view keyword, where α is
-// the view's k-th best result cost. A view that has NOT yet filled its k
-// result slots cannot prune at all (any new result would enter the top-k),
-// so its radius is unbounded. Each view's keywords are re-expanded into a
-// fresh overlay over the in-progress state, so keyword matches into the new
-// source participate in the distances.
+// views (Algorithm 2): a relation is a target iff it lies in some view's
+// α-cost neighbourhood (addNeighborhood). Each view's keywords are
+// re-expanded into a fresh overlay over the in-progress state, so keyword
+// matches into the new source participate in the distances.
 func (q *Q) viewBasedTargetsLocked(existing []*relstore.Relation) []*relstore.Relation {
 	st := q.unpublishedStateLocked()
 	inNeighborhood := make(map[string]bool)
 	for _, v := range q.Views() {
-		mat := v.mat.Load()
-		alpha := 0.0
-		if mat != nil {
-			alpha = mat.alpha
-		}
-		if mat == nil || mat.result == nil || len(mat.result.Rows) < v.K {
-			alpha = math.Inf(1)
-		}
-		ov := st.graph.NewOverlay()
-		terminals := make([]steiner.NodeID, 0, len(v.Keywords))
-		for _, kw := range v.Keywords {
-			terminals = append(terminals, q.expandKeyword(st, ov, kw))
-		}
-		nb := steiner.NeighborhoodIntersectOn(ov.View(), terminals, alpha)
-		for nid := range nb {
-			n := ov.Node(nid)
-			switch n.Kind {
-			case searchgraph.KindRelation:
-				inNeighborhood[n.Rel] = true
-			case searchgraph.KindAttribute, searchgraph.KindValue:
-				inNeighborhood[n.Ref.Relation] = true
-			}
-		}
+		ov, terminals := q.expandKeywords(st, v.Keywords)
+		addNeighborhood(inNeighborhood, ov, terminals, v.mat.Load(), v.K)
 	}
 	var out []*relstore.Relation
 	for _, rel := range existing {
@@ -225,6 +203,28 @@ func (q *Q) viewBasedTargetsLocked(existing []*relstore.Relation) []*relstore.Re
 		}
 	}
 	return out
+}
+
+// addNeighborhood adds to set the relations of one view's α-cost
+// neighbourhood in ov: those whose node — or one of whose attribute or
+// value nodes — lies within cost α of every terminal, where α is the
+// view's k-th best result cost (mat.alpha). A view that has NOT yet filled
+// its k result slots cannot prune at all (any new result would enter the
+// top k), so its radius is unbounded.
+func addNeighborhood(set map[string]bool, ov *searchgraph.Overlay, terminals []steiner.NodeID, mat *viewMat, k int) {
+	alpha := math.Inf(1)
+	if mat != nil && mat.result != nil && len(mat.result.Rows) >= k {
+		alpha = mat.alpha
+	}
+	for nid := range steiner.NeighborhoodIntersectOn(ov.View(), terminals, alpha) {
+		n := ov.Node(nid)
+		switch n.Kind {
+		case searchgraph.KindRelation:
+			set[n.Rel] = true
+		case searchgraph.KindAttribute, searchgraph.KindValue:
+			set[n.Ref.Relation] = true
+		}
+	}
 }
 
 // preferentialTargets implements Algorithm 3: existing relations are ranked
@@ -388,29 +388,17 @@ func (q *Q) CountTargetComparisons(newRels []*relstore.Relation, strategy AlignS
 	return total
 }
 
-// NeighborhoodRelations exposes the α-cost neighbourhood relation set of a
-// view (for tests and the qshell explain command), computed against the
-// view's current materialisation.
+// NeighborhoodRelations returns, sorted, the relations of a view's α-cost
+// neighbourhood in its current materialisation: the relations the
+// VIEWBASEDALIGNER compares a new source with on the view's behalf
+// (addNeighborhood), whose radius is unbounded while the view holds fewer
+// than k answers. For qshell's neighborhood command and the examples.
 func (q *Q) NeighborhoodRelations(v *View) []string {
 	mat := v.mat.Load()
 	if mat == nil {
 		return nil
 	}
-	nb := steiner.NeighborhoodIntersectOn(mat.ov.View(), mat.terminals, mat.alpha)
 	set := make(map[string]bool)
-	for nid := range nb {
-		n := mat.ov.Node(nid)
-		switch n.Kind {
-		case searchgraph.KindRelation:
-			set[n.Rel] = true
-		case searchgraph.KindAttribute, searchgraph.KindValue:
-			set[n.Ref.Relation] = true
-		}
-	}
-	out := make([]string, 0, len(set))
-	for r := range set {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
+	addNeighborhood(set, mat.ov, mat.terminals, mat, v.K)
+	return slices.Sorted(maps.Keys(set))
 }

@@ -1,9 +1,6 @@
 package mad
 
-import (
-	"runtime"
-	"sync"
-)
+import "runtime"
 
 // RunLPZGL executes the classical harmonic-function label propagation of
 // Zhu, Ghahramani & Lafferty (the paper's reference [36]) over the same
@@ -27,17 +24,30 @@ func (g *Graph) RunLPZGL(iterations int, tolerance float64) *Result {
 		}
 	}
 	next := make([]map[int]float64, g.n)
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > g.n {
-		workers = g.n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
 	for iter := 0; iter < iterations; iter++ {
-		maxDelta := lpSweep(g, cur, next, workers)
+		// One harmonic update into next; the max L1 change is over the
+		// unclamped nodes.
+		maxDelta := sweep(g.n, runtime.GOMAXPROCS(0), func(v int) float64 {
+			if g.seed[v] >= 0 { // clamped
+				next[v] = map[int]float64{g.seed[v]: 1}
+				return 0
+			}
+			nv := make(map[int]float64)
+			sumW := 0.0
+			for _, a := range g.adj[v] {
+				sumW += a.w
+				for l, s := range cur[a.to] {
+					nv[l] += a.w * s
+				}
+			}
+			if sumW > 0 {
+				for l := range nv {
+					nv[l] /= sumW
+				}
+			}
+			next[v] = nv
+			return l1Delta(cur[v], nv)
+		})
 		cur, next = next, cur
 		if tolerance > 0 && maxDelta < tolerance {
 			break
@@ -69,60 +79,6 @@ func (g *Graph) RunLPZGL(iterations int, tolerance float64) *Result {
 		out[v] = nv
 	}
 	return &Result{Scores: out, labels: g.labels}
-}
-
-// lpSweep computes one harmonic update into next and returns the max L1
-// change across unclamped nodes.
-func lpSweep(g *Graph, cur, next []map[int]float64, workers int) float64 {
-	var wg sync.WaitGroup
-	deltas := make([]float64, workers)
-	chunk := (g.n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > g.n {
-			hi = g.n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			local := 0.0
-			for v := lo; v < hi; v++ {
-				if g.seed[v] >= 0 { // clamped
-					next[v] = map[int]float64{g.seed[v]: 1}
-					continue
-				}
-				nv := make(map[int]float64)
-				sumW := 0.0
-				for _, a := range g.adj[v] {
-					sumW += a.w
-					for l, s := range cur[a.to] {
-						nv[l] += a.w * s
-					}
-				}
-				if sumW > 0 {
-					for l := range nv {
-						nv[l] /= sumW
-					}
-				}
-				if d := l1Delta(cur[v], nv); d > local {
-					local = d
-				}
-				next[v] = nv
-			}
-			deltas[w] = local
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	maxDelta := 0.0
-	for _, d := range deltas {
-		if d > maxDelta {
-			maxDelta = d
-		}
-	}
-	return maxDelta
 }
 
 // UseLPZGL switches a Matcher to the LP-ZGL propagation for ablation runs.

@@ -12,7 +12,8 @@ import (
 	"math"
 	"runtime"
 	"sort"
-	"sync"
+
+	"qint/internal/pool"
 )
 
 // Params are the MAD hyper-parameters. The defaults mirror the paper's
@@ -127,8 +128,9 @@ func (r *Result) TopLabels(v, y int) []LabelScore {
 }
 
 // Run executes MAD (Algorithm 1) over the graph. The per-node updates of
-// each iteration are sharded across goroutines — the in-process analogue of
-// the paper's Hadoop-parallel implementation.
+// each iteration fan out over the worker pool in contiguous node ranges
+// (sweep) — the in-process analogue of the paper's Hadoop-parallel
+// implementation.
 func (g *Graph) Run(p Params) *Result {
 	if p.Iterations <= 0 {
 		p.Iterations = DefaultParams().Iterations
@@ -165,16 +167,35 @@ func (g *Graph) Run(p Params) *Result {
 	}
 
 	next := make([]map[int]float64, g.n)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > g.n {
-		workers = g.n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-
 	for iter := 0; iter < p.Iterations; iter++ {
-		maxDelta := parallelSweep(g, p, pinj, pcont, pabnd, inj, cur, next, m, dummy, workers)
+		// One fixpoint iteration (lines 4–8) into next.
+		maxDelta := sweep(g.n, runtime.GOMAXPROCS(0), func(v int) float64 {
+			nv := make(map[int]float64)
+			// D_v = Σ_u (p_cont_v W_vu + p_cont_u W_uv) L_u  (line 4)
+			for _, a := range g.adj[v] {
+				coef := p.Mu2 * (pcont[v]*a.w + pcont[a.to]*a.w)
+				if coef == 0 {
+					continue
+				}
+				for l, s := range cur[a.to] {
+					nv[l] += coef * s
+				}
+			}
+			// µ1 p_inj I_v  (line 6)
+			if inj[v] != nil {
+				for l, s := range inj[v] {
+					nv[l] += p.Mu1 * pinj[v] * s
+				}
+			}
+			// µ3 p_abnd R_v  (line 7): R_v peaks on the dummy label
+			nv[dummy] += p.Mu3 * pabnd[v]
+			// 1/M_vv
+			for l := range nv {
+				nv[l] /= m[v]
+			}
+			next[v] = nv
+			return l1Delta(cur[v], nv)
+		})
 		cur, next = next, cur
 		if p.Tolerance > 0 && maxDelta < p.Tolerance {
 			break
@@ -183,59 +204,23 @@ func (g *Graph) Run(p Params) *Result {
 	return &Result{Scores: cur, labels: g.labels}
 }
 
-// parallelSweep computes one fixpoint iteration (lines 4–8) into next and
-// returns the maximum per-node L1 change.
-func parallelSweep(g *Graph, p Params, pinj, pcont, pabnd []float64,
-	inj, cur, next []map[int]float64, m []float64, dummy, workers int) float64 {
-
-	var wg sync.WaitGroup
+// sweep runs node(0), …, node(n-1) — one iteration's per-node updates —
+// on the worker pool in at most workers contiguous ranges of nodes, and
+// returns the largest value node returned: the iteration's maximum
+// per-node L1 change. node writes only its own node's next distribution,
+// so every update, and the maximum, is the same at any worker count.
+func sweep(n, workers int, node func(v int) float64) float64 {
+	workers = max(min(workers, n), 1)
+	chunk := (n + workers - 1) / workers
 	deltas := make([]float64, workers)
-	chunk := (g.n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > g.n {
-			hi = g.n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			local := 0.0
-			for v := lo; v < hi; v++ {
-				nv := make(map[int]float64)
-				// D_v = Σ_u (p_cont_v W_vu + p_cont_u W_uv) L_u  (line 4)
-				for _, a := range g.adj[v] {
-					coef := p.Mu2 * (pcont[v]*a.w + pcont[a.to]*a.w)
-					if coef == 0 {
-						continue
-					}
-					for l, s := range cur[a.to] {
-						nv[l] += coef * s
-					}
-				}
-				// µ1 p_inj I_v  (line 6)
-				if inj[v] != nil {
-					for l, s := range inj[v] {
-						nv[l] += p.Mu1 * pinj[v] * s
-					}
-				}
-				// µ3 p_abnd R_v  (line 7): R_v peaks on the dummy label
-				nv[dummy] += p.Mu3 * pabnd[v]
-				// 1/M_vv
-				for l := range nv {
-					nv[l] /= m[v]
-				}
-				if d := l1Delta(cur[v], nv); d > local {
-					local = d
-				}
-				next[v] = nv
+	pool.Run(workers, workers, func(w int) error {
+		for v := w * chunk; v < min((w+1)*chunk, n); v++ {
+			if d := node(v); d > deltas[w] {
+				deltas[w] = d
 			}
-			deltas[w] = local
-		}(w, lo, hi)
-	}
-	wg.Wait()
+		}
+		return nil
+	})
 	maxDelta := 0.0
 	for _, d := range deltas {
 		if d > maxDelta {

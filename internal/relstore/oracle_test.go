@@ -10,6 +10,7 @@ import (
 	"unicode/utf8"
 
 	"qint/internal/binio"
+	"qint/internal/pool"
 	"qint/internal/text"
 )
 
@@ -762,14 +763,11 @@ func ExecuteBatch(c *Catalog, queries []*ConjunctiveQuery, workers int) ([]*Resu
 		return nil, err
 	}
 	results := make([]*ResultSet, len(queries))
-	errs := make([]error, len(queries))
-	fanIndexed(len(queries), workers, func(i int) {
-		results[i], errs[i] = bp.Execute(i)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err := pool.Run(len(queries), workers, func(i int) (err error) {
+		results[i], err = bp.Execute(i)
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	return results, nil
 }

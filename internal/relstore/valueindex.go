@@ -5,10 +5,10 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"unicode"
 	"unicode/utf8"
 
+	"qint/internal/pool"
 	"qint/internal/text"
 )
 
@@ -621,14 +621,13 @@ func (c *Catalog) FindValues(keyword string) []ValueHit {
 }
 
 // BuildValueIndex builds the segment of every unindexed table: the pure
-// builds fan out, one task per table across at most workers goroutines
-// (workers <= 1 builds serially), and the catalog is then written serially.
-// Writer-side, like AddTable. Indexing a table exactly once is the index's
-// whole maintenance: nothing global ever rebuilds. The engine's writers
-// index a new table before anything reads its values; a restore indexes
-// the tables its WAL tail replays beside the replay (BuildSegments) and
-// then the tables its snapshot holds no segment for, since replay reads
-// no values.
+// builds fan out through BuildSegments, and the catalog is then written
+// serially. Writer-side, like AddTable. Indexing a table exactly once is
+// the index's whole maintenance: nothing global ever rebuilds. The
+// engine's writers index a new table before anything reads its values; a
+// restore indexes the tables its WAL tail replays beside the replay
+// (BuildSegments) and then the tables its snapshot holds no segment for,
+// since replay reads no values.
 func (c *Catalog) BuildValueIndex(workers int) {
 	var missing []*Table
 	for _, qn := range c.order {
@@ -646,13 +645,16 @@ type Segments struct {
 	segs   []*segment
 }
 
-// BuildSegments builds the segment of every table, one task per table
-// across at most workers goroutines (workers <= 1 builds serially). It
+// BuildSegments builds the segment of every table, one task per table on
+// the engine's worker pool (pool.Run; workers <= 1 builds serially). It
 // reads only the tables, so it may run beside writes to the catalog they
 // are entering.
 func BuildSegments(tables []*Table, workers int) Segments {
 	s := Segments{tables: tables, segs: make([]*segment, len(tables))}
-	fanIndexed(len(tables), workers, func(i int) { s.segs[i] = buildSegment(tables[i]) })
+	pool.Run(len(tables), workers, func(i int) error {
+		s.segs[i] = buildSegment(tables[i])
+		return nil
+	})
 	return s
 }
 
@@ -664,36 +666,4 @@ func (c *Catalog) AddSegments(s Segments) {
 			c.segs[qn] = s.segs[i]
 		}
 	}
-}
-
-// fanIndexed runs fn(0), …, fn(n-1) across at most workers goroutines.
-// Every index runs exactly once at every worker count, so indexed collection
-// into pre-sized slices is race-free and results are order-independent.
-func fanIndexed(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	next.Store(-1)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }

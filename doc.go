@@ -87,15 +87,14 @@
 // §2.2) runs on an incremental inverted index instead of scanning rows.
 // Each table owns one immutable index segment: its distinct
 // (attribute, value) entries with row counts and normalised forms, plus
-// two flat posting indexes keyed by every character trigram and every
-// whole token of the normalised value. Each is three arrays — the keys
-// ascending (a trigram packed into one integer), one offset per key and one
-// id array — so a segment's postings are a handful of allocations however
-// many keys it holds, a lookup is a binary search, and a snapshot encodes
-// the keys in stored order and decodes them without a per-key allocation.
-// A keyword of three or more runes intersects its trigram posting lists
-// and verifies the survivors with one substring check (entries on the
-// keyword's whole-token list skip even that); shorter keywords fall back
+// one flat posting index keyed by every character trigram of the
+// normalised value. It is three arrays — the keys ascending (a trigram
+// packed into one integer), one offset per key and one id array — so a
+// segment's postings are a handful of allocations however many keys it
+// holds, a lookup is a binary search, and a snapshot encodes the keys in
+// stored order and decodes them without a per-key allocation. A keyword of
+// three or more runes intersects its trigram posting lists and verifies
+// the survivors with one substring check; shorter keywords fall back
 // to verifying the segment's distinct entries directly — deterministic,
 // and still never touching raw rows. The results are byte-identical to a
 // full scan of every row (see Reference implementations below).
@@ -295,12 +294,13 @@
 // segment and graph sections are binary (internal/binio's primitives; the
 // graph writes each feature name once, in a dictionary its edges index),
 // so loading is a read plus slice re-pointing, not a re-index or a JSON
-// parse. The segments section (QSEGb2) points into the catalog instead of
+// parse. The segments section (QSEGb3) points into the catalog instead of
 // repeating it: a value is the row that first carries it, a normalised
-// value is written only when it differs, a trigram key is a delta of gram
-// codes and a token key a field index into a normalised value, so it is
-// about half the bytes of the retired QSEGb1 layout, and a restore that
-// meets a QSEGb1 section indexes those tables from their rows instead.
+// value is written only when it differs and a trigram key is a delta of
+// gram codes, so it is well under half the bytes of the retired QSEGb1
+// layout. A restore that meets a section in a retired layout (QSEGb1, or
+// QSEGb2, which also carried whole-token postings) indexes those tables
+// from their rows instead.
 // A restore installs the segments while a second goroutine, at every
 // engine width, decodes the graph and the WAL tail and then indexes the
 // tail's tables; the tail applies in epoch order beside that indexing

@@ -179,7 +179,7 @@ func (q *Q) valueExpansions(st *qstate, kw string) []valueMatch {
 
 // computeValueExpansions is the uncached expansion: the data-value half of
 // expandKeyword (paper §2.1/§2.2). FindValues answers from the catalog's
-// inverted value index (trigram + whole-token postings, per-table segments
+// inverted value index (trigram postings, per-table segments
 // shared across copy-on-write generations).
 func (q *Q) computeValueExpansions(st *qstate, kw string) []valueMatch {
 	hits := st.cat.FindValues(kw)

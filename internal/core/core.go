@@ -232,9 +232,11 @@ type Q struct {
 	metrics *engineMetrics
 }
 
-// PlanStats is one snapshot of the planner's counters — an alias of the
-// relstore type so servers need not import the storage layer directly.
-type PlanStats = relstore.PlanStats
+// PlanStats is one snapshot of the planner's counters, served on /stats.
+type PlanStats struct {
+	// BranchesPlanned is the number of branch queries planned.
+	BranchesPlanned int64 `json:"branches_planned"`
+}
 
 // PlanStats returns the accumulated planner counters across every view
 // materialisation this instance executed: the branch queries planned. Safe

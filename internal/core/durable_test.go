@@ -478,11 +478,11 @@ func TestRestoreCountsNoQueries(t *testing.T) {
 }
 
 // TestRestoreRebuildsRetiredSegments: a data directory whose snapshot
-// carries its value index in the retired QSEGb1 layout still opens. The
-// restore treats that section as absent and indexes the snapshot's tables
-// from their rows, with the tables the WAL tail replays, and the reopened
-// engine answers byte-identically to the live one. Any other malformed
-// segments section still fails Open.
+// carries its value index in a retired layout, QSEGb1 or QSEGb2, still
+// opens. The restore treats that section as absent and indexes the
+// snapshot's tables from their rows, with the tables the WAL tail replays,
+// and the reopened engine answers byte-identically to the live one. Any
+// other malformed segments section still fails Open.
 func TestRestoreRebuildsRetiredSegments(t *testing.T) {
 	opts := durableOpts(t)
 	q := openDurable(t, opts, manualCheckpoints)
@@ -492,7 +492,10 @@ func TestRestoreRebuildsRetiredSegments(t *testing.T) {
 	if err := q.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	retired := segmentsV1(t, q.CurrentCatalog())
+	retired := map[string][]byte{
+		"QSEGb1": segmentsV1(t, q.CurrentCatalog()),
+		"QSEGb2": segmentsV2(t, q.CurrentCatalog()),
+	}
 	if err := q.AddTables(journalTable(t, "tail")); err != nil { // replayed from the WAL
 		t.Fatal(err)
 	}
@@ -540,24 +543,26 @@ func TestRestoreRebuildsRetiredSegments(t *testing.T) {
 		return o
 	}
 
-	q2 := reopen(t, withSegments(retired))
-	if got := fingerprintEngine(q2); got != want {
-		t.Fatalf("reopened over a QSEGb1 section, the engine diverged:\nwant:\n%s\ngot:\n%s", want, got)
-	}
-	for i, s := range probes {
-		v, err := q2.Query(Request{Keywords: ParseKeywords(s), Ephemeral: true})
-		if err != nil {
-			t.Fatal(err)
+	for _, layout := range slices.Sorted(maps.Keys(retired)) {
+		q2 := reopen(t, withSegments(retired[layout]))
+		if got := fingerprintEngine(q2); got != want {
+			t.Fatalf("reopened over a %s section, the engine diverged:\nwant:\n%s\ngot:\n%s", layout, want, got)
 		}
-		if got := fingerprintView(v); got != wantProbes[i] {
-			t.Errorf("query %s after the reopen:\ngot:\n%s\nwant:\n%s", s, got, wantProbes[i])
+		for i, s := range probes {
+			v, err := q2.Query(Request{Keywords: ParseKeywords(s), Ephemeral: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fingerprintView(v); got != wantProbes[i] {
+				t.Errorf("%s: query %s after the reopen:\ngot:\n%s\nwant:\n%s", layout, s, got, wantProbes[i])
+			}
 		}
-	}
-	for _, rel := range q2.CurrentCatalog().Relations() {
-		for _, a := range rel.Attributes {
-			ref := relstore.AttrRef{Relation: rel.QualifiedName(), Attr: a.Name}
-			if got, want := q2.CurrentCatalog().Values(ref), q.CurrentCatalog().Values(ref); !slices.Equal(got, want) {
-				t.Errorf("Values(%v) = %q after the reopen, want %q", ref, got, want)
+		for _, rel := range q2.CurrentCatalog().Relations() {
+			for _, a := range rel.Attributes {
+				ref := relstore.AttrRef{Relation: rel.QualifiedName(), Attr: a.Name}
+				if got, want := q2.CurrentCatalog().Values(ref), q.CurrentCatalog().Values(ref); !slices.Equal(got, want) {
+					t.Errorf("%s: Values(%v) = %q after the reopen, want %q", layout, ref, got, want)
+				}
 			}
 		}
 	}
@@ -578,75 +583,159 @@ func TestRestoreRebuildsRetiredSegments(t *testing.T) {
 	}
 }
 
-// segmentsV1 encodes cat's value index in the retired QSEGb1 layout from the
-// catalog's public surface, as relstore's saveSegmentsV1Oracle writes it:
-// per table the relation and attribute names, the attribute span offsets,
-// every distinct value with its normalised form and row count, then the
-// trigram and token posting lists under their string keys, keys ascending,
-// ids delta-encoded.
-func segmentsV1(t *testing.T, cat *relstore.Catalog) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	b := binio.NewWriter(&buf)
-	b.Raw("QSEGb1\n\n")
-	b.Uvarint(uint64(cat.NumRelations()))
+// retiredSegment is one table's value index as the retired segment
+// layouts wrote it, rebuilt from the catalog's public surface: the
+// attribute span offsets, every distinct value with its normalised form,
+// first row and row count, attribute by attribute in ascending order, and
+// the trigram and whole-token posting lists under their string keys.
+type retiredSegment struct {
+	rel           *relstore.Relation
+	starts        []int
+	entries       []retiredEntry
+	grams, tokens map[string][]int
+}
+
+type retiredEntry struct {
+	val, norm string
+	row, rows int
+}
+
+// retiredSegments rebuilds the value index of every table of cat, in
+// registration order.
+func retiredSegments(cat *relstore.Catalog) []retiredSegment {
+	var segs []retiredSegment
 	for _, rel := range cat.Relations() {
 		qn := rel.QualifiedName()
-		b.Str(qn)
-		b.Uvarint(uint64(len(rel.Attributes)))
+		s := retiredSegment{rel: rel, starts: []int{0}, grams: make(map[string][]int), tokens: make(map[string][]int)}
 		for _, a := range rel.Attributes {
-			b.Str(a.Name)
-		}
-		type entry struct {
-			val, norm string
-			rows      int
-		}
-		var entries []entry
-		starts := []int{0}
-		for _, a := range rel.Attributes {
-			rows := make(map[string]int)
-			for _, v := range cat.Table(qn).Column(a.Name) {
+			first, rows := make(map[string]int), make(map[string]int)
+			for i, v := range cat.Table(qn).Column(a.Name) {
+				if rows[v] == 0 {
+					first[v] = i
+				}
 				rows[v]++
 			}
 			for _, v := range cat.Values(relstore.AttrRef{Relation: qn, Attr: a.Name}) {
-				entries = append(entries, entry{v, text.Normalize(v), rows[v]})
+				s.entries = append(s.entries, retiredEntry{val: v, norm: text.Normalize(v), row: first[v], rows: rows[v]})
 			}
-			starts = append(starts, len(entries))
+			s.starts = append(s.starts, len(s.entries))
 		}
-		for _, off := range starts {
-			b.Uvarint(uint64(off))
-		}
-		b.Uvarint(uint64(len(entries)))
-		grams, tokens := make(map[string][]int), make(map[string][]int)
 		post := func(m map[string][]int, key string, id int) {
 			if l := m[key]; len(l) == 0 || l[len(l)-1] != id {
 				m[key] = append(l, id)
 			}
 		}
-		for id, e := range entries {
+		for id, e := range s.entries {
+			r := []rune(e.norm)
+			for i := 0; i+3 <= len(r); i++ {
+				post(s.grams, string(r[i:i+3]), id)
+			}
+			for _, tok := range strings.Fields(e.norm) {
+				post(s.tokens, tok, id)
+			}
+		}
+		segs = append(segs, s)
+	}
+	return segs
+}
+
+// writeIDs writes an ascending id list as relstore's codecs do: its
+// length, then the ids as deltas.
+func writeIDs(b *binio.Writer, ids []int) {
+	b.Uvarint(uint64(len(ids)))
+	prev := 0
+	for _, id := range ids {
+		b.Uvarint(uint64(id - prev))
+		prev = id
+	}
+}
+
+// segmentsV1 encodes cat's value index in the retired QSEGb1 layout, as
+// relstore's saveSegmentsV1Oracle writes it: per table the relation and
+// attribute names, the attribute span offsets, every distinct value with
+// its normalised form and row count, then the trigram and token posting
+// lists under their string keys, keys ascending.
+func segmentsV1(t *testing.T, cat *relstore.Catalog) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	b := binio.NewWriter(&buf)
+	b.Raw("QSEGb1\n\n")
+	segs := retiredSegments(cat)
+	b.Uvarint(uint64(len(segs)))
+	for _, s := range segs {
+		b.Str(s.rel.QualifiedName())
+		b.Uvarint(uint64(len(s.rel.Attributes)))
+		for _, a := range s.rel.Attributes {
+			b.Str(a.Name)
+		}
+		for _, off := range s.starts {
+			b.Uvarint(uint64(off))
+		}
+		b.Uvarint(uint64(len(s.entries)))
+		for _, e := range s.entries {
 			b.Str(e.val)
 			b.Str(e.norm)
 			b.Uvarint(uint64(e.rows))
-			r := []rune(e.norm)
-			for i := 0; i+3 <= len(r); i++ {
-				post(grams, string(r[i:i+3]), id)
-			}
-			for _, tok := range strings.Fields(e.norm) {
-				post(tokens, tok, id)
+		}
+		for _, m := range []map[string][]int{s.grams, s.tokens} {
+			b.Uvarint(uint64(len(m)))
+			for _, k := range slices.Sorted(maps.Keys(m)) {
+				b.Str(k)
+				writeIDs(b, m[k])
 			}
 		}
-		for _, m := range []map[string][]int{grams, tokens} {
-			keys := slices.Sorted(maps.Keys(m))
-			b.Uvarint(uint64(len(keys)))
-			for _, k := range keys {
-				b.Str(k)
-				b.Uvarint(uint64(len(m[k])))
-				prev := 0
-				for _, id := range m[k] {
-					b.Uvarint(uint64(id - prev))
-					prev = id
-				}
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// segmentsV2 encodes cat's value index in the retired QSEGb2 layout, as
+// relstore's saveSegmentsV2Oracle writes it: per table its registration
+// position and attribute span offsets, every distinct value as its first
+// row and rows<<1 | normDiffers (and its normalised form when that
+// differs), the trigram keys as deltas of their packed codes (three 21-bit
+// runes) with their id lists, then the token keys as their id lists and the
+// index of the key among the fields of its first entry's normalised form.
+func segmentsV2(t *testing.T, cat *relstore.Catalog) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	b := binio.NewWriter(&buf)
+	b.Raw("QSEGb2\n\n")
+	segs := retiredSegments(cat)
+	b.Uvarint(uint64(len(segs)))
+	for pos, s := range segs {
+		b.Uvarint(uint64(pos))
+		for _, off := range s.starts {
+			b.Uvarint(uint64(off))
+		}
+		b.Uvarint(uint64(len(s.entries)))
+		for _, e := range s.entries {
+			b.Uvarint(uint64(e.row))
+			if e.norm != e.val {
+				b.Uvarint(uint64(e.rows)<<1 | 1)
+				b.Str(e.norm)
+			} else {
+				b.Uvarint(uint64(e.rows) << 1)
 			}
+		}
+		b.Uvarint(uint64(len(s.grams)))
+		prev := uint64(0)
+		for _, g := range slices.Sorted(maps.Keys(s.grams)) {
+			code := uint64(0)
+			for _, r := range g {
+				code = code<<21 | uint64(r)
+			}
+			b.Uvarint(code - prev)
+			prev = code
+			writeIDs(b, s.grams[g])
+		}
+		b.Uvarint(uint64(len(s.tokens)))
+		for _, tok := range slices.Sorted(maps.Keys(s.tokens)) {
+			ids := s.tokens[tok]
+			writeIDs(b, ids)
+			b.Uvarint(uint64(slices.Index(strings.Fields(s.entries[ids[0]].norm), tok)))
 		}
 	}
 	if err := b.Flush(); err != nil {

@@ -424,7 +424,7 @@ func (q *Q) executeBranches(st *qstate, queries []*relstore.ConjunctiveQuery, k 
 	if err != nil {
 		return nil, err
 	}
-	q.metrics.planBranchesPlanned.Add(bp.Stats().BranchesPlanned)
+	q.metrics.planBranchesPlanned.Add(int64(len(queries)))
 	q.countTopK(stats)
 	return result, nil
 }

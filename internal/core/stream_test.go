@@ -140,7 +140,7 @@ func checkBatchedBranches(t *testing.T, q *Q, kw string, m Materialization) {
 	if err != nil {
 		t.Fatalf("query %q: plan: %v", kw, err)
 	}
-	if got := bp.Stats().BranchesPlanned; got != int64(len(m.Queries)) {
+	if got := bp.Len(); got != len(m.Queries) {
 		t.Errorf("query %q: batch planned %d branches, want %d", kw, got, len(m.Queries))
 	}
 	for i, cq := range m.Queries {

@@ -1,6 +1,7 @@
 package relstore
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -19,18 +20,18 @@ import (
 //
 // The catalog section is the ground truth: schemas and every row, whose
 // strings decode as substrings of one backing string for the section. The
-// segments section (QSEGb2) repeats none of it. A segment names its table
+// segments section (QSEGb3) repeats none of it. A segment names its table
 // by registration position, an entry names its value by the first row
-// carrying it and writes its normalised form only when that differs, a
-// trigram key is its gram code as a delta from the previous key's, and a
-// token key is the index of a field of the normalised value of its list's
-// first entry. Loaded values therefore alias the catalog's rows, tokens
-// alias normalised values, and the few differing normalised values are
-// copied into one string per segment, so a loaded catalog does not pin its
-// segments section. Posting indexes decode into flat arrays, so loading
-// allocates O(tables + segments) backing arrays, not O(values). The
-// retired QSEGb1 layout, which wrote every value, normalised form and key
-// as a string, is refused by name (ErrRetiredSegments).
+// carrying it and writes its normalised form only when that differs, and a
+// trigram key is its gram code as a delta from the previous key's. Loaded
+// values therefore alias the catalog's rows, and the few differing
+// normalised values are copied into one string per segment, so a loaded
+// catalog does not pin its segments section. The posting index decodes
+// into flat arrays, so loading allocates O(tables + segments) backing
+// arrays, not O(values). The retired layouts are refused by name
+// (ErrRetiredSegments): QSEGb1, which wrote every value, normalised form
+// and key as a string, and QSEGb2, which also carried a whole-token
+// posting index.
 //
 // The encoding primitives are internal/binio's, shared with the search
 // graph's section. Both encoders are deterministic: tables serialise in
@@ -44,8 +45,9 @@ import (
 
 const (
 	catalogBinMagic  = "QCATb1\n\n"
-	segmentsBinMagic = "QSEGb2\n\n"
+	segmentsBinMagic = "QSEGb3\n\n"
 	segmentsV1Magic  = "QSEGb1\n\n" // retired: see ErrRetiredSegments
+	segmentsV2Magic  = "QSEGb2\n\n" // retired: see ErrRetiredSegments
 )
 
 // ---------------------------------------------------------------------------
@@ -168,12 +170,13 @@ func LoadCatalogBinary(data []byte, shards int) (*Catalog, error) { return LoadC
 // ---------------------------------------------------------------------------
 // value-index segments
 
-// ErrRetiredSegments is LoadSegments' error for a segments section in the
-// retired QSEGb1 layout, which repeated every value, normalised form and
-// key as a string. Such a section still carries its catalog's tables in the
-// catalog section, so a restore treats it as absent and indexes the tables
-// from their rows.
-var ErrRetiredSegments = errors.New("relstore: load segments: section is in the retired QSEGb1 layout")
+// ErrRetiredSegments is LoadSegments' error for a segments section in a
+// retired layout: QSEGb1, which repeated every value, normalised form and
+// key as a string, or QSEGb2, which also carried whole-token postings. Such
+// a section's snapshot still carries its catalog's tables in the catalog
+// section, so a restore treats it as absent and indexes the tables from
+// their rows.
+var ErrRetiredSegments = errors.New("relstore: load segments: section is in a retired layout (QSEGb1 or QSEGb2)")
 
 // SaveSegments encodes the segment of every indexed table; an unindexed
 // table writes none, and BuildValueIndex indexes it after a restart.
@@ -186,12 +189,9 @@ var ErrRetiredSegments = errors.New("relstore: load segments: section is in the 
 //	per entry: first row, rows<<1 | normDiffers, [norm if normDiffers]
 //	trigram keys: count, per key the code's delta from the previous
 //	  key's, then the id list
-//	token keys: count, per key the id list, then the index of the key's
-//	  first occurrence among the fields of its first entry's norm
 //
 // where an id list is its length and its ascending ids as deltas. Nothing
-// the catalog section holds is repeated: a value is its first row's cell,
-// and a token is cut from a normalised value.
+// the catalog section holds is repeated: a value is its first row's cell.
 func (c *Catalog) SaveSegments(w io.Writer) error {
 	b := binio.NewWriter(w)
 	b.Raw(segmentsBinMagic)
@@ -227,16 +227,6 @@ func (c *Catalog) SaveSegments(w io.Writer) error {
 			prev = code
 			b.IDs(s.grams.list(i))
 		}
-		b.Uvarint(uint64(len(s.tokens.keys)))
-		for i, tok := range s.tokens.keys {
-			ids := s.tokens.list(i)
-			b.IDs(ids)
-			ref, ok := tokenRef(s.entries[ids[0]].norm, tok)
-			if !ok {
-				return fmt.Errorf("relstore: save segments: %s token %q is not a field of its first entry", s.rel, tok)
-			}
-			b.Uvarint(ref)
-		}
 	}
 	if err := b.Flush(); err != nil {
 		return fmt.Errorf("relstore: save segments: %w", err)
@@ -254,46 +244,6 @@ func readIDs(r *binio.Reader, nEntries int, ids []int32) []int32 {
 	return ids
 }
 
-// tokenRef returns the index of tok's first occurrence among the fields
-// of norm, as the token index splits it (nextField).
-func tokenRef(norm, tok string) (uint64, bool) {
-	ref := uint64(0)
-	for i := 0; ; ref++ {
-		start, end := nextField(norm, i)
-		if start == end {
-			return 0, false
-		}
-		if norm[start:end] == tok {
-			return ref, true
-		}
-		i = end
-	}
-}
-
-// tokenAt is tokenRef's inverse: field ref of norm, reporting false when
-// norm has no such field or an earlier field equals it. The token is a
-// substring of norm.
-func tokenAt(norm string, ref uint64) (string, bool) {
-	i := 0
-	for n := uint64(0); ; n++ {
-		start, end := nextField(norm, i)
-		if start == end {
-			return "", false
-		}
-		if n == ref {
-			// norm[:start] holds exactly the fields before this one, and
-			// an earlier field equal to tok is a substring of it.
-			tok := norm[start:end]
-			if ref > 0 && strings.Contains(norm[:start], tok) {
-				_, earlier := tokenRef(norm[:start], tok)
-				return tok, !earlier
-			}
-			return tok, true
-		}
-		i = end
-	}
-}
-
 // LoadSegments decodes a SaveSegments section and installs each segment
 // verbatim as its table's segment — the re-point load path: no
 // normalisation, no trigram extraction, no row scans. Writer-side, like
@@ -302,13 +252,13 @@ func tokenAt(norm string, ref uint64) (string, bool) {
 // row must exist and carry a non-empty value, its row count must fit the
 // table, and an attribute's values must ascend strictly, which Values and
 // ValueOverlap rely on; posting keys must ascend strictly, a trigram code
-// must pack three valid runes, a token must be the first field of its
-// reference; and no byte may trail. Every accepted section therefore
-// re-encodes to itself. Values alias the catalog's rows, tokens alias the
-// normalised values, and the normalised values that differ from their
-// values are copied, so nothing aliases data once LoadSegments returns.
+// must pack three valid runes; and no byte may trail. Every accepted
+// section therefore re-encodes to itself. Values alias the catalog's rows,
+// and the normalised values that differ from their values are copied, so
+// nothing aliases data once LoadSegments returns. A section in a retired
+// layout installs nothing and returns ErrRetiredSegments.
 func (c *Catalog) LoadSegments(data []byte) error {
-	if len(data) >= len(segmentsV1Magic) && string(data[:len(segmentsV1Magic)]) == segmentsV1Magic {
+	if bytes.HasPrefix(data, []byte(segmentsV1Magic)) || bytes.HasPrefix(data, []byte(segmentsV2Magic)) {
 		return ErrRetiredSegments
 	}
 	// Nothing decoded aliases the section (see ownNorms), so the reader
@@ -404,7 +354,6 @@ func readSegment(r *binio.Reader, t *Table, scratch *segmentScratch) *segment {
 		ownNorms(s.entries, differ, normBytes)
 	}
 	s.grams = readGrams(r, nEntries, &scratch.ids)
-	s.tokens = readTokens(r, s.entries, &scratch.ids)
 	return s
 }
 
@@ -434,12 +383,12 @@ func ownNorms(entries []indexEntry, differ []int32, normBytes int) {
 // collects the ids and is reused across calls, so the index costs three
 // allocations. Each code is a non-zero delta from the previous key's and
 // must pack three valid runes.
-func readGrams(r *binio.Reader, nEntries int, scratch *[]int32) postings[uint64] {
+func readGrams(r *binio.Reader, nEntries int, scratch *[]int32) postings {
 	n := r.Count("trigram key")
 	if r.Err() != nil || n == 0 {
-		return postings[uint64]{}
+		return postings{}
 	}
-	p := postings[uint64]{keys: make([]uint64, n), off: make([]int32, n+1)}
+	p := postings{keys: make([]uint64, n), off: make([]int32, n+1)}
 	ids := (*scratch)[:0]
 	code := uint64(0)
 	for i := 0; i < n && r.Err() == nil; i++ {
@@ -454,40 +403,7 @@ func readGrams(r *binio.Reader, nEntries int, scratch *[]int32) postings[uint64]
 	}
 	*scratch = ids
 	if r.Err() != nil {
-		return postings[uint64]{}
-	}
-	p.ids = slices.Clone(ids)
-	return p
-}
-
-// readTokens decodes a token posting index like readGrams. Each key is cut
-// from the normalised value of its list's first entry, so the keys cost no
-// allocation; they must ascend strictly.
-func readTokens(r *binio.Reader, entries []indexEntry, scratch *[]int32) postings[string] {
-	n := r.Count("token key")
-	if r.Err() != nil || n == 0 {
-		return postings[string]{}
-	}
-	p := postings[string]{keys: make([]string, n), off: make([]int32, n+1)}
-	ids := (*scratch)[:0]
-	for i := 0; i < n && r.Err() == nil; i++ {
-		first := len(ids)
-		ids = readIDs(r, len(entries), ids)
-		ref := r.Uvarint()
-		if r.Err() != nil {
-			break
-		}
-		norm := entries[ids[first]].norm
-		tok, ok := tokenAt(norm, ref)
-		if !ok || i > 0 && tok <= p.keys[i-1] {
-			r.Failf("token reference %d into %q misses, is not the first match, or is not above its predecessor", ref, norm)
-		}
-		p.keys[i] = tok
-		p.off[i+1] = int32(len(ids))
-	}
-	*scratch = ids
-	if r.Err() != nil {
-		return postings[string]{}
+		return postings{}
 	}
 	p.ids = slices.Clone(ids)
 	return p

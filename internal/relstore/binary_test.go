@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -383,8 +384,7 @@ func TestPersistRoundTrip(t *testing.T) {
 // rows "abc", "abd" and "", one hostile structure per case: a list must
 // hold an id, ascend strictly from 0 and stay below the entry count at
 // every id, not just the last; the keys of a posting index must ascend
-// strictly; a trigram code must pack three valid runes; a token must be the
-// first field of the normalised value it refers to; an entry must refer to
+// strictly; a trigram code must pack three valid runes; an entry must refer to
 // a row of the table whose cell is non-empty, carry a row count the table
 // can hold, and write its normalised form only when it differs; an
 // attribute's values must ascend strictly (Values and ValueOverlap merge
@@ -408,18 +408,18 @@ func TestLoadSegmentsChecksEveryPostingID(t *testing.T) {
 		row, flags uint64
 		norm       string
 	}
-	// list is one posting key — a trigram code, or a token's field index —
-	// and the deltas of its id list.
+	// list is one posting key, a trigram code, and the deltas of its id
+	// list.
 	type list struct {
 		key    uint64
 		deltas []uint64
 	}
 	// layout is a segments section holding one segment per position.
 	type layout struct {
-		pos           []uint64
-		spans         []uint64 // attribute span offsets, then the entry count
-		entries       []entry
-		grams, tokens []list
+		pos     []uint64
+		spans   []uint64 // attribute span offsets, then the entry count
+		entries []entry
+		grams   []list
 	}
 	gram := func(g string) uint64 {
 		var code uint64
@@ -434,7 +434,6 @@ func TestLoadSegmentsChecksEveryPostingID(t *testing.T) {
 			spans:   []uint64{0, 2, 2},
 			entries: []entry{{row: 0, flags: 1 << 1}, {row: 1, flags: 1 << 1}},
 			grams:   []list{{gram("abc"), []uint64{0}}, {gram("abd"), []uint64{1}}},
-			tokens:  []list{{0, []uint64{0}}, {0, []uint64{1}}},
 		}
 	}
 	section := func(l layout) []byte {
@@ -466,11 +465,6 @@ func TestLoadSegmentsChecksEveryPostingID(t *testing.T) {
 				b.Uvarint(g.key - prev) // a key below its predecessor wraps
 				prev = g.key
 				ids(g.deltas)
-			}
-			b.Uvarint(uint64(len(l.tokens)))
-			for _, tok := range l.tokens {
-				ids(tok.deltas)
-				b.Uvarint(tok.key)
 			}
 		}
 		if err := b.Flush(); err != nil {
@@ -530,16 +524,9 @@ func TestLoadSegmentsChecksEveryPostingID(t *testing.T) {
 		{"attribute spans disagree with the entries", func(l *layout) { l.spans = []uint64{0, 1, 2} }},
 		{"duplicate trigram key (zero delta)", func(l *layout) { l.grams[1].key = l.grams[0].key }},
 		{"trigram keys out of order", func(l *layout) { l.grams[0], l.grams[1] = l.grams[1], l.grams[0] }},
-		{"duplicate token key", func(l *layout) { l.tokens[1].deltas = []uint64{0} }},
-		{"token keys out of order", func(l *layout) { l.tokens[0].deltas, l.tokens[1].deltas = []uint64{1}, []uint64{0} }},
 		{"trigram rune past U+10FFFF", func(l *layout) { l.grams[1].key = gram("ab")<<gramRuneBits | 0x110000 }},
 		{"trigram code wider than three runes", func(l *layout) { l.grams[1].key = 1<<(3*gramRuneBits) | gram("abd") }},
 		{"trigram surrogate rune", func(l *layout) { l.grams[1].key = gram("ab")<<gramRuneBits | 0xd800 }},
-		{"token reference misses", func(l *layout) { l.tokens[0].key = 1 }},
-		{"token reference not the first match", func(l *layout) {
-			l.entries[0] = entry{row: 0, flags: 1<<1 | 1, norm: "abc abc"}
-			l.tokens[0].key = 1
-		}},
 		{"values out of order", func(l *layout) { l.entries[0].row, l.entries[1].row = 1, 0 }},
 		{"repeated value", func(l *layout) { l.entries[1].row = 0 }},
 		{"row reference to an empty cell", func(l *layout) { l.entries[0].row = 2 }},
@@ -556,13 +543,11 @@ func TestLoadSegmentsChecksEveryPostingID(t *testing.T) {
 			t.Errorf("%s: section accepted", tc.name)
 		}
 	}
-	// The one edit above that is not itself hostile: a normalised form that
-	// differs from its value and repeats a field loads, with the token at
-	// its first occurrence.
+	// A normalised form that differs from its value loads.
 	l := good()
 	l.entries[0] = entry{row: 0, flags: 1<<1 | 1, norm: "abc abc"}
 	if _, err := load(section(l)); err != nil {
-		t.Errorf("a differing normalised form with a repeated field was refused: %v", err)
+		t.Errorf("a differing normalised form was refused: %v", err)
 	}
 }
 
@@ -620,4 +605,49 @@ func checkSegmentCodecMatchesV1Oracle(t *testing.T, c *Catalog) {
 		t.Fatalf("LoadSegments on a QSEGb1 section: %v with %d segments, want ErrRetiredSegments and none", err, len(retired.segs))
 	}
 	t.Logf("%d segments: QSEGb1 %d bytes, SaveSegments %d bytes", len(c.segs), v1.Len(), v2.Len())
+}
+
+// TestLoadSegmentsRefusesRetiredLayouts: a segments section in either
+// retired layout — QSEGb1, or QSEGb2 with its whole-token postings — is
+// refused with ErrRetiredSegments and installs nothing, on the binary
+// fixture and on random catalogs, fully and partly indexed; the same
+// catalog then loads the current section.
+func TestLoadSegmentsRefusesRetiredLayouts(t *testing.T) {
+	catalogs := []*Catalog{binaryFixtureCatalog(t)}
+	r := rand.New(rand.NewSource(11))
+	for range 10 {
+		catalogs = append(catalogs, randomIndexCatalog(t, r))
+	}
+	for i, c := range catalogs {
+		if i%2 == 0 {
+			c.BuildValueIndex(1)
+		} else {
+			indexOne(c, c.order[0])
+		}
+		var current bytes.Buffer
+		if err := c.SaveSegments(&current); err != nil {
+			t.Fatal(err)
+		}
+		for _, layout := range []struct {
+			name string
+			save func(*Catalog, io.Writer) error
+		}{{"QSEGb1", saveSegmentsV1Oracle}, {"QSEGb2", saveSegmentsV2Oracle}} {
+			var retired bytes.Buffer
+			if err := layout.save(c, &retired); err != nil {
+				t.Fatal(err)
+			}
+			f := NewCatalog()
+			for _, qn := range c.order {
+				if err := f.AddTable(c.tables[qn]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := f.LoadSegments(retired.Bytes()); !errors.Is(err, ErrRetiredSegments) || len(f.segs) != 0 {
+				t.Fatalf("catalog %d: LoadSegments on a %s section: %v with %d segments, want ErrRetiredSegments and none", i, layout.name, err, len(f.segs))
+			}
+			if err := f.LoadSegments(current.Bytes()); err != nil {
+				t.Fatalf("catalog %d: the current section after a refused %s one: %v", i, layout.name, err)
+			}
+		}
+	}
 }

@@ -57,9 +57,10 @@ var fuzzKeywords = []string{
 }
 
 // FuzzLoadSegments fuzzes the segment decoder: a segments section —
-// seeded with real SaveSegments output, and a retired QSEGb1 section, and
-// mutated arbitrarily — must either be refused by LoadSegments or load into
-// a catalog that re-encodes to the same bytes, answers every probe keyword
+// seeded with real SaveSegments output and a section in each retired
+// layout (QSEGb1, QSEGb2), and mutated arbitrarily — must either be
+// refused by LoadSegments or load into a catalog that re-encodes to the
+// same bytes, answers every probe keyword
 // without panicking, and whose every attribute's values ascend strictly,
 // contain no empty value, and overlap themselves fully. Every count the
 // decoder allocates by is bounded by the bytes left, so no input makes it
@@ -98,6 +99,11 @@ func FuzzLoadSegments(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(v1.Bytes())
+	var v2 bytes.Buffer
+	if err := saveSegmentsV2Oracle(src, &v2); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := build()
 		if c.LoadSegments(data) != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -38,14 +39,19 @@ import (
 //     per-entry seen set and trigrams cut from []rune, and
 //     saveSegmentsOracle the map-based segment encoder, writing each map
 //     under sorted keys in the retired QSEGb1 layout. buildSegment's flat
-//     postings must hold the same lists, and saveSegmentsV1Oracle must
-//     write the same bytes (TestSegmentPostingsMatchOracle).
+//     trigram postings must hold the same lists, and saveSegmentsV1Oracle
+//     must write the same bytes (TestSegmentPostingsMatchOracle). The
+//     oracle also posts every entry's whole tokens (strings.Fields), which
+//     only the retired layouts carry.
 //   - saveSegmentsV1Oracle and loadSegmentsV1Oracle are the QSEGb1 segment
 //     codec, which wrote every value, normalised form and key as a string.
 //     SaveSegments and LoadSegments must round-trip the same segments
 //     field for field (TestSegmentCodecMatchesV1Oracle), and a restore
 //     that meets a QSEGb1 section indexes its tables from their rows
 //     instead (TestRestoreRebuildsRetiredSegments in internal/core).
+//   - saveSegmentsV2Oracle writes the retired QSEGb2 layout, the QSEGb3
+//     layout plus each segment's token postings. LoadSegments refuses it
+//     by name and installs nothing (TestLoadSegmentsRefusesRetiredLayouts).
 
 // executor is one way to run a conjunctive query.
 type executor struct {
@@ -91,8 +97,9 @@ func scanFindValues(c *Catalog, keyword string) []ValueHit {
 	return hits
 }
 
-// postingMaps is the map form of a segment's two posting indexes: key ->
-// ascending entry ids.
+// postingMaps is the map form of a segment's trigram postings and of the
+// whole-token postings the retired layouts carried: key -> ascending entry
+// ids.
 type postingMaps struct {
 	grams, tokens map[string][]int32
 }
@@ -227,6 +234,55 @@ func saveSegmentsOracle(c *Catalog, w io.Writer) error {
 	return b.Flush()
 }
 
+// saveSegmentsV2Oracle encodes the segment of every indexed table in the
+// retired QSEGb2 layout: the QSEGb3 segment (SaveSegments), then its token
+// keys — the count, then per key, ascending, the id list postingsOracle
+// posts and the index of the key's first occurrence among the fields of
+// its first entry's norm.
+func saveSegmentsV2Oracle(c *Catalog, w io.Writer) error {
+	b := binio.NewWriter(w)
+	b.Raw(segmentsV2Magic)
+	var pos []int
+	for i, qn := range c.order {
+		if c.segs[qn] != nil {
+			pos = append(pos, i)
+		}
+	}
+	b.Uvarint(uint64(len(pos)))
+	for _, p := range pos {
+		s := c.segs[c.order[p]]
+		b.Uvarint(uint64(p))
+		for _, off := range s.attrStart {
+			b.Uvarint(uint64(off))
+		}
+		b.Uvarint(uint64(len(s.entries)))
+		for _, e := range s.entries {
+			b.Uvarint(uint64(e.row))
+			if e.norm != e.val {
+				b.Uvarint(uint64(e.rows)<<1 | 1)
+				b.Str(e.norm)
+			} else {
+				b.Uvarint(uint64(e.rows) << 1)
+			}
+		}
+		b.Uvarint(uint64(len(s.grams.keys)))
+		prev := uint64(0)
+		for i, code := range s.grams.keys {
+			b.Uvarint(code - prev)
+			prev = code
+			b.IDs(s.grams.list(i))
+		}
+		tokens := postingsOracle(s).tokens
+		b.Uvarint(uint64(len(tokens)))
+		for _, tok := range slices.Sorted(maps.Keys(tokens)) {
+			ids := tokens[tok]
+			b.IDs(ids)
+			b.Uvarint(uint64(slices.Index(strings.Fields(s.entries[ids[0]].norm), tok)))
+		}
+	}
+	return b.Flush()
+}
+
 func writePostingMapOracle(b *binio.Writer, m map[string][]int32) {
 	keys := make([]string, 0, len(m))
 	for k := range m {
@@ -236,20 +292,26 @@ func writePostingMapOracle(b *binio.Writer, m map[string][]int32) {
 	b.Uvarint(uint64(len(keys)))
 	for _, k := range keys {
 		b.Str(k)
-		ids := m[k]
-		b.Uvarint(uint64(len(ids)))
-		prev := int32(0)
-		for _, id := range ids {
-			b.Uvarint(uint64(id - prev))
-			prev = id
-		}
+		writeIDsOracle(b, m[k])
+	}
+}
+
+// writeIDsOracle encodes one ascending id list: its length, then the ids
+// as deltas.
+func writeIDsOracle(b *binio.Writer, ids []int32) {
+	b.Uvarint(uint64(len(ids)))
+	prev := int32(0)
+	for _, id := range ids {
+		b.Uvarint(uint64(id - prev))
+		prev = id
 	}
 }
 
 // saveSegmentsV1Oracle encodes the segment of every indexed table in the
 // retired QSEGb1 layout: per segment the relation and attribute names, then
-// every entry's value, normalised form and row count, then both posting
-// indexes with their keys as strings.
+// every entry's value, normalised form and row count, then the trigram and
+// token posting indexes with their keys as strings, the tokens as
+// postingsOracle posts them.
 func saveSegmentsV1Oracle(c *Catalog, w io.Writer) error {
 	b := binio.NewWriter(w)
 	b.Raw(segmentsV1Magic)
@@ -276,11 +338,13 @@ func saveSegmentsV1Oracle(c *Catalog, w io.Writer) error {
 			b.Str(e.norm)
 			b.Uvarint(uint64(e.rows))
 		}
-		writePostings(b, &s.grams, func(code uint64) {
+		b.Uvarint(uint64(len(s.grams.keys)))
+		for i, code := range s.grams.keys {
 			gram = appendGram(gram[:0], code)
 			b.Bytes(gram)
-		})
-		writePostings(b, &s.tokens, b.Str)
+			writeIDsOracle(b, s.grams.list(i))
+		}
+		writePostingMapOracle(b, postingsOracle(s).tokens)
 	}
 	if err := b.Flush(); err != nil {
 		return fmt.Errorf("relstore: save segments: %w", err)
@@ -288,43 +352,27 @@ func saveSegmentsV1Oracle(c *Catalog, w io.Writer) error {
 	return nil
 }
 
-// writePostings encodes one posting index: the key count, then per key the
-// key (written by key) and its delta-encoded id list.
-func writePostings[K uint64 | string](b *binio.Writer, p *postings[K], key func(K)) {
-	b.Uvarint(uint64(len(p.keys)))
-	for i, k := range p.keys {
-		key(k)
-		ids := p.ids[p.off[i]:p.off[i+1]]
-		b.Uvarint(uint64(len(ids)))
-		prev := int32(0)
-		for _, id := range ids {
-			b.Uvarint(uint64(id - prev)) // ascending ids: deltas are non-negative
-			prev = id
-		}
-	}
-}
-
-// readPostings decodes one posting index into flat arrays; scratch collects
-// the ids and is reused across calls, so the index costs three allocations.
-// key parses a section key, reporting false for one the index cannot hold.
-// Keys must ascend strictly, and every id is checked as it is decoded: each
-// list must ascend strictly from 0 and stay below nEntries, so a corrupt
-// delta can neither wrap an id negative nor point past the segment's
-// entries.
-func readPostings[K uint64 | string](r *binio.Reader, nEntries int, key func(string) (K, bool), scratch *[]int32) postings[K] {
+// readPostings decodes one posting index into flat arrays — the keys, one
+// offset per key and the ids, as postings holds them; scratch collects the
+// ids and is reused across calls. key parses a section key, reporting
+// false for one the index cannot hold. Keys must ascend strictly, and every
+// id is checked as it is decoded: each list must ascend strictly from 0 and
+// stay below nEntries, so a corrupt delta can neither wrap an id negative
+// nor point past the segment's entries.
+func readPostings[K uint64 | string](r *binio.Reader, nEntries int, key func(string) (K, bool), scratch *[]int32) ([]K, []int32, []int32) {
 	n := r.Count("posting key")
 	if r.Err() != nil || n == 0 {
-		return postings[K]{}
+		return nil, nil, nil
 	}
-	p := postings[K]{keys: make([]K, n), off: make([]int32, n+1)}
+	keys, off := make([]K, n), make([]int32, n+1)
 	ids := (*scratch)[:0]
 	for i := 0; i < n && r.Err() == nil; i++ {
 		raw := r.Str()
 		k, ok := key(raw)
-		if r.Err() == nil && (!ok || i > 0 && k <= p.keys[i-1]) {
+		if r.Err() == nil && (!ok || i > 0 && k <= keys[i-1]) {
 			r.Failf("posting key %q is malformed or not above its predecessor", raw)
 		}
-		p.keys[i] = k
+		keys[i] = k
 		ln := r.Count("posting id")
 		var id uint64
 		for j := 0; j < ln; j++ {
@@ -340,14 +388,13 @@ func readPostings[K uint64 | string](r *binio.Reader, nEntries int, key func(str
 			id += d
 			ids = append(ids, int32(id))
 		}
-		p.off[i+1] = int32(len(ids))
+		off[i+1] = int32(len(ids))
 	}
 	*scratch = ids
 	if r.Err() != nil {
-		return postings[K]{}
+		return nil, nil, nil
 	}
-	p.ids = slices.Clone(ids)
-	return p
+	return keys, off, slices.Clone(ids)
 }
 
 // appendGram appends the UTF-8 form of a trigram code to dst.
@@ -381,7 +428,8 @@ func tokenKey(s string) (string, bool) { return s, true }
 // each segment verbatim as its table's segment. A segment naming a
 // relation absent from the catalog or already indexed, or attributes other
 // than its table's, is an error, and so is an attribute span holding an
-// empty value or values not strictly ascending. The layout carries no
+// empty value or values not strictly ascending, or token postings other
+// than those postingsOracle posts for the entries. The layout carries no
 // rows, so each entry's first row is found in its table, and a value no
 // row carries is an error.
 func loadSegmentsV1Oracle(c *Catalog, data []byte) error {
@@ -427,10 +475,17 @@ func loadSegmentsV1Oracle(c *Catalog, data []byte) error {
 			}
 			s.entries[i] = e
 		}
-		s.grams = readPostings(r, nEntries, parseGram, &scratch)
-		s.tokens = readPostings(r, nEntries, tokenKey, &scratch)
+		s.grams.keys, s.grams.off, s.grams.ids = readPostings(r, nEntries, parseGram, &scratch)
+		toks, off, ids := readPostings(r, nEntries, tokenKey, &scratch)
 		if r.Err() != nil {
 			break
+		}
+		tokens := make(map[string][]int32, len(toks))
+		for i, tok := range toks {
+			tokens[tok] = ids[off[i]:off[i+1]]
+		}
+		if !maps.EqualFunc(tokens, postingsOracle(s).tokens, slices.Equal) {
+			return fmt.Errorf("relstore: load segments: %s token postings disagree with its entries", s.rel)
 		}
 		t := c.tables[s.rel]
 		if t == nil {

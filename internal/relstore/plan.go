@@ -1,12 +1,5 @@
 package relstore
 
-// PlanStats counts one BatchPlan's planning work — accumulated per instance
-// by core and served on /stats.
-type PlanStats struct {
-	// BranchesPlanned is the number of branch queries planned.
-	BranchesPlanned int64 `json:"branches_planned"`
-}
-
 // BatchPlan is the planned form of one branch-query batch: one plan per
 // query. Execute is safe for concurrent use across different (or equal)
 // indexes. Core runs a view's branches serially (one TopKUnion per
@@ -46,9 +39,4 @@ func (bp *BatchPlan) Execute(i int) (*ResultSet, error) {
 		return nil, err
 	}
 	return st.Drain(), nil
-}
-
-// Stats snapshots the batch's planning counters.
-func (bp *BatchPlan) Stats() PlanStats {
-	return PlanStats{BranchesPlanned: int64(len(bp.plans))}
 }

@@ -136,7 +136,7 @@ func TestPlannedBatchAndTopKEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(gotU, wantU) {
 				t.Fatalf("trial %d k=%d: top-k union divergence\ngot:  %v\nwant: %v", trial, k, gotU, wantU)
 			}
-			if got := bp.Stats().BranchesPlanned; got != int64(len(queries)) {
+			if got := bp.Len(); got != len(queries) {
 				t.Fatalf("trial %d k=%d: branches planned = %d, want %d", trial, k, got, len(queries))
 			}
 		}

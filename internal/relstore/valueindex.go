@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"unicode"
 	"unicode/utf8"
 
 	"qint/internal/pool"
@@ -13,29 +12,27 @@ import (
 )
 
 // This file is the incremental inverted value index behind FindValues: a
-// character-trigram (plus whole-token) index from normalised text to posting
-// lists of distinct attribute values. It replaces the per-keyword full
-// catalog scan — previously the dominant per-query cost on large catalogs —
-// while preserving the scan's case-insensitive-substring contract exactly:
-// the scan survives only as a test oracle (oracle_test.go), and the
-// metamorphic suites in valueindex_test.go and the FuzzFindValuesEquivalence
-// target pin byte-identical results against it.
+// character-trigram index from normalised text to posting lists of distinct
+// attribute values. It replaces the per-keyword full catalog scan —
+// previously the dominant per-query cost on large catalogs — while
+// preserving the scan's case-insensitive-substring contract exactly: the
+// scan survives only as a test oracle (oracle_test.go), and the metamorphic
+// suites in valueindex_test.go and the FuzzFindValuesEquivalence target pin
+// byte-identical results against it.
 //
 // Structure. The index is split by table: each *Table gets one immutable
 // segment holding the table's distinct (attribute, value) entries — sorted
 // by attribute then value — with each entry's normalised form, row count
-// and first row, plus two flat posting indexes over entry ids: one keyed by
-// every character trigram of the normalised value, one by every whole token
-// (a field as nextField splits it). A posting index is three arrays — the
-// keys in ascending order, one offset per key and one id array — so key
-// i's ascending id list is ids[off[i]:off[i+1]]; a trigram key is its three
-// runes packed into one integer (a gram code, see gramRuneBits). An
-// attribute's entries are its ascending distinct values, so Values and
-// ValueOverlap read them too. A value is its table's row string, a token a
-// substring of its normalised value, and a normalised value is its value
-// whenever normalising changes nothing; the segments section leans on all
-// three (binary.go) and writes a value as its first row, a token as a field
-// index, and a normalised value only when it differs.
+// and first row, plus one flat posting index over entry ids keyed by every
+// character trigram of the normalised value. The posting index is three
+// arrays — the keys in ascending order, one offset per key and one id
+// array — so key i's ascending id list is ids[off[i]:off[i+1]]; a key is
+// its trigram's three runes packed into one integer (a gram code, see
+// gramRuneBits). An attribute's entries are its ascending distinct values,
+// so Values and ValueOverlap read them too. A value is its table's row
+// string, and a normalised value is its value whenever normalising changes
+// nothing; the segments section leans on both (binary.go) and writes a
+// value as its first row, and a normalised value only when it differs.
 //
 // Segments are a plain catalog field, written only by the writers:
 // BuildValueIndex builds every missing one, LoadSegments installs decoded
@@ -48,11 +45,9 @@ import (
 // Lookup. A keyword is normalised, then:
 //   - len ≥ 3 runes: candidates are the intersection of the keyword's
 //     trigram posting lists (smallest first; any absent trigram short-
-//     circuits to no hits; a key is found by binary search). Candidates
-//     whose ids also appear on the keyword's whole-token posting list are
-//     accepted outright (a token is always a substring of its value — the
-//     exact-token fast path); the rest are verified with one
-//     strings.Contains over the precomputed normalised value.
+//     circuits to no hits; a key is found by binary search). Each candidate
+//     is verified with one strings.Contains over its precomputed normalised
+//     value.
 //   - len < 3 runes (shorter than the trigram width): deterministic
 //     fallback — every entry of the segment is verified directly. This
 //     still touches only distinct values with precomputed normalisations,
@@ -78,9 +73,8 @@ type segment struct {
 	rel       string   // qualified relation name
 	attrs     []string // attribute names, declaration order
 	entries   []indexEntry
-	attrStart []int            // entries[attrStart[i]:attrStart[i+1]] belong to attribute i
-	grams     postings[uint64] // normalised-value trigram (gram code) -> ascending entry ids
-	tokens    postings[string] // normalised-value whole token -> ascending entry ids
+	attrStart []int    // entries[attrStart[i]:attrStart[i+1]] belong to attribute i
+	grams     postings // normalised-value trigram (gram code) -> ascending entry ids
 }
 
 // segment returns the value-index segment of the named table: the
@@ -97,17 +91,18 @@ func (s *segment) span(i int) []indexEntry {
 	return s.entries[s.attrStart[i]:s.attrStart[i+1]]
 }
 
-// postings is one immutable posting index over a segment's entry ids: keys
-// strictly ascending, and key i's ascending id list ids[off[i]:off[i+1]].
-// The whole index is three allocations, however many keys it holds.
-type postings[K uint64 | string] struct {
-	keys []K
+// postings is a segment's immutable trigram posting index over its entry
+// ids: gram codes strictly ascending, and key i's ascending id list
+// ids[off[i]:off[i+1]]. The whole index is three allocations, however many
+// keys it holds.
+type postings struct {
+	keys []uint64
 	off  []int32 // len(keys)+1 entries; nil when there are no keys
 	ids  []int32
 }
 
 // lookup returns key's id list and whether the key is present.
-func (p *postings[K]) lookup(key K) ([]int32, bool) {
+func (p *postings) lookup(key uint64) ([]int32, bool) {
 	i, ok := slices.BinarySearch(p.keys, key)
 	if !ok {
 		return nil, false
@@ -116,7 +111,7 @@ func (p *postings[K]) lookup(key K) ([]int32, bool) {
 }
 
 // list returns key i's id list.
-func (p *postings[K]) list(i int) []int32 { return p.ids[p.off[i]:p.off[i+1]] }
+func (p *postings) list(i int) []int32 { return p.ids[p.off[i]:p.off[i+1]] }
 
 // A gram code packs a trigram's three runes into one key, 21 bits a rune,
 // first rune highest. Every rune fits in 21 bits, so the numeric order of
@@ -157,57 +152,10 @@ func forEachGram(s string, fn func(code uint64)) {
 	}
 }
 
-// asciiSpace marks the ASCII bytes unicode.IsSpace reports.
-var asciiSpace = [utf8.RuneSelf]bool{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true}
-
-// nextField returns the bounds of the first field of s at or after byte i
-// — a maximal run of runes that are not unicode.IsSpace, as strings.Fields
-// splits s — or start == end when none is left. It is the token index's one
-// splitter: buildSegment posts the fields it finds, and the segments codec
-// writes and reads a token as the index of one of them.
-func nextField(s string, i int) (start, end int) {
-	start = -1
-	for i < len(s) {
-		c, size := s[i], 1
-		var space bool
-		if c < utf8.RuneSelf {
-			space = asciiSpace[c]
-		} else {
-			var r rune
-			r, size = utf8.DecodeRuneInString(s[i:])
-			space = unicode.IsSpace(r)
-		}
-		if space {
-			if start >= 0 {
-				return start, i
-			}
-		} else if start < 0 {
-			start = i
-		}
-		i += size
-	}
-	if start < 0 {
-		return len(s), len(s)
-	}
-	return start, len(s)
-}
-
-// postingBuilder gathers one posting index while buildSegment walks the
-// entries in id order: each distinct key is interned once, and each
-// (key, id) pair is recorded once, as the key's slot under its entry.
-type postingBuilder[K uint64 | string] struct {
-	slot  map[K]int32 // key -> slot, in first-seen order
-	keys  []K         // by slot
-	last  []int32     // by slot: the last id posted
-	count []int32     // by slot: ids posted
-	occ   []int32     // the slot of every (key, id) posted, in id order
-	start []int32     // entry id -> its first index in occ
-}
-
-// gramBuilder gathers a trigram posting index like postingBuilder, but
-// without a map: it records every (code, entry id) pair in id order and
-// orders them by a stable radix sort on the codes, which leaves each
-// code's ids ascending, with repeats next to each other.
+// gramBuilder gathers a trigram posting index while buildSegment walks the
+// entries in id order: it records every (code, entry id) pair and orders
+// them by a stable radix sort on the codes, which leaves each code's ids
+// ascending, with repeats next to each other.
 type gramBuilder struct {
 	codes      []uint64 // every code posted, in id order
 	ids        []int32  // by position in codes: the entry id
@@ -222,9 +170,9 @@ func (b *gramBuilder) add(code uint64, id int32) {
 
 // finish lays the gathered postings out flat, codes ascending, each id
 // once per code, and empties the builder.
-func (b *gramBuilder) finish() postings[uint64] {
+func (b *gramBuilder) finish() postings {
 	if len(b.codes) == 0 {
-		return postings[uint64]{}
+		return postings{}
 	}
 	b.order = radixSort(b.codes, b.order[:0], &b.tmp)
 	nKeys, nIDs := 0, 0
@@ -236,7 +184,7 @@ func (b *gramBuilder) finish() postings[uint64] {
 			nIDs++
 		}
 	}
-	p := postings[uint64]{keys: make([]uint64, 0, nKeys), off: make([]int32, 0, nKeys+1), ids: make([]int32, 0, nIDs)}
+	p := postings{keys: make([]uint64, 0, nKeys), off: make([]int32, 0, nKeys+1), ids: make([]int32, 0, nIDs)}
 	for i, pos := range b.order {
 		code, id := b.codes[pos], b.ids[pos]
 		if i == 0 || code != b.codes[b.order[i-1]] {
@@ -292,94 +240,21 @@ func radixSort(codes []uint64, order []int32, tmp *[]int32) []int32 {
 	return src
 }
 
-// release empties the builder for the next segment once finish has laid
-// its postings out. It keeps the storage, unless this segment grew the key
-// map past maxScratchKeys: clearing a map costs its capacity, so one huge
-// table must not make every later small one pay for it.
-func (b *postingBuilder[K]) release() {
-	if len(b.slot) > maxScratchKeys {
-		b.slot = nil
-	} else {
-		clear(b.slot)
-	}
-	clear(b.keys) // a pooled builder must not pin a table's strings
-	b.keys, b.last, b.count = b.keys[:0], b.last[:0], b.count[:0]
-	b.occ, b.start = b.occ[:0], b.start[:0]
-}
-
-// maxScratchKeys is the most distinct keys, or distinct values of one
-// attribute, whose map a pooled segment builder keeps for the next table.
+// maxScratchKeys is the most distinct values of one attribute whose map a
+// pooled segment builder keeps for the next table: clearing a map costs
+// its capacity, so one huge table must not make every later small one pay
+// for it.
 const maxScratchKeys = 1 << 12
-
-// add posts id under key unless key's list already ends in it. Ids must
-// arrive in ascending order.
-func (b *postingBuilder[K]) add(key K, id int32) {
-	sl, ok := b.slot[key]
-	if !ok {
-		if b.slot == nil {
-			b.slot = make(map[K]int32)
-		}
-		sl = int32(len(b.keys))
-		b.slot[key] = sl
-		b.keys = append(b.keys, key)
-		b.last = append(b.last, -1)
-		b.count = append(b.count, 0)
-	}
-	if b.last[sl] == id {
-		return
-	}
-	b.last[sl] = id
-	b.count[sl]++
-	for int32(len(b.start)) <= id {
-		b.start = append(b.start, int32(len(b.occ)))
-	}
-	b.occ = append(b.occ, sl)
-}
-
-// finish lays the gathered postings out flat, keys ascending.
-func (b *postingBuilder[K]) finish() postings[K] {
-	if len(b.keys) == 0 {
-		return postings[K]{}
-	}
-	p := postings[K]{
-		keys: make([]K, len(b.keys)),
-		off:  make([]int32, len(b.keys)+1),
-		ids:  make([]int32, len(b.occ)),
-	}
-	copy(p.keys, b.keys)
-	slices.Sort(p.keys)
-	next := b.last // reused, by slot: the next free position in the key's list
-	pos := int32(0)
-	for rank, k := range p.keys {
-		sl := b.slot[k]
-		p.off[rank] = pos
-		next[sl] = pos
-		pos += b.count[sl]
-	}
-	p.off[len(p.keys)] = pos
-	for id, from := range b.start {
-		to := int32(len(b.occ))
-		if id+1 < len(b.start) {
-			to = b.start[id+1]
-		}
-		for _, sl := range b.occ[from:to] {
-			p.ids[next[sl]] = int32(id)
-			next[sl]++
-		}
-	}
-	return p
-}
 
 // segmentBuilder is buildSegment's working storage, pooled so that a
 // run of builds — a restore indexing its replayed tables — reuses its maps
 // and lists instead of growing fresh ones per table. Nothing a segment
 // keeps points into it.
 type segmentBuilder struct {
-	seen   []map[string]int32 // per attribute: distinct value -> its position in vals
-	stats  [][]firstRows      // per attribute, by position: first row and row count
-	vals   [][]string         // per attribute: distinct values in first-seen order
-	grams  gramBuilder
-	tokens postingBuilder[string]
+	seen  []map[string]int32 // per attribute: distinct value -> its position in vals
+	stats [][]firstRows      // per attribute, by position: first row and row count
+	vals  [][]string         // per attribute: distinct values in first-seen order
+	grams gramBuilder
 }
 
 // firstRows is a distinct value's first row and row count.
@@ -388,10 +263,9 @@ type firstRows struct{ row, rows int32 }
 var segmentBuilders = sync.Pool{New: func() any { return new(segmentBuilder) }}
 
 // buildSegment indexes one table: distinct values with row counts per
-// attribute, sorted by (attribute, value), plus trigram and token postings
-// over the normalised forms. Posting lists come out sorted because entry
-// ids are assigned in final entry order. Keys are trigram codes and
-// substrings of the normalised values, which the entries retain anyway.
+// attribute, sorted by (attribute, value), plus trigram postings over the
+// normalised forms. Posting lists come out sorted because entry ids are
+// assigned in final entry order.
 func buildSegment(t *Table) *segment {
 	b := segmentBuilders.Get().(*segmentBuilder)
 	defer segmentBuilders.Put(b)
@@ -459,20 +333,11 @@ func buildSegment(t *Table) *segment {
 		clear(vals[i])
 		stats[i], vals[i] = stats[i][:0], vals[i][:0]
 	}
-	grams, tokens := &b.grams, &b.tokens
+	grams := &b.grams
 	for id, e := range s.entries {
 		forEachGram(e.norm, func(code uint64) { grams.add(code, int32(id)) })
-		for i := 0; ; {
-			start, end := nextField(e.norm, i)
-			if start == end {
-				break
-			}
-			tokens.add(e.norm[start:end], int32(id))
-			i = end
-		}
 	}
-	s.grams, s.tokens = grams.finish(), tokens.finish()
-	tokens.release()
+	s.grams = grams.finish()
 	return s
 }
 
@@ -490,24 +355,8 @@ func (s *segment) find(nkw string, trigrams []uint64, out []ValueHit) []ValueHit
 		}
 		return out
 	}
-	cand := s.trigramCandidates(trigrams)
-	if len(cand) == 0 {
-		return out
-	}
-	// Exact-token fast path: candidate ids on the keyword's whole-token
-	// posting list are matches by construction — skip verification.
-	exact, _ := s.tokens.lookup(nkw)
-	ei := 0
-	for _, id := range cand {
-		for ei < len(exact) && exact[ei] < id {
-			ei++
-		}
-		e := s.entries[id]
-		if ei < len(exact) && exact[ei] == id {
-			out = append(out, s.hit(e))
-			continue
-		}
-		if strings.Contains(e.norm, nkw) {
+	for _, id := range s.trigramCandidates(trigrams) {
+		if e := s.entries[id]; strings.Contains(e.norm, nkw) {
 			out = append(out, s.hit(e))
 		}
 	}

@@ -8,7 +8,7 @@ import (
 )
 
 // FuzzNormalize pins the invariants every index structure built over
-// normalised text depends on (trigram postings, token postings, containment
+// normalised text depends on (trigram postings, substring and containment
 // checks): Normalize is idempotent, its output is valid UTF-8 (the value
 // index cuts trigram keys at rune boundaries of it), its output alphabet is
 // lowercase letters, digits and single interior spaces, and tokenisation of

@@ -21,11 +21,10 @@
 // 429/503 contract): -max-inflight bounds concurrent query executions,
 // -write-queue bounds queued writes, -max-views caps the persistent view
 // registry, and -max-body caps POST bodies (413 beyond it). The engine sizes
-// its worker pools and execution slots from GOMAXPROCS; set that environment
-// variable to change its width (answers are identical at any width). The
-// http.Server itself runs with
-// read-header/read/write/idle timeouts so a slow or stalled client cannot
-// wedge the accept loop. cmd/qload drives this server at a target QPS and
+// its worker pools from GOMAXPROCS; set that environment variable to change
+// its width (answers are identical at any width). The http.Server itself
+// runs with read-header/read/write/idle timeouts so a slow or stalled client
+// cannot wedge the accept loop. cmd/qload drives this server at a target QPS and
 // reports latency percentiles against these limits.
 //
 // Observability: GET /metrics serves the engine and serving metric

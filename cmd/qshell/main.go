@@ -42,6 +42,7 @@ import (
 	"qint/internal/matcher/mad"
 	"qint/internal/matcher/meta"
 	"qint/internal/obs"
+	"qint/internal/qcache"
 	"qint/internal/relstore"
 	"qint/internal/storage"
 )
@@ -277,7 +278,7 @@ func main() {
 				continue
 			}
 			fmt.Println("query cache:")
-			printCache := func(name string, c core.CacheCounters) {
+			printCache := func(name string, c qcache.Counters) {
 				fmt.Printf("  %-16s hits=%-8d misses=%-6d computes=%-6d coalesced=%-5d evictions=%-5d entries=%-5d live-epochs=%d\n",
 					name, c.Hits, c.Misses, c.Computes, c.Coalesced, c.Evictions, c.Entries, c.LiveEpochs)
 			}

@@ -264,9 +264,10 @@
 // view materialisation (trees, conjunctive queries, ranked result and α,
 // keyed by (epoch, keyword sequence, k); views
 // sharing a key share one immutable materialisation, including across a
-// refresh fan-out). A singleflight layer coalesces N concurrent identical
-// misses into one pipeline run — a thundering herd on a cold key costs
-// one computation, not N.
+// refresh fan-out). Each cache coalesces its own misses: the first miss
+// of a key leaves a pending entry that N-1 concurrent identical misses
+// wait on, so a thundering herd on a cold key costs one pipeline run, not
+// N.
 //
 // Cached answers are byte-identical to the uncached path at every epoch:
 // the reference oracle (TestEngineMatchesReference in
@@ -418,9 +419,8 @@
 //
 // Per-query stage tracing is opt-in per call: a core.Request carrying a
 // caller-owned obs.Trace threads it through the pipeline, which records
-// one span per stage — cache_lookup, coalesced_wait (when the
-// singleflight layer parked the request behind an identical in-flight
-// computation), expand, steiner, translate, plan, execute, materialize.
+// one span per stage — cache_lookup, coalesced_wait (when the cache
+// parked the request on an identical in-flight computation), expand, steiner, translate, plan, execute, materialize.
 // Every instrument is valid as a nil pointer and no-ops disabled, so the
 // untraced path (a nil Request.Trace) pays one nil check per
 // stage and zero clock reads. Traced wall time feeds the

@@ -14,6 +14,7 @@ import (
 	"qint/internal/datasets"
 	"qint/internal/matcher/mad"
 	"qint/internal/matcher/meta"
+	"qint/internal/relstore"
 	"qint/internal/searchgraph"
 	"qint/internal/steiner"
 )
@@ -65,7 +66,7 @@ func main() {
 			break
 		}
 		mark := "      "
-		if corpus.Gold[core.CanonicalPair(a.A.String(), a.B.String())] {
+		if corpus.Gold[relstore.CanonicalPair(a.A, a.B)] {
 			mark = "GOLD  "
 		}
 		fmt.Printf("  %s%7.3f  %s ~ %s\n", mark, a.Cost, a.A, a.B)
@@ -90,7 +91,7 @@ func pickGoldAnswer(q *core.Q, v *core.View, gold map[string]bool) (target stein
 				continue
 			}
 			uses = true
-			if !gold[core.CanonicalPair(e.A.String(), e.B.String())] {
+			if !gold[relstore.CanonicalPair(e.A, e.B)] {
 				g = false
 			}
 		}

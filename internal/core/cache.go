@@ -37,9 +37,9 @@ import (
 //     construction — overlays are only ever mutated during expansion — so
 //     any number of views and readers share one safely.
 //
-// A singleflight group in front of each cache collapses N concurrent
-// identical misses into one computation (request coalescing): a thundering
-// herd on a cold key costs one pipeline run, not N.
+// Each cache's miss path (qcache.Cache.Do) collapses N concurrent identical
+// misses into one computation (request coalescing): a thundering herd on a
+// cold key costs one pipeline run, not N.
 //
 // Registration runs keyword expansion against interim, unpublished states
 // (unpublishedStateLocked), which have no caches and read straight through.
@@ -53,14 +53,12 @@ type valueMatch struct {
 	Sim   float64
 }
 
-// queryCaches bundles one published generation's serving caches and their
-// singleflight groups. Every option that shapes an answer is fixed when New
-// builds the Q, so no options fingerprint is needed in the keys.
+// queryCaches bundles one published generation's serving caches. Every
+// option that shapes an answer is fixed when New builds the Q, so no
+// options fingerprint is needed in the keys.
 type queryCaches struct {
-	exp  *qcache.Cache[[]valueMatch]
-	expG qcache.Group[[]valueMatch]
-	mat  *qcache.Cache[*viewMat]
-	matG qcache.Group[*viewMat]
+	exp *qcache.Cache[[]valueMatch]
+	mat *qcache.Cache[*viewMat]
 }
 
 // The cache capacities, in entries. An expansion entry is one (epoch,
@@ -81,10 +79,8 @@ func newQueryCaches(m *engineMetrics) *queryCaches {
 		exp: qcache.New[[]valueMatch](expansionCacheEntries),
 		mat: qcache.New[*viewMat](materializationCacheEntries),
 	}
-	qc.exp.Instrument(m.expHits, m.expMisses, m.expEvictions)
-	qc.expG.Instrument(m.expComputes, m.expCoalesced)
-	qc.mat.Instrument(m.matHits, m.matMisses, m.matEvictions)
-	qc.matG.Instrument(m.matComputes, m.matCoalesced)
+	qc.exp.Instrument(m.expHits, m.expMisses, m.expComputes, m.expCoalesced, m.expEvictions)
+	qc.mat.Instrument(m.matHits, m.matMisses, m.matComputes, m.matCoalesced, m.matEvictions)
 	return qc
 }
 
@@ -104,15 +100,16 @@ func matCacheKey(keywords []string, k int) string {
 	return b.String()
 }
 
-// materializeCached is materializeAt behind the materialisation cache and
-// its singleflight group: a hit returns the shared immutable viewMat, a
-// miss computes once per in-flight key and caches the result in st's own
-// caches. A state without caches (an unpublished interim state, or a
-// generation of the tests' uncached engines) reads straight through. prev
-// is materializeAt's: it never changes the answer, so the key ignores it.
+// materializeCached is materializeAt behind the materialisation cache: a
+// hit returns the shared immutable viewMat, a miss computes once per key
+// (concurrent misses wait on the one computation) and keeps the result in
+// st's own caches. A state without caches (an unpublished interim state,
+// or a generation of the tests' uncached engines) reads straight through.
+// prev is materializeAt's: it never changes the answer, so the key ignores
+// it.
 //
-// A trace records the lookup as cache_lookup; a caller that coalesces onto
-// another flight's compute records its blocked time as coalesced_wait
+// A trace records the lookup as cache_lookup; a caller that waits on
+// another caller's compute records its blocked time as coalesced_wait
 // (the pipeline spans land in the LEADER's trace — this caller did not run
 // the pipeline), while the leader's own trace carries the stage spans the
 // compute recorded into it.
@@ -128,24 +125,14 @@ func (q *Q) materializeCached(st *qstate, keywords []string, k int, prev *viewMa
 	if ok {
 		return m, nil
 	}
-	// Between the miss above and the flight below another flight may have
-	// completed and cached the key; the recompute is rare and benign (same
-	// epoch, byte-identical result, idempotent Put).
-	computed := false
 	twait := tr.Now()
-	m, err := qc.matG.Do(key, func() (*viewMat, error) {
-		computed = true
+	m, waited, err := qc.mat.Do(key, func() (*viewMat, error) {
 		if h := q.matComputeHook; h != nil {
 			h()
 		}
-		m, err := q.materializeAt(st, keywords, k, prev, tr)
-		if err != nil {
-			return nil, err
-		}
-		qc.mat.Put(key, m)
-		return m, nil
+		return q.materializeAt(st, keywords, k, prev, tr)
 	})
-	if !computed {
+	if waited {
 		tr.Record(obs.StageCoalescedWait, twait)
 	}
 	return m, err
@@ -163,10 +150,8 @@ func (q *Q) valueExpansions(st *qstate, kw string) []valueMatch {
 	if v, ok := qc.exp.Get(key); ok {
 		return v
 	}
-	v, err := qc.expG.Do(key, func() ([]valueMatch, error) {
-		v := q.computeValueExpansions(st, kw)
-		qc.exp.Put(key, v)
-		return v, nil
+	v, _, err := qc.exp.Do(key, func() ([]valueMatch, error) {
+		return q.computeValueExpansions(st, kw), nil
 	})
 	if err != nil {
 		// Only possible when a coalesced leader panicked; don't silently
@@ -208,30 +193,15 @@ func (q *Q) computeValueExpansions(st *qstate, kw string) []valueMatch {
 	return out
 }
 
-// CacheCounters is one serving cache's activity counters. Hits and Misses
-// count lookups; Computes counts pipeline executions that actually ran and
-// Coalesced the concurrent identical misses that piggybacked on one
-// (Misses ≈ Computes + Coalesced, modulo benign races); Evictions,
-// Entries and LiveEpochs describe residency.
-type CacheCounters struct {
-	Hits       uint64 `json:"hits"`
-	Misses     uint64 `json:"misses"`
-	Computes   uint64 `json:"computes"`
-	Coalesced  uint64 `json:"coalesced"`
-	Evictions  uint64 `json:"evictions"`
-	Entries    int    `json:"entries"`
-	LiveEpochs int    `json:"live_epochs"`
-}
-
 // CacheStats is a point-in-time snapshot of the serving-layer cache
 // counters. Hits, Misses, Computes, Coalesced and Evictions are engine
 // totals across every generation; Entries and LiveEpochs describe the
 // live generation's caches. Safe to call from any goroutine, concurrently
 // with queries and writers.
 type CacheStats struct {
-	Enabled         bool          `json:"enabled"`
-	Expansion       CacheCounters `json:"expansion"`
-	Materialization CacheCounters `json:"materialization"`
+	Enabled         bool            `json:"enabled"`
+	Expansion       qcache.Counters `json:"expansion"`
+	Materialization qcache.Counters `json:"materialization"`
 }
 
 // CacheStats snapshots the query-cache counters (all zero on the tests'
@@ -241,22 +211,9 @@ func (q *Q) CacheStats() CacheStats {
 	if qc == nil {
 		return CacheStats{}
 	}
-	m := q.metrics
 	return CacheStats{
 		Enabled:         true,
-		Expansion:       countersOf(qc.exp.Counters(), m.expComputes, m.expCoalesced),
-		Materialization: countersOf(qc.mat.Counters(), m.matComputes, m.matCoalesced),
-	}
-}
-
-func countersOf(c qcache.Counters, computes, coalesced *obs.Counter) CacheCounters {
-	return CacheCounters{
-		Hits:       c.Hits,
-		Misses:     c.Misses,
-		Computes:   uint64(computes.Load()),
-		Coalesced:  uint64(coalesced.Load()),
-		Evictions:  c.Evictions,
-		Entries:    c.Entries,
-		LiveEpochs: c.LiveEpochs,
+		Expansion:       qc.exp.Counters(),
+		Materialization: qc.mat.Counters(),
 	}
 }

@@ -128,15 +128,18 @@ func TestCachedQueriesUnderConcurrentWrites(t *testing.T) {
 
 // TestConcurrentIdenticalQueriesComputeOnce pins request coalescing: N
 // concurrent identical cold queries run the materialisation pipeline
-// exactly once. The leader is parked inside the singleflight'd compute
-// until all other callers are provably waiting on its flight, so none of
-// them can have computed on its own.
+// exactly once. The leader is parked inside the cache's compute until all
+// other callers are provably waiting on its pending entry, so none of them
+// can have computed on its own.
 func TestConcurrentIdenticalQueriesComputeOnce(t *testing.T) {
 	q := newFixtureQ(t, true)
 	const n = 8
 	release := make(chan struct{})
 	q.matComputeHook = func() { <-release }
 
+	// The counters are engine totals, so the checks read deltas.
+	qc := q.state().qc
+	before := qc.mat.Counters()
 	fps := make(chan string, n)
 	for i := 0; i < n; i++ {
 		go func() {
@@ -149,11 +152,11 @@ func TestConcurrentIdenticalQueriesComputeOnce(t *testing.T) {
 			fps <- fingerprintView(v)
 		}()
 	}
-	qc := q.state().qc
+	coalesced := func() uint64 { return qc.mat.Counters().Coalesced - before.Coalesced }
 	deadline := time.Now().Add(10 * time.Second)
-	for qc.matG.Waiting() != n-1 {
+	for coalesced() != n-1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d callers coalesced onto the flight", qc.matG.Waiting(), n-1)
+			t.Fatalf("only %d/%d callers coalesced onto the flight", coalesced(), n-1)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -165,10 +168,10 @@ func TestConcurrentIdenticalQueriesComputeOnce(t *testing.T) {
 			t.Fatal("coalesced queries returned different answers")
 		}
 	}
-	if execs := qc.matG.Execs(); execs != 1 {
+	if execs := qc.mat.Counters().Computes - before.Computes; execs != 1 {
 		t.Fatalf("pipeline executed %d times for %d concurrent identical queries, want 1", execs, n)
 	}
-	if co := qc.matG.Coalesced(); co != n-1 {
+	if co := coalesced(); co != n-1 {
 		t.Fatalf("coalesced = %d, want %d", co, n-1)
 	}
 	// All n views share ONE materialisation object.

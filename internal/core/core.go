@@ -187,12 +187,9 @@ type Q struct {
 
 	opts Options
 	// width is runtime.GOMAXPROCS(0), read once by New. It sizes the
-	// refresh and value-index fan-outs, and execSem, which bounds the branch
-	// executions running at once across ALL in-flight materialisations (each
-	// holds one slot for its serial top-k union) so overlapping queries
-	// cannot multiply the bound. Answers are byte-identical at any width.
-	width   int
-	execSem chan struct{}
+	// refresh and value-index fan-outs. Answers are byte-identical at any
+	// width.
+	width int
 
 	matchers []matcher.Matcher
 	binner   learning.Binner
@@ -217,7 +214,7 @@ type Q struct {
 	uncached bool
 
 	// matComputeHook, when set (tests only, before concurrency starts), is
-	// called inside the singleflight'd materialisation compute — the
+	// called inside the materialisation cache's compute — the
 	// coalescing test parks the leader here while counting waiters.
 	matComputeHook func()
 
@@ -248,13 +245,11 @@ func (q *Q) PlanStats() PlanStats {
 // New constructs an empty Q system with the given options and the default
 // initial weight vector.
 func New(opts Options) *Q {
-	width := runtime.GOMAXPROCS(0)
 	q := &Q{
 		catalog: relstore.NewCatalog(),
 		graph:   searchgraph.New(DefaultWeights()),
 		opts:    opts.withDefaults(),
-		width:   width,
-		execSem: make(chan struct{}, width),
+		width:   runtime.GOMAXPROCS(0),
 		binner:  learning.DefaultBinner(),
 		mira:    learning.NewMIRA(),
 		corpus:  text.NewCorpus(),

@@ -551,7 +551,7 @@ func TestGoldEdgeGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	gold := map[string]bool{
-		CanonicalPair("jrnl.journal.pub_id", "ip.pub.pub_id"): true,
+		relstore.CanonicalPair(relstore.AttrRef{Relation: "jrnl.journal", Attr: "pub_id"}, relstore.AttrRef{Relation: "ip.pub", Attr: "pub_id"}): true,
 	}
 	gAvg, ngAvg, gN, _ := q.GoldEdgeGap(gold)
 	if gN != 1 {

@@ -50,7 +50,7 @@ func (c corpus) build(t *testing.T, newQ func(Options) *Q, width int) *Q {
 }
 
 // newAtWidth is newQ on an n-wide machine (n <= 0: as the process is): the
-// engine reads its width (worker pools, execution slots) from GOMAXPROCS
+// engine reads its width (worker pools) from GOMAXPROCS
 // once, in New. No core test calls t.Parallel, so flipping the
 // process-wide setting around newQ is safe.
 func newAtWidth(n int, opts Options, newQ func(Options) *Q) *Q {

@@ -47,9 +47,9 @@ import (
 //     checkpoint — their answers were pure reads — and the IDs handed out
 //     since, which the next views may get again; the reference oracle's
 //     crashKeepsUncheckpointedViews states this contract).
-//   - The engine width (worker pools, execution slots): a property of the
-//     machine, not state; a restored engine takes the restoring process's
-//     GOMAXPROCS, and the catalog section carries no width.
+//   - The engine width (worker pools): a property of the machine, not
+//     state; a restored engine takes the restoring process's GOMAXPROCS,
+//     and the catalog section carries no width.
 
 // snapMeta is the snapshot container's "meta" section: versioning plus the
 // persistent view registry (view contents are a function of the graph).

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"qint/internal/learning"
+	"qint/internal/relstore"
 	"qint/internal/searchgraph"
 	"qint/internal/steiner"
 )
@@ -271,7 +272,7 @@ func (q *Q) learnableEdgeFeatures(mats []*viewMat) learning.Positivity {
 // plotted in Figure 12. Pairs are canonicalised by sorted string form.
 func (q *Q) GoldEdgeGap(gold map[string]bool) (goldAvg, nonGoldAvg float64, goldN, nonGoldN int) {
 	for _, a := range q.CurrentGraph().AssociationList() {
-		key := CanonicalPair(a.A.String(), a.B.String())
+		key := relstore.CanonicalPair(a.A, a.B)
 		c := a.Cost
 		if gold[key] {
 			goldAvg += c
@@ -288,13 +289,4 @@ func (q *Q) GoldEdgeGap(gold map[string]bool) (goldAvg, nonGoldAvg float64, gold
 		nonGoldAvg /= float64(nonGoldN)
 	}
 	return goldAvg, nonGoldAvg, goldN, nonGoldN
-}
-
-// CanonicalPair is the canonical "a~b" form of an attribute pair, the two
-// names in sorted order, for building gold-standard sets.
-func CanonicalPair(a, b string) string {
-	if b < a {
-		a, b = b, a
-	}
-	return a + "~" + b
 }

@@ -62,9 +62,8 @@ type engineMetrics struct {
 	execRows     *obs.Counter // qint_exec_rows_total
 
 	// Serving-cache activity, labelled by cache. Every generation's qcache
-	// instances and singleflight groups write these directly (Instrument),
-	// so the totals span publishes and CacheStats reads and /metrics report
-	// the same numbers.
+	// instances write these directly (Instrument), so the totals span
+	// publishes and CacheStats reads and /metrics report the same numbers.
 	expHits, expMisses, expEvictions *obs.Counter
 	expComputes, expCoalesced        *obs.Counter
 	matHits, matMisses, matEvictions *obs.Counter

@@ -7,13 +7,13 @@ import (
 )
 
 // TestEngineWidthFollowsGOMAXPROCS pins where the width comes from: New
-// sizes the execution slots by GOMAXPROCS, and a snapshot restored under
+// reads it from GOMAXPROCS, and a snapshot restored under
 // another GOMAXPROCS takes the restoring process's width with every view
 // unchanged.
 func TestEngineWidthFollowsGOMAXPROCS(t *testing.T) {
 	q := fixtureQAtWidth(t, 3)
-	if got := cap(q.execSem); got != 3 {
-		t.Fatalf("execSem capacity = %d at width 3", got)
+	if q.width != 3 {
+		t.Fatalf("width = %d at GOMAXPROCS 3", q.width)
 	}
 	for _, probe := range fixtureProbes {
 		if _, err := queryStr(q, probe); err != nil {
@@ -32,8 +32,8 @@ func TestEngineWidthFollowsGOMAXPROCS(t *testing.T) {
 			t.Fatal(err)
 		}
 	}()
-	if got := cap(q2.execSem); got != 5 {
-		t.Errorf("loaded execSem capacity = %d, want 5", got)
+	if q2.width != 5 {
+		t.Errorf("loaded width = %d, want 5", q2.width)
 	}
 	saved, loaded := q.Views(), q2.Views()
 	if len(loaded) != len(saved) || len(saved) != len(fixtureProbes) {

@@ -415,11 +415,9 @@ func (q *Q) executeBranches(st *qstate, queries []*relstore.ConjunctiveQuery, k 
 		return nil, err
 	}
 	// Serial by design: whether branch i runs depends on the rows branches
-	// 0..i-1 produced. One execSem slot covers the run.
+	// 0..i-1 produced.
 	texec := tr.Now()
-	q.execSem <- struct{}{}
 	result, stats, err := bp.TopKUnion(k, prov)
-	<-q.execSem
 	tr.Record(obs.StageExecute, texec)
 	if err != nil {
 		return nil, err

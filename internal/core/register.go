@@ -323,7 +323,7 @@ func (q *Q) installEdges(m matcher.Matcher, aligns []matcher.Alignment, report *
 			}
 		}
 		q.associateLocked(al.A, al.B, feat)
-		key := CanonicalPair(al.A.String(), al.B.String())
+		key := relstore.CanonicalPair(al.A, al.B)
 		if al.Confidence > report.AlignmentsByPair[key] {
 			report.AlignmentsByPair[key] = al.Confidence
 		}

@@ -222,14 +222,3 @@ func TestSyntheticRelations(t *testing.T) {
 		}
 	}
 }
-
-func TestCanonicalPairSorts(t *testing.T) {
-	a := relstore.AttrRef{Relation: "z.r", Attr: "x"}
-	b := relstore.AttrRef{Relation: "a.r", Attr: "y"}
-	if CanonicalPair(a, b) != CanonicalPair(b, a) {
-		t.Error("CanonicalPair should be order-insensitive")
-	}
-	if !strings.HasPrefix(CanonicalPair(a, b), "a.r.y~") {
-		t.Errorf("pair not sorted: %s", CanonicalPair(a, b))
-	}
-}

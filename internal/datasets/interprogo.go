@@ -218,7 +218,7 @@ func InterProGO() *InterProGOCorpus {
 	}
 	gold := make(map[string]bool, len(goldPairs))
 	for _, p := range goldPairs {
-		gold[CanonicalPair(p[0], p[1])] = true
+		gold[relstore.CanonicalPair(p[0], p[1])] = true
 	}
 
 	// Each query pairs a value unique to one relation with a value unique to
@@ -252,16 +252,6 @@ func InterProGO() *InterProGOCorpus {
 	}
 
 	return &InterProGOCorpus{Tables: tables, Gold: gold, GoldPairs: goldPairs, Queries: queries}
-}
-
-// CanonicalPair renders an unordered attribute pair as "a~b" with sorted
-// endpoints — the gold-standard key format shared with package core.
-func CanonicalPair(a, b relstore.AttrRef) string {
-	sa, sb := a.String(), b.String()
-	if sb < sa {
-		sa, sb = sb, sa
-	}
-	return sa + "~" + sb
 }
 
 func pick(r *rand.Rand, choices ...string) string {

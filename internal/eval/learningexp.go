@@ -5,6 +5,7 @@ import (
 
 	"qint/internal/core"
 	"qint/internal/datasets"
+	"qint/internal/relstore"
 	"qint/internal/searchgraph"
 	"qint/internal/steiner"
 )
@@ -39,7 +40,7 @@ func isGoldOnly(v *core.View, t steiner.Tree, gold map[string]bool) (goldOnly, u
 			continue
 		}
 		usesAssoc = true
-		if !gold[core.CanonicalPair(e.A.String(), e.B.String())] {
+		if !gold[relstore.CanonicalPair(e.A, e.B)] {
 			goldOnly = false
 		}
 	}

@@ -102,7 +102,7 @@ func topYEdges(cat *relstore.Catalog, m matcher.Matcher, y int) map[string]bool 
 		seen := make(map[string]bool)
 		count := 0
 		for _, al := range cands {
-			key := datasets.CanonicalPair(al.A, al.B)
+			key := relstore.CanonicalPair(al.A, al.B)
 			if seen[key] {
 				continue
 			}
@@ -144,7 +144,7 @@ func matcherCurve(cat *relstore.Catalog, m matcher.Matcher, gold map[string]bool
 		count := 0
 		seen := make(map[string]bool)
 		for _, al := range cands {
-			key := datasets.CanonicalPair(al.A, al.B)
+			key := relstore.CanonicalPair(al.A, al.B)
 			if seen[key] {
 				continue
 			}
@@ -192,7 +192,7 @@ func matcherEdgeConfidences(cat *relstore.Catalog, m matcher.Matcher, y int) map
 	for i := 0; i < len(rels); i++ {
 		for j := i + 1; j < len(rels); j++ {
 			for _, al := range matcher.TopYPerAttribute(m.Match(cat, rels[i], rels[j]), y) {
-				key := datasets.CanonicalPair(al.A, al.B)
+				key := relstore.CanonicalPair(al.A, al.B)
 				if al.Confidence > best[key] {
 					best[key] = al.Confidence
 				}
@@ -208,7 +208,7 @@ func matcherEdgeConfidences(cat *relstore.Catalog, m matcher.Matcher, y int) map
 func qCostCurve(name string, q *core.Q, gold map[string]bool) Curve {
 	var cands []scored
 	for _, a := range q.CurrentGraph().AssociationList() {
-		pair := core.CanonicalPair(a.A.String(), a.B.String())
+		pair := relstore.CanonicalPair(a.A, a.B)
 		cands = append(cands, scored{pair: pair, score: a.Cost})
 	}
 	return curveFromScores(name, cands, gold)

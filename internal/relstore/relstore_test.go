@@ -393,3 +393,14 @@ func (c *Catalog) SourceRelations(source string) []*Relation {
 	}
 	return out
 }
+
+func TestCanonicalPairSorts(t *testing.T) {
+	a := AttrRef{Relation: "z.r", Attr: "x"}
+	b := AttrRef{Relation: "a.r", Attr: "y"}
+	if CanonicalPair(a, b) != CanonicalPair(b, a) {
+		t.Error("CanonicalPair should be order-insensitive")
+	}
+	if !strings.HasPrefix(CanonicalPair(a, b), "a.r.y~") {
+		t.Errorf("pair not sorted: %s", CanonicalPair(a, b))
+	}
+}

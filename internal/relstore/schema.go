@@ -129,6 +129,17 @@ type AttrRef struct {
 // String returns "source.relation.attr".
 func (a AttrRef) String() string { return a.Relation + "." + a.Attr }
 
+// CanonicalPair renders an unordered attribute pair as "a~b", the two
+// String forms in sorted order: the key of gold-standard sets and of
+// registration reports.
+func CanonicalPair(a, b AttrRef) string {
+	sa, sb := a.String(), b.String()
+	if sb < sa {
+		sa, sb = sb, sa
+	}
+	return sa + "~" + sb
+}
+
 // ParseAttrRef parses "source.relation.attr" back into an AttrRef. The
 // relation part may itself contain no dots beyond the source separator.
 func ParseAttrRef(s string) (AttrRef, error) {

@@ -73,9 +73,8 @@
 // commit answers from the pre-registration world, one started after sees
 // the new source. The server keeps no state of its own about views: the
 // engine is the one view registry, and view contents swap atomically per
-// view, so GET endpoints read them lock-free. Q sizes its worker pools and
-// execution slots itself from GOMAXPROCS, and runs the pipeline of one
-// query serially; no request selects a width, and the ranked answers are
+// view, so GET endpoints read them lock-free. Q sizes its worker pools
+// itself from GOMAXPROCS, and runs the pipeline of one query serially; no request selects a width, and the ranked answers are
 // byte-identical at any width.
 //
 // A view's wire ID is "v" followed by its engine ID (core.View.ID). The

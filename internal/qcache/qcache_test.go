@@ -98,11 +98,11 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestDoCoalesces proves N concurrent identical Do calls execute the
+// TestSingleflightCoalesces proves N concurrent identical Do calls execute the
 // function exactly once: the leader blocks until all other callers are
 // counted as coalesced onto its pending entry, so none of them can have
 // started a computation of its own.
-func TestDoCoalesces(t *testing.T) {
+func TestSingleflightCoalesces(t *testing.T) {
 	c := New[int](64)
 	const n = 16
 	release := make(chan struct{})
@@ -150,9 +150,9 @@ func TestDoCoalesces(t *testing.T) {
 	}
 }
 
-// TestDoDistinctKeys proves different keys (including the same string at
+// TestSingleflightDistinctKeys proves different keys (including the same string at
 // different epochs) do not coalesce.
-func TestDoDistinctKeys(t *testing.T) {
+func TestSingleflightDistinctKeys(t *testing.T) {
 	c := New[int](64)
 	var wg sync.WaitGroup
 	var computed atomic.Int64
@@ -175,10 +175,10 @@ func TestDoDistinctKeys(t *testing.T) {
 	}
 }
 
-// TestDoLeaderPanic pins the panic contract: the leader's panic propagates
+// TestSingleflightLeaderPanic pins the panic contract: the leader's panic propagates
 // in the leader, waiters get a NON-NIL error (never a zero value
 // masquerading as success), and the key is usable again afterwards.
-func TestDoLeaderPanic(t *testing.T) {
+func TestSingleflightLeaderPanic(t *testing.T) {
 	c := New[int](64)
 	k := Key{Epoch: 1, K: "boom"}
 	release := make(chan struct{})

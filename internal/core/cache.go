@@ -35,7 +35,11 @@ import (
 //     query (trees, conjunctive queries, ranked result, α, overlay), keyed
 //     by (epoch, keyword sequence, k). A cached *viewMat is immutable after
 //     construction — overlays are only ever mutated during expansion — so
-//     any number of views and readers share one safely.
+//     any number of views and readers share one safely. The one thing it
+//     gains later is its answer bytes (Materialization.AppendRendered):
+//     the server renders a result on every read until its second, and the
+//     bytes kept then, installed atomically, serve every later read of any
+//     view that shares the entry.
 //
 // Each cache's miss path (qcache.Cache.Do) collapses N concurrent identical
 // misses into one computation (request coalescing): a thundering herd on a

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"qint/internal/relstore"
 )
 
 // newUncached is New without the query caches: the cold oracle engine the
@@ -245,4 +247,53 @@ func TestStatsAndCacheStatsRaceHammer(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestAppendRenderedKeepsFromSecondRead: the first render of a
+// materialisation keeps nothing, the second keeps its bytes, and every later
+// read appends them without rendering, to any view sharing the cached
+// materialisation. A refused render is returned as nil and keeps nothing.
+func TestAppendRenderedKeepsFromSecondRead(t *testing.T) {
+	q := newFixtureQ(t, false)
+	v, err := queryStr(q, "entry 'PUB0001'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	renders := 0
+	render := func(dst []byte, r *relstore.UnionResult) []byte {
+		renders++
+		return fmt.Appendf(dst, "%d rows of %v", len(r.Rows), r.Columns)
+	}
+	want := fmt.Sprintf("> %d rows of %v", len(v.Result().Rows), v.Result().Columns)
+
+	refuse := func([]byte, *relstore.UnionResult) []byte { return nil }
+	if got := v.Current().AppendRendered([]byte("> "), refuse); got != nil {
+		t.Fatalf("a refused render returned %q", got)
+	}
+	for read, wantRenders := range []int{1, 2, 2, 2} {
+		if got := string(v.Current().AppendRendered([]byte("> "), render)); got != want {
+			t.Fatalf("read %d: %q, want %q", read+1, got, want)
+		}
+		if renders != wantRenders {
+			t.Fatalf("read %d: %d renders, want %d", read+1, renders, wantRenders)
+		}
+	}
+	// A second view of the same query shares the cached materialisation,
+	// and with it the kept bytes.
+	w, err := queryStr(q, "entry 'PUB0001'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(w.Current().AppendRendered([]byte("> "), refuse)); got != want {
+		t.Fatalf("second view: %q, want %q", got, want)
+	}
+	// A view with no materialisation renders its nil result, every time.
+	var none View
+	for range 3 {
+		if got := string(none.Current().AppendRendered(nil, func(dst []byte, r *relstore.UnionResult) []byte {
+			return fmt.Appendf(dst, "%v", r == nil)
+		})); got != "true" {
+			t.Fatalf("no materialisation: %q", got)
+		}
+	}
 }

@@ -59,6 +59,13 @@ type viewMat struct {
 	queryTree []int
 	result    *relstore.UnionResult
 	alpha     float64
+
+	// served and rendered memoise the wire bytes of result (see
+	// AppendRendered): served is set by the first render, rendered holds
+	// the bytes kept from the second. They are the only fields written
+	// after construction, and only atomically.
+	served   atomic.Bool
+	rendered atomic.Pointer[[]byte]
 }
 
 // treeOf returns the tree behind a result row's branch: the first tree
@@ -138,6 +145,33 @@ func (v *View) Current() Materialization {
 		Alpha:   m.alpha,
 		m:       m,
 	}
+}
+
+// AppendRendered appends the rendering of m.Result to dst and returns the
+// extended slice. render appends a rendering of the result it is given to
+// its first argument, or returns nil to refuse it; a refusal is returned
+// as nil and nothing is kept. Core never learns the format: render is taken
+// to be a pure function of the result, so the bytes rendered on the second
+// call for one materialisation are kept (an exact-size copy, installed
+// once) and every later call appends them without rendering. A first
+// render keeps nothing, so a result read once costs no copy. The kept bytes
+// live and die with the materialisation, and with the generation's caches
+// that hold it. A Materialization not returned by Current keeps nothing.
+func (m Materialization) AppendRendered(dst []byte, render func([]byte, *relstore.UnionResult) []byte) []byte {
+	vm := m.m
+	if vm == nil {
+		return render(dst, m.Result)
+	}
+	if b := vm.rendered.Load(); b != nil {
+		return append(dst, *b...)
+	}
+	start := len(dst)
+	dst = render(dst, vm.result)
+	if dst != nil && vm.served.Swap(true) {
+		kept := slices.Clone(dst[start:])
+		vm.rendered.CompareAndSwap(nil, &kept)
+	}
+	return dst
 }
 
 // Node resolves a node id of this materialisation's trees — base or
@@ -683,24 +717,29 @@ func (q *Q) alignOutputColumns(st *qstate, cq *relstore.ConjunctiveQuery, output
 	for _, a := range cq.Atoms {
 		aliasRel[a.Alias] = a.Relation
 	}
-	current := make(map[string]bool, len(cq.Project))
-	for _, p := range cq.Project {
-		current[p.As] = true
-	}
 	for i, p := range cq.Project {
 		if outputSchema[p.As] {
 			continue // already unified under its own name
 		}
 		ref := relstore.AttrRef{Relation: aliasRel[p.Alias], Attr: p.Attr}
-		if label, ok := q.compatibleOutputLabel(st, ref, outputSchema); ok && !current[label] {
-			delete(current, p.As)
+		if label, ok := q.compatibleOutputLabel(st, ref, outputSchema); ok && !projects(cq, label) {
 			cq.Project[i].As = label
-			current[label] = true
 		}
 	}
 	for _, p := range cq.Project {
 		outputSchema[p.As] = true
 	}
+}
+
+// projects reports whether cq already outputs a column named as. A query
+// projects a handful of columns, so a scan beats a set.
+func projects(cq *relstore.ConjunctiveQuery, as string) bool {
+	for _, p := range cq.Project {
+		if p.As == as {
+			return true
+		}
+	}
+	return false
 }
 
 // compatibleOutputLabel finds an attribute a' connected to ref by an

@@ -93,6 +93,25 @@ func rendered(v any) string {
 	return b.String()
 }
 
+// answersOfMat is the oracle of answer bodies: the ViewAnswers whose
+// encoding/json rendering writeAnswers must send, byte for byte, for one
+// already-loaded materialisation m of v.
+func answersOfMat(v *core.View, m core.Materialization) ViewAnswers {
+	out := ViewAnswers{ViewSummary: summaryOfMat(v, m)}
+	if m.Result == nil {
+		return out
+	}
+	out.Columns = m.Result.Columns
+	for _, row := range m.Result.Rows {
+		out.Rows = append(out.Rows, AnswerRow{
+			Values:     row.Values,
+			Cost:       row.Cost,
+			Provenance: row.Provenance,
+		})
+	}
+	return out
+}
+
 // TestServerMatchesReference drives three seeded op lists through the HTTP
 // API and the reference.
 func TestServerMatchesReference(t *testing.T) {

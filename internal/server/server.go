@@ -62,6 +62,16 @@
 // (epoch, query) and treat entries as immutable; a response with a higher
 // epoch signals that a write has been published since.
 //
+// Answer bodies are rendered without encoding/json (render.go). The rows
+// of a materialisation are rendered on each of its first two reads, and
+// the materialisation keeps the second read's bytes
+// (core.Materialization.AppendRendered); every later read, of any view
+// sharing it, copies them behind a hand-written envelope. A result read
+// once is never copied. The bytes are those encoding/json would write.
+// Every JSON body is built in a pooled buffer and sent with one Write, so
+// a value JSON cannot carry (a NaN cost) is answered 500 before any
+// status line goes out.
+//
 // Concurrency model: POST /query is a pure READ of Q. Each query runs
 // against the copy-on-write snapshot Q last published — expanding its
 // keywords into a private search-graph overlay — so any number of queries
@@ -350,7 +360,9 @@ type ViewSummary struct {
 	Answers int `json:"answers"`
 }
 
-// ViewAnswers carries a view's ranked rows.
+// ViewAnswers carries a view's ranked rows. It is the wire form of every
+// answer body; writeAnswers appends the bytes encoding/json would write
+// for it, without building one.
 type ViewAnswers struct {
 	ViewSummary
 	Columns []string    `json:"columns"`
@@ -496,7 +508,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	m := v.Current()
 	setEpochHeader(w, m)
-	writeJSON(w, status, answersOfMat(v, m))
+	writeAnswers(w, status, v, m)
 }
 
 // observeQuery stamps the response with the query's trace id (X-Q-Trace —
@@ -582,7 +594,7 @@ func (s *Server) handleViewByID(w http.ResponseWriter, r *http.Request) {
 	case len(parts) == 1 && r.Method == http.MethodGet:
 		m := v.Current()
 		setEpochHeader(w, m)
-		writeJSON(w, http.StatusOK, answersOfMat(v, m))
+		writeAnswers(w, http.StatusOK, v, m)
 	case len(parts) == 1 && r.Method == http.MethodDelete:
 		// Of concurrent DELETEs of one view, only the one that actually
 		// dropped it answers 204.
@@ -631,7 +643,7 @@ func (s *Server) handleViewByID(w http.ResponseWriter, r *http.Request) {
 		}
 		m := v.Current()
 		setEpochHeader(w, m)
-		writeJSON(w, http.StatusOK, answersOfMat(v, m))
+		writeAnswers(w, http.StatusOK, v, m)
 	default:
 		httpError(w, http.StatusNotFound, "unknown view endpoint")
 	}
@@ -668,25 +680,6 @@ func summaryOfMat(v *core.View, m core.Materialization) ViewSummary {
 		Alpha:    m.Alpha,
 		Answers:  answers,
 	}
-}
-
-// answersOfMat renders one already-loaded materialisation, so a handler
-// that also stamps X-Q-Epoch reports the same generation in header and
-// body even under a concurrent refresh.
-func answersOfMat(v *core.View, m core.Materialization) ViewAnswers {
-	out := ViewAnswers{ViewSummary: summaryOfMat(v, m)}
-	if m.Result == nil {
-		return out
-	}
-	out.Columns = m.Result.Columns
-	for _, row := range m.Result.Rows {
-		out.Rows = append(out.Rows, AnswerRow{
-			Values:     row.Values,
-			Cost:       row.Cost,
-			Provenance: row.Provenance,
-		})
-	}
-	return out
 }
 
 // AssociationInfo is the wire form of one association edge.
@@ -804,14 +797,29 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // logging.
 var logf = log.Printf
 
+// writeJSON sends v as JSON. The body is encoded before the status line
+// goes out, so a value encoding/json refuses (a NaN, say) is answered 500
+// with a JSON error rather than a success with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
+	s := getScratch()
+	defer putScratch(s)
+	if err := json.NewEncoder(s).Encode(v); err != nil {
+		logf("server: encoding %T response: %v", v, err)
+		httpError(w, http.StatusInternalServerError, "encoding response: %v", err)
+		return
+	}
+	send(w, status, s.b)
+}
+
+// send writes one JSON response: headers, status and the whole body in a
+// single Write.
+func send(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Usually a client that hung up mid-response; either way the
-		// error must not vanish silently — the status line already went
-		// out, so logging is all that's left.
-		logf("server: encoding %T response: %v", v, err)
+	if _, err := w.Write(body); err != nil {
+		// Usually a client that hung up mid-response; the status line
+		// already went out, so logging is all that's left.
+		logf("server: writing response: %v", err)
 	}
 }
 

@@ -106,8 +106,9 @@ func main() {
 				continue
 			}
 			view = v
+			m := v.Current()
 			fmt.Printf("view created: %d trees, %d answers, alpha=%.3f\n",
-				len(v.Trees()), len(v.Result().Rows), v.Alpha())
+				len(m.Trees), len(m.Result.Rows), m.Alpha)
 			showRows(view, 5)
 		case "rows":
 			if view == nil {
@@ -126,7 +127,7 @@ func main() {
 				fmt.Println("no view; use query first")
 				continue
 			}
-			for i, t := range view.Trees() {
+			for i, t := range view.Current().Trees {
 				fmt.Printf("tree %d cost=%.3f nodes=%d edges=%d\n", i, t.Cost, len(t.Nodes), len(t.Edges))
 			}
 		case "sql":
@@ -134,7 +135,7 @@ func main() {
 				fmt.Println("no view; use query first")
 				continue
 			}
-			for i, cq := range view.Queries() {
+			for i, cq := range view.Current().Queries {
 				fmt.Printf("-- branch %d (cost %.3f)\n%s\n", i, cq.Cost, cq.SQL())
 			}
 		case "good", "bad":
@@ -167,7 +168,7 @@ func main() {
 				fmt.Println("usage: explain <row-number>")
 				continue
 			}
-			ex, err := q.Explain(view, row)
+			ex, err := q.Explain(view.Current(), row)
 			if err != nil {
 				fmt.Println("error:", err)
 				continue
@@ -182,7 +183,7 @@ func main() {
 				fmt.Println("no view; use query first")
 				continue
 			}
-			for _, r := range q.NeighborhoodRelations(view) {
+			for _, r := range q.NeighborhoodRelations(view.Current()) {
 				fmt.Println(" ", r)
 			}
 		case "register":
@@ -301,12 +302,13 @@ func main() {
 }
 
 func showRows(v *core.View, n int) {
-	if len(v.Result().Rows) == 0 {
+	res := v.Current().Result
+	if len(res.Rows) == 0 {
 		fmt.Println("(no answers)")
 		return
 	}
-	fmt.Println("columns:", strings.Join(v.Result().Columns, " | "))
-	rows := v.Result().Rows
+	fmt.Println("columns:", strings.Join(res.Columns, " | "))
+	rows := res.Rows
 	if n > 0 && n < len(rows) {
 		rows = rows[:n]
 	}

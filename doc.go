@@ -49,16 +49,19 @@
 // the generation it loaded (no residue from earlier queries — see
 // internal/core/snapshot_test.go, which pins all of this under -race).
 //
-// View materialisations are immutable and swapped atomically per view:
-// Trees/Queries/Result/Alpha read the latest generation lock-free, and
-// View.Current returns all of them as one coherent snapshot. The refresh
-// that ends every write rebuilds each view against the new generation with
-// a fresh overlay; its Steiner search starts with the view's previous
-// answer, re-priced in the new generation (searchgraph.Overlay.Reprice), as
-// its limit, which prunes the search and never changes its answer.
-// Overlay node/edge ids extend the base
-// id spaces, so a view's provenance (explain, feedback) resolves against
-// the overlay retained by its materialisation; the overlay dies with it.
+// View materialisations are immutable and swapped atomically per view. A
+// view is read through View.Current, one lock-free load of its
+// Materialization. The refresh that ends every write rebuilds each view
+// against the new generation with a fresh overlay; its Steiner search
+// starts with the view's previous answer, re-priced in the new generation
+// (searchgraph.Overlay.Reprice), as its limit, which prunes the search and
+// never changes its answer. Overlay node/edge ids extend the base id
+// spaces, so a tree or row id means something only against the
+// materialisation it was read from: Explain, KBestTrees,
+// NeighborhoodRelations and the tree-taking feedback calls take that
+// Materialization and resolve against the overlay it retains (the overlay
+// dies with it). FeedbackRow alone takes a view and a row index, as an
+// HTTP request carries them, and reads the view's current materialisation.
 //
 // The engine sizes itself: core.New reads runtime.GOMAXPROCS(0) once into
 // one width, and no option, method or request parameter selects another.

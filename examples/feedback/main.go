@@ -48,9 +48,10 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			target, worse, ok := pickGoldAnswer(q, view, corpus.Gold)
+			m := view.Current()
+			target, worse, ok := pickGoldAnswer(q, m, corpus.Gold)
 			if ok && len(worse) > 0 {
-				if err := q.FeedbackPreferTrees(view, target, worse); err != nil {
+				if err := q.FeedbackPreferTrees(m, target, worse); err != nil {
 					log.Fatal(err)
 				}
 			}
@@ -82,11 +83,12 @@ func sortedAssociations(q *core.Q) []searchgraph.Association {
 
 // pickGoldAnswer simulates the domain expert of §5.2: endorse the best
 // gold-only answer, demote the top answers built on non-gold alignments.
-func pickGoldAnswer(q *core.Q, v *core.View, gold map[string]bool) (target steinerTree, worse []steinerTree, ok bool) {
+// Every tree comes from m.
+func pickGoldAnswer(q *core.Q, m core.Materialization, gold map[string]bool) (target steinerTree, worse []steinerTree, ok bool) {
 	goldOnly := func(t steinerTree) (bool, bool) {
 		g, uses := true, false
 		for _, eid := range t.Edges {
-			e := v.Edge(eid)
+			e := m.Edge(eid)
 			if e.Kind != searchgraph.EdgeAssociation {
 				continue
 			}
@@ -97,7 +99,7 @@ func pickGoldAnswer(q *core.Q, v *core.View, gold map[string]bool) (target stein
 		}
 		return g, uses
 	}
-	for _, t := range q.KBestTrees(v, 20) {
+	for _, t := range q.KBestTrees(m, 20) {
 		if g, uses := goldOnly(t); g && uses {
 			target, ok = t, true
 			break
@@ -106,7 +108,7 @@ func pickGoldAnswer(q *core.Q, v *core.View, gold map[string]bool) (target stein
 	if !ok {
 		return target, nil, false
 	}
-	for _, t := range q.KBestTrees(v, v.K) {
+	for _, t := range q.KBestTrees(m, m.K) {
 		if g, _ := goldOnly(t); !g {
 			worse = append(worse, t)
 		}

@@ -36,8 +36,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("view created: %d answers, alpha=%.3f\n", len(view.Result().Rows), view.Alpha())
-	fmt.Println("α-neighbourhood relations:", q.NeighborhoodRelations(view))
+	m := view.Current()
+	fmt.Printf("view created: %d answers, alpha=%.3f\n", len(m.Result.Rows), m.Alpha)
+	fmt.Println("α-neighbourhood relations:", q.NeighborhoodRelations(m))
 
 	// A new source appears: a journal catalogue whose pubmed identifiers
 	// overlap GBCO's publication table.
@@ -73,8 +74,9 @@ func main() {
 
 	// The view has been refreshed; answers may now draw on the new source.
 	fmt.Println("\nrefreshed view:")
-	fmt.Println("columns:", strings.Join(view.Result().Columns, " | "))
-	for i, row := range view.Result().Rows {
+	m = view.Current()
+	fmt.Println("columns:", strings.Join(m.Result.Columns, " | "))
+	for i, row := range m.Result.Rows {
 		fmt.Printf("[%d] cost=%.3f %s\n", i, row.Cost, strings.Join(row.Values, " | "))
 	}
 }

@@ -45,14 +45,15 @@ func main() {
 	}
 
 	// 4. Inspect the ranked view.
-	fmt.Printf("top-%d view over %v (alpha=%.3f)\n", view.K, view.Keywords, view.Alpha())
-	fmt.Println("columns:", strings.Join(view.Result().Columns, " | "))
-	for i, row := range view.Result().Rows {
+	m := view.Current()
+	fmt.Printf("top-%d view over %v (alpha=%.3f)\n", view.K, view.Keywords, m.Alpha)
+	fmt.Println("columns:", strings.Join(m.Result.Columns, " | "))
+	for i, row := range m.Result.Rows {
 		fmt.Printf("[%d] cost=%.3f %s\n", i, row.Cost, strings.Join(row.Values, " | "))
 	}
 
 	// 5. Every answer carries provenance: the conjunctive query (and hence
 	//    the alignment edges) that produced it.
 	fmt.Println("\ngenerated SQL for the best branch:")
-	fmt.Println(view.Queries()[0].SQL())
+	fmt.Println(m.Queries[0].SQL())
 }

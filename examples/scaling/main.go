@@ -63,6 +63,6 @@ func main() {
 			q.CountTargetComparisons(rels, core.Exhaustive),
 			q.CountTargetComparisons(rels, core.ViewBased),
 			q.CountTargetComparisons(rels, core.Preferential),
-			v.Alpha())
+			v.Current().Alpha)
 	}
 }

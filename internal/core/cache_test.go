@@ -63,8 +63,6 @@ func TestCachedQueriesUnderConcurrentWrites(t *testing.T) {
 						t.Errorf("engine %d: query %q: %v", ei, query, err)
 						return
 					}
-					// Key and fingerprint from one materialisation: separate
-					// loads could straddle a concurrent refresh.
 					m := v.Current()
 					key := fmt.Sprintf("%d|%s", m.Epoch, query)
 					fp := fingerprintMat(v, m)
@@ -264,7 +262,8 @@ func TestAppendRenderedKeepsFromSecondRead(t *testing.T) {
 		renders++
 		return fmt.Appendf(dst, "%d rows of %v", len(r.Rows), r.Columns)
 	}
-	want := fmt.Sprintf("> %d rows of %v", len(v.Result().Rows), v.Result().Columns)
+	res := v.Current().Result
+	want := fmt.Sprintf("> %d rows of %v", len(res.Rows), res.Columns)
 
 	refuse := func([]byte, *relstore.UnionResult) []byte { return nil }
 	if got := v.Current().AppendRendered([]byte("> "), refuse); got != nil {

@@ -60,8 +60,8 @@ func TestRefusedWriteIsInvisible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Trees()) < 2 {
-		t.Fatalf("view has %d trees, want at least 2 to give feedback on", len(v.Trees()))
+	if n := len(v.Current().Trees); n < 2 {
+		t.Fatalf("view has %d trees, want at least 2 to give feedback on", n)
 	}
 	view := fingerprintView(v)
 	if err := q.persist.store.Close(); err != nil {
@@ -100,7 +100,10 @@ func refusableWrites(t *testing.T, q *Q, v *View) []namedWrite {
 			_, err := q.RegisterSource([]*relstore.Table{journalTable(t, "jrnl2")}, Exhaustive)
 			return err
 		}},
-		{"feedback", func() error { return q.FeedbackFavorTree(v, v.Trees()[1]) }},
+		{"feedback", func() error {
+			m := v.Current()
+			return q.FeedbackFavorTree(m, m.Trees[1])
+		}},
 		{"AddAssociations", func() error {
 			return q.AddAssociations(learning.Vector{"handcoded": 1}, [2]relstore.AttrRef{
 				{Relation: "go.term", Attr: "name"}, {Relation: "ip.entry", Attr: "name"}})
@@ -129,8 +132,8 @@ func TestWriteAfterCloseRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Trees()) < 2 {
-		t.Fatalf("view has %d trees, want at least 2 to give feedback on", len(v.Trees()))
+	if n := len(v.Current().Trees); n < 2 {
+		t.Fatalf("view has %d trees, want at least 2 to give feedback on", n)
 	}
 	want, epoch := fingerprintEngine(q), q.Epoch()
 	if err := q.Close(); err != nil {
@@ -203,7 +206,7 @@ func TestEveryWriteRefreshesViews(t *testing.T) {
 	check := func(what string) {
 		t.Helper()
 		for _, pv := range q.Views() {
-			if got, want := pv.Epoch(), q.Epoch(); got != want {
+			if got, want := pv.Current().Epoch, q.Epoch(); got != want {
 				t.Errorf("after %s: view %v at epoch %d, engine at %d", what, pv.Keywords, got, want)
 			}
 			eph, err := q.Query(Request{Keywords: pv.Keywords, K: pv.K, Ephemeral: true})
@@ -229,7 +232,10 @@ func TestEveryWriteRefreshesViews(t *testing.T) {
 			_, err := q.RegisterSource([]*relstore.Table{journalTable(t, "jrnl2")}, ViewBased)
 			return err
 		}},
-		{"feedback", func() error { return q.FeedbackFavorTree(v, v.Trees()[len(v.Trees())-1]) }},
+		{"feedback", func() error {
+			m := v.Current()
+			return q.FeedbackFavorTree(m, m.Trees[len(m.Trees)-1])
+		}},
 		{"SetWeights", func() error {
 			w := q.CurrentGraph().Weights().Clone()
 			w["default"] += 0.5
@@ -279,8 +285,8 @@ func TestAddMatcherIdempotent(t *testing.T) {
 		t.Error("re-registering matchers replaced the graph snapshot")
 	}
 	for _, v := range q2.Views() {
-		if v.Epoch() != q2.Epoch() {
-			t.Errorf("restored view %v at epoch %d, engine at %d", v.Keywords, v.Epoch(), q2.Epoch())
+		if got := v.Current().Epoch; got != q2.Epoch() {
+			t.Errorf("restored view %v at epoch %d, engine at %d", v.Keywords, got, q2.Epoch())
 		}
 	}
 }
@@ -327,13 +333,4 @@ func TestCloseRacingWrites(t *testing.T) {
 			t.Errorf("source %d: acknowledged %v, present after reopen %v", i, ok, got)
 		}
 	}
-}
-
-// Epoch returns the published-state generation the view's current
-// materialisation was computed at.
-func (v *View) Epoch() uint64 {
-	if m := v.mat.Load(); m != nil {
-		return m.epoch
-	}
-	return 0
 }

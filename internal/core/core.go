@@ -481,24 +481,12 @@ func (q *Q) addTablesLocked(tables ...*relstore.Table) error {
 			return err
 		}
 	}
-	// Sorted source order keeps graph node IDs deterministic across
-	// identically-built instances (the reference oracle compares tree
-	// fingerprints; map iteration order is not deterministic), and the
-	// batched AddSources call keeps foreign keys BETWEEN the new sources
-	// intact regardless of that order.
-	seen := make(map[string]bool)
-	var sources []string
-	for _, t := range tables {
-		if !seen[t.Relation.Source] {
-			seen[t.Relation.Source] = true
-			sources = append(sources, t.Relation.Source)
-		}
-	}
-	sort.Strings(sources)
-	q.graph.AddSources(q.catalog, sources)
-	for _, t := range tables {
+	rels := make([]*relstore.Relation, len(tables))
+	for i, t := range tables {
+		rels[i] = t.Relation
 		q.indexRelation(t.Relation)
 	}
+	q.graph.AddRelations(q.catalog, rels)
 	return nil
 }
 

@@ -11,6 +11,7 @@ import (
 	"qint/internal/matcher/mad"
 	"qint/internal/matcher/meta"
 	"qint/internal/relstore"
+	"qint/internal/searchgraph"
 	"qint/internal/steiner"
 )
 
@@ -138,14 +139,15 @@ func TestQuerySingleSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Trees()) == 0 {
+	m := v.Current()
+	if len(m.Trees) == 0 {
 		t.Fatal("no trees found")
 	}
-	if v.Result() == nil || len(v.Result().Rows) == 0 {
+	if m.Result == nil || len(m.Result.Rows) == 0 {
 		t.Fatal("no result rows")
 	}
-	if v.Alpha() <= 0 {
-		t.Errorf("alpha = %v, want > 0", v.Alpha())
+	if m.Alpha <= 0 {
+		t.Errorf("alpha = %v, want > 0", m.Alpha)
 	}
 }
 
@@ -157,18 +159,43 @@ func TestQueryJoinAcrossForeignKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Result().Rows) == 0 {
+	rows := v.Current().Result.Rows
+	if len(rows) == 0 {
 		t.Fatal("expected joined answers")
 	}
 	found := false
-	for _, row := range v.Result().Rows {
+	for _, row := range rows {
 		joined := strings.Join(row.Values, "|")
 		if strings.Contains(joined, "Kringle domain") && strings.Contains(joined, "PUB0001") {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("no row relates Kringle to PUB0001; rows: %v", v.Result().Rows)
+		t.Errorf("no row relates Kringle to PUB0001; rows: %v", rows)
+	}
+}
+
+// TestAddTablesAddsOnlyItsTables: an AddTables with a new table of an
+// already added source adds that table's nodes and foreign keys only; the
+// source's earlier foreign keys are not added a second time.
+func TestAddTablesAddsOnlyItsTables(t *testing.T) {
+	table := func(name string, fks ...relstore.ForeignKey) *relstore.Table {
+		return mkTable(t, &relstore.Relation{Source: "s", Name: name,
+			Attributes: []relstore.Attribute{{Name: "id"}}, ForeignKeys: fks}, [][]string{{"1"}})
+	}
+	q := New(DefaultOptions())
+	if err := q.AddTables(table("a"), table("b", relstore.ForeignKey{FromAttr: "id", ToRelation: "s.a", ToAttr: "id"})); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.AddTables(table("c")); err != nil {
+		t.Fatal(err)
+	}
+	s := q.CurrentGraph().Summary()
+	if n := s.ByEdgeKind[searchgraph.EdgeForeignKey]; n != 1 {
+		t.Errorf("%d foreign-key edges, want 1", n)
+	}
+	if s.Relations != 3 || s.Attributes != 3 {
+		t.Errorf("%d relation and %d attribute nodes, want 3 and 3", s.Relations, s.Attributes)
 	}
 }
 
@@ -181,10 +208,11 @@ func TestQueryAcrossSourcesViaAssociation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Result().Rows) == 0 {
+	rows := v.Current().Result.Rows
+	if len(rows) == 0 {
 		t.Fatal("association edge should enable the cross-source join")
 	}
-	row := strings.Join(v.Result().Rows[0].Values, "|")
+	row := strings.Join(rows[0].Values, "|")
 	if !strings.Contains(row, "plasma membrane") || !strings.Contains(row, "Kringle domain") {
 		t.Errorf("top row should relate the two keywords: %q", row)
 	}
@@ -196,7 +224,7 @@ func TestViewRefreshAfterWeightChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := len(v.Result().Rows)
+	before := len(v.Current().Result.Rows)
 	// Raising the default weight raises all costs but should not break
 	// rematerialisation.
 	w := q.CurrentGraph().Weights().Clone()
@@ -204,7 +232,7 @@ func TestViewRefreshAfterWeightChange(t *testing.T) {
 	if err := q.SetWeights(w); err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Result().Rows) == 0 || before == 0 {
+	if len(v.Current().Result.Rows) == 0 || before == 0 {
 		t.Error("refresh lost the view contents")
 	}
 }
@@ -215,7 +243,7 @@ func TestTreeToQueryProducesValidSQL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cq := range v.Queries() {
+	for _, cq := range v.Current().Queries {
 		if err := cq.Validate(q.CurrentCatalog()); err != nil {
 			t.Errorf("invalid query: %v\nSQL: %s", err, cq.SQL())
 		}
@@ -291,8 +319,8 @@ func TestViewBasedAlignerPrunesTargets(t *testing.T) {
 	// View over the publications corner of the graph.
 	if v, err := q.Query(Request{Keywords: []string{"PUB0001", "title"}, K: 2}); err != nil {
 		t.Fatal(err)
-	} else if len(v.Result().Rows) < v.K {
-		t.Fatalf("fixture view must fill its %d slots, has %d rows", v.K, len(v.Result().Rows))
+	} else if n := len(v.Current().Result.Rows); n < v.K {
+		t.Fatalf("fixture view must fill its %d slots, has %d rows", v.K, n)
 	}
 	q.AddMatcher(meta.New())
 
@@ -341,9 +369,10 @@ func TestNeighborhoodMatchesAligner(t *testing.T) {
 			}
 			q.writerMu.Unlock()
 			slices.Sort(aligner)
-			if got := q.NeighborhoodRelations(v); !slices.Equal(got, aligner) {
+			m := v.Current()
+			if got := q.NeighborhoodRelations(m); !slices.Equal(got, aligner) {
 				t.Errorf("%q at k=%d (%d rows): NeighborhoodRelations %v, aligner %v",
-					query, k, len(v.Result().Rows), got, aligner)
+					query, k, len(m.Result.Rows), got, aligner)
 			}
 			q.DropView(v.ID)
 		}
@@ -466,28 +495,31 @@ func TestFeedbackFavorsTargetTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Trees()) < 2 {
+	m := v.Current()
+	if len(m.Trees) < 2 {
 		t.Skip("fixture produced fewer than 2 trees; nothing to separate")
 	}
 	// Favour the SECOND-ranked tree. A single online MIRA step only
 	// separates the target from the CURRENT k-best set — new trees can
 	// surface — so, exactly as the paper replays its feedback log (§5.2.2),
-	// repeat the feedback until the ranking converges.
-	target := v.Trees()[1]
+	// repeat the feedback until the ranking converges. Each round names the
+	// target in the materialisation it reads: its overlay is the one the
+	// target's keyword edge ids resolve against.
+	target := m.Trees[1]
 	for i := 0; i < 10; i++ {
-		if err := q.FeedbackFavorTree(v, target); err != nil {
+		if err := q.FeedbackFavorTree(m, target); err != nil {
 			t.Fatal(err)
 		}
-		if len(v.Trees()) > 0 && v.Trees()[0].Key() == target.Key() {
+		if m = v.Current(); len(m.Trees) > 0 && m.Trees[0].Key() == target.Key() {
 			break
 		}
 	}
-	if len(v.Trees()) == 0 {
+	if len(m.Trees) == 0 {
 		t.Fatal("view lost trees after feedback")
 	}
-	if v.Trees()[0].Key() != target.Key() {
+	if m.Trees[0].Key() != target.Key() {
 		t.Errorf("target tree should rank first after repeated feedback; got %s want %s",
-			v.Trees()[0].Key(), target.Key())
+			m.Trees[0].Key(), target.Key())
 	}
 }
 
@@ -497,11 +529,12 @@ func TestFeedbackKeepsEdgeCostsPositive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Trees()) < 2 {
+	if len(v.Current().Trees) < 2 {
 		t.Skip("need at least 2 trees")
 	}
 	for i := 0; i < 5; i++ { // repeated feedback (the paper replays logs)
-		if err := q.FeedbackFavorTree(v, v.Trees()[len(v.Trees())-1]); err != nil {
+		m := v.Current()
+		if err := q.FeedbackFavorTree(m, m.Trees[len(m.Trees)-1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -526,7 +559,7 @@ func TestFeedbackRowValidAndInvalid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Result().Rows) == 0 {
+	if len(v.Current().Result.Rows) == 0 {
 		t.Fatal("no rows to give feedback on")
 	}
 	if err := q.FeedbackRow(v, 0, FeedbackValid); err != nil {
@@ -637,8 +670,8 @@ func TestSingleKeywordQuery(t *testing.T) {
 	// A keyword that matches nothing has no answers, and no error.
 	if v, err := q.Query(Request{Keywords: []string{"zzzzqqqq"}}); err != nil {
 		t.Errorf("unmatched keyword: %v", err)
-	} else if len(v.Trees()) != 0 {
-		t.Errorf("unmatched keyword: %d trees, want none", len(v.Trees()))
+	} else if n := len(v.Current().Trees); n != 0 {
+		t.Errorf("unmatched keyword: %d trees, want none", n)
 	}
 }
 
@@ -660,13 +693,14 @@ func TestRepeatedKeywordAnswersLikeOnce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q: %v", c.once, err)
 		}
-		if len(want.Result().Rows) == 0 {
+		gm, wm := got.Current(), want.Current()
+		if len(wm.Result.Rows) == 0 {
 			t.Fatalf("%q: no rows", c.once)
 		}
-		if !reflect.DeepEqual(got.Trees(), want.Trees()) || !reflect.DeepEqual(got.Result().Rows, want.Result().Rows) {
+		if !reflect.DeepEqual(gm.Trees, wm.Trees) || !reflect.DeepEqual(gm.Result.Rows, wm.Result.Rows) {
 			t.Errorf("%q answers differently from %q:\n%s\n%s", c.repeated, c.once, fingerprintView(got), fingerprintView(want))
 		}
-		if g, w := q.KBestTrees(got, 3), q.KBestTrees(want, 3); len(g) == 0 || !reflect.DeepEqual(g, w) {
+		if g, w := q.KBestTrees(gm, 3), q.KBestTrees(wm, 3); len(g) == 0 || !reflect.DeepEqual(g, w) {
 			t.Errorf("%q: KBestTrees %v, want %v", c.repeated, g, w)
 		}
 	}

@@ -77,8 +77,8 @@ func driveMutations(t *testing.T, q *Q) {
 	if _, err := q.RegisterSource(newTables, Exhaustive); err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Trees()) >= 2 {
-		if err := q.FeedbackFavorTree(v, v.Trees()[1]); err != nil {
+	if m := v.Current(); len(m.Trees) >= 2 {
+		if err := q.FeedbackFavorTree(m, m.Trees[1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -336,11 +336,12 @@ func TestFeedbackCheckpointsReproducible(t *testing.T) {
 		driveMutations(t, q)
 		v := q.Views()[0]
 		for range 4 {
-			trees := v.Trees()
+			m := v.Current()
+			trees := m.Trees
 			if len(trees) < 2 {
 				t.Fatalf("view has %d trees, want at least 2 to give feedback on", len(trees))
 			}
-			if err := q.FeedbackFavorTree(v, trees[len(trees)-1]); err != nil {
+			if err := q.FeedbackFavorTree(m, trees[len(trees)-1]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -388,13 +389,13 @@ func TestReplayedFeedbackMatchesLive(t *testing.T) {
 	const K = 6
 	changed := 0
 	for k := 0; k < K; k++ {
-		v := q.Views()[0]
-		trees := v.Trees()
+		m := q.Views()[0].Current()
+		trees := m.Trees
 		if len(trees) < 2 {
 			t.Fatalf("view has %d trees, want at least 2 to give feedback on", len(trees))
 		}
 		before := maps.Clone(q.CurrentGraph().Weights())
-		if err := q.FeedbackFavorTree(v, trees[1+k%(len(trees)-1)]); err != nil {
+		if err := q.FeedbackFavorTree(m, trees[1+k%(len(trees)-1)]); err != nil {
 			t.Fatal(err)
 		}
 		if !maps.Equal(before, q.CurrentGraph().Weights()) {
@@ -810,7 +811,7 @@ func TestRestoreRefusesOverCapView(t *testing.T) {
 		t.Fatalf("Open over a %d-keyword view: err %v, want ErrTooManyKeywords naming the view", over, err)
 	}
 	q2 := reopen(t, withView(steiner.MaxExactTerminals))
-	if vs := q2.Views(); len(vs) != 1 || len(vs[0].Keywords) != steiner.MaxExactTerminals || len(vs[0].Result().Rows) == 0 {
+	if vs := q2.Views(); len(vs) != 1 || len(vs[0].Keywords) != steiner.MaxExactTerminals || len(vs[0].Current().Result.Rows) == 0 {
 		t.Fatalf("restored views %v, want one %d-keyword view with rows", vs, steiner.MaxExactTerminals)
 	}
 }

@@ -17,7 +17,8 @@ import (
 type Explanation struct {
 	// Tree is the originating query tree.
 	Tree steiner.Tree
-	// SQL is the conjunctive query's SQL rendering.
+	// SQL is the SQL of the branch query that produced the answer, as it
+	// ran (its output columns aligned to the view's).
 	SQL string
 	// Cost is the answer's ranking cost.
 	Cost float64
@@ -32,11 +33,12 @@ type Explanation struct {
 	Plan []string
 }
 
-// Explain returns the provenance of the view answer at rowIdx, resolved
-// against the view's current materialisation. It is a pure read: safe to
-// call concurrently with queries and writers.
-func (q *Q) Explain(v *View, rowIdx int) (*Explanation, error) {
-	mat := v.mat.Load()
+// Explain returns the provenance of the answer at rowIdx of m, resolved
+// against m's overlay and catalog; the SQL and plan are those of the
+// branch query that produced the row. It is a pure read: safe to call
+// concurrently with queries and writers.
+func (q *Q) Explain(m Materialization, rowIdx int) (*Explanation, error) {
+	mat := m.m
 	if mat == nil || mat.result == nil || rowIdx < 0 || rowIdx >= len(mat.result.Rows) {
 		return nil, fmt.Errorf("core: explain row %d out of range", rowIdx)
 	}
@@ -45,10 +47,7 @@ func (q *Q) Explain(v *View, rowIdx int) (*Explanation, error) {
 	if err != nil {
 		return nil, err
 	}
-	cq, err := treeToQuery(mat.cat, mat.ov, tree)
-	if err != nil {
-		return nil, err
-	}
+	cq := mat.queries[row.Branch]
 	ov := mat.ov
 	ex := &Explanation{Tree: tree, SQL: cq.SQL(), Cost: row.Cost}
 	// A plan rendering failure must not silently vanish from the

@@ -11,15 +11,16 @@ func TestExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Result().Rows) == 0 {
+	m := v.Current()
+	if len(m.Result.Rows) == 0 {
 		t.Fatal("no rows to explain")
 	}
-	ex, err := q.Explain(v, 0)
+	ex, err := q.Explain(m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.Cost != v.Result().Rows[0].Cost {
-		t.Errorf("cost = %v, want %v", ex.Cost, v.Result().Rows[0].Cost)
+	if ex.Cost != m.Result.Rows[0].Cost {
+		t.Errorf("cost = %v, want %v", ex.Cost, m.Result.Rows[0].Cost)
 	}
 	if len(ex.Keywords) == 0 {
 		t.Error("explanation should list keyword matches")
@@ -52,8 +53,8 @@ func TestExplain(t *testing.T) {
 	// The cross-source answer must surface the hand-coded association in
 	// its join provenance.
 	foundJoin := false
-	for i := range v.Result().Rows {
-		e, err := q.Explain(v, i)
+	for i := range m.Result.Rows {
+		e, err := q.Explain(m, i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +67,34 @@ func TestExplain(t *testing.T) {
 	if !foundJoin {
 		t.Error("no explanation surfaced the cross-source association join")
 	}
-	if _, err := q.Explain(v, 99_999); err == nil {
+	if _, err := q.Explain(m, 99_999); err == nil {
 		t.Error("out-of-range row should fail")
+	}
+}
+
+// TestExplainSQLIsTheBranchThatRan pins that an explanation shows the SQL
+// that produced its row: the branch query after output-column alignment,
+// not a fresh translation of the branch's tree (which names a column by
+// its own attribute where the union aligned it under another's).
+func TestExplainSQLIsTheBranchThatRan(t *testing.T) {
+	q := newFixtureQ(t, true)
+	for _, query := range []string{"'GO:0000002'", "'plasma membrane' 'Kringle domain'"} {
+		v, err := queryStr(q, query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := v.Current()
+		if len(m.Result.Rows) == 0 {
+			t.Fatalf("%s: no rows to explain", query)
+		}
+		for i, row := range m.Result.Rows {
+			ex, err := q.Explain(m, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := m.Queries[row.Branch].SQL(); ex.SQL != want {
+				t.Errorf("%s row %d: Explain SQL\n%s\nwant the branch's\n%s", query, i, ex.SQL, want)
+			}
+		}
 	}
 }

@@ -19,6 +19,10 @@ import (
 // against what it shows now (the HTTP layer maps this to 409 Conflict).
 var ErrRowOutOfRange = errors.New("core: feedback row out of range")
 
+// errUnmaterialised refuses feedback naming a Materialization that Current
+// did not return (the zero value).
+var errUnmaterialised = errors.New("core: feedback on unmaterialised view")
+
 // minLearnableCost is the floor Algorithm 4's positivity constraint aims
 // for: after every update the cheapest learnable edge costs at least this.
 const minLearnableCost = 0.01
@@ -41,12 +45,13 @@ const (
 // constraints, updates the weight vector, re-enforces edge-cost positivity,
 // and refreshes all views.
 //
-// Ordering semantics: the row index is interpreted against the view's
-// CURRENT materialisation — the one whose rows the caller inspected. In
-// normal operation every write refreshes every view, so the current
-// materialisation always reflects the latest published state; a view
-// created concurrently with a write may briefly trail by one generation,
-// and its feedback is interpreted against what it actually shows (then the
+// Ordering semantics: FeedbackRow is the one call that reads a view's
+// current materialisation itself, under the writer lock, because an HTTP
+// row index arrives without the materialisation it was read from. In
+// normal operation every write refreshes every view, so that
+// materialisation reflects the latest published state; a view created
+// concurrently with a write may briefly trail by one generation, and its
+// feedback is interpreted against what it actually shows (then the
 // update's refresh brings it current).
 func (q *Q) FeedbackRow(v *View, rowIdx int, kind FeedbackKind) error {
 	q.writerMu.Lock()
@@ -65,12 +70,12 @@ func (q *Q) FeedbackRow(v *View, rowIdx int, kind FeedbackKind) error {
 	}
 	switch kind {
 	case FeedbackValid:
-		return q.feedbackFavorLocked(mat, tree, v.K)
+		return q.feedbackFavorLocked(mat, tree)
 	default:
 		// Prefer the best tree that is not the offending one.
 		for _, t := range mat.trees {
 			if t.Key() != tree.Key() {
-				return q.feedbackFavorLocked(mat, t, v.K)
+				return q.feedbackFavorLocked(mat, t)
 			}
 		}
 		return nil // nothing else to promote
@@ -79,24 +84,23 @@ func (q *Q) FeedbackRow(v *View, rowIdx int, kind FeedbackKind) error {
 
 // FeedbackFavorTree is the core of Algorithm 4 (ONLINELEARNER): the user's
 // feedback names a target tree Tr for the view's keyword set Sr; the k-best
-// list B is recomputed under current weights, MIRA finds the minimal weight
-// change under which Tr beats every T ∈ B by margin L(Tr, T) while every
-// learnable edge cost stays positive (one QP), and views are refreshed
-// under the new costs. The target tree must come from the view's
-// current materialisation (Trees or KBestTrees).
-func (q *Q) FeedbackFavorTree(v *View, target steiner.Tree) error {
+// list B of m's overlay is recomputed for m's k, MIRA finds the minimal
+// weight change under which Tr beats every T ∈ B by margin L(Tr, T) while
+// every learnable edge cost stays positive (one QP), and views are
+// refreshed under the new costs. The target tree must come from m (its
+// Trees or KBestTrees), whose overlay its ids resolve against.
+func (q *Q) FeedbackFavorTree(m Materialization, target steiner.Tree) error {
+	if m.m == nil {
+		return errUnmaterialised
+	}
 	q.writerMu.Lock()
 	defer q.writerMu.Unlock()
-	mat := v.mat.Load()
-	if mat == nil {
-		return fmt.Errorf("core: feedback on unmaterialised view")
-	}
-	return q.feedbackFavorLocked(mat, target, v.K)
+	return q.feedbackFavorLocked(m.m, target)
 }
 
-func (q *Q) feedbackFavorLocked(mat *viewMat, target steiner.Tree, k int) error {
+func (q *Q) feedbackFavorLocked(mat *viewMat, target steiner.Tree) error {
 	t := time.Now()
-	page := q.kBestOf(mat, k)
+	page := q.kBestOf(mat, mat.k)
 	q.metrics.span(writePage, t)
 	return q.feedbackPreferLocked(mat, target, page)
 }
@@ -106,17 +110,15 @@ func (q *Q) feedbackFavorLocked(mat *viewMat, target steiner.Tree, k int) error 
 // than each tree in worse, by the structural-loss margin. Callers that know
 // several answers are correct (a user may mark more than one answer valid)
 // pass only the genuinely-worse trees, so good alternatives are not pushed
-// away while promoting the target. All trees must come from the view's
-// current materialisation (Trees or KBestTrees): their node and edge ids
-// are resolved against its overlay.
-func (q *Q) FeedbackPreferTrees(v *View, target steiner.Tree, worse []steiner.Tree) error {
+// away while promoting the target. All trees must come from m (its Trees
+// or KBestTrees): their node and edge ids are resolved against its overlay.
+func (q *Q) FeedbackPreferTrees(m Materialization, target steiner.Tree, worse []steiner.Tree) error {
+	if m.m == nil {
+		return errUnmaterialised
+	}
 	q.writerMu.Lock()
 	defer q.writerMu.Unlock()
-	mat := v.mat.Load()
-	if mat == nil {
-		return fmt.Errorf("core: feedback on unmaterialised view")
-	}
-	return q.feedbackPreferLocked(mat, target, worse)
+	return q.feedbackPreferLocked(m.m, target, worse)
 }
 
 // feedbackPreferLocked is the one feedback write. The WAL logs its complete
@@ -179,11 +181,10 @@ func (q *Q) liveMatsLocked(primary *viewMat) []*viewMat {
 }
 
 // KBestTrees computes the k lowest-cost trees for a view's keyword set over
-// its current materialisation (capped deeper than the view's own k if
-// asked). Used by feedback simulators that inspect a deeper result page
-// than the view retains; the returned trees resolve against the same
-// overlay as the view's own trees, so they can be passed straight to
-// FeedbackPreferTrees.
+// the overlay of m (k may be deeper than the view's own). Used by feedback
+// simulators that inspect a deeper result page than the view retains; the
+// returned trees resolve against the same overlay as m.Trees, so they can
+// be passed with m straight to FeedbackPreferTrees.
 //
 // The page is tie-inclusive: when several trees tie at the k-th cost, all
 // of them are returned (the list may exceed k). The k-th rank is
@@ -191,12 +192,11 @@ func (q *Q) liveMatsLocked(primary *viewMat) []*viewMat {
 // first is arbitrary — so feedback judging "the top-k page" must see every
 // answer tied at the boundary, or the learning trajectory would depend on
 // enumeration order rather than on costs.
-func (q *Q) KBestTrees(v *View, k int) []steiner.Tree {
-	mat := v.mat.Load()
-	if mat == nil {
+func (q *Q) KBestTrees(m Materialization, k int) []steiner.Tree {
+	if m.m == nil {
 		return nil
 	}
-	return q.kBestOf(mat, k)
+	return q.kBestOf(m.m, k)
 }
 
 // kBestTieSlack is how many extra trees beyond k the tie-inclusive page

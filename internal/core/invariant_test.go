@@ -75,10 +75,8 @@ func randomCatalog(r *rand.Rand, nRel int) []*relstore.Table {
 // unspecified), while strictly-cheaper rows are compared in full, each as
 // its sorted non-empty values.
 func canonicalRows(v *View) string {
-	k := v.K
-	if k > len(v.Result().Rows) {
-		k = len(v.Result().Rows)
-	}
+	m := v.Current()
+	k := min(v.K, len(m.Result.Rows))
 	if k == 0 {
 		return ""
 	}
@@ -87,14 +85,14 @@ func canonicalRows(v *View) string {
 	// is retained (and hence which equal-cost rows exist at all) is
 	// unspecified — and the two strategies legitimately have different
 	// equal-cost trees available.
-	kth := v.Result().Rows[k-1].Cost
-	if len(v.Trees()) > 0 {
-		if c := v.Trees()[len(v.Trees())-1].Cost; c < kth {
+	kth := m.Result.Rows[k-1].Cost
+	if len(m.Trees) > 0 {
+		if c := m.Trees[len(m.Trees)-1].Cost; c < kth {
 			kth = c
 		}
 	}
 	rows := make([]string, 0, k)
-	for _, r := range v.Result().Rows[:k] {
+	for _, r := range m.Result.Rows[:k] {
 		if r.Cost >= kth-1e-9 {
 			rows = append(rows, fmt.Sprintf("%.4f|<tied>", r.Cost))
 			continue

@@ -21,8 +21,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Learn something so the snapshot carries non-default weights.
-	if len(v.Trees()) >= 2 {
-		if err := q.FeedbackFavorTree(v, v.Trees()[1]); err != nil {
+	if m := v.Current(); len(m.Trees) >= 2 {
+		if err := q.FeedbackFavorTree(m, m.Trees[1]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -186,11 +186,12 @@ func TestLoadedInstanceKeepsWorking(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Trees()) == 0 {
+	m := v.Current()
+	if len(m.Trees) == 0 {
 		t.Error("loaded instance should answer new queries")
 	}
 	// Feedback still works.
-	if len(v.Result().Rows) > 0 {
+	if len(m.Result.Rows) > 0 {
 		if err := q2.FeedbackRow(v, 0, FeedbackValid); err != nil {
 			t.Errorf("feedback on loaded instance: %v", err)
 		}
@@ -263,10 +264,11 @@ func TestSaveIsCheckpointFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Trees()) < 2 {
-		t.Fatalf("fixture view has %d trees, want >= 2 for feedback", len(v.Trees()))
+	m := v.Current()
+	if len(m.Trees) < 2 {
+		t.Fatalf("fixture view has %d trees, want >= 2 for feedback", len(m.Trees))
 	}
-	if err := q.FeedbackFavorTree(v, v.Trees()[1]); err != nil {
+	if err := q.FeedbackFavorTree(m, m.Trees[1]); err != nil {
 		t.Fatal(err)
 	}
 	for _, kws := range [][]string{

@@ -18,13 +18,12 @@ import (
 )
 
 // View is a persistent keyword-search view (paper §2.3): the definition
-// (keywords, k) plus the current materialisation (top-k query trees, their
+// (keywords, k) plus its current materialisation (top-k query trees, their
 // conjunctive queries and the top k rows of their ranked union). Views are
 // refreshed whenever search-graph maintenance changes costs or topology.
 //
-// The materialisation is swapped atomically: readers (HTTP handlers, other
-// goroutines) call Trees/Queries/Result/Alpha and get one coherent
-// generation, while a concurrent refresh builds the next generation aside
+// A view is read through Current, one atomic load that returns a coherent,
+// immutable Materialization; a concurrent refresh builds the next one aside
 // and publishes it with a pointer store. ID, Keywords and K are immutable
 // once Query returns.
 type View struct {
@@ -47,6 +46,7 @@ type View struct {
 // held materialisation never pins its generation's query caches.
 type viewMat struct {
 	epoch     uint64
+	k         int // the k it was computed for, part of its cache key
 	cat       *relstore.Catalog
 	ov        *searchgraph.Overlay
 	terminals []steiner.NodeID
@@ -77,48 +77,16 @@ func (m *viewMat) treeOf(branch int) (steiner.Tree, error) {
 	return m.trees[m.queryTree[branch]], nil
 }
 
-// Trees returns the view's current top-k Steiner trees (cost order).
-func (v *View) Trees() []steiner.Tree {
-	if m := v.mat.Load(); m != nil {
-		return m.trees
-	}
-	return nil
-}
-
-// Queries returns the view's current conjunctive queries (tree-cost order,
-// signature-deduplicated).
-func (v *View) Queries() []*relstore.ConjunctiveQuery {
-	if m := v.mat.Load(); m != nil {
-		return m.queries
-	}
-	return nil
-}
-
-// Result returns the view's current ranked, unioned result: the top K rows
-// of the union of its branch queries (fewer if they yield fewer).
-func (v *View) Result() *relstore.UnionResult {
-	if m := v.mat.Load(); m != nil {
-		return m.result
-	}
-	return nil
-}
-
-// Alpha returns the cost of the k-th (worst) retained answer — the pruning
-// radius of VIEWBASEDALIGNER.
-func (v *View) Alpha() float64 {
-	if m := v.mat.Load(); m != nil {
-		return m.alpha
-	}
-	return 0
-}
-
 // Materialization is one coherent, immutable materialisation of a view:
-// everything the view computed from a single published state generation.
-// Use Current when several fields must agree (e.g. rows with their α): the
-// individual accessors each load the latest generation, so two calls that
-// straddle a concurrent refresh may come from different generations.
+// everything the view computed from a single published state generation
+// for its k. Tree and row ids mean something only against the
+// materialisation they were read from, so the calls that resolve them
+// (Explain, KBestTrees, FeedbackFavorTree, FeedbackPreferTrees,
+// NeighborhoodRelations) take the Materialization the caller read and act
+// on its overlay, whatever the view has been refreshed to since.
 type Materialization struct {
 	Epoch   uint64
+	K       int
 	Trees   []steiner.Tree
 	Queries []*relstore.ConjunctiveQuery
 	Result  *relstore.UnionResult
@@ -127,11 +95,9 @@ type Materialization struct {
 	m *viewMat
 }
 
-// Current returns the view's current materialisation as one coherent
-// snapshot (a single atomic load). Its Node/Edge methods resolve
-// the ids of ITS trees against ITS overlay — under concurrent writers,
-// prefer them over the View-level shortcuts, which re-load the latest
-// generation on every call.
+// Current returns the view's current materialisation (a single atomic
+// load). Its Node and Edge methods resolve the ids of its trees against its
+// own overlay.
 func (v *View) Current() Materialization {
 	m := v.mat.Load()
 	if m == nil {
@@ -139,6 +105,7 @@ func (v *View) Current() Materialization {
 	}
 	return Materialization{
 		Epoch:   m.epoch,
+		K:       m.k,
 		Trees:   m.trees,
 		Queries: m.queries,
 		Result:  m.result,
@@ -192,16 +159,6 @@ func (m Materialization) Edge(id steiner.EdgeID) searchgraph.Edge {
 	return m.m.ov.Edge(id)
 }
 
-// Node resolves a node id against the view's LATEST materialisation. The
-// id must come from that same materialisation: callers holding trees
-// across a possible concurrent refresh should capture Current() once and
-// use its resolvers instead.
-func (v *View) Node(id steiner.NodeID) searchgraph.Node { return v.Current().Node(id) }
-
-// Edge resolves an edge id against the view's LATEST materialisation (see
-// Node for the coherence caveat).
-func (v *View) Edge(id steiner.EdgeID) searchgraph.Edge { return v.Current().Edge(id) }
-
 // Request is one keyword query. Keywords are taken verbatim (ParseKeywords
 // splits a query string; keywords containing quotes or spaces pass through
 // untouched) and are retained by the view, so the caller must not modify the
@@ -229,7 +186,8 @@ var ErrViewLimit = errors.New("core: view registry full")
 // generates and executes their conjunctive queries, and unions the answers
 // into a ranked view. Unless the request is ephemeral the view is
 // persistent: it gets the next view ID and is retained for refresh on
-// future search-graph maintenance, up to Options.MaxViews views.
+// future search-graph maintenance, up to Options.MaxViews views. The
+// answers are read through the view's Current materialisation.
 //
 // An ephemeral view carries its answers (computed through the same
 // epoch-keyed cache, so a hot keyword stream is still near-free) but never
@@ -413,6 +371,7 @@ func (q *Q) materializeAt(st *qstate, keywords []string, k int, prev *viewMat, t
 	}
 	m := &viewMat{
 		epoch:     st.epoch,
+		k:         k,
 		cat:       st.cat,
 		ov:        ov,
 		terminals: terminals,

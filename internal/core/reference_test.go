@@ -370,9 +370,10 @@ func (h *harness) step(o op) error {
 			return h.check()
 		}
 		var lerr, rerr error
-		switch trees := rv.Trees(); o.Kind {
+		lm, rm := lv.Current(), rv.Current()
+		switch trees := rm.Trees; o.Kind {
 		case opFeedbackRow:
-			row := int(o.B/2) % (len(rv.Result().Rows) + 1) // one past the end is refused
+			row := int(o.B/2) % (len(rm.Result.Rows) + 1) // one past the end is refused
 			kind := FeedbackKind(o.B % 2)
 			lerr, rerr = h.live.FeedbackRow(lv, row, kind), h.ref.FeedbackRow(rv, row, kind)
 		case opFavorTree:
@@ -380,15 +381,14 @@ func (h *harness) step(o op) error {
 				return h.check()
 			}
 			j := int(o.B) % len(trees)
-			lerr, rerr = h.live.FeedbackFavorTree(lv, lv.Trees()[j]), h.ref.FeedbackFavorTree(rv, trees[j])
+			lerr, rerr = h.live.FeedbackFavorTree(lm, lm.Trees[j]), h.ref.FeedbackFavorTree(rm, trees[j])
 		default:
 			if len(trees) < 2 {
 				return h.check()
 			}
 			j := int(o.B) % len(trees)
 			others := func(ts []steiner.Tree) []steiner.Tree { return slices.Delete(slices.Clone(ts), j, j+1) }
-			lt := lv.Trees()
-			lerr, rerr = h.live.FeedbackPreferTrees(lv, lt[j], others(lt)), h.ref.FeedbackPreferTrees(rv, trees[j], others(trees))
+			lerr, rerr = h.live.FeedbackPreferTrees(lm, lm.Trees[j], others(lm.Trees)), h.ref.FeedbackPreferTrees(rm, trees[j], others(trees))
 		}
 		if err := sameErr(lerr, rerr); err != nil {
 			return err
@@ -712,8 +712,6 @@ func fingerprintEngine(q *Q) string {
 // trees, query signatures and SQL, unified columns, ranked rows with
 // provenance — into one comparable string.
 func fingerprintView(v *View) string {
-	// One coherent materialisation: the individual accessors could straddle
-	// a concurrent refresh and mix generations.
 	return fingerprintMat(v, v.Current())
 }
 

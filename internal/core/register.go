@@ -194,7 +194,7 @@ func (q *Q) viewBasedTargetsLocked(existing []*relstore.Relation) []*relstore.Re
 	inNeighborhood := make(map[string]bool)
 	for _, v := range q.Views() {
 		ov, terminals := q.expandKeywords(st, v.Keywords)
-		addNeighborhood(inNeighborhood, ov, terminals, v.mat.Load(), v.K)
+		addNeighborhood(inNeighborhood, ov, terminals, v.mat.Load())
 	}
 	var out []*relstore.Relation
 	for _, rel := range existing {
@@ -211,9 +211,9 @@ func (q *Q) viewBasedTargetsLocked(existing []*relstore.Relation) []*relstore.Re
 // view's k-th best result cost (mat.alpha). A view that has NOT yet filled
 // its k result slots cannot prune at all (any new result would enter the
 // top k), so its radius is unbounded.
-func addNeighborhood(set map[string]bool, ov *searchgraph.Overlay, terminals []steiner.NodeID, mat *viewMat, k int) {
+func addNeighborhood(set map[string]bool, ov *searchgraph.Overlay, terminals []steiner.NodeID, mat *viewMat) {
 	alpha := math.Inf(1)
-	if mat != nil && mat.result != nil && len(mat.result.Rows) >= k {
+	if mat != nil && mat.result != nil && len(mat.result.Rows) >= mat.k {
 		alpha = mat.alpha
 	}
 	for nid := range steiner.NeighborhoodIntersectOn(ov.View(), terminals, alpha) {
@@ -287,21 +287,16 @@ func (q *Q) matchPair(m matcher.Matcher, newRel, target *relstore.Relation, repo
 }
 
 // installAlignments keeps the top-Y candidates per attribute and installs
-// them as weighted association edges. With mirror set, each alignment also
-// counts against its B-side attribute's budget (the per-node accounting of
-// Table 1, used for whole-catalog alignment); without it only the A side —
-// the new source's attributes during registration — is budgeted. The
-// endorsing matcher contributes its confidence bin; every other registered
-// matcher contributes an absent marker, which a later endorsement by that
-// matcher supersedes on merge.
-func (q *Q) installAlignments(m matcher.Matcher, candidates []matcher.Alignment, report *RegisterReport, mirror bool) {
-	mirrored := candidates
-	if mirror {
-		mirrored = make([]matcher.Alignment, 0, 2*len(candidates))
-		mirrored = append(mirrored, candidates...)
-		for _, al := range candidates {
-			mirrored = append(mirrored, matcher.Alignment{A: al.B, B: al.A, Confidence: al.Confidence})
-		}
+// them as weighted association edges. Each alignment counts against the
+// budgets of both its attributes (the per-node accounting of Table 1, for
+// whole-catalog alignment). The endorsing matcher contributes its
+// confidence bin; every other registered matcher contributes an absent
+// marker, which a later endorsement by that matcher supersedes on merge.
+func (q *Q) installAlignments(m matcher.Matcher, candidates []matcher.Alignment, report *RegisterReport) {
+	mirrored := make([]matcher.Alignment, 0, 2*len(candidates))
+	mirrored = append(mirrored, candidates...)
+	for _, al := range candidates {
+		mirrored = append(mirrored, matcher.Alignment{A: al.B, B: al.A, Confidence: al.Confidence})
 	}
 	q.installEdges(m, matcher.TopYPerAttribute(mirrored, topY), report)
 }
@@ -350,7 +345,7 @@ func (q *Q) AlignAllPairs() (*RegisterReport, error) {
 				candidates = append(candidates, q.matchPair(m, rels[i], rels[j], report)...)
 			}
 		}
-		q.installAlignments(m, candidates, report, true)
+		q.installAlignments(m, candidates, report)
 	}
 	if err := q.commitLocked(walRecord{}, nil); err != nil {
 		return nil, err
@@ -389,16 +384,16 @@ func (q *Q) CountTargetComparisons(newRels []*relstore.Relation, strategy AlignS
 }
 
 // NeighborhoodRelations returns, sorted, the relations of a view's α-cost
-// neighbourhood in its current materialisation: the relations the
-// VIEWBASEDALIGNER compares a new source with on the view's behalf
-// (addNeighborhood), whose radius is unbounded while the view holds fewer
-// than k answers. For qshell's neighborhood command and the examples.
-func (q *Q) NeighborhoodRelations(v *View) []string {
-	mat := v.mat.Load()
+// neighbourhood in m: the relations the VIEWBASEDALIGNER compares a new
+// source with on the view's behalf (addNeighborhood), whose radius is
+// unbounded while m holds fewer than its k answers. For qshell's
+// neighborhood command and the examples.
+func (q *Q) NeighborhoodRelations(m Materialization) []string {
+	mat := m.m
 	if mat == nil {
 		return nil
 	}
 	set := make(map[string]bool)
-	addNeighborhood(set, mat.ov, mat.terminals, mat, v.K)
+	addNeighborhood(set, mat.ov, mat.terminals, mat)
 	return slices.Sorted(maps.Keys(set))
 }

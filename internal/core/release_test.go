@@ -113,8 +113,8 @@ func TestParkedQueryAnswersFromItsGeneration(t *testing.T) {
 	if got == nil {
 		t.FailNow()
 	}
-	if got.Epoch() != e {
-		t.Errorf("parked query answered at epoch %d, want %d", got.Epoch(), e)
+	if epoch := got.Current().Epoch; epoch != e {
+		t.Errorf("parked query answered at epoch %d, want %d", epoch, e)
 	}
 	if fingerprintView(got) != fingerprintView(want) {
 		t.Errorf("parked query diverged from the cold engine at epoch %d:\n%s\nvs\n%s", e, fingerprintView(got), fingerprintView(want))

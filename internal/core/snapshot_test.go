@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -370,7 +371,7 @@ func TestQueriesSeeNewSourceAfterRegistration(t *testing.T) {
 	// "Nature" exists only in the jrnl source; "PUB0001" ties it to ip.pub.
 	const probe = "'Nature' 'PUB0001'"
 	mentionsNature := func(v *View) bool {
-		for _, row := range v.Result().Rows {
+		for _, row := range v.Current().Result.Rows {
 			for _, val := range row.Values {
 				if val == "Nature" {
 					return true
@@ -444,7 +445,7 @@ func TestWriterHammer(t *testing.T) {
 					errc <- fmt.Errorf("reader %d: %v", r, err)
 					return
 				}
-				if qv.Result() == nil {
+				if qv.Current().Result == nil {
 					errc <- fmt.Errorf("reader %d: torn view with nil result", r)
 					return
 				}
@@ -468,8 +469,8 @@ func TestWriterHammer(t *testing.T) {
 				errc <- fmt.Errorf("writer register %d: %v", i, err)
 				return
 			}
-			if trees := fv.Trees(); len(trees) > 1 {
-				if err := q.FeedbackFavorTree(fv, trees[1]); err != nil {
+			if m := fv.Current(); len(m.Trees) > 1 {
+				if err := q.FeedbackFavorTree(m, m.Trees[1]); err != nil {
 					errc <- fmt.Errorf("writer feedback %d: %v", i, err)
 					return
 				}
@@ -549,9 +550,8 @@ func TestQueryStateless(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		trees := v.Trees()
-		if len(trees) > 1 {
-			if err := q.FeedbackFavorTree(v, trees[1]); err != nil {
+		if m := v.Current(); len(m.Trees) > 1 {
+			if err := q.FeedbackFavorTree(m, m.Trees[1]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -599,3 +599,97 @@ type bytesBuffer struct{ b []byte }
 
 func (w *bytesBuffer) Write(p []byte) (int, error) { w.b = append(w.b, p...); return len(p), nil }
 func (w *bytesBuffer) String() string              { return string(w.b) }
+
+// TestHeldMaterializationResolvesAcrossWrites pins that the calls taking a
+// Materialization act on the one they are given, not on whatever the view
+// was refreshed to since: a weight update and a registration commit (each
+// refreshing the view) while readers explain m's rows and page m's k-best
+// trees, and every answer stays the one computed before the writes. The
+// feedback that follows names m's trees, whose ids resolve against m's
+// overlay.
+func TestHeldMaterializationResolvesAcrossWrites(t *testing.T) {
+	q := newFixtureQ(t, true)
+	v, err := q.Query(Request{Keywords: []string{"plasma membrane", "Kringle domain"}, K: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := v.Current()
+	if len(m.Trees) < 2 || len(m.Result.Rows) == 0 {
+		t.Fatalf("view has %d trees and %d rows, want at least 2 and 1", len(m.Trees), len(m.Result.Rows))
+	}
+	explained := make([]*Explanation, len(m.Result.Rows))
+	for i, row := range m.Result.Rows {
+		ex, err := q.Explain(m, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := m.m.treeOf(row.Branch); !reflect.DeepEqual(ex.Tree, want) {
+			t.Fatalf("row %d explains tree %s, want m's tree %s", i, ex.Tree.Key(), want.Key())
+		}
+		explained[i] = ex
+	}
+	page := q.KBestTrees(m, m.K+2)
+
+	check := func() error {
+		for i := range m.Result.Rows {
+			ex, err := q.Explain(m, i)
+			if err != nil {
+				return err
+			}
+			if !reflect.DeepEqual(ex, explained[i]) {
+				return fmt.Errorf("row %d explains as\n%s\nwant\n%s", i, ex, explained[i])
+			}
+		}
+		if got := q.KBestTrees(m, m.K+2); !reflect.DeepEqual(got, page) {
+			return fmt.Errorf("KBestTrees(m) = %v, want the page read before the writes %v", got, page)
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	errc := make(chan error, 4)
+	done := make(chan struct{})
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				if err := check(); err != nil {
+					errc <- err
+					return
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	w := q.CurrentGraph().Weights().Clone()
+	w["default"] += 0.5
+	if err := q.SetWeights(w); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.RegisterSource([]*relstore.Table{journalTable(t, "jrnl")}, ViewBased); err != nil {
+		t.Fatal(err)
+	}
+	close(done)
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+	if err := check(); err != nil {
+		t.Error(err)
+	}
+	if cur := v.Current(); cur.Epoch == m.Epoch {
+		t.Fatalf("the writes left the view at epoch %d", m.Epoch)
+	}
+	epoch := q.Epoch()
+	if err := q.FeedbackPreferTrees(m, m.Trees[len(m.Trees)-1], m.Trees[:len(m.Trees)-1]); err != nil {
+		t.Fatalf("feedback on m's trees: %v", err)
+	}
+	if q.Epoch() == epoch {
+		t.Error("feedback on m's trees committed nothing")
+	}
+}

@@ -100,12 +100,13 @@ func TestUnifiedColumnsShareValuesEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Result().Rows) == 0 {
+	res := v.Current().Result
+	if len(res.Rows) == 0 {
 		t.Fatal("expected answers")
 	}
 	// Some column must contain values from both relations.
 	colValues := make(map[int]map[string]bool)
-	for _, row := range v.Result().Rows {
+	for _, row := range res.Rows {
 		for i, val := range row.Values {
 			if val == "" {
 				continue
@@ -124,6 +125,6 @@ func TestUnifiedColumnsShareValuesEndToEnd(t *testing.T) {
 	}
 	if !shared {
 		t.Errorf("associated name columns should share one output column; columns: %v / rows %v",
-			v.Result().Columns, len(v.Result().Rows))
+			res.Columns, len(res.Rows))
 	}
 }

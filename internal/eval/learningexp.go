@@ -30,12 +30,12 @@ func newInterProQ(corpus *datasets.InterProGOCorpus) (*core.Q, error) {
 
 // isGoldOnly reports whether every association edge of the tree is gold,
 // and whether it uses any association edge at all. Tree edge ids resolve
-// against the view's current materialisation (association edges are base
-// edges, but the tree also carries overlay keyword edges).
-func isGoldOnly(v *core.View, t steiner.Tree, gold map[string]bool) (goldOnly, usesAssoc bool) {
+// against the materialisation the tree came from (association edges are
+// base edges, but the tree also carries overlay keyword edges).
+func isGoldOnly(m core.Materialization, t steiner.Tree, gold map[string]bool) (goldOnly, usesAssoc bool) {
 	goldOnly = true
 	for _, eid := range t.Edges {
-		e := v.Edge(eid)
+		e := m.Edge(eid)
 		if e.Kind != searchgraph.EdgeAssociation {
 			continue
 		}
@@ -54,12 +54,12 @@ func isGoldOnly(v *core.View, t steiner.Tree, gold map[string]bool) (goldOnly, u
 // outrank it, so the oracle searches beyond the view's top-k (a deeper
 // result page) for the answer to endorse; the demoted set is drawn from the
 // current top-k, excluding other gold-only answers (the expert would not
-// push a correct answer down).
-func goldOracle(q *core.Q, v *core.View, gold map[string]bool) (target steiner.Tree, worse []steiner.Tree, ok bool) {
+// push a correct answer down). Every tree comes from m.
+func goldOracle(q *core.Q, m core.Materialization, gold map[string]bool) (target steiner.Tree, worse []steiner.Tree, ok bool) {
 	const page = 20
 	found := false
-	for _, t := range q.KBestTrees(v, page) {
-		goldOnly, usesAssoc := isGoldOnly(v, t, gold)
+	for _, t := range q.KBestTrees(m, page) {
+		goldOnly, usesAssoc := isGoldOnly(m, t, gold)
 		if goldOnly && usesAssoc && !found {
 			target, found = t, true
 		}
@@ -67,8 +67,8 @@ func goldOracle(q *core.Q, v *core.View, gold map[string]bool) (target steiner.T
 	if !found {
 		return steiner.Tree{}, nil, false
 	}
-	for _, t := range q.KBestTrees(v, v.K) {
-		if goldOnly, _ := isGoldOnly(v, t, gold); !goldOnly {
+	for _, t := range q.KBestTrees(m, m.K) {
+		if goldOnly, _ := isGoldOnly(m, t, gold); !goldOnly {
 			worse = append(worse, t)
 		}
 	}
@@ -95,9 +95,10 @@ func runFeedback(q *core.Q, corpus *datasets.InterProGOCorpus, queries, replays 
 	for r := 0; r < replays; r++ {
 		for i := 0; i < queries; i++ {
 			step++
-			target, worse, ok := goldOracle(q, views[i], corpus.Gold)
+			m := views[i].Current()
+			target, worse, ok := goldOracle(q, m, corpus.Gold)
 			if ok && len(worse) > 0 {
-				if err := q.FeedbackPreferTrees(views[i], target, worse); err != nil {
+				if err := q.FeedbackPreferTrees(m, target, worse); err != nil {
 					return fmt.Errorf("eval: feedback step %d: %w", step, err)
 				}
 			}

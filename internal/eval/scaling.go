@@ -84,10 +84,10 @@ func calibrateTrial(q *core.Q, trial datasets.Trial) (*core.View, error) {
 	for _, r := range trial.BaseRelations {
 		base[r] = true
 	}
-	isBaseTree := func(t steinerTree) bool {
+	isBaseTree := func(m core.Materialization, t steinerTree) bool {
 		touched := make(map[string]bool)
 		for _, nid := range t.Nodes {
-			n := v.Node(nid)
+			n := m.Node(nid)
 			switch {
 			case n.Rel != "":
 				touched[n.Rel] = true
@@ -104,16 +104,17 @@ func calibrateTrial(q *core.Q, trial datasets.Trial) (*core.View, error) {
 	}
 	const maxRounds = 25
 	for round := 0; round < maxRounds; round++ {
-		if len(v.Trees()) == 0 {
+		m := v.Current()
+		if len(m.Trees) == 0 {
 			break
 		}
-		if isBaseTree(v.Trees()[0]) {
+		if isBaseTree(m, m.Trees[0]) {
 			break // base query is top-scoring: calibrated
 		}
 		applied := false
-		for _, t := range v.Trees() {
-			if isBaseTree(t) {
-				if err := q.FeedbackFavorTree(v, t); err != nil {
+		for _, t := range m.Trees {
+			if isBaseTree(m, t) {
+				if err := q.FeedbackFavorTree(m, t); err != nil {
 					return nil, err
 				}
 				applied = true

@@ -54,8 +54,8 @@ func TestGraphCodecMatchesJSONOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if trees := v.Trees(); len(trees) >= 2 {
-			if err := q.FeedbackFavorTree(v, trees[1]); err != nil {
+		if m := v.Current(); len(m.Trees) >= 2 {
+			if err := q.FeedbackFavorTree(m, m.Trees[1]); err != nil {
 				t.Fatal(err)
 			}
 			feedback++

@@ -62,14 +62,18 @@ func (g *Graph) Summary() Stats { return g.s.summary() }
 // key (paper §2.1).
 func Build(c *relstore.Catalog, weights learning.Vector) *Graph {
 	g := New(weights)
-	g.AddSource(c, "")
+	g.AddRelations(c, c.Relations())
 	return g
 }
 
 // AddSource incorporates every relation of the catalog belonging to source
-// into the graph (all relations when source is empty). Used both at startup
-// and when a new source registers (paper §3.1: "the first step is to
-// incorporate each of its underlying tables into the search graph").
+// into the graph.
 func (g *Graph) AddSource(c *relstore.Catalog, source string) {
-	g.AddSources(c, []string{source})
+	var rels []*relstore.Relation
+	for _, rel := range c.Relations() {
+		if rel.Source == source {
+			rels = append(rels, rel)
+		}
+	}
+	g.AddRelations(c, rels)
 }

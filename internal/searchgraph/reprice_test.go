@@ -110,7 +110,7 @@ func TestRepriceCarriesTreeAcrossGenerations(t *testing.T) {
 	if err := cat.AddTable(tb); err != nil {
 		t.Fatal(err)
 	}
-	g.AddSources(cat, []string{"x"})
+	g.AddRelations(cat, []*relstore.Relation{rel})
 	withAlias := append(matches[:len(matches):len(matches)], match{"membrane", relstore.AttrRef{Relation: "x.alias", Attr: "label"}, "membrane", 1})
 	ov3, _ := expand(t, g.Snapshot(), withAlias)
 	if ov3.Snapshot().NumEdges() == ov2.Snapshot().NumEdges() {

@@ -624,25 +624,14 @@ func (s *store) summary() Stats {
 	return out
 }
 
-// AddSources incorporates several sources at once, in two phases: every
-// source's relation and attribute nodes first, then every declared foreign
-// key. Batching matters when the new sources reference each other — adding
-// them one source at a time would silently drop any foreign key
-// whose target source had not been added yet, leaving the graph's edge set
-// dependent on source order.
-func (g *Graph) AddSources(c *relstore.Catalog, sources []string) {
-	match := func(rel *relstore.Relation) bool {
-		for _, s := range sources {
-			if s == "" || rel.Source == s {
-				return true
-			}
-		}
-		return false
-	}
-	for _, rel := range c.Relations() {
-		if !match(rel) {
-			continue
-		}
+// AddRelations incorporates relations new to the graph, all of them in the
+// catalog c, in the order given and in two phases: every relation's
+// relation and attribute nodes first, then every declared foreign key whose
+// target c holds (paper §3.1: "the first step is to incorporate each of its
+// underlying tables into the search graph"). Within one call, foreign keys
+// between the new relations survive whatever their order.
+func (g *Graph) AddRelations(c *relstore.Catalog, rels []*relstore.Relation) {
+	for _, rel := range rels {
 		qn := rel.QualifiedName()
 		g.RelationNode(qn)
 		for _, a := range rel.Attributes {
@@ -650,10 +639,7 @@ func (g *Graph) AddSources(c *relstore.Catalog, sources []string) {
 		}
 	}
 	// Foreign keys second, so both endpoints exist.
-	for _, rel := range c.Relations() {
-		if !match(rel) {
-			continue
-		}
+	for _, rel := range rels {
 		qn := rel.QualifiedName()
 		for _, fk := range rel.ForeignKeys {
 			if c.Relation(fk.ToRelation) == nil {

@@ -219,7 +219,7 @@ func stepHTTP(t *testing.T, srv *Server, ref *core.Q, queries []string, o httpOp
 		if view == nil {
 			return false, nil
 		}
-		row := int(o.B/2) % (len(view.Result().Rows) + 1) // one past the end is refused
+		row := int(o.B/2) % (len(view.Current().Result.Rows) + 1) // one past the end is refused
 		kind, wire := core.FeedbackValid, "valid"
 		if o.B%2 == 1 {
 			kind, wire = core.FeedbackInvalid, "invalid"

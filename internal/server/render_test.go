@@ -104,10 +104,10 @@ func TestRepeatedReadsMatchReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(v.Result().Rows) == 0 {
+	m := v.Current()
+	if len(m.Result.Rows) == 0 {
 		t.Fatal("the view has no rows")
 	}
-	m := v.Current()
 	for read := 1; read <= 3; read++ {
 		get(v)
 		if read == 2 {

@@ -50,6 +50,7 @@
 //     rematerialise the view between the client reading its rows and
 //     posting feedback, so the index may simply be stale — re-read the
 //     view (the response carries the current X-Q-Epoch) and resubmit.
+//     A negative row is malformed whatever the view holds: 400.
 //
 // Shed/served/in-flight/queue-depth counters are served under "serving"
 // on GET /stats.
@@ -622,6 +623,10 @@ func (s *Server) handleViewByID(w http.ResponseWriter, r *http.Request) {
 			kind = core.FeedbackInvalid
 		default:
 			httpError(w, http.StatusBadRequest, "kind must be valid or invalid")
+			return
+		}
+		if req.Row < 0 {
+			httpError(w, http.StatusBadRequest, "row must be non-negative, got %d", req.Row)
 			return
 		}
 		if err := s.q.FeedbackRow(v, req.Row, kind); err != nil {

@@ -137,6 +137,15 @@ func TestFeedbackEndpoint(t *testing.T) {
 	if oob.Header.Get("X-Q-Epoch") == "" {
 		t.Error("409 response missing X-Q-Epoch header")
 	}
+	// A negative row is malformed: no re-read of the view can make it valid.
+	neg, err := http.Post(ts.URL+"/views/v0/feedback", "application/json", strings.NewReader(`{"row":-1,"kind":"valid"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	neg.Body.Close()
+	if neg.StatusCode != http.StatusBadRequest {
+		t.Errorf("negative row status = %d, want %d", neg.StatusCode, http.StatusBadRequest)
+	}
 }
 
 // TestFeedbackBeyondTopK pins the wire side of top-k execution: a view whose
@@ -149,7 +158,7 @@ func TestFeedbackBeyondTopK(t *testing.T) {
 	var va ViewAnswers
 	decode(t, resp, &va)
 	total := 0
-	for _, cq := range q.Views()[0].Queries() {
+	for _, cq := range q.Views()[0].Current().Queries {
 		rs, err := relstore.Execute(q.CurrentCatalog(), cq)
 		if err != nil {
 			t.Fatal(err)

@@ -68,7 +68,9 @@ const (
 	// defaultK is the paper's k: a view's answer count when Request.K <= 0.
 	defaultK = 5
 	// topY is how many candidate alignments per attribute each matcher
-	// contributes to the search graph (paper §3.2.3).
+	// contributes to the search graph (paper §3.2.3): per new attribute
+	// per alignment round at registration, per attribute over the whole
+	// catalog in AlignAllPairs.
 	topY = 2
 	// matchThreshold is the minimum keyword similarity for a keyword edge
 	// (paper §2.2).

@@ -1,11 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"maps"
 	"math"
 	"slices"
-	"sort"
+	"strings"
 
 	"qint/internal/learning"
 	"qint/internal/matcher"
@@ -22,8 +23,16 @@ const (
 	// Exhaustive compares the new source against every existing relation.
 	Exhaustive AlignStrategy = iota
 	// ViewBased (Algorithm 2, VIEWBASEDALIGNER) compares only against
-	// relations inside the α-cost neighbourhood of some view's keywords —
-	// guaranteed to produce the same top-k view updates as Exhaustive.
+	// relations inside the α-cost neighbourhood of some view's keywords,
+	// re-checked after each alignment round until no relation joins.
+	// Ranking fewer candidates per round, each matcher keeps every
+	// alignment towards those relations that it keeps under Exhaustive,
+	// and possibly more. With one matcher those edges are Exhaustive's
+	// with the same features, so every Exhaustive tree over compared
+	// relations exists at the same cost; with several, an edge may carry
+	// an endorsement Exhaustive ranked out, which can price it either way.
+	// A tree that reaches a relation outside the neighbourhood only
+	// through the new source is not found (internal/core/README.md).
 	ViewBased
 	// Preferential (Algorithm 3, PREFERENTIALALIGNER) compares against
 	// relations in order of a vertex-cost prior (authoritativeness), up to
@@ -58,8 +67,12 @@ type RegisterReport struct {
 // RegisterSource is Q's registration service (paper §3): the new source's
 // tables enter the catalog and search graph, the chosen aligner strategy
 // selects which existing relations to match against, every registered
-// matcher proposes alignments, and the top-Y per attribute become weighted
-// association edges. Views are refreshed afterwards so new results surface.
+// matcher proposes alignments, and each matcher's top-Y per new attribute
+// over the targets of an alignment round become weighted association
+// edges. EXHAUSTIVE and PREFERENTIAL align in one round; VIEWBASED's
+// fixpoint may take several, and it installs a superset of EXHAUSTIVE's
+// edges towards the relations it compares (see ViewBased). Views are
+// refreshed afterwards so new results surface.
 //
 // All tables must share one source name, which must be new to the catalog.
 //
@@ -141,19 +154,21 @@ func (q *Q) registerLocked(tables []*relstore.Table, strategy AlignStrategy) (*R
 		if len(fresh) == 0 {
 			break
 		}
-		// The top-Y budget is applied PER RELATION PAIR here, so the edges
-		// installed for a given (new relation, target) pair are a pure
-		// function of that pair. This pool-independence is what makes
-		// VIEWBASEDALIGNER's same-top-k guarantee exact: aligning a subset
-		// of targets installs exactly the corresponding subset of the
-		// edges EXHAUSTIVE would install.
+		// The top-Y budget is per new attribute, per matcher, per round
+		// (paper §3.2.3): each matcher's candidates for one new table are
+		// pooled over the round's targets before the cut, so a new
+		// attribute gains at most topY edges per matcher per round however
+		// large the catalog. TopYPerAttribute is a stable sort over
+		// candidates in target order, so an edge in EXHAUSTIVE's top-Y
+		// whose target a VIEWBASEDALIGNER round compares is in that
+		// round's top-Y too.
 		for _, m := range q.matchers {
 			for _, newTable := range tables {
+				var cands []matcher.Alignment
 				for _, target := range fresh {
-					cands := matcher.TopYPerAttribute(
-						q.matchPair(m, newTable.Relation, target, report), topY)
-					q.installEdges(m, cands, report)
+					cands = append(cands, q.matchPair(m, newTable.Relation, target, report)...)
 				}
+				q.installEdges(m, matcher.TopYPerAttribute(cands, topY), report)
 			}
 		}
 		if strategy != ViewBased {
@@ -237,22 +252,28 @@ func (q *Q) preferentialTargets(existing []*relstore.Relation) []*relstore.Relat
 	// Quantise the prior: learned weights carry float noise in their low
 	// bits (map-ordered summation in the updates), and unrounded values
 	// would break ranking ties nondeterministically.
-	prior := func(rel *relstore.Relation) float64 {
-		return math.Round(w["rel:"+rel.QualifiedName()]*1e9) / 1e9
+	type ranked struct {
+		rel   *relstore.Relation
+		name  string
+		prior float64
 	}
-	ranked := make([]*relstore.Relation, len(existing))
-	copy(ranked, existing)
-	sort.SliceStable(ranked, func(i, j int) bool {
-		wi, wj := prior(ranked[i]), prior(ranked[j])
-		if wi != wj {
-			return wi < wj
+	rs := make([]ranked, len(existing))
+	for i, rel := range existing {
+		name := rel.QualifiedName()
+		rs[i] = ranked{rel, name, math.Round(w["rel:"+name]*1e9) / 1e9}
+	}
+	slices.SortStableFunc(rs, func(a, b ranked) int {
+		if c := cmp.Compare(a.prior, b.prior); c != 0 {
+			return c
 		}
-		return ranked[i].QualifiedName() < ranked[j].QualifiedName()
+		return strings.Compare(a.name, b.name)
 	})
-	if len(ranked) > preferentialBudget {
-		ranked = ranked[:preferentialBudget]
+	rs = rs[:min(len(rs), preferentialBudget)]
+	out := make([]*relstore.Relation, len(rs))
+	for i, r := range rs {
+		out[i] = r.rel
 	}
-	return ranked
+	return out
 }
 
 // matchPair runs one matcher on one (new relation, existing relation)

@@ -69,8 +69,8 @@ func (s *search) dijkstra(d []float64, radius float64, pending int) int {
 // Every node of a Steiner tree of cost ≤ α lies, along tree paths of cost
 // ≤ α, within distance α of each terminal, so any node that could join
 // such a tree is in the intersection. Algorithm 2 as written unions
-// per-keyword neighbourhoods; the intersection preserves its same-top-k
-// guarantee while pruning far more aggressively on large graphs.
+// per-keyword neighbourhoods; the intersection drops no node of such a
+// tree in g, while pruning far more aggressively on large graphs.
 //
 // It runs one Dijkstra per source over a retained search's view of g, each
 // only as far as alpha, into its distance table, folding each row into

@@ -22,17 +22,22 @@ type AlignStrategy int
 const (
 	// Exhaustive compares the new source against every existing relation.
 	Exhaustive AlignStrategy = iota
-	// ViewBased (Algorithm 2, VIEWBASEDALIGNER) compares only against
-	// relations inside the α-cost neighbourhood of some view's keywords,
-	// re-checked after each alignment round until no relation joins.
-	// Ranking fewer candidates per round, each matcher keeps every
-	// alignment towards those relations that it keeps under Exhaustive,
-	// and possibly more. With one matcher those edges are Exhaustive's
-	// with the same features, so every Exhaustive tree over compared
-	// relations exists at the same cost; with several, an edge may carry
-	// an endorsement Exhaustive ranked out, which can price it either way.
-	// A tree that reaches a relation outside the neighbourhood only
-	// through the new source is not found (internal/core/README.md).
+	// ViewBased (Algorithm 2, VIEWBASEDALIGNER) compares only against the
+	// relations some view's better answers could reach: those within α of
+	// every keyword of a view, and those a tree cheaper than α could join
+	// through an edge from the new source (addNeighborhood), re-checked
+	// after each alignment round until no relation joins. Ranking fewer
+	// candidates per round, each matcher keeps every alignment towards
+	// those relations that it keeps under Exhaustive, and possibly more.
+	// So every Exhaustive tree cheaper than a view's α exists, and with
+	// one matcher at the same cost: each view's i-th tree below α costs no
+	// more than under Exhaustive, and where ViewBased adds no edge that
+	// Exhaustive lacks the views are equal. One exception, with a one-table
+	// source: a tree that leaves the source into relations no keyword
+	// reaches and comes back may be missed, but never a view's best tree.
+	// With several matchers (qserver's and qshell's meta + MAD) an edge may
+	// carry an endorsement Exhaustive ranked out, which prices it either
+	// way, so no bound holds on the views' costs (internal/core/README.md).
 	ViewBased
 	// Preferential (Algorithm 3, PREFERENTIALALIGNER) compares against
 	// relations in order of a vertex-cost prior (authoritativeness), up to
@@ -71,8 +76,9 @@ type RegisterReport struct {
 // over the targets of an alignment round become weighted association
 // edges. EXHAUSTIVE and PREFERENTIAL align in one round; VIEWBASED's
 // fixpoint may take several, and it installs a superset of EXHAUSTIVE's
-// edges towards the relations it compares (see ViewBased). Views are
-// refreshed afterwards so new results surface.
+// edges towards the relations it compares, which hold every tree cheaper
+// than a view's α (see ViewBased). Views are refreshed afterwards so new
+// results surface.
 //
 // All tables must share one source name, which must be new to the catalog.
 //
@@ -200,16 +206,25 @@ func (q *Q) selectTargetsLocked(existing []*relstore.Relation, strategy AlignStr
 }
 
 // viewBasedTargetsLocked implements GETCOSTNEIGHBORHOOD over all persistent
-// views (Algorithm 2): a relation is a target iff it lies in some view's
-// α-cost neighbourhood (addNeighborhood). Each view's keywords are
-// re-expanded into a fresh overlay over the in-progress state, so keyword
-// matches into the new source participate in the distances.
+// views (Algorithm 2): a relation is a target iff some view's
+// addNeighborhood holds it. Each view's keywords are re-expanded into a
+// fresh overlay over the in-progress state, so keyword matches into the new
+// source, and the edges aligned so far, participate in the distances.
+// Relations of the catalog that are not in existing are the new source's.
 func (q *Q) viewBasedTargetsLocked(existing []*relstore.Relation) []*relstore.Relation {
 	st := q.unpublishedStateLocked()
+	isNew := make(map[string]bool)
+	for _, rel := range st.cat.Relations() {
+		isNew[rel.QualifiedName()] = true
+	}
+	for _, rel := range existing {
+		delete(isNew, rel.QualifiedName())
+	}
+	least := q.leastAssociationCostLocked(st.graph.Weights(), isNew)
 	inNeighborhood := make(map[string]bool)
 	for _, v := range q.Views() {
 		ov, terminals := q.expandKeywords(st, v.Keywords)
-		addNeighborhood(inNeighborhood, ov, terminals, v.mat.Load())
+		addNeighborhood(inNeighborhood, ov, terminals, v.mat.Load(), isNew, least)
 	}
 	var out []*relstore.Relation
 	for _, rel := range existing {
@@ -220,26 +235,162 @@ func (q *Q) viewBasedTargetsLocked(existing []*relstore.Relation) []*relstore.Re
 	return out
 }
 
-// addNeighborhood adds to set the relations of one view's α-cost
-// neighbourhood in ov: those whose node — or one of whose attribute or
-// value nodes — lies within cost α of every terminal, where α is the
-// view's k-th best result cost (mat.alpha). A view that has NOT yet filled
-// its k result slots cannot prune at all (any new result would enter the
-// top k), so its radius is unbounded.
-func addNeighborhood(set map[string]bool, ov *searchgraph.Overlay, terminals []steiner.NodeID, mat *viewMat) {
+// addNeighborhood adds to set the relations VIEWBASEDALIGNER compares on
+// one view's behalf, from the distances d_t in ov from each of the view's
+// terminals t, where α is the view's k-th best result cost (mat.alpha):
+//
+//   - the α-cost neighbourhood: the relations with a node (relation,
+//     attribute or value) within α of every terminal;
+//   - every relation that a tree cheaper than α could join through an
+//     association edge from the new source (the relations isNew names)
+//     that no round has aligned yet. Each such edge costs at least least.
+//
+// Let T be such a tree, its leaves terminals, and e = (n, r) one of its
+// edges from a new attribute n to a relation r not compared yet. Remove
+// all such edges from T; its parts are trees over aligned edges.
+//
+//  1. If r's part holds a terminal t, r's attributes lie within d_t(r) of
+//     t, and a terminal t' on n's side of e reaches a new attribute
+//     within β(t') = min(d_t'(new), d_t'(old) + least): directly, or
+//     through its nearest old attribute and one more such edge. So
+//     d_t(r) + least + β(t') < α for some t' ≠ t.
+//  2. Otherwise r's part hangs between two or more such edges, and the
+//     parts holding terminals reach new attributes directly (a part that
+//     held r' and a terminal instead would be case 1 for r'); there are at
+//     least two such parts, since T's leaves are terminals. So 2·least +
+//     d_t(new) + d_t'(new) < α for the nearest terminal t and the
+//     farthest t', and any relation could be r: all are targets. With a
+//     one-table source this is left out, as it would compare every
+//     relation for trees that are never a view's best: joining the two
+//     new attributes inside their table instead costs less.
+//
+// The fixpoint in registerLocked re-applies both after each round, so at
+// its end no tree cheaper than α uses an edge towards a relation left out,
+// apart from case 2's with a one-table source. A view that has NOT yet
+// filled its k result slots cannot prune at all (any new result would
+// enter the top k), so its radius is unbounded.
+func addNeighborhood(set map[string]bool, ov *searchgraph.Overlay, terminals []steiner.NodeID, mat *viewMat, isNew map[string]bool, least float64) {
 	alpha := math.Inf(1)
 	if mat != nil && mat.result != nil && len(mat.result.Rows) >= mat.k {
 		alpha = mat.alpha
 	}
-	for nid := range steiner.NeighborhoodIntersectOn(ov.View(), terminals, alpha) {
-		n := ov.Node(nid)
-		switch n.Kind {
+	relOf := func(v int) (string, bool) {
+		switch n := ov.Node(steiner.NodeID(v)); n.Kind {
 		case searchgraph.KindRelation:
-			set[n.Rel] = true
-		case searchgraph.KindAttribute, searchgraph.KindValue:
-			set[n.Ref.Relation] = true
+			return n.Rel, false
+		case searchgraph.KindAttribute:
+			return n.Ref.Relation, true
+		case searchgraph.KindValue:
+			return n.Ref.Relation, false
+		}
+		return "", false
+	}
+	nt := len(terminals)
+	near := make(map[string][]float64) // per old relation, each terminal's distance to its attributes
+	toNew, beta := make([]float64, nt), make([]float64, nt)
+	far := steiner.DistanceRowsOn(ov.View(), terminals, alpha, func(i int, d []float64) {
+		toNew[i] = math.Inf(1)
+		toOld := math.Inf(1)
+		for v, x := range d {
+			if x >= alpha {
+				continue
+			}
+			rel, attr := relOf(v)
+			switch {
+			case !attr: // association edges join attribute nodes
+			case isNew[rel]:
+				toNew[i] = min(toNew[i], x)
+			default:
+				toOld = min(toOld, x)
+				ds := near[rel]
+				if ds == nil {
+					ds = make([]float64, nt)
+					for j := range ds {
+						ds[j] = math.Inf(1)
+					}
+					near[rel] = ds
+				}
+				ds[i] = min(ds[i], x)
+			}
+		}
+		beta[i] = min(toNew[i], toOld+least)
+	})
+	all := false
+	if nt >= 2 && len(isNew) >= 2 { // case 2, for a source of several tables
+		byCost := slices.Sorted(slices.Values(toNew))
+		all = below(2*least+byCost[0]+byCost[nt-1], alpha)
+	}
+	for v, x := range far {
+		if all || x <= alpha {
+			if rel, _ := relOf(v); rel != "" {
+				set[rel] = true
+			}
 		}
 	}
+	for rel, ds := range near { // case 1
+		for i, x := range ds {
+			other := math.Inf(1)
+			for j, b := range beta {
+				if j != i {
+					other = min(other, b)
+				}
+			}
+			if below(x+least+other, alpha) {
+				set[rel] = true
+				break
+			}
+		}
+	}
+}
+
+// below reports whether a lower bound on a tree's cost leaves room for
+// the tree to cost less than alpha. Edge costs are multiples of 1e-9
+// (searchgraph.quantiseCost), summed in different orders by a path and by
+// a tree, so a cheaper tree is cheaper by about 1e-9.
+func below(bound, alpha float64) bool { return bound < alpha-5e-10 }
+
+// leastAssociationCostLocked bounds from below the cost of any association
+// edge a registration of the new relations isNew names can install under
+// weights w: AddAssociationEdge's own features at their least weights, and
+// per registered matcher the cheaper of its absent marker and its cheapest
+// confidence bin (mergeMatcherFeatures keeps exactly one of them), or in
+// the RawConfidences ablation the negative parts of its rawmismatch and
+// absent weights (a merge can keep both). With no matcher nothing can be
+// aligned, and the bound is +Inf.
+func (q *Q) leastAssociationCostLocked(w learning.Vector, isNew map[string]bool) float64 {
+	if len(q.matchers) == 0 {
+		return math.Inf(1)
+	}
+	rel, indicator := 0.0, 0.0
+	for k, x := range w {
+		switch {
+		case strings.HasPrefix(k, "rel:"):
+			rel = min(rel, x)
+		case strings.HasPrefix(k, "edge:") && x < indicator:
+			for name := range isNew { // the new source's pairs carry this indicator
+				if strings.HasPrefix(k, "edge:"+name+".") || strings.Contains(k, "~"+name+".") {
+					indicator = x
+					break
+				}
+			}
+		}
+	}
+	least := w["default"] + 2*rel + indicator
+	for _, m := range q.matchers {
+		absent := w["matcher:"+m.Name()+":absent"]
+		if q.opts.RawConfidences {
+			least += min(0, w["matcher:"+m.Name()+":rawmismatch"]) + min(0, absent)
+			continue
+		}
+		c := absent
+		for bin := range q.binner.NumBins() {
+			c = min(c, w[fmt.Sprintf("matcher:%s:bin%d", m.Name(), bin)])
+		}
+		least += c
+	}
+	// An edge's cost is its feature sum rounded to 1e-9, floored at
+	// MinEdgeCost (searchgraph.quantiseCost); rounding keeps the order.
+	return max(searchgraph.MinEdgeCost, math.Round((least-1e-12)*1e9)/1e9)
 }
 
 // preferentialTargets implements Algorithm 3: existing relations are ranked
@@ -249,9 +400,10 @@ func addNeighborhood(set map[string]bool, ov *searchgraph.Overlay, terminals []s
 // the best preferentialBudget relations are compared.
 func (q *Q) preferentialTargets(existing []*relstore.Relation) []*relstore.Relation {
 	w := q.graph.Weights()
-	// Quantise the prior: learned weights carry float noise in their low
-	// bits (map-ordered summation in the updates), and unrounded values
-	// would break ranking ties nondeterministically.
+	// Each relation's name and prior once, not per comparison. Quantise the
+	// prior: learned weights carry float noise in their low bits
+	// (map-ordered summation in the updates), and unrounded values would
+	// break ranking ties nondeterministically.
 	type ranked struct {
 		rel   *relstore.Relation
 		name  string
@@ -263,15 +415,11 @@ func (q *Q) preferentialTargets(existing []*relstore.Relation) []*relstore.Relat
 		rs[i] = ranked{rel, name, math.Round(w["rel:"+name]*1e9) / 1e9}
 	}
 	slices.SortStableFunc(rs, func(a, b ranked) int {
-		if c := cmp.Compare(a.prior, b.prior); c != 0 {
-			return c
-		}
-		return strings.Compare(a.name, b.name)
+		return cmp.Or(cmp.Compare(a.prior, b.prior), strings.Compare(a.name, b.name))
 	})
-	rs = rs[:min(len(rs), preferentialBudget)]
-	out := make([]*relstore.Relation, len(rs))
-	for i, r := range rs {
-		out[i] = r.rel
+	out := make([]*relstore.Relation, min(len(rs), preferentialBudget))
+	for i := range out {
+		out[i] = rs[i].rel
 	}
 	return out
 }
@@ -404,17 +552,20 @@ func (q *Q) CountTargetComparisons(newRels []*relstore.Relation, strategy AlignS
 	return total
 }
 
-// NeighborhoodRelations returns, sorted, the relations of a view's α-cost
-// neighbourhood in m: the relations the VIEWBASEDALIGNER compares a new
-// source with on the view's behalf (addNeighborhood), whose radius is
-// unbounded while m holds fewer than its k answers. For qshell's
-// neighborhood command and the examples.
+// NeighborhoodRelations returns, sorted, the relations VIEWBASEDALIGNER
+// would compare a new source with on the view's behalf in m
+// (addNeighborhood, with no relation new yet), whose radius is unbounded
+// while m holds fewer than its k answers. For qshell's neighborhood
+// command and the examples.
 func (q *Q) NeighborhoodRelations(m Materialization) []string {
 	mat := m.m
 	if mat == nil {
 		return nil
 	}
+	q.writerMu.Lock()
+	least := q.leastAssociationCostLocked(mat.ov.Snapshot().Weights(), nil)
+	q.writerMu.Unlock()
 	set := make(map[string]bool)
-	addNeighborhood(set, mat.ov, mat.terminals, mat)
+	addNeighborhood(set, mat.ov, mat.terminals, mat, nil, least)
 	return slices.Sorted(maps.Keys(set))
 }

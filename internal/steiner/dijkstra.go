@@ -1,6 +1,9 @@
 package steiner
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // DijkstraOn computes shortest path costs from src to every node of a graph
 // view (base graph or base∪overlay). Unreachable nodes have distance +Inf.
@@ -70,37 +73,49 @@ func (s *search) dijkstra(d []float64, radius float64, pending int) int {
 // ≤ α, within distance α of each terminal, so any node that could join
 // such a tree is in the intersection. Algorithm 2 as written unions
 // per-keyword neighbourhoods; the intersection drops no node of such a
-// tree in g, while pruning far more aggressively on large graphs.
-//
-// It runs one Dijkstra per source over a retained search's view of g, each
-// only as far as alpha, into its distance table, folding each row into
-// the farthest source's distance per node. A node farther than alpha from a
-// source holds some value above alpha in that source's row, which decides
-// its membership as its exact distance would.
+// tree in g, while pruning far more aggressively on large graphs. Core's
+// VIEWBASEDALIGNER reads the same fold from DistanceRowsOn, beside the
+// bounds it needs for trees through a source not aligned yet.
 func NeighborhoodIntersectOn(g GraphView, sources []NodeID, alpha float64) map[NodeID]struct{} {
-	if len(sources) == 0 {
-		return make(map[NodeID]struct{})
-	}
-	s := acquireSearch()
-	defer releaseSearch(s)
-	s.build(g)
-	n := s.n
-	s.dist = grown(s.dist, 2*n)
-	row, fold := s.dist[:n], s.dist[n:]
-	s.startDijkstra(sources[0], fold)
-	s.dijkstra(fold, alpha, 0)
-	for _, src := range sources[1:] {
-		s.startDijkstra(src, row)
-		s.dijkstra(row, alpha, 0)
-		for v, d := range row {
-			fold[v] = max(fold[v], d)
-		}
-	}
 	out := make(map[NodeID]struct{})
-	for v, d := range fold {
+	if len(sources) == 0 {
+		return out
+	}
+	for v, d := range DistanceRowsOn(g, sources, alpha, func(int, []float64) {}) {
 		if d <= alpha {
 			out[NodeID(v)] = struct{}{}
 		}
 	}
 	return out
+}
+
+// DistanceRowsOn runs one Dijkstra per source over a retained search's
+// view of g, each only as far as radius, hands each source's distance
+// table to row in source order, and returns, per node, its farthest
+// source's distance. In a table, a node within radius holds its exact
+// distance, every other node some value above radius (the tentative value
+// of some path, or +Inf): its distance is above radius too, but may be
+// below that value. So a node within radius of every source holds its
+// exact farthest distance, and every other node a value above radius. The
+// table is reused for the next source, so row must not keep it.
+func DistanceRowsOn(g GraphView, sources []NodeID, radius float64, row func(i int, d []float64)) []float64 {
+	s := acquireSearch()
+	defer releaseSearch(s)
+	s.build(g)
+	s.dist = grown(s.dist, s.n)
+	d := s.dist[:s.n]
+	var far []float64
+	for i, src := range sources {
+		s.startDijkstra(src, d)
+		s.dijkstra(d, radius, 0)
+		if i == 0 {
+			far = slices.Clone(d)
+		} else {
+			for v, x := range d {
+				far[v] = max(far[v], x)
+			}
+		}
+		row(i, d)
+	}
+	return far
 }

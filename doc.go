@@ -421,9 +421,14 @@
 // layers can be torn down and rebuilt over one engine.
 //
 // Per-query stage tracing is opt-in per call: a core.Request carrying a
-// caller-owned obs.Trace threads it through the pipeline, which records
-// one span per stage — cache_lookup, coalesced_wait (when the cache
-// parked the request on an identical in-flight computation), expand, steiner, translate, plan, execute, materialize.
+// caller-owned obs.Trace threads it through the pipeline, which marks the
+// end of each stage — cache_lookup, coalesced_wait (when the cache
+// parked the request on an identical in-flight computation), expand,
+// steiner, translate, plan, execute, materialize. A mark adds the time
+// since the previous mark (or since the trace started) to its stage, so
+// the stages partition the traced time up to the last mark: on the server
+// cache_lookup also holds keyword parsing and the start of Query. The
+// trace is a fixed per-stage record of times and mark counts, no list.
 // Every instrument is valid as a nil pointer and no-ops disabled, so the
 // untraced path (a nil Request.Trace) pays one nil check per
 // stage and zero clock reads. Traced wall time feeds the

@@ -1,9 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"qint/internal/obs"
 	"qint/internal/qcache"
@@ -96,12 +95,13 @@ func newQueryCaches(m *engineMetrics) *queryCaches {
 // the cached path must stay byte-identical to the uncached one, not merely
 // equivalent.
 func matCacheKey(keywords []string, k int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%d|", k)
+	var buf [128]byte // holds most keys, so the string is the one allocation
+	b := append(strconv.AppendInt(buf[:0], int64(k), 10), '|')
 	for _, kw := range keywords {
-		fmt.Fprintf(&b, "%d:%s", len(kw), kw)
+		b = append(strconv.AppendInt(b, int64(len(kw)), 10), ':')
+		b = append(b, kw...)
 	}
-	return b.String()
+	return string(b)
 }
 
 // materializeCached is materializeAt behind the materialisation cache: a
@@ -112,24 +112,23 @@ func matCacheKey(keywords []string, k int) string {
 // prev is materializeAt's: it never changes the answer, so the key ignores
 // it.
 //
-// A trace records the lookup as cache_lookup; a caller that waits on
-// another caller's compute records its blocked time as coalesced_wait
-// (the pipeline spans land in the LEADER's trace — this caller did not run
-// the pipeline), while the leader's own trace carries the stage spans the
-// compute recorded into it.
+// A trace marks cache_lookup after the lookup, so the stage also holds
+// everything the trace saw before it; a caller that waits on another
+// caller's compute marks its blocked time as coalesced_wait (the pipeline
+// stages land in the LEADER's trace — this caller did not run the
+// pipeline), while the leader's own trace carries the stages the compute
+// marked into it.
 func (q *Q) materializeCached(st *qstate, keywords []string, k int, prev *viewMat, tr *obs.Trace) (*viewMat, error) {
 	qc := st.qc
 	if qc == nil {
 		return q.materializeAt(st, keywords, k, prev, tr)
 	}
 	key := qcache.Key{Epoch: st.epoch, K: matCacheKey(keywords, k)}
-	tlook := tr.Now()
 	m, ok := qc.mat.Get(key)
-	tr.Record(obs.StageCacheLookup, tlook)
+	tr.Mark(obs.StageCacheLookup)
 	if ok {
 		return m, nil
 	}
-	twait := tr.Now()
 	m, waited, err := qc.mat.Do(key, func() (*viewMat, error) {
 		if h := q.matComputeHook; h != nil {
 			h()
@@ -137,7 +136,7 @@ func (q *Q) materializeCached(st *qstate, keywords []string, k int, prev *viewMa
 		return q.materializeAt(st, keywords, k, prev, tr)
 	})
 	if waited {
-		tr.Record(obs.StageCoalescedWait, twait)
+		tr.Mark(obs.StageCoalescedWait)
 	}
 	return m, err
 }

@@ -296,3 +296,35 @@ func TestAppendRenderedKeepsFromSecondRead(t *testing.T) {
 		}
 	}
 }
+
+// TestMatCacheKeyMatchesFmt pins matCacheKey's bytes to the fmt rendering
+// it replaced ("%d|" then "%d:%s" per keyword): the materialisation cache
+// picks a key's shard from them, so a changed byte moves queries between
+// shards. Keywords are drawn from an alphabet with the separators, digits,
+// multi-byte runes and the empty string, over lengths that overflow
+// matCacheKey's stack buffer.
+func TestMatCacheKeyMatchesFmt(t *testing.T) {
+	oracle := func(keywords []string, k int) string {
+		s := fmt.Sprintf("%d|", k)
+		for _, kw := range keywords {
+			s += fmt.Sprintf("%d:%s", len(kw), kw)
+		}
+		return s
+	}
+	alphabet := []string{"a", "Z", "0", "7", "|", ":", " ", "'", "é", "基", "🙂", "GO:0001000"}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		keywords := make([]string, rng.Intn(6))
+		for i := range keywords {
+			var kw string
+			for n := rng.Intn(4) * rng.Intn(12); n > 0; n-- {
+				kw += alphabet[rng.Intn(len(alphabet))]
+			}
+			keywords[i] = kw
+		}
+		k := []int{0, 2, 5, 10, 123, -1}[rng.Intn(6)]
+		if got, want := matCacheKey(keywords, k), oracle(keywords, k); got != want {
+			t.Fatalf("matCacheKey(%q, %d) = %q, want %q", keywords, k, got, want)
+		}
+	}
+}

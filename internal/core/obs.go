@@ -21,11 +21,11 @@ type engineMetrics struct {
 	reg *obs.Registry
 
 	// Query pipeline.
-	queries     *obs.Counter               // qint_queries_total
-	queryErrors *obs.Counter               // qint_query_errors_total
-	queryDur    *obs.Histogram             // qint_query_duration_seconds (traced queries)
-	stageTime   map[obs.Stage]*obs.Counter // qint_query_stage_seconds_total{stage=}
-	stageOps    map[obs.Stage]*obs.Counter // qint_query_stage_ops_total{stage=}
+	queries     *obs.Counter                // qint_queries_total
+	queryErrors *obs.Counter                // qint_query_errors_total
+	queryDur    *obs.Histogram              // qint_query_duration_seconds (traced queries)
+	stageTime   [obs.NumStages]*obs.Counter // qint_query_stage_seconds_total{stage=}, indexed like obs.Stages()
+	stageOps    [obs.NumStages]*obs.Counter // qint_query_stage_ops_total{stage=}
 
 	// Exact top-k Steiner search (steiner.Stats summed over calls).
 	steinerPops        *obs.Counter // qint_steiner_pops_total
@@ -132,8 +132,6 @@ func newEngineMetrics() *engineMetrics {
 		queries:     r.Counter("qint_queries_total", "Keyword queries materialised (persistent, ephemeral and traced paths)."),
 		queryErrors: r.Counter("qint_query_errors_total", "Keyword queries that failed during materialisation."),
 		queryDur:    r.Histogram("qint_query_duration_seconds", "Wall-clock latency of traced keyword queries."),
-		stageTime:   make(map[obs.Stage]*obs.Counter),
-		stageOps:    make(map[obs.Stage]*obs.Counter),
 
 		steinerPops:        r.Counter("qint_steiner_pops_total", "Candidate trees taken off the exact top-k Steiner search's queue."),
 		steinerPruned:      r.Counter("qint_steiner_pruned_total", "Candidate trees the exact search dropped instead of queueing because their state already held k trees."),
@@ -164,10 +162,10 @@ func newEngineMetrics() *engineMetrics {
 	for st, name := range recoveryStageNames {
 		m.recoveryTime[st] = r.ScaledCounter("qint_recovery_stage_seconds_total", "Time spent per stage of the restore that built this engine: open, catalog, decode (segments, graph and WAL records at once), replay, index and views.", 1e-9, obs.Label{Name: "stage", Value: name})
 	}
-	for _, st := range obs.Stages() {
+	for i, st := range obs.Stages() {
 		l := obs.Label{Name: "stage", Value: string(st)}
-		m.stageTime[st] = r.ScaledCounter("qint_query_stage_seconds_total", "Time spent per query-pipeline stage across traced queries.", 1e-9, l)
-		m.stageOps[st] = r.Counter("qint_query_stage_ops_total", "Recorded spans per query-pipeline stage across traced queries.", l)
+		m.stageTime[i] = r.ScaledCounter("qint_query_stage_seconds_total", "Time spent per query-pipeline stage across traced queries.", 1e-9, l)
+		m.stageOps[i] = r.Counter("qint_query_stage_ops_total", "Marks per query-pipeline stage across traced queries.", l)
 	}
 	cacheCounter := func(name, help, cache string) *obs.Counter {
 		return r.Counter(name, help, obs.Label{Name: "cache", Value: cache})
@@ -218,9 +216,9 @@ func (q *Q) instrumentEngine(m *engineMetrics) {
 func (q *Q) Metrics() *obs.Registry { return q.metrics.reg }
 
 // observeTrace finishes a traced query and folds its breakdown into the
-// registry: wall time into the duration summary, per-stage totals into the
-// stage families. No-op on a nil trace, so the untraced path pays one nil
-// check and no clock read.
+// registry: wall time into the duration summary, each marked stage's time
+// and marks into the stage families. No-op on a nil trace, so the untraced
+// path pays one nil check and no clock read.
 func (q *Q) observeTrace(tr *obs.Trace) {
 	if tr == nil {
 		return
@@ -228,9 +226,12 @@ func (q *Q) observeTrace(tr *obs.Trace) {
 	tr.Finish()
 	m := q.metrics
 	m.queryDur.Record(tr.Wall())
-	for stage, d := range tr.StageTotals() {
-		m.stageTime[stage].Add(int64(d))
-		m.stageOps[stage].Inc()
+	b := tr.Breakdown()
+	for i, n := range b.Marks {
+		if n > 0 {
+			m.stageTime[i].Add(int64(b.Dur[i]))
+			m.stageOps[i].Add(int64(n))
+		}
 	}
 }
 

@@ -95,6 +95,31 @@ func TestEngineMetricsAccounting(t *testing.T) {
 	}
 }
 
+// TestWarmTracedHitMarksLookupOnly: a traced query answered from the
+// materialisation cache marks cache_lookup once and no other stage, and
+// the mark covers the traced time.
+func TestWarmTracedHitMarksLookupOnly(t *testing.T) {
+	q := newFixtureQ(t, true)
+	kws := ParseKeywords("entry 'PUB0001'")
+	if _, err := q.Query(Request{Keywords: kws, Ephemeral: true}); err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace()
+	if _, err := q.Query(Request{Keywords: kws, Ephemeral: true, Trace: tr}); err != nil {
+		t.Fatal(err)
+	}
+	b := tr.Breakdown()
+	for i, st := range obs.Stages() {
+		if st == obs.StageCacheLookup {
+			if b.Marks[i] != 1 || b.Dur[i] <= 0 || b.Dur[i] > tr.Wall() {
+				t.Errorf("%s: %v in %d marks, want (0, wall=%v] in 1", st, b.Dur[i], b.Marks[i], tr.Wall())
+			}
+		} else if b.Marks[i] != 0 {
+			t.Errorf("%s: %d marks on a cache hit", st, b.Marks[i])
+		}
+	}
+}
+
 // TestFeedbackWriteStages: one feedback on a durable engine runs every
 // write stage — the k-best page, the MIRA update, the repricing, the WAL
 // append, the publish and the view refresh — and the stages, which follow

@@ -336,13 +336,12 @@ func (q *Q) expandKeyword(st *qstate, ov *searchgraph.Overlay, kw string) steine
 // materialisation, only gives the search a limit (topKTrees): the answer is
 // the same without it, and the result keeps no pointer to it.
 //
-// tr, when non-nil, receives one span per pipeline stage (expand, steiner,
-// translate, plan, execute, materialize); a nil trace costs one nil check
-// per stage and no clock reads.
+// tr, when non-nil, gets one mark at the end of each pipeline stage
+// (expand, steiner, translate, plan, execute, materialize); a nil trace
+// costs one nil check per stage and no clock reads.
 func (q *Q) materializeAt(st *qstate, keywords []string, k int, prev *viewMat, tr *obs.Trace) (*viewMat, error) {
-	texp := tr.Now()
 	ov, terminals := q.expandKeywords(st, keywords)
-	tr.Record(obs.StageExpand, texp)
+	tr.Mark(obs.StageExpand)
 	trees, queries, queryTree, err := q.planOverlay(st, ov, terminals, k, prev, tr)
 	if err != nil {
 		return nil, err
@@ -351,7 +350,6 @@ func (q *Q) materializeAt(st *qstate, keywords []string, k int, prev *viewMat, t
 	if err != nil {
 		return nil, err
 	}
-	tmat := tr.Now()
 	// α is the cost of the k-th top-scoring RESULT (paper §3.3: "the cost
 	// of the kth top-scoring result for the user view") — when the best
 	// query yields many tuples, α stays at that query's cost, keeping the
@@ -381,7 +379,7 @@ func (q *Q) materializeAt(st *qstate, keywords []string, k int, prev *viewMat, t
 		result:    result,
 		alpha:     alpha,
 	}
-	tr.Record(obs.StageMaterialize, tmat)
+	tr.Mark(obs.StageMaterialize)
 	return m, nil
 }
 
@@ -401,17 +399,15 @@ func (q *Q) executeBranches(st *qstate, queries []*relstore.ConjunctiveQuery, k 
 	for i, cq := range queries {
 		prov[i] = cq.Signature()
 	}
-	tplan := tr.Now()
 	bp, err := relstore.PlanBatch(st.cat, queries)
-	tr.Record(obs.StagePlan, tplan)
+	tr.Mark(obs.StagePlan)
 	if err != nil {
 		return nil, err
 	}
 	// Serial by design: whether branch i runs depends on the rows branches
 	// 0..i-1 produced.
-	texec := tr.Now()
 	result, stats, err := bp.TopKUnion(k, prov)
-	tr.Record(obs.StageExecute, texec)
+	tr.Mark(obs.StageExecute)
 	if err != nil {
 		return nil, err
 	}
@@ -426,13 +422,11 @@ func (q *Q) executeBranches(st *qstate, queries []*relstore.ConjunctiveQuery, k 
 // output-schema alignment. The produced query list is a function of the
 // trees alone; queryTree[i] is the index of the tree queries[i] came from.
 func (q *Q) planOverlay(st *qstate, ov *searchgraph.Overlay, terminals []steiner.NodeID, k int, prev *viewMat, tr *obs.Trace) (trees []steiner.Tree, queries []*relstore.ConjunctiveQuery, queryTree []int, err error) {
-	tsteiner := tr.Now()
 	trees = q.topKTrees(ov, terminals, k, prev)
-	tr.Record(obs.StageSteiner, tsteiner)
+	tr.Mark(obs.StageSteiner)
 
 	// Translate the trees in cost order. A tree takes a few microseconds,
 	// less than handing it to another goroutine would.
-	ttrans := tr.Now()
 	sigs := make(map[string]bool)
 	queryTree = make([]int, 0, len(trees))
 	for i, t := range trees {
@@ -451,7 +445,7 @@ func (q *Q) planOverlay(st *qstate, ov *searchgraph.Overlay, terminals []steiner
 	for _, cq := range queries {
 		q.alignOutputColumns(st, cq, outputSchema)
 	}
-	tr.Record(obs.StageTranslate, ttrans)
+	tr.Mark(obs.StageTranslate)
 	return trees, queries, queryTree, nil
 }
 

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"qint/internal/learning"
 	"qint/internal/obs"
@@ -582,13 +583,21 @@ var pipelineStages = []obs.Stage{obs.StageExpand, obs.StageSteiner, obs.StageTra
 // engine, all or none of the pipeline stages, and 0 < stage sum <= wall
 // time.
 func (h *harness) checkTrace(tr *obs.Trace) error {
-	totals := tr.StageTotals()
-	if _, ok := totals[obs.StageCacheLookup]; !ok && h.mech.cached {
-		return fmt.Errorf("trace has no %s span: %v", obs.StageCacheLookup, totals)
+	b := tr.Breakdown()
+	marks := make(map[obs.Stage]int)
+	var sum time.Duration
+	for i, st := range obs.Stages() {
+		if b.Marks[i] > 0 {
+			marks[st] = b.Marks[i]
+		}
+		sum += b.Dur[i]
+	}
+	if _, ok := marks[obs.StageCacheLookup]; !ok && h.mech.cached {
+		return fmt.Errorf("trace has no %s mark: %v", obs.StageCacheLookup, marks)
 	}
 	n := 0
 	for _, st := range pipelineStages {
-		if _, ok := totals[st]; ok {
+		if _, ok := marks[st]; ok {
 			n++
 		}
 	}
@@ -597,9 +606,9 @@ func (h *harness) checkTrace(tr *obs.Trace) error {
 		h.pipelines++
 	case 0:
 	default:
-		return fmt.Errorf("trace holds %d of the %d pipeline stages: %v", n, len(pipelineStages), totals)
+		return fmt.Errorf("trace holds %d of the %d pipeline stages: %v", n, len(pipelineStages), marks)
 	}
-	if sum, wall := tr.StageSum(), tr.Wall(); sum <= 0 || sum > wall {
+	if wall := tr.Wall(); sum <= 0 || sum > wall {
 		return fmt.Errorf("trace stage sum %v outside (0, wall=%v]", sum, wall)
 	}
 	return nil

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -155,49 +156,45 @@ func TestNilInstruments(t *testing.T) {
 	}
 
 	var tr *Trace
-	if !tr.Now().IsZero() {
-		t.Errorf("nil trace Now is not zero time")
-	}
-	tr.Record(StageExpand, time.Now())
+	tr.Mark(StageExpand)
 	tr.Finish()
-	if tr.ID() != "" || tr.Wall() != 0 || tr.Spans() != nil || tr.StageSum() != 0 {
+	if tr.ID() != "" || tr.Wall() != 0 || tr.Breakdown() != (Breakdown{}) {
 		t.Errorf("nil trace accessors not zero")
 	}
 	if tr.String() != "(no trace)" {
 		t.Errorf("nil trace String = %q", tr.String())
 	}
-
-	// A live trace must also ignore a zero from (a Now() captured via a
-	// nil trace that later became live would otherwise record a bogus span).
-	live := NewTrace()
-	live.Record(StageExpand, time.Time{})
-	if n := len(live.Spans()); n != 0 {
-		t.Errorf("zero-from Record appended %d spans", n)
-	}
 }
 
-// TestTraceBreakdown exercises the live-trace path: spans accumulate per
-// stage, Finish freezes wall, String renders every recorded stage.
+// TestTraceBreakdown exercises the live-trace path: each mark closes its
+// stage at the time since the previous mark, Finish freezes wall, String
+// renders every marked stage.
 func TestTraceBreakdown(t *testing.T) {
 	tr := NewTrace()
 	if tr.ID() == "" {
 		t.Fatalf("empty trace id")
 	}
 	for i := 0; i < 3; i++ {
-		from := tr.Now()
 		time.Sleep(time.Millisecond)
-		tr.Record(StageExecute, from)
+		tr.Mark(StageExecute)
 	}
-	from := tr.Now()
-	tr.Record(StagePlan, from)
+	tr.Mark(StagePlan)
 	tr.Finish()
 
-	totals := tr.StageTotals()
-	if totals[StageExecute] < 3*time.Millisecond {
-		t.Errorf("execute total %v, want >= 3ms", totals[StageExecute])
+	b := tr.Breakdown()
+	exec, plan := StageExecute.index(), StagePlan.index()
+	if b.Dur[exec] < 3*time.Millisecond || b.Marks[exec] != 3 {
+		t.Errorf("execute %v in %d marks, want >= 3ms in 3", b.Dur[exec], b.Marks[exec])
 	}
-	if tr.StageSum() > tr.Wall() {
-		t.Errorf("stage sum %v exceeds wall %v for sequential spans", tr.StageSum(), tr.Wall())
+	if b.Marks[plan] != 1 {
+		t.Errorf("plan took %d marks, want 1", b.Marks[plan])
+	}
+	var sum time.Duration
+	for _, d := range b.Dur {
+		sum += d
+	}
+	if last := tr.last.Sub(tr.begin); sum != last || sum > tr.Wall() {
+		t.Errorf("stage sum %v, want the last mark's offset %v, at most wall %v", sum, last, tr.Wall())
 	}
 	wall := tr.Wall()
 	time.Sleep(2 * time.Millisecond)
@@ -205,15 +202,64 @@ func TestTraceBreakdown(t *testing.T) {
 		t.Errorf("Wall moved after Finish: %v -> %v", wall, tr.Wall())
 	}
 	out := tr.String()
-	for _, want := range []string{tr.ID(), "execute", "plan", "x3"} {
+	for _, want := range []string{tr.ID(), "4 spans", "execute", "plan", "x3"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("trace rendering missing %q:\n%s", want, out)
 		}
 	}
+	if strings.Contains(out, string(StageSteiner)) {
+		t.Errorf("trace rendering lists an unmarked stage:\n%s", out)
+	}
 }
 
-// TestTraceConcurrentRecord hammers Record from many goroutines (parallel
-// branch execution records from workers) — run under -race.
+// TestTraceMarkUnknownStage: a stage outside Stages() is a programming
+// error, not a new row.
+func TestTraceMarkUnknownStage(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Errorf("Mark of an unknown stage did not panic")
+		}
+	}()
+	NewTrace().Mark("rerank")
+}
+
+// TestTraceMarkAllocs: marking, finishing and reading the record of a live
+// trace allocate nothing.
+func TestTraceMarkAllocs(t *testing.T) {
+	tr := NewTrace()
+	var b Breakdown
+	if n := testing.AllocsPerRun(100, func() {
+		tr.Mark(StageCacheLookup)
+		tr.Finish()
+		b = tr.Breakdown()
+	}); n != 0 {
+		t.Errorf("Mark + Finish + Breakdown allocate %v times, want 0", n)
+	}
+	if b.Marks[StageCacheLookup.index()] == 0 {
+		t.Errorf("no cache_lookup mark recorded")
+	}
+}
+
+// TestTraceIDs: ids carry the full 64-bit sequence number, so they do not
+// repeat after 2^32 traces, and keep 8 hex digits on each side below it.
+func TestTraceIDs(t *testing.T) {
+	if a, b := traceID(1), traceID(1<<32+1); a == b {
+		t.Errorf("sequence numbers 1 and 2^32+1 share the id %q", a)
+	}
+	want := fmt.Sprintf("%08x-%08x", traceBase, 1)
+	if got := traceID(1); got != want {
+		t.Errorf("traceID(1) = %q, want %q", got, want)
+	}
+	want = fmt.Sprintf("%08x-%08x", traceBase, uint64(1<<32+1))
+	if got := traceID(1<<32 + 1); got != want {
+		t.Errorf("traceID(2^32+1) = %q, want %q", got, want)
+	}
+}
+
+// TestTraceConcurrentRecord hammers Mark from many goroutines under -race.
+// The engine marks a query's trace from one goroutine (branch execution is
+// serial), but Mark stays safe for concurrent use, and concurrent marks
+// still partition the traced time.
 func TestTraceConcurrentRecord(t *testing.T) {
 	tr := NewTrace()
 	var wg sync.WaitGroup
@@ -222,13 +268,17 @@ func TestTraceConcurrentRecord(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				tr.Record(StageExecute, tr.Now())
+				tr.Mark(StageExecute)
 			}
 		}()
 	}
 	wg.Wait()
 	tr.Finish()
-	if got := len(tr.Spans()); got != 8*200 {
-		t.Errorf("recorded %d spans, want %d", got, 8*200)
+	b := tr.Breakdown()
+	if got := b.Marks[StageExecute.index()]; got != 8*200 {
+		t.Errorf("recorded %d marks, want %d", got, 8*200)
+	}
+	if d := b.Dur[StageExecute.index()]; d < 0 || d > tr.Wall() {
+		t.Errorf("execute total %v outside [0, wall=%v]", d, tr.Wall())
 	}
 }

@@ -3,7 +3,7 @@ package obs
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -32,20 +32,38 @@ const (
 	StageMaterialize   Stage = "materialize"
 )
 
-// Stages returns every stage in canonical pipeline order — the iteration
-// order metric registration and breakdown rendering use.
-func Stages() []Stage {
-	return []Stage{
-		StageCacheLookup, StageCoalescedWait, StageExpand, StageSteiner,
-		StageTranslate, StagePlan, StageExecute, StageMaterialize,
-	}
+var stages = [...]Stage{
+	StageCacheLookup, StageCoalescedWait, StageExpand, StageSteiner,
+	StageTranslate, StagePlan, StageExecute, StageMaterialize,
 }
 
-// Span is one recorded stage interval, offset-relative to the trace start.
-type Span struct {
-	Stage Stage
-	Start time.Duration // offset from the trace's begin time
-	Dur   time.Duration
+// NumStages is len(Stages()), the length of a Breakdown's arrays.
+const NumStages = len(stages)
+
+// Stages returns every stage in canonical pipeline order — the iteration
+// order metric registration and breakdown rendering use, and the index
+// order of a Breakdown.
+func Stages() []Stage {
+	s := stages // a copy, so callers cannot reorder the package's
+	return s[:]
+}
+
+// index is stage's position in Stages(). Only the stages above exist, so
+// any other value is a programming error.
+func (s Stage) index() int {
+	for i, st := range stages {
+		if st == s {
+			return i
+		}
+	}
+	panic("obs: unknown trace stage " + strconv.Quote(string(s)))
+}
+
+// Breakdown is a trace's per-stage record, indexed by position in
+// Stages(): the time each stage's marks closed and how many marks it took.
+type Breakdown struct {
+	Dur   [NumStages]time.Duration
+	Marks [NumStages]int
 }
 
 // traceBase randomises the id prefix per process so ids from a restarted
@@ -55,31 +73,48 @@ var traceBase = rand.Uint32()
 // traceSeq numbers traces within the process.
 var traceSeq atomic.Uint64
 
-// Trace is one query's stage breakdown: an id, a start time, and the spans
-// the pipeline recorded while running under it. A nil *Trace is the
-// disabled fast path — every method no-ops (Now returns the zero time,
-// Record does nothing), so the engine threads a trace pointer through its
-// hot path at the cost of one nil check per stage, and pays for clock
-// reads only when a caller actually asked for tracing.
+// Trace is one query's stage breakdown: an id, a start time, and a fixed
+// per-stage record that Mark fills. Mark(stage) closes stage at the current
+// time: the time since the previous mark (or since the trace started) goes
+// to that stage, so every traced nanosecond up to the last mark belongs to
+// exactly one stage, and the stage times add up to the last mark's offset.
 //
-// Record is safe for concurrent use (parallel pipeline stages may record
-// from worker goroutines); the accessors are meant for after Finish.
+// A nil *Trace is the disabled fast path — every method no-ops, so the
+// engine threads a trace pointer through its hot path at the cost of one
+// nil check per stage and pays for clock reads only when a caller asked
+// for tracing. Mark is safe for concurrent use; the accessors are meant
+// for after Finish.
 type Trace struct {
 	id    string
 	begin time.Time
 
-	mu    sync.Mutex
-	spans []Span
-	wall  time.Duration
-	done  bool
+	mu   sync.Mutex
+	last time.Time // the previous mark, or begin
+	b    Breakdown
+	wall time.Duration
+	done bool
 }
 
 // NewTrace starts a trace now, with a fresh process-unique id.
 func NewTrace() *Trace {
-	return &Trace{
-		id:    fmt.Sprintf("%08x-%08x", traceBase, uint32(traceSeq.Add(1))),
-		begin: time.Now(),
+	now := time.Now()
+	return &Trace{id: traceID(traceSeq.Add(1)), begin: now, last: now}
+}
+
+// traceID renders the id of the process's seq-th trace: the process
+// prefix and the sequence number in hex, each at least 8 digits.
+func traceID(seq uint64) string {
+	var buf [8 + 1 + 16]byte
+	b := appendHex8(buf[:0], uint64(traceBase))
+	return string(appendHex8(append(b, '-'), seq))
+}
+
+// appendHex8 appends v in lower-case hex, zero-padded to 8 digits.
+func appendHex8(b []byte, v uint64) []byte {
+	for d := uint64(1) << 28; d > v && d > 1; d >>= 4 {
+		b = append(b, '0')
 	}
+	return strconv.AppendUint(b, v, 16)
 }
 
 // ID returns the trace id ("" on a nil trace) — the X-Q-Trace header value.
@@ -90,38 +125,31 @@ func (t *Trace) ID() string {
 	return t.id
 }
 
-// Now returns the current time, or the zero time on a nil trace — the
-// start-of-stage capture that makes an untraced stage cost one nil check
-// instead of a clock read.
-func (t *Trace) Now() time.Time {
+// Mark ends stage now: the time since the previous mark, or since the
+// trace started, is added to stage's total and its mark count grows by
+// one. No-op on a nil trace; panics on a stage not in Stages().
+func (t *Trace) Mark(stage Stage) {
 	if t == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// Record appends a span for stage, spanning from (a Now() capture) to the
-// current time. No-op on a nil trace or a zero from.
-func (t *Trace) Record(stage Stage, from time.Time) {
-	if t == nil || from.IsZero() {
 		return
 	}
-	now := time.Now()
+	i := stage.index()
 	t.mu.Lock()
-	t.spans = append(t.spans, Span{Stage: stage, Start: from.Sub(t.begin), Dur: now.Sub(from)})
+	now := time.Now() // read under the lock, so concurrent marks stay ordered
+	t.b.Dur[i] += now.Sub(t.last)
+	t.b.Marks[i]++
+	t.last = now
 	t.mu.Unlock()
 }
 
-// Finish freezes the trace's wall-clock time. Idempotent; later Record
-// calls still append but Wall stays fixed at the first Finish.
+// Finish freezes the trace's wall-clock time. Idempotent: Wall stays fixed
+// at the first Finish.
 func (t *Trace) Finish() {
 	if t == nil {
 		return
 	}
-	now := time.Now()
 	t.mu.Lock()
 	if !t.done {
-		t.wall = now.Sub(t.begin)
+		t.wall = time.Since(t.begin)
 		t.done = true
 	}
 	t.mu.Unlock()
@@ -141,85 +169,48 @@ func (t *Trace) Wall() time.Duration {
 	return time.Since(t.begin)
 }
 
-// Spans returns a copy of the recorded spans in recording order.
-func (t *Trace) Spans() []Span {
+// Breakdown returns the per-stage record (all zero on a nil trace).
+func (t *Trace) Breakdown() Breakdown {
 	if t == nil {
-		return nil
+		return Breakdown{}
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]Span(nil), t.spans...)
-}
-
-// StageTotals sums span durations per stage.
-func (t *Trace) StageTotals() map[Stage]time.Duration {
-	totals := make(map[Stage]time.Duration)
-	for _, s := range t.Spans() {
-		totals[s.Stage] += s.Dur
-	}
-	return totals
-}
-
-// StageSum is the sum of all span durations — the quantity the acceptance
-// bound compares against Wall. Only tests call it: core's
-// TestEngineMatchesReference checks 0 < StageSum <= Wall for every traced
-// query.
-func (t *Trace) StageSum() time.Duration {
-	var sum time.Duration
-	for _, s := range t.Spans() {
-		sum += s.Dur
-	}
-	return sum
+	return t.b
 }
 
 // String renders the breakdown for terminals and the slow-query log: one
-// header line (id, wall, stage-sum coverage) and one line per stage in
-// canonical order, with its total, share of wall and span count.
+// header line (id, wall, marks and the time they cover) and one line per
+// marked stage in canonical order, with its total, share of wall and mark
+// count.
 func (t *Trace) String() string {
 	if t == nil {
 		return "(no trace)"
 	}
-	spans := t.Spans()
+	b := t.Breakdown()
 	wall := t.Wall()
-	totals := make(map[Stage]time.Duration)
-	counts := make(map[Stage]int)
-	for _, s := range spans {
-		totals[s.Stage] += s.Dur
-		counts[s.Stage]++
-	}
 	var sum time.Duration
-	for _, d := range totals {
+	marks := 0
+	for i, d := range b.Dur {
 		sum += d
+		marks += b.Marks[i]
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "trace %s: wall %v, %d spans covering %v", t.ID(), wall, len(spans), sum)
+	var sb strings.Builder
+	// The slow-query log's header still counts marks as "spans".
+	fmt.Fprintf(&sb, "trace %s: wall %v, %d spans covering %v", t.ID(), wall, marks, sum)
 	if wall > 0 {
-		fmt.Fprintf(&b, " (%.0f%%)", 100*float64(sum)/float64(wall))
+		fmt.Fprintf(&sb, " (%.0f%%)", 100*float64(sum)/float64(wall))
 	}
-	b.WriteByte('\n')
-	ordered := Stages()
-	seen := make(map[Stage]bool, len(ordered))
-	for _, st := range ordered {
-		seen[st] = true
-	}
-	// Unknown stages (future layers) sort after the canonical ones.
-	var extra []Stage
-	for st := range totals {
-		if !seen[st] {
-			extra = append(extra, st)
-		}
-	}
-	sort.Slice(extra, func(i, j int) bool { return extra[i] < extra[j] })
-	for _, st := range append(ordered, extra...) {
-		d, ok := totals[st]
-		if !ok {
+	sb.WriteByte('\n')
+	for i, st := range stages {
+		if b.Marks[i] == 0 {
 			continue
 		}
 		pct := 0.0
 		if wall > 0 {
-			pct = 100 * float64(d) / float64(wall)
+			pct = 100 * float64(b.Dur[i]) / float64(wall)
 		}
-		fmt.Fprintf(&b, "  %-14s %12v  %5.1f%%  x%d\n", st, d, pct, counts[st])
+		fmt.Fprintf(&sb, "  %-14s %12v  %5.1f%%  x%d\n", st, b.Dur[i], pct, b.Marks[i])
 	}
-	return b.String()
+	return sb.String()
 }

@@ -92,19 +92,17 @@ type rowIter interface {
 // is the pipeline source: no filtered copy of the table is ever
 // materialised.
 type scanIter struct {
-	rows    [][]string
-	sels    []boundSel
-	selfs   []selfFilter
-	buf     []string // this atom's segment of the shared row buffer
-	pos     int
-	scanned *int64 // plan-wide count of base rows pulled
+	rows  [][]string
+	sels  []boundSel
+	selfs []selfFilter
+	buf   []string // this atom's segment of the shared row buffer
+	pos   int
 }
 
 func (it *scanIter) Next() bool {
 	for it.pos < len(it.rows) {
 		row := it.rows[it.pos]
 		it.pos++
-		*it.scanned++
 		if rowAdmits(row, it.sels, it.selfs) {
 			copy(it.buf, row)
 			return true
@@ -151,14 +149,13 @@ type hashJoinBuild struct {
 // newHashJoinBuild builds the chained hash table over the atom's filtered
 // rows. Selections and self-filters are applied while building, so the probe
 // side never sees a row the push-down would have dropped.
-func newHashJoinBuild(rows [][]string, sels []boundSel, selfs []selfFilter, pairs []joinPair, scanned *int64) hashJoinBuild {
+func newHashJoinBuild(rows [][]string, sels []boundSel, selfs []selfFilter, pairs []joinPair) hashJoinBuild {
 	b := hashJoinBuild{
 		head: make(map[uint64]int32, len(rows)),
 		rows: make([][]string, 0, len(rows)),
 		next: make([]int32, 0, len(rows)),
 	}
 	for _, row := range rows {
-		*scanned++
 		if !rowAdmits(row, sels, selfs) {
 			continue
 		}
@@ -235,16 +232,8 @@ func (it *nestedLoopIter) Next() bool {
 	}
 }
 
-// StreamStats counts the work one stream performed, for the early-termination
-// accounting of the top-k union (rows pulled vs rows a full materialisation
-// would touch).
+// StreamStats counts the work one stream performed.
 type StreamStats struct {
-	// RowsScanned is the number of base-table rows pulled by scans and
-	// hash-join builds.
-	RowsScanned int64
-	// RowsPulled is the number of joined rows the projection pulled from the
-	// pipeline (pre-deduplication).
-	RowsPulled int64
 	// RowsEmitted is the number of deduplicated projected rows emitted.
 	RowsEmitted int64
 }
@@ -276,7 +265,6 @@ func (s *Stream) Stats() StreamStats { return s.stats }
 // stream.
 func (s *Stream) Next() ([]string, bool) {
 	for s.root.Next() {
-		s.stats.RowsPulled++
 		h := uint64(fnvOffset64)
 		for _, ci := range s.proj {
 			h = valHash(h, s.buf[ci])
@@ -354,7 +342,7 @@ func BuildStream(c *Catalog, q *ConjunctiveQuery) (*Stream, error) {
 // bound as join pairs — binding them as joins is impossible (the alias binds
 // only after its own join step), which is exactly how the old executors
 // silently dropped them.
-func compilePipeline(p *queryPlan, stats *StreamStats) (rowIter, []string, map[string]int) {
+func compilePipeline(p *queryPlan) (rowIter, []string, map[string]int) {
 	colOf := make(map[string]int)
 	width := 0
 	segOf := make([]int, len(p.atoms)) // atom index -> buffer offset
@@ -370,11 +358,10 @@ func compilePipeline(p *queryPlan, stats *StreamStats) (rowIter, []string, map[s
 
 	first := &p.atoms[p.order[0]]
 	var root rowIter = &scanIter{
-		rows:    first.rows,
-		sels:    first.sels,
-		selfs:   first.selfs,
-		buf:     buf[:len(first.rel.Attributes)],
-		scanned: &stats.RowsScanned,
+		rows:  first.rows,
+		sels:  first.sels,
+		selfs: first.selfs,
+		buf:   buf[:len(first.rel.Attributes)],
 	}
 
 	for _, oi := range p.order[1:] {
@@ -406,7 +393,7 @@ func compilePipeline(p *queryPlan, stats *StreamStats) (rowIter, []string, map[s
 		if len(pairs) > 0 {
 			root = &hashJoinIter{
 				left:  root,
-				build: newHashJoinBuild(a.rows, a.sels, a.selfs, pairs, &stats.RowsScanned),
+				build: newHashJoinBuild(a.rows, a.sels, a.selfs, pairs),
 				pairs: pairs,
 				buf:   buf,
 				seg:   seg,
@@ -414,7 +401,6 @@ func compilePipeline(p *queryPlan, stats *StreamStats) (rowIter, []string, map[s
 		} else {
 			var kept [][]string
 			for _, row := range a.rows {
-				stats.RowsScanned++
 				if rowAdmits(row, a.sels, a.selfs) {
 					kept = append(kept, row)
 				}
@@ -429,7 +415,7 @@ func compilePipeline(p *queryPlan, stats *StreamStats) (rowIter, []string, map[s
 // set-semantics dedup.
 func compileStream(p *queryPlan) (*Stream, error) {
 	st := &Stream{}
-	root, buf, colOf := compilePipeline(p, &st.stats)
+	root, buf, colOf := compilePipeline(p)
 	cols := make([]string, len(p.q.Project))
 	proj := make([]int, len(p.q.Project))
 	for i, pc := range p.q.Project {
@@ -449,8 +435,7 @@ func compileStream(p *queryPlan) (*Stream, error) {
 }
 
 // TopKUnionStats counts the work of one BatchPlan.TopKUnion call, making the
-// early termination observable: RowsPulled < the rows a full
-// materialisation of every branch would pull whenever branches were skipped.
+// early termination observable as skipped branches.
 type TopKUnionStats struct {
 	// BranchesExecuted and BranchesSkipped partition the batch: a branch is
 	// skipped when k already-collected rows provably outrank every row it
@@ -458,10 +443,7 @@ type TopKUnionStats struct {
 	// rows share its cost).
 	BranchesExecuted int
 	BranchesSkipped  int
-	// RowsScanned / RowsPulled / RowsEmitted aggregate the executed
-	// branches' StreamStats.
-	RowsScanned int64
-	RowsPulled  int64
+	// RowsEmitted sums the executed branches' StreamStats.
 	RowsEmitted int64
 }
 
@@ -519,11 +501,8 @@ func (bp *BatchPlan) TopKUnion(k int, provenance []string) (*UnionResult, TopKUn
 			return nil, stats, err
 		}
 		rs := st.Drain()
-		ss := st.Stats()
 		stats.BranchesExecuted++
-		stats.RowsScanned += ss.RowsScanned
-		stats.RowsPulled += ss.RowsPulled
-		stats.RowsEmitted += ss.RowsEmitted
+		stats.RowsEmitted += st.Stats().RowsEmitted
 
 		mapping := make([]int, len(rs.Columns))
 		for i, col := range rs.Columns {

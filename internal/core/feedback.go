@@ -3,6 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
+	"strconv"
 	"time"
 
 	"qint/internal/learning"
@@ -200,20 +202,37 @@ func (q *Q) KBestTrees(m Materialization, k int) []steiner.Tree {
 }
 
 // kBestTieSlack is how many extra trees beyond k the tie-inclusive page
-// fetches to discover boundary ties.
-const kBestTieSlack = 8
+// fetches to discover boundary ties, and kBestTieTol how far above the k-th
+// cost a tree still ties with it.
+const (
+	kBestTieSlack = 8
+	kBestTieTol   = 1e-9
+)
 
+// kBestOf is the tie-inclusive page of k trees over mat's overlay: the
+// top k+kBestTieSlack, cut after the last tree within kBestTieTol of the
+// k-th cost. When mat holds k trees (it holds at most its own k), its k-th
+// cost is the page's, on the same overlay, so the search runs under that
+// cost plus kBestTieTol and returns the prefix of the unlimited answer
+// under it (steiner.TopKSteinerUnder): every tree the cut keeps. Fewer than
+// k+kBestTieSlack trees is the expected answer; only fewer than k runs
+// again. A view with fewer than k trees, a page deeper than the view and
+// the tests' uncached engines (the reference oracle's side) get no limit.
 func (q *Q) kBestOf(mat *viewMat, k int) []steiner.Tree {
 	if k <= 0 {
 		return nil
 	}
-	trees := q.topKTrees(mat.ov, mat.terminals, k+kBestTieSlack, nil)
+	limit := math.Inf(1)
+	if k <= len(mat.trees) && !q.uncached {
+		limit = mat.trees[k-1].Cost + kBestTieTol
+	}
+	trees := q.topKTrees(mat.ov, mat.terminals, k+kBestTieSlack, limit, k)
 	if len(trees) <= k {
 		return trees
 	}
 	kth := trees[k-1].Cost
 	cut := k
-	for cut < len(trees) && trees[cut].Cost <= kth+1e-9 {
+	for cut < len(trees) && trees[cut].Cost <= kth+kBestTieTol {
 		cut++
 	}
 	return trees[:cut]
@@ -227,7 +246,7 @@ func treeExample(ov *searchgraph.Overlay, t steiner.Tree) learning.TreeExample {
 	feats := make([]learning.Vector, 0, len(t.Edges))
 	for _, eid := range t.Edges {
 		e := ov.Edge(eid)
-		keys = append(keys, fmt.Sprintf("e%d", eid))
+		keys = append(keys, "e"+strconv.Itoa(int(eid)))
 		if e.Fixed {
 			feats = append(feats, nil)
 		} else {

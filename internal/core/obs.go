@@ -137,8 +137,8 @@ func newEngineMetrics() *engineMetrics {
 		steinerPruned:      r.Counter("qint_steiner_pruned_total", "Candidate trees the exact search dropped instead of queueing because their state already held k trees."),
 		steinerBoundPruned: r.Counter("qint_steiner_bound_pruned_total", "Candidate trees the exact search dropped, at push or at pop, because their cost plus a lower bound on completing them exceeded the search's limit: the k-th cheapest complete tree queued, or the cost a view refresh carried from its previous answer."),
 		steinerTruncated:   r.Counter("qint_steiner_truncated_total", "Exact searches stopped at the pop limit, whose answer may be short."),
-		steinerLimited:     r.Counter("qint_steiner_limited_total", "Exact searches given a finite limit from the start: view refreshes whose previous k trees all re-priced in the new generation."),
-		steinerReruns:      r.Counter("qint_steiner_limit_reruns_total", "Exact searches under a finite limit that came back with fewer than k trees and ran again without one."),
+		steinerLimited:     r.Counter("qint_steiner_limited_total", "Exact searches given a finite limit from the start: view refreshes whose previous k trees all re-priced in the new generation, and feedback pages searched under their view's k-th cost."),
+		steinerReruns:      r.Counter("qint_steiner_limit_reruns_total", "Exact searches under a finite limit that came back with fewer trees than their caller needs (a refresh its k, a feedback page its view's k) and ran again without one; a carried or page limit always has them under it, so this stays 0."),
 
 		baseMatcherCalls:            r.Counter("qint_align_base_matcher_calls_total", "Relation-pair matcher invocations during source registration (BASEMATCHER calls of Algorithms 2-3)."),
 		attrComparisons:             r.Counter("qint_align_attr_comparisons_total", "Pairwise attribute comparisons performed, honouring the value-overlap filter when enabled."),

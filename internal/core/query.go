@@ -422,7 +422,7 @@ func (q *Q) executeBranches(st *qstate, queries []*relstore.ConjunctiveQuery, k 
 // output-schema alignment. The produced query list is a function of the
 // trees alone; queryTree[i] is the index of the tree queries[i] came from.
 func (q *Q) planOverlay(st *qstate, ov *searchgraph.Overlay, terminals []steiner.NodeID, k int, prev *viewMat, tr *obs.Trace) (trees []steiner.Tree, queries []*relstore.ConjunctiveQuery, queryTree []int, err error) {
-	trees = q.topKTrees(ov, terminals, k, prev)
+	trees = q.topKTrees(ov, terminals, k, carriedLimit(ov, prev, k), k)
 	tr.Mark(obs.StageSteiner)
 
 	// Translate the trees in cost order. A tree takes a few microseconds,
@@ -450,30 +450,40 @@ func (q *Q) planOverlay(st *qstate, ov *searchgraph.Overlay, terminals []steiner
 }
 
 // topKTrees is the one place core runs a top-k Steiner search (view
-// planning and the deeper feedback pages alike). One distinct terminal — a
+// planning and the feedback pages alike). One distinct terminal — a
 // keyword, perhaps repeated, since the overlay gives a repeated keyword the
 // same node — is answered by its matches (singleKeywordTrees); more go to
-// the exact search, whose work goes to the registry. prev, the view's
-// previous materialisation on a refresh and nil otherwise, gives the search
-// its limit (carriedLimit).
-func (q *Q) topKTrees(ov *searchgraph.Overlay, terminals []steiner.NodeID, k int, prev *viewMat) []steiner.Tree {
-	m := q.metrics
+// the exact search, whose work goes to the registry. limit is the one its
+// caller computed, math.Inf(1) for none: a refresh passes carriedLimit, a
+// feedback page its view's k-th cost (kBestOf). The search under it
+// returns the prefix of the unlimited answer that fits under it
+// (steiner.TopKSteinerUnder), which the caller accepts when it holds at
+// least need trees; a shorter one means the limit broke its promise, and
+// the search runs again without it.
+func (q *Q) topKTrees(ov *searchgraph.Overlay, terminals []steiner.NodeID, k int, limit float64, need int) []steiner.Tree {
 	if !slices.ContainsFunc(terminals, func(t steiner.NodeID) bool { return t != terminals[0] }) {
 		return singleKeywordTrees(ov, terminals[0], k)
 	}
-	limit := carriedLimit(ov, prev, k)
-	trees, st := steiner.TopKSteinerStats(ov.View(), terminals, k, limit)
+	trees := q.searchUnder(ov, terminals, k, limit)
+	if !math.IsInf(limit, 1) {
+		q.metrics.steinerLimited.Inc()
+		if len(trees) < need {
+			q.metrics.steinerReruns.Inc()
+			trees = q.searchUnder(ov, terminals, k, math.Inf(1))
+		}
+	}
+	return trees
+}
+
+// searchUnder is one exact search under limit, its work counted.
+func (q *Q) searchUnder(ov *searchgraph.Overlay, terminals []steiner.NodeID, k int, limit float64) []steiner.Tree {
+	m := q.metrics
+	trees, st := steiner.TopKSteinerUnder(ov.View(), terminals, k, limit)
 	m.steinerPops.Add(int64(st.Pops))
 	m.steinerPruned.Add(int64(st.Pruned))
 	m.steinerBoundPruned.Add(int64(st.BoundPruned))
 	if st.Truncated {
 		m.steinerTruncated.Inc()
-	}
-	if !math.IsInf(limit, 1) {
-		m.steinerLimited.Inc()
-	}
-	if st.Reran {
-		m.steinerReruns.Inc()
 	}
 	return trees
 }

@@ -55,7 +55,7 @@ type Stats struct {
 	Pruned      int  // candidates dropped at push because their state already held k trees
 	BoundPruned int  // candidates dropped at push or pop because cost + lower bound exceeds the limit
 	Truncated   bool // the search stopped at maxDPBFPops; the answer may be short
-	Reran       bool // a run under a finite limit came back short, so the search ran again without one
+	Reran       bool // TopKSteinerStats: a run under a finite limit came back short, so the search ran again without one
 }
 
 // plus returns the work of two runs together; Truncated and Reran are t's.
@@ -93,26 +93,40 @@ func TopKSteinerOn(g GraphView, terminals []NodeID, k int) []Tree {
 // that takes limit, a performance hint: a cost that the caller expects k
 // distinct trees of the view to fit under (a view refresh passes its
 // previous answer re-priced), or math.Inf(1) for none. The answer does not
-// depend on it.
+// depend on it: it is TopKSteinerUnder's run, and when that run comes back
+// with fewer than k trees under a finite limit, a second run without one
+// (Stats.Reran; the Stats then add up both runs).
+func TopKSteinerStats(g GraphView, terminals []NodeID, k int, limit float64) ([]Tree, Stats) {
+	return topK(g, terminals, k, limit, true)
+}
+
+// TopKSteinerUnder is one run of the search under limit, never repeated:
+// it returns the prefix of TopKSteinerOn's answer whose costs fit under
+// limit, widened by the slack the search adds to any limit (a relative
+// 1e-9 plus 1e-12). A short answer is therefore every tree under the
+// limit, not a miss; math.Inf(1) gives the unlimited answer.
 //
-// The search starts with its limit at limit plus the slack noteComplete
-// adds, fills the distance table as far as that, and from then on only
-// lowers it, exactly as it lowers a limit of its own. A run under any limit
-// returns the prefix of the unlimited answer whose costs fit under it:
-// within a DP state the limit cuts off a suffix of the cost order (pops
-// ascend and cost + lower is the same bound for the whole state), every
-// candidate derived from a pruned one is pruned too (cost + lower never
-// falls along a derivation), so the candidates that survive are recorded,
-// dropped and combined as in the unlimited run, and an answer of the
-// unlimited run under the limit has every step of its derivation under it.
-// So a run that returns k trees has returned the unlimited answer, and one
-// that returns fewer runs again without a limit (Stats.Reran; the Stats
-// then add up both runs).
+// The search starts with its limit at limit plus that slack, fills the
+// distance table as far as that, and from then on only lowers it, exactly
+// as it lowers a limit of its own. Within a DP state the limit cuts off a
+// suffix of the cost order (pops ascend and cost + lower is the same bound
+// for the whole state), every candidate derived from a pruned one is
+// pruned too (cost + lower never falls along a derivation), so the
+// candidates that survive are recorded, dropped and combined as in the
+// unlimited run, and an answer of the unlimited run under the limit has
+// every step of its derivation under it.
 //
 // One case is not covered: a search that the unlimited run would stop at
 // maxDPBFPops can complete under a limit, because the limited run makes a
 // subset of its pops; such an answer is the longer one.
-func TopKSteinerStats(g GraphView, terminals []NodeID, k int, limit float64) ([]Tree, Stats) {
+func TopKSteinerUnder(g GraphView, terminals []NodeID, k int, limit float64) ([]Tree, Stats) {
+	return topK(g, terminals, k, limit, false)
+}
+
+// topK is TopKSteinerUnder, followed, when rerun is set, by
+// TopKSteinerStats' second run on the same scratch. Zero or one distinct
+// terminal needs no search, so it never runs again.
+func topK(g GraphView, terminals []NodeID, k int, limit float64, rerun bool) ([]Tree, Stats) {
 	if k <= 0 {
 		return nil, Stats{}
 	}
@@ -131,7 +145,7 @@ func TopKSteinerStats(g GraphView, terminals []NodeID, k int, limit float64) ([]
 	s := acquireSearch()
 	trees := s.run(g, terms, k, limit)
 	stats := s.stats
-	if len(trees) < k && !math.IsInf(limit, 1) {
+	if rerun && len(trees) < k && !math.IsInf(limit, 1) {
 		trees = s.run(g, terms, k, math.Inf(1))
 		stats = stats.plus(s.stats)
 		stats.Reran = true
@@ -168,7 +182,7 @@ func edgeHash(e EdgeID) uint64 {
 	return x ^ (x >> 31)
 }
 
-// search is the scratch of one TopKSteinerStats call (and of the
+// search is the scratch of one topK call (and of the
 // package's other Dijkstra runs). Everything lives in flat slices that a
 // later call reuses through the free list (scratch.go).
 type search struct {
